@@ -7,7 +7,7 @@ GO ?= go
 # Raise it (never lower it) when a PR lifts coverage.
 COVER_MIN ?= 86.5
 
-.PHONY: all build vet fmt test race bench cover serve-smoke obs-smoke cluster-smoke chaos fuzz bench-service bench-probe bench-store alloc check
+.PHONY: all build vet fmt test race flake bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz bench-service bench-probe bench-store alloc check
 
 all: check
 
@@ -29,10 +29,26 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Host-class flake gate: the two packages whose tests assert scheduling-
+# and lock-sensitive behaviour (lock-free probes, RCU swaps, crash
+# sweeps), 20 times over at 1, 2 and 4 scheduler threads, so a test that
+# only holds on the builder's core count cannot land.
+flake:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store -count=20 || exit 1; \
+	done
+
 # One iteration of every benchmark: a smoke test that the bench harness
 # still compiles and runs, not a measurement.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json, benchmark/) is a nested
+# module that `./...` does not reach: vet it and run its tests — unit
+# tests plus a 6 s smoke run of all four workloads at 1/50 size against
+# real daemons — so an internal API change that breaks it fails here.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Total statement coverage with a ratchet threshold: CI fails when a
 # change drops coverage below COVER_MIN. Runs under -race so one pass
@@ -131,4 +147,4 @@ alloc:
 
 # `cover` runs the whole suite under -race, so the `race` and `test`
 # targets would be redundant here.
-check: build vet fmt cover alloc bench fuzz chaos serve-smoke obs-smoke cluster-smoke
+check: build vet fmt cover flake alloc bench benchmark-test fuzz chaos serve-smoke obs-smoke cluster-smoke

@@ -117,17 +117,19 @@
 // (exact, then one approximate probe on a miss).
 //
 // An Index is safe for concurrent use and its probe path is lock-free.
-// The reference is sharded by the same prefix-filter co-partitioning as
-// the parallel streaming executor (IndexOptions.Shards, default one per
-// hardware thread); each shard publishes an immutable snapshot through
+// The reference is hash-partitioned by join key into disjoint shards
+// (IndexOptions.Shards, default one per hardware thread) — one copy of
+// every reference at any shard count; an exact probe reads the key's
+// home shard, an approximate probe all of them, merged by reference
+// order. Each shard publishes an immutable snapshot through
 // an atomic pointer, and Upsert builds replacement snapshots off-path
 // and swaps them in, RCU-style. The consistency model is per-shard
 // snapshot isolation: a probe sees a point-in-time state of every shard
 // it reads, upserts are atomic per key (a probe observes the old
 // payload or the new one, never a mix), and a cross-shard batch is
 // per-shard-consistent rather than globally serialised. ProbeBatch (on
-// Index and Session) probes a whole batch with routing and snapshot
-// loads amortised per shard-group — semantically identical, match for
+// Index and Session) probes a whole batch with decomposition and
+// snapshot loads amortised per shard — semantically identical, match for
 // match and statistic for statistic, to a loop of single probes. The
 // index is a keyed store — one resident record per join key, newest
 // wins, on load and upsert alike (see NewIndex). For each of the four

@@ -26,11 +26,12 @@ type IndexOptions struct {
 	// Measure is the similarity coefficient (default Jaccard).
 	Measure Measure
 	// Shards is the number of independent index shards (default
-	// GOMAXPROCS). Probes are lock-free at any shard count; more shards
-	// spread batch work across cores at the price of replicating
-	// references into every shard their prefix-filter signature hashes
-	// to (~min(5, Shards)× for the paper's configuration). The match
-	// contract is shard-count-independent.
+	// GOMAXPROCS). The reference is hash-partitioned by join key, so
+	// every reference is stored once whatever the count; probes are
+	// lock-free at any shard count, and more shards spread a batch's
+	// approximate probes (each reads all shards, 1/Shards of the
+	// postings apiece) across cores and shrink the slice an upsert
+	// copies. The match contract is shard-count-independent.
 	Shards int
 	// Profile names the normalization pipeline applied to every join
 	// key on its way into the index — upserts and probes alike — so
@@ -115,13 +116,14 @@ type ProbeMatch struct {
 
 // Index is the resident, index-once/probe-many engine mode: the
 // reference table is materialised into both the exact hash table and the
-// q-gram inverted index up front — sharded by the same co-partitioning
-// as the parallel streaming executor — and then probed many times by
+// q-gram inverted index up front — hash-partitioned by join key into
+// IndexOptions.Shards disjoint shards — and then probed many times by
 // independent clients.
 //
 // An Index is safe for concurrent use and its probe path is lock-free:
 // each shard publishes an immutable snapshot through an atomic pointer,
-// a probe reads the snapshots of the shards its key routes to, and
+// a probe reads the snapshot of its key's home shard (exact) or of
+// every shard (approximate), and
 // Upsert builds replacement snapshots off-path and swaps them in
 // (RCU-style), so probes never wait on maintenance and maintenance
 // never waits on probes. Consistency model: a probe sees a

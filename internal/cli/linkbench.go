@@ -155,6 +155,7 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 
 	var next atomic.Int64
 	var errCount atomic.Int64
+	var errMu sync.Mutex
 	var probeCount atomic.Int64
 	latencies := make([]time.Duration, *n)
 	var wg sync.WaitGroup
@@ -178,9 +179,12 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 				latencies[i] = time.Since(t0)
 				probeCount.Add(int64(*batch))
 				if err != nil || code < 200 || code > 299 {
-					errCount.Add(1)
-					if errCount.Load() <= 3 {
+					if errCount.Add(1) <= 3 {
+						// stderr is the caller's writer, not necessarily
+						// safe for concurrent use: one worker at a time.
+						errMu.Lock()
 						fmt.Fprintf(stderr, "linkbench: request %s: code %d err %v body %s\n", reqID, code, err, truncate(body, 200))
+						errMu.Unlock()
 					}
 				}
 			}

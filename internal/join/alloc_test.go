@@ -56,9 +56,9 @@ func TestAllocExactProbeZero(t *testing.T) {
 
 // approxAllocBudget is the documented allocation budget of one
 // approximate resident probe with a caller-owned result buffer: the
-// steady state is zero (decomposition, routing, candidate generation
-// and verification all run on pooled scratch), and the budget of 1
-// absorbs the pool refill a GC cycle landing mid-measurement can force.
+// steady state is zero (decomposition, candidate generation and
+// verification all run on pooled scratch), and the budget of 1 absorbs
+// the pool refill a GC cycle landing mid-measurement can force.
 const approxAllocBudget = 1.0
 
 func TestAllocApproxProbeBudget(t *testing.T) {

@@ -6,20 +6,22 @@ import (
 
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 )
 
-// BuildShardedRefIndex bulk-loads a resident index: decompose and route
-// every key first, then build each shard's structures with dense
-// in-order inserts, and publish once at the end. The result is
-// identical to NewShardedRefIndex followed by one Upsert of the whole
+// BuildShardedRefIndex bulk-loads a resident index: decompose every
+// key and find its home shard first, then build each shard's structures
+// with dense in-order inserts, and publish once at the end. The result
+// is identical to NewShardedRefIndex followed by one Upsert of the whole
 // batch (same refs, same dictionaries, same postings — pinned by the
 // bulk differential test), but the construction avoids the upsert
 // path's copy-on-write machinery entirely and runs the two expensive
-// phases — gram decomposition/routing and per-shard index builds — in
-// parallel across the host's cores. This is the load path for
-// multi-million-row reference tables; against N single Upserts (each of
-// which clones and republishes its touched shards) it is asymptotically
-// O(n) instead of O(n²).
+// phases — gram decomposition and per-shard index builds — in parallel
+// across the host's cores. This is the load path for multi-million-row
+// reference tables; against N single Upserts (each of which clones and
+// republishes its home shard) it is asymptotically O(n) instead of
+// O(n²). It is also how a snapshot written under another layout is
+// brought into this one (see NewShardedRefIndexFromSnapshot).
 //
 // The keyed-store contract applies as everywhere: one resident record
 // per join key, newest payload wins, refs assigned in first-seen key
@@ -47,10 +49,11 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	}
 	n := len(final)
 
-	// Pass 2 — decompose and route every key, in parallel over ref
-	// ranges. Each worker owns a decomposition arena that must outlive
-	// pass 3 (the shard builds read the scratch-backed Keys), so the
-	// scratches are plain locals captured per worker, not pooled.
+	// Pass 2 — decompose every key and hash it to its home shard, in
+	// parallel over ref ranges. Each worker owns a decomposition arena
+	// that must outlive pass 3 (the shard builds read the scratch-backed
+	// Keys), so the scratches are plain locals captured per worker, not
+	// pooled.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -59,7 +62,7 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 		workers = 1
 	}
 	keys := make([]qgram.Key, n)
-	routesOf := make([][]int, n)
+	home := make([]int32, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := n * w / workers
@@ -71,12 +74,9 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 		go func(lo, hi int) {
 			defer wg.Done()
 			var dsc qgram.Scratch
-			var flat []int
 			for i := lo; i < hi; i++ {
 				keys[i] = s.ex.Decompose(&dsc, final[i].Key)
-				start := len(flat)
-				flat = s.storageRoutesKey(flat, final[i].Key, keys[i])
-				routesOf[i] = flat[start:len(flat):len(flat)]
+				home[i] = int32(shardmap.ShardOf(final[i].Key, s.nshard))
 			}
 		}(lo, hi)
 	}
@@ -88,10 +88,8 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	// grams identically and the differential harness can hold the two
 	// builds to full equality.
 	members := make([][]int32, s.nshard)
-	for i := 0; i < n; i++ {
-		for _, sh := range routesOf[i] {
-			members[sh] = append(members[sh], int32(i))
-		}
+	for i, sh := range home {
+		members[sh] = append(members[sh], int32(i))
 	}
 
 	// Pass 3 — per-shard dense builds, in parallel across shards.
@@ -105,14 +103,8 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 			sn.tuples = make([]relation.Tuple, 0, len(ms))
 			sn.keys = make([]string, 0, len(ms))
 			sn.globals = make([]int, 0, len(ms))
-			for lref, g := range ms {
-				t := final[g]
-				sn.tuples = append(sn.tuples, t)
-				sn.keys = append(sn.keys, t.Key)
-				sn.globals = append(sn.globals, int(g))
-				sn.local[t.Key] = lref
-				sn.exIdx.Insert(lref, t.Key)
-				sn.qgIdx.InsertKey(lref, keys[g])
+			for _, g := range ms {
+				sn.add(final[g], int(g), keys[g])
 			}
 			snaps[sh] = sn
 		}(sh)
@@ -121,15 +113,7 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 
 	// Publish: global store first (no probe may resolve a ref the store
 	// cannot), then every shard.
-	st := &globalStore{n: n}
-	for lo := 0; lo < n; lo += storeChunkSize {
-		hi := lo + storeChunkSize
-		if hi > n {
-			hi = n
-		}
-		st.chunks = append(st.chunks, final[lo:hi:hi])
-	}
-	s.store.Store(st)
+	s.store.Store(newGlobalStore(final))
 	for sh, sn := range snaps {
 		s.shards[sh].Store(sn)
 	}

@@ -253,7 +253,7 @@ type Resident interface {
 	// join keys).
 	Len() int
 	// Entries reports live index entry counts (exact refs, q-gram
-	// postings). Sharded implementations count replicas.
+	// postings): one exact entry per resident key at any shard count.
 	Entries() (exact, qgrams int)
 	// Tuple returns a snapshot of the reference tuple at ref.
 	Tuple(ref int) (relation.Tuple, error)

@@ -2,7 +2,6 @@ package join
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -19,41 +18,42 @@ import (
 // shards, each publishing an immutable snapshot of its slice of the
 // reference through an atomic pointer, probed entirely lock-free.
 //
-// Sharding reuses the co-partitioning of the streaming executor
-// (internal/shardmap, the router of internal/pjoin): every reference
-// tuple is stored in the shards of its prefix-filter signature plus the
-// shard owning its key hash, so an exact probe reads exactly one shard
-// (ShardOf(key, N)) and an approximate probe reads the shards of its own
-// signature — by the prefix-filtering principle any pair at or above
-// θsim shares at least one probed shard. Replicas found through several
-// shared shards are deduplicated by the tuple's global ref, so the match
-// multiset is identical to the single-shard RefIndex's (the differential
-// harness pins this for interleaved probe/upsert streams).
+// The reference is hash-partitioned by join key: a tuple lives in
+// exactly one shard, shardmap.ShardOf(key, N), so the N shards together
+// hold one copy of the reference — the n·(|jA|+q−1) postings of the
+// paper's space analysis (§2.3), whatever N is. An exact probe reads
+// the key's home shard only. An approximate probe decomposes the key
+// once and probes all N shards, which are disjoint 1/N slices: the
+// total posting work equals the unsharded index's and, in a batch,
+// splits N ways across the host's cores. Per-shard results are merged
+// by ascending global ref, so the match list is identical to the
+// single-shard RefIndex's (the differential harness pins this for
+// interleaved probe/upsert streams).
 //
 // Concurrency is RCU-style. Probes load a shard's snapshot with one
 // atomic pointer read and run on plain immutable data: the probe hot
-// path acquires zero mutexes, so probe throughput is bounded by the
-// hardware, not by read-lock traffic. Upsert serialises writers on a
-// mutex that probes never touch, builds each touched shard's next
-// snapshot off-path (clone + apply, with gram hashing done before even
-// the writer lock), and publishes it with one atomic swap — a quiescent
-// point in the RCU sense: probes in flight finish on the old snapshot,
-// later probes see the new one, and no probe ever observes a
-// half-applied batch within a shard.
+// path acquires no mutex of this package, so probe throughput is
+// bounded by the hardware, not by read-lock traffic. Upsert serialises
+// writers on a mutex that probes never touch, builds each touched
+// shard's next snapshot off-path (clone + apply, with gram hashing done
+// before even the writer lock), and publishes it with one atomic swap —
+// a quiescent point in the RCU sense: probes in flight finish on the
+// old snapshot, later probes see the new one, and no probe ever
+// observes a half-applied batch within a shard.
 //
 // The consistency model is per-shard snapshot isolation: a probe sees a
 // point-in-time state of every shard it reads, upserts are atomic per
-// key (a key's replicas are deduplicated to one match, taken wholesale
-// from one snapshot — never a torn mix of old and new payload), and a
+// key (a key has one home shard, so its match is taken wholesale from
+// one snapshot — never a torn mix of old and new payload), and a
 // cross-shard batch is per-shard-consistent rather than globally
 // serialised. The price of the swap is copy-on-write: an upsert costs
-// O(size of the touched shards), which is the deliberate inversion of
-// the RefIndex trade-off — reads outnumber writes by orders of
-// magnitude in the index-once/probe-many mode.
+// O(size of the batch's home shards), at most one copy of the
+// reference, which is the deliberate inversion of the RefIndex
+// trade-off — reads outnumber writes by orders of magnitude in the
+// index-once/probe-many mode.
 type ShardedRefIndex struct {
 	cfg    Config
 	ex     *qgram.Extractor
-	router *shardmap.PrefixRouter
 	nshard int
 
 	shards []atomic.Pointer[shardSnap]
@@ -65,7 +65,7 @@ type ShardedRefIndex struct {
 	// newest maps join key -> global ref; writer-owned, guarded by mu.
 	newest map[string]int
 	// pool recycles per-probe/per-shard scratches (decomposition arena,
-	// routing buffer, epoch-stamped count filter) across the probe
+	// epoch-stamped count filter, batch result arena) across the probe
 	// fleet and the batch fan-out workers: the probe hot path is both
 	// lock-free and allocation-free.
 	pool sync.Pool
@@ -76,16 +76,16 @@ type ShardedRefIndex struct {
 }
 
 // shardScratch is the pooled scratch of one probe, batch worker or
-// upsert: decomposition arena, routing buffers and count-filter state.
+// upsert: decomposition arena and count-filter state.
 type shardScratch struct {
-	dsc    qgram.Scratch
-	psc    hashidx.ProbeScratch
-	routes []int
-	// Batch arenas: one decomposed Key per batch member plus the flat
-	// route table (routes of key i are routeFlat[routeOff[i]:routeOff[i+1]]).
-	keys      []qgram.Key
-	routeFlat []int
-	routeOff  []int
+	dsc qgram.Scratch
+	psc hashidx.ProbeScratch
+	// keys holds one decomposed Key per member of a batch or upsert.
+	keys []qgram.Key
+	// A batch worker's results over one shard, flat: the matches of key
+	// i are flat[off[i]:off[i+1]].
+	flat []RefMatch
+	off  []int
 }
 
 // shardSnap is one shard's immutable snapshot. No field is mutated
@@ -96,7 +96,6 @@ type shardSnap struct {
 	globals []int // local ref -> global ref (monotonically increasing)
 	exIdx   *hashidx.ExactIndex
 	qgIdx   *hashidx.QGramIndex
-	local   map[string]int // key -> local ref
 }
 
 func (sn *shardSnap) clone() *shardSnap {
@@ -106,8 +105,17 @@ func (sn *shardSnap) clone() *shardSnap {
 		globals: append([]int(nil), sn.globals...),
 		exIdx:   sn.exIdx.Clone(),
 		qgIdx:   sn.qgIdx.Clone(),
-		local:   maps.Clone(sn.local),
 	}
+}
+
+// add appends a tuple new to the shard, under the next local ref.
+func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
+	lref := len(sn.tuples)
+	sn.tuples = append(sn.tuples, t)
+	sn.keys = append(sn.keys, t.Key)
+	sn.globals = append(sn.globals, global)
+	sn.exIdx.Insert(lref, t.Key)
+	sn.qgIdx.InsertKey(lref, k)
 }
 
 // Global store chunk geometry: refs are dense, so the store is a
@@ -134,13 +142,26 @@ func (g *globalStore) tuple(ref int) relation.Tuple {
 	return g.chunks[ref>>storeChunkBits][ref&storeChunkMask]
 }
 
+// newGlobalStore chunks a ref-ordered tuple slice, adopting its backing
+// array. Three-index subslicing caps each chunk at its own length: a
+// later upsert's append can never write into the next chunk's backing
+// (and the copy-on-write append path clones any published chunk before
+// touching it anyway).
+func newGlobalStore(tuples []relation.Tuple) *globalStore {
+	st := &globalStore{n: len(tuples)}
+	for lo := 0; lo < st.n; lo += storeChunkSize {
+		hi := min(lo+storeChunkSize, st.n)
+		st.chunks = append(st.chunks, tuples[lo:hi:hi])
+	}
+	return st
+}
+
 // NewShardedRefIndex builds an empty sharded resident index with the
 // given shard count under the configuration's gram width, measure and
 // threshold (Config.Initial and RetainWindow do not apply to the
 // resident mode and are ignored). One shard is a valid degenerate
-// layout: it keeps the lock-free snapshot discipline without
-// replication, and is the deployment of choice on a single hardware
-// thread.
+// layout: it keeps the lock-free snapshot discipline without the batch
+// fan-out, and is the deployment of choice on a single hardware thread.
 func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 	cfg.Initial = LexRex
 	cfg.RetainWindow = 0
@@ -154,7 +175,6 @@ func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 	s := &ShardedRefIndex{
 		cfg:    cfg,
 		ex:     ex,
-		router: shardmap.NewPrefixRouter(shards, cfg.Q, cfg.Measure, cfg.Theta),
 		nshard: shards,
 		shards: make([]atomic.Pointer[shardSnap], shards),
 		newest: make(map[string]int),
@@ -163,7 +183,6 @@ func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 		s.shards[i].Store(&shardSnap{
 			exIdx: hashidx.NewExactIndex(),
 			qgIdx: hashidx.NewQGramIndex(ex),
-			local: make(map[string]int),
 		})
 	}
 	s.store.Store(&globalStore{})
@@ -184,10 +203,9 @@ func (s *ShardedRefIndex) Shards() int { return s.nshard }
 func (s *ShardedRefIndex) Len() int { return s.store.Load().n }
 
 // Entries reports the aggregate live entry counts across shards (exact
-// refs, q-gram postings). Unlike the single-shard RefIndex, replicas
-// count: a reference stored in three shards contributes three exact
-// entries — this is the replication cost of co-partitioning, the number
-// an operator sizing memory needs.
+// refs, q-gram postings). The shards partition the reference, so at any
+// shard count these are the single-shard RefIndex's numbers: one exact
+// entry per resident key, one posting per distinct gram of each key.
 func (s *ShardedRefIndex) Entries() (exact, qgrams int) {
 	for i := range s.shards {
 		sn := s.shards[i].Load()
@@ -206,31 +224,13 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 	return st.tuple(ref), nil
 }
 
-// storageRoutesKey returns the shards a reference tuple must be stored
-// in: the shards of its prefix-filter signature (so approximate probes
-// can reach it) plus the shard owning its key hash (so exact probes
-// read exactly one cheap-to-compute shard). The appended routes of one
-// key are dst[start:] for the caller-recorded start offset.
-func (s *ShardedRefIndex) storageRoutesKey(dst []int, key string, k qgram.Key) []int {
-	start := len(dst)
-	dst = s.router.RoutesKey(dst, key, k)
-	home := shardmap.ShardOf(key, s.nshard)
-	for _, sh := range dst[start:] {
-		if sh == home {
-			return dst
-		}
-	}
-	return append(dst, home)
-}
-
 // Upsert applies a batch of keyed reference maintenance: existing keys
-// get their payload replaced, new keys are appended and indexed, in
-// every shard the key routes to. It returns the inserted and updated
-// counts.
+// get their payload replaced, new keys are appended and indexed, each
+// in the key's home shard. It returns the inserted and updated counts.
 //
 // Writers are serialised; probes are not disturbed. Gram decomposition
-// and routing run before the writer lock, the touched shards' next
-// snapshots are built off-path by copy-on-write — the gram dictionary
+// runs before the writer lock, the next snapshots of the batch's home
+// shards are built off-path by copy-on-write — the gram dictionary
 // included, so published snapshots stay immutable while the clone
 // interns new grams — and each is published with one atomic swap: in-
 // flight probes complete on the old snapshot, later probes see the
@@ -241,19 +241,13 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	}
 	s.maint.upserts.Add(1)
 	sc := s.getScratch()
+	defer s.pool.Put(sc)
 	sc.dsc.Reset()
 	ks := sc.keys[:0]
-	flat := sc.routeFlat[:0]
-	off := sc.routeOff[:0]
 	for _, t := range tuples {
-		k := s.ex.Decompose(&sc.dsc, t.Key)
-		ks = append(ks, k)
-		off = append(off, len(flat))
-		flat = s.storageRoutesKey(flat, t.Key, k)
+		ks = append(ks, s.ex.Decompose(&sc.dsc, t.Key))
 	}
-	off = append(off, len(flat))
-	sc.keys, sc.routeFlat, sc.routeOff = ks, flat, off
-	defer s.pool.Put(sc)
+	sc.keys = ks
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,7 +282,8 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	}
 
 	next := make(map[int]*shardSnap)
-	snapFor := func(sh int) *shardSnap {
+	for i, t := range tuples {
+		sh := shardmap.ShardOf(t.Key, s.nshard)
 		ns, ok := next[sh]
 		if !ok {
 			t0 := time.Now()
@@ -296,31 +291,16 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 			s.maint.cloneNanos.Add(time.Since(t0).Nanoseconds())
 			next[sh] = ns
 		}
-		return ns
-	}
-	for i, t := range tuples {
-		routes := flat[off[i]:off[i+1]]
 		if g, ok := s.newest[t.Key]; ok {
 			setTuple(g, t)
-			for _, sh := range routes {
-				ns := snapFor(sh)
-				ns.tuples[ns.local[t.Key]] = t
-			}
+			// The store is keyed: the key's bucket holds its one local ref.
+			ns.tuples[ns.exIdx.Lookup(t.Key)[0]] = t
 			updated++
 			continue
 		}
 		g := appendTuple(t)
 		s.newest[t.Key] = g
-		for _, sh := range routes {
-			ns := snapFor(sh)
-			lref := len(ns.tuples)
-			ns.tuples = append(ns.tuples, t)
-			ns.keys = append(ns.keys, t.Key)
-			ns.globals = append(ns.globals, g)
-			ns.local[t.Key] = lref
-			ns.exIdx.Insert(lref, t.Key)
-			ns.qgIdx.InsertKey(lref, ks[i])
-		}
+		ns.add(t, g, ks[i])
 		inserted++
 	}
 	// Publish the global store before the shard snapshots: no probe may
@@ -364,43 +344,38 @@ func snapExact(sn *shardSnap, key string) []RefMatch {
 }
 
 // ProbeApprox matches the key against the reference approximately,
-// probing every shard of the key's prefix-filter signature and
-// deduplicating replicas by global ref. By the co-partitioning
-// guarantee the union over probed shards contains every pair at or
-// above θsim, so the deduplicated result equals the single-shard
-// SSHJoin probe's.
+// probing every shard: the shards are disjoint slices of the reference,
+// so the union of their SSHJoin probes, in ascending global-ref order,
+// is the single-shard probe's result.
 func (s *ShardedRefIndex) ProbeApprox(key string) []RefMatch {
 	return s.AppendProbeApprox(nil, key)
 }
 
 // AppendProbeApprox is ProbeApprox appending into caller-owned dst.
-// The key is decomposed once into a scratch-backed Key; routing, the
-// per-shard count filter and verification all run on pooled scratch
-// over the dictionary-encoded snapshots, so with a reusable dst the
-// approximate probe allocates nothing.
+// The key is decomposed once into a scratch-backed Key; the per-shard
+// count filter and verification all run on pooled scratch over the
+// dictionary-encoded snapshots, so with a reusable dst the approximate
+// probe allocates nothing.
 func (s *ShardedRefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMatch {
 	sc := s.getScratch()
 	sc.dsc.Reset()
 	k := s.ex.Decompose(&sc.dsc, key)
 	g := k.Len()
 	ko := s.cfg.Measure.MinOverlap(g, s.cfg.Theta)
-	sc.routes = s.router.RoutesKey(sc.routes[:0], key, k)
 	base := len(dst)
-	for _, sh := range sc.routes {
+	for sh := range s.shards {
 		dst = snapApproxAppend(dst, s.shards[sh].Load(), s.cfg, key, k, g, ko, &sc.psc)
 	}
-	if len(sc.routes) > 1 {
-		dst = dedupByRef(dst, base)
-	}
 	s.pool.Put(sc)
+	sortByRef(dst[base:])
 	return dst
 }
 
 // snapApproxAppend runs the SSHJoin probe against one immutable shard
-// snapshot, appending verified matches; replica dedup across shards is
-// the caller's job. The candidate view returned by ProbeKey lives in
-// psc and is fully consumed before this function returns, so one
-// scratch may serve several shards in sequence.
+// snapshot, appending verified matches in ascending ref order. The
+// candidate view returned by ProbeKey lives in psc and is fully
+// consumed before this function returns, so one scratch may serve
+// several shards in sequence.
 func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k qgram.Key, g, ko int, psc *hashidx.ProbeScratch) []RefMatch {
 	for _, cand := range sn.qgIdx.ProbeKey(k, ko, psc) {
 		sim, ok := cfg.Measure.Verify(g, sn.qgIdx.GramSize(cand.Ref), cand.Overlap, cfg.Theta)
@@ -415,23 +390,13 @@ func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k q
 	return dst
 }
 
-// dedupByRef brings dst[base:] into the deterministic output order —
-// ascending global ref — dropping replicas found through several
-// shards. The sort is stable, so the surviving copy of each ref is the
-// first one appended (route order), exactly the keep-first semantics of
-// the map-based dedup it replaces, without the map.
-func dedupByRef(dst []RefMatch, base int) []RefMatch {
-	part := dst[base:]
-	slices.SortStableFunc(part, func(a, b RefMatch) int { return a.Ref - b.Ref })
-	w := 0
-	for i := 0; i < len(part); i++ {
-		if w > 0 && part[i].Ref == part[w-1].Ref {
-			continue
-		}
-		part[w] = part[i]
-		w++
-	}
-	return dst[:base+w]
+// sortByRef brings the concatenated per-shard matches of one key into
+// the deterministic output order, ascending global ref. A ref lives in
+// one shard, so there are no duplicates to drop; each shard's run is
+// already ascending and most probes match in at most one shard, which
+// the sort detects in one pass.
+func sortByRef(ms []RefMatch) {
+	slices.SortFunc(ms, func(a, b RefMatch) int { return a.Ref - b.Ref })
 }
 
 // Probe matches under the given mode.
@@ -450,18 +415,18 @@ func (s *ShardedRefIndex) AppendProbe(dst []RefMatch, mode Mode, key string) []R
 	return s.AppendProbeExact(dst, key)
 }
 
-// batchFanMin is the batch size from which ProbeBatch fans shard groups
-// out to goroutines (given more than one group and more than one
+// batchFanMin is the batch size from which ProbeBatch fans the shards
+// out to goroutines (given more than one busy shard and more than one
 // hardware thread); below it the coordination would cost more than the
 // parallelism returns.
 const batchFanMin = 16
 
 // ProbeBatch matches every key under the given mode, returning one
 // result slice per key in order — semantically a loop of Probe calls,
-// physically an amortised group-by-shard execution: keys are routed
-// once, each touched shard's snapshot is loaded once per batch, and on
-// multi-core hosts the shard groups run concurrently inside the
-// caller's worker slot.
+// physically an amortised per-shard execution: keys are hashed (exact)
+// or decomposed (approximate) once, each shard's snapshot is loaded
+// once per batch, and on multi-core hosts the shards run concurrently
+// inside the caller's worker slot.
 func (s *ShardedRefIndex) ProbeBatch(mode Mode, keys []string) [][]RefMatch {
 	out := make([][]RefMatch, len(keys))
 	if len(keys) == 0 {
@@ -481,104 +446,96 @@ func (s *ShardedRefIndex) probeBatchExact(keys []string, out [][]RefMatch) {
 		sh := shardmap.ShardOf(k, s.nshard)
 		groups[sh] = append(groups[sh], i)
 	}
-	s.forGroups(len(keys), groups, func(sh int, idxs []int) {
+	busy := func(sh int) bool { return len(groups[sh]) > 0 }
+	s.forShards(len(keys), busy, func(sh int) {
 		sn := s.shards[sh].Load() // one snapshot load per shard-group
-		for _, i := range idxs {
+		for _, i := range groups[sh] {
 			out[i] = snapExact(sn, keys[i])
 		}
 	})
 }
 
 func (s *ShardedRefIndex) probeBatchApprox(keys []string, out [][]RefMatch) {
-	// Decompose every key once and route on the scratch-backed Keys;
-	// the flat route table and Key arena live in pooled scratch held
-	// for the whole batch (Keys are immutable and shared read-only by
-	// the fan-out workers below).
+	// Decompose every key once; the Key arena lives in pooled scratch
+	// held for the whole batch (Keys are immutable and shared read-only
+	// by the fan-out workers below).
 	sc := s.getScratch()
 	sc.dsc.Reset()
 	ks := sc.keys[:0]
-	flat := sc.routeFlat[:0]
-	off := sc.routeOff[:0]
-	groups := make([][]int, s.nshard)
-	for i, key := range keys {
-		k := s.ex.Decompose(&sc.dsc, key)
-		ks = append(ks, k)
-		off = append(off, len(flat))
-		flat = s.router.RoutesKey(flat, key, k)
-		for _, sh := range flat[off[i]:] {
-			groups[sh] = append(groups[sh], i)
-		}
+	for _, key := range keys {
+		ks = append(ks, s.ex.Decompose(&sc.dsc, key))
 	}
-	off = append(off, len(flat))
-	sc.keys, sc.routeFlat, sc.routeOff = ks, flat, off
-	// Phase 1: per shard-group, probe that shard's snapshot once per
-	// member key. Groups write disjoint partial slots, so they are free
-	// to run concurrently — each worker draws its own count-filter
-	// scratch from the pool.
-	partial := make([][][]RefMatch, s.nshard)
-	s.forGroups(len(keys), groups, func(sh int, idxs []int) {
+	sc.keys = ks
+	// Phase 1: every shard probes its snapshot once per key. Each worker
+	// draws its own scratch from the pool and fills that scratch's flat
+	// result arena, so workers share nothing they write.
+	work := make([]*shardScratch, s.nshard)
+	every := func(int) bool { return true }
+	s.forShards(len(keys), every, func(sh int) {
 		wsc := s.getScratch()
-		sn := s.shards[sh].Load()
-		res := make([][]RefMatch, len(idxs))
-		for j, i := range idxs {
+		sn := s.shards[sh].Load() // one snapshot load per shard
+		flat, off := wsc.flat[:0], wsc.off[:0]
+		for i, key := range keys {
+			off = append(off, len(flat))
 			g := ks[i].Len()
 			ko := s.cfg.Measure.MinOverlap(g, s.cfg.Theta)
-			res[j] = snapApproxAppend(nil, sn, s.cfg, keys[i], ks[i], g, ko, &wsc.psc)
+			flat = snapApproxAppend(flat, sn, s.cfg, key, ks[i], g, ko, &wsc.psc)
 		}
-		partial[sh] = res
-		s.pool.Put(wsc)
+		wsc.flat, wsc.off = flat, append(off, len(flat))
+		work[sh] = wsc
 	})
-	// Phase 2: merge per key, deduplicating replicas by global ref.
-	// groups[sh] lists key indices in ascending order, so walking keys
-	// in order consumes every group sequentially.
-	cursor := make([]int, s.nshard)
+	// Phase 2: merge per key — one exactly sized result per matched key.
 	for i := range keys {
-		routes := flat[off[i]:off[i+1]]
-		if len(routes) == 1 {
-			sh := routes[0]
-			out[i] = partial[sh][cursor[sh]]
-			cursor[sh]++
+		total := 0
+		for _, wsc := range work {
+			total += wsc.off[i+1] - wsc.off[i]
+		}
+		if total == 0 {
 			continue
 		}
-		var merged []RefMatch
-		for _, sh := range routes {
-			merged = append(merged, partial[sh][cursor[sh]]...)
-			cursor[sh]++
+		merged := make([]RefMatch, 0, total)
+		for _, wsc := range work {
+			merged = append(merged, wsc.flat[wsc.off[i]:wsc.off[i+1]]...)
 		}
-		out[i] = dedupByRef(merged, 0)
+		sortByRef(merged)
+		out[i] = merged
+	}
+	for _, wsc := range work {
+		clear(wsc.flat) // drop the tuple references before pooling
+		s.pool.Put(wsc)
 	}
 	s.pool.Put(sc)
 }
 
-// forGroups runs fn over every non-empty shard group — concurrently
-// when the batch is big enough, more than one group is populated and
-// the host has more than one hardware thread; sequentially otherwise.
-// fn must write only state owned by its group.
-func (s *ShardedRefIndex) forGroups(n int, groups [][]int, fn func(sh int, idxs []int)) {
+// forShards runs fn over every busy shard — concurrently when the
+// batch is big enough, more than one shard is busy and the host has
+// more than one hardware thread; sequentially otherwise. fn must write
+// only state owned by its shard.
+func (s *ShardedRefIndex) forShards(n int, busy func(sh int) bool, fn func(sh int)) {
 	active := 0
-	for _, g := range groups {
-		if len(g) > 0 {
+	for sh := range s.shards {
+		if busy(sh) {
 			active++
 		}
 	}
 	if active > 1 && n >= batchFanMin && runtime.GOMAXPROCS(0) > 1 {
 		var wg sync.WaitGroup
-		for sh, g := range groups {
-			if len(g) == 0 {
+		for sh := range s.shards {
+			if !busy(sh) {
 				continue
 			}
 			wg.Add(1)
-			go func(sh int, g []int) {
+			go func(sh int) {
 				defer wg.Done()
-				fn(sh, g)
-			}(sh, g)
+				fn(sh)
+			}(sh)
 		}
 		wg.Wait()
 		return
 	}
-	for sh, g := range groups {
-		if len(g) > 0 {
-			fn(sh, g)
+	for sh := range s.shards {
+		if busy(sh) {
+			fn(sh)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 )
 
 // diffKeyPool builds the key material for the differential harness: a
@@ -178,38 +179,92 @@ func TestShardedRefDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedRefEntriesReplication documents the Entries contract: one
-// shard replicates nothing (identical to the reference), several shards
-// count replicas.
+// TestShardedRefEntriesReplication pins the replication factor at 1:
+// the shards partition the reference, so at every shard count Entries
+// equals the single-shard reference's — the paper's n·(|jA|+q−1)
+// postings, one copy — on the bulk path and the upsert path alike.
 func TestShardedRefEntriesReplication(t *testing.T) {
-	keys := []string{"via monte bianco nord 12", "lago di como est 4", "valle verde ovest 9"}
-	tuples := make([]relation.Tuple, len(keys))
-	for i, k := range keys {
-		tuples[i] = relation.Tuple{ID: i, Key: k}
-	}
+	tuples := bulkTuples(rand.New(rand.NewSource(3)), 120)
 	ref, _ := NewRefIndex(Defaults())
 	ref.Upsert(tuples)
-	one, err := NewShardedRefIndex(Defaults(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one.Upsert(tuples)
 	refEx, refQG := ref.Entries()
-	oneEx, oneQG := one.Entries()
-	if refEx != oneEx || refQG != oneQG {
-		t.Fatalf("1-shard Entries %d/%d, reference %d/%d", oneEx, oneQG, refEx, refQG)
+	if refEx != ref.Len() || refQG <= refEx {
+		t.Fatalf("degenerate reference: Entries %d/%d for %d keys", refEx, refQG, ref.Len())
 	}
-	four, err := NewShardedRefIndex(Defaults(), 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2, 4, 8} {
+		upserted, err := NewShardedRefIndex(Defaults(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(tuples); lo += 17 {
+			upserted.Upsert(tuples[lo:min(lo+17, len(tuples))])
+		}
+		bulk, err := BuildShardedRefIndex(Defaults(), shards, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*ShardedRefIndex{"upserted": upserted, "bulk": bulk} {
+			if ex, qg := s.Entries(); ex != refEx || qg != refQG {
+				t.Errorf("%d shards, %s: Entries %d/%d, reference %d/%d", shards, name, ex, qg, refEx, refQG)
+			}
+			if s.Shards() != shards {
+				t.Errorf("Shards() = %d, want %d", s.Shards(), shards)
+			}
+		}
 	}
-	four.Upsert(tuples)
-	fourEx, fourQG := four.Entries()
-	if fourEx < refEx || fourQG < refQG {
-		t.Fatalf("4-shard Entries %d/%d below reference %d/%d (replicas must count)", fourEx, fourQG, refEx, refQG)
-	}
-	if four.Shards() != 4 || one.Shards() != 1 {
-		t.Fatalf("Shards() = %d/%d", four.Shards(), one.Shards())
+}
+
+// TestShardedRefHomeShardOnly is the placement property: after a bulk
+// build interleaved with upserts of fresh keys and payload replacements
+// (and a snapshot round trip on top), every resident key is stored in
+// shard ShardOf(key, N) and in no other, under the ref the store holds
+// it at, with the store's current payload.
+func TestShardedRefHomeShardOnly(t *testing.T) {
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		rng := rand.New(rand.NewSource(int64(shards)))
+		s, err := BuildShardedRefIndex(Defaults(), shards, bulkTuples(rng, 90))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range randomOpStream(int64(100+shards), 300) {
+			applyOp(s, op)
+		}
+		view, err := s.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := NewShardedRefIndexFromSnapshot(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range randomOpStream(int64(200+shards), 100) {
+			applyOp(loaded, op)
+		}
+		for name, ix := range map[string]*ShardedRefIndex{"live": s, "reloaded": loaded} {
+			seen := make(map[string]int)
+			for sh := range ix.shards {
+				sn := ix.shards[sh].Load()
+				for lref, key := range sn.keys {
+					if home := shardmap.ShardOf(key, shards); home != sh {
+						t.Fatalf("%d shards, %s: key %q stored in shard %d, home is %d", shards, name, key, sh, home)
+					}
+					seen[key]++
+					stored, err := ix.Tuple(sn.globals[lref])
+					if err != nil || !reflect.DeepEqual(stored, sn.tuples[lref]) {
+						t.Fatalf("%d shards, %s: shard %d holds %+v at ref %d, store has %+v (%v)",
+							shards, name, sh, sn.tuples[lref], sn.globals[lref], stored, err)
+					}
+				}
+			}
+			if len(seen) != ix.Len() {
+				t.Fatalf("%d shards, %s: %d distinct keys across shards, store has %d", shards, name, len(seen), ix.Len())
+			}
+			for key, copies := range seen {
+				if copies != 1 {
+					t.Fatalf("%d shards, %s: key %q stored %d times", shards, name, key, copies)
+				}
+			}
+		}
 	}
 }
 

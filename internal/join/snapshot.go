@@ -6,17 +6,18 @@ import (
 
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 )
 
 // SnapshotView is the serializable state of a ShardedRefIndex: the
 // global tuple store in ref order plus, per shard, the shard's member
 // refs and its dictionary-encoded q-gram index. Everything else a
-// running index carries — the exact hash tables, the key→ref maps, the
-// newest-by-key writer map — is derivable from these in one linear pass
-// with no gram re-hashing and no key re-decomposition, which is what
-// keeps a snapshot load cheap: the expensive artifacts of indexing (the
-// gram dictionary, the id-encoded postings, the signatures) travel in
-// their final in-memory form.
+// running index carries — the exact hash tables, the newest-by-key
+// writer map — is derivable from these in one linear pass with no gram
+// re-hashing and no key re-decomposition, which is what keeps a
+// snapshot load cheap: the expensive artifacts of indexing (the gram
+// dictionary, the id-encoded postings, the signatures) travel in their
+// final in-memory form.
 //
 // A view exported from a live index aliases that index's immutable RCU
 // snapshots; treat it as read-only. A view decoded from disk is owned
@@ -25,12 +26,16 @@ import (
 type SnapshotView struct {
 	// Cfg is the matching configuration the index was built under.
 	Cfg Config
-	// NShard is the shard count; probe routing is shard-count-dependent,
-	// so a snapshot reloads only at its own count.
+	// NShard is the shard count; a key's home shard is shard-count-
+	// dependent, so a snapshot reloads only at its own count.
 	NShard int
 	// Tuples is the global store in ref order (Len() == len(Tuples)).
 	Tuples []relation.Tuple
-	// Shards has one export per shard, in shard order.
+	// Shards has one export per shard, in shard order: the key-hash
+	// partition of Tuples. Nil means the view carries the store alone —
+	// what a decoder hands over for a snapshot written under the
+	// retired prefix-replicated layout — and the importer partitions
+	// and indexes Tuples itself.
 	Shards []ShardExport
 }
 
@@ -88,13 +93,20 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // The reconstruction is the cheap inverse of indexing: the q-gram
 // structures are adopted as-is via hashidx.ImportQGramIndex, shard
 // tuple stores are resolved by indexing the global store with each
-// shard's Globals, and the exact hash tables and key maps are rebuilt
-// with one map insertion per key — no gram is re-hashed, no key is
-// re-decomposed. Every cross-structure invariant is validated first
-// (refs in range, Globals strictly ascending, one store record per
-// key), so a corrupted snapshot yields a descriptive error, never an
-// index that can misbehave later.
+// shard's Globals, and the exact hash tables are rebuilt with one map
+// insertion per key — no gram is re-hashed, no key is re-decomposed.
+// Every cross-structure invariant is validated first (refs in range,
+// Globals strictly ascending, one store record per key, every key in
+// its home shard and no other), so a corrupted snapshot yields a
+// descriptive error, never an index that can misbehave later.
+//
+// A view without shard exports is indexed from its store through
+// BuildShardedRefIndex: adopting shard sections of another layout under
+// this write path would leave stale replicas behind the first update.
 func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
+	if v.Shards == nil {
+		return BuildShardedRefIndex(v.Cfg, v.NShard, v.Tuples)
+	}
 	s, err := NewShardedRefIndex(v.Cfg, v.NShard)
 	if err != nil {
 		return nil, err
@@ -109,18 +121,7 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 		}
 		s.newest[t.Key] = ref
 	}
-	// Rebuild the chunked global store. Three-index subslicing caps each
-	// chunk at its own length: a future upsert's append can never write
-	// into the next chunk's backing (and the copy-on-write append path
-	// clones any published chunk before touching it anyway).
-	st := &globalStore{n: n}
-	for lo := 0; lo < n; lo += storeChunkSize {
-		hi := lo + storeChunkSize
-		if hi > n {
-			hi = n
-		}
-		st.chunks = append(st.chunks, v.Tuples[lo:hi:hi])
-	}
+	members := 0
 	for i, se := range v.Shards {
 		qg, err := hashidx.ImportQGramIndex(s.ex, se.QGrams)
 		if err != nil {
@@ -135,7 +136,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			globals: make([]int, len(se.Globals)),
 			exIdx:   hashidx.NewExactIndex(),
 			qgIdx:   qg,
-			local:   make(map[string]int, len(se.Globals)),
 		}
 		prev := -1
 		for lref, g := range se.Globals {
@@ -144,14 +144,22 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			}
 			prev = int(g)
 			t := v.Tuples[g]
+			if home := shardmap.ShardOf(t.Key, v.NShard); home != i {
+				return nil, fmt.Errorf("join: snapshot shard %d holds key %q, whose home is shard %d", i, t.Key, home)
+			}
 			sn.tuples[lref] = t
 			sn.keys[lref] = t.Key
 			sn.globals[lref] = int(g)
-			sn.local[t.Key] = lref
 		}
 		sn.exIdx.CatchUp(sn.keys)
 		s.shards[i].Store(sn)
+		members += len(se.Globals)
 	}
-	s.store.Store(st)
+	// Every member sits in its home shard once, so an equal count means
+	// the shards partition the store.
+	if members != n {
+		return nil, fmt.Errorf("join: snapshot shards list %d members for a store of %d tuples", members, n)
+	}
+	s.store.Store(newGlobalStore(v.Tuples))
 	return s, nil
 }

@@ -117,6 +117,10 @@ func TestSnapshotImportValidation(t *testing.T) {
 			g := v.Shards[0].Globals
 			g[0], g[len(g)-1] = g[len(g)-1], g[0]
 		}},
+		{"key outside its home shard", func(v *SnapshotView) { v.Shards[0], v.Shards[1] = v.Shards[1], v.Shards[0] }},
+		{"shards do not cover the store", func(v *SnapshotView) {
+			v.Tuples = append(v.Tuples, relation.Tuple{ID: 777, Key: "in the store, in no shard"})
+		}},
 		{"posting ref out of range", func(v *SnapshotView) {
 			for si := range v.Shards {
 				for pi, refs := range v.Shards[si].QGrams.Postings {
@@ -164,6 +168,34 @@ func TestSnapshotImportValidation(t *testing.T) {
 	// what flipped each case to failure).
 	if _, err := NewShardedRefIndexFromSnapshot(build()); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+}
+
+// TestSnapshotStoreOnlyViewRepartitions pins the upgrade path of
+// snapshots written under another shard layout: a view that carries the
+// store but no shard exports is partitioned and indexed on import, and
+// is indistinguishable from a bulk build of the same tuples.
+func TestSnapshotStoreOnlyViewRepartitions(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		orig, err := BuildShardedRefIndex(Defaults(), shards, bulkTuples(rand.New(rand.NewSource(13)), 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := orig.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view.Shards = nil
+		loaded, err := NewShardedRefIndexFromSnapshot(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResidentEqual(t, orig, loaded)
+		for _, op := range randomOpStream(37, 120) {
+			if want, got := applyOp(orig, op), applyOp(loaded, op); got != want {
+				t.Fatalf("%d shards: post-import op %s diverged\n got  %s\n want %s", shards, op.kind, got, want)
+			}
+		}
 	}
 }
 

@@ -106,9 +106,13 @@ func (r *KeyRouter) Replicates() bool { return false }
 // qualifying pair, exact pairs included (equal keys have identical
 // signatures), in at least one common shard.
 //
-// The replication factor is min(g−k+1, shards) in the worst case; for
-// the paper's θ = 0.75 Jaccard over padded 3-grams of realistic join
-// keys it is ~5 grams hashing into ~min(5, P) shards.
+// The replication factor is min(g−k+1, shards) in the worst case. For
+// the paper's θ = 0.75 Jaccard over padded 3-grams, a 25-character key
+// has 7 prefix grams, and the factor measured on generated location
+// keys is 1.98 at 2 shards and 3.59 at 4. Only the streaming executor
+// (internal/pjoin), which must co-partition two inputs it sees once,
+// and the cluster map pay it; the resident index partitions by ShardOf
+// and probes every shard instead (see join.ShardedRefIndex).
 type PrefixRouter struct {
 	shards int
 	ex     *qgram.Extractor

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,12 +19,16 @@ var crashMeta = Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 2}
 
 // crashSchedule drives a fixed open/append/checkpoint script against
 // fsys until the first failure (the simulated crash kills the process:
-// nothing after the failing call runs). It returns the acknowledged
-// per-key state, the in-flight batch that was cut down mid-call (nil
-// when the crash hit a checkpoint — checkpoints change no logical
-// state), and whether the script ran to completion.
-func crashSchedule(fsys fault.FS, dir string) (acked map[string]string, inflight map[string]string, done bool) {
-	acked = make(map[string]string)
+// nothing after the failing call runs). resident is the per-key state
+// dir already holds (nil for an empty directory). It returns the
+// acknowledged per-key state, the in-flight batch that was cut down
+// mid-call (nil when the crash hit a checkpoint — checkpoints change no
+// logical state), and whether the script ran to completion.
+func crashSchedule(fsys fault.FS, dir string, meta Meta, resident map[string]string) (acked map[string]string, inflight map[string]string, done bool) {
+	acked = maps.Clone(resident)
+	if acked == nil {
+		acked = make(map[string]string)
+	}
 	batch := func(i int) []relation.Tuple {
 		ts := []relation.Tuple{{ID: i, Key: fmt.Sprintf("key-%03d", i), Attrs: []string{fmt.Sprintf("batch-%d", i)}}}
 		if i > 0 {
@@ -32,7 +37,7 @@ func crashSchedule(fsys fault.FS, dir string) (acked map[string]string, inflight
 		}
 		return ts
 	}
-	d, ix, _, err := OpenFS(fsys, dir, crashMeta, SyncAlways)
+	d, ix, _, err := OpenFS(fsys, dir, meta, SyncAlways)
 	if err != nil {
 		return acked, nil, false
 	}
@@ -73,7 +78,19 @@ func crashSchedule(fsys fault.FS, dir string) (acked map[string]string, inflight
 // holds every acknowledged write, and reflects the in-flight batch
 // either completely or not at all.
 func TestCrashConsistencySweep(t *testing.T) {
-	probe := NewSimFS4Count(t)
+	crashSweep(t, crashMeta, nil, func(string) {})
+}
+
+// crashSweep runs the sweep over directories prepared by seed, which
+// must leave each holding exactly the resident per-key state.
+func crashSweep(t *testing.T, meta Meta, resident map[string]string, seed func(dir string)) {
+	// A crash-free run learns the write-op count the sweep iterates over.
+	probe := fault.NewSimFS()
+	dir := t.TempDir()
+	seed(dir)
+	if _, _, done := crashSchedule(probe, dir, meta, resident); !done {
+		t.Fatal("crash-free schedule did not complete")
+	}
 	total := probe.WriteOps()
 	if total < 15 {
 		t.Fatalf("schedule has only %d write ops; the sweep would be trivial", total)
@@ -83,8 +100,9 @@ func TestCrashConsistencySweep(t *testing.T) {
 			name := fmt.Sprintf("crash-at-%03d-torn-%d", k, torn)
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
+				seed(dir)
 				fs := fault.NewSimFS().CrashAt(k).TornBytes(torn)
-				acked, inflight, done := crashSchedule(fs, dir)
+				acked, inflight, done := crashSchedule(fs, dir, meta, resident)
 				if done {
 					t.Fatalf("schedule completed despite crash at op %d", k)
 				}
@@ -92,7 +110,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 					t.Fatalf("crash at op %d never fired", k)
 				}
 				// The process is dead; recovery runs on the real filesystem.
-				d, ix, _, err := Open(dir, crashMeta, SyncAlways)
+				d, ix, _, err := Open(dir, meta, SyncAlways)
 				if err != nil {
 					t.Fatalf("recovery after crash at op %d failed: %v", k, err)
 				}
@@ -103,15 +121,12 @@ func TestCrashConsistencySweep(t *testing.T) {
 	}
 }
 
-// NewSimFS4Count runs the schedule crash-free to learn the write-op
-// count the sweep iterates over.
-func NewSimFS4Count(t *testing.T) *fault.SimFS {
-	t.Helper()
-	fs := fault.NewSimFS()
-	if _, _, done := crashSchedule(fs, t.TempDir()); !done {
-		t.Fatal("crash-free schedule did not complete")
+// payload is the per-key state the sweeps track: a tuple's first attr.
+func payload(t relation.Tuple) string {
+	if len(t.Attrs) == 0 {
+		return ""
 	}
-	return fs
+	return t.Attrs[0]
 }
 
 func assertOldOrNew(t *testing.T, ix *join.ShardedRefIndex, acked, inflight map[string]string) {
@@ -122,7 +137,7 @@ func assertOldOrNew(t *testing.T, ix *join.ShardedRefIndex, acked, inflight map[
 		if err != nil {
 			t.Fatalf("Tuple(%d): %v", ref, err)
 		}
-		recovered[tp.Key] = tp.Attrs[0]
+		recovered[tp.Key] = payload(tp)
 	}
 	// Track whether the in-flight batch surfaced whole or not at all.
 	inflightSeen, inflightMissing := 0, 0

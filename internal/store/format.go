@@ -3,7 +3,7 @@
 // ShardedRefIndex state, an upsert write-ahead log replayed on boot,
 // and the directory layout that ties the two together (see Dir).
 //
-// # Snapshot format (version 2)
+// # Snapshot format (version 3)
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
 // plus, per shard, the shard's member refs and its dictionary-encoded
@@ -13,7 +13,7 @@
 // offset tables; no gram is re-hashed and no key is re-decomposed.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
-//	header  version u32 = 2
+//	header  version u32 = 3
 //	        q u32, measure u32, shards u32     the compatibility triple
 //	        theta f64 (IEEE bits)
 //	        tuples u32                         global store size n
@@ -42,8 +42,19 @@
 // with descriptive errors — the loader never panics on hostile bytes
 // (FuzzSnapshotDecode) and never yields a partial index.
 //
-// Version 1 differs only in the profile slot: it carried a reserved
-// u32 (always 0) and no profile bytes. v1 snapshots still load, with
+// Version 3 has the sections of version 2 under a different shard
+// layout: the shards hash-partition the store (a tuple is a member of
+// shard ShardOf(key, shards) and of no other), where versions 1 and 2
+// replicated a tuple into every shard of its prefix-filter signature.
+// v1/v2 snapshots still load: their store section is decoded, their
+// shard sections are skipped (the file checksum still covers them), and
+// the importer partitions and indexes the store itself — adopting
+// replicated sections under the partitioned write path would leave
+// stale replicas behind the first update. The next checkpoint writes
+// version 3.
+//
+// Version 1 differs from 2 only in the profile slot: it carried a
+// reserved u32 (always 0) and no profile bytes. v1 snapshots load with
 // the profile read as "" — they predate normalization profiles, so
 // their keys were indexed verbatim and "" is exactly what built them.
 package store
@@ -70,7 +81,7 @@ import (
 // accept versions 1..SnapshotVersion and reject anything else with a
 // descriptive error; the format owns its compatibility story explicitly
 // rather than by accident.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 var snapMagic = [8]byte{'A', 'L', 'S', 'N', 'A', 'P', 0x01, '\n'}
 
@@ -119,50 +130,35 @@ func (e *writer) u64(v uint64) {
 	e.write(e.buf[:8])
 }
 
-func (e *writer) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *writer) i64(v int64)   { e.u64(uint64(v)) }
-
-// u32s writes a run of words as one block through tmp.
-func (e *writer) u32s(vs []uint32) {
-	need := 4 * len(vs)
-	if cap(e.tmp) < need {
-		e.tmp = make([]byte, need)
+// stage returns tmp resized to n bytes: a section's staging buffer,
+// sized once from what the section's header already knows.
+func (e *writer) stage(n int) []byte {
+	if cap(e.tmp) < n {
+		e.tmp = make([]byte, n)
 	}
-	b := e.tmp[:need]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[i*4:], v)
-	}
-	e.write(b)
+	return e.tmp[:n]
 }
 
-// header returns the count-plus-offsets prefix shared by every ragged
-// section: len(lengths), then len(lengths)+1 ascending offsets.
-func raggedHeader(lengths func(yield func(int))) []uint32 {
-	words := []uint32{0}
-	off := uint32(0)
-	lengths(func(n int) {
-		words = append(words, off)
-		off += uint32(n)
-	})
-	words[0] = uint32(len(words) - 1)
-	return append(words, off)
+// raggedHeader writes the count-plus-offsets prefix shared by every
+// ragged section — n, then n+1 ascending offsets — and returns the last
+// offset, the section's element total.
+func (e *writer) raggedHeader(n int, length func(i int) int) int {
+	b := e.stage(4 * (n + 2))
+	binary.LittleEndian.PutUint32(b, uint32(n))
+	total := 0
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(total))
+		total += length(i)
+	}
+	binary.LittleEndian.PutUint32(b[4+4*n:], uint32(total))
+	e.write(b)
+	return total
 }
 
 // stringBlob writes count, offsets and concatenated bytes.
 func (e *writer) stringBlob(ss []string) {
-	e.u32s(raggedHeader(func(yield func(int)) {
-		for _, s := range ss {
-			yield(len(s))
-		}
-	}))
-	var total int
-	for _, s := range ss {
-		total += len(s)
-	}
-	if cap(e.tmp) < total {
-		e.tmp = make([]byte, total)
-	}
-	b := e.tmp[:0]
+	total := e.raggedHeader(len(ss), func(i int) int { return len(ss[i]) })
+	b := e.stage(total)[:0]
 	for _, s := range ss {
 		b = append(b, s...)
 	}
@@ -171,43 +167,36 @@ func (e *writer) stringBlob(ss []string) {
 
 func (e *writer) u32slice(vs []uint32) {
 	e.u32(uint32(len(vs)))
-	e.u32s(vs)
+	b := e.stage(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
+	}
+	e.write(b)
 }
 
-func (e *writer) raggedI32(lists [][]int32) {
-	e.u32s(raggedHeader(func(yield func(int)) {
-		for _, l := range lists {
-			yield(len(l))
-		}
-	}))
-	flat := make([]uint32, 0, 1024)
+// writeRagged writes count, offsets and the flattened words of lists.
+func writeRagged[T int32 | uint32](e *writer, lists [][]T) {
+	total := e.raggedHeader(len(lists), func(i int) int { return len(lists[i]) })
+	b := e.stage(4 * total)
+	at := 0
 	for _, l := range lists {
 		for _, v := range l {
-			flat = append(flat, uint32(v))
+			binary.LittleEndian.PutUint32(b[at:], uint32(v))
+			at += 4
 		}
 	}
-	e.u32s(flat)
+	e.write(b)
 }
 
-func (e *writer) raggedU32(lists [][]uint32) {
-	e.u32s(raggedHeader(func(yield func(int)) {
-		for _, l := range lists {
-			yield(len(l))
-		}
-	}))
-	flat := make([]uint32, 0, 1024)
-	for _, l := range lists {
-		flat = append(flat, l...)
-	}
-	e.u32s(flat)
-}
-
-// WriteSnapshot encodes the view onto w in snapshot format v2,
+// WriteSnapshot encodes the view onto w in the current snapshot format,
 // including the trailing CRC.
 func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	n := len(v.Tuples)
 	if n > math.MaxUint32 {
 		return fmt.Errorf("store: snapshot of %d tuples exceeds the format's uint32 ref space", n)
+	}
+	if len(v.Shards) != v.NShard {
+		return fmt.Errorf("store: view carries %d shard exports for %d shards (a store-only view must be imported, not written)", len(v.Shards), v.NShard)
 	}
 	if len(v.Cfg.Profile) > maxProfileLen {
 		return fmt.Errorf("store: normalization profile name %d bytes long, cap is %d", len(v.Cfg.Profile), maxProfileLen)
@@ -218,7 +207,7 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	e.u32(uint32(v.Cfg.Q))
 	e.u32(uint32(v.Cfg.Measure))
 	e.u32(uint32(v.NShard))
-	e.f64(v.Cfg.Theta)
+	e.u64(math.Float64bits(v.Cfg.Theta))
 	e.u32(uint32(n))
 	e.u32(uint32(len(v.Cfg.Profile)))
 	e.write([]byte(v.Cfg.Profile))
@@ -244,25 +233,25 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 func encodeTupleSection(e *writer, v *join.SnapshotView) {
 	n := len(v.Tuples)
 	keys := make([]string, n)
-	var attrTotal int
+	attrTotal := 0
+	ids := e.stage(8 * n)
 	for i, t := range v.Tuples {
-		e.i64(int64(t.ID))
+		binary.LittleEndian.PutUint64(ids[8*i:], uint64(int64(t.ID)))
 		keys[i] = t.Key
 		attrTotal += len(t.Attrs)
 	}
+	e.write(ids)
 	e.stringBlob(keys)
 	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
 	// a flat attr list, then the flat list as a string blob.
-	off := uint32(0)
-	for _, t := range v.Tuples {
-		e.u32(off)
-		off += uint32(len(t.Attrs))
-	}
-	e.u32(off)
+	offs := e.stage(4 * (n + 1))
 	flatAttrs := make([]string, 0, attrTotal)
-	for _, t := range v.Tuples {
+	for i, t := range v.Tuples {
+		binary.LittleEndian.PutUint32(offs[4*i:], uint32(len(flatAttrs)))
 		flatAttrs = append(flatAttrs, t.Attrs...)
 	}
+	binary.LittleEndian.PutUint32(offs[4*n:], uint32(len(flatAttrs)))
+	e.write(offs)
 	e.stringBlob(flatAttrs)
 }
 
@@ -271,9 +260,9 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 func encodeShardSection(e *writer, sh *join.ShardExport) {
 	e.u32slice(sh.Globals)
 	e.stringBlob(sh.QGrams.Grams)
-	e.raggedI32(sh.QGrams.Postings)
+	writeRagged(e, sh.QGrams.Postings)
 	e.u32slice(sh.QGrams.Sizes)
-	e.raggedU32(sh.QGrams.Sigs)
+	writeRagged(e, sh.QGrams.Sigs)
 	e.u32(uint32(sh.QGrams.SigFloor))
 }
 
@@ -450,7 +439,9 @@ func (r *reader) raggedU32(what string) [][]uint32 {
 // CRC and every structural bound, and returns the decoded view. The
 // returned view owns its memory and can be handed to
 // join.NewShardedRefIndexFromSnapshot (which re-validates the
-// cross-structure invariants the codec cannot see).
+// cross-structure invariants the codec cannot see). A version 1 or 2
+// image yields a view without shard exports, which that importer
+// partitions itself.
 func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	if len(data) < len(snapMagic)+4 {
 		return nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
@@ -465,7 +456,7 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	}
 	r := &reader{data: body, off: len(snapMagic)}
 	version := r.u32()
-	if r.err == nil && version != 1 && version != SnapshotVersion {
+	if r.err == nil && (version < 1 || version > SnapshotVersion) {
 		return nil, fmt.Errorf("store: snapshot format version %d, this build reads versions 1..%d", version, SnapshotVersion)
 	}
 	v := &join.SnapshotView{}
@@ -476,7 +467,7 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	v.NShard = int(r.u32())
 	v.Cfg.Theta = r.f64()
 	n := r.count("tuple")
-	plen := r.u32() // v1: reserved (ignored); v2: profile length
+	plen := r.u32() // v1: reserved (ignored); v2+: profile length
 	if version >= 2 {
 		if r.err == nil && plen > maxProfileLen {
 			r.fail("profile name length %d over the %d cap", plen, maxProfileLen)
@@ -516,6 +507,12 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	}
 	if v.NShard < 1 || int64(v.NShard) > int64(len(r.data)-r.off) {
 		return nil, fmt.Errorf("%w: shard count %d implausible for %d remaining bytes", ErrCorrupt, v.NShard, len(r.data)-r.off)
+	}
+	if version < 3 {
+		// Prefix-replicated shard sections: not adopted (see the format
+		// comment). The view carries the store alone and the importer
+		// partitions it.
+		return v, nil
 	}
 	v.Shards = make([]join.ShardExport, v.NShard)
 	for i := range v.Shards {

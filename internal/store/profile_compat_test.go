@@ -68,8 +68,9 @@ func TestSnapshotProfileNameCap(t *testing.T) {
 
 // A version-1 snapshot — profile slot carrying the reserved zero word
 // and no profile bytes — still decodes, with the profile read as "".
-// An empty-profile v2 image has the identical layout, so re-stamping
-// its version word and checksum produces genuine v1 bytes.
+// An empty-profile image of a later version has the identical header
+// and store section (all a v1 load reads), so re-stamping its version
+// word and checksum produces v1 bytes as far as the decoder looks.
 func TestSnapshotV1Compat(t *testing.T) {
 	ix := buildProfiledIndex(t, "")
 	v, err := ix.ExportSnapshot()

@@ -102,7 +102,7 @@ func peekSnapshotMeta(path string) (*Meta, error) {
 		return nil, fmt.Errorf("%s: %w: snapshot magic mismatch", path, ErrCorrupt)
 	}
 	version := r.u32()
-	if version != 1 && version != SnapshotVersion {
+	if version < 1 || version > SnapshotVersion {
 		return nil, fmt.Errorf("%s: snapshot format version %d, this build reads versions 1..%d", path, version, SnapshotVersion)
 	}
 	m := &Meta{}
