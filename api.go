@@ -8,6 +8,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/pjoin"
+	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/stream"
 )
@@ -297,7 +298,7 @@ func New(left, right Source, opts Options) (*Join, error) {
 		if opts.Strategy == ExactOnly {
 			// No shard can ever probe approximately: hash-by-key
 			// partitioning is lossless and replication-free.
-			pcfg.Router = pjoin.NewKeyRouter(par)
+			pcfg.Router = shardmap.NewKeyRouter(par)
 		}
 		j := &Join{par: par, opts: opts}
 		if opts.Strategy == Adaptive {

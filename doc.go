@@ -158,27 +158,31 @@
 // join.Resident, including the router's remote view) so the adaptive
 // control loop runs one layer above the network.
 //
-// The shard→node contract extends the in-process co-partitioning: M
-// logical shards are assigned to node groups in contiguous ranges
-// (shardmap.NodeRanges), keys map to shards by their prefix-filter
-// signature, and any tuple matching a probe at or above the threshold
-// shares a signature shard with it — so an exact probe needs only the
-// key's home group and an approximate probe the union of its signature
-// groups, and that union is the complete answer. The routed response
+// The shard→node contract is the in-process partitioning one level up:
+// M logical shards are assigned to node groups in contiguous ranges
+// (shardmap.NodeRanges) and a key is stored on exactly the group owning
+// its key-hash shard (shardmap.ShardOf), the rule ShardedRefIndex
+// applies inside a process. An upsert reaches that one group, an exact
+// probe asks it alone, and an approximate probe asks every group, each
+// answering from its disjoint 1/N of the reference — one stored copy per
+// replica and a divided posting scan, where routing by prefix-filter
+// signature stored every key on nearly every group. The routed response
 // is byte-identical to a single process serving the same request
 // stream: matches, session statistics and error envelopes alike,
 // locked down by a differential harness over 1-, 2- and 3-group
-// clusters with replicas.
+// clusters with replicas. Nodes filled under the signature placement
+// need no migration: a group's answer for a key it is not home to is
+// dropped at the merge.
 //
 // Consistency is per-node snapshot isolation, the single-process model
-// per shard group: writes are attempted on every replica of each
-// owning group and are acknowledged — and globally sequenced — once
-// the group's write quorum applied them (Config.WriteQuorum, default
+// per shard group: a write is attempted on every replica of its key's
+// home group and is acknowledged — and globally sequenced — once the
+// group's write quorum applied it (Config.WriteQuorum, default
 // majority); reads hit one replica per group, round-robin, preferring
 // replicas with no repair debt and failing over within the group on
 // transport errors and draining envelopes. A group with no answering
 // replica — or below quorum — fails the whole batch with the
-// node_unavailable envelope naming the group and its shard range
+// node_unavailable envelope naming the group and its key-hash range
 // (never a silent partial result), a node-side timeout surfaces as the
 // standard deadline envelope, and GET /v1/cluster reports the routing
 // table with per-replica health and repair state.

@@ -58,7 +58,7 @@ func runAdaptiveLinkd(ctx context.Context, args []string, stdout, stderr io.Writ
 		slowThresh  = fs.Duration("slow-threshold", obs.DefaultSlowThreshold, "log and retain requests at or over this duration (0 = disable)")
 		slowlogCap  = fs.Int("slowlog-cap", obs.DefaultSlowCapacity, "retained slow-request traces")
 		clusterSpec = fs.String("cluster", "", "run as the cluster router over these node groups: groups separated by ';', replicas within a group by ',' (e.g. \"http://a:8080,http://b:8080;http://c:8080\")")
-		clusterN    = fs.Int("cluster-shards", 0, "logical shard count M for -cluster routing (0 = one per group); a placement constant for the cluster's lifetime")
+		clusterN    = fs.Int("cluster-shards", 0, "logical key-hash shard count M for -cluster placement (0 = one per group): a key lives on the one group owning its hash shard; constant for the cluster's lifetime")
 		clusterWQ   = fs.Int("cluster-write-quorum", 0, "replicas per group that must acknowledge a write (0 = majority); the rest converge via hinted handoff")
 		clusterHint = fs.Int("cluster-hint-cap", 0, "hinted-handoff queue capacity per replica (0 = default 512); overflow escalates to a full resync")
 		clusterPI   = fs.Duration("cluster-probe-interval", 2*time.Second, "active /healthz probe interval feeding the replica circuit breakers (0 = passive only)")

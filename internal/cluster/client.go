@@ -103,16 +103,15 @@ type Client struct {
 }
 
 // indexState is the router-side state of one cluster index: the engine
-// configuration (for routing and Resident.Config) and the key→sequence
+// configuration (for Resident.Config) and the key→sequence
 // map that mirrors the single-process global-ref assignment — key K has
 // sequence seq[K] iff a single-process index fed the same create/upsert
 // stream would store K at global ref seq[K]. Merge order derives from
 // it, which is what makes cluster results byte-identical to the
 // single-process engine.
 type indexState struct {
-	name   string
-	cfg    join.Config
-	router *shardmap.PrefixRouter
+	name string
+	cfg  join.Config
 
 	mu  sync.RWMutex
 	seq map[string]int
@@ -217,6 +216,13 @@ func (c *Client) Map() Map { return c.cfg.Map }
 // Ranges returns each group's owned shard range.
 func (c *Client) Ranges() []shardmap.NodeRange { return c.ranges }
 
+// groupLabel names group g in error texts by the half-open range of
+// key-hash shards it owns: the keys with shardmap.ShardOf in that range
+// are stored there and nowhere else.
+func (c *Client) groupLabel(g int) string {
+	return fmt.Sprintf("group %d (shards %d-%d) of the key-hash space", g, c.ranges[g].Lo, c.ranges[g].Hi)
+}
+
 // Names returns the registered cluster indexes, sorted.
 func (c *Client) Names() []string {
 	c.mu.RLock()
@@ -249,12 +255,7 @@ func (c *Client) CreateIndex(name string, cfg join.Config) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: index %q already registered", name)
 	}
-	st := &indexState{
-		name:   name,
-		cfg:    cfg,
-		router: shardmap.NewPrefixRouter(c.cfg.Map.Shards, cfg.Q, cfg.Measure, cfg.Theta),
-		seq:    make(map[string]int),
-	}
+	st := &indexState{name: name, cfg: cfg, seq: make(map[string]int)}
 	c.indexes[name] = st
 	c.mu.Unlock()
 
@@ -327,7 +328,7 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 // get the write queued as a hint for in-order replay. A replica that
 // answers but semantically refuses fails the batch whole: that is
 // divergence, not unavailability, and must surface. Below quorum the
-// batch fails whole with an error naming the group and its shard range,
+// batch fails whole with an error naming the group and its hash range,
 // and no hints are queued — the caller retries the batch.
 func (c *Client) groupWrite(g int, index, method, path string, payload any, okStatuses ...int) error {
 	raw, err := marshalPayload(payload)
@@ -361,8 +362,8 @@ func (c *Client) groupWrite(g int, index, method, path string, payload any, okSt
 				outs[i].acked = true
 				return
 			}
-			outs[i].hard = fmt.Errorf("%w: group %d (shards %d-%d): %s %s%s: node answered %d: %s",
-				ErrNodeUnavailable, g, c.ranges[g].Lo, c.ranges[g].Hi, method, addr, path, status, envelopeMessage(body))
+			outs[i].hard = fmt.Errorf("%w: %s: %s %s%s: node answered %d: %s",
+				ErrNodeUnavailable, c.groupLabel(g), method, addr, path, status, envelopeMessage(body))
 		}(i, addr)
 	}
 	wg.Wait()
@@ -380,8 +381,8 @@ func (c *Client) groupWrite(g int, index, method, path string, payload any, okSt
 		}
 	}
 	if q := c.quorum(g); acks < q {
-		return fmt.Errorf("%w: group %d (shards %d-%d): %d of %d replicas acknowledged %s %s (quorum %d): %v",
-			ErrNodeUnavailable, g, c.ranges[g].Lo, c.ranges[g].Hi, acks, len(reps), method, path, q, miss)
+		return fmt.Errorf("%w: %s: %d of %d replicas acknowledged %s %s (quorum %d): %v",
+			ErrNodeUnavailable, c.groupLabel(g), acks, len(reps), method, path, q, miss)
 	}
 	// Quorum met: the batch is durable. Queue the missed replicas' copies
 	// for in-order replay so the group converges.
@@ -472,7 +473,10 @@ type NodeHealth struct {
 	Digests      map[string]string `json:"digests,omitempty"`
 }
 
-// GroupHealth is one node group's shard range and replica health.
+// GroupHealth is one node group's replica health and the half-open
+// range [shard_lo, shard_hi) of key-hash shards it owns: a key is stored
+// on the group whose range holds shardmap.ShardOf(key, Map.Shards), and
+// only there.
 type GroupHealth struct {
 	Lo       int          `json:"shard_lo"`
 	Hi       int          `json:"shard_hi"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/shardmap"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -63,29 +63,50 @@ func TestEnvelopeHelpers(t *testing.T) {
 	}
 }
 
-// merge must dedup by reference key keep-first in group order and sort
+// keysHomedOn returns n distinct keys whose home group under m is g.
+func keysHomedOn(m Map, g, n int) []string {
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		if k := fmt.Sprintf("key %d", i); m.home(k) == g {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// merge keeps only what each answering group is home to — a non-home
+// copy (left by a release that replicated keys onto their signature
+// groups) is dropped, never deduplicated against — and orders the rest
 // by the router's global sequence; keys the router never sequenced
 // order last, by key.
-func TestMergeOrdersBySequenceAndDedups(t *testing.T) {
-	st := &indexState{seq: map[string]int{"alpha": 0, "beta": 1, "gamma": 2}}
+func TestMergeOrdersBySequenceAndFiltersNonHome(t *testing.T) {
+	m := Map{Shards: 4, Groups: [][]string{{"http://a"}, {"http://b"}}}
+	on0, on1 := keysHomedOn(m, 0, 3), keysHomedOn(m, 1, 2)
+	const unsequenced = int(^uint(0) >> 1)
 	rm := func(key string, seq int, attr string) join.RefMatch {
 		return join.RefMatch{Ref: seq, Tuple: relation.Tuple{Key: key, Attrs: []string{attr}}, Similarity: 1}
 	}
-	got := st.merge([]int{0, 1}, map[int][]join.RefMatch{
-		0: {rm("gamma", 2, "g0"), rm("beta", 1, "b0")},
-		1: {rm("beta", 1, "b1-divergent"), rm("alpha", 0, "a1")},
+	got := m.merge([][]join.RefMatch{
+		0: {rm(on0[0], 3, "home"), rm(on1[0], 1, "stale non-home copy"), rm(on0[2], unsequenced, "home"), rm(on0[1], unsequenced, "home")},
+		1: {rm(on1[0], 1, "home"), rm(on1[1], 2, "home"), rm(on0[0], 3, "stale non-home copy")},
 	})
-	if len(got) != 3 {
-		t.Fatalf("len = %d: %+v", len(got), got)
+	want := []string{on1[0], on1[1], on0[0], on0[1], on0[2]}
+	if on0[2] < on0[1] {
+		want[3], want[4] = on0[2], on0[1]
 	}
-	wantOrder := []string{"alpha", "beta", "gamma"}
-	for i, w := range wantOrder {
+	if len(got) != len(want) {
+		t.Fatalf("len = %d, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
 		if got[i].Tuple.Key != w {
 			t.Fatalf("order[%d] = %q, want %q", i, got[i].Tuple.Key, w)
 		}
+		if got[i].Tuple.Attrs[0] != "home" {
+			t.Fatalf("%q answered from its %s", w, got[i].Tuple.Attrs[0])
+		}
 	}
-	if got[1].Tuple.Attrs[0] != "b0" {
-		t.Fatalf("dedup kept %q, want the first group's copy", got[1].Tuple.Attrs[0])
+	if got := m.merge([][]join.RefMatch{nil, nil}); len(got) != 0 {
+		t.Fatalf("empty answers merged to %+v", got)
 	}
 }
 
@@ -132,12 +153,7 @@ func testClient(t *testing.T, groups [][]string) *Client {
 func registerOnly(c *Client, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cfg := join.Defaults()
-	c.indexes[name] = &indexState{
-		name: name, cfg: cfg,
-		router: shardmap.NewPrefixRouter(c.cfg.Map.Shards, cfg.Q, cfg.Measure, cfg.Theta),
-		seq:    map[string]int{},
-	}
+	c.indexes[name] = &indexState{name: name, cfg: join.Defaults(), seq: map[string]int{}}
 	return nil
 }
 
@@ -210,20 +226,22 @@ func TestViewDeadlineEnvelopeIsBareDeadline(t *testing.T) {
 	}
 }
 
-// Writes fan to every replica of each involved group and update the
-// sequence map only on success.
+// Writes fan to every replica of each tuple's home group — and to no
+// other group — and update the sequence map only on success.
 func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 	okUpsert := func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"inserted":1,"updated":0,"size":1}`))
 	}
 	r0, h0 := fakeNode(t, okUpsert)
 	r1, h1 := fakeNode(t, okUpsert)
-	c := testClient(t, [][]string{{r0.URL, r1.URL}})
+	other, hOther := fakeNode(t, okUpsert)
+	c := testClient(t, [][]string{{r0.URL, r1.URL}, {other.URL}})
+	home := keysHomedOn(c.cfg.Map, 0, 3)
 	v, err := c.Bind(context.Background(), "ix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, upd, err := v.UpsertChecked([]relation.Tuple{{Key: "alpha"}, {Key: "beta"}, {Key: "alpha"}})
+	ins, upd, err := v.UpsertChecked([]relation.Tuple{{Key: home[0]}, {Key: home[1]}, {Key: home[0]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,17 +251,28 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 	if h0.Load() != 1 || h1.Load() != 1 {
 		t.Fatalf("replica hits = %d/%d, want 1/1 (writes land on every replica)", h0.Load(), h1.Load())
 	}
+	if n := hOther.Load(); n != 0 {
+		t.Fatalf("non-home group received %d requests, want 0 (R = 1: one group per reference)", n)
+	}
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
 
 	// A failed write leaves the sequence map untouched.
 	r0.Close()
-	if _, _, err := v.UpsertChecked([]relation.Tuple{{Key: "gamma"}}); !errors.Is(err, ErrNodeUnavailable) {
+	if _, _, err := v.UpsertChecked([]relation.Tuple{{Key: home[2]}}); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("write to dead replica: %v, want ErrNodeUnavailable", err)
 	}
 	if v.Len() != 2 {
 		t.Fatalf("Len advanced to %d on a failed write", v.Len())
+	}
+	// ...while a key homed on the healthy group still lands: groups fail
+	// independently.
+	if _, _, err := v.UpsertChecked([]relation.Tuple{{Key: keysHomedOn(c.cfg.Map, 1, 1)[0]}}); err != nil {
+		t.Fatalf("write homed on the healthy group: %v", err)
+	}
+	if hOther.Load() != 1 || v.Len() != 3 {
+		t.Fatalf("healthy-group write: hits %d, Len %d, want 1 and 3", hOther.Load(), v.Len())
 	}
 }
 

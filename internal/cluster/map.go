@@ -1,27 +1,31 @@
 // Package cluster shards the resident linkage service across processes:
-// a cluster map assigns the M logical shards of internal/shardmap to N
-// node groups as contiguous ranges (shardmap.NodeRanges, the shard→node
-// assignment contract), and an HTTP fan-out client implements
-// join.Resident on top of the node daemons' standard v1 API — exact
-// probes go to the key's home group, approximate probes are unioned
-// across the signature's groups, and upserts are routed to every group
-// owning one of the tuple's storage shards so writes land on the owning
-// node's write-ahead log.
+// a cluster map assigns the M logical key-hash shards of
+// internal/shardmap to N node groups as contiguous ranges
+// (shardmap.NodeRanges, the shard→node assignment contract), and an HTTP
+// fan-out client implements join.Resident on top of the node daemons'
+// standard v1 API. Placement is the rule join.ShardedRefIndex applies
+// inside a process: a reference tuple lives on exactly one group, the
+// owner of shardmap.ShardOf(key, M). An upsert goes to that group only,
+// an exact probe asks it alone, and an approximate probe asks ALL groups
+// — a similar reference may be homed anywhere — each answering from its
+// disjoint 1/N of the reference, so the cluster stores one copy per
+// replica and divides the approximate work instead of multiplying it.
 //
-// The routing rests on the same co-partitioning guarantee that makes
-// shard-local probes complete in-process (the prefix-filtering
-// principle): any two keys that can match at the configured threshold
-// share at least one logical shard, so the union of the signature
-// groups' answers is exactly the single-process result set. Nodes are
-// stock adaptivelinkd daemons — the router owns normalization, routing,
+// The union of the groups' answers is the single-process result set
+// because the groups partition the reference. Nodes are stock
+// adaptivelinkd daemons — the router owns normalization, placement,
 // merge order and the global insertion sequence; nodes own storage,
-// probing and durability for their shard ranges.
+// probing and durability for their hash ranges. A match a group reports
+// for a key it is not home to is dropped at the merge: nodes populated
+// by a release that also placed keys on their signature groups keep
+// serving without a rewrite, their unmaintained copies never answering.
 //
 // Partial-failure policy: a batch either completes against every group
-// it needs or fails with ErrNodeUnavailable — the router never returns
-// silent partial results. Within a replica group, reads fail over
-// between replicas (round-robin) on transport errors and draining
-// nodes; only a group with no answering replica fails the batch.
+// it needs (every group, for an approximate probe) or fails with
+// ErrNodeUnavailable — the router never returns silent partial results.
+// Within a replica group, reads fail over between replicas (round-robin)
+// on transport errors and draining nodes; only a group with no answering
+// replica fails the batch.
 package cluster
 
 import (
@@ -31,14 +35,13 @@ import (
 	"adaptivelink/internal/shardmap"
 )
 
-// Map is the cluster's routing configuration: M logical shards spread
-// over the node groups under the shardmap.NodeRanges contract. Every
-// router (and every differential harness) with the same Map derives the
-// same placement.
+// Map is the cluster's placement configuration: M logical key-hash
+// shards spread over the node groups under the shardmap.NodeRanges
+// contract. Every router (and every differential harness) with the same
+// Map derives the same placement.
 type Map struct {
-	// Shards is the logical shard count M. It is a matching-layer
-	// constant for the cluster's lifetime: all routing — and therefore
-	// data placement — derives from it.
+	// Shards is the logical shard count M. It is a constant for the
+	// cluster's lifetime: a key's home group derives from it.
 	Shards int
 	// Groups lists each node group's replica base URLs (e.g.
 	// "http://10.0.0.1:8080"). Group i owns the shard range
@@ -106,4 +109,11 @@ func (m Map) Ranges() []shardmap.NodeRange {
 // GroupOf returns the group owning the given logical shard.
 func (m Map) GroupOf(shard int) int {
 	return shardmap.NodeOf(shard, m.Shards, len(m.Groups))
+}
+
+// home returns the one group that stores key: the owner of its key-hash
+// shard. Writes go there only, exact probes ask it alone, and an
+// approximate answer counts only from it.
+func (m Map) home(key string) int {
+	return m.GroupOf(shardmap.ShardOf(key, m.Shards))
 }

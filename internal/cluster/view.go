@@ -11,7 +11,6 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/shardmap"
 )
 
 // View is a join.Resident over the cluster: the router's probe sessions
@@ -109,41 +108,26 @@ func (v *View) Tuple(ref int) (relation.Tuple, error) {
 // --- writes ---
 
 // UpsertChecked applies keyed reference maintenance across the cluster:
-// each tuple is sent to every group owning one of its storage shards
-// (signature shards plus the key's home shard — the same routes a local
-// ShardedRefIndex stores under), to ALL replicas of those groups, so
-// the write lands on every owning node's write-ahead log. The sequence
-// map advances only after every group acknowledged, keeping merge order
-// consistent with what a retry will eventually make the nodes hold. Any
-// node failure fails the batch with ErrNodeUnavailable.
+// each tuple is sent to its home group only (Map.home — the group exact
+// probes ask), to ALL replicas of that group, so the write lands once on
+// the owning nodes' write-ahead logs. The sequence map advances only
+// after every touched group acknowledged, keeping merge order consistent
+// with what a retry will eventually make the nodes hold. Any group below
+// quorum fails the batch with ErrNodeUnavailable.
 func (v *View) UpsertChecked(tuples []relation.Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
 	}
-	nG := len(v.c.cfg.Map.Groups)
-	subs := make([][]tupleDTO, nG)
-	mark := make([]bool, nG)
-	var route []int
+	m := v.c.cfg.Map
+	subs := make([][]tupleDTO, len(m.Groups))
 	for _, t := range tuples {
-		for i := range mark {
-			mark[i] = false
-		}
-		route = v.st.router.Routes(route[:0], t.Key)
-		for _, sh := range route {
-			mark[v.c.cfg.Map.GroupOf(sh)] = true
-		}
-		mark[v.c.cfg.Map.GroupOf(shardmap.ShardOf(t.Key, v.c.cfg.Map.Shards))] = true
-		dto := tupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
-		for g := 0; g < nG; g++ {
-			if mark[g] {
-				subs[g] = append(subs[g], dto)
-			}
-		}
+		g := m.home(t.Key)
+		subs[g] = append(subs[g], tupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs})
 	}
 
 	var wg sync.WaitGroup
-	errs := make([]error, nG)
-	for g := 0; g < nG; g++ {
+	errs := make([]error, len(subs))
+	for g := range subs {
 		if len(subs[g]) == 0 {
 			continue
 		}
@@ -192,8 +176,8 @@ func (v *View) ProbeExact(key string) []join.RefMatch {
 	return v.probeGroups(join.Exact, []string{key})[0]
 }
 
-// ProbeApprox matches the key by similarity across its signature
-// groups.
+// ProbeApprox matches the key by similarity on every group, each
+// answering from its disjoint slice of the reference.
 func (v *View) ProbeApprox(key string) []join.RefMatch {
 	return v.probeGroups(join.Approx, []string{key})[0]
 }
@@ -210,16 +194,13 @@ func (v *View) AppendProbe(dst []join.RefMatch, mode join.Mode, key string) []jo
 }
 
 // ProbeBatch probes every key under one mode, one result per key in
-// order — the fan-out form of the local batch probe: keys grouped by
-// node group, one node request per group, groups queried concurrently.
+// order — the fan-out form of the local batch probe: one node request
+// per group, groups queried concurrently. An exact batch is split by
+// home group; an approximate batch goes whole to EVERY group (one
+// encoded body, shared), because a similar reference may be homed
+// anywhere.
 func (v *View) ProbeBatch(mode join.Mode, keys []string) [][]join.RefMatch {
 	return v.probeGroups(mode, keys)
-}
-
-// sub is one group's slice of a probe batch.
-type sub struct {
-	idx  []int
-	keys []string
 }
 
 func (v *View) probeGroups(mode join.Mode, keys []string) [][]join.RefMatch {
@@ -227,110 +208,112 @@ func (v *View) probeGroups(mode join.Mode, keys []string) [][]join.RefMatch {
 	if len(keys) == 0 || v.failed() {
 		return results
 	}
-	nG := len(v.c.cfg.Map.Groups)
-	subs := make([]*sub, nG)
-	assign := func(g, i int, key string) {
-		if subs[g] == nil {
-			subs[g] = &sub{}
-		}
-		subs[g].idx = append(subs[g].idx, i)
-		subs[g].keys = append(subs[g].keys, key)
+	ctx := v.ctx
+	if ctx == nil {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.Background(), v.c.cfg.WriteTimeout)
+		defer cancel()
 	}
-	// keyGroups[i] lists, in ascending group order, the groups probed
-	// for key i — the merge visits them in that order, mirroring the
-	// ascending-shard probe order of the local index.
-	keyGroups := make([][]int, len(keys))
-	mark := make([]bool, nG)
-	var route []int
-	for i, key := range keys {
-		if mode == join.Exact {
-			g := v.c.cfg.Map.GroupOf(shardmap.ShardOf(key, v.c.cfg.Map.Shards))
-			keyGroups[i] = []int{g}
-			assign(g, i, key)
-			continue
+	req := linkReq{Index: v.st.name, Strategy: "exact"}
+	if dl, ok := ctx.Deadline(); ok {
+		req.TimeoutMillis = max(1, int(time.Until(dl)/time.Millisecond))
+	}
+
+	m := v.c.cfg.Map
+	nG := len(m.Groups)
+	// subs[g] is the key slice group g is asked (empty: not asked) and
+	// bodies[g] its encoded request; idx[g] maps an exact sub-batch's
+	// positions back to key positions.
+	subs := make([][]string, nG)
+	bodies := make([][]byte, nG)
+	idx := make([][]int, nG)
+	var err error
+	if mode == join.Approx {
+		req.Strategy, req.Keys = "approximate", keys
+		var raw []byte
+		raw, err = json.Marshal(req)
+		for g := range subs {
+			subs[g], bodies[g] = keys, raw
 		}
-		for j := range mark {
-			mark[j] = false
+	} else {
+		for i, key := range keys {
+			g := m.home(key)
+			subs[g] = append(subs[g], key)
+			idx[g] = append(idx[g], i)
 		}
-		route = v.st.router.Routes(route[:0], key)
-		for _, sh := range route {
-			mark[v.c.cfg.Map.GroupOf(sh)] = true
-		}
-		for g := 0; g < nG; g++ {
-			if mark[g] {
-				keyGroups[i] = append(keyGroups[i], g)
-				assign(g, i, key)
+		for g := 0; g < nG && err == nil; g++ {
+			if len(subs[g]) > 0 {
+				req.Keys = subs[g]
+				bodies[g], err = json.Marshal(req)
 			}
 		}
 	}
-
-	strategy := "exact"
-	if mode == join.Approx {
-		strategy = "approximate"
+	if err != nil {
+		v.setErr(err)
+		return results
 	}
+
 	perGroup := make([][][]join.RefMatch, nG)
 	gerrs := make([]error, nG)
 	var wg sync.WaitGroup
 	for g := 0; g < nG; g++ {
-		if subs[g] == nil {
+		if len(subs[g]) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			perGroup[g], gerrs[g] = v.groupLink(g, strategy, subs[g].keys)
+			perGroup[g], gerrs[g] = v.groupLink(ctx, g, mode, bodies[g], len(subs[g]))
 		}(g)
 	}
 	wg.Wait()
 	for _, e := range gerrs {
 		if e != nil {
 			v.setErr(e)
-			return make([][]join.RefMatch, len(keys))
+			return results
 		}
 	}
 
-	// Scatter group answers back to key positions.
-	perKey := make([]map[int][]join.RefMatch, len(keys))
-	for g := 0; g < nG; g++ {
-		if subs[g] == nil {
-			continue
-		}
-		for j, i := range subs[g].idx {
-			if perKey[i] == nil {
-				perKey[i] = make(map[int][]join.RefMatch, len(keyGroups[i]))
+	if mode == join.Exact {
+		for g := range idx {
+			for j, i := range idx[g] {
+				results[i] = perGroup[g][j]
 			}
-			perKey[i][g] = perGroup[g][j]
 		}
+		return results
 	}
+	answers := make([][]join.RefMatch, nG)
 	for i := range keys {
-		results[i] = v.st.merge(keyGroups[i], perKey[i])
+		for g := range answers {
+			answers[g] = perGroup[g][i]
+		}
+		results[i] = m.merge(answers)
 	}
 	return results
 }
 
-// merge combines one key's per-group answers: concatenate in ascending
-// group order, drop replicas of the same reference key (keep-first,
-// like the local dedupByRef — the store is keyed, so key identity IS
-// ref identity), then order by the global sequence the router assigned
-// at write time. The result is byte-identical to the single-process
-// answer: same set by the co-partitioning guarantee, same order by the
-// sequence map mirroring global-ref assignment.
-func (st *indexState) merge(groups []int, perGroup map[int][]join.RefMatch) []join.RefMatch {
-	if len(groups) == 1 {
-		return perGroup[groups[0]]
+// merge combines one approximate key's per-group answers (answers[g] is
+// group g's) into the single-process answer: keep only the matches
+// group g is home to, then order by the global sequence the router
+// assigned at write time (unsequenced keys last, by key). Groups hold
+// disjoint key sets, so there is nothing to dedup; the home filter is
+// what keeps that true over nodes populated by a release that also
+// placed keys on their signature groups — those non-home copies stop
+// being maintained and must never answer.
+func (m Map) merge(answers [][]join.RefMatch) []join.RefMatch {
+	n := 0
+	for _, ms := range answers {
+		n += len(ms)
 	}
-	var all []join.RefMatch
-	seen := make(map[string]bool)
-	for _, g := range groups {
-		for _, m := range perGroup[g] {
-			if seen[m.Tuple.Key] {
-				continue
+	all := make([]join.RefMatch, 0, n)
+	for g, ms := range answers {
+		for _, rm := range ms {
+			if m.home(rm.Tuple.Key) == g {
+				all = append(all, rm)
 			}
-			seen[m.Tuple.Key] = true
-			all = append(all, m)
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
+	sort.Slice(all, func(i, j int) bool {
 		if all[i].Ref != all[j].Ref {
 			return all[i].Ref < all[j].Ref
 		}
@@ -339,27 +322,13 @@ func (st *indexState) merge(groups []int, perGroup map[int][]join.RefMatch) []jo
 	return all
 }
 
-// groupLink probes one group, failing over across its replicas
-// (starting round-robin) on transport errors and draining nodes. A
-// node-reported deadline becomes context.DeadlineExceeded — the budget
-// is spent cluster-wide, exactly as a local batch would time out. Any
-// other node-reported envelope, or a group with no answering replica,
-// is ErrNodeUnavailable.
-func (v *View) groupLink(g int, strategy string, keys []string) ([][]join.RefMatch, error) {
-	ctx := v.ctx
-	if ctx == nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(context.Background(), v.c.cfg.WriteTimeout)
-		defer cancel()
-	}
-	req := linkReq{Index: v.st.name, Keys: keys, Strategy: strategy}
-	if dl, ok := ctx.Deadline(); ok {
-		ms := int(time.Until(dl) / time.Millisecond)
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMillis = ms
-	}
+// groupLink sends one encoded /v1/link body (n keys) to one group,
+// failing over across its replicas (starting round-robin) on transport
+// errors and draining nodes. A node-reported deadline becomes
+// context.DeadlineExceeded — the budget is spent cluster-wide, exactly
+// as a local batch would time out. Any other node-reported envelope, or
+// a group with no answering replica, is ErrNodeUnavailable.
+func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte, n int) ([][]join.RefMatch, error) {
 	reps := v.c.cfg.Map.Groups[g]
 	start := int(v.c.rr[g].Add(1)-1) % len(reps)
 	// Prefer clean replicas: one with hinted writes still queued (or a
@@ -380,7 +349,7 @@ func (v *View) groupLink(g int, strategy string, keys []string) ([][]join.RefMat
 	var lastErr error
 	for _, ri := range order {
 		addr := reps[ri]
-		status, body, err := v.c.do(ctx, addr, http.MethodPost, "/v1/link", req)
+		status, resp, err := v.c.doRaw(ctx, addr, http.MethodPost, "/v1/link", body, "application/json")
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
@@ -389,31 +358,34 @@ func (v *View) groupLink(g int, strategy string, keys []string) ([][]join.RefMat
 			continue
 		}
 		if status == http.StatusOK {
-			var resp linkRespDTO
-			if err := json.Unmarshal(body, &resp); err != nil {
+			var dto linkRespDTO
+			if err := json.Unmarshal(resp, &dto); err != nil {
 				return nil, fmt.Errorf("%w: %s: undecodable link response: %v", ErrNodeUnavailable, addr, err)
 			}
-			if len(resp.Results) != len(keys) {
-				return nil, fmt.Errorf("%w: %s answered %d results for %d keys", ErrNodeUnavailable, addr, len(resp.Results), len(keys))
+			if len(dto.Results) != n {
+				return nil, fmt.Errorf("%w: %s answered %d results for %d keys", ErrNodeUnavailable, addr, len(dto.Results), n)
 			}
-			out := make([][]join.RefMatch, len(keys))
-			for j, kr := range resp.Results {
+			out := make([][]join.RefMatch, n)
+			for j, kr := range dto.Results {
 				out[j] = v.st.toRefMatches(kr.Matches)
 			}
 			return out, nil
 		}
-		switch envelopeCode(body) {
+		switch envelopeCode(resp) {
 		case "deadline":
 			return nil, context.DeadlineExceeded
 		case "draining":
 			lastErr = fmt.Errorf("%s: draining", addr)
 			continue
 		default:
-			return nil, fmt.Errorf("%w: %s answered %d: %s", ErrNodeUnavailable, addr, status, envelopeMessage(body))
+			return nil, fmt.Errorf("%w: %s answered %d: %s", ErrNodeUnavailable, addr, status, envelopeMessage(resp))
 		}
 	}
-	return nil, fmt.Errorf("%w: group %d (shards %d-%d): no answering replica: %v",
-		ErrNodeUnavailable, g, v.c.ranges[g].Lo, v.c.ranges[g].Hi, lastErr)
+	need := "the home of this batch's keys"
+	if mode == join.Approx {
+		need = "an approximate probe needs every group"
+	}
+	return nil, fmt.Errorf("%w: %s: no answering replica (%s): %v", ErrNodeUnavailable, v.c.groupLabel(g), need, lastErr)
 }
 
 // toRefMatches rebuilds RefMatch values from the wire form. Ref is the

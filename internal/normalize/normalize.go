@@ -402,11 +402,22 @@ func SoundexProfile(profile, s string) (string, error) {
 	return Soundex(key), nil
 }
 
-// soundexLead finds the first letter of s after accent folding and
-// upper-casing, reporting whether it is Latin-codable. Strings with no
-// letters at all report ok (they code to the empty string).
+// soundexFold is the one case and accent fold Soundex codes over, so a
+// string and its re-cased spellings code alike. Neither ToUpper nor
+// ToLower alone is a case fold: K (KELVIN SIGN), Å (ANGSTROM SIGN) and
+// İ are upper case already and meet plain K, Å and I only in lower
+// case; ſ, ı and the combining iota U+0345 meet S, I and Ι only in
+// upper case. Upper-then-lower merges every such class.
+func soundexFold(s string) string {
+	fold := func(r rune) rune { return unicode.ToLower(unicode.ToUpper(r)) }
+	return strings.ToUpper(FoldAccents(strings.Map(fold, s)))
+}
+
+// soundexLead finds the first letter of s after soundexFold, reporting
+// whether it is Latin-codable. Strings with no letters at all report ok
+// (they code to the empty string).
 func soundexLead(s string) (rune, bool) {
-	for _, r := range strings.ToUpper(FoldAccents(s)) {
+	for _, r := range soundexFold(s) {
 		if r >= 'A' && r <= 'Z' {
 			return r, true
 		}
@@ -450,8 +461,7 @@ func Soundex(s string) string {
 			return 0 // vowels, H, W, Y and non-letters
 		}
 	}
-	up := strings.ToUpper(FoldAccents(s))
-	runes := []rune(up)
+	runes := []rune(soundexFold(s))
 	// Find the first letter; a non-Latin letter ends the search (the
 	// key is outside the code's repertoire, not a name with leading
 	// punctuation to skip).

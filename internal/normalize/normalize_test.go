@@ -1,9 +1,11 @@
 package normalize
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestStandardPipeline(t *testing.T) {
@@ -305,13 +307,49 @@ func TestSoundexShapeProperty(t *testing.T) {
 	}
 }
 
-// Property: equal strings keep equal codes under case variation.
+// Property: equal strings keep equal codes under case variation. The
+// generator is seeded (quick.Check seeds from the clock by default), and
+// the runes random strings almost never contain — every rune either case
+// mapping moves — are checked exhaustively, leading, inside and ending a
+// name.
 func TestSoundexCaseInsensitiveProperty(t *testing.T) {
 	f := func(s string) bool {
 		return Soundex(strings.ToLower(s)) == Soundex(strings.ToUpper(s))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if unicode.ToLower(r) == r && unicode.ToUpper(r) == r {
+			continue
+		}
+		for _, s := range []string{string(r) + "rt", "Ro" + string(r) + "t", "Robe" + string(r)} {
+			if !f(s) {
+				t.Errorf("%U in %q: lower codes %q, upper codes %q", r, s, Soundex(strings.ToLower(s)), Soundex(strings.ToUpper(s)))
+			}
+		}
+	}
+}
+
+// The compatibility letters whose lower- and upper-case spellings used
+// to code apart (one mapping leaves them alone, the other lands on a
+// plain Latin letter): they code like the letter they fold to, however
+// the string is cased.
+func TestSoundexCompatibilityLetters(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"\u212Bngstrom", "A523"}, // U+212B ANGSTROM SIGN, upper case already
+		{"\u212Aelvin", "K415"},   // U+212A KELVIN SIGN, upper case already
+		{"\u017Fmith", "S530"},    // U+017F LATIN SMALL LETTER LONG S
+		{"Ma\u017Fon", "M250"},
+		{"\u0130zmir", "I256"}, // U+0130 LATIN CAPITAL LETTER I WITH DOT ABOVE
+		{"\u0131zmir", "I256"}, // U+0131 LATIN SMALL LETTER DOTLESS I
+	}
+	for _, c := range cases {
+		for _, in := range []string{c.in, strings.ToLower(c.in), strings.ToUpper(c.in)} {
+			if got := Soundex(in); got != c.want {
+				t.Errorf("Soundex(%q) = %q, want %q", in, got, c.want)
+			}
+		}
 	}
 }
 

@@ -1,3 +1,16 @@
+// Package pjoin executes the switchable symmetric join of package join
+// partition-parallel: both inputs are hash-partitioned into P shards by
+// join key, each shard runs an independent Engine on its own goroutine,
+// and the per-shard match streams are merged — deduplicated — through a
+// bounded fan-in channel. Operator switches remain per-shard quiescent-
+// point transitions, so every shard preserves the sequential engine's
+// switching semantics; the aggregate control loop lives in
+// adaptive.ShardedController and talks to the executor through the
+// Controller interface.
+//
+// The routing layer is internal/shardmap (Config.Router), so the sharded
+// resident index (internal/join.ShardedRefIndex) and the cluster tier
+// hash keys with exactly the same function.
 package pjoin
 
 import (
@@ -8,6 +21,7 @@ import (
 	"adaptivelink/internal/iterator"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/stream"
 )
 
@@ -55,10 +69,10 @@ type Config struct {
 	// Shards is the partition count P (≥ 1).
 	Shards int
 	// Router co-partitions the inputs. Nil defaults to the
-	// similarity-preserving PrefixRouter for Join's q, measure and θ.
-	// Supply a KeyRouter only when no shard can ever probe
+	// similarity-preserving shardmap.PrefixRouter for Join's q, measure
+	// and θ. Supply a shardmap.KeyRouter only when no shard can ever probe
 	// approximately.
-	Router Router
+	Router shardmap.Router
 	// Controller, when non-nil, receives aggregate observations and
 	// broadcasts mode switches (see adaptive.ShardedController).
 	Controller Controller
@@ -231,7 +245,7 @@ func New(cfg Config, left, right stream.Source) (*Executor, error) {
 		cfg.Buffer = 256
 	}
 	if cfg.Router == nil {
-		cfg.Router = NewPrefixRouter(cfg.Shards, cfg.Join.Q, cfg.Join.Measure, cfg.Join.Theta)
+		cfg.Router = shardmap.NewPrefixRouter(cfg.Shards, cfg.Join.Q, cfg.Join.Measure, cfg.Join.Theta)
 	}
 	e := &Executor{
 		cfg:        cfg,

@@ -7,6 +7,7 @@ import (
 
 	"adaptivelink/internal/datagen"
 	"adaptivelink/internal/join"
+	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/stream"
 )
 
@@ -167,7 +168,7 @@ func TestParityKeyRouterExact(t *testing.T) {
 	ds := testDataset(t, true)
 	cfg := join.Defaults() // Initial = LexRex
 	want := runSequential(t, cfg, ds)
-	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: NewKeyRouter(4)}, ds)
+	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: shardmap.NewKeyRouter(4)}, ds)
 	diffSigs(t, want, got)
 	if st.Duplicates != 0 {
 		t.Errorf("key router produced %d duplicate pairs, want 0 (replication factor is 1)", st.Duplicates)

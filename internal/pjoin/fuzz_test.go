@@ -6,6 +6,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/stream"
 )
@@ -48,10 +49,10 @@ func FuzzRoute(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, a, b string, shardsRaw, nRaw uint8) {
 		shards := int(shardsRaw)%8 + 1
-		pr := NewPrefixRouter(shards, cfg.Q, cfg.Measure, cfg.Theta)
-		kr := NewKeyRouter(shards)
+		pr := shardmap.NewPrefixRouter(shards, cfg.Q, cfg.Measure, cfg.Theta)
+		kr := shardmap.NewKeyRouter(shards)
 
-		checkRoutes := func(r Router, key string) []int {
+		checkRoutes := func(r shardmap.Router, key string) []int {
 			routes := r.Routes(nil, key)
 			if len(routes) == 0 {
 				t.Fatalf("key %q routed nowhere", key)

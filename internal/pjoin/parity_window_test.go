@@ -7,6 +7,7 @@ import (
 
 	"adaptivelink/internal/datagen"
 	"adaptivelink/internal/join"
+	"adaptivelink/internal/shardmap"
 )
 
 // TestWindowParityAllStates is the golden sliding-window parity check:
@@ -54,7 +55,7 @@ func TestWindowParityKeyRouter(t *testing.T) {
 	cfg := join.Defaults() // lex/rex
 	cfg.RetainWindow = 60
 	want := runSequential(t, cfg, ds)
-	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: NewKeyRouter(4)}, ds)
+	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: shardmap.NewKeyRouter(4)}, ds)
 	diffSigs(t, want, got)
 	if st.Duplicates != 0 {
 		t.Errorf("key router produced %d duplicates", st.Duplicates)

@@ -12,6 +12,7 @@ import (
 
 	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/fault"
+	"adaptivelink/internal/shardmap"
 )
 
 // The chaos harness: a router over stock nodes with a deterministic
@@ -251,11 +252,15 @@ func TestChaosHintOverflowFullResync(t *testing.T) {
 
 	rule := f.kill(0, 0)
 
-	// Enough writes to overflow a 3-hint queue for the dead replica.
+	// Enough writes to overflow a 3-hint queue for the dead replica: only
+	// the writes homed on its group queue a hint for it.
+	m := f.cl.Map()
 	next := 8
-	for i := 0; i < 8; i++ {
+	for homed := 0; homed <= 3; next++ {
 		f.upsertBoth(t, next)
-		next++
+		if m.GroupOf(shardmap.ShardOf(chaosKey(next), m.Shards)) == 0 {
+			homed++
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -15,7 +15,7 @@ import (
 // Partial-failure contract: a routed batch either completes against
 // every node group it needs or fails whole with a machine-branchable
 // envelope — node loss is "node_unavailable" (502), a spent budget is
-// "deadline" (504), and replicated answers never surface twice.
+// "deadline" (504), and a key never surfaces twice.
 
 // clusterFixture is a router with direct access to its node servers.
 type clusterFixture struct {
@@ -86,7 +86,7 @@ func TestClusterNodeDownFailsBatchWhole(t *testing.T) {
 	f := newClusterFixture(t, 4, []int{1, 1}, nil)
 	f.create(t, 24)
 
-	// All approximate batches span signature groups; they work before...
+	// Approximate batches ask every group; they work before...
 	code, body := f.router.do(t, "POST", "/v1/link",
 		`{"index":"atlas","keys":["borgo santa luca nord 0","borgo santa lucia est 14"],"strategy":"approximate"}`)
 	if code != http.StatusOK {
@@ -100,18 +100,18 @@ func TestClusterNodeDownFailsBatchWhole(t *testing.T) {
 	if code != http.StatusBadGateway {
 		t.Fatalf("post-failure link: %d %s (want 502)", code, body)
 	}
-	// The envelope names the failing group and its shard range, so an
-	// operator reads WHICH slice of the keyspace is dark from the error.
+	// The envelope names the failing group and its key-hash shard range,
+	// so an operator reads WHICH slice of the keyspace is dark.
 	if ec, msg := envelope(t, body); ec != CodeNodeUnavailable ||
 		!strings.Contains(msg, "cluster node unavailable") ||
 		!strings.Contains(msg, "group 1 (shards 2-4)") {
 		t.Fatalf("post-failure envelope: code %q message %q", ec, msg)
 	}
 
-	// Routed writes need quorum on every owning group: they fail whole
-	// too, naming the below-quorum group and its shard range.
+	// A routed write needs quorum on its key's home group: homed on the
+	// dead group it fails whole, naming the group and its hash range...
 	code, body = f.router.do(t, "POST", "/v1/indexes/atlas/upsert",
-		`{"tuples":[{"key":"borgo santa lucia nord 900"}]}`)
+		`{"tuples":[{"key":"borgo santa lucia nord 901"}]}`)
 	if code != http.StatusBadGateway {
 		t.Fatalf("post-failure upsert: %d %s (want 502)", code, body)
 	}
@@ -119,6 +119,13 @@ func TestClusterNodeDownFailsBatchWhole(t *testing.T) {
 		!strings.Contains(msg, "group 1 (shards 2-4)") ||
 		!strings.Contains(msg, "quorum") {
 		t.Fatalf("post-failure upsert envelope: code %q message %q", ec, msg)
+	}
+	// ...while a key homed on the surviving group is stored there and
+	// nowhere else, so its write does not notice the loss.
+	code, body = f.router.do(t, "POST", "/v1/indexes/atlas/upsert",
+		`{"tuples":[{"key":"borgo santa lucia nord 900"}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("upsert homed on the surviving group: %d %s (want 200)", code, body)
 	}
 }
 
@@ -185,17 +192,18 @@ func TestClusterDeadlineDuringFanOut(t *testing.T) {
 	}
 }
 
-// Replicated answers dedup at the merge even when replicas diverge: a
-// key whose signature spans two groups, with one group's copy updated
-// behind the router's back (a lagging snapshot), still yields exactly
-// one match — keep-first in group order.
+// A key surfaces once even when a second group holds a copy of it: a
+// write behind the router's back (or a copy left by the signature-
+// replicating placement) either lands on the key's home group, where it
+// replaces the one copy, or on another group, whose answer for a key it
+// is not home to is dropped at the merge.
 func TestClusterReplicaDedupAcrossVersions(t *testing.T) {
 	f := newClusterFixture(t, 4, []int{1, 1}, nil)
 	f.create(t, 8)
 
-	// Plant a key through the router (it lands on every owning group),
-	// then rewrite its payload on ONE group's node directly, bypassing
-	// the router — the groups now hold different versions of the key.
+	// Plant a key through the router (it lands on its home group), then
+	// write a different payload to group 0's node directly, bypassing
+	// the router — off the home group, that is a second, divergent copy.
 	code, body := f.router.do(t, "POST", "/v1/indexes/atlas/upsert",
 		`{"tuples":[{"id":77,"key":"canale grande ribera 9","attrs":["v1"]}]}`)
 	if code != http.StatusOK {
@@ -241,7 +249,7 @@ func TestClusterReplicaDedupAcrossVersions(t *testing.T) {
 			}
 		}
 		if n != 1 {
-			t.Fatalf("round %d: key surfaced %d times, want exactly 1 (merge must dedup divergent group copies)\n%s", i, n, body)
+			t.Fatalf("round %d: key surfaced %d times, want exactly 1 (only the home group answers for a key)\n%s", i, n, body)
 		}
 	}
 }

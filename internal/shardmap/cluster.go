@@ -16,8 +16,12 @@ func (r NodeRange) Len() int { return r.Hi - r.Lo }
 
 // NodeRanges partitions the M logical shards over N nodes as contiguous
 // ranges: node i owns NodeRanges(M, N)[i]. This is the cluster's
-// shard→node assignment contract — every router and every differential
-// harness must derive placement from it, never re-hash. The split is as
+// shard→node assignment contract: a key is stored on exactly the node
+// owning ShardOf(key, M), the same key-hash partition ShardedRefIndex
+// uses inside a process, so every key has one home, an exact probe asks
+// that node alone, and an approximate probe asks all N, each answering
+// from its disjoint 1/N of the reference. Every router and every
+// differential harness must derive placement from it. The split is as
 // even as possible with the remainder spread over the first M%N nodes,
 // so the assignment is a pure function of (shards, nodes) and two
 // processes with the same pair always agree. It panics when nodes < 1

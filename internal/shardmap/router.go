@@ -1,8 +1,9 @@
 // Package shardmap decides which shards a join key belongs to. It is
 // the routing layer shared by the partition-parallel streaming executor
-// (internal/pjoin) and the sharded resident index (internal/join): both
-// hash-partition keys the same way, so the two engine modes co-partition
-// identically and parity statements carry across them.
+// (internal/pjoin), the sharded resident index (internal/join) and the
+// cluster tier (internal/cluster): all hash keys the same way, so the
+// engine modes co-partition identically and parity statements carry
+// across them.
 //
 // Correctness of the partitioning rests on the co-partitioning
 // guarantee: any two keys that can match — by equality, or by q-gram
@@ -111,8 +112,10 @@ func (r *KeyRouter) Replicates() bool { return false }
 // has 7 prefix grams, and the factor measured on generated location
 // keys is 1.98 at 2 shards and 3.59 at 4. Only the streaming executor
 // (internal/pjoin), which must co-partition two inputs it sees once,
-// and the cluster map pay it; the resident index partitions by ShardOf
-// and probes every shard instead (see join.ShardedRefIndex).
+// pays it. Everything that holds a resident reference — the sharded
+// index (join.ShardedRefIndex) and, no longer routing by signature, the
+// cluster tier (internal/cluster) — partitions by ShardOf and probes
+// every partition instead.
 type PrefixRouter struct {
 	shards int
 	ex     *qgram.Extractor

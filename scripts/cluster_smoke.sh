@@ -3,7 +3,9 @@
 # three stock node daemons (group A = two replicas, group B = one), a
 # router fronting them, and asserts:
 #
-#   1. linkbench through the router completes with every request 2xx
+#   1. linkbench through the router completes with every request 2xx,
+#      and the nodes' index sizes (one replica per group) sum to the
+#      router's: every key is stored on exactly one group
 #   2. /v1/cluster reports the routing table with all replicas healthy
 #   3. killing one replica of group A MID-RUN is absorbed: the bench in
 #      flight still ends with zero failed requests (reads fail over,
@@ -68,7 +70,7 @@ stop_daemon() {
 start_daemon a1
 start_daemon a2
 start_daemon b1
-# Quorum 1: a write succeeds once any replica of each owning group
+# Quorum 1: a write succeeds once any replica of its key's home group
 # acknowledged; the rest converge via hinted handoff — so a dead
 # replica never blocks writes. Probe/repair intervals are shortened so
 # the smoke observes convergence quickly.
@@ -78,6 +80,18 @@ start_daemon router -cluster "http://$a1_addr,http://$a2_addr;http://$b1_addr" -
 # 1. Load through the router: linkbench creates the routed index and
 #    fails the run if any request is non-2xx.
 "$tmp/linkbench" -addr "http://$router_addr" -n 100 -c 32 -batch 4 -parent 400
+
+#    R = 1: every key lives on exactly one group, so one replica per
+#    group sums to the router's key count, and replicas of a group agree.
+index_size() { curl -sS "http://$1/v1/indexes/bench" | jq -e '.size'; }
+router_n=$(index_size "$router_addr")
+a1_n=$(index_size "$a1_addr")
+a2_n=$(index_size "$a2_addr")
+b1_n=$(index_size "$b1_addr")
+if [ "$a1_n" != "$a2_n" ] || [ "$((a1_n + b1_n))" != "$router_n" ] || [ "$router_n" -lt 1 ]; then
+    echo "cluster-smoke: placement is not one group per key: router holds $router_n keys, group A $a1_n/$a2_n, group B $b1_n" >&2
+    exit 1
+fi
 
 # 2. The routing table, fully healthy.
 curl -sS "http://$router_addr/v1/cluster" >"$tmp/cluster1.json"
@@ -168,7 +182,7 @@ jq -e '.results[0].matches | length >= 1' "$tmp/healed.json" >/dev/null || {
 #    node_unavailable envelope, not succeed partially.
 kill -9 "$b1_pid"
 wait "$b1_pid" 2>/dev/null || true
-# Eight varied keys: their union of signature shards covers every group.
+# An approximate batch asks every group, whatever its keys.
 probe_keys='"corso lago maggiore nord 1","via monte bianco sud 2","piazza valle verde est 3","viale porta nuova ovest 4","strada colle alto nord 5","largo ponte vecchio sud 6","borgo santa lucia est 7","canale grande ribera ovest 8"'
 code=$(curl -sS -o "$tmp/unavail.json" -w '%{http_code}' -X POST "http://$router_addr/v1/link" \
     -d "{\"index\":\"bench\",\"keys\":[$probe_keys],\"strategy\":\"approximate\"}")
