@@ -123,7 +123,11 @@
 // home shard, an approximate probe all of them, merged by reference
 // order. Each shard publishes an immutable snapshot through
 // an atomic pointer, and Upsert builds replacement snapshots off-path
-// and swaps them in, RCU-style. The consistency model is per-shard
+// and swaps them in, RCU-style. A replacement shares every array,
+// posting list and hash table with the snapshot it supersedes and
+// copies only what the batch touches, so an upsert costs O(batch)
+// amortised at any reference size; cloning a snapshot freezes it, so
+// the sharing cannot be broken by a late write. The consistency model is per-shard
 // snapshot isolation: a probe sees a point-in-time state of every shard
 // it reads, upserts are atomic per key (a probe observes the old
 // payload or the new one, never a mix), and a cross-shard batch is
@@ -225,9 +229,10 @@
 // An index directory holds two artifacts. The snapshot (index.snap) is
 // a versioned, CRC-32C-checksummed binary serialisation of the sharded
 // index in the exact representation the engine probes — dense gram-id
-// dictionaries, postings and signatures — so loading is a sequential
-// read plus slice reconstruction: no key is re-decomposed and no gram
-// re-hashed, which is what makes cold start several times faster than
+// dictionaries and sorted signatures, from which the postings table is
+// derived by transposition — so loading is a sequential read plus
+// slice reconstruction: no key is re-decomposed and no gram re-hashed,
+// which is what makes cold start several times faster than
 // rebuilding from the source CSV (BENCH_store.json, make bench-store).
 // The write-ahead log (upserts.wal) records every acknowledged Upsert
 // batch in CRC-framed records before it is applied; on Open the
@@ -306,9 +311,10 @@
 // regression tests pin all budgets.
 //
 // The encoding composes with the RCU snapshot discipline above: the
-// dictionary is part of each published shard snapshot, Upsert clones
-// it copy-on-write together with the postings, and interning is
-// append-only (ids are never renumbered), so a probe always reads a
+// dictionary is part of each published shard snapshot, the next
+// snapshot shares its gram table and every posting list the batch does
+// not extend, and interning is append-only (ids are never renumbered),
+// so a probe always reads a
 // consistent dict/postings pair and the match contract is bit-for-bit
 // unchanged. BENCH_probe.json records the per-probe trajectory (make
 // bench-probe); BENCH_service.json the service-level one.

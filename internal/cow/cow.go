@@ -1,0 +1,203 @@
+// Package cow holds the two persistent containers under the resident
+// index's snapshot generations: a chunked vector and a layered string
+// map. Both make the copy-on-write step of an RCU publish cost what
+// the writer touches, not what the container holds — Clone copies a
+// chunk directory resp. a small overlay, and everything else is shared
+// with the parent generation.
+//
+// History is linear: Clone freezes its receiver — the published
+// generation, which concurrent readers keep using — and hands the
+// clone to the single writer; any later write to a frozen container
+// panics. A frozen container is immutable, so reads need no
+// synchronisation beyond the publication of the pointer that led to
+// it; the read accessors touch no field a writer of a later generation
+// can change.
+package cow
+
+import (
+	"iter"
+	"maps"
+	"slices"
+)
+
+// Chunk geometry of Vec. Small chunks keep a point write cheap (one
+// chunk copy: 64 elements); the directory a Clone copies holds one
+// pointer per chunk.
+const (
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+type chunk[T any] struct {
+	gen  uint64 // generation of the Vec that may write this chunk in place
+	vals [chunkSize]T
+}
+
+// Vec is a persistent vector with dense indexes: elements live in
+// fixed-size chunks behind a directory, a Clone shares every chunk,
+// and the first write a generation makes to a chunk copies that chunk
+// alone. The zero value is an empty vector.
+type Vec[T any] struct {
+	dir    []*chunk[T]
+	n      int
+	gen    uint64
+	frozen bool
+}
+
+// VecOf returns a vector holding a copy of xs.
+func VecOf[T any](xs []T) *Vec[T] {
+	v := &Vec[T]{dir: make([]*chunk[T], 0, (len(xs)+chunkMask)>>chunkBits), n: len(xs)}
+	for lo := 0; lo < len(xs); lo += chunkSize {
+		c := new(chunk[T])
+		copy(c.vals[:], xs[lo:])
+		v.dir = append(v.dir, c)
+	}
+	return v
+}
+
+// Len returns the element count.
+func (v *Vec[T]) Len() int { return v.n }
+
+// At returns element i, which must be below Len.
+func (v *Vec[T]) At(i int) T { return v.dir[i>>chunkBits].vals[i&chunkMask] }
+
+// Clone freezes v and returns the next generation: it shares every
+// chunk with v until it writes to it.
+func (v *Vec[T]) Clone() Vec[T] {
+	v.frozen = true
+	return Vec[T]{dir: slices.Clone(v.dir), n: v.n, gen: v.gen + 1}
+}
+
+// Mut returns a pointer through which element i may be written,
+// copying the element's chunk first unless this generation already
+// owns it. The pointer is valid until the next Clone.
+func (v *Vec[T]) Mut(i int) *T {
+	if v.frozen {
+		panic("cow: write to a Vec frozen by Clone; write to the clone")
+	}
+	c := v.dir[i>>chunkBits]
+	if c.gen != v.gen {
+		// Chunks reachable from v were created by v or by an ancestor,
+		// and ancestors carry smaller generations: a matching stamp
+		// means no other generation can see this chunk.
+		cp := *c
+		cp.gen = v.gen
+		c = &cp
+		v.dir[i>>chunkBits] = c
+	}
+	return &c.vals[i&chunkMask]
+}
+
+// Append adds x under index Len.
+func (v *Vec[T]) Append(x T) {
+	if v.n&chunkMask == 0 {
+		v.dir = append(v.dir, &chunk[T]{gen: v.gen})
+	}
+	v.n++
+	*v.Mut(v.n - 1) = x
+}
+
+// foldScale bounds a Map's overlay: a Clone whose overlay has reached
+// sqrt(foldScale·len(base)) keys folds both layers into a fresh base.
+// The square root balances the two costs of a layered map of n keys —
+// every Clone copies the overlay, every fold re-inserts the base — at
+// O(sqrt n) per Clone and per inserted key; a fixed fraction of n would
+// let the per-Clone copy grow linearly with the map.
+const foldScale = 8
+
+// Map is a string-keyed map in two layers: a base shared by pointer
+// with earlier generations and a small overlay of the keys added since
+// the base was built. Lookups try the base first. The layers hold
+// disjoint keys; a write to a key of a shared base folds first, which
+// the resident index never does (its maps only gain keys).
+type Map[V any] struct {
+	base map[string]V
+	// over is nil while base is writer-owned (never shared, or fresh
+	// from a fold): writes then go straight to base.
+	over   map[string]V
+	frozen bool
+}
+
+// NewMap returns an empty map with room for hint keys.
+func NewMap[V any](hint int) Map[V] { return Map[V]{base: make(map[string]V, hint)} }
+
+// Len returns the number of keys.
+func (m *Map[V]) Len() int { return len(m.base) + len(m.over) }
+
+// Get returns the value stored under key.
+func (m *Map[V]) Get(key string) (V, bool) {
+	v, ok := m.base[key]
+	if !ok && len(m.over) > 0 {
+		v, ok = m.over[key]
+	}
+	return v, ok
+}
+
+// GetBytes is Get for a key held as bytes; it does not allocate.
+func (m *Map[V]) GetBytes(key []byte) (V, bool) {
+	v, ok := m.base[string(key)]
+	if !ok && len(m.over) > 0 {
+		v, ok = m.over[string(key)]
+	}
+	return v, ok
+}
+
+// All iterates over every key/value pair, in no particular order.
+func (m *Map[V]) All() iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
+		for k, v := range m.base {
+			if !yield(k, v) {
+				return
+			}
+		}
+		for k, v := range m.over {
+			if !yield(k, v) {
+				return
+			}
+		}
+	}
+}
+
+// Put stores v under key.
+func (m *Map[V]) Put(key string, v V) {
+	if m.over != nil {
+		if _, shared := m.base[key]; !shared {
+			m.checkLive()
+			m.over[key] = v
+			return
+		}
+	}
+	m.Own()[key] = v
+}
+
+// Own folds the layers into one writer-owned base and returns it for
+// bulk mutation; the map must not be read through its methods while
+// the caller iterates and deletes.
+func (m *Map[V]) Own() map[string]V {
+	m.checkLive()
+	if m.over != nil {
+		base := make(map[string]V, m.Len())
+		maps.Copy(base, m.base)
+		maps.Copy(base, m.over)
+		m.base, m.over = base, nil
+	}
+	return m.base
+}
+
+// Clone freezes m and returns the next generation, sharing m's base.
+func (m *Map[V]) Clone() Map[V] {
+	m.frozen = true
+	c := Map[V]{base: m.base, over: make(map[string]V, len(m.over))}
+	maps.Copy(c.over, m.over)
+	if len(c.over)*len(c.over) >= foldScale*len(c.base) {
+		c.Own()
+	}
+	return c
+}
+
+func (m *Map[V]) checkLive() {
+	if m.frozen {
+		panic("cow: write to a Map frozen by Clone; write to the clone")
+	}
+}

@@ -13,33 +13,49 @@ package hashidx
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
+	"adaptivelink/internal/cow"
 	"adaptivelink/internal/qgram"
 )
 
 // ExactIndex is a hash table from join-key value to the refs of the
 // tuples carrying that value (SHJoin's per-operand state).
 type ExactIndex struct {
-	buckets map[string][]int
+	buckets cow.Map[[]int]
 	indexed int
-	entries int // live entries: indexed minus evicted
+	entries int  // live entries: indexed minus evicted
+	frozen  bool // set by Clone; writer-side, never read by Lookup
+}
+
+// checkLive panics when a writer-side operation reaches a generation
+// frozen by Clone. Clones share their parent's arrays and write only
+// past the lengths the parent sees, which is safe for the parent's
+// readers exactly as long as history is linear: a published generation
+// is never written again and is cloned once.
+func checkLive(frozen bool, op string) {
+	if frozen {
+		panic("hashidx: " + op + " on an index frozen by Clone: a published generation is immutable and is cloned once; write to the clone")
+	}
 }
 
 // NewExactIndex returns an empty exact index.
 func NewExactIndex() *ExactIndex {
-	return &ExactIndex{buckets: make(map[string][]int)}
+	return &ExactIndex{buckets: cow.NewMap[[]int](0)}
 }
 
 // Insert registers the tuple at position ref with the given key. Refs
 // must be inserted densely in order; this invariant is what makes lazy
 // catch-up a pure suffix operation.
 func (x *ExactIndex) Insert(ref int, key string) {
+	checkLive(x.frozen, "ExactIndex.Insert")
 	if ref != x.indexed {
 		panic(fmt.Sprintf("hashidx: ExactIndex.Insert ref %d, want %d (dense order)", ref, x.indexed))
 	}
-	x.buckets[key] = append(x.buckets[key], ref)
+	refs, _ := x.buckets.Get(key)
+	x.buckets.Put(key, append(refs, ref))
 	x.indexed++
 	x.entries++
 }
@@ -47,23 +63,20 @@ func (x *ExactIndex) Insert(ref int, key string) {
 // Lookup returns the refs of all tuples whose key equals key. The
 // returned slice is owned by the index; callers must not mutate it.
 func (x *ExactIndex) Lookup(key string) []int {
-	return x.buckets[key]
+	refs, _ := x.buckets.Get(key)
+	return refs
 }
 
-// Clone returns a deep copy sharing no mutable state with x: the
-// copy-on-write step of an RCU snapshot build. Inserts into the clone
-// never disturb readers of the original (bucket slices are copied, so a
-// clone-side append cannot land in a shared backing array).
+// Clone is the copy-on-write step of an RCU snapshot build: it freezes
+// x — the published generation; a later Insert, CatchUp, EvictBelow or
+// second Clone panics — and returns the next generation, which shares
+// x's table and owns only the keys inserted since (see cow.Map).
+// Inserts into the clone never disturb readers of x: a bucket append
+// lands past the length x sees or in a fresh array.
 func (x *ExactIndex) Clone() *ExactIndex {
-	c := &ExactIndex{
-		buckets: make(map[string][]int, len(x.buckets)),
-		indexed: x.indexed,
-		entries: x.entries,
-	}
-	for key, refs := range x.buckets {
-		c.buckets[key] = append([]int(nil), refs...)
-	}
-	return c
+	checkLive(x.frozen, "ExactIndex.Clone")
+	x.frozen = true
+	return &ExactIndex{buckets: x.buckets.Clone(), indexed: x.indexed, entries: x.entries}
 }
 
 // Indexed returns how many tuples of the side have been absorbed (the
@@ -111,21 +124,22 @@ func evictPrefix(buckets map[string][]int, minRef int) int {
 // eviction frees memory but does not rewind the dense insertion clock,
 // so Insert and CatchUp keep working after evictions.
 func (x *ExactIndex) EvictBelow(minRef int) int {
-	dropped := evictPrefix(x.buckets, minRef)
+	checkLive(x.frozen, "ExactIndex.EvictBelow")
+	dropped := evictPrefix(x.buckets.Own(), minRef)
 	x.entries -= dropped
 	return dropped
 }
 
 // Buckets returns the number of distinct key values indexed.
-func (x *ExactIndex) Buckets() int { return len(x.buckets) }
+func (x *ExactIndex) Buckets() int { return x.buckets.Len() }
 
 // AvgBucketLen returns the mean bucket length B_ex used by the cost
 // analysis of Table 1 (0 for an empty index).
 func (x *ExactIndex) AvgBucketLen() float64 {
-	if len(x.buckets) == 0 {
+	if x.buckets.Len() == 0 {
 		return 0
 	}
-	return float64(x.entries) / float64(len(x.buckets))
+	return float64(x.entries) / float64(x.buckets.Len())
 }
 
 // Candidate is a probe result: a stored tuple sharing Overlap distinct
@@ -149,17 +163,22 @@ type Candidate struct {
 type QGramIndex struct {
 	ex       *qgram.Extractor
 	dict     *qgram.Dict
-	postings [][]int32  // gram id -> ascending refs
-	sizes    []uint32   // ref -> |q(key(ref))|; retained over eviction
-	sigs     [][]uint32 // ref -> sorted gram-id signature; nil'd by eviction
-	buckets  int        // posting lists currently non-empty
+	postings cow.Vec[[]int32] // gram id -> ascending refs
+	sizes    []uint32         // ref -> |q(key(ref))|; retained over eviction
+	sigs     [][]uint32       // ref -> sorted gram-id signature; nil'd by eviction
+	buckets  int              // posting lists currently non-empty
 	indexed  int
 	entries  int // total postings, for the space accounting of §2.3
 	sigFloor int // refs below it have had their signatures released
 
-	// insc backs Insert/CatchUp. Writer-side state only: inserts are
-	// single-writer by the index contract (dense ref order), so probes
-	// — which may run concurrently on immutable clones — never touch it.
+	// Writer-side state, which probes — running concurrently on frozen
+	// generations — never touch. frozen is set by Clone; inherited says
+	// the arrays behind sizes and sigs are shared with a frozen ancestor,
+	// so only the capacity past len is this generation's to write.
+	frozen    bool
+	inherited bool
+	// insc backs Insert/CatchUp: inserts are single-writer by the index
+	// contract (dense ref order).
 	insc  qgram.Scratch
 	idbuf []uint32
 }
@@ -202,17 +221,19 @@ func (x *QGramIndex) InsertGrams(ref int, grams []string) {
 }
 
 func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
+	checkLive(x.frozen, "QGramIndex.Insert")
 	if ref != x.indexed {
 		panic(fmt.Sprintf("hashidx: QGramIndex.Insert ref %d, want %d (dense order)", ref, x.indexed))
 	}
-	for len(x.postings) < x.dict.Len() {
-		x.postings = append(x.postings, nil)
+	for x.postings.Len() < x.dict.Len() {
+		x.postings.Append(nil)
 	}
 	for _, id := range ids {
-		if len(x.postings[id]) == 0 {
+		refs := x.postings.Mut(int(id))
+		if len(*refs) == 0 {
 			x.buckets++
 		}
-		x.postings[id] = append(x.postings[id], int32(ref))
+		*refs = append(*refs, int32(ref))
 	}
 	sig := make([]uint32, len(ids))
 	copy(sig, ids)
@@ -223,47 +244,48 @@ func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 	x.indexed++
 }
 
-// Clone returns a deep copy sharing no mutable state with x: the
-// copy-on-write step of an RCU snapshot build. The dictionary and the
-// posting lists are copied so clone-side interns and appends never land
-// in state a reader of the original is scanning; the per-ref signatures
-// are immutable after insert and are shared, only the spine is copied.
+// Clone is the copy-on-write step of an RCU snapshot build. It freezes
+// x — the published generation, which must never be written or cloned
+// again: Insert, CatchUp, EvictBelow and a second Clone panic — and
+// returns the next generation, which copies nothing proportional to the
+// index. Posting lists are shared views whose capacity ends at their
+// length or in space only this lineage appends to, so an append copies
+// the touched list or lands past what x's readers see; the per-ref
+// arrays are shared the same way; the dictionary and the postings
+// directory are cow containers. History must therefore be linear,
+// which the freeze enforces.
 func (x *QGramIndex) Clone() *QGramIndex {
-	c := &QGramIndex{
-		ex:       x.ex,
-		dict:     x.dict.Clone(),
-		postings: make([][]int32, len(x.postings)),
-		sizes:    append([]uint32(nil), x.sizes...),
-		sigs:     append([][]uint32(nil), x.sigs...),
-		buckets:  x.buckets,
-		indexed:  x.indexed,
-		entries:  x.entries,
-		sigFloor: x.sigFloor,
+	checkLive(x.frozen, "QGramIndex.Clone")
+	x.frozen = true
+	return &QGramIndex{
+		ex:        x.ex,
+		dict:      x.dict.Clone(),
+		postings:  x.postings.Clone(),
+		sizes:     x.sizes,
+		sigs:      x.sigs,
+		buckets:   x.buckets,
+		indexed:   x.indexed,
+		entries:   x.entries,
+		sigFloor:  x.sigFloor,
+		inherited: true,
+		insc:      x.insc, // x never inserts again: the scratch moves on
+		idbuf:     x.idbuf,
 	}
-	for id, refs := range x.postings {
-		if len(refs) > 0 {
-			c.postings[id] = append([]int32(nil), refs...)
-		}
-	}
-	return c
 }
 
 // Indexed returns how many tuples of the side have been absorbed.
 func (x *QGramIndex) Indexed() int { return x.indexed }
 
 // QGramExport is the stable serialized form of a QGramIndex: the gram
-// dictionary in id order, the postings table, and the per-ref signature
-// data. Counters derivable from these (buckets, entries, indexed) are
-// recomputed on import rather than trusted from the wire. The slices of
-// an export taken from a live index alias the index's immutable data —
-// treat an export as read-only.
+// dictionary in id order and the per-ref signature data. The signatures
+// are the one stored copy of the (ref, gram) relation; the postings
+// table is their transpose and is derived on import, as are the
+// counters (buckets, entries, indexed). The slices of an export taken
+// from a live index alias the index's immutable data — treat an export
+// as read-only.
 type QGramExport struct {
 	// Grams enumerates the dictionary in id order (qgram.Dict.Grams).
 	Grams []string
-	// Postings is the gram-id-keyed postings table; Postings[id] lists
-	// refs ascending. Shorter than Grams when trailing grams have no
-	// postings yet.
-	Postings [][]int32
 	// Sizes is |q(key(ref))| per absorbed ref.
 	Sizes []uint32
 	// Sigs is the sorted gram-id signature per ref (nil below SigFloor).
@@ -278,7 +300,6 @@ type QGramExport struct {
 func (x *QGramIndex) Export() QGramExport {
 	return QGramExport{
 		Grams:    x.dict.Grams(),
-		Postings: x.postings,
 		Sizes:    x.sizes,
 		Sigs:     x.sigs,
 		SigFloor: x.sigFloor,
@@ -294,33 +315,25 @@ func (x *QGramIndex) Export() QGramExport {
 // signature can reference a dropped gram. Ids change across the export —
 // only representation-change-safe points (checkpoints, snapshots) may use
 // it. When nothing is dead it returns Export() unchanged (aliasing the
-// index's immutable data); otherwise the dictionary, postings spine and
-// signatures are freshly built, so a shared RCU snapshot is never
-// mutated either way.
+// index's immutable data); otherwise the dictionary and signatures are
+// freshly built, so a shared RCU snapshot is never mutated either way.
 func (x *QGramIndex) ExportCompacted() QGramExport {
-	dead := x.dict.Len() - len(x.postings)
-	for _, refs := range x.postings {
-		if len(refs) == 0 {
-			dead++
+	exp := x.Export()
+	remap := make([]uint32, len(exp.Grams))
+	live := 0
+	for id := range remap {
+		remap[id] = qgram.NoID
+		if len(x.list(uint32(id))) > 0 {
+			remap[id] = uint32(live)
+			exp.Grams[live] = exp.Grams[id]
+			live++
 		}
 	}
-	if dead == 0 {
-		return x.Export()
+	if live == len(exp.Grams) {
+		return exp
 	}
-	grams := x.dict.Grams()
-	remap := make([]uint32, len(grams))
-	live := make([]string, 0, len(grams)-dead)
-	postings := make([][]int32, 0, len(grams)-dead)
-	for id := range grams {
-		if id >= len(x.postings) || len(x.postings[id]) == 0 {
-			remap[id] = qgram.NoID
-			continue
-		}
-		remap[id] = uint32(len(live))
-		live = append(live, grams[id])
-		postings = append(postings, x.postings[id])
-	}
-	sigs := make([][]uint32, len(x.sigs))
+	exp.Grams = exp.Grams[:live]
+	exp.Sigs = make([][]uint32, len(x.sigs))
 	for ref, sig := range x.sigs {
 		if sig == nil {
 			continue
@@ -329,15 +342,9 @@ func (x *QGramIndex) ExportCompacted() QGramExport {
 		for i, id := range sig {
 			ns[i] = remap[id]
 		}
-		sigs[ref] = ns
+		exp.Sigs[ref] = ns
 	}
-	return QGramExport{
-		Grams:    live,
-		Postings: postings,
-		Sizes:    x.sizes,
-		Sigs:     sigs,
-		SigFloor: x.sigFloor,
-	}
+	return exp
 }
 
 // ImportQGramIndex reconstructs an index from an Export under the given
@@ -345,61 +352,86 @@ func (x *QGramIndex) ExportCompacted() QGramExport {
 // with — the caller's compatibility contract). Every structural
 // invariant a probe relies on is re-validated, so a corrupted or
 // hostile export yields a descriptive error, never an index that can
-// panic later: posting refs must be strictly ascending within [0, n),
-// the dictionary must be duplicate-free, and the per-ref tables must
-// agree on n. The export's slices are adopted, not copied; the caller
-// must hand over ownership.
+// panic later: the dictionary must be duplicate-free, the per-ref
+// tables must agree on n, and every signature must be strictly
+// ascending within the dictionary. The postings table is derived from
+// the signatures (see transpose), so it cannot disagree with them. The
+// export's slices are adopted, not copied; the caller must hand over
+// ownership.
 func ImportQGramIndex(ex *qgram.Extractor, exp QGramExport) (*QGramIndex, error) {
 	dict, err := qgram.DictFromGrams(exp.Grams)
 	if err != nil {
 		return nil, fmt.Errorf("hashidx: import q-gram index: %w", err)
 	}
 	n := len(exp.Sizes)
-	if len(exp.Sigs) != n {
-		return nil, fmt.Errorf("hashidx: import q-gram index: %d signatures for %d refs", len(exp.Sigs), n)
-	}
-	if len(exp.Postings) > len(exp.Grams) {
-		return nil, fmt.Errorf("hashidx: import q-gram index: postings table of %d lists exceeds dictionary of %d grams", len(exp.Postings), len(exp.Grams))
+	if len(exp.Sigs) != n || n > math.MaxInt32 {
+		return nil, fmt.Errorf("hashidx: import q-gram index: %d signatures for %d refs (at most %d)", len(exp.Sigs), n, math.MaxInt32)
 	}
 	if exp.SigFloor < 0 || exp.SigFloor > n {
 		return nil, fmt.Errorf("hashidx: import q-gram index: signature floor %d outside [0, %d]", exp.SigFloor, n)
 	}
+	for ref, sig := range exp.Sigs[:exp.SigFloor] {
+		if sig != nil {
+			return nil, fmt.Errorf("hashidx: import q-gram index: ref %d below signature floor %d carries a signature", ref, exp.SigFloor)
+		}
+	}
+	// Capacities are clipped: a later append must not write into space
+	// the export's previous owner may still be appending to.
 	x := &QGramIndex{
 		ex:       ex,
 		dict:     dict,
-		postings: exp.Postings,
-		sizes:    exp.Sizes,
-		sigs:     exp.Sigs,
+		sizes:    exp.Sizes[:n:n],
+		sigs:     exp.Sigs[:n:n],
 		indexed:  n,
 		sigFloor: exp.SigFloor,
 	}
-	for id, refs := range x.postings {
-		prev := int32(-1)
-		for _, ref := range refs {
-			if ref <= prev || int(ref) >= n {
-				return nil, fmt.Errorf("hashidx: import q-gram index: posting list %d not strictly ascending within [0, %d)", id, n)
-			}
-			prev = ref
-		}
-		if len(refs) > 0 {
-			x.buckets++
-		}
-		x.entries += len(refs)
-	}
-	for ref, sig := range x.sigs {
-		if ref < x.sigFloor {
-			if sig != nil {
-				return nil, fmt.Errorf("hashidx: import q-gram index: ref %d below signature floor %d carries a signature", ref, x.sigFloor)
-			}
-			continue
-		}
-		for _, id := range sig {
-			if int(id) >= len(exp.Grams) {
-				return nil, fmt.Errorf("hashidx: import q-gram index: ref %d signature names gram id %d outside dictionary of %d", ref, id, len(exp.Grams))
-			}
-		}
+	if err := x.transpose(); err != nil {
+		return nil, fmt.Errorf("hashidx: import q-gram index: %w", err)
 	}
 	return x, nil
+}
+
+// transpose derives the postings table, and the bucket and entry
+// counters, from the signatures: one counting pass sizes every list and
+// validates every gram id, one fill pass writes all lists into a single
+// flat array. Refs are visited ascending, so every list is ascending by
+// construction. Each list is a view whose capacity ends at its length:
+// the first append to it copies that list out of the flat array.
+func (x *QGramIndex) transpose() error {
+	grams := x.dict.Len()
+	ends := make([]int, grams+1) // ends[id+1] counts list id, then marks where it ends
+	for ref, sig := range x.sigs {
+		prev := -1
+		for _, id := range sig {
+			if int(id) >= grams || int(id) <= prev {
+				return fmt.Errorf("ref %d signature names gram id %d after %d: not strictly ascending within dictionary of %d grams", ref, id, prev, grams)
+			}
+			prev = int(id)
+			ends[id+1]++
+		}
+		x.entries += len(sig)
+	}
+	for id := 1; id <= grams; id++ {
+		ends[id] += ends[id-1] // ends[id] is now where list id starts
+	}
+	flat := make([]int32, x.entries)
+	for ref, sig := range x.sigs {
+		for _, id := range sig {
+			flat[ends[id]] = int32(ref)
+			ends[id]++ // ... and ends up where list id ends, list id+1 starts
+		}
+	}
+	start := 0
+	for _, end := range ends[:grams] {
+		var list []int32
+		if end > start {
+			list = flat[start:end:end]
+			x.buckets++
+		}
+		x.postings.Append(list)
+		start = end
+	}
+	return nil
 }
 
 // CatchUp absorbs keys[Indexed():] and returns the number inserted.
@@ -421,19 +453,25 @@ func (x *QGramIndex) CatchUp(keys []string) int {
 // valid — the dict grows with distinct grams ever seen, not with
 // stream length.
 func (x *QGramIndex) EvictBelow(minRef int) int {
+	checkLive(x.frozen, "QGramIndex.EvictBelow")
 	dropped := 0
-	for id, refs := range x.postings {
+	for id := 0; id < x.postings.Len(); id++ {
+		refs := x.postings.At(id)
 		cut, _ := slices.BinarySearch(refs, int32(minRef))
 		if cut == 0 {
 			continue
 		}
 		dropped += cut
 		if cut == len(refs) {
-			x.postings[id] = nil
+			*x.postings.Mut(id) = nil
 			x.buckets--
 			continue
 		}
-		x.postings[id] = append([]int32(nil), refs[cut:]...)
+		*x.postings.Mut(id) = append([]int32(nil), refs[cut:]...)
+	}
+	if x.inherited && x.sigFloor < minRef {
+		// Releasing signatures writes below len: take the spine private.
+		x.sigs, x.inherited = slices.Clone(x.sigs), false
 	}
 	for i := x.sigFloor; i < minRef && i < len(x.sigs); i++ {
 		x.sigs[i] = nil
@@ -458,13 +496,22 @@ func (x *QGramIndex) GramSize(ref int) int { return int(x.sizes[ref]) }
 // no re-extraction, no maps. Nil for evicted refs.
 func (x *QGramIndex) Sig(ref int) []uint32 { return x.sigs[ref] }
 
+// list returns gram id's posting list: nil for qgram.NoID and for grams
+// interned but not yet in the postings table.
+func (x *QGramIndex) list(id uint32) []int32 {
+	if uint(id) >= uint(x.postings.Len()) {
+		return nil
+	}
+	return x.postings.At(int(id))
+}
+
 // Frequency returns the number of indexed tuples containing gram g.
 func (x *QGramIndex) Frequency(g string) int {
 	id, ok := x.dict.IDOf(g)
-	if !ok || int(id) >= len(x.postings) {
+	if !ok {
 		return 0
 	}
-	return len(x.postings[id])
+	return len(x.list(id))
 }
 
 // Entries returns the total number of posting entries, i.e. the
@@ -564,7 +611,7 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 	// if fewer than minOverlap survive, nothing can qualify.
 	m := 0
 	for _, id := range ids {
-		if id != qgram.NoID && int(id) < len(x.postings) && len(x.postings[id]) > 0 {
+		if len(x.list(id)) > 0 {
 			ids[m] = id
 			m++
 		}
@@ -579,7 +626,7 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 		// (counts of admitted candidates are always complete) but fixed
 		// for determinism.
 		slices.SortFunc(ids, func(a, b uint32) int {
-			fa, fb := len(x.postings[a]), len(x.postings[b])
+			fa, fb := len(x.postings.At(int(a))), len(x.postings.At(int(b)))
 			if fa != fb {
 				return fa - fb
 			}
@@ -605,7 +652,7 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 	epoch := sc.epoch
 	sc.refs = sc.refs[:0]
 	for i, id := range ids {
-		for _, ref := range x.postings[id] {
+		for _, ref := range x.postings.At(int(id)) {
 			if sc.stamps[ref] == epoch {
 				sc.counts[ref]++
 			} else if i < admitUpTo {

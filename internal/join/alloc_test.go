@@ -9,6 +9,8 @@ package join
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"adaptivelink/internal/relation"
@@ -128,6 +130,47 @@ func TestAllocNonASCIIProbes(t *testing.T) {
 					shards, key, avg, approxNonASCIIAllocBudget)
 			}
 		}
+	}
+}
+
+// upsertBytesBudget is the documented allocation budget of one 16-tuple
+// maintenance batch (8 inserts, 8 replacements) into a 4-shard index,
+// amortised over 256 batches: the chunks, lists and overlays the batch
+// touches plus its share of array growth and table folds. Cloning the
+// touched shards wholesale cost 7 MB a batch at 20k rows and 60 MB at
+// 200k.
+const upsertBytesBudget = 512 << 10
+
+// An upsert allocates for what the batch touches, not for what the
+// index holds: ten times the reference moves the bytes allocated per
+// batch by less than 2x, and both sizes stay inside the budget.
+func TestAllocUpsertBytesIndependentOfIndexSize(t *testing.T) {
+	const batches = 256
+	bytesPerBatch := func(rows int) float64 {
+		idx := scalingIndex(t, rows)
+		work := make([][]relation.Tuple, batches)
+		for b := range work {
+			work[b] = scalingBatch(rows, b)
+		}
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, batch := range work {
+			if ins, upd := idx.Upsert(batch); ins != 8 || upd != 8 {
+				t.Fatalf("%d rows: batch applied as %d inserts / %d updates, want 8 / 8", rows, ins, upd)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / batches
+	}
+	small, large := bytesPerBatch(20_000), bytesPerBatch(200_000)
+	t.Logf("bytes allocated per batch: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	if large > 2*small || small > 2*large {
+		t.Errorf("bytes per batch depend on the index size: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	}
+	if small > upsertBytesBudget || large > upsertBytesBudget {
+		t.Errorf("bytes per batch %.0f / %.0f over the budget of %d", small, large, upsertBytesBudget)
 	}
 }
 

@@ -1,0 +1,133 @@
+package join
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"adaptivelink/internal/hashidx"
+	"adaptivelink/internal/relation"
+)
+
+// renderSnap writes out everything a probe can observe of one shard
+// snapshot: its tuples, keys and global refs, the q-gram index's
+// export, and for every resident key the exact lookup and the
+// approximate probe's verified matches.
+func renderSnap(cfg Config, sn *shardSnap) string {
+	var out strings.Builder
+	fmt.Fprintf(&out, "globals %v keys %q export %v\n", sn.globals, sn.keys, sn.qgIdx.Export())
+	var psc hashidx.ProbeScratch
+	ex := sn.qgIdx.Extractor()
+	for lref, key := range sn.keys {
+		psc.Dec.Reset()
+		k := ex.Decompose(&psc.Dec, key)
+		g := k.Len()
+		approx := snapApproxAppend(nil, sn, cfg, key, k, g, cfg.Measure.MinOverlap(g, cfg.Theta), &psc)
+		fmt.Fprintf(&out, "%d %v %v %s | %s\n", lref, sn.tuples.At(lref), sn.exIdx.Lookup(key),
+			renderMatches(snapExact(sn, key)), renderMatches(approx))
+	}
+	return out.String()
+}
+
+// TestPublishedSnapshotsStayFrozen pins the other half of structural
+// sharing: a published generation shares its arrays, lists and tables
+// with every later one, so it must come out of any number of upserts —
+// inserts, replacements, enough new keys to fold the shared tables
+// several times — exactly as it went in. Every generation of every
+// shard is held and compared afterwards, as is an exported view; and
+// while the writer runs, readers keep probing the first generation.
+func TestPublishedSnapshotsStayFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const shards = 3
+	stored, _, _ := diffKeyPool(rng, 90)
+	var tuples []relation.Tuple
+	for i, k := range stored {
+		tuples = append(tuples, relation.Tuple{ID: i, Key: k, Attrs: []string{"v0"}})
+	}
+	s, err := BuildShardedRefIndex(Defaults(), shards, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		sn    *shardSnap
+		state string
+	}
+	var generations []held
+	hold := func() {
+		for sh := range s.shards {
+			sn := s.shards[sh].Load()
+			if n := len(generations); n >= shards && generations[n-shards+sh].sn == sn {
+				continue // not republished by the last batch
+			}
+			generations = append(generations, held{sn, renderSnap(s.cfg, sn)})
+		}
+	}
+	hold()
+	first := generations[:shards:shards]
+	view, err := s.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewState := fmt.Sprint(*view)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, h := range first {
+					if got := renderSnap(s.cfg, h.sn); got != h.state {
+						t.Errorf("a reader saw the first generation change under it")
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	fresh := 0
+	for round := 0; round < 60; round++ {
+		var batch []relation.Tuple
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				batch = append(batch, relation.Tuple{ID: 1000 + fresh, Key: fmt.Sprintf("borgo nuovo %d interno %d", fresh*7, fresh), Attrs: []string{"new"}})
+				fresh++
+			} else {
+				batch = append(batch, relation.Tuple{ID: round, Key: stored[rng.Intn(len(stored))], Attrs: []string{fmt.Sprintf("v%d", round+1)}})
+			}
+		}
+		s.Upsert(batch)
+		hold()
+	}
+	close(stop)
+	wg.Wait()
+	if fresh < 2*len(stored)/3 {
+		t.Fatalf("only %d keys inserted into %d: the shared tables were hardly folded", fresh, len(stored))
+	}
+	for i, h := range generations {
+		if got := renderSnap(s.cfg, h.sn); got != h.state {
+			t.Fatalf("held snapshot %d of %d changed after publication\n was %s\n now %s", i, len(generations), h.state, got)
+		}
+	}
+	if got := fmt.Sprint(*view); got != viewState {
+		t.Fatal("exported view changed under later upserts")
+	}
+	// The view still imports into the index it described.
+	loaded, err := NewShardedRefIndexFromSnapshot(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := BuildShardedRefIndex(Defaults(), shards, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResidentEqual(t, orig, loaded)
+}

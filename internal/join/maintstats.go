@@ -25,9 +25,9 @@ type MaintStats struct {
 	// SnapshotSwaps counts per-shard snapshot publications: one per
 	// touched shard per upsert, plus one per shard at bulk load.
 	SnapshotSwaps uint64
-	// CloneNanos is the cumulative time spent cloning shard snapshots
-	// for copy-on-write upserts, in nanoseconds — the write-side price
-	// of lock-free probes.
+	// CloneNanos is the cumulative time spent deriving the writable
+	// successors of shard snapshots for upserts, in nanoseconds — the
+	// write-side price of lock-free probes (see shardSnap.clone).
 	CloneNanos int64
 	// ScratchGets counts scratch-pool checkouts on the approximate
 	// probe, batch and upsert paths; ScratchNews how many of them had

@@ -1,7 +1,9 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"adaptivelink/internal/datagen"
@@ -162,3 +164,77 @@ func BenchmarkResidentProbeBatchApprox(b *testing.B) { benchProbeBatch(b, Approx
 
 func BenchmarkResidentProbeBatchExactSharded(b *testing.B)  { benchProbeBatch(b, Exact, 4) }
 func BenchmarkResidentProbeBatchApproxSharded(b *testing.B) { benchProbeBatch(b, Approx, 4) }
+
+// scalingKey is the i-th key of the reference-size sweep: three words
+// of two to four syllables plus the row number — distinct by
+// construction, a few thousand distinct grams whatever the row count —
+// cheap enough that a 200k-row reference generates in milliseconds.
+func scalingKey(i int) string {
+	syllables := [...]string{
+		"MON", "TE", "RO", "SA", "LA", "GO", "CO", "MO", "VAL", "LE", "VER", "DE", "PIA", "ZZA", "DUO", "BOR",
+		"SAN", "TA", "LU", "CIA", "NOR", "SUD", "EST", "VIA", "COR", "SO", "EU", "PA", "STRA", "DA", "FIU", "ME",
+	}
+	// A splitmix64 stream seeded by i: a rand.Source per key would cost
+	// more than indexing the key.
+	state := uint64(i)
+	next := func(n int) int {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int((z ^ z>>31) % uint64(n))
+	}
+	key := make([]byte, 0, 48)
+	for w := 0; w < 3; w++ {
+		for n := 2 + next(3); n > 0; n-- {
+			key = append(key, syllables[next(len(syllables))]...)
+		}
+		key = append(key, ' ')
+	}
+	return string(strconv.AppendInt(key, int64(i), 10))
+}
+
+// scalingIndex builds a 4-shard resident index over rows scalingKeys.
+func scalingIndex(tb testing.TB, rows int) *ShardedRefIndex {
+	tb.Helper()
+	tuples := make([]relation.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{ID: i, Key: scalingKey(i), Attrs: []string{"v0"}}
+	}
+	idx, err := BuildShardedRefIndex(Defaults(), 4, tuples)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return idx
+}
+
+// scalingBatch is the b-th maintenance batch against scalingIndex(rows)
+// in the repository benchmark's shape: 8 keys new to the index and 8
+// payload replacements of resident keys spread over the reference.
+func scalingBatch(rows, b int) []relation.Tuple {
+	batch := make([]relation.Tuple, 0, 16)
+	for j := 0; j < 8; j++ {
+		fresh := rows + 8*b + j
+		batch = append(batch, relation.Tuple{ID: fresh, Key: scalingKey(fresh), Attrs: []string{"new"}})
+	}
+	for j := 0; j < 8; j++ {
+		resident := (b*7919 + j*104729) % rows
+		batch = append(batch, relation.Tuple{ID: resident, Key: scalingKey(resident), Attrs: []string{"v" + strconv.Itoa(b+1)}})
+	}
+	return batch
+}
+
+// BenchmarkUpsertScaling is one maintenance batch against references
+// of two sizes: with structural sharing the two cost the same.
+func BenchmarkUpsertScaling(b *testing.B) {
+	for _, rows := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {
+			idx := scalingIndex(b, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx.Upsert(scalingBatch(rows, i))
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptivelink/internal/cow"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
@@ -46,18 +47,26 @@ import (
 // key (a key has one home shard, so its match is taken wholesale from
 // one snapshot — never a torn mix of old and new payload), and a
 // cross-shard batch is per-shard-consistent rather than globally
-// serialised. The price of the swap is copy-on-write: an upsert costs
-// O(size of the batch's home shards), at most one copy of the
-// reference, which is the deliberate inversion of the RefIndex
-// trade-off — reads outnumber writes by orders of magnitude in the
-// index-once/probe-many mode.
+// serialised. The price of the swap is structural sharing, not
+// copying: a shard's next snapshot shares every array, posting list and
+// hash table with the one it supersedes and copies only what the batch
+// touches — a 64-slot chunk per replaced tuple or extended posting
+// list, a chunk directory, the small overlay of keys and grams added
+// since the tables were last folded (see shardSnap.clone) — so an
+// upsert costs O(batch) amortised, whatever the size of the reference:
+// the occasional growth of an append-only array or fold of an overlay
+// is paid back by the appends that filled it.
 type ShardedRefIndex struct {
 	cfg    Config
 	ex     *qgram.Extractor
 	nshard int
 
 	shards []atomic.Pointer[shardSnap]
-	store  atomic.Pointer[globalStore]
+	// store is the global-ref -> tuple view backing Len and Tuple, the
+	// same persistent vector a shard's tuples are. It is published before
+	// the shard snapshots that reference its refs, so a probe can never
+	// return a ref the store cannot resolve.
+	store atomic.Pointer[cow.Vec[relation.Tuple]]
 
 	// mu serialises writers (Upsert) only; it is never taken on the
 	// probe path.
@@ -91,18 +100,30 @@ type shardScratch struct {
 // shardSnap is one shard's immutable snapshot. No field is mutated
 // after publication; Upsert clones and republishes instead.
 type shardSnap struct {
-	tuples  []relation.Tuple
+	tuples  cow.Vec[relation.Tuple]
 	keys    []string
 	globals []int // local ref -> global ref (monotonically increasing)
 	exIdx   *hashidx.ExactIndex
 	qgIdx   *hashidx.QGramIndex
 }
 
+func newShardSnap(ex *qgram.Extractor) *shardSnap {
+	return &shardSnap{exIdx: hashidx.NewExactIndex(), qgIdx: hashidx.NewQGramIndex(ex)}
+}
+
+// clone returns the writable successor of a published snapshot, copying
+// nothing proportional to the shard: tuples (which replacements write
+// in place) is a chunked copy-on-write vector, the append-only keys and
+// globals are shared outright — add writes past the lengths sn's
+// readers see — and the two indexes share their tables the same way.
+// That is sound only for a linear history (sn is never written again
+// and is cloned once), which the index Clones check: they freeze sn's
+// indexes and panic on a second clone or a late write.
 func (sn *shardSnap) clone() *shardSnap {
 	return &shardSnap{
-		tuples:  append([]relation.Tuple(nil), sn.tuples...),
-		keys:    append([]string(nil), sn.keys...),
-		globals: append([]int(nil), sn.globals...),
+		tuples:  sn.tuples.Clone(),
+		keys:    sn.keys,
+		globals: sn.globals,
 		exIdx:   sn.exIdx.Clone(),
 		qgIdx:   sn.qgIdx.Clone(),
 	}
@@ -110,50 +131,12 @@ func (sn *shardSnap) clone() *shardSnap {
 
 // add appends a tuple new to the shard, under the next local ref.
 func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
-	lref := len(sn.tuples)
-	sn.tuples = append(sn.tuples, t)
+	lref := sn.tuples.Len()
+	sn.tuples.Append(t)
 	sn.keys = append(sn.keys, t.Key)
 	sn.globals = append(sn.globals, global)
 	sn.exIdx.Insert(lref, t.Key)
 	sn.qgIdx.InsertKey(lref, k)
-}
-
-// Global store chunk geometry: refs are dense, so the store is a
-// persistent chunked vector and an upsert republishes only the chunks
-// it touches plus the chunk directory (one pointer per chunk), never
-// the whole store.
-const (
-	storeChunkBits = 10
-	storeChunkSize = 1 << storeChunkBits
-	storeChunkMask = storeChunkSize - 1
-)
-
-// globalStore is the immutable global-ref -> tuple view backing Len and
-// Tuple; it is published before the shard snapshots that reference its
-// refs, so a probe can never return a ref the store cannot resolve.
-// Chunks are immutable once published — a writer clones a chunk before
-// touching it.
-type globalStore struct {
-	chunks [][]relation.Tuple
-	n      int
-}
-
-func (g *globalStore) tuple(ref int) relation.Tuple {
-	return g.chunks[ref>>storeChunkBits][ref&storeChunkMask]
-}
-
-// newGlobalStore chunks a ref-ordered tuple slice, adopting its backing
-// array. Three-index subslicing caps each chunk at its own length: a
-// later upsert's append can never write into the next chunk's backing
-// (and the copy-on-write append path clones any published chunk before
-// touching it anyway).
-func newGlobalStore(tuples []relation.Tuple) *globalStore {
-	st := &globalStore{n: len(tuples)}
-	for lo := 0; lo < st.n; lo += storeChunkSize {
-		hi := min(lo+storeChunkSize, st.n)
-		st.chunks = append(st.chunks, tuples[lo:hi:hi])
-	}
-	return st
 }
 
 // NewShardedRefIndex builds an empty sharded resident index with the
@@ -180,12 +163,9 @@ func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 		newest: make(map[string]int),
 	}
 	for i := range s.shards {
-		s.shards[i].Store(&shardSnap{
-			exIdx: hashidx.NewExactIndex(),
-			qgIdx: hashidx.NewQGramIndex(ex),
-		})
+		s.shards[i].Store(newShardSnap(ex))
 	}
-	s.store.Store(&globalStore{})
+	s.store.Store(new(cow.Vec[relation.Tuple]))
 	s.pool.New = func() any {
 		s.maint.scratchNews.Add(1)
 		return new(shardScratch)
@@ -200,7 +180,7 @@ func (s *ShardedRefIndex) Config() Config { return s.cfg }
 func (s *ShardedRefIndex) Shards() int { return s.nshard }
 
 // Len returns the number of resident reference tuples (distinct keys).
-func (s *ShardedRefIndex) Len() int { return s.store.Load().n }
+func (s *ShardedRefIndex) Len() int { return s.store.Load().Len() }
 
 // Entries reports the aggregate live entry counts across shards (exact
 // refs, q-gram postings). The shards partition the reference, so at any
@@ -218,10 +198,10 @@ func (s *ShardedRefIndex) Entries() (exact, qgrams int) {
 // Tuple returns a snapshot of the reference tuple at the global ref.
 func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 	st := s.store.Load()
-	if ref < 0 || ref >= st.n {
-		return relation.Tuple{}, fmt.Errorf("join: ref %d outside resident store of %d tuples", ref, st.n)
+	if ref < 0 || ref >= st.Len() {
+		return relation.Tuple{}, fmt.Errorf("join: ref %d outside resident store of %d tuples", ref, st.Len())
 	}
-	return st.tuple(ref), nil
+	return st.At(ref), nil
 }
 
 // Upsert applies a batch of keyed reference maintenance: existing keys
@@ -230,11 +210,11 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 //
 // Writers are serialised; probes are not disturbed. Gram decomposition
 // runs before the writer lock, the next snapshots of the batch's home
-// shards are built off-path by copy-on-write — the gram dictionary
-// included, so published snapshots stay immutable while the clone
-// interns new grams — and each is published with one atomic swap: in-
-// flight probes complete on the old snapshot, later probes see the
-// whole batch for that shard.
+// shards are built off-path as clones that share everything the batch
+// does not touch — published snapshots stay immutable while the clone
+// interns new grams into its own dictionary overlay — and each is
+// published with one atomic swap: in-flight probes complete on the old
+// snapshot, later probes see the whole batch for that shard.
 func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
 	if len(tuples) == 0 {
 		return 0, 0
@@ -252,35 +232,7 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	old := s.store.Load()
-	n := old.n
-	dir := append([][]relation.Tuple(nil), old.chunks...)
-	cloned := make(map[int]bool) // chunk index -> already writable
-	setTuple := func(ref int, t relation.Tuple) {
-		ci := ref >> storeChunkBits
-		if !cloned[ci] {
-			dir[ci] = append(make([]relation.Tuple, 0, storeChunkSize), dir[ci]...)
-			cloned[ci] = true
-		}
-		dir[ci][ref&storeChunkMask] = t
-	}
-	appendTuple := func(t relation.Tuple) int {
-		ref := n
-		ci := ref >> storeChunkBits
-		if ci == len(dir) {
-			dir = append(dir, make([]relation.Tuple, 0, storeChunkSize))
-			cloned[ci] = true
-		} else if !cloned[ci] {
-			// The published tail chunk may have spare capacity; clone
-			// rather than append in place under a reader's feet.
-			dir[ci] = append(make([]relation.Tuple, 0, storeChunkSize), dir[ci]...)
-			cloned[ci] = true
-		}
-		dir[ci] = append(dir[ci], t)
-		n++
-		return ref
-	}
-
+	store := s.store.Load().Clone()
 	next := make(map[int]*shardSnap)
 	for i, t := range tuples {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
@@ -292,20 +244,21 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 			next[sh] = ns
 		}
 		if g, ok := s.newest[t.Key]; ok {
-			setTuple(g, t)
+			*store.Mut(g) = t
 			// The store is keyed: the key's bucket holds its one local ref.
-			ns.tuples[ns.exIdx.Lookup(t.Key)[0]] = t
+			*ns.tuples.Mut(ns.exIdx.Lookup(t.Key)[0]) = t
 			updated++
 			continue
 		}
-		g := appendTuple(t)
+		g := store.Len()
+		store.Append(t)
 		s.newest[t.Key] = g
 		ns.add(t, g, ks[i])
 		inserted++
 	}
 	// Publish the global store before the shard snapshots: no probe may
 	// return a global ref that Tuple cannot yet resolve.
-	s.store.Store(&globalStore{chunks: dir, n: n})
+	s.store.Store(&store)
 	for sh, ns := range next {
 		s.shards[sh].Store(ns)
 	}
@@ -325,7 +278,7 @@ func (s *ShardedRefIndex) ProbeExact(key string) []RefMatch {
 func (s *ShardedRefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatch {
 	sn := s.shards[shardmap.ShardOf(key, s.nshard)].Load()
 	for _, lref := range sn.exIdx.Lookup(key) {
-		dst = append(dst, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples[lref], Similarity: 1, Exact: true})
+		dst = append(dst, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples.At(lref), Similarity: 1, Exact: true})
 	}
 	return dst
 }
@@ -338,7 +291,7 @@ func snapExact(sn *shardSnap, key string) []RefMatch {
 	}
 	out := make([]RefMatch, 0, len(refs))
 	for _, lref := range refs {
-		out = append(out, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples[lref], Similarity: 1, Exact: true})
+		out = append(out, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples.At(lref), Similarity: 1, Exact: true})
 	}
 	return out
 }
@@ -385,7 +338,7 @@ func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k q
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: sn.globals[cand.Ref], Tuple: sn.tuples[cand.Ref], Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: sn.globals[cand.Ref], Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
 	}
 	return dst
 }

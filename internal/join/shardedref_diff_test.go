@@ -250,9 +250,9 @@ func TestShardedRefHomeShardOnly(t *testing.T) {
 					}
 					seen[key]++
 					stored, err := ix.Tuple(sn.globals[lref])
-					if err != nil || !reflect.DeepEqual(stored, sn.tuples[lref]) {
+					if err != nil || !reflect.DeepEqual(stored, sn.tuples.At(lref)) {
 						t.Fatalf("%d shards, %s: shard %d holds %+v at ref %d, store has %+v (%v)",
-							shards, name, sh, sn.tuples[lref], sn.globals[lref], stored, err)
+							shards, name, sh, sn.tuples.At(lref), sn.globals[lref], stored, err)
 					}
 				}
 			}

@@ -19,6 +19,11 @@ import (
 // one prober goroutine, never see a key's version move backwards
 // (snapshots are published in order).
 //
+// The upper bits of the shard byte add that many never-seen keys to
+// every batch, so the writer also grows the shared arrays and folds the
+// shared key and gram tables while the probers read older generations
+// of them.
+//
 // A short run is wired into `make fuzz` (and CI); `go test -fuzz` digs
 // deeper.
 func FuzzUpsertProbe(f *testing.F) {
@@ -26,8 +31,9 @@ func FuzzUpsertProbe(f *testing.F) {
 	f.Add(int64(7), uint8(4), "lago di como est")
 	f.Add(int64(42), uint8(1), "x")
 	f.Add(int64(-3), uint8(9), "piazza duomo è bella")
+	f.Add(int64(5), uint8(0xFF), "borgo santa lucia") // 63 new keys a batch: crosses many folds
 	f.Fuzz(func(t *testing.T, seed int64, shardsRaw uint8, keyBase string) {
-		shards := int(shardsRaw%4) + 1
+		shards, freshPerBatch := int(shardsRaw%4)+1, int(shardsRaw>>2)
 		rng := rand.New(rand.NewSource(seed))
 		s, err := NewShardedRefIndex(Defaults(), shards)
 		if err != nil {
@@ -73,6 +79,9 @@ func FuzzUpsertProbe(f *testing.F) {
 				batch := []relation.Tuple{
 					payload(keys[upRng.Intn(len(keys))], v),
 					payload(keys[upRng.Intn(len(keys))], v),
+				}
+				for i := 0; i < freshPerBatch; i++ {
+					batch = append(batch, payload(fmt.Sprintf("%s %d new %d", keyBase, v, i), v))
 				}
 				s.Upsert(batch)
 			}

@@ -278,6 +278,9 @@ func TestShardedRefGlobalStoreChunking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A span that is not a multiple of the store vector's 64-slot chunks:
+	// 34 full chunks and a partly filled tail.
+	const storeChunkSize = 1024
 	const total = 2*storeChunkSize + 137
 	for lo := 0; lo < total; lo += 500 {
 		hi := lo + 500

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptivelink/internal/cow"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
@@ -13,10 +14,10 @@ import (
 // global tuple store in ref order plus, per shard, the shard's member
 // refs and its dictionary-encoded q-gram index. Everything else a
 // running index carries — the exact hash tables, the newest-by-key
-// writer map — is derivable from these in one linear pass with no gram
-// re-hashing and no key re-decomposition, which is what keeps a
-// snapshot load cheap: the expensive artifacts of indexing (the gram
-// dictionary, the id-encoded postings, the signatures) travel in their
+// writer map, the postings tables — is derivable from these in linear
+// passes with no gram re-hashing and no key re-decomposition, which is
+// what keeps a snapshot load cheap: the expensive artifacts of indexing
+// (the gram dictionary, the id-encoded signatures) travel in their
 // final in-memory form.
 //
 // A view exported from a live index aliases that index's immutable RCU
@@ -58,17 +59,17 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.store.Load()
-	if st.n > math.MaxUint32 {
-		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", st.n)
+	if st.Len() > math.MaxUint32 {
+		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", st.Len())
 	}
 	v := &SnapshotView{
 		Cfg:    s.cfg,
 		NShard: s.nshard,
-		Tuples: make([]relation.Tuple, st.n),
+		Tuples: make([]relation.Tuple, st.Len()),
 		Shards: make([]ShardExport, s.nshard),
 	}
-	for i := 0; i < st.n; i++ {
-		v.Tuples[i] = st.tuple(i)
+	for i := range v.Tuples {
+		v.Tuples[i] = st.At(i)
 	}
 	for i := range s.shards {
 		sn := s.shards[i].Load()
@@ -90,11 +91,12 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // ownership; a view exported from a live index must not be imported
 // into a second one that will be upserted).
 //
-// The reconstruction is the cheap inverse of indexing: the q-gram
-// structures are adopted as-is via hashidx.ImportQGramIndex, shard
-// tuple stores are resolved by indexing the global store with each
-// shard's Globals, and the exact hash tables are rebuilt with one map
-// insertion per key — no gram is re-hashed, no key is re-decomposed.
+// The reconstruction is the cheap inverse of indexing: dictionaries and
+// signatures are adopted as-is and transposed into postings by
+// hashidx.ImportQGramIndex, shard tuple stores are resolved by indexing
+// the global store with each shard's Globals, and the exact hash tables
+// are rebuilt with one map insertion per key — no gram is re-hashed, no
+// key is re-decomposed.
 // Every cross-structure invariant is validated first (refs in range,
 // Globals strictly ascending, one store record per key, every key in
 // its home shard and no other), so a corrupted snapshot yields a
@@ -131,7 +133,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			return nil, fmt.Errorf("join: snapshot shard %d: q-gram index absorbed %d refs, shard lists %d", i, qg.Indexed(), len(se.Globals))
 		}
 		sn := &shardSnap{
-			tuples:  make([]relation.Tuple, len(se.Globals)),
 			keys:    make([]string, len(se.Globals)),
 			globals: make([]int, len(se.Globals)),
 			exIdx:   hashidx.NewExactIndex(),
@@ -147,7 +148,7 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			if home := shardmap.ShardOf(t.Key, v.NShard); home != i {
 				return nil, fmt.Errorf("join: snapshot shard %d holds key %q, whose home is shard %d", i, t.Key, home)
 			}
-			sn.tuples[lref] = t
+			sn.tuples.Append(t)
 			sn.keys[lref] = t.Key
 			sn.globals[lref] = int(g)
 		}
@@ -160,6 +161,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 	if members != n {
 		return nil, fmt.Errorf("join: snapshot shards list %d members for a store of %d tuples", members, n)
 	}
-	s.store.Store(newGlobalStore(v.Tuples))
+	s.store.Store(cow.VecOf(v.Tuples))
 	return s, nil
 }

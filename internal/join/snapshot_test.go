@@ -121,13 +121,21 @@ func TestSnapshotImportValidation(t *testing.T) {
 		{"shards do not cover the store", func(v *SnapshotView) {
 			v.Tuples = append(v.Tuples, relation.Tuple{ID: 777, Key: "in the store, in no shard"})
 		}},
+		// Postings are derived from the signatures, so the only way an
+		// image can ask for a posting the shard cannot resolve is a
+		// signature past the shard's member list.
 		{"posting ref out of range", func(v *SnapshotView) {
+			qg := &v.Shards[0].QGrams
+			qg.Sigs = append(qg.Sigs[:len(qg.Sigs):len(qg.Sigs)], qg.Sigs[0])
+			qg.Sizes = append(qg.Sizes[:len(qg.Sizes):len(qg.Sizes)], qg.Sizes[0])
+		}},
+		{"signature not ascending", func(v *SnapshotView) {
 			for si := range v.Shards {
-				for pi, refs := range v.Shards[si].QGrams.Postings {
-					if len(refs) > 0 {
-						refs = append([]int32(nil), refs...)
-						refs[0] = int32(len(v.Shards[si].Globals))
-						v.Shards[si].QGrams.Postings[pi] = refs
+				for ri, sig := range v.Shards[si].QGrams.Sigs {
+					if len(sig) > 1 {
+						sig = append([]uint32(nil), sig...)
+						sig[1] = sig[0]
+						v.Shards[si].QGrams.Sigs[ri] = sig
 						return
 					}
 				}

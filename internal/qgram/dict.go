@@ -2,10 +2,11 @@ package qgram
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"unicode"
 	"unicode/utf8"
+
+	"adaptivelink/internal/cow"
 )
 
 // This file implements the dictionary-encoded gram pipeline: instead of
@@ -379,41 +380,42 @@ func (e *Extractor) decomposeSlow(sc *Scratch, s string) Key {
 // order, are stable forever (a Clone never renumbers), and stay below
 // Len. A Dict is NOT safe for concurrent mutation; the join engines
 // treat it as part of the index it belongs to — writers intern under
-// the index's write discipline and publish immutable clones to readers
-// (the RCU copy-on-write path), while probes use the read-only lookups.
+// the index's write discipline and publish each generation to readers
+// by Clone (the RCU copy-on-write path: the clone shares the gram table
+// and owns only the grams interned since, see cow.Map), while probes
+// use the read-only lookups.
 type Dict struct {
-	ids map[string]uint32
+	ids cow.Map[uint32]
 }
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]uint32)}
+	return &Dict{ids: cow.NewMap[uint32](0)}
 }
 
 // Len returns the number of interned grams; every assigned id is below
 // it.
-func (d *Dict) Len() int { return len(d.ids) }
+func (d *Dict) Len() int { return d.ids.Len() }
 
-// Clone returns a copy sharing no mutable state with d. Interning into
-// the clone never disturbs readers of the original, and existing ids
-// are preserved — the copy-on-write step of an RCU snapshot build.
+// Clone freezes d — interning into it afterwards panics — and returns
+// the next generation: existing ids are preserved, and interning into
+// the clone never disturbs readers of d.
 func (d *Dict) Clone() *Dict {
-	return &Dict{ids: maps.Clone(d.ids)}
+	return &Dict{ids: d.ids.Clone()}
 }
 
 // IDOf returns the id of a gram given as a string, for diagnostics and
 // frequency lookups outside the hot path.
 func (d *Dict) IDOf(gram string) (uint32, bool) {
-	id, ok := d.ids[gram]
-	return id, ok
+	return d.ids.Get(gram)
 }
 
 // Grams returns the interned grams in id order (Grams()[id] is the gram
 // assigned id): the stable serialization of the dictionary. The slice
 // is freshly allocated and owned by the caller.
 func (d *Dict) Grams() []string {
-	out := make([]string, len(d.ids))
-	for g, id := range d.ids {
+	out := make([]string, d.ids.Len())
+	for g, id := range d.ids.All() {
 		out[id] = g
 	}
 	return out
@@ -425,14 +427,21 @@ func (d *Dict) Grams() []string {
 // rejected with a descriptive error (a snapshot decoder's corruption
 // guard).
 func DictFromGrams(grams []string) (*Dict, error) {
-	d := &Dict{ids: make(map[string]uint32, len(grams))}
+	d := &Dict{ids: cow.NewMap[uint32](len(grams))}
 	for i, g := range grams {
-		if _, dup := d.ids[g]; dup {
+		if d.internString(g) != uint32(i) {
 			return nil, fmt.Errorf("qgram: duplicate gram %q at id %d in dictionary enumeration", g, i)
 		}
-		d.ids[g] = uint32(i)
 	}
 	return d, nil
+}
+
+// gramBytes returns the bytes of k's i-th packed gram, unpacked into b.
+func (k Key) gramBytes(b *[runeGramBufLen]byte, i int) []byte {
+	if k.runePacked {
+		return unpackRunes(b[:0], k.packed[i])
+	}
+	return unpack((*[maxPacked + 1]byte)(b[:]), k.packed[i])
 }
 
 // AppendIDs maps k's grams to ids, appending one id per gram to dst in
@@ -440,30 +449,15 @@ func DictFromGrams(grams []string) (*Dict, error) {
 // grows the dictionary, so it is safe on shared immutable dicts and
 // allocates nothing.
 func (d *Dict) AppendIDs(dst []uint32, k Key) []uint32 {
-	if k.strs != nil {
-		for _, g := range k.strs {
-			id, ok := d.ids[g]
-			if !ok {
-				id = NoID
-			}
-			dst = append(dst, id)
+	var b [runeGramBufLen]byte
+	for i, n := 0, k.Len(); i < n; i++ {
+		var id uint32
+		var ok bool
+		if k.strs != nil {
+			id, ok = d.ids.Get(k.strs[i])
+		} else {
+			id, ok = d.ids.GetBytes(k.gramBytes(&b, i))
 		}
-		return dst
-	}
-	if k.runePacked {
-		var b [runeGramBufLen]byte
-		for _, p := range k.packed {
-			id, ok := d.ids[string(unpackRunes(b[:0], p))]
-			if !ok {
-				id = NoID
-			}
-			dst = append(dst, id)
-		}
-		return dst
-	}
-	var b [maxPacked + 1]byte
-	for _, p := range k.packed {
-		id, ok := d.ids[string(unpack(&b, p))]
 		if !ok {
 			id = NoID
 		}
@@ -476,31 +470,14 @@ func (d *Dict) AppendIDs(dst []uint32, k Key) []uint32 {
 // dense id to each gram not yet present. Writer-side only.
 func (d *Dict) Intern(dst []uint32, k Key) []uint32 {
 	if k.strs != nil {
-		for _, g := range k.strs {
-			dst = append(dst, d.internString(g))
-		}
-		return dst
+		return d.InternStrings(dst, k.strs)
 	}
-	if k.runePacked {
-		var b [runeGramBufLen]byte
-		for _, p := range k.packed {
-			bs := unpackRunes(b[:0], p)
-			id, ok := d.ids[string(bs)]
-			if !ok {
-				id = uint32(len(d.ids))
-				d.ids[string(bs)] = id
-			}
-			dst = append(dst, id)
-		}
-		return dst
-	}
-	var b [maxPacked + 1]byte
-	for _, p := range k.packed {
-		bs := unpack(&b, p)
-		id, ok := d.ids[string(bs)]
+	var b [runeGramBufLen]byte
+	for i := range k.packed {
+		bs := k.gramBytes(&b, i)
+		id, ok := d.ids.GetBytes(bs)
 		if !ok {
-			id = uint32(len(d.ids))
-			d.ids[string(bs)] = id
+			id = d.internString(string(bs))
 		}
 		dst = append(dst, id)
 	}
@@ -517,10 +494,10 @@ func (d *Dict) InternStrings(dst []uint32, grams []string) []uint32 {
 }
 
 func (d *Dict) internString(g string) uint32 {
-	id, ok := d.ids[g]
+	id, ok := d.ids.Get(g)
 	if !ok {
-		id = uint32(len(d.ids))
-		d.ids[g] = id
+		id = uint32(d.ids.Len())
+		d.ids.Put(g, id)
 	}
 	return id
 }

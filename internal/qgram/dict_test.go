@@ -1,6 +1,7 @@
 package qgram
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -263,6 +264,55 @@ func TestDictCloneIsolation(t *testing.T) {
 			t.Errorf("original knows clone-interned gram %d (id %d)", i, id)
 		}
 	}
+}
+
+// A long lineage of clones — each interning a few more keys, so the
+// shared gram table is folded many times over — keeps every id ever
+// assigned, keeps Grams() the inverse of IDOf, and leaves each frozen
+// generation exactly as long as it was.
+func TestDictLineageKeepsIDs(t *testing.T) {
+	ex := New(3)
+	var sc Scratch
+	d := NewDict()
+	assigned := make(map[string]uint32)
+	type frozen struct {
+		d   *Dict
+		len int
+	}
+	var history []frozen
+	for gen := 0; gen < 150; gen++ {
+		sc.Reset()
+		k := ex.Decompose(&sc, fmt.Sprintf("strada %d numero %d", gen*gen, gen))
+		ids := d.Intern(nil, k)
+		for i, g := range decomposedGrams(k) {
+			if prev, ok := assigned[g]; ok && prev != ids[i] {
+				t.Fatalf("generation %d renumbered gram %q: %d -> %d", gen, g, prev, ids[i])
+			}
+			assigned[g] = ids[i]
+		}
+		if d.Len() != len(assigned) {
+			t.Fatalf("generation %d: Len %d, %d grams assigned", gen, d.Len(), len(assigned))
+		}
+		history = append(history, frozen{d, d.Len()})
+		d = d.Clone()
+	}
+	grams := d.Grams()
+	for g, id := range assigned {
+		if got, ok := d.IDOf(g); !ok || got != id || grams[id] != g {
+			t.Fatalf("gram %q: IDOf = %d, %v; Grams()[%d] = %q; assigned %d", g, got, ok, id, grams[id], id)
+		}
+	}
+	for gen, h := range history {
+		if h.d.Len() != h.len {
+			t.Fatalf("generation %d grew from %d to %d grams after it was cloned", gen, h.len, h.d.Len())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("interning a new gram into a cloned dictionary did not panic")
+		}
+	}()
+	history[0].d.InternStrings(nil, []string{"never seen"})
 }
 
 func TestIntersectSortedIDsMatchesIntersection(t *testing.T) {

@@ -3,17 +3,17 @@
 // ShardedRefIndex state, an upsert write-ahead log replayed on boot,
 // and the directory layout that ties the two together (see Dir).
 //
-// # Snapshot format (version 3)
+// # Snapshot format (version 4)
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
 // plus, per shard, the shard's member refs and its dictionary-encoded
 // q-gram index — in the representation the engine probes directly:
-// dense gram ids, id-keyed postings, sorted signatures. Loading is one
-// read of the file followed by slice reconstruction over fixed-width
-// offset tables; no gram is re-hashed and no key is re-decomposed.
+// dense gram ids and sorted signatures. Loading is one read of the file
+// followed by slice reconstruction over fixed-width offset tables; no
+// gram is re-hashed and no key is re-decomposed.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
-//	header  version u32 = 3
+//	header  version u32 = 4
 //	        q u32, measure u32, shards u32     the compatibility triple
 //	        theta f64 (IEEE bits)
 //	        tuples u32                         global store size n
@@ -24,7 +24,6 @@
 //	shards  (repeated `shards` times)
 //	        globals  u32 count + count × u32   local ref → global ref
 //	        grams    string blob               dictionary in id order
-//	        postings ragged i32                gram id → ascending refs
 //	        sizes    u32 count + count × u32   |q(key)| per ref
 //	        sigs     ragged u32                sorted gram ids per ref
 //	        sigfloor u32
@@ -34,7 +33,8 @@
 // the concatenated bytes; decoding materialises one Go string for the
 // whole blob and slices substrings out of it, so a million keys cost
 // one allocation plus headers. "Ragged" arrays are the same offsets
-// trick over fixed-width elements. All integers are little-endian.
+// trick over fixed-width elements. All integers are little-endian and
+// ids stay fixed-width, so every section is addressable in place.
 //
 // Every length and offset is validated against the remaining input
 // before anything is allocated or sliced, and the trailing CRC covers
@@ -42,21 +42,36 @@
 // with descriptive errors — the loader never panics on hostile bytes
 // (FuzzSnapshotDecode) and never yields a partial index.
 //
-// Version 3 has the sections of version 2 under a different shard
-// layout: the shards hash-partition the store (a tuple is a member of
-// shard ShardOf(key, shards) and of no other), where versions 1 and 2
-// replicated a tuple into every shard of its prefix-filter signature.
-// v1/v2 snapshots still load: their store section is decoded, their
-// shard sections are skipped (the file checksum still covers them), and
-// the importer partitions and indexes the store itself — adopting
-// replicated sections under the partitioned write path would leave
-// stale replicas behind the first update. The next checkpoint writes
-// version 3.
+// The signatures are the one stored copy of the (ref, gram) relation —
+// the n·(|jA|+q−1) entries of the paper's space analysis (§2.3). The
+// postings table gram id → refs is their exact transpose, so it is not
+// stored: hashidx.ImportQGramIndex derives it in one counting pass and
+// one fill pass over the signatures, which costs about a millisecond
+// per ten thousand tuples, takes more than a third off the file, and
+// leaves no image whose postings disagree with its signatures to be
+// rejected.
 //
-// Version 1 differs from 2 only in the profile slot: it carried a
-// reserved u32 (always 0) and no profile bytes. v1 snapshots load with
-// the profile read as "" — they predate normalization profiles, so
-// their keys were indexed verbatim and "" is exactly what built them.
+// Version 3 is version 4 plus a `postings` section (ragged i32, gram id
+// → ascending refs) between grams and sizes. v3 snapshots still load:
+// the section's count and length are bounds-checked, the file checksum
+// covers it, and it is skipped — the table is derived exactly as for
+// version 4, whatever the section says.
+//
+// Versions 1 and 2 have the sections of version 3 under a different
+// shard layout: they replicated a tuple into every shard of its
+// prefix-filter signature, where later versions hash-partition the
+// store (a tuple is a member of shard ShardOf(key, shards) and of no
+// other). v1/v2 snapshots still load: their store section is decoded,
+// their shard sections are skipped (the file checksum still covers
+// them), and the importer partitions and indexes the store itself —
+// adopting replicated sections under the partitioned write path would
+// leave stale replicas behind the first update. Version 1 differs from
+// 2 only in the profile slot: it carried a reserved u32 (always 0) and
+// no profile bytes, and loads with the profile read as "" — such
+// snapshots predate normalization profiles, so their keys were indexed
+// verbatim and "" is exactly what built them.
+//
+// Whatever version was read, the next checkpoint writes version 4.
 package store
 
 import (
@@ -71,7 +86,6 @@ import (
 	"path/filepath"
 
 	"adaptivelink/internal/fault"
-	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
@@ -81,7 +95,7 @@ import (
 // accept versions 1..SnapshotVersion and reject anything else with a
 // descriptive error; the format owns its compatibility story explicitly
 // rather than by accident.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 var snapMagic = [8]byte{'A', 'L', 'S', 'N', 'A', 'P', 0x01, '\n'}
 
@@ -174,14 +188,14 @@ func (e *writer) u32slice(vs []uint32) {
 	e.write(b)
 }
 
-// writeRagged writes count, offsets and the flattened words of lists.
-func writeRagged[T int32 | uint32](e *writer, lists [][]T) {
+// raggedU32 writes count, offsets and the flattened words of lists.
+func (e *writer) raggedU32(lists [][]uint32) {
 	total := e.raggedHeader(len(lists), func(i int) int { return len(lists[i]) })
 	b := e.stage(4 * total)
 	at := 0
 	for _, l := range lists {
 		for _, v := range l {
-			binary.LittleEndian.PutUint32(b[at:], uint32(v))
+			binary.LittleEndian.PutUint32(b[at:], v)
 			at += 4
 		}
 	}
@@ -260,9 +274,8 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 func encodeShardSection(e *writer, sh *join.ShardExport) {
 	e.u32slice(sh.Globals)
 	e.stringBlob(sh.QGrams.Grams)
-	writeRagged(e, sh.QGrams.Postings)
 	e.u32slice(sh.QGrams.Sizes)
-	writeRagged(e, sh.QGrams.Sigs)
+	e.raggedU32(sh.QGrams.Sigs)
 	e.u32(uint32(sh.QGrams.SigFloor))
 }
 
@@ -388,29 +401,14 @@ func (r *reader) u32slice(what string) []uint32 {
 	return out
 }
 
-func (r *reader) raggedI32(what string) [][]int32 {
+// skipRagged steps over a ragged array of 4-byte words without
+// materialising it: the count and the closing offset are bounds-checked
+// against the remaining input like any other section.
+func (r *reader) skipRagged(what string) {
 	n := r.count(what)
-	offs := r.offsets(n)
-	if r.err != nil {
-		return nil
+	if offs := r.take((n + 1) * 4); offs != nil {
+		r.take(4 * int(binary.LittleEndian.Uint32(offs[4*n:])))
 	}
-	flatLen := int(offs[n])
-	raw := r.take(flatLen * 4)
-	if r.err != nil {
-		return nil
-	}
-	flat := make([]int32, flatLen)
-	for i := range flat {
-		flat[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	out := make([][]int32, n)
-	for i := range out {
-		if offs[i] == offs[i+1] {
-			continue // nil for empty lists, as the live index keeps them
-		}
-		out[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
-	}
-	return out
 }
 
 func (r *reader) raggedU32(what string) [][]uint32 {
@@ -517,13 +515,16 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	v.Shards = make([]join.ShardExport, v.NShard)
 	for i := range v.Shards {
 		v.Shards[i].Globals = r.u32slice("global")
-		v.Shards[i].QGrams = hashidx.QGramExport{
-			Grams:    r.stringBlob("gram"),
-			Postings: r.raggedI32("posting"),
-			Sizes:    r.u32slice("size"),
-			Sigs:     r.raggedU32("signature"),
-			SigFloor: int(r.u32()),
+		qg := &v.Shards[i].QGrams
+		qg.Grams = r.stringBlob("gram")
+		if version == 3 {
+			// Version 3 also stored the postings table. It is derived
+			// from the signatures now, so the section is not trusted.
+			r.skipRagged("posting")
 		}
+		qg.Sizes = r.u32slice("size")
+		qg.Sigs = r.raggedU32("signature")
+		qg.SigFloor = int(r.u32())
 		if r.err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, r.err)
 		}
@@ -532,7 +533,6 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 		// empty gram set and stays non-nil. Restore that distinction —
 		// but only for genuinely empty entries, so a snapshot smuggling
 		// data below the floor is still caught by import validation.
-		qg := &v.Shards[i].QGrams
 		for j := 0; j < qg.SigFloor && j < len(qg.Sigs); j++ {
 			if len(qg.Sigs[j]) == 0 {
 				qg.Sigs[j] = nil

@@ -42,6 +42,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seed[:9])
 	f.Add([]byte{})
 	f.Add([]byte("ALSNAP\x01\n"))
+	// Genuine images of the two older layouts the loader still reads:
+	// version 3 (stored postings, skipped) and version 2 (store only).
+	for _, fixture := range []string{v3Fixture, v2Fixture} {
+		old, err := os.ReadFile(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeSnapshot(data)
 		if err != nil {

@@ -3,8 +3,10 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -33,11 +35,17 @@ func v2FixtureTuples() []relation.Tuple {
 	return ts
 }
 
-// seedV2Fixture makes dir an index directory holding the fixture as its
+// v3Fixture is a version-3 snapshot of the same content and history
+// (bulk build, upsert, replacement) written by the last build that
+// stored the postings table: hash-partitioned shards, each carrying
+// gram→refs postings beside the ref→grams signatures.
+const v3Fixture = "testdata/v3_partitioned_4shards.snap"
+
+// seedFixture makes dir an index directory holding the fixture as its
 // checkpoint and no log.
-func seedV2Fixture(t *testing.T, dir string) {
+func seedFixture(t *testing.T, dir, fixture string) {
 	t.Helper()
-	data, err := os.ReadFile(v2Fixture)
+	data, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +97,14 @@ func assertAnswersLike(t *testing.T, ref *join.RefIndex, ix *join.ShardedRefInde
 // answers exactly like a fresh index of the same tuples, holds one copy
 // of every tuple, applies an update of a resident key to that one copy
 // (the stale-replica guard: adopted replicas would keep answering with
-// the old payload), and is rewritten as version 3 by the next
+// the old payload), and is rewritten in the current version by the next
 // checkpoint.
 func TestV2SnapshotUpgrade(t *testing.T) {
 	if v := snapshotVersionOf(t, v2Fixture); v != 2 {
 		t.Fatalf("fixture is version %d, want 2", v)
 	}
 	dir := t.TempDir()
-	seedV2Fixture(t, dir)
+	seedFixture(t, dir, v2Fixture)
 	if m, err := PeekMeta(dir); err != nil || m == nil || *m != v2FixtureMeta {
 		t.Fatalf("PeekMeta = %+v, %v; want %+v", m, err, v2FixtureMeta)
 	}
@@ -174,11 +182,170 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 // started on a version-2 checkpoint: whichever write of the upgrade's
 // appends and (version-3) checkpoints the process dies in, recovery
 // opens cleanly on the old or the new state with every fixture tuple
-// and every acknowledged write intact.
+// and every acknowledged write intact. The same sweep then starts from
+// the version-3 fixture.
 func TestCrashSweepAcrossSnapshotUpgrade(t *testing.T) {
 	resident := make(map[string]string)
 	for _, tp := range v2FixtureTuples() {
 		resident[tp.Key] = payload(tp)
 	}
-	crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedV2Fixture(t, dir) })
+	crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v2Fixture) })
+	t.Run("v3", func(t *testing.T) {
+		crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v3Fixture) })
+	})
+}
+
+// TestV3SnapshotUpgrade pins the upgrade from the last format that
+// stored postings: the fixture opens under this build, answers exactly
+// like a fresh index of the same tuples, and the next checkpoint
+// rewrites it as the current version, from which the index reloads to
+// the very view that was written.
+func TestV3SnapshotUpgrade(t *testing.T) {
+	if v := snapshotVersionOf(t, v3Fixture); v != 3 {
+		t.Fatalf("fixture is version %d, want 3", v)
+	}
+	dir := t.TempDir()
+	seedFixture(t, dir, v3Fixture)
+	d, ix, rec, err := Open(dir, v2FixtureMeta, SyncNone)
+	if err != nil {
+		t.Fatalf("opening the v3 fixture: %v", err)
+	}
+	tuples := v2FixtureTuples()
+	if rec.SnapshotTuples != len(tuples) {
+		t.Fatalf("recovered %d snapshot tuples, want %d", rec.SnapshotTuples, len(tuples))
+	}
+	ref, err := join.NewRefIndex(join.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Upsert(tuples)
+	assertAnswersLike(t, ref, ix)
+	fresh, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, fresh, ix)
+
+	written, err := ix.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := snapshotVersionOf(t, filepath.Join(dir, SnapshotFile)); v != SnapshotVersion {
+		t.Fatalf("checkpoint after upgrade wrote version %d, want %d", v, SnapshotVersion)
+	}
+	before, _ := os.Stat(v3Fixture)
+	after, _ := os.Stat(filepath.Join(dir, SnapshotFile))
+	if after.Size() >= before.Size() {
+		t.Fatalf("version-%d checkpoint is %d bytes, the version-3 image of the same content %d", SnapshotVersion, after.Size(), before.Size())
+	}
+	d2, ix2, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	reloaded, err := ix2.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(written, reloaded) {
+		t.Fatal("view exported after the reload differs from the view the checkpoint wrote")
+	}
+	assertAnswersLike(t, ref, ix2)
+}
+
+// v3PostingWords returns the byte span of every shard's flattened
+// posting words in a version-3 image, walking the sections the way the
+// decoder does.
+func v3PostingWords(t *testing.T, data []byte) [][2]int {
+	t.Helper()
+	r := &reader{data: data[:len(data)-4], off: len(snapMagic)}
+	r.take(3 * 4) // version, q, measure
+	shards := int(r.u32())
+	r.u64() // theta
+	n := r.count("tuple")
+	r.take(int(r.u32())) // profile
+	r.take(8 * n)
+	r.stringBlob("key")
+	r.offsets(n)
+	r.stringBlob("attr")
+	var spans [][2]int
+	for i := 0; i < shards; i++ {
+		r.u32slice("global")
+		r.stringBlob("gram")
+		offs := r.offsets(r.count("posting"))
+		start := r.off
+		r.take(4 * int(offs[len(offs)-1]))
+		spans = append(spans, [2]int{start, r.off})
+		r.u32slice("size")
+		r.raggedU32("signature")
+		r.u32()
+	}
+	if r.err != nil || r.off != len(r.data) {
+		t.Fatalf("walking the v3 fixture: err %v, stopped at %d of %d", r.err, r.off, len(r.data))
+	}
+	return spans
+}
+
+// TestV3PostingsSectionNotTrusted scrambles every posting word of the
+// version-3 fixture and re-seals the checksum: the loader bounds-checks
+// and skips the section and derives the table from the signatures, so
+// the image loads to the same index as the pristine one.
+func TestV3PostingsSectionNotTrusted(t *testing.T) {
+	pristine, err := os.ReadFile(v3Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrambled := append([]byte(nil), pristine...)
+	words := 0
+	for _, span := range v3PostingWords(t, scrambled) {
+		for i := span[0]; i < span[1]; i++ {
+			scrambled[i] ^= 0xA5
+		}
+		words += (span[1] - span[0]) / 4
+	}
+	if words < 1000 {
+		t.Fatalf("fixture carries only %d posting words; nothing was scrambled", words)
+	}
+	body := scrambled[:len(scrambled)-4]
+	binary.LittleEndian.PutUint32(scrambled[len(body):], crc32.Checksum(body, castagnoli))
+
+	load := func(data []byte) (*join.SnapshotView, *join.ShardedRefIndex) {
+		v, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := join.NewShardedRefIndexFromSnapshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ix.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, ix
+	}
+	wantView, want := load(pristine)
+	gotView, got := load(scrambled)
+	if !reflect.DeepEqual(wantView, gotView) {
+		t.Fatal("scrambled postings changed the loaded index's exported view")
+	}
+	assertSameIndex(t, want, got)
+
+	// The section is skipped, not ignored: its length words are still
+	// bounds-checked against the image.
+	for _, span := range v3PostingWords(t, pristine) {
+		broken := append([]byte(nil), pristine...)
+		binary.LittleEndian.PutUint32(broken[span[0]-4:], uint32(len(broken)))
+		body := broken[:len(broken)-4]
+		binary.LittleEndian.PutUint32(broken[len(body):], crc32.Checksum(body, castagnoli))
+		if _, err := DecodeSnapshot(broken); err == nil {
+			t.Fatal("posting section reaching past the image decoded without error")
+		}
+	}
 }

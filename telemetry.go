@@ -81,9 +81,9 @@ type EngineStats struct {
 	// touched shard per batch.
 	Upserts       uint64
 	SnapshotSwaps uint64
-	// CloneSeconds is the cumulative time spent cloning shard snapshots
-	// for copy-on-write upserts — the write-side price of lock-free
-	// probes.
+	// CloneSeconds is the cumulative time spent deriving the writable
+	// successors of shard snapshots for upserts — the write-side price
+	// of lock-free probes: directory and overlay copies, not the shard.
 	CloneSeconds float64
 	// ScratchGets counts scratch-pool checkouts on the approximate
 	// probe, batch and upsert paths; ScratchMisses how many had to
