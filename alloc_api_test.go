@@ -7,10 +7,14 @@ package adaptivelink
 // path exactly as lean as before it existed: the decision sink is nil
 // and the explain dispatch is a single pointer test, so these pins hold
 // with tracing enabled at default sampling in the service above.
+// Below them, the footprint pins: what a resident reference tuple and a
+// checkpoint of it cost in heap bytes, at equal content.
 // Excluded under -race, whose instrumentation perturbs counts.
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -61,5 +65,76 @@ func TestAllocSessionProbeBudget(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, func() { sess.Probe(hit) }); avg > sessionHitAllocBudget {
 			t.Errorf("%s hit: %.2f allocs/op, budget %v", name, avg, sessionHitAllocBudget)
 		}
+	}
+}
+
+// residentBytesBudget bounds the live heap a built index holds per
+// reference tuple at 20k rows: the tuple, its global ref, its key's
+// bucket in the exact index and its postings — one entry in each and
+// nothing beside them. Holding the sorted signature, a second key map,
+// a key vector and a second tuple store as well cost 668.
+const residentBytesBudget = 450
+
+func TestAllocResidentBytesPerTuple(t *testing.T) {
+	perTuple := func(rows int) float64 {
+		tuples, opts := footprintTuples(t, rows)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix, err := NewIndex(FromTuples(tuples), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tuples)
+		return float64(after.HeapAlloc-before.HeapAlloc) / float64(ix.Len())
+	}
+	small, large := perTuple(20_000), perTuple(200_000)
+	t.Logf("resident heap bytes per tuple: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	if small > residentBytesBudget {
+		t.Errorf("%.0f resident bytes per tuple at 20k rows, budget %d", small, residentBytesBudget)
+	}
+	if large > small {
+		t.Errorf("resident bytes per tuple grow with the reference: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	}
+}
+
+// checkpointBytesBudget bounds what a steady-state checkpoint allocates
+// per tuple at 44k rows: the view's gathered store (one tuple header
+// and one global ref per tuple) and the dictionaries' gram lists. The
+// signatures are derived shard by shard into pooled scratch and staged
+// in pooled buffers, so the second checkpoint finds both warm;
+// exporting and staging a whole-index copy cost 201.
+const checkpointBytesBudget = 80
+
+func TestAllocCheckpointBytesPerTuple(t *testing.T) {
+	tuples, opts := footprintTuples(t, 44_000)
+	opts.Storage = StorageOptions{Dir: t.TempDir(), WALSync: SyncNone}
+	ix, err := BulkLoad(FromTuples(tuples), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	// The second checkpoint must find what the first pooled: on the same
+	// P (a pool's fast slot is per-P) and with no collection in between
+	// (two would empty the pool).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := ix.Save(""); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ix.Save(""); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / float64(ix.Len())
+	t.Logf("second checkpoint allocated %.0f bytes per tuple", perTuple)
+	if perTuple > checkpointBytesBudget {
+		t.Errorf("second checkpoint allocated %.0f bytes per tuple, budget %d", perTuple, checkpointBytesBudget)
 	}
 }

@@ -228,12 +228,12 @@
 //
 // An index directory holds two artifacts. The snapshot (index.snap) is
 // a versioned, CRC-32C-checksummed binary serialisation of the sharded
-// index in the exact representation the engine probes — dense gram-id
-// dictionaries and sorted signatures, from which the postings table is
-// derived by transposition — so loading is a sequential read plus
-// slice reconstruction: no key is re-decomposed and no gram re-hashed,
-// which is what makes cold start several times faster than
-// rebuilding from the source CSV (BENCH_store.json, make bench-store).
+// index in dictionary-encoded form — dense gram-id dictionaries and
+// sorted signatures, the stored transpose of the resident postings
+// table — so loading is a sequential read plus slice reconstruction:
+// no key is re-decomposed and no gram re-hashed, which is what makes
+// cold start several times faster than rebuilding from the source CSV
+// (BENCH_store.json, make bench-store).
 // The write-ahead log (upserts.wal) records every acknowledged Upsert
 // batch in CRC-framed records before it is applied; on Open the
 // snapshot loads first and the log replays on top, so the reopened
@@ -295,10 +295,12 @@
 //
 // The q-gram hot path of both engines is dictionary-encoded: each
 // index interns grams into dense uint32 ids (internal/qgram.Dict),
-// posting lists are a slice-indexed table keyed by gram id, and every
-// indexed tuple stores its sorted gram-id signature once, so
-// verification is integer arithmetic over precomputed sizes and
-// overlaps — no re-extraction, no re-hashing, no per-probe maps.
+// posting lists are a slice-indexed table keyed by gram id, and
+// verification is integer arithmetic over a candidate's stored gram
+// count and the overlap the count filter has already counted — no
+// re-extraction, no re-hashing, no per-probe maps. The postings are
+// the one resident copy of the (ref, gram) relation; per-tuple
+// signatures exist only in snapshots, derived when one is written.
 // Probe keys are decomposed by packed fast paths that never
 // materialise gram strings: ASCII keys pack gram bytes into uint64s,
 // non-ASCII keys within the Basic Multilingual Plane pack code points

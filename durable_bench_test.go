@@ -155,3 +155,40 @@ func BenchmarkStoreUpsertSingles(b *testing.B) {
 	}
 	b.ReportMetric(float64(storeBenchIngestRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
+
+// footprintTuples generates the repository benchmark's kind of
+// reference: rows uniform parent keys, indexed under the standard
+// profile in 4 shards.
+func footprintTuples(t testing.TB, rows int) ([]Tuple, IndexOptions) {
+	t.Helper()
+	data, err := GenerateTestData(42, rows, 1, PatternUniform, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data.Parent, IndexOptions{Shards: 4, Profile: "standard"}
+}
+
+// BenchmarkCheckpoint is one in-place checkpoint of references of two
+// sizes. B/op is what the footprint pin bounds per tuple: the view's
+// gathered store; the shard sections are derived and staged in pooled
+// scratch.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, rows := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {
+			tuples, opts := footprintTuples(b, rows)
+			opts.Storage = StorageOptions{Dir: b.TempDir(), WALSync: SyncNone}
+			ix, err := BulkLoad(FromTuples(tuples), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ix.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ix.Save(""); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

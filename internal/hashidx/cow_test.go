@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -274,5 +275,78 @@ func TestClonedLineageLeavesGenerationsIntact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(postingsOf(y), postingsOf(q)) {
 		t.Fatal("postings grown across the lineage differ from the transpose of its signatures")
+	}
+}
+
+// Signatures are derived state as well: for random insert / EvictBelow
+// / Clone sequences, Export hands out — ref by ref — the sorted
+// distinct dictionary ids of the key that was inserted (nil once the
+// ref is evicted, non-nil even for an empty gram set while it is
+// live), a scratch-backed export agrees with a fresh one, and importing
+// the export rebuilds the live index: same dictionary, sizes, postings
+// and counters.
+func TestExportDerivesInsertedSignatures(t *testing.T) {
+	var sc ExportScratch
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := newQIdx()
+		var keys []string
+		floor := 0
+		for step := 0; step < 150; step++ {
+			switch rng.Intn(12) {
+			case 0:
+				minRef := rng.Intn(len(keys) + 3) // now and then past Indexed
+				x.EvictBelow(minRef)
+				floor = max(floor, min(minRef, len(keys)))
+			case 1:
+				x = x.Clone()
+			case 2:
+				x.Insert(len(keys), "")
+				keys = append(keys, "")
+			default:
+				k := randomKey(rng)
+				x.Insert(len(keys), k)
+				keys = append(keys, k)
+			}
+			if step%5 != 0 {
+				continue
+			}
+			exp := x.Export()
+			if exp.SigFloor != floor || len(exp.Sigs) != len(keys) {
+				t.Fatalf("seed %d step %d: export has floor %d and %d signatures, want %d and %d", seed, step, exp.SigFloor, len(exp.Sigs), floor, len(keys))
+			}
+			for ref, key := range keys {
+				var want []uint32
+				if ref >= floor {
+					want = []uint32{}
+					for _, g := range x.Extractor().Grams(key) {
+						id, ok := x.Dict().IDOf(g)
+						if !ok {
+							t.Fatalf("seed %d step %d: gram %q of key %q is not in the dictionary", seed, step, g, key)
+						}
+						want = append(want, id)
+					}
+					slices.Sort(want)
+					want = slices.Compact(want)
+				}
+				if got := exp.Sigs[ref]; (got == nil) != (want == nil) || !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: ref %d (%q) exports signature %v, want %v", seed, step, ref, key, got, want)
+				}
+			}
+			if pooled := x.ExportCompactedInto(&sc); !reflect.DeepEqual(pooled, x.ExportCompacted()) {
+				t.Fatalf("seed %d step %d: an export built in a reused scratch differs from a fresh one", seed, step)
+			}
+			y, err := ImportQGramIndex(x.Extractor(), exp)
+			if err != nil {
+				t.Fatalf("seed %d step %d: import of a live export: %v", seed, step, err)
+			}
+			if !reflect.DeepEqual(y.dict.Grams(), x.dict.Grams()) || !slices.Equal(y.sizes, x.sizes) || !reflect.DeepEqual(postingsOf(y), postingsOf(x)) {
+				t.Fatalf("seed %d step %d: imported dictionary, sizes or postings differ from the live index's", seed, step)
+			}
+			if y.buckets != x.buckets || y.entries != x.entries || y.indexed != x.indexed || y.sigFloor != x.sigFloor {
+				t.Fatalf("seed %d step %d: imported counters %d/%d/%d/%d, live %d/%d/%d/%d", seed, step,
+					y.buckets, y.entries, y.indexed, y.sigFloor, x.buckets, x.entries, x.indexed, x.sigFloor)
+			}
+		}
 	}
 }

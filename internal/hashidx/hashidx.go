@@ -155,28 +155,27 @@ type Candidate struct {
 // gram frequencies that drive the reverse-frequency probe optimisation.
 //
 // The representation is dictionary-encoded: grams are interned into a
-// per-index qgram.Dict of dense uint32 ids, postings form a
-// slice-indexed table keyed by gram id, and each indexed tuple stores
-// its sorted gram-id signature once at insert time. Probes run entirely
-// on ids with epoch-stamped counting arrays — no per-probe maps and,
-// given a caller-owned ProbeScratch, no per-probe allocations.
+// per-index qgram.Dict of dense uint32 ids, and postings form a
+// slice-indexed table keyed by gram id — the one resident copy of the
+// (ref, gram) relation. Verification needs only a stored tuple's gram
+// count beside the count filter's overlap, so per-ref signatures are
+// not kept: Export derives them, as the transpose of the postings,
+// where a snapshot stores them. Probes run entirely on ids with
+// epoch-stamped counting arrays — no per-probe maps and, given a
+// caller-owned ProbeScratch, no per-probe allocations.
 type QGramIndex struct {
 	ex       *qgram.Extractor
 	dict     *qgram.Dict
 	postings cow.Vec[[]int32] // gram id -> ascending refs
 	sizes    []uint32         // ref -> |q(key(ref))|; retained over eviction
-	sigs     [][]uint32       // ref -> sorted gram-id signature; nil'd by eviction
 	buckets  int              // posting lists currently non-empty
 	indexed  int
 	entries  int // total postings, for the space accounting of §2.3
-	sigFloor int // refs below it have had their signatures released
+	sigFloor int // refs below it have been evicted: no postings, no signature
 
 	// Writer-side state, which probes — running concurrently on frozen
-	// generations — never touch. frozen is set by Clone; inherited says
-	// the arrays behind sizes and sigs are shared with a frozen ancestor,
-	// so only the capacity past len is this generation's to write.
-	frozen    bool
-	inherited bool
+	// generations — never touch. frozen is set by Clone.
+	frozen bool
 	// insc backs Insert/CatchUp: inserts are single-writer by the index
 	// contract (dense ref order).
 	insc  qgram.Scratch
@@ -235,10 +234,6 @@ func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 		}
 		*refs = append(*refs, int32(ref))
 	}
-	sig := make([]uint32, len(ids))
-	copy(sig, ids)
-	slices.Sort(sig)
-	x.sigs = append(x.sigs, sig)
 	x.sizes = append(x.sizes, uint32(len(ids)))
 	x.entries += len(ids)
 	x.indexed++
@@ -251,25 +246,23 @@ func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 // index. Posting lists are shared views whose capacity ends at their
 // length or in space only this lineage appends to, so an append copies
 // the touched list or lands past what x's readers see; the per-ref
-// arrays are shared the same way; the dictionary and the postings
+// sizes are shared the same way; the dictionary and the postings
 // directory are cow containers. History must therefore be linear,
 // which the freeze enforces.
 func (x *QGramIndex) Clone() *QGramIndex {
 	checkLive(x.frozen, "QGramIndex.Clone")
 	x.frozen = true
 	return &QGramIndex{
-		ex:        x.ex,
-		dict:      x.dict.Clone(),
-		postings:  x.postings.Clone(),
-		sizes:     x.sizes,
-		sigs:      x.sigs,
-		buckets:   x.buckets,
-		indexed:   x.indexed,
-		entries:   x.entries,
-		sigFloor:  x.sigFloor,
-		inherited: true,
-		insc:      x.insc, // x never inserts again: the scratch moves on
-		idbuf:     x.idbuf,
+		ex:       x.ex,
+		dict:     x.dict.Clone(),
+		postings: x.postings.Clone(),
+		sizes:    x.sizes,
+		buckets:  x.buckets,
+		indexed:  x.indexed,
+		entries:  x.entries,
+		sigFloor: x.sigFloor,
+		insc:     x.insc, // x never inserts again: the scratch moves on
+		idbuf:    x.idbuf,
 	}
 }
 
@@ -278,86 +271,97 @@ func (x *QGramIndex) Indexed() int { return x.indexed }
 
 // QGramExport is the stable serialized form of a QGramIndex: the gram
 // dictionary in id order and the per-ref signature data. The signatures
-// are the one stored copy of the (ref, gram) relation; the postings
-// table is their transpose and is derived on import, as are the
-// counters (buckets, entries, indexed). The slices of an export taken
-// from a live index alias the index's immutable data — treat an export
-// as read-only.
+// are the one stored copy of the (ref, gram) relation, the postings
+// table the one resident copy; each is the other's transpose, derived
+// by Export in one direction and by ImportQGramIndex in the other (with
+// the counters: buckets, entries, indexed). Sizes of an export taken
+// from a live index aliases the index's immutable data — treat an
+// export as read-only.
 type QGramExport struct {
 	// Grams enumerates the dictionary in id order (qgram.Dict.Grams).
 	Grams []string
 	// Sizes is |q(key(ref))| per absorbed ref.
 	Sizes []uint32
-	// Sigs is the sorted gram-id signature per ref (nil below SigFloor).
+	// Sigs is the sorted gram-id signature per ref: nil below SigFloor,
+	// non-nil (if empty) at or above it.
 	Sigs [][]uint32
 	// SigFloor is the eviction floor below which signatures are released.
 	SigFloor int
 }
 
-// Export returns the index's stable serialized form. The resident
-// engines call it on immutable RCU snapshots, so the aliasing of the
-// returned slices is safe there by construction.
-func (x *QGramIndex) Export() QGramExport {
-	return QGramExport{
-		Grams:    x.dict.Grams(),
-		Sizes:    x.sizes,
-		Sigs:     x.sigs,
-		SigFloor: x.sigFloor,
-	}
+// ExportScratch holds the arrays an export's signatures are derived
+// into, so that a checkpoint walking the shards allocates them once. The
+// zero value is ready; an export is valid until its scratch's next use.
+type ExportScratch struct {
+	flat []uint32   // every signature, back to back in ref order
+	sigs [][]uint32 // ref -> its view of flat
 }
+
+// Export returns the index's stable serialized form. Sizes aliases the
+// index: safe on the immutable RCU snapshots the resident engines export.
+func (x *QGramIndex) Export() QGramExport { return x.export(new(ExportScratch), false) }
 
 // ExportCompacted is Export with dead dictionary entries dropped: grams
 // whose posting lists have emptied under eviction (and trailing interned
 // grams that never gained a posting) are removed and the surviving ids
-// renumbered densely, in ascending old-id order. Renumbering is monotone,
-// so sorted signatures stay sorted after the rewrite; every gram named by
-// a live signature still has its own ref in its posting list, so no live
-// signature can reference a dropped gram. Ids change across the export —
-// only representation-change-safe points (checkpoints, snapshots) may use
-// it. When nothing is dead it returns Export() unchanged (aliasing the
-// index's immutable data); otherwise the dictionary and signatures are
-// freshly built, so a shared RCU snapshot is never mutated either way.
-func (x *QGramIndex) ExportCompacted() QGramExport {
-	exp := x.Export()
-	remap := make([]uint32, len(exp.Grams))
+// renumbered densely, in ascending old-id order. Ids change across the
+// export — only representation-change-safe points (checkpoints,
+// snapshots) may use it. When nothing is dead it equals Export().
+func (x *QGramIndex) ExportCompacted() QGramExport { return x.export(new(ExportScratch), true) }
+
+// ExportCompactedInto is ExportCompacted with the signatures built in sc.
+func (x *QGramIndex) ExportCompactedInto(sc *ExportScratch) QGramExport { return x.export(sc, true) }
+
+// export derives the signatures as the transpose of the postings table.
+// A live ref appears in exactly sizes[ref] lists, so a prefix sum over
+// sizes lays the signatures out in one flat array without a counting
+// pass; one pass over the lists then fills them. Gram ids are visited
+// ascending — and renumbered monotonically when compacting — so every
+// signature is ascending by construction.
+func (x *QGramIndex) export(sc *ExportScratch, compact bool) QGramExport {
+	// Never nil: what is empty exports non-nil from any scratch. Headroom:
+	// one allocation serves a run of near-equal indexes (hashed shards).
+	if cap(sc.flat) < x.entries || sc.flat == nil {
+		sc.flat = make([]uint32, x.entries, x.entries+x.entries/8)
+	}
+	if cap(sc.sigs) < x.indexed || sc.sigs == nil {
+		sc.sigs = make([][]uint32, x.indexed, x.indexed+x.indexed/8)
+	}
+	sigs := sc.sigs[:x.indexed]
+	clear(sigs[:x.sigFloor])
+	at := 0
+	for ref := x.sigFloor; ref < x.indexed; ref++ {
+		end := at + int(x.sizes[ref])
+		sigs[ref] = sc.flat[at:at:end] // empty, with room for exactly its grams
+		at = end
+	}
+	grams := x.dict.Grams()
 	live := 0
-	for id := range remap {
-		remap[id] = qgram.NoID
-		if len(x.list(uint32(id))) > 0 {
-			remap[id] = uint32(live)
-			exp.Grams[live] = exp.Grams[id]
-			live++
-		}
-	}
-	if live == len(exp.Grams) {
-		return exp
-	}
-	exp.Grams = exp.Grams[:live]
-	exp.Sigs = make([][]uint32, len(x.sigs))
-	for ref, sig := range x.sigs {
-		if sig == nil {
+	for id := range grams {
+		list := x.list(uint32(id))
+		if len(list) == 0 && compact {
 			continue
 		}
-		ns := make([]uint32, len(sig))
-		for i, id := range sig {
-			ns[i] = remap[id]
+		for _, ref := range list {
+			sigs[ref] = append(sigs[ref], uint32(live))
 		}
-		exp.Sigs[ref] = ns
+		grams[live] = grams[id]
+		live++
 	}
-	return exp
+	return QGramExport{Grams: grams[:live], Sizes: x.sizes, Sigs: sigs, SigFloor: x.sigFloor}
 }
 
 // ImportQGramIndex reconstructs an index from an Export under the given
 // extractor (which must match the gram definition the export was built
 // with — the caller's compatibility contract). Every structural
-// invariant a probe relies on is re-validated, so a corrupted or
-// hostile export yields a descriptive error, never an index that can
-// panic later: the dictionary must be duplicate-free, the per-ref
-// tables must agree on n, and every signature must be strictly
-// ascending within the dictionary. The postings table is derived from
-// the signatures (see transpose), so it cannot disagree with them. The
-// export's slices are adopted, not copied; the caller must hand over
-// ownership.
+// invariant a probe or a later export relies on is re-validated, so a
+// corrupted or hostile export yields a descriptive error, never an
+// index that can panic later: the dictionary must be duplicate-free,
+// the per-ref tables must agree on n, and every signature must be
+// strictly ascending within the dictionary and as long as the ref's
+// size says. The postings table is derived from the signatures (see
+// transpose), so it cannot disagree with them. Sizes is adopted, not
+// copied: the caller must hand over ownership.
 func ImportQGramIndex(ex *qgram.Extractor, exp QGramExport) (*QGramIndex, error) {
 	dict, err := qgram.DictFromGrams(exp.Grams)
 	if err != nil {
@@ -370,22 +374,24 @@ func ImportQGramIndex(ex *qgram.Extractor, exp QGramExport) (*QGramIndex, error)
 	if exp.SigFloor < 0 || exp.SigFloor > n {
 		return nil, fmt.Errorf("hashidx: import q-gram index: signature floor %d outside [0, %d]", exp.SigFloor, n)
 	}
-	for ref, sig := range exp.Sigs[:exp.SigFloor] {
-		if sig != nil {
+	for ref, sig := range exp.Sigs {
+		if ref < exp.SigFloor && sig != nil {
 			return nil, fmt.Errorf("hashidx: import q-gram index: ref %d below signature floor %d carries a signature", ref, exp.SigFloor)
 		}
+		if ref >= exp.SigFloor && len(sig) != int(exp.Sizes[ref]) {
+			return nil, fmt.Errorf("hashidx: import q-gram index: ref %d carries a signature of %d grams, its size says %d", ref, len(sig), exp.Sizes[ref])
+		}
 	}
-	// Capacities are clipped: a later append must not write into space
+	// The capacity is clipped: a later append must not write into space
 	// the export's previous owner may still be appending to.
 	x := &QGramIndex{
 		ex:       ex,
 		dict:     dict,
 		sizes:    exp.Sizes[:n:n],
-		sigs:     exp.Sigs[:n:n],
 		indexed:  n,
 		sigFloor: exp.SigFloor,
 	}
-	if err := x.transpose(); err != nil {
+	if err := x.transpose(exp.Sigs); err != nil {
 		return nil, fmt.Errorf("hashidx: import q-gram index: %w", err)
 	}
 	return x, nil
@@ -397,10 +403,10 @@ func ImportQGramIndex(ex *qgram.Extractor, exp QGramExport) (*QGramIndex, error)
 // flat array. Refs are visited ascending, so every list is ascending by
 // construction. Each list is a view whose capacity ends at its length:
 // the first append to it copies that list out of the flat array.
-func (x *QGramIndex) transpose() error {
+func (x *QGramIndex) transpose(sigs [][]uint32) error {
 	grams := x.dict.Len()
 	ends := make([]int, grams+1) // ends[id+1] counts list id, then marks where it ends
-	for ref, sig := range x.sigs {
+	for ref, sig := range sigs {
 		prev := -1
 		for _, id := range sig {
 			if int(id) >= grams || int(id) <= prev {
@@ -415,7 +421,7 @@ func (x *QGramIndex) transpose() error {
 		ends[id] += ends[id-1] // ends[id] is now where list id starts
 	}
 	flat := make([]int32, x.entries)
-	for ref, sig := range x.sigs {
+	for ref, sig := range sigs {
 		for _, id := range sig {
 			flat[ends[id]] = int32(ref)
 			ends[id]++ // ... and ends up where list id ends, list id+1 starts
@@ -444,14 +450,14 @@ func (x *QGramIndex) CatchUp(keys []string) int {
 }
 
 // EvictBelow physically removes every posting whose ref is below
-// minRef, returning the number of postings dropped. Signatures of
-// evicted refs are released too; the per-ref gram sizes are retained
-// (4 bytes per absorbed tuple), and Indexed() is unchanged so Insert
-// and CatchUp keep working after evictions. Dictionary entries are
-// never removed: a gram whose posting list empties keeps its id (and
-// reports Frequency 0) so outstanding probes and signatures stay
-// valid — the dict grows with distinct grams ever seen, not with
-// stream length.
+// minRef, returning the number of postings dropped. Evicted refs
+// thereby lose their signatures (an export carries nil for them); the
+// per-ref gram sizes are retained (4 bytes per absorbed tuple), and
+// Indexed() is unchanged so Insert and CatchUp keep working after
+// evictions. Dictionary entries are never removed: a gram whose posting
+// list empties keeps its id (and reports Frequency 0) so outstanding
+// probes stay valid — the dict grows with distinct grams ever seen, not
+// with stream length.
 func (x *QGramIndex) EvictBelow(minRef int) int {
 	checkLive(x.frozen, "QGramIndex.EvictBelow")
 	dropped := 0
@@ -469,32 +475,14 @@ func (x *QGramIndex) EvictBelow(minRef int) int {
 		}
 		*x.postings.Mut(id) = append([]int32(nil), refs[cut:]...)
 	}
-	if x.inherited && x.sigFloor < minRef {
-		// Releasing signatures writes below len: take the spine private.
-		x.sigs, x.inherited = slices.Clone(x.sigs), false
-	}
-	for i := x.sigFloor; i < minRef && i < len(x.sigs); i++ {
-		x.sigs[i] = nil
-	}
-	if minRef > x.sigFloor {
-		x.sigFloor = minRef
-		if x.sigFloor > x.indexed {
-			x.sigFloor = x.indexed
-		}
-	}
+	x.sigFloor = max(x.sigFloor, min(minRef, x.indexed))
 	x.entries -= dropped
 	return dropped
 }
 
-// GramSize returns |q(key)| for the stored tuple at ref. Unlike Sig it
-// stays valid for evicted refs.
+// GramSize returns |q(key)| for the stored tuple at ref: beside the
+// overlap, all that verification needs of it. Valid for evicted refs.
 func (x *QGramIndex) GramSize(ref int) int { return int(x.sizes[ref]) }
-
-// Sig returns the sorted gram-id signature of the stored tuple at ref,
-// owned by the index (callers must not mutate it). Verification against
-// it is a sorted merge over uint32 slices (qgram.IntersectSortedIDs) —
-// no re-extraction, no maps. Nil for evicted refs.
-func (x *QGramIndex) Sig(ref int) []uint32 { return x.sigs[ref] }
 
 // list returns gram id's posting list: nil for qgram.NoID and for grams
 // interned but not yet in the postings table.

@@ -345,7 +345,7 @@ func TestQGramIndexEvictionDanglingDictEntries(t *testing.T) {
 		t.Errorf("probe over fully evicted index = %v", got)
 	}
 	// Signatures of evicted refs are released, sizes retained.
-	if x.Sig(0) != nil {
+	if x.Export().Sigs[0] != nil {
 		t.Error("evicted ref kept its signature")
 	}
 	if x.GramSize(0) == 0 {
@@ -409,14 +409,14 @@ func TestProbeKeyZeroAllocs(t *testing.T) {
 }
 
 // Dict growth across Clone: new keys interned into a clone get fresh
-// dense ids, the original's postings, signatures and dictionary are
-// untouched, and shared signatures stay identical — the snapshot-swap
-// contract of the RCU path.
+// dense ids, the original's postings and dictionary are untouched, and
+// both generations derive the same signature for a shared ref — the
+// snapshot-swap contract of the RCU path.
 func TestQGramIndexCloneDictGrowth(t *testing.T) {
 	x := newQIdx()
 	x.Insert(0, "monte rosa")
 	origDict := x.Dict().Len()
-	origSig := append([]uint32(nil), x.Sig(0)...)
+	origSig := x.Export().Sigs[0]
 
 	c := x.Clone()
 	c.Insert(1, "zona franca nuova") // mostly fresh grams
@@ -432,8 +432,8 @@ func TestQGramIndexCloneDictGrowth(t *testing.T) {
 	if got := x.Frequency("zon"); got != 0 {
 		t.Errorf("original learned clone-side gram: %d", got)
 	}
-	if !reflect.DeepEqual(x.Sig(0), origSig) || !reflect.DeepEqual(c.Sig(0), origSig) {
-		t.Errorf("shared signature diverged: %v / %v / %v", x.Sig(0), c.Sig(0), origSig)
+	if xs, cs := x.Export().Sigs[0], c.Export().Sigs[0]; len(origSig) == 0 || !reflect.DeepEqual(xs, origSig) || !reflect.DeepEqual(cs, origSig) {
+		t.Errorf("shared signature diverged: %v / %v / %v", xs, cs, origSig)
 	}
 	// Both sides probe correctly after the swap.
 	if got := c.Probe("zona franca nuova", c.GramSize(1)); len(got) != 1 || got[0].Ref != 1 {
@@ -444,9 +444,10 @@ func TestQGramIndexCloneDictGrowth(t *testing.T) {
 	}
 }
 
-// The stored signatures support sorted-merge verification: for any
-// candidate, the intersection of probe and stored signatures equals the
-// count filter's overlap.
+// The count filter's overlap is what a sorted merge over signatures
+// would compute — which is why no signature is resident: for any
+// candidate, the intersection of the probe's ids and the candidate's
+// exported signature equals the overlap the probe reported.
 func TestSigSortedMergeMatchesOverlap(t *testing.T) {
 	ex := qgram.New(3)
 	f := func(seed int64) bool {
@@ -462,8 +463,9 @@ func TestSigSortedMergeMatchesOverlap(t *testing.T) {
 		k := ex.Decompose(&sc.Dec, probe)
 		probeSig := x.Dict().AppendIDs(nil, k)
 		slices.Sort(probeSig)
+		sigs := x.Export().Sigs
 		for _, c := range x.ProbeKey(k, 2, &sc) {
-			sig := x.Sig(c.Ref)
+			sig := sigs[c.Ref]
 			if !slices.IsSorted(sig) || len(sig) != x.GramSize(c.Ref) {
 				return false
 			}
@@ -590,8 +592,7 @@ func TestExportCompactedBoundsDictUnderChurn(t *testing.T) {
 		}
 	}
 
-	// With nothing evicted, compaction is the identity (and aliases the
-	// index's data rather than copying it).
+	// With nothing evicted, compaction is the identity.
 	z := newQIdx()
 	z.Insert(0, "monte rosa")
 	plain, compact := z.Export(), z.ExportCompacted()

@@ -3,7 +3,6 @@ package join
 import (
 	"sync"
 
-	"adaptivelink/internal/cow"
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
@@ -35,14 +34,16 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 
 	// Pass 1 — keyed last-wins dedup. Refs are first-seen key order,
 	// payloads the last occurrence's, exactly as one Upsert of the whole
-	// batch assigns them.
+	// batch assigns them. The map dies with the build: a resident key is
+	// found through its home shard's exact index.
 	final := make([]relation.Tuple, 0, len(tuples))
+	seen := make(map[string]int, len(tuples))
 	for _, t := range tuples {
-		if g, ok := s.newest[t.Key]; ok {
+		if g, ok := seen[t.Key]; ok {
 			final[g] = t
 			continue
 		}
-		s.newest[t.Key] = len(final)
+		seen[t.Key] = len(final)
 		final = append(final, t)
 	}
 
@@ -69,7 +70,6 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 			defer wg.Done()
 			ms := members[sh]
 			sn := newShardSnap(s.ex)
-			sn.keys = make([]string, 0, len(ms))
 			sn.globals = make([]int, 0, len(ms))
 			var dsc qgram.Scratch
 			for _, g := range ms {
@@ -81,9 +81,9 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	}
 	wg.Wait()
 
-	// Publish: global store first (no probe may resolve a ref the store
-	// cannot), then every shard.
-	s.store.Store(cow.VecOf(final))
+	// Publish: the count first (no probe may return a ref at or above
+	// Len), then every shard.
+	s.n.Store(int64(len(final)))
 	for sh, sn := range snaps {
 		s.shards[sh].Store(sn)
 	}

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,16 +12,26 @@ import (
 	"adaptivelink/internal/relation"
 )
 
+// snapKeys lists a shard snapshot's keys by local ref.
+func snapKeys(sn *shardSnap) []string {
+	keys := make([]string, sn.tuples.Len())
+	for lref := range keys {
+		keys[lref] = sn.tuples.At(lref).Key
+	}
+	return keys
+}
+
 // renderSnap writes out everything a probe can observe of one shard
 // snapshot: its tuples, keys and global refs, the q-gram index's
 // export, and for every resident key the exact lookup and the
 // approximate probe's verified matches.
 func renderSnap(cfg Config, sn *shardSnap) string {
 	var out strings.Builder
-	fmt.Fprintf(&out, "globals %v keys %q export %v\n", sn.globals, sn.keys, sn.qgIdx.Export())
+	keys := snapKeys(sn)
+	fmt.Fprintf(&out, "globals %v keys %q export %v\n", sn.globals, keys, sn.qgIdx.Export())
 	var psc hashidx.ProbeScratch
 	ex := sn.qgIdx.Extractor()
-	for lref, key := range sn.keys {
+	for lref, key := range keys {
 		psc.Dec.Reset()
 		k := ex.Decompose(&psc.Dec, key)
 		g := k.Len()
@@ -36,8 +47,11 @@ func renderSnap(cfg Config, sn *shardSnap) string {
 // with every later one, so it must come out of any number of upserts —
 // inserts, replacements, enough new keys to fold the shared tables
 // several times — exactly as it went in. Every generation of every
-// shard is held and compared afterwards, as is an exported view; and
-// while the writer runs, readers keep probing the first generation.
+// shard is held and compared afterwards; while the writer runs, readers
+// keep probing the first generation. An exported view holds generations
+// too, and derives its shard sections from them only when asked: one
+// resolved beside the running writer and one resolved after the last
+// batch must both come out as the view resolved at export time did.
 func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const shards = 3
@@ -66,14 +80,26 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 	}
 	hold()
 	first := generations[:shards:shards]
-	view, err := s.ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
+	export := func() *SnapshotView {
+		v, err := s.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	viewState := fmt.Sprint(*view)
+	atExport, beside, view := export().Resolve(), export(), export()
+	viewState := fmt.Sprint(*atExport)
 
-	stop := make(chan struct{})
+	stop, writing := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-writing
+		if !reflect.DeepEqual(beside.Resolve(), atExport) {
+			t.Errorf("a view resolved beside the writer differs from the one resolved at export")
+		}
+	}()
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -106,6 +132,9 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 		}
 		s.Upsert(batch)
 		hold()
+		if round == 0 {
+			close(writing)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -117,8 +146,8 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 			t.Fatalf("held snapshot %d of %d changed after publication\n was %s\n now %s", i, len(generations), h.state, got)
 		}
 	}
-	if got := fmt.Sprint(*view); got != viewState {
-		t.Fatal("exported view changed under later upserts")
+	if !reflect.DeepEqual(view.Resolve(), atExport) || fmt.Sprint(*atExport) != viewState {
+		t.Fatal("a view resolved after the upserts differs from what it held at export")
 	}
 	// The view still imports into the index it described.
 	loaded, err := NewShardedRefIndexFromSnapshot(view)

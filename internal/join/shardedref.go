@@ -61,18 +61,17 @@ type ShardedRefIndex struct {
 	ex     *qgram.Extractor
 	nshard int
 
+	// shards hold the one resident entry of every reference tuple, in its
+	// home shard: the tuple, its global ref, its key in the exact index
+	// (the one key table: writers consult it too), its grams in postings.
 	shards []atomic.Pointer[shardSnap]
-	// store is the global-ref -> tuple view backing Len and Tuple, the
-	// same persistent vector a shard's tuples are. It is published before
-	// the shard snapshots that reference its refs, so a probe can never
-	// return a ref the store cannot resolve.
-	store atomic.Pointer[cow.Vec[relation.Tuple]]
+	// n counts the resident tuples: the next global ref. It is published
+	// before the shard snapshots carrying new refs: no probe returns a ref ≥ Len.
+	n atomic.Int64
 
 	// mu serialises writers (Upsert) only; it is never taken on the
 	// probe path.
 	mu sync.Mutex
-	// newest maps join key -> global ref; writer-owned, guarded by mu.
-	newest map[string]int
 	// pool recycles per-probe/per-shard scratches (decomposition arena,
 	// epoch-stamped count filter, batch result arena) across the probe
 	// fleet and the batch fan-out workers: the probe hot path is both
@@ -101,7 +100,6 @@ type shardScratch struct {
 // after publication; Upsert clones and republishes instead.
 type shardSnap struct {
 	tuples  cow.Vec[relation.Tuple]
-	keys    []string
 	globals []int // local ref -> global ref (monotonically increasing)
 	exIdx   *hashidx.ExactIndex
 	qgIdx   *hashidx.QGramIndex
@@ -113,16 +111,15 @@ func newShardSnap(ex *qgram.Extractor) *shardSnap {
 
 // clone returns the writable successor of a published snapshot, copying
 // nothing proportional to the shard: tuples (which replacements write
-// in place) is a chunked copy-on-write vector, the append-only keys and
-// globals are shared outright — add writes past the lengths sn's
-// readers see — and the two indexes share their tables the same way.
+// in place) is a chunked copy-on-write vector, the append-only globals
+// are shared outright — add writes past the length sn's readers see —
+// and the two indexes share their tables the same way.
 // That is sound only for a linear history (sn is never written again
 // and is cloned once), which the index Clones check: they freeze sn's
 // indexes and panic on a second clone or a late write.
 func (sn *shardSnap) clone() *shardSnap {
 	return &shardSnap{
 		tuples:  sn.tuples.Clone(),
-		keys:    sn.keys,
 		globals: sn.globals,
 		exIdx:   sn.exIdx.Clone(),
 		qgIdx:   sn.qgIdx.Clone(),
@@ -133,7 +130,6 @@ func (sn *shardSnap) clone() *shardSnap {
 func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
 	lref := sn.tuples.Len()
 	sn.tuples.Append(t)
-	sn.keys = append(sn.keys, t.Key)
 	sn.globals = append(sn.globals, global)
 	sn.exIdx.Insert(lref, t.Key)
 	sn.qgIdx.InsertKey(lref, k)
@@ -160,12 +156,10 @@ func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 		ex:     ex,
 		nshard: shards,
 		shards: make([]atomic.Pointer[shardSnap], shards),
-		newest: make(map[string]int),
 	}
 	for i := range s.shards {
 		s.shards[i].Store(newShardSnap(ex))
 	}
-	s.store.Store(new(cow.Vec[relation.Tuple]))
 	s.pool.New = func() any {
 		s.maint.scratchNews.Add(1)
 		return new(shardScratch)
@@ -180,7 +174,7 @@ func (s *ShardedRefIndex) Config() Config { return s.cfg }
 func (s *ShardedRefIndex) Shards() int { return s.nshard }
 
 // Len returns the number of resident reference tuples (distinct keys).
-func (s *ShardedRefIndex) Len() int { return s.store.Load().Len() }
+func (s *ShardedRefIndex) Len() int { return int(s.n.Load()) }
 
 // Entries reports the aggregate live entry counts across shards (exact
 // refs, q-gram postings). The shards partition the reference, so at any
@@ -195,13 +189,16 @@ func (s *ShardedRefIndex) Entries() (exact, qgrams int) {
 	return exact, qgrams
 }
 
-// Tuple returns a snapshot of the reference tuple at the global ref.
+// Tuple returns a snapshot of the reference tuple at the global ref,
+// found by binary search in the shards' ascending global refs.
 func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
-	st := s.store.Load()
-	if ref < 0 || ref >= st.Len() {
-		return relation.Tuple{}, fmt.Errorf("join: ref %d outside resident store of %d tuples", ref, st.Len())
+	for i := range s.shards {
+		sn := s.shards[i].Load()
+		if lref, ok := slices.BinarySearch(sn.globals, ref); ok {
+			return sn.tuples.At(lref), nil
+		}
 	}
-	return st.At(ref), nil
+	return relation.Tuple{}, fmt.Errorf("join: ref %d outside resident store of %d tuples", ref, s.Len())
 }
 
 // Upsert applies a batch of keyed reference maintenance: existing keys
@@ -232,7 +229,7 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	store := s.store.Load().Clone()
+	n := s.Len()
 	next := make(map[int]*shardSnap)
 	for i, t := range tuples {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
@@ -243,22 +240,19 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 			s.maint.cloneNanos.Add(time.Since(t0).Nanoseconds())
 			next[sh] = ns
 		}
-		if g, ok := s.newest[t.Key]; ok {
-			*store.Mut(g) = t
-			// The store is keyed: the key's bucket holds its one local ref.
-			*ns.tuples.Mut(ns.exIdx.Lookup(t.Key)[0]) = t
+		// The store is keyed: a resident key's bucket in its home shard's
+		// exact index holds its one local ref.
+		if lrefs := ns.exIdx.Lookup(t.Key); len(lrefs) > 0 {
+			*ns.tuples.Mut(lrefs[0]) = t
 			updated++
 			continue
 		}
-		g := store.Len()
-		store.Append(t)
-		s.newest[t.Key] = g
-		ns.add(t, g, ks[i])
+		ns.add(t, n+inserted, ks[i])
 		inserted++
 	}
-	// Publish the global store before the shard snapshots: no probe may
-	// return a global ref that Tuple cannot yet resolve.
-	s.store.Store(&store)
+	// Publish the count before the shard snapshots: no probe may return
+	// a global ref at or above Len.
+	s.n.Store(int64(n + inserted))
 	for sh, ns := range next {
 		s.shards[sh].Store(ns)
 	}
@@ -332,13 +326,14 @@ func (s *ShardedRefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMat
 func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k qgram.Key, g, ko int, psc *hashidx.ProbeScratch) []RefMatch {
 	for _, cand := range sn.qgIdx.ProbeKey(k, ko, psc) {
 		sim, ok := cfg.Measure.Verify(g, sn.qgIdx.GramSize(cand.Ref), cand.Overlap, cfg.Theta)
-		exact := sn.keys[cand.Ref] == key
+		t := sn.tuples.At(cand.Ref)
+		exact := t.Key == key
 		if exact {
 			sim = 1
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: sn.globals[cand.Ref], Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: sn.globals[cand.Ref], Tuple: t, Similarity: sim, Exact: exact})
 	}
 	return dst
 }

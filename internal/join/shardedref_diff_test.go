@@ -217,8 +217,9 @@ func TestShardedRefEntriesReplication(t *testing.T) {
 // TestShardedRefHomeShardOnly is the placement property: after a bulk
 // build interleaved with upserts of fresh keys and payload replacements
 // (and a snapshot round trip on top), every resident key is stored in
-// shard ShardOf(key, N) and in no other, under the ref the store holds
-// it at, with the store's current payload.
+// shard ShardOf(key, N) and in no other, is the one entry of its bucket
+// in that shard's exact index, and is what Tuple answers for its global
+// ref — and the shards' global refs partition [0, Len).
 func TestShardedRefHomeShardOnly(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4, 8} {
 		rng := rand.New(rand.NewSource(int64(shards)))
@@ -242,13 +243,24 @@ func TestShardedRefHomeShardOnly(t *testing.T) {
 		}
 		for name, ix := range map[string]*ShardedRefIndex{"live": s, "reloaded": loaded} {
 			seen := make(map[string]int)
+			refs := make(map[int]bool)
 			for sh := range ix.shards {
 				sn := ix.shards[sh].Load()
-				for lref, key := range sn.keys {
+				if len(sn.globals) != sn.tuples.Len() {
+					t.Fatalf("%d shards, %s: shard %d lists %d global refs for %d tuples", shards, name, sh, len(sn.globals), sn.tuples.Len())
+				}
+				for lref, key := range snapKeys(sn) {
 					if home := shardmap.ShardOf(key, shards); home != sh {
 						t.Fatalf("%d shards, %s: key %q stored in shard %d, home is %d", shards, name, key, sh, home)
 					}
 					seen[key]++
+					if got := sn.exIdx.Lookup(key); !reflect.DeepEqual(got, []int{lref}) {
+						t.Fatalf("%d shards, %s: shard %d's exact index holds %q at %v, tuples at %d", shards, name, sh, key, got, lref)
+					}
+					if g := sn.globals[lref]; g < 0 || g >= ix.Len() || refs[g] {
+						t.Fatalf("%d shards, %s: shard %d local %d carries global ref %d: outside [0, %d) or taken", shards, name, sh, lref, g, ix.Len())
+					}
+					refs[sn.globals[lref]] = true
 					stored, err := ix.Tuple(sn.globals[lref])
 					if err != nil || !reflect.DeepEqual(stored, sn.tuples.At(lref)) {
 						t.Fatalf("%d shards, %s: shard %d holds %+v at ref %d, store has %+v (%v)",

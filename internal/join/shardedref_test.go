@@ -3,6 +3,8 @@ package join
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -270,16 +272,17 @@ func TestShardedRefBatchMatchesSingleProbes(t *testing.T) {
 	}
 }
 
-// TestShardedRefGlobalStoreChunking crosses the global store's chunk
-// boundaries: inserts spanning several chunks, payload updates in
-// early, middle and tail chunks, and Tuple/Len agreement throughout.
+// TestShardedRefGlobalStoreChunking crosses the chunk boundaries of
+// the shards' tuple vectors: inserts spanning several chunks, payload
+// updates in early, middle and tail chunks, and Tuple/Len agreement
+// throughout.
 func TestShardedRefGlobalStoreChunking(t *testing.T) {
 	s, err := NewShardedRefIndex(Defaults(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A span that is not a multiple of the store vector's 64-slot chunks:
-	// 34 full chunks and a partly filled tail.
+	// A span that is not a multiple of the tuple vectors' 64-slot chunks,
+	// whichever way the keys hash: full chunks and a partly filled tail.
 	const storeChunkSize = 1024
 	const total = 2*storeChunkSize + 137
 	for lo := 0; lo < total; lo += 500 {
@@ -330,6 +333,48 @@ func TestShardedRefGlobalStoreChunking(t *testing.T) {
 		ms := s.ProbeExact(fmt.Sprintf("street %d alpha", ref))
 		if len(ms) != 1 || ms[0].Ref != ref || ms[0].Tuple.Attrs[0] != "v1" {
 			t.Fatalf("probe of updated key %d = %+v", ref, ms)
+		}
+	}
+}
+
+// TestShardedRefTupleResolvesEveryRef pins Tuple, which has no store of
+// its own to index: after interleaved inserts and replacements on a
+// 4-shard index it answers every ref in [0, Len) with the key first
+// seen under that ref and the payload last written to it, and errors
+// on either side of the range.
+func TestShardedRefTupleResolvesEveryRef(t *testing.T) {
+	s, err := NewShardedRefIndex(Defaults(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	var want []relation.Tuple // by global ref
+	for round := 0; round < 120; round++ {
+		var batch []relation.Tuple
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			if len(want) > 0 && rng.Intn(3) == 0 {
+				ref := rng.Intn(len(want))
+				want[ref] = relation.Tuple{ID: round, Key: want[ref].Key, Attrs: []string{fmt.Sprintf("v%d", round)}}
+				batch = append(batch, want[ref])
+				continue
+			}
+			tp := relation.Tuple{ID: len(want), Key: fmt.Sprintf("corso %d scala %d", len(want)*13, len(want)), Attrs: []string{"v0"}}
+			want = append(want, tp)
+			batch = append(batch, tp)
+		}
+		s.Upsert(batch)
+		if s.Len() != len(want) {
+			t.Fatalf("round %d: Len = %d, want %d", round, s.Len(), len(want))
+		}
+	}
+	for ref, w := range want {
+		if got, err := s.Tuple(ref); err != nil || !reflect.DeepEqual(got, w) {
+			t.Fatalf("Tuple(%d) = %+v (%v), want %+v", ref, got, err, w)
+		}
+	}
+	for _, ref := range []int{-1, s.Len(), s.Len() + 5} {
+		if got, err := s.Tuple(ref); err == nil {
+			t.Fatalf("Tuple(%d) outside [0, %d) answered %+v", ref, s.Len(), got)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"adaptivelink/internal/cow"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
@@ -13,17 +12,18 @@ import (
 // SnapshotView is the serializable state of a ShardedRefIndex: the
 // global tuple store in ref order plus, per shard, the shard's member
 // refs and its dictionary-encoded q-gram index. Everything else a
-// running index carries — the exact hash tables, the newest-by-key
-// writer map, the postings tables — is derivable from these in linear
-// passes with no gram re-hashing and no key re-decomposition, which is
-// what keeps a snapshot load cheap: the expensive artifacts of indexing
-// (the gram dictionary, the id-encoded signatures) travel in their
-// final in-memory form.
+// running index carries — the exact hash tables, the postings tables —
+// is derivable from these in linear passes with no gram re-hashing and
+// no key re-decomposition, which is what keeps a snapshot load cheap:
+// the expensive artifacts of indexing (the gram dictionary, the
+// id-encoded signatures) travel as plain arrays.
 //
-// A view exported from a live index aliases that index's immutable RCU
-// snapshots; treat it as read-only. A view decoded from disk is owned
-// by the decoder's caller and is adopted wholesale by
-// NewShardedRefIndexFromSnapshot.
+// A view exported from a live index holds that index's immutable RCU
+// snapshots; treat it as read-only. Its shard sections are pending: a
+// live index keeps no signatures, so they are derived when an encoder
+// reaches the section (QGramSection) or all at once (Resolve). A view
+// decoded from disk is plain data owned by the decoder's caller and is
+// adopted wholesale by NewShardedRefIndexFromSnapshot.
 type SnapshotView struct {
 	// Cfg is the matching configuration the index was built under.
 	Cfg Config
@@ -45,43 +45,65 @@ type ShardExport struct {
 	// Globals maps the shard's local refs (ascending, dense) to global
 	// refs, strictly ascending by construction of the upsert path.
 	Globals []uint32
-	// QGrams is the shard's dictionary-encoded inverted index.
-	QGrams hashidx.QGramExport
+	// QGrams is the shard's dictionary-encoded inverted index. It is
+	// zero while pending — the frozen generation to derive it from — is set.
+	QGrams  hashidx.QGramExport
+	pending *hashidx.QGramIndex
 }
 
-// ExportSnapshot returns a consistent view of the whole index: taken
-// under the writer lock, so no upsert can publish between two shard
-// loads and every shard's snapshot agrees with the global store.
-// Probes are not disturbed. The returned view aliases the index's
-// immutable snapshots and is valid forever (RCU snapshots are never
-// mutated, only superseded).
+// QGramSection returns the shard's q-gram export: QGrams, or for a
+// pending section the export derived here into sc, valid until sc's
+// next use.
+func (se *ShardExport) QGramSection(sc *hashidx.ExportScratch) hashidx.QGramExport {
+	if se.pending == nil {
+		return se.QGrams
+	}
+	// Compacted: a snapshot boundary is the one representation-change-
+	// safe point, so dictionary entries left dangling by eviction are
+	// dropped here instead of accreting in every checkpoint forever.
+	return se.pending.ExportCompactedInto(sc)
+}
+
+// Resolve derives every pending shard section into the view's own
+// arrays and returns the view, now plain data like a decoded one.
+func (v *SnapshotView) Resolve() *SnapshotView {
+	for i := range v.Shards {
+		se := &v.Shards[i]
+		se.QGrams, se.pending = se.QGramSection(new(hashidx.ExportScratch)), nil
+	}
+	return v
+}
+
+// ExportSnapshot returns a consistent view of the whole index: the
+// shard snapshots are loaded under the writer lock, so no upsert can
+// publish between two loads, and for those loads only — RCU snapshots
+// are never mutated, only superseded, so the store is gathered and the
+// shard sections derived from them afterwards, whatever is upserted
+// meanwhile. Probes are not disturbed.
 func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
+	snaps := make([]*shardSnap, s.nshard)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.store.Load()
-	if st.Len() > math.MaxUint32 {
-		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", st.Len())
+	for i := range snaps {
+		snaps[i] = s.shards[i].Load()
+	}
+	n := s.Len()
+	s.mu.Unlock()
+	if n > math.MaxUint32 {
+		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", n)
 	}
 	v := &SnapshotView{
 		Cfg:    s.cfg,
 		NShard: s.nshard,
-		Tuples: make([]relation.Tuple, st.Len()),
+		Tuples: make([]relation.Tuple, n),
 		Shards: make([]ShardExport, s.nshard),
 	}
-	for i := range v.Tuples {
-		v.Tuples[i] = st.At(i)
-	}
-	for i := range s.shards {
-		sn := s.shards[i].Load()
+	for i, sn := range snaps {
 		globals := make([]uint32, len(sn.globals))
-		for j, g := range sn.globals {
-			globals[j] = uint32(g)
+		for lref, g := range sn.globals {
+			globals[lref] = uint32(g)
+			v.Tuples[g] = sn.tuples.At(lref)
 		}
-		// ExportCompacted, not Export: a snapshot boundary is the one
-		// representation-change-safe point, so dictionary entries left
-		// dangling by eviction are dropped here instead of accreting in
-		// every checkpoint forever.
-		v.Shards[i] = ShardExport{Globals: globals, QGrams: sn.qgIdx.ExportCompacted()}
+		v.Shards[i] = ShardExport{Globals: globals, pending: sn.qgIdx}
 	}
 	return v, nil
 }
@@ -91,15 +113,16 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // ownership; a view exported from a live index must not be imported
 // into a second one that will be upserted).
 //
-// The reconstruction is the cheap inverse of indexing: dictionaries and
-// signatures are adopted as-is and transposed into postings by
+// The reconstruction is the cheap inverse of indexing: dictionaries are
+// adopted as-is and signatures transposed into postings by
 // hashidx.ImportQGramIndex, shard tuple stores are resolved by indexing
 // the global store with each shard's Globals, and the exact hash tables
 // are rebuilt with one map insertion per key — no gram is re-hashed, no
 // key is re-decomposed.
-// Every cross-structure invariant is validated first (refs in range,
-// Globals strictly ascending, one store record per key, every key in
-// its home shard and no other), so a corrupted snapshot yields a
+// Every cross-structure invariant is validated on the way (refs in
+// range, Globals strictly ascending, every key in its home shard and no
+// other, one store record per key — a duplicate is a second hit in its
+// home shard's exact index), so a corrupted snapshot yields a
 // descriptive error, never an index that can misbehave later.
 //
 // A view without shard exports is indexed from its store through
@@ -117,14 +140,8 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", len(v.Shards), v.NShard)
 	}
 	n := len(v.Tuples)
-	for ref, t := range v.Tuples {
-		if prev, dup := s.newest[t.Key]; dup {
-			return nil, fmt.Errorf("join: snapshot store has key %q at both ref %d and %d (the store is keyed)", t.Key, prev, ref)
-		}
-		s.newest[t.Key] = ref
-	}
 	members := 0
-	for i, se := range v.Shards {
+	for i, se := range v.Resolve().Shards {
 		qg, err := hashidx.ImportQGramIndex(s.ex, se.QGrams)
 		if err != nil {
 			return nil, fmt.Errorf("join: snapshot shard %d: %w", i, err)
@@ -133,7 +150,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			return nil, fmt.Errorf("join: snapshot shard %d: q-gram index absorbed %d refs, shard lists %d", i, qg.Indexed(), len(se.Globals))
 		}
 		sn := &shardSnap{
-			keys:    make([]string, len(se.Globals)),
 			globals: make([]int, len(se.Globals)),
 			exIdx:   hashidx.NewExactIndex(),
 			qgIdx:   qg,
@@ -148,11 +164,13 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			if home := shardmap.ShardOf(t.Key, v.NShard); home != i {
 				return nil, fmt.Errorf("join: snapshot shard %d holds key %q, whose home is shard %d", i, t.Key, home)
 			}
+			if dup := sn.exIdx.Lookup(t.Key); len(dup) > 0 {
+				return nil, fmt.Errorf("join: snapshot store has key %q at both ref %d and %d (the store is keyed)", t.Key, sn.globals[dup[0]], g)
+			}
 			sn.tuples.Append(t)
-			sn.keys[lref] = t.Key
 			sn.globals[lref] = int(g)
+			sn.exIdx.Insert(lref, t.Key)
 		}
-		sn.exIdx.CatchUp(sn.keys)
 		s.shards[i].Store(sn)
 		members += len(se.Globals)
 	}
@@ -161,6 +179,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 	if members != n {
 		return nil, fmt.Errorf("join: snapshot shards list %d members for a store of %d tuples", members, n)
 	}
-	s.store.Store(cow.VecOf(v.Tuples))
+	s.n.Store(int64(n))
 	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaptivelink/internal/relation"
@@ -91,7 +92,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotImportValidation pins the corruption guards: structurally
-// inconsistent views are rejected with errors, never imported.
+// inconsistent views are rejected with errors, never imported. The
+// corruptions are applied to a resolved view: the plain-data form a
+// decoder hands over, which is how corruption arrives.
 func TestSnapshotImportValidation(t *testing.T) {
 	build := func() *SnapshotView {
 		rng := rand.New(rand.NewSource(9))
@@ -103,15 +106,25 @@ func TestSnapshotImportValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return v.Resolve()
 	}
+	const dupKey = "duplicate store key"
 	cases := []struct {
 		name    string
 		corrupt func(v *SnapshotView)
 	}{
 		{"shard count mismatch", func(v *SnapshotView) { v.Shards = v.Shards[:1] }},
 		{"bad config", func(v *SnapshotView) { v.Cfg.Q = 0 }},
-		{"duplicate store key", func(v *SnapshotView) { v.Tuples[1].Key = v.Tuples[0].Key }},
+		// Two refs of one shard under one key: the second one is a second
+		// hit in that shard's exact index. Across shards, the copy sits
+		// outside its key's home.
+		{dupKey, func(v *SnapshotView) {
+			g := v.Shards[0].Globals
+			v.Tuples[g[1]].Key = v.Tuples[g[0]].Key
+		}},
+		{"duplicate store key across shards", func(v *SnapshotView) {
+			v.Tuples[v.Shards[1].Globals[0]].Key = v.Tuples[v.Shards[0].Globals[0]].Key
+		}},
 		{"global ref out of range", func(v *SnapshotView) { v.Shards[0].Globals[0] = uint32(len(v.Tuples)) }},
 		{"globals not ascending", func(v *SnapshotView) {
 			g := v.Shards[0].Globals
@@ -167,8 +180,13 @@ func TestSnapshotImportValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			v := build()
 			c.corrupt(v)
-			if _, err := NewShardedRefIndexFromSnapshot(v); err == nil {
+			_, err := NewShardedRefIndexFromSnapshot(v)
+			if err == nil {
 				t.Fatal("corrupted snapshot imported without error")
+			}
+			g := v.Shards[0].Globals
+			if want := fmt.Sprintf("at both ref %d and %d ", g[0], g[1]); c.name == dupKey && !strings.Contains(err.Error(), want) {
+				t.Fatalf("rejected with %q, want a message naming both refs: %q", err, want)
 			}
 		})
 	}

@@ -37,15 +37,16 @@ type ContentDigest struct {
 // through the CRC without materializing the snapshot bytes.
 func DigestView(v *join.SnapshotView) ContentDigest {
 	e := newWriter(io.Discard)
+	defer e.release()
 	encodeTupleSection(e, v)
-	storeCRC := e.crc.Sum32()
+	storeCRC := e.sum()
 
 	shardCRCs := make([]uint32, len(v.Shards))
 	shards := make([]string, len(v.Shards))
 	for i := range v.Shards {
-		se := newWriter(io.Discard)
-		encodeShardSection(se, &v.Shards[i])
-		shardCRCs[i] = se.crc.Sum32()
+		e.crc.Reset()
+		encodeShardSection(e, &v.Shards[i])
+		shardCRCs[i] = e.sum()
 		shards[i] = fmt.Sprintf("%08x", shardCRCs[i])
 	}
 

@@ -7,10 +7,10 @@
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
 // plus, per shard, the shard's member refs and its dictionary-encoded
-// q-gram index — in the representation the engine probes directly:
-// dense gram ids and sorted signatures. Loading is one read of the file
-// followed by slice reconstruction over fixed-width offset tables; no
-// gram is re-hashed and no key is re-decomposed.
+// q-gram index: dense gram ids and sorted signatures. Loading is one
+// read of the file followed by slice reconstruction over fixed-width
+// offset tables and one transposition per shard; no gram is re-hashed
+// and no key is re-decomposed.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
 //	header  version u32 = 4
@@ -43,13 +43,15 @@
 // (FuzzSnapshotDecode) and never yields a partial index.
 //
 // The signatures are the one stored copy of the (ref, gram) relation —
-// the n·(|jA|+q−1) entries of the paper's space analysis (§2.3). The
-// postings table gram id → refs is their exact transpose, so it is not
-// stored: hashidx.ImportQGramIndex derives it in one counting pass and
-// one fill pass over the signatures, which costs about a millisecond
-// per ten thousand tuples, takes more than a third off the file, and
-// leaves no image whose postings disagree with its signatures to be
-// rejected.
+// the n·(|jA|+q−1) entries of the paper's space analysis (§2.3) — and
+// the postings table gram id → refs, their exact transpose, the one
+// resident copy; each is derived from the other at this boundary. On
+// load, hashidx.ImportQGramIndex derives the postings in one counting
+// pass and one fill pass, which costs about a millisecond per ten
+// thousand tuples, takes more than a third off the file, and leaves no
+// image whose postings disagree with its signatures to be rejected. On
+// save, the encoder derives a shard's signatures when it reaches that
+// shard's section, into scratch the next shard overwrites.
 //
 // Version 3 is version 4 plus a `postings` section (ragged i32, gram id
 // → ascending refs) between grams and sizes. v3 snapshots still load:
@@ -81,11 +83,15 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"adaptivelink/internal/fault"
+	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
@@ -107,99 +113,121 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrCorrupt = fmt.Errorf("store: corrupt")
 
 // writer streams the encoding while folding every byte into the CRC.
-// Multi-word sections are staged in tmp and emitted as one Write + one
-// CRC fold: the encoding cost is per section, not per word.
+// Bytes are staged in a fixed-size buffer and emitted, when it fills,
+// as one Write + one CRC fold: the encoding cost is per stageful, not
+// per word, and the stage does not grow with the index.
 type writer struct {
-	w   io.Writer
-	crc hash.Hash32
-	n   int64
-	err error
-	buf [8]byte
-	tmp []byte
+	w     io.Writer
+	crc   hash.Hash32
+	err   error
+	stage []byte                // staged, not yet written; fixed capacity
+	sigs  hashidx.ExportScratch // the pending shard section being encoded
 }
 
+// writers recycles stage and signature scratch across checkpoints,
+// export streams and digests: beyond the view, an encode holds one
+// shard section's worth, and allocates none of it when it follows
+// another closely (the pool empties under garbage collection).
+var writers = sync.Pool{New: func() any {
+	return &writer{crc: crc32.New(castagnoli), stage: make([]byte, 0, 32<<10)}
+}}
+
+// newWriter checks a writer out of the pool; release returns it.
 func newWriter(w io.Writer) *writer {
-	return &writer{w: w, crc: crc32.New(castagnoli)}
+	e := writers.Get().(*writer)
+	e.w, e.err, e.stage = w, nil, e.stage[:0]
+	e.crc.Reset()
+	return e
 }
 
-func (e *writer) write(b []byte) {
-	if e.err != nil {
-		return
+func (e *writer) release() {
+	e.w = nil
+	writers.Put(e)
+}
+
+// flush writes out what is staged.
+func (e *writer) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.stage)
+		e.crc.Write(e.stage)
 	}
-	if _, err := e.w.Write(b); err != nil {
-		e.err = err
-		return
+	e.stage = e.stage[:0]
+}
+
+// sum returns the CRC of everything written since the last crc.Reset.
+func (e *writer) sum() uint32 {
+	e.flush()
+	return e.crc.Sum32()
+}
+
+// room returns the next n bytes of the stage, to be filled in.
+func (e *writer) room(n int) []byte {
+	if cap(e.stage)-len(e.stage) < n {
+		e.flush()
 	}
-	e.crc.Write(b)
-	e.n += int64(len(b))
+	e.stage = e.stage[:len(e.stage)+n]
+	return e.stage[len(e.stage)-n:]
 }
 
-func (e *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
-}
+func (e *writer) u32(v uint32) { binary.LittleEndian.PutUint32(e.room(4), v) }
+func (e *writer) u64(v uint64) { binary.LittleEndian.PutUint64(e.room(8), v) }
 
-func (e *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	e.write(e.buf[:8])
-}
-
-// stage returns tmp resized to n bytes: a section's staging buffer,
-// sized once from what the section's header already knows.
-func (e *writer) stage(n int) []byte {
-	if cap(e.tmp) < n {
-		e.tmp = make([]byte, n)
+func (e *writer) str(s string) {
+	for len(s) > 0 {
+		if len(e.stage) == cap(e.stage) {
+			e.flush()
+		}
+		n := copy(e.stage[len(e.stage):cap(e.stage)], s)
+		e.stage = e.stage[:len(e.stage)+n]
+		s = s[n:]
 	}
-	return e.tmp[:n]
 }
 
-// raggedHeader writes the count-plus-offsets prefix shared by every
-// ragged section — n, then n+1 ascending offsets — and returns the last
-// offset, the section's element total.
-func (e *writer) raggedHeader(n int, length func(i int) int) int {
-	b := e.stage(4 * (n + 2))
-	binary.LittleEndian.PutUint32(b, uint32(n))
+// stringBlob writes count, offsets and concatenated bytes of the n
+// strings of ss, walking them twice, so that strings held inside other
+// records need not be gathered into a slice first.
+func (e *writer) stringBlob(n int, ss iter.Seq[string]) {
+	e.u32(uint32(n))
 	total := 0
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(total))
-		total += length(i)
+	for s := range ss {
+		e.u32(uint32(total))
+		total += len(s)
 	}
-	binary.LittleEndian.PutUint32(b[4+4*n:], uint32(total))
-	e.write(b)
-	return total
+	e.u32(uint32(total))
+	for s := range ss {
+		e.str(s)
+	}
 }
 
-// stringBlob writes count, offsets and concatenated bytes.
-func (e *writer) stringBlob(ss []string) {
-	total := e.raggedHeader(len(ss), func(i int) int { return len(ss[i]) })
-	b := e.stage(total)[:0]
-	for _, s := range ss {
-		b = append(b, s...)
+// words writes vs back to back, a stageful at a time.
+func (e *writer) words(vs []uint32) {
+	for len(vs) > 0 {
+		n := min(len(vs), max(1, (cap(e.stage)-len(e.stage))/4))
+		b := e.room(4 * n)
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		vs = vs[n:]
 	}
-	e.write(b)
 }
 
 func (e *writer) u32slice(vs []uint32) {
 	e.u32(uint32(len(vs)))
-	b := e.stage(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
-	}
-	e.write(b)
+	e.words(vs)
 }
 
 // raggedU32 writes count, offsets and the flattened words of lists.
 func (e *writer) raggedU32(lists [][]uint32) {
-	total := e.raggedHeader(len(lists), func(i int) int { return len(lists[i]) })
-	b := e.stage(4 * total)
-	at := 0
+	e.u32(uint32(len(lists)))
+	total := 0
 	for _, l := range lists {
-		for _, v := range l {
-			binary.LittleEndian.PutUint32(b[at:], v)
-			at += 4
-		}
+		e.u32(uint32(total))
+		total += len(l)
 	}
-	e.write(b)
+	e.u32(uint32(total))
+	for _, l := range lists {
+		e.words(l)
+	}
 }
 
 // WriteSnapshot encodes the view onto w in the current snapshot format,
@@ -216,7 +244,8 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 		return fmt.Errorf("store: normalization profile name %d bytes long, cap is %d", len(v.Cfg.Profile), maxProfileLen)
 	}
 	e := newWriter(w)
-	e.write(snapMagic[:])
+	defer e.release()
+	e.str(string(snapMagic[:]))
 	e.u32(SnapshotVersion)
 	e.u32(uint32(v.Cfg.Q))
 	e.u32(uint32(v.Cfg.Measure))
@@ -224,17 +253,14 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	e.u64(math.Float64bits(v.Cfg.Theta))
 	e.u32(uint32(n))
 	e.u32(uint32(len(v.Cfg.Profile)))
-	e.write([]byte(v.Cfg.Profile))
+	e.str(v.Cfg.Profile)
 
 	encodeTupleSection(e, v)
 	for i := range v.Shards {
 		encodeShardSection(e, &v.Shards[i])
 	}
-	if e.err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", e.err)
-	}
-	sum := e.crc.Sum32()
-	e.u32(sum)
+	e.u32(e.sum())
+	e.flush()
 	if e.err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", e.err)
 	}
@@ -245,38 +271,45 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 // ragged attr lists) — shared by WriteSnapshot and the content digest,
 // so a digest fingerprints exactly the bytes a snapshot would hold.
 func encodeTupleSection(e *writer, v *join.SnapshotView) {
-	n := len(v.Tuples)
-	keys := make([]string, n)
-	attrTotal := 0
-	ids := e.stage(8 * n)
-	for i, t := range v.Tuples {
-		binary.LittleEndian.PutUint64(ids[8*i:], uint64(int64(t.ID)))
-		keys[i] = t.Key
-		attrTotal += len(t.Attrs)
+	for _, t := range v.Tuples {
+		e.u64(uint64(int64(t.ID)))
 	}
-	e.write(ids)
-	e.stringBlob(keys)
+	e.stringBlob(len(v.Tuples), func(yield func(string) bool) {
+		for _, t := range v.Tuples {
+			if !yield(t.Key) {
+				return
+			}
+		}
+	})
 	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
 	// a flat attr list, then the flat list as a string blob.
-	offs := e.stage(4 * (n + 1))
-	flatAttrs := make([]string, 0, attrTotal)
-	for i, t := range v.Tuples {
-		binary.LittleEndian.PutUint32(offs[4*i:], uint32(len(flatAttrs)))
-		flatAttrs = append(flatAttrs, t.Attrs...)
+	attrs := 0
+	for _, t := range v.Tuples {
+		e.u32(uint32(attrs))
+		attrs += len(t.Attrs)
 	}
-	binary.LittleEndian.PutUint32(offs[4*n:], uint32(len(flatAttrs)))
-	e.write(offs)
-	e.stringBlob(flatAttrs)
+	e.u32(uint32(attrs))
+	e.stringBlob(attrs, func(yield func(string) bool) {
+		for _, t := range v.Tuples {
+			for _, a := range t.Attrs {
+				if !yield(a) {
+					return
+				}
+			}
+		}
+	})
 }
 
 // encodeShardSection writes one shard's section (globals + the
-// dictionary-encoded q-gram index) — shared with the content digest.
+// dictionary-encoded q-gram index) — shared with the content digest. A
+// pending section is resolved here, into scratch the next one reuses.
 func encodeShardSection(e *writer, sh *join.ShardExport) {
+	qg := sh.QGramSection(&e.sigs)
 	e.u32slice(sh.Globals)
-	e.stringBlob(sh.QGrams.Grams)
-	e.u32slice(sh.QGrams.Sizes)
-	e.raggedU32(sh.QGrams.Sigs)
-	e.u32(uint32(sh.QGrams.SigFloor))
+	e.stringBlob(len(qg.Grams), slices.Values(qg.Grams))
+	e.u32slice(qg.Sizes)
+	e.raggedU32(qg.Sigs)
+	e.u32(uint32(qg.SigFloor))
 }
 
 // reader is a bounds-checked cursor over an in-memory artifact with a

@@ -44,9 +44,10 @@ func (ix *Index) snapshotExporter() (*join.ShardedRefIndex, error) {
 }
 
 // Digest fingerprints the index's current content. On a durable index
-// the digest and WAL position are read under the write lock, so the
-// pair is a consistent point: a replica reporting the same Combined
-// digest and record count holds byte-identical state.
+// the WAL position is read and the view taken under the write lock, so
+// the pair is a consistent point: a replica reporting the same Combined
+// digest and record count holds byte-identical state. The view holds
+// frozen generations, so it is fingerprinted after the lock is gone.
 func (ix *Index) Digest() (IndexDigest, error) {
 	sr, err := ix.snapshotExporter()
 	if err != nil {
@@ -55,10 +56,12 @@ func (ix *Index) Digest() (IndexDigest, error) {
 	var walRecords int64
 	if ix.dir != nil {
 		ix.mu.Lock()
-		defer ix.mu.Unlock()
 		walRecords = ix.dir.WALRecords()
 	}
 	v, err := sr.ExportSnapshot()
+	if ix.dir != nil {
+		ix.mu.Unlock()
+	}
 	if err != nil {
 		return IndexDigest{}, err
 	}
