@@ -32,13 +32,15 @@ race:
 # Host-class flake gate: the packages whose tests assert scheduling-
 # and lock-sensitive behaviour (lock-free probes, RCU swaps and the
 # copy-on-write containers, indexes and dictionary under them, crash
-# sweeps, the cluster client's fan-out, hint drainers and breakers) or
-# draw random inputs (the normalize properties), 20 times over at 1, 2
-# and 4 scheduler threads, so a test that only holds on the builder's
-# core count — or on most seeds — cannot land.
+# sweeps, the cluster client's fan-out, hint drainers and breakers, the
+# parallel executor's barrier rendezvous and switch storm, the sharded
+# controller's broadcast) or draw random inputs (the normalize
+# properties), 20 times over at 1, 2 and 4 scheduler threads, so a test
+# that only holds on the builder's core count — or on most seeds —
+# cannot land.
 flake:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow -count=20 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
 	done
 
 # One iteration of every benchmark: a smoke test that the bench harness

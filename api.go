@@ -8,7 +8,6 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/pjoin"
-	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/stream"
 )
@@ -295,11 +294,6 @@ func New(left, right Source, opts Options) (*Join, error) {
 
 	if par > 1 {
 		pcfg := pjoin.Config{Join: cfg, Shards: par}
-		if opts.Strategy == ExactOnly {
-			// No shard can ever probe approximately: hash-by-key
-			// partitioning is lossless and replication-free.
-			pcfg.Router = shardmap.NewKeyRouter(par)
-		}
 		j := &Join{par: par, opts: opts}
 		if opts.Strategy == Adaptive {
 			sctl, err := adaptive.NewSharded(par, parentSide, parentSize, params)

@@ -85,14 +85,10 @@ func TestAdaptiveEndToEnd(t *testing.T) {
 	for _, v := range st.StepsInState {
 		sum += v
 	}
-	wantSum := st.Steps
-	if st.Parallelism > 1 {
-		// Parallel runs account engine steps per shard, replication
-		// included (Options{} defaults to one shard per CPU).
-		wantSum = st.ShardSteps
-	}
-	if sum != wantSum {
-		t.Errorf("per-state steps sum %d != %d", sum, wantSum)
+	// Sequential or parallel (Options{} defaults to one shard per CPU),
+	// a tuple is one engine step: on a parallel join, in its home shard.
+	if sum != st.Steps {
+		t.Errorf("per-state steps sum %d != %d", sum, st.Steps)
 	}
 	if st.ModelledCost <= float64(st.Steps) {
 		t.Errorf("modelled cost %v should exceed the all-exact cost %d", st.ModelledCost, st.Steps)

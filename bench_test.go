@@ -554,9 +554,8 @@ func BenchmarkPublicAPI_AdaptiveJoin(b *testing.B) {
 // The workload is a ≥50k-tuple datagen pair per side; the comparison
 // BenchmarkParallel*_P1 vs _P4 is the scale-out measurement recorded in
 // CHANGES.md. Throughput is reported as tuples/s (input tuples
-// consumed, not replicated shard work). On a single-core host the P>1
-// numbers mostly show the coordination overhead; the speedup target
-// needs ≥4 hardware threads.
+// consumed). On a single-core host the P>1 numbers mostly show the
+// coordination overhead; the speedup target needs ≥4 hardware threads.
 
 var benchTestDataCache = map[string]*TestData{}
 

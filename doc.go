@@ -33,16 +33,19 @@
 // Options.Parallelism shards the join across P concurrent engines
 // (default runtime.GOMAXPROCS(0); 1 selects the exact sequential
 // engine). A single splitter goroutine reads both inputs in the
-// canonical alternating order and hash-partitions them so that every
-// pair of keys that can match — by equality or by q-gram similarity at
-// the configured threshold — lands in at least one common shard: keys
-// are routed to the shards owning the q-grams of their prefix-filter
-// signature (for exact-only joins, plain hash-by-key suffices and is
-// replication-free). Each shard runs an independent switchable engine
-// on its own goroutine; a merger fans the match streams into one,
-// deduplicating pairs that replication placed in several shards. For
-// the fixed strategies the resulting match set is identical to the
-// sequential engine's.
+// canonical alternating order and hash-partitions them by join key: a
+// tuple is stored in exactly one shard, the home of its key — the rule
+// the resident index and the cluster tier use. A tuple that probes
+// exactly is joined there alone, because equal keys share a home; a
+// tuple that probes approximately is offered to every shard — its home
+// shard stores and probes, the others probe their disjoint 1/P slice of
+// the opposite input without storing. Which of the two a tuple gets
+// follows from the shard's mode at that moment; no option selects it.
+// Each shard runs an independent switchable engine on its own goroutine
+// and a merger fans the match streams into one. Every pair is found in
+// exactly one shard and all matched-flags of a key live in one shard, so
+// for the fixed strategies the resulting match set — attribution
+// included — is identical to the sequential engine's.
 //
 // Adaptive parallel joins keep one aggregate Monitor–Assess–Respond
 // loop over all shards (the same binomial deficit statistics, over
@@ -69,13 +72,11 @@
 //     and each shard translates those stamps into the exact window floor
 //     a sequential engine would apply at that probe. The match set is
 //     therefore identical to the sequential windowed engine's at every
-//     shard count. Physical reclamation piggybacks on punctuation: at
-//     each barrier mark (or, without a controller, at eviction-only
-//     marks the splitter emits every RetainWindow dispatches) every
-//     shard drops the index entries behind its floor, so a replicated
-//     q-gram posting is evicted everywhere at the same consistent cut
-//     and index memory stays bounded at ~2·RetainWindow entries per
-//     side per shard.
+//     shard count. Physical reclamation is each shard's own business,
+//     as in the sequential engine: once RetainWindow of the tuples it
+//     stores are dead it drops their index entries, so a shard never
+//     holds more than one window of dead tuples' entries, and no shard
+//     has to agree with another on when.
 //
 //   - The cost budget is enforced against one global spend counter kept
 //     on the logical step clock: at each barrier the interval's
@@ -86,8 +87,9 @@
 //     budget therefore pins the join to exact matching at the same
 //     activation a sequential run would, and budgeted parallel match
 //     sets are golden-identical to sequential ones. The spend prices
-//     the logical scan, not the replicated shard work; Stats reports
-//     both (BudgetSpend vs ModelledCost).
+//     the logical scan, with one transition per broadcast switch;
+//     ModelledCost prices what the shards did — the same steps, but
+//     each shard's own transitions. Stats reports both.
 //
 // # Serving
 //
@@ -169,14 +171,14 @@
 // applies inside a process. An upsert reaches that one group, an exact
 // probe asks it alone, and an approximate probe asks every group, each
 // answering from its disjoint 1/N of the reference — one stored copy per
-// replica and a divided posting scan, where routing by prefix-filter
-// signature stored every key on nearly every group. The routed response
-// is byte-identical to a single process serving the same request
-// stream: matches, session statistics and error envelopes alike,
-// locked down by a differential harness over 1-, 2- and 3-group
-// clusters with replicas. Nodes filled under the signature placement
-// need no migration: a group's answer for a key it is not home to is
-// dropped at the merge.
+// replica and a divided posting scan, the same placement the streaming
+// executor applies to its shards. The routed response is byte-identical
+// to a single process serving the same request stream: matches, session
+// statistics and error envelopes alike, locked down by a differential
+// harness over 1-, 2- and 3-group clusters with replicas. Nodes filled
+// by earlier routers, which also stored a key off its home group, need
+// no migration: a group's answer for a key it is not home to is dropped
+// at the merge.
 //
 // Consistency is per-node snapshot isolation, the single-process model
 // per shard group: a write is attempted on every replica of its key's
@@ -212,7 +214,8 @@
 // the chaos suite (make chaos) scripts these failures with: a
 // rule-driven http.RoundTripper that fails, black-holes or delays
 // matching requests, and a simulated filesystem that injects
-// crash-at-byte, torn-write and fsync failures under the store.
+// crash-at-byte, torn-write and fsync failures under the store (which
+// writes through the internal/vfs seam and never links the simulator).
 //
 // # Durability
 //

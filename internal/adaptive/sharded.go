@@ -23,8 +23,8 @@ import (
 // taken at executor barriers: every δadapt dispatched tuples the
 // controller snapshots the dispatch clock and asks the splitter to emit
 // a barrier mark; when the merger has collected the mark's echo from
-// every shard it calls Activate, at which point the deduplicated match
-// count covers exactly the tuples of the snapshot — the same consistent
+// every shard it calls Activate, at which point the match count covers
+// exactly the tuples of the snapshot — the same consistent
 // cut a sequential engine sees at an activation. The binomial model of
 // §3.2 therefore transfers unchanged: after n dispatched child tuples
 // the expected result size is still n·p(n) with p(n) = parentSeen/|R|.
@@ -49,9 +49,10 @@ import (
 // weight. Because the barrier rendezvous pins every interval to one
 // state, this spend equals the modelled cost of the sequential engine's
 // own accounting at the same logical step — the budget trips at the
-// same activation it would sequentially. (The executor's physical
-// shard-step total exceeds it by the replication factor; the budget is
-// a statement about the logical scan, not about replicated work.)
+// same activation it would sequentially. (The executor's shard engines
+// run the same steps — a tuple steps in its home shard only — but each
+// pays its own transition per broadcast switch; the budget is a
+// statement about the logical scan.)
 // Futility reverts and the calibrated estimator are supported as in the
 // sequential controller.
 type ShardedController struct {
@@ -68,7 +69,7 @@ type ShardedController struct {
 	state         join.State // current broadcast target
 	steps         int        // global step clock: tuples dispatched
 	read          [2]int     // tuples dispatched per side
-	observed      int        // deduplicated matches up to the last barrier
+	observed      int        // matches up to the last barrier
 	win           [2]*stats.SlidingWindow
 	pendingEvents map[int]*[2]int // dispatch step -> per-side window events since the last barrier
 	pastPerturbed [2]int

@@ -15,7 +15,7 @@ func shardedParams() Params {
 }
 
 // runSharded executes a P-shard adaptive join and returns the
-// controller, the executor stats and the deduplicated matches.
+// controller, the executor stats and the matches.
 func runSharded(t *testing.T, parent, child *relation.Relation, p Params, shards int) (*ShardedController, pjoin.Stats, []pjoin.Match) {
 	t.Helper()
 	ctl, err := NewSharded(shards, stream.Left, parent.Len(), p)
@@ -86,7 +86,7 @@ func TestShardedDetectsPerturbationAndRecovers(t *testing.T) {
 	// The sequential controller's canonical scenario, run on 4 shards:
 	// a dense variant burst early in the child. The aggregate deficit
 	// test must fire, the broadcast must take every shard out of
-	// lex/rex, and the deduplicated result must land strictly between
+	// lex/rex, and the result must land strictly between
 	// the exact and approximate baselines.
 	parent, child := buildScenario(11, 400, 40, 80)
 	ctl, st, ms := runSharded(t, parent, child, shardedParams(), 4)
@@ -127,7 +127,7 @@ func TestShardedDetectsPerturbationAndRecovers(t *testing.T) {
 func TestShardedAggregateObservation(t *testing.T) {
 	// The aggregate monitor must observe global counters: after a full
 	// run the last activation's scan progress equals the dispatched
-	// totals, not the (replicated) shard totals.
+	// totals.
 	parent, child := buildScenario(13, 300, 50, 80)
 	ctl, st, _ := runSharded(t, parent, child, shardedParams(), 4)
 	acts := ctl.Activations()
@@ -139,12 +139,12 @@ func TestShardedAggregateObservation(t *testing.T) {
 		t.Errorf("aggregate observation saw (%d,%d) tuples, inputs only have (%d,%d)",
 			last.ParentSeen, last.ChildSeen, parent.Len(), child.Len())
 	}
-	if st.Routed[0]+st.Routed[1] <= st.Read[0]+st.Read[1] {
-		t.Logf("note: replication factor ~1 (%v routed vs %v read)", st.Routed, st.Read)
+	if st.Routed != st.Read {
+		t.Errorf("shards stored %v tuples of %v read: want one stored copy per tuple", st.Routed, st.Read)
 	}
 	if last.Observed != st.Matches {
 		// The final activation can precede the last few matches; it must
-		// never exceed the deduplicated total.
+		// never exceed the total.
 		if last.Observed > st.Matches {
 			t.Errorf("aggregate observed %d matches, merger only delivered %d", last.Observed, st.Matches)
 		}
@@ -156,8 +156,8 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	// shard, aggregate loop, same completeness ordering.
 	parent, child := buildScenario(11, 400, 40, 80)
 	_, st, ms := runSharded(t, parent, child, shardedParams(), 1)
-	if st.Duplicates != 0 {
-		t.Errorf("single shard produced %d duplicates", st.Duplicates)
+	if st.ProbeOffers != 0 {
+		t.Errorf("single shard ran %d probe-only offers", st.ProbeOffers)
 	}
 	exact := join.NestedLoopExact(parent, child)
 	if len(ms) <= len(exact) {

@@ -122,8 +122,8 @@ func RunAdaptiveJoin(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "steps: %d (left %d, right %d), switches: %d, catch-up tuples: %d\n",
 			st.Steps, st.LeftRead, st.RightRead, st.Switches, st.CatchUpTuples)
 		if st.Parallelism > 1 {
-			fmt.Fprintf(stderr, "parallelism: %d shards, %d shard steps (replication ×%.2f), %d duplicate pairs suppressed\n",
-				st.Parallelism, st.ShardSteps, float64(st.ShardSteps)/float64(max(st.Steps, 1)), st.DuplicatesSuppressed)
+			fmt.Fprintf(stderr, "parallelism: %d shards, %d storing steps, %d probe-only offers\n",
+				st.Parallelism, st.ShardSteps, st.ProbeOffers)
 		}
 		if *window > 0 {
 			fmt.Fprintf(stderr, "window: %d tuples retained per side, %d evicted, %d index entries dropped\n",

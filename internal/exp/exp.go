@@ -181,9 +181,10 @@ func RunCase(tc TestCase, rc RunConfig) (*Result, error) {
 		res.RAbs = n
 		ps := ex.Stats()
 		// Steps is the shard-step total so the struct keeps the engine
-		// invariant Steps == ΣStepsInState; with replication it exceeds
-		// the scan length, and the §4.4 cost checks then report the
-		// genuine replication overhead of the parallel run.
+		// invariant Steps == ΣStepsInState. A tuple is stored (stepped) in
+		// its home shard only, so it equals the scan length; what the
+		// §4.4 cost checks see beyond the sequential run is each shard
+		// paying its own switch transitions.
 		res.AdaptiveStats = join.Stats{
 			Steps:               ps.ShardSteps,
 			Read:                ps.Read,

@@ -326,8 +326,8 @@ func TestRunCaseParallel(t *testing.T) {
 	if got := res.AdaptiveStats.Read; got[0] != 400 || got[1] != 400 {
 		t.Errorf("aggregate reads %v, want [400 400]", got)
 	}
-	if res.AdaptiveStats.Steps < 800 {
-		t.Errorf("shard steps %d < 800 dispatched tuples", res.AdaptiveStats.Steps)
+	if res.AdaptiveStats.Steps != 800 {
+		t.Errorf("shard steps %d, want one storing step per dispatched tuple (800)", res.AdaptiveStats.Steps)
 	}
 	inState := 0
 	for _, s := range res.AdaptiveStats.StepsInState {

@@ -2,75 +2,21 @@
 // filesystem shim for internal/store (fail the Nth write/fsync/rename,
 // torn writes, crash-at-every-write-point sweeps) and an injectable
 // http.RoundTripper for the cluster client (drop/delay/black-hole by
-// node, path, or request count). Production code holds the interfaces;
-// the injected implementations turn ad-hoc failure tests into scripted
-// chaos schedules that replay identically on every run.
+// node, path, or request count). Production code holds the interfaces
+// (vfs.FS for the store, http.RoundTripper for the client) and never
+// imports this package; the injected implementations turn ad-hoc failure
+// tests into scripted chaos schedules that replay identically on every
+// run.
 package fault
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
+
+	"adaptivelink/internal/vfs"
 )
-
-// FS is the slice of filesystem the store's write path goes through.
-// Reads stay on the plain os package — crash injection targets the
-// mutation points (write, fsync, truncate, rename, directory sync),
-// which are exactly the operations an FS implementation mediates.
-type FS interface {
-	// OpenFile opens (creating if asked) a file for read/write.
-	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// CreateTemp mirrors os.CreateTemp.
-	CreateTemp(dir, pattern string) (File, error)
-	// Rename mirrors os.Rename.
-	Rename(oldpath, newpath string) error
-	// Remove mirrors os.Remove.
-	Remove(name string) error
-	// SyncDir fsyncs a directory, making a rename inside it durable.
-	SyncDir(dir string) error
-}
-
-// File is the file-handle surface the store uses.
-type File interface {
-	io.Reader
-	io.Writer
-	io.Seeker
-	Truncate(size int64) error
-	Sync() error
-	Close() error
-	Name() string
-}
-
-// OS is the passthrough FS backed by the real os package.
-var OS FS = osFS{}
-
-type osFS struct{}
-
-func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
-
-func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
-}
-
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-
-func (osFS) Remove(name string) error { return os.Remove(name) }
-
-func (osFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // Op names one write-class filesystem operation for targeted injection.
 type Op int
@@ -107,7 +53,8 @@ var ErrCrashed = errors.New("fault: simulated crash")
 // ErrInjected is the default error of a targeted op failure.
 var ErrInjected = errors.New("fault: injected I/O failure")
 
-// SimFS wraps the real filesystem with a deterministic fault script.
+// SimFS is a vfs.FS that wraps the real filesystem with a deterministic
+// fault script.
 // Two modes compose:
 //
 //   - CrashAt(n) simulates a process death at the n-th write-class
@@ -124,7 +71,7 @@ var ErrInjected = errors.New("fault: injected I/O failure")
 //
 // A SimFS is safe for concurrent use, like the filesystem it shims.
 type SimFS struct {
-	inner FS
+	inner vfs.FS
 
 	mu       sync.Mutex
 	writeOps int
@@ -145,7 +92,7 @@ type opRule struct {
 // NewSimFS returns a SimFS over the real filesystem with no faults
 // scheduled.
 func NewSimFS() *SimFS {
-	return &SimFS{inner: OS, crashAt: -1, torn: -1, counts: make(map[Op]int)}
+	return &SimFS{inner: vfs.OS, crashAt: -1, torn: -1, counts: make(map[Op]int)}
 }
 
 // CrashAt schedules a simulated crash at write-class operation n
@@ -232,7 +179,7 @@ func (s *SimFS) dead() error {
 	return nil
 }
 
-func (s *SimFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (s *SimFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
 	if err := s.dead(); err != nil {
 		return nil, err
 	}
@@ -243,7 +190,7 @@ func (s *SimFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 	return &simFile{fs: s, f: f}, nil
 }
 
-func (s *SimFS) CreateTemp(dir, pattern string) (File, error) {
+func (s *SimFS) CreateTemp(dir, pattern string) (vfs.File, error) {
 	if err := s.dead(); err != nil {
 		return nil, err
 	}
@@ -278,7 +225,7 @@ func (s *SimFS) SyncDir(dir string) error {
 
 type simFile struct {
 	fs *SimFS
-	f  File
+	f  vfs.File
 }
 
 func (f *simFile) Read(p []byte) (int, error) {

@@ -220,10 +220,11 @@ func (e *Engine) EvictBelow(side stream.Side, ref int) int {
 // on both sides — exact refs and q-gram postings below the live floors
 // — returning the number of entries removed. Compaction never changes
 // the match set (probes already skip evicted refs); it reclaims the
-// memory the floor made dead. The sequential engine calls it
-// periodically from its RetainWindow logic; the partition-parallel
-// executor calls it on barrier punctuation so every shard drops a
-// replicated posting at the same consistent cut.
+// memory the floor made dead. The sequential engine calls it from its
+// RetainWindow logic once a window's worth of tuples is dead, and each
+// shard of the partition-parallel executor does the same for its own
+// slice: a tuple is stored in one shard only, so no other shard has to
+// agree on when its entries go.
 func (e *Engine) CompactEvicted() int {
 	dropped := 0
 	for _, side := range []stream.Side{stream.Left, stream.Right} {
@@ -290,9 +291,26 @@ func (e *Engine) Push(side stream.Side, t relation.Tuple) error {
 	return nil
 }
 
+// ProbeOnly joins a tuple key of side with every stored match of the
+// opposite side under side's current mode, without storing or indexing
+// it: the probing tuple's ref in the resulting matches is -1. It is not
+// an engine step — no step counter moves and OnStep does not fire. The
+// partition-parallel executor offers an approximately probing tuple to
+// the shards that are not its home this way, so each of them answers
+// from its own disjoint slice of the opposite input. The engine must be
+// open and not exhausted.
+func (e *Engine) ProbeOnly(side stream.Side, key string) error {
+	if err := e.lc.CheckNext(); err != nil {
+		return err
+	}
+	e.probe(side, -1, key)
+	return nil
+}
+
 // TakePending returns the matches computed but not yet delivered and
-// clears the pending queue. Push-mode drivers call it after every Push;
-// pull-mode callers never need it because Next drains the same queue.
+// clears the pending queue. Push-mode drivers call it after every Push
+// or ProbeOnly; pull-mode callers never need it because Next drains the
+// same queue.
 func (e *Engine) TakePending() []Match {
 	if len(e.pending) == 0 {
 		return nil
@@ -332,18 +350,34 @@ func (e *Engine) processTuple(side stream.Side, t relation.Tuple) {
 		e.qgIdx[side].Insert(ref, t.Key)
 	}
 
-	switch e.state.Mode(side) {
-	case Exact:
-		e.probeExact(side, ref, t.Key)
-	case Approx:
-		e.probeApprox(side, ref, t.Key)
-	}
+	e.probe(side, ref, t.Key)
 
 	e.stats.Steps++
 	e.stats.StepsInState[e.state.Index()]++
 	if e.OnStep != nil {
 		e.OnStep(e)
 	}
+}
+
+// probe matches a tuple of side against the opposite side under side's
+// current mode. ref is the tuple's store position, or -1 for a probe-only
+// tuple that is not stored here.
+func (e *Engine) probe(side stream.Side, ref int, key string) {
+	switch e.state.Mode(side) {
+	case Exact:
+		e.probeExact(side, ref, key)
+	case Approx:
+		e.probeApprox(side, ref, key)
+	}
+}
+
+// flagExact sets the §3.3 provenance bit on both tuples of a key-equal
+// pair; a probe-only tuple (ref -1) has no flag here.
+func (e *Engine) flagExact(side stream.Side, ref int, other stream.Side, oref int) {
+	if ref >= 0 {
+		e.flags[side][ref] = true
+	}
+	e.flags[other][oref] = true
 }
 
 // probeExact matches the new tuple against the opposite exact index.
@@ -353,9 +387,8 @@ func (e *Engine) probeExact(side stream.Side, ref int, key string) {
 		if oref < e.minLive[other] {
 			continue // evicted from the stream window
 		}
-		e.flags[side][ref] = true
-		e.flags[other][oref] = true
-		e.emit(side, ref, other, oref, 1, true)
+		e.flagExact(side, ref, other, oref)
+		e.emit(side, ref, key, other, oref, 1, true)
 	}
 }
 
@@ -378,18 +411,17 @@ func (e *Engine) probeApprox(side stream.Side, ref int, key string) {
 			// The approximate operator found the pair an exact probe
 			// would have: full evidence, flag both tuples.
 			sim = 1
-			e.flags[side][ref] = true
-			e.flags[other][cand.Ref] = true
+			e.flagExact(side, ref, other, cand.Ref)
 		} else if !ok {
 			continue
 		}
-		e.emit(side, ref, other, cand.Ref, sim, exact)
+		e.emit(side, ref, key, other, cand.Ref, sim, exact)
 	}
 }
 
-// emit records a match between the probing tuple (side, ref) and the
-// stored tuple (other, oref), assigning variant attribution per §3.3.
-func (e *Engine) emit(side stream.Side, ref int, other stream.Side, oref int, sim float64, exact bool) {
+// emit records a match between the probing tuple (side, ref, key) and
+// the stored tuple (other, oref), assigning variant attribution per §3.3.
+func (e *Engine) emit(side stream.Side, ref int, key string, other stream.Side, oref int, sim float64, exact bool) {
 	attr := AttrNone
 	if !exact {
 		if e.flags[other][oref] {
@@ -414,10 +446,10 @@ func (e *Engine) emit(side stream.Side, ref int, other stream.Side, oref int, si
 	}
 	if side == stream.Left {
 		m.LeftRef, m.RightRef = ref, oref
-		m.LeftKey, m.RightKey = e.keys[stream.Left][ref], e.keys[stream.Right][oref]
+		m.LeftKey, m.RightKey = key, e.keys[stream.Right][oref]
 	} else {
 		m.LeftRef, m.RightRef = oref, ref
-		m.LeftKey, m.RightKey = e.keys[stream.Left][oref], e.keys[stream.Right][ref]
+		m.LeftKey, m.RightKey = e.keys[stream.Left][oref], key
 	}
 	e.stats.Matches++
 	if exact {

@@ -160,7 +160,8 @@ func (a Attribution) Blames(side stream.Side) bool {
 }
 
 // Match is one joined pair. LeftRef/RightRef are the tuples' positions
-// in their sides' stores (equal to arrival order).
+// in their sides' stores (equal to arrival order); the probing tuple of
+// an Engine.ProbeOnly call is not stored and has ref -1.
 type Match struct {
 	LeftRef  int
 	RightRef int

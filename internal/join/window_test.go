@@ -176,6 +176,59 @@ func TestEvictBelowHook(t *testing.T) {
 	e.Close()
 }
 
+func TestProbeOnly(t *testing.T) {
+	// A probe-only tuple (the partition-parallel executor's offer to a
+	// shard that is not the tuple's home) is joined with the stored
+	// opposite side under its side's mode, but is neither stored nor a
+	// step, and carries ref -1 in its matches.
+	left := relation.FromKeys("L", "target location alpha beta")
+	right := relation.FromKeys("R", "target location alpha betb", "target location alpha beta")
+	for _, state := range []State{LexRex, LapRap} {
+		cfg := Defaults()
+		cfg.Initial = state
+		e := mkEngine(t, cfg, left, right)
+		if err := e.ProbeOnly(stream.Right, right.At(0).Key); err == nil {
+			t.Fatal("ProbeOnly before Open succeeded")
+		}
+		if err := e.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Push(stream.Left, left.At(0)); err != nil {
+			t.Fatal(err)
+		}
+		before, space := e.Stats(), e.Space()
+		// The variant matches approximately only; blame falls on both
+		// sides because the stored tuple has no exact partner yet.
+		if err := e.ProbeOnly(stream.Right, right.At(0).Key); err != nil {
+			t.Fatal(err)
+		}
+		ms := e.TakePending()
+		if state == LexRex && len(ms) != 0 {
+			t.Errorf("%v: exact probe-only matched a variant: %v", state, ms)
+		}
+		if state == LapRap && (len(ms) != 1 || ms[0].LeftRef != 0 || ms[0].RightRef != -1 ||
+			ms[0].Exact || ms[0].Attribution != AttrBoth || ms[0].RightKey != right.At(0).Key) {
+			t.Errorf("%v: approximate probe-only matches %+v", state, ms)
+		}
+		// The equal key is found in either mode and flags the stored tuple.
+		if err := e.ProbeOnly(stream.Right, right.At(1).Key); err != nil {
+			t.Fatal(err)
+		}
+		ms = e.TakePending()
+		if len(ms) != 1 || !ms[0].Exact || ms[0].RightRef != -1 || !e.MatchedFlag(stream.Left, 0) {
+			t.Errorf("%v: equal-key probe-only matches %+v, flag %v", state, ms, e.MatchedFlag(stream.Left, 0))
+		}
+		after := e.Stats()
+		if after.Steps != before.Steps || after.Read != before.Read || after.StepsInState != before.StepsInState {
+			t.Errorf("%v: probe-only moved the step counters: %+v -> %+v", state, before, after)
+		}
+		if e.Space() != space {
+			t.Errorf("%v: probe-only stored or indexed something: %+v -> %+v", state, space, e.Space())
+		}
+		e.Close()
+	}
+}
+
 func TestWindowCompactsIndexes(t *testing.T) {
 	// The sequential window drops evicted index entries by amortised
 	// compaction, bounding index memory instead of growing a tombstone

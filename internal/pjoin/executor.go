@@ -1,16 +1,22 @@
 // Package pjoin executes the switchable symmetric join of package join
 // partition-parallel: both inputs are hash-partitioned into P shards by
 // join key, each shard runs an independent Engine on its own goroutine,
-// and the per-shard match streams are merged — deduplicated — through a
-// bounded fan-in channel. Operator switches remain per-shard quiescent-
-// point transitions, so every shard preserves the sequential engine's
+// and the per-shard match streams are merged through a bounded fan-in
+// channel. Operator switches remain per-shard quiescent-point
+// transitions, so every shard preserves the sequential engine's
 // switching semantics; the aggregate control loop lives in
 // adaptive.ShardedController and talks to the executor through the
 // Controller interface.
 //
-// The routing layer is internal/shardmap (Config.Router), so the sharded
-// resident index (internal/join.ShardedRefIndex) and the cluster tier
-// hash keys with exactly the same function.
+// Placement is the one rule the sharded resident index
+// (join.ShardedRefIndex) and the cluster tier use: a tuple is stored in
+// exactly its home shard shardmap.ShardOf(key, P). An exact probe runs
+// there only, because equal keys share a home; an approximate probe is
+// offered to every shard — the home shard stores and probes, the others
+// probe their disjoint 1/P slice of the opposite input without storing.
+// Every pair is therefore found in exactly one shard, and all §3.3
+// matched-flags of a key live in one shard, so attribution is the
+// sequential engine's.
 package pjoin
 
 import (
@@ -46,12 +52,12 @@ type Controller interface {
 	// counter does. A true return asks the splitter to emit a barrier
 	// mark behind this tuple.
 	NoteDispatch(side stream.Side) (barrier bool)
-	// NoteMatch observes one deduplicated result pair, in
-	// barrier-consistent order. step is the probing tuple's global
-	// dispatch position (1-based) — the step a sequential engine would
-	// have found the pair at — so the controller can attribute the match
-	// to its exact position on the dispatch clock even though merge
-	// order within a barrier interval is nondeterministic.
+	// NoteMatch observes one result pair, in barrier-consistent order.
+	// step is the probing tuple's global dispatch position (1-based) —
+	// the step a sequential engine would have found the pair at — so the
+	// controller can attribute the match to its exact position on the
+	// dispatch clock even though merge order within a barrier interval is
+	// nondeterministic.
 	NoteMatch(step int, exact bool, attr join.Attribution)
 	// Activate fires when a barrier has been echoed by every shard: the
 	// controller's counters now describe a consistent cut of the join.
@@ -68,11 +74,6 @@ type Config struct {
 	Join join.Config
 	// Shards is the partition count P (≥ 1).
 	Shards int
-	// Router co-partitions the inputs. Nil defaults to the
-	// similarity-preserving shardmap.PrefixRouter for Join's q, measure
-	// and θ. Supply a shardmap.KeyRouter only when no shard can ever probe
-	// approximately.
-	Router shardmap.Router
 	// Controller, when non-nil, receives aggregate observations and
 	// broadcasts mode switches (see adaptive.ShardedController).
 	Controller Controller
@@ -81,9 +82,9 @@ type Config struct {
 	Buffer int
 }
 
-// Match is one deduplicated result pair of the parallel join. Refs are
-// global per-side arrival sequence numbers assigned by the splitter, so
-// they identify tuples independently of shard-local storage.
+// Match is one result pair of the parallel join. Refs are global
+// per-side arrival sequence numbers assigned by the splitter, so they
+// identify tuples independently of shard-local storage.
 type Match struct {
 	// Left and Right are the matched tuples.
 	Left, Right relation.Tuple
@@ -97,7 +98,7 @@ type Match struct {
 	ProbeSide   stream.Side
 	ProbeMode   join.Mode
 	Attribution join.Attribution
-	// Shard is the index of the shard that computed (and won) the pair.
+	// Shard is the index of the shard that computed the pair.
 	Shard int
 	// Step is the computing shard's local step count at probe time.
 	Step int
@@ -107,42 +108,52 @@ type Match struct {
 	DispatchStep int
 }
 
-// Stats aggregates the executor's counters. Per-shard engine counters
-// (ShardSteps, StepsInState, ...) are summed over shards and therefore
-// count replicated work; Read and Matches are global (each input tuple
-// and each result pair counted once).
+// Stats aggregates the executor's counters. Read and Matches are counted
+// by the splitter and the merger; everything else sums the shard
+// engines. A shard engine steps once per tuple it stores, and a tuple is
+// stored in its home shard only, so once the join is drained the step
+// counters add up to the sequential engine's: ShardSteps = Read[0] +
+// Read[1] at every P. Probe-only offers to the other shards are not
+// steps; they are counted separately in ProbeOffers.
 type Stats struct {
 	// Shards is the partition count.
 	Shards int
-	// Read counts input tuples consumed per side (pre-replication).
+	// Read counts input tuples consumed per side.
 	Read [2]int
-	// Routed counts tuple copies dispatched to shards per side; the
-	// replication factor is Routed/Read.
+	// Routed counts the tuples the shards stored per side. Stored copies
+	// per input tuple is Routed/Read, which placement pins at 1.
 	Routed [2]int
-	// Matches is the number of deduplicated result pairs;
-	// Exact + Approx = Matches.
+	// ProbeOffers counts the probe-only steps shards ran for tuples homed
+	// elsewhere: P-1 per approximately probing tuple, none per exactly
+	// probing one.
+	ProbeOffers int
+	// Matches is the number of result pairs; Exact + Approx = Matches.
 	Matches       int
 	ExactMatches  int
 	ApproxMatches int
-	// Duplicates counts pairs found by more than one shard and
-	// suppressed by the merger.
-	Duplicates int
-	// ShardSteps sums the per-shard engine step counters (≥ Read totals
-	// under replication).
+	// ShardSteps sums the per-shard engine step counters: the storing
+	// steps, one per input tuple.
 	ShardSteps int
 	// Switches, CatchUpTuples, StepsInState and TransitionsInto sum the
-	// shard engines' counters, in shard-step units.
+	// shard engines' counters. Each shard applies every broadcast switch,
+	// so Switches and TransitionsInto count P per aggregate switch, while
+	// CatchUpTuples — each shard re-indexes its own slice — matches the
+	// sequential engine's.
 	Switches        int
 	CatchUpTuples   int
 	StepsInState    [4]int
 	TransitionsInto [4]int
 	// Evicted sums the shard engines' sliding-window eviction counters
-	// per side; a tuple replicated to several shards counts once per
-	// replica, mirroring the replicated index work it frees.
+	// per side.
 	Evicted [2]int
-	// IndexEntriesDropped sums the index entries physically removed by
-	// consistent-cut compaction across shards.
+	// IndexEntriesDropped sums the index entries the shards' window
+	// compaction physically removed.
 	IndexEntriesDropped int
+	// ExactEntries and QGramEntries sum the shard engines' live index
+	// entries per side (join.SpaceEstimate): the same totals a sequential
+	// engine holds, since every tuple is indexed in one shard.
+	ExactEntries [2]int
+	QGramEntries [2]int
 }
 
 type routed struct {
@@ -155,8 +166,8 @@ type routed struct {
 	// is seq+1-w on the tuple's own side and opp-w on the opposite side.
 	seq, opp, gstep int
 	t               relation.Tuple
+	home            int  // the shard that stores t: shardmap.ShardOf(t.Key, P)
 	mark            bool // barrier mark: no tuple, echo to the merger
-	evict           bool // eviction-only punctuation: compact, no echo
 }
 
 // stamper assigns the splitter's global dispatch stamps. It is the
@@ -183,7 +194,12 @@ type rawItem struct {
 	shard int
 }
 
-type pairKey struct{ l, r int }
+// shardReport is what a shard worker leaves behind when it exits.
+type shardReport struct {
+	stats  join.Stats
+	space  join.SpaceEstimate
+	offers int // probe-only steps run for tuples homed elsewhere
+}
 
 // Executor is the partition-parallel join operator. Construct with New,
 // then drive like any iterator: Open, Next until ok=false, Close. Next
@@ -193,6 +209,10 @@ type Executor struct {
 	cfg Config
 	src [2]stream.Source
 	il  stream.Interleaver
+	// homeOnly: no shard can ever probe approximately (no controller,
+	// initial state lex/rex), so a tuple is dispatched to its home shard
+	// alone instead of being offered to all of them.
+	homeOnly bool
 
 	lc       iterator.Lifecycle
 	in       []chan routed
@@ -215,16 +235,14 @@ type Executor struct {
 	bg      sync.WaitGroup // splitter + merger + closer
 	workers sync.WaitGroup
 
-	mu         sync.Mutex
-	firstErr   error
-	shardStats []join.Stats
+	mu       sync.Mutex
+	firstErr error
+	shards   []shardReport
 
 	read    [2]atomic.Int64
-	routedN [2]atomic.Int64
 	matches atomic.Int64
 	exact   atomic.Int64
 	approx  atomic.Int64
-	dups    atomic.Int64
 }
 
 // New builds a partition-parallel executor over the two sources. A nil
@@ -244,14 +262,12 @@ func New(cfg Config, left, right stream.Source) (*Executor, error) {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
 	}
-	if cfg.Router == nil {
-		cfg.Router = shardmap.NewPrefixRouter(cfg.Shards, cfg.Join.Q, cfg.Join.Measure, cfg.Join.Theta)
-	}
 	e := &Executor{
-		cfg:        cfg,
-		src:        [2]stream.Source{left, right},
-		il:         stream.NewRoundRobin(stream.Left),
-		shardStats: make([]join.Stats, cfg.Shards),
+		cfg:      cfg,
+		src:      [2]stream.Source{left, right},
+		il:       stream.NewRoundRobin(stream.Left),
+		homeOnly: cfg.Controller == nil && cfg.Join.Initial == join.LexRex,
+		shards:   make([]shardReport, cfg.Shards),
 	}
 	e.barCond = sync.NewCond(&e.barMu)
 	return e, nil
@@ -329,14 +345,11 @@ func (e *Executor) Stats() Stats {
 		Matches:       int(e.matches.Load()),
 		ExactMatches:  int(e.exact.Load()),
 		ApproxMatches: int(e.approx.Load()),
-		Duplicates:    int(e.dups.Load()),
-	}
-	for side := 0; side < 2; side++ {
-		s.Read[side] = int(e.read[side].Load())
-		s.Routed[side] = int(e.routedN[side].Load())
 	}
 	e.mu.Lock()
-	for _, st := range e.shardStats {
+	for _, sh := range e.shards {
+		st := sh.stats
+		s.ProbeOffers += sh.offers
 		s.ShardSteps += st.Steps
 		s.Switches += st.Switches
 		s.CatchUpTuples += st.CatchUpTuples
@@ -344,11 +357,16 @@ func (e *Executor) Stats() Stats {
 			s.StepsInState[i] += st.StepsInState[i]
 			s.TransitionsInto[i] += st.TransitionsInto[i]
 		}
-		s.Evicted[0] += st.Evicted[0]
-		s.Evicted[1] += st.Evicted[1]
 		s.IndexEntriesDropped += st.IndexEntriesDropped
+		for side := 0; side < 2; side++ {
+			s.Routed[side] += st.Read[side]
+			s.Evicted[side] += st.Evicted[side]
+			s.ExactEntries[side] += sh.space.ExactEntries[side]
+			s.QGramEntries[side] += sh.space.QGramEntries[side]
+		}
 	}
 	e.mu.Unlock()
+	s.Read = [2]int{int(e.read[0].Load()), int(e.read[1].Load())}
 	return s
 }
 
@@ -403,12 +421,32 @@ func (e *Executor) err() error {
 	return e.firstErr
 }
 
+// send queues rt on shard s's FIFO; false means the pipeline was
+// cancelled.
+func (e *Executor) send(s int, rt routed) bool {
+	select {
+	case e.in[s] <- rt:
+		return true
+	case <-e.quit:
+		return false
+	}
+}
+
+// broadcast queues rt on every shard's FIFO.
+func (e *Executor) broadcast(rt routed) bool {
+	for s := range e.in {
+		if !e.send(s, rt) {
+			return false
+		}
+	}
+	return true
+}
+
 // split is the single reader of both sources: it assigns global
 // sequence stamps (per-side arrival position, opposite-side progress,
-// global dispatch position), feeds the aggregate step clock, and fans
-// each tuple out to the shards its key routes to. With RetainWindow set
-// and no controller requesting barriers, it emits its own eviction-only
-// punctuation so shard index memory stays bounded.
+// global dispatch position), feeds the aggregate step clock, and hands
+// each tuple to its home shard — and, unless the join can never probe
+// approximately, to every other shard as a probe-only offer.
 func (e *Executor) split() {
 	defer e.bg.Done()
 	defer func() {
@@ -418,15 +456,6 @@ func (e *Executor) split() {
 	}()
 	var done [2]bool
 	var st stamper
-	var routes []int
-	// Eviction cadence: one full window between eviction-only marks
-	// bounds dead index entries at roughly one window per side while
-	// keeping punctuation overhead at one mark per shard per w tuples.
-	evictEvery := 0
-	if e.cfg.Join.RetainWindow > 0 {
-		evictEvery = e.cfg.Join.RetainWindow
-	}
-	sinceMark := 0
 	for {
 		if done[stream.Left] && done[stream.Right] {
 			return
@@ -442,57 +471,35 @@ func (e *Executor) split() {
 			continue
 		}
 		rt := st.stamp(side, t)
+		rt.home = shardmap.ShardOf(t.Key, e.cfg.Shards)
 		e.read[side].Add(1)
 		barrier := false
 		if e.cfg.Controller != nil {
 			barrier = e.cfg.Controller.NoteDispatch(side)
 		}
-		routes = e.cfg.Router.Routes(routes[:0], t.Key)
-		for _, s := range routes {
-			select {
-			case e.in[s] <- rt:
-				e.routedN[side].Add(1)
-			case <-e.quit:
-				return
-			}
+		var sent bool
+		if e.homeOnly {
+			sent = e.send(rt.home, rt)
+		} else {
+			sent = e.broadcast(rt)
 		}
-		sinceMark++
-		switch {
-		case barrier:
-			// The mark trails every tuple dispatched so far on every
-			// shard's FIFO queue, including shards this tuple skipped.
-			// Shards also compact their evicted index entries when the
-			// mark arrives, so barrier punctuation doubles as the
-			// consistent eviction cut.
-			sinceMark = 0
-			mark := routed{mark: true}
-			for s := range e.in {
-				select {
-				case e.in[s] <- mark:
-				case <-e.quit:
-					return
-				}
-			}
-		case evictEvery > 0 && sinceMark >= evictEvery:
-			// Eviction-only punctuation: every shard compacts at the same
-			// position of the dispatch stream (a consistent cut), but no
-			// echo or rendezvous is needed — compaction never affects the
-			// match set, only reclaims memory behind the window floor.
-			sinceMark = 0
-			mark := routed{mark: true, evict: true}
-			for s := range e.in {
-				select {
-				case e.in[s] <- mark:
-				case <-e.quit:
-					return
-				}
-			}
+		if !sent {
+			return
+		}
+		// The mark trails every tuple dispatched so far on every shard's
+		// FIFO queue.
+		if barrier && !e.broadcast(routed{mark: true}) {
+			return
 		}
 	}
 }
 
 // work drives one shard: a private engine fed in dispatch order, with a
-// quiescent-point controller sync before every tuple.
+// quiescent-point controller sync before every tuple. The tuples homed
+// here are stored and probed (one engine step each); a tuple homed
+// elsewhere is dropped untouched when its side probes exactly — equal
+// keys share a home, so it cannot match here — and otherwise probed
+// against this shard's slice of the opposite input without being stored.
 //
 // Sliding-window retention is driven from here, not from the shard
 // engine's own RetainWindow logic (which would count shard-local
@@ -501,9 +508,9 @@ func (e *Executor) split() {
 // sequential engine would apply at this dispatch — seq+1-w on the
 // tuple's own side, opp-w on the opposite side — into shard-local refs
 // and advances the engine's live floors. Probe-time filtering is
-// therefore globally exact at every step; physical index compaction
-// happens at punctuation marks, where every shard sits at the same
-// consistent cut of the dispatch stream.
+// therefore globally exact at every step. Physical compaction is the
+// shard's own business, as in the sequential engine: once a window's
+// worth of its tuples is dead, it drops their index entries.
 func (e *Executor) work(i int) {
 	defer e.workers.Done()
 	// The shard engine must not run its own shard-local window logic;
@@ -520,16 +527,18 @@ func (e *Executor) work(i int) {
 		e.fail(fmt.Errorf("pjoin: shard %d: %w", i, err))
 		return
 	}
+	offers := 0
 	// Record the shard's accounting on every exit path — cancellation
 	// included — so Stats() keeps its after-Close consistency promise.
 	defer func() {
 		eng.Close()
 		e.mu.Lock()
-		e.shardStats[i] = eng.Stats()
+		e.shards[i] = shardReport{stats: eng.Stats(), space: eng.Space(), offers: offers}
 		e.mu.Unlock()
 	}()
 	var seqs [2][]int // shard-local ref -> global sequence number
 	var floor [2]int  // shard-local ref floor mirroring the global window
+	dead := 0         // tuples evicted since the last compaction
 	// evictTo advances side's floor to the first local ref whose global
 	// sequence number is inside the window [gf, ...). seqs are strictly
 	// increasing (dispatch order), so the floor only moves forward.
@@ -540,20 +549,11 @@ func (e *Executor) work(i int) {
 		for floor[side] < len(seqs[side]) && seqs[side][floor[side]] < gf {
 			floor[side]++
 		}
-		eng.EvictBelow(side, floor[side])
+		dead += eng.EvictBelow(side, floor[side])
 	}
 	myMarks := 0
 	for rt := range e.in[i] {
 		if rt.mark {
-			if w > 0 {
-				// All shards receive this mark at the same position of the
-				// dispatch stream, so a replicated posting is dropped
-				// everywhere at the same consistent cut.
-				eng.CompactEvicted()
-			}
-			if rt.evict {
-				continue // punctuation only: no echo, no rendezvous
-			}
 			myMarks++
 			select {
 			case e.raw <- rawItem{mark: true, shard: i}:
@@ -566,21 +566,43 @@ func (e *Executor) work(i int) {
 		if e.cfg.Controller != nil {
 			e.cfg.Controller.Sync(i, eng)
 		}
-		seqs[rt.side] = append(seqs[rt.side], rt.seq)
+		home := rt.home == i
+		if !home && eng.State().Mode(rt.side) == join.Exact {
+			continue
+		}
 		if w > 0 {
 			evictTo(rt.side, rt.seq+1-w)
 			evictTo(rt.side.Other(), rt.opp-w)
+			if dead >= w {
+				eng.CompactEvicted()
+				dead = 0
+			}
 		}
-		if err := eng.Push(rt.side, rt.t); err != nil {
+		if home {
+			seqs[rt.side] = append(seqs[rt.side], rt.seq)
+			err = eng.Push(rt.side, rt.t)
+		} else {
+			offers++
+			err = eng.ProbeOnly(rt.side, rt.t.Key)
+		}
+		if err != nil {
 			e.fail(fmt.Errorf("pjoin: shard %d: %w", i, err))
 			return
 		}
+		// The probing tuple is rt itself (not stored here on a probe-only
+		// offer); its partner is in this shard's store.
+		other := rt.side.Other()
+		var tup [2]relation.Tuple
+		var seq [2]int
+		tup[rt.side], seq[rt.side] = rt.t, rt.seq
 		for _, m := range eng.TakePending() {
+			oref := [2]int{m.LeftRef, m.RightRef}[other]
+			tup[other], seq[other] = eng.StoredTuple(other, oref), seqs[other][oref]
 			pm := Match{
-				Left:         eng.StoredTuple(stream.Left, m.LeftRef),
-				Right:        eng.StoredTuple(stream.Right, m.RightRef),
-				LeftSeq:      seqs[stream.Left][m.LeftRef],
-				RightSeq:     seqs[stream.Right][m.RightRef],
+				Left:         tup[stream.Left],
+				Right:        tup[stream.Right],
+				LeftSeq:      seq[stream.Left],
+				RightSeq:     seq[stream.Right],
 				Similarity:   m.Similarity,
 				Exact:        m.Exact,
 				ProbeSide:    m.ProbeSide,
@@ -599,36 +621,21 @@ func (e *Executor) work(i int) {
 	}
 }
 
-// merge deduplicates the shard streams and completes barriers.
-// Replication can place a pair in several shards, each of which finds
-// it independently; the first arrival wins and later copies only bump
-// the duplicate counter. Barrier consistency needs no buffering here:
-// a worker that has echoed mark k blocks in awaitBarrier until the
-// merger has collected every shard's echo and run Activate, so by
-// construction no post-barrier match can reach the merger before the
-// barrier's activation — Activate always observes exactly the matches
-// produced by the dispatches up to the barrier.
+// merge fans the shard streams into one and completes barriers. Every
+// pair is found in exactly one shard, so there is nothing to deduplicate.
+// Barrier consistency needs no buffering here: a worker that has echoed
+// mark k blocks in awaitBarrier until the merger has collected every
+// shard's echo and run Activate, so by construction no post-barrier
+// match can reach the merger before the barrier's activation — Activate
+// always observes exactly the matches produced by the dispatches up to
+// the barrier.
 func (e *Executor) merge() {
 	defer e.bg.Done()
 	defer close(e.out)
-	// A non-replicating router places every pair in exactly one shard,
-	// so duplicate tracking (O(result) memory) is skipped entirely.
-	var seen map[pairKey]struct{}
-	if e.cfg.Router.Replicates() {
-		seen = make(map[pairKey]struct{})
-	}
 	marks := make([]int, e.cfg.Shards)
 	completed := 0
 
 	deliver := func(m Match) bool {
-		if seen != nil {
-			k := pairKey{m.LeftSeq, m.RightSeq}
-			if _, dup := seen[k]; dup {
-				e.dups.Add(1)
-				return true
-			}
-			seen[k] = struct{}{}
-		}
 		e.matches.Add(1)
 		if m.Exact {
 			e.exact.Add(1)

@@ -7,7 +7,6 @@ import (
 
 	"adaptivelink/internal/datagen"
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/stream"
 )
 
@@ -33,9 +32,18 @@ func signature(lseq, rseq int, sim float64, exact bool, probe stream.Side, mode 
 }
 
 // runSequential drains a sequential engine and returns the sorted match
-// signatures. Store refs equal global arrival order because the single
-// engine sees the whole scan.
+// signatures.
 func runSequential(t testing.TB, cfg join.Config, ds *datagen.Dataset) []string {
+	t.Helper()
+	sigs, _ := drainSequential(t, cfg, ds)
+	return sigs
+}
+
+// drainSequential drains a sequential engine and returns the sorted
+// match signatures plus the drained (closed) engine, for its counters.
+// Store refs equal global arrival order because the single engine sees
+// the whole scan.
+func drainSequential(t testing.TB, cfg join.Config, ds *datagen.Dataset) ([]string, *join.Engine) {
 	t.Helper()
 	e, err := join.New(cfg, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
 	if err != nil {
@@ -59,7 +67,7 @@ func runSequential(t testing.TB, cfg join.Config, ds *datagen.Dataset) []string 
 		t.Fatal(err)
 	}
 	sort.Strings(sigs)
-	return sigs
+	return sigs, e
 }
 
 // runParallel drains an executor and returns the sorted match
@@ -153,44 +161,124 @@ func TestParityAllStates(t *testing.T) {
 				if st.Read[0] != ds.Parent.Len() || st.Read[1] != ds.Child.Len() {
 					t.Errorf("read counts %v, want [%d %d]", st.Read, ds.Parent.Len(), ds.Child.Len())
 				}
-				if min := st.Read[0] + st.Read[1]; st.ShardSteps < min {
-					t.Errorf("shard steps %d < dispatched tuples %d", st.ShardSteps, min)
+				if n := st.Read[0] + st.Read[1]; st.ShardSteps != n {
+					t.Errorf("shard steps %d, want one storing step per dispatched tuple (%d)", st.ShardSteps, n)
 				}
 			})
 		}
 	}
 }
 
-// TestParityKeyRouterExact checks the cheap equality-only router against
-// the sequential all-exact engine: with no approximate probes possible,
-// hash-by-key partitioning must already be lossless.
-func TestParityKeyRouterExact(t *testing.T) {
+// TestParityHomeOnlyExact checks the dispatch the executor derives for a
+// join that can never probe approximately (no controller, initial state
+// lex/rex): every tuple goes to its home shard alone, no shard is
+// offered a probe, and hash-by-key partitioning is already lossless
+// against the sequential all-exact engine.
+func TestParityHomeOnlyExact(t *testing.T) {
 	ds := testDataset(t, true)
 	cfg := join.Defaults() // Initial = LexRex
 	want := runSequential(t, cfg, ds)
-	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: shardmap.NewKeyRouter(4)}, ds)
+	got, st := runParallel(t, Config{Join: cfg, Shards: 4}, ds)
 	diffSigs(t, want, got)
-	if st.Duplicates != 0 {
-		t.Errorf("key router produced %d duplicate pairs, want 0 (replication factor is 1)", st.Duplicates)
+	if st.ProbeOffers != 0 {
+		t.Errorf("%d probe-only offers on an all-exact join, want 0", st.ProbeOffers)
 	}
-	if st.Routed[0] != st.Read[0] || st.Routed[1] != st.Read[1] {
-		t.Errorf("key router replicated tuples: routed %v, read %v", st.Routed, st.Read)
+	if st.Routed != st.Read {
+		t.Errorf("stored %v tuples, read %v: want one stored copy per tuple", st.Routed, st.Read)
 	}
+	l, r := stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"lex/rex, no controller", Config{Join: cfg, Shards: 4}, true},
+		{"lex/rex under a controller", Config{Join: cfg, Shards: 4, Controller: newSwitchStorm(4, 16)}, false},
+		{"lap/rex, no controller", Config{Join: withInitial(cfg, join.LapRex), Shards: 4}, false},
+	} {
+		ex, err := New(tc.cfg, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.homeOnly != tc.want {
+			t.Errorf("%s: home-only dispatch = %v, want %v", tc.name, ex.homeOnly, tc.want)
+		}
+	}
+}
+
+func withInitial(cfg join.Config, s join.State) join.Config {
+	cfg.Initial = s
+	return cfg
 }
 
 // TestParityShardCounts verifies parity is not an artifact of a lucky
 // shard count.
 func TestParityShardCounts(t *testing.T) {
 	ds := testDataset(t, false)
-	cfg := join.Defaults()
-	cfg.Initial = join.LapRap
+	cfg := withInitial(join.Defaults(), join.LapRap)
 	want := runSequential(t, cfg, ds)
-	for _, p := range []int{1, 2, 3, 7} {
+	for _, p := range []int{1, 2, 3, 4, 8} {
 		got, _ := runParallel(t, Config{Join: cfg, Shards: p}, ds)
 		if len(got) != len(want) {
 			t.Errorf("P=%d: %d matches, want %d", p, len(got), len(want))
 		}
 		diffSigs(t, want, got)
+	}
+}
+
+// TestPlacementPin pins the placement rule's deterministic proxies in
+// all four processor states, with and without a sliding window: every
+// tuple is stored in exactly one shard (stored copies per input tuple =
+// 1.00 at any P), every approximately probing tuple is offered to the
+// other P-1 shards and no exactly probing one is, and the shards
+// together hold exactly the index entries one sequential engine holds.
+func TestPlacementPin(t *testing.T) {
+	ds := testDataset(t, true)
+	for _, window := range []int{0, 60} {
+		for _, state := range join.AllStates {
+			cfg := withInitial(join.Defaults(), state)
+			cfg.RetainWindow = window
+			_, seq := drainSequential(t, cfg, ds)
+			space, seqStats := seq.Space(), seq.Stats()
+			for _, p := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/w=%d/P=%d", state.Short(), window, p), func(t *testing.T) {
+					_, st := runParallel(t, Config{Join: cfg, Shards: p}, ds)
+					if st.Routed != st.Read || st.Read != seqStats.Read {
+						t.Errorf("stored %v tuples of %v read (sequential read %v): want one stored copy per tuple",
+							st.Routed, st.Read, seqStats.Read)
+					}
+					if st.ShardSteps != seqStats.Steps || st.StepsInState != seqStats.StepsInState {
+						t.Errorf("storing steps %d %v, sequential %d %v", st.ShardSteps, st.StepsInState,
+							seqStats.Steps, seqStats.StepsInState)
+					}
+					offers := 0
+					for _, side := range []stream.Side{stream.Left, stream.Right} {
+						if state.Mode(side) == join.Approx {
+							offers += (p - 1) * st.Read[side]
+						}
+					}
+					if st.ProbeOffers != offers {
+						t.Errorf("%d probe-only offers, want %d", st.ProbeOffers, offers)
+					}
+					if window == 0 {
+						if st.ExactEntries != space.ExactEntries || st.QGramEntries != space.QGramEntries {
+							t.Errorf("shards hold %v exact + %v q-gram entries, the sequential engine %v + %v",
+								st.ExactEntries, st.QGramEntries, space.ExactEntries, space.QGramEntries)
+						}
+						return
+					}
+					// Shards compact on their own schedule, so under a window
+					// the live counts differ by what each has dropped so far;
+					// live + dropped is every entry ever indexed.
+					sum := func(ex, qg [2]int, dropped int) int { return ex[0] + ex[1] + qg[0] + qg[1] + dropped }
+					got := sum(st.ExactEntries, st.QGramEntries, st.IndexEntriesDropped)
+					want := sum(space.ExactEntries, space.QGramEntries, seqStats.IndexEntriesDropped)
+					if got != want {
+						t.Errorf("shards indexed %d entries (live + dropped), the sequential engine %d", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -261,6 +349,8 @@ func (s *switchStorm) Sync(shard int, e *join.Engine) {
 	s.catchUp += n
 	s.mu <- struct{}{}
 }
+
+type pairKey struct{ l, r int }
 
 // TestConcurrentSwitchStorm drives a 4-shard executor while a controller
 // rebroadcasts state changes every 16 dispatched tuples. Run under

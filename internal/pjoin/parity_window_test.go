@@ -7,7 +7,6 @@ import (
 
 	"adaptivelink/internal/datagen"
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/shardmap"
 )
 
 // TestWindowParityAllStates is the golden sliding-window parity check:
@@ -34,11 +33,11 @@ func TestWindowParityAllStates(t *testing.T) {
 						if st.Evicted[0] == 0 && st.Evicted[1] == 0 {
 							t.Error("no shard evictions despite a window smaller than the input")
 						}
-						// Punctuation arrives every w dispatches; only small
-						// windows are guaranteed a mark after the floor has
-						// moved, so the compaction assertion is gated.
+						// A shard compacts once a window's worth of its own
+						// tuples is dead; only small windows are guaranteed to
+						// get there, so the compaction assertion is gated.
 						if window <= 100 && st.IndexEntriesDropped == 0 {
-							t.Error("no index entries dropped by consistent-cut compaction")
+							t.Error("no index entries dropped by shard compaction")
 						}
 					})
 				}
@@ -47,18 +46,18 @@ func TestWindowParityAllStates(t *testing.T) {
 	}
 }
 
-// TestWindowParityKeyRouter checks the window floor against the
-// replication-free equality router too: eviction must not depend on the
-// routing policy.
-func TestWindowParityKeyRouter(t *testing.T) {
+// TestWindowParityHomeOnly checks the window floor under the home-only
+// dispatch of an all-exact join too, where a shard sees only the tuples
+// it stores: eviction must not depend on how tuples are dispatched.
+func TestWindowParityHomeOnly(t *testing.T) {
 	ds := testDataset(t, true)
 	cfg := join.Defaults() // lex/rex
 	cfg.RetainWindow = 60
 	want := runSequential(t, cfg, ds)
-	got, st := runParallel(t, Config{Join: cfg, Shards: 4, Router: shardmap.NewKeyRouter(4)}, ds)
+	got, st := runParallel(t, Config{Join: cfg, Shards: 4}, ds)
 	diffSigs(t, want, got)
-	if st.Duplicates != 0 {
-		t.Errorf("key router produced %d duplicates", st.Duplicates)
+	if st.ProbeOffers != 0 || st.Routed != st.Read {
+		t.Errorf("home-only dispatch stored %v of %v tuples and ran %d probe-only offers", st.Routed, st.Read, st.ProbeOffers)
 	}
 }
 

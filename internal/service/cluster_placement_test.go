@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"adaptivelink/internal/join"
 	"adaptivelink/internal/shardmap"
 )
 
@@ -120,8 +119,8 @@ func TestClusterHomeGroupOnly(t *testing.T) {
 }
 
 // TestClusterLegacyPlacementFiltered rebuilds what nodes populated by
-// the signature-replicating placement hold — every key also on the
-// groups of its prefix-filter signature — then updates keys through the
+// the signature-replicating placement hold — keys also stored off their
+// home group — then updates keys through the
 // router, which now maintains the home copy only. The stale non-home
 // copies must not surface: approximate answers stay byte-identical to
 // the single-process reference (no duplicate match, no old payload).
@@ -139,26 +138,22 @@ func TestClusterLegacyPlacementFiltered(t *testing.T) {
 	}
 	both("/v1/indexes", fmt.Sprintf(`{"name":"atlas","tuples":[%s]}`, placementTuples(seq(0, n), "v0")), false)
 
-	cfg := join.Defaults()
-	legacy := shardmap.NewPrefixRouter(shards, cfg.Q, cfg.Measure, cfg.Theta)
-	var replicated []int // keys the old placement also stored off their home group
+	// Under the signature placement most keys had a copy off their home
+	// group; with two groups that copy sits on the other one. Seed it for
+	// two keys in three, so replicated and single-copy keys mix.
+	var replicated []int
 	for i := 0; i < n; i++ {
-		home := shardmap.NodeOf(shardmap.ShardOf(placementKey(i), shards), shards, 2)
-		for _, sh := range legacy.Routes(nil, placementKey(i)) {
-			if g := shardmap.NodeOf(sh, shards, 2); g != home {
-				resp, err := http.Post(f.nodes[g][0].URL+"/v1/indexes/atlas/upsert", "application/json",
-					strings.NewReader(fmt.Sprintf(`{"tuples":[%s]}`, placementTuples([]int{i}, "v0"))))
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("seeding the legacy copy of key %d on group %d: %v", i, g, err)
-				}
-				resp.Body.Close()
-				replicated = append(replicated, i)
-				break
-			}
+		if i%3 == 0 {
+			continue
 		}
-	}
-	if len(replicated) == 0 {
-		t.Fatal("the signature placement replicated no key: nothing under test")
+		g := 1 - shardmap.NodeOf(shardmap.ShardOf(placementKey(i), shards), shards, 2)
+		resp, err := http.Post(f.nodes[g][0].URL+"/v1/indexes/atlas/upsert", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"tuples":[%s]}`, placementTuples([]int{i}, "v0"))))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding the legacy copy of key %d on group %d: %v", i, g, err)
+		}
+		resp.Body.Close()
+		replicated = append(replicated, i)
 	}
 	if got := indexSize(t, f.nodes[0][0].URL) + indexSize(t, f.nodes[1][0].URL); got != n+len(replicated) {
 		t.Fatalf("nodes hold %d copies, want %d home + %d legacy", got, n, len(replicated))

@@ -1,16 +1,12 @@
-// Package shardmap decides which shards a join key belongs to. It is
-// the routing layer shared by the partition-parallel streaming executor
-// (internal/pjoin), the sharded resident index (internal/join) and the
-// cluster tier (internal/cluster): all hash keys the same way, so the
-// engine modes co-partition identically and parity statements carry
-// across them.
-//
-// Correctness of the partitioning rests on the co-partitioning
-// guarantee: any two keys that can match — by equality, or by q-gram
-// similarity at or above the configured threshold — must be routed to
-// at least one common shard. PrefixRouter provides it for approximate
-// matching via the prefix-filtering principle; KeyRouter provides the
-// cheaper equality-only guarantee for joins pinned to exact matching.
+// Package shardmap is the one placement rule of all three tiers — the
+// partition-parallel streaming executor (internal/pjoin), the sharded
+// resident index (internal/join) and the cluster tier
+// (internal/cluster): a tuple is stored exactly once, in its home shard
+// ShardOf(key, N). Equal keys share a home, so an exact probe asks that
+// shard alone; an approximate probe asks every shard, each answering
+// from its disjoint 1/N of the data, so every pair is found in exactly
+// one place and nothing has to be deduplicated. All tiers hash keys with
+// the same function, so parity statements carry across them.
 package shardmap
 
 import (
@@ -19,22 +15,6 @@ import (
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/simfn"
 )
-
-// Router decides which shards a join key must be sent to. Routes must be
-// deterministic in the key, return at least one shard, and contain no
-// duplicates. Routers are used concurrently by the splitter only, but
-// implementations must still be safe for concurrent Routes calls because
-// tests and future multi-splitter layouts share them.
-type Router interface {
-	// Routes appends the key's shard indices to dst and returns the
-	// extended slice (dst may be nil; its capacity is reused to avoid
-	// per-tuple allocation).
-	Routes(dst []int, key string) []int
-	// Replicates reports whether a key can route to more than one
-	// shard. When false, every pair lives in exactly one shard and the
-	// merger skips duplicate tracking entirely.
-	Replicates() bool
-}
 
 // ShardOf hashes a string onto [0, shards) with inlined FNV-1a. It is
 // exported because it is the contract for "the shard owning a key": the
@@ -71,34 +51,15 @@ func ShardOfBytes(b []byte, shards int) int {
 	return int(h % uint32(shards))
 }
 
-// KeyRouter routes each key to the single shard owning its hash. Equal
-// keys land together, so it co-partitions exact matches with replication
-// factor 1 — sufficient for joins that can never probe approximately
-// (lex/rex with no controller attached).
-type KeyRouter struct {
-	shards int
-}
-
-// NewKeyRouter returns an equality-only router over the given number of
-// shards.
-func NewKeyRouter(shards int) *KeyRouter {
-	if shards < 1 {
-		panic("shardmap: shards < 1")
-	}
-	return &KeyRouter{shards: shards}
-}
-
-// Routes implements Router.
-func (r *KeyRouter) Routes(dst []int, key string) []int {
-	return append(dst, ShardOf(key, r.shards))
-}
-
-// Replicates implements Router: one shard per key, always.
-func (r *KeyRouter) Replicates() bool { return false }
-
-// PrefixRouter co-partitions approximate matches: it routes each key to
-// the shards owning the q-grams of its prefix-filter signature. For a
-// key with g distinct (padded) q-grams and count bound
+// PrefixRouter is the placement the tiers used before ShardOf: it
+// replicates each key to the shards owning the q-grams of its
+// prefix-filter signature, so that two keys similar enough to match
+// always share a shard. It has no production caller any more. It stays
+// only because the frozen repository benchmark (benchmark/ledger.go)
+// compiles against NewPrefixRouter, Routes and RoutesKey; delete it when
+// the benchmark ledger is re-baselined.
+//
+// For a key with g distinct (padded) q-grams and count bound
 // k = MinOverlap(g, θ), any partner reaching similarity θ must share at
 // least k grams with it, so — ordering grams canonically — the first
 // g−k+1 grams of the two keys must intersect (the prefix-filtering
@@ -107,15 +68,10 @@ func (r *KeyRouter) Replicates() bool { return false }
 // qualifying pair, exact pairs included (equal keys have identical
 // signatures), in at least one common shard.
 //
-// The replication factor is min(g−k+1, shards) in the worst case. For
-// the paper's θ = 0.75 Jaccard over padded 3-grams, a 25-character key
+// The replication factor is min(g−k+1, shards) in the worst case: for
+// the paper's θ = 0.75 Jaccard over padded 3-grams a 25-character key
 // has 7 prefix grams, and the factor measured on generated location
-// keys is 1.98 at 2 shards and 3.59 at 4. Only the streaming executor
-// (internal/pjoin), which must co-partition two inputs it sees once,
-// pays it. Everything that holds a resident reference — the sharded
-// index (join.ShardedRefIndex) and, no longer routing by signature, the
-// cluster tier (internal/cluster) — partitions by ShardOf and probes
-// every partition instead.
+// keys is 1.98 at 2 shards and 3.59 at 4.
 type PrefixRouter struct {
 	shards int
 	ex     *qgram.Extractor
@@ -133,7 +89,9 @@ func NewPrefixRouter(shards, q int, m simfn.TokenMeasure, theta float64) *Prefix
 	return &PrefixRouter{shards: shards, ex: qgram.New(q), m: m, theta: theta}
 }
 
-// Routes implements Router.
+// Routes appends the key's shard indices, sorted and without duplicates,
+// to dst and returns the extended slice (dst may be nil; its capacity is
+// reused to avoid per-key allocation).
 func (r *PrefixRouter) Routes(dst []int, key string) []int {
 	grams := r.ex.Grams(key)
 	g := len(grams)
@@ -206,6 +164,3 @@ func (r *PrefixRouter) RoutesKey(dst []int, key string, k qgram.Key) []int {
 	sort.Ints(dst[start:])
 	return dst
 }
-
-// Replicates implements Router: prefix signatures span several shards.
-func (r *PrefixRouter) Replicates() bool { return r.shards > 1 }

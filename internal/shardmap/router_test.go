@@ -22,8 +22,8 @@ func intersects(a, b []int) bool {
 	return false
 }
 
-// TestPrefixRouterCoPartitions is the property behind parallel
-// correctness: any two keys whose similarity reaches θ under the join's
+// TestPrefixRouterCoPartitions is the property the legacy signature
+// placement rests on: any two keys whose similarity reaches θ under the join's
 // measure must share at least one shard, at every shard count.
 func TestPrefixRouterCoPartitions(t *testing.T) {
 	// The paper's matching configuration (join.Defaults, restated here
@@ -100,21 +100,6 @@ func TestPrefixRouterDeterministic(t *testing.T) {
 			if r1[i] < 0 || r1[i] >= 8 {
 				t.Fatalf("key %q route out of range: %v", key, r1)
 			}
-		}
-	}
-}
-
-// TestKeyRouterSingleShard: exactly one shard per key, stable for equal
-// keys.
-func TestKeyRouterSingleShard(t *testing.T) {
-	r := NewKeyRouter(5)
-	for _, key := range []string{"", "x", "main street 12"} {
-		rs := r.Routes(nil, key)
-		if len(rs) != 1 || rs[0] < 0 || rs[0] >= 5 {
-			t.Fatalf("key %q routes %v, want exactly one shard in [0,5)", key, rs)
-		}
-		if again := r.Routes(nil, key); again[0] != rs[0] {
-			t.Fatalf("key %q unstable: %v vs %v", key, rs, again)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/vfs"
 )
 
 var crashMeta = Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 2}
@@ -24,7 +25,7 @@ var crashMeta = Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 2}
 // acknowledged per-key state, the in-flight batch that was cut down
 // mid-call (nil when the crash hit a checkpoint — checkpoints change no
 // logical state), and whether the script ran to completion.
-func crashSchedule(fsys fault.FS, dir string, meta Meta, resident map[string]string) (acked map[string]string, inflight map[string]string, done bool) {
+func crashSchedule(fsys vfs.FS, dir string, meta Meta, resident map[string]string) (acked map[string]string, inflight map[string]string, done bool) {
 	acked = maps.Clone(resident)
 	if acked == nil {
 		acked = make(map[string]string)

@@ -90,11 +90,11 @@ import (
 	"slices"
 	"sync"
 
-	"adaptivelink/internal/fault"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/vfs"
 )
 
 // SnapshotVersion is the current snapshot format version. Decoders
@@ -599,12 +599,12 @@ func ReadSnapshotFile(path string) (*join.SnapshotView, error) {
 // loss after a "successful" checkpoint could resurrect the old
 // snapshot, or worse, a directory entry pointing at nothing.
 func WriteSnapshotFile(path string, v *join.SnapshotView) error {
-	return WriteSnapshotFileFS(fault.OS, path, v)
+	return WriteSnapshotFileFS(vfs.OS, path, v)
 }
 
 // WriteSnapshotFileFS is WriteSnapshotFile through an injectable
 // filesystem.
-func WriteSnapshotFileFS(fsys fault.FS, path string, v *join.SnapshotView) (err error) {
+func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

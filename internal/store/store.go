@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/vfs"
 )
 
 // Directory layout: one snapshot plus one WAL per index. The snapshot
@@ -31,7 +31,7 @@ const (
 type Dir struct {
 	path string
 	meta Meta
-	fs   fault.FS
+	fs   vfs.FS
 	wal  *WAL
 
 	lastSnapshot time.Time
@@ -156,12 +156,12 @@ func peekWALMeta(path string) (*Meta, error) {
 // configuration are rejected with a descriptive error, as is any
 // corrupt artifact — Open never yields a partial index.
 func Open(dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
-	return OpenFS(fault.OS, dir, meta, sync)
+	return OpenFS(vfs.OS, dir, meta, sync)
 }
 
 // OpenFS is Open through an injectable filesystem — the fault shim's
 // entry point for crash-consistency schedules.
-func OpenFS(fsys fault.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
+func OpenFS(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, err
 	}
@@ -218,11 +218,11 @@ func OpenFS(fsys fault.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.
 // for the initial rows — and opens a fresh WAL for what comes after. A
 // directory that already holds an index is refused; Open it instead.
 func Create(dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
-	return CreateFS(fault.OS, dir, ix, sync)
+	return CreateFS(vfs.OS, dir, ix, sync)
 }
 
 // CreateFS is Create through an injectable filesystem.
-func CreateFS(fsys fault.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
+func CreateFS(fsys vfs.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
 	if m, err := PeekMeta(dir); err != nil {
 		return nil, err
 	} else if m != nil {

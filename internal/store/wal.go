@@ -9,10 +9,10 @@ import (
 	"os"
 	"time"
 
-	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/vfs"
 )
 
 // WALVersion is the current write-ahead-log format version. Version 2
@@ -120,7 +120,7 @@ func (m Meta) Check(other Meta) error {
 // frame whose CRC or structure fails is a hard error: bit rot is not
 // silently skipped.
 type WAL struct {
-	f       fault.File
+	f       vfs.File
 	path    string
 	sync    SyncPolicy
 	records int64
@@ -184,12 +184,12 @@ type Replay struct {
 // replays its intact frames into the returned Replay. The WAL is then
 // positioned for appending.
 func OpenWAL(path string, meta Meta, sync SyncPolicy) (*WAL, *Replay, error) {
-	return OpenWALFS(fault.OS, path, meta, sync)
+	return OpenWALFS(vfs.OS, path, meta, sync)
 }
 
 // OpenWALFS is OpenWAL through an injectable filesystem — the fault
 // shim's entry point for crash and fsync-failure schedules.
-func OpenWALFS(fsys fault.FS, path string, meta Meta, sync SyncPolicy) (*WAL, *Replay, error) {
+func OpenWALFS(fsys vfs.FS, path string, meta Meta, sync SyncPolicy) (*WAL, *Replay, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err

@@ -108,8 +108,8 @@ func TestParallelAdaptive(t *testing.T) {
 	if st.Steps != 1200 {
 		t.Errorf("Steps = %d, want 1200 (each input tuple once)", st.Steps)
 	}
-	if st.ShardSteps < st.Steps {
-		t.Errorf("ShardSteps = %d < Steps = %d", st.ShardSteps, st.Steps)
+	if st.ShardSteps != st.Steps {
+		t.Errorf("ShardSteps = %d, want Steps = %d (one storing step per tuple)", st.ShardSteps, st.Steps)
 	}
 	if st.Switches == 0 {
 		t.Error("no shard switches despite 10% variants")
@@ -248,8 +248,9 @@ func TestParallelWindowBudgetParityRandom(t *testing.T) {
 }
 
 // TestParallelBudgetStats checks the budget surface of Stats: the
-// parallel spend counter tracks the logical scan (not replicated shard
-// work) and a tight budget actually pins the run.
+// parallel spend counter tracks the logical scan (one transition per
+// broadcast switch, where ModelledCost has every shard's own) and a
+// tight budget actually pins the run.
 func TestParallelBudgetStats(t *testing.T) {
 	td := goldenData(t, 7, 600)
 	j, err := New(td.ParentSource(), td.ChildSource(), Options{
@@ -269,7 +270,7 @@ func TestParallelBudgetStats(t *testing.T) {
 		t.Errorf("BudgetSpend = %v, want > 0", st.BudgetSpend)
 	}
 	if st.BudgetSpend > st.ModelledCost {
-		t.Errorf("logical spend %v exceeds the replicated modelled cost %v", st.BudgetSpend, st.ModelledCost)
+		t.Errorf("logical spend %v exceeds the shards' modelled cost %v", st.BudgetSpend, st.ModelledCost)
 	}
 	if got := j.State(); got != "lex/rex" {
 		t.Errorf("state after exhausting a tight budget = %s, want lex/rex", got)

@@ -26,45 +26,46 @@ type Stats struct {
 	// TransitionsInto maps state name to the number of switches into it.
 	TransitionsInto map[string]int
 	// ModelledCost is the execution cost under the paper's normalised
-	// weight model (one all-exact step = 1). On a parallel join it
-	// models the total work across shards, including replication.
+	// weight model (one all-exact step = 1). On a parallel join it prices
+	// the shards' storing steps — one per input tuple, as sequentially —
+	// plus every shard's own switch transitions.
 	ModelledCost float64
 
 	// TuplesEvicted counts sliding-window evictions (payload releases,
-	// exclusion from future probes). On a parallel join a tuple
-	// replicated to several shards counts once per replica, mirroring
-	// the replicated index work its eviction frees. 0 unless
-	// RetainWindow is set.
+	// exclusion from future probes). 0 unless RetainWindow is set.
 	TuplesEvicted int
 	// IndexEntriesDropped counts index entries (exact refs plus q-gram
 	// postings) physically removed by window compaction; on a parallel
-	// join every shard drops its replicas at the same consistent cut.
+	// join each shard compacts its own slice on its own schedule.
 	IndexEntriesDropped int
 	// BudgetSpend is the modelled spend counter a CostBudget is
 	// enforced against, in all-exact-step units. On the sequential path
 	// it equals ModelledCost; on a parallel adaptive join it is the
-	// aggregated sequential-equivalent spend as of the last barrier —
-	// the logical scan's cost, excluding replication overhead. 0 for
-	// parallel fixed-strategy joins (no controller, no spend clock).
+	// aggregated sequential-equivalent spend as of the last barrier. 0
+	// for parallel fixed-strategy joins (no controller, no spend clock).
 	BudgetSpend float64
 
 	// Parallelism is the shard count the join ran on (1 = sequential).
 	Parallelism int
 	// ShardSteps sums the per-shard engine step counters on a parallel
-	// join; it exceeds Steps by the replication overhead. 0 on the
+	// join: the storing steps. A tuple is stored in one shard only, so
+	// ShardSteps = Steps once the join is drained; the probe-only offers
+	// an approximately probing tuple makes to the other shards are not
+	// steps and are counted separately in ProbeOffers. 0 on the
 	// sequential path.
 	ShardSteps int
-	// DuplicatesSuppressed counts result pairs found by more than one
-	// shard and removed by the parallel merger. 0 on the sequential
-	// path.
-	DuplicatesSuppressed int
+	// ProbeOffers counts probe-only offers on a parallel join: an
+	// approximately probing tuple is offered to each of the P-1 shards
+	// that do not store it, which probe their slice of the opposite input
+	// without storing. 0 on the sequential path.
+	ProbeOffers int
 }
 
 // Stats returns a snapshot of the join's counters. For a parallel join
 // the snapshot is fully consistent once the join is exhausted or
-// closed; Steps counts each input tuple once, while ShardSteps and the
-// per-state accounting sum the shard engines (and so include
-// replicated work).
+// closed; Steps counts each input tuple once, and ShardSteps and the
+// per-state accounting, which sum the shard engines, add up to the same
+// total.
 func (j *Join) Stats() Stats {
 	var st join.Stats
 	out := Stats{Parallelism: j.par}
@@ -84,7 +85,7 @@ func (j *Join) Stats() Stats {
 			IndexEntriesDropped: ps.IndexEntriesDropped,
 		}
 		out.ShardSteps = ps.ShardSteps
-		out.DuplicatesSuppressed = ps.Duplicates
+		out.ProbeOffers = ps.ProbeOffers
 		if j.sctl != nil {
 			out.BudgetSpend = j.sctl.Spend()
 		}
