@@ -7,7 +7,7 @@ GO ?= go
 # Raise it (never lower it) when a PR lifts coverage.
 COVER_MIN ?= 86.5
 
-.PHONY: all build vet fmt test race flake bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz bench-service bench-probe bench-store alloc check
+.PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz bench-service bench-probe bench-store alloc check
 
 all: check
 
@@ -42,6 +42,16 @@ flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
 	done
+
+# Code size per package: non-blank, non-comment lines of the non-test
+# .go files (the tree uses line comments only), and the total — the
+# figure a deletion PR quotes before and after. The nested benchmark
+# module is not part of `./...` and is not counted.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		n=$$(find "$$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$$'); \
+		printf '%6d  %s\n' "$$n" "$$pkg"; \
+	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
 # One iteration of every benchmark: a smoke test that the bench harness
 # still compiles and runs, not a measurement.

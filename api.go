@@ -300,13 +300,8 @@ func New(left, right Source, opts Options) (*Join, error) {
 			if err != nil {
 				return nil, fmt.Errorf("adaptivelink: %w", err)
 			}
-			if opts.TraceActivations {
-				sctl.EnableTrace()
-			}
-			if opts.CostBudget > 0 {
-				if err := sctl.EnableCostBudget(metrics.PaperWeights(), opts.CostBudget); err != nil {
-					return nil, fmt.Errorf("adaptivelink: %w", err)
-				}
+			if err := armLoop(sctl, opts.TraceActivations, opts.CostBudget); err != nil {
+				return nil, err
 			}
 			j.sctl = sctl
 			pcfg.Controller = sctl
@@ -326,20 +321,34 @@ func New(left, right Source, opts Options) (*Join, error) {
 	j := &Join{engine: engine, par: 1, opts: opts}
 
 	if opts.Strategy == Adaptive {
-		var copts []adaptive.Option
-		if opts.TraceActivations {
-			copts = append(copts, adaptive.WithTrace())
-		}
-		if opts.CostBudget > 0 {
-			copts = append(copts, adaptive.WithCostBudget(metrics.PaperWeights(), opts.CostBudget))
-		}
-		ctl, err := adaptive.Attach(engine, parentSide, parentSize, params, copts...)
+		ctl, err := adaptive.Attach(engine, parentSide, parentSize, params)
 		if err != nil {
 			return nil, fmt.Errorf("adaptivelink: %w", err)
+		}
+		if err := armLoop(ctl, opts.TraceActivations, opts.CostBudget); err != nil {
+			return nil, err
 		}
 		j.ctl = ctl
 	}
 	return j, nil
+}
+
+// armLoop applies the two opt-in loop features every driver shares — the
+// activation trace and the §4.4 cost budget, priced under the paper's
+// weights — to a freshly built controller or session loop.
+func armLoop(l interface {
+	EnableTrace()
+	EnableCostBudget(metrics.Weights, float64) error
+}, trace bool, budget float64) error {
+	if trace {
+		l.EnableTrace()
+	}
+	if budget > 0 {
+		if err := l.EnableCostBudget(metrics.PaperWeights(), budget); err != nil {
+			return fmt.Errorf("adaptivelink: %w", err)
+		}
+	}
+	return nil
 }
 
 // Parallelism returns the number of shards the join executes on (1 for

@@ -447,12 +447,14 @@ func benchBudget(b *testing.B, budget float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := []adaptive.Option{}
-		if budget > 0 {
-			opts = append(opts, adaptive.WithCostBudget(w, budget))
-		}
-		if _, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), adaptive.DefaultParams(), opts...); err != nil {
+		ctl, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), adaptive.DefaultParams())
+		if err != nil {
 			b.Fatal(err)
+		}
+		if budget > 0 {
+			if err := ctl.EnableCostBudget(w, budget); err != nil {
+				b.Fatal(err)
+			}
 		}
 		e.Open()
 		for {
@@ -639,8 +641,8 @@ func BenchmarkParallelBudgetAdaptive_5k_P4(b *testing.B) {
 	benchParallelJoinOpts(b, 5_000, Options{Strategy: Adaptive, Parallelism: 4, CostBudget: 50_000})
 }
 
-// Experiment harness entry point used by EXPERIMENTS.md at small scale
-// (the full-scale run lives in cmd/experiments).
+// Experiment harness entry point at small scale (the full-scale run is
+// `go run ./cmd/experiments -all`).
 func BenchmarkExpRunCase(b *testing.B) {
 	cases := exp.PaperTestCases(1, 800, 800)
 	rc := exp.DefaultRunConfig()

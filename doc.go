@@ -28,6 +28,17 @@
 // points, with lazy index catch-up — and switches back once recent
 // matches show variants have stopped.
 //
+// There is one such loop in the code, as in the paper (Fig. 1): a single
+// activation body in internal/adaptive assesses an observation and
+// answers with the state to be in, and three thin drivers feed it — the
+// sequential join from its engine's counters, the parallel join from
+// counts aggregated at barriers, a resident Session from its probe
+// outcomes. Every firing leaves one record, the Activation, whatever
+// drove it: Join.Activations, Session.Activations, the explain decisions
+// below and `adaptivejoin -trace` are views of the same trace, each
+// carrying the σ evidence, the transition, its reason and the modelled
+// spend after it.
+//
 // # Concurrency
 //
 // Options.Parallelism shards the join across P concurrent engines
@@ -271,8 +282,9 @@
 // many matches it produced, whether it escalated, and the
 // DecisionPoint events (observed vs expected hits, the σ tail, the
 // state transition and its reason, the modelled spend after the probe)
-// behind every controller activation. Session.Decisions returns the
-// trace; with Explain unset the probe path records nothing and keeps
+// behind every controller activation — the session's activation trace,
+// cut at the key that triggered each firing. Session.Decisions returns
+// the trace; with Explain unset the probe path records nothing and keeps
 // its zero-allocation pin. The same traces ride the HTTP API ("explain"
 // on /v1/link, "decisions" in the response) and print under
 // adaptivejoin -explain.
@@ -374,6 +386,7 @@
 //
 // See the examples directory for streaming inputs, the accidents-mashup
 // scenario, parameter tuning and the serving mode (examples/service),
-// and EXPERIMENTS.md for the full reproduction of the paper's
+// and cmd/experiments (-all, or -fig5 … -fig8, -table1, -tuning,
+// -offline one at a time) for the full reproduction of the paper's
 // evaluation.
 package adaptivelink

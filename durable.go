@@ -76,26 +76,9 @@ func Open(dir string, opts IndexOptions) (*Index, error) {
 		return nil, err
 	}
 	if stored != nil {
-		// Stored configuration wins for unset fields; set fields are
-		// checked against it below via store.Open's meta gate.
-		if opts.Q == 0 {
-			opts.Q = stored.Q
-		}
-		if opts.Theta == 0 {
-			opts.Theta = stored.Theta
-		}
-		if opts.Measure == 0 {
-			opts.Measure = Measure(stored.Measure)
-		}
-		if opts.Shards == 0 {
-			opts.Shards = stored.Shards
-		}
-		if opts.Profile == "" {
-			// Like the other fields, "" adopts whatever normalization
-			// the stored keys were built with; naming a different
-			// profile explicitly is rejected by the meta gate below.
-			opts.Profile = stored.Profile
-		}
+		// Set fields are checked against the stored configuration below,
+		// by store.Open's meta gate.
+		opts = opts.adopting(*stored)
 	}
 	opts, err = opts.resolved()
 	if err != nil {
@@ -108,6 +91,30 @@ func Open(dir string, opts IndexOptions) (*Index, error) {
 	ix := newIndex(ri, opts)
 	ix.dir, ix.rec = d, rec
 	return ix, nil
+}
+
+// adopting fills the matching fields left zero from a stored
+// compatibility tuple — the common case: reopen or import whatever is
+// there. Profile "" adopts like the rest: the stored keys keep the
+// normalization they were built with. Fields set explicitly are kept for
+// the caller's compatibility check to reject on a mismatch.
+func (opts IndexOptions) adopting(m store.Meta) IndexOptions {
+	if opts.Q == 0 {
+		opts.Q = m.Q
+	}
+	if opts.Theta == 0 {
+		opts.Theta = m.Theta
+	}
+	if opts.Measure == 0 {
+		opts.Measure = Measure(m.Measure)
+	}
+	if opts.Shards == 0 {
+		opts.Shards = m.Shards
+	}
+	if opts.Profile == "" {
+		opts.Profile = m.Profile
+	}
+	return opts
 }
 
 // BulkLoad builds a resident index from the reference source through

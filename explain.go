@@ -1,10 +1,6 @@
 package adaptivelink
 
-import (
-	"adaptivelink/internal/adaptive"
-	"adaptivelink/internal/join"
-	"adaptivelink/internal/metrics"
-)
+import "adaptivelink/internal/join"
 
 // DecisionPoint is one control-loop activation in a key's decision
 // trace: what the σ deficit test saw at that probe and why the
@@ -59,73 +55,37 @@ type KeyDecision struct {
 	SpendAfter float64 `json:"spend_after"`
 }
 
-// explainState buffers the sink's activation events between probes and
-// accumulates the finished per-key decisions.
+// explainState accumulates the finished per-key decisions of an
+// Explain-mode session and remembers how much of the loop's activation
+// trace they have already been cut from.
 type explainState struct {
-	pending   []adaptive.DecisionEvent
+	seen      int
 	decisions []KeyDecision
 }
 
-// probeExplain is Session.Probe's explain-mode twin: identical matches
-// and statistics (same engine calls, same control-loop feeding), plus a
-// KeyDecision recorded per key. It allocates per probe; the default
-// path never routes here.
-func (s *Session) probeExplain(key string) []ProbeMatch {
-	key = s.ix.normKey(key)
-	d := KeyDecision{Key: key}
-	var res []join.RefMatch
-	switch s.strategy {
-	case ExactOnly:
-		d.Mode = join.Exact.String()
-		res = s.ix.resident().ProbeExact(key)
-	case ApproximateOnly:
-		d.Mode = join.Approx.String()
-		res = s.ix.resident().ProbeApprox(key)
-	default:
-		mode := s.loop.Mode()
-		d.Mode = mode.String()
-		res = s.ix.resident().Probe(mode, key)
-		if s.loop.NoteProbe(s.ix.Len(), len(res) > 0, countApprox(res)) {
-			res = s.ix.resident().ProbeApprox(key)
-			s.loop.NoteEscalation(len(res) > 0, countApprox(res))
-			s.stats.Escalations++
-			d.Escalated = true
-		}
-	}
-	s.note(res)
-	d.Hit = len(res) > 0
-	d.Matches = len(res)
-	if n := len(s.explain.pending); n > 0 {
-		d.Events = make([]DecisionPoint, n)
-		for i, e := range s.explain.pending {
-			d.Events[i] = DecisionPoint{
-				Probe:        e.Step,
-				ObservedHits: e.Observed,
-				ExpectedHits: e.Expected,
-				Tail:         e.Tail,
-				Sigma:        e.Sigma,
-				From:         e.From.String(),
-				To:           e.To.String(),
-				Reason:       e.Reason,
-				Spend:        e.Spend,
-			}
-		}
-		s.explain.pending = s.explain.pending[:0]
-	}
-	if s.loop != nil {
-		// The loop's spend already includes any escalated re-probe and
+// record appends the decision of the key the session just settled: how
+// it was probed, what it finally returned, and the activations the loop
+// has recorded since the previous key. It allocates per probe; sessions
+// without Explain never reach it.
+func (x *explainState) record(s *Session, key string, mode join.Mode, res []join.RefMatch, escalated bool) {
+	d := KeyDecision{
+		Key: key, Mode: mode.String(), Hit: len(res) > 0, Matches: len(res), Escalated: escalated,
+		// The spend already includes any escalated re-probe and
 		// transition weights, so this reconciles with
 		// SessionStats.ModelledCost at every step.
-		d.SpendAfter = s.loop.Spend()
-	} else {
-		st := join.LexRex
-		if s.strategy == ApproximateOnly {
-			st = join.LapRap
-		}
-		d.SpendAfter = metrics.PureCost(s.stats.Probes, st, metrics.PaperWeights())
+		SpendAfter: s.spend(),
 	}
-	s.explain.decisions = append(s.explain.decisions, d)
-	return publicMatches(res)
+	if s.loop != nil {
+		acts := publicActivations(s.loop.Activations()[x.seen:])
+		x.seen += len(acts)
+		for _, a := range acts {
+			d.Events = append(d.Events, DecisionPoint{
+				Probe: a.Step, ObservedHits: a.Observed, ExpectedHits: a.Expected, Tail: a.Tail,
+				Sigma: a.Sigma, From: a.From, To: a.To, Reason: a.Reason, Spend: a.Spend,
+			})
+		}
+	}
+	x.decisions = append(x.decisions, d)
 }
 
 // Decisions returns the per-key decision traces recorded so far, in

@@ -2,6 +2,7 @@ package adaptivelink
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -234,49 +235,89 @@ func TestExplainReconcilesAcrossStates(t *testing.T) {
 }
 
 // TestExplainBatchMatchesSequential: ProbeBatch under explain produces
-// the same matches, statistics and decisions as probing key by key.
+// the same matches, statistics and decisions — events included — as
+// probing key by key, for the adaptive strategy (whose explain batches
+// run the per-key step) and the fixed ones (which stay on the batch
+// path); and the recorder is only a recorder: a session without Explain
+// fed the same keys through the speculating batch path returns the same
+// matches and statistics, and the events are exactly the session's
+// activation trace cut per key.
 func TestExplainBatchMatchesSequential(t *testing.T) {
 	keys := []string{
 		"lago di como est", "via monte bianco nord 12", "via monte bianca nord 12",
 		"xyzzy plugh 404", "valle verde ovest 9", "lago di como est",
 	}
-	mk := func() *Session {
-		ix := newTestIndex(t, "via monte bianco nord 12", "lago di como est", "valle verde ovest 9")
-		sess, err := ix.NewSession(SessionOptions{Explain: true, FutilityK: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
+	for _, strategy := range []Strategy{Adaptive, ExactOnly, ApproximateOnly} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			mk := func(explain bool) *Session {
+				ix := newTestIndex(t, "via monte bianco nord 12", "lago di como est", "valle verde ovest 9")
+				sess, err := ix.NewSession(SessionOptions{Strategy: strategy, Explain: explain, FutilityK: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sess
+			}
+			one := mk(true)
+			var seq [][]ProbeMatch
+			for _, k := range keys {
+				seq = append(seq, one.Probe(k))
+			}
+			batch, plain := mk(true), mk(false)
+			got, bare := batch.ProbeBatch(keys), plain.ProbeBatch(keys)
+			if !reflect.DeepEqual(got, seq) {
+				t.Fatalf("explain batch matches diverge from sequential:\n%v\n%v", got, seq)
+			}
+			if !reflect.DeepEqual(bare, seq) {
+				t.Fatalf("no-explain batch matches diverge from the explain session's:\n%v\n%v", bare, seq)
+			}
+			if a, b := one.Stats(), batch.Stats(); a != b {
+				t.Fatalf("stats diverge: sequential %+v, batch %+v", a, b)
+			}
+			if a, b := one.Stats(), plain.Stats(); a != b {
+				t.Fatalf("the recorder perturbed the session: explain %+v, plain %+v", a, b)
+			}
+			if plain.Decisions() != nil {
+				t.Fatal("Decisions non-nil without Explain")
+			}
+			if da, db := one.Decisions(), batch.Decisions(); !reflect.DeepEqual(da, db) {
+				t.Fatalf("decisions diverge:\n%+v\n%+v", da, db)
+			}
+			reconcile(t, batch, "batch")
+
+			// The events are the activation trace, cut per key: nothing
+			// dropped, nothing duplicated, every field carried over.
+			var events []DecisionPoint
+			for i, d := range batch.Decisions() {
+				if d.Key != keys[i] {
+					t.Errorf("decision %d is for %q, want %q", i, d.Key, keys[i])
+				}
+				for _, e := range d.Events {
+					if e.Probe != i+1 {
+						t.Errorf("key %d carries the activation of probe %d", i, e.Probe)
+					}
+				}
+				events = append(events, d.Events...)
+			}
+			acts := batch.Activations()
+			if strategy != Adaptive {
+				if acts != nil || events != nil {
+					t.Fatalf("fixed strategy recorded activations %v / events %v", acts, events)
+				}
+				return
+			}
+			if len(events) != len(keys) || len(acts) != len(events) {
+				t.Fatalf("%d events, %d activations for %d keys at δadapt=1", len(events), len(acts), len(keys))
+			}
+			for i, e := range events {
+				a := acts[i]
+				want := DecisionPoint{Probe: a.Step, ObservedHits: a.Observed, ExpectedHits: a.Expected, Tail: a.Tail,
+					Sigma: a.Sigma, From: a.From, To: a.To, Reason: a.Reason, Spend: a.Spend}
+				if e != want {
+					t.Errorf("event %d = %+v, activation %+v", i, e, a)
+				}
+			}
+		})
 	}
-	one := mk()
-	var seq [][]ProbeMatch
-	for _, k := range keys {
-		seq = append(seq, one.Probe(k))
-	}
-	batch := mk()
-	got := batch.ProbeBatch(keys)
-	if len(got) != len(seq) {
-		t.Fatalf("batch returned %d result sets, want %d", len(got), len(seq))
-	}
-	for i := range seq {
-		if len(got[i]) != len(seq[i]) {
-			t.Fatalf("key %d: batch %d matches, sequential %d", i, len(got[i]), len(seq[i]))
-		}
-	}
-	if a, b := one.Stats(), batch.Stats(); a != b {
-		t.Fatalf("stats diverge: sequential %+v, batch %+v", a, b)
-	}
-	da, db := one.Decisions(), batch.Decisions()
-	if len(da) != len(db) {
-		t.Fatalf("decision counts diverge: %d vs %d", len(da), len(db))
-	}
-	for i := range da {
-		if da[i].Key != db[i].Key || da[i].Hit != db[i].Hit || da[i].Escalated != db[i].Escalated ||
-			da[i].Matches != db[i].Matches || da[i].SpendAfter != db[i].SpendAfter {
-			t.Errorf("decision %d diverges: %+v vs %+v", i, da[i], db[i])
-		}
-	}
-	reconcile(t, batch, "batch")
 }
 
 func TestExplainDisabledReturnsNil(t *testing.T) {

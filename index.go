@@ -13,6 +13,7 @@ import (
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/store"
+	"adaptivelink/internal/stream"
 )
 
 // IndexOptions configures a resident Index. The zero value selects the
@@ -423,25 +424,25 @@ type SessionStats struct {
 type Session struct {
 	ix       *Index
 	strategy Strategy
-	loop     *adaptive.ProbeLoop
-	stats    SessionStats
-	// explain, when non-nil, collects per-key decision traces; see
-	// explain.go. Its presence routes Probe/ProbeBatch through the
-	// explain path, keeping the default path allocation-free.
+	// loop is the session's control loop; nil for the fixed strategies.
+	loop  *adaptive.ProbeLoop
+	stats SessionStats
+	// explain, when non-nil, records a KeyDecision per settled key; see
+	// explain.go. The default path pays one nil check for it.
 	explain *explainState
 }
 
 // NewSession opens a probe session on the index.
 func (ix *Index) NewSession(opts SessionOptions) (*Session, error) {
+	if opts.CostBudget < 0 {
+		return nil, fmt.Errorf("adaptivelink: negative cost budget %v", opts.CostBudget)
+	}
 	s := &Session{ix: ix, strategy: opts.Strategy}
+	if opts.Explain {
+		s.explain = &explainState{}
+	}
 	switch opts.Strategy {
 	case ExactOnly, ApproximateOnly:
-		if opts.CostBudget < 0 {
-			return nil, fmt.Errorf("adaptivelink: negative cost budget %v", opts.CostBudget)
-		}
-		if opts.Explain {
-			s.explain = &explainState{}
-		}
 		return s, nil
 	case Adaptive:
 	default:
@@ -470,27 +471,11 @@ func (ix *Index) NewSession(opts SessionOptions) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
 	}
-	if opts.TraceActivations {
-		loop.EnableTrace()
-	}
-	if opts.CostBudget < 0 {
-		return nil, fmt.Errorf("adaptivelink: negative cost budget %v", opts.CostBudget)
-	}
-	if opts.CostBudget > 0 {
-		if err := loop.EnableCostBudget(metrics.PaperWeights(), opts.CostBudget); err != nil {
-			return nil, fmt.Errorf("adaptivelink: %w", err)
-		}
+	// Explain decisions are cut from the loop's own trace.
+	if err := armLoop(loop, opts.TraceActivations || opts.Explain, opts.CostBudget); err != nil {
+		return nil, err
 	}
 	s.loop = loop
-	if opts.Explain {
-		s.explain = &explainState{}
-		// The sink buffers each activation's event; probeExplain drains
-		// the buffer into the decision record of the probe that
-		// triggered it.
-		loop.SetDecisionSink(func(e adaptive.DecisionEvent) {
-			s.explain.pending = append(s.explain.pending, e)
-		})
-	}
 	return s, nil
 }
 
@@ -501,26 +486,47 @@ func (ix *Index) NewSession(opts SessionOptions) (*Session, error) {
 // predicate, so its variant matches are not lost — and reverts to exact
 // once the perturbation window drains.
 func (s *Session) Probe(key string) []ProbeMatch {
-	if s.explain != nil {
-		return s.probeExplain(key)
-	}
-	key = s.ix.normKey(key)
-	var res []join.RefMatch
-	switch s.strategy {
-	case ExactOnly:
-		res = s.ix.resident().ProbeExact(key)
-	case ApproximateOnly:
+	return publicMatches(s.probeKey(s.ix.normKey(key)))
+}
+
+// probeKey is the per-key decision step: probe the (normalised) key
+// under the current operator, let the loop observe the outcome, settle.
+func (s *Session) probeKey(key string) []join.RefMatch {
+	mode := s.mode()
+	res := s.ix.resident().Probe(mode, key)
+	escalate := s.loop != nil && s.loop.NoteProbe(s.ix.Len(), len(res) > 0, countApprox(res))
+	return s.settle(key, mode, res, escalate)
+}
+
+// settle finishes one key the loop has already observed, for the
+// per-key and the batch path alike. escalate is the loop's verdict that
+// this probe missed under exact matching and switched the session to
+// approximate probing: the key is re-run approximately — through the
+// resident's ProbeApprox, so decorators see it — and the re-probe
+// reported back. The final result feeds the session counters and, in
+// explain mode, the key's decision record.
+func (s *Session) settle(key string, mode join.Mode, res []join.RefMatch, escalate bool) []join.RefMatch {
+	if escalate {
 		res = s.ix.resident().ProbeApprox(key)
-	default:
-		res = s.ix.resident().Probe(s.loop.Mode(), key)
-		if s.loop.NoteProbe(s.ix.Len(), len(res) > 0, countApprox(res)) {
-			res = s.ix.resident().ProbeApprox(key)
-			s.loop.NoteEscalation(len(res) > 0, countApprox(res))
-			s.stats.Escalations++
+		s.loop.NoteEscalation(len(res) > 0, countApprox(res))
+		s.stats.Escalations++
+	}
+	s.stats.Probes++
+	if len(res) > 0 {
+		s.stats.Hits++
+	}
+	for _, m := range res {
+		s.stats.Matches++
+		if m.Exact {
+			s.stats.ExactMatches++
+		} else {
+			s.stats.ApproxMatches++
 		}
 	}
-	s.note(res)
-	return publicMatches(res)
+	if s.explain != nil {
+		s.explain.record(s, key, mode, res, escalate)
+	}
+	return res
 }
 
 // approxSpeculate caps how many keys an adaptive batch probes ahead
@@ -544,25 +550,21 @@ func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
 	if len(keys) == 0 {
 		return results
 	}
-	if s.explain != nil {
-		// Explain mode records per-key decisions, which are inherently
-		// per-probe; batching would only amortise index work the
-		// diagnostic session does not care about. Probe normalises, so
-		// the raw keys pass through.
-		for i, key := range keys {
-			results[i] = s.probeExplain(key)
+	keys = s.ix.normKeys(keys)
+	if s.loop == nil {
+		mode := s.mode()
+		for i, rm := range s.ix.resident().ProbeBatch(mode, keys) {
+			results[i] = publicMatches(s.settle(keys[i], mode, rm, false))
 		}
 		return results
 	}
-	keys = s.ix.normKeys(keys)
-	if s.loop == nil {
-		mode := join.Exact
-		if s.strategy == ApproximateOnly {
-			mode = join.Approx
-		}
-		for i, rm := range s.ix.resident().ProbeBatch(mode, keys) {
-			s.note(rm)
-			results[i] = publicMatches(rm)
+	if s.explain != nil {
+		// A decision record attributes activations and spend to the key
+		// that caused them, which needs the loop fed one probe at a
+		// time; batching would only amortise index work the diagnostic
+		// session does not care about.
+		for i, key := range keys {
+			results[i] = publicMatches(s.probeKey(key))
 		}
 		return results
 	}
@@ -586,92 +588,62 @@ func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
 		}
 		consumed, escalate := s.loop.NoteBatch(s.ix.Len(), outs)
 		for j := 0; j < consumed; j++ {
-			rm := rms[j]
-			if escalate && j == consumed-1 {
-				rm = s.ix.resident().ProbeApprox(keys[i+j])
-				s.loop.NoteEscalation(len(rm) > 0, countApprox(rm))
-				s.stats.Escalations++
-			}
-			s.note(rm)
-			results[i+j] = publicMatches(rm)
+			results[i+j] = publicMatches(s.settle(sub[j], mode, rms[j], escalate && j == consumed-1))
 		}
 		i += consumed
 	}
 	return results
 }
 
-// note folds one probe's final (possibly escalated) result into the
-// session counters.
-func (s *Session) note(res []join.RefMatch) {
-	s.stats.Probes++
-	if len(res) > 0 {
-		s.stats.Hits++
-	}
-	for _, m := range res {
-		s.stats.Matches++
-		if m.Exact {
-			s.stats.ExactMatches++
-		} else {
-			s.stats.ApproxMatches++
-		}
+// state is the session's processor state; fixed strategies report the
+// state their probe operator corresponds to.
+func (s *Session) state() join.State {
+	switch s.strategy {
+	case ExactOnly:
+		return join.LexRex
+	case ApproximateOnly:
+		return join.LapRap
+	default:
+		return s.loop.State()
 	}
 }
 
-// State returns the session's processor state name. Fixed strategies
-// report the state their probe operator corresponds to.
-func (s *Session) State() string {
-	switch s.strategy {
-	case ExactOnly:
-		return join.LexRex.String()
-	case ApproximateOnly:
-		return join.LapRap.String()
-	default:
-		return s.loop.State().String()
+// mode is the probe operator in force: the probe side's mode, which is
+// all of the state that matching consults.
+func (s *Session) mode() join.Mode { return s.state().Mode(stream.Right) }
+
+// State returns the session's processor state name.
+func (s *Session) State() string { return s.state().String() }
+
+// spend is the session's modelled cost so far: the loop's own
+// accounting (escalated re-probes and transitions included), or the
+// pure cost of a fixed strategy's probes.
+func (s *Session) spend() float64 {
+	if s.loop != nil {
+		return s.loop.Spend()
 	}
+	return metrics.PureCost(s.stats.Probes, s.state(), metrics.PaperWeights())
 }
 
 // Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() SessionStats {
 	out := s.stats
 	out.State = s.State()
+	out.ModelledCost = s.spend()
 	if s.loop != nil {
 		out.Switches = s.loop.Switches()
-		out.ModelledCost = s.loop.Spend()
-	} else {
-		w := metrics.PaperWeights()
-		st := join.LexRex
-		if s.strategy == ApproximateOnly {
-			st = join.LapRap
-		}
-		out.ModelledCost = metrics.PureCost(out.Probes, st, w)
 	}
 	return out
 }
 
-// Activations returns the session's recorded control-loop trace (nil
-// unless SessionOptions.TraceActivations was set on an adaptive session).
+// Activations returns the session's recorded control-loop trace: nil
+// unless the session is adaptive and SessionOptions.TraceActivations
+// (or Explain, whose decisions are cut from the same trace) was set.
 func (s *Session) Activations() []Activation {
 	if s.loop == nil {
 		return nil
 	}
-	acts := s.loop.Activations()
-	if acts == nil {
-		return nil
-	}
-	out := make([]Activation, len(acts))
-	for i, a := range acts {
-		out[i] = Activation{
-			Step:     a.Observation.Step,
-			Observed: a.Observation.Observed,
-			Expected: a.Assessment.P * float64(a.Observation.ChildSeen),
-			Tail:     a.Assessment.Tail,
-			Sigma:    a.Assessment.Sigma,
-			From:     a.From.String(),
-			To:       a.To.String(),
-			Reason:   adaptive.DecisionReason(a.From, a.To, a.Assessment.Sigma, a.Forced),
-		}
-	}
-	return out
+	return publicActivations(s.loop.Activations())
 }
 
 func countApprox(ms []join.RefMatch) int {

@@ -15,6 +15,27 @@
 //     enacts any change via Engine.SetState, which is safe because the
 //     activation runs at a quiescent point.
 //
+// The loop exists once. The unexported loop type (loop.go) is the
+// activation body — calibrate, Assess, update the π history, take the
+// budget verdict, respond through the futility gate and the ϕ rules,
+// record — and owns every piece of state that does not depend on where
+// the counters come from. Three drivers supply what genuinely differs:
+//
+//   - Controller reads one engine's counters from its OnStep/OnMatch
+//     hooks and enacts a switch with Engine.SetState on the spot; it is
+//     the reference the parity harnesses hold the others to.
+//   - ShardedController aggregates a partition-parallel join: counts
+//     snapshotted at executor barriers, window events replayed at their
+//     dispatch positions, switches broadcast to the shards.
+//   - ProbeLoop runs a resident probe session, one step per probe, where
+//     a switch is free and the reference is fully seen (p(n) = 1).
+//
+// Each hands activate an Observation, the state it is in and the
+// modelled spend of the scan so far, and enacts the state it gets back.
+// Every firing is recorded as one Activation (EnableTrace); the opt-in
+// features are armed the same way on all three (EnableTrace,
+// EnableCostBudget).
+//
 // Two deliberate deviations from the paper's formal notation, both
 // required for the described behaviour to be realisable (see DESIGN.md):
 //

@@ -1,10 +1,9 @@
 package adaptive
 
-// calibrator holds the state of the calibrated result-size estimator
-// (Params.Estimator == EstimatorCalibrated) shared by the sequential
-// Controller and the ShardedController: the number of activations
-// observed while calibrating, the frozen per-(child·parent) match rate
-// κ̂ once calibration ends, and a ring of recent
+// calibrator holds the loop's state for the calibrated result-size
+// estimator (Params.Estimator == EstimatorCalibrated): the number of
+// activations observed while calibrating, the frozen per-(child·parent)
+// match rate κ̂ once calibration ends, and a ring of recent
 // (observed, childSeen, parentSeen) triples providing the lagged window
 // the change detector tests against.
 type calibrator struct {

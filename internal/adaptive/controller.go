@@ -5,116 +5,36 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
-	"adaptivelink/internal/stats"
 	"adaptivelink/internal/stream"
 )
 
-// Activation records one control-loop firing, for experiment reporting
-// and diagnosis.
-type Activation struct {
-	Observation Observation
-	Assessment  Assessment
-	From        join.State
-	To          join.State
-	// CaughtUp is the number of tuples the switch-time index catch-up
-	// inserted (0 for self-transitions).
-	CaughtUp int
-	// Forced explains a decision that overrode the ϕ rules: "" (none),
-	// "budget" (cost budget exhausted, pinned to lex/rex) or "futility"
-	// (approximate matching produced nothing, reverted to lex/rex).
-	Forced string
-}
-
-// Controller wires the MAR loop onto a join engine. Create it with
-// Attach before opening the engine; it drives itself through the
-// engine's hooks, so the caller just pulls matches from the engine (or
-// wraps it in the public API's operator).
+// Controller drives the MAR loop from one join engine's hooks: the
+// engine's own counters are the monitor, its OnMatch feeds the
+// perturbation windows, and a switch is enacted with Engine.SetState at
+// the quiescent point OnStep runs in. Create it with Attach before
+// opening the engine; the caller just pulls matches from the engine (or
+// wraps it in the public API's operator). It is the reference the
+// parity harnesses hold the sharded driver to.
 type Controller struct {
-	engine     *join.Engine
-	params     Params
-	parentSide stream.Side
-	parentSize int
-
-	win            [2]*stats.SlidingWindow
-	pastPerturbed  [2]int
+	batchLoop
 	lastActivation int
-
-	// Futility extension (Params.FutilityK): approxSeen counts every
-	// non-exact match so far; fut holds the shared streak/suppression
-	// state machine (see futilityGate).
-	approxSeen int
-	fut        futilityGate
-
-	// Cost-budget extension (WithCostBudget): once the modelled cost
-	// reaches budget, the responder pins lex/rex.
-	budgetWeights metrics.Weights
-	budget        float64
-	hasBudget     bool
-
-	// cal is the calibrated-estimator state (see calibrator).
-	cal calibrator
-
-	trace     []Activation
-	keepTrace bool
-}
-
-// Option configures a Controller.
-type Option func(*Controller)
-
-// WithTrace makes the controller record every activation; retrieve them
-// with Activations. Traces grow with join length, so they default off.
-func WithTrace() Option { return func(c *Controller) { c.keepTrace = true } }
-
-// WithCostBudget implements the user-controlled trade-off the paper's
-// conclusions call for (§4.4: "the algorithm may be tuned, possibly
-// under user control, for a target gain ... while keeping the marginal
-// cost over the exact join baseline within a predictable limit"). Once
-// the run's modelled cost under the given weights reaches budget, the
-// responder pins the engine to lex/rex: completeness stops improving
-// but cost grows only at the exact join's unit rate. Budget is in the
-// weight model's units (one all-exact step = 1).
-func WithCostBudget(w metrics.Weights, budget float64) Option {
-	return func(c *Controller) {
-		c.budgetWeights = w
-		c.budget = budget
-		c.hasBudget = true
-	}
 }
 
 // Attach installs a controller on the engine. parentSide identifies the
 // input expected to behave as the parent table R of the parent-child
 // relationship (§3.2); parentSize is its expected cardinality |R|.
 // Existing OnStep/OnMatch hooks on the engine are preserved and chained
-// after the controller's.
-func Attach(e *join.Engine, parentSide stream.Side, parentSize int, p Params, opts ...Option) (*Controller, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// after the controller's. Call EnableTrace/EnableCostBudget before
+// opening the engine.
+func Attach(e *join.Engine, parentSide stream.Side, parentSize int, p Params) (*Controller, error) {
 	if e == nil {
 		return nil, fmt.Errorf("adaptive: nil engine")
 	}
-	if parentSize <= 0 && p.Estimator != EstimatorCalibrated {
-		return nil, fmt.Errorf("adaptive: parent size %d must be positive (or use EstimatorCalibrated)", parentSize)
+	b, err := newBatchLoop(parentSide, parentSize, p)
+	if err != nil {
+		return nil, err
 	}
-	c := &Controller{
-		engine:     e,
-		params:     p,
-		parentSide: parentSide,
-		parentSize: parentSize,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.hasBudget {
-		if err := c.budgetWeights.Validate(); err != nil {
-			return nil, fmt.Errorf("adaptive: cost budget: %w", err)
-		}
-		if c.budget <= 0 {
-			return nil, fmt.Errorf("adaptive: cost budget %v must be positive", c.budget)
-		}
-	}
-	c.win[stream.Left] = stats.NewSlidingWindow(p.W)
-	c.win[stream.Right] = stats.NewSlidingWindow(p.W)
+	c := &Controller{batchLoop: b}
 
 	prevStep, prevMatch := e.OnStep, e.OnMatch
 	e.OnMatch = func(m join.Match) {
@@ -131,19 +51,6 @@ func Attach(e *join.Engine, parentSide stream.Side, parentSize int, p Params, op
 	}
 	return c, nil
 }
-
-// Params returns the controller's thresholds.
-func (c *Controller) Params() Params { return c.params }
-
-// Activations returns the recorded trace (nil unless WithTrace).
-func (c *Controller) Activations() []Activation { return c.trace }
-
-// PastPerturbed returns how many assessments have judged the side
-// currently perturbed so far (the π history).
-func (c *Controller) PastPerturbed(side stream.Side) int { return c.pastPerturbed[side] }
-
-// WindowCount returns the side's current A_{t,W}.
-func (c *Controller) WindowCount(side stream.Side) int { return c.win[side].Count() }
 
 // onMatch feeds the perturbation windows: every non-exact match is an
 // "approximate match observed", attributed to one or both sides by the
@@ -162,7 +69,9 @@ func (c *Controller) onMatch(m join.Match) {
 }
 
 // onStep advances the windows and, every δadapt steps, runs one MAR
-// activation. It executes at a quiescent point, so SetState is safe.
+// activation over the engine's counters — the engine's own accounting
+// is the spend — enacting any switch on the spot: it executes at a
+// quiescent point, so SetState is safe.
 func (c *Controller) onStep(e *join.Engine) {
 	step := e.Step()
 	c.win[stream.Left].AdvanceTo(step)
@@ -171,63 +80,16 @@ func (c *Controller) onStep(e *join.Engine) {
 		return
 	}
 	c.lastActivation = step
-	c.activate(e)
-}
-
-// activate runs monitor → assess → respond once.
-func (c *Controller) activate(e *join.Engine) {
-	childSide := c.parentSide.Other()
 	st := e.Stats()
-	obs := Observation{
-		Step:               e.Step(),
-		Observed:           st.Matches,
-		ChildSeen:          st.Read[childSide],
-		ParentSeen:         st.Read[c.parentSide],
-		ParentSize:         c.parentSize,
-		WindowLeft:         c.win[stream.Left].Count(),
-		WindowRight:        c.win[stream.Right].Count(),
-		PastPerturbedLeft:  c.pastPerturbed[stream.Left],
-		PastPerturbedRight: c.pastPerturbed[stream.Right],
+	act := c.activate(c.observation(step, st.Matches, st.Read), e.State(), metrics.Cost(st, c.weights).Total)
+	if act.To == act.From {
+		return
 	}
-	c.cal.observe(c.params, &obs)
-	a, err := Assess(c.params, obs)
+	caught, err := e.SetState(act.To)
 	if err != nil {
-		// Inputs were validated at Attach time; an error here is a
-		// programming bug, not a data condition.
-		panic(fmt.Sprintf("adaptive: assess: %v", err))
-	}
-	// Update the π history with this activation's µ verdicts.
-	if !a.MuLeft {
-		c.pastPerturbed[stream.Left]++
-	}
-	if !a.MuRight {
-		c.pastPerturbed[stream.Right]++
-	}
-
-	from := e.State()
-	to, forced := c.respond(e, from, a)
-	caught := 0
-	if to != from {
-		caught, err = e.SetState(to)
-		if err != nil {
-			panic(fmt.Sprintf("adaptive: switch to %v: %v", to, err))
-		}
-		c.fut.noteSwitch()
+		panic(fmt.Sprintf("adaptive: switch to %v: %v", act.To, err))
 	}
 	if c.keepTrace {
-		c.trace = append(c.trace, Activation{
-			Observation: obs, Assessment: a, From: from, To: to,
-			CaughtUp: caught, Forced: forced,
-		})
+		c.trace[len(c.trace)-1].CaughtUp = caught
 	}
-}
-
-// respond applies the ϕ rules plus the two opt-in overrides (futility
-// revert and cost budget) through the shared gate.
-func (c *Controller) respond(e *join.Engine, from join.State, a Assessment) (join.State, string) {
-	overBudget := false
-	if c.hasBudget {
-		overBudget = metrics.Cost(e.Stats(), c.budgetWeights).Total >= c.budget
-	}
-	return c.fut.respond(c.params, from, a, c.approxSeen, overBudget)
 }

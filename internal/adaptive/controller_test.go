@@ -42,10 +42,11 @@ func runAdaptive(t *testing.T, parent, child *relation.Relation, p Params) (*joi
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Attach(e, stream.Left, parent.Len(), p, WithTrace())
+	c, err := Attach(e, stream.Left, parent.Len(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.EnableTrace()
 	ms, err := iterator.Drain[join.Match](e, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,15 +147,15 @@ func TestControllerWindowsTrackAttribution(t *testing.T) {
 	// there, and past-perturbation counters must reflect it.
 	parent, child := buildScenario(31, 400, 50, 120)
 	_, c, _ := runAdaptive(t, parent, child, testParams())
-	if c.PastPerturbed(stream.Right) == 0 {
+	if c.past[stream.Right] == 0 {
 		t.Error("right side never judged perturbed despite child variants")
 	}
 	// The left (parent) input has no variants; with flag-based
 	// attribution most blame lands right, though AttrBoth events also
 	// tick the left window.
-	if c.PastPerturbed(stream.Right) < c.PastPerturbed(stream.Left) {
+	if c.past[stream.Right] < c.past[stream.Left] {
 		t.Errorf("blame inverted: left=%d right=%d",
-			c.PastPerturbed(stream.Left), c.PastPerturbed(stream.Right))
+			c.past[stream.Left], c.past[stream.Right])
 	}
 }
 
@@ -169,7 +170,7 @@ func TestControllerTraceDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Activations() != nil {
-		t.Error("trace recorded without WithTrace")
+		t.Error("trace recorded without EnableTrace")
 	}
 }
 

@@ -87,10 +87,11 @@ func TestAttachCalibratedWithoutParentSize(t *testing.T) {
 func TestCalibratedCleanDataStaysExact(t *testing.T) {
 	parent, child := buildScenario(41, 500, 0, 0)
 	e, _ := join.New(join.Defaults(), stream.FromRelation(parent), stream.FromRelation(child), nil)
-	c, err := Attach(e, stream.Left, 0, calibratedParams(), WithTrace())
+	c, err := Attach(e, stream.Left, 0, calibratedParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.EnableTrace()
 	iterator.Drain[join.Match](e, nil)
 	if e.Stats().Switches != 0 {
 		t.Errorf("calibrated controller switched %d times on clean data", e.Stats().Switches)

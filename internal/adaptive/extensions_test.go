@@ -10,16 +10,23 @@ import (
 	"adaptivelink/internal/stream"
 )
 
-// runWithOpts drives an adaptive join with extra controller options.
-func runWithOpts(t *testing.T, parent, child *relation.Relation, p Params, opts ...Option) (*join.Engine, *Controller) {
+// runBudgeted drives a traced sequential adaptive join, under a cost
+// budget priced with the paper's weights when budget is positive.
+func runBudgeted(t *testing.T, parent, child *relation.Relation, p Params, budget float64) (*join.Engine, *Controller) {
 	t.Helper()
 	e, err := join.New(join.Defaults(), stream.FromRelation(parent), stream.FromRelation(child), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Attach(e, stream.Left, parent.Len(), p, append(opts, WithTrace())...)
+	c, err := Attach(e, stream.Left, parent.Len(), p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	c.EnableTrace()
+	if budget > 0 {
+		if err := c.EnableCostBudget(metrics.PaperWeights(), budget); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := iterator.Drain[join.Match](e, nil); err != nil {
 		t.Fatal(err)
@@ -53,10 +60,11 @@ func TestFutilityRevertOnWrongEstimate(t *testing.T) {
 	// Lie about the parent size: claim it is half the real table, so the
 	// expected match probability doubles and the clean result looks
 	// deficient.
-	c, err := Attach(e, stream.Left, parent.Len()/2, p, WithTrace())
+	c, err := Attach(e, stream.Left, parent.Len()/2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.EnableTrace()
 	if _, err := iterator.Drain[join.Match](e, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +103,11 @@ func TestFutilityDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Attach(e, stream.Left, parent.Len()/2, testParams(), WithTrace())
+	c, err := Attach(e, stream.Left, parent.Len()/2, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.EnableTrace()
 	iterator.Drain[join.Match](e, nil)
 	for _, a := range c.Activations() {
 		if a.Forced != "" {
@@ -113,7 +122,7 @@ func TestCostBudgetPinsToExact(t *testing.T) {
 	// A budget of 3000 units: enough for some approximate work (about 40
 	// lap/rap steps) but far below an unconstrained run.
 	const budget = 3000.0
-	e, c := runWithOpts(t, parent, child, testParams(), WithCostBudget(w, budget))
+	e, c := runBudgeted(t, parent, child, testParams(), budget)
 
 	sawBudget := false
 	for _, a := range c.Activations() {
@@ -147,8 +156,8 @@ func TestCostBudgetPinsToExact(t *testing.T) {
 func TestCostBudgetStillGainsCompleteness(t *testing.T) {
 	parent, child := buildScenario(19, 500, 50, 150)
 	w := metrics.PaperWeights()
-	eBudget, _ := runWithOpts(t, parent, child, testParams(), WithCostBudget(w, 4000))
-	eFree, _ := runWithOpts(t, parent, child, testParams())
+	eBudget, _ := runBudgeted(t, parent, child, testParams(), 4000)
+	eFree, _ := runBudgeted(t, parent, child, testParams(), 0)
 
 	exact := len(join.NestedLoopExact(parent, child))
 	budgetMatches := eBudget.Stats().Matches
@@ -170,13 +179,16 @@ func TestCostBudgetValidation(t *testing.T) {
 	parent := relation.FromKeys("L", "a")
 	child := relation.FromKeys("R", "a")
 	e, _ := join.New(join.Defaults(), stream.FromRelation(parent), stream.FromRelation(child), nil)
-	if _, err := Attach(e, stream.Left, 1, testParams(), WithCostBudget(metrics.PaperWeights(), 0)); err == nil {
+	c, err := Attach(e, stream.Left, 1, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableCostBudget(metrics.PaperWeights(), 0); err == nil {
 		t.Error("zero budget accepted")
 	}
-	e2, _ := join.New(join.Defaults(), stream.FromRelation(parent), stream.FromRelation(child), nil)
 	bad := metrics.PaperWeights()
 	bad.Step[0] = 0
-	if _, err := Attach(e2, stream.Left, 1, testParams(), WithCostBudget(bad, 100)); err == nil {
+	if err := c.EnableCostBudget(bad, 100); err == nil {
 		t.Error("invalid weights accepted")
 	}
 }

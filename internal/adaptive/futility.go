@@ -3,9 +3,8 @@ package adaptive
 import "adaptivelink/internal/join"
 
 // futilityGate holds the state of the §3.5 futility extension
-// (Params.FutilityK) shared by the sequential Controller and the
-// ShardedController, and runs the responder around the ϕ rules so the
-// revert/suppression semantics cannot drift between the two loops.
+// (Params.FutilityK) and runs the responder around the ϕ rules; the
+// loop's activate is its only caller.
 type futilityGate struct {
 	approxSeenPrev int
 	streak         int
@@ -15,10 +14,11 @@ type futilityGate struct {
 // respond applies the futility bookkeeping, the caller's budget verdict
 // and the ϕ rules, in the responder's canonical order: streak
 // accounting first, then the budget pin (which preempts everything),
-// then the futility revert and σ suppression, then Decide. approxSeen
-// is the running count of non-exact matches; overBudget is false for
-// controllers without a cost budget.
-func (f *futilityGate) respond(p Params, from join.State, a Assessment, approxSeen int, overBudget bool) (join.State, string) {
+// then the futility revert and σ suppression, then Decide; a decision
+// that changes the state restarts the streak. approxSeen is the running
+// count of non-exact matches; overBudget is false for loops without a
+// cost budget.
+func (f *futilityGate) respond(p Params, from join.State, a Assessment, approxSeen int, overBudget bool) (to join.State, forced string) {
 	if p.FutilityK > 0 {
 		// A streak of activations in a non-exact state during which
 		// approximate matching produced nothing.
@@ -34,21 +34,20 @@ func (f *futilityGate) respond(p Params, from join.State, a Assessment, approxSe
 			f.suppress = false
 		}
 	}
-	if overBudget {
-		return join.LexRex, "budget"
-	}
-	if p.FutilityK > 0 {
-		if f.streak >= p.FutilityK && from != join.LexRex {
-			f.streak = 0
-			f.suppress = true
-			return join.LexRex, "futility"
-		}
+	switch {
+	case overBudget:
+		to, forced = join.LexRex, "budget"
+	case p.FutilityK > 0 && f.streak >= p.FutilityK && from != join.LexRex:
+		f.suppress = true
+		to, forced = join.LexRex, "futility"
+	default:
 		if f.suppress {
 			a.Sigma = false
 		}
+		to = Decide(from, a)
 	}
-	return Decide(from, a), ""
+	if to != from {
+		f.streak = 0
+	}
+	return to, forced
 }
-
-// noteSwitch resets the streak after an enacted state change.
-func (f *futilityGate) noteSwitch() { f.streak = 0 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/stats"
 	"adaptivelink/internal/stream"
 )
@@ -15,10 +14,10 @@ import (
 // of one loop per batch run.
 //
 // The statistical machinery is reused verbatim — the binomial deficit
-// predicate σ, the per-side window predicates µ/π and the transition
-// rules ϕ₀..ϕ₃ all run through the same Assess/Decide/futilityGate code
-// as the batch Controller — under the resident-mode specialisation of
-// the §3.2 observation model:
+// predicate σ, the per-side window predicates µ/π, the transition rules
+// ϕ₀..ϕ₃ and the futility/budget overrides are the one activation body
+// (loop) the batch drivers run — under the resident-mode specialisation
+// of the §3.2 observation model:
 //
 //   - The reference side is fully resident, so ParentSeen = ParentSize
 //     and the per-trial match probability p(n) is 1: under parent–child
@@ -38,27 +37,15 @@ import (
 //
 // A ProbeLoop is not safe for concurrent use; give each session its own.
 type ProbeLoop struct {
-	params Params
+	loop
 
 	state          join.State
 	probes         int // t: one step per probe
 	hits           int // observed result size O̅ₜ: probes with ≥1 match
 	win            *stats.SlidingWindow
-	past           int // past assessments at which the probe side appeared perturbed
 	lastActivation int
 	switches       int
-
-	approxSeen int
-	fut        futilityGate
-
-	weights   metrics.Weights
-	budget    float64
-	hasBudget bool
-	spend     float64
-
-	trace     []Activation
-	keepTrace bool
-	sink      DecisionSink
+	spend          float64
 }
 
 // DefaultProbeParams returns the session defaults: the paper's W, θout,
@@ -75,40 +62,15 @@ func DefaultProbeParams() Params {
 // state. The loop models probe work under the paper's weights so
 // Spend() is always available; EnableCostBudget makes it enforceable.
 func NewProbeLoop(p Params) (*ProbeLoop, error) {
-	if err := p.Validate(); err != nil {
+	lp, err := newLoop(p)
+	if err != nil {
 		return nil, err
 	}
 	if p.Estimator != EstimatorParentChild {
 		return nil, fmt.Errorf("adaptive: probe loop supports only the parent-child estimator (the resident reference makes p(n)=1 exact, no calibration needed)")
 	}
-	return &ProbeLoop{
-		params:  p,
-		state:   join.LexRex,
-		win:     stats.NewSlidingWindow(p.W),
-		weights: metrics.PaperWeights(),
-	}, nil
+	return &ProbeLoop{loop: lp, state: join.LexRex, win: stats.NewSlidingWindow(p.W)}, nil
 }
-
-// EnableTrace records every activation; retrieve them with Activations.
-func (l *ProbeLoop) EnableTrace() { l.keepTrace = true }
-
-// EnableCostBudget pins the session to exact probing once its modelled
-// spend (Spend) reaches budget, in all-exact-step units.
-func (l *ProbeLoop) EnableCostBudget(w metrics.Weights, budget float64) error {
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	if budget <= 0 {
-		return fmt.Errorf("adaptive: cost budget %v must be positive", budget)
-	}
-	l.weights = w
-	l.budget = budget
-	l.hasBudget = true
-	return nil
-}
-
-// Params returns the loop's thresholds.
-func (l *ProbeLoop) Params() Params { return l.params }
 
 // State returns the session's processor state. Only the probe side's
 // mode (State().Mode(stream.Right)) affects matching.
@@ -133,9 +95,6 @@ func (l *ProbeLoop) Switches() int { return l.switches }
 // approximate step.
 func (l *ProbeLoop) Spend() float64 { return l.spend }
 
-// Activations returns the recorded trace (nil unless EnableTrace).
-func (l *ProbeLoop) Activations() []Activation { return l.trace }
-
 // NoteProbe observes one completed probe: refSize is the resident
 // reference cardinality, hit whether the probe returned any match, and
 // approxMatches how many of its matches were non-exact (they feed the
@@ -157,7 +116,7 @@ func (l *ProbeLoop) NoteProbe(refSize int, hit bool, approxMatches int) (escalat
 	l.spend += l.weights.Step[l.state.Index()]
 	l.win.AdvanceTo(l.probes)
 	if l.probes-l.lastActivation >= l.params.DeltaAdapt {
-		l.activate(refSize)
+		l.activateAt(refSize)
 	}
 	return wasExact && l.Mode() == join.Approx && !hit
 }
@@ -210,52 +169,30 @@ func (l *ProbeLoop) NoteEscalation(hit bool, approxMatches int) {
 	l.spend += l.weights.Step[l.state.Index()]
 }
 
-// activate runs monitor → assess → respond once, against the resident
-// observation model. An empty reference yields no evidence (every probe
-// trivially misses), so activation is skipped until the first upsert.
-func (l *ProbeLoop) activate(refSize int) {
+// activateAt runs one MAR activation against the resident observation
+// model and enacts its verdict: a session switch is just a field — both
+// resident indexes are always current. An empty reference yields no
+// evidence (every probe trivially misses), so activation is skipped
+// until the first upsert.
+func (l *ProbeLoop) activateAt(refSize int) {
 	l.lastActivation = l.probes
 	if refSize <= 0 {
 		return
 	}
-	obs := Observation{
+	// The reference side never probes: its window is structurally empty
+	// and its history clean, exactly like the engine's lex side in state
+	// lex/rap.
+	act := l.activate(Observation{
 		Step:        l.probes,
 		Observed:    l.hits,
 		ChildSeen:   l.probes,
 		ParentSeen:  refSize,
 		ParentSize:  refSize,
 		WindowRight: l.win.Count(),
-		// The reference side never probes: its window is structurally
-		// empty and its history clean, exactly like the engine's lex side
-		// in state lex/rap.
-		WindowLeft:         0,
-		PastPerturbedLeft:  0,
-		PastPerturbedRight: l.past,
-	}
-	a, err := Assess(l.params, obs)
-	if err != nil {
-		// Inputs were validated at construction; an error here is a
-		// programming bug, not a data condition.
-		panic(fmt.Sprintf("adaptive: probe assess: %v", err))
-	}
-	if !a.MuRight {
-		l.past++
-	}
-	from := l.state
-	overBudget := l.hasBudget && l.spend >= l.budget
-	to, forced := l.fut.respond(l.params, from, a, l.approxSeen, overBudget)
-	if to != from {
-		l.state = to
+	}, l.state, l.spend)
+	if act.To != l.state {
+		l.state = act.To
 		l.switches++
-		l.spend += l.weights.Transition[to.Index()]
-		l.fut.noteSwitch()
 	}
-	if l.keepTrace {
-		l.trace = append(l.trace, Activation{
-			Observation: obs, Assessment: a, From: from, To: to, Forced: forced,
-		})
-	}
-	if l.sink != nil {
-		emitDecision(l.sink, obs, a, from, to, forced, l.spend)
-	}
+	l.spend = act.Spend
 }

@@ -8,7 +8,6 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
-	"adaptivelink/internal/stats"
 	"adaptivelink/internal/stream"
 )
 
@@ -53,47 +52,31 @@ import (
 // run the same steps — a tuple steps in its home shard only — but each
 // pays its own transition per broadcast switch; the budget is a
 // statement about the logical scan.)
-// Futility reverts and the calibrated estimator are supported as in the
-// sequential controller.
+// Futility reverts, the calibrated estimator and the trace are the
+// shared activation body's (loop), so they behave as sequentially.
 type ShardedController struct {
-	params     Params
-	parentSide stream.Side
-	parentSize int
-
 	// gen is the broadcast generation, incremented on every aggregate
 	// switch decision; shard workers compare it against their applied
 	// generation lock-free on the hot path.
 	gen atomic.Uint64
 
-	mu            sync.Mutex
-	state         join.State // current broadcast target
-	steps         int        // global step clock: tuples dispatched
-	read          [2]int     // tuples dispatched per side
-	observed      int        // matches up to the last barrier
-	win           [2]*stats.SlidingWindow
+	// mu guards everything below once the join runs, the embedded loop
+	// state included.
+	mu sync.Mutex
+	batchLoop
+	state         join.State      // current broadcast target
+	steps         int             // global step clock: tuples dispatched
+	read          [2]int          // tuples dispatched per side
+	observed      int             // matches up to the last barrier
 	pendingEvents map[int]*[2]int // dispatch step -> per-side window events since the last barrier
-	pastPerturbed [2]int
-	lastBarrier   int           // dispatch step of the last emitted barrier
-	barriers      []barrierSnap // emitted but not yet completed barriers
+	lastBarrier   int             // dispatch step of the last emitted barrier
+	barriers      []barrierSnap   // emitted but not yet completed barriers
 
-	approxSeen int
-	fut        futilityGate
-
-	// Cost budget (EnableCostBudget): seqModel is the logical
-	// (sequential-equivalent) execution — interval steps accrued in the
-	// broadcast state plus broadcast transitions — and costedStep the
-	// dispatch step up to which it has accrued.
-	budgetWeights metrics.Weights
-	budget        float64
-	hasBudget     bool
-	seqModel      join.Stats
-	costedStep    int
-
-	cal calibrator
-
-	trace     []Activation
-	keepTrace bool
-	sink      DecisionSink
+	// seqModel is the logical (sequential-equivalent) execution the
+	// spend is priced from — interval steps accrued in the broadcast
+	// state plus broadcast transitions, through the last completed
+	// barrier (seqModel.Steps).
+	seqModel join.Stats
 
 	// applied[i] is the generation shard i has applied; only shard i's
 	// worker touches it (from Sync), so no lock is needed.
@@ -113,21 +96,17 @@ type barrierSnap struct {
 // loop starts from the paper's optimistic lex/rex and every shard is
 // snapped to the controller's state at its first quiescent point, so a
 // divergent Config.Initial on the shard engines cannot outlive the
-// first tuple.
+// first tuple. Call EnableTrace/EnableCostBudget before the join starts.
 func NewSharded(shards int, parentSide stream.Side, parentSize int, p Params) (*ShardedController, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBatchLoop(parentSide, parentSize, p)
+	if err != nil {
 		return nil, err
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("adaptive: shard count %d < 1", shards)
 	}
-	if parentSize <= 0 && p.Estimator != EstimatorCalibrated {
-		return nil, fmt.Errorf("adaptive: parent size %d must be positive (or use EstimatorCalibrated)", parentSize)
-	}
 	c := &ShardedController{
-		params:        p,
-		parentSide:    parentSide,
-		parentSize:    parentSize,
+		batchLoop:     b,
 		state:         join.LexRex,
 		pendingEvents: make(map[int]*[2]int),
 		applied:       make([]uint64, shards),
@@ -139,33 +118,8 @@ func NewSharded(shards int, parentSide stream.Side, parentSize int, p Params) (*
 	for i := range c.applied {
 		c.applied[i] = ^uint64(0)
 	}
-	c.win[stream.Left] = stats.NewSlidingWindow(p.W)
-	c.win[stream.Right] = stats.NewSlidingWindow(p.W)
 	return c, nil
 }
-
-// EnableTrace makes the controller record every activation; retrieve
-// them with Activations. Call before the join starts.
-func (c *ShardedController) EnableTrace() { c.keepTrace = true }
-
-// EnableCostBudget arms the §4.4 user-controlled trade-off on the
-// aggregate loop, mirroring the sequential WithCostBudget option: once
-// the modelled spend of the logical scan reaches budget (in the weight
-// model's units, one all-exact step = 1), the responder pins every
-// shard to lex/rex. Call before the join starts.
-func (c *ShardedController) EnableCostBudget(w metrics.Weights, budget float64) error {
-	if err := w.Validate(); err != nil {
-		return fmt.Errorf("adaptive: cost budget: %w", err)
-	}
-	if budget <= 0 {
-		return fmt.Errorf("adaptive: cost budget %v must be positive", budget)
-	}
-	c.budgetWeights, c.budget, c.hasBudget = w, budget, true
-	return nil
-}
-
-// Params returns the controller's thresholds.
-func (c *ShardedController) Params() Params { return c.params }
 
 // State returns the current broadcast target state. Individual shards
 // converge to it at their next quiescent points.
@@ -177,22 +131,17 @@ func (c *ShardedController) State() join.State {
 
 // Spend returns the modelled sequential-equivalent cost accrued up to
 // the last completed barrier — the global spend counter a cost budget
-// is enforced against. Without EnableCostBudget it is priced under the
-// paper's weights.
+// is enforced against, and the Spend of the last recorded activation.
+// Without EnableCostBudget it is priced under the paper's weights.
 func (c *ShardedController) Spend() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.budgetWeights
-	if !c.hasBudget {
-		w = metrics.PaperWeights()
-	}
-	return metrics.Cost(c.seqModel, w).Total
+	return metrics.Cost(c.seqModel, c.weights).Total
 }
 
 // Activations returns the recorded trace (nil unless EnableTrace was
-// called). Unlike the sequential trace, CaughtUp is always 0 here:
-// catch-up happens per shard as the broadcast lands and is accounted in
-// the executor's aggregate CatchUpTuples instead.
+// called), under the controller's lock: the merger appends to it while
+// the join runs.
 func (c *ShardedController) Activations() []Activation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -281,7 +230,20 @@ func (c *ShardedController) Activate() {
 	for _, side := range []stream.Side{stream.Left, stream.Right} {
 		c.win[side].AdvanceTo(snap.step)
 	}
-	c.activateLocked(snap)
+	// Accrue the logical spend through this barrier — the interval's
+	// dispatches all ran under the current broadcast state thanks to
+	// the executor's barrier rendezvous — before the activation, exactly
+	// as the sequential driver prices the engine's stats including the
+	// activation step itself.
+	c.seqModel.StepsInState[c.state.Index()] += snap.step - c.seqModel.Steps
+	c.seqModel.Steps = snap.step
+	act := c.activate(c.observation(snap.step, c.observed, snap.read), c.state, metrics.Cost(c.seqModel, c.weights).Total)
+	if act.To != act.From {
+		c.state = act.To
+		c.gen.Add(1)
+		c.seqModel.TransitionsInto[act.To.Index()]++
+		c.seqModel.Switches++
+	}
 }
 
 // Sync implements pjoin.Controller: shard workers call it between
@@ -305,73 +267,5 @@ func (c *ShardedController) Sync(shard int, e *join.Engine) {
 		// Targets come from Decide over validated states; an error here
 		// is a programming bug, not a data condition.
 		panic(fmt.Sprintf("adaptive: sharded switch to %v: %v", target, err))
-	}
-}
-
-// activateLocked runs monitor → assess → respond once over the
-// aggregate counters at the given barrier snapshot. Callers hold c.mu.
-func (c *ShardedController) activateLocked(snap barrierSnap) {
-	childSide := c.parentSide.Other()
-	obs := Observation{
-		Step:               snap.step,
-		Observed:           c.observed,
-		ChildSeen:          snap.read[childSide],
-		ParentSeen:         snap.read[c.parentSide],
-		ParentSize:         c.parentSize,
-		WindowLeft:         c.win[stream.Left].Count(),
-		WindowRight:        c.win[stream.Right].Count(),
-		PastPerturbedLeft:  c.pastPerturbed[stream.Left],
-		PastPerturbedRight: c.pastPerturbed[stream.Right],
-	}
-	c.cal.observe(c.params, &obs)
-	a, err := Assess(c.params, obs)
-	if err != nil {
-		// Inputs were validated at construction time; an error here is
-		// a programming bug, not a data condition.
-		panic(fmt.Sprintf("adaptive: sharded assess: %v", err))
-	}
-	if !a.MuLeft {
-		c.pastPerturbed[stream.Left]++
-	}
-	if !a.MuRight {
-		c.pastPerturbed[stream.Right]++
-	}
-
-	// Accrue the logical spend through this barrier — the interval's
-	// dispatches all ran under the current broadcast state thanks to
-	// the executor's barrier rendezvous — before the budget verdict,
-	// exactly as the sequential responder prices the engine's stats
-	// including the activation step itself.
-	c.seqModel.StepsInState[c.state.Index()] += snap.step - c.costedStep
-	c.seqModel.Steps = snap.step
-	c.costedStep = snap.step
-	overBudget := false
-	if c.hasBudget {
-		overBudget = metrics.Cost(c.seqModel, c.budgetWeights).Total >= c.budget
-	}
-
-	from := c.state
-	to, forced := c.fut.respond(c.params, from, a, c.approxSeen, overBudget)
-	if to != from {
-		c.state = to
-		c.gen.Add(1)
-		c.fut.noteSwitch()
-		c.seqModel.TransitionsInto[to.Index()]++
-		c.seqModel.Switches++
-	}
-	if c.keepTrace {
-		c.trace = append(c.trace, Activation{
-			Observation: obs, Assessment: a, From: from, To: to,
-			Forced: forced,
-		})
-	}
-	if c.sink != nil {
-		// Price the logical spend with the budget weights when a budget
-		// is armed, the paper's otherwise — same units either way.
-		w := c.budgetWeights
-		if !c.hasBudget {
-			w = metrics.PaperWeights()
-		}
-		emitDecision(c.sink, obs, a, from, to, forced, metrics.Cost(c.seqModel, w).Total)
 	}
 }

@@ -229,10 +229,9 @@ func TestShardedCostBudgetValidation(t *testing.T) {
 // the logical spend accrues on the same step clock.
 func TestShardedBudgetTripsLikeSequential(t *testing.T) {
 	parent, child := buildScenario(17, 500, 50, 200) // heavy perturbation
-	w := metrics.PaperWeights()
 	const budget = 3000.0
 
-	_, seqCtl := runWithOpts(t, parent, child, testParams(), WithCostBudget(w, budget))
+	_, seqCtl := runBudgeted(t, parent, child, testParams(), budget)
 	for _, shards := range []int{2, 4} {
 		ctl, _, _ := runShardedBudget(t, parent, child, testParams(), shards, budget)
 		seqActs, parActs := seqCtl.Activations(), ctl.Activations()

@@ -9,8 +9,8 @@
 // pluggable key functions: prefix, Soundex, tokens) and the sorted
 // neighbourhood method, both producing candidate pairs that are then
 // verified with the same similarity measure as the online operators.
-// It exists as a baseline: the EXPERIMENTS.md comparison and the
-// ablation benchmarks quantify what the online adaptive join gives up
+// It exists as a baseline: the `cmd/experiments -offline` comparison and
+// the ablation benchmarks quantify what the online adaptive join gives up
 // (or not) against an offline pipeline that is allowed to see all the
 // data in advance.
 package blocking

@@ -65,6 +65,21 @@ type RunConfig struct {
 	CostBudget float64
 }
 
+// arm applies the run's trace and budget settings to either adaptive
+// driver.
+func (rc RunConfig) arm(ctl interface {
+	EnableTrace()
+	EnableCostBudget(metrics.Weights, float64) error
+}) error {
+	if rc.Trace {
+		ctl.EnableTrace()
+	}
+	if rc.CostBudget > 0 {
+		return ctl.EnableCostBudget(rc.Weights, rc.CostBudget)
+	}
+	return nil
+}
+
 // DefaultRunConfig returns the paper's best settings (§4.2) with the
 // paper's measured weights.
 func DefaultRunConfig() RunConfig {
@@ -159,13 +174,8 @@ func RunCase(tc TestCase, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rc.Trace {
-			ctl.EnableTrace()
-		}
-		if rc.CostBudget > 0 {
-			if err := ctl.EnableCostBudget(rc.Weights, rc.CostBudget); err != nil {
-				return nil, err
-			}
+		if err := rc.arm(ctl); err != nil {
+			return nil, err
 		}
 		ex, err := pjoin.New(pjoin.Config{Join: rc.Join, Shards: rc.Parallelism, Controller: ctl},
 			stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child))
@@ -179,40 +189,22 @@ func RunCase(tc TestCase, rc RunConfig) (*Result, error) {
 		}
 		res.WallAdaptive = time.Since(start)
 		res.RAbs = n
-		ps := ex.Stats()
-		// Steps is the shard-step total so the struct keeps the engine
-		// invariant Steps == ΣStepsInState. A tuple is stored (stepped) in
-		// its home shard only, so it equals the scan length; what the
-		// §4.4 cost checks see beyond the sequential run is each shard
-		// paying its own switch transitions.
-		res.AdaptiveStats = join.Stats{
-			Steps:               ps.ShardSteps,
-			Read:                ps.Read,
-			Matches:             ps.Matches,
-			ExactMatches:        ps.ExactMatches,
-			ApproxMatches:       ps.ApproxMatches,
-			StepsInState:        ps.StepsInState,
-			TransitionsInto:     ps.TransitionsInto,
-			Switches:            ps.Switches,
-			CatchUpTuples:       ps.CatchUpTuples,
-			Evicted:             ps.Evicted,
-			IndexEntriesDropped: ps.IndexEntriesDropped,
-		}
+		// The shard engines' summed accounting: a tuple is stored
+		// (stepped) in its home shard only, so Steps equals the scan
+		// length; what the §4.4 cost checks see beyond the sequential
+		// run is each shard paying its own switch transitions.
+		res.AdaptiveStats = ex.Stats().Stats
 		res.Activations = ctl.Activations()
 	} else {
 		e, err := join.New(rc.Join, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
 		if err != nil {
 			return nil, err
 		}
-		var opts []adaptive.Option
-		if rc.Trace {
-			opts = append(opts, adaptive.WithTrace())
-		}
-		if rc.CostBudget > 0 {
-			opts = append(opts, adaptive.WithCostBudget(rc.Weights, rc.CostBudget))
-		}
-		ctl, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), rc.Params, opts...)
+		ctl, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), rc.Params)
 		if err != nil {
+			return nil, err
+		}
+		if err := rc.arm(ctl); err != nil {
 			return nil, err
 		}
 		start := time.Now()

@@ -137,11 +137,12 @@ func TestWritesToClonedGenerationPanic(t *testing.T) {
 	q.Clone()
 	mustPanicFrozen(t, "QGramIndex.Insert after Clone", func() { q.Insert(1, "monte rosa") })
 	mustPanicFrozen(t, "QGramIndex.Insert of the empty key after Clone", func() { q.Insert(1, "") })
-	mustPanicFrozen(t, "QGramIndex.InsertGrams after Clone", func() { q.InsertGrams(1, []string{"abc"}) })
+	var sc qgram.Scratch
+	mustPanicFrozen(t, "QGramIndex.InsertKey after Clone", func() { q.InsertKey(1, qgram.New(3).Decompose(&sc, "abc")) })
 	mustPanicFrozen(t, "QGramIndex.CatchUp after Clone", func() { q.CatchUp([]string{"monte rosa", "lago"}) })
 	mustPanicFrozen(t, "QGramIndex.EvictBelow after Clone", func() { q.EvictBelow(1) })
 	mustPanicFrozen(t, "second QGramIndex.Clone", func() { q.Clone() })
-	mustPanicFrozen(t, "Dict.Intern of a new gram after Clone", func() { q.Dict().InternStrings(nil, []string{"zzz"}) })
+	mustPanicFrozen(t, "Dict.Intern of a new gram after Clone", func() { q.Dict().Intern(nil, qgram.New(3).Decompose(&sc, "zzz")) })
 
 	e := NewExactIndex()
 	e.Insert(0, "rome")

@@ -213,12 +213,6 @@ func (x *QGramIndex) InsertKey(ref int, k qgram.Key) {
 	x.insertIDs(ref, x.idbuf)
 }
 
-// InsertGrams is InsertKey for a pre-materialised gram slice.
-func (x *QGramIndex) InsertGrams(ref int, grams []string) {
-	x.idbuf = x.dict.InternStrings(x.idbuf[:0], grams)
-	x.insertIDs(ref, x.idbuf)
-}
-
 func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 	checkLive(x.frozen, "QGramIndex.Insert")
 	if ref != x.indexed {
@@ -542,20 +536,6 @@ type ProbeScratch struct {
 func (x *QGramIndex) Probe(key string, minOverlap int) []Candidate {
 	var sc ProbeScratch
 	return x.ProbeKey(x.ex.Decompose(&sc.Dec, key), minOverlap, &sc)
-}
-
-// ProbeGrams is Probe for a pre-materialised gram slice.
-func (x *QGramIndex) ProbeGrams(grams []string, minOverlap int) []Candidate {
-	var sc ProbeScratch
-	sc.ids = make([]uint32, 0, len(grams))
-	for _, g := range grams {
-		id, ok := x.dict.IDOf(g)
-		if !ok {
-			id = qgram.NoID
-		}
-		sc.ids = append(sc.ids, id)
-	}
-	return x.probeIDs(sc.ids, len(grams), minOverlap, &sc, true)
 }
 
 // ProbeNaive is the unoptimised variant that admits candidates from

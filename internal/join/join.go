@@ -221,7 +221,8 @@ type Config struct {
 // implementation's padded q-gram Jaccard: every 1-character edit on the
 // generator's location strings stays above it while distinct locations
 // stay well below (the paper tuned 0.85 for its own gram definition the
-// same way; see EXPERIMENTS.md).
+// same way; `cmd/experiments -all` regenerates the evaluation that rests
+// on it).
 const DefaultTheta = 0.75
 
 // Defaults returns the paper's configuration: q=3, Jaccard, calibrated

@@ -9,21 +9,19 @@ import (
 	"adaptivelink/internal/relation"
 )
 
-// RefIndex is the resident, index-once/probe-many counterpart of the
-// streaming Engine: one side of the join (the reference, conventionally
-// the parent table R) is fully materialised into BOTH hash structures of
-// Fig. 3 — the exact attribute-value table and the q-gram inverted index
-// — and then probed many times by independent clients.
-//
-// The trade-off against the streaming engine is deliberate: keeping both
-// indexes up to date forfeits the lazy-maintenance saving of §2.3, but
-// in exchange an operator switch on the probe path costs nothing (there
-// is never an index to catch up), which is what makes cheap per-probe
-// adaptivity possible — see adaptive.ProbeLoop.
+// RefIndex is the sequential single-shard reference implementation of
+// the resident, index-once/probe-many mode: one side of the join (the
+// reference, conventionally the parent table R) is fully materialised
+// into BOTH hash structures of Fig. 3 — the exact attribute-value table
+// and the q-gram inverted index — behind one reader/writer lock, with
+// every operation written the obvious way. It is the differential
+// oracle ShardedRefIndex is held to (shardedref_diff_test.go,
+// FuzzUpsertProbe), not a deployment choice: nothing outside the tests
+// constructs one, and the public Index always runs on ShardedRefIndex.
 //
 // Concurrency: a RefIndex is safe for concurrent use. Probes take a read
-// lock and may run in parallel; Upsert takes the write lock, so
-// incremental reference maintenance is applied at quiescent points — the
+// lock and may run in parallel; Upsert holds the write lock for the
+// whole batch, so maintenance is applied at quiescent points — the
 // write lock is granted only when no probe is in flight, and no probe
 // ever observes a half-applied batch.
 //
@@ -124,22 +122,10 @@ func (r *RefIndex) Tuple(ref int) (relation.Tuple, error) {
 // the unchanged join key, so no index surgery is needed); a tuple with a
 // new key is appended to the store and inserted into both indexes. It
 // returns the inserted and updated counts.
-//
-// Gram decomposition — the expensive part of an insert — runs before
-// the write lock is taken, so the critical section holds only id
-// interning and posting appends and the probe fleet is never stalled
-// behind hashing. The grams of a key that turns out to be an update are
-// computed in vain; that waste is bounded by the batch and buys the
-// bounded lock hold.
 func (r *RefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
-	sc := r.pool.Get().(*probeScratch)
-	sc.dsc.Reset()
-	keys := make([]qgram.Key, len(tuples))
-	for i, t := range tuples {
-		keys[i] = r.ex.Decompose(&sc.dsc, t.Key)
-	}
 	r.mu.Lock()
-	for i, t := range tuples {
+	defer r.mu.Unlock()
+	for _, t := range tuples {
 		if ref, ok := r.newest[t.Key]; ok {
 			r.tuples[ref] = t
 			updated++
@@ -149,12 +135,10 @@ func (r *RefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
 		r.tuples = append(r.tuples, t)
 		r.keys = append(r.keys, t.Key)
 		r.exIdx.Insert(ref, t.Key)
-		r.qgIdx.InsertKey(ref, keys[i])
+		r.qgIdx.Insert(ref, t.Key)
 		r.newest[t.Key] = ref
 		inserted++
 	}
-	r.mu.Unlock()
-	r.pool.Put(sc)
 	return inserted, updated
 }
 
@@ -240,12 +224,13 @@ func (r *RefIndex) ProbeBatch(mode Mode, keys []string) [][]RefMatch {
 	return out
 }
 
-// Resident is the contract shared by the resident index
-// implementations: the sequential single-shard reference RefIndex and
-// the sharded RCU-snapshot ShardedRefIndex. The two are interchangeable
-// — the differential harness drives both with one op stream and asserts
-// identical match multisets — so callers program against this interface
-// and choose an implementation by concurrency profile only.
+// Resident is the contract of a resident index as the public facade
+// drives it. In process there is one deployed implementation, the
+// sharded RCU-snapshot ShardedRefIndex; RefIndex implements the same
+// contract as its differential oracle (the harness drives both with one
+// op stream and asserts identical match multisets), and the interface
+// is the seam the cluster view (internal/cluster) and decorators such as
+// the repository benchmark's timing wrapper plug into.
 type Resident interface {
 	// Config returns the matching configuration.
 	Config() Config

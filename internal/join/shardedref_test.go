@@ -186,68 +186,6 @@ func lockingFrame(stack string) string {
 	return ""
 }
 
-// TestRefIndexUpsertHashesOutsideLock is the regression test for the
-// write-lock hold of the sequential reference implementation: during a
-// storm of upserts whose keys are expensive to hash (long strings, so
-// gram extraction dominates), concurrent probes must not be stalled for
-// anywhere near the extraction time — the fix moved hashing before the
-// critical section, leaving only map insertions under the write lock.
-func TestRefIndexUpsertHashesOutsideLock(t *testing.T) {
-	r := newTestRefIndex(t, "via monte bianco nord 12", "lago di como est")
-
-	// A repetitive 40k-rune key: extraction walks the whole string (the
-	// expensive part) but yields few distinct grams (so the map work
-	// that stays under the lock is negligible).
-	bigKey := func(i, j int) string {
-		return strings.Repeat("ab", 20000) + fmt.Sprintf(" storm %d %d", i, j)
-	}
-
-	stop := make(chan struct{})
-	var maxProbe time.Duration
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t0 := time.Now()
-			r.ProbeExact("via monte bianco nord 12")
-			if d := time.Since(t0); d > maxProbe {
-				maxProbe = d
-			}
-		}
-	}()
-
-	begin := time.Now()
-	const batches = 5
-	for i := 0; i < batches; i++ {
-		batch := make([]relation.Tuple, 8)
-		for j := range batch {
-			batch[j] = relation.Tuple{ID: 1000 + i*8 + j, Key: bigKey(i, j)}
-		}
-		r.Upsert(batch)
-	}
-	elapsed := time.Since(begin)
-	close(stop)
-	wg.Wait()
-
-	// Pre-fix, a probe arriving during a batch waited for the whole
-	// batch's gram extraction (~elapsed/batches). Post-fix the lock
-	// holds only map inserts; allow generous scheduler noise.
-	limit := elapsed / batches / 2
-	if floor := 25 * time.Millisecond; limit < floor {
-		limit = floor
-	}
-	if maxProbe > limit {
-		t.Fatalf("probe stalled %v during upsert storm (limit %v, storm %v total): hashing is back under the write lock?",
-			maxProbe, limit, elapsed)
-	}
-}
-
 // TestShardedRefBatchMatchesSingleProbes pins ProbeBatch to its
 // definitional semantics on the sharded implementation directly (the
 // differential harness pins it against the reference implementation).

@@ -108,18 +108,23 @@ type Match struct {
 	DispatchStep int
 }
 
-// Stats aggregates the executor's counters. Read and Matches are counted
-// by the splitter and the merger; everything else sums the shard
-// engines. A shard engine steps once per tuple it stores, and a tuple is
-// stored in its home shard only, so once the join is drained the step
-// counters add up to the sequential engine's: ShardSteps = Read[0] +
-// Read[1] at every P. Probe-only offers to the other shards are not
-// steps; they are counted separately in ProbeOffers.
+// Stats aggregates the executor's counters: the engine accounting summed
+// over the shard engines, plus what only the executor can count. A shard
+// engine steps once per tuple it stores, and a tuple is stored in its
+// home shard only, so once the join is drained the embedded counters add
+// up to the sequential engine's: Steps = Read[0] + Read[1] at every P.
+// Probe-only offers to the other shards are not steps; they are counted
+// separately in ProbeOffers.
 type Stats struct {
+	// Stats sums the shard engines' counters, except that Read and the
+	// match counters are counted once, by the splitter and the merger.
+	// Each shard applies every broadcast switch, so Switches and
+	// TransitionsInto count P per aggregate switch, while CatchUpTuples
+	// — each shard re-indexes its own slice — matches the sequential
+	// engine's.
+	join.Stats
 	// Shards is the partition count.
 	Shards int
-	// Read counts input tuples consumed per side.
-	Read [2]int
 	// Routed counts the tuples the shards stored per side. Stored copies
 	// per input tuple is Routed/Read, which placement pins at 1.
 	Routed [2]int
@@ -127,28 +132,6 @@ type Stats struct {
 	// elsewhere: P-1 per approximately probing tuple, none per exactly
 	// probing one.
 	ProbeOffers int
-	// Matches is the number of result pairs; Exact + Approx = Matches.
-	Matches       int
-	ExactMatches  int
-	ApproxMatches int
-	// ShardSteps sums the per-shard engine step counters: the storing
-	// steps, one per input tuple.
-	ShardSteps int
-	// Switches, CatchUpTuples, StepsInState and TransitionsInto sum the
-	// shard engines' counters. Each shard applies every broadcast switch,
-	// so Switches and TransitionsInto count P per aggregate switch, while
-	// CatchUpTuples — each shard re-indexes its own slice — matches the
-	// sequential engine's.
-	Switches        int
-	CatchUpTuples   int
-	StepsInState    [4]int
-	TransitionsInto [4]int
-	// Evicted sums the shard engines' sliding-window eviction counters
-	// per side.
-	Evicted [2]int
-	// IndexEntriesDropped sums the index entries the shards' window
-	// compaction physically removed.
-	IndexEntriesDropped int
 	// ExactEntries and QGramEntries sum the shard engines' live index
 	// entries per side (join.SpaceEstimate): the same totals a sequential
 	// engine holds, since every tuple is indexed in one shard.
@@ -340,17 +323,12 @@ func (e *Executor) Close() error {
 // it returns a best-effort snapshot in which the per-shard engine sums
 // cover only finished shards.
 func (e *Executor) Stats() Stats {
-	s := Stats{
-		Shards:        e.cfg.Shards,
-		Matches:       int(e.matches.Load()),
-		ExactMatches:  int(e.exact.Load()),
-		ApproxMatches: int(e.approx.Load()),
-	}
+	s := Stats{Shards: e.cfg.Shards}
 	e.mu.Lock()
 	for _, sh := range e.shards {
 		st := sh.stats
 		s.ProbeOffers += sh.offers
-		s.ShardSteps += st.Steps
+		s.Steps += st.Steps
 		s.Switches += st.Switches
 		s.CatchUpTuples += st.CatchUpTuples
 		for i := 0; i < 4; i++ {
@@ -367,6 +345,9 @@ func (e *Executor) Stats() Stats {
 	}
 	e.mu.Unlock()
 	s.Read = [2]int{int(e.read[0].Load()), int(e.read[1].Load())}
+	s.Matches = int(e.matches.Load())
+	s.ExactMatches = int(e.exact.Load())
+	s.ApproxMatches = int(e.approx.Load())
 	return s
 }
 

@@ -161,8 +161,8 @@ func TestParityAllStates(t *testing.T) {
 				if st.Read[0] != ds.Parent.Len() || st.Read[1] != ds.Child.Len() {
 					t.Errorf("read counts %v, want [%d %d]", st.Read, ds.Parent.Len(), ds.Child.Len())
 				}
-				if n := st.Read[0] + st.Read[1]; st.ShardSteps != n {
-					t.Errorf("shard steps %d, want one storing step per dispatched tuple (%d)", st.ShardSteps, n)
+				if n := st.Read[0] + st.Read[1]; st.Steps != n {
+					t.Errorf("shard steps %d, want one storing step per dispatched tuple (%d)", st.Steps, n)
 				}
 			})
 		}
@@ -247,8 +247,8 @@ func TestPlacementPin(t *testing.T) {
 						t.Errorf("stored %v tuples of %v read (sequential read %v): want one stored copy per tuple",
 							st.Routed, st.Read, seqStats.Read)
 					}
-					if st.ShardSteps != seqStats.Steps || st.StepsInState != seqStats.StepsInState {
-						t.Errorf("storing steps %d %v, sequential %d %v", st.ShardSteps, st.StepsInState,
+					if st.Steps != seqStats.Steps || st.StepsInState != seqStats.StepsInState {
+						t.Errorf("storing steps %d %v, sequential %d %v", st.Steps, st.StepsInState,
 							seqStats.Steps, seqStats.StepsInState)
 					}
 					offers := 0
@@ -455,7 +455,7 @@ func TestExecutorLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Even a cancelled run must surface the shards' partial accounting.
-	if st := ex.Stats(); st.ShardSteps == 0 {
+	if st := ex.Stats(); st.Steps == 0 {
 		t.Error("Stats() after early Close lost the shard counters")
 	}
 	if err := ex.Close(); err == nil {

@@ -3,7 +3,6 @@ package qgram
 import (
 	"fmt"
 	"slices"
-	"unicode"
 	"unicode/utf8"
 
 	"adaptivelink/internal/cow"
@@ -120,9 +119,8 @@ func unpackRunes(buf []byte, p uint64) []byte {
 // Key is one decomposed join key: its q-grams in scratch-backed form.
 // On the packed fast paths grams are uint64s — byte-packed for ASCII
 // keys, rune-packed for non-ASCII BMP keys (runePacked selects the
-// scheme) — otherwise they are materialised strings. For set-semantics
-// extractors the grams are distinct and in canonical (lexicographic)
-// order; multiset extractors keep window order with duplicates. A Key
+// scheme) — otherwise they are materialised strings. The grams are
+// distinct and in canonical (lexicographic) order. A Key
 // borrows the Scratch it was decomposed with and stays valid until that
 // Scratch is Reset; it is immutable and safe to share across goroutines
 // that only read it.
@@ -132,7 +130,7 @@ type Key struct {
 	runePacked bool
 }
 
-// Len returns the gram count |q(s)| (distinct under set semantics).
+// Len returns the gram count |q(s)|.
 func (k Key) Len() int {
 	if k.strs != nil {
 		return len(k.strs)
@@ -159,7 +157,7 @@ func (k Key) AppendGram(buf []byte, i int) []byte {
 // the arena until Reset. A Scratch serves one goroutine at a time.
 // The zero value is ready to use.
 type Scratch struct {
-	buf    []byte   // padded, folded bytes of the key being decomposed
+	buf    []byte   // padded bytes of the key being decomposed
 	runes  []rune   // fallback: padded runes
 	win    []uint64 // raw packed windows before dedup
 	packed []uint64 // arena of packed grams backing Keys
@@ -176,7 +174,7 @@ func (sc *Scratch) Reset() {
 }
 
 // Decompose is the allocation-free counterpart of Grams: it decomposes
-// s into a scratch-backed Key under the extractor's configuration.
+// s into a scratch-backed Key of its distinct padded grams.
 // ASCII keys (with q small enough to byte-pack) and non-ASCII keys
 // whose runes all sit in the Basic Multilingual Plane (with q small
 // enough to rune-pack) never materialise gram strings at all; only
@@ -209,154 +207,78 @@ func isASCII(s string) bool {
 
 func (e *Extractor) decomposeASCII(sc *Scratch, s string) Key {
 	buf := sc.buf[:0]
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			buf = append(buf, PadLeft)
-		}
+	for i := 0; i < e.q-1; i++ {
+		buf = append(buf, PadLeft)
 	}
-	if e.fold {
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			buf = append(buf, c)
-		}
-	} else {
-		buf = append(buf, s...)
-	}
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			buf = append(buf, PadRight)
-		}
+	buf = append(buf, s...)
+	for i := 0; i < e.q-1; i++ {
+		buf = append(buf, PadRight)
 	}
 	sc.buf = buf
 
 	win := sc.win[:0]
-	if len(buf) < e.q {
-		// Unpadded short string: one gram holding the whole value.
-		win = append(win, pack(buf))
-	} else {
-		for i := 0; i+e.q <= len(buf); i++ {
-			win = append(win, pack(buf[i:i+e.q]))
-		}
+	for i := 0; i+e.q <= len(buf); i++ {
+		win = append(win, pack(buf[i:i+e.q]))
 	}
-	sc.win = win
+	return Key{packed: sc.distinct(win)}
+}
 
-	start := len(sc.packed)
-	if e.multiset {
-		sc.packed = append(sc.packed, win...)
-		return Key{packed: sc.packed[start:]}
-	}
-	// Set semantics: sort and deduplicate. Numeric order of packed
-	// values is the canonical lexicographic gram order.
+// distinct sorts the raw packed windows of one key and appends the
+// distinct ones to the arena, returning the arena view backing the Key.
+// Numeric order of packed values is the canonical lexicographic gram
+// order under either packing scheme (see pack and packRunes).
+func (sc *Scratch) distinct(win []uint64) []uint64 {
+	sc.win = win
 	slices.Sort(win)
+	start := len(sc.packed)
 	for i, p := range win {
 		if i > 0 && p == win[i-1] {
 			continue
 		}
 		sc.packed = append(sc.packed, p)
 	}
-	return Key{packed: sc.packed[start:]}
+	return sc.packed[start:]
 }
 
-// decomposeRunes is the packed fast path for non-ASCII keys: it folds
-// and pads rune by rune, packs each q-rune window with packRunes, and
+// decomposeRunes is the packed fast path for non-ASCII keys: it pads
+// rune by rune, packs each q-rune window with packRunes, and
 // sorts/dedups numerically exactly like decomposeASCII. It reports
 // ok=false — leaving the caller to fall back to the string path —
 // when any rune lies outside the BMP, where the 21-bit field would
 // overflow. Invalid UTF-8 decodes to U+FFFD here just as it does in
-// Grams ([]rune conversion), so the two paths agree on mangled input.
+// Grams, so the two paths agree on mangled input.
 func (e *Extractor) decomposeRunes(sc *Scratch, s string) (Key, bool) {
 	runes := sc.runes[:0]
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			runes = append(runes, PadLeft)
-		}
+	for i := 0; i < e.q-1; i++ {
+		runes = append(runes, PadLeft)
 	}
 	for _, r := range s {
 		if r > maxBMP {
 			sc.runes = runes
 			return Key{}, false
 		}
-		if e.fold {
-			// Rune-wise unicode.ToUpper is exactly what foldUpper's
-			// strings.ToUpper applies, without the allocation; simple
-			// upper-casing never maps a BMP rune out of the BMP.
-			r = unicode.ToUpper(r)
-		}
 		runes = append(runes, r)
 	}
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			runes = append(runes, PadRight)
-		}
+	for i := 0; i < e.q-1; i++ {
+		runes = append(runes, PadRight)
 	}
 	sc.runes = runes
 
 	win := sc.win[:0]
-	if len(runes) < e.q {
-		// Unpadded short string: one gram holding the whole value
-		// (len < q <= maxPackedRunes, so it always packs).
-		win = append(win, packRunes(runes))
-	} else {
-		for i := 0; i+e.q <= len(runes); i++ {
-			win = append(win, packRunes(runes[i:i+e.q]))
-		}
+	for i := 0; i+e.q <= len(runes); i++ {
+		win = append(win, packRunes(runes[i:i+e.q]))
 	}
-	sc.win = win
-
-	start := len(sc.packed)
-	if e.multiset {
-		sc.packed = append(sc.packed, win...)
-		return Key{packed: sc.packed[start:], runePacked: true}, true
-	}
-	// Set semantics: sort and deduplicate. Numeric order of rune-packed
-	// values is the canonical lexicographic gram order (see packRunes).
-	slices.Sort(win)
-	for i, p := range win {
-		if i > 0 && p == win[i-1] {
-			continue
-		}
-		sc.packed = append(sc.packed, p)
-	}
-	return Key{packed: sc.packed[start:], runePacked: true}, true
+	return Key{packed: sc.distinct(win), runePacked: true}, true
 }
 
 // decomposeSlow handles astral-plane keys and gram widths too large to
 // pack. Gram strings are materialised (one allocation each), but dedup
 // still reuses the scratch map instead of allocating one per call.
 func (e *Extractor) decomposeSlow(sc *Scratch, s string) Key {
-	if e.fold {
-		s = foldUpper(s)
-	}
-	runes := sc.runes[:0]
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			runes = append(runes, PadLeft)
-		}
-	}
-	for _, r := range s {
-		runes = append(runes, r)
-	}
-	if e.padded {
-		for i := 0; i < e.q-1; i++ {
-			runes = append(runes, PadRight)
-		}
-	}
+	runes := appendPadded(sc.runes[:0], s, e.q)
 	sc.runes = runes
 
 	start := len(sc.strs)
-	if len(runes) < e.q {
-		sc.strs = append(sc.strs, string(runes))
-		return Key{strs: sc.strs[start:]}
-	}
-	if e.multiset {
-		for i := 0; i+e.q <= len(runes); i++ {
-			sc.strs = append(sc.strs, string(runes[i:i+e.q]))
-		}
-		return Key{strs: sc.strs[start:]}
-	}
 	if sc.seen == nil {
 		sc.seen = make(map[string]struct{})
 	} else {
@@ -469,8 +391,8 @@ func (d *Dict) AppendIDs(dst []uint32, k Key) []uint32 {
 // Intern maps k's grams to ids like AppendIDs but assigns the next
 // dense id to each gram not yet present. Writer-side only.
 func (d *Dict) Intern(dst []uint32, k Key) []uint32 {
-	if k.strs != nil {
-		return d.InternStrings(dst, k.strs)
+	for _, g := range k.strs { // string-fallback Key: packed is empty
+		dst = append(dst, d.internString(g))
 	}
 	var b [runeGramBufLen]byte
 	for i := range k.packed {
@@ -480,15 +402,6 @@ func (d *Dict) Intern(dst []uint32, k Key) []uint32 {
 			id = d.internString(string(bs))
 		}
 		dst = append(dst, id)
-	}
-	return dst
-}
-
-// InternStrings is Intern for a pre-materialised gram slice (the
-// compatibility path of QGramIndex.InsertGrams).
-func (d *Dict) InternStrings(dst []uint32, grams []string) []uint32 {
-	for _, g := range grams {
-		dst = append(dst, d.internString(g))
 	}
 	return dst
 }

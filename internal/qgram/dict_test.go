@@ -20,24 +20,22 @@ func decomposedGrams(k Key) []string {
 	return out
 }
 
-// extractorVariants covers both decomposition paths (packed ASCII for
-// q ≤ 7, string fallback for q = 8) across the option space.
+// extractorVariants covers every decomposition path across gram widths:
+// byte-packed ASCII for q ≤ 7, rune-packed BMP for q ≤ 3, the string
+// fallback beyond (q = 8 for ASCII, q = 4 for non-ASCII).
 func extractorVariants() map[string]*Extractor {
 	return map[string]*Extractor{
-		"q3":            New(3),
-		"q1":            New(1),
-		"q7":            New(7),
-		"q8-slow":       New(8),
-		"q3-unpadded":   New(3, WithoutPadding()),
-		"q3-fold":       New(3, WithCaseFolding()),
-		"q3-multiset":   New(3, AsMultiset()),
-		"q2-fold-unpad": New(2, WithCaseFolding(), WithoutPadding()),
+		"q3":      New(3),
+		"q1":      New(1),
+		"q2":      New(2),
+		"q4":      New(4),
+		"q7":      New(7),
+		"q8-slow": New(8),
 	}
 }
 
-// Property: Decompose yields exactly the gram multiset of Grams — the
-// distinct set in canonical order for set extractors, the window
-// sequence for multiset ones — for ASCII and non-ASCII inputs alike.
+// Property: Decompose yields exactly the gram set of Grams, in canonical
+// order, for ASCII and non-ASCII inputs alike.
 func TestDecomposeMatchesGrams(t *testing.T) {
 	inputs := []string{
 		"", "a", "ab", "ROMA", "rome", "TAA BZ SANTA CRISTINA VALGARDENA",
@@ -49,12 +47,9 @@ func TestDecomposeMatchesGrams(t *testing.T) {
 		for _, s := range inputs {
 			var sc Scratch
 			got := decomposedGrams(ex.Decompose(&sc, s))
-			want := ex.Grams(s)
-			if !ex.multiset {
-				want = Sorted(want)
-				if len(want) == 0 {
-					want = nil
-				}
+			want := Sorted(ex.Grams(s))
+			if len(want) == 0 {
+				want = nil
 			}
 			if len(got) == 0 {
 				got = nil
@@ -68,8 +63,7 @@ func TestDecomposeMatchesGrams(t *testing.T) {
 
 func TestDecomposeRandomisedProperty(t *testing.T) {
 	alpha := []rune("ab YZ#$éñ目9")
-	ex := New(3)
-	exFold := New(3, WithCaseFolding())
+	ex, ex2 := New(3), New(2)
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rs := make([]rune, int(n)%24)
@@ -78,7 +72,7 @@ func TestDecomposeRandomisedProperty(t *testing.T) {
 		}
 		s := string(rs)
 		var sc Scratch
-		for _, e := range []*Extractor{ex, exFold} {
+		for _, e := range []*Extractor{ex, ex2} {
 			got := decomposedGrams(e.Decompose(&sc, s))
 			if len(got) == 0 {
 				got = nil
@@ -132,9 +126,8 @@ func TestCountMatchesGrams(t *testing.T) {
 	}
 }
 
-// Satellite: set-mode Count on short pad-free strings is arithmetic
-// (l+q-1 — no padding collisions are possible), and the case-folding
-// fast path does not allocate on already-upper ASCII input.
+// Satellite: Count on short pad-free strings is arithmetic (l+q-1 — no
+// padding collisions are possible).
 func TestCountShortStringArithmetic(t *testing.T) {
 	ex := New(5)
 	// len < q, no pad runes: all padded windows are provably distinct.
@@ -147,26 +140,6 @@ func TestCountShortStringArithmetic(t *testing.T) {
 	// A pad rune in the data disables the shortcut but not correctness.
 	if got, want := ex.Count("a#b"), len(ex.Grams("a#b")); got != want {
 		t.Errorf("Count(a#b) = %d, want %d", got, want)
-	}
-}
-
-func TestFoldUpperNoAllocWhenAlreadyUpper(t *testing.T) {
-	s := "TAA BZ SANTA CRISTINA 42"
-	if got := foldUpper(s); got != s {
-		t.Fatalf("foldUpper(%q) = %q", s, got)
-	}
-	if !raceEnabled {
-		if avg := testing.AllocsPerRun(100, func() {
-			_ = foldUpper(s)
-		}); avg != 0 {
-			t.Errorf("foldUpper allocated %.1f times on upper-case ASCII input", avg)
-		}
-	}
-	if got, want := foldUpper("münchen 12"), strings.ToUpper("münchen 12"); got != want {
-		t.Errorf("foldUpper(münchen 12) = %q, want %q", got, want)
-	}
-	if got := foldUpper("lower"); got != "LOWER" {
-		t.Errorf("foldUpper(lower) = %q", got)
 	}
 }
 
@@ -312,7 +285,8 @@ func TestDictLineageKeepsIDs(t *testing.T) {
 			t.Error("interning a new gram into a cloned dictionary did not panic")
 		}
 	}()
-	history[0].d.InternStrings(nil, []string{"never seen"})
+	var fresh Scratch
+	history[0].d.Intern(nil, New(3).Decompose(&fresh, "never seen"))
 }
 
 func TestIntersectSortedIDsMatchesIntersection(t *testing.T) {

@@ -5,14 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzGrams asserts the structural invariants of padded decomposition
-// on arbitrary inputs: no panic, every gram exactly q runes, multiset
-// count equal to runeLen+q-1, set a subset of the multiset.
 // FuzzDecomposeParity differentially tests the packed decomposition
 // paths against the string-materialising Grams oracle: for every input
 // — ASCII, Latin-with-diacritics, Cyrillic, Greek, CJK, astral-plane,
-// invalid UTF-8 — Decompose must produce exactly the gram multiset (or
-// canonical set) Grams does, under every extractor configuration. This
+// invalid UTF-8 — Decompose must produce exactly the canonical gram set
+// Grams does, at every gram width. This
 // is the harness that locks the byte-packed, rune-packed and string
 // fallback paths to one semantics.
 func FuzzDecomposeParity(f *testing.F) {
@@ -33,10 +30,7 @@ func FuzzDecomposeParity(f *testing.F) {
 		for name, ex := range variants {
 			var sc Scratch
 			got := decomposedGrams(ex.Decompose(&sc, s))
-			want := ex.Grams(s)
-			if !ex.multiset {
-				want = Sorted(want)
-			}
+			want := Sorted(ex.Grams(s))
 			if len(got) == 0 {
 				got = nil
 			}
@@ -54,39 +48,38 @@ func FuzzDecomposeParity(f *testing.F) {
 	})
 }
 
+// FuzzGrams asserts the structural invariants of padded decomposition
+// on arbitrary inputs: no panic, and the grams are exactly the distinct
+// q-rune windows of the padded input, each reported once.
 func FuzzGrams(f *testing.F) {
 	for _, seed := range []string{"", "a", "TAA BZ SANTA CRISTINA", "日本語テキスト", "\x00\xff", "   ", "aaaaaaaa"} {
 		f.Add(seed)
 	}
 	set := New(3)
-	multi := New(3, AsMultiset())
 	f.Fuzz(func(t *testing.T, s string) {
-		ms := multi.Grams(s)
-		runes := len([]rune(s))
-		if runes == 0 {
-			if len(ms) != 0 {
-				t.Fatalf("empty input produced grams %v", ms)
+		ss := set.Grams(s)
+		rs := []rune(s)
+		if len(rs) == 0 {
+			if len(ss) != 0 {
+				t.Fatalf("empty input produced grams %v", ss)
 			}
 			return
 		}
-		if len(ms) != runes+2 {
-			t.Fatalf("multiset count %d, want %d", len(ms), runes+2)
+		// The oracle's oracle: slide the window over the padded runes by
+		// hand — runeLen+q-1 windows, each exactly q runes wide.
+		padded := append(append([]rune{PadLeft, PadLeft}, rs...), PadRight, PadRight)
+		windows := map[string]struct{}{}
+		for i := 0; i+3 <= len(padded); i++ {
+			windows[string(padded[i:i+3])] = struct{}{}
 		}
-		seen := map[string]struct{}{}
-		for _, g := range ms {
-			if len([]rune(g)) != 3 {
-				t.Fatalf("gram %q not width 3", g)
-			}
-			seen[g] = struct{}{}
-		}
-		ss := set.Grams(s)
-		if len(ss) != len(seen) {
-			t.Fatalf("set size %d, distinct multiset grams %d", len(ss), len(seen))
+		if len(ss) != len(windows) {
+			t.Fatalf("set size %d, distinct windows %d", len(ss), len(windows))
 		}
 		for _, g := range ss {
-			if _, ok := seen[g]; !ok {
-				t.Fatalf("set gram %q absent from multiset", g)
+			if _, ok := windows[g]; !ok {
+				t.Fatalf("gram %q is not a window of the padded input", g)
 			}
+			delete(windows, g) // a repeated gram would miss the second time
 		}
 	})
 }

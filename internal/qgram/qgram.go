@@ -4,12 +4,12 @@
 //
 // The set of q-grams of a string s, q(s), is the set of all substrings
 // obtained by sliding a window of width q over s (the paper uses q = 3).
-// A string of length L yields L - q + 1 grams without padding, or
-// L + q - 1 grams with the conventional '#'/'$' padding that gives
-// positional weight to prefixes and suffixes. The paper's cost analysis
-// counts |jA| + q - 1 grams per value, which corresponds to the padded
-// variant; Extract therefore pads by default, and ExtractRaw is available
-// for unpadded decomposition.
+// Strings are padded with the conventional '#'/'$' sentinels, which give
+// positional weight to prefixes and suffixes: a string of rune-length L
+// yields L + q - 1 windows — the |jA| + q - 1 of the paper's cost
+// analysis — of which the distinct ones form the set. Decomposition is
+// case-sensitive and verbatim; case, accent and width folding belong to
+// the normalization profile upstream (package normalize).
 package qgram
 
 import (
@@ -29,85 +29,55 @@ const (
 	PadRight = '$'
 )
 
-// Extractor decomposes strings into q-grams with a fixed configuration.
+// Extractor decomposes strings into padded q-gram sets of a fixed width.
 // The zero value is not usable; construct with New.
 type Extractor struct {
-	q        int
-	padded   bool
-	fold     bool // fold to upper case before decomposition
-	multiset bool
+	q int
 }
-
-// Option configures an Extractor.
-type Option func(*Extractor)
-
-// WithoutPadding disables the '#'/'$' end padding.
-func WithoutPadding() Option { return func(e *Extractor) { e.padded = false } }
-
-// WithCaseFolding makes decomposition case-insensitive by upper-casing
-// input first.
-func WithCaseFolding() Option { return func(e *Extractor) { e.fold = true } }
-
-// AsMultiset keeps duplicate grams instead of deduplicating. The paper's
-// Jaccard coefficient is defined on sets, so the default deduplicates.
-func AsMultiset() Option { return func(e *Extractor) { e.multiset = true } }
 
 // New returns an extractor for width q. It panics if q < 1, which is a
 // programming error rather than a data error.
-func New(q int, opts ...Option) *Extractor {
+func New(q int) *Extractor {
 	if q < 1 {
 		panic(fmt.Sprintf("qgram: invalid gram width %d", q))
 	}
-	e := &Extractor{q: q, padded: true}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
+	return &Extractor{q: q}
 }
 
 // Q returns the configured gram width.
 func (e *Extractor) Q() int { return e.q }
 
-// Padded reports whether end padding is enabled.
-func (e *Extractor) Padded() bool { return e.padded }
-
-// Grams returns the q-grams of s under the extractor's configuration.
-// With padding, a non-empty string of rune-length L yields L + q - 1
-// grams before deduplication; the empty string yields none. Without
-// padding, strings shorter than q yield a single gram holding the whole
-// string, so that short values still participate in similarity.
+// Grams returns the distinct q-grams of s in first-occurrence order: a
+// non-empty string of rune-length L yields the L + q - 1 windows of its
+// padded form, deduplicated (the paper's Jaccard coefficient is defined
+// on sets); the empty string yields none. It is the string-materialising
+// oracle the packed Decompose paths are held to.
 func (e *Extractor) Grams(s string) []string {
-	if e.fold {
-		s = foldUpper(s)
-	}
-	runes := []rune(s)
-	if len(runes) == 0 {
+	if len(s) == 0 {
 		return nil
 	}
-	if e.padded {
-		padded := make([]rune, 0, len(runes)+2*(e.q-1))
-		for i := 0; i < e.q-1; i++ {
-			padded = append(padded, PadLeft)
-		}
-		padded = append(padded, runes...)
-		for i := 0; i < e.q-1; i++ {
-			padded = append(padded, PadRight)
-		}
-		runes = padded
-	}
-	var grams []string
-	if len(runes) < e.q {
-		grams = []string{string(runes)}
-	} else {
-		grams = make([]string, 0, len(runes)-e.q+1)
-		for i := 0; i+e.q <= len(runes); i++ {
-			grams = append(grams, string(runes[i:i+e.q]))
-		}
-	}
-	if e.multiset {
-		return grams
+	runes := appendPadded(nil, s, e.q)
+	grams := make([]string, 0, len(runes)-e.q+1)
+	for i := 0; i+e.q <= len(runes); i++ {
+		grams = append(grams, string(runes[i:i+e.q]))
 	}
 	return dedup(grams)
+}
+
+// appendPadded appends s's runes to dst between q-1 leading PadLeft and
+// q-1 trailing PadRight sentinels. Invalid UTF-8 decodes to U+FFFD, one
+// rune per offending byte, as in a []rune conversion.
+func appendPadded(dst []rune, s string, q int) []rune {
+	for i := 0; i < q-1; i++ {
+		dst = append(dst, PadLeft)
+	}
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	for i := 0; i < q-1; i++ {
+		dst = append(dst, PadRight)
+	}
+	return dst
 }
 
 // GramSet returns the q-grams of s as a set.
@@ -121,56 +91,22 @@ func (e *Extractor) GramSet(s string) map[string]struct{} {
 }
 
 // Count returns the number of grams Grams(s) would produce, without
-// allocating them. For multiset extractors this is pure arithmetic; for
-// set extractors it is arithmetic whenever the multiset count provably
-// equals the distinct count, and falls back to deduplicating otherwise.
-//
-// The fold used here is the SIMPLE upper-case mapping (strings.ToUpper
-// applies unicode.ToUpper rune-wise), which maps each rune to exactly
-// one rune — full case folding, which may expand (ß→SS), is
-// deliberately excluded from the extractor; normalize.FoldCase applies
-// it upstream when a profile opts in. Because the simple fold preserves
-// the rune count and cannot create or remove pad runes, the arithmetic
-// paths skip it entirely; TestFoldPreservesRuneCount pins this
-// contract.
+// allocating them whenever the window count provably equals the distinct
+// count, and by deduplicating otherwise.
 func (e *Extractor) Count(s string) int {
 	l := utf8.RuneCountInString(s)
 	if l == 0 {
 		return 0
 	}
-	if e.multiset {
-		if e.padded {
-			return l + e.q - 1
-		}
-		if l < e.q {
-			return 1
-		}
-		return l - e.q + 1
-	}
-	// Set semantics. When the whole string is shorter than q and holds
-	// no pad runes, no two padded windows can collide: every window
-	// containing leading pads has a distinct '#'-run length, and every
-	// window without has a distinct '$'-run length. The multiset count
-	// l+q-1 is therefore already the distinct count.
-	if e.padded && l < e.q && !strings.ContainsRune(s, PadLeft) && !strings.ContainsRune(s, PadRight) {
+	// When the whole string is shorter than q and holds no pad runes, no
+	// two padded windows can collide: every window containing leading
+	// pads has a distinct '#'-run length, and every window without has a
+	// distinct '$'-run length. The window count l+q-1 is therefore
+	// already the distinct count.
+	if l < e.q && !strings.ContainsRune(s, PadLeft) && !strings.ContainsRune(s, PadRight) {
 		return l + e.q - 1
 	}
-	if !e.padded && l < e.q {
-		return 1 // single whole-string gram
-	}
 	return len(e.Grams(s))
-}
-
-// foldUpper upper-cases s for case-insensitive decomposition, returning
-// s itself — no allocation — when it is already upper-case ASCII.
-func foldUpper(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= utf8.RuneSelf || ('a' <= c && c <= 'z') {
-			return strings.ToUpper(s)
-		}
-	}
-	return s
 }
 
 // dedup removes duplicates preserving first-occurrence order.

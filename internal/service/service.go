@@ -249,6 +249,20 @@ func (s *Service) countRequest(code string) {
 	s.requestCounters[code].Inc()
 }
 
+// register publishes a built or reloaded index under name: its managed
+// wrapper enters the registry and the size, shard and index-count gauges
+// are set, all under the registry lock.
+func (s *Service) register(name string, ix *adaptivelink.Index) *managedIndex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mi := s.newManaged(name, ix)
+	s.indexes[name] = mi
+	mi.size.Set(float64(ix.Len()))
+	mi.shards.Set(float64(ix.Options().Shards))
+	s.indexGauge.Set(float64(len(s.indexes)))
+	return mi
+}
+
 func (s *Service) newManaged(name string, ix *adaptivelink.Index) *managedIndex {
 	l := func(extra string) string {
 		if extra == "" {
@@ -431,14 +445,8 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 	if err != nil {
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi := s.newManaged(name, ix)
-	s.indexes[name] = mi
-	mi.size.Set(float64(ix.Len()))
-	mi.shards.Set(float64(ix.Options().Shards))
+	mi := s.register(name, ix)
 	mi.inserted.Add(float64(ix.Len()))
-	s.indexGauge.Set(float64(len(s.indexes)))
 	s.log.Info("created index", "index", name, "tuples", ix.Len(),
 		"shards", ix.Options().Shards, "durable", ix.Durable())
 	return mi.info(), nil
@@ -545,13 +553,7 @@ func (s *Service) LoadStored() ([]string, error) {
 		s.log.Info("reloaded index", "index", name, "tuples", ix.Len(),
 			"snapshot_tuples", ri.SnapshotTuples, "wal_batches", ri.WALBatchesReplayed,
 			"duration", time.Since(t0).Round(time.Millisecond))
-		s.mu.Lock()
-		mi := s.newManaged(name, ix)
-		s.indexes[name] = mi
-		mi.size.Set(float64(ix.Len()))
-		mi.shards.Set(float64(ix.Options().Shards))
-		s.indexGauge.Set(float64(len(s.indexes)))
-		s.mu.Unlock()
+		s.register(name, ix)
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -665,13 +667,7 @@ func (s *Service) ResyncIndex(name string, data []byte) (IndexInfo, error) {
 			return IndexInfo{}, err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi := s.newManaged(name, ix)
-	s.indexes[name] = mi
-	mi.size.Set(float64(ix.Len()))
-	mi.shards.Set(float64(ix.Options().Shards))
-	s.indexGauge.Set(float64(len(s.indexes)))
+	mi := s.register(name, ix)
 	s.log.Info("bootstrapped index from resync", "index", name, "tuples", ix.Len(),
 		"durable", ix.Durable(), "duration", time.Since(t0).Round(time.Millisecond))
 	return mi.info(), nil

@@ -129,9 +129,8 @@ func (r *PrefixRouter) Routes(dst []int, key string) []int {
 }
 
 // RoutesKey is the allocation-free form of Routes for a key the caller
-// has already decomposed (with set semantics and a configuration
-// matching the router's — same q, no multiset). It returns exactly the
-// shards Routes(dst, key) would: a set-mode qgram.Key holds its
+// has already decomposed (with the router's q). It returns exactly the
+// shards Routes(dst, key) would: a qgram.Key holds its
 // distinct grams in the same canonical lexicographic order Routes
 // sorts into, so the prefix-filter signature is the Key's leading
 // g−k+1 grams, hashed without materialising gram strings.

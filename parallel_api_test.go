@@ -2,6 +2,7 @@ package adaptivelink
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -274,6 +275,32 @@ func TestParallelBudgetStats(t *testing.T) {
 	}
 	if got := j.State(); got != "lex/rex" {
 		t.Errorf("state after exhausting a tight budget = %s, want lex/rex", got)
+	}
+	// The trace carries the same counter: the last activation's Spend is
+	// the spend as of the last barrier, and the sequential run of the
+	// same join records the same Spend at every activation.
+	acts := j.Activations()
+	if last := acts[len(acts)-1].Spend; math.Abs(last-st.BudgetSpend) > 1e-9*last {
+		t.Errorf("last activation spend %v, BudgetSpend %v", last, st.BudgetSpend)
+	}
+	seq, err := New(td.ParentSource(), td.ChildSource(), Options{
+		Strategy: Adaptive, Parallelism: 1, CostBudget: 600, TraceActivations: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seq.All(); err != nil {
+		t.Fatal(err)
+	}
+	seqActs := seq.Activations()
+	if len(seqActs) != len(acts) {
+		t.Fatalf("%d activations, sequential %d", len(acts), len(seqActs))
+	}
+	for i := range acts {
+		if acts[i].Spend != seqActs[i].Spend || acts[i].Reason != seqActs[i].Reason {
+			t.Errorf("activation %d: spend %v (%s), sequential %v (%s)",
+				i, acts[i].Spend, acts[i].Reason, seqActs[i].Spend, seqActs[i].Reason)
+		}
 	}
 }
 

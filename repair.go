@@ -163,22 +163,7 @@ func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
 	}
 	m := store.MetaOf(v)
-	if opts.Q == 0 {
-		opts.Q = m.Q
-	}
-	if opts.Theta == 0 {
-		opts.Theta = m.Theta
-	}
-	if opts.Measure == 0 {
-		opts.Measure = Measure(m.Measure)
-	}
-	if opts.Shards == 0 {
-		opts.Shards = m.Shards
-	}
-	if opts.Profile == "" {
-		opts.Profile = m.Profile
-	}
-	opts, err = opts.resolved()
+	opts, err = opts.adopting(m).resolved()
 	if err != nil {
 		return nil, err
 	}

@@ -62,29 +62,18 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the join's counters. For a parallel join
-// the snapshot is fully consistent once the join is exhausted or
-// closed; Steps counts each input tuple once, and ShardSteps and the
-// per-state accounting, which sum the shard engines, add up to the same
-// total.
+// everything but the read and match counts sums the shard engines — a
+// tuple steps in its home shard only, so Steps, ShardSteps and the
+// per-state accounting all add up to one step per input tuple — and the
+// snapshot is fully consistent once the join is exhausted or closed;
+// mid-run the sums cover finished shards only.
 func (j *Join) Stats() Stats {
 	var st join.Stats
 	out := Stats{Parallelism: j.par}
 	if j.pexec != nil {
 		ps := j.pexec.Stats()
-		st = join.Stats{
-			Steps:               ps.Read[0] + ps.Read[1],
-			Read:                ps.Read,
-			Matches:             ps.Matches,
-			ExactMatches:        ps.ExactMatches,
-			ApproxMatches:       ps.ApproxMatches,
-			StepsInState:        ps.StepsInState,
-			TransitionsInto:     ps.TransitionsInto,
-			Switches:            ps.Switches,
-			CatchUpTuples:       ps.CatchUpTuples,
-			Evicted:             ps.Evicted,
-			IndexEntriesDropped: ps.IndexEntriesDropped,
-		}
-		out.ShardSteps = ps.ShardSteps
+		st = ps.Stats
+		out.ShardSteps = ps.Steps
 		out.ProbeOffers = ps.ProbeOffers
 		if j.sctl != nil {
 			out.BudgetSpend = j.sctl.Spend()
@@ -119,7 +108,8 @@ func (j *Join) Stats() Stats {
 
 // Activation is one recorded control-loop firing (TraceActivations).
 type Activation struct {
-	// Step is the engine step at which the loop activated.
+	// Step is the loop's step clock at the activation: engine steps for
+	// a Join, probes for a Session.
 	Step int
 	// Observed is the result size at activation; Expected the model's
 	// expected result size at that step (p̂ · child tuples seen) — what
@@ -140,23 +130,16 @@ type Activation struct {
 	Reason string
 	// CaughtUp is the number of tuples the switch re-indexed.
 	CaughtUp int
+	// Spend is the modelled cost of the logical scan after this
+	// activation, in all-exact-step units — the counter a CostBudget is
+	// enforced against, this activation's own switch included.
+	Spend float64
 }
 
-// Activations returns the recorded control-loop trace. It is nil unless
-// Options.TraceActivations was set and the strategy is Adaptive. On a
-// parallel join the trace holds the aggregate (sharded) controller's
-// activations; CaughtUp is always 0 there, catch-up being accounted per
-// shard in Stats.CatchUpTuples instead.
-func (j *Join) Activations() []Activation {
-	var acts []adaptive.Activation
-	switch {
-	case j.ctl != nil:
-		acts = j.ctl.Activations()
-	case j.sctl != nil:
-		acts = j.sctl.Activations()
-	default:
-		return nil
-	}
+// publicActivations renders the control loop's one activation record as
+// the public type — for Join and Session traces and, one step further,
+// explain decisions. A nil trace stays nil.
+func publicActivations(acts []adaptive.Activation) []Activation {
 	if acts == nil {
 		return nil
 	}
@@ -165,14 +148,30 @@ func (j *Join) Activations() []Activation {
 		out[i] = Activation{
 			Step:     a.Observation.Step,
 			Observed: a.Observation.Observed,
-			Expected: a.Assessment.P * float64(a.Observation.ChildSeen),
+			Expected: a.Expected(),
 			Tail:     a.Assessment.Tail,
 			Sigma:    a.Assessment.Sigma,
 			From:     a.From.String(),
 			To:       a.To.String(),
-			Reason:   adaptive.DecisionReason(a.From, a.To, a.Assessment.Sigma, a.Forced),
+			Reason:   a.Reason(),
 			CaughtUp: a.CaughtUp,
+			Spend:    a.Spend,
 		}
 	}
 	return out
+}
+
+// Activations returns the recorded control-loop trace. It is nil unless
+// Options.TraceActivations was set and the strategy is Adaptive. On a
+// parallel join the trace holds the aggregate (sharded) controller's
+// activations; CaughtUp is always 0 there, catch-up being accounted per
+// shard in Stats.CatchUpTuples instead.
+func (j *Join) Activations() []Activation {
+	switch {
+	case j.ctl != nil:
+		return publicActivations(j.ctl.Activations())
+	case j.sctl != nil:
+		return publicActivations(j.sctl.Activations())
+	}
+	return nil
 }
