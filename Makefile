@@ -7,7 +7,7 @@ GO ?= go
 # Raise it (never lower it) when a PR lifts coverage.
 COVER_MIN ?= 86.5
 
-.PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz bench-service bench-probe bench-store alloc check
+.PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz alloc check
 
 all: check
 
@@ -54,7 +54,8 @@ loc:
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
 # One iteration of every benchmark: a smoke test that the bench harness
-# still compiles and runs, not a measurement.
+# still compiles and runs, not a measurement. Measurements of record
+# come from the repository benchmark (BENCHMARK.json, benchmark/).
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -126,29 +127,6 @@ fuzz:
 	$(GO) test ./internal/store -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qgram -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=$(FUZZTIME)
-
-# Service benchmark trajectory: linkbench in exact+adaptive ×
-# single+batch modes against a live adaptivelinkd, appending labelled
-# points to BENCH_service.json; exact runs fail on a >20% probes/s
-# regression vs the previous matching point (SKIP_BENCH_DIFF=1 for
-# known-noisy hosts). See scripts/bench_service.sh for the knobs.
-bench-service:
-	./scripts/bench_service.sh
-
-# Probe-path microbenchmark trajectory: resident Probe/ProbeBatch plus
-# the gram-extraction / candidate-generation / verification kernels,
-# appended to BENCH_probe.json with the same host-label + regress-pct
-# gating as bench-service. See scripts/bench_probe.sh for the knobs.
-bench-probe:
-	./scripts/bench_probe.sh
-
-# Durability benchmark trajectory: cold-start time-to-first-probe
-# (snapshot Open vs reindex-from-CSV) and ingest throughput (BulkLoad
-# vs single logged Upserts), appended to BENCH_store.json. Also asserts
-# the headline claims: cold start >=5x faster than reindexing, bulk
-# load beats single upserts. See scripts/bench_store.sh for the knobs.
-bench-store:
-	./scripts/bench_store.sh
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the

@@ -143,13 +143,16 @@ type Options struct {
 	// Parallelism is the number of hash partitions (shards) the join
 	// executes concurrently. 0 (default) uses runtime.GOMAXPROCS(0);
 	// 1 selects the exact sequential engine (the legacy path). With
-	// P > 1 both inputs are co-partitioned — q-gram-prefix routing
-	// keeps approximate matches shard-local — P engines run on their
-	// own goroutines, and the match streams are merged with
-	// deduplication; for fixed strategies the result set is identical
-	// to the sequential engine's. Adaptive joins aggregate per-shard
-	// observations into one deficit test and broadcast switches to all
-	// shards at their quiescent points (see doc.go, Concurrency).
+	// P > 1 both inputs are hash-partitioned by join key: a tuple is
+	// stored in its key's home shard only, P engines run on their own
+	// goroutines, and a tuple whose side probes approximately is also
+	// offered, probe-only, to every other shard's slice of the opposite
+	// input. Every pair is found in exactly one shard, so the merged
+	// match streams hold nothing to deduplicate; for fixed strategies
+	// the result set is identical to the sequential engine's. Adaptive
+	// joins aggregate per-shard observations into one deficit test and
+	// broadcast switches to all shards at their quiescent points (see
+	// doc.go, Concurrency).
 	//
 	// RetainWindow and CostBudget compose with any Parallelism: the
 	// splitter stamps every tuple with its global arrival sequence

@@ -1,13 +1,14 @@
 // Command linkbench is a closed-loop load generator for adaptivelinkd:
 // it creates a benchmark index from generated test data, fires link
 // requests from concurrent clients, and reports throughput and latency
-// percentiles, optionally appending the measurement to
-// BENCH_service.json. A non-zero exit means at least one request failed.
+// percentiles on stdout. A non-zero exit means at least one request
+// failed. Measurements that back claims come from the repository
+// benchmark (BENCHMARK.json, benchmark/), not from this tool.
 //
 // Usage:
 //
 //	linkbench -addr http://127.0.0.1:8080 -n 1000 -c 64 -batch 4 \
-//	          -strategy adaptive -out BENCH_service.json
+//	          -strategy adaptive
 package main
 
 import (

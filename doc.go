@@ -162,7 +162,7 @@
 // and graceful drain on SIGTERM. Every non-2xx response carries the
 // unified v1 error envelope {"error":{"code":...,"message":...}} with
 // a closed code set (see internal/service). cmd/linkbench load-tests
-// it and records throughput/latency points into BENCH_service.json.
+// it and prints throughput and latency percentiles.
 //
 // # Cluster
 //
@@ -246,8 +246,9 @@
 // sorted signatures, the stored transpose of the resident postings
 // table — so loading is a sequential read plus slice reconstruction:
 // no key is re-decomposed and no gram re-hashed, which is what makes
-// cold start several times faster than rebuilding from the source CSV
-// (BENCH_store.json, make bench-store).
+// cold start faster than rebuilding from the source CSV
+// (cold_start_snapshot_s of the durable_restart workload in
+// BENCHMARK.json).
 // The write-ahead log (upserts.wal) records every acknowledged Upsert
 // batch in CRC-framed records before it is applied; on Open the
 // snapshot loads first and the log replays on top, so the reopened
@@ -264,9 +265,9 @@
 // of one fsync per batch; SyncNone leaves flushing to the OS — much
 // faster ingest, bounded staleness after a crash, never an
 // inconsistent index. Save("") checkpoints in place (snapshot
-// replaced atomically via rename, log reset); SnapshotOnClose does the
-// same during Close, making the next Open a pure snapshot load.
-// NewIndex remains the purely ephemeral constructor.
+// replaced atomically via rename, log reset), making the next Open a
+// pure snapshot load. NewIndex remains the purely ephemeral
+// constructor.
 //
 // adaptivelinkd gains the same durability end to end: -data-dir makes
 // created indexes durable (one subdirectory per index, bulk-loaded
@@ -333,8 +334,9 @@
 // not extend, and interning is append-only (ids are never renumbered),
 // so a probe always reads a
 // consistent dict/postings pair and the match contract is bit-for-bit
-// unchanged. BENCH_probe.json records the per-probe trajectory (make
-// bench-probe); BENCH_service.json the service-level one.
+// unchanged. The repository benchmark (BENCHMARK.json,
+// benchmark/README.md) is the record of what a probe and a request
+// cost, end to end and layer by layer.
 //
 // # Unicode and normalization
 //

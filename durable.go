@@ -43,9 +43,6 @@ type StorageOptions struct {
 	Dir string
 	// WALSync is the log's fsync policy (default SyncAlways).
 	WALSync SyncPolicy
-	// SnapshotOnClose checkpoints the index during Close, so the next
-	// Open is a pure snapshot load with no log to replay.
-	SnapshotOnClose bool
 }
 
 // ErrIndexClosed is returned by writes against a closed durable index.
@@ -117,15 +114,16 @@ func (opts IndexOptions) adopting(m store.Meta) IndexOptions {
 	return opts
 }
 
-// BulkLoad builds a resident index from the reference source through
-// the bulk path: decompose and route every key first, then build each
-// shard's structures densely in parallel — far faster than feeding the
-// same rows through Upsert one batch at a time, and identical in
-// outcome. With Storage.Dir set the built index is persisted by writing
-// its snapshot directly (the initial rows never touch the log) into a
-// directory that must not already hold an index; the returned index is
-// then durable, logging subsequent Upserts. With an empty Storage.Dir
-// it is the fast constructor for a purely in-memory index.
+// BulkLoad builds a resident index from the reference source — the one
+// construction path, NewIndex included: drain the source, normalise the
+// keys, hash every key to its home shard, then build each shard's
+// structures densely in parallel. The outcome is identical to feeding
+// the same rows through Upsert (the path WAL replay and live
+// maintenance use). With Storage.Dir set the built index is persisted
+// by writing its snapshot directly (the initial rows never touch the
+// log) into a directory that must not already hold an index; the
+// returned index is then durable, logging subsequent Upserts. With an
+// empty Storage.Dir it is NewIndex.
 func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if ref == nil {
 		return nil, fmt.Errorf("adaptivelink: nil reference source")
@@ -197,8 +195,8 @@ func sameDir(a, b string) bool {
 	return err1 == nil && err2 == nil && ca == cb
 }
 
-// Close releases a durable index's storage, checkpointing first when
-// Storage.SnapshotOnClose is set. The in-memory state remains probeable
+// Close releases a durable index's storage (Save("") first makes the
+// next Open a pure snapshot load). The in-memory state remains probeable
 // (probes are lock-free and touch no files), but writes fail with
 // ErrIndexClosed. Closing an in-memory index — or closing twice — is a
 // no-op.
@@ -210,16 +208,7 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	ix.closed = true
-	var err error
-	if ix.opts.Storage.SnapshotOnClose {
-		if sr, ok := ix.resident().(*join.ShardedRefIndex); ok {
-			err = ix.dir.Checkpoint(sr)
-		}
-	}
-	if cerr := ix.dir.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return ix.dir.Close()
 }
 
 // Durable reports whether the index is backed by storage.

@@ -1,14 +1,16 @@
 package adaptivelink
 
-// Durability benchmarks — the BENCH_store.json points (`make
-// bench-store`). Two claims are measured, each as a pair:
+// Durability benchmarks: shapes for profiling while you work (`make
+// bench` runs one iteration of each; nothing records or gates them —
+// end to end the same costs are setup_s, cold_start_snapshot_s and
+// upsert_tuples_per_s of the durable_restart workload in
+// BENCHMARK.json). Two comparisons, each as a pair:
 //
 //   - Cold start: Open on a snapshotted directory (load = sequential
 //     read + slice reconstruction, then one probe) versus the path it
 //     replaces — re-parsing the reference CSV and rebuilding the index
 //     through the bulk builder. BenchmarkStoreColdStartOpen vs
-//     BenchmarkStoreColdStartReindexCSV; the ratio is the restart
-//     speedup scripts/bench_store.sh asserts on.
+//     BenchmarkStoreColdStartReindexCSV.
 //   - Ingest: BulkLoad of N rows straight into a snapshot versus the
 //     same N rows as N single Upserts through the write-ahead log.
 //     BenchmarkStoreBulkLoad vs BenchmarkStoreUpsertSingles, both

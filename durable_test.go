@@ -1,6 +1,7 @@
 package adaptivelink
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -127,8 +128,10 @@ func TestOpenRestartRoundTrip(t *testing.T) {
 	upsertBoth([]Tuple{{ID: 9001, Key: tuples[0].Key, Attrs: []string{"refreshed"}}})
 	restart() // snapshot + WAL replay
 
-	// SnapshotOnClose: the next reopen replays nothing.
-	ix.opts.Storage.SnapshotOnClose = true
+	// Checkpoint, then close: the next reopen replays nothing.
+	if err := ix.Save(""); err != nil {
+		t.Fatal(err)
+	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestOpenRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ix.WALRecords() != 0 {
-		t.Fatalf("WALRecords after snapshot-on-close reopen = %d", ix.WALRecords())
+		t.Fatalf("WALRecords after checkpoint-and-close reopen = %d", ix.WALRecords())
 	}
 	assertIndexEqual(t, mem, ix, keys)
 	ix.Close()
@@ -245,6 +248,20 @@ func TestBulkLoadDurable(t *testing.T) {
 	}
 	mem2, _ := NewIndex(FromTuples(tuples), IndexOptions{Shards: 2})
 	assertIndexEqual(t, mem2, fast, keysOf(tuples))
+	// NewIndex is the same build, and the upsert path (WAL replay, live
+	// maintenance) arrives at the same index: byte-identical snapshots.
+	ups, _ := NewIndex(FromTuples(nil), IndexOptions{Shards: 2})
+	drained, _ := drainSource(FromTuples(tuples)) // the source renumbers IDs
+	ups.Upsert(drained...)
+	want, err := fast.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"NewIndex": mem2, "Upsert": ups} {
+		if got, err := ix.ExportSnapshotBytes(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s snapshot differs from BulkLoad's (err %v, %d vs %d bytes)", name, err, len(got), len(want))
+		}
+	}
 }
 
 // TestSaveExportsInMemoryIndex: Save(dir) turns an in-memory index into

@@ -190,29 +190,10 @@ func newIndex(r join.Resident, opts IndexOptions) *Index {
 // carries several records per key, disambiguate the key (e.g. append a
 // discriminator column) before indexing.
 func NewIndex(ref Source, opts IndexOptions) (*Index, error) {
-	if ref == nil {
-		return nil, fmt.Errorf("adaptivelink: nil reference source")
-	}
 	if opts.Storage.Dir != "" {
 		return nil, fmt.Errorf("adaptivelink: NewIndex builds in-memory indexes; use Open (or BulkLoad) for Storage.Dir %q", opts.Storage.Dir)
 	}
-	opts, err := opts.resolved()
-	if err != nil {
-		return nil, err
-	}
-	ri, err := join.NewShardedRefIndex(opts.config(), opts.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("adaptivelink: %w", err)
-	}
-	ix := newIndex(ri, opts)
-	batch, err := drainSource(ref)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := ix.Upsert(batch...); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return BulkLoad(ref, opts)
 }
 
 // resolved applies the option defaults and validates what cannot be
@@ -356,9 +337,9 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 // statistically when it is not.
 func (ix *Index) Probe(key string) []ProbeMatch {
 	key = ix.normKey(key)
-	res := ix.resident().ProbeExact(key)
+	res := ix.resident().Probe(join.Exact, key)
 	if len(res) == 0 {
-		res = ix.resident().ProbeApprox(key)
+		res = ix.resident().Probe(join.Approx, key)
 	}
 	return publicMatches(res)
 }
@@ -502,12 +483,12 @@ func (s *Session) probeKey(key string) []join.RefMatch {
 // per-key and the batch path alike. escalate is the loop's verdict that
 // this probe missed under exact matching and switched the session to
 // approximate probing: the key is re-run approximately — through the
-// resident's ProbeApprox, so decorators see it — and the re-probe
-// reported back. The final result feeds the session counters and, in
-// explain mode, the key's decision record.
+// resident's Probe, so decorators see it — and the re-probe reported
+// back. The final result feeds the session counters and, in explain
+// mode, the key's decision record.
 func (s *Session) settle(key string, mode join.Mode, res []join.RefMatch, escalate bool) []join.RefMatch {
 	if escalate {
-		res = s.ix.resident().ProbeApprox(key)
+		res = s.ix.resident().Probe(join.Approx, key)
 		s.loop.NoteEscalation(len(res) > 0, countApprox(res))
 		s.stats.Escalations++
 	}

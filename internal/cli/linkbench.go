@@ -25,40 +25,13 @@ import (
 	"adaptivelink/internal/service"
 )
 
-// BenchPoint is one linkbench measurement, the unit appended to
-// BENCH_service.json.
-type BenchPoint struct {
-	Date        string  `json:"date"`
-	Host        string  `json:"host,omitempty"`
-	Go          string  `json:"go"`
-	Note        string  `json:"note,omitempty"`
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	Batch       int     `json:"batch"`
-	Strategy    string  `json:"strategy"`
-	Shards      int     `json:"shards,omitempty"`
-	ParentSize  int     `json:"parent_size"`
-	VariantRate float64 `json:"variant_rate"`
-	Seconds     float64 `json:"seconds"`
-	RequestsPS  float64 `json:"requests_per_s"`
-	ProbesPS    float64 `json:"probes_per_s"`
-	P50Millis   float64 `json:"p50_ms"`
-	P95Millis   float64 `json:"p95_ms"`
-	P99Millis   float64 `json:"p99_ms"`
-	Errors      int     `json:"errors"`
-}
-
-type benchFile struct {
-	Description string       `json:"description"`
-	Points      []BenchPoint `json:"points"`
-}
-
 // RunLinkBench implements cmd/linkbench: a closed-loop load generator
 // for adaptivelinkd. It creates (or reuses) a benchmark index from
 // generated test data, fires -n link requests from -c concurrent
-// clients, reports throughput and latency, and optionally appends the
-// point to a BENCH_service.json trajectory file. Exit code 0 means
-// every request got a 2xx.
+// clients and reports throughput and latency on stdout. Exit code 0
+// means every request got a 2xx. It is a smoke driver and operator
+// tool, not a record: measurements that back claims come from the
+// repository benchmark (BENCHMARK.json, benchmark/).
 func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("linkbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -75,10 +48,6 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 		strategy = fs.String("strategy", "adaptive", "session strategy: adaptive, exact or approximate")
 		shards   = fs.Int("shards", 0, "shard count for a created index (0 = server default)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "client HTTP timeout")
-		out      = fs.String("out", "", "append the measurement to this BENCH_service.json file")
-		note     = fs.String("note", "", "free-form note recorded with -out")
-		host     = fs.String("host", "", "host description recorded with -out")
-		regress  = fs.Float64("regress-pct", 0, "with -out: fail when probes/s drops more than this percent below the file's previous point with the same strategy/batch/concurrency/requests/parent shape (0 = off)")
 		p99Drift = fs.Float64("p99-drift-pct", 0, "fail when the client p99 and the server's adaptivelink_link_latency_seconds p99 disagree by more than this percent of the client value (0 = report only)")
 		retries  = fs.Int("retries", 3, "retransmissions per request for transient dial errors (connection refused/reset); never retries HTTP error envelopes")
 		backoff  = fs.Duration("retry-backoff", 25*time.Millisecond, "first retry backoff; doubles per attempt with jitter")
@@ -213,30 +182,12 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 		idx := int(p * float64(len(latencies)-1))
 		return float64(latencies[idx].Microseconds()) / 1000
 	}
-	point := BenchPoint{
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		Host:        *host,
-		Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		Note:        *note,
-		Requests:    *n,
-		Concurrency: *c,
-		Batch:       *batch,
-		Strategy:    *strategy,
-		Shards:      *shards,
-		ParentSize:  *parent,
-		VariantRate: *rate,
-		Seconds:     elapsed.Seconds(),
-		RequestsPS:  float64(*n) / elapsed.Seconds(),
-		ProbesPS:    float64(probeCount.Load()) / elapsed.Seconds(),
-		P50Millis:   pct(0.50),
-		P95Millis:   pct(0.95),
-		P99Millis:   pct(0.99),
-		Errors:      int(errCount.Load()),
-	}
+	secs := elapsed.Seconds()
+	p99 := pct(0.99)
 	fmt.Fprintf(stdout, "linkbench: %d requests x %d keys, %d clients, strategy %s\n", *n, *batch, *c, *strategy)
-	fmt.Fprintf(stdout, "linkbench: %.2fs total, %.0f req/s, %.0f probes/s\n", point.Seconds, point.RequestsPS, point.ProbesPS)
+	fmt.Fprintf(stdout, "linkbench: %.2fs total, %.0f req/s, %.0f probes/s\n", secs, float64(*n)/secs, float64(probeCount.Load())/secs)
 	fmt.Fprintf(stdout, "linkbench: latency p50 %.2fms p95 %.2fms p99 %.2fms, errors %d, dial retries %d\n",
-		point.P50Millis, point.P95Millis, point.P99Millis, point.Errors, retryCount.Load())
+		pct(0.50), pct(0.95), p99, errCount.Load(), retryCount.Load())
 
 	// Cross-check the client-side p99 against the server's own latency
 	// histogram: the two measure the same requests from opposite ends of
@@ -250,36 +201,20 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		fmt.Fprintf(stdout, "linkbench: server p99 %.2fms (client %.2fms)\n", serverP99, point.P99Millis)
-		if *p99Drift > 0 && point.P99Millis > 0 {
-			drift := (serverP99 - point.P99Millis) / point.P99Millis * 100
+		fmt.Fprintf(stdout, "linkbench: server p99 %.2fms (client %.2fms)\n", serverP99, p99)
+		if *p99Drift > 0 && p99 > 0 {
+			drift := (serverP99 - p99) / p99 * 100
 			if drift < 0 {
 				drift = -drift
 			}
 			if drift > *p99Drift {
 				fmt.Fprintf(stderr, "linkbench: server p99 %.2fms drifts %.0f%% from client %.2fms (limit %.0f%%)\n",
-					serverP99, drift, point.P99Millis, *p99Drift)
+					serverP99, drift, p99, *p99Drift)
 				return 1
 			}
 		}
 	}
 
-	if *out != "" {
-		prev, err := appendBenchPoint(*out, point, *regress)
-		if err != nil {
-			fmt.Fprintf(stderr, "linkbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "linkbench: appended point to %s\n", *out)
-		if *regress > 0 {
-			if prev == nil {
-				fmt.Fprintf(stdout, "linkbench: no previous matching point in %s, regression check skipped\n", *out)
-			} else {
-				fmt.Fprintf(stdout, "linkbench: within %.0f%% of previous point (%.0f probes/s on %s)\n",
-					*regress, prev.ProbesPS, prev.Date)
-			}
-		}
-	}
 	if errCount.Load() > 0 {
 		fmt.Fprintf(stderr, "linkbench: %d of %d requests failed\n", errCount.Load(), *n)
 		return 1
@@ -432,61 +367,4 @@ func truncate(b []byte, n int) string {
 		return string(b)
 	}
 	return string(b[:n]) + "..."
-}
-
-// appendBenchPoint appends point to the trajectory file and returns the
-// most recent earlier point with the same workload shape (nil if none).
-// With regressPct > 0 the gate runs BEFORE the write: a regressing
-// point is reported and NOT recorded, so a failing run cannot lower the
-// baseline the next run is compared against.
-func appendBenchPoint(path string, point BenchPoint, regressPct float64) (*BenchPoint, error) {
-	bf := benchFile{
-		Description: "Trajectory of the resident linkage service (cmd/linkbench against cmd/adaptivelinkd): closed-loop throughput and latency of /v1/link. Append one point per PR that touches the service path; compare within a host class only.",
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &bf); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	prev := lastMatching(bf.Points, point)
-	if regressPct > 0 && prev != nil {
-		if err := checkRegression(*prev, point, regressPct); err != nil {
-			return prev, err
-		}
-	}
-	bf.Points = append(bf.Points, point)
-	raw, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return prev, os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// lastMatching returns the most recent point sharing the new point's
-// workload shape — strategy, batch, shard count, concurrency, request
-// count, parent size and host label — so trajectories with mixed
-// configurations (or mixed host classes) compare like with like.
-func lastMatching(points []BenchPoint, p BenchPoint) *BenchPoint {
-	for i := len(points) - 1; i >= 0; i-- {
-		q := points[i]
-		if q.Strategy == p.Strategy && q.Batch == p.Batch && q.Shards == p.Shards &&
-			q.Concurrency == p.Concurrency && q.Requests == p.Requests &&
-			q.ParentSize == p.ParentSize && q.Host == p.Host {
-			return &points[i]
-		}
-	}
-	return nil
-}
-
-// checkRegression fails when the new point's probe throughput fell more
-// than pct percent below the previous matching point's.
-func checkRegression(prev, point BenchPoint, pct float64) error {
-	floor := prev.ProbesPS * (1 - pct/100)
-	if point.ProbesPS < floor {
-		return fmt.Errorf("regression: %.0f probes/s is more than %.0f%% below previous %.0f (%s, %q)",
-			point.ProbesPS, pct, prev.ProbesPS, prev.Date, prev.Note)
-	}
-	return nil
 }

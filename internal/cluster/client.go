@@ -37,9 +37,6 @@ type Config struct {
 	// HTTPClient issues the node requests (default: a plain client; the
 	// per-request context carries the deadline).
 	HTTPClient *http.Client
-	// Metrics, when set, receives per-node request counters
-	// (adaptivelink_cluster_node_requests_total{node=...,outcome=...}).
-	Metrics *metrics.Registry
 
 	// WriteQuorum is the per-group write acknowledgement threshold: a
 	// fan-out succeeds once this many replicas of each touched group
@@ -102,16 +99,14 @@ type Client struct {
 	breakerCloses                            *metrics.Value
 }
 
-// indexState is the router-side state of one cluster index: the engine
-// configuration (for Resident.Config) and the key→sequence
-// map that mirrors the single-process global-ref assignment — key K has
-// sequence seq[K] iff a single-process index fed the same create/upsert
-// stream would store K at global ref seq[K]. Merge order derives from
-// it, which is what makes cluster results byte-identical to the
-// single-process engine.
+// indexState is the router-side state of one cluster index: the
+// key→sequence map that mirrors the single-process global-ref
+// assignment — key K has sequence seq[K] iff a single-process index fed
+// the same create/upsert stream would store K at global ref seq[K].
+// Merge order derives from it, which is what makes cluster results
+// byte-identical to the single-process engine.
 type indexState struct {
 	name string
-	cfg  join.Config
 
 	mu  sync.RWMutex
 	seq map[string]int
@@ -151,9 +146,6 @@ func New(cfg Config) (*Client, error) {
 				c.byAddr[addr] = rs
 			}
 		}
-	}
-	if cfg.Metrics != nil {
-		c.EnableMetrics(cfg.Metrics)
 	}
 	if cfg.ProbeInterval > 0 {
 		c.wg.Add(1)
@@ -255,7 +247,7 @@ func (c *Client) CreateIndex(name string, cfg join.Config) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: index %q already registered", name)
 	}
-	st := &indexState{name: name, cfg: cfg, seq: make(map[string]int)}
+	st := &indexState{name: name, seq: make(map[string]int)}
 	c.indexes[name] = st
 	c.mu.Unlock()
 

@@ -105,10 +105,9 @@ func TestNodeRequestCounters(t *testing.T) {
 	}
 }
 
-// The remaining Resident surface: the maintenance view dispatches
-// probes per mode, Config/Len/Entries/Tuple honour their documented
-// degradations, and the error-swallowing Upsert records its failure on
-// the view.
+// The Resident surface: the maintenance view dispatches probes per
+// mode, and the error-swallowing Upsert records its failure on the
+// view.
 func TestResidentViewSurface(t *testing.T) {
 	node, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/upsert") {
@@ -130,23 +129,14 @@ func TestResidentViewSurface(t *testing.T) {
 	if ins, upd := v.Upsert([]relation.Tuple{{Key: "alpha"}}); ins != 1 || upd != 0 {
 		t.Fatalf("Upsert = %d/%d", ins, upd)
 	}
-	if cfg := v.Config(); cfg.Q != join.Defaults().Q {
-		t.Fatalf("Config.Q = %d", cfg.Q)
+	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Ref != 0 {
+		t.Fatalf("Probe(Approx) = %+v (sequenced key must carry its seq as Ref)", got)
 	}
-	if got := v.ProbeApprox("alpha"); len(got) != 1 || got[0].Ref != 0 {
-		t.Fatalf("ProbeApprox = %+v (sequenced key must carry its seq as Ref)", got)
-	}
-	if got := v.AppendProbe(nil, join.Exact, "alpha"); len(got) != 1 {
-		t.Fatalf("AppendProbe = %+v", got)
+	if got := v.Probe(join.Exact, "alpha"); len(got) != 1 {
+		t.Fatalf("Probe(Exact) = %+v", got)
 	}
 	if got := v.ProbeBatch(join.Approx, []string{"alpha", "alpha"}); len(got) != 2 || len(got[1]) != 1 {
 		t.Fatalf("ProbeBatch = %+v", got)
-	}
-	if ex, qg := v.Entries(); ex != 0 || qg != 0 {
-		t.Fatalf("Entries = %d/%d, want 0/0 (node-local telemetry)", ex, qg)
-	}
-	if _, err := v.Tuple(3); err == nil {
-		t.Fatal("Tuple succeeded; refs are not addressable through the fan-out client")
 	}
 
 	// Upsert (the error-swallowing variant) records a dead cluster on

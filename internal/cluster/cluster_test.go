@@ -153,7 +153,7 @@ func testClient(t *testing.T, groups [][]string) *Client {
 func registerOnly(c *Client, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.indexes[name] = &indexState{name: name, cfg: join.Defaults(), seq: map[string]int{}}
+	c.indexes[name] = &indexState{name: name, seq: map[string]int{}}
 	return nil
 }
 
@@ -174,7 +174,7 @@ func TestGroupLinkFailsOver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := v.ProbeExact("k")
+		got := v.Probe(join.Exact, "k")
 		if err := v.TransportErr(); err != nil {
 			t.Fatalf("round %d: transport error %v", i, err)
 		}
@@ -197,7 +197,7 @@ func TestViewNodeUnavailableIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.ProbeExact("k"); len(got) != 0 {
+	if got := v.Probe(join.Exact, "k"); len(got) != 0 {
 		t.Fatalf("got %+v from a dead cluster", got)
 	}
 	if err := v.TransportErr(); !errors.Is(err, ErrNodeUnavailable) {
@@ -220,7 +220,7 @@ func TestViewDeadlineEnvelopeIsBareDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.ProbeExact("k")
+	v.Probe(join.Exact, "k")
 	if err := v.TransportErr(); err != context.DeadlineExceeded {
 		t.Fatalf("TransportErr = %v, want bare context.DeadlineExceeded", err)
 	}

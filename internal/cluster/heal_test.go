@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"adaptivelink/internal/fault"
+	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 )
 
@@ -355,7 +356,7 @@ func TestReadsPreferCleanReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := v.ProbeExact("k"); len(got) != 1 {
+		if got := v.Probe(join.Exact, "k"); len(got) != 1 {
 			t.Fatalf("probe %d: %+v", i, got)
 		}
 	}
@@ -372,7 +373,7 @@ func TestReadsPreferCleanReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.ProbeExact("k"); len(got) != 1 || v.TransportErr() != nil {
+	if got := v.Probe(join.Exact, "k"); len(got) != 1 || v.TransportErr() != nil {
 		t.Fatalf("fallback probe: %+v (err %v)", got, v.TransportErr())
 	}
 	if lagHits.Load() == 0 {

@@ -81,10 +81,6 @@ func (v *View) failed() bool {
 	return v.err != nil
 }
 
-// Config returns the matching configuration the cluster index was
-// created with.
-func (v *View) Config() join.Config { return v.st.cfg }
-
 // Len returns the number of distinct resident keys — the router's
 // sequence map is exactly the single-process key population, so the
 // adaptive control loop sees the same n either way.
@@ -92,17 +88,6 @@ func (v *View) Len() int {
 	v.st.mu.RLock()
 	defer v.st.mu.RUnlock()
 	return len(v.st.seq)
-}
-
-// Entries reports zero: live index-entry counts are node-local
-// telemetry, surfaced per node via /metrics, not re-aggregated through
-// the probe client.
-func (v *View) Entries() (exact, qgrams int) { return 0, 0 }
-
-// Tuple is not addressable through the fan-out client: global refs are
-// a merge-ordering device here, not a storage address.
-func (v *View) Tuple(ref int) (relation.Tuple, error) {
-	return relation.Tuple{}, fmt.Errorf("cluster: Tuple(%d): refs are not addressable through the fan-out client", ref)
 }
 
 // --- writes ---
@@ -171,26 +156,11 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int) {
 
 // --- probes ---
 
-// ProbeExact matches the key by equality on its home group.
-func (v *View) ProbeExact(key string) []join.RefMatch {
-	return v.probeGroups(join.Exact, []string{key})[0]
-}
-
-// ProbeApprox matches the key by similarity on every group, each
-// answering from its disjoint slice of the reference.
-func (v *View) ProbeApprox(key string) []join.RefMatch {
-	return v.probeGroups(join.Approx, []string{key})[0]
-}
-
-// Probe dispatches on mode.
+// Probe matches one key: by equality on its home group, or by
+// similarity on every group, each answering from its disjoint slice of
+// the reference.
 func (v *View) Probe(mode join.Mode, key string) []join.RefMatch {
 	return v.probeGroups(mode, []string{key})[0]
-}
-
-// AppendProbe is Probe into caller-owned dst (the remote path gains
-// nothing from reuse, but the contract is the interface's).
-func (v *View) AppendProbe(dst []join.RefMatch, mode join.Mode, key string) []join.RefMatch {
-	return append(dst, v.Probe(mode, key)...)
 }
 
 // ProbeBatch probes every key under one mode, one result per key in

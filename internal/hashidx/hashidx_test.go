@@ -482,7 +482,7 @@ func TestSigSortedMergeMatchesOverlap(t *testing.T) {
 
 // Candidate-generation microbenchmark: the count filter of §2.2 over
 // the dictionary-encoded index with a warm scratch (the probe hot
-// path). scripts/bench_probe.sh records it in BENCH_probe.json.
+// path).
 func BenchmarkProbeKeyCandidates(b *testing.B) {
 	ex := qgram.New(3)
 	x := NewQGramIndex(ex)

@@ -19,7 +19,7 @@ import (
 // allocWorkload builds a resident index with enough keys that probes
 // exercise real posting lists, plus probe keys for the hit, variant-hit
 // and miss shapes.
-func allocWorkload(t testing.TB, shards int) (Resident, []string) {
+func allocWorkload(t testing.TB, shards int) (*ShardedRefIndex, []string) {
 	t.Helper()
 	idx, err := NewShardedRefIndex(Defaults(), shards)
 	if err != nil {
@@ -82,7 +82,7 @@ func TestAllocApproxProbeBudget(t *testing.T) {
 
 // nonASCIIAllocWorkload mirrors allocWorkload with Cyrillic keys, so the
 // probes run the rune-packed decomposition path end to end.
-func nonASCIIAllocWorkload(t testing.TB, shards int) (Resident, []string) {
+func nonASCIIAllocWorkload(t testing.TB, shards int) (*ShardedRefIndex, []string) {
 	t.Helper()
 	idx, err := NewShardedRefIndex(Defaults(), shards)
 	if err != nil {

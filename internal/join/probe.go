@@ -225,38 +225,26 @@ func (r *RefIndex) ProbeBatch(mode Mode, keys []string) [][]RefMatch {
 }
 
 // Resident is the contract of a resident index as the public facade
-// drives it. In process there is one deployed implementation, the
-// sharded RCU-snapshot ShardedRefIndex; RefIndex implements the same
-// contract as its differential oracle (the harness drives both with one
-// op stream and asserts identical match multisets), and the interface
-// is the seam the cluster view (internal/cluster) and decorators such as
-// the repository benchmark's timing wrapper plug into.
+// drives it — these four calls and nothing else. In process there is
+// one deployed implementation, the sharded RCU-snapshot
+// ShardedRefIndex; RefIndex implements the same contract as its
+// differential oracle (the harness drives both with one op stream and
+// asserts identical match multisets), and the interface is the seam the
+// cluster view (internal/cluster) and decorators such as the repository
+// benchmark's timing wrapper plug into. The concrete indexes keep their
+// allocation-free Append* forms, Tuple, Entries and Config; those are
+// not part of what a backend must provide.
 type Resident interface {
-	// Config returns the matching configuration.
-	Config() Config
 	// Len returns the number of resident reference tuples (distinct
 	// join keys).
 	Len() int
-	// Entries reports live index entry counts (exact refs, q-gram
-	// postings): one exact entry per resident key at any shard count.
-	Entries() (exact, qgrams int)
-	// Tuple returns a snapshot of the reference tuple at ref.
-	Tuple(ref int) (relation.Tuple, error)
 	// Upsert applies keyed reference maintenance, returning inserted
 	// and updated counts.
 	Upsert(tuples []relation.Tuple) (inserted, updated int)
-	// ProbeExact matches the key by equality (the SHJoin probe).
-	ProbeExact(key string) []RefMatch
-	// ProbeApprox matches the key by q-gram similarity (the SSHJoin
-	// probe); key-equal matches are always included with similarity 1.
-	ProbeApprox(key string) []RefMatch
-	// Probe dispatches on mode.
+	// Probe matches one key: Exact by equality (the SHJoin probe),
+	// Approx by q-gram similarity (the SSHJoin probe), key-equal matches
+	// always included with similarity 1.
 	Probe(mode Mode, key string) []RefMatch
-	// AppendProbe is Probe appending into caller-owned dst, the
-	// zero-allocation form of the probe hot path: with a reusable dst
-	// an exact probe allocates nothing and an approximate probe only
-	// what its result set needs.
-	AppendProbe(dst []RefMatch, mode Mode, key string) []RefMatch
 	// ProbeBatch probes every key under one mode, one result per key in
 	// order, semantically identical to a loop of Probe calls.
 	ProbeBatch(mode Mode, keys []string) [][]RefMatch

@@ -16,11 +16,10 @@ import (
 // unit is one probe (single shapes) or one batch (batch shapes), so
 // ns/op and allocs/op are per probe resp. per batch.
 //
-// scripts/bench_probe.sh runs these and appends the points to
-// BENCH_probe.json. The file deliberately uses only the long-stable
-// Resident API (NewShardedRefIndex, Probe, ProbeBatch) so the identical
-// benchmark can be compiled against older revisions for pre/post
-// comparisons.
+// These are shapes for profiling while you work: `make bench` runs one
+// iteration of each and nothing records them. The measured per-layer
+// figures (join.probe_exact_ns_per_key, join.probe_approx_us_per_key)
+// are in the repository benchmark's ledger.
 
 const (
 	benchParent      = 2000

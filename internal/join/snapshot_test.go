@@ -225,10 +225,18 @@ func TestSnapshotStoreOnlyViewRepartitions(t *testing.T) {
 	}
 }
 
+// inspectable is what assertResidentEqual reads beyond the Resident
+// contract; the sharded index and its oracle both provide it.
+type inspectable interface {
+	Resident
+	Entries() (exact, qgrams int)
+	Tuple(ref int) (relation.Tuple, error)
+}
+
 // assertResidentEqual asserts two resident indexes are observationally
 // identical: store, entry counts, and probe results over the shared
 // differential op stream's key pool in both modes.
-func assertResidentEqual(t *testing.T, want, got Resident) {
+func assertResidentEqual(t *testing.T, want, got inspectable) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("Len %d, want %d", got.Len(), want.Len())

@@ -4,7 +4,6 @@ import "testing"
 
 // Gram-extraction microbenchmarks: the legacy string-materialising path
 // vs the packed, scratch-reusing decomposition the probe hot path uses.
-// scripts/bench_probe.sh records both in BENCH_probe.json.
 
 const benchKey = "TAA BZ SANTA CRISTINA VALGARDENA"
 

@@ -346,3 +346,35 @@ func TestChaosBlackHolePartition(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestChaosDeleteBelowQuorumKeepsIndex: a routed DELETE that cannot
+// reach a whole group fails with node_unavailable and leaves the index
+// registered on the router — still listed, still deletable — so the
+// retry after the partition heals succeeds and the name is free again.
+func TestChaosDeleteBelowQuorumKeepsIndex(t *testing.T) {
+	f := newChaosFixture(t, 2, []int{1, 1}, func(c *cluster.Config) {
+		c.WriteTimeout = 300 * time.Millisecond
+	})
+	create := fmt.Sprintf(`{"name":"atlas","tuples":[{"id":0,"key":%q},{"id":1,"key":%q}]}`, chaosKey(0), chaosKey(1))
+	if code, body := f.router.do(t, "POST", "/v1/indexes", create); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	rule := f.ft.Add(&fault.Rule{
+		Node:   strings.TrimPrefix(f.nodes[1][0].URL, "http://"),
+		Action: fault.BlackHole,
+	})
+	code, body := f.router.do(t, "DELETE", "/v1/indexes/atlas", "")
+	if ec, _ := envelope(t, body); code != http.StatusBadGateway || ec != "node_unavailable" {
+		t.Fatalf("DELETE with a group black-holed: %d %s, want 502 node_unavailable", code, body)
+	}
+	if code, body := f.router.do(t, "GET", "/v1/indexes/atlas", ""); code != http.StatusOK {
+		t.Fatalf("GET after the failed DELETE: %d %s, want the index still registered", code, body)
+	}
+	rule.Off()
+	if code, body := f.router.do(t, "DELETE", "/v1/indexes/atlas", ""); code != http.StatusNoContent {
+		t.Fatalf("DELETE after heal: %d %s", code, body)
+	}
+	if code, body := f.router.do(t, "POST", "/v1/indexes", create); code != http.StatusCreated {
+		t.Fatalf("re-create after delete: %d %s", code, body)
+	}
+}

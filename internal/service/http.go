@@ -179,7 +179,12 @@ func NewHandler(s *Service) http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		info, err := s.CreateIndex(req.Name, indexOptions(req), publicTuples(req.Tuples))
+		opts, err := indexOptions(req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		info, err := s.CreateIndex(req.Name, opts, publicTuples(req.Tuples))
 		if err != nil {
 			writeError(w, err)
 			return
@@ -355,9 +360,11 @@ func NewHandler(s *Service) http.Handler {
 	return withObs(s, mux)
 }
 
-func indexOptions(req CreateIndexRequest) adaptivelink.IndexOptions {
+func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	opts := adaptivelink.IndexOptions{Q: req.Q, Theta: req.Theta, Shards: req.Shards, Profile: req.Profile}
 	switch req.Measure {
+	case "", "jaccard":
+		opts.Measure = adaptivelink.Jaccard
 	case "dice":
 		opts.Measure = adaptivelink.Dice
 	case "cosine":
@@ -365,11 +372,9 @@ func indexOptions(req CreateIndexRequest) adaptivelink.IndexOptions {
 	case "overlap":
 		opts.Measure = adaptivelink.Overlap
 	default:
-		// "", "jaccard" and unknown values all fall back to the paper's
-		// measure; CreateIndex cannot fail on it.
-		opts.Measure = adaptivelink.Jaccard
+		return opts, fmt.Errorf("%w: unknown measure %q (want jaccard, dice, cosine or overlap)", ErrInvalid, req.Measure)
 	}
-	return opts
+	return opts, nil
 }
 
 func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {

@@ -127,6 +127,17 @@ func TestHTTPCreateIndexMeasures(t *testing.T) {
 			t.Errorf("measure %q: %d %s", m, code, body)
 		}
 	}
+	// An unknown name is rejected, not silently built as Jaccard.
+	code, body := doJSON(t, "POST", ts.URL+"/v1/indexes", CreateIndexRequest{
+		Name: "m-typo", Measure: "jacard", Tuples: []TupleDTO{{Key: "some reference key"}},
+	})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `"code":"invalid"`) ||
+		!strings.Contains(string(body), "jaccard, dice, cosine or overlap") {
+		t.Errorf("measure \"jacard\": %d %s, want 400 invalid naming the accepted measures", code, body)
+	}
+	if _, err := s.GetIndex("m-typo"); err == nil {
+		t.Error("rejected create still registered the index")
+	}
 	if got := s.Config().MaxBatch; got != 4096 {
 		t.Fatalf("defaulted MaxBatch = %d", got)
 	}

@@ -432,15 +432,16 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 		if err != nil {
 			return IndexInfo{}, err
 		}
-	} else if s.cfg.DataDir != "" {
-		opts.Storage.Dir = filepath.Join(s.cfg.DataDir, name)
-		opts.Storage.WALSync = s.cfg.WALSync
-		if _, serr := os.Stat(opts.Storage.Dir); serr == nil {
-			return IndexInfo{}, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
+	} else {
+		// The service places indexes, not the caller.
+		opts.Storage = adaptivelink.StorageOptions{WALSync: s.cfg.WALSync}
+		if s.cfg.DataDir != "" {
+			opts.Storage.Dir = filepath.Join(s.cfg.DataDir, name)
+			if _, serr := os.Stat(opts.Storage.Dir); serr == nil {
+				return IndexInfo{}, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
+			}
 		}
 		ix, err = adaptivelink.BulkLoad(adaptivelink.FromTuples(tuples), opts)
-	} else {
-		ix, err = adaptivelink.NewIndex(adaptivelink.FromTuples(tuples), opts)
 	}
 	if err != nil {
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -689,30 +690,34 @@ func (mi *managedIndex) info() IndexInfo {
 // recreated index starts its counters from zero); in-flight sessions
 // on it complete against the released object. A durable index's
 // directory is deleted with it — DELETE means the data, not just the
-// registration.
+// registration. What can fail is torn down first and the index is
+// unregistered only on success: after a failed delete (a node group
+// below quorum, an undeletable directory) it is still listed and the
+// DELETE can be retried.
 func (s *Service) DeleteIndex(name string) error {
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
-	s.mu.Lock()
-	mi, ok := s.indexes[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	mi, err := s.lookup(name)
+	if err != nil {
+		return err
 	}
+	switch {
+	case s.cfg.Cluster != nil:
+		err = s.cfg.Cluster.DeleteIndex(name)
+	case mi.ix.Durable():
+		if err = mi.ix.Close(); err == nil {
+			err = os.RemoveAll(filepath.Join(s.cfg.DataDir, name))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
 	delete(s.indexes, name)
 	s.reg.DeleteSeries(fmt.Sprintf("index=%q", name))
 	s.indexGauge.Set(float64(len(s.indexes)))
 	s.mu.Unlock()
 	s.log.Info("deleted index", "index", name, "durable", mi.ix.Durable())
-	if s.cfg.Cluster != nil {
-		return s.cfg.Cluster.DeleteIndex(name)
-	}
-	if mi.ix.Durable() {
-		if err := mi.ix.Close(); err != nil {
-			return err
-		}
-		return os.RemoveAll(filepath.Join(s.cfg.DataDir, name))
-	}
 	return nil
 }
 
@@ -1014,9 +1019,8 @@ func (s *Service) Drain(ctx context.Context) error {
 }
 
 // Close stops the worker pool and closes every durable index (flushing
-// their logs; with SnapshotOnClose semantics left to explicit snapshot
-// requests, restart cost is bounded by the log replay). Call after
-// Drain.
+// their logs; checkpoints are left to explicit snapshot requests, so
+// restart cost is bounded by the log replay). Call after Drain.
 func (s *Service) Close() {
 	s.pool.close()
 	if s.cfg.Cluster != nil {
@@ -1053,24 +1057,17 @@ func (s *Service) WriteMetrics(w interface{ Write([]byte) (int, error) }) error 
 
 // IndexStats is the per-index slice of a Snapshot.
 type IndexStats struct {
-	Name          string     `json:"name"`
-	Size          int        `json:"size"`
-	Shards        int        `json:"shards"`
-	Profile       string     `json:"profile,omitempty"`
-	CreatedAt     time.Time  `json:"created_at"`
-	Durable       bool       `json:"durable"`
-	WALRecords    int64      `json:"wal_records"`
-	LastSnapshot  *time.Time `json:"last_snapshot,omitempty"`
-	Sessions      int64      `json:"sessions"`
-	Probes        int64      `json:"probes"`
-	Hits          int64      `json:"hits"`
-	ExactMatches  int64      `json:"exact_matches"`
-	ApproxMatches int64      `json:"approx_matches"`
-	Escalations   int64      `json:"escalations"`
-	Switches      int64      `json:"switches"`
-	Inserted      int64      `json:"inserted"`
-	Updated       int64      `json:"updated"`
-	ModelledCost  float64    `json:"modelled_cost"`
+	IndexInfo
+	Sessions      int64   `json:"sessions"`
+	Probes        int64   `json:"probes"`
+	Hits          int64   `json:"hits"`
+	ExactMatches  int64   `json:"exact_matches"`
+	ApproxMatches int64   `json:"approx_matches"`
+	Escalations   int64   `json:"escalations"`
+	Switches      int64   `json:"switches"`
+	Inserted      int64   `json:"inserted"`
+	Updated       int64   `json:"updated"`
+	ModelledCost  float64 `json:"modelled_cost"`
 }
 
 // Snapshot is the /v1/stats payload.
@@ -1098,14 +1095,8 @@ func (s *Service) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, mi := range s.indexes {
-		st := IndexStats{
-			Name:          mi.name,
-			Size:          mi.ix.Len(),
-			Shards:        mi.ix.Options().Shards,
-			Profile:       mi.ix.Options().Profile,
-			CreatedAt:     mi.created,
-			Durable:       mi.ix.Durable(),
-			WALRecords:    mi.ix.WALRecords(),
+		snap.Indexes = append(snap.Indexes, IndexStats{
+			IndexInfo:     mi.info(),
 			Sessions:      int64(mi.sessions.Get()),
 			Probes:        int64(mi.probes.Get()),
 			Hits:          int64(mi.hits.Get()),
@@ -1116,11 +1107,7 @@ func (s *Service) Snapshot() Snapshot {
 			Inserted:      int64(mi.inserted.Get()),
 			Updated:       int64(mi.updated.Get()),
 			ModelledCost:  mi.modelledCost.Get(),
-		}
-		if t := mi.ix.LastSnapshot(); !t.IsZero() {
-			st.LastSnapshot = &t
-		}
-		snap.Indexes = append(snap.Indexes, st)
+		})
 	}
 	sort.Slice(snap.Indexes, func(i, j int) bool { return snap.Indexes[i].Name < snap.Indexes[j].Name })
 	return snap
