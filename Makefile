@@ -32,15 +32,17 @@ race:
 # Host-class flake gate: the packages whose tests assert scheduling-
 # and lock-sensitive behaviour (lock-free probes, RCU swaps and the
 # copy-on-write containers, indexes and dictionary under them, crash
-# sweeps, the cluster client's fan-out, hint drainers and breakers, the
+# sweeps, the cluster client's fan-out, queue drainers and breakers, the
 # parallel executor's barrier rendezvous and switch storm, the sharded
 # controller's broadcast) or draw random inputs (the normalize
 # properties), 20 times over at 1, 2 and 4 scheduler threads, so a test
 # that only holds on the builder's core count — or on most seeds —
-# cannot land.
+# cannot land. The service package's routed convergence and failure
+# tests (real nodes behind the fault transport) ride along 5 times.
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster' -count=5 || exit 1; \
 	done
 
 # Code size per package: non-blank, non-comment lines of the non-test
@@ -97,8 +99,8 @@ obs-smoke:
 # router, a replica SIGKILLed mid-run (failover must keep every request
 # 2xx and /v1/cluster must report the corpse unhealthy), writes landing
 # while it is dead, the replica revived blank at its recorded address
-# (hinted handoff + anti-entropy resync must converge the group's
-# content digests), a whole group killed (routed batches must fail
+# (its refused replay collapses into a queued re-seed; the group's
+# content digests must converge), a whole group killed (routed batches must fail
 # whole with node_unavailable, never answer partially), and clean
 # SIGTERM drains for the survivors.
 cluster-smoke:
@@ -106,12 +108,15 @@ cluster-smoke:
 
 # Scripted fault suite under the race detector: crash-consistency
 # sweeps and WAL poisoning in the store, snapshot/restore repair paths,
-# quorum writes with hinted handoff, circuit breakers, anti-entropy
-# resync, and the transport-level chaos schedules (replica killed /
-# black-holed under write+probe load, revival, digest convergence).
+# quorum writes, the per-replica convergence queue (write replay,
+# overflow and refusal collapsing into a re-seed, the drainer's three
+# invariants), circuit breakers, anti-entropy detection, and the
+# transport-level chaos schedules (replica killed / black-holed under
+# write+probe load, revival, writes during a re-seed, digest
+# convergence).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Crash|Torn|Poison|Orphan|Digest|Resync|Restore|Import|Quorum|Hint|Breaker|Repair|Chaos|Heal|Prefer' \
+		-run 'Crash|Torn|Poison|Orphan|Digest|Resync|Reseed|Refused|Restore|Import|Quorum|Hint|Breaker|Repair|Chaos|Heal|Prefer|DeadlineDuringFanOut' \
 		. ./internal/store ./internal/fault ./internal/cluster ./internal/service
 
 # Short fuzz passes, one invariant each: torn reads (concurrent upserts

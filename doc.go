@@ -204,25 +204,29 @@
 // standard deadline envelope, and GET /v1/cluster reports the routing
 // table with per-replica health and repair state.
 //
-// Replicas that missed a quorum write converge through three
-// escalating repair paths. Hinted handoff queues each missed copy
-// router-side, per replica, in original sequence order, and a drainer
-// replays the queue with jittered exponential backoff once the replica
-// answers; new writes to a lagging replica queue behind its pending
-// hints so replay order is preserved. A replica gone past the bounded
-// hint horizon (Config.HintCapacity) has its queue cleared and the
-// affected indexes marked needs_resync; anti-entropy then streams a
-// full snapshot from a healthy replica (the index export/resync
-// endpoints), which also bootstraps a blank replacement node. On
-// Config.RepairInterval (or Client.Repair on demand) the router
+// Replicas converge through one router-side queue per replica, drained
+// in order by one goroutine with jittered exponential backoff. It holds
+// two kinds of entry — a missed write to replay byte-identical (hinted
+// handoff), or a re-seed: replace the replica's copy of an index with a
+// clean peer's snapshot stream (the index export/resync endpoints,
+// which also bootstrap a blank replacement node) — and three detectors
+// feed it. A quorum write queues itself on every replica that missed
+// it. A queue already holding Config.HintCapacity writes (the replica
+// is past the hint horizon) or a replayed write the replica refuses
+// collapses the affected indexes' queued writes into one re-seed each.
+// And on Config.RepairInterval (or Client.Repair on demand) the router
 // compares per-index content digests within each group, elects the
-// reference copy by modal digest, and resyncs divergent replicas —
-// catching corruption the hint path cannot see. A per-replica
-// closed/open/half-open circuit breaker, fed passively by live traffic
-// and optionally by an active /healthz prober (Config.ProbeInterval),
-// short-circuits writes to the hint queue and demotes reads while a
-// replica is down. internal/fault provides the deterministic harness
-// the chaos suite (make chaos) scripts these failures with: a
+// reference copy by modal digest, and queues a re-seed on every
+// divergent replica. A replica with entries queued is behind: new
+// writes join the tail of its queue — so a write acknowledged while a
+// re-seed runs replays after it — and reads prefer its clean peers;
+// GET /v1/cluster reports the queue as hints_pending and needs_resync.
+// A per-replica closed/open/half-open circuit breaker, fed passively by
+// live traffic and optionally by an active /healthz prober
+// (Config.ProbeInterval), short-circuits writes to the queue and
+// demotes reads while a replica is down. internal/fault provides the
+// deterministic harness the chaos suite (make chaos) scripts these
+// failures with: a
 // rule-driven http.RoundTripper that fails, black-holes or delays
 // matching requests, and a simulated filesystem that injects
 // crash-at-byte, torn-write and fsync failures under the store (which

@@ -60,9 +60,9 @@ func runAdaptiveLinkd(ctx context.Context, args []string, stdout, stderr io.Writ
 		clusterSpec = fs.String("cluster", "", "run as the cluster router over these node groups: groups separated by ';', replicas within a group by ',' (e.g. \"http://a:8080,http://b:8080;http://c:8080\")")
 		clusterN    = fs.Int("cluster-shards", 0, "logical key-hash shard count M for -cluster placement (0 = one per group): a key lives on the one group owning its hash shard; constant for the cluster's lifetime")
 		clusterWQ   = fs.Int("cluster-write-quorum", 0, "replicas per group that must acknowledge a write (0 = majority); the rest converge via hinted handoff")
-		clusterHint = fs.Int("cluster-hint-cap", 0, "hinted-handoff queue capacity per replica (0 = default 512); overflow escalates to a full resync")
+		clusterHint = fs.Int("cluster-hint-cap", 0, "writes queued for replay per replica (0 = default 512); overflow collapses them into one queued re-seed (full snapshot from a clean peer) per index")
 		clusterPI   = fs.Duration("cluster-probe-interval", 2*time.Second, "active /healthz probe interval feeding the replica circuit breakers (0 = passive only)")
-		clusterRI   = fs.Duration("cluster-repair-interval", 3*time.Second, "anti-entropy interval: compare replica digests and resync divergence (0 = off)")
+		clusterRI   = fs.Duration("cluster-repair-interval", 3*time.Second, "anti-entropy interval: compare replica digests and queue a re-seed on divergence (0 = off; missed writes and overflowed queues converge without it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -17,6 +17,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/shardmap"
+	"adaptivelink/internal/wire"
 )
 
 // ErrNodeUnavailable marks a batch that could not complete because a
@@ -46,20 +47,24 @@ type Config struct {
 	// replica count clamp to it. Below-quorum fails the batch whole, and
 	// no hints are queued: the caller retries the batch.
 	WriteQuorum int
-	// HintCapacity bounds each replica's hinted-handoff queue. A replica
-	// whose queue would overflow is past the hint horizon: the queue is
-	// cleared and its indexes are marked for full resync instead of
-	// silently dropping writes. Default 512.
+	// HintCapacity bounds the writes queued for replay on each replica's
+	// convergence queue. A replica whose queue would overflow is past the
+	// hint horizon: its queued writes collapse into one re-seed entry per
+	// index (a full snapshot stream from a clean peer, run by the same
+	// drainer) instead of being silently dropped. Default 512.
 	HintCapacity int
 	// ProbeInterval enables the active /healthz prober feeding the
 	// per-replica circuit breakers. <=0 disables it (the default —
 	// breakers still learn passively from live traffic); the daemon
 	// enables it via -cluster-probe-interval.
 	ProbeInterval time.Duration
-	// RepairInterval enables the background anti-entropy loop (digest
-	// comparison and full resync of diverged replicas). <=0 disables it
-	// (the default); the daemon enables it via -cluster-repair-interval.
-	// Repair can also be driven explicitly via Client.Repair.
+	// RepairInterval enables the background anti-entropy loop: digest
+	// comparison that queues a re-seed on every replica diverged in a way
+	// the write path cannot see (a lost disk, a write around the router).
+	// <=0 disables it (the default); the daemon enables it via
+	// -cluster-repair-interval. Missed writes and overflowed queues
+	// converge without it; a pass can also be driven explicitly via
+	// Client.Repair.
 	RepairInterval time.Duration
 }
 
@@ -77,12 +82,12 @@ type Client struct {
 	indexes map[string]*indexState
 
 	// reps mirrors Map.Groups with per-replica resilience state (circuit
-	// breaker, hint queue, anti-entropy flags); byAddr indexes it for the
-	// transport layer's breaker notes.
+	// breaker, convergence queue, observed digests); byAddr indexes it for
+	// the transport layer's breaker notes.
 	reps   [][]*replicaState
 	byAddr map[string]*replicaState
 
-	// ctx/cancel/wg scope the background goroutines (hint drainers, the
+	// ctx/cancel/wg scope the background goroutines (queue drainers, the
 	// prober, the anti-entropy loop); Close cancels and waits.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -255,10 +260,10 @@ func (c *Client) CreateIndex(name string, cfg join.Config) error {
 	// a group builds the identical shard layout: content digests are
 	// compared byte-for-byte across replicas by anti-entropy, and a
 	// heterogeneous default would read as permanent divergence.
-	req := createReq{
+	req := wire.CreateIndexRequest{
 		Name: name, Q: cfg.Q, Theta: cfg.Theta, Measure: cfg.Measure.String(),
 		Shards: runtime.GOMAXPROCS(0),
-		Tuples: []tupleDTO{},
+		Tuples: []wire.TupleDTO{},
 	}
 	if err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated); err != nil {
 		c.mu.Lock()
@@ -296,9 +301,9 @@ func (c *Client) SnapshotIndex(name string) error {
 
 // fanOutAll issues the same request to every replica of every group,
 // concurrently, with the write timeout per call. index names the index
-// the operation belongs to (the hint-queue and resync unit). Any group
-// falling below quorum fails the fan-out (wrapped in ErrNodeUnavailable
-// for transport errors).
+// the operation belongs to (the unit its queue entries collapse by).
+// Any group falling below quorum fails the fan-out (wrapped in
+// ErrNodeUnavailable for transport errors).
 func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses ...int) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(c.cfg.Map.Groups))
@@ -316,12 +321,12 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 // groupWrite issues one maintenance request to EVERY replica of a group
 // concurrently and succeeds once the group's write quorum acknowledged.
 // Replicas that missed the write (transport failure, open breaker, or
-// writes already queued behind earlier hints — order is the contract)
-// get the write queued as a hint for in-order replay. A replica that
-// answers but semantically refuses fails the batch whole: that is
-// divergence, not unavailability, and must surface. Below quorum the
-// batch fails whole with an error naming the group and its hash range,
-// and no hints are queued — the caller retries the batch.
+// entries already queued — order is the contract) get the write queued
+// for in-order replay. A replica that answers but semantically refuses
+// fails the batch whole: that is divergence, not unavailability, and
+// must surface. Below quorum the batch fails whole with an error naming
+// the group and its hash range, and nothing is queued — the caller
+// retries the batch.
 func (c *Client) groupWrite(g int, index, method, path string, payload any, okStatuses ...int) error {
 	raw, err := marshalPayload(payload)
 	if err != nil {
@@ -338,7 +343,7 @@ func (c *Client) groupWrite(g int, index, method, path string, payload any, okSt
 	outs := make([]outcome, len(reps))
 	var wg sync.WaitGroup
 	for i, addr := range reps {
-		if rs := c.replica(g, i); rs != nil && rs.deferWrite(c) {
+		if rs := c.replica(g, i); rs != nil && rs.behind(c) {
 			outs[i].miss = fmt.Errorf("%s: deferred behind queued hints", addr)
 			continue
 		}
@@ -380,7 +385,7 @@ func (c *Client) groupWrite(g int, index, method, path string, payload any, okSt
 	// for in-order replay so the group converges.
 	for i := range outs {
 		if !outs[i].acked {
-			c.enqueueHint(g, i, hint{index: index, method: method, path: path, payload: raw, ok: okStatuses})
+			c.enqueue(g, i, hint{index: index, method: method, path: path, payload: raw, ok: okStatuses})
 		}
 	}
 	return nil
@@ -408,7 +413,10 @@ func (c *Client) do(ctx context.Context, addr, method, path string, payload any)
 
 // doRaw issues one node request with a pre-encoded body, counts it, and
 // feeds the replica's circuit breaker: a transport failure is a breaker
-// strike; any HTTP answer (even an error status) proves liveness.
+// strike; any HTTP answer (even an error status) proves liveness. The
+// one failure that says nothing about the replica is a link request
+// running out of its own budget (a context from Bind): a slow answer to
+// a short timeout_ms is the caller's choice, not the node's fault.
 func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byte, contentType string) (int, []byte, error) {
 	var rd io.Reader
 	if raw != nil {
@@ -426,7 +434,7 @@ func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byt
 		if v := c.nodeErr[addr]; v != nil {
 			v.Inc()
 		}
-		if rs := c.byAddr[addr]; rs != nil {
+		if rs := c.byAddr[addr]; rs != nil && (ctx.Err() == nil || ctx.Value(requestBudget{}) == nil) {
 			rs.noteFailure(c)
 		}
 		return 0, nil, err
@@ -453,9 +461,11 @@ func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byt
 }
 
 // NodeHealth is one replica's health as probed by Health, plus the
-// router's resilience state for it: circuit-breaker position, hinted
-// writes still queued (the replica's write lag), indexes awaiting a
-// full resync, and the content digests last observed by anti-entropy.
+// router's resilience state for it: circuit-breaker position, the
+// length of its convergence queue (hints_pending: writes to replay plus
+// re-seeds to run — 0 means the router knows of nothing it lacks), the
+// indexes with a re-seed queued (needs_resync), and the content digests
+// last observed by anti-entropy.
 type NodeHealth struct {
 	Addr         string            `json:"addr"`
 	Healthy      bool              `json:"healthy"`
@@ -494,7 +504,12 @@ func (c *Client) Health(ctx context.Context) []GroupHealth {
 					rs.mu.Lock()
 					nh.Breaker = rs.effectiveBreaker(c).String()
 					nh.HintsPending = len(rs.hints)
-					nh.NeedsResync = sortedKeys(rs.needsResync)
+					for _, q := range rs.hints {
+						if q.reseed {
+							nh.NeedsResync = append(nh.NeedsResync, q.index)
+						}
+					}
+					sort.Strings(nh.NeedsResync)
 					if len(rs.digests) > 0 {
 						nh.Digests = make(map[string]string, len(rs.digests))
 						for k, v := range rs.digests {
@@ -511,63 +526,10 @@ func (c *Client) Health(ctx context.Context) []GroupHealth {
 	return out
 }
 
-// --- wire mirrors of the v1 DTOs (the cluster package cannot import
-// internal/service: service imports cluster) ---
-
-type tupleDTO struct {
-	ID    int      `json:"id,omitempty"`
-	Key   string   `json:"key"`
-	Attrs []string `json:"attrs,omitempty"`
-}
-
-type createReq struct {
-	Name    string     `json:"name"`
-	Q       int        `json:"q,omitempty"`
-	Theta   float64    `json:"theta,omitempty"`
-	Measure string     `json:"measure,omitempty"`
-	Shards  int        `json:"shards,omitempty"`
-	Tuples  []tupleDTO `json:"tuples"`
-}
-
-type upsertReq struct {
-	Tuples []tupleDTO `json:"tuples"`
-}
-
-type linkReq struct {
-	Index         string   `json:"index"`
-	Keys          []string `json:"keys,omitempty"`
-	Strategy      string   `json:"strategy,omitempty"`
-	TimeoutMillis int      `json:"timeout_ms,omitempty"`
-}
-
-type matchDTO struct {
-	RefID      int      `json:"ref_id"`
-	RefKey     string   `json:"ref_key"`
-	RefAttrs   []string `json:"ref_attrs,omitempty"`
-	Similarity float64  `json:"similarity"`
-	Exact      bool     `json:"exact"`
-}
-
-type keyResultDTO struct {
-	Key     string     `json:"key"`
-	Matches []matchDTO `json:"matches"`
-}
-
-type linkRespDTO struct {
-	Results []keyResultDTO `json:"results"`
-}
-
-type errEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
 // envelopeMessage extracts the error envelope's message for diagnosis,
 // falling back to the raw body.
 func envelopeMessage(body []byte) string {
-	var env errEnvelope
+	var env wire.ErrorDTO
 	if json.Unmarshal(body, &env) == nil && env.Error.Code != "" {
 		return env.Error.Code + ": " + env.Error.Message
 	}
@@ -580,7 +542,7 @@ func envelopeMessage(body []byte) string {
 // envelopeCode returns the envelope code of a non-2xx body ("" if the
 // body is not an envelope).
 func envelopeCode(body []byte) string {
-	var env errEnvelope
+	var env wire.ErrorDTO
 	if json.Unmarshal(body, &env) == nil {
 		return env.Error.Code
 	}

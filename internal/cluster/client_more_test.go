@@ -10,6 +10,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/wire"
 )
 
 // The admin fan-outs (delete, snapshot) hit every replica of every
@@ -114,7 +115,7 @@ func TestResidentViewSurface(t *testing.T) {
 			w.Write([]byte(`{"inserted":1,"updated":0,"size":1}`))
 			return
 		}
-		linkOK(matchDTO{RefKey: "alpha", Similarity: 1, Exact: true})(w, r)
+		linkOK(wire.MatchDTO{RefKey: "alpha", Similarity: 1, Exact: true})(w, r)
 	})
 	c := testClient(t, [][]string{{node.URL}})
 	res, err := c.Resident("ix")

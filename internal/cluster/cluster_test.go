@@ -12,6 +12,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/wire"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -123,13 +124,13 @@ func fakeNode(t *testing.T, fn http.HandlerFunc) (*httptest.Server, *atomic.Int6
 	return srv, &hits
 }
 
-func linkOK(matches ...matchDTO) http.HandlerFunc {
+func linkOK(matches ...wire.MatchDTO) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req linkReq
+		var req wire.LinkRequestDTO
 		json.NewDecoder(r.Body).Decode(&req)
-		resp := linkRespDTO{}
+		resp := wire.LinkResponseDTO{}
 		for range req.Keys {
-			resp.Results = append(resp.Results, keyResultDTO{Matches: matches})
+			resp.Results = append(resp.Results, wire.KeyResultDTO{Matches: matches})
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
@@ -166,7 +167,7 @@ func TestGroupLinkFailsOver(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte(`{"error":{"code":"draining","message":"service draining"}}`))
 	})
-	healthy, healthyHits := fakeNode(t, linkOK(matchDTO{RefKey: "k", Similarity: 1, Exact: true}))
+	healthy, healthyHits := fakeNode(t, linkOK(wire.MatchDTO{RefKey: "k", Similarity: 1, Exact: true}))
 
 	c := testClient(t, [][]string{{dead.URL, draining.URL, healthy.URL}})
 	for i := 0; i < 3; i++ { // every round-robin phase reaches the healthy replica

@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"adaptivelink"
 	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/wire"
 )
 
 // healNode is a canned node for the self-healing tests: it answers the
@@ -23,6 +25,9 @@ import (
 // and counts hits per path suffix.
 type healNode struct {
 	srv *httptest.Server
+	// onExport, when set before the first request, runs at the start of
+	// every export (outside the node's lock) — a gate for mid-flight tests.
+	onExport func()
 
 	mu       sync.Mutex
 	combined string
@@ -34,12 +39,15 @@ func newHealNode(t *testing.T, combined string, tuples int) *healNode {
 	t.Helper()
 	n := &healNode{combined: combined, tuples: tuples, hits: make(map[string]int)}
 	n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.onExport != nil && strings.HasSuffix(r.URL.Path, "/export") {
+			n.onExport()
+		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		switch {
 		case strings.HasSuffix(r.URL.Path, "/digest"):
 			n.hits["digest"]++
-			json.NewEncoder(w).Encode(digestDTO{Combined: n.combined, Tuples: n.tuples})
+			json.NewEncoder(w).Encode(adaptivelink.IndexDigest{Combined: n.combined, Tuples: n.tuples})
 		case strings.HasSuffix(r.URL.Path, "/export"):
 			n.hits["export"]++
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -178,19 +186,20 @@ func TestBelowQuorumFailsWholeWithoutHints(t *testing.T) {
 	rs := c.reps[0][0]
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if len(rs.hints) != 0 || len(rs.needsResync) != 0 {
-		t.Fatalf("failed batch queued hints: %d hints, resync %v", len(rs.hints), rs.needsResync)
+	if len(rs.hints) != 0 {
+		t.Fatalf("failed batch queued entries: %+v", rs.hints)
 	}
 }
 
-// A hint queue at capacity escalates to needs-full-resync instead of
-// silently dropping writes, and anti-entropy then repairs the replica
-// from a healthy one's snapshot stream.
+// A write queue at capacity collapses into one re-seed entry instead of
+// silently dropping writes, and the same drainer that replays writes
+// then repairs the replica from a healthy one's snapshot stream — with
+// the background repair loop off and no Repair call.
 func TestHintOverflowEscalatesToResync(t *testing.T) {
 	stale := newHealNode(t, "dOLD", 1)
 	ref := newHealNode(t, "dNEW", 4)
 	ft := fault.NewTransport(nil)
-	down := ft.Add(&fault.Rule{Node: host(stale.srv), Path: "upsert", Action: fault.Fail})
+	down := ft.Add(&fault.Rule{Node: host(stale.srv), Action: fault.Fail})
 
 	c, err := New(Config{
 		Map:          Map{Shards: 1, Groups: [][]string{{stale.srv.URL, ref.srv.URL}}},
@@ -216,46 +225,46 @@ func TestHintOverflowEscalatesToResync(t *testing.T) {
 		}
 	}
 
-	// Past the hint horizon: the queue was cleared and the index marked.
-	waitFor(t, 2*time.Second, "needs_resync to be set", func() bool {
-		rs := c.reps[0][0]
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-		return rs.needsResync["ix"] && len(rs.hints) == 0
-	})
-	h := c.Health(context.Background())
-	if nr := h[0].Replicas[0].NeedsResync; len(nr) != 1 || nr[0] != "ix" {
-		t.Fatalf("health needs_resync = %v, want [ix]", nr)
+	// Past the hint horizon: the third write collapsed the queue into one
+	// re-seed entry and the fourth queued behind it, replayable again.
+	rep := c.Health(context.Background())[0].Replicas[0]
+	if len(rep.NeedsResync) != 1 || rep.NeedsResync[0] != "ix" || rep.HintsPending != 2 {
+		t.Fatalf("health after overflow = %+v, want needs_resync [ix] and 2 entries pending", rep)
 	}
 
-	// The replica revives; one anti-entropy pass streams the reference
-	// snapshot into it and clears the flag.
+	// The replica revives; the drainer streams the reference snapshot
+	// into it, then replays the write queued behind the re-seed.
 	down.Off()
-	c.Repair(context.Background())
+	waitFor(t, 5*time.Second, "the queue to drain", func() bool {
+		return c.Health(context.Background())[0].Replicas[0].HintsPending == 0
+	})
 	if got := stale.hit("resync"); got != 1 {
 		t.Fatalf("stale replica received %d resyncs, want 1", got)
+	}
+	if got := stale.hit("upsert"); got != 1 {
+		t.Fatalf("stale replica received %d replayed upserts, want the 1 queued behind the re-seed", got)
 	}
 	if got := stale.digest(); got != "dNEW" {
 		t.Fatalf("post-resync digest %q, want dNEW", got)
 	}
-	h = c.Health(context.Background())
-	rep := h[0].Replicas[0]
-	if len(rep.NeedsResync) != 0 {
-		t.Fatalf("needs_resync survived the repair: %+v", rep)
-	}
-	if rep.Digests["ix"] != "dNEW" {
-		t.Fatalf("health digest %q, want dNEW", rep.Digests["ix"])
+	if rep := c.Health(context.Background())[0].Replicas[0]; len(rep.NeedsResync) != 0 {
+		t.Fatalf("needs_resync survived the re-seed: %+v", rep)
 	}
 
-	// A second pass finds convergence and repairs nothing further.
+	// An anti-entropy pass finds convergence and repairs nothing further.
 	c.Repair(context.Background())
+	rep = c.Health(context.Background())[0].Replicas[0]
+	if rep.Digests["ix"] != "dNEW" || rep.HintsPending != 0 {
+		t.Fatalf("post-repair health = %+v, want digest dNEW and an empty queue", rep)
+	}
 	if got := stale.hit("resync"); got != 1 {
 		t.Fatalf("converged replica resynced again (%d)", got)
 	}
 }
 
 // Anti-entropy elects the reference copy by modal digest with ties
-// broken toward more tuples, and leaves unreachable replicas alone.
+// broken toward more tuples, and leaves unreachable replicas alone. It
+// only detects: the re-seed it queues is run by the replica's drainer.
 func TestRepairElectsReferenceByVoteThenTuples(t *testing.T) {
 	a := newHealNode(t, "dX", 2)
 	b := newHealNode(t, "dY", 5) // diverged, more tuples: wins the tie
@@ -268,11 +277,162 @@ func TestRepairElectsReferenceByVoteThenTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.Repair(context.Background())
+	waitFor(t, 5*time.Second, "the queued re-seed to retire", func() bool {
+		return !c2.reps[0][0].behind(c2)
+	})
 	if a.digest() != "dY" {
 		t.Fatalf("minority replica digest %q, want adopted dY", a.digest())
 	}
 	if got := b.hit("resync"); got != 0 {
 		t.Fatalf("reference replica was resynced (%d times)", got)
+	}
+	if c2.reps[0][1].behind(c2) {
+		t.Fatal("the elected reference had an entry queued")
+	}
+}
+
+// park queues entries on a replica by hand with a drainer "already
+// running", so the test owns the queue until it starts the real one.
+func park(rs *replicaState, hs ...hint) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, h := range hs {
+		rs.hintSeq++
+		h.seq = rs.hintSeq
+		rs.hints = append(rs.hints, h)
+	}
+	rs.draining = true
+}
+
+func queued(rs *replicaState) []hint {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return append([]hint(nil), rs.hints...)
+}
+
+// Drainer invariant 1: a re-seed whose export began before a write was
+// collapsed into it does not retire on that run — it runs again, so the
+// second export carries the write.
+func TestReseedRunsAgainWhenAWriteCollapsesIntoItMidFlight(t *testing.T) {
+	stale := newHealNode(t, "dOLD", 1)
+	ref := newHealNode(t, "dNEW", 4)
+	exporting := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	ref.onExport = func() { once.Do(func() { close(exporting); <-release }) }
+	c, err := New(Config{
+		Map:          Map{Shards: 1, Groups: [][]string{{stale.srv.URL, ref.srv.URL}}},
+		HintCapacity: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	registerOnly(c, "ix")
+
+	c.enqueue(0, 0, hint{index: "ix", reseed: true, from: -1})
+	<-exporting
+	// While the export is in flight: one write queues behind the re-seed,
+	// the next overflows the 1-write queue and both collapse into it.
+	w := hint{index: "ix", method: http.MethodPost, path: "/v1/indexes/ix/upsert", ok: []int{http.StatusOK}}
+	c.enqueue(0, 0, w)
+	c.enqueue(0, 0, w)
+	if q := queued(c.reps[0][0]); len(q) != 1 || !q[0].reseed || !q[0].again {
+		t.Fatalf("queue after the mid-flight collapse = %+v, want the one re-seed flagged to run again", q)
+	}
+	close(release)
+	waitFor(t, 5*time.Second, "the re-seed to retire", func() bool { return !c.reps[0][0].behind(c) })
+	if got := stale.hit("resync"); got != 2 {
+		t.Fatalf("replica was re-seeded %d times, want 2 (the first export predates the collapsed writes)", got)
+	}
+	if got := stale.hit("upsert"); got != 0 {
+		t.Fatalf("%d collapsed writes were replayed anyway", got)
+	}
+}
+
+// Drainer invariant 2: with no clean, answering peer a re-seed backs off
+// and stays queued — it is not dropped — and runs once a peer is clean.
+func TestReseedWaitsForACleanPeer(t *testing.T) {
+	stale := newHealNode(t, "dOLD", 1)
+	peer := newHealNode(t, "dNEW", 4)
+	c, err := New(Config{Map: Map{Shards: 1, Groups: [][]string{{stale.srv.URL, peer.srv.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	registerOnly(c, "ix")
+
+	// The only peer is itself behind (an entry parked on it).
+	park(c.reps[0][1], hint{index: "other"})
+	c.enqueue(0, 0, hint{index: "ix", reseed: true, from: -1})
+	time.Sleep(4 * hintBackoffMin)
+	if q := queued(c.reps[0][0]); len(q) != 1 || !q[0].reseed {
+		t.Fatalf("re-seed without a clean peer left the queue: %+v", q)
+	}
+	if got := peer.hit("export") + stale.hit("resync"); got != 0 {
+		t.Fatalf("re-seed ran against a peer known to be behind (%d requests)", got)
+	}
+	if nr := c.Health(context.Background())[0].Replicas[0].NeedsResync; len(nr) != 1 || nr[0] != "ix" {
+		t.Fatalf("waiting re-seed not reported: needs_resync = %v", nr)
+	}
+
+	// The peer converges: the waiting re-seed runs.
+	rs := c.reps[0][1]
+	rs.mu.Lock()
+	rs.hints, rs.draining = nil, false
+	rs.mu.Unlock()
+	waitFor(t, 5*time.Second, "the re-seed to run", func() bool { return !c.reps[0][0].behind(c) })
+	if stale.digest() != "dNEW" {
+		t.Fatalf("replica digest %q after the re-seed, want dNEW", stale.digest())
+	}
+}
+
+// Drainer invariant 3: a re-seed for an index the router no longer has
+// registered retires as converged, and the entries behind it proceed.
+func TestReseedForAnUnregisteredIndexRetires(t *testing.T) {
+	stale := newHealNode(t, "dOLD", 1)
+	peer := newHealNode(t, "dNEW", 4)
+	c, err := New(Config{Map: Map{Shards: 1, Groups: [][]string{{stale.srv.URL, peer.srv.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	c.enqueue(0, 0, hint{index: "gone", reseed: true, from: 1})
+	c.enqueue(0, 0, hint{index: "gone", method: http.MethodDelete, path: "/v1/indexes/gone", ok: []int{http.StatusOK}})
+	waitFor(t, 5*time.Second, "the queue to drain", func() bool { return !c.reps[0][0].behind(c) })
+	if got := peer.hit("export") + stale.hit("resync"); got != 0 {
+		t.Fatalf("re-seed of an unregistered index still shipped a snapshot (%d requests)", got)
+	}
+	if got := stale.hit("other"); got != 1 {
+		t.Fatalf("the write queued behind the retired re-seed was replayed %d times, want 1", got)
+	}
+}
+
+// A replayed write the replica semantically refuses collapses that
+// index's queued writes into a re-seed; other indexes' writes stay.
+func TestRefusedReplayCollapsesIntoReseed(t *testing.T) {
+	stale := newHealNode(t, "dOLD", 1)
+	peer := newHealNode(t, "dNEW", 4)
+	c, err := New(Config{Map: Map{Shards: 1, Groups: [][]string{{stale.srv.URL, peer.srv.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	registerOnly(c, "ix")
+
+	refused := hint{index: "ix", method: http.MethodPost, path: "/v1/indexes/ix/upsert", ok: []int{http.StatusTeapot}}
+	other := hint{index: "other", method: http.MethodPost, path: "/v1/indexes/other/upsert", ok: []int{http.StatusOK}}
+	rs := c.reps[0][0]
+	park(rs, refused, other, refused)
+	c.wg.Add(1)
+	go c.drain(rs)
+	waitFor(t, 5*time.Second, "the queue to drain", func() bool { return !rs.behind(c) })
+	if got := stale.hit("upsert"); got != 2 {
+		t.Fatalf("replica saw %d upserts, want 2 (the refused head and the other index's write; the second refused write was collapsed)", got)
+	}
+	if got := stale.hit("resync"); got != 1 || stale.digest() != "dNEW" {
+		t.Fatalf("refusal did not re-seed the index: %d resyncs, digest %q", got, stale.digest())
 	}
 }
 
@@ -285,7 +445,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	t.Cleanup(c.Close)
 	rs := c.reps[0][0]
 
-	if rs.deferWrite(c) {
+	if rs.behind(c) {
 		t.Fatal("fresh replica defers writes")
 	}
 	for i := 0; i < breakerFailThreshold; i++ {
@@ -297,7 +457,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st != breakerOpen {
 		t.Fatalf("breaker after %d failures = %v, want open", breakerFailThreshold, st)
 	}
-	if !rs.deferWrite(c) {
+	if !rs.behind(c) {
 		t.Fatal("open breaker did not defer writes")
 	}
 
@@ -308,7 +468,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st != breakerHalfOpen {
 		t.Fatalf("breaker after cooldown = %v, want half_open", st)
 	}
-	if rs.deferWrite(c) {
+	if rs.behind(c) {
 		t.Fatal("half-open breaker should allow the trial write")
 	}
 	rs.noteSuccess(c)
@@ -339,8 +499,8 @@ func TestBreakerLifecycle(t *testing.T) {
 // Reads prefer clean replicas: one holding queued hints answers only
 // when no clean replica does.
 func TestReadsPreferCleanReplicas(t *testing.T) {
-	lagging, lagHits := fakeNode(t, linkOK(matchDTO{RefKey: "k", Similarity: 1, Exact: true}))
-	clean, cleanHits := fakeNode(t, linkOK(matchDTO{RefKey: "k", Similarity: 1, Exact: true}))
+	lagging, lagHits := fakeNode(t, linkOK(wire.MatchDTO{RefKey: "k", Similarity: 1, Exact: true}))
+	clean, cleanHits := fakeNode(t, linkOK(wire.MatchDTO{RefKey: "k", Similarity: 1, Exact: true}))
 	c := testClient(t, [][]string{{lagging.URL, clean.URL}})
 	t.Cleanup(c.Close)
 

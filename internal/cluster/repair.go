@@ -6,30 +6,42 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
+	"adaptivelink"
 	"adaptivelink/internal/metrics"
 )
 
 // Self-healing machinery: every replica the router knows carries a
 // replicaState — a circuit breaker fed by every request's transport
-// outcome, a bounded hinted-handoff queue for writes the replica missed
-// while a quorum acknowledged them, and the anti-entropy bookkeeping
-// (observed content digests, the needs-full-resync flag). Three repair
-// paths converge a diverged replica, cheapest first:
+// outcome, the digests anti-entropy last observed, and ONE convergence
+// queue, drained in order by one goroutine. Everything the router knows
+// the replica to lack is an entry in that queue, of one of two kinds:
 //
-//  1. Hint replay: a missed write is queued router-side and replayed in
-//     original order once the replica answers again.
-//  2. Full resync: when the hint queue overflows (the replica was gone
-//     past the hint horizon) or a hint is semantically refused, the
-//     replica's copy is replaced wholesale from a healthy replica's
-//     snapshot stream.
-//  3. Anti-entropy: a background loop compares per-replica content
-//     digests and full-resyncs any divergence the first two paths
-//     missed (a replica that lost its disk, a write applied around the
-//     router, a torn recovery).
+//   - a write: one request the replica missed while a quorum acknowledged
+//     it, replayed byte-identical (hinted handoff);
+//   - a re-seed: "replace your copy of index X with a peer's snapshot
+//     stream" — export from the source, POST …/resync on the replica.
+//
+// Three detectors feed it:
+//
+//  1. Missed write: groupWrite queues the write for every replica that
+//     did not acknowledge it.
+//  2. Overflow or refusal: a queue already holding HintCapacity writes
+//     (the replica was gone past the hint horizon), or a replayed write
+//     the replica semantically refuses, collapses the affected indexes'
+//     queued writes into one re-seed entry each — replaying around a gap
+//     would apply a gapped sequence.
+//  3. Digest mismatch: anti-entropy compares per-replica content digests,
+//     elects the reference copy and queues a re-seed on every dissenting
+//     or blank replica (a lost disk, a write applied around the router, a
+//     torn recovery). It only detects; the drainer repairs.
+//
+// A replica with a non-empty queue is "behind": new writes skip it and
+// queue at the tail, so a write acknowledged while a re-seed is running
+// replays after it — nothing acknowledged is ever dropped on the floor —
+// and reads prefer its clean peers.
 
 // breakerState is a replica's circuit-breaker position.
 type breakerState int
@@ -69,23 +81,34 @@ const (
 	hintBackoffMax = time.Second
 )
 
-// hint is one missed write, queued for replay in sequence order.
+// hint is one entry of a replica's convergence queue: a missed write to
+// replay, or (reseed) a whole-index re-seed from a peer.
 type hint struct {
-	// seq is the replica-local enqueue sequence (diagnostics; order is
-	// the queue's).
+	// seq is the replica-local enqueue sequence: the drainer retires the
+	// head only if it is still the entry it executed.
 	seq int64
-	// index names the index the write targets — the unit a semantic
-	// replay failure escalates to full resync.
-	index  string
-	method string
-	path   string
-	// payload is the pre-marshaled JSON body (nil for bodyless ops), so
-	// replay sends byte-identical requests.
+	// index names the index the entry converges — the unit writes
+	// collapse into a re-seed by.
+	index string
+
+	// reseed marks a re-seed entry; from is the replica of the same group
+	// anti-entropy elected as its source (-1: any clean peer).
+	reseed bool
+	from   int
+	// again is set when a write is collapsed into this re-seed: an export
+	// already in flight may predate that write, so the entry runs once
+	// more before it retires.
+	again bool
+
+	// A write entry's request. payload is the pre-marshaled JSON body (nil
+	// for bodyless ops), so replay sends byte-identical requests; ok lists
+	// the statuses that count as applied — the same tolerance the original
+	// fan-out used (a delete finding nothing left to delete has converged,
+	// not failed).
+	method  string
+	path    string
 	payload []byte
-	// ok lists the statuses that count as applied on replay — the same
-	// tolerance the original fan-out used (a delete finding nothing left
-	// to delete has converged, not failed).
-	ok []int
+	ok      []int
 }
 
 // replicaState is the router's per-replica resilience state.
@@ -98,26 +121,20 @@ type replicaState struct {
 	fails    int       // consecutive transport failures
 	openedAt time.Time // when the breaker last opened
 
+	// hints is the convergence queue — the only record of what the
+	// replica lacks. At most one re-seed per index is queued, ahead of
+	// every queued write of that index.
 	hints    []hint
 	hintSeq  int64
 	draining bool // a drainer goroutine owns the queue
-	replayed int64
 
-	// needsResync marks indexes whose divergence outgrew the hint queue
-	// (or whose hint replay was refused): only a full snapshot resync
-	// repairs them now.
-	needsResync map[string]bool
 	// digests holds the last content digest observed per index by the
 	// anti-entropy loop, for /v1/cluster visibility.
 	digests map[string]string
 }
 
 func newReplicaState(g int, addr string) *replicaState {
-	return &replicaState{
-		addr: addr, group: g,
-		needsResync: make(map[string]bool),
-		digests:     make(map[string]string),
-	}
+	return &replicaState{addr: addr, group: g, digests: make(map[string]string)}
 }
 
 // noteSuccess records transport-level contact (any HTTP response, even
@@ -163,31 +180,16 @@ func (rs *replicaState) effectiveBreaker(c *Client) breakerState {
 	return rs.breaker
 }
 
-// deferWrite reports whether a quorum write should skip attempting this
-// replica and go straight to the hint queue: hints are pending (a new
-// write must queue behind them or arrive out of order), the replica
-// awaits a full resync (the resync stream will carry the write), or the
-// breaker is open.
-func (rs *replicaState) deferWrite(c *Client) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if len(rs.hints) > 0 || len(rs.needsResync) > 0 {
-		return true
-	}
-	return rs.effectiveBreaker(c) == breakerOpen
-}
-
-// dirtyRead reports whether reads should prefer another replica: this
-// one is known to be missing acknowledged writes (pending hints or a
-// scheduled resync) or its breaker is open. Dirty replicas remain the
+// behind reports whether the replica is known to be missing
+// acknowledged writes — entries are queued for it — or its breaker is
+// open. A quorum write skips a replica that is behind and goes straight
+// to its queue (a new write must queue behind the earlier entries or
+// arrive out of order); reads prefer its peers and keep it as the
 // fallback — availability over freshness when no clean replica answers.
-func (rs *replicaState) dirtyRead(c *Client) bool {
+func (rs *replicaState) behind(c *Client) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if len(rs.hints) > 0 || len(rs.needsResync) > 0 {
-		return true
-	}
-	return rs.effectiveBreaker(c) == breakerOpen
+	return len(rs.hints) > 0 || rs.effectiveBreaker(c) == breakerOpen
 }
 
 // replica returns the state of group g's i-th replica (nil only before
@@ -199,85 +201,114 @@ func (c *Client) replica(g, i int) *replicaState {
 	return c.reps[g][i]
 }
 
-// enqueueHint queues one missed write for replay, escalating to
-// needs-full-resync when the queue is at capacity: the replica has been
-// gone past the hint horizon, and dropping the oldest hints silently
-// would replay a gapped sequence. The queue is cleared — the resync
-// stream subsumes every queued write.
-func (c *Client) enqueueHint(g, i int, h hint) {
+// enqueue adds one entry to a replica's convergence queue and makes sure
+// a drainer owns it. A write arriving at a queue that already holds
+// HintCapacity writes means the replica has been gone past the hint
+// horizon: every queued write, the new one included, collapses into its
+// index's re-seed entry instead of being replayed around a gap. A
+// re-seed for an index that already has entries queued is dropped — the
+// replica is already converging, and a digest read while the router knew
+// it to be behind is not news.
+func (c *Client) enqueue(g, i int, h hint) {
 	rs := c.replica(g, i)
 	if rs == nil {
 		return
 	}
 	rs.mu.Lock()
-	if rs.needsResync[h.index] {
-		// Already past the horizon for this index; the resync carries
-		// this write too (the reference replica acknowledged it).
-		rs.mu.Unlock()
-		c.inc(c.hintsDropped, 1)
-		return
-	}
-	if len(rs.hints) >= c.cfg.HintCapacity {
-		dropped := len(rs.hints) + 1
-		for _, q := range rs.hints {
-			rs.needsResync[q.index] = true
+	defer rs.mu.Unlock()
+	writes, known := 0, false
+	for _, q := range rs.hints {
+		if !q.reseed {
+			writes++
 		}
-		rs.needsResync[h.index] = true
-		rs.hints = nil
-		rs.mu.Unlock()
-		c.inc(c.hintsDropped, float64(dropped))
+		known = known || q.index == h.index
+	}
+	switch {
+	case h.reseed && known:
 		return
+	case !h.reseed && writes >= c.cfg.HintCapacity:
+		rs.hints = append(rs.hints, h)
+		c.inc(c.hintsDropped, float64(rs.collapse("")))
+	default:
+		rs.hintSeq++
+		h.seq = rs.hintSeq
+		rs.hints = append(rs.hints, h)
+		if !h.reseed {
+			c.inc(c.hintsQueued, 1)
+		}
 	}
-	rs.hintSeq++
-	h.seq = rs.hintSeq
-	rs.hints = append(rs.hints, h)
-	start := !rs.draining
-	if start {
+	if !rs.draining {
 		rs.draining = true
-	}
-	rs.mu.Unlock()
-	c.inc(c.hintsQueued, 1)
-	if start {
 		c.wg.Add(1)
-		go c.drainHints(rs)
+		go c.drain(rs)
 	}
 }
 
-// drainHints replays a replica's queued writes in order, with jittered
-// exponential backoff while the replica stays unreachable. It exits
-// when the queue empties (counting one hint_replay repair if anything
-// was replayed) or the client closes.
-func (c *Client) drainHints(rs *replicaState) {
+// collapse folds the queued writes of index (of every index when index
+// is "") into re-seed entries, one per index, and returns how many
+// writes left the queue: the snapshot stream carries them now. An index
+// whose re-seed is already queued keeps that entry, flagged to run again
+// in case its export has begun. Call with rs.mu held.
+func (rs *replicaState) collapse(index string) (dropped int) {
+	var gone []string
+	kept := rs.hints[:0]
+	for _, q := range rs.hints {
+		if q.reseed || (index != "" && q.index != index) {
+			kept = append(kept, q)
+			continue
+		}
+		gone = append(gone, q.index)
+	}
+	rs.hints = kept
+next:
+	for _, name := range gone {
+		for j := range rs.hints {
+			if rs.hints[j].reseed && rs.hints[j].index == name {
+				rs.hints[j].again = true
+				continue next
+			}
+		}
+		rs.hintSeq++
+		rs.hints = append(rs.hints, hint{seq: rs.hintSeq, index: name, reseed: true, from: -1})
+	}
+	return len(gone)
+}
+
+// drain executes a replica's queue in order — replay a write, or re-seed
+// an index — with jittered exponential backoff while the replica (or,
+// for a re-seed, every possible source) stays unreachable. It exits when
+// the queue empties (counting one hint_replay repair if any write was
+// replayed) or the client closes.
+func (c *Client) drain(rs *replicaState) {
 	defer c.wg.Done()
 	backoff := hintBackoffMin
 	replayed := 0
 	for {
-		if c.ctx.Err() != nil {
-			rs.mu.Lock()
-			rs.draining = false
-			rs.mu.Unlock()
-			return
-		}
 		rs.mu.Lock()
-		if len(rs.hints) == 0 {
+		if len(rs.hints) == 0 || c.ctx.Err() != nil {
 			rs.draining = false
-			rs.replayed += int64(replayed)
 			rs.mu.Unlock()
-			if replayed > 0 {
-				c.inc(c.repairsHint, 1)
-			}
-			return
+			break
 		}
+		rs.hints[0].again = false // whatever was collapsed so far precedes this run's export
 		h := rs.hints[0]
 		rs.mu.Unlock()
 
-		ctx, cancel := context.WithTimeout(c.ctx, c.cfg.WriteTimeout)
-		status, _, err := c.doRaw(ctx, rs.addr, h.method, h.path, h.payload, "application/json")
-		cancel()
+		var err error
+		refused := false
+		if h.reseed {
+			err = c.reseed(rs, h)
+		} else {
+			ctx, cancel := context.WithTimeout(c.ctx, c.cfg.WriteTimeout)
+			var status int
+			status, _, err = c.doRaw(ctx, rs.addr, h.method, h.path, h.payload, "application/json")
+			cancel()
+			refused = err == nil && !statusIn(h.ok, status)
+		}
 		if err != nil {
 			// Still unreachable: back off (jittered so replicas of a
 			// revived node do not replay in lockstep) and retry the same
-			// hint — order is the contract.
+			// entry — order is the contract.
 			d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
 			select {
 			case <-time.After(d):
@@ -289,33 +320,27 @@ func (c *Client) drainHints(rs *replicaState) {
 			continue
 		}
 		backoff = hintBackoffMin
-		if statusIn(h.ok, status) {
-			rs.mu.Lock()
-			if len(rs.hints) > 0 && rs.hints[0].seq == h.seq {
-				rs.hints = rs.hints[1:]
-			}
-			rs.mu.Unlock()
-			replayed++
-			c.inc(c.hintsReplayed, 1)
-			continue
-		}
-		// Semantic refusal: replaying further hints for this index could
-		// interleave a gapped sequence. Escalate the whole index to full
-		// resync and drop its queued hints (the resync subsumes them).
+
 		rs.mu.Lock()
-		kept := rs.hints[:0]
-		dropped := 0
-		for _, q := range rs.hints {
-			if q.index == h.index {
-				dropped++
-				continue
+		switch {
+		case refused:
+			// Semantic refusal: replaying further writes of this index
+			// could interleave a gapped sequence. Collapse them all.
+			c.inc(c.hintsDropped, float64(rs.collapse(h.index)))
+		case len(rs.hints) == 0 || rs.hints[0].seq != h.seq || rs.hints[0].again:
+			// Collapsed away mid-flight, or a write was collapsed into this
+			// re-seed after its export began: the head runs (again).
+		default:
+			rs.hints = rs.hints[1:]
+			if !h.reseed {
+				replayed++
+				c.inc(c.hintsReplayed, 1)
 			}
-			kept = append(kept, q)
 		}
-		rs.hints = kept
-		rs.needsResync[h.index] = true
 		rs.mu.Unlock()
-		c.inc(c.hintsDropped, float64(dropped))
+	}
+	if replayed > 0 {
+		c.inc(c.repairsHint, 1)
 	}
 }
 
@@ -374,24 +399,22 @@ func (c *Client) repairLoop() {
 	}
 }
 
-// digestDTO mirrors the node's /digest payload.
-type digestDTO struct {
-	Combined   string `json:"combined"`
-	Tuples     int    `json:"tuples"`
-	WALRecords int64  `json:"wal_records"`
-}
-
-// Repair runs one anti-entropy pass over every registered index and
-// every group: fetch each replica's content digest, elect the reference
-// copy (modal digest; ties prefer more tuples, then a longer applied
-// log, then the lower replica), and full-resync every reachable replica
-// that disagrees — including a replica that answers but no longer has
-// the index at all (a blank revived node bootstraps from the stream).
-// Replicas with hints still queued are left to the cheaper replay path;
-// unreachable replicas are left alone until they answer again.
+// Repair runs one anti-entropy detection pass over every registered
+// index and every group: fetch each replica's content digest, elect the
+// reference copy (modal digest; ties prefer more tuples, then a longer
+// applied log, then the lower replica), and queue a re-seed from it on
+// every reachable replica that disagrees — including a replica that
+// answers but no longer has the index at all (a blank revived node
+// bootstraps from the stream). It returns once the entries are queued;
+// the replicas' drainers do the repairing, and /v1/cluster shows the
+// entries as needs_resync until they retire. A replica that is behind
+// sits the pass out — its queue is already converging it, and its
+// digest is known to be stale: it neither votes nor is it re-seeded —
+// as does one that does not answer.
 //
 // The background loop calls this on RepairInterval; tests and operators
-// can call it directly for a deterministic pass.
+// can call it directly for a deterministic pass. Overflow and refusal
+// re-seeds do not wait for it.
 func (c *Client) Repair(ctx context.Context) {
 	for _, name := range c.Names() {
 		for g := range c.cfg.Map.Groups {
@@ -406,11 +429,14 @@ func (c *Client) repairGroup(ctx context.Context, name string, g int) {
 	type obs struct {
 		alive  bool // answered HTTP (any status)
 		has    bool // answered 200 with a digest
-		digest digestDTO
+		digest adaptivelink.IndexDigest
 	}
 	seen := make([]obs, len(reps))
 	var wg sync.WaitGroup
 	for i, addr := range reps {
+		if rs := c.replica(g, i); rs == nil || rs.behind(c) {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
@@ -424,7 +450,7 @@ func (c *Client) repairGroup(ctx context.Context, name string, g int) {
 			if status != http.StatusOK {
 				return
 			}
-			var d digestDTO
+			var d adaptivelink.IndexDigest
 			if json.Unmarshal(body, &d) == nil && d.Combined != "" {
 				seen[i].has = true
 				seen[i].digest = d
@@ -466,70 +492,84 @@ func (c *Client) repairGroup(ctx context.Context, name string, g int) {
 			ref = i
 		}
 	}
-	refDigest := seen[ref].digest.Combined
 
 	for i := range reps {
 		rs := c.replica(g, i)
-		if rs == nil || !seen[i].alive {
+		if !seen[i].alive {
 			continue
 		}
 		if seen[i].has {
 			rs.mu.Lock()
 			rs.digests[name] = seen[i].digest.Combined
 			rs.mu.Unlock()
+			if seen[i].digest.Combined == seen[ref].digest.Combined {
+				continue
+			}
 		}
-		if seen[i].has && seen[i].digest.Combined == refDigest {
-			rs.mu.Lock()
-			delete(rs.needsResync, name)
-			rs.mu.Unlock()
-			continue
-		}
-		rs.mu.Lock()
-		pending := len(rs.hints) > 0
-		rs.mu.Unlock()
-		if pending {
-			continue // the replay path is still converging this replica
-		}
-		if err := c.resyncReplica(ctx, name, g, ref, i); err != nil {
-			continue // transient; the next pass retries
-		}
-		rs.mu.Lock()
-		delete(rs.needsResync, name)
-		rs.digests[name] = refDigest
-		rs.mu.Unlock()
-		c.inc(c.repairsResync, 1)
+		c.enqueue(g, i, hint{index: name, reseed: true, from: ref})
 	}
 }
 
-// resyncReplica streams the reference replica's snapshot into the stale
-// one.
-func (c *Client) resyncReplica(ctx context.Context, name string, g, ref, stale int) error {
-	reps := c.cfg.Map.Groups[g]
-	ectx, cancel := context.WithTimeout(ctx, c.cfg.WriteTimeout)
+// reseed executes one re-seed entry: stream a clean peer's snapshot of
+// the index into the replica — the peer anti-entropy elected if it is
+// (still) clean, else the first that is. A clean peer holds every write
+// the group acknowledged; one that is behind does not, so with nobody
+// clean the entry fails and the drainer backs off like for an
+// unreachable replica. An index unregistered since has nothing left to
+// converge to: the entry retires.
+func (c *Client) reseed(rs *replicaState, h hint) error {
+	if _, ok := c.state(h.index); !ok {
+		return nil
+	}
+	peers := c.reps[rs.group]
+	src := -1
+	for i, p := range peers {
+		if p != rs && !p.behind(c) && (src < 0 || i == h.from) {
+			src = i
+		}
+	}
+	if src < 0 {
+		return fmt.Errorf("cluster: no clean peer to re-seed %q on %s from", h.index, rs.addr)
+	}
+	if err := c.resyncReplica(h.index, peers[src].addr, rs.addr); err != nil {
+		return err
+	}
+	// The replica's last observed digest describes the copy just replaced.
+	rs.mu.Lock()
+	delete(rs.digests, h.index)
+	rs.mu.Unlock()
+	c.inc(c.repairsResync, 1)
+	return nil
+}
+
+// resyncReplica streams the index's snapshot from one replica into
+// another.
+func (c *Client) resyncReplica(name, from, to string) error {
+	ectx, cancel := context.WithTimeout(c.ctx, c.cfg.WriteTimeout)
 	defer cancel()
-	status, blob, err := c.doRaw(ectx, reps[ref], http.MethodGet, "/v1/indexes/"+name+"/export", nil, "")
+	status, blob, err := c.doRaw(ectx, from, http.MethodGet, "/v1/indexes/"+name+"/export", nil, "")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("cluster: export from %s answered %d", reps[ref], status)
+		return fmt.Errorf("cluster: export from %s answered %d", from, status)
 	}
-	rctx, cancel2 := context.WithTimeout(ctx, c.cfg.WriteTimeout)
+	rctx, cancel2 := context.WithTimeout(c.ctx, c.cfg.WriteTimeout)
 	defer cancel2()
-	status, body, err := c.doRaw(rctx, reps[stale], http.MethodPost, "/v1/indexes/"+name+"/resync", blob, "application/octet-stream")
+	status, body, err := c.doRaw(rctx, to, http.MethodPost, "/v1/indexes/"+name+"/resync", blob, "application/octet-stream")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("cluster: resync on %s answered %d: %s", reps[stale], status, envelopeMessage(body))
+		return fmt.Errorf("cluster: resync on %s answered %d: %s", to, status, envelopeMessage(body))
 	}
 	return nil
 }
 
-// Close stops the client's background goroutines (hint drainers, the
+// Close stops the client's background goroutines (queue drainers, the
 // health prober, the anti-entropy loop) and waits for them to exit.
-// Queued hints are abandoned; anti-entropy on the next router start
-// repairs whatever they would have.
+// Queued entries are abandoned; anti-entropy on the next router start
+// detects whatever they would have repaired.
 func (c *Client) Close() {
 	c.cancel()
 	c.wg.Wait()
@@ -551,17 +591,4 @@ func (c *Client) incBreaker(state string) {
 	case "closed":
 		c.inc(c.breakerCloses, 1)
 	}
-}
-
-// sortedKeys returns a map's keys sorted (stable /v1/cluster output).
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -11,6 +11,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/wire"
 )
 
 // View is a join.Resident over the cluster: the router's probe sessions
@@ -41,8 +42,13 @@ func (c *Client) Bind(ctx context.Context, name string) (*View, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: index %q not registered", name)
 	}
-	return &View{c: c, st: st, ctx: ctx}, nil
+	return &View{c: c, st: st, ctx: context.WithValue(ctx, requestBudget{}, true)}, nil
 }
+
+// requestBudget tags the contexts Bind hands to the probe path: their
+// expiry is the link request's own budget running out, which doRaw must
+// not count against the replica that was still answering.
+type requestBudget struct{}
 
 // Resident returns the long-lived maintenance view of the named index
 // (background context, write timeouts per call). The service wraps it
@@ -104,10 +110,10 @@ func (v *View) UpsertChecked(tuples []relation.Tuple) (inserted, updated int, er
 		return 0, 0, nil
 	}
 	m := v.c.cfg.Map
-	subs := make([][]tupleDTO, len(m.Groups))
+	subs := make([][]wire.TupleDTO, len(m.Groups))
 	for _, t := range tuples {
 		g := m.home(t.Key)
-		subs[g] = append(subs[g], tupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs})
+		subs[g] = append(subs[g], wire.TupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs})
 	}
 
 	var wg sync.WaitGroup
@@ -120,7 +126,7 @@ func (v *View) UpsertChecked(tuples []relation.Tuple) (inserted, updated int, er
 		go func(g int) {
 			defer wg.Done()
 			errs[g] = v.c.groupWrite(g, v.st.name, http.MethodPost, "/v1/indexes/"+v.st.name+"/upsert",
-				upsertReq{Tuples: subs[g]}, http.StatusOK)
+				wire.UpsertRequest{Tuples: subs[g]}, http.StatusOK)
 		}(g)
 	}
 	wg.Wait()
@@ -184,7 +190,7 @@ func (v *View) probeGroups(mode join.Mode, keys []string) [][]join.RefMatch {
 		ctx, cancel = context.WithTimeout(context.Background(), v.c.cfg.WriteTimeout)
 		defer cancel()
 	}
-	req := linkReq{Index: v.st.name, Strategy: "exact"}
+	req := wire.LinkRequestDTO{Index: v.st.name, Strategy: "exact"}
 	if dl, ok := ctx.Deadline(); ok {
 		req.TimeoutMillis = max(1, int(time.Until(dl)/time.Millisecond))
 	}
@@ -301,15 +307,15 @@ func (m Map) merge(answers [][]join.RefMatch) []join.RefMatch {
 func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte, n int) ([][]join.RefMatch, error) {
 	reps := v.c.cfg.Map.Groups[g]
 	start := int(v.c.rr[g].Add(1)-1) % len(reps)
-	// Prefer clean replicas: one with hinted writes still queued (or a
-	// full resync pending, or an open breaker) is known to be missing
-	// acknowledged writes, so it answers only as the last resort —
-	// availability over freshness when nobody clean responds.
+	// Prefer clean replicas: one that is behind (entries queued, or an
+	// open breaker) is known to be missing acknowledged writes, so it
+	// answers only as the last resort — availability over freshness when
+	// nobody clean responds.
 	order := make([]int, 0, len(reps))
 	var dirty []int
 	for i := 0; i < len(reps); i++ {
 		ri := (start + i) % len(reps)
-		if rs := v.c.replica(g, ri); rs != nil && rs.dirtyRead(v.c) {
+		if rs := v.c.replica(g, ri); rs != nil && rs.behind(v.c) {
 			dirty = append(dirty, ri)
 			continue
 		}
@@ -328,7 +334,7 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 			continue
 		}
 		if status == http.StatusOK {
-			var dto linkRespDTO
+			var dto wire.LinkResponseDTO
 			if err := json.Unmarshal(resp, &dto); err != nil {
 				return nil, fmt.Errorf("%w: %s: undecodable link response: %v", ErrNodeUnavailable, addr, err)
 			}
@@ -342,9 +348,9 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 			return out, nil
 		}
 		switch envelopeCode(resp) {
-		case "deadline":
+		case wire.CodeDeadline:
 			return nil, context.DeadlineExceeded
-		case "draining":
+		case wire.CodeDraining:
 			lastErr = fmt.Errorf("%s: draining", addr)
 			continue
 		default:
@@ -362,7 +368,7 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 // router's global sequence for the reference key — only ORDER flows
 // from it (the wire never carries node-local refs); a key the router
 // never sequenced (written around the router) sorts last, by key.
-func (st *indexState) toRefMatches(ms []matchDTO) []join.RefMatch {
+func (st *indexState) toRefMatches(ms []wire.MatchDTO) []join.RefMatch {
 	if len(ms) == 0 {
 		return nil
 	}

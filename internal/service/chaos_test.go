@@ -234,10 +234,28 @@ func TestChaosReplicaOutageServesAndHealsViaHints(t *testing.T) {
 	}
 }
 
+// waitDrained polls /v1/cluster until the replica's convergence queue is
+// empty: no write left to replay, no re-seed left to run.
+func (f *chaosFixture) waitDrained(t *testing.T, g, r int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rep := f.clusterInfo(t).Groups[g].Replicas[r]
+		if rep.HintsPending == 0 && len(rep.NeedsResync) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %d.%d never converged: %+v", g, r, rep)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestChaosHintOverflowFullResync drives a replica past the hint
 // horizon: the overflow is surfaced in /v1/cluster as needs_resync (not
-// silently dropped), and an anti-entropy pass repairs the replica with
-// a full snapshot stream until digests converge.
+// silently dropped), and once the replica answers again its drainer
+// repairs it with a full snapshot stream until digests converge — with
+// the background repair loop off (RepairInterval 0) and no Repair call.
 func TestChaosHintOverflowFullResync(t *testing.T) {
 	f := newChaosFixture(t, 4, []int{2, 2}, func(c *cluster.Config) {
 		c.HintCapacity = 3
@@ -262,33 +280,92 @@ func TestChaosHintOverflowFullResync(t *testing.T) {
 			homed++
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info := f.clusterInfo(t)
-		r := info.Groups[0].Replicas[0]
-		if len(r.NeedsResync) == 1 && r.NeedsResync[0] == "atlas" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("overflow never surfaced as needs_resync: %+v", r)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if r := f.clusterInfo(t).Groups[0].Replicas[0]; len(r.NeedsResync) != 1 || r.NeedsResync[0] != "atlas" {
+		t.Fatalf("overflow not surfaced as needs_resync: %+v", r)
 	}
 
-	// Revive and run anti-entropy: a full resync repairs the replica.
+	// Revive: the queued re-seed runs and retires on its own.
 	rule.Off()
-	f.cl.Repair(context.Background())
-	info := f.clusterInfo(t)
-	r := info.Groups[0].Replicas[0]
-	if len(r.NeedsResync) != 0 {
-		t.Fatalf("needs_resync survived repair: %+v", r)
-	}
+	f.waitDrained(t, 0, 0)
 	if a, b := f.nodeDigest(t, 0, 0, "atlas"), f.nodeDigest(t, 0, 1, "atlas"); a != b {
 		t.Fatalf("post-resync divergence: %s vs %s", a, b)
 	}
 
 	// The repaired cluster answers byte-identical to the reference.
 	f.linkBoth(t, chaosKey(9), chaosKey(13), chaosKey(3))
+}
+
+// TestChaosWritesDuringReseedConverge is the write-load convergence
+// proof: a replica past the hint horizon is revived while one writer
+// keeps upserting and three anti-entropy passes run. Every write
+// acknowledged while the replica is being re-seeded queues behind the
+// re-seed and replays after it, so once the writer stops and the queue
+// is empty — with no further Repair — the group's digests are equal and
+// a routed link is byte-identical to the single-process reference.
+func TestChaosWritesDuringReseedConverge(t *testing.T) {
+	f := newChaosFixture(t, 2, []int{2}, func(c *cluster.Config) {
+		c.HintCapacity = 3
+	})
+	var initial []string
+	for i := 0; i < 8; i++ {
+		initial = append(initial, fmt.Sprintf(`{"id":%d,"key":%q}`, i, chaosKey(i)))
+	}
+	f.both(t, "POST", "/v1/indexes",
+		fmt.Sprintf(`{"name":"atlas","tuples":[%s]}`, strings.Join(initial, ",")), false)
+
+	rule := f.kill(0, 0)
+	next := 8
+	for ; next < 14; next++ { // 6 writes against a 3-write queue: past the horizon
+		f.upsertBoth(t, next)
+	}
+	if r := f.clusterInfo(t).Groups[0].Replicas[0]; len(r.NeedsResync) != 1 {
+		t.Fatalf("overflow not surfaced as needs_resync: %+v", r)
+	}
+	// Every resync of the revived replica dawdles between export and
+	// apply, so writes are certain to be acknowledged inside that window.
+	f.ft.Add(&fault.Rule{
+		Node: strings.TrimPrefix(f.nodes[0][0].URL, "http://"), Path: "/resync",
+		Action: fault.Delay, Dur: 20 * time.Millisecond,
+	})
+	rule.Off()
+
+	// Three anti-entropy passes run beside the writer, which keeps going
+	// until they are done and the first re-seed has shipped, then some
+	// more: the writes overlap the export, the resync and the replay
+	// behind it, and the last of them have no Repair after them.
+	passes := make(chan struct{})
+	go func() {
+		defer close(passes)
+		for i := 0; i < 3; i++ {
+			f.cl.Repair(context.Background())
+			time.Sleep(10 * time.Millisecond)
+		}
+	}()
+	const unshipped = `adaptivelink_cluster_repairs_total{kind="full_resync"} 0`
+	for tail := 20; tail > 0; next++ {
+		if next > 5000 {
+			t.Fatal("the re-seed never ran under write load")
+		}
+		f.upsertBoth(t, next)
+		select {
+		case <-passes:
+			if _, m := f.router.do(t, "GET", "/metrics", ""); !strings.Contains(m, unshipped) {
+				tail--
+			}
+		default:
+		}
+	}
+
+	f.waitDrained(t, 0, 0)
+	f.waitDrained(t, 0, 1)
+	if a, b := f.nodeDigest(t, 0, 0, "atlas"), f.nodeDigest(t, 0, 1, "atlas"); a != b || strings.HasPrefix(a, "status:") {
+		t.Fatalf("queues empty but the replicas differ: %s vs %s (an acknowledged write vanished)", a, b)
+	}
+	// Round-robin puts these on both replicas; each must answer like the
+	// single process that saw every write.
+	for i := 0; i < 4; i++ {
+		f.linkBoth(t, chaosKey(9), chaosKey(next-1), chaosKey(next-20), "borgo santa luciaa nord 1")
+	}
 }
 
 // TestChaosBlackHolePartition covers the uglier failure mode: a replica

@@ -178,17 +178,45 @@ func TestClusterDeadlineDuringFanOut(t *testing.T) {
 	})
 	f.create(t, 16)
 
-	code, body := f.router.do(t, "POST", "/v1/link",
-		`{"index":"atlas","keys":["borgo santa lucia nord 0"],"timeout_ms":80}`)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("deadline link: %d %s (want 504)", code, body)
+	// Three in a row: as many failures as open a circuit breaker.
+	for i := 0; i < 3; i++ {
+		code, body := f.router.do(t, "POST", "/v1/link",
+			`{"index":"atlas","keys":["borgo santa lucia nord 0"],"timeout_ms":80}`)
+		if code != http.StatusGatewayTimeout {
+			t.Fatalf("deadline link: %d %s (want 504)", code, body)
+		}
+		ec, msg := envelope(t, body)
+		if ec != CodeDeadline {
+			t.Fatalf("envelope code %q, want %q", ec, CodeDeadline)
+		}
+		if want := `link "atlas": context deadline exceeded`; msg != want {
+			t.Fatalf("deadline message %q, want %q (single-process byte-identity)", msg, want)
+		}
 	}
-	ec, msg := envelope(t, body)
-	if ec != CodeDeadline {
-		t.Fatalf("envelope code %q, want %q", ec, CodeDeadline)
+
+	// The request ran out of its own budget against a slow but healthy
+	// replica: that is no breaker strike. A write to the same home group
+	// goes straight through instead of being deferred behind an open
+	// breaker, and nothing is queued.
+	code, body := f.router.do(t, "POST", "/v1/indexes/atlas/upsert",
+		`{"tuples":[{"key":"borgo santa lucia nord 0","attrs":["after the timeouts"]}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("upsert after three spent budgets: %d %s (want 200)", code, body)
 	}
-	if want := `link "atlas": context deadline exceeded`; msg != want {
-		t.Fatalf("deadline message %q, want %q (single-process byte-identity)", msg, want)
+	code, body = f.router.do(t, "GET", "/v1/cluster", "")
+	var info ClusterInfo
+	if err := json.Unmarshal([]byte(body), &info); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/cluster: %d %s (%v)", code, body, err)
+	}
+	for _, g := range info.Groups {
+		for _, r := range g.Replicas {
+			if r.Breaker != "closed" || r.HintsPending != 0 {
+				t.Fatalf("replica %s after three spent budgets: breaker %q, %d hints pending", r.Addr, r.Breaker, r.HintsPending)
+			}
+		}
+	}
+	if _, m := f.router.do(t, "GET", "/metrics", ""); !strings.Contains(m, `adaptivelink_cluster_breaker_transitions_total{state="open"} 0`) {
+		t.Fatal("a breaker opened on request-budget expiries")
 	}
 }
 

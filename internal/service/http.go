@@ -12,98 +12,36 @@ import (
 	"adaptivelink"
 	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/obs"
+	"adaptivelink/internal/wire"
 )
 
-// Wire DTOs — the documented v1 contract. The JSON API is deliberately
-// small: tuples are key + optional payload attributes, and a link
-// request probes one index with one or many keys as a single session.
-//
-// Contract rules for /v1/:
-//
-//   - Every non-2xx response carries the unified error envelope
-//     {"error":{"code":"...","message":"..."}} (ErrorDTO). Codes are a
-//     closed set: invalid, not_found, exists, draining, deadline,
-//     internal, node_unavailable. Clients branch on code; message is
-//     for humans.
-//   - Fields are only ever added, never renamed or removed, within v1;
-//     incompatible changes get a new path prefix.
-//   - Index info (GET /v1/indexes, GET /v1/indexes/{name}) and
-//     /v1/stats report persistence state per index: "durable",
-//     "wal_records" (upsert batches logged past the snapshot) and
-//     "last_snapshot" (omitted until the first checkpoint).
+// The v1 wire contract lives in internal/wire (the cluster router speaks
+// it to the nodes with the same structs); the names below are its
+// service-side spelling, kept for every caller that compiles against
+// them.
+type (
+	TupleDTO           = wire.TupleDTO
+	CreateIndexRequest = wire.CreateIndexRequest
+	UpsertRequest      = wire.UpsertRequest
+	UpsertResponse     = wire.UpsertResponse
+	LinkRequestDTO     = wire.LinkRequestDTO
+	MatchDTO           = wire.MatchDTO
+	KeyResultDTO       = wire.KeyResultDTO
+	LinkResponseDTO    = wire.LinkResponseDTO
+	ErrorDTO           = wire.ErrorDTO
+	ErrorBody          = wire.ErrorBody
+)
 
-// TupleDTO is a reference tuple on the wire.
-type TupleDTO struct {
-	ID    int      `json:"id,omitempty"`
-	Key   string   `json:"key"`
-	Attrs []string `json:"attrs,omitempty"`
-}
-
-// CreateIndexRequest is the POST /v1/indexes payload.
-type CreateIndexRequest struct {
-	Name string `json:"name"`
-	// Q, Theta and Measure configure matching (0/"" = defaults).
-	Q       int     `json:"q,omitempty"`
-	Theta   float64 `json:"theta,omitempty"`
-	Measure string  `json:"measure,omitempty"`
-	// Shards is the index's shard count (0 = one per server hardware
-	// thread).
-	Shards int `json:"shards,omitempty"`
-	// Profile names the normalization pipeline applied to every key on
-	// upsert and probe ("" = index keys verbatim); unknown names are a
-	// 400 listing the registry.
-	Profile string     `json:"profile,omitempty"`
-	Tuples  []TupleDTO `json:"tuples"`
-}
-
-// UpsertRequest is the POST /v1/indexes/{name}/upsert payload.
-type UpsertRequest struct {
-	Tuples []TupleDTO `json:"tuples"`
-}
-
-// UpsertResponse reports an upsert's effect.
-type UpsertResponse struct {
-	Inserted int `json:"inserted"`
-	Updated  int `json:"updated"`
-	Size     int `json:"size"`
-}
-
-// LinkRequestDTO is the POST /v1/link payload. Key and Keys may not
-// both be set; TimeoutMillis of 0 selects the service default. Explain
-// opts into per-key decision traces in the response (more allocation
-// per probe — a debugging tool, not a hot-path default).
-type LinkRequestDTO struct {
-	Index         string   `json:"index"`
-	Key           string   `json:"key,omitempty"`
-	Keys          []string `json:"keys,omitempty"`
-	Strategy      string   `json:"strategy,omitempty"`
-	FutilityK     int      `json:"futility_k,omitempty"`
-	TimeoutMillis int      `json:"timeout_ms,omitempty"`
-	Explain       bool     `json:"explain,omitempty"`
-}
-
-// MatchDTO is one probe result on the wire.
-type MatchDTO struct {
-	RefID      int      `json:"ref_id"`
-	RefKey     string   `json:"ref_key"`
-	RefAttrs   []string `json:"ref_attrs,omitempty"`
-	Similarity float64  `json:"similarity"`
-	Exact      bool     `json:"exact"`
-}
-
-// KeyResultDTO pairs one probed key with its matches.
-type KeyResultDTO struct {
-	Key     string     `json:"key"`
-	Matches []MatchDTO `json:"matches"`
-}
-
-// LinkResponseDTO is the POST /v1/link response. Decisions appears
-// only for explain requests, parallel to Results.
-type LinkResponseDTO struct {
-	Results   []KeyResultDTO             `json:"results"`
-	Session   adaptivelink.SessionStats  `json:"session"`
-	Decisions []adaptivelink.KeyDecision `json:"decisions,omitempty"`
-}
+// Error codes of the v1 envelope.
+const (
+	CodeInvalid         = wire.CodeInvalid
+	CodeNotFound        = wire.CodeNotFound
+	CodeExists          = wire.CodeExists
+	CodeDraining        = wire.CodeDraining
+	CodeDeadline        = wire.CodeDeadline
+	CodeInternal        = wire.CodeInternal
+	CodeNodeUnavailable = wire.CodeNodeUnavailable
+)
 
 // SlowlogDTO is the GET /v1/debug/slowlog payload.
 type SlowlogDTO struct {
@@ -116,32 +54,6 @@ type SlowlogDTO struct {
 	// carry spans; unsampled ones are coarse records.
 	Traces []*obs.Trace `json:"traces"`
 }
-
-// ErrorDTO is the unified v1 error envelope.
-type ErrorDTO struct {
-	Error ErrorBody `json:"error"`
-}
-
-// ErrorBody is the envelope's payload: a machine-branchable code from a
-// closed set plus a human-readable message.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// Error codes of the v1 envelope.
-const (
-	CodeInvalid  = "invalid"
-	CodeNotFound = "not_found"
-	CodeExists   = "exists"
-	CodeDraining = "draining"
-	CodeDeadline = "deadline"
-	CodeInternal = "internal"
-	// CodeNodeUnavailable (502) marks a routed request that could not
-	// complete because a cluster node group had no answering replica;
-	// the batch failed as a whole, never with silent partial results.
-	CodeNodeUnavailable = "node_unavailable"
-)
 
 // maxBodyBytes bounds request bodies (tuple uploads included).
 const maxBodyBytes = 64 << 20

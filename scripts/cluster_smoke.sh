@@ -12,10 +12,12 @@
 #      linkbench retries transient dials; writes meet the quorum of 1),
 #      and /v1/cluster flips the dead replica to unhealthy
 #   4. self-healing: writes keep landing while the replica is dead
-#      (hinted handoff), the replica revives BLANK at its recorded
-#      address, and hint replay + anti-entropy resync converge the
-#      group until /v1/cluster reports matching content digests with
-#      no pending hints or resync debt
+#      (queued router-side for it), the replica revives BLANK at its
+#      recorded address, the replayed writes are refused and collapse
+#      into one queued re-seed, and the replica's drainer streams the
+#      index from its peer; /v1/cluster must end with an empty queue
+#      (no hints_pending, no needs_resync) and, after the next
+#      anti-entropy pass observed them, matching content digests
 #   5. killing group B entirely makes routed batches fail WHOLE with
 #      the node_unavailable envelope (502) — never silent partials
 #   6. the router and the surviving node both drain cleanly on SIGTERM
@@ -127,12 +129,14 @@ jq -e --arg dead "http://$a2_addr" \
 }
 
 # 4. Self-healing: writes land through the router while a2 stays dead
-#    — quorum 1 is met by a1, and a2's copies queue as hints. Then a2
-#    revives BLANK (in-memory daemon, nothing survives the SIGKILL) at
-#    its recorded address; hint replay fails semantically on the blank
-#    node (no index), escalates to a full resync, and anti-entropy
-#    bootstraps the index from a1's snapshot stream. /v1/cluster must
-#    converge to matching digests with no hints or resync debt left.
+#    — quorum 1 is met by a1, and a2's copies queue as write entries.
+#    Then a2 revives BLANK (in-memory daemon, nothing survives the
+#    SIGKILL) at its recorded address; the first replayed write is
+#    refused by the blank node (no index), the queued writes collapse
+#    into one re-seed entry, and the same drainer bootstraps the index
+#    from a1's snapshot stream. /v1/cluster must converge to an empty
+#    queue on both replicas and — once the repair loop has looked —
+#    matching digests.
 for i in $(seq 1 8); do
     code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://$router_addr/v1/indexes/bench/upsert" \
         -d "{\"tuples\":[{\"key\":\"smoke chaos street nord $i\"}]}")

@@ -87,7 +87,7 @@ echo "$trace" | jq -e '.request_id == "obs-smoke-traced" and .sampled == true an
 
 # Everything above beat a 1ms threshold or not — issue one definitely
 # slow request via a large batch to make the slowlog deterministic.
-bigkeys=$(jq -cn '[range(200) | "padding key \(.) for slow request"]')
+bigkeys=$(jq -cn '[range(2500) | "padding key \(.) for slow request"]')
 curl -sS -o /dev/null -X POST "http://$addr/v1/link" \
     -d "{\"index\":\"obs\",\"keys\":$bigkeys}"
 slowlog=$(curl -sS "http://$addr/v1/debug/slowlog")
