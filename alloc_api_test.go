@@ -75,30 +75,62 @@ func TestAllocSessionProbeBudget(t *testing.T) {
 // a key vector and a second tuple store as well cost 668.
 const residentBytesBudget = 450
 
-func TestAllocResidentBytesPerTuple(t *testing.T) {
-	perTuple := func(rows int) float64 {
-		tuples, opts := footprintTuples(t, rows)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		ix, err := NewIndex(FromTuples(tuples), opts)
+// exactOnlyResidentBytesBudget bounds the same for an index no
+// approximate probe has reached: the tuple, its global ref and its
+// exact-index bucket. The q-gram structures are built by a shard's
+// first approximate probe; building them eagerly cost ~400 here.
+const exactOnlyResidentBytesBudget = 200
+
+// residentBytesPerTuple returns the live heap bytes per tuple an index
+// of rows reference tuples holds, after one approximate probe if built.
+func residentBytesPerTuple(t *testing.T, rows int, built bool) float64 {
+	tuples, opts := footprintTuples(t, rows)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := NewIndex(FromTuples(tuples), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built {
+		sess, err := ix.NewSession(SessionOptions{Strategy: ApproximateOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(tuples)
-		return float64(after.HeapAlloc-before.HeapAlloc) / float64(ix.Len())
+		sess.Probe(tuples[0].Key)
+		if st := ix.EngineStats(); st.QGramBuiltShards != opts.Shards {
+			t.Fatalf("%d of %d shards built after an approximate probe", st.QGramBuiltShards, opts.Shards)
+		}
 	}
-	small, large := perTuple(20_000), perTuple(200_000)
-	t.Logf("resident heap bytes per tuple: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tuples)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(ix.Len())
+}
+
+func TestAllocResidentBytesPerTuple(t *testing.T) {
+	small, large := residentBytesPerTuple(t, 20_000, true), residentBytesPerTuple(t, 200_000, true)
+	t.Logf("resident heap bytes per tuple, built: %.0f at 20k rows, %.0f at 200k rows", small, large)
 	if small > residentBytesBudget {
 		t.Errorf("%.0f resident bytes per tuple at 20k rows, budget %d", small, residentBytesBudget)
 	}
 	if large > small {
 		t.Errorf("resident bytes per tuple grow with the reference: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	}
+}
+
+// TestAllocExactOnlyResidentBytesPerTuple pins what lazy q-gram
+// maintenance saves an index that is only ever probed exactly.
+func TestAllocExactOnlyResidentBytesPerTuple(t *testing.T) {
+	small, large := residentBytesPerTuple(t, 20_000, false), residentBytesPerTuple(t, 200_000, false)
+	t.Logf("resident heap bytes per tuple, exact-only: %.0f at 20k rows, %.0f at 200k rows", small, large)
+	if small > exactOnlyResidentBytesBudget {
+		t.Errorf("%.0f exact-only resident bytes per tuple at 20k rows, budget %d", small, exactOnlyResidentBytesBudget)
+	}
+	if large > small {
+		t.Errorf("exact-only resident bytes per tuple grow with the reference: %.0f at 20k rows, %.0f at 200k rows", small, large)
 	}
 }
 

@@ -106,10 +106,12 @@
 //
 // Besides the one-shot batch join (New → All), the engine has a
 // resident index-once/probe-many mode for serving linkage as a query
-// service. NewIndex materialises the reference table into BOTH hash
-// structures of Fig. 3 up front — forfeiting the lazy-maintenance
-// saving of §2.3 in exchange for operator switches that cost nothing,
-// since there is never an index to catch up:
+// service. NewIndex materialises the reference table into the exact
+// hash table of Fig. 3 and maintains the q-gram inverted index lazily,
+// as §2.3 does: a shard builds its q-gram structures, from its keys in
+// one pass, when the first approximate probe reaches it, and upserts
+// keep them current from then on. An index that is only ever probed
+// exactly never decomposes a key:
 //
 //	ix, err := adaptivelink.NewIndex(refSource, adaptivelink.IndexOptions{})
 //	sess, err := ix.NewSession(adaptivelink.SessionOptions{})
@@ -121,16 +123,21 @@
 // escalates only itself. The observation model specialises cleanly —
 // the reference is fully resident, so the per-trial match probability
 // p(n) of §3.2 is exactly 1 and any persistent shortfall of hits is
-// significant evidence of variants. Because switches are free,
-// SessionOptions.DeltaAdapt defaults to 1: the loop may assess after
+// significant evidence of variants. Because a switch costs at most one
+// build per shard over the index's lifetime (the first escalation into
+// it; every later switch is free), SessionOptions.DeltaAdapt defaults
+// to 1: the loop may assess after
 // every probe, and the very probe whose miss fires σ is re-run
 // approximately (escalation), so its variant matches are not lost.
 // Clean stretches drain the window and revert the session to exact
 // probing. Index.Probe is the sessionless one-shot convenience
 // (exact, then one approximate probe on a miss).
 //
-// An Index is safe for concurrent use and its probe path is lock-free.
-// The reference is hash-partitioned by join key into disjoint shards
+// An Index is safe for concurrent use and its probe path is lock-free:
+// exact probes always, approximate probes into a shard once it is built
+// (a shard's first approximate probe builds it, and probes racing into
+// the same unbuilt shard wait for that one build). The reference is
+// hash-partitioned by join key into disjoint shards
 // (IndexOptions.Shards, default one per hardware thread) — one copy of
 // every reference at any shard count; an exact probe reads the key's
 // home shard, an approximate probe all of them, merged by reference
@@ -248,9 +255,11 @@
 // a versioned, CRC-32C-checksummed binary serialisation of the sharded
 // index in dictionary-encoded form — dense gram-id dictionaries and
 // sorted signatures, the stored transpose of the resident postings
-// table — so loading is a sequential read plus slice reconstruction:
-// no key is re-decomposed and no gram re-hashed, which is what makes
-// cold start faster than rebuilding from the source CSV
+// table — so loading is a sequential read, a validation of the q-gram
+// sections in place and slice reconstruction of the tuple store: no key
+// is decomposed and no gram hashed (each shard's q-gram structures are
+// built by its first approximate probe), which is what makes cold start
+// faster than rebuilding from the source CSV
 // (cold_start_snapshot_s of the durable_restart workload in
 // BENCHMARK.json).
 // The write-ahead log (upserts.wal) records every acknowledged Upsert

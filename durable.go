@@ -50,7 +50,8 @@ var ErrIndexClosed = errors.New("adaptivelink: index is closed")
 
 // Open opens (creating if needed) the durable index stored in dir and
 // recovers its state: the snapshot is loaded in its final in-memory
-// form — no key is re-decomposed, no gram re-hashed — and the upsert
+// form — no key is decomposed, no gram hashed; each shard's q-gram
+// structures are built by its first approximate probe — and the upsert
 // log's acknowledged batches are replayed on top, so the index answers
 // exactly as it did before the restart.
 //
@@ -117,7 +118,10 @@ func (opts IndexOptions) adopting(m store.Meta) IndexOptions {
 // BulkLoad builds a resident index from the reference source — the one
 // construction path, NewIndex included: drain the source, normalise the
 // keys, hash every key to its home shard, then build each shard's
-// structures densely in parallel. The outcome is identical to feeding
+// tuple store and exact index densely in parallel (the q-gram
+// structures wait for the first approximate probe). With Storage.Dir
+// set, the snapshot write derives every shard's q-gram section from its
+// keys, in parallel across shards. The outcome is identical to feeding
 // the same rows through Upsert (the path WAL replay and live
 // maintenance use). With Storage.Dir set the built index is persisted
 // by writing its snapshot directly (the initial rows never touch the

@@ -116,13 +116,15 @@ type ProbeMatch struct {
 }
 
 // Index is the resident, index-once/probe-many engine mode: the
-// reference table is materialised into both the exact hash table and the
-// q-gram inverted index up front — hash-partitioned by join key into
-// IndexOptions.Shards disjoint shards — and then probed many times by
-// independent clients.
+// reference table is materialised into the exact hash table —
+// hash-partitioned by join key into IndexOptions.Shards disjoint shards
+// — and then probed many times by independent clients. A shard's q-gram
+// inverted index is built by the first approximate probe to reach it
+// and maintained by every upsert after that.
 //
-// An Index is safe for concurrent use and its probe path is lock-free:
-// each shard publishes an immutable snapshot through an atomic pointer,
+// An Index is safe for concurrent use and its probe path is lock-free
+// (exact probes always, approximate probes once their shards are
+// built): each shard publishes an immutable snapshot through an atomic pointer,
 // a probe reads the snapshot of its key's home shard (exact) or of
 // every shard (approximate), and
 // Upsert builds replacement snapshots off-path and swaps them in
@@ -174,9 +176,10 @@ func newIndex(r join.Resident, opts IndexOptions) *Index {
 }
 
 // NewIndex drains the reference source and builds a resident index over
-// it. Unlike the streaming join, both hash structures are built and kept
-// up to date, trading the lazy-maintenance saving of §2.3 for free
-// operator switches on the probe path.
+// it. Like the streaming join, it keeps the lazy-maintenance saving of
+// §2.3: only the exact hash structure is built here, and each shard's
+// q-gram index is built — caught up with every key the shard holds — by
+// the first approximate probe into it, which pays that build once.
 //
 // The Index is a KEYED store: one resident record per join key, newest
 // wins. That is the upsert contract — and it applies to the initial

@@ -130,20 +130,23 @@ func TestIndexProbeBatchMatchesProbe(t *testing.T) {
 
 // TestFacadeShardedMatchesSingleShardReference is the facade slice of
 // the differential harness: public sessions over sharded indexes
-// (N ∈ {1, 2, 4}) and over the retained single-shard reference
-// implementation are driven with one seeded stream of interleaved
-// single probes, batch probes and upserts, asserting identical matches
-// AND identical per-session statistics at every step, for the adaptive
-// strategy and both pinned ones.
+// (N ∈ {1, 2, 4}, q-gram structures built by their first approximate
+// probe) and over a single-shard reference whose q-gram structures are
+// built before its first tuple and maintained by every upsert are
+// driven with one seeded stream of interleaved single probes, batch
+// probes and upserts, asserting identical matches AND identical
+// per-session statistics at every step, for the adaptive strategy and
+// both pinned ones.
 func TestFacadeShardedMatchesSingleShardReference(t *testing.T) {
 	parent, probes := batchFixture(t)
 	for _, strategy := range []Strategy{Adaptive, ExactOnly, ApproximateOnly} {
 		strategy := strategy
 		t.Run(fmt.Sprintf("strategy=%d", int(strategy)), func(t *testing.T) {
-			refJoin, err := join.NewRefIndex(join.Defaults())
+			refJoin, err := join.NewShardedRefIndex(join.Defaults(), 1)
 			if err != nil {
-				t.Fatalf("NewRefIndex: %v", err)
+				t.Fatalf("NewShardedRefIndex: %v", err)
 			}
+			refJoin.ProbeApprox("") // builds the empty shard: maintained eagerly from here
 			refIx := newIndexOn(refJoin, IndexOptions{Q: 3, Theta: join.DefaultTheta, Shards: 1})
 			indexes := []*Index{refIx}
 			for _, n := range []int{1, 2, 4} {

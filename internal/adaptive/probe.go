@@ -9,7 +9,7 @@ import (
 )
 
 // ProbeLoop is the Monitor–Assess–Respond control loop of Fig. 1
-// re-targeted at the resident index-once/probe-many mode (join.RefIndex):
+// re-targeted at the resident index-once/probe-many mode (join.Resident):
 // one loop per probe *session*, with one engine step per probe, instead
 // of one loop per batch run.
 //
@@ -28,9 +28,13 @@ import (
 //     window is structurally empty (µ_left always holds) and the ϕ rules
 //     degenerate to the three reachable states lex/rex, lex/rap and
 //     lap/rap — whose probe-side mode is all the session consults.
-//   - Switches are free: both resident indexes are always up to date, so
-//     there is no catch-up to amortise and DeltaAdapt defaults to 1 —
-//     the loop may assess after every probe, which is what enables
+//   - The first switch into approximate probing per shard builds that
+//     shard's q-gram index (the resident index maintains it lazily,
+//     §2.3), once over the index's lifetime; every other switch is
+//     free, as the exact index and every built q-gram index are always
+//     up to date. There is no catch-up to amortise per session, so
+//     DeltaAdapt defaults to 1 — the loop does not price the one-time
+//     build — and may assess after every probe, which is what enables
 //     per-probe exact→approximate escalation (NoteProbe returns true
 //     when the probe that just missed fired σ and the session switched,
 //     so the caller can re-run that same probe approximately).

@@ -266,11 +266,11 @@ func (x *QGramIndex) Indexed() int { return x.indexed }
 // QGramExport is the stable serialized form of a QGramIndex: the gram
 // dictionary in id order and the per-ref signature data. The signatures
 // are the one stored copy of the (ref, gram) relation, the postings
-// table the one resident copy; each is the other's transpose, derived
-// by Export in one direction and by ImportQGramIndex in the other (with
-// the counters: buckets, entries, indexed). Sizes of an export taken
-// from a live index aliases the index's immutable data — treat an
-// export as read-only.
+// table the one resident copy; each is the other's transpose. Export
+// derives the signatures from a live index's postings, DeriveExport
+// from the keys of an index never built, and CheckSection validates a
+// stored copy. Sizes of an export taken from a live index aliases the
+// index's immutable data — treat an export as read-only.
 type QGramExport struct {
 	// Grams enumerates the dictionary in id order (qgram.Dict.Grams).
 	Grams []string
@@ -287,8 +287,10 @@ type QGramExport struct {
 // into, so that a checkpoint walking the shards allocates them once. The
 // zero value is ready; an export is valid until its scratch's next use.
 type ExportScratch struct {
-	flat []uint32   // every signature, back to back in ref order
-	sigs [][]uint32 // ref -> its view of flat
+	flat  []uint32   // every signature, back to back in ref order
+	sigs  [][]uint32 // ref -> its view of flat
+	sizes []uint32   // ref -> its signature's length, when derived from keys
+	dec   qgram.Scratch
 }
 
 // Export returns the index's stable serialized form. Sizes aliases the
@@ -318,10 +320,7 @@ func (x *QGramIndex) export(sc *ExportScratch, compact bool) QGramExport {
 	if cap(sc.flat) < x.entries || sc.flat == nil {
 		sc.flat = make([]uint32, x.entries, x.entries+x.entries/8)
 	}
-	if cap(sc.sigs) < x.indexed || sc.sigs == nil {
-		sc.sigs = make([][]uint32, x.indexed, x.indexed+x.indexed/8)
-	}
-	sigs := sc.sigs[:x.indexed]
+	sigs := sc.refSlots(x.indexed)
 	clear(sigs[:x.sigFloor])
 	at := 0
 	for ref := x.sigFloor; ref < x.indexed; ref++ {
@@ -345,68 +344,129 @@ func (x *QGramIndex) export(sc *ExportScratch, compact bool) QGramExport {
 	return QGramExport{Grams: grams[:live], Sizes: x.sizes, Sigs: sigs, SigFloor: x.sigFloor}
 }
 
-// ImportQGramIndex reconstructs an index from an Export under the given
-// extractor (which must match the gram definition the export was built
-// with — the caller's compatibility contract). Every structural
-// invariant a probe or a later export relies on is re-validated, so a
-// corrupted or hostile export yields a descriptive error, never an
-// index that can panic later: the dictionary must be duplicate-free,
-// the per-ref tables must agree on n, and every signature must be
-// strictly ascending within the dictionary and as long as the ref's
-// size says. The postings table is derived from the signatures (see
-// transpose), so it cannot disagree with them. Sizes is adopted, not
-// copied: the caller must hand over ownership.
-func ImportQGramIndex(ex *qgram.Extractor, exp QGramExport) (*QGramIndex, error) {
-	dict, err := qgram.DictFromGrams(exp.Grams)
-	if err != nil {
-		return nil, fmt.Errorf("hashidx: import q-gram index: %w", err)
+// refSlots returns sc's per-ref signature table resized to n, never nil.
+func (sc *ExportScratch) refSlots(n int) [][]uint32 {
+	if cap(sc.sigs) < n || sc.sigs == nil {
+		sc.sigs = make([][]uint32, n, n+n/8)
 	}
-	n := len(exp.Sizes)
-	if len(exp.Sigs) != n || n > math.MaxInt32 {
-		return nil, fmt.Errorf("hashidx: import q-gram index: %d signatures for %d refs (at most %d)", len(exp.Sigs), n, math.MaxInt32)
-	}
-	if exp.SigFloor < 0 || exp.SigFloor > n {
-		return nil, fmt.Errorf("hashidx: import q-gram index: signature floor %d outside [0, %d]", exp.SigFloor, n)
-	}
-	for ref, sig := range exp.Sigs {
-		if ref < exp.SigFloor && sig != nil {
-			return nil, fmt.Errorf("hashidx: import q-gram index: ref %d below signature floor %d carries a signature", ref, exp.SigFloor)
-		}
-		if ref >= exp.SigFloor && len(sig) != int(exp.Sizes[ref]) {
-			return nil, fmt.Errorf("hashidx: import q-gram index: ref %d carries a signature of %d grams, its size says %d", ref, len(sig), exp.Sizes[ref])
+	return sc.sigs[:n]
+}
+
+// derive is the one routine that turns keys into the dictionary-encoded
+// (ref, gram) relation: it decomposes key(ref) for ref 0..n-1 in order,
+// interns every gram into a fresh dictionary — ids in first-seen order,
+// exactly as n dense Inserts assign them — and lays each ref's ids out
+// sorted in sc, back to back. The signatures are therefore the ones
+// Export would read off that index's postings, and the sizes its sizes.
+// The flat array is sized up front: a key of L runes has at most
+// L+q−1 distinct grams, and its byte length bounds L, so the appends
+// below never regrow it (growth by a quarter would allocate some five
+// times the array).
+func (sc *ExportScratch) derive(ex *qgram.Extractor, n int, key func(ref int) string) (*qgram.Dict, []uint32, [][]uint32) {
+	dict := qgram.NewDict()
+	bound := 0
+	for ref := range n {
+		if k := key(ref); k != "" {
+			bound += len(k) + ex.Q() - 1
 		}
 	}
-	// The capacity is clipped: a later append must not write into space
-	// the export's previous owner may still be appending to.
-	x := &QGramIndex{
-		ex:       ex,
-		dict:     dict,
-		sizes:    exp.Sizes[:n:n],
-		indexed:  n,
-		sigFloor: exp.SigFloor,
+	if cap(sc.flat) < bound {
+		sc.flat = make([]uint32, 0, bound)
 	}
-	if err := x.transpose(exp.Sigs); err != nil {
-		return nil, fmt.Errorf("hashidx: import q-gram index: %w", err)
+	if cap(sc.sizes) < n {
+		sc.sizes = make([]uint32, 0, n)
 	}
-	return x, nil
+	flat, sizes := sc.flat[:0], sc.sizes[:0]
+	for ref := range n {
+		sc.dec.Reset()
+		start := len(flat)
+		flat = dict.Intern(flat, ex.Decompose(&sc.dec, key(ref)))
+		slices.Sort(flat[start:])
+		sizes = append(sizes, uint32(len(flat)-start))
+	}
+	sc.flat, sc.sizes = flat, sizes
+	sigs := sc.refSlots(n)
+	at := 0
+	for ref, size := range sizes {
+		end := at + int(size)
+		sigs[ref] = flat[at:end:end]
+		at = end
+	}
+	return dict, sizes, sigs
+}
+
+// BuildQGramIndex builds at once the index that n dense Inserts of
+// key(0..n-1) would have grown — the same dictionary ids, postings,
+// sizes and counters: derive the signatures, then transpose them into
+// one flat postings array, with no per-list append growth. This is the
+// catch-up of §2.3 for an index that was never maintained; sc is
+// scratch, nothing of it is kept.
+func BuildQGramIndex(ex *qgram.Extractor, n int, key func(ref int) string, sc *ExportScratch) *QGramIndex {
+	dict, sizes, sigs := sc.derive(ex, n, key)
+	x := &QGramIndex{ex: ex, dict: dict, sizes: slices.Clone(sizes), indexed: n}
+	x.transpose(sigs)
+	return x
+}
+
+// DeriveExport returns what BuildQGramIndex(ex, n, key, ·).ExportCompacted()
+// would, without building the postings: how an index never built is
+// serialized. The export is valid until sc's next use.
+func DeriveExport(ex *qgram.Extractor, n int, key func(ref int) string, sc *ExportScratch) QGramExport {
+	dict, sizes, sigs := sc.derive(ex, n, key)
+	return QGramExport{Grams: dict.Grams(), Sizes: sizes, Sigs: sigs}
+}
+
+// CheckSection validates a stored q-gram section — the dictionary, the
+// per-ref sizes and the n signatures sig(0..n-1) — against every
+// invariant an index built from it would rely on, and keeps nothing:
+// the dictionary must be duplicate-free, the per-ref tables must agree
+// on n, and every signature must be nil below sigFloor and, at or above
+// it, as long as the ref's size says and strictly ascending within the
+// dictionary. sig may return a view into one buffer it reuses, so a
+// decoder can check an image's signatures in place.
+func CheckSection(grams []string, sizes []uint32, sigFloor, n int, sig func(ref int) []uint32) error {
+	if _, err := qgram.DictFromGrams(grams); err != nil {
+		return fmt.Errorf("hashidx: import q-gram index: %w", err)
+	}
+	if len(sizes) != n || len(sizes) > math.MaxInt32 {
+		return fmt.Errorf("hashidx: import q-gram index: %d signatures for %d refs (at most %d)", n, len(sizes), math.MaxInt32)
+	}
+	if sigFloor < 0 || sigFloor > n {
+		return fmt.Errorf("hashidx: import q-gram index: signature floor %d outside [0, %d]", sigFloor, n)
+	}
+	for ref := range n {
+		s := sig(ref)
+		if ref < sigFloor && s != nil {
+			return fmt.Errorf("hashidx: import q-gram index: ref %d below signature floor %d carries a signature", ref, sigFloor)
+		}
+		if ref >= sigFloor && len(s) != int(sizes[ref]) {
+			return fmt.Errorf("hashidx: import q-gram index: ref %d carries a signature of %d grams, its size says %d", ref, len(s), sizes[ref])
+		}
+	}
+	for ref := range n {
+		prev := -1
+		for _, id := range sig(ref) {
+			if int(id) >= len(grams) || int(id) <= prev {
+				return fmt.Errorf("hashidx: import q-gram index: ref %d signature names gram id %d after %d: not strictly ascending within dictionary of %d grams", ref, id, prev, len(grams))
+			}
+			prev = int(id)
+		}
+	}
+	return nil
 }
 
 // transpose derives the postings table, and the bucket and entry
-// counters, from the signatures: one counting pass sizes every list and
-// validates every gram id, one fill pass writes all lists into a single
-// flat array. Refs are visited ascending, so every list is ascending by
-// construction. Each list is a view whose capacity ends at its length:
-// the first append to it copies that list out of the flat array.
-func (x *QGramIndex) transpose(sigs [][]uint32) error {
+// counters, from signatures of sorted ids within the dictionary: one
+// counting pass sizes every list, one fill pass writes all lists into a
+// single flat array. Refs are visited ascending, so every list is
+// ascending by construction. Each list is a view whose capacity ends at
+// its length: the first append to it copies that list out of the flat
+// array.
+func (x *QGramIndex) transpose(sigs [][]uint32) {
 	grams := x.dict.Len()
 	ends := make([]int, grams+1) // ends[id+1] counts list id, then marks where it ends
-	for ref, sig := range sigs {
-		prev := -1
+	for _, sig := range sigs {
 		for _, id := range sig {
-			if int(id) >= grams || int(id) <= prev {
-				return fmt.Errorf("ref %d signature names gram id %d after %d: not strictly ascending within dictionary of %d grams", ref, id, prev, grams)
-			}
-			prev = int(id)
 			ends[id+1]++
 		}
 		x.entries += len(sig)
@@ -431,7 +491,6 @@ func (x *QGramIndex) transpose(sigs [][]uint32) error {
 		x.postings.Append(list)
 		start = end
 	}
-	return nil
 }
 
 // CatchUp absorbs keys[Indexed():] and returns the number inserted.

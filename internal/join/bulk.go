@@ -9,16 +9,17 @@ import (
 )
 
 // BuildShardedRefIndex bulk-loads a resident index: find every key's
-// home shard first, then build each shard's structures with dense
-// in-order inserts, and publish once at the end. The result is
-// identical to NewShardedRefIndex followed by one Upsert of the whole
-// batch (same refs, same dictionaries, same postings — pinned by the
-// bulk differential test), but the construction skips the upsert path's
-// snapshot publication and runs the expensive phase — gram
-// decomposition and index inserts, shard by shard — in parallel across
-// the host's cores. This is the load path for multi-million-row
-// reference tables, and how a snapshot written under another layout is
-// brought into this one (see NewShardedRefIndexFromSnapshot).
+// home shard first, then build each shard's tuple store and exact index
+// with dense in-order inserts, and publish once at the end, every shard
+// unbuilt. The result is identical to NewShardedRefIndex followed by
+// one Upsert of the whole batch (same refs, same stores, and once
+// built the same dictionaries and postings — pinned by the bulk
+// differential test), but the construction skips the upsert path's
+// snapshot publication and runs the inserts, shard by shard, in
+// parallel across the host's cores. This is the load path for
+// multi-million-row reference tables, and how a snapshot written under
+// another layout is brought into this one (see
+// NewShardedRefIndexFromSnapshot).
 //
 // The keyed-store contract applies as everywhere: one resident record
 // per join key, newest payload wins, refs assigned in first-seen key
@@ -50,18 +51,18 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	// Pass 2 — hash every key to its home shard and sort the members
 	// into shards. Walking refs ascending keeps every shard's member
 	// list in ascending global-ref order — the same insert order the
-	// upsert path produces, so dictionaries intern grams identically
-	// and the differential harness can hold the two builds to full
-	// equality.
+	// upsert path produces, so a shard's dictionary, once built, interns
+	// grams identically and the differential harness can hold the two
+	// builds to full equality.
 	members := make([][]int32, s.nshard)
 	for i, t := range final {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
 		members[sh] = append(members[sh], int32(i))
 	}
 
-	// Pass 3 — per-shard dense builds, in parallel across shards. A key
-	// is decomposed where it is inserted, into a scratch that lives for
-	// that one key: the build holds no decomposition of the reference.
+	// Pass 3 — per-shard dense builds of the tuple stores and exact
+	// indexes, in parallel across shards. No key is decomposed: the
+	// q-gram structures are built by a shard's first approximate probe.
 	snaps := make([]*shardSnap, s.nshard)
 	var wg sync.WaitGroup
 	for sh := range snaps {
@@ -69,12 +70,10 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 		go func(sh int) {
 			defer wg.Done()
 			ms := members[sh]
-			sn := newShardSnap(s.ex)
+			sn := newShardSnap()
 			sn.globals = make([]int, 0, len(ms))
-			var dsc qgram.Scratch
 			for _, g := range ms {
-				dsc.Reset()
-				sn.add(final[g], int(g), s.ex.Decompose(&dsc, final[g].Key))
+				sn.add(final[g], int(g), qgram.Key{})
 			}
 			snaps[sh] = sn
 		}(sh)

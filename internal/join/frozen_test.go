@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adaptivelink/internal/hashidx"
+	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
 )
 
@@ -28,14 +29,21 @@ func snapKeys(sn *shardSnap) []string {
 func renderSnap(cfg Config, sn *shardSnap) string {
 	var out strings.Builder
 	keys := snapKeys(sn)
-	fmt.Fprintf(&out, "globals %v keys %q export %v\n", sn.globals, keys, sn.qgIdx.Export())
+	if sn.qgIdx == nil {
+		fmt.Fprintf(&out, "globals %v keys %q unbuilt\n", sn.globals, keys)
+	} else {
+		fmt.Fprintf(&out, "globals %v keys %q export %v\n", sn.globals, keys, sn.qgIdx.Export())
+	}
 	var psc hashidx.ProbeScratch
-	ex := sn.qgIdx.Extractor()
+	ex := qgram.New(cfg.Q)
 	for lref, key := range keys {
-		psc.Dec.Reset()
-		k := ex.Decompose(&psc.Dec, key)
-		g := k.Len()
-		approx := snapApproxAppend(nil, sn, cfg, key, k, g, cfg.Measure.MinOverlap(g, cfg.Theta), &psc)
+		var approx []RefMatch
+		if sn.qgIdx != nil {
+			psc.Dec.Reset()
+			k := ex.Decompose(&psc.Dec, key)
+			g := k.Len()
+			approx = snapApproxAppend(nil, sn, cfg, key, k, g, cfg.Measure.MinOverlap(g, cfg.Theta), &psc)
+		}
 		fmt.Fprintf(&out, "%d %v %v %s | %s\n", lref, sn.tuples.At(lref), sn.exIdx.Lookup(key),
 			renderMatches(snapExact(sn, key)), renderMatches(approx))
 	}
@@ -48,7 +56,10 @@ func renderSnap(cfg Config, sn *shardSnap) string {
 // inserts, replacements, enough new keys to fold the shared tables
 // several times — exactly as it went in. Every generation of every
 // shard is held and compared afterwards; while the writer runs, readers
-// keep probing the first generation. An exported view holds generations
+// keep probing the first generation. Every shard but the last is built
+// before the first generation is held; the last is built by an
+// approximate probe midway, so its unbuilt generations and the one its
+// build publishes are held too. An exported view holds generations
 // too, and derives its shard sections from them only when asked: one
 // resolved beside the running writer and one resolved after the last
 // batch must both come out as the view resolved at export time did.
@@ -63,6 +74,9 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 	s, err := BuildShardedRefIndex(Defaults(), shards, tuples)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for sh := 0; sh < shards-1; sh++ {
+		s.built(sh)
 	}
 	type held struct {
 		sn    *shardSnap
@@ -131,6 +145,9 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 			}
 		}
 		s.Upsert(batch)
+		if round == 30 {
+			s.ProbeApprox(stored[0])
+		}
 		hold()
 		if round == 0 {
 			close(writing)

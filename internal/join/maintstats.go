@@ -14,6 +14,10 @@ type maintCounters struct {
 	cloneNanos  atomic.Int64
 	scratchGets atomic.Uint64
 	scratchNews atomic.Uint64
+
+	qgramBuilds     atomic.Uint64
+	qgramBuildKeys  atomic.Uint64
+	qgramBuildNanos atomic.Int64
 }
 
 // MaintStats is a snapshot of the sharded resident index's maintenance
@@ -35,17 +39,36 @@ type MaintStats struct {
 	// cycle emptied the pool). Gets-to-news is the pool hit rate.
 	ScratchGets uint64
 	ScratchNews uint64
+	// QGramBuilds counts lazy q-gram builds: one per shard, by the first
+	// approximate probe to reach it. QGramBuildKeys is the keys those
+	// builds decomposed, QGramBuildNanos their cumulative wall time — the
+	// latency a session's first escalation pays — and BuiltShards how
+	// many shards currently hold q-gram structures.
+	QGramBuilds     uint64
+	QGramBuildKeys  uint64
+	QGramBuildNanos int64
+	BuiltShards     int
 }
 
 // MaintStats returns a point-in-time snapshot of the maintenance
 // counters. Safe for concurrent use.
 func (s *ShardedRefIndex) MaintStats() MaintStats {
+	built := 0
+	for sh := range s.shards {
+		if s.shards[sh].Load().qgIdx != nil {
+			built++
+		}
+	}
 	return MaintStats{
-		Upserts:       s.maint.upserts.Load(),
-		SnapshotSwaps: s.maint.snapSwaps.Load(),
-		CloneNanos:    s.maint.cloneNanos.Load(),
-		ScratchGets:   s.maint.scratchGets.Load(),
-		ScratchNews:   s.maint.scratchNews.Load(),
+		Upserts:         s.maint.upserts.Load(),
+		SnapshotSwaps:   s.maint.snapSwaps.Load(),
+		CloneNanos:      s.maint.cloneNanos.Load(),
+		ScratchGets:     s.maint.scratchGets.Load(),
+		ScratchNews:     s.maint.scratchNews.Load(),
+		QGramBuilds:     s.maint.qgramBuilds.Load(),
+		QGramBuildKeys:  s.maint.qgramBuildKeys.Load(),
+		QGramBuildNanos: s.maint.qgramBuildNanos.Load(),
+		BuiltShards:     built,
 	}
 }
 

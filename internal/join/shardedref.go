@@ -17,7 +17,7 @@ import (
 
 // ShardedRefIndex is the scaled-out resident index: N independent
 // shards, each publishing an immutable snapshot of its slice of the
-// reference through an atomic pointer, probed entirely lock-free.
+// reference through an atomic pointer, probed lock-free.
 //
 // The reference is hash-partitioned by join key: a tuple lives in
 // exactly one shard, shardmap.ShardOf(key, N), so the N shards together
@@ -27,20 +27,30 @@ import (
 // once and probes all N shards, which are disjoint 1/N slices: the
 // total posting work equals the unsharded index's and, in a batch,
 // splits N ways across the host's cores. Per-shard results are merged
-// by ascending global ref, so the match list is identical to the
-// single-shard RefIndex's (the differential harness pins this for
-// interleaved probe/upsert streams).
+// by ascending global ref, so the match list is identical to a single
+// unsharded index's (the differential harness pins this against a
+// sequential oracle for interleaved probe/upsert streams).
+//
+// The q-gram structures are maintained lazily, as §2.3 maintains the
+// approximate operator's index: a shard holds only its tuples and its
+// exact index until the first approximate probe reaches it. That probe
+// builds the shard's dictionary, postings and gram sizes from its keys
+// in one pass (hashidx.BuildQGramIndex) and publishes them as the
+// shard's next generation; from then on upserts keep them current. An
+// index that is only ever probed exactly never decomposes a key.
 //
 // Concurrency is RCU-style. Probes load a shard's snapshot with one
-// atomic pointer read and run on plain immutable data: the probe hot
-// path acquires no mutex of this package, so probe throughput is
-// bounded by the hardware, not by read-lock traffic. Upsert serialises
-// writers on a mutex that probes never touch, builds each touched
-// shard's next snapshot off-path (clone + apply, with gram hashing done
-// before even the writer lock), and publishes it with one atomic swap —
-// a quiescent point in the RCU sense: probes in flight finish on the
-// old snapshot, later probes see the new one, and no probe ever
-// observes a half-applied batch within a shard.
+// atomic pointer read and run on plain immutable data: exact probes
+// always, and approximate probes into a built shard, acquire no mutex
+// of this package, so probe throughput is bounded by the hardware, not
+// by read-lock traffic. (A shard's first approximate probe waits for
+// its build, once.) Upsert serialises writers on a mutex that probes
+// never touch, builds each touched shard's next snapshot off-path
+// (clone + apply, with gram hashing done before even the writer lock),
+// and publishes it with one atomic swap — a quiescent point in the RCU
+// sense: probes in flight finish on the old snapshot, later probes see
+// the new one, and no probe ever observes a half-applied batch within a
+// shard.
 //
 // The consistency model is per-shard snapshot isolation: a probe sees a
 // point-in-time state of every shard it reads, upserts are atomic per
@@ -63,8 +73,13 @@ type ShardedRefIndex struct {
 
 	// shards hold the one resident entry of every reference tuple, in its
 	// home shard: the tuple, its global ref, its key in the exact index
-	// (the one key table: writers consult it too), its grams in postings.
+	// (the one key table: writers consult it too) and, once the shard is
+	// built, its grams in postings.
 	shards []atomic.Pointer[shardSnap]
+	// building serialises a shard's q-gram build among the approximate
+	// probes that find it unbuilt, so each shard is built once; writers
+	// never take it.
+	building []sync.Mutex
 	// n counts the resident tuples: the next global ref. It is published
 	// before the shard snapshots carrying new refs: no probe returns a ref ≥ Len.
 	n atomic.Int64
@@ -88,8 +103,10 @@ type ShardedRefIndex struct {
 type shardScratch struct {
 	dsc qgram.Scratch
 	psc hashidx.ProbeScratch
-	// keys holds one decomposed Key per member of a batch or upsert.
-	keys []qgram.Key
+	// keys holds one decomposed Key per member of a batch or upsert,
+	// homes an upsert's home shards.
+	keys  []qgram.Key
+	homes []int
 	// A batch worker's results over one shard, flat: the matches of key
 	// i are flat[off[i]:off[i+1]].
 	flat []RefMatch
@@ -97,43 +114,58 @@ type shardScratch struct {
 }
 
 // shardSnap is one shard's immutable snapshot. No field is mutated
-// after publication; Upsert clones and republishes instead.
+// after publication — Upsert and the q-gram build clone and republish
+// instead — except the memo of its encoded section's checksum, which
+// is a pure function of the immutable fields.
 type shardSnap struct {
 	tuples  cow.Vec[relation.Tuple]
 	globals []int // local ref -> global ref (monotonically increasing)
 	exIdx   *hashidx.ExactIndex
-	qgIdx   *hashidx.QGramIndex
+	// qgIdx is nil until the shard's first approximate probe builds it.
+	qgIdx *hashidx.QGramIndex
+	// sectionCRC memoises the checksum of the shard's encoded snapshot
+	// section (see ShardExport.SectionCRC): bit 32 set means valid.
+	sectionCRC atomic.Uint64
 }
 
-func newShardSnap(ex *qgram.Extractor) *shardSnap {
-	return &shardSnap{exIdx: hashidx.NewExactIndex(), qgIdx: hashidx.NewQGramIndex(ex)}
+func newShardSnap() *shardSnap {
+	return &shardSnap{exIdx: hashidx.NewExactIndex()}
 }
 
 // clone returns the writable successor of a published snapshot, copying
 // nothing proportional to the shard: tuples (which replacements write
 // in place) is a chunked copy-on-write vector, the append-only globals
 // are shared outright — add writes past the length sn's readers see —
-// and the two indexes share their tables the same way.
+// and the indexes share their tables the same way.
 // That is sound only for a linear history (sn is never written again
 // and is cloned once), which the index Clones check: they freeze sn's
 // indexes and panic on a second clone or a late write.
 func (sn *shardSnap) clone() *shardSnap {
-	return &shardSnap{
+	next := &shardSnap{
 		tuples:  sn.tuples.Clone(),
 		globals: sn.globals,
 		exIdx:   sn.exIdx.Clone(),
-		qgIdx:   sn.qgIdx.Clone(),
 	}
+	if sn.qgIdx != nil {
+		next.qgIdx = sn.qgIdx.Clone()
+	}
+	return next
 }
 
-// add appends a tuple new to the shard, under the next local ref.
+// add appends a tuple new to the shard, under the next local ref; k is
+// its decomposed key, consulted only when the shard is built.
 func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
 	lref := sn.tuples.Len()
 	sn.tuples.Append(t)
 	sn.globals = append(sn.globals, global)
 	sn.exIdx.Insert(lref, t.Key)
-	sn.qgIdx.InsertKey(lref, k)
+	if sn.qgIdx != nil {
+		sn.qgIdx.InsertKey(lref, k)
+	}
 }
+
+// key returns the join key at a local ref.
+func (sn *shardSnap) key(lref int) string { return sn.tuples.At(lref).Key }
 
 // NewShardedRefIndex builds an empty sharded resident index with the
 // given shard count under the configuration's gram width, measure and
@@ -150,15 +182,15 @@ func NewShardedRefIndex(cfg Config, shards int) (*ShardedRefIndex, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("join: shard count %d, want at least 1", shards)
 	}
-	ex := qgram.New(cfg.Q)
 	s := &ShardedRefIndex{
-		cfg:    cfg,
-		ex:     ex,
-		nshard: shards,
-		shards: make([]atomic.Pointer[shardSnap], shards),
+		cfg:      cfg,
+		ex:       qgram.New(cfg.Q),
+		nshard:   shards,
+		shards:   make([]atomic.Pointer[shardSnap], shards),
+		building: make([]sync.Mutex, shards),
 	}
 	for i := range s.shards {
-		s.shards[i].Store(newShardSnap(ex))
+		s.shards[i].Store(newShardSnap())
 	}
 	s.pool.New = func() any {
 		s.maint.scratchNews.Add(1)
@@ -177,16 +209,55 @@ func (s *ShardedRefIndex) Shards() int { return s.nshard }
 func (s *ShardedRefIndex) Len() int { return int(s.n.Load()) }
 
 // Entries reports the aggregate live entry counts across shards (exact
-// refs, q-gram postings). The shards partition the reference, so at any
-// shard count these are the single-shard RefIndex's numbers: one exact
-// entry per resident key, one posting per distinct gram of each key.
+// refs, q-gram postings of the built shards). The shards partition the
+// reference, so once every shard is built these are one index's
+// numbers at any shard count: one exact entry per resident key, one
+// posting per distinct gram of each key.
 func (s *ShardedRefIndex) Entries() (exact, qgrams int) {
 	for i := range s.shards {
 		sn := s.shards[i].Load()
 		exact += sn.exIdx.Entries()
-		qgrams += sn.qgIdx.Entries()
+		if sn.qgIdx != nil {
+			qgrams += sn.qgIdx.Entries()
+		}
 	}
 	return exact, qgrams
+}
+
+// built returns shard sh's snapshot with its q-gram structures: the
+// published one if it has them, else the one its first approximate
+// probe builds. The build runs under the shard's building lock only, so
+// upserts proceed meanwhile; it is then caught up with whatever they
+// appended and published under the writer lock — the lazy catch-up of
+// §2.3, paid once per shard. Probes that raced into the same unbuilt
+// shard wait on the building lock and find the published build.
+func (s *ShardedRefIndex) built(sh int) *shardSnap {
+	if sn := s.shards[sh].Load(); sn.qgIdx != nil {
+		return sn
+	}
+	s.building[sh].Lock()
+	defer s.building[sh].Unlock()
+	from := s.shards[sh].Load()
+	if from.qgIdx != nil {
+		return from
+	}
+	t0 := time.Now()
+	qg := hashidx.BuildQGramIndex(s.ex, from.tuples.Len(), from.key, new(hashidx.ExportScratch))
+	s.mu.Lock()
+	cur := s.shards[sh].Load()
+	for lref := qg.Indexed(); lref < cur.tuples.Len(); lref++ {
+		qg.Insert(lref, cur.key(lref)) // appended by upserts during the build
+	}
+	next := cur.clone()
+	next.qgIdx = qg
+	// The build changes no byte of the shard's snapshot section.
+	next.sectionCRC.Store(cur.sectionCRC.Load())
+	s.shards[sh].Store(next)
+	s.mu.Unlock()
+	s.maint.qgramBuilds.Add(1)
+	s.maint.qgramBuildKeys.Add(uint64(qg.Indexed()))
+	s.maint.qgramBuildNanos.Add(time.Since(t0).Nanoseconds())
+	return next
 }
 
 // Tuple returns a snapshot of the reference tuple at the global ref,
@@ -206,10 +277,11 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 // in the key's home shard. It returns the inserted and updated counts.
 //
 // Writers are serialised; probes are not disturbed. Gram decomposition
-// runs before the writer lock, the next snapshots of the batch's home
-// shards are built off-path as clones that share everything the batch
-// does not touch — published snapshots stay immutable while the clone
-// interns new grams into its own dictionary overlay — and each is
+// runs before the writer lock, and only for keys homed in a built shard
+// (an unbuilt one keeps no grams), the next snapshots of the batch's
+// home shards are built off-path as clones that share everything the
+// batch does not touch — published snapshots stay immutable while the
+// clone interns new grams into its own dictionary overlay — and each is
 // published with one atomic swap: in-flight probes complete on the old
 // snapshot, later probes see the whole batch for that shard.
 func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
@@ -220,11 +292,16 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	sc := s.getScratch()
 	defer s.pool.Put(sc)
 	sc.dsc.Reset()
-	ks := sc.keys[:0]
+	ks, homes := sc.keys[:0], sc.homes[:0]
 	for _, t := range tuples {
-		ks = append(ks, s.ex.Decompose(&sc.dsc, t.Key))
+		sh := shardmap.ShardOf(t.Key, s.nshard)
+		var k qgram.Key
+		if s.shards[sh].Load().qgIdx != nil {
+			k = s.ex.Decompose(&sc.dsc, t.Key)
+		}
+		ks, homes = append(ks, k), append(homes, sh)
 	}
-	sc.keys = ks
+	sc.keys, sc.homes = ks, homes
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,7 +309,7 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	n := s.Len()
 	next := make(map[int]*shardSnap)
 	for i, t := range tuples {
-		sh := shardmap.ShardOf(t.Key, s.nshard)
+		sh := homes[i]
 		ns, ok := next[sh]
 		if !ok {
 			t0 := time.Now()
@@ -246,6 +323,9 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 			*ns.tuples.Mut(lrefs[0]) = t
 			updated++
 			continue
+		}
+		if ns.qgIdx != nil && ks[i].Len() == 0 {
+			ks[i] = s.ex.Decompose(&sc.dsc, t.Key) // built since the batch was hashed
 		}
 		ns.add(t, n+inserted, ks[i])
 		inserted++
@@ -311,7 +391,7 @@ func (s *ShardedRefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMat
 	ko := s.cfg.Measure.MinOverlap(g, s.cfg.Theta)
 	base := len(dst)
 	for sh := range s.shards {
-		dst = snapApproxAppend(dst, s.shards[sh].Load(), s.cfg, key, k, g, ko, &sc.psc)
+		dst = snapApproxAppend(dst, s.built(sh), s.cfg, key, k, g, ko, &sc.psc)
 	}
 	s.pool.Put(sc)
 	sortByRef(dst[base:])
@@ -421,7 +501,7 @@ func (s *ShardedRefIndex) probeBatchApprox(keys []string, out [][]RefMatch) {
 	every := func(int) bool { return true }
 	s.forShards(len(keys), every, func(sh int) {
 		wsc := s.getScratch()
-		sn := s.shards[sh].Load() // one snapshot load per shard
+		sn := s.built(sh) // one snapshot load per shard
 		flat, off := wsc.flat[:0], wsc.off[:0]
 		for i, key := range keys {
 			off = append(off, len(flat))

@@ -35,9 +35,10 @@ func diffKeyPool(rng *rand.Rand, n int) (stored, variants, misses []string) {
 
 // diffOp is one step of the randomized op stream.
 type diffOp struct {
-	kind  string // "exact", "approx", "batch-exact", "batch-approx", "upsert"
+	kind  string // "exact", "approx", "batch-exact", "batch-approx", "upsert", "build"
 	keys  []string
 	batch []relation.Tuple
+	shard int // "build": the shard whose first approximate probe this stands for
 }
 
 // randomOpStream generates a seeded interleaving of single probes in
@@ -94,10 +95,40 @@ func randomOpStream(seed int64, steps int) []diffOp {
 	return ops
 }
 
+// lazyOpStream is randomOpStream with the approximate probes of its
+// first half made exact and, in their place, single shards built at
+// random points — what first approximate probes into single shards do —
+// so the second half's approximate probes meet a mix of shards built
+// early, built late and never built before.
+func lazyOpStream(seed int64, steps int) []diffOp {
+	rng := rand.New(rand.NewSource(^seed))
+	var ops []diffOp
+	for i, op := range randomOpStream(seed, steps) {
+		if i < steps/2 {
+			switch op.kind {
+			case "approx":
+				op.kind = "exact"
+			case "batch-approx":
+				op.kind = "batch-exact"
+			}
+			if rng.Intn(12) == 0 {
+				ops = append(ops, diffOp{kind: "build", shard: rng.Intn(8)})
+			}
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
 // applyOp runs one op against a Resident and returns a canonical result
 // rendering (probe results per key; upsert counts).
 func applyOp(r Resident, op diffOp) string {
 	switch op.kind {
+	case "build":
+		if s, ok := r.(*ShardedRefIndex); ok {
+			s.built(op.shard % s.nshard)
+		}
+		return ""
 	case "upsert":
 		ins, upd := r.Upsert(op.batch)
 		return fmt.Sprintf("upsert %d/%d", ins, upd)
@@ -133,56 +164,76 @@ func renderMatches(ms []RefMatch) string {
 // modes, so all four processor states' probe behaviour is covered — and
 // asserts identical results at every step, for shard counts 1, 2 and 4.
 // Results are compared fully ordered (ref, tuple snapshot, similarity,
-// exactness), which is stronger than multiset equality.
+// exactness), which is stronger than multiset equality. The lazy
+// variant keeps the first half exact and builds single shards at random
+// points in it, so the oracle's eagerly maintained q-gram index is
+// matched by shards built early, built late and built by the second
+// half's first approximate probe.
 func TestShardedRefDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
 		for _, seed := range []int64{1, 7, 42} {
 			seed := seed
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				ref, err := NewRefIndex(Defaults())
-				if err != nil {
-					t.Fatalf("NewRefIndex: %v", err)
-				}
-				sharded, err := NewShardedRefIndex(Defaults(), shards)
-				if err != nil {
-					t.Fatalf("NewShardedRefIndex: %v", err)
-				}
-				ops := randomOpStream(seed, 400)
-				probes := 0
-				for step, op := range ops {
-					want := applyOp(ref, op)
-					got := applyOp(sharded, op)
-					if got != want {
-						t.Fatalf("step %d (%s): sharded diverged\n got  %s\n want %s", step, op.kind, got, want)
-					}
-					if op.kind != "upsert" {
-						probes++
-					}
-					if sharded.Len() != ref.Len() {
-						t.Fatalf("step %d: Len %d vs reference %d", step, sharded.Len(), ref.Len())
-					}
-				}
-				if probes == 0 || ref.Len() == 0 {
-					t.Fatal("degenerate op stream")
-				}
-				// The stores themselves must agree ref-for-ref.
-				for i := 0; i < ref.Len(); i++ {
-					a, errA := ref.Tuple(i)
-					b, errB := sharded.Tuple(i)
-					if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
-						t.Fatalf("Tuple(%d): sharded %+v (%v) vs reference %+v (%v)", i, b, errB, a, errA)
-					}
-				}
+				diffAgainstOracle(t, shards, randomOpStream(seed, 400))
+			})
+			t.Run(fmt.Sprintf("shards=%d/seed=%d/lazy", shards, seed), func(t *testing.T) {
+				diffAgainstOracle(t, shards, lazyOpStream(seed, 400))
 			})
 		}
+	}
+}
+
+// diffAgainstOracle drives the sharded index and the sequential oracle
+// with one op stream, asserting identical results at every step and
+// identical stores at the end.
+func diffAgainstOracle(t *testing.T, shards int, ops []diffOp) {
+	t.Helper()
+	ref, err := NewRefIndex(Defaults())
+	if err != nil {
+		t.Fatalf("NewRefIndex: %v", err)
+	}
+	sharded, err := NewShardedRefIndex(Defaults(), shards)
+	if err != nil {
+		t.Fatalf("NewShardedRefIndex: %v", err)
+	}
+	probes := 0
+	for step, op := range ops {
+		want := applyOp(ref, op)
+		got := applyOp(sharded, op)
+		if got != want {
+			t.Fatalf("step %d (%s): sharded diverged\n got  %s\n want %s", step, op.kind, got, want)
+		}
+		if op.kind != "upsert" {
+			probes++
+		}
+		if sharded.Len() != ref.Len() {
+			t.Fatalf("step %d: Len %d vs reference %d", step, sharded.Len(), ref.Len())
+		}
+	}
+	if probes == 0 || ref.Len() == 0 {
+		t.Fatal("degenerate op stream")
+	}
+	// The stores themselves must agree ref-for-ref.
+	for i := 0; i < ref.Len(); i++ {
+		a, errA := ref.Tuple(i)
+		b, errB := sharded.Tuple(i)
+		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("Tuple(%d): sharded %+v (%v) vs reference %+v (%v)", i, b, errB, a, errA)
+		}
+	}
+	// One shard holds what the oracle holds: its q-gram index, however
+	// late it was built, is the eagerly maintained one, id for id.
+	if shards == 1 && !reflect.DeepEqual(sharded.built(0).qgIdx.ExportCompacted(), ref.qgIdx.ExportCompacted()) {
+		t.Fatal("single shard's q-gram index differs from the oracle's")
 	}
 }
 
 // TestShardedRefEntriesReplication pins the replication factor at 1:
 // the shards partition the reference, so at every shard count Entries
 // equals the single-shard reference's — the paper's n·(|jA|+q−1)
-// postings, one copy — on the bulk path and the upsert path alike.
+// postings, one copy — on the bulk path and the upsert path alike, once
+// built; before the first approximate probe there are none.
 func TestShardedRefEntriesReplication(t *testing.T) {
 	tuples := bulkTuples(rand.New(rand.NewSource(3)), 120)
 	ref, _ := NewRefIndex(Defaults())
@@ -204,6 +255,10 @@ func TestShardedRefEntriesReplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, s := range map[string]*ShardedRefIndex{"upserted": upserted, "bulk": bulk} {
+			if ex, qg := s.Entries(); ex != refEx || qg != 0 {
+				t.Errorf("%d shards, %s, unbuilt: Entries %d/%d, want %d/0", shards, name, ex, qg, refEx)
+			}
+			s.ProbeApprox("") // builds every shard
 			if ex, qg := s.Entries(); ex != refEx || qg != refQG {
 				t.Errorf("%d shards, %s: Entries %d/%d, reference %d/%d", shards, name, ex, qg, refEx, refQG)
 			}

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -22,7 +23,11 @@ import (
 // The upper bits of the shard byte add that many never-seen keys to
 // every batch, so the writer also grows the shared arrays and folds the
 // shared key and gram tables while the probers read older generations
-// of them.
+// of them. The q-gram structures are built lazily at seed-chosen
+// points: each prober probes exactly for a while before its first
+// approximate probe, and one more goroutine builds single shards in a
+// random order, so builds and their catch-up race the writer. Afterwards every
+// key must answer, exactly and approximately, with its last version.
 //
 // A short run is wired into `make fuzz` (and CI); `go test -fuzz` digs
 // deeper.
@@ -70,6 +75,10 @@ func FuzzUpsertProbe(f *testing.F) {
 		}
 
 		const versions = 25
+		last := make(map[string]int) // the writer's: key -> last version upserted
+		for _, k := range keys {
+			last[k] = 0
+		}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -84,6 +93,20 @@ func FuzzUpsertProbe(f *testing.F) {
 					batch = append(batch, payload(fmt.Sprintf("%s %d new %d", keyBase, v, i), v))
 				}
 				s.Upsert(batch)
+				for _, t := range batch {
+					last[t.Key] = v
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bRng := rand.New(rand.NewSource(seed ^ 0xb1d))
+			for _, sh := range bRng.Perm(shards) {
+				for n := bRng.Intn(300); n > 0; n-- {
+					runtime.Gosched()
+				}
+				s.built(sh)
 			}
 		}()
 		for p := 0; p < 2; p++ {
@@ -91,11 +114,12 @@ func FuzzUpsertProbe(f *testing.F) {
 			go func(p int) {
 				defer wg.Done()
 				pRng := rand.New(rand.NewSource(seed + int64(p)))
+				firstApprox := pRng.Intn(120)
 				lastVersion := make(map[string]int)
 				for i := 0; i < 120; i++ {
 					k := keys[pRng.Intn(len(keys))]
 					var ms []RefMatch
-					if pRng.Intn(2) == 0 {
+					if i < firstApprox || pRng.Intn(2) == 0 {
 						ms = s.ProbeExact(k)
 						verify("exact", k, ms)
 						for _, m := range ms {
@@ -116,5 +140,21 @@ func FuzzUpsertProbe(f *testing.F) {
 			}(p)
 		}
 		wg.Wait()
+		if ms := s.MaintStats(); ms.QGramBuilds != uint64(shards) {
+			t.Fatalf("%d q-gram builds for %d shards", ms.QGramBuilds, shards)
+		}
+		for k, v := range last {
+			for _, mode := range []Mode{Exact, Approx} {
+				found := false
+				for _, m := range s.Probe(mode, k) {
+					if m.Tuple.Key == k {
+						found = m.Exact && m.Tuple.ID == v
+					}
+				}
+				if !found {
+					t.Fatalf("%v probe of %q misses its last version %d", mode, k, v)
+				}
+			}
+		}
 	})
 }

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Step is a single normalisation transform.
@@ -66,21 +67,62 @@ func Lowercase(s string) string { return strings.ToLower(s) }
 // CollapseSpaces trims the ends and squeezes internal whitespace runs
 // to single spaces.
 func CollapseSpaces(s string) string {
+	if collapsed(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// collapsed reports whether CollapseSpaces would return s unchanged: no
+// whitespace at either end, and each whitespace rune a single ASCII
+// space between two others.
+func collapsed(s string) bool {
+	prevSpace := true // whitespace at the start is not collapsed
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if space && (r != ' ' || prevSpace) {
+			return false
+		}
+		prevSpace = space
+	}
+	return !prevSpace || s == ""
+}
+
+// keepsAll reports whether s is valid UTF-8 and every rune satisfies
+// keep: then a step that copies the runes it keeps would rebuild s, and
+// returns s itself instead, so already-normal keys cost no allocation.
+func keepsAll(s string, keep func(r rune) bool) bool {
+	for _, r := range s {
+		if !keep(r) || r == utf8.RuneError {
+			return false
+		}
+	}
+	return true
 }
 
 // StripPunct removes every rune that is neither letter, digit nor
 // whitespace (run CollapseSpaces afterwards to canonicalise the
 // whitespace it leaves behind).
 func StripPunct(s string) string {
+	if keepsAll(s, isWordOrSpace) {
+		return s
+	}
+	return stripPunct(s)
+}
+
+func stripPunct(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || unicode.IsSpace(r) {
+		if isWordOrSpace(r) {
 			b.WriteRune(r)
 		}
 	}
 	return b.String()
+}
+
+func isWordOrSpace(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r) || unicode.IsSpace(r)
 }
 
 // canonDecomp is the canonical-decomposition table: precomposed letter
@@ -221,6 +263,13 @@ var accentFold = map[rune]string{
 // ASCII transliterations but no decomposition (ø æ œ ł đ ð þ ...) fold
 // through accentFold; runes covered by neither survive unchanged.
 func FoldAccents(s string) string {
+	if keepsAll(s, foldsToItself) {
+		return s
+	}
+	return foldAccents(s)
+}
+
+func foldAccents(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	var buf [4]rune
@@ -243,6 +292,17 @@ func FoldAccents(s string) string {
 		b.WriteRune(r)
 	}
 	return b.String()
+}
+
+// foldsToItself reports whether FoldAccents copies r unchanged.
+func foldsToItself(r rune) bool {
+	if _, ok := accentFold[r]; ok {
+		return false
+	}
+	if _, ok := canonDecomp[r]; ok {
+		return false
+	}
+	return !unicode.Is(unicode.Mn, r)
 }
 
 // fullFold holds the full-case-folding expansions the simple upper-case

@@ -268,6 +268,10 @@ func TestMetricsExposeObservability(t *testing.T) {
 		"adaptivelink_slow_requests_total",
 		`adaptivelink_engine_upserts_total{index="atlas"}`,
 		`adaptivelink_engine_snapshot_swaps_total{index="atlas"}`,
+		`adaptivelink_engine_qgram_builds_total{index="atlas"}`,
+		`adaptivelink_engine_qgram_build_keys_total{index="atlas"}`,
+		`adaptivelink_engine_qgram_build_seconds_total{index="atlas"}`,
+		`adaptivelink_engine_qgram_built_shards{index="atlas"}`,
 		`adaptivelink_wal_appends_total{index="atlas"}`,
 	} {
 		if !strings.Contains(text, want) {

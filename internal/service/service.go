@@ -185,6 +185,10 @@ type managedIndex struct {
 	engCloneSeconds   *metrics.Value
 	engScratchGets    *metrics.Value
 	engScratchMisses  *metrics.Value
+	engQGramBuilds    *metrics.Value
+	engQGramBuildKeys *metrics.Value
+	engQGramBuildSecs *metrics.Value
+	engQGramBuilt     *metrics.Value
 	walAppends        *metrics.Value
 	walAppendSeconds  *metrics.Value
 	walFsyncSeconds   *metrics.Value
@@ -308,6 +312,14 @@ func (s *Service) newManaged(name string, ix *adaptivelink.Index) *managedIndex 
 			"Scratch-pool checkouts on the approximate probe and upsert paths.", l("")),
 		engScratchMisses: s.reg.Gauge("adaptivelink_engine_scratch_misses_total",
 			"Scratch-pool checkouts that allocated fresh (pool miss).", l("")),
+		engQGramBuilds: s.reg.Gauge("adaptivelink_engine_qgram_builds_total",
+			"Lazy q-gram builds: one per shard, by its first approximate probe.", l("")),
+		engQGramBuildKeys: s.reg.Gauge("adaptivelink_engine_qgram_build_keys_total",
+			"Keys decomposed by lazy q-gram builds.", l("")),
+		engQGramBuildSecs: s.reg.Gauge("adaptivelink_engine_qgram_build_seconds_total",
+			"Cumulative lazy q-gram build time: what first escalations into shards waited for.", l("")),
+		engQGramBuilt: s.reg.Gauge("adaptivelink_engine_qgram_built_shards",
+			"Shards currently holding q-gram structures.", l("")),
 		walAppends: s.reg.Gauge("adaptivelink_wal_appends_total",
 			"Acknowledged write-ahead-log appends since open.", l("")),
 		walAppendSeconds: s.reg.Gauge("adaptivelink_wal_append_seconds_total",
@@ -330,6 +342,10 @@ func (mi *managedIndex) refreshTelemetry() {
 	mi.engCloneSeconds.Set(es.CloneSeconds)
 	mi.engScratchGets.Set(float64(es.ScratchGets))
 	mi.engScratchMisses.Set(float64(es.ScratchMisses))
+	mi.engQGramBuilds.Set(float64(es.QGramBuilds))
+	mi.engQGramBuildKeys.Set(float64(es.QGramBuildKeys))
+	mi.engQGramBuildSecs.Set(es.QGramBuildSeconds)
+	mi.engQGramBuilt.Set(float64(es.QGramBuiltShards))
 	if st, ok := mi.ix.StorageStats(); ok {
 		mi.walAppends.Set(float64(st.WALAppends))
 		mi.walAppendSeconds.Set(st.WALAppendSeconds)

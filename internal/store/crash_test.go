@@ -6,12 +6,14 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/vfs"
 )
@@ -370,5 +372,69 @@ func TestDigestStability(t *testing.T) {
 		if d := DigestView(v); d.Combined != wantCombined || d.Store != wantStore {
 			t.Errorf("%s index: digest %s (store %s), want %s (store %s)", name, d.Combined, d.Store, wantCombined, wantStore)
 		}
+	}
+}
+
+// TestDigestMemoisesSectionCRCs pins the section-checksum memo: a
+// digest records each shard's CRC on the generation it read, a later
+// export of an untouched shard finds it (so its section is not derived
+// again), an upsert drops it for the touched shard only and the q-gram
+// build carries it over, and the memoised digest always equals one
+// recomputed from a resolved view, which carries no memo.
+func TestDigestMemoisesSectionCRCs(t *testing.T) {
+	ix := buildIndex(t, 4, 80)
+	memoised := func() []bool {
+		v, err := ix.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []bool
+		for i := range v.Shards {
+			_, ok := v.Shards[i].SectionCRC()
+			out = append(out, ok)
+		}
+		return out
+	}
+	digest := func() ContentDigest {
+		v, err := ix.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := DigestView(v)
+		v, _ = ix.ExportSnapshot()
+		if fresh := DigestView(v.Resolve()); !reflect.DeepEqual(d, fresh) {
+			t.Fatalf("memoised digest %+v, recomputed %+v", d, fresh)
+		}
+		return d
+	}
+	if m := memoised(); !reflect.DeepEqual(m, []bool{false, false, false, false}) {
+		t.Fatalf("memo before any digest: %v", m)
+	}
+	d1 := digest()
+	if m := memoised(); !reflect.DeepEqual(m, []bool{true, true, true, true}) {
+		t.Fatalf("memo after a digest: %v", m)
+	}
+
+	key := "maria chen 777"
+	touched := shardmap.ShardOf(key, 4)
+	ix.Upsert([]relation.Tuple{{ID: 7000, Key: key}})
+	for i, ok := range memoised() {
+		if ok == (i == touched) {
+			t.Fatalf("after an upsert into shard %d, shard %d memoised: %v", touched, i, ok)
+		}
+	}
+	d2 := digest()
+	for i := range d2.Shards {
+		if (d2.Shards[i] != d1.Shards[i]) != (i == touched) {
+			t.Fatalf("after an upsert into shard %d, shard %d CRC %s -> %s", touched, i, d1.Shards[i], d2.Shards[i])
+		}
+	}
+
+	ix.ProbeApprox(key) // builds every shard: no section byte changes
+	if m := memoised(); !reflect.DeepEqual(m, []bool{true, true, true, true}) {
+		t.Fatalf("memo after the q-gram builds: %v", m)
+	}
+	if d3 := digest(); !reflect.DeepEqual(d3, d2) {
+		t.Fatalf("digest moved under the q-gram builds: %+v -> %+v", d2, d3)
 	}
 }

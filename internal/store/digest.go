@@ -6,17 +6,18 @@ import (
 	"hash/crc32"
 	"io"
 
+	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 )
 
 // ContentDigest is a cheap fingerprint of an index's logical content:
 // CRC-32C over the canonical snapshot encoding of the global tuple
-// store, plus one CRC per shard section. It is computed straight from
-// the PR 5 in-memory representation (the same export a checkpoint
-// writes) — no gram is re-hashed, no disk is touched — so two replicas
-// that applied the same upsert stream report the same digest, and
-// anti-entropy can compare replicas by exchanging a few dozen bytes
-// instead of snapshots.
+// store, plus one CRC per shard section. It is computed from the same
+// export a checkpoint writes, without touching disk, so two replicas
+// that applied the same upsert stream report the same digest — whether
+// or not either has built its q-gram structures — and anti-entropy can
+// compare replicas by exchanging a few dozen bytes instead of
+// snapshots.
 //
 // The digest deliberately excludes the snapshot header (version, config
 // words): configuration compatibility is Meta.Check's job; the digest
@@ -34,7 +35,10 @@ type ContentDigest struct {
 }
 
 // DigestView fingerprints a snapshot view. The encoding work streams
-// through the CRC without materializing the snapshot bytes.
+// through the CRC without materializing the snapshot bytes. A shard
+// section's CRC is memoised on the index generation it was exported
+// from, so a shard no upsert has touched since the last digest costs
+// nothing: an idle index re-encodes only its tuple store.
 func DigestView(v *join.SnapshotView) ContentDigest {
 	e := newWriter(io.Discard)
 	defer e.release()
@@ -42,12 +46,20 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 	storeCRC := e.sum()
 
 	shardCRCs := make([]uint32, len(v.Shards))
-	shards := make([]string, len(v.Shards))
-	for i := range v.Shards {
+	stale := func(i int) bool {
+		c, ok := v.Shards[i].SectionCRC()
+		shardCRCs[i] = c
+		return !ok
+	}
+	forSections(v, stale, func(i int, qg hashidx.QGramExport) {
 		e.crc.Reset()
-		encodeShardSection(e, &v.Shards[i])
+		encodeShardSection(e, v.Shards[i].Globals, qg)
 		shardCRCs[i] = e.sum()
-		shards[i] = fmt.Sprintf("%08x", shardCRCs[i])
+		v.Shards[i].RecordSectionCRC(shardCRCs[i])
+	})
+	shards := make([]string, len(v.Shards))
+	for i, c := range shardCRCs {
+		shards[i] = fmt.Sprintf("%08x", c)
 	}
 
 	comb := crc32.New(castagnoli)

@@ -8,9 +8,10 @@
 // A snapshot serializes a join.SnapshotView — the global tuple store
 // plus, per shard, the shard's member refs and its dictionary-encoded
 // q-gram index: dense gram ids and sorted signatures. Loading is one
-// read of the file followed by slice reconstruction over fixed-width
-// offset tables and one transposition per shard; no gram is re-hashed
-// and no key is re-decomposed.
+// read of the file, a validation of every q-gram section where it lies,
+// and slice reconstruction of the tuple store and member refs over
+// fixed-width offset tables; no gram is hashed, no key decomposed, and
+// no q-gram section kept.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
 //	header  version u32 = 4
@@ -45,19 +46,26 @@
 // The signatures are the one stored copy of the (ref, gram) relation —
 // the n·(|jA|+q−1) entries of the paper's space analysis (§2.3) — and
 // the postings table gram id → refs, their exact transpose, the one
-// resident copy; each is derived from the other at this boundary. On
-// load, hashidx.ImportQGramIndex derives the postings in one counting
-// pass and one fill pass, which costs about a millisecond per ten
-// thousand tuples, takes more than a third off the file, and leaves no
-// image whose postings disagree with its signatures to be rejected. On
-// save, the encoder derives a shard's signatures when it reaches that
-// shard's section, into scratch the next shard overwrites.
+// resident copy — held only by shards an approximate probe has built
+// (the resident index maintains its q-gram structures lazily, §2.3).
+// On load, the decoder checks a section's invariants in place
+// (join.CheckShardSection: a duplicate-free dictionary, one size per
+// member, signatures strictly ascending within the dictionary and as
+// long as their sizes) and keeps none of it: a shard rebuilds its
+// postings from its keys on its first approximate probe. On save, a
+// built shard's signatures are read off its postings and an unbuilt
+// shard's derived from its keys in local-ref order
+// (hashidx.DeriveExport, the routine a build runs) — to the same bytes,
+// since the dictionary ids are interned in the same first-seen order.
+// Derivation decomposes every key of the shard, so WriteSnapshot and
+// DigestView derive the pending sections in parallel across shards, each
+// into pooled scratch, and a digest memoises each shard's section CRC
+// on the index generation it read.
 //
 // Version 3 is version 4 plus a `postings` section (ragged i32, gram id
 // → ascending refs) between grams and sizes. v3 snapshots still load:
 // the section's count and length are bounds-checked, the file checksum
-// covers it, and it is skipped — the table is derived exactly as for
-// version 4, whatever the section says.
+// covers it, and it is skipped, whatever it says.
 //
 // Versions 1 and 2 have the sections of version 3 under a different
 // shard layout: they replicated a tuple into every shard of its
@@ -87,6 +95,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -120,17 +129,20 @@ type writer struct {
 	w     io.Writer
 	crc   hash.Hash32
 	err   error
-	stage []byte                // staged, not yet written; fixed capacity
-	sigs  hashidx.ExportScratch // the pending shard section being encoded
+	stage []byte // staged, not yet written; fixed capacity
 }
 
-// writers recycles stage and signature scratch across checkpoints,
-// export streams and digests: beyond the view, an encode holds one
-// shard section's worth, and allocates none of it when it follows
-// another closely (the pool empties under garbage collection).
-var writers = sync.Pool{New: func() any {
-	return &writer{crc: crc32.New(castagnoli), stage: make([]byte, 0, 32<<10)}
-}}
+// writers recycles the stage across checkpoints, export streams and
+// digests, sectionScratch the arrays pending shard sections are derived
+// into: beyond the view, an encode holds a section's worth per shard
+// being derived, and allocates none of it when it follows another
+// closely (the pools empty under garbage collection).
+var (
+	writers = sync.Pool{New: func() any {
+		return &writer{crc: crc32.New(castagnoli), stage: make([]byte, 0, 32<<10)}
+	}}
+	sectionScratch = sync.Pool{New: func() any { return new(hashidx.ExportScratch) }}
+)
 
 // newWriter checks a writer out of the pool; release returns it.
 func newWriter(w io.Writer) *writer {
@@ -256,9 +268,9 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	e.str(v.Cfg.Profile)
 
 	encodeTupleSection(e, v)
-	for i := range v.Shards {
-		encodeShardSection(e, &v.Shards[i])
-	}
+	forSections(v, func(int) bool { return true }, func(i int, qg hashidx.QGramExport) {
+		encodeShardSection(e, v.Shards[i].Globals, qg)
+	})
 	e.u32(e.sum())
 	e.flush()
 	if e.err != nil {
@@ -300,12 +312,62 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 	})
 }
 
+// forSections hands fn the q-gram section of every shard the want
+// predicate selects, in shard order. A section read off a built
+// shard's postings is cheap and is taken inline, into one pooled
+// scratch. A section derived from keys decomposes every key of its
+// shard, so those are derived ahead of fn, in parallel across shards
+// with at most GOMAXPROCS in flight, each into its own pooled scratch:
+// the shards are independent, as in a bulk build.
+func forSections(v *join.SnapshotView, want func(i int) bool, fn func(i int, qg hashidx.QGramExport)) {
+	var todo, fromKeys []int
+	for i := range v.Shards {
+		if want(i) {
+			todo = append(todo, i)
+			if v.Shards[i].FromKeys() {
+				fromKeys = append(fromKeys, i)
+			}
+		}
+	}
+	type section struct {
+		qg hashidx.QGramExport
+		sc *hashidx.ExportScratch
+	}
+	ready := make([]chan section, len(v.Shards)) // nil: taken inline
+	workers := min(runtime.GOMAXPROCS(0), len(fromKeys))
+	slots := make(chan struct{}, workers) // held from derivation until fn is done with the section
+	if workers > 1 {
+		for _, i := range fromKeys {
+			ready[i] = make(chan section, 1)
+		}
+		go func() {
+			for _, i := range fromKeys {
+				slots <- struct{}{}
+				go func() {
+					sc := sectionScratch.Get().(*hashidx.ExportScratch)
+					ready[i] <- section{v.QGramSection(i, sc), sc}
+				}()
+			}
+		}()
+	}
+	sc := sectionScratch.Get().(*hashidx.ExportScratch)
+	defer sectionScratch.Put(sc)
+	for _, i := range todo {
+		if ready[i] == nil {
+			fn(i, v.QGramSection(i, sc))
+			continue
+		}
+		s := <-ready[i]
+		fn(i, s.qg)
+		sectionScratch.Put(s.sc)
+		<-slots
+	}
+}
+
 // encodeShardSection writes one shard's section (globals + the
-// dictionary-encoded q-gram index) — shared with the content digest. A
-// pending section is resolved here, into scratch the next one reuses.
-func encodeShardSection(e *writer, sh *join.ShardExport) {
-	qg := sh.QGramSection(&e.sigs)
-	e.u32slice(sh.Globals)
+// dictionary-encoded q-gram index) — shared with the content digest.
+func encodeShardSection(e *writer, globals []uint32, qg hashidx.QGramExport) {
+	e.u32slice(globals)
 	e.stringBlob(len(qg.Grams), slices.Values(qg.Grams))
 	e.u32slice(qg.Sizes)
 	e.raggedU32(qg.Sigs)
@@ -444,26 +506,42 @@ func (r *reader) skipRagged(what string) {
 	}
 }
 
-func (r *reader) raggedU32(what string) [][]uint32 {
+// raggedWords is a ragged array of 4-byte words read in place: at
+// decodes one list into a buffer it reuses.
+type raggedWords struct {
+	n    int
+	offs []uint32
+	raw  []byte
+	buf  []uint32
+}
+
+// at returns list i, valid until the next call. Empty lists are nil:
+// the image does not distinguish them.
+func (rw *raggedWords) at(i int) []uint32 {
+	lo, hi := rw.offs[i], rw.offs[i+1]
+	if lo == hi {
+		return nil
+	}
+	rw.buf = rw.buf[:0]
+	for o := lo; o < hi; o++ {
+		rw.buf = append(rw.buf, binary.LittleEndian.Uint32(rw.raw[4*o:]))
+	}
+	return rw.buf
+}
+
+// raggedInPlace bounds-checks a ragged array of 4-byte words like
+// raggedU32, without materialising it.
+func (r *reader) raggedInPlace(what string) *raggedWords {
 	n := r.count(what)
 	offs := r.offsets(n)
 	if r.err != nil {
 		return nil
 	}
-	flatLen := int(offs[n])
-	raw := r.take(flatLen * 4)
+	raw := r.take(4 * int(offs[n]))
 	if r.err != nil {
 		return nil
 	}
-	flat := make([]uint32, flatLen)
-	for i := range flat {
-		flat[i] = binary.LittleEndian.Uint32(raw[i*4:])
-	}
-	out := make([][]uint32, n)
-	for i := range out {
-		out[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
-	}
-	return out
+	return &raggedWords{n: n, offs: offs, raw: raw}
 }
 
 // DecodeSnapshot parses a complete snapshot file image, verifying the
@@ -547,30 +625,27 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	}
 	v.Shards = make([]join.ShardExport, v.NShard)
 	for i := range v.Shards {
-		v.Shards[i].Globals = r.u32slice("global")
-		qg := &v.Shards[i].QGrams
-		qg.Grams = r.stringBlob("gram")
+		globals := r.u32slice("global")
+		grams := r.stringBlob("gram")
 		if version == 3 {
-			// Version 3 also stored the postings table. It is derived
-			// from the signatures now, so the section is not trusted.
+			// Version 3 also stored the postings table, which nothing
+			// reads: the section is bounds-checked and skipped.
 			r.skipRagged("posting")
 		}
-		qg.Sizes = r.u32slice("size")
-		qg.Sigs = r.raggedU32("signature")
-		qg.SigFloor = int(r.u32())
+		sizes := r.u32slice("size")
+		sigs := r.raggedInPlace("signature")
+		floor := int(r.u32())
 		if r.err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, r.err)
 		}
-		// Below the signature floor the live index keeps nil (those refs
-		// predate signature retention); at or above it, empty means an
-		// empty gram set and stays non-nil. Restore that distinction —
-		// but only for genuinely empty entries, so a snapshot smuggling
-		// data below the floor is still caught by import validation.
-		for j := 0; j < qg.SigFloor && j < len(qg.Sigs); j++ {
-			if len(qg.Sigs[j]) == 0 {
-				qg.Sigs[j] = nil
-			}
+		// The q-gram section is checked where it lies and not kept: an
+		// index derives a shard's q-gram structures from its keys when
+		// the shard is first probed approximately, and a checkpoint
+		// derives the section again, to the same bytes.
+		if err := join.CheckShardSection(len(globals), grams, sizes, floor, sigs.n, sigs.at); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
 		}
+		v.Shards[i].Globals = globals
 	}
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)

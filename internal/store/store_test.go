@@ -93,10 +93,11 @@ func encodeSnapshot(t *testing.T, ix *join.ShardedRefIndex) []byte {
 }
 
 // TestSnapshotCodecRoundTrip pins encode → decode to structural
-// identity (the decoded view DeepEquals the exported one, once that is
-// resolved into the plain data a decoder produces — it was encoded
-// pending, section by section) and the decoded view to behavioural
-// identity after import.
+// identity (the decoded view DeepEquals the exported one once both are
+// resolved into plain data: the exported one was encoded pending,
+// section by section, and the decoded one checked its sections and
+// kept none, so its resolution derives them from its keys) and the
+// decoded view to behavioural identity after import.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -113,7 +114,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want.Resolve(), got) {
+			if !reflect.DeepEqual(want.Resolve(), got.Resolve()) {
 				t.Fatal("decoded view differs structurally from the exported view")
 			}
 			loaded, err := join.NewShardedRefIndexFromSnapshot(got)

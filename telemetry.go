@@ -73,8 +73,8 @@ func (ix *Index) StorageStats() (st StorageStats, ok bool) {
 }
 
 // EngineStats is the resident engine's maintenance telemetry: the RCU
-// write side (snapshot swaps, copy-on-write clone time) and the probe
-// scratch pool's hit rate.
+// write side (snapshot swaps, copy-on-write clone time), the probe
+// scratch pool's hit rate and the lazy q-gram builds.
 type EngineStats struct {
 	// Upserts counts maintenance batches applied (bulk load counts as
 	// one); SnapshotSwaps per-shard snapshot publications — one per
@@ -91,6 +91,17 @@ type EngineStats struct {
 	// 1 - ScratchMisses/ScratchGets is the pool hit rate.
 	ScratchGets   uint64
 	ScratchMisses uint64
+	// QGramBuilds counts the shards whose q-gram structures an
+	// approximate probe has built — each shard's first one pays the
+	// build, later ones find it — and QGramBuildKeys the keys those
+	// builds decomposed. QGramBuildSeconds is their cumulative wall
+	// time: QGramBuildSeconds/QGramBuilds is what a first escalation
+	// into a shard waits for. QGramBuiltShards is how many shards hold
+	// q-gram structures now (an index never probed approximately: 0).
+	QGramBuilds       uint64
+	QGramBuildKeys    uint64
+	QGramBuildSeconds float64
+	QGramBuiltShards  int
 }
 
 // EngineStats returns the resident engine's maintenance telemetry.
@@ -108,5 +119,10 @@ func (ix *Index) EngineStats() EngineStats {
 		CloneSeconds:  float64(ms.CloneNanos) / 1e9,
 		ScratchGets:   ms.ScratchGets,
 		ScratchMisses: ms.ScratchNews,
+
+		QGramBuilds:       ms.QGramBuilds,
+		QGramBuildKeys:    ms.QGramBuildKeys,
+		QGramBuildSeconds: float64(ms.QGramBuildNanos) / 1e9,
+		QGramBuiltShards:  ms.BuiltShards,
 	}
 }

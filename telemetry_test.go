@@ -25,6 +25,22 @@ func TestTelemetryAccessors(t *testing.T) {
 	if es.ScratchGets == 0 || es.ScratchMisses > es.ScratchGets {
 		t.Fatalf("scratch counters inconsistent: gets=%d misses=%d", es.ScratchGets, es.ScratchMisses)
 	}
+	if es.QGramBuilds != 0 || es.QGramBuiltShards != 0 || es.QGramBuildKeys != 0 {
+		t.Fatalf("q-gram builds before any approximate probe: %+v", es)
+	}
+	// The first approximate probe builds every shard once; a second
+	// builds nothing.
+	sess, err := ix.NewSession(SessionOptions{Strategy: ApproximateOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Probe("VIA MONTE ROSSA 7")
+	sess.Probe("PIAZZA DUOMO 2")
+	es = ix.EngineStats()
+	shards := ix.Options().Shards
+	if es.QGramBuilds != uint64(shards) || es.QGramBuiltShards != shards || es.QGramBuildKeys != 2 || es.QGramBuildSeconds <= 0 {
+		t.Fatalf("after approximate probes into %d shards: %+v, want %d builds of 2 keys in all", shards, es, shards)
+	}
 
 	st, ok := ix.StorageStats()
 	if !ok {
