@@ -13,9 +13,13 @@ package adaptivelink
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"adaptivelink/internal/store"
 )
 
 func allocAPIIndex(t testing.TB) (*Index, string, string) {
@@ -135,12 +139,12 @@ func TestAllocExactOnlyResidentBytesPerTuple(t *testing.T) {
 }
 
 // checkpointBytesBudget bounds what a steady-state checkpoint allocates
-// per tuple at 44k rows: the view's gathered store (one tuple header
-// and one global ref per tuple) and the dictionaries' gram lists. The
-// signatures are derived shard by shard into pooled scratch and staged
-// in pooled buffers, so the second checkpoint finds both warm;
-// exporting and staging a whole-index copy cost 201.
-const checkpointBytesBudget = 80
+// per tuple at 44k rows: the view's gathered store, one 48-byte tuple
+// header and one 4-byte global ref per tuple (54 measured), plus a
+// margin of 6. The encoding is staged in pooled buffers, so the second
+// checkpoint finds them warm, and no q-gram section is derived: deriving
+// them cost 66, exporting and staging a whole-index copy 201.
+const checkpointBytesBudget = 60
 
 func TestAllocCheckpointBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 44_000)
@@ -168,5 +172,31 @@ func TestAllocCheckpointBytesPerTuple(t *testing.T) {
 	t.Logf("second checkpoint allocated %.0f bytes per tuple", perTuple)
 	if perTuple > checkpointBytesBudget {
 		t.Errorf("second checkpoint allocated %.0f bytes per tuple, budget %d", perTuple, checkpointBytesBudget)
+	}
+}
+
+// snapshotBytesBudget bounds the snapshot file per tuple at 20k rows of
+// generated keys: the tuple store (id, key, attrs, offsets) and one
+// global ref, ~72 bytes measured, plus a margin of 8. The q-gram
+// sections a version-4 snapshot stored beside them made it ~201.
+const snapshotBytesBudget = 80
+
+func TestAllocSnapshotBytesPerTuple(t *testing.T) {
+	tuples, opts := footprintTuples(t, 20_000)
+	dir := t.TempDir()
+	opts.Storage = StorageOptions{Dir: dir, WALSync: SyncNone}
+	ix, err := BulkLoad(FromTuples(tuples), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	fi, err := os.Stat(filepath.Join(dir, store.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTuple := float64(fi.Size()) / float64(ix.Len())
+	t.Logf("snapshot holds %.1f bytes per tuple", perTuple)
+	if perTuple > snapshotBytesBudget {
+		t.Errorf("snapshot holds %.1f bytes per tuple, budget %d", perTuple, snapshotBytesBudget)
 	}
 }

@@ -252,16 +252,15 @@
 //	ix.Close()
 //
 // An index directory holds two artifacts. The snapshot (index.snap) is
-// a versioned, CRC-32C-checksummed binary serialisation of the sharded
-// index in dictionary-encoded form — dense gram-id dictionaries and
-// sorted signatures, the stored transpose of the resident postings
-// table — so loading is a sequential read, a validation of the q-gram
-// sections in place and slice reconstruction of the tuple store: no key
-// is decomposed and no gram hashed (each shard's q-gram structures are
-// built by its first approximate probe), which is what makes cold start
-// faster than rebuilding from the source CSV
-// (cold_start_snapshot_s of the durable_restart workload in
-// BENCHMARK.json).
+// a versioned, CRC-32C-checksummed binary serialisation of what a load
+// reads back — the tuple store and each shard's member refs, and no
+// q-gram data, which is derived: each shard's q-gram structures are
+// built from its keys by its first approximate probe (§2.3). Loading is
+// a sequential read and slice reconstruction of the tuple store, and
+// writing is one walk over it: no key is decomposed and no gram hashed
+// either way, which is what makes cold start faster than rebuilding
+// from the source CSV (cold_start_snapshot_s of the durable_restart
+// workload in BENCHMARK.json) and a checkpoint a copy of the store.
 // The write-ahead log (upserts.wal) records every acknowledged Upsert
 // batch in CRC-framed records before it is applied; on Open the
 // snapshot loads first and the log replays on top, so the reopened
@@ -328,8 +327,8 @@
 // verification is integer arithmetic over a candidate's stored gram
 // count and the overlap the count filter has already counted — no
 // re-extraction, no re-hashing, no per-probe maps. The postings are
-// the one resident copy of the (ref, gram) relation; per-tuple
-// signatures exist only in snapshots, derived when one is written.
+// the one resident copy of the (ref, gram) relation, and no per-tuple
+// signatures are kept, resident or on disk.
 // Probe keys are decomposed by packed fast paths that never
 // materialise gram strings: ASCII keys pack gram bytes into uint64s,
 // non-ASCII keys within the Basic Multilingual Plane pack code points

@@ -119,9 +119,8 @@ func (opts IndexOptions) adopting(m store.Meta) IndexOptions {
 // construction path, NewIndex included: drain the source, normalise the
 // keys, hash every key to its home shard, then build each shard's
 // tuple store and exact index densely in parallel (the q-gram
-// structures wait for the first approximate probe). With Storage.Dir
-// set, the snapshot write derives every shard's q-gram section from its
-// keys, in parallel across shards. The outcome is identical to feeding
+// structures wait for the first approximate probe, and the snapshot
+// holds none). The outcome is identical to feeding
 // the same rows through Upsert (the path WAL replay and live
 // maintenance use). With Storage.Dir set the built index is persisted
 // by writing its snapshot directly (the initial rows never touch the

@@ -122,6 +122,11 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	// The server's latency histogram is cumulative since it started, so
+	// it also holds whatever was linked before this run: scrape it now,
+	// and the crosscheck below compares only the requests sent here.
+	baseline, baseErr := fetchMetrics(client, *addr)
+
 	var next atomic.Int64
 	var errCount atomic.Int64
 	var errMu sync.Mutex
@@ -190,12 +195,17 @@ func RunLinkBench(args []string, stdout, stderr io.Writer) int {
 		pct(0.50), pct(0.95), p99, errCount.Load(), retryCount.Load())
 
 	// Cross-check the client-side p99 against the server's own latency
-	// histogram: the two measure the same requests from opposite ends of
-	// the connection, so a large disagreement means either histogram
-	// buckets misconfigured on the server or queueing the client cannot
-	// see. The server estimate is bucket-interpolated, so compare with
-	// slack (-p99-drift-pct), not equality.
-	if serverP99, err := fetchServerP99(client, *addr); err != nil {
+	// histogram, over the samples it gained during the run: the two
+	// measure the same requests from opposite ends of the connection, so
+	// a large disagreement means either histogram buckets misconfigured
+	// on the server or queueing the client cannot see. The server
+	// estimate is bucket-interpolated, so compare with slack
+	// (-p99-drift-pct), not equality.
+	serverP99, err := fetchServerP99(client, *addr, baseline)
+	if baseErr != nil {
+		err = baseErr
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "linkbench: server p99 crosscheck: %v\n", err)
 		if *p99Drift > 0 {
 			return 1
@@ -283,37 +293,42 @@ func postJSON(client *http.Client, url string, payload any, reqID string) (int, 
 	return resp.StatusCode, body, err
 }
 
-// fetchServerP99 scrapes /metrics and returns the p99 of the server's
-// link latency histogram, in milliseconds.
-func fetchServerP99(client *http.Client, addr string) (float64, error) {
+// fetchMetrics returns addr's /metrics exposition.
+func fetchMetrics(client *http.Client, addr string) (string, error) {
 	resp, err := client.Get(addr + "/metrics")
 	if err != nil {
-		return 0, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
+	return string(body), err
+}
+
+// fetchServerP99 scrapes /metrics and returns the p99 of the samples
+// the server's link latency histogram gained since the baseline
+// exposition, in milliseconds.
+func fetchServerP99(client *http.Client, addr, baseline string) (float64, error) {
+	body, err := fetchMetrics(client, addr)
 	if err != nil {
 		return 0, err
 	}
-	sec, ok := histQuantile(string(body), "adaptivelink_link_latency_seconds", 0.99)
+	sec, ok := histQuantile(baseline, body, "adaptivelink_link_latency_seconds", 0.99)
 	if !ok {
-		return 0, fmt.Errorf("adaptivelink_link_latency_seconds has no samples in /metrics")
+		return 0, fmt.Errorf("adaptivelink_link_latency_seconds gained no samples in /metrics")
 	}
 	return sec * 1000, nil
 }
 
-// histQuantile estimates quantile q (0 < q <= 1) of the unlabelled
-// histogram series name from a Prometheus text exposition, by linear
-// interpolation inside the bucket holding the quantile. Returns false
-// when the series is absent or empty. The quantile of a sample in the
-// +Inf bucket is reported as the last finite bound (the histogram
-// cannot resolve beyond it).
-func histQuantile(exposition, name string, q float64) (float64, bool) {
-	type bucket struct {
-		le  float64
-		cum uint64
-	}
-	var buckets []bucket
+// histBucket is one cumulative bucket of a histogram series.
+type histBucket struct {
+	le  float64
+	cum uint64
+}
+
+// histBuckets parses the buckets of the unlabelled histogram series name
+// from a Prometheus text exposition, ascending by bound.
+func histBuckets(exposition, name string) []histBucket {
+	var buckets []histBucket
 	prefix := name + `_bucket{le="`
 	for _, line := range strings.Split(exposition, "\n") {
 		rest, ok := strings.CutPrefix(line, prefix)
@@ -332,12 +347,35 @@ func histQuantile(exposition, name string, q float64) (float64, bool) {
 		if err != nil {
 			continue
 		}
-		buckets = append(buckets, bucket{le, cum})
+		buckets = append(buckets, histBucket{le, cum})
 	}
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	return buckets
+}
+
+// histQuantile estimates quantile q (0 < q <= 1) of the samples the
+// unlabelled histogram series name gained between two Prometheus text
+// expositions of it — the bucket-wise difference; a baseline without
+// the series counts as empty, and one above the later counts (the
+// server restarted between them) is ignored — by linear interpolation
+// inside the bucket holding the quantile. Returns false when the series
+// is absent or gained nothing. The quantile of a sample in the +Inf
+// bucket is reported as the last finite bound (the histogram cannot
+// resolve beyond it).
+func histQuantile(baseline, exposition, name string, q float64) (float64, bool) {
+	buckets := histBuckets(exposition, name)
 	if len(buckets) == 0 {
 		return 0, false
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+	base := make(map[float64]uint64)
+	for _, b := range histBuckets(baseline, name) {
+		base[b.le] = b.cum
+	}
+	if base[math.Inf(1)] <= buckets[len(buckets)-1].cum {
+		for i := range buckets {
+			buckets[i].cum -= min(buckets[i].cum, base[buckets[i].le])
+		}
+	}
 	total := buckets[len(buckets)-1].cum
 	if total == 0 {
 		return 0, false

@@ -159,10 +159,10 @@ type Candidate struct {
 // slice-indexed table keyed by gram id — the one resident copy of the
 // (ref, gram) relation. Verification needs only a stored tuple's gram
 // count beside the count filter's overlap, so per-ref signatures are
-// not kept: Export derives them, as the transpose of the postings,
-// where a snapshot stores them. Probes run entirely on ids with
-// epoch-stamped counting arrays — no per-probe maps and, given a
-// caller-owned ProbeScratch, no per-probe allocations.
+// not kept (Export derives them, as the transpose of the postings).
+// Probes run entirely on ids with epoch-stamped counting arrays — no
+// per-probe maps and, given a caller-owned ProbeScratch, no per-probe
+// allocations.
 type QGramIndex struct {
 	ex       *qgram.Extractor
 	dict     *qgram.Dict
@@ -263,13 +263,12 @@ func (x *QGramIndex) Clone() *QGramIndex {
 // Indexed returns how many tuples of the side have been absorbed.
 func (x *QGramIndex) Indexed() int { return x.indexed }
 
-// QGramExport is the stable serialized form of a QGramIndex: the gram
-// dictionary in id order and the per-ref signature data. The signatures
-// are the one stored copy of the (ref, gram) relation, the postings
-// table the one resident copy; each is the other's transpose. Export
-// derives the signatures from a live index's postings, DeriveExport
-// from the keys of an index never built, and CheckSection validates a
-// stored copy. Sizes of an export taken from a live index aliases the
+// QGramExport is a QGramIndex's (ref, gram) relation as data: the gram
+// dictionary in id order and the per-ref signatures, the transpose of
+// the postings table. It is the section layout snapshot versions 3 and
+// 4 stored (CheckSection validates such a section) and the form tests
+// compare built indexes by; nothing stores it any more, since an index
+// derives its q-gram structures from its keys. Sizes aliases the
 // index's immutable data — treat an export as read-only.
 type QGramExport struct {
 	// Grams enumerates the dictionary in id order (qgram.Dict.Grams).
@@ -283,30 +282,16 @@ type QGramExport struct {
 	SigFloor int
 }
 
-// ExportScratch holds the arrays an export's signatures are derived
-// into, so that a checkpoint walking the shards allocates them once. The
-// zero value is ready; an export is valid until its scratch's next use.
-type ExportScratch struct {
-	flat  []uint32   // every signature, back to back in ref order
-	sigs  [][]uint32 // ref -> its view of flat
-	sizes []uint32   // ref -> its signature's length, when derived from keys
-	dec   qgram.Scratch
-}
-
-// Export returns the index's stable serialized form. Sizes aliases the
-// index: safe on the immutable RCU snapshots the resident engines export.
-func (x *QGramIndex) Export() QGramExport { return x.export(new(ExportScratch), false) }
+// Export returns the index's (ref, gram) relation. Sizes aliases the
+// index: safe on the immutable RCU snapshots the resident engines hold.
+func (x *QGramIndex) Export() QGramExport { return x.export(false) }
 
 // ExportCompacted is Export with dead dictionary entries dropped: grams
 // whose posting lists have emptied under eviction (and trailing interned
 // grams that never gained a posting) are removed and the surviving ids
-// renumbered densely, in ascending old-id order. Ids change across the
-// export — only representation-change-safe points (checkpoints,
-// snapshots) may use it. When nothing is dead it equals Export().
-func (x *QGramIndex) ExportCompacted() QGramExport { return x.export(new(ExportScratch), true) }
-
-// ExportCompactedInto is ExportCompacted with the signatures built in sc.
-func (x *QGramIndex) ExportCompactedInto(sc *ExportScratch) QGramExport { return x.export(sc, true) }
+// renumbered densely, in ascending old-id order. When nothing is dead it
+// equals Export().
+func (x *QGramIndex) ExportCompacted() QGramExport { return x.export(true) }
 
 // export derives the signatures as the transpose of the postings table.
 // A live ref appears in exactly sizes[ref] lists, so a prefix sum over
@@ -314,18 +299,13 @@ func (x *QGramIndex) ExportCompactedInto(sc *ExportScratch) QGramExport { return
 // pass; one pass over the lists then fills them. Gram ids are visited
 // ascending — and renumbered monotonically when compacting — so every
 // signature is ascending by construction.
-func (x *QGramIndex) export(sc *ExportScratch, compact bool) QGramExport {
-	// Never nil: what is empty exports non-nil from any scratch. Headroom:
-	// one allocation serves a run of near-equal indexes (hashed shards).
-	if cap(sc.flat) < x.entries || sc.flat == nil {
-		sc.flat = make([]uint32, x.entries, x.entries+x.entries/8)
-	}
-	sigs := sc.refSlots(x.indexed)
-	clear(sigs[:x.sigFloor])
+func (x *QGramIndex) export(compact bool) QGramExport {
+	flat := make([]uint32, x.entries)
+	sigs := make([][]uint32, x.indexed)
 	at := 0
 	for ref := x.sigFloor; ref < x.indexed; ref++ {
 		end := at + int(x.sizes[ref])
-		sigs[ref] = sc.flat[at:at:end] // empty, with room for exactly its grams
+		sigs[ref] = flat[at:at:end] // empty, with room for exactly its grams
 		at = end
 	}
 	grams := x.dict.Grams()
@@ -344,82 +324,50 @@ func (x *QGramIndex) export(sc *ExportScratch, compact bool) QGramExport {
 	return QGramExport{Grams: grams[:live], Sizes: x.sizes, Sigs: sigs, SigFloor: x.sigFloor}
 }
 
-// refSlots returns sc's per-ref signature table resized to n, never nil.
-func (sc *ExportScratch) refSlots(n int) [][]uint32 {
-	if cap(sc.sigs) < n || sc.sigs == nil {
-		sc.sigs = make([][]uint32, n, n+n/8)
-	}
-	return sc.sigs[:n]
-}
-
-// derive is the one routine that turns keys into the dictionary-encoded
-// (ref, gram) relation: it decomposes key(ref) for ref 0..n-1 in order,
-// interns every gram into a fresh dictionary — ids in first-seen order,
-// exactly as n dense Inserts assign them — and lays each ref's ids out
-// sorted in sc, back to back. The signatures are therefore the ones
-// Export would read off that index's postings, and the sizes its sizes.
-// The flat array is sized up front: a key of L runes has at most
-// L+q−1 distinct grams, and its byte length bounds L, so the appends
-// below never regrow it (growth by a quarter would allocate some five
-// times the array).
-func (sc *ExportScratch) derive(ex *qgram.Extractor, n int, key func(ref int) string) (*qgram.Dict, []uint32, [][]uint32) {
-	dict := qgram.NewDict()
+// BuildQGramIndex builds at once the index that n dense Inserts of
+// key(0..n-1) would have grown — the same dictionary ids, postings,
+// sizes and counters — and is the catch-up of §2.3 for an index that
+// was never maintained. It decomposes key(ref) for ref 0..n-1 in order,
+// interning every gram into a fresh dictionary (ids in first-seen
+// order, exactly as the Inserts assign them), lays each ref's ids out
+// sorted, back to back, and transposes these signatures into one flat
+// postings array, with no per-list append growth. The signature array
+// is sized up front: a key of L runes has at most L+q−1 distinct grams,
+// and its byte length bounds L, so the appends below never regrow it
+// (growth by a quarter would allocate some five times the array).
+func BuildQGramIndex(ex *qgram.Extractor, n int, key func(ref int) string) *QGramIndex {
+	x := &QGramIndex{ex: ex, dict: qgram.NewDict(), sizes: make([]uint32, n), indexed: n}
 	bound := 0
 	for ref := range n {
 		if k := key(ref); k != "" {
 			bound += len(k) + ex.Q() - 1
 		}
 	}
-	if cap(sc.flat) < bound {
-		sc.flat = make([]uint32, 0, bound)
-	}
-	if cap(sc.sizes) < n {
-		sc.sizes = make([]uint32, 0, n)
-	}
-	flat, sizes := sc.flat[:0], sc.sizes[:0]
+	var dec qgram.Scratch
+	flat := make([]uint32, 0, bound)
 	for ref := range n {
-		sc.dec.Reset()
+		dec.Reset()
 		start := len(flat)
-		flat = dict.Intern(flat, ex.Decompose(&sc.dec, key(ref)))
+		flat = x.dict.Intern(flat, ex.Decompose(&dec, key(ref)))
 		slices.Sort(flat[start:])
-		sizes = append(sizes, uint32(len(flat)-start))
+		x.sizes[ref] = uint32(len(flat) - start)
 	}
-	sc.flat, sc.sizes = flat, sizes
-	sigs := sc.refSlots(n)
+	sigs := make([][]uint32, n)
 	at := 0
-	for ref, size := range sizes {
+	for ref, size := range x.sizes {
 		end := at + int(size)
 		sigs[ref] = flat[at:end:end]
 		at = end
 	}
-	return dict, sizes, sigs
-}
-
-// BuildQGramIndex builds at once the index that n dense Inserts of
-// key(0..n-1) would have grown — the same dictionary ids, postings,
-// sizes and counters: derive the signatures, then transpose them into
-// one flat postings array, with no per-list append growth. This is the
-// catch-up of §2.3 for an index that was never maintained; sc is
-// scratch, nothing of it is kept.
-func BuildQGramIndex(ex *qgram.Extractor, n int, key func(ref int) string, sc *ExportScratch) *QGramIndex {
-	dict, sizes, sigs := sc.derive(ex, n, key)
-	x := &QGramIndex{ex: ex, dict: dict, sizes: slices.Clone(sizes), indexed: n}
 	x.transpose(sigs)
 	return x
 }
 
-// DeriveExport returns what BuildQGramIndex(ex, n, key, ·).ExportCompacted()
-// would, without building the postings: how an index never built is
-// serialized. The export is valid until sc's next use.
-func DeriveExport(ex *qgram.Extractor, n int, key func(ref int) string, sc *ExportScratch) QGramExport {
-	dict, sizes, sigs := sc.derive(ex, n, key)
-	return QGramExport{Grams: dict.Grams(), Sizes: sizes, Sigs: sigs}
-}
-
-// CheckSection validates a stored q-gram section — the dictionary, the
-// per-ref sizes and the n signatures sig(0..n-1) — against every
-// invariant an index built from it would rely on, and keeps nothing:
-// the dictionary must be duplicate-free, the per-ref tables must agree
+// CheckSection validates a q-gram section as snapshot versions 3 and 4
+// stored it — the dictionary, the per-ref sizes and the n signatures
+// sig(0..n-1) — against every invariant an index built from it would
+// rely on, and keeps nothing: the dictionary must be duplicate-free,
+// the per-ref tables must agree
 // on n, and every signature must be nil below sigFloor and, at or above
 // it, as long as the ref's size says and strictly ascending within the
 // dictionary. sig may return a view into one buffer it reuses, so a

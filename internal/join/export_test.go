@@ -4,3 +4,8 @@ package join
 // approximate probe into it does, for tests outside the package that
 // need single shards built at chosen points.
 func (s *ShardedRefIndex) BuildShard(sh int) { s.built(sh) }
+
+// Resolve returns v. A view is plain data — it holds no shard generation
+// to derive a section from — so it is already resolved; the codec
+// differentials state both forms of the digest they compare.
+func (v *SnapshotView) Resolve() *SnapshotView { return v }

@@ -129,8 +129,13 @@ func TestLazyBuildRacesUpserts(t *testing.T) {
 	}
 	lazyView, _ := s.ExportSnapshot()
 	eagerView, _ := eager.ExportSnapshot()
-	if !reflect.DeepEqual(lazyView.Resolve(), eagerView.Resolve()) {
+	if !reflect.DeepEqual(lazyView, eagerView) {
 		t.Fatal("lazily built index exports differently from the eagerly maintained one")
+	}
+	for sh := range shards {
+		if !reflect.DeepEqual(s.built(sh).qgIdx.ExportCompacted(), eager.built(sh).qgIdx.ExportCompacted()) {
+			t.Fatalf("shard %d: lazily built q-gram index differs from the eagerly maintained one", sh)
+		}
 	}
 	if a, b := fmt.Sprint(s.Entries()), fmt.Sprint(eager.Entries()); a != b {
 		t.Fatalf("Entries %s, eagerly maintained %s", a, b)

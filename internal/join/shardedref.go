@@ -114,18 +114,14 @@ type shardScratch struct {
 }
 
 // shardSnap is one shard's immutable snapshot. No field is mutated
-// after publication — Upsert and the q-gram build clone and republish
-// instead — except the memo of its encoded section's checksum, which
-// is a pure function of the immutable fields.
+// after publication: Upsert and the q-gram build clone and republish
+// instead.
 type shardSnap struct {
 	tuples  cow.Vec[relation.Tuple]
 	globals []int // local ref -> global ref (monotonically increasing)
 	exIdx   *hashidx.ExactIndex
 	// qgIdx is nil until the shard's first approximate probe builds it.
 	qgIdx *hashidx.QGramIndex
-	// sectionCRC memoises the checksum of the shard's encoded snapshot
-	// section (see ShardExport.SectionCRC): bit 32 set means valid.
-	sectionCRC atomic.Uint64
 }
 
 func newShardSnap() *shardSnap {
@@ -242,7 +238,7 @@ func (s *ShardedRefIndex) built(sh int) *shardSnap {
 		return from
 	}
 	t0 := time.Now()
-	qg := hashidx.BuildQGramIndex(s.ex, from.tuples.Len(), from.key, new(hashidx.ExportScratch))
+	qg := hashidx.BuildQGramIndex(s.ex, from.tuples.Len(), from.key)
 	s.mu.Lock()
 	cur := s.shards[sh].Load()
 	for lref := qg.Indexed(); lref < cur.tuples.Len(); lref++ {
@@ -250,8 +246,6 @@ func (s *ShardedRefIndex) built(sh int) *shardSnap {
 	}
 	next := cur.clone()
 	next.qgIdx = qg
-	// The build changes no byte of the shard's snapshot section.
-	next.sectionCRC.Store(cur.sectionCRC.Load())
 	s.shards[sh].Store(next)
 	s.mu.Unlock()
 	s.maint.qgramBuilds.Add(1)

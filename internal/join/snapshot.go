@@ -5,29 +5,22 @@ import (
 	"math"
 
 	"adaptivelink/internal/hashidx"
-	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
 )
 
 // SnapshotView is the serializable state of a ShardedRefIndex: the
 // global tuple store in ref order plus, per shard, the shard's member
-// refs and its dictionary-encoded q-gram index. Everything else a
-// running index carries — the exact hash tables, and the q-gram
-// structures of the shards that probes have built — is derived from
-// the store and the member refs, so a snapshot load is linear passes
-// with no gram hashed and no key decomposed: the q-gram sections are
-// validated and left behind, and each shard is built from its keys when
-// its first approximate probe needs it.
+// refs. Everything else a running index carries — the exact hash
+// tables, and the q-gram structures of the shards that probes have built
+// — is derived from the store and the member refs, so a snapshot load is
+// linear passes with no gram hashed and no key decomposed, and each
+// shard is built from its keys when its first approximate probe needs
+// it (§2.3's lazy maintenance: the q-gram index is derived data).
 //
-// A view exported from a live index holds that index's immutable RCU
-// snapshots; treat it as read-only. Its shard sections are pending: a
-// live index keeps no signatures, so they are derived when an encoder
-// reaches the section (QGramSection) or all at once (Resolve) — from a
-// built shard's postings, or from an unbuilt shard's keys, to the same
-// bytes. A view decoded from disk is plain data owned by the decoder's
-// caller, carrying the store and the member refs; its sections are
-// derived from its keys the same way.
+// A view is plain data. One exported from a live index shares the
+// index's immutable tuple payloads; treat it as read-only. One decoded
+// from disk is owned by the decoder's caller.
 type SnapshotView struct {
 	// Cfg is the matching configuration the index was built under.
 	Cfg Config
@@ -49,80 +42,14 @@ type ShardExport struct {
 	// Globals maps the shard's local refs (ascending, dense) to global
 	// refs, strictly ascending by construction of the upsert path.
 	Globals []uint32
-	// QGrams is the shard's dictionary-encoded inverted index when the
-	// view carries it as data (Resolve). It is zero while the section is
-	// pending: derived from gen's postings if that generation is built,
-	// else from the shard's keys.
-	QGrams hashidx.QGramExport
-	gen    *shardSnap
-}
-
-// QGramSection returns shard i's q-gram export: its QGrams, or for a
-// pending section the export derived here into sc, valid until sc's
-// next use. A built shard's section is read off its postings; an
-// unbuilt shard's, or a decoded view's, is derived from the keys in
-// local-ref order by the routine that builds a shard
-// (hashidx.DeriveExport), which yields the same bytes.
-func (v *SnapshotView) QGramSection(i int, sc *hashidx.ExportScratch) hashidx.QGramExport {
-	se := &v.Shards[i]
-	if se.QGrams.Grams != nil {
-		return se.QGrams
-	}
-	if se.gen != nil && se.gen.qgIdx != nil {
-		// Compacted: a snapshot boundary is the one representation-change-
-		// safe point, so dictionary entries left dangling by eviction are
-		// dropped here instead of accreting in every checkpoint forever.
-		return se.gen.qgIdx.ExportCompactedInto(sc)
-	}
-	key := func(lref int) string { return v.Tuples[se.Globals[lref]].Key }
-	return hashidx.DeriveExport(qgram.New(v.Cfg.Q), len(se.Globals), key, sc)
-}
-
-// FromKeys reports whether the shard's section is pending and will be
-// derived from its keys — the costly case, a decomposition of every key
-// of the shard — rather than read off a built shard's postings or the
-// view's own arrays.
-func (se *ShardExport) FromKeys() bool {
-	return se.QGrams.Grams == nil && (se.gen == nil || se.gen.qgIdx == nil)
-}
-
-// SectionCRC returns the memoised checksum of the shard's encoded
-// section, if one was recorded for the generation the section comes
-// from. A generation is immutable, so its section — and the checksum —
-// never changes: an unchanged shard is fingerprinted once.
-func (se *ShardExport) SectionCRC() (uint32, bool) {
-	if se.gen == nil {
-		return 0, false
-	}
-	m := se.gen.sectionCRC.Load()
-	return uint32(m), m&(1<<32) != 0
-}
-
-// RecordSectionCRC memoises crc, the checksum of the shard's encoded
-// section, on its generation; a no-op for a section not taken from a
-// live index.
-func (se *ShardExport) RecordSectionCRC(crc uint32) {
-	if se.gen != nil {
-		se.gen.sectionCRC.Store(1<<32 | uint64(crc))
-	}
-}
-
-// Resolve derives every pending shard section into the view's own
-// arrays and returns the view, now plain data.
-func (v *SnapshotView) Resolve() *SnapshotView {
-	for i := range v.Shards {
-		v.Shards[i].QGrams = v.QGramSection(i, new(hashidx.ExportScratch))
-		v.Shards[i].gen = nil
-	}
-	return v
 }
 
 // ExportSnapshot returns a consistent view of the whole index: the
 // shard snapshots are loaded under the writer lock, so no upsert can
 // publish between two loads, and for those loads only — RCU snapshots
-// are never mutated, only superseded, so the store is gathered and the
-// shard sections derived from them afterwards, whatever is upserted
-// meanwhile. Probes are not disturbed.
+// are never mutated, only superseded, so the store and the member refs
+// are gathered from them afterwards, whatever is upserted meanwhile.
+// Probes are not disturbed, and no key is decomposed.
 func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 	snaps := make([]*shardSnap, s.nshard)
 	s.mu.Lock()
@@ -146,7 +73,7 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 			globals[lref] = uint32(g)
 			v.Tuples[g] = sn.tuples.At(lref)
 		}
-		v.Shards[i] = ShardExport{Globals: globals, gen: sn}
+		v.Shards[i] = ShardExport{Globals: globals}
 	}
 	return v, nil
 }
@@ -160,8 +87,7 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // stores are resolved by indexing the global store with each shard's
 // Globals and the exact hash tables rebuilt with one map insertion per
 // key — no gram is hashed, no key is decomposed. Every shard comes up
-// unbuilt; a q-gram section the view carries as data is validated
-// (hashidx.CheckSection) and left behind.
+// unbuilt.
 // Every cross-structure invariant is validated on the way (refs in
 // range, Globals strictly ascending, every key in its home shard and no
 // other, one store record per key — a duplicate is a second hit in its
@@ -185,11 +111,6 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 	n := len(v.Tuples)
 	members := 0
 	for i, se := range v.Shards {
-		if qg := se.QGrams; qg.Grams != nil {
-			if err := CheckShardSection(len(se.Globals), qg.Grams, qg.Sizes, qg.SigFloor, len(qg.Sigs), func(ref int) []uint32 { return qg.Sigs[ref] }); err != nil {
-				return nil, fmt.Errorf("join: snapshot shard %d: %w", i, err)
-			}
-		}
 		sn := newShardSnap()
 		sn.globals = make([]int, len(se.Globals))
 		prev := -1
@@ -221,10 +142,11 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 	return s, nil
 }
 
-// CheckShardSection validates a stored q-gram section of a shard with
-// the given member count: hashidx.CheckSection's invariants, and one
-// size per member. Snapshot decoders call it on the image in place;
-// nothing of the section is kept.
+// CheckShardSection validates the q-gram section a version 3 or 4
+// snapshot stored for a shard with the given member count:
+// hashidx.CheckSection's invariants, and one size per member. The
+// decoder calls it on the image in place; nothing of the section is
+// kept.
 func CheckShardSection(members int, grams []string, sizes []uint32, sigFloor, nsigs int, sig func(ref int) []uint32) error {
 	if err := hashidx.CheckSection(grams, sizes, sigFloor, nsigs, sig); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
 )
 
@@ -92,11 +93,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotImportValidation pins the corruption guards: structurally
-// inconsistent views are rejected with errors, never imported. The
-// corruptions are applied to a resolved view: the plain-data form a
-// decoder hands over, which is how corruption arrives.
+// inconsistent views are rejected with errors, never imported. A view
+// carries no q-gram data; the q-gram section a version 3 or 4 image
+// stored is validated where the decoder finds it (CheckShardSection),
+// so the q-gram cases corrupt such a section — the one a built shard
+// exports — and hand it to that check.
 func TestSnapshotImportValidation(t *testing.T) {
-	build := func() *SnapshotView {
+	build := func() (*SnapshotView, *ShardedRefIndex) {
 		rng := rand.New(rand.NewSource(9))
 		ix, err := BuildShardedRefIndex(Defaults(), 2, bulkTuples(rng, 20))
 		if err != nil {
@@ -106,79 +109,86 @@ func TestSnapshotImportValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v.Resolve()
+		return v, ix
+	}
+	checkSection := func(ix *ShardedRefIndex, corrupt func(qg *hashidx.QGramExport)) error {
+		sn := ix.built(0)
+		qg := sn.qgIdx.Export()
+		corrupt(&qg)
+		return CheckShardSection(len(sn.globals), qg.Grams, qg.Sizes, qg.SigFloor, len(qg.Sigs), func(ref int) []uint32 { return qg.Sigs[ref] })
 	}
 	const dupKey = "duplicate store key"
 	cases := []struct {
 		name    string
 		corrupt func(v *SnapshotView)
+		section func(qg *hashidx.QGramExport)
 	}{
-		{"shard count mismatch", func(v *SnapshotView) { v.Shards = v.Shards[:1] }},
-		{"bad config", func(v *SnapshotView) { v.Cfg.Q = 0 }},
+		{name: "shard count mismatch", corrupt: func(v *SnapshotView) { v.Shards = v.Shards[:1] }},
+		{name: "bad config", corrupt: func(v *SnapshotView) { v.Cfg.Q = 0 }},
 		// Two refs of one shard under one key: the second one is a second
 		// hit in that shard's exact index. Across shards, the copy sits
 		// outside its key's home.
-		{dupKey, func(v *SnapshotView) {
+		{name: dupKey, corrupt: func(v *SnapshotView) {
 			g := v.Shards[0].Globals
 			v.Tuples[g[1]].Key = v.Tuples[g[0]].Key
 		}},
-		{"duplicate store key across shards", func(v *SnapshotView) {
+		{name: "duplicate store key across shards", corrupt: func(v *SnapshotView) {
 			v.Tuples[v.Shards[1].Globals[0]].Key = v.Tuples[v.Shards[0].Globals[0]].Key
 		}},
-		{"global ref out of range", func(v *SnapshotView) { v.Shards[0].Globals[0] = uint32(len(v.Tuples)) }},
-		{"globals not ascending", func(v *SnapshotView) {
+		{name: "global ref out of range", corrupt: func(v *SnapshotView) { v.Shards[0].Globals[0] = uint32(len(v.Tuples)) }},
+		{name: "globals not ascending", corrupt: func(v *SnapshotView) {
 			g := v.Shards[0].Globals
 			g[0], g[len(g)-1] = g[len(g)-1], g[0]
 		}},
-		{"key outside its home shard", func(v *SnapshotView) { v.Shards[0], v.Shards[1] = v.Shards[1], v.Shards[0] }},
-		{"shards do not cover the store", func(v *SnapshotView) {
+		{name: "key outside its home shard", corrupt: func(v *SnapshotView) { v.Shards[0], v.Shards[1] = v.Shards[1], v.Shards[0] }},
+		{name: "shards do not cover the store", corrupt: func(v *SnapshotView) {
 			v.Tuples = append(v.Tuples, relation.Tuple{ID: 777, Key: "in the store, in no shard"})
 		}},
 		// Postings are derived from the signatures, so the only way an
 		// image can ask for a posting the shard cannot resolve is a
 		// signature past the shard's member list.
-		{"posting ref out of range", func(v *SnapshotView) {
-			qg := &v.Shards[0].QGrams
+		{name: "posting ref out of range", section: func(qg *hashidx.QGramExport) {
 			qg.Sigs = append(qg.Sigs[:len(qg.Sigs):len(qg.Sigs)], qg.Sigs[0])
 			qg.Sizes = append(qg.Sizes[:len(qg.Sizes):len(qg.Sizes)], qg.Sizes[0])
 		}},
-		{"signature not ascending", func(v *SnapshotView) {
-			for si := range v.Shards {
-				for ri, sig := range v.Shards[si].QGrams.Sigs {
-					if len(sig) > 1 {
-						sig = append([]uint32(nil), sig...)
-						sig[1] = sig[0]
-						v.Shards[si].QGrams.Sigs[ri] = sig
-						return
-					}
+		{name: "signature not ascending", section: func(qg *hashidx.QGramExport) {
+			for ri, sig := range qg.Sigs {
+				if len(sig) > 1 {
+					sig = append([]uint32(nil), sig...)
+					sig[1] = sig[0]
+					qg.Sigs[ri] = sig
+					return
 				}
 			}
 		}},
-		{"duplicate dictionary gram", func(v *SnapshotView) {
-			g := v.Shards[0].QGrams.Grams
-			if len(g) >= 2 {
-				g[1] = g[0]
+		{name: "duplicate dictionary gram", section: func(qg *hashidx.QGramExport) {
+			if len(qg.Grams) >= 2 {
+				qg.Grams[1] = qg.Grams[0]
 			}
 		}},
-		{"signature count mismatch", func(v *SnapshotView) {
-			v.Shards[0].QGrams.Sigs = v.Shards[0].QGrams.Sigs[:len(v.Shards[0].QGrams.Sigs)-1]
+		{name: "signature count mismatch", section: func(qg *hashidx.QGramExport) {
+			qg.Sigs = qg.Sigs[:len(qg.Sigs)-1]
 		}},
-		{"signature gram id out of range", func(v *SnapshotView) {
-			for si := range v.Shards {
-				for ri, sig := range v.Shards[si].QGrams.Sigs {
-					if len(sig) > 0 {
-						sig = append([]uint32(nil), sig...)
-						sig[0] = uint32(len(v.Shards[si].QGrams.Grams))
-						v.Shards[si].QGrams.Sigs[ri] = sig
-						return
-					}
+		{name: "signature gram id out of range", section: func(qg *hashidx.QGramExport) {
+			for ri, sig := range qg.Sigs {
+				if len(sig) > 0 {
+					sig = append([]uint32(nil), sig...)
+					sig[0] = uint32(len(qg.Grams))
+					qg.Sigs[ri] = sig
+					return
 				}
 			}
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v := build()
+			v, ix := build()
+			if c.section != nil {
+				if err := checkSection(ix, c.section); err == nil {
+					t.Fatal("corrupted q-gram section passed the check")
+				}
+				return
+			}
 			c.corrupt(v)
 			_, err := NewShardedRefIndexFromSnapshot(v)
 			if err == nil {
@@ -190,10 +200,14 @@ func TestSnapshotImportValidation(t *testing.T) {
 			}
 		})
 	}
-	// The pristine view must still import (the corruptions above are
-	// what flipped each case to failure).
-	if _, err := NewShardedRefIndexFromSnapshot(build()); err != nil {
+	// The pristine view must still import, and the pristine section pass
+	// (the corruptions above are what flipped each case to failure).
+	v, ix := build()
+	if _, err := NewShardedRefIndexFromSnapshot(v); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	if err := checkSection(ix, func(*hashidx.QGramExport) {}); err != nil {
+		t.Fatalf("pristine q-gram section rejected: %v", err)
 	}
 }
 

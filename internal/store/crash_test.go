@@ -6,14 +6,12 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/vfs"
 )
@@ -325,12 +323,14 @@ func TestDigestStability(t *testing.T) {
 	}
 
 	// One content, one digest, however the index came to be: bulk-built,
-	// grown by upserts, or loaded from a version-3 or a current image.
-	// The words are pinned: the digest covers the encoded shard sections,
-	// so a format change moves it, and replicas on either side of such a
-	// change disagree until both have upgraded (README, "Upgrading from
-	// snapshot format 3") — moving these words is that decision.
-	const wantCombined, wantStore = "3fdd3b61", "a9680d93"
+	// grown by upserts, or loaded from a version-3, a version-4 or a
+	// current image. The words are pinned: the digest covers the encoded
+	// shard sections, so a format change moves it, and replicas on either
+	// side of such a change disagree until both have upgraded (README,
+	// "Upgrading from snapshot format 4") — moving these words is that
+	// decision. Version 5 dropped the q-gram sections and kept the tuple
+	// store as it was, so only the combined word moved.
+	const wantCombined, wantStore = "47fa79c3", "a9680d93"
 	tuples := v2FixtureTuples()
 	bulk, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
 	if err != nil {
@@ -343,28 +343,34 @@ func TestDigestStability(t *testing.T) {
 	for lo := 0; lo < len(tuples); lo += 5 {
 		grown.Upsert(tuples[lo:min(lo+5, len(tuples))])
 	}
-	fromV3, err := ReadSnapshotFile(v3Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3Loaded, err := join.NewShardedRefIndexFromSnapshot(fromV3)
-	if err != nil {
-		t.Fatal(err)
+	loadFixture := func(path string) *join.ShardedRefIndex {
+		v, err := ReadSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := join.NewShardedRefIndexFromSnapshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
 	bulkView, _ := bulk.ExportSnapshot()
 	buf.Reset()
 	if err := WriteSnapshot(&buf, bulkView); err != nil {
 		t.Fatal(err)
 	}
-	fromV4, err := DecodeSnapshot([]byte(buf.String()))
+	fromV5, err := DecodeSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4Loaded, err := join.NewShardedRefIndexFromSnapshot(fromV4)
+	v5Loaded, err := join.NewShardedRefIndexFromSnapshot(fromV5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ix := range map[string]*join.ShardedRefIndex{"bulk-built": bulk, "upsert-built": grown, "v3-loaded": v3Loaded, "v4-loaded": v4Loaded} {
+	for name, ix := range map[string]*join.ShardedRefIndex{
+		"bulk-built": bulk, "upsert-built": grown,
+		"v3-loaded": loadFixture(v3Fixture), "v4-loaded": loadFixture(v4Fixture), "v5-loaded": v5Loaded,
+	} {
 		v, err := ix.ExportSnapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -372,69 +378,5 @@ func TestDigestStability(t *testing.T) {
 		if d := DigestView(v); d.Combined != wantCombined || d.Store != wantStore {
 			t.Errorf("%s index: digest %s (store %s), want %s (store %s)", name, d.Combined, d.Store, wantCombined, wantStore)
 		}
-	}
-}
-
-// TestDigestMemoisesSectionCRCs pins the section-checksum memo: a
-// digest records each shard's CRC on the generation it read, a later
-// export of an untouched shard finds it (so its section is not derived
-// again), an upsert drops it for the touched shard only and the q-gram
-// build carries it over, and the memoised digest always equals one
-// recomputed from a resolved view, which carries no memo.
-func TestDigestMemoisesSectionCRCs(t *testing.T) {
-	ix := buildIndex(t, 4, 80)
-	memoised := func() []bool {
-		v, err := ix.ExportSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []bool
-		for i := range v.Shards {
-			_, ok := v.Shards[i].SectionCRC()
-			out = append(out, ok)
-		}
-		return out
-	}
-	digest := func() ContentDigest {
-		v, err := ix.ExportSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := DigestView(v)
-		v, _ = ix.ExportSnapshot()
-		if fresh := DigestView(v.Resolve()); !reflect.DeepEqual(d, fresh) {
-			t.Fatalf("memoised digest %+v, recomputed %+v", d, fresh)
-		}
-		return d
-	}
-	if m := memoised(); !reflect.DeepEqual(m, []bool{false, false, false, false}) {
-		t.Fatalf("memo before any digest: %v", m)
-	}
-	d1 := digest()
-	if m := memoised(); !reflect.DeepEqual(m, []bool{true, true, true, true}) {
-		t.Fatalf("memo after a digest: %v", m)
-	}
-
-	key := "maria chen 777"
-	touched := shardmap.ShardOf(key, 4)
-	ix.Upsert([]relation.Tuple{{ID: 7000, Key: key}})
-	for i, ok := range memoised() {
-		if ok == (i == touched) {
-			t.Fatalf("after an upsert into shard %d, shard %d memoised: %v", touched, i, ok)
-		}
-	}
-	d2 := digest()
-	for i := range d2.Shards {
-		if (d2.Shards[i] != d1.Shards[i]) != (i == touched) {
-			t.Fatalf("after an upsert into shard %d, shard %d CRC %s -> %s", touched, i, d1.Shards[i], d2.Shards[i])
-		}
-	}
-
-	ix.ProbeApprox(key) // builds every shard: no section byte changes
-	if m := memoised(); !reflect.DeepEqual(m, []bool{true, true, true, true}) {
-		t.Fatalf("memo after the q-gram builds: %v", m)
-	}
-	if d3 := digest(); !reflect.DeepEqual(d3, d2) {
-		t.Fatalf("digest moved under the q-gram builds: %+v -> %+v", d2, d3)
 	}
 }

@@ -6,18 +6,17 @@ import (
 	"hash/crc32"
 	"io"
 
-	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 )
 
 // ContentDigest is a cheap fingerprint of an index's logical content:
 // CRC-32C over the canonical snapshot encoding of the global tuple
-// store, plus one CRC per shard section. It is computed from the same
-// export a checkpoint writes, without touching disk, so two replicas
-// that applied the same upsert stream report the same digest — whether
-// or not either has built its q-gram structures — and anti-entropy can
-// compare replicas by exchanging a few dozen bytes instead of
-// snapshots.
+// store, plus one CRC per shard section (the shard's member refs). It
+// is computed from the same export a checkpoint writes, without
+// touching disk, so two replicas that applied the same upsert stream
+// report the same digest — whether or not either has built its q-gram
+// structures — and anti-entropy can compare replicas by exchanging a
+// few dozen bytes instead of snapshots.
 //
 // The digest deliberately excludes the snapshot header (version, config
 // words): configuration compatibility is Meta.Check's job; the digest
@@ -34,39 +33,24 @@ type ContentDigest struct {
 	Tuples int `json:"tuples"`
 }
 
-// DigestView fingerprints a snapshot view. The encoding work streams
-// through the CRC without materializing the snapshot bytes. A shard
-// section's CRC is memoised on the index generation it was exported
-// from, so a shard no upsert has touched since the last digest costs
-// nothing: an idle index re-encodes only its tuple store.
+// DigestView fingerprints a snapshot view: the bytes a snapshot of it
+// would hold, streamed through the CRC without being materialized.
 func DigestView(v *join.SnapshotView) ContentDigest {
 	e := newWriter(io.Discard)
 	defer e.release()
 	encodeTupleSection(e, v)
 	storeCRC := e.sum()
 
-	shardCRCs := make([]uint32, len(v.Shards))
-	stale := func(i int) bool {
-		c, ok := v.Shards[i].SectionCRC()
-		shardCRCs[i] = c
-		return !ok
-	}
-	forSections(v, stale, func(i int, qg hashidx.QGramExport) {
-		e.crc.Reset()
-		encodeShardSection(e, v.Shards[i].Globals, qg)
-		shardCRCs[i] = e.sum()
-		v.Shards[i].RecordSectionCRC(shardCRCs[i])
-	})
-	shards := make([]string, len(v.Shards))
-	for i, c := range shardCRCs {
-		shards[i] = fmt.Sprintf("%08x", c)
-	}
-
 	comb := crc32.New(castagnoli)
 	var word [4]byte
 	binary.LittleEndian.PutUint32(word[:], storeCRC)
 	comb.Write(word[:])
-	for _, c := range shardCRCs {
+	shards := make([]string, len(v.Shards))
+	for i, se := range v.Shards {
+		e.crc.Reset()
+		e.u32slice(se.Globals)
+		c := e.sum()
+		shards[i] = fmt.Sprintf("%08x", c)
 		binary.LittleEndian.PutUint32(word[:], c)
 		comb.Write(word[:])
 	}

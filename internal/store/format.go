@@ -3,18 +3,19 @@
 // ShardedRefIndex state, an upsert write-ahead log replayed on boot,
 // and the directory layout that ties the two together (see Dir).
 //
-// # Snapshot format (version 4)
+// # Snapshot format (version 5)
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
-// plus, per shard, the shard's member refs and its dictionary-encoded
-// q-gram index: dense gram ids and sorted signatures. Loading is one
-// read of the file, a validation of every q-gram section where it lies,
-// and slice reconstruction of the tuple store and member refs over
-// fixed-width offset tables; no gram is hashed, no key decomposed, and
-// no q-gram section kept.
+// plus, per shard, the shard's member refs — and nothing a load can
+// derive. The q-gram index is derived data: the paper's §2.3 builds it
+// lazily, and so does the resident index, from a shard's keys on its
+// first approximate probe. Loading is one read of the file and slice
+// reconstruction of the tuple store and member refs over fixed-width
+// offset tables; writing and digesting are one walk over the store. No
+// gram is hashed and no key decomposed on either side.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
-//	header  version u32 = 4
+//	header  version u32 = 5
 //	        q u32, measure u32, shards u32     the compatibility triple
 //	        theta f64 (IEEE bits)
 //	        tuples u32                         global store size n
@@ -24,10 +25,6 @@
 //	        attrs    ragged string blob        per-tuple attr lists
 //	shards  (repeated `shards` times)
 //	        globals  u32 count + count × u32   local ref → global ref
-//	        grams    string blob               dictionary in id order
-//	        sizes    u32 count + count × u32   |q(key)| per ref
-//	        sigs     ragged u32                sorted gram ids per ref
-//	        sigfloor u32
 //	footer  crc u32                            CRC-32C of all prior bytes
 //
 // A "string blob" is count u32, (count+1) × u32 ascending offsets, and
@@ -43,29 +40,25 @@
 // with descriptive errors — the loader never panics on hostile bytes
 // (FuzzSnapshotDecode) and never yields a partial index.
 //
-// The signatures are the one stored copy of the (ref, gram) relation —
-// the n·(|jA|+q−1) entries of the paper's space analysis (§2.3) — and
-// the postings table gram id → refs, their exact transpose, the one
-// resident copy — held only by shards an approximate probe has built
-// (the resident index maintains its q-gram structures lazily, §2.3).
-// On load, the decoder checks a section's invariants in place
-// (join.CheckShardSection: a duplicate-free dictionary, one size per
-// member, signatures strictly ascending within the dictionary and as
-// long as their sizes) and keeps none of it: a shard rebuilds its
-// postings from its keys on its first approximate probe. On save, a
-// built shard's signatures are read off its postings and an unbuilt
-// shard's derived from its keys in local-ref order
-// (hashidx.DeriveExport, the routine a build runs) — to the same bytes,
-// since the dictionary ids are interned in the same first-seen order.
-// Derivation decomposes every key of the shard, so WriteSnapshot and
-// DigestView derive the pending sections in parallel across shards, each
-// into pooled scratch, and a digest memoises each shard's section CRC
-// on the index generation it read.
+// Versions 3 and 4 still load. Version 4 stored, after each shard's
+// globals, the shard's dictionary-encoded q-gram index — the
+// n·(|jA|+q−1) (ref, gram) entries of the paper's space analysis,
+// nearly two thirds of the file:
 //
-// Version 3 is version 4 plus a `postings` section (ragged i32, gram id
-// → ascending refs) between grams and sizes. v3 snapshots still load:
-// the section's count and length are bounds-checked, the file checksum
-// covers it, and it is skipped, whatever it says.
+//	grams    string blob               dictionary in id order
+//	sizes    u32 count + count × u32   |q(key)| per ref
+//	sigs     ragged u32                sorted gram ids per ref
+//	sigfloor u32
+//
+// and version 3 also a `postings` section (ragged i32, gram id →
+// ascending refs) between grams and sizes. The decoder checks these
+// sections where they lie and keeps none of them: the postings' count
+// and length are bounds-checked and skipped, whatever they say, and the
+// rest must hold join.CheckShardSection's invariants (a duplicate-free
+// dictionary, one size per member, signatures strictly ascending within
+// the dictionary and as long as their sizes), so a corrupt v3/v4 image
+// is rejected as it always was, and a sound one loads to the index a
+// version-5 image of the same content loads to.
 //
 // Versions 1 and 2 have the sections of version 3 under a different
 // shard layout: they replicated a tuple into every shard of its
@@ -81,7 +74,7 @@
 // snapshots predate normalization profiles, so their keys were indexed
 // verbatim and "" is exactly what built them.
 //
-// Whatever version was read, the next checkpoint writes version 4.
+// Whatever version was read, the next checkpoint writes version 5.
 package store
 
 import (
@@ -95,11 +88,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"slices"
 	"sync"
 
-	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
@@ -110,7 +100,7 @@ import (
 // accept versions 1..SnapshotVersion and reject anything else with a
 // descriptive error; the format owns its compatibility story explicitly
 // rather than by accident.
-const SnapshotVersion = 4
+const SnapshotVersion = 5
 
 var snapMagic = [8]byte{'A', 'L', 'S', 'N', 'A', 'P', 0x01, '\n'}
 
@@ -133,16 +123,10 @@ type writer struct {
 }
 
 // writers recycles the stage across checkpoints, export streams and
-// digests, sectionScratch the arrays pending shard sections are derived
-// into: beyond the view, an encode holds a section's worth per shard
-// being derived, and allocates none of it when it follows another
-// closely (the pools empty under garbage collection).
-var (
-	writers = sync.Pool{New: func() any {
-		return &writer{crc: crc32.New(castagnoli), stage: make([]byte, 0, 32<<10)}
-	}}
-	sectionScratch = sync.Pool{New: func() any { return new(hashidx.ExportScratch) }}
-)
+// digests.
+var writers = sync.Pool{New: func() any {
+	return &writer{crc: crc32.New(castagnoli), stage: make([]byte, 0, 32<<10)}
+}}
 
 // newWriter checks a writer out of the pool; release returns it.
 func newWriter(w io.Writer) *writer {
@@ -228,20 +212,6 @@ func (e *writer) u32slice(vs []uint32) {
 	e.words(vs)
 }
 
-// raggedU32 writes count, offsets and the flattened words of lists.
-func (e *writer) raggedU32(lists [][]uint32) {
-	e.u32(uint32(len(lists)))
-	total := 0
-	for _, l := range lists {
-		e.u32(uint32(total))
-		total += len(l)
-	}
-	e.u32(uint32(total))
-	for _, l := range lists {
-		e.words(l)
-	}
-}
-
 // WriteSnapshot encodes the view onto w in the current snapshot format,
 // including the trailing CRC.
 func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
@@ -268,9 +238,9 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	e.str(v.Cfg.Profile)
 
 	encodeTupleSection(e, v)
-	forSections(v, func(int) bool { return true }, func(i int, qg hashidx.QGramExport) {
-		encodeShardSection(e, v.Shards[i].Globals, qg)
-	})
+	for _, se := range v.Shards {
+		e.u32slice(se.Globals)
+	}
 	e.u32(e.sum())
 	e.flush()
 	if e.err != nil {
@@ -310,68 +280,6 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 			}
 		}
 	})
-}
-
-// forSections hands fn the q-gram section of every shard the want
-// predicate selects, in shard order. A section read off a built
-// shard's postings is cheap and is taken inline, into one pooled
-// scratch. A section derived from keys decomposes every key of its
-// shard, so those are derived ahead of fn, in parallel across shards
-// with at most GOMAXPROCS in flight, each into its own pooled scratch:
-// the shards are independent, as in a bulk build.
-func forSections(v *join.SnapshotView, want func(i int) bool, fn func(i int, qg hashidx.QGramExport)) {
-	var todo, fromKeys []int
-	for i := range v.Shards {
-		if want(i) {
-			todo = append(todo, i)
-			if v.Shards[i].FromKeys() {
-				fromKeys = append(fromKeys, i)
-			}
-		}
-	}
-	type section struct {
-		qg hashidx.QGramExport
-		sc *hashidx.ExportScratch
-	}
-	ready := make([]chan section, len(v.Shards)) // nil: taken inline
-	workers := min(runtime.GOMAXPROCS(0), len(fromKeys))
-	slots := make(chan struct{}, workers) // held from derivation until fn is done with the section
-	if workers > 1 {
-		for _, i := range fromKeys {
-			ready[i] = make(chan section, 1)
-		}
-		go func() {
-			for _, i := range fromKeys {
-				slots <- struct{}{}
-				go func() {
-					sc := sectionScratch.Get().(*hashidx.ExportScratch)
-					ready[i] <- section{v.QGramSection(i, sc), sc}
-				}()
-			}
-		}()
-	}
-	sc := sectionScratch.Get().(*hashidx.ExportScratch)
-	defer sectionScratch.Put(sc)
-	for _, i := range todo {
-		if ready[i] == nil {
-			fn(i, v.QGramSection(i, sc))
-			continue
-		}
-		s := <-ready[i]
-		fn(i, s.qg)
-		sectionScratch.Put(s.sc)
-		<-slots
-	}
-}
-
-// encodeShardSection writes one shard's section (globals + the
-// dictionary-encoded q-gram index) — shared with the content digest.
-func encodeShardSection(e *writer, globals []uint32, qg hashidx.QGramExport) {
-	e.u32slice(globals)
-	e.stringBlob(len(qg.Grams), slices.Values(qg.Grams))
-	e.u32slice(qg.Sizes)
-	e.raggedU32(qg.Sigs)
-	e.u32(uint32(qg.SigFloor))
 }
 
 // reader is a bounds-checked cursor over an in-memory artifact with a
@@ -625,32 +533,41 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	}
 	v.Shards = make([]join.ShardExport, v.NShard)
 	for i := range v.Shards {
-		globals := r.u32slice("global")
-		grams := r.stringBlob("gram")
-		if version == 3 {
-			// Version 3 also stored the postings table, which nothing
-			// reads: the section is bounds-checked and skipped.
-			r.skipRagged("posting")
+		v.Shards[i].Globals = r.u32slice("global")
+		if version < 5 {
+			if err := skipQGramSection(r, version, len(v.Shards[i].Globals)); err != nil {
+				return nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
+			}
 		}
-		sizes := r.u32slice("size")
-		sigs := r.raggedInPlace("signature")
-		floor := int(r.u32())
 		if r.err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, r.err)
 		}
-		// The q-gram section is checked where it lies and not kept: an
-		// index derives a shard's q-gram structures from its keys when
-		// the shard is first probed approximately, and a checkpoint
-		// derives the section again, to the same bytes.
-		if err := join.CheckShardSection(len(globals), grams, sizes, floor, sigs.n, sigs.at); err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
-		}
-		v.Shards[i].Globals = globals
 	}
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
 	}
 	return v, nil
+}
+
+// skipQGramSection steps over the q-gram section a version 3 or 4
+// image stores after a shard's globals, checking it where it lies: an
+// index derives a shard's q-gram structures from its keys when the
+// shard is first probed approximately, so nothing of it is kept. A
+// bounds failure is left on r; an invariant failure is returned.
+func skipQGramSection(r *reader, version uint32, members int) error {
+	grams := r.stringBlob("gram")
+	if version == 3 {
+		// Version 3 also stored the postings table: bounds-checked and
+		// skipped, whatever it says.
+		r.skipRagged("posting")
+	}
+	sizes := r.u32slice("size")
+	sigs := r.raggedInPlace("signature")
+	floor := int(r.u32())
+	if r.err != nil {
+		return nil
+	}
+	return join.CheckShardSection(members, grams, sizes, floor, sigs.n, sigs.at)
 }
 
 // ReadSnapshotFile loads and decodes a snapshot file.

@@ -42,15 +42,26 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(seed[:9])
 	f.Add([]byte{})
 	f.Add([]byte("ALSNAP\x01\n"))
-	// Genuine images of the two older layouts the loader still reads:
-	// version 3 (stored postings, skipped) and version 2 (store only).
-	for _, fixture := range []string{v3Fixture, v2Fixture} {
+	// Genuine images of the older layouts the loader still reads:
+	// version 3 (stored postings, skipped), version 2 (store only) and
+	// version 4 (stored q-gram sections, checked and skipped) — and the
+	// current image of the version-4 fixture's content.
+	for _, fixture := range []string{v3Fixture, v2Fixture, v4Fixture} {
 		old, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(old)
 	}
+	v, err := ReadSnapshotFile(v4Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := WriteSnapshot(&cur, v); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cur.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeSnapshot(data)
 		if err != nil {

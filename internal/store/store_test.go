@@ -93,10 +93,7 @@ func encodeSnapshot(t *testing.T, ix *join.ShardedRefIndex) []byte {
 }
 
 // TestSnapshotCodecRoundTrip pins encode → decode to structural
-// identity (the decoded view DeepEquals the exported one once both are
-// resolved into plain data: the exported one was encoded pending,
-// section by section, and the decoded one checked its sections and
-// kept none, so its resolution derives them from its keys) and the
+// identity (the decoded view DeepEquals the exported one) and the
 // decoded view to behavioural identity after import.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -114,7 +111,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want.Resolve(), got.Resolve()) {
+			if !reflect.DeepEqual(want, got) {
 				t.Fatal("decoded view differs structurally from the exported view")
 			}
 			loaded, err := join.NewShardedRefIndexFromSnapshot(got)
@@ -132,11 +129,11 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 }
 
 // TestHeldViewEncodesExportTimeBytes pins what lets a checkpoint, an
-// export stream or a digest derive its shard sections after the writer
-// lock is gone: a view held across any number of later upserts —
-// inserts, replacements, enough new keys to fold the shared tables —
-// encodes, whenever and however often it is asked, to the bytes it
-// would have encoded at export time.
+// export stream or a digest encode after the writer lock is gone: a
+// view held across any number of later upserts — inserts, replacements,
+// enough new keys to fold the shared tables — encodes, whenever and
+// however often it is asked, to the bytes it would have encoded at
+// export time.
 func TestHeldViewEncodesExportTimeBytes(t *testing.T) {
 	ix := buildIndex(t, 3, 90)
 	atExport := encodeSnapshot(t, ix)

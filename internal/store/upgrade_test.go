@@ -2,11 +2,14 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -40,6 +43,12 @@ func v2FixtureTuples() []relation.Tuple {
 // stored the postings table: hash-partitioned shards, each carrying
 // gram→refs postings beside the ref→grams signatures.
 const v3Fixture = "testdata/v3_partitioned_4shards.snap"
+
+// v4Fixture is a version-4 snapshot of the same content, written by the
+// last build that stored q-gram sections (dictionary, sizes, signatures
+// and the signature floor per shard) from a bulk build of
+// v2FixtureTuples.
+const v4Fixture = "testdata/v4_partitioned_4shards.snap"
 
 // seedFixture makes dir an index directory holding the fixture as its
 // checkpoint and no log.
@@ -181,10 +190,10 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 
 // TestCrashSweepAcrossSnapshotUpgrade is the crash-at-every-write sweep
 // started on a version-2 checkpoint: whichever write of the upgrade's
-// appends and (version-3) checkpoints the process dies in, recovery
-// opens cleanly on the old or the new state with every fixture tuple
-// and every acknowledged write intact. The same sweep then starts from
-// the version-3 fixture.
+// appends and (current-version) checkpoints the process dies in,
+// recovery opens cleanly on the old or the new state with every fixture
+// tuple and every acknowledged write intact. The same sweep then starts
+// from the version-3 and the version-4 fixture.
 func TestCrashSweepAcrossSnapshotUpgrade(t *testing.T) {
 	resident := make(map[string]string)
 	for _, tp := range v2FixtureTuples() {
@@ -193,6 +202,9 @@ func TestCrashSweepAcrossSnapshotUpgrade(t *testing.T) {
 	crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v2Fixture) })
 	t.Run("v3", func(t *testing.T) {
 		crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v3Fixture) })
+	})
+	t.Run("v4", func(t *testing.T) {
+		crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v4Fixture) })
 	})
 }
 
@@ -254,10 +266,168 @@ func TestV3SnapshotUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(written.Resolve(), reloaded.Resolve()) {
+	if !reflect.DeepEqual(written, reloaded) {
 		t.Fatal("view exported after the reload differs from the view the checkpoint wrote")
 	}
 	assertAnswersLike(t, ref, ix2)
+}
+
+// openFixture opens a copy of a snapshot fixture as an index directory.
+func openFixture(t *testing.T, fixture string) (string, *Dir, *join.ShardedRefIndex) {
+	t.Helper()
+	dir := t.TempDir()
+	seedFixture(t, dir, fixture)
+	d, ix, rec, err := Open(dir, v2FixtureMeta, SyncNone)
+	if err != nil {
+		t.Fatalf("opening %s: %v", fixture, err)
+	}
+	if rec.SnapshotTuples != len(v2FixtureTuples()) {
+		t.Fatalf("%s: recovered %d snapshot tuples, want %d", fixture, rec.SnapshotTuples, len(v2FixtureTuples()))
+	}
+	return dir, d, ix
+}
+
+// digestOf is the content digest of an index's current export.
+func digestOf(t *testing.T, ix *join.ShardedRefIndex) ContentDigest {
+	t.Helper()
+	v, err := ix.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return DigestView(v)
+}
+
+// TestV4SnapshotUpgrade pins the upgrade from the last format that
+// stored q-gram sections: the fixture opens under this build and
+// answers exactly like the version-3 fixture of the same content; its
+// next checkpoint writes the current version, less than half its size,
+// which reopens to the same answers; and every lineage of the content —
+// the v3, v4 and current images, a bulk build, a build grown by upserts
+// — digests the same.
+func TestV4SnapshotUpgrade(t *testing.T) {
+	if v := snapshotVersionOf(t, v4Fixture); v != 4 {
+		t.Fatalf("fixture is version %d, want 4", v)
+	}
+	_, d3, ix3 := openFixture(t, v3Fixture)
+	defer d3.Close()
+	dir, d, ix := openFixture(t, v4Fixture)
+	assertSameIndex(t, ix3, ix)
+	ref, err := join.NewShardedRefIndex(join.Defaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := v2FixtureTuples()
+	ref.Upsert(tuples)
+	assertAnswersLike(t, ref, ix)
+
+	if err := d.Checkpoint(ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := snapshotVersionOf(t, filepath.Join(dir, SnapshotFile)); v != SnapshotVersion {
+		t.Fatalf("checkpoint after upgrade wrote version %d, want %d", v, SnapshotVersion)
+	}
+	before, _ := os.Stat(v4Fixture)
+	after, _ := os.Stat(filepath.Join(dir, SnapshotFile))
+	if 2*after.Size() >= before.Size() {
+		t.Fatalf("version-%d checkpoint is %d bytes, the version-4 image of the same content %d: want under half", SnapshotVersion, after.Size(), before.Size())
+	}
+	d5, ix5, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d5.Close()
+	assertAnswersLike(t, ref, ix5)
+
+	bulk, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := join.NewShardedRefIndex(join.Defaults(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tuples); lo += 7 {
+		grown.Upsert(tuples[lo:min(lo+7, len(tuples))])
+	}
+	want := digestOf(t, ix3)
+	for name, lineage := range map[string]*join.ShardedRefIndex{"v4 image": ix, "v5 image": ix5, "bulk-built": bulk, "grown by upserts": grown} {
+		if got := digestOf(t, lineage); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: digest %+v, the v3 image's %+v", name, got, want)
+		}
+	}
+}
+
+// v4SectionSpans returns, per shard of a version-4 image, the byte
+// offsets of its sizes words and of its signature words, walking the
+// sections the way the decoder does.
+func v4SectionSpans(t *testing.T, data []byte) (sizes, sigs [][2]int) {
+	t.Helper()
+	r := &reader{data: data[:len(data)-4], off: len(snapMagic)}
+	r.take(3 * 4) // version, q, measure
+	shards := int(r.u32())
+	r.u64() // theta
+	n := r.count("tuple")
+	r.take(int(r.u32())) // profile
+	r.take(8 * n)
+	r.stringBlob("key")
+	r.offsets(n)
+	r.stringBlob("attr")
+	for i := 0; i < shards; i++ {
+		r.u32slice("global")
+		r.stringBlob("gram")
+		start := r.off + 4
+		r.u32slice("size")
+		sizes = append(sizes, [2]int{start, r.off})
+		offs := r.offsets(r.count("signature"))
+		start = r.off
+		r.take(4 * int(offs[len(offs)-1]))
+		sigs = append(sigs, [2]int{start, r.off})
+		r.u32() // floor
+	}
+	if r.err != nil || r.off != len(r.data) {
+		t.Fatalf("walking the v4 fixture: err %v, stopped at %d of %d", r.err, r.off, len(r.data))
+	}
+	return sizes, sigs
+}
+
+// TestV4QGramSectionChecked pins that a version-4 image's q-gram
+// sections, which nothing keeps, are still checked where they lie: a
+// signature naming a gram outside the shard's dictionary, or a size
+// that disagrees with its signature, fails the load as corrupt even
+// under a valid checksum.
+func TestV4QGramSectionChecked(t *testing.T) {
+	pristine, err := os.ReadFile(v4Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(pristine); err != nil {
+		t.Fatalf("pristine fixture rejected: %v", err)
+	}
+	sizes, sigs := v4SectionSpans(t, pristine)
+	cases := []struct {
+		name string
+		word int // byte offset of the word to overwrite
+		val  uint32
+		want string
+	}{
+		{"signature gram id out of dictionary", sigs[0][0], math.MaxUint32, "not strictly ascending within dictionary"},
+		{"size disagrees with signature", sizes[1][0], 1 << 20, "its size says"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), pristine...)
+			binary.LittleEndian.PutUint32(bad[c.word:], c.val)
+			body := bad[:len(bad)-4]
+			binary.LittleEndian.PutUint32(bad[len(body):], crc32.Checksum(body, castagnoli))
+			_, err := DecodeSnapshot(bad)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("DecodeSnapshot = %v, want a corruption error containing %q", err, c.want)
+			}
+		})
+	}
 }
 
 // v3PostingWords returns the byte span of every shard's flattened
@@ -333,7 +503,7 @@ func TestV3PostingsSectionNotTrusted(t *testing.T) {
 	}
 	wantView, want := load(pristine)
 	gotView, got := load(scrambled)
-	if !reflect.DeepEqual(wantView.Resolve(), gotView.Resolve()) {
+	if !reflect.DeepEqual(wantView, gotView) {
 		t.Fatal("scrambled postings changed the loaded index's exported view")
 	}
 	assertSameIndex(t, want, got)

@@ -46,8 +46,8 @@ func (ix *Index) snapshotExporter() (*join.ShardedRefIndex, error) {
 // Digest fingerprints the index's current content. On a durable index
 // the WAL position is read and the view taken under the write lock, so
 // the pair is a consistent point: a replica reporting the same Combined
-// digest and record count holds byte-identical state. The view holds
-// frozen generations, so it is fingerprinted after the lock is gone.
+// digest and record count holds byte-identical state. The view is plain
+// data, so it is fingerprinted after the lock is gone.
 func (ix *Index) Digest() (IndexDigest, error) {
 	sr, err := ix.snapshotExporter()
 	if err != nil {
