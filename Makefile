@@ -137,7 +137,8 @@ fuzz:
 # = 0 allocs/op, approximate probe within its documented budget), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
-# steady-state checkpoint allocates per tuple (alloc_api_test.go).
+# steady-state checkpoint and a snapshot load allocate per tuple
+# (alloc_api_test.go).
 # Run without -race: the race runtime perturbs allocation counts. The
 # join-level pins carry a !race build tag and the kernel-level
 # AllocsPerRun assertions in hashidx/qgram skip themselves under -race

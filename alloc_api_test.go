@@ -13,12 +13,14 @@ package adaptivelink
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"adaptivelink/internal/join"
 	"adaptivelink/internal/store"
 )
 
@@ -198,5 +200,44 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 	t.Logf("snapshot holds %.1f bytes per tuple", perTuple)
 	if perTuple > snapshotBytesBudget {
 		t.Errorf("snapshot holds %.1f bytes per tuple, budget %d", perTuple, snapshotBytesBudget)
+	}
+}
+
+// snapshotLoadBytesBudget bounds what a load of a 20k-row version-5
+// image allocates per tuple, decode plus index build: the decoded store,
+// the shard tuple stores and global refs, and the exact indexes. The
+// per-version adopt loop the bulk builder replaced allocated 394; the
+// builder's key homes add 4 (398 measured), and the margin is 22. It is
+// what a durable cold start allocates before the log replay, so the
+// build's transients (key homes, per-shard goroutines) count against it.
+const snapshotLoadBytesBudget = 420
+
+func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
+	tuples, opts := footprintTuples(t, 20_000)
+	ix, err := NewIndex(FromTuples(tuples), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := ix.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTuple := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := store.DecodeSnapshot(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := join.NewShardedRefIndexFromSnapshot(v); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perTuple = min(perTuple, float64(after.TotalAlloc-before.TotalAlloc)/float64(ix.Len()))
+	}
+	t.Logf("a snapshot load allocated %.0f bytes per tuple", perTuple)
+	if perTuple > snapshotLoadBytesBudget {
+		t.Errorf("a snapshot load allocated %.0f bytes per tuple, budget %d", perTuple, snapshotLoadBytesBudget)
 	}
 }

@@ -255,12 +255,20 @@
 // a versioned, CRC-32C-checksummed binary serialisation of what a load
 // reads back — the tuple store and each shard's member refs, and no
 // q-gram data, which is derived: each shard's q-gram structures are
-// built from its keys by its first approximate probe (§2.3). Loading is
-// a sequential read and slice reconstruction of the tuple store, and
-// writing is one walk over it: no key is decomposed and no gram hashed
-// either way, which is what makes cold start faster than rebuilding
-// from the source CSV (cold_start_snapshot_s of the durable_restart
-// workload in BENCHMARK.json) and a checkpoint a copy of the store.
+// built from its keys by its first approximate probe (§2.3). Every
+// index comes into being through one construction routine: a bulk load,
+// a snapshot load of any format version, ImportSnapshot and Open all
+// partition a keyed tuple store over the shards by key hash and build
+// each shard's tuple store and exact index from it, so a load is a bulk
+// build of the stored tuple store, with the stored member refs, where
+// an image has them, checked against it. ImportSnapshot with
+// StorageOptions.Dir set persists what it built exactly as BulkLoad
+// does. Loading is a sequential read and slice reconstruction of the
+// tuple store and that build, and writing is one walk over the store:
+// no key is decomposed and no gram hashed either way, which is what
+// makes cold start faster than rebuilding from the source CSV
+// (cold_start_snapshot_s of the durable_restart workload in
+// BENCHMARK.json) and a checkpoint a copy of the store.
 // The write-ahead log (upserts.wal) records every acknowledged Upsert
 // batch in CRC-framed records before it is applied; on Open the
 // snapshot loads first and the log replays on top, so the reopened

@@ -148,14 +148,24 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
 	}
+	return persist(ri, opts, "bulk load")
+}
+
+// persist wraps a freshly built resident in an Index and, with
+// Storage.Dir set, makes it durable — the tail BulkLoad and
+// ImportSnapshot share: the index's snapshot is written straight into a
+// directory that must not already hold an index (the initial rows never
+// touch the log), and a fresh log opened for the upserts that follow.
+func persist(ri *join.ShardedRefIndex, opts IndexOptions, what string) (*Index, error) {
 	ix := newIndex(ri, opts)
-	if opts.Storage.Dir != "" {
-		d, err := store.Create(opts.Storage.Dir, ri, opts.Storage.WALSync.store())
-		if err != nil {
-			return nil, fmt.Errorf("adaptivelink: persisting bulk load: %w", err)
-		}
-		ix.dir = d
+	if opts.Storage.Dir == "" {
+		return ix, nil
 	}
+	d, err := store.Create(opts.Storage.Dir, ri, opts.Storage.WALSync.store())
+	if err != nil {
+		return nil, fmt.Errorf("adaptivelink: persisting %s: %w", what, err)
+	}
+	ix.dir = d
 	return ix, nil
 }
 

@@ -2,12 +2,10 @@ package exp
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/metrics"
 )
 
 // WriteResultsCSV emits the full per-case result table (Figs. 6–8 in
@@ -42,63 +40,6 @@ func WriteResultsCSV(w io.Writer, results []*Result) error {
 			d(int(r.WallAdaptive.Nanoseconds())),
 		}
 		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTuningCSV emits a tuning sweep as CSV.
-func WriteTuningCSV(w io.Writer, points []TuningPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"delta_adapt", "w", "theta_out", "theta_curpert", "theta_pastpert",
-		"r_abs", "g_rel", "c_rel", "efficiency",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
-	for _, p := range points {
-		if err := cw.Write([]string{
-			strconv.Itoa(p.Params.DeltaAdapt), strconv.Itoa(p.Params.W),
-			f(p.Params.ThetaOut), f(p.Params.ThetaCurPert), strconv.Itoa(p.Params.ThetaPastPert),
-			strconv.Itoa(p.RAbs), f(p.GainCost.Grel), f(p.GainCost.Crel), f(p.GainCost.Efficiency),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteWeightsCSV emits a calibration result as CSV rows of
-// (kind, state, raw_ns, weight_ours, weight_paper).
-func WriteWeightsCSV(w io.Writer, m MeasuredWeights) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "state", "raw_ns", "weight", "paper_weight"}); err != nil {
-		return err
-	}
-	paper := metrics.PaperWeights()
-	for _, st := range join.AllStates {
-		i := st.Index()
-		if err := cw.Write([]string{
-			"step", st.String(),
-			fmt.Sprintf("%.0f", m.RawStepNs[i]),
-			fmt.Sprintf("%.4f", m.Weights.Step[i]),
-			fmt.Sprintf("%.4f", paper.Step[i]),
-		}); err != nil {
-			return err
-		}
-	}
-	for _, st := range join.AllStates {
-		i := st.Index()
-		if err := cw.Write([]string{
-			"transition", st.String(),
-			fmt.Sprintf("%.0f", m.RawTransitionNs[i]),
-			fmt.Sprintf("%.4f", m.Weights.Transition[i]),
-			fmt.Sprintf("%.4f", paper.Transition[i]),
-		}); err != nil {
 			return err
 		}
 	}

@@ -70,34 +70,3 @@ func TestWriteResultsCSV(t *testing.T) {
 		t.Errorf("case column = %q", rows[1][0])
 	}
 }
-
-func TestWriteTuningCSV(t *testing.T) {
-	var buf bytes.Buffer
-	points := []TuningPoint{{RAbs: 5}}
-	points[0].Params.DeltaAdapt, points[0].Params.W = 100, 100
-	if err := WriteTuningCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("rows=%d err=%v", len(rows), err)
-	}
-}
-
-func TestWriteWeightsCSV(t *testing.T) {
-	m, err := MeasureWeights(200, 200, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteWeightsCSV(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 9 { // header + 4 step rows + 4 transition rows
-		t.Errorf("got %d rows, want 9", len(rows))
-	}
-}

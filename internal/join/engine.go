@@ -152,9 +152,6 @@ func (e *Engine) Phase() iterator.Phase { return e.lc.Phase() }
 // invalidated by an operator switch.
 func (e *Engine) Quiescent() bool { return len(e.pending) == 0 }
 
-// ReadCount returns how many tuples have been consumed from side.
-func (e *Engine) ReadCount(side stream.Side) int { return e.stats.Read[side] }
-
 // SpaceEstimate reports the index space drivers of §2.3's analysis: per
 // side, the tuples stored (kept once regardless of operator), the exact
 // index's entries (n pointers when up to date) and the q-gram index's

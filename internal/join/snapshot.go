@@ -6,17 +6,17 @@ import (
 
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/shardmap"
 )
 
 // SnapshotView is the serializable state of a ShardedRefIndex: the
 // global tuple store in ref order plus, per shard, the shard's member
 // refs. Everything else a running index carries — the exact hash
 // tables, and the q-gram structures of the shards that probes have built
-// — is derived from the store and the member refs, so a snapshot load is
-// linear passes with no gram hashed and no key decomposed, and each
+// — is derived from the store, so a snapshot load is a bulk build of the
+// stored tuple store with no gram hashed and no key decomposed, and each
 // shard is built from its keys when its first approximate probe needs
-// it (§2.3's lazy maintenance: the q-gram index is derived data).
+// it (§2.3's lazy maintenance: the q-gram index is derived data). The
+// member refs are derived too; a load checks them against the build.
 //
 // A view is plain data. One exported from a live index shares the
 // index's immutable tuple payloads; treat it as read-only. One decoded
@@ -30,10 +30,10 @@ type SnapshotView struct {
 	// Tuples is the global store in ref order (Len() == len(Tuples)).
 	Tuples []relation.Tuple
 	// Shards has one export per shard, in shard order: the key-hash
-	// partition of Tuples. Nil means the view carries the store alone —
-	// what a decoder hands over for a snapshot written under the
-	// retired prefix-replicated layout — and the importer partitions
-	// and indexes Tuples itself.
+	// partition of Tuples, which a load derives and checks these
+	// against. Nil means the view carries the store alone — what a
+	// decoder hands over for a snapshot written under the retired
+	// prefix-replicated layout — and there is nothing to check.
 	Shards []ShardExport
 }
 
@@ -79,66 +79,39 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 }
 
 // NewShardedRefIndexFromSnapshot reconstructs a resident index from a
-// snapshot view, adopting the view's slices (the caller hands over
+// snapshot view, adopting the view's tuples (the caller hands over
 // ownership; a view exported from a live index must not be imported
 // into a second one that will be upserted).
 //
-// The reconstruction is the cheap inverse of indexing: shard tuple
-// stores are resolved by indexing the global store with each shard's
-// Globals and the exact hash tables rebuilt with one map insertion per
-// key — no gram is hashed, no key is decomposed. Every shard comes up
-// unbuilt.
-// Every cross-structure invariant is validated on the way (refs in
-// range, Globals strictly ascending, every key in its home shard and no
-// other, one store record per key — a duplicate is a second hit in its
-// home shard's exact index), so a corrupted snapshot yields a
-// descriptive error, never an index that can misbehave later.
-//
-// A view without shard exports is indexed from its store through
-// BuildShardedRefIndex: adopting shard sections of another layout under
-// this write path would leave stale replicas behind the first update.
+// A load is a bulk build of the stored tuple store: buildFromStore
+// partitions and indexes it exactly as a bulk load does — one map
+// insertion per key, no gram hashed, no key decomposed, every shard
+// unbuilt — and rejects a key stored twice. Stored member refs, where
+// the view has them, are checked against it: each shard's Globals must
+// be the membership the build derived, so refs out of range or out of
+// order, a key outside its home shard or a store the shards do not
+// cover all yield a descriptive error, never an index that can
+// misbehave later. A view without them (a version 1 or 2 image) is the
+// same build with nothing to check.
 func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
-	if v.Shards == nil {
-		return BuildShardedRefIndex(v.Cfg, v.NShard, v.Tuples)
+	if v.Shards != nil && len(v.Shards) != v.NShard {
+		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", len(v.Shards), v.NShard)
 	}
-	s, err := NewShardedRefIndex(v.Cfg, v.NShard)
+	s, err := buildFromStore(v.Cfg, v.NShard, v.Tuples)
 	if err != nil {
 		return nil, err
 	}
-	if len(v.Shards) != v.NShard {
-		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", len(v.Shards), v.NShard)
-	}
-	n := len(v.Tuples)
-	members := 0
 	for i, se := range v.Shards {
-		sn := newShardSnap()
-		sn.globals = make([]int, len(se.Globals))
-		prev := -1
-		for lref, g := range se.Globals {
-			if int(g) >= n || int(g) <= prev {
-				return nil, fmt.Errorf("join: snapshot shard %d: global ref %d at local %d not strictly ascending within store of %d", i, g, lref, n)
-			}
-			prev = int(g)
-			t := v.Tuples[g]
-			if home := shardmap.ShardOf(t.Key, v.NShard); home != i {
-				return nil, fmt.Errorf("join: snapshot shard %d holds key %q, whose home is shard %d", i, t.Key, home)
-			}
-			if dup := sn.exIdx.Lookup(t.Key); len(dup) > 0 {
-				return nil, fmt.Errorf("join: snapshot store has key %q at both ref %d and %d (the store is keyed)", t.Key, sn.globals[dup[0]], g)
-			}
-			sn.tuples.Append(t)
-			sn.globals[lref] = int(g)
-			sn.exIdx.Insert(lref, t.Key)
+		derived := s.shards[i].Load().globals
+		if len(se.Globals) != len(derived) {
+			return nil, fmt.Errorf("join: snapshot shard %d lists %d members, the keys homed there number %d", i, len(se.Globals), len(derived))
 		}
-		s.shards[i].Store(sn)
-		members += len(se.Globals)
+		for lref, g := range se.Globals {
+			if int(g) != derived[lref] {
+				return nil, fmt.Errorf("join: snapshot shard %d lists global ref %d at local %d, where the store's key homes give %d", i, g, lref, derived[lref])
+			}
+		}
 	}
-	// Every member sits in its home shard once, so an equal count means
-	// the shards partition the store.
-	if members != n {
-		return nil, fmt.Errorf("join: snapshot shards list %d members for a store of %d tuples", members, n)
-	}
-	s.n.Store(int64(n))
 	return s, nil
 }
 

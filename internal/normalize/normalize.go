@@ -61,9 +61,6 @@ func Standard() *Normalizer {
 // mapping; use FoldCase for the expanding full fold).
 func Uppercase(s string) string { return strings.ToUpper(s) }
 
-// Lowercase maps the string to lower case.
-func Lowercase(s string) string { return strings.ToLower(s) }
-
 // CollapseSpaces trims the ends and squeezes internal whitespace runs
 // to single spaces.
 func CollapseSpaces(s string) string {

@@ -12,6 +12,7 @@ import (
 	"adaptivelink"
 	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/obs"
+	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/wire"
 )
 
@@ -274,18 +275,16 @@ func NewHandler(s *Service) http.Handler {
 
 func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	opts := adaptivelink.IndexOptions{Q: req.Q, Theta: req.Theta, Shards: req.Shards, Profile: req.Profile}
-	switch req.Measure {
-	case "", "jaccard":
-		opts.Measure = adaptivelink.Jaccard
-	case "dice":
-		opts.Measure = adaptivelink.Dice
-	case "cosine":
-		opts.Measure = adaptivelink.Cosine
-	case "overlap":
-		opts.Measure = adaptivelink.Overlap
-	default:
+	if req.Measure == "" {
+		return opts, nil // the zero Measure, Jaccard
+	}
+	// The names are the measures' own String(), which is also what a
+	// router sends its nodes.
+	m, ok := simfn.ParseMeasure(req.Measure)
+	if !ok {
 		return opts, fmt.Errorf("%w: unknown measure %q (want jaccard, dice, cosine or overlap)", ErrInvalid, req.Measure)
 	}
+	opts.Measure = adaptivelink.Measure(m)
 	return opts, nil
 }
 

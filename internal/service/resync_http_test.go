@@ -128,7 +128,9 @@ func TestHTTPDigestExportResync(t *testing.T) {
 }
 
 // TestHTTPResyncDurable pins that a resynced durable node persists the
-// repaired state: reopening the data dir recovers the resynced content.
+// repaired state: the bootstrapped index is durable from birth and logs
+// the next upsert, and reopening the data dir recovers the resynced
+// content with that upsert on top, still serving links.
 func TestHTTPResyncDurable(t *testing.T) {
 	_, ref := newTestServer(t)
 	createAtlas(t, ref.URL)
@@ -143,12 +145,24 @@ func TestHTTPResyncDurable(t *testing.T) {
 	dataDir := t.TempDir()
 	s := New(Config{Workers: 2, QueueDepth: 16, DataDir: dataDir})
 	ts := httptest.NewServer(NewHandler(s))
-	if code, body := postResync(t, ts.URL, "atlas", blob); code != http.StatusOK {
+	code, body := postResync(t, ts.URL, "atlas", blob)
+	var info IndexInfo
+	if code != http.StatusOK || json.Unmarshal(body, &info) != nil || !info.Durable {
 		t.Fatalf("durable bootstrap resync: %d %s", code, body)
 	}
 	if d := getDigest(t, ts.URL, "atlas"); d.Combined != want.Combined {
 		t.Fatalf("durable resync digest %s, want %s", d.Combined, want.Combined)
 	}
+	code, body = doJSON(t, "POST", ts.URL+"/v1/indexes/atlas/upsert", UpsertRequest{
+		Tuples: []TupleDTO{{ID: 9, Key: "passo dello stelvio 48"}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("upsert after bootstrap: %d %s", code, body)
+	}
+	if d := getDigest(t, ts.URL, "atlas"); d.WALRecords != 1 {
+		t.Fatalf("upsert after bootstrap logged %d records, want 1", d.WALRecords)
+	}
+	want = getDigest(t, ts.URL, "atlas")
 	ts.Close()
 	s.Close()
 
@@ -165,5 +179,10 @@ func TestHTTPResyncDurable(t *testing.T) {
 	defer ts2.Close()
 	if d := getDigest(t, ts2.URL, "atlas"); d.Combined != want.Combined {
 		t.Fatalf("reopened digest %s, want %s", d.Combined, want.Combined)
+	}
+	code, body = doJSON(t, "POST", ts2.URL+"/v1/link", LinkRequestDTO{Index: "atlas", Key: "passo dello stelvio 48"})
+	var lr LinkResponseDTO
+	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil || len(lr.Results[0].Matches) == 0 {
+		t.Fatalf("link after restart: %d %s", code, body)
 	}
 }

@@ -450,12 +450,8 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 		}
 	} else {
 		// The service places indexes, not the caller.
-		opts.Storage = adaptivelink.StorageOptions{WALSync: s.cfg.WALSync}
-		if s.cfg.DataDir != "" {
-			opts.Storage.Dir = filepath.Join(s.cfg.DataDir, name)
-			if _, serr := os.Stat(opts.Storage.Dir); serr == nil {
-				return IndexInfo{}, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
-			}
+		if opts.Storage, err = s.placement(name); err != nil {
+			return IndexInfo{}, err
 		}
 		ix, err = adaptivelink.BulkLoad(adaptivelink.FromTuples(tuples), opts)
 	}
@@ -467,6 +463,23 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 	s.log.Info("created index", "index", name, "tuples", ix.Len(),
 		"shards", ix.Options().Shards, "durable", ix.Durable())
 	return mi.info(), nil
+}
+
+// placement is the storage the service gives a new local index, the
+// step CreateIndex and a resync bootstrap share: the configured WAL sync
+// policy and, with a data dir, the index's directory under it — refused
+// while a directory of that name survives on disk, one the boot scan did
+// not load.
+func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
+	st := adaptivelink.StorageOptions{WALSync: s.cfg.WALSync}
+	if s.cfg.DataDir == "" {
+		return st, nil
+	}
+	st.Dir = filepath.Join(s.cfg.DataDir, name)
+	if _, err := os.Stat(st.Dir); err == nil {
+		return st, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
+	}
+	return st, nil
 }
 
 // createClusterIndex registers the index with the fan-out client (which
@@ -665,24 +678,13 @@ func (s *Service) ResyncIndex(name string, data []byte) (IndexInfo, error) {
 		return mi.info(), nil
 	}
 	t0 := time.Now()
-	ix, err := adaptivelink.ImportSnapshot(data, adaptivelink.IndexOptions{})
+	storage, err := s.placement(name)
+	if err != nil {
+		return IndexInfo{}, err
+	}
+	ix, err := adaptivelink.ImportSnapshot(data, adaptivelink.IndexOptions{Storage: storage})
 	if err != nil {
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if s.cfg.DataDir != "" {
-		dir := filepath.Join(s.cfg.DataDir, name)
-		if _, serr := os.Stat(dir); serr == nil {
-			return IndexInfo{}, fmt.Errorf("%w: %q has a surviving directory the boot scan did not load; remove it before resyncing", ErrInvalid, name)
-		}
-		if err := ix.Save(dir); err != nil {
-			return IndexInfo{}, err
-		}
-		ix, err = adaptivelink.Open(dir, adaptivelink.IndexOptions{
-			Storage: adaptivelink.StorageOptions{WALSync: s.cfg.WALSync},
-		})
-		if err != nil {
-			return IndexInfo{}, err
-		}
 	}
 	mi := s.register(name, ix)
 	s.log.Info("bootstrapped index from resync", "index", name, "tuples", ix.Len(),

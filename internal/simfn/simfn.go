@@ -55,6 +55,17 @@ func (m TokenMeasure) String() string {
 	}
 }
 
+// ParseMeasure is String's inverse over the defined measures: it
+// returns the measure String names, and ok false for any other name.
+func ParseMeasure(name string) (m TokenMeasure, ok bool) {
+	for m = Jaccard; m <= Overlap; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // Coefficient computes the measure from precomputed set sizes and the
 // intersection size. It is the kernel shared by the Func constructors and
 // by SSHJoin, which already has the sizes and candidate overlap counts at

@@ -46,9 +46,17 @@ func TestMeasureString(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("String() = %q, want %q", m.String(), want)
 		}
+		if got, ok := ParseMeasure(want); !ok || got != m {
+			t.Errorf("ParseMeasure(%q) = %v, %v; want %v", want, got, ok, m)
+		}
 	}
 	if TokenMeasure(99).String() != "TokenMeasure(99)" {
 		t.Errorf("unknown measure String() = %q", TokenMeasure(99).String())
+	}
+	for _, name := range []string{"", "Jaccard", "jacard", "TokenMeasure(99)"} {
+		if m, ok := ParseMeasure(name); ok {
+			t.Errorf("ParseMeasure(%q) = %v, want no measure", name, m)
+		}
 	}
 }
 

@@ -6,13 +6,15 @@
 // # Snapshot format (version 5)
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
-// plus, per shard, the shard's member refs — and nothing a load can
-// derive. The q-gram index is derived data: the paper's §2.3 builds it
-// lazily, and so does the resident index, from a shard's keys on its
-// first approximate probe. Loading is one read of the file and slice
-// reconstruction of the tuple store and member refs over fixed-width
-// offset tables; writing and digesting are one walk over the store. No
-// gram is hashed and no key decomposed on either side.
+// plus, per shard, the shard's member refs — and nothing else a load
+// can derive. The q-gram index is derived data: the paper's §2.3 builds
+// it lazily, and so does the resident index, from a shard's keys on its
+// first approximate probe. A load is a bulk build of the stored tuple
+// store; stored member refs, where an image has them, are checked
+// against it. Decoding is one read of the file and slice reconstruction
+// of the tuple store and member refs over fixed-width offset tables;
+// writing and digesting are one walk over the store. No gram is hashed
+// and no key decomposed on either side.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
 //	header  version u32 = 5
@@ -64,15 +66,14 @@
 // shard layout: they replicated a tuple into every shard of its
 // prefix-filter signature, where later versions hash-partition the
 // store (a tuple is a member of shard ShardOf(key, shards) and of no
-// other). v1/v2 snapshots still load: their store section is decoded,
-// their shard sections are skipped (the file checksum still covers
-// them), and the importer partitions and indexes the store itself —
-// adopting replicated sections under the partitioned write path would
-// leave stale replicas behind the first update. Version 1 differs from
-// 2 only in the profile slot: it carried a reserved u32 (always 0) and
-// no profile bytes, and loads with the profile read as "" — such
-// snapshots predate normalization profiles, so their keys were indexed
-// verbatim and "" is exactly what built them.
+// other). v1/v2 snapshots load like any other: their store section is
+// decoded and built from, and their shard sections, which hold no
+// member refs of this layout, are skipped (the file checksum still
+// covers them) with nothing to check the build against. Version 1
+// differs from 2 only in the profile slot: it carried a reserved u32
+// (always 0) and no profile bytes, and loads with the profile read as
+// "" — such snapshots predate normalization profiles, so their keys
+// were indexed verbatim and "" is exactly what built them.
 //
 // Whatever version was read, the next checkpoint writes version 5.
 package store
@@ -452,49 +453,63 @@ func (r *reader) raggedInPlace(what string) *raggedWords {
 	return &raggedWords{n: n, offs: offs, raw: raw}
 }
 
-// DecodeSnapshot parses a complete snapshot file image, verifying the
-// CRC and every structural bound, and returns the decoded view. The
-// returned view owns its memory and can be handed to
-// join.NewShardedRefIndexFromSnapshot (which re-validates the
-// cross-structure invariants the codec cannot see). A version 1 or 2
-// image yields a view without shard exports, which that importer
-// partitions itself.
-func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
-	if len(data) < len(snapMagic)+4 {
-		return nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
+// snapHeaderMax is the longest snapshot header: magic, the fixed words
+// through the profile slot, and the longest profile name.
+const snapHeaderMax = len(snapMagic) + 4*4 + 8 + 4 + 4 + maxProfileLen
+
+// readHeader decodes a snapshot header from the start of an image:
+// magic, format version, the compatibility tuple, the tuple count and
+// the profile slot. It is the one place the version range and the
+// profile-slot rule live — version 1 carried a reserved word there and
+// no profile bytes (the profile reads as ""), version 2 on a length and
+// the name. DecodeSnapshot and PeekMeta both read through it.
+func readHeader(r *reader) (version uint32, m Meta, tuples int, err error) {
+	if magic := r.take(len(snapMagic)); r.err == nil && string(magic) != string(snapMagic[:]) {
+		return 0, m, 0, fmt.Errorf("%w: snapshot magic mismatch (not an adaptivelink snapshot?)", ErrCorrupt)
 	}
-	if string(data[:len(snapMagic)]) != string(snapMagic[:]) {
-		return nil, fmt.Errorf("%w: snapshot magic mismatch (not an adaptivelink snapshot?)", ErrCorrupt)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(tail)
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: snapshot checksum %08x, file claims %08x (truncated or bit-flipped)", ErrCorrupt, got, want)
-	}
-	r := &reader{data: body, off: len(snapMagic)}
-	version := r.u32()
+	version = r.u32()
 	if r.err == nil && (version < 1 || version > SnapshotVersion) {
-		return nil, fmt.Errorf("store: snapshot format version %d, this build reads versions 1..%d", version, SnapshotVersion)
+		return 0, m, 0, fmt.Errorf("store: snapshot format version %d, this build reads versions 1..%d", version, SnapshotVersion)
 	}
-	v := &join.SnapshotView{}
-	v.Cfg.Q = int(r.u32())
+	m.Q = int(r.u32())
 	// The wire measure id is the enum value; unknown ids flow through and
 	// are rejected by join.Config.Validate with its own descriptive error.
-	v.Cfg.Measure = simfn.TokenMeasure(r.u32())
-	v.NShard = int(r.u32())
-	v.Cfg.Theta = r.f64()
-	n := r.count("tuple")
+	m.Measure = simfn.TokenMeasure(r.u32())
+	m.Shards = int(r.u32())
+	m.Theta = r.f64()
+	tuples = int(r.u32())
 	plen := r.u32() // v1: reserved (ignored); v2+: profile length
 	if version >= 2 {
 		if r.err == nil && plen > maxProfileLen {
 			r.fail("profile name length %d over the %d cap", plen, maxProfileLen)
 		}
-		v.Cfg.Profile = string(r.take(int(plen)))
+		m.Profile = string(r.take(int(plen)))
 	}
-	if r.err != nil {
-		return nil, r.err
+	return version, m, tuples, r.err
+}
+
+// DecodeSnapshot parses a complete snapshot file image, verifying the
+// CRC and every structural bound, and returns the decoded view. The
+// returned view owns its memory and can be handed to
+// join.NewShardedRefIndexFromSnapshot, which builds the index from the
+// tuple store and checks the stored member refs against that build (the
+// cross-structure invariants the codec cannot see). A version 1 or 2
+// image yields a view without member refs, so nothing is checked.
+func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
+	if len(data) < len(snapMagic)+4 {
+		return nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
 	}
-	v.Cfg.Initial = join.LexRex
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	r := &reader{data: body}
+	version, m, n, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	want := binary.LittleEndian.Uint32(tail)
+	if got := crc32.Checksum(body, castagnoli); got != want {
+		return nil, fmt.Errorf("%w: snapshot checksum %08x, file claims %08x (truncated or bit-flipped)", ErrCorrupt, got, want)
+	}
+	v := &join.SnapshotView{Cfg: metaConfig(m), NShard: m.Shards}
 	if n > 0 && int64(n)*8 > int64(len(r.data)-r.off) {
 		r.fail("tuple count %d exceeds remaining bytes", n)
 		return nil, r.err
@@ -526,9 +541,8 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 		return nil, fmt.Errorf("%w: shard count %d implausible for %d remaining bytes", ErrCorrupt, v.NShard, len(r.data)-r.off)
 	}
 	if version < 3 {
-		// Prefix-replicated shard sections: not adopted (see the format
-		// comment). The view carries the store alone and the importer
-		// partitions it.
+		// Prefix-replicated shard sections: nothing a load can check
+		// (see the format comment). The view carries the store alone.
 		return v, nil
 	}
 	v.Shards = make([]join.ShardExport, v.NShard)

@@ -9,7 +9,6 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/vfs"
 )
 
@@ -91,38 +90,19 @@ func peekSnapshotMeta(path string) (*Meta, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// Magic through the profile slot: the compatibility fields all sit
-	// in the header (full structural validation happens on load).
-	var buf [8 + 4 + 4 + 4 + 4 + 8 + 4 + 4]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return nil, fmt.Errorf("%s: %w: snapshot shorter than its header", path, ErrCorrupt)
+	// The compatibility fields all sit in the header (full structural
+	// validation happens on load): decode the file's prefix with the
+	// loader's own header decoder.
+	buf := make([]byte, snapHeaderMax)
+	n, err := io.ReadFull(f, buf)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, err
 	}
-	r := &reader{data: buf[:]}
-	if string(r.take(8)) != string(snapMagic[:]) {
-		return nil, fmt.Errorf("%s: %w: snapshot magic mismatch", path, ErrCorrupt)
+	_, m, _, err := readHeader(&reader{data: buf[:n]})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	version := r.u32()
-	if version < 1 || version > SnapshotVersion {
-		return nil, fmt.Errorf("%s: snapshot format version %d, this build reads versions 1..%d", path, version, SnapshotVersion)
-	}
-	m := &Meta{}
-	m.Q = int(r.u32())
-	m.Measure = simfn.TokenMeasure(r.u32())
-	m.Shards = int(r.u32())
-	m.Theta = r.f64()
-	r.u32() // tuple count
-	plen := r.u32()
-	if r.err == nil && version >= 2 && plen > 0 {
-		if plen > maxProfileLen {
-			return nil, fmt.Errorf("%s: %w: profile name length %d over the %d cap", path, ErrCorrupt, plen, maxProfileLen)
-		}
-		pb := make([]byte, plen)
-		if _, err := io.ReadFull(f, pb); err != nil {
-			return nil, fmt.Errorf("%s: %w: snapshot shorter than its header", path, ErrCorrupt)
-		}
-		m.Profile = string(pb)
-	}
-	return m, r.err
+	return &m, nil
 }
 
 func peekWALMeta(path string) (*Meta, error) {

@@ -149,15 +149,15 @@ func (ix *Index) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// ImportSnapshot builds a fresh in-memory index from exported snapshot
-// bytes — how a blank replacement replica bootstraps before catching up
-// through normal upserts. Options left zero adopt the snapshot's stored
-// configuration; options set explicitly must match it. Storage must be
-// zero (Save the imported index afterwards to make it durable).
+// ImportSnapshot builds a fresh index from exported snapshot bytes —
+// how a blank replacement replica bootstraps before catching up through
+// normal upserts. Options left zero adopt the snapshot's stored
+// configuration; options set explicitly must match it. With
+// Storage.Dir set the imported index is persisted exactly as BulkLoad
+// persists its build: its snapshot is written into a directory that
+// must not already hold an index, and the returned index is durable,
+// logging subsequent Upserts.
 func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
-	if opts.Storage.Dir != "" {
-		return nil, fmt.Errorf("adaptivelink: ImportSnapshot builds in-memory indexes; Save to %q afterwards to persist", opts.Storage.Dir)
-	}
 	v, err := store.DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
@@ -174,5 +174,5 @@ func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
 	}
-	return newIndex(ri, opts), nil
+	return persist(ri, opts, "imported snapshot")
 }

@@ -1,6 +1,8 @@
 package adaptivelink
 
 import (
+	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -125,5 +127,70 @@ func TestRestoreSnapshotDurable(t *testing.T) {
 	defer re.Close()
 	if got, _ := re.Digest(); got.Combined != want.Combined {
 		t.Fatalf("reopened digest %s != restored %s", got.Combined, want.Combined)
+	}
+}
+
+// TestImportSnapshotDurable pins ImportSnapshot with Storage.Dir to
+// BulkLoad's persist step: the imported index is durable from birth, its
+// next upsert is logged, the directory reopens to byte-identical state
+// and answers, and a directory already holding an index is refused.
+func TestImportSnapshotDurable(t *testing.T) {
+	tuples := durableTuples(120)
+	src, err := NewIndex(FromTuples(tuples), IndexOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "imported")
+	imp, err := ImportSnapshot(blob, IndexOptions{Storage: StorageOptions{Dir: dir, WALSync: SyncNone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !imp.Durable() || imp.WALRecords() != 0 || imp.LastSnapshot().IsZero() {
+		t.Fatalf("imported index: durable %v, %d WAL records, last snapshot %v", imp.Durable(), imp.WALRecords(), imp.LastSnapshot())
+	}
+	if imp.RecoveryInfo().Recovered {
+		t.Fatal("a freshly imported index reports a recovery")
+	}
+	if _, _, err := imp.Upsert(Tuple{ID: 9000, Key: "passo dello stelvio 48", Attrs: []string{"after import"}}); err != nil {
+		t.Fatal(err)
+	}
+	if imp.WALRecords() != 1 {
+		t.Fatalf("upsert after import logged %d records, want 1", imp.WALRecords())
+	}
+	want, err := imp.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := imp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ri := re.RecoveryInfo(); ri.SnapshotTuples != src.Len() || ri.WALBatchesReplayed != 1 {
+		t.Fatalf("reopen recovered %+v, want the %d imported tuples plus 1 batch", ri, src.Len())
+	}
+	got, err := re.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("reopened index exports different bytes than the imported one held")
+	}
+	keys := []string{"passo dello stelvio 48", "passo dello stelvia 48"}
+	for _, tp := range tuples {
+		keys = append(keys, tp.Key, tp.Key+"x")
+	}
+	assertIndexEqual(t, imp, re, keys)
+
+	if _, err := ImportSnapshot(blob, IndexOptions{Storage: StorageOptions{Dir: dir}}); err == nil || !strings.Contains(err.Error(), "already holds") {
+		t.Fatalf("import into an occupied directory = %v, want refusal", err)
 	}
 }
