@@ -123,15 +123,19 @@ chaos:
 # racing probes must never expose a half-applied payload), snapshot
 # decoding (arbitrary bytes never panic or build a broken index),
 # write-ahead-log replay (recovery always stops at an intact record
-# boundary) and decomposition parity (the byte-packed, rune-packed and
+# boundary), decomposition parity (the byte-packed, rune-packed and
 # string-fallback gram paths agree with the Grams oracle on arbitrary
-# Unicode). `go test -fuzz=<name> ./internal/...` digs deeper.
+# Unicode) and the posting codec (block-compressed lists under inserts,
+# clones, evictions and rebuilds decode to a plain []int32 oracle, and
+# frozen generations never change). `go test -fuzz=<name>
+# ./internal/...` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/join -run=NONE -fuzz=FuzzUpsertProbe -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qgram -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hashidx -run=NONE -fuzz=FuzzPostingList -fuzztime=$(FUZZTIME)
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the

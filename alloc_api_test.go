@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -76,16 +77,29 @@ func TestAllocSessionProbeBudget(t *testing.T) {
 
 // residentBytesBudget bounds the live heap a built index holds per
 // reference tuple at 20k rows: the tuple, its global ref, its key's
-// bucket in the exact index and its postings — one entry in each and
-// nothing beside them. Holding the sorted signature, a second key map,
-// a key vector and a second tuple store as well cost 668.
-const residentBytesBudget = 450
+// entry in the exact index and its postings — one entry in each and
+// nothing beside them. 217 measured, margin 13. Postings stored as flat
+// int32 lists and an exact index of one-element ref slices cost 321;
+// holding the sorted signature, a second key map, a key vector and a
+// second tuple store as well cost 668.
+const residentBytesBudget = 230
 
 // exactOnlyResidentBytesBudget bounds the same for an index no
 // approximate probe has reached: the tuple, its global ref and its
-// exact-index bucket. The q-gram structures are built by a shard's
-// first approximate probe; building them eagerly cost ~400 here.
-const exactOnlyResidentBytesBudget = 200
+// exact-index entry. 130 measured, margin 20; the exact index of
+// one-element ref slices cost 178. The q-gram structures are built by a
+// shard's first approximate probe; building them eagerly cost ~400 here.
+const exactOnlyResidentBytesBudget = 150
+
+// churnBuiltBytesBudget and churnExactOnlyBytesBudget bound the same
+// after the upsert churn of TestAllocResidentBytesAfterUpserts: 198 and
+// 117 measured, margins 22 and 18. Flat int32 postings (append slack,
+// lists copied by the first append of a generation) and one-element ref
+// slices cost 337 and 171.
+const (
+	churnBuiltBytesBudget     = 220
+	churnExactOnlyBytesBudget = 135
+)
 
 // residentBytesPerTuple returns the live heap bytes per tuple an index
 // of rows reference tuples holds, after one approximate probe if built.
@@ -140,13 +154,78 @@ func TestAllocExactOnlyResidentBytesPerTuple(t *testing.T) {
 	}
 }
 
+// churnBatches is the repository benchmark's single_adaptive upsert
+// phase: 1,768 batches of 16 tuples, 8 keys new to the index and 8
+// payload replacements of resident keys, taking 20k rows to 34,144.
+const churnBatches = 1768
+
+// residentBytesAfterUpserts returns the live heap bytes per resident
+// tuple of a 20k-row index — built by one approximate probe, or never
+// probed approximately — after the churn phase. The batches are
+// generated before the first heap reading, so only the index counts.
+func residentBytesAfterUpserts(t *testing.T, built bool) float64 {
+	const rows = 20_000
+	all, opts := footprintTuples(t, rows+8*churnBatches)
+	tuples, fresh := all[:rows], all[rows:]
+	work := make([][]Tuple, churnBatches)
+	for b := range work {
+		batch := append(make([]Tuple, 0, 16), fresh[8*b:8*b+8]...)
+		for j := range 8 {
+			old := tuples[(b*7919+j*104729)%rows]
+			batch = append(batch, Tuple{ID: old.ID, Key: old.Key, Attrs: []string{"v" + strconv.Itoa(b+1)}})
+		}
+		work[b] = batch
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := NewIndex(FromTuples(tuples), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built {
+		sess, err := ix.NewSession(SessionOptions{Strategy: ApproximateOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Probe(tuples[0].Key)
+	}
+	for _, batch := range work {
+		if ins, upd, err := ix.Upsert(batch...); err != nil || ins != 8 || upd != 8 {
+			t.Fatalf("batch applied as %d inserts / %d updates (%v), want 8 / 8", ins, upd, err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(all)
+	runtime.KeepAlive(work)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(ix.Len())
+}
+
+// TestAllocResidentBytesAfterUpserts pins the footprint the at-load
+// pins cannot see: what append slack, copied lists and grown tails add
+// under the benchmark's churn.
+func TestAllocResidentBytesAfterUpserts(t *testing.T) {
+	built, exact := residentBytesAfterUpserts(t, true), residentBytesAfterUpserts(t, false)
+	t.Logf("resident heap bytes per tuple after %d upsert batches: %.0f built, %.0f exact-only", churnBatches, built, exact)
+	if built > churnBuiltBytesBudget {
+		t.Errorf("%.0f resident bytes per tuple after the churn, built, budget %d", built, churnBuiltBytesBudget)
+	}
+	if exact > churnExactOnlyBytesBudget {
+		t.Errorf("%.0f resident bytes per tuple after the churn, exact-only, budget %d", exact, churnExactOnlyBytesBudget)
+	}
+}
+
 // checkpointBytesBudget bounds what a steady-state checkpoint allocates
 // per tuple at 44k rows: the view's gathered store, one 48-byte tuple
-// header and one 4-byte global ref per tuple (54 measured), plus a
-// margin of 6. The encoding is staged in pooled buffers, so the second
-// checkpoint finds them warm, and no q-gram section is derived: deriving
-// them cost 66, exporting and staging a whole-index copy 201.
-const checkpointBytesBudget = 60
+// header per tuple (50 measured; the view shares the shards' member
+// refs, whose copy cost 4 more), plus a margin of 6. The encoding is
+// staged in pooled buffers, so the second checkpoint finds them warm,
+// and no q-gram section is derived: deriving them cost 66, exporting and
+// staging a whole-index copy 201.
+const checkpointBytesBudget = 56
 
 func TestAllocCheckpointBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 44_000)
@@ -205,12 +284,12 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 
 // snapshotLoadBytesBudget bounds what a load of a 20k-row version-5
 // image allocates per tuple, decode plus index build: the decoded store,
-// the shard tuple stores and global refs, and the exact indexes. The
-// per-version adopt loop the bulk builder replaced allocated 394; the
-// builder's key homes add 4 (398 measured), and the margin is 22. It is
-// what a durable cold start allocates before the log replay, so the
-// build's transients (key homes, per-shard goroutines) count against it.
-const snapshotLoadBytesBudget = 420
+// the shard tuple stores and global refs, and the exact indexes (273
+// measured, margin 22). Exact indexes of one-element ref slices and int
+// global refs allocated 398. It is what a durable cold start allocates
+// before the log replay, so the build's transients (key homes,
+// per-shard goroutines) count against it.
+const snapshotLoadBytesBudget = 295
 
 func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 20_000)

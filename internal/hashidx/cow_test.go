@@ -12,6 +12,10 @@ import (
 	"adaptivelink/internal/qgram"
 )
 
+// list returns gram id's posting list decoded: nil for an empty list,
+// qgram.NoID and grams interned but not yet in the postings table.
+func (x *QGramIndex) list(id uint32) []int32 { return x.appendList(nil, id) }
+
 // postingsOf lists x's postings table over the whole dictionary, with
 // every empty or not-yet-posted list as nil.
 func postingsOf(x *QGramIndex) [][]int32 {
@@ -81,37 +85,48 @@ func TestImportDerivesLivePostings(t *testing.T) {
 	}
 }
 
-// A derived list's capacity ends at its length: the first append after
-// an import copies that one list out of the shared flat array instead
-// of overwriting its neighbour.
+// A derived list's arrays end at their length: the first append after
+// an import copies that one list's tail, and the first block it encodes
+// copies that list's blocks, instead of overwriting a neighbour or the
+// view an earlier generation holds.
 func TestImportedPostingListsAreClipped(t *testing.T) {
 	x := newQIdx()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 3*blockRefs+5; i++ {
 		x.Insert(i, fmt.Sprintf("VIA MONTE ROSA %d", i))
 	}
 	y, err := ImportQGramIndex(x.Extractor(), x.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, l := range postingsOf(y) {
-		if cap(l) != len(l) {
-			t.Fatalf("list %d has %d spare slots inside the flat array", id, cap(l)-len(l))
+	blocks := 0
+	for id := 0; id < y.postings.Len(); id++ {
+		l := y.postings.At(id)
+		if l == nil {
+			continue
 		}
+		if cap(l.blocks) != len(l.blocks) || cap(l.tail) != len(l.tail) {
+			t.Fatalf("list %d has %d spare block bytes and %d spare tail slots", id, cap(l.blocks)-len(l.blocks), cap(l.tail)-len(l.tail))
+		}
+		if len(l.blocks) > 0 {
+			blocks++
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("no list reached a full block; workload broken")
 	}
 	before := postingsOf(y)
-	snapshot := make([][]int32, len(before))
-	for id, l := range before {
-		snapshot[id] = append([]int32(nil), l...)
+	frozen := y
+	y = y.Clone()
+	for i := 3*blockRefs + 5; i < 5*blockRefs; i++ {
+		key := fmt.Sprintf("VIA MONTE ROSA %d", i)
+		y.Insert(i, key)
+		x.Insert(i, key)
 	}
-	y.Insert(20, "VIA MONTE ROSA 20")
-	x.Insert(20, "VIA MONTE ROSA 20")
 	if !reflect.DeepEqual(postingsOf(y), postingsOf(x)) {
-		t.Fatal("imported index diverged from the live one after an insert")
+		t.Fatal("imported index diverged from the live one after inserts")
 	}
-	for id, l := range before {
-		if !reflect.DeepEqual(append([]int32(nil), l...), snapshot[id]) {
-			t.Fatalf("insert after import overwrote list %d's old view", id)
-		}
+	if !reflect.DeepEqual(postingsOf(frozen), before) {
+		t.Fatal("inserts into a clone of an import changed the import's lists")
 	}
 }
 
@@ -144,35 +159,22 @@ func TestWritesToClonedGenerationPanic(t *testing.T) {
 	mustPanicFrozen(t, "second QGramIndex.Clone", func() { q.Clone() })
 	mustPanicFrozen(t, "Dict.Intern of a new gram after Clone", func() { q.Dict().Intern(nil, qgram.New(3).Decompose(&sc, "zzz")) })
 
-	e := NewExactIndex()
-	e.Insert(0, "rome")
-	e.Clone()
-	mustPanicFrozen(t, "ExactIndex.Insert after Clone", func() { e.Insert(1, "milan") })
-	mustPanicFrozen(t, "ExactIndex.CatchUp after Clone", func() { e.CatchUp([]string{"rome", "milan"}) })
-	mustPanicFrozen(t, "ExactIndex.EvictBelow after Clone", func() { e.EvictBelow(1) })
-	mustPanicFrozen(t, "second ExactIndex.Clone", func() { e.Clone() })
-
 	// Reads of a frozen generation are what it is for.
 	if got := q.Probe("monte rosa", q.GramSize(0)); len(got) != 1 {
 		t.Fatalf("frozen q-gram index probe = %v", got)
 	}
-	if got := e.Lookup("rome"); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("frozen exact index lookup = %v", got)
-	}
 }
 
-// generation is everything observable about one frozen pair of indexes.
+// generation is everything observable about one frozen index.
 type generation struct {
 	q        *QGramIndex
-	e        *ExactIndex
 	keys     []string
 	export   QGramExport // deep copy
 	postings [][]int32   // deep copy
-	lookups  [][]int     // deep copy, per key
 }
 
-func freeze(q *QGramIndex, e *ExactIndex, keys []string) generation {
-	g := generation{q: q, e: e, keys: append([]string(nil), keys...)}
+func freeze(q *QGramIndex, keys []string) generation {
+	g := generation{q: q, keys: append([]string(nil), keys...)}
 	exp := q.Export()
 	g.export = QGramExport{
 		Grams:    exp.Grams,
@@ -188,9 +190,6 @@ func freeze(q *QGramIndex, e *ExactIndex, keys []string) generation {
 	}
 	for _, l := range postingsOf(q) {
 		g.postings = append(g.postings, append([]int32(nil), l...))
-	}
-	for _, k := range g.keys {
-		g.lookups = append(g.lookups, append([]int(nil), e.Lookup(k)...))
 	}
 	return g
 }
@@ -211,20 +210,16 @@ func (g generation) check(t *testing.T, gen int) {
 			t.Fatalf("generation %d: posting list %d changed after the freeze: %v, was %v", gen, id, l, g.postings[id])
 		}
 	}
-	for i, k := range g.keys {
-		if got := g.e.Lookup(k); !reflect.DeepEqual(append([]int(nil), got...), g.lookups[i]) {
-			t.Fatalf("generation %d: Lookup(%q) = %v, was %v", gen, k, got, g.lookups[i])
-		}
-	}
 }
 
 // A lineage of clones — inserts of new and duplicate keys, dictionary
-// and table folds, evictions on inherited arrays — never changes a
+// and table folds, tails filling into blocks, evictions on inherited
+// arrays — never changes a
 // generation it has left behind, while readers probe those generations
 // concurrently (the race detector's half of the test).
 func TestClonedLineageLeavesGenerationsIntact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	q, e := newQIdx(), NewExactIndex()
+	q := newQIdx()
 	var keys []string
 	var history []generation
 	var wg sync.WaitGroup
@@ -235,21 +230,19 @@ func TestClonedLineageLeavesGenerationsIntact(t *testing.T) {
 				k = keys[rng.Intn(len(keys))] // duplicate: extends a bucket of a shared table
 			}
 			q.Insert(len(keys), k)
-			e.Insert(len(keys), k)
 			keys = append(keys, k)
 		}
 		if gen%25 == 24 {
 			q.EvictBelow(len(keys) / 4)
-			e.EvictBelow(len(keys) / 4)
 		}
-		g := freeze(q, e, keys)
+		g := freeze(q, keys)
 		history = append(history, g)
-		q, e = q.Clone(), e.Clone()
+		q = q.Clone()
 		wg.Add(1)
 		go func(gen int, g generation) {
 			defer wg.Done()
 			var sc ProbeScratch
-			for i, k := range g.keys {
+			for _, k := range g.keys {
 				key := g.q.Extractor().Decompose(&sc.Dec, k)
 				for _, c := range g.q.ProbeKey(key, max(1, key.Len()), &sc) {
 					if c.Ref >= len(g.keys) {
@@ -258,10 +251,6 @@ func TestClonedLineageLeavesGenerationsIntact(t *testing.T) {
 					}
 				}
 				sc.Dec.Reset()
-				if got := g.e.Lookup(k); !reflect.DeepEqual(append([]int(nil), got...), g.lookups[i]) {
-					t.Errorf("generation %d: concurrent Lookup(%q) = %v, was %v", gen, k, got, g.lookups[i])
-					return
-				}
 			}
 		}(gen, g)
 	}

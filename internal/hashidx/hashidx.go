@@ -9,11 +9,20 @@
 // catch-up of §2.3 — only the index needed by the currently active
 // operator is kept up to date, and a switch pays only for the tuples
 // read since the previous switch.
+//
+// The q-gram index holds the n·(|jA|+q−1) postings of §2.3's space
+// analysis, the largest structure a resident reference keeps, so its
+// lists are compressed: each is a run of immutable, delta-coded blocks
+// of blockRefs refs followed by an uncompressed tail of the newest
+// fewer-than-blockRefs refs (see postingList). The streaming engine
+// and the resident index share this one representation.
 package hashidx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -22,19 +31,21 @@ import (
 )
 
 // ExactIndex is a hash table from join-key value to the refs of the
-// tuples carrying that value (SHJoin's per-operand state).
+// tuples carrying that value (SHJoin's per-operand state): a plain
+// multiset map, owned by one streaming engine and never shared. (The
+// resident index is keyed — one ref per key — and keeps its own
+// copy-on-write table of single refs.)
 type ExactIndex struct {
-	buckets cow.Map[[]int]
+	buckets map[string][]int
 	indexed int
-	entries int  // live entries: indexed minus evicted
-	frozen  bool // set by Clone; writer-side, never read by Lookup
+	entries int // live entries: indexed minus evicted
 }
 
-// checkLive panics when a writer-side operation reaches a generation
-// frozen by Clone. Clones share their parent's arrays and write only
-// past the lengths the parent sees, which is safe for the parent's
-// readers exactly as long as history is linear: a published generation
-// is never written again and is cloned once.
+// checkLive panics when a writer-side operation reaches a q-gram index
+// generation frozen by Clone. Clones share their parent's arrays and
+// write only past the lengths the parent sees, which is safe for the
+// parent's readers exactly as long as history is linear: a published
+// generation is never written again and is cloned once.
 func checkLive(frozen bool, op string) {
 	if frozen {
 		panic("hashidx: " + op + " on an index frozen by Clone: a published generation is immutable and is cloned once; write to the clone")
@@ -43,41 +54,24 @@ func checkLive(frozen bool, op string) {
 
 // NewExactIndex returns an empty exact index.
 func NewExactIndex() *ExactIndex {
-	return &ExactIndex{buckets: cow.NewMap[[]int](0)}
+	return &ExactIndex{buckets: make(map[string][]int)}
 }
 
 // Insert registers the tuple at position ref with the given key. Refs
 // must be inserted densely in order; this invariant is what makes lazy
 // catch-up a pure suffix operation.
 func (x *ExactIndex) Insert(ref int, key string) {
-	checkLive(x.frozen, "ExactIndex.Insert")
 	if ref != x.indexed {
 		panic(fmt.Sprintf("hashidx: ExactIndex.Insert ref %d, want %d (dense order)", ref, x.indexed))
 	}
-	refs, _ := x.buckets.Get(key)
-	x.buckets.Put(key, append(refs, ref))
+	x.buckets[key] = append(x.buckets[key], ref)
 	x.indexed++
 	x.entries++
 }
 
 // Lookup returns the refs of all tuples whose key equals key. The
 // returned slice is owned by the index; callers must not mutate it.
-func (x *ExactIndex) Lookup(key string) []int {
-	refs, _ := x.buckets.Get(key)
-	return refs
-}
-
-// Clone is the copy-on-write step of an RCU snapshot build: it freezes
-// x — the published generation; a later Insert, CatchUp, EvictBelow or
-// second Clone panics — and returns the next generation, which shares
-// x's table and owns only the keys inserted since (see cow.Map).
-// Inserts into the clone never disturb readers of x: a bucket append
-// lands past the length x sees or in a fresh array.
-func (x *ExactIndex) Clone() *ExactIndex {
-	checkLive(x.frozen, "ExactIndex.Clone")
-	x.frozen = true
-	return &ExactIndex{buckets: x.buckets.Clone(), indexed: x.indexed, entries: x.entries}
-}
+func (x *ExactIndex) Lookup(key string) []int { return x.buckets[key] }
 
 // Indexed returns how many tuples of the side have been absorbed (the
 // dense insertion clock; eviction does not rewind it).
@@ -124,22 +118,21 @@ func evictPrefix(buckets map[string][]int, minRef int) int {
 // eviction frees memory but does not rewind the dense insertion clock,
 // so Insert and CatchUp keep working after evictions.
 func (x *ExactIndex) EvictBelow(minRef int) int {
-	checkLive(x.frozen, "ExactIndex.EvictBelow")
-	dropped := evictPrefix(x.buckets.Own(), minRef)
+	dropped := evictPrefix(x.buckets, minRef)
 	x.entries -= dropped
 	return dropped
 }
 
 // Buckets returns the number of distinct key values indexed.
-func (x *ExactIndex) Buckets() int { return x.buckets.Len() }
+func (x *ExactIndex) Buckets() int { return len(x.buckets) }
 
 // AvgBucketLen returns the mean bucket length B_ex used by the cost
 // analysis of Table 1 (0 for an empty index).
 func (x *ExactIndex) AvgBucketLen() float64 {
-	if x.buckets.Len() == 0 {
+	if len(x.buckets) == 0 {
 		return 0
 	}
-	return float64(x.entries) / float64(x.buckets.Len())
+	return float64(x.entries) / float64(len(x.buckets))
 }
 
 // Candidate is a probe result: a stored tuple sharing Overlap distinct
@@ -163,23 +156,151 @@ type Candidate struct {
 // Probes run entirely on ids with epoch-stamped counting arrays — no
 // per-probe maps and, given a caller-owned ProbeScratch, no per-probe
 // allocations.
+//
+// Each posting list is block-compressed (postingList): its refs sit in
+// full blocks of blockRefs refs, delta-coded as fixed-width gaps, and an
+// uncompressed tail of the newest ones. A block, once written, is never
+// written again, so generations share it; the tail is what an insert
+// appends to, copy-on-append as any shared slice. A full tail is
+// encoded into a new block, which keeps an insert O(grams of the key)
+// with no whole-list re-encoding. The probe decodes blocks gap by gap
+// inside the count filter, allocating nothing, and each list's length
+// is a stored field, so the rarest-first sort reads it in O(1).
 type QGramIndex struct {
 	ex       *qgram.Extractor
 	dict     *qgram.Dict
-	postings cow.Vec[[]int32] // gram id -> ascending refs
-	sizes    []uint32         // ref -> |q(key(ref))|; retained over eviction
-	buckets  int              // posting lists currently non-empty
+	postings cow.Vec[*postingList] // gram id -> ascending refs; nil when empty
+	sizes    []uint32              // ref -> |q(key(ref))|; retained over eviction
+	buckets  int                   // posting lists currently non-empty
 	indexed  int
 	entries  int // total postings, for the space accounting of §2.3
+	encBytes int // encoded block bytes over all lists
+	tailRefs int // refs in the uncompressed tails
 	sigFloor int // refs below it have been evicted: no postings, no signature
 
 	// Writer-side state, which probes — running concurrently on frozen
-	// generations — never touch. frozen is set by Clone.
+	// generations — never touch. frozen is set by Clone; gen counts the
+	// Clones behind this generation (see mutList).
 	frozen bool
+	gen    uint64
 	// insc backs Insert/CatchUp: inserts are single-writer by the index
 	// contract (dense ref order).
 	insc  qgram.Scratch
 	idbuf []uint32
+}
+
+// blockRefs is the ref count of a full posting block. Thirty-two keeps
+// the uncompressed tails — up to blockRefs−1 refs at 4 bytes in every
+// list — small beside the blocks at the list lengths of indexes of a
+// few thousand to a few hundred thousand keys, while a block's 5-byte
+// header costs under a fifth of a byte per posting and the probe pays
+// its per-block setup once per 32 postings. It must stay below 64: the
+// header holds the count in its low six bits.
+const blockRefs = 32
+
+// blockHeader is a block's header length: the count-and-width byte and
+// the first ref.
+const blockHeader = 5
+
+// postingList is one gram's ascending refs. blocks holds the full
+// blocks back to back, oldest first. A block is frame-of-reference
+// coded: a header byte (the ref count, and in the top two bits the gap
+// width w−1), the first ref in 4 bytes, then the gap to each next ref
+// in w bytes, all little-endian, w being the fewest bytes the block's
+// widest gap needs. Byte-aligned gaps decode without a branch per ref,
+// and in a list denser than one ref in 256 every gap is one byte.
+//
+// Blocks are immutable: a clone shares them, appends new ones past the
+// length its parent's readers see, and eviction writes a fresh array.
+// All blocks hold blockRefs refs except that eviction may leave a
+// shorter first one. tail holds the newest fewer than blockRefs refs,
+// uncompressed, so an insert is one append and no block is ever
+// re-encoded to grow. n counts the refs in both. gen is the generation
+// of the index that may write this list in place.
+type postingList struct {
+	blocks []byte
+	tail   []int32
+	n      int
+	gen    uint64
+}
+
+// gapWidth returns the bytes per gap of a block of refs.
+func gapWidth(refs []int32) int {
+	var widest int32
+	for i := 1; i < len(refs); i++ {
+		widest = max(widest, refs[i]-refs[i-1])
+	}
+	return max(1, (bits.Len32(uint32(widest))+7)/8)
+}
+
+// blockLen returns the encoded length of a block of refs.
+func blockLen(refs []int32) int { return blockHeader + (len(refs)-1)*gapWidth(refs) }
+
+// appendBlock encodes refs (ascending, 1 to blockRefs of them) as one
+// block onto dst.
+func appendBlock(dst []byte, refs []int32) []byte {
+	w := gapWidth(refs)
+	dst = append(dst, byte(len(refs))|byte(w-1)<<6)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(refs[0]))
+	for i := 1; i < len(refs); i++ {
+		gap := uint32(refs[i] - refs[i-1])
+		for range w {
+			dst = append(dst, byte(gap))
+			gap >>= 8
+		}
+	}
+	return dst
+}
+
+// nextBlock splits the block at the head of enc: its first ref, its
+// gaps and gap width, and the rest of enc.
+func nextBlock(enc []byte) (first uint32, gaps []byte, w int, rest []byte) {
+	c, w := int(enc[0]&63), int(enc[0]>>6)+1
+	first = binary.LittleEndian.Uint32(enc[1:blockHeader])
+	end := blockHeader + (c-1)*w
+	return first, enc[blockHeader:end], w, enc[end:]
+}
+
+// gapAt decodes one gap of a block whose gaps are len(b) bytes wide.
+func gapAt(b []byte) uint32 {
+	var gap uint32
+	for i := len(b) - 1; i >= 0; i-- {
+		gap = gap<<8 | uint32(b[i])
+	}
+	return gap
+}
+
+// decodeBlock decodes the block at the head of enc into buf and returns
+// its refs (a view of buf) and the rest of enc.
+func decodeBlock(enc []byte, buf *[blockRefs]int32) ([]int32, []byte) {
+	ref, gaps, w, rest := nextBlock(enc)
+	buf[0] = int32(ref)
+	refs := buf[:1+len(gaps)/w]
+	for i := 1; i < len(refs); i++ {
+		ref += gapAt(gaps[(i-1)*w : i*w])
+		refs[i] = int32(ref)
+	}
+	return refs, rest
+}
+
+// first returns the list's smallest ref; the list must not be empty.
+func (l *postingList) first() int32 {
+	if len(l.blocks) > 0 {
+		first, _, _, _ := nextBlock(l.blocks)
+		return int32(first)
+	}
+	return l.tail[0]
+}
+
+// appendTo appends the list's refs, decoded, to dst.
+func (l *postingList) appendTo(dst []int32) []int32 {
+	var buf [blockRefs]int32
+	for enc := l.blocks; len(enc) > 0; {
+		var refs []int32
+		refs, enc = decodeBlock(enc, &buf)
+		dst = append(dst, refs...)
+	}
+	return append(dst, l.tail...)
 }
 
 // NewQGramIndex returns an empty inverted index using the extractor's
@@ -213,6 +334,9 @@ func (x *QGramIndex) InsertKey(ref int, k qgram.Key) {
 	x.insertIDs(ref, x.idbuf)
 }
 
+// insertIDs appends ref to the tail of each id's list, and encodes a
+// tail that fills into a new block. The tail array of a clone may be
+// its parent's, so a flushed tail is dropped, never truncated for reuse.
 func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 	checkLive(x.frozen, "QGramIndex.Insert")
 	if ref != x.indexed {
@@ -222,27 +346,57 @@ func (x *QGramIndex) insertIDs(ref int, ids []uint32) {
 		x.postings.Append(nil)
 	}
 	for _, id := range ids {
-		refs := x.postings.Mut(int(id))
-		if len(*refs) == 0 {
+		l := x.mutList(int(id))
+		if l.n == 0 {
 			x.buckets++
 		}
-		*refs = append(*refs, int32(ref))
+		l.n++
+		if l.tail = append(l.tail, int32(ref)); len(l.tail) == blockRefs {
+			was := len(l.blocks)
+			l.blocks = appendBlock(l.blocks, l.tail)
+			l.tail = nil
+			x.encBytes += len(l.blocks) - was
+			x.tailRefs -= blockRefs
+		}
 	}
 	x.sizes = append(x.sizes, uint32(len(ids)))
 	x.entries += len(ids)
+	x.tailRefs += len(ids)
 	x.indexed++
+}
+
+// mutList returns gram id's list for writing, copying its header first
+// unless this generation owns it, and creating it when it is empty. The
+// directory holds a pointer per gram, so a generation copies a chunk of
+// pointers and the few list headers it writes, not a chunk of headers.
+// Lists reachable from x were made by x or an ancestor, and ancestors
+// carry smaller generations: a matching stamp means no other generation
+// can see the list.
+func (x *QGramIndex) mutList(id int) *postingList {
+	slot := x.postings.Mut(id)
+	if l := *slot; l == nil || l.gen != x.gen {
+		own := new(postingList)
+		if l != nil {
+			*own = *l
+		}
+		own.gen = x.gen
+		*slot = own
+	}
+	return *slot
 }
 
 // Clone is the copy-on-write step of an RCU snapshot build. It freezes
 // x — the published generation, which must never be written or cloned
 // again: Insert, CatchUp, EvictBelow and a second Clone panic — and
 // returns the next generation, which copies nothing proportional to the
-// index. Posting lists are shared views whose capacity ends at their
-// length or in space only this lineage appends to, so an append copies
-// the touched list or lands past what x's readers see; the per-ref
-// sizes are shared the same way; the dictionary and the postings
-// directory are cow containers. History must therefore be linear,
-// which the freeze enforces.
+// index. The postings directory is a cow container of list headers,
+// and a header is copied by the first generation to write it
+// (mutList). Blocks are immutable and shared; block arrays and tails
+// are shared views whose capacity ends at their length or in space
+// only this lineage appends to, so an append copies the touched array
+// or lands past what x's readers see; the per-ref sizes are shared the
+// same way; the dictionary is a cow container. History must therefore
+// be linear, which the freeze enforces.
 func (x *QGramIndex) Clone() *QGramIndex {
 	checkLive(x.frozen, "QGramIndex.Clone")
 	x.frozen = true
@@ -254,7 +408,10 @@ func (x *QGramIndex) Clone() *QGramIndex {
 		buckets:  x.buckets,
 		indexed:  x.indexed,
 		entries:  x.entries,
+		encBytes: x.encBytes,
+		tailRefs: x.tailRefs,
 		sigFloor: x.sigFloor,
+		gen:      x.gen + 1,
 		insc:     x.insc, // x never inserts again: the scratch moves on
 		idbuf:    x.idbuf,
 	}
@@ -310,8 +467,9 @@ func (x *QGramIndex) export(compact bool) QGramExport {
 	}
 	grams := x.dict.Grams()
 	live := 0
+	var list []int32
 	for id := range grams {
-		list := x.list(uint32(id))
+		list = x.appendList(list[:0], uint32(id))
 		if len(list) == 0 && compact {
 			continue
 		}
@@ -330,8 +488,8 @@ func (x *QGramIndex) export(compact bool) QGramExport {
 // was never maintained. It decomposes key(ref) for ref 0..n-1 in order,
 // interning every gram into a fresh dictionary (ids in first-seen
 // order, exactly as the Inserts assign them), lays each ref's ids out
-// sorted, back to back, and transposes these signatures into one flat
-// postings array, with no per-list append growth. The signature array
+// back to back, and transposes these signatures straight into encoded
+// posting lists, each allocated at its final size. The signature array
 // is sized up front: a key of L runes has at most L+q−1 distinct grams,
 // and its byte length bounds L, so the appends below never regrow it
 // (growth by a quarter would allocate some five times the array).
@@ -349,7 +507,6 @@ func BuildQGramIndex(ex *qgram.Extractor, n int, key func(ref int) string) *QGra
 		dec.Reset()
 		start := len(flat)
 		flat = x.dict.Intern(flat, ex.Decompose(&dec, key(ref)))
-		slices.Sort(flat[start:])
 		x.sizes[ref] = uint32(len(flat) - start)
 	}
 	sigs := make([][]uint32, n)
@@ -403,41 +560,76 @@ func CheckSection(grams []string, sizes []uint32, sigFloor, n int, sig func(ref 
 	return nil
 }
 
-// transpose derives the postings table, and the bucket and entry
-// counters, from signatures of sorted ids within the dictionary: one
-// counting pass sizes every list, one fill pass writes all lists into a
-// single flat array. Refs are visited ascending, so every list is
-// ascending by construction. Each list is a view whose capacity ends at
-// its length: the first append to it copies that list out of the flat
-// array.
+// transpose derives the postings table, and the counters, from
+// signatures of distinct ids within the dictionary. Refs are visited
+// ascending, so every list comes out ascending. A list of m refs keeps
+// its first m − m mod blockRefs in blocks and the rest in its tail, so
+// one pass counts the lists, a second sizes their blocks, and a third
+// encodes every list into arrays allocated at exactly that size: no
+// uncompressed copy of the postings exists beside the blockRefs refs
+// staged per gram, and the first append to a list copies that list's
+// tail alone.
 func (x *QGramIndex) transpose(sigs [][]uint32) {
 	grams := x.dict.Len()
-	ends := make([]int, grams+1) // ends[id+1] counts list id, then marks where it ends
+	lists := make([]postingList, grams)
 	for _, sig := range sigs {
 		for _, id := range sig {
-			ends[id+1]++
+			lists[id].n++
 		}
 		x.entries += len(sig)
 	}
-	for id := 1; id <= grams; id++ {
-		ends[id] += ends[id-1] // ends[id] is now where list id starts
-	}
-	flat := make([]int32, x.entries)
-	for ref, sig := range sigs {
-		for _, id := range sig {
-			flat[ends[id]] = int32(ref)
-			ends[id]++ // ... and ends up where list id ends, list id+1 starts
+	// Two passes over the signatures: the first sizes every list's
+	// blocks and allocates its arrays, the second encodes. seen[id]
+	// counts the refs of list id met so far in a pass; a block's refs
+	// are staged in stage[id*blockRefs:] until it is complete.
+	seen := make([]int32, grams)
+	stage := make([]int32, grams*blockRefs)
+	size := make([]int, grams)
+	for pass := range 2 {
+		for ref, sig := range sigs {
+			for _, id := range sig {
+				l := &lists[id]
+				k := int(seen[id])
+				seen[id]++
+				if k >= l.n/blockRefs*blockRefs {
+					if pass == 1 {
+						l.tail = append(l.tail, int32(ref))
+					}
+					continue
+				}
+				block := stage[int(id)*blockRefs : (int(id)+1)*blockRefs]
+				block[k%blockRefs] = int32(ref)
+				switch {
+				case k%blockRefs < blockRefs-1:
+				case pass == 0:
+					size[id] += blockLen(block)
+				default:
+					l.blocks = appendBlock(l.blocks, block)
+				}
+			}
+		}
+		if pass == 0 {
+			for id := range lists {
+				l := &lists[id]
+				if size[id] > 0 {
+					l.blocks = make([]byte, 0, size[id])
+				}
+				if t := l.n % blockRefs; t > 0 {
+					l.tail = make([]int32, 0, t)
+				}
+			}
+			clear(seen)
 		}
 	}
-	start := 0
-	for _, end := range ends[:grams] {
-		var list []int32
-		if end > start {
-			list = flat[start:end:end]
-			x.buckets++
+	for _, l := range lists {
+		if l.n == 0 {
+			x.postings.Append(nil)
+			continue
 		}
-		x.postings.Append(list)
-		start = end
+		x.buckets++
+		x.encBytes += len(l.blocks)
+		x.tailRefs += len(l.tail)
+		x.postings.Append(&l) // its own object: a header copied away by a later generation dies alone
 	}
 }
 
@@ -463,21 +655,62 @@ func (x *QGramIndex) EvictBelow(minRef int) int {
 	checkLive(x.frozen, "QGramIndex.EvictBelow")
 	dropped := 0
 	for id := 0; id < x.postings.Len(); id++ {
-		refs := x.postings.At(id)
-		cut, _ := slices.BinarySearch(refs, int32(minRef))
-		if cut == 0 {
+		if l := x.postings.At(id); l == nil || int(l.first()) >= minRef {
 			continue
 		}
-		dropped += cut
-		if cut == len(refs) {
+		l := x.mutList(id)
+		blocks, tail := len(l.blocks), len(l.tail)
+		dropped += l.evictBelow(int32(minRef))
+		x.encBytes += len(l.blocks) - blocks
+		x.tailRefs += len(l.tail) - tail
+		if l.n == 0 {
 			*x.postings.Mut(id) = nil
 			x.buckets--
-			continue
 		}
-		*x.postings.Mut(id) = append([]int32(nil), refs[cut:]...)
 	}
 	x.sigFloor = max(x.sigFloor, min(minRef, x.indexed))
 	x.entries -= dropped
+	return dropped
+}
+
+// evictBelow removes the refs below minRef from the list and returns how
+// many it removed. Blocks wholly below minRef are dropped, the block the
+// cut falls in is re-encoded with its survivors as the new first block,
+// and the blocks after it are copied as they are — into a fresh array,
+// so the evicted prefix becomes garbage and no generation sharing the
+// old array sees a write. The tail is cut only when every block went.
+func (l *postingList) evictBelow(minRef int32) int {
+	var buf [blockRefs]int32
+	dropped := 0
+	var head []byte
+	enc := l.blocks
+	for len(enc) > 0 {
+		refs, rest := decodeBlock(enc, &buf)
+		cut, _ := slices.BinarySearch(refs, minRef)
+		dropped += cut
+		if cut == len(refs) {
+			enc = rest
+			continue
+		}
+		if cut > 0 {
+			head, enc = appendBlock(nil, refs[cut:]), rest
+		}
+		break
+	}
+	if len(head)+len(enc) < len(l.blocks) {
+		l.blocks = nil
+		if len(head)+len(enc) > 0 {
+			l.blocks = append(head, enc...)
+		}
+	}
+	if len(l.blocks) == 0 {
+		cut, _ := slices.BinarySearch(l.tail, minRef)
+		dropped += cut
+		if cut > 0 {
+			l.tail = slices.Clone(l.tail[cut:])
+		}
+	}
+	l.n -= dropped
 	return dropped
 }
 
@@ -485,14 +718,35 @@ func (x *QGramIndex) EvictBelow(minRef int) int {
 // overlap, all that verification needs of it. Valid for evicted refs.
 func (x *QGramIndex) GramSize(ref int) int { return int(x.sizes[ref]) }
 
-// list returns gram id's posting list: nil for qgram.NoID and for grams
-// interned but not yet in the postings table.
-func (x *QGramIndex) list(id uint32) []int32 {
+// at returns gram id's posting list: nil for an empty list, for
+// qgram.NoID and for grams interned but not yet in the postings table.
+func (x *QGramIndex) at(id uint32) *postingList {
 	if uint(id) >= uint(x.postings.Len()) {
 		return nil
 	}
 	return x.postings.At(int(id))
 }
+
+// listLen returns the length of gram id's posting list.
+func (x *QGramIndex) listLen(id uint32) int {
+	if l := x.at(id); l != nil {
+		return l.n
+	}
+	return 0
+}
+
+// appendList appends gram id's posting list, decoded, to dst.
+func (x *QGramIndex) appendList(dst []int32, id uint32) []int32 {
+	if l := x.at(id); l != nil {
+		return l.appendTo(dst)
+	}
+	return dst
+}
+
+// PostingBytes returns what the postings occupy: the encoded block
+// bytes plus 4 bytes per uncompressed tail ref (array slack and list
+// headers aside).
+func (x *QGramIndex) PostingBytes() int { return x.encBytes + 4*x.tailRefs }
 
 // Frequency returns the number of indexed tuples containing gram g.
 func (x *QGramIndex) Frequency(g string) int {
@@ -500,7 +754,7 @@ func (x *QGramIndex) Frequency(g string) int {
 	if !ok {
 		return 0
 	}
-	return len(x.list(id))
+	return x.listLen(id)
 }
 
 // Entries returns the total number of posting entries, i.e. the
@@ -528,6 +782,7 @@ type ProbeScratch struct {
 	Dec qgram.Scratch
 
 	ids    []uint32
+	order  []uint64
 	counts []int32
 	stamps []uint32
 	epoch  uint32
@@ -583,30 +838,30 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 	// yet in the posting table, or with an empty (fully evicted) list.
 	// A stored tuple shares grams only through live postings, so the
 	// count threshold applies unchanged to the surviving m grams — and
-	// if fewer than minOverlap survive, nothing can qualify.
-	m := 0
+	// if fewer than minOverlap survive, nothing can qualify. Each
+	// survivor is held as its list length and id packed into one word,
+	// so the rarest-first order below is a plain integer sort.
+	order := sc.order[:0]
 	for _, id := range ids {
-		if len(x.list(id)) > 0 {
-			ids[m] = id
-			m++
+		if n := x.listLen(id); n > 0 {
+			order = append(order, uint64(n)<<32|uint64(id))
 		}
 	}
+	sc.order = order
+	m := len(order)
 	if m < minOverlap {
 		return nil
 	}
-	ids = ids[:m]
 	if optimised {
 		// Rarest grams first: the admission window then generates the
-		// fewest candidates. The tie-break is arbitrary for results
-		// (counts of admitted candidates are always complete) but fixed
-		// for determinism.
-		slices.SortFunc(ids, func(a, b uint32) int {
-			fa, fb := len(x.postings.At(int(a))), len(x.postings.At(int(b)))
-			if fa != fb {
-				return fa - fb
-			}
-			return int(a) - int(b)
-		})
+		// fewest candidates. The tie-break (by id) is arbitrary for
+		// results (counts of admitted candidates are always complete)
+		// but fixed for determinism.
+		slices.Sort(order)
+	}
+	ids = ids[:m]
+	for i, o := range order {
+		ids[i] = uint32(o)
 	}
 	admitUpTo := m - minOverlap + 1
 	if !optimised {
@@ -627,14 +882,28 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 	epoch := sc.epoch
 	sc.refs = sc.refs[:0]
 	for i, id := range ids {
-		for _, ref := range x.postings.At(int(id)) {
-			if sc.stamps[ref] == epoch {
-				sc.counts[ref]++
-			} else if i < admitUpTo {
-				sc.stamps[ref] = epoch
-				sc.counts[ref] = 1
-				sc.refs = append(sc.refs, ref)
+		l := x.postings.At(int(id))
+		admit := i < admitUpTo
+		// Blocks are decoded inline, gap by gap, straight into the count
+		// filter; the tail is counted as it stands.
+		for enc := l.blocks; len(enc) > 0; {
+			ref, gaps, w, rest := nextBlock(enc)
+			enc = rest
+			sc.tally(ref, epoch, admit)
+			if w == 1 { // the common width, on a loop of its own
+				for _, gap := range gaps {
+					ref += uint32(gap)
+					sc.tally(ref, epoch, admit)
+				}
+				continue
 			}
+			for k := 0; k < len(gaps); k += w {
+				ref += gapAt(gaps[k : k+w])
+				sc.tally(ref, epoch, admit)
+			}
+		}
+		for _, ref := range l.tail {
+			sc.tally(uint32(ref), epoch, admit)
 		}
 	}
 	sc.cands = sc.cands[:0]
@@ -649,4 +918,17 @@ func (x *QGramIndex) probeIDs(ids []uint32, g, minOverlap int, sc *ProbeScratch,
 	// Deterministic output order: by ref.
 	slices.SortFunc(sc.cands, func(a, b Candidate) int { return a.Ref - b.Ref })
 	return sc.cands
+}
+
+// tally is the count filter's step for one posting: a ref already
+// stamped this epoch gains a count, an unstamped one is admitted as a
+// candidate only inside the admission window.
+func (sc *ProbeScratch) tally(ref, epoch uint32, admit bool) {
+	if sc.stamps[ref] == epoch {
+		sc.counts[ref]++
+	} else if admit {
+		sc.stamps[ref] = epoch
+		sc.counts[ref] = 1
+		sc.refs = append(sc.refs, int32(ref))
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"adaptivelink/internal/cow"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
 )
@@ -73,10 +74,11 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 	snaps := make([]*shardSnap, shards)
 	for sh := range snaps {
 		snaps[sh] = newShardSnap()
-		snaps[sh].globals = make([]int, 0, counts[sh])
+		snaps[sh].globals = make([]uint32, 0, counts[sh])
+		snaps[sh].exIdx = cow.NewMap[int32](counts[sh])
 	}
 	for g, sh := range homes {
-		snaps[sh].globals = append(snaps[sh].globals, g)
+		snaps[sh].globals = append(snaps[sh].globals, uint32(g))
 	}
 
 	errs := make([]error, shards)
@@ -87,10 +89,10 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 			defer wg.Done()
 			for lref, g := range sn.globals {
 				sn.tuples.Append(store[g])
-				sn.exIdx.Insert(lref, store[g].Key)
+				sn.exIdx.Put(store[g].Key, int32(lref))
 			}
-			// Fewer buckets than members: some key sits in the shard twice.
-			if sn.exIdx.Buckets() != len(sn.globals) {
+			// Fewer keys than members: some key sits in the shard twice.
+			if sn.exIdx.Len() != len(sn.globals) {
 				errs[sh] = sn.duplicateKey()
 			}
 		}()
@@ -112,13 +114,16 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 }
 
 // duplicateKey names the first key met twice in a shard's member order,
-// by the global refs of its first two occurrences.
+// by the global refs of its first two occurrences. The exact index kept
+// the last occurrence of each key, so the scan keeps its own.
 func (sn *shardSnap) duplicateKey() error {
+	first := make(map[string]uint32, len(sn.globals))
 	for lref, g := range sn.globals {
 		key := sn.key(lref)
-		if first := sn.exIdx.Lookup(key)[0]; first != lref {
-			return fmt.Errorf("join: store has key %q at both ref %d and %d (the store is keyed)", key, sn.globals[first], g)
+		if f, ok := first[key]; ok {
+			return fmt.Errorf("join: store has key %q at both ref %d and %d (the store is keyed)", key, f, g)
 		}
+		first[key] = g
 	}
 	return nil
 }

@@ -43,8 +43,9 @@ func renderSnap(cfg Config, sn *shardSnap) string {
 			g := k.Len()
 			approx = snapApproxAppend(nil, sn, cfg, key, k, g, cfg.Measure.MinOverlap(g, cfg.Theta), &psc)
 		}
-		fmt.Fprintf(&out, "%d %v %v %s | %s\n", lref, sn.tuples.At(lref), sn.exIdx.Lookup(key),
-			renderMatches(snapExact(sn, key)), renderMatches(approx))
+		exact, _ := sn.exIdx.Get(key)
+		fmt.Fprintf(&out, "%d %v %v %s | %s\n", lref, sn.tuples.At(lref), exact,
+			renderMatches(snapExactAppend(nil, sn, key)), renderMatches(approx))
 	}
 	return out.String()
 }

@@ -48,15 +48,20 @@ type MaintStats struct {
 	QGramBuildKeys  uint64
 	QGramBuildNanos int64
 	BuiltShards     int
+	// QGramPostingBytes is what the built shards' postings occupy:
+	// encoded block bytes plus 4 bytes per uncompressed tail ref
+	// (hashidx.QGramIndex.PostingBytes).
+	QGramPostingBytes int
 }
 
 // MaintStats returns a point-in-time snapshot of the maintenance
 // counters. Safe for concurrent use.
 func (s *ShardedRefIndex) MaintStats() MaintStats {
-	built := 0
+	built, postingBytes := 0, 0
 	for sh := range s.shards {
-		if s.shards[sh].Load().qgIdx != nil {
+		if qg := s.shards[sh].Load().qgIdx; qg != nil {
 			built++
+			postingBytes += qg.PostingBytes()
 		}
 	}
 	return MaintStats{
@@ -69,6 +74,8 @@ func (s *ShardedRefIndex) MaintStats() MaintStats {
 		QGramBuildKeys:  s.maint.qgramBuildKeys.Load(),
 		QGramBuildNanos: s.maint.qgramBuildNanos.Load(),
 		BuiltShards:     built,
+
+		QGramPostingBytes: postingBytes,
 	}
 }
 

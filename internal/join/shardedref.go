@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -118,14 +119,16 @@ type shardScratch struct {
 // instead.
 type shardSnap struct {
 	tuples  cow.Vec[relation.Tuple]
-	globals []int // local ref -> global ref (monotonically increasing)
-	exIdx   *hashidx.ExactIndex
+	globals []uint32 // local ref -> global ref (monotonically increasing)
+	// exIdx is the shard's exact index: key -> its one local ref, the
+	// store being keyed.
+	exIdx cow.Map[int32]
 	// qgIdx is nil until the shard's first approximate probe builds it.
 	qgIdx *hashidx.QGramIndex
 }
 
 func newShardSnap() *shardSnap {
-	return &shardSnap{exIdx: hashidx.NewExactIndex()}
+	return &shardSnap{exIdx: cow.NewMap[int32](0)}
 }
 
 // clone returns the writable successor of a published snapshot, copying
@@ -134,8 +137,8 @@ func newShardSnap() *shardSnap {
 // are shared outright — add writes past the length sn's readers see —
 // and the indexes share their tables the same way.
 // That is sound only for a linear history (sn is never written again
-// and is cloned once), which the index Clones check: they freeze sn's
-// indexes and panic on a second clone or a late write.
+// and is cloned once), which the Clones check: they freeze sn's
+// containers and indexes and panic on a late write.
 func (sn *shardSnap) clone() *shardSnap {
 	next := &shardSnap{
 		tuples:  sn.tuples.Clone(),
@@ -153,8 +156,8 @@ func (sn *shardSnap) clone() *shardSnap {
 func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
 	lref := sn.tuples.Len()
 	sn.tuples.Append(t)
-	sn.globals = append(sn.globals, global)
-	sn.exIdx.Insert(lref, t.Key)
+	sn.globals = append(sn.globals, uint32(global))
+	sn.exIdx.Put(t.Key, int32(lref))
 	if sn.qgIdx != nil {
 		sn.qgIdx.InsertKey(lref, k)
 	}
@@ -212,7 +215,7 @@ func (s *ShardedRefIndex) Len() int { return int(s.n.Load()) }
 func (s *ShardedRefIndex) Entries() (exact, qgrams int) {
 	for i := range s.shards {
 		sn := s.shards[i].Load()
-		exact += sn.exIdx.Entries()
+		exact += sn.exIdx.Len()
 		if sn.qgIdx != nil {
 			qgrams += sn.qgIdx.Entries()
 		}
@@ -259,7 +262,7 @@ func (s *ShardedRefIndex) built(sh int) *shardSnap {
 func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 	for i := range s.shards {
 		sn := s.shards[i].Load()
-		if lref, ok := slices.BinarySearch(sn.globals, ref); ok {
+		if lref, ok := slices.BinarySearch(sn.globals, uint32(ref)); ok && ref >= 0 && ref <= math.MaxUint32 {
 			return sn.tuples.At(lref), nil
 		}
 	}
@@ -311,10 +314,10 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 			s.maint.cloneNanos.Add(time.Since(t0).Nanoseconds())
 			next[sh] = ns
 		}
-		// The store is keyed: a resident key's bucket in its home shard's
-		// exact index holds its one local ref.
-		if lrefs := ns.exIdx.Lookup(t.Key); len(lrefs) > 0 {
-			*ns.tuples.Mut(lrefs[0]) = t
+		// The store is keyed: a resident key maps to its one local ref in
+		// its home shard's exact index.
+		if lref, ok := ns.exIdx.Get(t.Key); ok {
+			*ns.tuples.Mut(int(lref)) = t
 			updated++
 			continue
 		}
@@ -344,24 +347,16 @@ func (s *ShardedRefIndex) ProbeExact(key string) []RefMatch {
 // a reusable buffer the exact probe hot path performs zero allocations
 // and zero atomic writes — one snapshot load, one hash lookup.
 func (s *ShardedRefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatch {
-	sn := s.shards[shardmap.ShardOf(key, s.nshard)].Load()
-	for _, lref := range sn.exIdx.Lookup(key) {
-		dst = append(dst, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples.At(lref), Similarity: 1, Exact: true})
-	}
-	return dst
+	return snapExactAppend(dst, s.shards[shardmap.ShardOf(key, s.nshard)].Load(), key)
 }
 
-// snapExact runs the SHJoin probe against one immutable shard snapshot.
-func snapExact(sn *shardSnap, key string) []RefMatch {
-	refs := sn.exIdx.Lookup(key)
-	if len(refs) == 0 {
-		return nil
+// snapExactAppend runs the SHJoin probe against one immutable shard
+// snapshot: one lookup, at most one match.
+func snapExactAppend(dst []RefMatch, sn *shardSnap, key string) []RefMatch {
+	if lref, ok := sn.exIdx.Get(key); ok {
+		dst = append(dst, RefMatch{Ref: int(sn.globals[lref]), Tuple: sn.tuples.At(int(lref)), Similarity: 1, Exact: true})
 	}
-	out := make([]RefMatch, 0, len(refs))
-	for _, lref := range refs {
-		out = append(out, RefMatch{Ref: sn.globals[lref], Tuple: sn.tuples.At(lref), Similarity: 1, Exact: true})
-	}
-	return out
+	return dst
 }
 
 // ProbeApprox matches the key against the reference approximately,
@@ -407,7 +402,7 @@ func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k q
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: sn.globals[cand.Ref], Tuple: t, Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: int(sn.globals[cand.Ref]), Tuple: t, Similarity: sim, Exact: exact})
 	}
 	return dst
 }
@@ -472,7 +467,7 @@ func (s *ShardedRefIndex) probeBatchExact(keys []string, out [][]RefMatch) {
 	s.forShards(len(keys), busy, func(sh int) {
 		sn := s.shards[sh].Load() // one snapshot load per shard-group
 		for _, i := range groups[sh] {
-			out[i] = snapExact(sn, keys[i])
+			out[i] = snapExactAppend(nil, sn, keys[i])
 		}
 	})
 }

@@ -309,14 +309,14 @@ func TestShardedRefHomeShardOnly(t *testing.T) {
 						t.Fatalf("%d shards, %s: key %q stored in shard %d, home is %d", shards, name, key, sh, home)
 					}
 					seen[key]++
-					if got := sn.exIdx.Lookup(key); !reflect.DeepEqual(got, []int{lref}) {
+					if got, ok := sn.exIdx.Get(key); !ok || int(got) != lref {
 						t.Fatalf("%d shards, %s: shard %d's exact index holds %q at %v, tuples at %d", shards, name, sh, key, got, lref)
 					}
-					if g := sn.globals[lref]; g < 0 || g >= ix.Len() || refs[g] {
+					if g := int(sn.globals[lref]); g < 0 || g >= ix.Len() || refs[g] {
 						t.Fatalf("%d shards, %s: shard %d local %d carries global ref %d: outside [0, %d) or taken", shards, name, sh, lref, g, ix.Len())
 					}
-					refs[sn.globals[lref]] = true
-					stored, err := ix.Tuple(sn.globals[lref])
+					refs[int(sn.globals[lref])] = true
+					stored, err := ix.Tuple(int(sn.globals[lref]))
 					if err != nil || !reflect.DeepEqual(stored, sn.tuples.At(lref)) {
 						t.Fatalf("%d shards, %s: shard %d holds %+v at ref %d, store has %+v (%v)",
 							shards, name, sh, sn.tuples.At(lref), sn.globals[lref], stored, err)

@@ -68,12 +68,12 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 		Shards: make([]ShardExport, s.nshard),
 	}
 	for i, sn := range snaps {
-		globals := make([]uint32, len(sn.globals))
 		for lref, g := range sn.globals {
-			globals[lref] = uint32(g)
 			v.Tuples[g] = sn.tuples.At(lref)
 		}
-		v.Shards[i] = ShardExport{Globals: globals}
+		// A published generation's member refs are never written again:
+		// later ones append past their length.
+		v.Shards[i] = ShardExport{Globals: sn.globals[:len(sn.globals):len(sn.globals)]}
 	}
 	return v, nil
 }
@@ -107,7 +107,7 @@ func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
 			return nil, fmt.Errorf("join: snapshot shard %d lists %d members, the keys homed there number %d", i, len(se.Globals), len(derived))
 		}
 		for lref, g := range se.Globals {
-			if int(g) != derived[lref] {
+			if g != derived[lref] {
 				return nil, fmt.Errorf("join: snapshot shard %d lists global ref %d at local %d, where the store's key homes give %d", i, g, lref, derived[lref])
 			}
 		}

@@ -300,7 +300,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		// One value is the whole body: a second object, or anything but
+		// whitespace after the first, is not silently dropped.
+		if _, tok := dec.Token(); tok != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorDTO{Error: ErrorBody{
 			Code:    CodeInvalid,
 			Message: fmt.Sprintf("invalid request body: %v", err),

@@ -62,6 +62,54 @@ func createAtlas(t *testing.T, base string) {
 	}
 }
 
+// A request body is one JSON value: trailing garbage or a second
+// concatenated object is refused whole with 400 invalid, on every
+// endpoint that reads a body, and nothing of it is applied. Trailing
+// whitespace is part of the one value.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t)
+	createAtlas(t, ts.URL)
+	for _, tc := range []struct {
+		name, path, body string
+		ok               int
+	}{
+		{"create", "/v1/indexes", `{"name":"extra","tuples":[{"id":0,"key":"lago maggiore"}]}`, http.StatusCreated},
+		{"upsert", "/v1/indexes/atlas/upsert", `{"tuples":[{"id":9,"key":"corso nuovo sud 3"}]}`, http.StatusOK},
+		{"link", "/v1/link", `{"index":"atlas","key":"lago di como est"}`, http.StatusOK},
+	} {
+		before := s.ListIndexes()
+		for _, tail := range []string{" trailing garbage", tc.body, "]", "\"x\""} {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var e ErrorDTO
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Error.Code != CodeInvalid ||
+				!strings.Contains(e.Error.Message, "trailing data after the JSON value") {
+				t.Fatalf("%s with %q appended: %d %s, want 400 invalid naming the trailing data", tc.name, tail, resp.StatusCode, raw)
+			}
+		}
+		if after := s.ListIndexes(); len(after) != len(before) || after[0].Size != before[0].Size {
+			t.Fatalf("%s: a refused body changed the indexes: %+v, was %+v", tc.name, after, before)
+		}
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body+" \n\t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.ok {
+			t.Fatalf("%s with trailing whitespace: %d, want %d", tc.name, resp.StatusCode, tc.ok)
+		}
+		if tc.name == "create" {
+			if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/indexes/extra", nil); code != http.StatusNoContent {
+				t.Fatalf("delete extra = %d", code)
+			}
+		}
+	}
+}
+
 func TestHTTPIndexLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 	createAtlas(t, ts.URL)

@@ -272,6 +272,7 @@ func TestMetricsExposeObservability(t *testing.T) {
 		`adaptivelink_engine_qgram_build_keys_total{index="atlas"}`,
 		`adaptivelink_engine_qgram_build_seconds_total{index="atlas"}`,
 		`adaptivelink_engine_qgram_built_shards{index="atlas"}`,
+		`adaptivelink_engine_qgram_posting_bytes{index="atlas"}`,
 		`adaptivelink_wal_appends_total{index="atlas"}`,
 	} {
 		if !strings.Contains(text, want) {

@@ -189,6 +189,7 @@ type managedIndex struct {
 	engQGramBuildKeys *metrics.Value
 	engQGramBuildSecs *metrics.Value
 	engQGramBuilt     *metrics.Value
+	engQGramPostings  *metrics.Value
 	walAppends        *metrics.Value
 	walAppendSeconds  *metrics.Value
 	walFsyncSeconds   *metrics.Value
@@ -320,6 +321,8 @@ func (s *Service) newManaged(name string, ix *adaptivelink.Index) *managedIndex 
 			"Cumulative lazy q-gram build time: what first escalations into shards waited for.", l("")),
 		engQGramBuilt: s.reg.Gauge("adaptivelink_engine_qgram_built_shards",
 			"Shards currently holding q-gram structures.", l("")),
+		engQGramPostings: s.reg.Gauge("adaptivelink_engine_qgram_posting_bytes",
+			"Bytes of the built shards' posting lists: encoded blocks plus 4 per uncompressed tail ref.", l("")),
 		walAppends: s.reg.Gauge("adaptivelink_wal_appends_total",
 			"Acknowledged write-ahead-log appends since open.", l("")),
 		walAppendSeconds: s.reg.Gauge("adaptivelink_wal_append_seconds_total",
@@ -346,6 +349,7 @@ func (mi *managedIndex) refreshTelemetry() {
 	mi.engQGramBuildKeys.Set(float64(es.QGramBuildKeys))
 	mi.engQGramBuildSecs.Set(es.QGramBuildSeconds)
 	mi.engQGramBuilt.Set(float64(es.QGramBuiltShards))
+	mi.engQGramPostings.Set(float64(es.QGramPostingBytes))
 	if st, ok := mi.ix.StorageStats(); ok {
 		mi.walAppends.Set(float64(st.WALAppends))
 		mi.walAppendSeconds.Set(st.WALAppendSeconds)

@@ -103,7 +103,8 @@ for series in adaptivelink_build_info adaptivelink_uptime_seconds \
     adaptivelink_goroutines adaptivelink_link_latency_seconds_bucket \
     adaptivelink_link_queue_wait_seconds_count adaptivelink_slow_requests_total \
     adaptivelink_engine_upserts_total adaptivelink_engine_scratch_gets_total \
-    adaptivelink_engine_qgram_builds_total adaptivelink_engine_qgram_built_shards; do
+    adaptivelink_engine_qgram_builds_total adaptivelink_engine_qgram_built_shards \
+    adaptivelink_engine_qgram_posting_bytes; do
     echo "$metrics" | grep -q "$series" || fail "/metrics missing $series"
 done
 echo "obs-smoke: version + metrics OK"

@@ -3,6 +3,8 @@ package adaptivelink
 import (
 	"path/filepath"
 	"testing"
+
+	"adaptivelink/internal/join"
 )
 
 func TestTelemetryAccessors(t *testing.T) {
@@ -25,7 +27,7 @@ func TestTelemetryAccessors(t *testing.T) {
 	if es.ScratchGets == 0 || es.ScratchMisses > es.ScratchGets {
 		t.Fatalf("scratch counters inconsistent: gets=%d misses=%d", es.ScratchGets, es.ScratchMisses)
 	}
-	if es.QGramBuilds != 0 || es.QGramBuiltShards != 0 || es.QGramBuildKeys != 0 {
+	if es.QGramBuilds != 0 || es.QGramBuiltShards != 0 || es.QGramBuildKeys != 0 || es.QGramPostingBytes != 0 {
 		t.Fatalf("q-gram builds before any approximate probe: %+v", es)
 	}
 	// The first approximate probe builds every shard once; a second
@@ -40,6 +42,10 @@ func TestTelemetryAccessors(t *testing.T) {
 	shards := ix.Options().Shards
 	if es.QGramBuilds != uint64(shards) || es.QGramBuiltShards != shards || es.QGramBuildKeys != 2 || es.QGramBuildSeconds <= 0 {
 		t.Fatalf("after approximate probes into %d shards: %+v, want %d builds of 2 keys in all", shards, es, shards)
+	}
+	// Two keys fill no block: every posting sits in a tail, at 4 bytes.
+	if _, grams := ix.resident().(*join.ShardedRefIndex).Entries(); es.QGramPostingBytes != int64(4*grams) || grams == 0 {
+		t.Fatalf("QGramPostingBytes = %d for %d postings, all in tails", es.QGramPostingBytes, grams)
 	}
 
 	st, ok := ix.StorageStats()
