@@ -125,10 +125,12 @@ chaos:
 # write-ahead-log replay (recovery always stops at an intact record
 # boundary), decomposition parity (the byte-packed, rune-packed and
 # string-fallback gram paths agree with the Grams oracle on arbitrary
-# Unicode) and the posting codec (block-compressed lists under inserts,
+# Unicode), the posting codec (block-compressed lists under inserts,
 # clones, evictions and rebuilds decode to a plain []int32 oracle, and
-# frozen generations never change). `go test -fuzz=<name>
-# ./internal/...` digs deeper.
+# frozen generations never change) and the CSV reader (relations with
+# commas, quotes, CR/LF and invalid UTF-8 round-trip through WriteCSV
+# and LoadRelationCSV; arbitrary bytes load header-wide tuples or fail,
+# never panic). `go test -fuzz=<name> <package>` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/join -run=NONE -fuzz=FuzzUpsertProbe -fuzztime=$(FUZZTIME)
@@ -136,6 +138,7 @@ fuzz:
 	$(GO) test ./internal/store -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qgram -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashidx -run=NONE -fuzz=FuzzPostingList -fuzztime=$(FUZZTIME)
+	$(GO) test . -run=NONE -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME)
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the

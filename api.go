@@ -262,17 +262,15 @@ func New(left, right Source, opts Options) (*Join, error) {
 		par = runtime.GOMAXPROCS(0)
 	}
 
-	ls, rs := adaptSource(left), adaptSource(right)
-
 	// Resolve the adaptive control-loop inputs once for both paths.
 	var params adaptive.Params
 	var parentSide stream.Side
 	var parentSize int
 	if opts.Strategy == Adaptive {
 		parentSide = stream.Side(opts.ParentSide)
-		parentSrc := ls
+		parentSrc := left
 		if parentSide == stream.Right {
-			parentSrc = rs
+			parentSrc = right
 		}
 		parentSize = opts.ParentSize
 		if parentSize == 0 {
@@ -309,7 +307,7 @@ func New(left, right Source, opts Options) (*Join, error) {
 			j.sctl = sctl
 			pcfg.Controller = sctl
 		}
-		exec, err := pjoin.New(pcfg, ls, rs)
+		exec, err := pjoin.New(pcfg, left, right)
 		if err != nil {
 			return nil, fmt.Errorf("adaptivelink: %w", err)
 		}
@@ -317,7 +315,7 @@ func New(left, right Source, opts Options) (*Join, error) {
 		return j, nil
 	}
 
-	engine, err := join.New(cfg, ls, rs, nil)
+	engine, err := join.New(cfg, left, right, nil)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
 	}
@@ -377,8 +375,8 @@ func (j *Join) Next() (m Match, ok bool, err error) {
 			return Match{}, ok, err
 		}
 		return Match{
-			Left:       Tuple{ID: pm.Left.ID, Key: pm.Left.Key, Attrs: pm.Left.Attrs},
-			Right:      Tuple{ID: pm.Right.ID, Key: pm.Right.Key, Attrs: pm.Right.Attrs},
+			Left:       pm.Left,
+			Right:      pm.Right,
 			Similarity: pm.Similarity,
 			Exact:      pm.Exact,
 			Step:       pm.Step,
@@ -441,11 +439,9 @@ func (j *Join) State() string {
 }
 
 func (j *Join) publicMatch(im join.Match) Match {
-	lt := j.engine.StoredTuple(stream.Left, im.LeftRef)
-	rt := j.engine.StoredTuple(stream.Right, im.RightRef)
 	return Match{
-		Left:       Tuple{ID: lt.ID, Key: lt.Key, Attrs: lt.Attrs},
-		Right:      Tuple{ID: rt.ID, Key: rt.Key, Attrs: rt.Attrs},
+		Left:       j.engine.StoredTuple(stream.Left, im.LeftRef),
+		Right:      j.engine.StoredTuple(stream.Right, im.RightRef),
 		Similarity: im.Similarity,
 		Exact:      im.Exact,
 		Step:       im.Step,

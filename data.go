@@ -1,8 +1,10 @@
 package adaptivelink
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 
 	"adaptivelink/internal/datagen"
 	"adaptivelink/internal/normalize"
@@ -11,12 +13,9 @@ import (
 )
 
 // Tuple is a record flowing through a join: a join key plus optional
-// payload attributes. ID is assigned by sources in arrival order.
-type Tuple struct {
-	ID    int
-	Key   string
-	Attrs []string
-}
+// payload attributes. ID is assigned by sources in arrival order. It is
+// the engine's own tuple type, so tuples cross the API uncopied.
+type Tuple = relation.Tuple
 
 // Source yields tuples one at a time. Implementations that additionally
 // implement interface{ EstimatedSize() int } let adaptive joins infer
@@ -26,49 +25,6 @@ type Source interface {
 	Next() (t Tuple, ok bool, err error)
 }
 
-// sourceAdapter bridges the public Source to the internal stream.Source.
-type sourceAdapter struct {
-	src Source
-}
-
-func adaptSource(s Source) stream.Source {
-	// Unwrap our own wrappers so size estimates pass through untouched.
-	if w, ok := s.(*wrappedSource); ok {
-		return w.inner
-	}
-	return &sourceAdapter{src: s}
-}
-
-func (a *sourceAdapter) Next() (relation.Tuple, bool, error) {
-	t, ok, err := a.src.Next()
-	if !ok || err != nil {
-		return relation.Tuple{}, ok, err
-	}
-	return relation.Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}, true, nil
-}
-
-func (a *sourceAdapter) EstimatedSize() int {
-	if sized, ok := a.src.(interface{ EstimatedSize() int }); ok {
-		return sized.EstimatedSize()
-	}
-	return -1
-}
-
-// wrappedSource exposes an internal stream.Source as a public Source.
-type wrappedSource struct {
-	inner stream.Source
-}
-
-func (w *wrappedSource) Next() (Tuple, bool, error) {
-	t, ok, err := w.inner.Next()
-	if !ok || err != nil {
-		return Tuple{}, ok, err
-	}
-	return Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}, true, nil
-}
-
-func (w *wrappedSource) EstimatedSize() int { return stream.EstimateSize(w.inner, -1) }
-
 // FromTuples returns a sized source over the given tuples, assigning
 // sequential IDs.
 func FromTuples(tuples []Tuple) Source {
@@ -76,7 +32,7 @@ func FromTuples(tuples []Tuple) Source {
 	for _, t := range tuples {
 		rel.Append(t.Key, t.Attrs...)
 	}
-	return &wrappedSource{inner: stream.FromRelation(rel)}
+	return stream.FromRelation(rel)
 }
 
 // FromKeys returns a sized source of payload-free tuples with the given
@@ -86,11 +42,12 @@ func FromKeys(keys ...string) Source {
 	for _, k := range keys {
 		rel.Append(k)
 	}
-	return &wrappedSource{inner: stream.FromRelation(rel)}
+	return stream.FromRelation(rel)
 }
 
 // FromChannel returns a source fed by a channel; close the channel to
-// end the stream. sizeHint is the expected tuple count (pass a positive
+// end the stream. The source reads the channel directly and starts no
+// goroutine. sizeHint is the expected tuple count (pass a positive
 // value when this side is the parent of an adaptive join); use -1 when
 // unknown. A nil channel, a zero hint (a feed expected to yield nothing
 // cannot be joined) or a negative hint other than -1 is rejected with a
@@ -105,14 +62,7 @@ func FromChannel(ch <-chan Tuple, sizeHint int) (Source, error) {
 	if sizeHint < -1 {
 		return nil, fmt.Errorf("adaptivelink: FromChannel: negative size hint %d; pass the expected tuple count, or -1 when unknown", sizeHint)
 	}
-	inner := make(chan relation.Tuple)
-	go func() {
-		defer close(inner)
-		for t := range ch {
-			inner <- relation.Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
-		}
-	}()
-	return &wrappedSource{inner: stream.FromChannel(inner, sizeHint)}, nil
+	return stream.FromChannel(ch, sizeHint), nil
 }
 
 // NormalizeKey applies the standard key normalisation (accent folding,
@@ -143,12 +93,7 @@ func (n *normalizingSource) Next() (Tuple, bool, error) {
 	return t, true, nil
 }
 
-func (n *normalizingSource) EstimatedSize() int {
-	if sized, ok := n.src.(interface{ EstimatedSize() int }); ok {
-		return sized.EstimatedSize()
-	}
-	return -1
-}
+func (n *normalizingSource) EstimatedSize() int { return stream.EstimateSize(n.src, -1) }
 
 // CSVRecordReader matches encoding/csv.Reader's Read method.
 type CSVRecordReader interface {
@@ -157,19 +102,23 @@ type CSVRecordReader interface {
 
 // FromCSV returns a streaming source over CSV records whose header
 // contains keyColumn; remaining columns become payload attributes.
-// sizeHint is the expected row count, -1 when unknown.
+// sizeHint is the expected row count, -1 when unknown. A record whose
+// field count differs from the header's is an error naming its line,
+// exactly as in LoadRelationCSV; an encoding/csv Reader needs
+// FieldsPerRecord = -1 to leave that check to the source.
 func FromCSV(r CSVRecordReader, keyColumn string, sizeHint int) (Source, error) {
 	src, err := stream.FromCSV(r, keyColumn, sizeHint)
 	if err != nil {
 		return nil, err
 	}
-	return &wrappedSource{inner: src}, nil
+	return src, nil
 }
 
 // LoadRelationCSV reads a whole CSV file into memory and returns it as
 // tuples plus a sized Source factory (each call to the returned function
 // yields a fresh source over the same data, so the relation can be
-// joined multiple times). Errors — a nil reader, an empty key column
+// joined multiple times). It drains the same reader FromCSV streams, so
+// both validate alike. Errors — a nil reader, an empty key column
 // name, a header without the key column, ragged or malformed rows —
 // carry the relation name and, where applicable, the line number.
 func LoadRelationCSV(r io.Reader, name, keyColumn string) ([]Tuple, func() Source, error) {
@@ -179,17 +128,25 @@ func LoadRelationCSV(r io.Reader, name, keyColumn string) ([]Tuple, func() Sourc
 	if keyColumn == "" {
 		return nil, nil, fmt.Errorf("adaptivelink: LoadRelationCSV %s: empty key column name; name the header column holding the join key", name)
 	}
-	rel, err := relation.ReadCSV(name, r, keyColumn)
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	src, err := stream.FromCSV(cr, keyColumn, -1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("adaptivelink: LoadRelationCSV %s: %w", name, err)
 	}
-	tuples := make([]Tuple, rel.Len())
-	for i := range tuples {
-		t := rel.At(i)
-		tuples[i] = Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
+	rel := relation.New(name, relation.NewSchema(keyColumn))
+	for {
+		t, ok, err := src.Next()
+		if err != nil {
+			return nil, nil, fmt.Errorf("adaptivelink: LoadRelationCSV %s: %w", name, err)
+		}
+		if !ok {
+			break
+		}
+		rel.AppendTuple(t)
 	}
-	factory := func() Source { return &wrappedSource{inner: stream.FromRelation(rel)} }
-	return tuples, factory, nil
+	factory := func() Source { return stream.FromRelation(rel) }
+	return slices.Clone(rel.Tuples()), factory, nil
 }
 
 // Pattern names a perturbation placement for test-data generation.
@@ -203,21 +160,6 @@ const (
 	PatternManyHigh       Pattern = "many-high"
 )
 
-func (p Pattern) internal() (datagen.Pattern, bool) {
-	switch p {
-	case PatternUniform:
-		return datagen.Uniform, true
-	case PatternInterleavedLow:
-		return datagen.InterleavedLow, true
-	case PatternFewHigh:
-		return datagen.FewHighIntensity, true
-	case PatternManyHigh:
-		return datagen.ManyHighIntensity, true
-	default:
-		return 0, false
-	}
-}
-
 // Script names a writing system for test-data generation.
 type Script string
 
@@ -230,23 +172,6 @@ const (
 	ScriptGreek          Script = "greek"
 	ScriptCJK            Script = "cjk"
 )
-
-func (s Script) internal() (datagen.Script, bool) {
-	switch s {
-	case "", ScriptASCII:
-		return datagen.ASCII, true
-	case ScriptLatinDiacritic:
-		return datagen.LatinDiacritic, true
-	case ScriptCyrillic:
-		return datagen.Cyrillic, true
-	case ScriptGreek:
-		return datagen.Greek, true
-	case ScriptCJK:
-		return datagen.CJK, true
-	default:
-		return 0, false
-	}
-}
 
 // TestData is a generated parent/child table pair with ground truth,
 // mirroring the paper's evaluation datasets.
@@ -284,11 +209,14 @@ func GenerateTestData(seed int64, parentSize, childSize int, pattern Pattern, va
 // variants) in the named writing system, driving the engine's
 // rune-packed gram path end to end.
 func GenerateTestDataScript(seed int64, parentSize, childSize int, pattern Pattern, script Script, variantRate float64, perturbParent bool) (*TestData, error) {
-	ip, ok := pattern.internal()
+	ip, ok := datagen.ParsePattern(string(pattern))
 	if !ok {
-		return nil, errUnknownPattern(pattern)
+		return nil, fmt.Errorf(`adaptivelink: unknown pattern %s (want "uniform", "interleaved-low", "few-high" or "many-high")`, string(pattern))
 	}
-	is, ok := script.internal()
+	if script == "" {
+		script = ScriptASCII
+	}
+	is, ok := datagen.ParseScript(string(script))
 	if !ok {
 		return nil, fmt.Errorf(`adaptivelink: unknown script %q (want "ascii", "latin-diacritic", "cyrillic", "greek" or "cjk")`, string(script))
 	}
@@ -305,26 +233,11 @@ func GenerateTestDataScript(seed int64, parentSize, childSize int, pattern Patte
 	if err != nil {
 		return nil, err
 	}
-	out := &TestData{
+	return &TestData{
+		Parent:        ds.Parent.Tuples(),
+		Child:         ds.Child.Tuples(),
 		ChildParent:   ds.ChildParent,
 		ChildVariant:  ds.ChildVariant,
 		ParentVariant: ds.ParentVariant,
-	}
-	out.Parent = make([]Tuple, ds.Parent.Len())
-	for i := range out.Parent {
-		t := ds.Parent.At(i)
-		out.Parent[i] = Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
-	}
-	out.Child = make([]Tuple, ds.Child.Len())
-	for i := range out.Child {
-		t := ds.Child.At(i)
-		out.Child[i] = Tuple{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
-	}
-	return out, nil
-}
-
-type errUnknownPattern Pattern
-
-func (e errUnknownPattern) Error() string {
-	return "adaptivelink: unknown pattern " + string(e) + ` (want "uniform", "interleaved-low", "few-high" or "many-high")`
+	}, nil
 }

@@ -1,8 +1,13 @@
 package adaptivelink
 
 import (
+	"encoding/csv"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFromChannelSizeHintValidation(t *testing.T) {
@@ -122,4 +127,146 @@ func TestLoadRelationCSVRoundTrip(t *testing.T) {
 			t.Fatalf("factory pass %d yielded %d tuples", i, n)
 		}
 	}
+}
+
+// A join over FromChannel that is closed early leaves no goroutine
+// behind: the source reads the caller's channel directly, so there is
+// no pump left blocked on a send nobody will receive.
+func TestFromChannelEarlyCloseLeavesNoGoroutine(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", par), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			keys := make([]string, 64)
+			ch := make(chan Tuple, len(keys))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key %02d", i)
+				ch <- Tuple{Key: keys[i]}
+			}
+			close(ch)
+			src, err := FromChannel(ch, len(keys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := New(FromKeys(keys...), src, Options{Strategy: ExactOnly, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := j.Next(); !ok || err != nil {
+				t.Fatalf("first match: ok=%v err=%v", ok, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// FromCSV (over an encoding/csv Reader with FieldsPerRecord = -1) and
+// LoadRelationCSV read CSV alike: the same tuples, or the same error,
+// which LoadRelationCSV prefixes with the relation's name.
+func TestCSVEntryPointsAgree(t *testing.T) {
+	cases := []struct {
+		name    string
+		input   string
+		want    []Tuple
+		wantErr []string
+	}{
+		{
+			name:    "ragged row",
+			input:   "location,extra\na,1\nb\n",
+			wantErr: []string{"line 3", "got 1 fields, want 2"},
+		},
+		{
+			name:    "missing key column",
+			input:   "date,place\n2008-01-01,x\n",
+			wantErr: []string{`key column "location" not found`, "place"},
+		},
+		{
+			name:  "repeated key column",
+			input: "location,date,location\nx,2008,y\n",
+			want:  []Tuple{{ID: 0, Key: "x", Attrs: []string{"2008", "y"}}},
+		},
+		{
+			name:  "header only",
+			input: "location,date\n",
+		},
+		{
+			// The quoted newline spans two physical lines, but lines
+			// count records: the ragged record is line 3.
+			name:    "quoted newline",
+			input:   "location,note\n\"a\",\"two\nlines\"\nb\n",
+			wantErr: []string{"line 3", "got 1 fields, want 2"},
+		},
+		{
+			name:  "quoted newline kept",
+			input: "location,note\n\"a\",\"two\nlines\"\n",
+			want:  []Tuple{{ID: 0, Key: "a", Attrs: []string{"two\nlines"}}},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			streamed, serr := drainCSV(c.input)
+			loaded, _, lerr := LoadRelationCSV(strings.NewReader(c.input), "refs.csv", "location")
+			if c.wantErr != nil {
+				if serr == nil || lerr == nil {
+					t.Fatalf("FromCSV err %v, LoadRelationCSV err %v; want errors", serr, lerr)
+				}
+				if want := "adaptivelink: LoadRelationCSV refs.csv: " + serr.Error(); lerr.Error() != want {
+					t.Errorf("LoadRelationCSV error %q, want %q", lerr, want)
+				}
+				for _, w := range c.wantErr {
+					if !strings.Contains(serr.Error(), w) {
+						t.Errorf("error %q missing %q", serr, w)
+					}
+				}
+				return
+			}
+			if serr != nil || lerr != nil {
+				t.Fatalf("FromCSV err %v, LoadRelationCSV err %v", serr, lerr)
+			}
+			for name, got := range map[string][]Tuple{"FromCSV": streamed, "LoadRelationCSV": loaded} {
+				if !equalTuples(got, c.want) {
+					t.Errorf("%s = %+v, want %+v", name, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// drainCSV streams input through FromCSV with the key column
+// "location", returning every tuple or the first error.
+func drainCSV(input string) ([]Tuple, error) {
+	cr := csv.NewReader(strings.NewReader(input))
+	cr.FieldsPerRecord = -1
+	src, err := FromCSV(cr, "location", -1)
+	if err != nil {
+		return nil, err
+	}
+	var out []Tuple
+	for {
+		tup, ok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, tup)
+	}
+}
+
+func equalTuples(a, b []Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y Tuple) bool {
+		return x.ID == y.ID && x.Key == y.Key && slices.Equal(x.Attrs, y.Attrs)
+	})
 }

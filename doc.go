@@ -407,6 +407,23 @@
 // OBRIEN, not O165) and accent folding accepts decomposed (NFD) input
 // and covers the ø/æ/œ/ł/đ/ð/þ gaps of the historical accent map.
 //
+// # Inputs
+//
+// Tuple is the engine's own tuple type (internal/relation), and a
+// Source has the same single method as the engine's sources, so tuples
+// cross the API uncopied in both directions: a Source is handed to the
+// join as is, and Match, ProbeMatch and TestData carry the tuples the
+// engine stored or generated. The only copies are the ones a contract
+// needs — FromTuples and FromKeys assign sequential IDs, Index.Upsert
+// normalises keys without rewriting the caller's slice, and
+// LoadRelationCSV returns a slice the caller owns. FromChannel reads the
+// caller's channel directly and starts no goroutine, so a join closed
+// early leaves nothing running. FromCSV and LoadRelationCSV are one
+// reader: LoadRelationCSV drains the source FromCSV returns, so a record
+// whose field count differs from the header's is an error naming its
+// line ("line 3: got 1 fields, want 2", counting records, not the
+// physical lines a quoted newline adds) through either entry point.
+//
 // # Usage
 //
 //	left := adaptivelink.FromKeys("alpha centauri b", "beta pictoris c")

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/relation"
 	"adaptivelink/internal/store"
 )
 
@@ -139,12 +138,12 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The drained batch is private to this load: normalise it in place.
 	norm := opts.normalizer()
-	rts := make([]relation.Tuple, len(batch))
-	for i, t := range batch {
-		rts[i] = relation.Tuple{ID: t.ID, Key: norm.Apply(t.Key), Attrs: t.Attrs}
+	for i := range batch {
+		batch[i].Key = norm.Apply(batch[i].Key)
 	}
-	ri, err := join.BuildShardedRefIndex(opts.config(), opts.Shards, rts)
+	ri, err := join.BuildShardedRefIndex(opts.config(), opts.Shards, batch)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
 	}

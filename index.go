@@ -3,6 +3,7 @@ package adaptivelink
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,6 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/normalize"
-	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/store"
 	"adaptivelink/internal/stream"
@@ -304,11 +304,12 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
 	}
-	rts := make([]relation.Tuple, len(tuples))
-	for i, t := range tuples {
-		// Normalise before logging: WAL frames and snapshots hold keys
-		// in their indexed form, so recovery never re-normalises.
-		rts[i] = relation.Tuple{ID: t.ID, Key: ix.normKey(t.Key), Attrs: t.Attrs}
+	// Normalise a copy (the caller's slice is left as passed) before
+	// logging: WAL frames and snapshots hold keys in their indexed form,
+	// so recovery never re-normalises.
+	rts := slices.Clone(tuples)
+	for i := range rts {
+		rts[i].Key = ix.normKey(rts[i].Key)
 	}
 	if ix.dir == nil {
 		// A remote resident can fail a write (a cluster node down); honor
@@ -647,7 +648,7 @@ func publicMatches(ms []join.RefMatch) []ProbeMatch {
 	out := make([]ProbeMatch, len(ms))
 	for i, m := range ms {
 		out[i] = ProbeMatch{
-			Ref:        Tuple{ID: m.Tuple.ID, Key: m.Tuple.Key, Attrs: m.Tuple.Attrs},
+			Ref:        m.Tuple,
 			Similarity: m.Similarity,
 			Exact:      m.Exact,
 		}

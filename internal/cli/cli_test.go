@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adaptivelink/internal/datagen"
 )
 
 func runDatagen(t *testing.T, args ...string) (int, string, string) {
@@ -85,12 +87,12 @@ func TestDatagenRejectsBadArgs(t *testing.T) {
 
 func TestParsePattern(t *testing.T) {
 	for _, name := range []string{"uniform", "interleaved-low", "few-high", "many-high"} {
-		if _, ok := parsePattern(name); !ok {
-			t.Errorf("parsePattern(%q) failed", name)
+		if _, ok := datagen.ParsePattern(name); !ok {
+			t.Errorf("ParsePattern(%q) failed", name)
 		}
 	}
-	if _, ok := parsePattern("x"); ok {
-		t.Error("parsePattern accepted junk")
+	if _, ok := datagen.ParsePattern("x"); ok {
+		t.Error("ParsePattern accepted junk")
 	}
 }
 

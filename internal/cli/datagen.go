@@ -31,7 +31,7 @@ func RunDatagen(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	p, ok := parsePattern(*pattern)
+	p, ok := datagen.ParsePattern(*pattern)
 	if !ok {
 		fmt.Fprintf(stderr, "datagen: unknown pattern %q\n", *pattern)
 		return 2
@@ -69,20 +69,4 @@ func RunDatagen(args []string, stdout, stderr io.Writer) int {
 			datagen.Render(ds.ChildRegions, ds.Child.Len(), 72))
 	}
 	return 0
-}
-
-// parsePattern maps a CLI pattern name to the datagen enum.
-func parsePattern(name string) (datagen.Pattern, bool) {
-	switch name {
-	case "uniform":
-		return datagen.Uniform, true
-	case "interleaved-low":
-		return datagen.InterleavedLow, true
-	case "few-high":
-		return datagen.FewHighIntensity, true
-	case "many-high":
-		return datagen.ManyHighIntensity, true
-	default:
-		return 0, false
-	}
 }

@@ -196,6 +196,34 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
+// The Parse functions invert String over the listed values and refuse
+// every other name, the out-of-range fallbacks included.
+func TestParseInvertsString(t *testing.T) {
+	for _, p := range AllPatterns {
+		if got, ok := ParsePattern(p.String()); !ok || got != p {
+			t.Errorf("ParsePattern(%q) = %v, %v", p.String(), got, ok)
+		}
+	}
+	for _, s := range AllScripts {
+		if got, ok := ParseScript(s.String()); !ok || got != s {
+			t.Errorf("ParseScript(%q) = %v, %v", s.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "Uniform", "Pattern(9)", "few_high"} {
+		if _, ok := ParsePattern(name); ok {
+			t.Errorf("ParsePattern accepted %q", name)
+		}
+	}
+	for _, name := range []string{"", "ASCII", "Script(7)", "latin"} {
+		if _, ok := ParseScript(name); ok {
+			t.Errorf("ParseScript accepted %q", name)
+		}
+	}
+	if Script(7).String() != "Script(7)" {
+		t.Error("unknown script string")
+	}
+}
+
 func TestRender(t *testing.T) {
 	regions := []Region{{Start: 0, End: 50, Intensity: 0.9}, {Start: 80, End: 100, Intensity: 0.1}}
 	m := Render(regions, 100, 20)
@@ -398,7 +426,7 @@ func TestGenerateProperty(t *testing.T) {
 func TestScriptGenerators(t *testing.T) {
 	ex := qgram.New(3)
 	jaccard := simfn.TokenSim(simfn.Jaccard, ex)
-	for _, script := range Scripts {
+	for _, script := range AllScripts {
 		script := script
 		t.Run(script.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))

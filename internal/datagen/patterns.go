@@ -23,20 +23,32 @@ const (
 // AllPatterns lists the patterns in Fig. 5 order.
 var AllPatterns = []Pattern{Uniform, InterleavedLow, FewHighIntensity, ManyHighIntensity}
 
+// patternNames is the one table of pattern names: String reads it and
+// ParsePattern inverts it.
+var patternNames = [...]string{
+	Uniform:           "uniform",
+	InterleavedLow:    "interleaved-low",
+	FewHighIntensity:  "few-high",
+	ManyHighIntensity: "many-high",
+}
+
 // String names the pattern.
 func (p Pattern) String() string {
-	switch p {
-	case Uniform:
-		return "uniform"
-	case InterleavedLow:
-		return "interleaved-low"
-	case FewHighIntensity:
-		return "few-high"
-	case ManyHighIntensity:
-		return "many-high"
-	default:
-		return fmt.Sprintf("Pattern(%d)", int(p))
+	if p >= 0 && int(p) < len(patternNames) {
+		return patternNames[p]
 	}
+	return fmt.Sprintf("Pattern(%d)", int(p))
+}
+
+// ParsePattern is String's inverse over AllPatterns: it returns the
+// pattern String names, and ok false for any other name.
+func ParsePattern(name string) (p Pattern, ok bool) {
+	for _, p = range AllPatterns {
+		if p.String() == name {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // Region is a contiguous stretch of input positions [Start, End) whose

@@ -26,26 +26,37 @@ const (
 	CJK
 )
 
-// String names the script as used in test-case labels.
-func (s Script) String() string {
-	switch s {
-	case ASCII:
-		return "ascii"
-	case LatinDiacritic:
-		return "latin-diacritic"
-	case Cyrillic:
-		return "cyrillic"
-	case Greek:
-		return "greek"
-	case CJK:
-		return "cjk"
-	default:
-		return fmt.Sprintf("Script(%d)", int(s))
-	}
+// scriptNames is the one table of script names: String reads it and
+// ParseScript inverts it.
+var scriptNames = [...]string{
+	ASCII:          "ascii",
+	LatinDiacritic: "latin-diacritic",
+	Cyrillic:       "cyrillic",
+	Greek:          "greek",
+	CJK:            "cjk",
 }
 
-// Scripts lists every script the generator supports.
-var Scripts = []Script{ASCII, LatinDiacritic, Cyrillic, Greek, CJK}
+// String names the script as used in test-case labels.
+func (s Script) String() string {
+	if s >= 0 && int(s) < len(scriptNames) {
+		return scriptNames[s]
+	}
+	return fmt.Sprintf("Script(%d)", int(s))
+}
+
+// AllScripts lists every script the generator supports.
+var AllScripts = []Script{ASCII, LatinDiacritic, Cyrillic, Greek, CJK}
+
+// ParseScript is String's inverse over AllScripts: it returns the
+// script String names, and ok false for any other name.
+func ParseScript(name string) (s Script, ok bool) {
+	for _, s = range AllScripts {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
 
 // scriptParts bundles a script's composition material: region and
 // province prefixes plus the syllable pool words are built from. All

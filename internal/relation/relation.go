@@ -5,8 +5,9 @@
 // and the child table S) on a single string attribute. Tuples therefore
 // carry a join key plus an arbitrary payload of named attributes. A
 // Relation is an ordered, in-memory collection of tuples with a Schema;
-// it supports CSV round-trips so that the command-line tools can operate
-// on files, and it can be viewed as a stream by the stream package.
+// it can be written as CSV so that the command-line tools can produce
+// files (the stream package's CSVSource reads them back), and it can be
+// viewed as a stream by the stream package.
 package relation
 
 import (
@@ -14,8 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Tuple is a single record. The engine joins on Key; Attrs holds the
@@ -27,21 +28,6 @@ type Tuple struct {
 	ID    int
 	Key   string
 	Attrs []string
-}
-
-// Clone returns a deep copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	attrs := make([]string, len(t.Attrs))
-	copy(attrs, t.Attrs)
-	return Tuple{ID: t.ID, Key: t.Key, Attrs: attrs}
-}
-
-// String renders the tuple compactly for diagnostics.
-func (t Tuple) String() string {
-	if len(t.Attrs) == 0 {
-		return fmt.Sprintf("#%d[%s]", t.ID, t.Key)
-	}
-	return fmt.Sprintf("#%d[%s|%s]", t.ID, t.Key, strings.Join(t.Attrs, ","))
 }
 
 // Schema names the columns of a relation. The join key column is named
@@ -150,7 +136,8 @@ func (r *Relation) Clone() *Relation {
 	c := New(r.Name, r.Schema)
 	c.tuples = make([]Tuple, len(r.tuples))
 	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
+		t.Attrs = slices.Clone(t.Attrs)
+		c.tuples[i] = t
 	}
 	return c
 }
@@ -194,63 +181,6 @@ func (r *Relation) SaveCSV(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadCSV parses a relation from CSV. The first row is the header; the
-// column named keyName becomes the join key (it may appear at any
-// position), and all remaining columns become payload attributes in
-// header order.
-func ReadCSV(name string, rd io.Reader, keyName string) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("read header: %w", err)
-	}
-	keyCol := -1
-	attrNames := make([]string, 0, len(header)-1)
-	for i, h := range header {
-		if h == keyName && keyCol < 0 {
-			keyCol = i
-		} else {
-			attrNames = append(attrNames, h)
-		}
-	}
-	if keyCol < 0 {
-		return nil, fmt.Errorf("key column %q not found in header %v", keyName, header)
-	}
-	rel := New(name, NewSchema(keyName, attrNames...))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("line %d: got %d fields, want %d", line, len(rec), len(header))
-		}
-		attrs := make([]string, 0, len(rec)-1)
-		for i, v := range rec {
-			if i == keyCol {
-				continue
-			}
-			attrs = append(attrs, v)
-		}
-		rel.Append(rec[keyCol], attrs...)
-	}
-	return rel, nil
-}
-
-// LoadCSV reads a relation from the named file.
-func LoadCSV(name, path, keyName string) (*Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(name, f, keyName)
 }
 
 // FromKeys builds a relation with no payload columns from a key list.

@@ -116,10 +116,12 @@ func (c *ChanSource) Next() (relation.Tuple, bool, error) {
 func (c *ChanSource) EstimatedSize() int { return c.size }
 
 // CSVSource streams tuples from CSV without materialising the relation.
+// It is the one CSV reader: whole-file loads drain it too, so streamed
+// and loaded input are validated alike.
 type CSVSource struct {
 	rd     recordReader
 	keyCol int
-	nAttrs int
+	width  int // header width; every record must have as many fields
 	next   int // next tuple ID
 	size   int
 	done   bool
@@ -130,7 +132,12 @@ type recordReader interface {
 }
 
 // FromCSV builds a streaming source over a CSV reader whose first row is
-// a header containing keyName. estimatedSize < 0 means unknown.
+// a header containing keyName. The first column named keyName is the
+// join key; every other column, a repeated keyName included, is a
+// payload attribute in header order. A record whose field count differs
+// from the header's is an error, so pass an encoding/csv Reader with
+// FieldsPerRecord = -1 to have the source report it. estimatedSize < 0
+// means unknown.
 func FromCSV(r recordReader, keyName string, estimatedSize int) (*CSVSource, error) {
 	header, err := r.Read()
 	if err != nil {
@@ -146,10 +153,13 @@ func FromCSV(r recordReader, keyName string, estimatedSize int) (*CSVSource, err
 	if keyCol < 0 {
 		return nil, fmt.Errorf("key column %q not found in header %v", keyName, header)
 	}
-	return &CSVSource{rd: r, keyCol: keyCol, nAttrs: len(header) - 1, size: estimatedSize}, nil
+	return &CSVSource{rd: r, keyCol: keyCol, width: len(header), size: estimatedSize}, nil
 }
 
-// Next implements Source.
+// Next implements Source. Errors name the record's line, counting the
+// header as line 1 and each record as one line (a quoted field that
+// spans lines does not advance the count). After an error the source
+// is exhausted.
 func (c *CSVSource) Next() (relation.Tuple, bool, error) {
 	if c.done {
 		return relation.Tuple{}, false, nil
@@ -159,20 +169,21 @@ func (c *CSVSource) Next() (relation.Tuple, bool, error) {
 		c.done = true
 		return relation.Tuple{}, false, nil
 	}
+	line := c.next + 2
+	if err == nil && len(rec) != c.width {
+		err = fmt.Errorf("got %d fields, want %d", len(rec), c.width)
+	}
 	if err != nil {
 		c.done = true
-		return relation.Tuple{}, false, err
+		return relation.Tuple{}, false, fmt.Errorf("line %d: %w", line, err)
 	}
-	attrs := make([]string, 0, c.nAttrs)
-	var key string
+	attrs := make([]string, 0, c.width-1)
 	for i, v := range rec {
-		if i == c.keyCol {
-			key = v
-		} else {
+		if i != c.keyCol {
 			attrs = append(attrs, v)
 		}
 	}
-	t := relation.Tuple{ID: c.next, Key: key, Attrs: attrs}
+	t := relation.Tuple{ID: c.next, Key: rec[c.keyCol], Attrs: attrs}
 	c.next++
 	return t, true, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/relation"
 )
 
 // fallibleUpserter is the optional error-aware write contract a
@@ -14,7 +13,7 @@ import (
 // interface the facade routes writes through it, so Index.Upsert's
 // error return is honest for remote indexes too.
 type fallibleUpserter interface {
-	UpsertChecked(tuples []relation.Tuple) (inserted, updated int, err error)
+	UpsertChecked(tuples []Tuple) (inserted, updated int, err error)
 }
 
 // NewRemoteIndex wraps an externally provided Resident — typically a
