@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+
+	"adaptivelink/internal/adaptive"
 )
 
 func TestFromKeysJoinExact(t *testing.T) {
@@ -313,5 +315,53 @@ func TestActivationsNilForBaselines(t *testing.T) {
 	j, _ := New(FromKeys("a"), FromKeys("a"), Options{Strategy: ExactOnly, TraceActivations: true})
 	if j.Activations() != nil {
 		t.Error("baseline join has activations")
+	}
+}
+
+// TestCalibratedEstimatorOption drives Options.CalibratedEstimator
+// through New: an adaptive join over a parent of unknown size needs it,
+// and with it the join runs sequentially and sharded, its loop learning
+// the match rate before the deficit test may fire.
+func TestCalibratedEstimatorOption(t *testing.T) {
+	td := goldenData(t, 7, 600)
+	unsized := func() Source {
+		ch := make(chan Tuple, len(td.Parent))
+		for _, p := range td.Parent {
+			ch <- p
+		}
+		close(ch)
+		src, err := FromChannel(ch, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	if _, err := New(unsized(), td.ChildSource(), Options{Strategy: Adaptive}); err == nil || !strings.Contains(err.Error(), "CalibratedEstimator") {
+		t.Fatalf("unsized parent without CalibratedEstimator: err = %v, want one naming the option", err)
+	}
+	calibration := adaptive.DefaultParams().CalibrationActivations
+	for _, par := range []int{1, 2} {
+		j, err := New(unsized(), td.ChildSource(), Options{
+			Strategy: Adaptive, Parallelism: par, CalibratedEstimator: true, TraceActivations: true,
+		})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		ms, err := j.All()
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if len(ms) == 0 {
+			t.Fatalf("parallelism %d: no matches", par)
+		}
+		acts := j.Activations()
+		if len(acts) <= calibration {
+			t.Fatalf("parallelism %d: %d activations, want more than the %d that calibrate", par, len(acts), calibration)
+		}
+		for i, a := range acts[:calibration] {
+			if a.Sigma || a.Tail != 1 {
+				t.Errorf("parallelism %d: calibrating activation %d reports tail %v, sigma %v", par, i, a.Tail, a.Sigma)
+			}
+		}
 	}
 }

@@ -402,10 +402,9 @@
 // same reason. The HTTP service exposes the option as the "profile"
 // field of index creation.
 //
-// The normalize package also fixes two classic linkage bugs: Soundex
-// treats intra-name punctuation as transparent (O'BRIEN codes like
-// OBRIEN, not O165) and accent folding accepts decomposed (NFD) input
-// and covers the ø/æ/œ/ł/đ/ð/þ gaps of the historical accent map.
+// The normalize package also fixes a classic linkage bug: accent
+// folding accepts decomposed (NFD) input and covers the ø/æ/œ/ł/đ/ð/þ
+// gaps of the historical accent map.
 //
 // # Inputs
 //

@@ -6,7 +6,7 @@
 // linkage."
 //
 // The package provides standard blocking (per-key block assignment via
-// pluggable key functions: prefix, Soundex, tokens) and the sorted
+// a pluggable key function such as TokenBlocker) and the sorted
 // neighbourhood method, both producing candidate pairs that are then
 // verified with the same similarity measure as the online operators.
 // It exists as a baseline: the `cmd/experiments -offline` comparison and
@@ -30,45 +30,6 @@ import (
 // KeyFunc maps a join-key value to one or more block keys. A pair of
 // tuples is a candidate iff the two values share at least one block key.
 type KeyFunc func(key string) []string
-
-// PrefixBlocker blocks on the first n runes of the value. Cheap and
-// classic, but a variant inside the prefix escapes its block.
-func PrefixBlocker(n int) KeyFunc {
-	if n < 1 {
-		panic(fmt.Sprintf("blocking: prefix length %d < 1", n))
-	}
-	return func(key string) []string {
-		runes := []rune(key)
-		if len(runes) > n {
-			runes = runes[:n]
-		}
-		if len(runes) == 0 {
-			return nil
-		}
-		return []string{string(runes)}
-	}
-}
-
-// SoundexBlocker blocks on the Soundex code of every token, grouping
-// values that share a similar-sounding word.
-func SoundexBlocker() KeyFunc {
-	return func(key string) []string {
-		var out []string
-		seen := map[string]struct{}{}
-		for _, tok := range strings.Fields(key) {
-			c := normalize.Soundex(tok)
-			if c == "" {
-				continue
-			}
-			if _, dup := seen[c]; dup {
-				continue
-			}
-			seen[c] = struct{}{}
-			out = append(out, c)
-		}
-		return out
-	}
-}
 
 // TokenBlocker blocks on each whitespace-separated token. A
 // single-character variant corrupts at most one token, so values

@@ -25,28 +25,6 @@ func testData(t *testing.T, n int) (*relation.Relation, *relation.Relation, []jo
 	return ds.Parent, ds.Child, oracle
 }
 
-func TestPrefixBlocker(t *testing.T) {
-	kf := PrefixBlocker(3)
-	if got := kf("ABCDEF"); len(got) != 1 || got[0] != "ABC" {
-		t.Errorf("got %v", got)
-	}
-	if got := kf("AB"); len(got) != 1 || got[0] != "AB" {
-		t.Errorf("short key got %v", got)
-	}
-	if got := kf(""); got != nil {
-		t.Errorf("empty key got %v", got)
-	}
-}
-
-func TestPrefixBlockerPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PrefixBlocker(0)
-}
-
 func TestTokenBlockerDedups(t *testing.T) {
 	kf := TokenBlocker()
 	got := kf("A B A C")
@@ -55,28 +33,14 @@ func TestTokenBlockerDedups(t *testing.T) {
 	}
 }
 
-func TestSoundexBlocker(t *testing.T) {
-	kf := SoundexBlocker()
-	a, b := kf("ROBERT SMITH"), kf("RUPERT SMYTH")
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("codes %v %v", a, b)
-	}
-	if a[0] != b[0] {
-		t.Errorf("ROBERT/RUPERT codes differ: %v vs %v", a[0], b[0])
-	}
-	if got := kf("123 !!"); got != nil {
-		t.Errorf("non-letter tokens got %v", got)
-	}
-}
-
 func TestBlocksPartition(t *testing.T) {
 	rel := relation.FromKeys("r", "AAA X", "AAB Y", "ZZZ X")
-	blocks := Blocks(rel, PrefixBlocker(2))
-	if !reflect.DeepEqual(blocks["AA"], []int{0, 1}) {
-		t.Errorf("AA block %v", blocks["AA"])
+	blocks := Blocks(rel, TokenBlocker())
+	if !reflect.DeepEqual(blocks["X"], []int{0, 2}) {
+		t.Errorf("X block %v", blocks["X"])
 	}
-	if !reflect.DeepEqual(blocks["ZZ"], []int{2}) {
-		t.Errorf("ZZ block %v", blocks["ZZ"])
+	if !reflect.DeepEqual(blocks["AAB"], []int{1}) {
+		t.Errorf("AAB block %v", blocks["AAB"])
 	}
 }
 
@@ -117,29 +81,6 @@ func TestTokenBlockingHighRecallOnVariants(t *testing.T) {
 		if !oracleSet[[2]int{p.LeftRef, p.RightRef}] {
 			t.Errorf("blocking invented pair %+v", p)
 		}
-	}
-}
-
-func TestPrefixBlockingLosesPrefixVariants(t *testing.T) {
-	// A variant inside the blocking prefix escapes its block: prefix
-	// blocking's recall on our corpora must be below token blocking's.
-	left, right, oracle := testData(t, 300)
-	prefix, err := Link(join.Defaults(), left, right, PrefixBlocker(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	token, err := Link(join.Defaults(), left, right, TokenBlocker())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prefix.Recall(oracle) > token.Recall(oracle) {
-		t.Errorf("prefix recall %v above token recall %v",
-			prefix.Recall(oracle), token.Recall(oracle))
-	}
-	// But prefix blocking generates far fewer candidates.
-	if prefix.CandidatePairs >= token.CandidatePairs {
-		t.Errorf("prefix candidates %d not below token candidates %d",
-			prefix.CandidatePairs, token.CandidatePairs)
 	}
 }
 

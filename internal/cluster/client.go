@@ -210,9 +210,6 @@ func (c *Client) EnableMetrics(reg *metrics.Registry) {
 // Map returns the routing table.
 func (c *Client) Map() Map { return c.cfg.Map }
 
-// Ranges returns each group's owned shard range.
-func (c *Client) Ranges() []shardmap.NodeRange { return c.ranges }
-
 // groupLabel names group g in error texts by the half-open range of
 // key-hash shards it owns: the keys with shardmap.ShardOf in that range
 // are stored there and nowhere else.

@@ -66,7 +66,7 @@ func TestHealthAndRoutingTable(t *testing.T) {
 	if m := c.Map(); m.Shards != 5 || len(m.Groups) != 2 {
 		t.Fatalf("Map = %+v", m)
 	}
-	rs := c.Ranges()
+	rs := c.Map().Ranges()
 	if len(rs) != 2 || rs[0].Lo != 0 || rs[0].Hi != 3 || rs[1].Lo != 3 || rs[1].Hi != 5 {
 		t.Fatalf("Ranges = %+v, want contiguous [0,3) / [3,5)", rs)
 	}

@@ -45,17 +45,6 @@ type Vec[T any] struct {
 	frozen bool
 }
 
-// VecOf returns a vector holding a copy of xs.
-func VecOf[T any](xs []T) *Vec[T] {
-	v := &Vec[T]{dir: make([]*chunk[T], 0, (len(xs)+chunkMask)>>chunkBits), n: len(xs)}
-	for lo := 0; lo < len(xs); lo += chunkSize {
-		c := new(chunk[T])
-		copy(c.vals[:], xs[lo:])
-		v.dir = append(v.dir, c)
-	}
-	return v
-}
-
 // Len returns the element count.
 func (v *Vec[T]) Len() int { return v.n }
 

@@ -55,35 +55,10 @@ func TestVecGenerationsAreFrozen(t *testing.T) {
 	}
 }
 
-func TestVecOf(t *testing.T) {
-	for _, n := range []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 7} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i * i
-		}
-		v := VecOf(xs)
-		if got := vecContents(v); !slices.Equal(got, xs) {
-			t.Fatalf("VecOf(%d elements) = %v", n, got)
-		}
-		xs = append(xs, -1)
-		v.Append(-1)
-		if n > 0 {
-			xs[0] = -2 // VecOf copied: the source slice is not aliased
-			if v.At(0) == -2 {
-				t.Fatalf("VecOf(%d elements) aliases its argument", n)
-			}
-			xs[0] = 0
-		}
-		if got := vecContents(v); !slices.Equal(got, xs) {
-			t.Fatalf("VecOf(%d elements) after Append = %v", n-1, got)
-		}
-	}
-}
-
 // A write copies one chunk, not the vector: untouched chunks stay
 // shared between a generation and its clone.
 func TestVecCloneSharesUntouchedChunks(t *testing.T) {
-	v := VecOf(make([]int, 10*chunkSize))
+	v := vecOf(make([]int, 10*chunkSize)...)
 	c := v.Clone()
 	*c.Mut(3*chunkSize + 1) = 7
 	*c.Mut(3*chunkSize + 2) = 8 // second write: chunk already owned
@@ -101,6 +76,14 @@ func TestVecCloneSharesUntouchedChunks(t *testing.T) {
 	}
 }
 
+func vecOf(xs ...int) *Vec[int] {
+	v := new(Vec[int])
+	for _, x := range xs {
+		v.Append(x)
+	}
+	return v
+}
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -116,7 +99,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestFrozenContainersPanicOnWrite(t *testing.T) {
-	v := VecOf([]int{1, 2, 3})
+	v := vecOf(1, 2, 3)
 	v.Clone()
 	mustPanic(t, "Vec.Mut on a frozen generation", func() { v.Mut(0) })
 	mustPanic(t, "Vec.Append on a frozen generation", func() { v.Append(4) })

@@ -258,10 +258,6 @@ func TestTuningSweep(t *testing.T) {
 	if points[0].GainCost.Efficiency < points[1].GainCost.Efficiency {
 		t.Error("sweep not sorted")
 	}
-	best := Best(points)
-	if best.GainCost.Efficiency != points[0].GainCost.Efficiency {
-		t.Error("Best disagrees with sort")
-	}
 	table := TuningTable(points, 10)
 	if !strings.Contains(table, "δadapt") {
 		t.Errorf("TuningTable malformed:\n%s", table)
@@ -272,15 +268,6 @@ func TestTuneSweepEmptyGrid(t *testing.T) {
 	if _, err := TuneSweep(smallCases(t)[0], DefaultRunConfig(), Grid{}); err == nil {
 		t.Error("empty grid accepted")
 	}
-}
-
-func TestBestPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Best(nil) did not panic")
-		}
-	}()
-	Best(nil)
 }
 
 func TestDefaultGridBracketsPaperSettings(t *testing.T) {

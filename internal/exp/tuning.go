@@ -89,16 +89,6 @@ func TuneSweep(tc TestCase, rc RunConfig, grid Grid) ([]TuningPoint, error) {
 	return out, nil
 }
 
-// Best returns the most efficient point (the sweep's first after
-// sorting). It panics on an empty slice, which cannot result from a
-// successful TuneSweep.
-func Best(points []TuningPoint) TuningPoint {
-	if len(points) == 0 {
-		panic("exp: Best of empty sweep")
-	}
-	return points[0]
-}
-
 // TuningTable renders the top-k sweep points.
 func TuningTable(points []TuningPoint, k int) string {
 	if k > len(points) {

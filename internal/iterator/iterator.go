@@ -9,8 +9,7 @@
 // half-processed work — for a symmetric hash join, when the last tuple
 // read has been joined with every match in the opposite hash table. Only
 // in quiescent states may the adaptive responder replace the physical
-// operator without losing or duplicating results; the Quiescer interface
-// lets it ask.
+// operator without losing or duplicating results.
 package iterator
 
 import "fmt"
@@ -25,14 +24,6 @@ type Operator[T any] interface {
 	Next() (v T, ok bool, err error)
 	// Close releases resources; the operator cannot be reopened.
 	Close() error
-}
-
-// Quiescer is implemented by operators that can report whether they are
-// at a quiescent state, i.e. a safe switch point.
-type Quiescer interface {
-	// Quiescent reports whether the operator has no outstanding
-	// half-delivered work.
-	Quiescent() bool
 }
 
 // Phase is a lifecycle phase from Fig. 2.
@@ -101,9 +92,6 @@ func (l *Lifecycle) MarkExhausted() {
 		l.phase = PhaseExhausted
 	}
 }
-
-// Exhausted reports whether the operator has signalled exhaustion.
-func (l *Lifecycle) Exhausted() bool { return l.phase == PhaseExhausted }
 
 // CheckClose validates and applies a Close transition. Closing twice is
 // an error; closing a never-opened operator is allowed (a no-op close),

@@ -17,7 +17,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 		t.Fatalf("Next: %v", err)
 	}
 	lc.MarkExhausted()
-	if !lc.Exhausted() {
+	if lc.Phase() != PhaseExhausted {
 		t.Error("not exhausted after MarkExhausted")
 	}
 	// Next after exhaustion is legal (keeps returning ok=false).

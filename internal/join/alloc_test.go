@@ -45,9 +45,9 @@ func TestAllocExactProbeZero(t *testing.T) {
 		idx, probes := allocWorkload(t, shards)
 		dst := make([]RefMatch, 0, 16)
 		for _, key := range probes {
-			dst = idx.AppendProbe(dst[:0], Exact, key) // warm
+			dst = idx.AppendProbeExact(dst[:0], key) // warm
 			avg := testing.AllocsPerRun(200, func() {
-				dst = idx.AppendProbe(dst[:0], Exact, key)
+				dst = idx.AppendProbeExact(dst[:0], key)
 			})
 			if avg != 0 {
 				t.Errorf("shards=%d exact probe %q: %.2f allocs/op, want 0", shards, key, avg)
@@ -68,9 +68,9 @@ func TestAllocApproxProbeBudget(t *testing.T) {
 		idx, probes := allocWorkload(t, shards)
 		dst := make([]RefMatch, 0, 64)
 		for _, key := range probes {
-			dst = idx.AppendProbe(dst[:0], Approx, key) // warm pool + scratch
+			dst = idx.AppendProbeApprox(dst[:0], key) // warm pool + scratch
 			avg := testing.AllocsPerRun(200, func() {
-				dst = idx.AppendProbe(dst[:0], Approx, key)
+				dst = idx.AppendProbeApprox(dst[:0], key)
 			})
 			if avg > approxAllocBudget {
 				t.Errorf("shards=%d approx probe %q: %.2f allocs/op, budget %v",
@@ -116,15 +116,15 @@ func TestAllocNonASCIIProbes(t *testing.T) {
 		idx, probes := nonASCIIAllocWorkload(t, shards)
 		dst := make([]RefMatch, 0, 64)
 		for _, key := range probes {
-			dst = idx.AppendProbe(dst[:0], Exact, key) // warm
+			dst = idx.AppendProbeExact(dst[:0], key) // warm
 			if avg := testing.AllocsPerRun(200, func() {
-				dst = idx.AppendProbe(dst[:0], Exact, key)
+				dst = idx.AppendProbeExact(dst[:0], key)
 			}); avg != 0 {
 				t.Errorf("shards=%d non-ASCII exact probe %q: %.2f allocs/op, want 0", shards, key, avg)
 			}
-			dst = idx.AppendProbe(dst[:0], Approx, key) // warm pool + scratch
+			dst = idx.AppendProbeApprox(dst[:0], key) // warm pool + scratch
 			if avg := testing.AllocsPerRun(200, func() {
-				dst = idx.AppendProbe(dst[:0], Approx, key)
+				dst = idx.AppendProbeApprox(dst[:0], key)
 			}); avg > approxNonASCIIAllocBudget {
 				t.Errorf("shards=%d non-ASCII approx probe %q: %.2f allocs/op, budget %v",
 					shards, key, avg, approxNonASCIIAllocBudget)

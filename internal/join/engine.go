@@ -47,7 +47,7 @@ type Stats struct {
 }
 
 // Engine is the hybrid switchable symmetric join operator. It implements
-// iterator.Operator[Match] and iterator.Quiescer.
+// iterator.Operator[Match].
 //
 // Construction: New. Drive with Open/Next/Close. Change state with
 // SetState, either between Next calls or from within an OnStep hook.

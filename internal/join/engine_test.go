@@ -56,12 +56,6 @@ func TestStateModeAccessors(t *testing.T) {
 	if s.Mode(stream.Left) != Approx || s.Mode(stream.Right) != Exact {
 		t.Error("Mode accessor wrong")
 	}
-	if s.WithMode(stream.Right, Approx) != LapRap {
-		t.Error("WithMode wrong")
-	}
-	if s.WithMode(stream.Left, Exact) != LexRex {
-		t.Error("WithMode wrong")
-	}
 }
 
 func TestAttributionBlames(t *testing.T) {

@@ -104,16 +104,6 @@ func (s State) Mode(side stream.Side) Mode {
 	return s.Right
 }
 
-// WithMode returns a copy of s with the given side's mode replaced.
-func (s State) WithMode(side stream.Side, m Mode) State {
-	if side == stream.Left {
-		s.Left = m
-	} else {
-		s.Right = m
-	}
-	return s
-}
-
 // Attribution says which input a non-exact (variant) match has been
 // blamed on, via the matched-flag mechanism of §3.3.
 type Attribution int

@@ -424,14 +424,6 @@ func (s *ShardedRefIndex) Probe(mode Mode, key string) []RefMatch {
 	return s.ProbeExact(key)
 }
 
-// AppendProbe is Probe appending into caller-owned dst.
-func (s *ShardedRefIndex) AppendProbe(dst []RefMatch, mode Mode, key string) []RefMatch {
-	if mode == Approx {
-		return s.AppendProbeApprox(dst, key)
-	}
-	return s.AppendProbeExact(dst, key)
-}
-
 // batchFanMin is the batch size from which ProbeBatch fans the shards
 // out to goroutines (given more than one busy shard and more than one
 // hardware thread); below it the coordination would cost more than the

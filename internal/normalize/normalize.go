@@ -3,7 +3,7 @@
 // §5 of the paper) apply before matching. The adaptive engine does not
 // require normalisation, but real join keys benefit from it: applying a
 // Normalizer to both inputs before joining removes spurious variants
-// (case, whitespace, accents, token order) so the similarity budget is
+// (case, whitespace, accents, punctuation) so the similarity budget is
 // spent on genuine typos.
 //
 // Beyond the ad-hoc Step functions, the package defines named
@@ -350,14 +350,6 @@ func FoldWidth(s string) string {
 	return b.String()
 }
 
-// SortTokens orders the whitespace-separated tokens lexicographically,
-// neutralising word-order differences ("GENOVA LIG" vs "LIG GENOVA").
-func SortTokens(s string) string {
-	fields := strings.Fields(s)
-	sort.Strings(fields)
-	return strings.Join(fields, " ")
-}
-
 // DefaultProfile is the profile name meaning "no normalization": keys
 // are indexed and probed verbatim, the engine's historical behaviour.
 const DefaultProfile = ""
@@ -366,41 +358,33 @@ const DefaultProfile = ""
 // registry is fixed at build time: a profile name stored in snapshot
 // metadata must mean the same pipeline forever, so renaming or
 // re-ordering an existing profile's steps is a compatibility break
-// (add a new name instead). The latin flag records whether the
-// profile's keys land in the Latin repertoire the Soundex code is
-// defined over; phonetic keying of the other scripts must be refused,
-// not approximated.
-var profilePipelines = map[string]struct {
-	mk    func() *Normalizer
-	latin bool
-}{
-	// The identity profile indexes verbatim keys; historically those
-	// were Latin, so Soundex stays available (with the per-key guard).
-	DefaultProfile: {func() *Normalizer { return NewNormalizer() }, true},
-	"standard":     {Standard, true},
+// (add a new name instead).
+var profilePipelines = map[string]func() *Normalizer{
+	DefaultProfile: func() *Normalizer { return NewNormalizer() },
+	"standard":     Standard,
 	// Latin with diacritics (French, Italian, Czech, Polish, Turkish,
 	// Nordic ...): canonicalise spelling, fold accents and special
 	// letters to ASCII base letters, then full case fold — folding
 	// before casing keeps mixed-case transliterations (Þ→Th) from
 	// leaking into the upper-cased output — and strip punctuation.
-	"latin": {func() *Normalizer {
+	"latin": func() *Normalizer {
 		return NewNormalizer(Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
-	}, true},
+	},
 	// Cyrillic: fold the Ё/Й mark compositions (so NFC and NFD agree and
 	// е/ё variant spellings match), full case fold, strip punctuation.
-	"cyrillic": {func() *Normalizer {
+	"cyrillic": func() *Normalizer {
 		return NewNormalizer(Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
-	}, false},
+	},
 	// Greek: strip tonos/dialytika (so ΜΑΡΊΑ and ΜΑΡΙΑ match), full case
 	// fold — final sigma folds with the rest — and strip punctuation.
-	"greek": {func() *Normalizer {
+	"greek": func() *Normalizer {
 		return NewNormalizer(Canonicalize, FoldCase, StripMarks, StripPunct, CollapseSpaces)
-	}, false},
+	},
 	// CJK: fold fullwidth/halfwidth width variants and the ideographic
 	// space; no case or accent folding applies.
-	"cjk": {func() *Normalizer {
+	"cjk": func() *Normalizer {
 		return NewNormalizer(FoldWidth, StripPunct, CollapseSpaces)
-	}, false},
+	},
 }
 
 // Profiles returns the registered profile names in sorted order, the
@@ -420,145 +404,9 @@ func Profiles() []string {
 // snapshot written by a newer build fails loudly instead of silently
 // indexing unnormalised keys.
 func ProfileNamed(name string) (*Normalizer, error) {
-	p, ok := profilePipelines[name]
+	mk, ok := profilePipelines[name]
 	if !ok {
 		return nil, fmt.Errorf("normalize: unknown profile %q (have %q)", name, Profiles())
 	}
-	return p.mk(), nil
-}
-
-// SoundexSupported reports whether the named profile's keys are in the
-// Latin repertoire the Soundex code is defined over. Unknown profiles
-// report false.
-func SoundexSupported(profile string) bool {
-	p, ok := profilePipelines[profile]
-	return ok && p.latin
-}
-
-// SoundexProfile returns the Soundex code of s as keyed under the named
-// profile. Profiles whose script Soundex is not defined over (cyrillic,
-// greek, cjk) return a descriptive error instead of a garbage code: the
-// unguarded coder skipped every letter it could not code and happily
-// emitted D000-style nonsense for Д-initial keys, or coded a stray
-// embedded Latin letter as if it led the name. Latin profiles guard per
-// key the same way: a key whose first letter is outside A–Z even after
-// accent folding is an error, while keys with no letters at all code to
-// "" exactly like Soundex.
-func SoundexProfile(profile, s string) (string, error) {
-	p, ok := profilePipelines[profile]
-	if !ok {
-		return "", fmt.Errorf("normalize: unknown profile %q (have %q)", profile, Profiles())
-	}
-	if !p.latin {
-		return "", fmt.Errorf("normalize: profile %q keys are outside the Latin repertoire; Soundex is undefined for them", profile)
-	}
-	key := p.mk().Apply(s)
-	if r, ok := soundexLead(key); !ok {
-		return "", fmt.Errorf("normalize: key %q leads with non-Latin letter %q; refusing to code it phonetically", s, r)
-	}
-	return Soundex(key), nil
-}
-
-// soundexFold is the one case and accent fold Soundex codes over, so a
-// string and its re-cased spellings code alike. Neither ToUpper nor
-// ToLower alone is a case fold: K (KELVIN SIGN), Å (ANGSTROM SIGN) and
-// İ are upper case already and meet plain K, Å and I only in lower
-// case; ſ, ı and the combining iota U+0345 meet S, I and Ι only in
-// upper case. Upper-then-lower merges every such class.
-func soundexFold(s string) string {
-	fold := func(r rune) rune { return unicode.ToLower(unicode.ToUpper(r)) }
-	return strings.ToUpper(FoldAccents(strings.Map(fold, s)))
-}
-
-// soundexLead finds the first letter of s after soundexFold, reporting
-// whether it is Latin-codable. Strings with no letters at all report ok
-// (they code to the empty string).
-func soundexLead(s string) (rune, bool) {
-	for _, r := range soundexFold(s) {
-		if r >= 'A' && r <= 'Z' {
-			return r, true
-		}
-		if unicode.IsLetter(r) {
-			return r, false
-		}
-	}
-	return 0, true
-}
-
-// Soundex returns the classic four-character American Soundex code of
-// the first word-like run of letters in s ("" for strings without
-// letters). Blocking on Soundex groups names that sound alike, the
-// standard cheap blocking key of the record-linkage literature.
-// Apostrophes and hyphens inside the first name token are transparent
-// (O'Brien codes like OBrien, not like O), matching the archival
-// convention of coding punctuated surnames as one word.
-//
-// Soundex is Latin-only: when the first letter of s is outside A–Z even
-// after accent folding (Cyrillic, Greek, CJK ...), it returns "" rather
-// than skipping ahead and coding whatever stray Latin letter follows —
-// a mixed-script "Дavid" has no meaningful American Soundex code.
-// Callers that want a diagnosis instead of a silent skip use
-// SoundexProfile.
-func Soundex(s string) string {
-	code := func(r rune) byte {
-		switch r {
-		case 'B', 'F', 'P', 'V':
-			return '1'
-		case 'C', 'G', 'J', 'K', 'Q', 'S', 'X', 'Z':
-			return '2'
-		case 'D', 'T':
-			return '3'
-		case 'L':
-			return '4'
-		case 'M', 'N':
-			return '5'
-		case 'R':
-			return '6'
-		default:
-			return 0 // vowels, H, W, Y and non-letters
-		}
-	}
-	runes := []rune(soundexFold(s))
-	// Find the first letter; a non-Latin letter ends the search (the
-	// key is outside the code's repertoire, not a name with leading
-	// punctuation to skip).
-	start := -1
-	for i, r := range runes {
-		if r >= 'A' && r <= 'Z' {
-			start = i
-		}
-		if unicode.IsLetter(r) {
-			break
-		}
-	}
-	if start < 0 {
-		return ""
-	}
-	out := []byte{byte(runes[start])}
-	prev := code(runes[start])
-	for _, r := range runes[start+1:] {
-		if r == '\'' || r == '’' || r == '-' {
-			continue // intra-name punctuation joins, never terminates
-		}
-		if r < 'A' || r > 'Z' {
-			break // end of the first word
-		}
-		c := code(r)
-		if c != 0 && c != prev {
-			out = append(out, c)
-			if len(out) == 4 {
-				break
-			}
-		}
-		if r == 'H' || r == 'W' {
-			// H and W are transparent: they do not reset the previous
-			// code, so letters with equal codes around them collapse.
-			continue
-		}
-		prev = c
-	}
-	for len(out) < 4 {
-		out = append(out, '0')
-	}
-	return string(out)
+	return mk(), nil
 }

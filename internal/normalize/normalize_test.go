@@ -1,11 +1,8 @@
 package normalize
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
-	"unicode"
 )
 
 func TestStandardPipeline(t *testing.T) {
@@ -25,9 +22,11 @@ func TestStandardPipeline(t *testing.T) {
 }
 
 func TestStepOrderMatters(t *testing.T) {
-	a := NewNormalizer(Uppercase, SortTokens).Apply("b a")
-	if a != "A B" {
-		t.Errorf("got %q", a)
+	if got := NewNormalizer(StripPunct, CollapseSpaces).Apply("a - b"); got != "a b" {
+		t.Errorf("strip then collapse: got %q", got)
+	}
+	if got := NewNormalizer(CollapseSpaces, StripPunct).Apply("a - b"); got != "a  b" {
+		t.Errorf("collapse then strip: got %q", got)
 	}
 	empty := NewNormalizer().Apply("unchanged")
 	if empty != "unchanged" {
@@ -60,64 +59,6 @@ func TestFoldAccents(t *testing.T) {
 	}
 }
 
-func TestSortTokens(t *testing.T) {
-	if got := SortTokens("GENOVA LIG GE"); got != "GE GENOVA LIG" {
-		t.Errorf("got %q", got)
-	}
-	if got := SortTokens(""); got != "" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestSoundexKnownValues(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"Robert", "R163"},
-		{"Rupert", "R163"},
-		{"Ashcraft", "A261"}, // H is transparent
-		{"Ashcroft", "A261"},
-		{"Tymczak", "T522"},
-		{"Pfister", "P236"},
-		{"Honeyman", "H555"},
-		{"", ""},
-		{"123", ""},
-		{"  Éclair", "E246"},
-	}
-	for _, c := range cases {
-		if got := Soundex(c.in); got != c.want {
-			t.Errorf("Soundex(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestSoundexFirstWordOnly(t *testing.T) {
-	if Soundex("Robert Smith") != Soundex("Robert Jones") {
-		t.Error("Soundex should key on the first word")
-	}
-}
-
-// Regression: intra-name apostrophes and hyphens must not terminate
-// coding — O'BRIEN previously coded as O000.
-func TestSoundexIntraNamePunctuation(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"O'Brien", "O165"},
-		{"o'brien", "O165"},
-		{"OBrien", "O165"},
-		{"O’Brien", "O165"}, // typographic apostrophe
-		{"Jean-Baptiste", "J511"},
-		{"JeanBaptiste", "J511"},
-		{"D'Angelo", "D524"},
-	}
-	for _, c := range cases {
-		if got := Soundex(c.in); got != c.want {
-			t.Errorf("Soundex(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	// The punctuated and plain spellings must block together.
-	if Soundex("O'Brien") != Soundex("OBrien") {
-		t.Error("apostrophe changed the blocking key")
-	}
-}
-
 // Regression: decomposed (NFD) input must fold like precomposed (NFC)
 // input — "José" with a combining acute previously kept the mark.
 func TestFoldAccentsNFD(t *testing.T) {
@@ -129,9 +70,6 @@ func TestFoldAccentsNFD(t *testing.T) {
 	if FoldAccents(nfc) != FoldAccents(nfd) {
 		t.Errorf("NFC and NFD spellings fold differently: %q vs %q",
 			FoldAccents(nfc), FoldAccents(nfd))
-	}
-	if got := Soundex(nfd); got != Soundex(nfc) {
-		t.Errorf("Soundex differs across normal forms: %q vs %q", Soundex(nfd), Soundex(nfc))
 	}
 }
 
@@ -284,139 +222,5 @@ func TestStandardIdempotentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Soundex output is always "" or a letter plus three digits.
-func TestSoundexShapeProperty(t *testing.T) {
-	f := func(s string) bool {
-		c := Soundex(s)
-		if c == "" {
-			return true
-		}
-		if len(c) != 4 {
-			return false
-		}
-		if c[0] < 'A' || c[0] > 'Z' {
-			return false
-		}
-		return strings.IndexFunc(c[1:], func(r rune) bool { return r < '0' || r > '6' }) < 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: equal strings keep equal codes under case variation. The
-// generator is seeded (quick.Check seeds from the clock by default), and
-// the runes random strings almost never contain — every rune either case
-// mapping moves — are checked exhaustively, leading, inside and ending a
-// name.
-func TestSoundexCaseInsensitiveProperty(t *testing.T) {
-	f := func(s string) bool {
-		return Soundex(strings.ToLower(s)) == Soundex(strings.ToUpper(s))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Error(err)
-	}
-	for r := rune(0); r <= unicode.MaxRune; r++ {
-		if unicode.ToLower(r) == r && unicode.ToUpper(r) == r {
-			continue
-		}
-		for _, s := range []string{string(r) + "rt", "Ro" + string(r) + "t", "Robe" + string(r)} {
-			if !f(s) {
-				t.Errorf("%U in %q: lower codes %q, upper codes %q", r, s, Soundex(strings.ToLower(s)), Soundex(strings.ToUpper(s)))
-			}
-		}
-	}
-}
-
-// The compatibility letters whose lower- and upper-case spellings used
-// to code apart (one mapping leaves them alone, the other lands on a
-// plain Latin letter): they code like the letter they fold to, however
-// the string is cased.
-func TestSoundexCompatibilityLetters(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"\u212Bngstrom", "A523"}, // U+212B ANGSTROM SIGN, upper case already
-		{"\u212Aelvin", "K415"},   // U+212A KELVIN SIGN, upper case already
-		{"\u017Fmith", "S530"},    // U+017F LATIN SMALL LETTER LONG S
-		{"Ma\u017Fon", "M250"},
-		{"\u0130zmir", "I256"}, // U+0130 LATIN CAPITAL LETTER I WITH DOT ABOVE
-		{"\u0131zmir", "I256"}, // U+0131 LATIN SMALL LETTER DOTLESS I
-	}
-	for _, c := range cases {
-		for _, in := range []string{c.in, strings.ToLower(c.in), strings.ToUpper(c.in)} {
-			if got := Soundex(in); got != c.want {
-				t.Errorf("Soundex(%q) = %q, want %q", in, got, c.want)
-			}
-		}
-	}
-}
-
-// Non-Latin keys must never code: pre-guard, the coder skipped letters
-// it could not code and emitted nonsense for mixed-script keys (the
-// stray Latin 'a' in "Дavid" coded as if it led the name).
-func TestSoundexNonLatinGuard(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"Дмитрий", ""},   // Cyrillic: outside the repertoire
-		{"Дavid", ""},     // mixed script: no skipping ahead to the 'a'
-		{"Μαρία", ""},     // Greek
-		{"東京", ""},        // CJK
-		{"42-17", ""},     // digits only, as before
-		{"  O'Brien", ""}, // control: Latin after punctuation still codes
-	}
-	cases[len(cases)-1].want = "O165"
-	for _, c := range cases {
-		if got := Soundex(c.in); got != c.want {
-			t.Errorf("Soundex(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// SoundexProfile across every registered profile: Latin-script profiles
-// code Latin keys and refuse non-Latin ones with a diagnosis; the
-// non-Latin profiles refuse phonetic keying outright.
-func TestSoundexProfileTable(t *testing.T) {
-	for _, profile := range Profiles() {
-		supported := SoundexSupported(profile)
-		switch profile {
-		case "", "standard", "latin":
-			if !supported {
-				t.Errorf("SoundexSupported(%q) = false, want true", profile)
-			}
-		case "cyrillic", "greek", "cjk":
-			if supported {
-				t.Errorf("SoundexSupported(%q) = true, want false", profile)
-			}
-		default:
-			t.Errorf("profile %q missing from the Soundex support table", profile)
-		}
-
-		code, err := SoundexProfile(profile, "Robert")
-		if supported {
-			if err != nil || code != "R163" {
-				t.Errorf("SoundexProfile(%q, Robert) = %q, %v; want R163", profile, code, err)
-			}
-		} else if err == nil {
-			t.Errorf("SoundexProfile(%q, Robert) = %q, want an unsupported-profile error", profile, code)
-		}
-
-		// A Cyrillic key must never code, whatever the profile.
-		if code, err := SoundexProfile(profile, "Дмитрий"); err == nil && code != "" {
-			t.Errorf("SoundexProfile(%q, Дмитрий) = %q, want error or empty", profile, code)
-		}
-		if supported {
-			if _, err := SoundexProfile(profile, "Дмитрий"); err == nil {
-				t.Errorf("SoundexProfile(%q, Дмитрий) succeeded, want a non-Latin-key error", profile)
-			}
-		}
-	}
-	if _, err := SoundexProfile("no-such-profile", "Robert"); err == nil {
-		t.Error("SoundexProfile with unknown profile succeeded")
-	}
-	// Keys with no letters at all code to "" without error (nothing to
-	// guard): matches Soundex's historical contract.
-	if code, err := SoundexProfile("latin", "42-17"); err != nil || code != "" {
-		t.Errorf("SoundexProfile(latin, 42-17) = %q, %v; want empty, nil", code, err)
 	}
 }

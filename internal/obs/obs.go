@@ -48,8 +48,9 @@ type Config struct {
 	// the slow ring regardless of sampling (0 = DefaultSlowThreshold,
 	// <0 = slow capture off).
 	SlowThreshold time.Duration
-	// Capacity is the recent-sampled ring size (0 = DefaultCapacity).
-	Capacity int
+	// capacity is the recent-sampled ring size (0 = DefaultCapacity).
+	// Only this package's tests shrink it, to force ring wrap.
+	capacity int
 	// SlowCapacity is the slow ring size (0 = DefaultSlowCapacity).
 	SlowCapacity int
 }
@@ -61,8 +62,8 @@ func (c Config) resolved() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = DefaultSlowThreshold
 	}
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultCapacity
+	if c.capacity <= 0 {
+		c.capacity = DefaultCapacity
 	}
 	if c.SlowCapacity <= 0 {
 		c.SlowCapacity = DefaultSlowCapacity
@@ -187,7 +188,7 @@ func NewTracer(cfg Config) *Tracer {
 	return &Tracer{
 		cfg:      cfg,
 		idPrefix: hex.EncodeToString(b[:]),
-		recent:   newRing(cfg.Capacity),
+		recent:   newRing(cfg.capacity),
 		slow:     newRing(cfg.SlowCapacity),
 	}
 }

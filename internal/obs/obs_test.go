@@ -16,8 +16,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.SlowThreshold != DefaultSlowThreshold {
 		t.Errorf("SlowThreshold = %v, want %v", cfg.SlowThreshold, DefaultSlowThreshold)
 	}
-	if cfg.Capacity != DefaultCapacity || cfg.SlowCapacity != DefaultSlowCapacity {
-		t.Errorf("capacities = %d/%d, want %d/%d", cfg.Capacity, cfg.SlowCapacity, DefaultCapacity, DefaultSlowCapacity)
+	if cfg.capacity != DefaultCapacity || cfg.SlowCapacity != DefaultSlowCapacity {
+		t.Errorf("capacities = %d/%d, want %d/%d", cfg.capacity, cfg.SlowCapacity, DefaultCapacity, DefaultSlowCapacity)
 	}
 	// Negative values survive (they mean "disabled").
 	off := Config{SampleEvery: -1, SlowThreshold: -1}.resolved()
@@ -149,7 +149,7 @@ func TestSlowCaptureWithoutSampling(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	tr := NewTracer(Config{SampleEvery: 1, Capacity: 4, SlowThreshold: -1})
+	tr := NewTracer(Config{SampleEvery: 1, capacity: 4, SlowThreshold: -1})
 	for i := 0; i < 10; i++ {
 		id := tr.NewID()
 		tt := tr.Begin("/v1/link", id, false)
@@ -168,7 +168,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 }
 
 func TestRingConcurrency(t *testing.T) {
-	tr := NewTracer(Config{SampleEvery: 1, Capacity: 8, SlowThreshold: 0})
+	tr := NewTracer(Config{SampleEvery: 1, capacity: 8, SlowThreshold: 0})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

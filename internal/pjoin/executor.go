@@ -77,9 +77,9 @@ type Config struct {
 	// Controller, when non-nil, receives aggregate observations and
 	// broadcasts mode switches (see adaptive.ShardedController).
 	Controller Controller
-	// Buffer is the capacity of each inter-goroutine channel (default
-	// 256).
-	Buffer int
+	// buffer is the capacity of each inter-goroutine channel (default
+	// 256). Only this package's tests shrink it, to force interleavings.
+	buffer int
 }
 
 // Match is one result pair of the parallel join. Refs are global
@@ -242,8 +242,8 @@ func New(cfg Config, left, right stream.Source) (*Executor, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("pjoin: shard count %d < 1", cfg.Shards)
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 256
+	if cfg.buffer <= 0 {
+		cfg.buffer = 256
 	}
 	e := &Executor{
 		cfg:      cfg,
@@ -265,10 +265,10 @@ func (e *Executor) Open() error {
 	e.quit = make(chan struct{})
 	e.in = make([]chan routed, e.cfg.Shards)
 	for i := range e.in {
-		e.in[i] = make(chan routed, e.cfg.Buffer)
+		e.in[i] = make(chan routed, e.cfg.buffer)
 	}
-	e.raw = make(chan rawItem, e.cfg.Buffer)
-	e.out = make(chan Match, e.cfg.Buffer)
+	e.raw = make(chan rawItem, e.cfg.buffer)
+	e.out = make(chan Match, e.cfg.buffer)
 
 	e.workers.Add(e.cfg.Shards)
 	for i := 0; i < e.cfg.Shards; i++ {

@@ -363,7 +363,7 @@ func TestConcurrentSwitchStorm(t *testing.T) {
 	cfg := join.Defaults()
 	storm := newSwitchStorm(4, 16)
 
-	ex, err := New(Config{Join: cfg, Shards: 4, Controller: storm, Buffer: 8},
+	ex, err := New(Config{Join: cfg, Shards: 4, Controller: storm, buffer: 8},
 		stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child))
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestConcurrentSwitchStorm(t *testing.T) {
 // deadlock, double Close fails.
 func TestExecutorLifecycle(t *testing.T) {
 	ds := testDataset(t, false)
-	cfg := Config{Join: join.Defaults(), Shards: 3, Buffer: 4}
+	cfg := Config{Join: join.Defaults(), Shards: 3, buffer: 4}
 	ex, err := New(cfg, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child))
 	if err != nil {
 		t.Fatal(err)

@@ -80,16 +80,6 @@ func appendPadded(dst []rune, s string, q int) []rune {
 	return dst
 }
 
-// GramSet returns the q-grams of s as a set.
-func (e *Extractor) GramSet(s string) map[string]struct{} {
-	grams := e.Grams(s)
-	set := make(map[string]struct{}, len(grams))
-	for _, g := range grams {
-		set[g] = struct{}{}
-	}
-	return set
-}
-
 // Count returns the number of grams Grams(s) would produce, without
 // allocating them whenever the window count provably equals the distinct
 // count, and by deduplicating otherwise.

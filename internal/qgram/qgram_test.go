@@ -79,16 +79,6 @@ func TestGramsUnicode(t *testing.T) {
 	}
 }
 
-func TestGramSet(t *testing.T) {
-	e := New(3)
-	set := e.GramSet("abc")
-	for _, g := range e.Grams("abc") {
-		if _, ok := set[g]; !ok {
-			t.Errorf("GramSet missing %q", g)
-		}
-	}
-}
-
 func TestNewPanicsOnBadQ(t *testing.T) {
 	defer func() {
 		if recover() == nil {

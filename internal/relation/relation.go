@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"sort"
 )
 
 // Tuple is a single record. The engine joins on Key; Attrs holds the
@@ -50,29 +48,6 @@ func (s Schema) Columns() []string {
 	cols = append(cols, s.KeyName)
 	cols = append(cols, s.AttrNames...)
 	return cols
-}
-
-// AttrIndex returns the position of the named payload attribute, or -1.
-func (s Schema) AttrIndex(name string) int {
-	for i, n := range s.AttrNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Equal reports whether two schemas have identical column names.
-func (s Schema) Equal(o Schema) bool {
-	if s.KeyName != o.KeyName || len(s.AttrNames) != len(o.AttrNames) {
-		return false
-	}
-	for i := range s.AttrNames {
-		if s.AttrNames[i] != o.AttrNames[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Relation is an ordered in-memory table.
@@ -112,44 +87,6 @@ func (r *Relation) At(i int) Tuple { return r.tuples[i] }
 
 // Tuples returns the underlying tuple slice. Callers must not mutate it.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
-
-// Keys returns the join keys of all tuples, in order.
-func (r *Relation) Keys() []string {
-	keys := make([]string, len(r.tuples))
-	for i, t := range r.tuples {
-		keys[i] = t.Key
-	}
-	return keys
-}
-
-// KeySet returns the set of distinct join keys.
-func (r *Relation) KeySet() map[string]struct{} {
-	set := make(map[string]struct{}, len(r.tuples))
-	for _, t := range r.tuples {
-		set[t.Key] = struct{}{}
-	}
-	return set
-}
-
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	c := New(r.Name, r.Schema)
-	c.tuples = make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		t.Attrs = slices.Clone(t.Attrs)
-		c.tuples[i] = t
-	}
-	return c
-}
-
-// SortByKey sorts tuples lexicographically by join key, reassigning IDs
-// to match the new order. Useful for deterministic golden tests.
-func (r *Relation) SortByKey() {
-	sort.SliceStable(r.tuples, func(i, j int) bool { return r.tuples[i].Key < r.tuples[j].Key })
-	for i := range r.tuples {
-		r.tuples[i].ID = i
-	}
-}
 
 // WriteCSV emits the relation as CSV with a header row (key column first).
 func (r *Relation) WriteCSV(w io.Writer) error {

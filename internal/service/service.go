@@ -244,9 +244,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Tracer exposes the request tracer (debug endpoints and tests).
-func (s *Service) Tracer() *obs.Tracer { return s.tracer }
-
 // Config returns the effective (defaulted) configuration.
 func (s *Service) Config() Config { return s.cfg }
 

@@ -8,9 +8,6 @@ type NodeRange struct {
 	Lo, Hi int
 }
 
-// Contains reports whether the range owns shard.
-func (r NodeRange) Contains(shard int) bool { return shard >= r.Lo && shard < r.Hi }
-
 // Len returns the number of shards in the range.
 func (r NodeRange) Len() int { return r.Hi - r.Lo }
 

@@ -29,7 +29,7 @@ func TestNodeAssignmentContract(t *testing.T) {
 			}
 			for shard := 0; shard < shards; shard++ {
 				n := NodeOf(shard, shards, nodes)
-				if !ranges[n].Contains(shard) {
+				if r := ranges[n]; shard < r.Lo || shard >= r.Hi {
 					t.Fatalf("NodeOf(%d, %d, %d) = %d but range %+v does not own it", shard, shards, nodes, n, ranges[n])
 				}
 			}

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzSimilarities asserts that every similarity function stays within
-// [0,1], is symmetric, and scores identical inputs as 1.
+// FuzzSimilarities asserts that the paper's similarity function stays
+// within [0,1], is symmetric, and scores identical inputs as 1.
 func FuzzSimilarities(f *testing.F) {
 	f.Add("SANTA CRISTINA", "SANTA CRISTINx")
 	f.Add("", "")
@@ -14,19 +14,15 @@ func FuzzSimilarities(f *testing.F) {
 	f.Add("日本", "日本語")
 	jac := JaccardQGram(3)
 	f.Fuzz(func(t *testing.T, a, b string) {
-		for name, fn := range map[string]Func{
-			"jaccard": jac, "lev": LevenshteinSim, "jw": JaroWinkler,
-		} {
-			s1, s2 := fn(a, b), fn(b, a)
-			if math.Abs(s1-s2) > 1e-9 {
-				t.Fatalf("%s asymmetric: %v vs %v", name, s1, s2)
-			}
-			if s1 < 0 || s1 > 1+1e-9 || math.IsNaN(s1) {
-				t.Fatalf("%s out of range: %v", name, s1)
-			}
-			if self := fn(a, a); math.Abs(self-1) > 1e-9 {
-				t.Fatalf("%s self-similarity %v", name, self)
-			}
+		s1, s2 := jac(a, b), jac(b, a)
+		if math.Abs(s1-s2) > 1e-9 {
+			t.Fatalf("asymmetric: %v vs %v", s1, s2)
+		}
+		if s1 < 0 || s1 > 1+1e-9 || math.IsNaN(s1) {
+			t.Fatalf("out of range: %v", s1)
+		}
+		if self := jac(a, a); math.Abs(self-1) > 1e-9 {
+			t.Fatalf("self-similarity %v", self)
 		}
 	})
 }

@@ -1,5 +1,5 @@
 // Package simfn provides the string similarity functions used by the
-// approximate join operator and the data generator.
+// approximate join operator.
 //
 // The paper measures string similarity with the Jaccard coefficient over
 // q-gram sets:
@@ -9,9 +9,9 @@
 // and notes that other q-gram-based functions can be substituted. This
 // package therefore exposes Jaccard as the default alongside Dice, cosine
 // and overlap coefficients on the same token representation, plus the
-// edit-based Levenshtein and Jaro–Winkler measures, which the data
-// generator uses to validate that synthesised variants sit at edit
-// distance one from their originals.
+// Levenshtein edit distance, which the data generator's tests use to
+// check that synthesised variants sit at edit distance one from their
+// originals.
 package simfn
 
 import (
@@ -197,86 +197,4 @@ func Levenshtein(a, b string) int {
 		prev, curr = curr, prev
 	}
 	return prev[len(rb)]
-}
-
-// LevenshteinSim normalises edit distance into a similarity in [0,1]:
-// 1 - dist/max(len). Two empty strings are identical.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	return 1 - float64(d)/float64(max(la, lb))
-}
-
-// Jaro returns the Jaro similarity of a and b.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := max(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := max(0, i-window)
-		hi := min(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i], matchB[j] = true, true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
-}
-
-// JaroWinkler returns the Jaro–Winkler similarity with the standard
-// prefix scale of 0.1 over at most 4 common prefix runes.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	ra, rb := []rune(a), []rune(b)
-	prefix := 0
-	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// Exact is the trivial similarity: 1 for equal strings, 0 otherwise.
-func Exact(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	return 0
 }

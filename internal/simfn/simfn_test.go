@@ -188,58 +188,3 @@ func TestLevenshteinMetricProperties(t *testing.T) {
 		t.Errorf("triangle: %v", err)
 	}
 }
-
-func TestLevenshteinSim(t *testing.T) {
-	if !almost(LevenshteinSim("", ""), 1) {
-		t.Error("empty strings should be identical")
-	}
-	if !almost(LevenshteinSim("abcd", "abcx"), 0.75) {
-		t.Errorf("LevenshteinSim(abcd,abcx) = %v, want 0.75", LevenshteinSim("abcd", "abcx"))
-	}
-}
-
-func TestJaroKnownValues(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"MARTHA", "MARHTA", 0.944444444},
-		{"DIXON", "DICKSONX", 0.766666667},
-		{"", "", 1},
-		{"a", "", 0},
-		{"abc", "abc", 1},
-	}
-	for _, c := range cases {
-		if got := Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-6 {
-			t.Errorf("Jaro(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestJaroWinklerKnownValues(t *testing.T) {
-	if got := JaroWinkler("MARTHA", "MARHTA"); math.Abs(got-0.961111111) > 1e-6 {
-		t.Errorf("JaroWinkler(MARTHA,MARHTA) = %v, want 0.9611…", got)
-	}
-	if got := JaroWinkler("abc", "abc"); got != 1 {
-		t.Errorf("JaroWinkler identical = %v", got)
-	}
-}
-
-// Property: Jaro and Jaro–Winkler stay in [0,1] and are symmetric; the
-// Winkler prefix boost never lowers the score.
-func TestJaroProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		j, jw := Jaro(a, b), JaroWinkler(a, b)
-		jr := Jaro(b, a)
-		return almost(j, jr) && j >= 0 && j <= 1+1e-9 && jw >= j-1e-9 && jw <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExact(t *testing.T) {
-	if Exact("a", "a") != 1 || Exact("a", "b") != 0 {
-		t.Error("Exact misbehaves")
-	}
-}

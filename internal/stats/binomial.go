@@ -162,12 +162,3 @@ func betacf(a, b, x float64) float64 {
 	// than silently returning garbage to the assessor.
 	panic(fmt.Sprintf("stats: betacf failed to converge for a=%v b=%v x=%v", a, b, x))
 }
-
-// BinomialOutlierTest reports whether an observation obs is a significant
-// low-side outlier for bin(n, p) at level theta: P(X <= obs) <= theta.
-// It returns the tail probability alongside the verdict so callers can
-// log the evidence.
-func BinomialOutlierTest(obs, n int, p, theta float64) (tail float64, outlier bool) {
-	tail = BinomialCDF(obs, n, p)
-	return tail, tail <= theta
-}

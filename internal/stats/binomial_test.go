@@ -187,16 +187,3 @@ func TestRegIncBetaPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestBinomialOutlierTest(t *testing.T) {
-	// Observing 0 successes in 100 trials at p=0.5 is a blatant outlier.
-	tail, out := BinomialOutlierTest(0, 100, 0.5, 0.05)
-	if !out || tail > 1e-20 {
-		t.Errorf("0/100 at p=.5: tail=%v outlier=%v", tail, out)
-	}
-	// Observing the mean is not.
-	tail, out = BinomialOutlierTest(50, 100, 0.5, 0.05)
-	if out || tail < 0.4 {
-		t.Errorf("50/100 at p=.5: tail=%v outlier=%v", tail, out)
-	}
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SlidingWindow counts boolean events over the most recent W steps of a
 // monotonically advancing step counter. The assessor maintains one per
@@ -77,9 +74,6 @@ func (s *SlidingWindow) Record(n int) {
 // Count returns the number of events within the last W steps (A_{t,W}).
 func (s *SlidingWindow) Count() int { return s.total }
 
-// Rate returns Count()/W, the relative frequency the µ predicate tests.
-func (s *SlidingWindow) Rate() float64 { return float64(s.total) / float64(s.size) }
-
 // Reset clears all state.
 func (s *SlidingWindow) Reset() {
 	for i := range s.counts {
@@ -88,43 +82,19 @@ func (s *SlidingWindow) Reset() {
 	s.head, s.step, s.total = 0, 0, 0
 }
 
-// Welford accumulates a running mean and variance without storing
-// samples; the weight-calibration tool uses it to average per-step
-// elapsed times across experiments.
+// Welford accumulates a running mean without storing samples (Welford's
+// incremental update); the weight-calibration tool uses it to average
+// per-step elapsed times across experiments.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one sample into the aggregate.
 func (w *Welford) Add(x float64) {
 	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 with fewer than two
-// samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 {
-	v := w.Variance()
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
-}

@@ -33,14 +33,6 @@ func TestSlidingWindowBasic(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowRate(t *testing.T) {
-	w := NewSlidingWindow(4)
-	w.Record(2)
-	if got := w.Rate(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Rate = %v, want 0.5", got)
-	}
-}
-
 func TestSlidingWindowAdvanceTo(t *testing.T) {
 	w := NewSlidingWindow(5)
 	w.Record(3)
@@ -136,26 +128,19 @@ func TestSlidingWindowMatchesBruteForceProperty(t *testing.T) {
 
 func TestWelford(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 || w.N() != 0 {
+	if w.Mean() != 0 {
 		t.Error("zero-value Welford not zeroed")
 	}
 	samples := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, s := range samples {
 		w.Add(s)
 	}
-	if w.N() != len(samples) {
-		t.Errorf("N = %d", w.N())
-	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", w.Mean())
 	}
-	// Sample variance of that classic dataset is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
 }
 
-// Property: Welford agrees with the naive two-pass computation.
+// Property: Welford agrees with the naive sum-then-divide mean.
 func TestWelfordMatchesNaiveProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -167,19 +152,7 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 			w.Add(float64(r))
 			sum += float64(r)
 		}
-		mean := sum / float64(len(raw))
-		if math.Abs(w.Mean()-mean) > 1e-6 {
-			return false
-		}
-		if len(raw) < 2 {
-			return w.Variance() == 0
-		}
-		ss := 0.0
-		for _, r := range raw {
-			d := float64(r) - mean
-			ss += d * d
-		}
-		return math.Abs(w.Variance()-ss/float64(len(raw)-1)) < 1e-4
+		return math.Abs(w.Mean()-sum/float64(len(raw))) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -11,6 +11,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/vfs"
 )
 
 // fixCRC recomputes the trailing CRC-32C of a mutated snapshot image.
@@ -169,7 +170,7 @@ func TestPeekMetaWAL(t *testing.T) {
 	}
 	meta := MetaOf(v)
 	dir := t.TempDir()
-	w, replay, err := OpenWAL(filepath.Join(dir, WALFile), meta, SyncAlways)
+	w, replay, err := OpenWALFS(vfs.OS, filepath.Join(dir, WALFile), meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +309,8 @@ func TestSnapshotFileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshotFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.snap"), v); err == nil {
-		t.Fatal("WriteSnapshotFile into a missing directory succeeded")
+	if err := WriteSnapshotFileFS(vfs.OS, filepath.Join(t.TempDir(), "no", "such", "dir", "x.snap"), v); err == nil {
+		t.Fatal("WriteSnapshotFileFS into a missing directory succeeded")
 	}
 }
 
@@ -322,7 +323,7 @@ func TestOpenWALMetaMismatch(t *testing.T) {
 	}
 	meta := MetaOf(v)
 	path := filepath.Join(t.TempDir(), WALFile)
-	w, _, err := OpenWAL(path, meta, SyncAlways)
+	w, _, err := OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestOpenWALMetaMismatch(t *testing.T) {
 	}
 	other := meta
 	other.Theta += 0.1
-	if _, _, err := OpenWAL(path, other, SyncAlways); err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
-		t.Fatalf("OpenWAL with mismatched meta = %v", err)
+	if _, _, err := OpenWALFS(vfs.OS, path, other, SyncAlways); err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
+		t.Fatalf("OpenWALFS with mismatched meta = %v", err)
 	}
 }

@@ -597,19 +597,13 @@ func ReadSnapshotFile(path string) (*join.SnapshotView, error) {
 	return v, nil
 }
 
-// WriteSnapshotFile writes the snapshot atomically: encode to a
-// temporary file in the same directory, fsync, rename over the target,
-// fsync the directory. A crash mid-write leaves the previous snapshot
-// (or none) intact, never a torn file under the live name; the final
-// directory fsync makes the rename itself durable — without it, power
-// loss after a "successful" checkpoint could resurrect the old
+// WriteSnapshotFileFS writes the snapshot atomically through fsys:
+// encode to a temporary file in the same directory, fsync, rename over
+// the target, fsync the directory. A crash mid-write leaves the previous
+// snapshot (or none) intact, never a torn file under the live name; the
+// final directory fsync makes the rename itself durable — without it,
+// power loss after a "successful" checkpoint could resurrect the old
 // snapshot, or worse, a directory entry pointing at nothing.
-func WriteSnapshotFile(path string, v *join.SnapshotView) error {
-	return WriteSnapshotFileFS(vfs.OS, path, v)
-}
-
-// WriteSnapshotFileFS is WriteSnapshotFile through an injectable
-// filesystem.
 func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -7,6 +7,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/vfs"
 )
 
 // fuzzSeedSnapshot is a small valid snapshot image to seed mutation
@@ -78,7 +79,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // fuzzSeedWAL is a small valid WAL image (header + two frames).
 func fuzzSeedWAL(f *testing.F) []byte {
 	dir := f.TempDir()
-	w, _, err := OpenWAL(dir+"/"+WALFile, Meta{Q: 3, Theta: 0.75, Shards: 2}, SyncNone)
+	w, _, err := OpenWALFS(vfs.OS, dir+"/"+WALFile, Meta{Q: 3, Theta: 0.75, Shards: 2}, SyncNone)
 	if err != nil {
 		f.Fatal(err)
 	}

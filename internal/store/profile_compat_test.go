@@ -11,6 +11,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/vfs"
 )
 
 // buildProfiledIndex builds a small resident index whose configuration
@@ -107,7 +108,7 @@ func TestWALV1Compat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
 	meta := Meta{Q: 3, Theta: 0.75, Shards: 2}
-	w, _, err := OpenWAL(path, meta, SyncNone)
+	w, _, err := OpenWALFS(vfs.OS, path, meta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestWALV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, replay, err := OpenWAL(path, meta, SyncNone)
+	w2, replay, err := OpenWALFS(vfs.OS, path, meta, SyncNone)
 	if err != nil {
 		t.Fatalf("v1 WAL rejected: %v", err)
 	}
@@ -156,15 +157,15 @@ func TestProfileMismatchRejected(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	w, _, err := OpenWAL(path, a, SyncNone)
+	w, _, err := OpenWALFS(vfs.OS, path, a, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(path, b, SyncNone); err == nil || !strings.Contains(err.Error(), "profile") {
-		t.Fatalf("OpenWAL under the wrong profile = %v, want a profile mismatch", err)
+	if _, _, err := OpenWALFS(vfs.OS, path, b, SyncNone); err == nil || !strings.Contains(err.Error(), "profile") {
+		t.Fatalf("OpenWALFS under the wrong profile = %v, want a profile mismatch", err)
 	}
 
 	idxDir := t.TempDir()

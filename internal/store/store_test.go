@@ -15,6 +15,7 @@ import (
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/vfs"
 )
 
 // testTuples builds a deterministic batch with realistic keys, typos
@@ -180,11 +181,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), SnapshotFile)
-	if err := WriteSnapshotFile(path, v); err != nil {
+	if err := WriteSnapshotFileFS(vfs.OS, path, v); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite in place: the rename must replace, not fail.
-	if err := WriteSnapshotFile(path, v); err != nil {
+	if err := WriteSnapshotFileFS(vfs.OS, path, v); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshotFile(path)
@@ -249,7 +250,7 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 func TestWALAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFile)
 	meta := Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 2}
-	w, replay, err := OpenWAL(path, meta, SyncAlways)
+	w, replay, err := OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, replay, err = OpenWAL(path, meta, SyncAlways)
+	w, replay, err = OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, replay, err = OpenWAL(path, meta, SyncAlways)
+	_, replay, err = OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestWALAppendReplay(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), WALFile)
 	meta := Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 1}
-	w, _, err := OpenWAL(path, meta, SyncAlways)
+	w, _, err := OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(torn, data[:len(data)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, replay, err := OpenWAL(torn, meta, SyncAlways)
+		w2, replay, err := OpenWALFS(vfs.OS, torn, meta, SyncAlways)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -344,7 +345,7 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		w2.Close()
-		_, replay, err = OpenWAL(torn, meta, SyncAlways)
+		_, replay, err = OpenWALFS(vfs.OS, torn, meta, SyncAlways)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +361,7 @@ func TestWALRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, WALFile)
 	meta := Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 1}
-	w, _, err := OpenWAL(path, meta, SyncAlways)
+	w, _, err := OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,19 +383,19 @@ func TestWALRejectsCorruption(t *testing.T) {
 		return p
 	}
 	t.Run("payload bit flip", func(t *testing.T) {
-		if _, _, err := OpenWAL(flip(walFixedHeaderSize+12), meta, SyncAlways); err == nil {
+		if _, _, err := OpenWALFS(vfs.OS, flip(walFixedHeaderSize+12), meta, SyncAlways); err == nil {
 			t.Fatal("bit-flipped frame replayed without error")
 		}
 	})
 	t.Run("magic damage", func(t *testing.T) {
-		if _, _, err := OpenWAL(flip(0), meta, SyncAlways); err == nil {
+		if _, _, err := OpenWALFS(vfs.OS, flip(0), meta, SyncAlways); err == nil {
 			t.Fatal("damaged magic accepted")
 		}
 	})
 	t.Run("meta mismatch", func(t *testing.T) {
 		other := meta
 		other.Theta = 0.9
-		_, _, err := OpenWAL(path, other, SyncAlways)
+		_, _, err := OpenWALFS(vfs.OS, path, other, SyncAlways)
 		if err == nil || !strings.Contains(err.Error(), "mismatch") {
 			t.Fatalf("err = %v, want a configuration mismatch", err)
 		}

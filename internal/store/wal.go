@@ -166,7 +166,7 @@ func (w *WAL) Stats() WALStats {
 	return WALStats{Appends: w.appends, AppendNanos: w.appendNanos, FsyncNanos: w.fsyncNanos}
 }
 
-// Replay is what OpenWAL recovered from an existing log.
+// Replay is what OpenWALFS recovered from an existing log.
 type Replay struct {
 	// Batches are the logged upsert batches, in append order. Applying
 	// them to the index the accompanying snapshot loaded reproduces the
@@ -179,16 +179,11 @@ type Replay struct {
 	TornTail bool
 }
 
-// OpenWAL opens or creates the log at path. A fresh file gets a header
-// binding it to meta; an existing file must carry the same meta and
-// replays its intact frames into the returned Replay. The WAL is then
-// positioned for appending.
-func OpenWAL(path string, meta Meta, sync SyncPolicy) (*WAL, *Replay, error) {
-	return OpenWALFS(vfs.OS, path, meta, sync)
-}
-
-// OpenWALFS is OpenWAL through an injectable filesystem — the fault
-// shim's entry point for crash and fsync-failure schedules.
+// OpenWALFS opens or creates the log at path in fsys (vfs.OS, or the
+// fault shim's filesystem for crash and fsync-failure schedules). A
+// fresh file gets a header binding it to meta; an existing file must
+// carry the same meta and replays its intact frames into the returned
+// Replay. The WAL is then positioned for appending.
 func OpenWALFS(fsys vfs.FS, path string, meta Meta, sync SyncPolicy) (*WAL, *Replay, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -394,7 +389,7 @@ type walDecoded struct {
 // decodeWALBytes parses a WAL image: header, then frames until the
 // bytes run out. An incomplete trailing frame is reported as torn (good
 // marks the last intact boundary); a complete frame that fails its CRC
-// or its structural bounds is an error. Shared by OpenWAL and
+// or its structural bounds is an error. Shared by OpenWALFS and
 // FuzzWALReplay, so it must never panic on hostile input.
 func decodeWALBytes(data []byte) (*walDecoded, error) {
 	if len(data) < walFixedHeaderSize {
