@@ -38,11 +38,13 @@ race:
 # properties), 20 times over at 1, 2 and 4 scheduler threads, so a test
 # that only holds on the builder's core count — or on most seeds —
 # cannot land. The service package's routed convergence and failure
-# tests (real nodes behind the fault transport) ride along 5 times.
+# tests (real nodes behind the fault transport) and its admission tests
+# (execution slots, deadlines while waiting, drain and close) ride along
+# 5 times.
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
-		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster' -count=5 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain' -count=5 || exit 1; \
 	done
 
 # Code size per package: non-blank, non-comment lines of the non-test
@@ -142,6 +144,7 @@ fuzz:
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the
+# service's link admission path (a 2-key exact Link within its budget), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint and a snapshot load allocate per tuple
@@ -152,7 +155,7 @@ fuzz:
 # (their correctness halves still run everywhere, `cover` included);
 # this target is where every allocation count is actually enforced.
 alloc:
-	$(GO) test . ./internal/join ./internal/hashidx ./internal/qgram -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
+	$(GO) test . ./internal/join ./internal/hashidx ./internal/qgram ./internal/service -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
 
 # `cover` runs the whole suite under -race, so the `race` and `test`
 # targets would be redundant here.

@@ -163,10 +163,10 @@
 // that state (probe_parity_test.go).
 //
 // cmd/adaptivelinkd serves this mode over HTTP/JSON — named indexes,
-// single and batch /v1/link probes, incremental upserts, bounded
-// worker-pool admission control, per-request deadlines, a
-// Prometheus-style /metrics endpoint priced by the paper's cost model,
-// and graceful drain on SIGTERM. Every non-2xx response carries the
+// single and batch /v1/link probes, incremental upserts, admission
+// control through a bounded number of execution slots, per-request
+// deadlines, a Prometheus-style /metrics endpoint priced by the
+// paper's cost model, and graceful drain on SIGTERM. Every non-2xx response carries the
 // unified v1 error envelope {"error":{"code":...,"message":...}} with
 // a closed code set (see internal/service). cmd/linkbench load-tests
 // it and prints throughput and latency percentiles.

@@ -101,7 +101,7 @@ func main() {
 	})
 
 	// A keys batch is one session server-side: the whole batch runs
-	// through Session.ProbeBatch inside a single worker slot.
+	// through Session.ProbeBatch inside a single execution slot.
 	var lr service.LinkResponseDTO
 	if err := json.Unmarshal(post("/v1/link", service.LinkRequestDTO{
 		Index: "atlas",

@@ -44,7 +44,6 @@ var exportAllowlist = map[string]string{
 	"join.ShardedRefIndex.Config":     "test introspection: the index's defaulted configuration",
 	"join.ShardedRefIndex.Shards":     "test introspection: the index's shard count",
 	"metrics.CostBreakdown.StepTotal": "test introspection: the state half of the cost the sum property checks",
-	"metrics.Histogram.Count":         "test introspection: observations recorded",
 	"obs.Tracer.Config":               "test introspection: the tracer's defaulted configuration",
 	"obs.Tracer.Recent":               "test introspection: the ring of recent span traces",
 	"obs.Tracer.SampledSeen":          "test introspection: requests that got a span trace",

@@ -39,8 +39,7 @@ func runAdaptiveLinkd(ctx context.Context, args []string, stdout, stderr io.Writ
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 		addrFile    = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-		workers     = fs.Int("workers", 0, "worker pool size (0 = one per CPU, min 2)")
-		queue       = fs.Int("queue", 256, "admission queue depth")
+		workers     = fs.Int("workers", 0, "link requests executing at once; the rest wait for a slot until their deadline (0 = one per CPU, min 2)")
 		deadline    = fs.Duration("deadline", 5*time.Second, "default per-request deadline")
 		maxBatch    = fs.Int("max-batch", 4096, "maximum keys per link request")
 		preload     = fs.String("preload", "", "preload an index from CSV as name=path (optional)")
@@ -129,7 +128,6 @@ func runAdaptiveLinkd(ctx context.Context, args []string, stdout, stderr io.Writ
 
 	svc := service.New(service.Config{
 		Workers:         *workers,
-		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
 		MaxBatch:        *maxBatch,
 		DataDir:         *dataDir,
@@ -232,7 +230,8 @@ func runAdaptiveLinkd(ctx context.Context, args []string, stdout, stderr io.Writ
 	}
 
 	// Graceful drain: stop accepting, wait for in-flight handlers (each
-	// of which waits for its pool job), then stop the workers.
+	// of which runs its link request to the end), then close the
+	// service.
 	log.Info("draining", "timeout", *drainWait)
 	shCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()

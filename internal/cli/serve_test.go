@@ -146,7 +146,7 @@ func runBench(t *testing.T, args ...string) (int, string, string) {
 }
 
 func TestLinkBenchAgainstService(t *testing.T) {
-	svc := service.New(service.Config{Workers: 4, QueueDepth: 128})
+	svc := service.New(service.Config{Workers: 4})
 	defer svc.Close()
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()
@@ -209,7 +209,7 @@ func TestLinkBenchFailsOnNon2xx(t *testing.T) {
 // Satellite smoke: -cpuprofile/-memprofile must write non-empty pprof
 // files so future perf PRs can attach profiling evidence.
 func TestLinkBenchWritesProfiles(t *testing.T) {
-	svc := service.New(service.Config{Workers: 2, QueueDepth: 64})
+	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()
@@ -242,7 +242,7 @@ func TestLinkBenchWritesProfiles(t *testing.T) {
 }
 
 func TestLinkBenchProfileFlagErrors(t *testing.T) {
-	svc := service.New(service.Config{Workers: 2, QueueDepth: 64})
+	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()

@@ -25,10 +25,10 @@ func TestHTTPLinkEmptyBatch(t *testing.T) {
 }
 
 // TestHTTPLinkBatchLargerThanQueue: one link request may carry far more
-// keys than the admission queue has slots — the queue bounds concurrent
+// keys than the service has execution slots — slots bound concurrent
 // requests, not keys — and every key gets its result in order.
 func TestHTTPLinkBatchLargerThanQueue(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, MaxBatch: 8192})
+	s := New(Config{Workers: 1, MaxBatch: 8192})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(NewHandler(s))
 	t.Cleanup(ts.Close)

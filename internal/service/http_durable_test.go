@@ -16,7 +16,7 @@ import (
 
 func newDurableServer(t *testing.T, dataDir string) (*Service, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Workers: 2, QueueDepth: 64, DataDir: dataDir})
+	s := New(Config{Workers: 2, DataDir: dataDir})
 	if _, err := s.LoadStored(); err != nil {
 		t.Fatalf("LoadStored: %v", err)
 	}

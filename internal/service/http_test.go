@@ -14,7 +14,7 @@ import (
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Workers: 4, QueueDepth: 128})
+	s := New(Config{Workers: 4})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(NewHandler(s))
 	t.Cleanup(ts.Close)

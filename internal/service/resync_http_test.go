@@ -143,7 +143,7 @@ func TestHTTPResyncDurable(t *testing.T) {
 	resp.Body.Close()
 
 	dataDir := t.TempDir()
-	s := New(Config{Workers: 2, QueueDepth: 16, DataDir: dataDir})
+	s := New(Config{Workers: 2, DataDir: dataDir})
 	ts := httptest.NewServer(NewHandler(s))
 	code, body := postResync(t, ts.URL, "atlas", blob)
 	var info IndexInfo
@@ -166,7 +166,7 @@ func TestHTTPResyncDurable(t *testing.T) {
 	ts.Close()
 	s.Close()
 
-	s2 := New(Config{Workers: 2, QueueDepth: 16, DataDir: dataDir})
+	s2 := New(Config{Workers: 2, DataDir: dataDir})
 	defer s2.Close()
 	names, err := s2.LoadStored()
 	if err != nil {

@@ -1,3 +1,9 @@
+// Package service implements the resident linkage service: a registry
+// of named resident indexes (adaptivelink.Index), admission control
+// that runs each link request on its caller's goroutine once it holds
+// one of a bounded number of execution slots, per-request deadlines, a
+// Prometheus-style metrics surface and graceful drain. cmd/adaptivelinkd
+// exposes it over HTTP/JSON via NewHandler.
 package service
 
 import (
@@ -13,6 +19,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivelink"
@@ -39,13 +46,11 @@ var nameRe = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 
 // Config sizes the service. The zero value selects usable defaults.
 type Config struct {
-	// Workers is the bounded worker pool size: at most this many link
-	// requests execute concurrently (default max(2, GOMAXPROCS)).
+	// Workers is the number of execution slots: at most this many link
+	// requests execute concurrently, each on its caller's goroutine;
+	// the rest wait for a slot until their deadline expires (default
+	// max(2, GOMAXPROCS)).
 	Workers int
-	// QueueDepth bounds the admission queue: at most this many link
-	// requests wait for a worker; beyond it submission blocks the
-	// client until space frees or its deadline expires (default 256).
-	QueueDepth int
 	// DefaultDeadline applies to link requests that set none
 	// (default 5s).
 	DefaultDeadline time.Duration
@@ -85,9 +90,6 @@ func (c Config) withDefaults() Config {
 			c.Workers = 2
 		}
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 5 * time.Second
 	}
@@ -111,7 +113,6 @@ func (c Config) withDefaults() Config {
 // metrics and graceful drain. All methods are safe for concurrent use.
 type Service struct {
 	cfg    Config
-	pool   *pool
 	reg    *metrics.Registry
 	start  time.Time
 	log    *slog.Logger
@@ -119,6 +120,12 @@ type Service struct {
 
 	admit    sync.RWMutex // serialises admission against Drain
 	draining bool
+	// inflight counts admitted link requests not yet finished; Drain
+	// and Close wait on it. slots holds one token per executing request.
+	inflight sync.WaitGroup
+	slots    chan struct{}
+	queued   atomic.Int64
+	running  atomic.Int64
 
 	// createMu serialises index creation and deletion end to end, so a
 	// lost create race can never remove or overwrite the directory of
@@ -140,7 +147,8 @@ type Service struct {
 	batchSize     *metrics.Histogram
 	batchRequests *metrics.Value
 	// linkLatency covers an admitted link request end to end (queue wait
-	// plus execution); queueWait isolates the admission-to-worker slice.
+	// plus execution); queueWait isolates the admission-to-slot slice,
+	// including a wait that ends in deadline expiry.
 	// linkbench cross-checks its client-side p99 against linkLatency.
 	linkLatency  *metrics.Histogram
 	queueWait    *metrics.Histogram
@@ -197,13 +205,13 @@ type managedIndex struct {
 	checkpointSeconds *metrics.Value
 }
 
-// New builds a service with started workers.
+// New builds a service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
 	s := &Service{
 		cfg:     cfg,
-		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Workers),
 		reg:     reg,
 		start:   time.Now(),
 		log:     cfg.Logger,
@@ -213,7 +221,7 @@ func New(cfg Config) *Service {
 	if cfg.Cluster != nil {
 		cfg.Cluster.EnableMetrics(reg)
 	}
-	s.queuedGauge = reg.Gauge("adaptivelink_link_queued", "Link requests waiting for a worker.", "")
+	s.queuedGauge = reg.Gauge("adaptivelink_link_queued", "Link requests waiting for an execution slot.", "")
 	s.runningGauge = reg.Gauge("adaptivelink_link_running", "Link requests currently executing.", "")
 	s.indexGauge = reg.Gauge("adaptivelink_indexes", "Resident indexes registered.", "")
 	s.requestCounters = make(map[string]*metrics.Value)
@@ -230,7 +238,7 @@ func New(cfg Config) *Service {
 	s.linkLatency = reg.Histogram("adaptivelink_link_latency_seconds",
 		"Admitted link request duration, queue wait included.", "", latencyBuckets)
 	s.queueWait = reg.Histogram("adaptivelink_link_queue_wait_seconds",
-		"Time an admitted link request waited for a worker.", "", latencyBuckets)
+		"Time an admitted link request waited for an execution slot.", "", latencyBuckets)
 	s.slowRequests = reg.Counter("adaptivelink_slow_requests_total",
 		"HTTP requests at or over the slow-log threshold.", "")
 	s.uptimeGauge = reg.Gauge("adaptivelink_uptime_seconds", "Seconds since the service started.", "")
@@ -850,9 +858,10 @@ func ParseStrategy(s string) (adaptivelink.Strategy, error) {
 // enough that an expired request aborts promptly.
 const linkChunk = 256
 
-// Link runs one probe batch through admission control and the worker
-// pool. Deadline expiry while queued rejects the request without
-// running it; expiry mid-batch aborts with context.DeadlineExceeded.
+// Link runs one probe batch on the calling goroutine once it holds one
+// of the Workers execution slots. Deadline expiry while waiting for a
+// slot rejects the request without opening a session; expiry mid-batch
+// aborts with context.DeadlineExceeded.
 func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, error) {
 	strategy, err := ParseStrategy(req.Strategy)
 	if err != nil {
@@ -907,90 +916,43 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	tr := obs.TraceFrom(ctx)
 	tr.SetTarget(req.Index, len(req.Keys))
 
-	// Admission: reserve the in-flight slot under the read side of the
-	// drain lock, so Drain can never observe a moment where an admitted
-	// request is invisible to its wait.
+	// Admission: register with the drain accounting under the read side
+	// of the drain lock, so Drain can never observe a moment where an
+	// admitted request is invisible to its wait.
 	s.admit.RLock()
 	if s.draining {
 		s.admit.RUnlock()
 		s.countRequest("draining")
 		return nil, ErrDraining
 	}
-	s.pool.reserve()
+	s.inflight.Add(1)
 	s.admit.RUnlock()
+	defer s.inflight.Done()
 
+	// Wait for an execution slot. A slot that arrives after the deadline
+	// is handed straight back: the request fails without opening a
+	// session.
 	admitted := time.Now()
+	s.queued.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		if err = ctx.Err(); err != nil {
+			<-s.slots
+		}
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	s.queued.Add(-1)
+	wait := time.Since(admitted)
+	s.queueWait.Observe(wait.Seconds())
+	tr.AddSpanDur("queue", admitted, wait)
+
 	var resp *LinkResponse
-	var jobErr error
-	err = s.pool.runReserved(ctx, func() {
-		wait := time.Since(admitted)
-		s.queueWait.Observe(wait.Seconds())
-		tr.AddSpanDur("queue", admitted, wait)
-		ss := time.Now()
-		sess, err := ix.NewSession(adaptivelink.SessionOptions{
-			Strategy:  strategy,
-			FutilityK: req.FutilityK,
-			Explain:   req.Explain,
-		})
-		tr.AddSpan("session", ss)
-		if err != nil {
-			jobErr = fmt.Errorf("%w: %v", ErrInvalid, err)
-			return
-		}
-		mi.sessions.Inc()
-		s.batchSize.Observe(float64(len(req.Keys)))
-		if len(req.Keys) > 1 {
-			s.batchRequests.Inc()
-		}
-		// The batch runs through Session.ProbeBatch — routing and
-		// snapshot loads amortised per shard-group, groups fanned out
-		// concurrently inside this one worker slot — in chunks, so a
-		// request whose deadline expires mid-batch is aborted between
-		// chunks and never reported complete with partial results.
-		chunk := linkChunk
-		if s.testProbeDelay != nil {
-			chunk = 1 // per-probe delay injection for deadline tests
-		}
-		results := make([][]adaptivelink.ProbeMatch, len(req.Keys))
-		for lo := 0; lo < len(req.Keys); lo += chunk {
-			if ctx.Err() != nil {
-				jobErr = ctx.Err()
-				break
-			}
-			if s.testProbeDelay != nil {
-				s.testProbeDelay()
-			}
-			hi := lo + chunk
-			if hi > len(req.Keys) {
-				hi = len(req.Keys)
-			}
-			cs := time.Now()
-			copy(results[lo:hi], sess.ProbeBatch(req.Keys[lo:hi]))
-			tr.AddSpan("probe", cs)
-			// A routed chunk that lost a node group mid-fan-out recorded
-			// the failure on the view; fail the batch as a whole — never a
-			// silent partial result.
-			if view != nil {
-				if terr := view.TransportErr(); terr != nil {
-					jobErr = terr
-					break
-				}
-			}
-		}
-		st := sess.Stats()
-		mi.probes.Add(float64(st.Probes))
-		mi.hits.Add(float64(st.Hits))
-		mi.exactMatches.Add(float64(st.ExactMatches))
-		mi.approxMatches.Add(float64(st.ApproxMatches))
-		mi.escalations.Add(float64(st.Escalations))
-		mi.switches.Add(float64(st.Switches))
-		mi.modelledCost.Add(st.ModelledCost)
-		if jobErr == nil {
-			resp = &LinkResponse{Results: results, Session: st, Decisions: sess.Decisions()}
-		}
-	})
 	if err == nil {
-		err = jobErr
+		s.running.Add(1)
+		resp, err = s.runLink(ctx, tr, mi, ix, view, strategy, req)
+		s.running.Add(-1)
+		<-s.slots
 	}
 	s.linkLatency.Observe(time.Since(admitted).Seconds())
 	switch {
@@ -1013,6 +975,69 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	}
 }
 
+// runLink opens one session over ix and probes the batch in chunks; the
+// caller holds an execution slot.
+func (s *Service) runLink(ctx context.Context, tr *obs.Trace, mi *managedIndex, ix *adaptivelink.Index,
+	view *cluster.View, strategy adaptivelink.Strategy, req LinkRequest) (*LinkResponse, error) {
+	ss := time.Now()
+	sess, err := ix.NewSession(adaptivelink.SessionOptions{
+		Strategy:  strategy,
+		FutilityK: req.FutilityK,
+		Explain:   req.Explain,
+	})
+	tr.AddSpan("session", ss)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	mi.sessions.Inc()
+	s.batchSize.Observe(float64(len(req.Keys)))
+	if len(req.Keys) > 1 {
+		s.batchRequests.Inc()
+	}
+	// The batch runs through Session.ProbeBatch — routing and snapshot
+	// loads amortised per shard-group, groups fanned out concurrently
+	// inside this one execution slot — in chunks, so a request whose
+	// deadline expires mid-batch is aborted between chunks and never
+	// reported complete with partial results.
+	chunk := linkChunk
+	if s.testProbeDelay != nil {
+		chunk = 1 // per-probe delay injection for deadline tests
+	}
+	results := make([][]adaptivelink.ProbeMatch, len(req.Keys))
+	for lo := 0; lo < len(req.Keys); lo += chunk {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		if s.testProbeDelay != nil {
+			s.testProbeDelay()
+		}
+		hi := min(lo+chunk, len(req.Keys))
+		cs := time.Now()
+		copy(results[lo:hi], sess.ProbeBatch(req.Keys[lo:hi]))
+		tr.AddSpan("probe", cs)
+		// A routed chunk that lost a node group mid-fan-out recorded the
+		// failure on the view; fail the batch as a whole — never a
+		// silent partial result.
+		if view != nil {
+			if err = view.TransportErr(); err != nil {
+				break
+			}
+		}
+	}
+	st := sess.Stats()
+	mi.probes.Add(float64(st.Probes))
+	mi.hits.Add(float64(st.Hits))
+	mi.exactMatches.Add(float64(st.ExactMatches))
+	mi.approxMatches.Add(float64(st.ApproxMatches))
+	mi.escalations.Add(float64(st.Escalations))
+	mi.switches.Add(float64(st.Switches))
+	mi.modelledCost.Add(st.ModelledCost)
+	if err != nil {
+		return nil, err
+	}
+	return &LinkResponse{Results: results, Session: st, Decisions: sess.Decisions()}, nil
+}
+
 // Draining reports whether graceful drain has begun.
 func (s *Service) Draining() bool {
 	s.admit.RLock()
@@ -1024,11 +1049,19 @@ func (s *Service) Draining() bool {
 // ErrDraining, and Drain returns once every admitted request has
 // finished — zero dropped responses — or ctx expires.
 func (s *Service) Drain(ctx context.Context) error {
-	s.admit.Lock()
-	s.draining = true
-	s.admit.Unlock()
-	s.log.Info("drain started", "queued", s.pool.queued.Load(), "running", s.pool.running.Load())
-	err := s.pool.drainWait(ctx)
+	s.stopAdmission()
+	s.log.Info("drain started", "queued", s.queued.Load(), "running", s.running.Load())
+	done := make(chan struct{})
+	go func() {
+		s.inflight.Wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
 	if err != nil {
 		s.log.Warn("drain aborted", "error", err)
 	} else {
@@ -1037,11 +1070,21 @@ func (s *Service) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close stops the worker pool and closes every durable index (flushing
-// their logs; checkpoints are left to explicit snapshot requests, so
-// restart cost is bounded by the log replay). Call after Drain.
+// stopAdmission makes every later Link fail with ErrDraining.
+func (s *Service) stopAdmission() {
+	s.admit.Lock()
+	s.draining = true
+	s.admit.Unlock()
+}
+
+// Close stops admitting link requests, waits for every admitted one to
+// finish — each carries a deadline capped at MaxDeadline, which bounds
+// the wait — and closes every durable index (flushing their logs;
+// checkpoints are left to explicit snapshot requests, so restart cost
+// is bounded by the log replay). Call after Drain.
 func (s *Service) Close() {
-	s.pool.close()
+	s.stopAdmission()
+	s.inflight.Wait()
 	if s.cfg.Cluster != nil {
 		// Stop the router's background goroutines (hint drainers, the
 		// health prober, anti-entropy) before tearing indexes down.
@@ -1057,8 +1100,8 @@ func (s *Service) Close() {
 // WriteMetrics renders the Prometheus exposition, refreshing the live
 // gauges first.
 func (s *Service) WriteMetrics(w interface{ Write([]byte) (int, error) }) error {
-	s.queuedGauge.Set(float64(s.pool.queued.Load()))
-	s.runningGauge.Set(float64(s.pool.running.Load()))
+	s.queuedGauge.Set(float64(s.queued.Load()))
+	s.runningGauge.Set(float64(s.running.Load()))
 	s.uptimeGauge.Set(time.Since(s.start).Seconds())
 	s.goroutineGauge.Set(float64(runtime.NumGoroutine()))
 	var ms runtime.MemStats
@@ -1089,7 +1132,9 @@ type IndexStats struct {
 	ModelledCost  float64 `json:"modelled_cost"`
 }
 
-// Snapshot is the /v1/stats payload.
+// Snapshot is the /v1/stats payload. QueueDepth is always 0: a link
+// request waits for an execution slot on its own goroutine, so no queue
+// bounds the waiters; the key stays because v1 never removes a field.
 type Snapshot struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Draining      bool         `json:"draining"`
@@ -1107,9 +1152,8 @@ func (s *Service) Snapshot() Snapshot {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.Draining(),
 		Workers:       s.cfg.Workers,
-		QueueDepth:    s.cfg.QueueDepth,
-		Queued:        s.pool.queued.Load(),
-		Running:       s.pool.running.Load(),
+		Queued:        s.queued.Load(),
+		Running:       s.running.Load(),
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

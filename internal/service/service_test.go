@@ -145,10 +145,10 @@ func TestUpsertVisibleToProbes(t *testing.T) {
 }
 
 // TestLinkConcurrentSustainsLoad drives 64 concurrent in-flight link
-// requests through a small worker pool: admission queues them, none is
+// requests through four execution slots: admission queues them, none is
 // rejected, and every response arrives.
 func TestLinkConcurrentSustainsLoad(t *testing.T) {
-	s := newTestService(t, Config{Workers: 4, QueueDepth: 128})
+	s := newTestService(t, Config{Workers: 4})
 	const clients = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -178,11 +178,10 @@ func TestLinkConcurrentSustainsLoad(t *testing.T) {
 	}
 }
 
-// TestLinkDeadlineWhileQueued: with one worker busy and a queue of one,
-// a short-deadline request expires in the queue and is skipped without
-// executing.
+// TestLinkDeadlineWhileQueued: with the one execution slot busy, a
+// short-deadline request expires waiting for it and never executes.
 func TestLinkDeadlineWhileQueued(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, QueueDepth: 1})
+	s := newTestService(t, Config{Workers: 1})
 	release := make(chan struct{})
 	var once sync.Once
 	s.testProbeDelay = func() { once.Do(func() { <-release }) }
@@ -208,6 +207,121 @@ func TestLinkDeadlineWhileQueued(t *testing.T) {
 	// The expired request must not have probed.
 	if snap := s.Snapshot(); snap.Indexes[0].Probes != 1 {
 		t.Fatalf("probes = %d, want 1 (expired request ran)", snap.Indexes[0].Probes)
+	}
+}
+
+// TestLinkQueueWaitCountsExpiredWaiters: with the one execution slot
+// held, three requests wait for it — the queued gauge counts all three —
+// and expire there. Their wait is observed like any other, so the
+// queue-wait and latency histograms count the same four requests.
+func TestLinkQueueWaitCountsExpiredWaiters(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var once, releaseOnce sync.Once
+	s.testProbeDelay = func() { once.Do(func() { <-release }) }
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the service's Close on a failure
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Link(context.Background(), LinkRequest{Index: "atlas", Keys: []string{testKeys[0]}})
+		done <- err
+	}()
+	waitUntil(t, func() bool { return s.Snapshot().Running == 1 })
+
+	const waiters = 3
+	expired := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := s.Link(context.Background(), LinkRequest{
+				Index: "atlas", Keys: []string{testKeys[1]}, Timeout: 500 * time.Millisecond,
+			})
+			expired <- err
+		}()
+	}
+	waitUntil(t, func() bool { return s.Snapshot().Queued == waiters })
+	for i := 0; i < waiters; i++ {
+		if err := <-expired; !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("waiting request error = %v, want deadline", err)
+		}
+	}
+	if q := s.Snapshot().Queued; q != 0 {
+		t.Fatalf("queued = %d after the waiters expired, want 0", q)
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatalf("slot holder failed: %v", err)
+	}
+	if got, want := s.queueWait.Count(), s.linkLatency.Count(); got != want || want != waiters+1 {
+		t.Fatalf("queue-wait count %d, latency count %d, want both %d", got, want, waiters+1)
+	}
+	if snap := s.Snapshot(); snap.Indexes[0].Sessions != 1 {
+		t.Fatalf("sessions = %d, want 1 (an expired waiter opened one)", snap.Indexes[0].Sessions)
+	}
+}
+
+// TestCloseWaitsForAdmittedLink: Close does not tear indexes down under
+// a request that is executing; it returns once the request finishes,
+// and the request completes normally.
+func TestCloseWaitsForAdmittedLink(t *testing.T) {
+	s := New(Config{Workers: 1})
+	if _, err := s.CreateIndex("atlas", adaptivelink.IndexOptions{}, refTuples(testKeys...)); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once, releaseOnce sync.Once
+	s.testProbeDelay = func() { once.Do(func() { <-release }) }
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+
+	linked := make(chan error, 1)
+	go func() {
+		resp, err := s.Link(context.Background(), LinkRequest{Index: "atlas", Keys: []string{testKeys[0]}})
+		if err == nil && (len(resp.Results) != 1 || len(resp.Results[0]) != 1) {
+			err = fmt.Errorf("bad results %+v", resp.Results)
+		}
+		linked <- err
+	}()
+	waitUntil(t, func() bool { return s.Snapshot().Running == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a link request was executing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	if err := <-linked; err != nil {
+		t.Fatalf("admitted request failed: %v", err)
+	}
+	<-closed
+	if _, err := s.Link(context.Background(), LinkRequest{Index: "atlas", Keys: []string{testKeys[0]}}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("link after Close = %v, want ErrDraining", err)
+	}
+}
+
+// linkAllocBudget pins the allocations of a 2-key exact in-process Link:
+// admission, one session, the chunk loop and the response.
+const linkAllocBudget = 19
+
+func TestLinkAllocBudget(t *testing.T) {
+	s := newTestService(t, Config{})
+	req := LinkRequest{Index: "atlas", Keys: []string{testKeys[0], testKeys[1]}, Strategy: "exact"}
+	resp, err := s.Link(context.Background(), req)
+	if err != nil || len(resp.Results) != 2 || len(resp.Results[0]) != 1 || len(resp.Results[1]) != 1 {
+		t.Fatalf("warmup link = %+v, %v", resp, err)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		_, _ = s.Link(context.Background(), req)
+	}); avg > linkAllocBudget {
+		t.Errorf("Link allocated %.2f times per op, want <= %d", avg, linkAllocBudget)
 	}
 }
 
