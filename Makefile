@@ -129,10 +129,13 @@ chaos:
 # string-fallback gram paths agree with the Grams oracle on arbitrary
 # Unicode), the posting codec (block-compressed lists under inserts,
 # clones, evictions and rebuilds decode to a plain []int32 oracle, and
-# frozen generations never change) and the CSV reader (relations with
+# frozen generations never change), the CSV reader (relations with
 # commas, quotes, CR/LF and invalid UTF-8 round-trip through WriteCSV
 # and LoadRelationCSV; arbitrary bytes load header-wide tuples or fail,
-# never panic). `go test -fuzz=<name> <package>` digs deeper.
+# never panic), the normalization profiles (every profile's ASCII
+# kernel returns what its steps return) and the request decoder (a body
+# the one-pass scanner accepts, encoding/json accepts too and reads as
+# the same value). `go test -fuzz=<name> <package>` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/join -run=NONE -fuzz=FuzzUpsertProbe -fuzztime=$(FUZZTIME)
@@ -141,10 +144,15 @@ fuzz:
 	$(GO) test ./internal/qgram -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashidx -run=NONE -fuzz=FuzzPostingList -fuzztime=$(FUZZTIME)
 	$(GO) test . -run=NONE -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/normalize -run=NONE -fuzz=FuzzNormalize -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the
 # service's link admission path (a 2-key exact Link within its budget), the
+# request decoder (a 64-key link body and a 16-tuple upsert body within
+# their pins, below encoding/json), normalization (every profile returns
+# an already-normal ASCII key with 0 allocs), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint and a snapshot load allocate per tuple
@@ -155,7 +163,7 @@ fuzz:
 # (their correctness halves still run everywhere, `cover` included);
 # this target is where every allocation count is actually enforced.
 alloc:
-	$(GO) test . ./internal/join ./internal/hashidx ./internal/qgram ./internal/service -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
+	$(GO) test . ./internal/join ./internal/hashidx ./internal/qgram ./internal/service ./internal/normalize ./internal/wire -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
 
 # `cover` runs the whole suite under -race, so the `race` and `test`
 # targets would be redundant here.

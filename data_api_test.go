@@ -44,6 +44,38 @@ func TestFromChannelSizeHintValidation(t *testing.T) {
 	}
 }
 
+// A size hint is only what FromChannel's caller claims: bulk loading
+// presizes from it, but never reserves more than a capped batch.
+func TestBulkLoadCapsSizeHint(t *testing.T) {
+	ch := make(chan Tuple, 3)
+	for i, k := range []string{"LAGO MAGGIORE", "MONTE ROSA", "VAL DI NON"} {
+		ch <- Tuple{ID: i, Key: k}
+	}
+	close(ch)
+	src, err := FromChannel(ch, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix, err := BulkLoad(src, IndexOptions{Shards: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != 3 {
+		t.Fatalf("loaded %d tuples, want 3", ix.Len())
+	}
+	for i, k := range []string{"LAGO MAGGIORE", "MONTE ROSA", "VAL DI NON"} {
+		if ms := ix.Probe(k); len(ms) != 1 || ms[0].Ref.ID != i || !ms[0].Exact {
+			t.Fatalf("Probe(%q) = %+v, want tuple %d exactly", k, ms, i)
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("bulk loading 3 tuples allocated %d bytes", got)
+	}
+}
+
 func TestLoadRelationCSVErrorPaths(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -168,8 +168,12 @@
 // deadlines, a Prometheus-style /metrics endpoint priced by the
 // paper's cost model, and graceful drain on SIGTERM. Every non-2xx response carries the
 // unified v1 error envelope {"error":{"code":...,"message":...}} with
-// a closed code set (see internal/service). cmd/linkbench load-tests
-// it and prints throughput and latency percentiles.
+// a closed code set (see internal/service). Create, upsert and link
+// bodies in the canonical shape json.Marshal emits are decoded by a
+// one-pass scanner (internal/wire); every other body falls back to
+// encoding/json on the same bytes, which still defines what a body
+// means and every error message. cmd/linkbench load-tests it and
+// prints throughput and latency percentiles.
 //
 // # Cluster
 //
@@ -400,7 +404,10 @@
 // opening under a different profile is a descriptive error, never a
 // silent re-interpretation. Profile names are forever-stable for the
 // same reason. The HTTP service exposes the option as the "profile"
-// field of index creation.
+// field of index creation. Every registered profile normalises an
+// all-ASCII key in one pass (an ASCII kernel returning exactly what
+// its steps return, and the key itself when it is already normal);
+// keys with any non-ASCII byte run the steps.
 //
 // The normalize package also fixes a classic linkage bug: accent
 // folding accepts decomposed (NFD) input and covers the ø/æ/œ/ł/đ/ð/þ

@@ -268,8 +268,12 @@ func (opts IndexOptions) meta() store.Meta {
 	return store.Meta{Q: opts.Q, Theta: opts.Theta, Measure: simfn.TokenMeasure(opts.Measure), Shards: opts.Shards, Profile: opts.Profile}
 }
 
+// maxDrainPresize caps the capacity a source's size estimate reserves:
+// a FromChannel hint is only what its caller claims.
+const maxDrainPresize = 1 << 16
+
 func drainSource(ref Source) ([]Tuple, error) {
-	var batch []Tuple
+	batch := make([]Tuple, 0, min(stream.EstimateSize(ref, 0), maxDrainPresize))
 	for {
 		t, ok, err := ref.Next()
 		if err != nil {

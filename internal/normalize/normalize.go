@@ -35,6 +35,9 @@ type Step func(string) string
 // Normalizer is an ordered pipeline of steps.
 type Normalizer struct {
 	steps []Step
+	// kernel is the pipeline's one-pass form on all-ASCII keys; the
+	// registered profiles set it, ad-hoc pipelines do not.
+	kernel asciiKernel
 }
 
 // NewNormalizer builds a pipeline; steps run in the given order.
@@ -42,19 +45,110 @@ func NewNormalizer(steps ...Step) *Normalizer {
 	return &Normalizer{steps: append([]Step(nil), steps...)}
 }
 
-// Apply runs the pipeline on s.
+// Apply runs the pipeline on s. A registered profile's all-ASCII key
+// takes its ASCII kernel instead: one pass that returns exactly what
+// the steps would, and s itself when s is already normal.
 func (n *Normalizer) Apply(s string) string {
+	if n.kernel != noKernel {
+		if out, ok := n.kernel.apply(s); ok {
+			return out
+		}
+	}
+	return n.applySteps(s)
+}
+
+func (n *Normalizer) applySteps(s string) string {
 	for _, st := range n.steps {
 		s = st(s)
 	}
 	return s
 }
 
+// asciiKernel names the one-pass ASCII form of a profile's pipeline. On
+// ASCII input every registered profile's steps reduce to one of two
+// transforms: accent folding, canonicalisation, mark stripping and width
+// folding leave ASCII alone, and simple and full upper-casing agree.
+type asciiKernel uint8
+
+const (
+	noKernel asciiKernel = iota
+	// wordsKernel drops every byte but letters, digits and whitespace,
+	// then collapses whitespace: StripPunct + CollapseSpaces.
+	wordsKernel
+	// upperWordsKernel is wordsKernel with letters upper-cased.
+	upperWordsKernel
+)
+
+// apply runs the kernel on s, reporting false when s has a non-ASCII
+// byte.
+func (k asciiKernel) apply(s string) (string, bool) {
+	upper := k == upperWordsKernel
+	// The longest prefix the steps leave as is: word bytes, and single
+	// spaces after one.
+	i, prevSpace := 0, true
+	for ; i < len(s); i++ {
+		c := s[i]
+		if isASCIIWord(c, upper) {
+			prevSpace = false
+		} else if c == ' ' && !prevSpace {
+			prevSpace = true
+		} else {
+			break
+		}
+	}
+	for j := i; j < len(s); j++ {
+		if s[j] >= utf8.RuneSelf {
+			return "", false
+		}
+	}
+	if i == len(s) && (!prevSpace || s == "") {
+		return s, true
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	pending := prevSpace && i > 0 // the prefix ends in a space that may be trailing
+	if pending {
+		i--
+	}
+	b.WriteString(s[:i])
+	for ; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case isASCIIWord(c, false):
+			if upper && 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if pending && b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteByte(c)
+			pending = false
+		case c == ' ' || '\t' <= c && c <= '\r':
+			pending = true
+		}
+	}
+	return b.String(), true
+}
+
+// isASCIIWord reports whether c is a digit or a letter the kernel
+// keeps as is: any letter unless it upper-cases, else an upper-case
+// one.
+func isASCIIWord(c byte, upper bool) bool {
+	return '0' <= c && c <= '9' || 'A' <= c && c <= 'Z' || !upper && 'a' <= c && c <= 'z'
+}
+
 // Standard returns the pipeline suitable for location-style join keys:
 // accent folding, upper-casing, punctuation removal and whitespace
 // collapsing.
 func Standard() *Normalizer {
-	return NewNormalizer(FoldAccents, Uppercase, StripPunct, CollapseSpaces)
+	return profile(upperWordsKernel, FoldAccents, Uppercase, StripPunct, CollapseSpaces)
+}
+
+// profile builds a registered pipeline with its ASCII kernel.
+func profile(k asciiKernel, steps ...Step) *Normalizer {
+	n := NewNormalizer(steps...)
+	n.kernel = k
+	return n
 }
 
 // Uppercase maps the string to upper case (simple, rune-to-rune case
@@ -358,7 +452,8 @@ const DefaultProfile = ""
 // registry is fixed at build time: a profile name stored in snapshot
 // metadata must mean the same pipeline forever, so renaming or
 // re-ordering an existing profile's steps is a compatibility break
-// (add a new name instead).
+// (add a new name instead). A profile's ASCII kernel must return what
+// its steps return on every ASCII key; FuzzNormalize checks them all.
 var profilePipelines = map[string]func() *Normalizer{
 	DefaultProfile: func() *Normalizer { return NewNormalizer() },
 	"standard":     Standard,
@@ -368,22 +463,22 @@ var profilePipelines = map[string]func() *Normalizer{
 	// before casing keeps mixed-case transliterations (Þ→Th) from
 	// leaking into the upper-cased output — and strip punctuation.
 	"latin": func() *Normalizer {
-		return NewNormalizer(Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
+		return profile(upperWordsKernel, Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
 	},
 	// Cyrillic: fold the Ё/Й mark compositions (so NFC and NFD agree and
 	// е/ё variant spellings match), full case fold, strip punctuation.
 	"cyrillic": func() *Normalizer {
-		return NewNormalizer(Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
+		return profile(upperWordsKernel, Canonicalize, FoldAccents, FoldCase, StripPunct, CollapseSpaces)
 	},
 	// Greek: strip tonos/dialytika (so ΜΑΡΊΑ and ΜΑΡΙΑ match), full case
 	// fold — final sigma folds with the rest — and strip punctuation.
 	"greek": func() *Normalizer {
-		return NewNormalizer(Canonicalize, FoldCase, StripMarks, StripPunct, CollapseSpaces)
+		return profile(upperWordsKernel, Canonicalize, FoldCase, StripMarks, StripPunct, CollapseSpaces)
 	},
 	// CJK: fold fullwidth/halfwidth width variants and the ideographic
 	// space; no case or accent folding applies.
 	"cjk": func() *Normalizer {
-		return NewNormalizer(FoldWidth, StripPunct, CollapseSpaces)
+		return profile(wordsKernel, FoldWidth, StripPunct, CollapseSpaces)
 	},
 }
 

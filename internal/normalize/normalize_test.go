@@ -224,3 +224,88 @@ func TestStandardIdempotentProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Every registered profile returns an already-normal ASCII key itself,
+// without allocating.
+func TestApplyNormalASCIIZeroAlloc(t *testing.T) {
+	for _, name := range Profiles() {
+		n, err := ProfileNamed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := "TAA BZ SANTA CRISTINA VALGARDENA 3"
+		if got := n.Apply(key); got != key {
+			t.Fatalf("profile %q: Apply(%q) = %q, want it unchanged", name, key, got)
+		}
+		if raceEnabled {
+			continue
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = n.Apply(key) }); avg != 0 {
+			t.Errorf("profile %q: Apply on a normal ASCII key allocated %.2f times per op, want 0", name, avg)
+		}
+	}
+}
+
+// The ASCII kernels against their pipelines on the shapes a one-pass
+// rewrite gets wrong: spaces around stripped punctuation, runs at either
+// end, ASCII controls that are and are not whitespace, and keys that
+// turn non-ASCII after a prefix needing work.
+func TestASCIIKernels(t *testing.T) {
+	cases := []struct{ in, upper, words string }{
+		{"", "", ""},
+		{"ROMA", "ROMA", "ROMA"},
+		{"roma", "ROMA", "roma"},
+		{"  a  b ", "A B", "a b"},
+		{"a - b", "A B", "a b"},
+		{"a- b -", "A B", "a b"},
+		{"Sant'Agata", "SANTAGATA", "SantAgata"},
+		{"A\tB\nC\vD\fE\rF", "A B C D E F", "A B C D E F"},
+		{"A\x1fB\x00", "AB", "AB"},
+		{"a_b~c@d", "ABCD", "abcd"},
+		{"- -", "", ""},
+		{"VIA ROMA 1 ", "VIA ROMA 1", "VIA ROMA 1"},
+	}
+	for _, c := range cases {
+		for _, k := range []struct {
+			kernel asciiKernel
+			want   string
+		}{{upperWordsKernel, c.upper}, {wordsKernel, c.words}} {
+			if got, ok := k.kernel.apply(c.in); !ok || got != k.want {
+				t.Errorf("kernel %d on %q = %q, %v; want %q", k.kernel, c.in, got, ok, k.want)
+			}
+		}
+	}
+	for _, in := range []string{"Forlì", "a-b é", "x\xff"} {
+		if _, ok := upperWordsKernel.apply(in); ok {
+			t.Errorf("kernel accepted non-ASCII %q", in)
+		}
+	}
+	for _, name := range Profiles() {
+		n, _ := ProfileNamed(name)
+		for _, c := range cases {
+			if got, want := n.Apply(c.in), n.applySteps(c.in); got != want {
+				t.Errorf("profile %q: Apply(%q) = %q, steps give %q", name, c.in, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkNormalizeASCII times the standard profile on ASCII keys, half
+// already normal (the kernel's no-copy pass) and half needing a copy.
+func BenchmarkNormalizeASCII(b *testing.B) {
+	benchmarkApply(b, []string{"TAA BZ SANTA CRISTINA VALGARDENA", "Taa-Bz  Santa Cristina, Valgardena"})
+}
+
+// BenchmarkNormalizeLatin is the step pipeline's counterpart: Latin keys
+// with diacritics, which the kernel hands to the steps.
+func BenchmarkNormalizeLatin(b *testing.B) {
+	benchmarkApply(b, []string{"TAA BZ SANTA CRISTINA VALGARDÈNA", "Forlì-Cesena  Città"})
+}
+
+func benchmarkApply(b *testing.B, keys []string) {
+	n := Standard()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = n.Apply(keys[i%len(keys)])
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -296,17 +297,20 @@ func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
 	return out
 }
 
+// decodeJSON reads a request body once, capped at maxBodyBytes, and
+// decodes it with wire.Decode; a refused body is a 400 naming the
+// decoder's error.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), maxBodyPresize)) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		// One value is the whole body: a second object, or anything but
-		// whitespace after the first, is not silently dropped.
-		if _, tok := dec.Token(); tok != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
+		err = wire.Decode(body.Bytes(), dst)
+	} else {
+		// The cap or the connection cut the body short. Streaming the same
+		// bytes and then the same error through encoding/json fails the
+		// request exactly as decoding straight from the connection would.
+		err = wire.DecodeReader(io.MultiReader(&body, errReader{err}), dst)
 	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorDTO{Error: ErrorBody{
@@ -317,6 +321,15 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	}
 	return true
 }
+
+// maxBodyPresize bounds the buffer a declared Content-Length reserves
+// before any byte arrives; a larger body grows it as it is read.
+const maxBodyPresize = 8 << 20
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

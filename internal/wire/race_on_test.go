@@ -1,0 +1,8 @@
+//go:build race
+
+package wire
+
+// raceEnabled reports whether the race detector is active: its runtime
+// perturbs allocation counts, so testing.AllocsPerRun assertions skip
+// themselves and are enforced race-free by `make alloc` instead.
+const raceEnabled = true

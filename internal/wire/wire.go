@@ -20,6 +20,14 @@
 // The JSON API is deliberately small: tuples are key + optional payload
 // attributes, and a link request probes one index with one or many keys
 // as a single session.
+//
+// Decode reads create, upsert and link request bodies. A body in the
+// canonical shape json.Marshal emits takes a one-pass scanner that
+// parses integers and plain strings without intermediate copies; any
+// other body goes to encoding/json on the same bytes (DecodeReader),
+// so encoding/json defines what every body means and every error
+// message, and FuzzDecodeRequest holds the scanner to it. Encoding, the
+// router's requests to its nodes included, is encoding/json's.
 package wire
 
 import "adaptivelink"
