@@ -127,25 +127,35 @@ chaos:
 # write-ahead-log replay (recovery always stops at an intact record
 # boundary), decomposition parity (the byte-packed, rune-packed and
 # string-fallback gram paths agree with the Grams oracle on arbitrary
-# Unicode), the posting codec (block-compressed lists under inserts,
-# clones, evictions and rebuilds decode to a plain []int32 oracle, and
-# frozen generations never change), the CSV reader (relations with
-# commas, quotes, CR/LF and invalid UTF-8 round-trip through WriteCSV
-# and LoadRelationCSV; arbitrary bytes load header-wide tuples or fail,
-# never panic), the normalization profiles (every profile's ASCII
-# kernel returns what its steps return) and the request decoder (a body
-# the one-pass scanner accepts, encoding/json accepts too and reads as
-# the same value). `go test -fuzz=<name> <package>` digs deeper.
+# Unicode), padded decomposition (the grams are exactly the distinct
+# q-rune windows, each once), the gram dictionary (dense stable ids,
+# packed/string agreement, clone isolation), the posting codec
+# (block-compressed lists under inserts, clones, evictions and rebuilds
+# decode to a plain []int32 oracle, and frozen generations never
+# change), the CSV reader (relations with commas, quotes, CR/LF and
+# invalid UTF-8 round-trip through WriteCSV and LoadRelationCSV;
+# arbitrary bytes load header-wide tuples or fail, never panic), the
+# normalization profiles (every profile's ASCII kernel returns what its
+# steps return), the request decoder (a body the one-pass scanner
+# accepts, encoding/json accepts too and reads as the same value), the
+# similarity function (bounded, symmetric, 1 on identical inputs) and
+# the parallel router's scan clock (per-shard stamps strictly
+# increasing). Names are anchored: -fuzz takes a regexp and must match
+# exactly one target. `go test -fuzz=<name> <package>` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/join -run=NONE -fuzz=FuzzUpsertProbe -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/store -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/store -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/qgram -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/hashidx -run=NONE -fuzz=FuzzPostingList -fuzztime=$(FUZZTIME)
-	$(GO) test . -run=NONE -fuzz=FuzzCSVRoundTrip -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/normalize -run=NONE -fuzz=FuzzNormalize -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/join -run=NONE -fuzz='^FuzzUpsertProbe$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qgram -run=NONE -fuzz='^FuzzDecomposeParity$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qgram -run=NONE -fuzz='^FuzzGrams$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qgram -run=NONE -fuzz='^FuzzGramDict$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hashidx -run=NONE -fuzz='^FuzzPostingList$$' -fuzztime=$(FUZZTIME)
+	$(GO) test . -run=NONE -fuzz='^FuzzCSVRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/normalize -run=NONE -fuzz='^FuzzNormalize$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run=NONE -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/simfn -run=NONE -fuzz='^FuzzSimilarities$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pjoin -run=NONE -fuzz='^FuzzRoute$$' -fuzztime=$(FUZZTIME)
 
 # Allocation-regression pins: the probe hot path (exact resident probe
 # = 0 allocs/op, approximate probe within its documented budget), the

@@ -184,7 +184,10 @@
 // owns the cluster map, the normalization profile and the global key
 // sequence, and replays the facade Session (NewRemoteIndex wraps any
 // join.Resident, including the router's remote view) so the adaptive
-// control loop runs one layer above the network.
+// control loop runs one layer above the network. A routed index is
+// built through NewRemoteIndex too, so its options are resolved and
+// validated before any node is contacted, and the resident's Upsert
+// error (a node group below quorum) is what Index.Upsert returns.
 //
 // The shard→node contract is the in-process partitioning one level up:
 // M logical shards are assigned to node groups in contiguous ranges

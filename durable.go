@@ -182,9 +182,9 @@ func (ix *Index) Save(dir string) error {
 	if ix.closed {
 		return ErrIndexClosed
 	}
-	sr, ok := ix.resident().(*join.ShardedRefIndex)
-	if !ok {
-		return fmt.Errorf("adaptivelink: index backend %T does not snapshot", ix.resident())
+	sr, err := ix.snapshotExporter()
+	if err != nil {
+		return err
 	}
 	if dir == "" || (ix.dir != nil && sameDir(dir, ix.dir.Path())) {
 		if ix.dir == nil {

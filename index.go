@@ -200,7 +200,8 @@ func NewIndex(ref Source, opts IndexOptions) (*Index, error) {
 }
 
 // resolved applies the option defaults and validates what cannot be
-// defaulted.
+// defaulted: every constructor, the remote one included, rejects a bad
+// configuration here, before it builds or contacts anything.
 func (opts IndexOptions) resolved() (IndexOptions, error) {
 	if opts.Q == 0 {
 		opts.Q = 3
@@ -215,6 +216,9 @@ func (opts IndexOptions) resolved() (IndexOptions, error) {
 		opts.Shards = runtime.GOMAXPROCS(0)
 	}
 	if _, err := normalize.ProfileNamed(opts.Profile); err != nil {
+		return opts, fmt.Errorf("adaptivelink: %w", err)
+	}
+	if err := opts.config().Validate(); err != nil {
 		return opts, fmt.Errorf("adaptivelink: %w", err)
 	}
 	return opts, nil
@@ -303,7 +307,8 @@ func (ix *Index) Options() IndexOptions { return ix.opts }
 // first — under SyncAlways it is on stable storage before Upsert
 // returns, so an acknowledged upsert survives a crash — and only then
 // applied. A non-nil error means the batch was NOT applied (the index
-// is unchanged); in-memory indexes never return one.
+// is unchanged); a local in-memory index never returns one, a remote
+// index returns its resident's (a cluster node group below quorum).
 func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
@@ -316,13 +321,7 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 		rts[i].Key = ix.normKey(rts[i].Key)
 	}
 	if ix.dir == nil {
-		// A remote resident can fail a write (a cluster node down); honor
-		// its error-aware contract when it has one.
-		if fu, ok := ix.resident().(fallibleUpserter); ok {
-			return fu.UpsertChecked(rts)
-		}
-		inserted, updated = ix.resident().Upsert(rts)
-		return inserted, updated, nil
+		return ix.resident().Upsert(rts)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -332,8 +331,7 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if err := ix.dir.Append(rts); err != nil {
 		return 0, 0, fmt.Errorf("adaptivelink: logging upsert: %w", err)
 	}
-	inserted, updated = ix.resident().Upsert(rts)
-	return inserted, updated, nil
+	return ix.resident().Upsert(rts)
 }
 
 // Probe is the sessionless one-shot probe: it matches the key exactly
@@ -547,16 +545,6 @@ func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
 		}
 		return results
 	}
-	if s.explain != nil {
-		// A decision record attributes activations and spend to the key
-		// that caused them, which needs the loop fed one probe at a
-		// time; batching would only amortise index work the diagnostic
-		// session does not care about.
-		for i, key := range keys {
-			results[i] = publicMatches(s.probeKey(key))
-		}
-		return results
-	}
 	for i := 0; i < len(keys); {
 		mode := s.loop.Mode()
 		sub := keys[i:]
@@ -564,10 +552,17 @@ func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
 		// away. Wasted exact probes are cheap (w_EE = 1), so the exact
 		// path speculates on the whole remainder; approximate probes
 		// cost ~50× and reverts are frequent right after an escalation,
-		// so the approximate path speculates only a few keys ahead.
-		// Chunking is split-invariant, hence invisible in results and
-		// statistics (pinned by TestSessionProbeBatchMatchesSequential).
-		if mode == join.Approx && len(sub) > approxSpeculate {
+		// so the approximate path speculates only a few keys ahead. An
+		// explain session's decision record attributes activations and
+		// spend to the key that caused them, so it feeds the loop one
+		// key at a time. Chunking is split-invariant, hence invisible in
+		// results and statistics (pinned by
+		// TestSessionProbeBatchMatchesSequential and
+		// TestExplainBatchMatchesSequential).
+		switch {
+		case s.explain != nil:
+			sub = sub[:1]
+		case mode == join.Approx && len(sub) > approxSpeculate:
 			sub = sub[:approxSpeculate]
 		}
 		rms := s.ix.resident().ProbeBatch(mode, sub)

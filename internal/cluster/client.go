@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptivelink/internal/join"
+	"adaptivelink"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/wire"
@@ -236,39 +236,67 @@ func (c *Client) state(name string) (*indexState, bool) {
 	return st, ok
 }
 
-// CreateIndex fans an empty create out to every replica of every group
-// (tuples flow through the routed upsert path afterwards, so initial
-// loads land on the owning nodes' write-ahead logs like any other
-// write) and registers the index's routing state. cfg carries the
-// router's matching configuration; nodes are created with profile "" —
-// the router owns normalization and nodes index the already-normalised
-// keys verbatim.
-func (c *Client) CreateIndex(name string, cfg join.Config) error {
+// CreateIndex builds a routed index: the standard facade over a
+// maintenance view of the cluster, so the router runs the probe,
+// session and normalization code a single process runs, which is what
+// keeps routed answers byte-identical. The facade resolves and
+// validates opts before any node is contacted, reporting the cluster's
+// logical shard count. The index is then created empty on every replica
+// of every group and tuples are loaded through the routed upsert path,
+// so they land on the owning nodes' write-ahead logs like any other
+// write. Nodes are created with profile "": the facade owns
+// normalization and nodes index the already-normalised keys verbatim.
+// A failed create or load leaves nothing registered.
+func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples []adaptivelink.Tuple) (*adaptivelink.Index, error) {
 	c.mu.Lock()
 	if _, dup := c.indexes[name]; dup {
 		c.mu.Unlock()
-		return fmt.Errorf("cluster: index %q already registered", name)
+		return nil, fmt.Errorf("cluster: index %q already registered", name)
 	}
 	st := &indexState{name: name, seq: make(map[string]int)}
 	c.indexes[name] = st
 	c.mu.Unlock()
 
-	// Shards is pinned to the router's local default so every replica of
-	// a group builds the identical shard layout: content digests are
-	// compared byte-for-byte across replicas by anti-entropy, and a
-	// heterogeneous default would read as permanent divergence.
+	opts.Shards = c.cfg.Map.Shards
+	ix, err := adaptivelink.NewRemoteIndex(&View{c: c, st: st}, opts)
+	if err != nil {
+		c.unregister(name)
+		return nil, err
+	}
+	// Node shards are pinned to the router's local default so every
+	// replica of a group builds the identical shard layout: content
+	// digests are compared byte-for-byte across replicas by anti-entropy,
+	// and a heterogeneous default would read as permanent divergence.
+	ro := ix.Options()
 	req := wire.CreateIndexRequest{
-		Name: name, Q: cfg.Q, Theta: cfg.Theta, Measure: cfg.Measure.String(),
+		Name: name, Q: ro.Q, Theta: ro.Theta, Measure: ro.Measure.String(),
 		Shards: runtime.GOMAXPROCS(0),
 		Tuples: []wire.TupleDTO{},
 	}
 	if err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated); err != nil {
-		c.mu.Lock()
-		delete(c.indexes, name)
-		c.mu.Unlock()
-		return err
+		c.unregister(name)
+		return nil, err
 	}
-	return nil
+	// A single-process create loads tuples through FromTuples, which
+	// assigns sequential IDs in arrival order (wire IDs survive only
+	// upserts). Mirror it: routed answers must match, IDs included.
+	seq := make([]adaptivelink.Tuple, len(tuples))
+	for i, t := range tuples {
+		seq[i] = adaptivelink.Tuple{ID: i, Key: t.Key, Attrs: t.Attrs}
+	}
+	if _, _, err := ix.Upsert(seq...); err != nil {
+		c.DeleteIndex(name)
+		c.unregister(name)
+		return nil, err
+	}
+	return ix, nil
+}
+
+// unregister drops an index's routing state.
+func (c *Client) unregister(name string) {
+	c.mu.Lock()
+	delete(c.indexes, name)
+	c.mu.Unlock()
 }
 
 // DeleteIndex fans the delete out to every replica and unregisters the
@@ -282,9 +310,7 @@ func (c *Client) DeleteIndex(name string) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	delete(c.indexes, name)
-	c.mu.Unlock()
+	c.unregister(name)
 	return nil
 }
 

@@ -106,9 +106,9 @@ func TestNodeRequestCounters(t *testing.T) {
 	}
 }
 
-// The Resident surface: the maintenance view dispatches probes per
-// mode, and the error-swallowing Upsert records its failure on the
-// view.
+// The Resident surface: a view dispatches probes per mode, and a failed
+// Upsert returns its error without recording it on the view, so the
+// view's probes keep working.
 func TestResidentViewSurface(t *testing.T) {
 	node, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/upsert") {
@@ -118,17 +118,16 @@ func TestResidentViewSurface(t *testing.T) {
 		linkOK(wire.MatchDTO{RefKey: "alpha", Similarity: 1, Exact: true})(w, r)
 	})
 	c := testClient(t, [][]string{{node.URL}})
-	res, err := c.Resident("ix")
+	v, err := c.Bind(context.Background(), "ix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Resident("ghost"); err == nil {
-		t.Fatal("Resident on an unregistered index succeeded")
+	if _, err := c.Bind(context.Background(), "ghost"); err == nil {
+		t.Fatal("Bind on an unregistered index succeeded")
 	}
-	v := res.(*View)
 
-	if ins, upd := v.Upsert([]relation.Tuple{{Key: "alpha"}}); ins != 1 || upd != 0 {
-		t.Fatalf("Upsert = %d/%d", ins, upd)
+	if ins, upd, err := v.Upsert([]relation.Tuple{{Key: "alpha"}}); ins != 1 || upd != 0 || err != nil {
+		t.Fatalf("Upsert = %d/%d, %v", ins, upd, err)
 	}
 	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Ref != 0 {
 		t.Fatalf("Probe(Approx) = %+v (sequenced key must carry its seq as Ref)", got)
@@ -140,13 +139,16 @@ func TestResidentViewSurface(t *testing.T) {
 		t.Fatalf("ProbeBatch = %+v", got)
 	}
 
-	// Upsert (the error-swallowing variant) records a dead cluster on
-	// the view instead of losing the failure.
+	// A dead cluster fails the write to its caller; the view's probe
+	// state stays clean.
 	node.Close()
-	v2, _ := c.Resident("ix")
-	dead := v2.(*View)
-	dead.Upsert([]relation.Tuple{{Key: "beta"}})
-	if err := dead.TransportErr(); !errors.Is(err, ErrNodeUnavailable) {
-		t.Fatalf("TransportErr after failed Upsert = %v", err)
+	if _, _, err := v.Upsert([]relation.Tuple{{Key: "beta"}}); !errors.Is(err, ErrNodeUnavailable) {
+		t.Fatalf("Upsert on a dead cluster = %v, want ErrNodeUnavailable", err)
+	}
+	if err := v.TransportErr(); err != nil {
+		t.Fatalf("TransportErr after a failed Upsert = %v, want nil", err)
+	}
+	if v.Len() != 1 {
+		t.Fatalf("Len advanced to %d on a failed write", v.Len())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"adaptivelink"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/wire"
@@ -242,7 +243,7 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, upd, err := v.UpsertChecked([]relation.Tuple{{Key: home[0]}, {Key: home[1]}, {Key: home[0]}})
+	ins, upd, err := v.Upsert([]relation.Tuple{{Key: home[0]}, {Key: home[1]}, {Key: home[0]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 
 	// A failed write leaves the sequence map untouched.
 	r0.Close()
-	if _, _, err := v.UpsertChecked([]relation.Tuple{{Key: home[2]}}); !errors.Is(err, ErrNodeUnavailable) {
+	if _, _, err := v.Upsert([]relation.Tuple{{Key: home[2]}}); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("write to dead replica: %v, want ErrNodeUnavailable", err)
 	}
 	if v.Len() != 2 {
@@ -269,7 +270,7 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 	}
 	// ...while a key homed on the healthy group still lands: groups fail
 	// independently.
-	if _, _, err := v.UpsertChecked([]relation.Tuple{{Key: keysHomedOn(c.cfg.Map, 1, 1)[0]}}); err != nil {
+	if _, _, err := v.Upsert([]relation.Tuple{{Key: keysHomedOn(c.cfg.Map, 1, 1)[0]}}); err != nil {
 		t.Fatalf("write homed on the healthy group: %v", err)
 	}
 	if hOther.Load() != 1 || v.Len() != 3 {
@@ -287,7 +288,7 @@ func TestCreateIndexRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateIndex("ix", join.Defaults()); !errors.Is(err, ErrNodeUnavailable) {
+	if _, err := c.CreateIndex("ix", adaptivelink.IndexOptions{}, nil); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("CreateIndex = %v, want ErrNodeUnavailable", err)
 	}
 	if names := c.Names(); len(names) != 0 {

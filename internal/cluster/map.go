@@ -20,6 +20,12 @@
 // by a release that also placed keys on their signature groups keep
 // serving without a rewrite, their unmaintained copies never answering.
 //
+// Client.CreateIndex builds a routed index as an ordinary facade
+// adaptivelink.Index over a View: the facade resolves and validates the
+// options before any node is contacted and owns normalization, and the
+// View carries only routing. View.Upsert returns a write's failure to
+// the facade, which returns it from Index.Upsert.
+//
 // Partial-failure policy: a batch either completes against every group
 // it needs (every group, for an approximate probe) or fails with
 // ErrNodeUnavailable — the router never returns silent partial results.

@@ -29,7 +29,7 @@ type View struct {
 	c  *Client
 	st *indexState
 	// ctx is the request context; nil selects a per-call write-timeout
-	// context (the maintenance view the service holds long-term).
+	// context (the maintenance view CreateIndex wraps in the facade).
 	ctx context.Context
 
 	mu  sync.Mutex
@@ -49,18 +49,6 @@ func (c *Client) Bind(ctx context.Context, name string) (*View, error) {
 // expiry is the link request's own budget running out, which doRaw must
 // not count against the replica that was still answering.
 type requestBudget struct{}
-
-// Resident returns the long-lived maintenance view of the named index
-// (background context, write timeouts per call). The service wraps it
-// in the facade Index it manages; probe traffic binds per-request views
-// instead.
-func (c *Client) Resident(name string) (join.Resident, error) {
-	st, ok := c.state(name)
-	if !ok {
-		return nil, fmt.Errorf("cluster: index %q not registered", name)
-	}
-	return &View{c: c, st: st}, nil
-}
 
 var _ join.Resident = (*View)(nil)
 
@@ -98,14 +86,16 @@ func (v *View) Len() int {
 
 // --- writes ---
 
-// UpsertChecked applies keyed reference maintenance across the cluster:
-// each tuple is sent to its home group only (Map.home — the group exact
+// Upsert applies keyed reference maintenance across the cluster: each
+// tuple is sent to its home group only (Map.home — the group exact
 // probes ask), to ALL replicas of that group, so the write lands once on
 // the owning nodes' write-ahead logs. The sequence map advances only
 // after every touched group acknowledged, keeping merge order consistent
 // with what a retry will eventually make the nodes hold. Any group below
-// quorum fails the batch with ErrNodeUnavailable.
-func (v *View) UpsertChecked(tuples []relation.Tuple) (inserted, updated int, err error) {
+// quorum fails the batch with ErrNodeUnavailable; the failure is
+// returned, never recorded on the view, so it cannot poison the view's
+// probes.
+func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
 	}
@@ -147,17 +137,6 @@ func (v *View) UpsertChecked(tuples []relation.Tuple) (inserted, updated int, er
 	}
 	v.st.mu.Unlock()
 	return inserted, updated, nil
-}
-
-// Upsert implements the error-free Resident signature; failures are
-// recorded on the view (TransportErr). Callers that can handle errors
-// use UpsertChecked — the facade prefers it automatically.
-func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int) {
-	inserted, updated, err := v.UpsertChecked(tuples)
-	if err != nil {
-		v.setErr(err)
-	}
-	return inserted, updated
 }
 
 // --- probes ---

@@ -157,7 +157,7 @@ func TestAllocUpsertBytesIndependentOfIndexSize(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, batch := range work {
-			if ins, upd := idx.Upsert(batch); ins != 8 || upd != 8 {
+			if ins, upd, _ := idx.Upsert(batch); ins != 8 || upd != 8 {
 				t.Fatalf("%d rows: batch applied as %d inserts / %d updates, want 8 / 8", rows, ins, upd)
 			}
 		}

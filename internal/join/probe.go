@@ -30,8 +30,10 @@ type Resident interface {
 	// join keys).
 	Len() int
 	// Upsert applies keyed reference maintenance, returning inserted
-	// and updated counts.
-	Upsert(tuples []relation.Tuple) (inserted, updated int)
+	// and updated counts. A local index applies in memory and never
+	// fails; a remote one (the cluster view) can lose a node mid-write,
+	// and a non-nil error means the batch was not acknowledged.
+	Upsert(tuples []relation.Tuple) (inserted, updated int, err error)
 	// Probe matches one key: Exact by equality (the SHJoin probe),
 	// Approx by q-gram similarity (the SSHJoin probe), key-equal matches
 	// always included with similarity 1.

@@ -92,7 +92,7 @@ func TestRefIndexUpsertAndAccessors(t *testing.T) {
 	if exact != 2 || grams == 0 {
 		t.Fatalf("Entries = %d/%d", exact, grams)
 	}
-	ins, upd := r.Upsert([]relation.Tuple{
+	ins, upd, _ := r.Upsert([]relation.Tuple{
 		{ID: 9, Key: "alpha road north", Attrs: []string{"fresh"}},
 		{ID: 10, Key: "gamma court east", Attrs: []string{"new"}},
 	})
@@ -113,7 +113,7 @@ func TestRefIndexUpsertAndAccessors(t *testing.T) {
 		t.Fatalf("Config().Q = %d", got)
 	}
 	// Zero-tuple upsert is a no-op.
-	if ins, upd := r.Upsert(nil); ins != 0 || upd != 0 {
+	if ins, upd, _ := r.Upsert(nil); ins != 0 || upd != 0 {
 		t.Fatalf("empty upsert = %d/%d", ins, upd)
 	}
 }

@@ -106,8 +106,8 @@ func (r *RefIndex) Tuple(ref int) (relation.Tuple, error) {
 // tuple with that key (payload update — the hash entries are keyed by
 // the unchanged join key, so no index surgery is needed); a tuple with a
 // new key is appended to the store and inserted into both indexes. It
-// returns the inserted and updated counts.
-func (r *RefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
+// returns the inserted and updated counts and a nil error.
+func (r *RefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, t := range tuples {
@@ -124,7 +124,7 @@ func (r *RefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
 		r.newest[t.Key] = ref
 		inserted++
 	}
-	return inserted, updated
+	return inserted, updated, nil
 }
 
 // ProbeExact matches the key against the reference exactly: a hash

@@ -271,7 +271,8 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 
 // Upsert applies a batch of keyed reference maintenance: existing keys
 // get their payload replaced, new keys are appended and indexed, each
-// in the key's home shard. It returns the inserted and updated counts.
+// in the key's home shard. It returns the inserted and updated counts
+// and a nil error: an in-memory apply cannot fail.
 //
 // Writers are serialised; probes are not disturbed. Gram decomposition
 // runs before the writer lock, and only for keys homed in a built shard
@@ -281,9 +282,9 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 // clone interns new grams into its own dictionary overlay — and each is
 // published with one atomic swap: in-flight probes complete on the old
 // snapshot, later probes see the whole batch for that shard.
-func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int) {
+func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
-		return 0, 0
+		return 0, 0, nil
 	}
 	s.maint.upserts.Add(1)
 	sc := s.getScratch()
@@ -334,7 +335,7 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 		s.shards[sh].Store(ns)
 	}
 	s.maint.snapSwaps.Add(uint64(len(next)))
-	return inserted, updated
+	return inserted, updated, nil
 }
 
 // ProbeExact matches the key against the reference exactly: one atomic

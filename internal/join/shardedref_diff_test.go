@@ -130,7 +130,7 @@ func applyOp(r Resident, op diffOp) string {
 		}
 		return ""
 	case "upsert":
-		ins, upd := r.Upsert(op.batch)
+		ins, upd, _ := r.Upsert(op.batch)
 		return fmt.Sprintf("upsert %d/%d", ins, upd)
 	case "exact":
 		return renderMatches(r.Probe(Exact, op.keys[0]))
@@ -359,7 +359,7 @@ func TestShardedRefValidation(t *testing.T) {
 	if _, err := s.Tuple(0); err == nil {
 		t.Fatal("out-of-range ref accepted")
 	}
-	if ins, upd := s.Upsert(nil); ins != 0 || upd != 0 {
+	if ins, upd, _ := s.Upsert(nil); ins != 0 || upd != 0 {
 		t.Fatalf("empty upsert = %d/%d", ins, upd)
 	}
 	if got := s.ProbeBatch(Exact, nil); len(got) != 0 {

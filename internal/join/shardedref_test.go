@@ -233,7 +233,7 @@ func TestShardedRefGlobalStoreChunking(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			batch = append(batch, relation.Tuple{ID: i, Key: fmt.Sprintf("street %d alpha", i), Attrs: []string{"v0"}})
 		}
-		if ins, upd := s.Upsert(batch); ins != hi-lo || upd != 0 {
+		if ins, upd, _ := s.Upsert(batch); ins != hi-lo || upd != 0 {
 			t.Fatalf("batch [%d,%d): %d/%d", lo, hi, ins, upd)
 		}
 	}
@@ -246,7 +246,7 @@ func TestShardedRefGlobalStoreChunking(t *testing.T) {
 	for i, ref := range updates {
 		batch[i] = relation.Tuple{ID: ref, Key: fmt.Sprintf("street %d alpha", ref), Attrs: []string{"v1"}}
 	}
-	if ins, upd := s.Upsert(batch); ins != 0 || upd != len(updates) {
+	if ins, upd, _ := s.Upsert(batch); ins != 0 || upd != len(updates) {
 		t.Fatalf("update batch: %d/%d", ins, upd)
 	}
 	for ref := 0; ref < total; ref += 97 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,10 +82,11 @@ func (d *diffStack) do(t *testing.T, method, path, body string) (int, string) {
 
 // diffStep is one scripted request; compare selects whether the
 // response body must be byte-identical across stacks (link and upsert
-// responses are; create responses carry timestamps and are not).
+// responses are; create responses carry timestamps and are not), and
+// local that a router must answer it without contacting a node.
 type diffStep struct {
 	method, path, body string
-	compare            bool
+	compare, local     bool
 }
 
 // diffScript builds the deterministic request stream: a create, then
@@ -174,7 +176,33 @@ func diffScript(seed int64) []diffStep {
 		diffStep{method: "POST", path: "/v1/link",
 			body: `{"index":"atlas","key":"a","keys":["b"]}`, compare: true},
 	)
+	// Invalid creates: the router resolves and validates the options
+	// before any node is contacted, and refuses them as a node would.
+	for _, opt := range []string{`"theta":9`, `"q":-2`, `"measure":"psychic"`, `"profile":"klingon"`} {
+		steps = append(steps, diffStep{method: "POST", path: "/v1/indexes",
+			body:    fmt.Sprintf(`{"name":"bad",%s,"tuples":[%s]}`, opt, tup(0, key(0))),
+			compare: true, local: true})
+	}
 	return steps
+}
+
+// nodeRequests sums a router's adaptivelink_cluster_node_requests_total
+// over every node and outcome.
+func (d *diffStack) nodeRequests(t *testing.T) int {
+	t.Helper()
+	_, body := d.do(t, "GET", "/metrics", "")
+	n := 0
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, "adaptivelink_cluster_node_requests_total{") {
+			continue
+		}
+		v, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("%s: metrics line %q: %v", d.name, line, err)
+		}
+		n += v
+	}
+	return n
 }
 
 // TestClusterDifferential drives 1-, 2- and 3-group clusters (the
@@ -196,7 +224,19 @@ func TestClusterDifferential(t *testing.T) {
 	for si, step := range diffScript(17) {
 		wantCode, wantBody := ref.do(t, step.method, step.path, step.body)
 		for _, c := range clusters {
+			var before int
+			if step.local {
+				if before = c.nodeRequests(t); before == 0 {
+					t.Fatalf("%s: no node requests counted before step %d", c.name, si)
+				}
+			}
 			code, body := c.do(t, step.method, step.path, step.body)
+			if step.local {
+				if after := c.nodeRequests(t); after != before {
+					t.Fatalf("step %d (%s %s) on %s: %d node requests, want none (the router must refuse it alone)",
+						si, step.method, step.path, c.name, after-before)
+				}
+			}
 			if code != wantCode {
 				t.Fatalf("step %d (%s %s) on %s: status %d, reference %d\nbody: %s",
 					si, step.method, step.path, c.name, code, wantCode, body)

@@ -24,10 +24,8 @@ import (
 
 	"adaptivelink"
 	"adaptivelink/internal/cluster"
-	"adaptivelink/internal/join"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/obs"
-	"adaptivelink/internal/simfn"
 )
 
 // Sentinel errors; the HTTP layer maps them to status codes.
@@ -453,8 +451,8 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 	var ix *adaptivelink.Index
 	var err error
 	if s.cfg.Cluster != nil {
-		ix, err = s.createClusterIndex(name, opts, tuples)
-		if err != nil {
+		ix, err = s.cfg.Cluster.CreateIndex(name, opts, tuples)
+		if errors.Is(err, cluster.ErrNodeUnavailable) {
 			return IndexInfo{}, err
 		}
 	} else {
@@ -489,58 +487,6 @@ func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 		return st, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
 	}
 	return st, nil
-}
-
-// createClusterIndex registers the index with the fan-out client (which
-// creates it empty on every node), wraps the cluster resident in the
-// standard facade — the router runs the exact probe/session code path a
-// single process would, which is what keeps routed responses
-// byte-identical — and loads the initial tuples through the routed
-// upsert path so they land on the owning nodes' write-ahead logs.
-func (s *Service) createClusterIndex(name string, opts adaptivelink.IndexOptions, tuples []adaptivelink.Tuple) (*adaptivelink.Index, error) {
-	// The engine configuration the nodes match under. Defaults mirror
-	// IndexOptions resolution; Profile stays empty on the nodes — the
-	// router owns normalization and ships already-normalised keys.
-	ecfg := join.Config{
-		Q:       opts.Q,
-		Theta:   opts.Theta,
-		Measure: simfn.TokenMeasure(opts.Measure),
-		Initial: join.LexRex,
-	}
-	if ecfg.Q == 0 {
-		ecfg.Q = 3
-	}
-	if ecfg.Theta == 0 {
-		ecfg.Theta = join.DefaultTheta
-	}
-	// Shards reported for a routed index is the cluster's logical shard
-	// count — the placement constant — not a node-local structure.
-	opts.Shards = s.cfg.Cluster.Map().Shards
-	if err := s.cfg.Cluster.CreateIndex(name, ecfg); err != nil {
-		return nil, err
-	}
-	res, err := s.cfg.Cluster.Resident(name)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := adaptivelink.NewRemoteIndex(res, opts)
-	if err != nil {
-		s.cfg.Cluster.DeleteIndex(name)
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	// The single-process create loads tuples through a Source, which
-	// assigns sequential IDs in arrival order (FromTuples discards wire
-	// IDs; only upserts preserve them). Mirror it exactly — the routed
-	// answers must be byte-identical, IDs included.
-	seq := make([]adaptivelink.Tuple, len(tuples))
-	for i, t := range tuples {
-		seq[i] = adaptivelink.Tuple{ID: i, Key: t.Key, Attrs: t.Attrs}
-	}
-	if _, _, err := ix.Upsert(seq...); err != nil {
-		s.cfg.Cluster.DeleteIndex(name)
-		return nil, err
-	}
-	return ix, nil
 }
 
 // LoadStored reopens every index directory under the configured data

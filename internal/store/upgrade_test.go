@@ -138,7 +138,7 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 	if err := d.Append(update); err != nil {
 		t.Fatal(err)
 	}
-	if ins, upd := ix.Upsert(update); ins != 0 || upd != 1 {
+	if ins, upd, _ := ix.Upsert(update); ins != 0 || upd != 1 {
 		t.Fatalf("update of a resident key = %d inserted / %d updated", ins, upd)
 	}
 	ref.Upsert(update)

@@ -6,16 +6,6 @@ import (
 	"adaptivelink/internal/join"
 )
 
-// fallibleUpserter is the optional error-aware write contract a
-// Resident may provide. join.Resident's Upsert cannot fail — local
-// engines apply in memory — but a remote resident (the cluster fan-out
-// client) can lose a node mid-write. When the resident implements this
-// interface the facade routes writes through it, so Index.Upsert's
-// error return is honest for remote indexes too.
-type fallibleUpserter interface {
-	UpsertChecked(tuples []Tuple) (inserted, updated int, err error)
-}
-
 // NewRemoteIndex wraps an externally provided Resident — typically a
 // cluster fan-out client — in the standard Index facade: the same
 // normalization, probe, session and statistics machinery runs over it,

@@ -32,9 +32,9 @@ type IndexDigest struct {
 	WALRecords int64 `json:"wal_records"`
 }
 
-// snapshotExporter gates the repair surface to residents that can
-// export their state (the local sharded engine; remote residents
-// cannot).
+// snapshotExporter gates the snapshot surface (Digest, export, Save,
+// RestoreSnapshot) to residents that hold their state in process: the
+// local sharded engine. A remote resident's state lives on its nodes.
 func (ix *Index) snapshotExporter() (*join.ShardedRefIndex, error) {
 	sr, ok := ix.resident().(*join.ShardedRefIndex)
 	if !ok {
@@ -114,8 +114,12 @@ func (ix *Index) ExportSnapshotBytes() ([]byte, error) {
 // durable index the restored state is checkpointed before the swap —
 // so an acknowledged restore survives a crash and the WAL never mixes
 // pre- and post-restore batches. A failed restore leaves the index
-// unchanged.
+// unchanged, and so does a refused one: a remote index does not
+// restore, since replacing its resident would silently turn it local.
 func (ix *Index) RestoreSnapshot(data []byte) error {
+	if _, err := ix.snapshotExporter(); err != nil {
+		return err
+	}
 	v, err := store.DecodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("adaptivelink: restoring snapshot: %w", err)

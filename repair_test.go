@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adaptivelink/internal/join"
 )
 
 // TestDigestExportRestoreRoundTrip pins the repair surface: a restored
@@ -80,6 +82,46 @@ func TestDigestExportRestoreRoundTrip(t *testing.T) {
 	}
 	if _, err := ImportSnapshot(blob, IndexOptions{Q: 4}); err == nil {
 		t.Fatal("q-mismatch import accepted")
+	}
+}
+
+// wrappedResident is a backend the facade cannot snapshot: a decorator
+// over a local engine, as a remote index or a timing wrapper would be.
+type wrappedResident struct{ join.Resident }
+
+// TestRestoreSnapshotRefusesRemote pins that a remote index refuses a
+// restore like the rest of the snapshot surface, rather than swapping a
+// local engine in under its resident.
+func TestRestoreSnapshotRefusesRemote(t *testing.T) {
+	data, err := GenerateTestData(5, 60, 10, PatternFewHigh, 0.1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewIndex(FromTuples(data.Parent), IndexOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.ExportSnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := NewIndex(FromTuples(data.Parent[:20]), IndexOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := wrappedResident{backend.resident()}
+	remote, err := NewRemoteIndex(res, IndexOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.RestoreSnapshot(blob); err == nil || !strings.Contains(err.Error(), "does not snapshot") {
+		t.Fatalf("RestoreSnapshot on a remote index = %v, want a does-not-snapshot error", err)
+	}
+	if _, ok := remote.resident().(wrappedResident); !ok {
+		t.Fatalf("restore replaced the remote resident with %T", remote.resident())
+	}
+	if remote.Len() != 20 {
+		t.Fatalf("Len = %d after a refused restore, want 20", remote.Len())
 	}
 }
 
