@@ -137,8 +137,9 @@ chaos:
 # arbitrary bytes load header-wide tuples or fail, never panic), the
 # normalization profiles (every profile's ASCII kernel returns what its
 # steps return), the request decoder (a body the one-pass scanner
-# accepts, encoding/json accepts too and reads as the same value), the
-# similarity function (bounded, symmetric, 1 on identical inputs) and
+# accepts, encoding/json accepts too and reads as the same value, owning
+# its strings), the upsert encoder (json.Marshal's bytes for arbitrary
+# keys and attributes), the similarity function (bounded, symmetric, 1 on identical inputs) and
 # the parallel router's scan clock (per-shard stamps strictly
 # increasing). Names are anchored: -fuzz takes a regexp and must match
 # exactly one target. `go test -fuzz=<name> <package>` digs deeper.
@@ -154,6 +155,7 @@ fuzz:
 	$(GO) test . -run=NONE -fuzz='^FuzzCSVRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/normalize -run=NONE -fuzz='^FuzzNormalize$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run=NONE -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run=NONE -fuzz='^FuzzEncodeUpsert$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/simfn -run=NONE -fuzz='^FuzzSimilarities$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pjoin -run=NONE -fuzz='^FuzzRoute$$' -fuzztime=$(FUZZTIME)
 
@@ -161,8 +163,10 @@ fuzz:
 # = 0 allocs/op, approximate probe within its documented budget), the
 # service's link admission path (a 2-key exact Link within its budget), the
 # request decoder (a 64-key link body and a 16-tuple upsert body within
-# their pins, below encoding/json), normalization (every profile returns
-# an already-normal ASCII key with 0 allocs), the
+# their pins, below encoding/json; a create body in as many allocations
+# at 20k tuples as at 1k), normalization (every profile returns
+# an already-normal ASCII key with 0 allocs), an in-memory 20k-row
+# BulkLoad(FromTuples) (no allocation per tuple), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint and a snapshot load allocate per tuple

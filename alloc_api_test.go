@@ -320,3 +320,25 @@ func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 		t.Errorf("a snapshot load allocated %.0f bytes per tuple, budget %d", perTuple, snapshotLoadBytesBudget)
 	}
 }
+
+// bulkLoadAllocBudget bounds the allocations of an in-memory BulkLoad of
+// 20k generated rows through FromTuples: the presized rows and their one
+// attribute arena, then the build's per-shard stores, indexes and
+// normalized keys (~540 measured). A per-tuple allocation in the input
+// path (a copied attribute slice per row, as relation.Append made)
+// would cost 20k more.
+const bulkLoadAllocBudget = 1000
+
+func TestAllocBulkLoadFromTuples(t *testing.T) {
+	tuples, opts := footprintTuples(t, 20_000)
+	avg := testing.AllocsPerRun(3, func() {
+		ix, err := BulkLoad(FromTuples(tuples), opts)
+		if err != nil || ix.Len() != len(tuples) {
+			t.Fatalf("BulkLoad: %v", err)
+		}
+	})
+	t.Logf("in-memory BulkLoad of %d rows: %.0f allocs", len(tuples), avg)
+	if avg > bulkLoadAllocBudget {
+		t.Errorf("in-memory BulkLoad of %d rows: %.0f allocs, budget %d", len(tuples), avg, bulkLoadAllocBudget)
+	}
+}

@@ -2,6 +2,7 @@ package adaptivelink
 
 import (
 	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,6 +193,35 @@ func TestFromTuplesPreservesPayload(t *testing.T) {
 	}
 	if _, ok, _ := src.Next(); ok {
 		t.Error("source should be exhausted")
+	}
+}
+
+// FromTuples copies the caller's attributes: mutating them after the
+// load, in place or by reslicing, leaves the indexed payload as it was.
+func TestFromTuplesOwnsAttrs(t *testing.T) {
+	ts := []Tuple{
+		{ID: 9, Key: "via monte bianco nord", Attrs: []string{"alpine", "12"}},
+		{ID: 4, Key: "lago di como est", Attrs: []string{"lake"}},
+		{Key: "valle verde ovest"},
+	}
+	ix, err := BulkLoad(FromTuples(ts), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ts[0].Attrs[0], ts[0].Attrs[1] = "mutated", "mutated"
+	ts[1].Attrs[0] = "mutated"
+	ts[1].Attrs = append(ts[1].Attrs[:0], "appended", "appended")
+	ts[2].Attrs = []string{"added"}
+	for i, want := range []Tuple{
+		{ID: 0, Key: "via monte bianco nord", Attrs: []string{"alpine", "12"}},
+		{ID: 1, Key: "lago di como est", Attrs: []string{"lake"}},
+		{ID: 2, Key: "valle verde ovest"},
+	} {
+		ms := ix.Probe(want.Key)
+		if len(ms) != 1 || !reflect.DeepEqual(ms[0].Ref, want) {
+			t.Errorf("tuple %d: probe %q = %+v, want the loaded %+v", i, want.Key, ms, want)
+		}
 	}
 }
 

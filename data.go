@@ -26,23 +26,30 @@ type Source interface {
 }
 
 // FromTuples returns a sized source over the given tuples, assigning
-// sequential IDs.
+// sequential IDs. The source copies each tuple's Attrs, all into one
+// arena, so the caller may reuse its slices afterwards.
 func FromTuples(tuples []Tuple) Source {
-	rel := relation.New("tuples", relation.NewSchema("key"))
+	n := 0
 	for _, t := range tuples {
-		rel.Append(t.Key, t.Attrs...)
+		n += len(t.Attrs)
 	}
-	return stream.FromRelation(rel)
+	arena := make([]string, 0, n)
+	rows := make([]Tuple, len(tuples))
+	for i, t := range tuples {
+		rows[i] = Tuple{ID: i, Key: t.Key}
+		if len(t.Attrs) > 0 {
+			start := len(arena)
+			arena = append(arena, t.Attrs...)
+			rows[i].Attrs = arena[start:len(arena):len(arena)]
+		}
+	}
+	return stream.FromRelation(relation.FromTuples("tuples", rows))
 }
 
 // FromKeys returns a sized source of payload-free tuples with the given
 // join keys.
 func FromKeys(keys ...string) Source {
-	rel := relation.New("keys", relation.NewSchema("key"))
-	for _, k := range keys {
-		rel.Append(k)
-	}
-	return stream.FromRelation(rel)
+	return stream.FromRelation(relation.FromKeys("keys", keys...))
 }
 
 // FromChannel returns a source fed by a channel; close the channel to

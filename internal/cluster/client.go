@@ -328,13 +328,17 @@ func (c *Client) SnapshotIndex(name string) error {
 // Any group falling below quorum fails the fan-out (wrapped in
 // ErrNodeUnavailable for transport errors).
 func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses ...int) error {
+	raw, err := marshalPayload(payload)
+	if err != nil {
+		return err
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(c.cfg.Map.Groups))
 	for g := range c.cfg.Map.Groups {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = c.groupWrite(g, index, method, path, payload, okStatuses...)
+			errs[g] = c.groupWrite(g, index, method, path, raw, okStatuses...)
 		}(g)
 	}
 	wg.Wait()
@@ -349,12 +353,9 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 // fails the batch whole: that is divergence, not unavailability, and
 // must surface. Below quorum the batch fails whole with an error naming
 // the group and its hash range, and nothing is queued — the caller
-// retries the batch.
-func (c *Client) groupWrite(g int, index, method, path string, payload any, okStatuses ...int) error {
-	raw, err := marshalPayload(payload)
-	if err != nil {
-		return err
-	}
+// retries the batch. raw is the encoded body (nil for none); queued
+// writes replay it as is, so no caller may modify it afterwards.
+func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okStatuses ...int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WriteTimeout)
 	defer cancel()
 	reps := c.cfg.Map.Groups[g]

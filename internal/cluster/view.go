@@ -116,7 +116,7 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 		go func(g int) {
 			defer wg.Done()
 			errs[g] = v.c.groupWrite(g, v.st.name, http.MethodPost, "/v1/indexes/"+v.st.name+"/upsert",
-				wire.UpsertRequest{Tuples: subs[g]}, http.StatusOK)
+				wire.EncodeUpsert(subs[g]), http.StatusOK)
 		}(g)
 	}
 	wg.Wait()

@@ -25,6 +25,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -97,12 +98,15 @@ type Trace struct {
 	Spans   []Span `json:"spans,omitempty"`
 }
 
-// SetTarget records what the request operated on. Nil-safe.
+// SetTarget records what the request operated on. Nil-safe. The trace
+// keeps a copy of index: a name decoded from a request body shares one
+// allocation with every string of that body, which a ring entry would
+// otherwise hold for as long as it is retained.
 func (t *Trace) SetTarget(index string, keys int) {
 	if t == nil {
 		return
 	}
-	t.Index, t.Keys = index, keys
+	t.Index, t.Keys = strings.Clone(index), keys
 }
 
 // AddSpan appends a span covering from..now. Nil-safe, so callers on

@@ -120,12 +120,19 @@ func (r *Relation) SaveCSV(path string) error {
 	return f.Close()
 }
 
-// FromKeys builds a relation with no payload columns from a key list.
-// Convenient for tests.
+// FromKeys builds a relation with no payload columns from a key list,
+// numbering the tuples in order.
 func FromKeys(name string, keys ...string) *Relation {
-	rel := New(name, NewSchema("key"))
-	for _, k := range keys {
-		rel.Append(k)
+	tuples := make([]Tuple, len(keys))
+	for i, k := range keys {
+		tuples[i] = Tuple{ID: i, Key: k}
 	}
-	return rel
+	return FromTuples(name, tuples)
+}
+
+// FromTuples builds a relation whose schema names only the key column
+// over tuples, keeping the slice rather than copying it: the caller has
+// numbered the IDs 0..n-1 and leaves the slice alone afterwards.
+func FromTuples(name string, tuples []Tuple) *Relation {
+	return &Relation{Name: name, Schema: NewSchema("key"), tuples: tuples}
 }

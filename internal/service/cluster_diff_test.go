@@ -281,3 +281,31 @@ func TestClusterDifferentialNormalization(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateIDsAreArrivalOrder pins the tuple-ID rule of the wire, the
+// same single-process and routed: a create assigns IDs in arrival order
+// and drops the tuples' wire ids, while an upsert keeps its ids.
+func TestCreateIDsAreArrivalOrder(t *testing.T) {
+	for _, st := range []*diffStack{
+		startStack(t, "single", Config{}),
+		startCluster(t, "routed", 4, []int{1, 1}),
+	} {
+		steps := []struct {
+			method, path, body string
+			code               int
+			want               string // a substring of the answer
+		}{
+			{"POST", "/v1/indexes", `{"name":"ids","tuples":[{"id":5,"key":"via roma"},{"id":7,"key":"corso lago"}]}`, 201, ""},
+			{"POST", "/v1/link", `{"index":"ids","key":"via roma","strategy":"exact"}`, 200, `"ref_id":0,"ref_key":"via roma"`},
+			{"POST", "/v1/link", `{"index":"ids","key":"corso lago","strategy":"exact"}`, 200, `"ref_id":1,"ref_key":"corso lago"`},
+			{"POST", "/v1/indexes/ids/upsert", `{"tuples":[{"id":42,"key":"piazza nuova"}]}`, 200, `"inserted":1`},
+			{"POST", "/v1/link", `{"index":"ids","key":"piazza nuova","strategy":"exact"}`, 200, `"ref_id":42,"ref_key":"piazza nuova"`},
+		}
+		for i, s := range steps {
+			code, body := st.do(t, s.method, s.path, s.body)
+			if code != s.code || !strings.Contains(body, s.want) {
+				t.Errorf("%s step %d (%s %s): %d %s, want %d with %s", st.name, i, s.method, s.path, code, body, s.code, s.want)
+			}
+		}
+	}
+}

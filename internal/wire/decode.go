@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -53,19 +54,19 @@ func decodeFast(body []byte, dst any) bool {
 	switch v := dst.(type) {
 	case *CreateIndexRequest:
 		var out CreateIndexRequest
-		if !d.createIndex(&out) || !d.end() {
+		if !d.presize().createIndex(&out) || !d.end() {
 			return false
 		}
 		*v = out
 	case *UpsertRequest:
 		var out UpsertRequest
-		if !d.upsert(&out) || !d.end() {
+		if !d.presize().upsert(&out) || !d.end() {
 			return false
 		}
 		*v = out
 	case *LinkRequestDTO:
 		var out LinkRequestDTO
-		if !d.link(&out) || !d.end() {
+		if !d.presize().link(&out) || !d.end() {
 			return false
 		}
 		*v = out
@@ -77,11 +78,98 @@ func decodeFast(body []byte, dst any) bool {
 
 // decoder scans b from i. Each method reads one token or value and
 // reports false on anything outside the canonical shape.
+//
+// Every string the decoder returns is a slice of block, one allocation
+// per body holding the decoded bytes only, so a value never aliases b
+// and never pins more than its body's strings. Every string array (a
+// tuple's attributes, a link's keys) is a capped slice of arena, one
+// []string per body, and the tuple slice is allocated once at its
+// final length: presize counts all three before the scan.
 type decoder struct {
 	b []byte
 	i int
-	// scratch is reused to unescape strings.
-	scratch []byte
+
+	block   strings.Builder
+	arena   []string
+	nTuples int
+}
+
+// presize sizes the block, the arena and the tuple slice from one
+// counting pass over b (see measure) and returns d.
+func (d *decoder) presize() *decoder {
+	n, tuples, strs := measure(d.b)
+	d.block.Grow(n)
+	if strs > 0 {
+		d.arena = make([]string, 0, strs)
+	}
+	d.nTuples = tuples
+	return d
+}
+
+// measure counts, in one pass over a body, what decoding it holds: the
+// decoded bytes of its value strings (member names excluded), the
+// objects that are array elements (tuples) and the strings that are
+// array elements (attributes, link keys). It checks nothing; a body it
+// miscounts is either refused by the scan or costs a regrowth, never a
+// wrong value.
+func measure(b []byte) (n, objs, strs int) {
+	// Without a backslash in the body, a string ends at the next quote
+	// and decodes to its raw bytes.
+	escapes := bytes.IndexByte(b, '\\') >= 0
+	// inArray is a stack of one bit per open container, 1 for an array;
+	// its low bit is the innermost container.
+	var inArray uint64
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '[':
+			inArray = inArray<<1 | 1
+		case '{':
+			objs += int(inArray & 1)
+			inArray <<= 1
+		case ']', '}':
+			inArray >>= 1
+		case '"':
+			size, end := len(b)-i-1, len(b)
+			if escapes {
+				size, end = decodedLen(b, i+1)
+			} else if q := bytes.IndexByte(b[i+1:], '"'); q >= 0 {
+				size, end = q, i+1+q
+			}
+			i = end
+			j := end + 1
+			for j < len(b) && (b[j] == ' ' || b[j] == '\t' || b[j] == '\n' || b[j] == '\r') {
+				j++
+			}
+			if j < len(b) && b[j] == ':' {
+				continue // a member name
+			}
+			n += size
+			strs += int(inArray & 1)
+		}
+	}
+	return n, objs, strs
+}
+
+// decodedLen returns the decoded length of the string whose contents
+// start at b[i], and the index of its closing quote (len(b) if none).
+func decodedLen(b []byte, i int) (n, end int) {
+	start, saved := i, 0 // saved: bytes escapes spell beyond what they decode to
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			return i - start - saved, i
+		case '\\':
+			if i+6 <= len(b) && b[i+1] == 'u' {
+				r, _ := hex4(b[i+2 : i+6])
+				saved += 6 - max(utf8.RuneLen(r), 1)
+				i += 5
+			} else {
+				saved++
+				i++
+			}
+		}
+	}
+	return max(i-start-saved, 0), i
 }
 
 func (d *decoder) createIndex(out *CreateIndexRequest) bool {
@@ -141,14 +229,13 @@ func (d *decoder) tuples(out *[]TupleDTO) bool {
 	if !d.consume('[') {
 		return false
 	}
-	ts := []TupleDTO{}
+	ts := make([]TupleDTO, 0, d.nTuples)
 	if !d.consume(']') {
 		for {
-			var t TupleDTO
-			if !d.tuple(&t) {
+			ts = append(ts, TupleDTO{})
+			if !d.tuple(&ts[len(ts)-1]) {
 				return false
 			}
-			ts = append(ts, t)
 			if d.consume(']') {
 				break
 			}
@@ -222,23 +309,19 @@ func (d *decoder) object(member func(name []byte) bool) bool {
 	}
 }
 
-// strs reads an array of strings; [] is an empty, non-nil slice, as
-// encoding/json makes it.
+// strs reads an array of strings into the arena; [] is an empty,
+// non-nil slice, as encoding/json makes it.
 func (d *decoder) strs(out *[]string) bool {
 	if !d.consume('[') {
 		return false
 	}
-	// Short arrays (a tuple's attributes) fill a stack buffer and are
-	// copied out once, at their final length.
-	var small [4]string
-	ss := small[:0]
+	start := len(d.arena)
 	if !d.consume(']') {
 		for {
-			var s string
-			if !d.str(&s) {
+			d.arena = append(d.arena, "")
+			if !d.str(&d.arena[len(d.arena)-1]) {
 				return false
 			}
-			ss = append(ss, s)
 			if d.consume(']') {
 				break
 			}
@@ -247,105 +330,112 @@ func (d *decoder) strs(out *[]string) bool {
 			}
 		}
 	}
-	*out = append(make([]string, 0, len(ss)), ss...)
+	if *out = d.arena[start:len(d.arena):len(d.arena)]; *out == nil {
+		*out = []string{}
+	}
 	return true
 }
 
-// str reads a string: raw bytes must be valid UTF-8 and not control
-// characters, and \u escapes must not be surrogates (encoding/json
-// pairs or replaces those).
+// str reads a string into the block: raw bytes must be valid UTF-8 and
+// not control characters, and \u escapes must not be surrogates
+// (encoding/json pairs or replaces those). Runs of plain bytes are
+// copied whole.
 func (d *decoder) str(out *string) bool {
 	if !d.consume('"') {
 		return false
 	}
-	start := d.i
-	var buf []byte // the unescaped bytes, once an escape is seen
-	for d.i < len(d.b) {
-		c := d.b[d.i]
+	b, i := d.b, d.i
+	start, run := d.block.Len(), i // run: the first byte not yet copied
+	for i < len(b) {
+		c := b[i]
 		switch {
+		case plain[c]:
+			i++
 		case c == '"':
-			if buf == nil {
-				*out = string(d.b[start:d.i])
-			} else {
-				*out = string(buf)
-				d.scratch = buf
-			}
-			d.i++
+			d.block.Write(b[run:i])
+			*out = d.block.String()[start:]
+			d.i = i + 1
 			return true
 		case c == '\\':
-			if buf == nil {
-				buf = append(d.scratch[:0], d.b[start:d.i]...)
-			}
-			var ok bool
-			if buf, ok = d.escape(buf); !ok {
+			d.block.Write(b[run:i])
+			if d.i = i; !d.escape() {
 				return false
 			}
+			i, run = d.i, d.i
 		case c < ' ':
 			return false
-		case c < utf8.RuneSelf:
-			if buf != nil {
-				buf = append(buf, c)
-			}
-			d.i++
 		default:
-			r, size := utf8.DecodeRune(d.b[d.i:])
+			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
 				return false
 			}
-			if buf != nil {
-				buf = append(buf, d.b[d.i:d.i+size]...)
-			}
-			d.i += size
+			i += size
 		}
 	}
 	return false
 }
 
-// escape appends the escape sequence at i to buf.
-func (d *decoder) escape(buf []byte) ([]byte, bool) {
+// plain marks the bytes a string holds as themselves: ASCII other than
+// control characters, the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// escape decodes the escape sequence at i into the block.
+func (d *decoder) escape() bool {
 	if d.i+1 >= len(d.b) {
-		return buf, false
+		return false
 	}
 	c := d.b[d.i+1]
 	d.i += 2
 	switch c {
 	case '"', '\\', '/':
-		return append(buf, c), true
+		d.block.WriteByte(c)
 	case 'b':
-		return append(buf, '\b'), true
+		d.block.WriteByte('\b')
 	case 'f':
-		return append(buf, '\f'), true
+		d.block.WriteByte('\f')
 	case 'n':
-		return append(buf, '\n'), true
+		d.block.WriteByte('\n')
 	case 'r':
-		return append(buf, '\r'), true
+		d.block.WriteByte('\r')
 	case 't':
-		return append(buf, '\t'), true
+		d.block.WriteByte('\t')
 	case 'u':
 		if d.i+4 > len(d.b) {
-			return buf, false
+			return false
 		}
-		var r rune
-		for _, h := range d.b[d.i : d.i+4] {
-			switch {
-			case '0' <= h && h <= '9':
-				h -= '0'
-			case 'a' <= h && h <= 'f':
-				h -= 'a' - 10
-			case 'A' <= h && h <= 'F':
-				h -= 'A' - 10
-			default:
-				return buf, false
-			}
-			r = r<<4 | rune(h)
-		}
-		if utf16.IsSurrogate(r) {
-			return buf, false
+		r, ok := hex4(d.b[d.i : d.i+4])
+		if !ok || utf16.IsSurrogate(r) {
+			return false
 		}
 		d.i += 4
-		return utf8.AppendRune(buf, r), true
+		d.block.WriteRune(r)
+	default:
+		return false
 	}
-	return buf, false
+	return true
+}
+
+// hex4 reads the four hex digits of a \u escape.
+func hex4(h []byte) (r rune, ok bool) {
+	for _, c := range h {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
 }
 
 // int reads a plain integer, without allocating: no fraction, exponent

@@ -63,6 +63,9 @@ func TestDecodeCanonical(t *testing.T) {
 			if !reflect.DeepEqual(fast, std) {
 				t.Fatalf("%s: %s reads as %+v, encoding/json reads %+v", rt.name, body, fast, std)
 			}
+			if n, _, _ := measure(body); n != stringBytes(reflect.ValueOf(fast)) {
+				t.Errorf("%s: measure sized the block of %s at %d bytes, its strings hold %d", rt.name, body, n, stringBytes(reflect.ValueOf(fast)))
+			}
 		}
 		if !accepted {
 			t.Errorf("no request type took the one-pass path for canonical %s", body)
@@ -73,6 +76,25 @@ func TestDecodeCanonical(t *testing.T) {
 	if !decodeFast(spaced, &req) || req.Index != "a" || len(req.Keys) != 2 {
 		t.Errorf("whitespace between tokens: %+v", req)
 	}
+}
+
+// stringBytes sums the lengths of the strings v holds.
+func stringBytes(v reflect.Value) (n int) {
+	switch v.Kind() {
+	case reflect.String:
+		return v.Len()
+	case reflect.Pointer:
+		return stringBytes(v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			n += stringBytes(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			n += stringBytes(v.Index(i))
+		}
+	}
+	return n
 }
 
 // Bodies outside the canonical shape go to encoding/json, which keeps
@@ -115,6 +137,8 @@ func TestDecodeFallback(t *testing.T) {
 // FuzzDecodeRequest: whenever the one-pass scanner accepts a body, as
 // any of the three request types, encoding/json accepts it too and
 // reads the same value; a body it refuses leaves the value untouched.
+// The decoded value owns its strings: overwriting every byte of the
+// body afterwards leaves it equal to encoding/json's reading.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range canonicalBodies(f) {
 		f.Add(body)
@@ -126,7 +150,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rt := range requestTypes {
 			fast := rt.new()
-			if !decodeFast(body, fast) {
+			buf := bytes.Clone(body)
+			if !decodeFast(buf, fast) {
 				if !reflect.DeepEqual(fast, rt.new()) {
 					t.Fatalf("%s: scanner refused %q but wrote %#v", rt.name, body, fast)
 				}
@@ -138,6 +163,12 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if !reflect.DeepEqual(fast, std) {
 				t.Fatalf("%s: %q reads as %#v, encoding/json reads %#v", rt.name, body, fast, std)
+			}
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if !reflect.DeepEqual(fast, std) {
+				t.Fatalf("%s: %q read as %#v, which changed to %#v when the body was overwritten", rt.name, body, std, fast)
 			}
 		}
 	})
@@ -217,30 +248,50 @@ func allocsPerDecode(t *testing.T, body []byte, dst func() any) (fast, std float
 	return fast, std
 }
 
-// A 64-key link body: one allocation per key string, the key slice's
-// growth, the index and strategy strings, and the request itself.
+// A 64-key link body: the string block, the key slice and the request
+// itself, however many keys it holds.
 func TestDecodeLink64Alloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
 	}
-	const pin = 72
+	const pin = 3
 	fast, std := allocsPerDecode(t, benchLinkBody(t), func() any { return new(LinkRequestDTO) })
 	if fast > pin || fast >= std {
 		t.Errorf("64-key link decode: %.0f allocs, want at most %d and fewer than encoding/json's %.0f", fast, pin, std)
 	}
 }
 
-// A 16-tuple upsert body: key string, attribute slice and attribute
-// string per tuple, plus the tuple slice's growth. The integers parse
-// without allocating.
+// A 16-tuple upsert body: the string block, the attribute arena, the
+// tuple slice and the request itself. The integers parse without
+// allocating.
 func TestDecodeUpsert16Alloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
 	}
-	const pin = 54
+	const pin = 4
 	_, body := benchTupleBodies(t, 16, 16)
 	fast, std := allocsPerDecode(t, body, func() any { return new(UpsertRequest) })
 	if fast > pin || fast > std {
 		t.Errorf("16-tuple upsert decode: %.0f allocs, want at most %d and no more than encoding/json's %.0f", fast, pin, std)
+	}
+}
+
+// A create body decodes in as many allocations at 20k tuples as at 1k:
+// nothing is allocated per string or per tuple.
+func TestDecodeCreateAllocFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
+	}
+	var allocs [2]float64
+	for i, n := range []int{1000, 20000} {
+		body, _ := benchTupleBodies(t, n, 0)
+		if !decodeFast(body, new(CreateIndexRequest)) {
+			t.Fatalf("canonical %d-tuple create body refused", n)
+		}
+		allocs[i] = testing.AllocsPerRun(5, func() { _ = Decode(body, new(CreateIndexRequest)) })
+		t.Logf("%d-tuple create body: %.0f allocs", n, allocs[i])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("create decode: %.0f allocs at 1k tuples, %.0f at 20k; want equal counts", allocs[0], allocs[1])
 	}
 }

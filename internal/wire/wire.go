@@ -22,17 +22,28 @@
 // as a single session.
 //
 // Decode reads create, upsert and link request bodies. A body in the
-// canonical shape json.Marshal emits takes a one-pass scanner that
-// parses integers and plain strings without intermediate copies; any
+// canonical shape json.Marshal emits takes a one-pass scanner; any
 // other body goes to encoding/json on the same bytes (DecodeReader),
 // so encoding/json defines what every body means and every error
-// message, and FuzzDecodeRequest holds the scanner to it. Encoding, the
-// router's requests to its nodes included, is encoding/json's.
+// message, and FuzzDecodeRequest holds the scanner to it. The scanner
+// allocates per body, not per value: a counting pass sizes one string
+// block holding every decoded string's bytes (never the raw body's,
+// which no decoded value aliases), one []string arena holding every
+// tuple's attributes or every link key, and the tuple slice.
+//
+// EncodeUpsert writes an upsert body with the bytes json.Marshal
+// writes, appended into one presized buffer: the router's write
+// fan-out, routed creates included, goes through it. The other router
+// requests (control plane, link) and every response are encoded by
+// encoding/json.
 package wire
 
 import "adaptivelink"
 
-// TupleDTO is a reference tuple on the wire.
+// TupleDTO is a reference tuple on the wire. ID is kept by an upsert
+// and ignored by a create, which numbers its tuples 0, 1, ... in
+// arrival order, as FromTuples does in process; a match's ref_id is
+// that ID.
 type TupleDTO struct {
 	ID    int      `json:"id,omitempty"`
 	Key   string   `json:"key"`
