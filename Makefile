@@ -123,8 +123,9 @@ chaos:
 
 # Short fuzz passes, one invariant each: torn reads (concurrent upserts
 # racing probes must never expose a half-applied payload), snapshot
-# decoding (arbitrary bytes never panic or build a broken index),
-# write-ahead-log replay (recovery always stops at an intact record
+# decoding (arbitrary bytes, as given and with the checksum re-sealed,
+# never panic or build a broken index), the snapshot round trip (any
+# view decodes to itself and digests the same), write-ahead-log replay (recovery always stops at an intact record
 # boundary), decomposition parity (the byte-packed, rune-packed and
 # string-fallback gram paths agree with the Grams oracle on arbitrary
 # Unicode), padded decomposition (the grams are exactly the distinct
@@ -147,6 +148,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/join -run=NONE -fuzz='^FuzzUpsertProbe$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qgram -run=NONE -fuzz='^FuzzDecomposeParity$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qgram -run=NONE -fuzz='^FuzzGrams$$' -fuzztime=$(FUZZTIME)

@@ -218,13 +218,13 @@ func TestAllocResidentBytesAfterUpserts(t *testing.T) {
 	}
 }
 
-// checkpointBytesBudget bounds what a steady-state checkpoint allocates
-// per tuple at 44k rows: the view's gathered store, one 48-byte tuple
-// header per tuple (50 measured; the view shares the shards' member
-// refs, whose copy cost 4 more), plus a margin of 6. The encoding is
-// staged in pooled buffers, so the second checkpoint finds them warm,
-// and no q-gram section is derived: deriving them cost 66, exporting and
-// staging a whole-index copy 201.
+// checkpointBytesBudget bounds what a steady-state version-6 checkpoint
+// allocates per tuple at 44k rows: the view's gathered store, one
+// 48-byte tuple header per tuple (50 measured, as for version 5; the
+// view shares the shards' member refs, whose copy cost 4 more), plus a
+// margin of 6. The encoding is staged in pooled buffers, so the second
+// checkpoint finds them warm, and no q-gram section is derived:
+// deriving them cost 66, exporting and staging a whole-index copy 201.
 const checkpointBytesBudget = 56
 
 func TestAllocCheckpointBytesPerTuple(t *testing.T) {
@@ -256,11 +256,13 @@ func TestAllocCheckpointBytesPerTuple(t *testing.T) {
 	}
 }
 
-// snapshotBytesBudget bounds the snapshot file per tuple at 20k rows of
-// generated keys: the tuple store (id, key, attrs, offsets) and one
-// global ref, ~72 bytes measured, plus a margin of 8. The q-gram
-// sections a version-4 snapshot stored beside them made it ~201.
-const snapshotBytesBudget = 80
+// snapshotBytesBudget bounds the version-6 snapshot file per tuple at
+// 20k rows of generated keys: the tuple store (id delta, key, attrs and
+// their varint lengths) and one delta-coded global ref, ~50 bytes
+// measured, plus a margin of 8. Version 5's fixed-width ids, offsets
+// and refs made it ~72, and the q-gram sections a version-4 snapshot
+// stored beside them ~201.
+const snapshotBytesBudget = 58
 
 func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 20_000)
@@ -282,14 +284,15 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 	}
 }
 
-// snapshotLoadBytesBudget bounds what a load of a 20k-row version-5
+// snapshotLoadBytesBudget bounds what a load of a 20k-row version-6
 // image allocates per tuple, decode plus index build: the decoded store,
-// the shard tuple stores and global refs, and the exact indexes (273
-// measured, margin 22). Exact indexes of one-element ref slices and int
-// global refs allocated 398. It is what a durable cold start allocates
-// before the log replay, so the build's transients (key homes,
-// per-shard goroutines) count against it.
-const snapshotLoadBytesBudget = 295
+// the shard tuple stores and global refs, and the exact indexes (232
+// measured, margin 22). Version 5's intermediate id and offset tables
+// allocated 273, exact indexes of one-element ref slices and int global
+// refs 398. It is what a durable cold start allocates before the log
+// replay, so the build's transients (key homes, per-shard goroutines)
+// count against it.
+const snapshotLoadBytesBudget = 254
 
 func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 20_000)

@@ -24,6 +24,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"adaptivelink/internal/join"
+	"adaptivelink/internal/store"
 )
 
 // storeBenchRows sizes the cold-start pair; storeBenchIngestRows the
@@ -187,6 +190,36 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ix.Save(""); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotLoad is one load of the same references' snapshot
+// images: decode plus index build, what a durable cold start does before
+// replaying its log. B/op is what the load pin bounds per tuple.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	for _, rows := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {
+			tuples, opts := footprintTuples(b, rows)
+			ix, err := NewIndex(FromTuples(tuples), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			img, err := ix.ExportSnapshotBytes()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := store.DecodeSnapshot(img)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := join.NewShardedRefIndexFromSnapshot(v); err != nil {
 					b.Fatal(err)
 				}
 			}

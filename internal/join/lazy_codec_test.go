@@ -42,9 +42,10 @@ func snapshotImage(t *testing.T, ix *join.ShardedRefIndex) []byte {
 	return buf.Bytes()
 }
 
-// restampV1 turns an empty-profile image of a later version into the
-// version-1 image of the same store: the header and store section are
-// identical, so only the version word and the checksum change.
+// restampV1 turns an empty-profile image of the fixed-width layout
+// (versions 3 to 5) into the version-1 image of the same store: the
+// header and store section are identical, so only the version word and
+// the checksum change.
 func restampV1(img []byte) []byte {
 	v1 := bytes.Clone(img)
 	binary.LittleEndian.PutUint32(v1[8:], 1)
@@ -68,9 +69,10 @@ func loadImage(t *testing.T, img []byte) *join.ShardedRefIndex {
 }
 
 // TestLazyBuildCodecDifferential holds a lazily built index to an
-// eagerly built twin over random upsert histories, starting from a bulk
-// load and from snapshot images of every version (v1 and v4 encoded
-// here, the v2 and v3 fixtures of the store package). The eager twin
+// eagerly built twin over random upsert histories, starting from
+// snapshot images of every version: the v2 to v5 fixtures of the store
+// package, the v5 one re-stamped as v1, and bulk loads encoded here in
+// the current version. The eager twin
 // builds every shard on load, so each upsert maintains its q-gram
 // structures; the lazy one builds single shards at random points and
 // leaves the rest to the final probes. After every batch the two must
@@ -102,10 +104,14 @@ func TestLazyBuildCodecDifferential(t *testing.T) {
 		name string
 		img  func(t *testing.T) []byte
 	}{
-		{"v1", func(t *testing.T) []byte { return restampV1(bulk(11)(t)) }},
+		{"v1", func(t *testing.T) []byte {
+			return restampV1(fixture("../store/testdata/v5_partitioned_4shards.snap")(t))
+		}},
 		{"v2", fixture("../store/testdata/v2_replicated_4shards.snap")},
 		{"v3", fixture("../store/testdata/v3_partitioned_4shards.snap")},
-		{"v4", bulk(12)},
+		{"v4", fixture("../store/testdata/v4_partitioned_4shards.snap")},
+		{"v5", fixture("../store/testdata/v5_partitioned_4shards.snap")},
+		{"v6", bulk(12)},
 	}
 	for _, src := range sources {
 		for _, seed := range []int64{1, 2, 3} {

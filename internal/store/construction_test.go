@@ -19,6 +19,28 @@ func reseal(img []byte, version uint32) []byte {
 	return fixCRC(out)
 }
 
+// fixedWidthImage encodes v in the fixed-width layout versions 3 to 5
+// stored — the header, then the canonical content stream DigestView
+// fingerprints, then the checksum — stamped as the given version.
+func fixedWidthImage(t testing.TB, v *join.SnapshotView, version uint32) []byte {
+	t.Helper()
+	var cur bytes.Buffer
+	if err := WriteSnapshot(&cur, v); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	e := newWriter(&buf)
+	defer e.release()
+	e.str(string(cur.Bytes()[:snapHeaderMax-maxProfileLen+len(v.Cfg.Profile)]))
+	encodeTupleSection(e, v)
+	for _, se := range v.Shards {
+		e.u32slice(se.Globals)
+	}
+	e.u32(e.sum())
+	e.flush()
+	return reseal(buf.Bytes(), version)
+}
+
 // loadImage decodes an image and builds its index.
 func loadImage(t *testing.T, img []byte) *join.ShardedRefIndex {
 	t.Helper()
@@ -35,9 +57,10 @@ func loadImage(t *testing.T, img []byte) *join.ShardedRefIndex {
 
 // TestLoadIsBulkBuild pins the one construction path: a snapshot of any
 // version loads to the index a bulk build of the same tuples is. The
-// v2, v3 and v4 fixtures, a version-5 re-encoding of the v4 one and that
-// re-encoding re-stamped as version 1 (an empty-profile image reads as
-// v1, see TestSnapshotV1Compat) each load to the same shard membership
+// v2, v3, v4 and v5 fixtures, the v5 one re-stamped as version 1 (an
+// empty-profile fixed-width image reads as v1, see
+// TestSnapshotV1Compat) and a version-6 re-encoding of the v4 one each
+// load to the same shard membership
 // and per-shard tuples, the same entry counts before and after the
 // q-gram builds, the same digest and the same probe answers in both
 // modes as BuildShardedRefIndex over v2FixtureTuples — and none of them
@@ -53,7 +76,7 @@ func TestLoadIsBulkBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	images := map[string][]byte{}
-	for name, path := range map[string]string{"v2": v2Fixture, "v3": v3Fixture, "v4": v4Fixture} {
+	for name, path := range map[string]string{"v2": v2Fixture, "v3": v3Fixture, "v4": v4Fixture, "v5": v5Fixture} {
 		if images[name], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
@@ -62,15 +85,15 @@ func TestLoadIsBulkBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v5 bytes.Buffer
-	if err := WriteSnapshot(&v5, v4view); err != nil {
+	var v6 bytes.Buffer
+	if err := WriteSnapshot(&v6, v4view); err != nil {
 		t.Fatal(err)
 	}
-	images["v5"] = v5.Bytes()
-	images["v1"] = reseal(v5.Bytes(), 1)
+	images["v6"] = v6.Bytes()
+	images["v1"] = reseal(images["v5"], 1)
 
 	bulkEx, bulkQG := bulk.Entries()
-	for _, name := range []string{"v1", "v2", "v3", "v4", "v5"} {
+	for _, name := range []string{"v1", "v2", "v3", "v4", "v5", "v6"} {
 		t.Run(name, func(t *testing.T) {
 			ix := loadImage(t, images[name])
 			got, err := ix.ExportSnapshot()
@@ -97,7 +120,7 @@ func TestLoadIsBulkBuild(t *testing.T) {
 // TestStoreOnlyViewDuplicateKeyRejected: a version-2 image carries the
 // store alone, and a load builds from it exactly as from any other
 // version — so a key stored twice is rejected naming both refs, as for
-// versions 3 to 5, not silently deduplicated.
+// versions 3 to 6, not silently deduplicated.
 func TestStoreOnlyViewDuplicateKeyRejected(t *testing.T) {
 	img, err := os.ReadFile(v2Fixture)
 	if err != nil {
@@ -117,38 +140,32 @@ func TestStoreOnlyViewDuplicateKeyRejected(t *testing.T) {
 	}
 }
 
-// TestPermutedMembersRejected re-seals a version-5 image whose first
-// shard lists its members out of order: the image decodes (its bounds
-// are sound), and the load refuses it, since the stored member list is
-// not the one the store's key homes give.
+// TestPermutedMembersRejected encodes an image whose first shard lists
+// its members out of order: the image decodes (its bounds are sound),
+// and the load refuses it, since the stored member list is not the one
+// the store's key homes give.
 func TestPermutedMembersRejected(t *testing.T) {
-	ix := buildIndex(t, 3, 60)
-	v, err := ix.ExportSnapshot()
+	v, err := buildIndex(t, 3, 60).ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := encodeSnapshot(t, ix)
-	// The shard sections close the image: count word and refs per shard.
-	start := len(img) - 4
-	for _, se := range v.Shards {
-		start -= 4 + 4*len(se.Globals)
-	}
-	if len(v.Shards[0].Globals) < 2 {
+	// The export shares the shard's member array: permute a copy.
+	g := append([]uint32(nil), v.Shards[0].Globals...)
+	if len(g) < 2 {
 		t.Fatal("fixture's first shard has fewer than two members")
 	}
-	first := img[start+4:]
-	a, b := binary.LittleEndian.Uint32(first), binary.LittleEndian.Uint32(first[4:])
-	if a != v.Shards[0].Globals[0] || b != v.Shards[0].Globals[1] {
-		t.Fatalf("located refs %d, %d; shard 0 lists %v", a, b, v.Shards[0].Globals[:2])
+	g[0], g[1] = g[1], g[0]
+	v.Shards[0].Globals = g
+	var img bytes.Buffer
+	if err := WriteSnapshot(&img, v); err != nil {
+		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(first, b)
-	binary.LittleEndian.PutUint32(first[4:], a)
-	dv, err := DecodeSnapshot(fixCRC(img))
+	dv, err := DecodeSnapshot(img.Bytes())
 	if err != nil {
 		t.Fatalf("permuted image failed to decode: %v", err)
 	}
 	_, err = join.NewShardedRefIndexFromSnapshot(dv)
-	if want := fmt.Sprintf("shard 0 lists global ref %d at local 0", b); err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("shard 0 lists global ref %d at local 0", g[0]); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("import of permuted members: %v, want an error containing %q", err, want)
 	}
 }

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -244,9 +246,16 @@ func TestSyncPolicyString(t *testing.T) {
 
 // TestDecodeSnapshotStructuralCorruption re-seals mutated images with a
 // valid checksum, so each case exercises a structural validator rather
-// than the CRC gate (which snapshot_test pins separately).
+// than the CRC gate (which snapshot_test pins separately). The images
+// are version 5: these are the validators of the fixed-width layout
+// versions 1 to 5 load through (TestV6CorruptSections pins version
+// 6's).
 func TestDecodeSnapshotStructuralCorruption(t *testing.T) {
-	base := encodeSnapshot(t, buildIndex(t, 2, 12))
+	v, err := buildIndex(t, 2, 12).ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fixedWidthImage(t, v, 5)
 	nTuples := int(binary.LittleEndian.Uint32(base[32:]))
 	if nTuples < 2 {
 		t.Fatalf("test image has %d tuples, need at least 2", nTuples)
@@ -296,6 +305,105 @@ func TestDecodeSnapshotStructuralCorruption(t *testing.T) {
 			_, err := DecodeSnapshot(img)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("DecodeSnapshot = %v, want error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// v6Sections are the sections of a version-6 image, field by field, for
+// TestV6CorruptSections to break one at a time.
+type v6Sections struct {
+	ids, keyLens, keys, attrCounts, attrLens, attrs, shards, trailing []byte
+}
+
+func (s v6Sections) image(header []byte) []byte {
+	img := bytes.Clone(header)
+	for _, b := range [][]byte{s.ids, s.keyLens, s.keys, s.attrCounts, s.attrLens, s.attrs, s.shards, s.trailing} {
+		img = append(img, b...)
+	}
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+}
+
+// TestV6CorruptSections spells out a version-6 image of two tuples in
+// one shard byte by byte — the encoder must write exactly these bytes —
+// and breaks its sections one at a time under a valid checksum: each
+// break is refused as corrupt with a message naming it, before anything
+// is allocated for the bytes it claims.
+func TestV6CorruptSections(t *testing.T) {
+	ix, err := join.BuildShardedRefIndex(join.Defaults(), 1, []relation.Tuple{
+		{ID: 1, Key: "ab", Attrs: []string{"x"}},
+		{ID: 2, Key: "cd"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ix.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteSnapshot(&want, v); err != nil {
+		t.Fatal(err)
+	}
+	header := want.Bytes()[:snapHeaderMax-maxProfileLen]
+	pristine := v6Sections{
+		ids:        []byte{2, 0}, // zigzag(1 − (−1) − 1), zigzag(2 − 1 − 1)
+		keyLens:    []byte{2, 2},
+		keys:       []byte("abcd"),
+		attrCounts: []byte{1, 0},
+		attrLens:   []byte{1},
+		attrs:      []byte("x"),
+		shards:     []byte{2, 0, 0}, // two members, refs 0 and 1
+	}
+	if got := pristine.image(header); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("encoder wrote\n % x\nthe layout spells\n % x", want.Bytes(), got)
+	}
+	if dv, err := DecodeSnapshot(pristine.image(header)); err != nil || !reflect.DeepEqual(dv, v) {
+		t.Fatalf("pristine image: %+v, %v; want %+v", dv, err, v)
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *v6Sections)
+		want   string
+	}{
+		{"varint over ten bytes", func(s *v6Sections) {
+			s.ids = append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0)
+		}, "runs over 10 bytes"},
+		{"varint past the input", func(s *v6Sections) {
+			*s = v6Sections{ids: []byte{2, 0}, keyLens: []byte{0, 0}, attrCounts: []byte{0, 0x80}}
+		}, "runs past the end"},
+		{"length past uint32", func(s *v6Sections) {
+			s.keyLens = binary.AppendUvarint(nil, 1<<32)
+		}, "past uint32"},
+		{"key lengths past the blob", func(s *v6Sections) {
+			s.keyLens = []byte{2, 60}
+		}, "key length column totals 62"},
+		{"attr count past the remaining input", func(s *v6Sections) {
+			s.attrCounts = []byte{1, 40}
+		}, "attr count column totals 41"},
+		{"attr lengths past the blob", func(s *v6Sections) {
+			s.attrLens = []byte{9}
+		}, "attr length column totals 9"},
+		{"shard count above n", func(s *v6Sections) {
+			s.shards = []byte{3, 0, 0, 0}
+		}, "holds 3 members, the store 2 tuples"},
+		{"global ref past uint32", func(s *v6Sections) {
+			s.shards = append([]byte{2, 0}, binary.AppendVarint(nil, 1<<32)...)
+		}, "outside the uint32 ref space"},
+		{"trailing bytes", func(s *v6Sections) {
+			s.trailing = []byte{0}
+		}, "1 trailing bytes"},
+		{"tuple count past the input", func(s *v6Sections) {
+			*s = v6Sections{ids: []byte{0, 0}}
+		}, "tuple count 2 needs 6 bytes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := pristine
+			c.mutate(&s)
+			_, err := DecodeSnapshot(s.image(header))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("DecodeSnapshot = %v, want a corruption error containing %q", err, c.want)
 			}
 		})
 	}

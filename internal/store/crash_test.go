@@ -323,13 +323,15 @@ func TestDigestStability(t *testing.T) {
 	}
 
 	// One content, one digest, however the index came to be: bulk-built,
-	// grown by upserts, or loaded from a version-3, a version-4 or a
-	// current image. The words are pinned: the digest covers the encoded
-	// shard sections, so a format change moves it, and replicas on either
-	// side of such a change disagree until both have upgraded (README,
-	// "Upgrading from snapshot format 4") — moving these words is that
-	// decision. Version 5 dropped the q-gram sections and kept the tuple
-	// store as it was, so only the combined word moved.
+	// grown by upserts, or loaded from a version-3, 4, 5 or current
+	// image. The words are pinned: the digest covers the canonical
+	// content stream of the store and the shard sections, so a change to
+	// that stream moves it, and replicas on either side of such a change
+	// disagree until both have upgraded (README, "Upgrading from snapshot
+	// format 4") — moving these words is that decision. Version 5 dropped
+	// the q-gram sections and kept the tuple store as it was, so only the
+	// combined word moved; version 6 re-encoded the file and kept the
+	// stream, so neither did.
 	const wantCombined, wantStore = "47fa79c3", "a9680d93"
 	tuples := v2FixtureTuples()
 	bulk, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
@@ -359,17 +361,18 @@ func TestDigestStability(t *testing.T) {
 	if err := WriteSnapshot(&buf, bulkView); err != nil {
 		t.Fatal(err)
 	}
-	fromV5, err := DecodeSnapshot([]byte(buf.String()))
+	fromCur, err := DecodeSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v5Loaded, err := join.NewShardedRefIndexFromSnapshot(fromV5)
+	curLoaded, err := join.NewShardedRefIndexFromSnapshot(fromCur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, ix := range map[string]*join.ShardedRefIndex{
 		"bulk-built": bulk, "upsert-built": grown,
-		"v3-loaded": loadFixture(v3Fixture), "v4-loaded": loadFixture(v4Fixture), "v5-loaded": v5Loaded,
+		"v3-loaded": loadFixture(v3Fixture), "v4-loaded": loadFixture(v4Fixture), "v5-loaded": loadFixture(v5Fixture),
+		"current-loaded": curLoaded,
 	} {
 		v, err := ix.ExportSnapshot()
 		if err != nil {

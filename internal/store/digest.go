@@ -10,8 +10,9 @@ import (
 )
 
 // ContentDigest is a cheap fingerprint of an index's logical content:
-// CRC-32C over the canonical snapshot encoding of the global tuple
-// store, plus one CRC per shard section (the shard's member refs). It
+// CRC-32C over the canonical fixed-width content stream of the global
+// tuple store, plus one CRC per shard section (the shard's member
+// refs), independent of the file version. It
 // is computed from the same export a checkpoint writes, without
 // touching disk, so two replicas that applied the same upsert stream
 // report the same digest — whether or not either has built its q-gram
@@ -33,8 +34,9 @@ type ContentDigest struct {
 	Tuples int `json:"tuples"`
 }
 
-// DigestView fingerprints a snapshot view: the bytes a snapshot of it
-// would hold, streamed through the CRC without being materialized.
+// DigestView fingerprints a snapshot view: the canonical fixed-width
+// content stream, independent of the file version, streamed through
+// the CRC without being materialized.
 func DigestView(v *join.SnapshotView) ContentDigest {
 	e := newWriter(io.Discard)
 	defer e.release()
@@ -60,4 +62,38 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 		Shards:   shards,
 		Tuples:   len(v.Tuples),
 	}
+}
+
+// encodeTupleSection writes the canonical content stream of the global
+// store (tuple IDs, keys, ragged attr lists): the fixed-width layout
+// version 5 stored, kept as the digest's encoding so that digests do
+// not move with the file format.
+func encodeTupleSection(e *writer, v *join.SnapshotView) {
+	for _, t := range v.Tuples {
+		e.u64(uint64(int64(t.ID)))
+	}
+	e.stringBlob(len(v.Tuples), func(yield func(string) bool) {
+		for _, t := range v.Tuples {
+			if !yield(t.Key) {
+				return
+			}
+		}
+	})
+	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
+	// a flat attr list, then the flat list as a string blob.
+	attrs := 0
+	for _, t := range v.Tuples {
+		e.u32(uint32(attrs))
+		attrs += len(t.Attrs)
+	}
+	e.u32(uint32(attrs))
+	e.stringBlob(attrs, func(yield func(string) bool) {
+		for _, t := range v.Tuples {
+			for _, a := range t.Attrs {
+				if !yield(a) {
+					return
+				}
+			}
+		}
+	})
 }

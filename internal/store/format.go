@@ -3,7 +3,7 @@
 // ShardedRefIndex state, an upsert write-ahead log replayed on boot,
 // and the directory layout that ties the two together (see Dir).
 //
-// # Snapshot format (version 5)
+// # Snapshot format (version 6)
 //
 // A snapshot serializes a join.SnapshotView — the global tuple store
 // plus, per shard, the shard's member refs — and nothing else a load
@@ -11,36 +11,48 @@
 // it lazily, and so does the resident index, from a shard's keys on its
 // first approximate probe. A load is a bulk build of the stored tuple
 // store; stored member refs, where an image has them, are checked
-// against it. Decoding is one read of the file and slice reconstruction
-// of the tuple store and member refs over fixed-width offset tables;
-// writing and digesting are one walk over the store. No gram is hashed
-// and no key decomposed on either side.
+// against it. Writing is one walk over the store per column; no gram is
+// hashed and no key decomposed on either side.
 //
 //	magic   "ALSNAP\x01\n"                     8 bytes
-//	header  version u32 = 5
+//	header  version u32 = 6
 //	        q u32, measure u32, shards u32     the compatibility triple
 //	        theta f64 (IEEE bits)
 //	        tuples u32                         global store size n
 //	        profile len u32 + bytes            normalization profile name
-//	store   ids      n × i64
-//	        keys     string blob
-//	        attrs    ragged string blob        per-tuple attr lists
+//	ids     n × varint                         id − previous id − 1
+//	keys    n × uvarint length, then the concatenated bytes
+//	attrs   n × uvarint count, then one uvarint length per attr,
+//	        then the concatenated bytes
 //	shards  (repeated `shards` times)
-//	        globals  u32 count + count × u32   local ref → global ref
+//	        uvarint count, count × varint     global ref − previous − 1
 //	footer  crc u32                            CRC-32C of all prior bytes
 //
-// A "string blob" is count u32, (count+1) × u32 ascending offsets, and
-// the concatenated bytes; decoding materialises one Go string for the
-// whole blob and slices substrings out of it, so a million keys cost
-// one allocation plus headers. "Ragged" arrays are the same offsets
-// trick over fixed-width elements. All integers are little-endian and
-// ids stay fixed-width, so every section is addressable in place.
+// The header is fixed-width and little-endian, as in every version.
+// The sections are columns of LEB128 words (a varint is zigzag-coded,
+// as encoding/binary writes it). Ids and global refs are delta-coded
+// against their predecessor plus one, the first against −1, so an
+// ascending dense run costs a byte a value; the arithmetic wraps, so
+// any int64 sequence round-trips. A tuple costs at least three bytes
+// (its id, key length and attr count).
 //
-// Every length and offset is validated against the remaining input
-// before anything is allocated or sliced, and the trailing CRC covers
-// the whole file, so truncated or bit-flipped snapshots are rejected
-// with descriptive errors — the loader never panics on hostile bytes
-// (FuzzSnapshotDecode) and never yields a partial index.
+// Decoding makes two passes. The first walks every column and checks
+// every count and length total against the input that remains, and
+// allocates nothing; the second decodes into one tuple slice, one key
+// string, one attr string, one attr arena and one arena of global refs,
+// so a million keys cost a handful of allocations plus headers. With
+// the trailing CRC over the whole file, truncated, bit-flipped or
+// hostile snapshots are rejected with descriptive errors — the loader
+// never panics (FuzzSnapshotDecode decodes every input as given and
+// with its checksum re-sealed) and never yields a partial index.
+//
+// Version 5 had the same header and fixed-width sections: n × i64 ids;
+// the keys as a string blob (count u32, (count+1) × u32 ascending
+// offsets, the concatenated bytes); (n+1) × u32 offsets into a flat
+// attr list and that list as a string blob; per shard, a u32 count and
+// count × u32 global refs. That stream of the store and the shards is
+// still the canonical content encoding DigestView fingerprints, so a
+// content digest does not depend on the file version.
 //
 // Versions 3 and 4 still load. Version 4 stored, after each shard's
 // globals, the shard's dictionary-encoded q-gram index — the
@@ -60,7 +72,8 @@
 // dictionary, one size per member, signatures strictly ascending within
 // the dictionary and as long as their sizes), so a corrupt v3/v4 image
 // is rejected as it always was, and a sound one loads to the index a
-// version-5 image of the same content loads to.
+// version-6 image of the same content loads to. Versions 3 to 5 store
+// their sections fixed-width, as version 5 above.
 //
 // Versions 1 and 2 have the sections of version 3 under a different
 // shard layout: they replicated a tuple into every shard of its
@@ -75,7 +88,7 @@
 // "" — such snapshots predate normalization profiles, so their keys
 // were indexed verbatim and "" is exactly what built them.
 //
-// Whatever version was read, the next checkpoint writes version 5.
+// Whatever version was read, the next checkpoint writes version 6.
 package store
 
 import (
@@ -101,7 +114,7 @@ import (
 // accept versions 1..SnapshotVersion and reject anything else with a
 // descriptive error; the format owns its compatibility story explicitly
 // rather than by accident.
-const SnapshotVersion = 5
+const SnapshotVersion = 6
 
 var snapMagic = [8]byte{'A', 'L', 'S', 'N', 'A', 'P', 0x01, '\n'}
 
@@ -168,6 +181,19 @@ func (e *writer) room(n int) []byte {
 
 func (e *writer) u32(v uint32) { binary.LittleEndian.PutUint32(e.room(4), v) }
 func (e *writer) u64(v uint64) { binary.LittleEndian.PutUint64(e.room(8), v) }
+
+// uvarint and varint write one LEB128 word, giving back the room a
+// short one leaves.
+func (e *writer) uvarint(v uint64) {
+	if v < 0x80 && len(e.stage) < cap(e.stage) {
+		e.stage = append(e.stage, byte(v)) // the common one-byte word
+		return
+	}
+	b := e.room(binary.MaxVarintLen64)
+	e.stage = e.stage[:len(e.stage)-len(b)+binary.PutUvarint(b, v)]
+}
+
+func (e *writer) varint(v int64) { e.uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 func (e *writer) str(s string) {
 	for len(s) > 0 {
@@ -238,10 +264,7 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	e.u32(uint32(len(v.Cfg.Profile)))
 	e.str(v.Cfg.Profile)
 
-	encodeTupleSection(e, v)
-	for _, se := range v.Shards {
-		e.u32slice(se.Globals)
-	}
+	encodeColumns(e, v)
 	e.u32(e.sum())
 	e.flush()
 	if e.err != nil {
@@ -250,37 +273,42 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	return nil
 }
 
-// encodeTupleSection writes the global store section (tuple IDs, keys,
-// ragged attr lists) — shared by WriteSnapshot and the content digest,
-// so a digest fingerprints exactly the bytes a snapshot would hold.
-func encodeTupleSection(e *writer, v *join.SnapshotView) {
+// encodeColumns writes the version-6 sections of the view: the id, key
+// and attr columns of the tuple store, then each shard's member refs.
+func encodeColumns(e *writer, v *join.SnapshotView) {
+	prev := int64(-1)
 	for _, t := range v.Tuples {
-		e.u64(uint64(int64(t.ID)))
+		id := int64(t.ID)
+		e.varint(id - prev - 1)
+		prev = id
 	}
-	e.stringBlob(len(v.Tuples), func(yield func(string) bool) {
-		for _, t := range v.Tuples {
-			if !yield(t.Key) {
-				return
-			}
-		}
-	})
-	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
-	// a flat attr list, then the flat list as a string blob.
-	attrs := 0
 	for _, t := range v.Tuples {
-		e.u32(uint32(attrs))
-		attrs += len(t.Attrs)
+		e.uvarint(uint64(len(t.Key)))
 	}
-	e.u32(uint32(attrs))
-	e.stringBlob(attrs, func(yield func(string) bool) {
-		for _, t := range v.Tuples {
-			for _, a := range t.Attrs {
-				if !yield(a) {
-					return
-				}
-			}
+	for _, t := range v.Tuples {
+		e.str(t.Key)
+	}
+	for _, t := range v.Tuples {
+		e.uvarint(uint64(len(t.Attrs)))
+	}
+	for _, t := range v.Tuples {
+		for _, a := range t.Attrs {
+			e.uvarint(uint64(len(a)))
 		}
-	})
+	}
+	for _, t := range v.Tuples {
+		for _, a := range t.Attrs {
+			e.str(a)
+		}
+	}
+	for _, se := range v.Shards {
+		e.uvarint(uint64(len(se.Globals)))
+		prev := int64(-1)
+		for _, g := range se.Globals {
+			e.varint(int64(g) - prev - 1)
+			prev = int64(g)
+		}
+	}
 }
 
 // reader is a bounds-checked cursor over an in-memory artifact with a
@@ -330,6 +358,81 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) i64() int64   { return int64(r.u64()) }
+
+// left is the number of bytes not yet read.
+func (r *reader) left() int { return len(r.data) - r.off }
+
+// uvarint reads one LEB128 word; a word running past ten bytes or
+// 64 bits, or past the input, fails the read.
+func (r *reader) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(r.data[r.off:])
+	switch {
+	case k == 0:
+		r.fail("%s varint at offset %d runs past the end of the input", what, r.off)
+	case k < 0:
+		r.fail("%s varint at offset %d runs over %d bytes or 64 bits", what, r.off, binary.MaxVarintLen64)
+	}
+	if k <= 0 {
+		return 0
+	}
+	r.off += k
+	return v
+}
+
+// varint reads one zigzag-coded LEB128 word.
+func (r *reader) varint(what string) int64 { return unzigzag(r.uvarint(what)) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// column is a cursor over LEB128 words a bounds-checked pass has
+// already walked: it decodes without checks.
+type column struct {
+	b []byte
+	i int
+}
+
+func (c *column) next() uint64 {
+	if b := c.b[c.i]; b < 0x80 {
+		c.i++
+		return uint64(b)
+	}
+	return c.long()
+}
+
+// long decodes a multi-byte word; kept out of next so that next inlines.
+func (c *column) long() uint64 {
+	v, k := binary.Uvarint(c.b[c.i:])
+	c.i += k
+	return v
+}
+
+// lengths reads a column of n uvarint lengths and returns their total,
+// which must fit in the input that follows the column: every length
+// counts bytes (or, for attr counts, length words) still to come. A
+// single length past uint32 fails the read.
+func (r *reader) lengths(n int, what string) int {
+	total := 0
+	for i := 0; i < n && r.err == nil; i++ {
+		var l uint64
+		if r.off < len(r.data) && r.data[r.off] < 0x80 {
+			l = uint64(r.data[r.off]) // the common one-byte word, inline
+			r.off++
+		} else if l = r.uvarint(what); l > math.MaxUint32 {
+			r.fail("%s %d at entry %d is past uint32", what, l, i)
+			return 0
+		}
+		// The column's bytes precede what it counts, so the total can be
+		// held to the remaining input at every step.
+		if total += int(l); total > r.left() {
+			r.fail("%s column totals %d at entry %d, only %d bytes remain", what, total, i, r.left())
+			return 0
+		}
+	}
+	return total
+}
 
 // offsets reads a (count+1)-entry ascending offset table bounded by
 // limitPerElem × remaining input, the shared spine of blobs and ragged
@@ -510,9 +613,131 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 		return nil, fmt.Errorf("%w: snapshot checksum %08x, file claims %08x (truncated or bit-flipped)", ErrCorrupt, got, want)
 	}
 	v := &join.SnapshotView{Cfg: metaConfig(m), NShard: m.Shards}
-	if n > 0 && int64(n)*8 > int64(len(r.data)-r.off) {
+	if version == SnapshotVersion {
+		err = decodeColumns(r, v, n)
+	} else {
+		err = decodeFixedWidth(r, v, version, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// minColumnTuple is the fewest bytes a version-6 tuple costs: its id
+// delta, its key length and its attr count, one byte each.
+const minColumnTuple = 3
+
+// checkShardCount holds the header's shard count to what the input can
+// carry: every shard section costs at least a byte.
+func checkShardCount(r *reader, shards int) error {
+	if shards < 1 || int64(shards) > int64(r.left()) {
+		return fmt.Errorf("%w: shard count %d implausible for %d remaining bytes", ErrCorrupt, shards, r.left())
+	}
+	return nil
+}
+
+// decodeColumns decodes the sections of a version-6 image into v. The
+// first pass walks every column, checking every count and length total
+// against the input that remains, and allocates nothing; the second,
+// over bytes the first has vouched for, decodes into one tuple slice,
+// one key string, one attr string, one attr arena and one arena of
+// global refs.
+func decodeColumns(r *reader, v *join.SnapshotView, n int) error {
+	if int64(n)*minColumnTuple > int64(r.left()) {
+		return fmt.Errorf("%w: tuple count %d needs %d bytes, %d remain", ErrCorrupt, n, int64(n)*minColumnTuple, r.left())
+	}
+	idsAt := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		if r.off < len(r.data) && r.data[r.off] < 0x80 {
+			r.off++ // the common one-byte word
+		} else {
+			r.uvarint("tuple id")
+		}
+	}
+	keyLensAt := r.off
+	keyBytes := r.lengths(n, "key length")
+	keys := r.take(keyBytes)
+	attrCountsAt := r.off
+	attrs := r.lengths(n, "attr count")
+	attrLensAt := r.off
+	attrBytes := r.lengths(attrs, "attr length")
+	attrBlob := r.take(attrBytes)
+	if r.err != nil {
+		return r.err
+	}
+	if err := checkShardCount(r, v.NShard); err != nil {
+		return err
+	}
+	shardsAt, members := r.off, 0
+	for i := 0; i < v.NShard && r.err == nil; i++ {
+		c := r.uvarint("shard member count")
+		if r.err == nil && (c > uint64(n) || c > uint64(r.left())) {
+			r.fail("shard %d holds %d members, the store %d tuples and %d bytes remain", i, c, n, r.left())
+		}
+		prev := int64(-1)
+		for j := uint64(0); j < c && r.err == nil; j++ {
+			g := prev + 1 + r.varint("global ref")
+			if r.err == nil && (g < 0 || g > math.MaxUint32) {
+				r.fail("shard %d global ref %d outside the uint32 ref space", i, g)
+			}
+			prev = g
+		}
+		members += int(c)
+	}
+	if r.err != nil {
+		return fmt.Errorf("shard section: %w", r.err)
+	}
+	if r.off != len(r.data) {
+		return fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, r.left())
+	}
+
+	// One walk writes each tuple whole, from four cursors.
+	tuples := make([]relation.Tuple, n)
+	ks, as, arena := string(keys), string(attrBlob), make([]string, attrs)
+	ids, keyLens := column{b: r.data, i: idsAt}, column{b: r.data, i: keyLensAt}
+	counts, lens := column{b: r.data, i: attrCountsAt}, column{b: r.data, i: attrLensAt}
+	prev, ko, a, ao := int64(-1), 0, 0, 0
+	for i := range tuples {
+		// Field stores, not a struct copy: a copy is a bulk write
+		// barrier while the collector runs.
+		t := &tuples[i]
+		prev += 1 + unzigzag(ids.next())
+		l := int(keyLens.next())
+		t.ID, t.Key = int(prev), ks[ko:ko+l]
+		ko += l
+		if c := int(counts.next()); c > 0 {
+			for j := a; j < a+c; j++ {
+				l := int(lens.next())
+				arena[j] = as[ao : ao+l]
+				ao += l
+			}
+			t.Attrs = arena[a : a+c : a+c]
+			a += c
+		}
+	}
+	globals := make([]uint32, members)
+	v.Tuples, v.Shards = tuples, make([]join.ShardExport, v.NShard)
+	col := column{b: r.data, i: shardsAt}
+	for i := range v.Shards {
+		c := int(col.next())
+		g := globals[:c:c]
+		prev := int64(-1)
+		for j := range g {
+			prev += 1 + unzigzag(col.next())
+			g[j] = uint32(prev)
+		}
+		v.Shards[i].Globals, globals = g, globals[c:]
+	}
+	return nil
+}
+
+// decodeFixedWidth decodes the sections of a version 1 to 5 image into
+// v, over the fixed-width layout those versions stored.
+func decodeFixedWidth(r *reader, v *join.SnapshotView, version uint32, n int) error {
+	if n > 0 && int64(n)*8 > int64(r.left()) {
 		r.fail("tuple count %d exceeds remaining bytes", n)
-		return nil, r.err
+		return r.err
 	}
 	ids := make([]int64, n)
 	for i := range ids {
@@ -522,13 +747,13 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 	attrOffs := r.offsets(n)
 	flatAttrs := r.stringBlob("attr")
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(keys) != n {
-		return nil, fmt.Errorf("%w: %d keys for %d tuples", ErrCorrupt, len(keys), n)
+		return fmt.Errorf("%w: %d keys for %d tuples", ErrCorrupt, len(keys), n)
 	}
 	if int(attrOffs[n]) > len(flatAttrs) {
-		return nil, fmt.Errorf("%w: attr offsets reach %d of %d attrs", ErrCorrupt, attrOffs[n], len(flatAttrs))
+		return fmt.Errorf("%w: attr offsets reach %d of %d attrs", ErrCorrupt, attrOffs[n], len(flatAttrs))
 	}
 	v.Tuples = make([]relation.Tuple, n)
 	for i := range v.Tuples {
@@ -537,30 +762,30 @@ func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
 			v.Tuples[i].Attrs = flatAttrs[attrOffs[i]:attrOffs[i+1]:attrOffs[i+1]]
 		}
 	}
-	if v.NShard < 1 || int64(v.NShard) > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: shard count %d implausible for %d remaining bytes", ErrCorrupt, v.NShard, len(r.data)-r.off)
+	if err := checkShardCount(r, v.NShard); err != nil {
+		return err
 	}
 	if version < 3 {
 		// Prefix-replicated shard sections: nothing a load can check
 		// (see the format comment). The view carries the store alone.
-		return v, nil
+		return nil
 	}
 	v.Shards = make([]join.ShardExport, v.NShard)
 	for i := range v.Shards {
 		v.Shards[i].Globals = r.u32slice("global")
 		if version < 5 {
 			if err := skipQGramSection(r, version, len(v.Shards[i].Globals)); err != nil {
-				return nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
+				return fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
 			}
 		}
 		if r.err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, r.err)
+			return fmt.Errorf("shard %d: %w", i, r.err)
 		}
 	}
 	if r.off != len(r.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
+		return fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
 	}
-	return v, nil
+	return nil
 }
 
 // skipQGramSection steps over the q-gram section a version 3 or 4

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -35,7 +38,10 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 // FuzzSnapshotDecode hammers the snapshot loader with hostile bytes:
 // whatever the input, it must return a view or an error — never panic,
 // never allocate unboundedly — and any view it does return must either
-// import cleanly or be rejected by the importer's own validation.
+// import cleanly or be rejected by the importer's own validation. Each
+// input is decoded as given and again with its checksum re-sealed over
+// the rest, so mutations reach the section decoders behind the CRC
+// instead of stopping at it.
 func FuzzSnapshotDecode(f *testing.F) {
 	seed := fuzzSeedSnapshot(f)
 	f.Add(seed)
@@ -46,32 +52,178 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// Genuine images of the older layouts the loader still reads:
 	// version 3 (stored postings, skipped), version 2 (store only) and
 	// version 4 (stored q-gram sections, checked and skipped) — and the
-	// current image of the version-4 fixture's content.
+	// current image of the version-4 fixture's content; then the
+	// version-5 fixture (the last fixed-width layout) and its current
+	// re-encoding.
 	for _, fixture := range []string{v3Fixture, v2Fixture, v4Fixture} {
-		old, err := os.ReadFile(fixture)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(old)
+		f.Add(readFile(f, fixture))
 	}
-	v, err := ReadSnapshotFile(v4Fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var cur bytes.Buffer
-	if err := WriteSnapshot(&cur, v); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(cur.Bytes())
+	f.Add(currentImage(f, v4Fixture))
+	f.Add(readFile(f, v5Fixture))
+	f.Add(currentImage(f, v5Fixture))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeSnapshot(data)
-		if err != nil {
-			return
+		decodeAndImport(data)
+		if len(data) >= 4 {
+			decodeAndImport(fixCRC(bytes.Clone(data)))
 		}
-		// Structurally valid bytes: the importer must still hold every
-		// cross-structure invariant without panicking.
-		if _, err := join.NewShardedRefIndexFromSnapshot(v); err != nil {
-			return
+	})
+}
+
+func readFile(tb testing.TB, path string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// currentImage re-encodes a snapshot file in the current version.
+func currentImage(tb testing.TB, path string) []byte {
+	tb.Helper()
+	v, err := ReadSnapshotFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeAndImport decodes an image and, when its bytes are structurally
+// valid, holds the importer to every cross-structure invariant; either
+// step may refuse, neither may panic.
+func decodeAndImport(data []byte) {
+	if v, err := DecodeSnapshot(data); err == nil {
+		join.NewShardedRefIndexFromSnapshot(v)
+	}
+}
+
+// fuzzView reads a snapshot view out of arbitrary bytes: a shard count
+// and a tuple count n, then the tuples — an id (the extremes of int64, a
+// small negative, or eight raw bytes, by a selector byte), a key and 0
+// to 3 attrs, possibly empty — and then, per shard, up to n arbitrary
+// global refs. Bytes past the input read as zeros. Nothing is
+// validated: the codec, not the importer, is under test.
+func fuzzView(data []byte) *join.SnapshotView {
+	next := func(k int) []byte {
+		k = min(k, len(data))
+		b := data[:k]
+		data = data[k:]
+		return b
+	}
+	byteOf := func() int {
+		if b := next(1); len(b) == 1 {
+			return int(b[0])
+		}
+		return 0
+	}
+	word := func(k int) uint64 {
+		var w [8]byte
+		copy(w[:], next(k))
+		return binary.LittleEndian.Uint64(w[:])
+	}
+	str := func() string { return string(next(byteOf() % 24)) }
+	v := &join.SnapshotView{Cfg: join.Defaults(), NShard: 1 + byteOf()%4}
+	n := byteOf() % 65
+	for range n {
+		var id int64
+		switch sel := byteOf(); sel % 4 {
+		case 0:
+			id = math.MinInt64
+		case 1:
+			id = math.MaxInt64
+		case 2:
+			id = -int64(byteOf())
+		default:
+			id = int64(word(8))
+		}
+		tp := relation.Tuple{ID: int(id), Key: str()}
+		for range byteOf() % 4 {
+			tp.Attrs = append(tp.Attrs, str())
+		}
+		v.Tuples = append(v.Tuples, tp)
+	}
+	v.Shards = make([]join.ShardExport, v.NShard)
+	for i := range v.Shards {
+		for range byteOf() % (n + 1) {
+			v.Shards[i].Globals = append(v.Shards[i].Globals, uint32(word(4)))
+		}
+	}
+	return v
+}
+
+// sameContent reports whether two views hold the same tuples and
+// member refs, a nil and an empty list counting as equal.
+func sameContent(a, b *join.SnapshotView) bool {
+	if len(a.Tuples) != len(b.Tuples) || len(a.Shards) != len(b.Shards) {
+		return false
+	}
+	for i, t := range a.Tuples {
+		u := b.Tuples[i]
+		if t.ID != u.ID || t.Key != u.Key || len(t.Attrs) != len(u.Attrs) {
+			return false
+		}
+		for j := range t.Attrs {
+			if t.Attrs[j] != u.Attrs[j] {
+				return false
+			}
+		}
+	}
+	for i, se := range a.Shards {
+		if len(se.Globals) != len(b.Shards[i].Globals) {
+			return false
+		}
+		for j, g := range se.Globals {
+			if b.Shards[i].Globals[j] != g {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzSnapshotRoundTrip holds the codec to its inverse: any view —
+// extreme, negative and repeated ids, empty keys and attrs, refs in any
+// order up to the top of the uint32 space — written by WriteSnapshot
+// decodes to the same tuples and member refs and the same content
+// digest.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	// Two shards of three tuples: ids MinInt64, MaxInt64 and −9, the
+	// first two with an empty key, attrs "", "ab" and none; refs
+	// MaxUint32 then 0, and 2.
+	f.Add([]byte{1, 3,
+		0, 0, 2, 0, 2, 'a', 'b',
+		1, 0, 0,
+		2, 9, 5, 'h', 'e', 'l', 'l', 'o', 0,
+		2, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0,
+		1, 2, 0, 0, 0})
+	// Three shards of three tuples with raw, descending ids (1<<60, 7,
+	// 1): "john smith" with attr "a", a two-byte rune, an empty key;
+	// refs 0 1 2, none, and 5.
+	f.Add([]byte("\x02\x03" +
+		"\x03\x00\x00\x00\x00\x00\x00\x00\x10\x0ajohn smith\x01\x01a" +
+		"\x03\x07\x00\x00\x00\x00\x00\x00\x00\x03\xc3\xa9x\x00" +
+		"\x03\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x03\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\x01\x05\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fuzzView(data)
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("decoding a written view: %v", err)
+		}
+		if !sameContent(src, got) {
+			t.Fatalf("round trip changed the view:\n wrote %+v\n read  %+v", src, got)
+		}
+		if a, b := DigestView(src), DigestView(got); !reflect.DeepEqual(a, b) {
+			t.Fatalf("round trip moved the digest: %+v, source %+v", b, a)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,23 +68,17 @@ func TestSnapshotProfileNameCap(t *testing.T) {
 
 // A version-1 snapshot — profile slot carrying the reserved zero word
 // and no profile bytes — still decodes, with the profile read as "".
-// An empty-profile image of a later version has the identical header
-// and store section (all a v1 load reads), so re-stamping its version
-// word and checksum produces v1 bytes as far as the decoder looks.
+// An empty-profile image of the fixed-width layout (versions 3 to 5)
+// has the identical header and store section (all a v1 load reads), so
+// stamping it as version 1 produces v1 bytes as far as the decoder
+// looks.
 func TestSnapshotV1Compat(t *testing.T) {
 	ix := buildProfiledIndex(t, "")
 	v, err := ix.ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, v); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[8:], 1)
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(body, castagnoli))
+	data := fixedWidthImage(t, v, 1)
 
 	got, err := DecodeSnapshot(data)
 	if err != nil {

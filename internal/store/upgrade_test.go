@@ -50,6 +50,11 @@ const v3Fixture = "testdata/v3_partitioned_4shards.snap"
 // v2FixtureTuples.
 const v4Fixture = "testdata/v4_partitioned_4shards.snap"
 
+// v5Fixture is a version-5 snapshot of the same content, written by the
+// last build that stored its sections fixed-width (8-byte ids, u32
+// offset tables, u32 global refs) from a bulk build of v2FixtureTuples.
+const v5Fixture = "testdata/v5_partitioned_4shards.snap"
+
 // seedFixture makes dir an index directory holding the fixture as its
 // checkpoint and no log.
 func seedFixture(t *testing.T, dir, fixture string) {
@@ -193,7 +198,7 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 // appends and (current-version) checkpoints the process dies in,
 // recovery opens cleanly on the old or the new state with every fixture
 // tuple and every acknowledged write intact. The same sweep then starts
-// from the version-3 and the version-4 fixture.
+// from the version-3, the version-4 and the version-5 fixture.
 func TestCrashSweepAcrossSnapshotUpgrade(t *testing.T) {
 	resident := make(map[string]string)
 	for _, tp := range v2FixtureTuples() {
@@ -205,6 +210,9 @@ func TestCrashSweepAcrossSnapshotUpgrade(t *testing.T) {
 	})
 	t.Run("v4", func(t *testing.T) {
 		crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v4Fixture) })
+	})
+	t.Run("v5", func(t *testing.T) {
+		crashSweep(t, v2FixtureMeta, resident, func(dir string) { seedFixture(t, dir, v5Fixture) })
 	})
 }
 
@@ -334,12 +342,12 @@ func TestV4SnapshotUpgrade(t *testing.T) {
 	if 2*after.Size() >= before.Size() {
 		t.Fatalf("version-%d checkpoint is %d bytes, the version-4 image of the same content %d: want under half", SnapshotVersion, after.Size(), before.Size())
 	}
-	d5, ix5, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	dCur, ixCur, _, err := Open(dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d5.Close()
-	assertAnswersLike(t, ref, ix5)
+	defer dCur.Close()
+	assertAnswersLike(t, ref, ixCur)
 
 	bulk, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
 	if err != nil {
@@ -353,7 +361,84 @@ func TestV4SnapshotUpgrade(t *testing.T) {
 		grown.Upsert(tuples[lo:min(lo+7, len(tuples))])
 	}
 	want := digestOf(t, ix3)
-	for name, lineage := range map[string]*join.ShardedRefIndex{"v4 image": ix, "v5 image": ix5, "bulk-built": bulk, "grown by upserts": grown} {
+	for name, lineage := range map[string]*join.ShardedRefIndex{"v4 image": ix, "current image": ixCur, "bulk-built": bulk, "grown by upserts": grown} {
+		if got := digestOf(t, lineage); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: digest %+v, the v3 image's %+v", name, got, want)
+		}
+	}
+}
+
+// TestV5SnapshotUpgrade pins the upgrade from the last fixed-width
+// format: the fixture opens under this build and answers exactly like
+// the version-4 fixture of the same content; its next checkpoint writes
+// version 6, smaller, which reopens to the very view that was written;
+// and every lineage of the content — the v3, v4, v5 and v6 images, a
+// bulk build, a build grown by upserts — digests the same, since the
+// digest covers the canonical content stream and not the file.
+func TestV5SnapshotUpgrade(t *testing.T) {
+	if v := snapshotVersionOf(t, v5Fixture); v != 5 {
+		t.Fatalf("fixture is version %d, want 5", v)
+	}
+	_, d3, ix3 := openFixture(t, v3Fixture)
+	defer d3.Close()
+	_, d4, ix4 := openFixture(t, v4Fixture)
+	defer d4.Close()
+	dir, d, ix := openFixture(t, v5Fixture)
+	assertSameIndex(t, ix4, ix)
+	ref, err := join.NewShardedRefIndex(join.Defaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := v2FixtureTuples()
+	ref.Upsert(tuples)
+	assertAnswersLike(t, ref, ix)
+
+	written, err := ix.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := snapshotVersionOf(t, filepath.Join(dir, SnapshotFile)); v != 6 {
+		t.Fatalf("checkpoint after upgrade wrote version %d, want 6", v)
+	}
+	before, _ := os.Stat(v5Fixture)
+	after, _ := os.Stat(filepath.Join(dir, SnapshotFile))
+	t.Logf("version-5 image %d bytes, version-6 checkpoint %d", before.Size(), after.Size())
+	if 4*after.Size() >= 3*before.Size() {
+		t.Fatalf("version-6 checkpoint is %d bytes, the version-5 image of the same content %d: want under three quarters", after.Size(), before.Size())
+	}
+	d6, ix6, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d6.Close()
+	reloaded, err := ix6.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(written, reloaded) {
+		t.Fatal("view exported after the reload differs from the view the checkpoint wrote")
+	}
+	assertAnswersLike(t, ref, ix6)
+
+	bulk, err := join.BuildShardedRefIndex(join.Defaults(), 4, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := join.NewShardedRefIndex(join.Defaults(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tuples); lo += 5 {
+		grown.Upsert(tuples[lo:min(lo+5, len(tuples))])
+	}
+	want := digestOf(t, ix3)
+	for name, lineage := range map[string]*join.ShardedRefIndex{"v4 image": ix4, "v5 image": ix, "v6 image": ix6, "bulk-built": bulk, "grown by upserts": grown} {
 		if got := digestOf(t, lineage); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: digest %+v, the v3 image's %+v", name, got, want)
 		}
