@@ -415,9 +415,10 @@ func BenchmarkBaseline_NestedLoopApprox(b *testing.B) {
 func BenchmarkBaseline_SSHJoinIndexed(b *testing.B) {
 	ds := benchDataset(b, datagen.Uniform, false, 300)
 	cfg := join.Defaults()
+	cfg.Initial = join.LapRap
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := join.NewSSHJoin(cfg, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
+		e, err := join.New(cfg, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

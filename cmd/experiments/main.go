@@ -40,7 +40,7 @@ func main() {
 		topK     = flag.Int("top", 10, "tuning configurations to print")
 		csvPath  = flag.String("csv", "", "also write the fig6/7/8 result table as CSV to this path")
 		parallel = flag.Int("parallel", 1, "shards for the adaptive runs (1 = the paper's sequential engine)")
-		window   = flag.Int("window", 0, "sliding-window retention per side (0 = retain everything); composes with -parallel")
+		window   = flag.Int("window", 0, "sliding-window retention per side in all three runs of a case (0 = retain everything); composes with -parallel, -offline refuses it")
 		budget   = flag.Float64("budget", 0, "cost budget in all-exact-step units (0 = unlimited); composes with -parallel")
 	)
 	flag.Parse()
@@ -129,13 +129,6 @@ func main() {
 		}
 		fmt.Println(exp.TuningTable(points, *topK))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // findCase resolves a -case flag or exits with the available IDs.

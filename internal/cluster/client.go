@@ -424,23 +424,14 @@ func marshalPayload(payload any) ([]byte, error) {
 	return json.Marshal(payload)
 }
 
-// do issues one JSON node request and counts it. The context carries
-// the deadline (the request budget on the probe path, the write timeout
-// on maintenance paths).
-func (c *Client) do(ctx context.Context, addr, method, path string, payload any) (int, []byte, error) {
-	raw, err := marshalPayload(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	return c.doRaw(ctx, addr, method, path, raw, "application/json")
-}
-
 // doRaw issues one node request with a pre-encoded body, counts it, and
 // feeds the replica's circuit breaker: a transport failure is a breaker
 // strike; any HTTP answer (even an error status) proves liveness. The
 // one failure that says nothing about the replica is a link request
 // running out of its own budget (a context from Bind): a slow answer to
-// a short timeout_ms is the caller's choice, not the node's fault.
+// a short timeout_ms is the caller's choice, not the node's fault. The
+// context carries the deadline (the request budget on the probe path,
+// the write timeout on maintenance paths).
 func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byte, contentType string) (int, []byte, error) {
 	var rd io.Reader
 	if raw != nil {
@@ -522,7 +513,7 @@ func (c *Client) Health(ctx context.Context) []GroupHealth {
 				defer wg.Done()
 				hctx, cancel := context.WithTimeout(ctx, time.Second)
 				defer cancel()
-				status, _, err := c.do(hctx, addr, http.MethodGet, "/healthz", nil)
+				status, _, err := c.doRaw(hctx, addr, http.MethodGet, "/healthz", nil, "")
 				nh := NodeHealth{Addr: addr, Healthy: err == nil && status == http.StatusOK}
 				if rs := c.replica(g, i); rs != nil {
 					rs.mu.Lock()

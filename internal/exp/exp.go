@@ -45,6 +45,8 @@ func PaperTestCases(seed int64, parentSize, childSize int) []TestCase {
 
 // RunConfig bundles the knobs of one experiment run.
 type RunConfig struct {
+	// Join configures all three runs of a case; the baselines pin only
+	// its initial state, so Join.RetainWindow windows r and R too.
 	Join    join.Config
 	Params  adaptive.Params
 	Weights metrics.Weights
@@ -120,75 +122,82 @@ type Result struct {
 
 // RunCase generates the dataset for a test case and executes the three
 // runs over identical inputs with the canonical alternating scan
-// (parent = left input).
+// (parent = left input): the two baselines, then the adaptive run.
 func RunCase(tc TestCase, rc RunConfig) (*Result, error) {
-	if err := rc.Join.Validate(); err != nil {
+	b, err := runBaselines(tc, rc.Join)
+	if err != nil {
 		return nil, err
 	}
-	if err := rc.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if err := rc.Weights.Validate(); err != nil {
+	return b.adaptive(rc)
+}
+
+// baselines is the per-case half of a run: a test case's dataset and
+// its two pinned runs, r (exact throughout; cost baseline c) and R
+// (approximate throughout; cost baseline C). Both run the case's join
+// config with only the initial state pinned, so they share q, θ,
+// measure and window with every adaptive run measured against them.
+type baselines struct {
+	ds  *datagen.Dataset
+	res Result // Case, R, RApx, Steps and the two baseline wall times
+}
+
+func runBaselines(tc TestCase, cfg join.Config) (*baselines, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ds, err := datagen.Generate(tc.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("exp: generate %s: %w", tc.ID, err)
 	}
-	res := &Result{Case: tc, Steps: ds.Parent.Len() + ds.Child.Len()}
-
-	// All-exact baseline: result size r, cost baseline c.
-	{
-		e, err := join.NewSHJoin(stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		n, err := drainCount[join.Match](e)
-		if err != nil {
-			return nil, fmt.Errorf("exp: exact run %s: %w", tc.ID, err)
-		}
-		res.WallExact = time.Since(start)
-		res.R = n
+	b := &baselines{ds: ds, res: Result{Case: tc, Steps: ds.Parent.Len() + ds.Child.Len()}}
+	if b.res.R, b.res.WallExact, err = b.pinned(cfg, join.LexRex); err != nil {
+		return nil, fmt.Errorf("exp: exact run %s: %w", tc.ID, err)
 	}
-
-	// All-approximate baseline: result size R, cost baseline C.
-	{
-		e, err := join.NewSSHJoin(rc.Join, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		n, err := drainCount[join.Match](e)
-		if err != nil {
-			return nil, fmt.Errorf("exp: approximate run %s: %w", tc.ID, err)
-		}
-		res.WallApprox = time.Since(start)
-		res.RApx = n
+	if b.res.RApx, b.res.WallApprox, err = b.pinned(cfg, join.LapRap); err != nil {
+		return nil, fmt.Errorf("exp: approximate run %s: %w", tc.ID, err)
 	}
+	return b, nil
+}
 
-	// Adaptive run: sequential engine, or the partition-parallel
-	// executor with the aggregate control loop when Parallelism > 1.
+// pinned runs the sequential engine fixed in state st throughout.
+func (b *baselines) pinned(cfg join.Config, st join.State) (int, time.Duration, error) {
+	cfg.Initial = st
+	e, err := join.New(cfg, stream.FromRelation(b.ds.Parent), stream.FromRelation(b.ds.Child), nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return drainCount[join.Match](e)
+}
+
+// adaptive is the per-configuration half of a run: the adaptive run
+// over the case's dataset — the sequential engine with its controller,
+// or the partition-parallel executor with the aggregate control loop
+// when Parallelism > 1 — and its §4.3 metrics against the baselines.
+// rc.Join must be the config the baselines ran.
+func (b *baselines) adaptive(rc RunConfig) (*Result, error) {
+	if err := rc.Params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := rc.Weights.Validate(); err != nil {
+		return nil, err
+	}
+	res := b.res
+	parent, child := stream.FromRelation(b.ds.Parent), stream.FromRelation(b.ds.Child)
 	if rc.Parallelism > 1 {
-		ctl, err := adaptive.NewSharded(rc.Parallelism, stream.Left, ds.Parent.Len(), rc.Params)
+		ctl, err := adaptive.NewSharded(rc.Parallelism, stream.Left, b.ds.Parent.Len(), rc.Params)
 		if err != nil {
 			return nil, err
 		}
 		if err := rc.arm(ctl); err != nil {
 			return nil, err
 		}
-		ex, err := pjoin.New(pjoin.Config{Join: rc.Join, Shards: rc.Parallelism, Controller: ctl},
-			stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child))
+		ex, err := pjoin.New(pjoin.Config{Join: rc.Join, Shards: rc.Parallelism, Controller: ctl}, parent, child)
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		n, err := drainCount[pjoin.Match](ex)
-		if err != nil {
-			return nil, fmt.Errorf("exp: parallel adaptive run %s: %w", tc.ID, err)
+		if res.RAbs, res.WallAdaptive, err = drainCount[pjoin.Match](ex); err != nil {
+			return nil, fmt.Errorf("exp: parallel adaptive run %s: %w", res.Case.ID, err)
 		}
-		res.WallAdaptive = time.Since(start)
-		res.RAbs = n
 		// The shard engines' summed accounting: a tuple is stored
 		// (stepped) in its home shard only, so Steps equals the scan
 		// length; what the §4.4 cost checks see beyond the sequential
@@ -196,31 +205,26 @@ func RunCase(tc TestCase, rc RunConfig) (*Result, error) {
 		res.AdaptiveStats = ex.Stats().Stats
 		res.Activations = ctl.Activations()
 	} else {
-		e, err := join.New(rc.Join, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
+		e, err := join.New(rc.Join, parent, child, nil)
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), rc.Params)
+		ctl, err := adaptive.Attach(e, stream.Left, b.ds.Parent.Len(), rc.Params)
 		if err != nil {
 			return nil, err
 		}
 		if err := rc.arm(ctl); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		n, err := drainCount[join.Match](e)
-		if err != nil {
-			return nil, fmt.Errorf("exp: adaptive run %s: %w", tc.ID, err)
+		if res.RAbs, res.WallAdaptive, err = drainCount[join.Match](e); err != nil {
+			return nil, fmt.Errorf("exp: adaptive run %s: %w", res.Case.ID, err)
 		}
-		res.WallAdaptive = time.Since(start)
-		res.RAbs = n
 		res.AdaptiveStats = e.Stats()
 		res.Activations = ctl.Activations()
 	}
-
 	res.GainCost = metrics.Evaluate(res.AdaptiveStats, res.RAbs, res.R, res.RApx, res.Steps, rc.Weights)
 	res.Breakdown = metrics.Cost(res.AdaptiveStats, rc.Weights)
-	return res, nil
+	return &res, nil
 }
 
 // RunAll executes every test case and returns the results in order.
@@ -237,22 +241,25 @@ func RunAll(cases []TestCase, rc RunConfig) ([]*Result, error) {
 }
 
 // drainCount pulls an operator (sequential engine or parallel
-// executor) to exhaustion, counting matches without retaining them.
-func drainCount[T any](op iterator.Operator[T]) (int, error) {
+// executor) to exhaustion, counting matches without retaining them, and
+// returns the count with the wall time from Open to Close.
+func drainCount[T any](op iterator.Operator[T]) (int, time.Duration, error) {
+	start := time.Now()
 	if err := op.Open(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	n := 0
 	for {
 		_, ok, err := op.Next()
 		if err != nil {
 			op.Close()
-			return n, err
+			return n, 0, err
 		}
 		if !ok {
 			break
 		}
 		n++
 	}
-	return n, op.Close()
+	err := op.Close()
+	return n, time.Since(start), err
 }

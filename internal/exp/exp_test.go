@@ -258,6 +258,20 @@ func TestTuningSweep(t *testing.T) {
 	if points[0].GainCost.Efficiency < points[1].GainCost.Efficiency {
 		t.Error("sweep not sorted")
 	}
+	// The sweep computes the dataset and baselines once; every point
+	// must still equal a full RunCase under its parameters.
+	for _, p := range points {
+		run := rc
+		run.Params = p.Params
+		res, err := RunCase(tc, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.GainCost != res.GainCost || p.RAbs != res.RAbs {
+			t.Errorf("%+v: sweep %+v r_abs %d, RunCase %+v r_abs %d",
+				p.Params, p.GainCost, p.RAbs, res.GainCost, res.RAbs)
+		}
+	}
 	table := TuningTable(points, 10)
 	if !strings.Contains(table, "δadapt") {
 		t.Errorf("TuningTable malformed:\n%s", table)
@@ -336,7 +350,8 @@ func TestRunCaseParallelWindowBudget(t *testing.T) {
 	// windowed, budgeted, 4-shard adaptive run must return exactly the
 	// sequential engine's result size under the same knobs (the parity
 	// the executor's sequence stamps and the aggregated spend counter
-	// guarantee), and stay within the unwindowed baselines.
+	// guarantee), and stay within the baselines, which are windowed
+	// like it.
 	cases := PaperTestCases(5, 400, 400)
 	rc := DefaultRunConfig()
 	rc.Join.RetainWindow = 150
@@ -355,9 +370,29 @@ func TestRunCaseParallelWindowBudget(t *testing.T) {
 		t.Errorf("windowed+budgeted parallel result %d, sequential %d", par.RAbs, seq.RAbs)
 	}
 	if par.RAbs > par.RApx {
-		t.Errorf("windowed result %d above the unwindowed approximate ceiling %d", par.RAbs, par.RApx)
+		t.Errorf("windowed result %d above the windowed approximate ceiling %d", par.RAbs, par.RApx)
 	}
 	if par.AdaptiveStats.Evicted[0]+par.AdaptiveStats.Evicted[1] == 0 {
 		t.Error("no evictions recorded on the windowed parallel run")
+	}
+}
+
+func TestRunCaseWindowedBaselines(t *testing.T) {
+	// A window applies to all three runs of a case: the exact baseline
+	// r is windowed like R and the adaptive run, so the adaptive result
+	// stays between them and g_rel in [0,1]. An unwindowed r (1,796
+	// pairs here) would sit far above the windowed R.
+	tc := PaperTestCases(5, 2000, 2000)[4] // few-high/child-only
+	rc := DefaultRunConfig()
+	rc.Join.RetainWindow = 150
+	res, err := RunCase(tc, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(res.R <= res.RAbs && res.RAbs <= res.RApx) {
+		t.Errorf("windowed ordering r=%d rabs=%d R=%d", res.R, res.RAbs, res.RApx)
+	}
+	if g := res.GainCost.Grel; g < 0 || g > 1 {
+		t.Errorf("windowed g_rel %v outside [0,1]", g)
 	}
 }

@@ -5,11 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"adaptivelink/internal/adaptive"
 	"adaptivelink/internal/blocking"
-	"adaptivelink/internal/datagen"
-	"adaptivelink/internal/join"
-	"adaptivelink/internal/stream"
 )
 
 // OfflineResult is one method's outcome in the offline-vs-online
@@ -34,61 +30,34 @@ type OfflineResult struct {
 // case. It quantifies the paper's motivating claim: offline pipelines
 // get completeness cheaply but need pre-processing; the adaptive online
 // join approaches their completeness while reading the inputs once, as
-// streams.
+// streams. The online rows are RunCase's approximate baseline and
+// adaptive run; a windowed join is refused, since the offline methods
+// see every tuple.
 func CompareOfflineOnline(tc TestCase, rc RunConfig) ([]OfflineResult, error) {
-	if err := rc.Join.Validate(); err != nil {
-		return nil, err
+	if rc.Join.RetainWindow > 0 {
+		return nil, fmt.Errorf("exp: offline comparison with RetainWindow %d: the offline methods have no window", rc.Join.RetainWindow)
 	}
-	ds, err := datagen.Generate(tc.Spec)
+	b, err := runBaselines(tc, rc.Join)
 	if err != nil {
 		return nil, err
 	}
-	var out []OfflineResult
-
+	online, err := b.adaptive(rc)
+	if err != nil {
+		return nil, err
+	}
 	// Ceiling: the all-approximate online join (same θ and measure as
 	// every other method).
-	var ceiling int
-	{
-		e, err := join.NewSSHJoin(rc.Join, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		n, err := drainCount[join.Match](e)
-		if err != nil {
-			return nil, err
-		}
-		ceiling = n
-		out = append(out, OfflineResult{
-			Method: "online/sshjoin", Pairs: n,
-			Comparisons: e.Stats().Steps, Recall: 1, Wall: time.Since(start),
-		})
-	}
-
-	// Online adaptive.
-	{
-		e, err := join.New(rc.Join, stream.FromRelation(ds.Parent), stream.FromRelation(ds.Child), nil)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := adaptive.Attach(e, stream.Left, ds.Parent.Len(), rc.Params); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		n, err := drainCount[join.Match](e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, OfflineResult{
-			Method: "online/adaptive", Pairs: n,
-			Comparisons: e.Stats().Steps, Recall: recall(n, ceiling), Wall: time.Since(start),
-		})
+	ceiling := online.RApx
+	out := []OfflineResult{
+		{Method: "online/sshjoin", Pairs: ceiling, Comparisons: online.Steps, Recall: 1, Wall: online.WallApprox},
+		{Method: "online/adaptive", Pairs: online.RAbs, Comparisons: online.AdaptiveStats.Steps,
+			Recall: recall(online.RAbs, ceiling), Wall: online.WallAdaptive},
 	}
 
 	// Offline: token blocking.
 	{
 		start := time.Now()
-		res, err := blocking.Link(rc.Join, ds.Parent, ds.Child, blocking.TokenBlocker())
+		res, err := blocking.Link(rc.Join, b.ds.Parent, b.ds.Child, blocking.TokenBlocker())
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +70,7 @@ func CompareOfflineOnline(tc TestCase, rc RunConfig) ([]OfflineResult, error) {
 	// Offline: sorted neighbourhood, window 10.
 	{
 		start := time.Now()
-		res, err := blocking.SortedNeighborhood(rc.Join, ds.Parent, ds.Child, 10, nil)
+		res, err := blocking.SortedNeighborhood(rc.Join, b.ds.Parent, b.ds.Child, 10, nil)
 		if err != nil {
 			return nil, err
 		}

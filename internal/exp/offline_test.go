@@ -45,6 +45,52 @@ func TestCompareOfflineOnline(t *testing.T) {
 	}
 }
 
+func TestCompareOfflineOnlineSharesRunCase(t *testing.T) {
+	// The online rows are RunCase's runs under the same config, armed
+	// the same way: a budget that bites caps the adaptive row too.
+	tc := PaperTestCases(5, 500, 500)[4] // few-high/child-only
+	rc := DefaultRunConfig()
+	rc.Params.DeltaAdapt, rc.Params.W = 50, 50
+	free, err := RunCase(tc, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.CostBudget = 1_500
+	for _, parallel := range []int{1, 4} {
+		rc.Parallelism = parallel
+		res, err := RunCase(tc, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RAbs >= free.RAbs {
+			t.Fatalf("P=%d: budget %v left r_abs at %d (unbudgeted %d); the test needs one that bites",
+				parallel, rc.CostBudget, res.RAbs, free.RAbs)
+		}
+		cmp, err := CompareOfflineOnline(tc, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cmp {
+			switch r.Method {
+			case "online/adaptive":
+				if r.Pairs != res.RAbs || r.Comparisons != res.AdaptiveStats.Steps {
+					t.Errorf("P=%d: online/adaptive %d pairs, %d units; RunCase r_abs %d, %d steps",
+						parallel, r.Pairs, r.Comparisons, res.RAbs, res.AdaptiveStats.Steps)
+				}
+			case "online/sshjoin":
+				if r.Pairs != res.RApx {
+					t.Errorf("P=%d: online/sshjoin %d pairs, RunCase R %d", parallel, r.Pairs, res.RApx)
+				}
+			}
+		}
+	}
+
+	rc.Join.RetainWindow = 150
+	if _, err := CompareOfflineOnline(tc, rc); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Errorf("windowed offline comparison = %v, want an error naming the window", err)
+	}
+}
+
 func TestWriteResultsCSV(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Params.DeltaAdapt, rc.Params.W = 50, 50

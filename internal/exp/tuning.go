@@ -66,18 +66,24 @@ type TuningPoint struct {
 // TuneSweep runs a test case under every parameter set of the grid and
 // returns the points sorted by decreasing efficiency. This reproduces
 // the empirical exploration of §4.2 ("the results presented refer to the
-// best possible configuration for each test case").
+// best possible configuration for each test case"). The dataset and the
+// two baselines depend on the case and rc.Join only, so they are
+// computed once; each point is one adaptive run.
 func TuneSweep(tc TestCase, rc RunConfig, grid Grid) ([]TuningPoint, error) {
 	points := grid.Points()
 	if len(points) == 0 {
 		return nil, fmt.Errorf("exp: empty tuning grid")
+	}
+	b, err := runBaselines(tc, rc.Join)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]TuningPoint, 0, len(points))
 	for _, p := range points {
 		run := rc
 		run.Params = p
 		run.Trace = false
-		res, err := RunCase(tc, run)
+		res, err := b.adaptive(run)
 		if err != nil {
 			return out, fmt.Errorf("exp: sweep point %+v: %w", p, err)
 		}

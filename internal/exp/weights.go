@@ -52,11 +52,10 @@ func MeasureWeights(parentSize, childSize int, seed int64, reps int) (MeasuredWe
 			if err != nil {
 				return MeasuredWeights{}, err
 			}
-			start := time.Now()
-			if _, err := drainCount[join.Match](e); err != nil {
+			_, elapsed, err := drainCount[join.Match](e)
+			if err != nil {
 				return MeasuredWeights{}, err
 			}
-			elapsed := time.Since(start)
 			stepNs[st.Index()].Add(float64(elapsed.Nanoseconds()) / float64(e.Stats().Steps))
 		}
 	}
@@ -94,7 +93,7 @@ func MeasureWeights(parentSize, childSize int, seed int64, reps int) (MeasuredWe
 					switchDur = time.Since(start)
 				}
 			}
-			if _, err := drainCount[join.Match](e); err != nil {
+			if _, _, err := drainCount[join.Match](e); err != nil {
 				return MeasuredWeights{}, err
 			}
 			transNs[target.Index()].Add(float64(switchDur.Nanoseconds()))

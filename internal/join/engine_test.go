@@ -31,6 +31,14 @@ func mkEngine(t *testing.T, cfg Config, left, right *relation.Relation) *Engine 
 	return e
 }
 
+// pinned builds an engine fixed in state st throughout: LexRex is the
+// paper's pure exact operator SHJoin (§2.1), LapRap its pure
+// approximate operator SSHJoin (§2.2).
+func pinned(cfg Config, st State, left, right *relation.Relation, il stream.Interleaver) (*Engine, error) {
+	cfg.Initial = st
+	return New(cfg, stream.FromRelation(left), stream.FromRelation(right), il)
+}
+
 func TestModeStateStrings(t *testing.T) {
 	if Exact.String() != "ex" || Approx.String() != "ap" {
 		t.Error("Mode.String wrong")
@@ -100,7 +108,7 @@ func TestNewRejectsNilSource(t *testing.T) {
 func TestSHJoinMatchesOracle(t *testing.T) {
 	left := relation.FromKeys("L", "rome", "milan", "genoa", "rome", "turin")
 	right := relation.FromKeys("R", "milan", "rome", "naples", "rome")
-	e, err := NewSHJoin(stream.FromRelation(left), stream.FromRelation(right), nil)
+	e, err := pinned(Defaults(), LexRex, left, right, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func TestSHJoinMatchesOracle(t *testing.T) {
 func TestSHJoinFlagsSet(t *testing.T) {
 	left := relation.FromKeys("L", "a", "b")
 	right := relation.FromKeys("R", "a", "c")
-	e, _ := NewSHJoin(stream.FromRelation(left), stream.FromRelation(right), nil)
+	e, _ := pinned(Defaults(), LexRex, left, right, nil)
 	run(t, e)
 	if !e.MatchedFlag(stream.Left, 0) || !e.MatchedFlag(stream.Right, 0) {
 		t.Error("matched tuples not flagged")
@@ -139,7 +147,7 @@ func TestSSHJoinFindsVariants(t *testing.T) {
 		"PIE TO TORINO MIRAFIORI",          // matches nothing
 	)
 	cfg := Defaults()
-	e, err := NewSSHJoin(cfg, stream.FromRelation(left), stream.FromRelation(right), nil)
+	e, err := pinned(cfg, LapRap, left, right, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +174,7 @@ func TestSSHJoinSupersetOfExact(t *testing.T) {
 	left := relation.FromKeys("L", "alpha centauri", "beta pictoris", "gamma draconis")
 	right := relation.FromKeys("R", "alpha centauri", "beta pictoris", "delta cephei")
 	cfg := Defaults()
-	eh, _ := NewSSHJoin(cfg, stream.FromRelation(left), stream.FromRelation(right), nil)
+	eh, _ := pinned(cfg, LapRap, left, right, nil)
 	approx := PairsOf(run(t, eh))
 	exact := NestedLoopExact(left, right)
 	if !containsAll(approx, exact) {
@@ -594,7 +602,7 @@ func TestPureOperatorsMatchOraclesProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		left, right := genCorpus(rng)
 		il := stream.NewRandomInterleave(seed, 0.5)
-		esh, err := NewSHJoin(stream.FromRelation(left), stream.FromRelation(right), il)
+		esh, err := pinned(cfg, LexRex, left, right, il)
 		if err != nil {
 			return false
 		}
@@ -605,7 +613,7 @@ func TestPureOperatorsMatchOraclesProperty(t *testing.T) {
 		if !reflect.DeepEqual(PairsOf(shMatches), NestedLoopExact(left, right)) {
 			return false
 		}
-		essh, err := NewSSHJoin(cfg, stream.FromRelation(left), stream.FromRelation(right), stream.NewRandomInterleave(seed+1, 0.5))
+		essh, err := pinned(cfg, LapRap, left, right, stream.NewRandomInterleave(seed+1, 0.5))
 		if err != nil {
 			return false
 		}

@@ -6,27 +6,7 @@ import (
 
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
-	"adaptivelink/internal/stream"
 )
-
-// NewSHJoin returns the pure exact operator of §2.1: a pipelined
-// symmetric hash join fixed in state lex/rex. It is the completeness
-// baseline r of §4.3 ("exact join throughout").
-func NewSHJoin(left, right stream.Source, il stream.Interleaver) (*Engine, error) {
-	cfg := Defaults()
-	cfg.Initial = LexRex
-	return New(cfg, left, right, il)
-}
-
-// NewSSHJoin returns the pure approximate operator of §2.2: a pipelined
-// symmetric set hash join fixed in state lap/rap. It is the result-size
-// baseline R and the cost baseline C of §4.3 ("approximate join
-// throughout"). The caller's cfg supplies q, measure and θsim; the
-// initial state is overridden.
-func NewSSHJoin(cfg Config, left, right stream.Source, il stream.Interleaver) (*Engine, error) {
-	cfg.Initial = LapRap
-	return New(cfg, left, right, il)
-}
 
 // Pair is a result of the nested-loop oracle: refs are positions in the
 // respective relations.

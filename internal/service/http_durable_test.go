@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"adaptivelink"
+	"adaptivelink/internal/cluster"
 )
 
 func newDurableServer(t *testing.T, dataDir string) (*Service, *httptest.Server) {
@@ -262,5 +263,33 @@ func TestLoadStoredSelectivity(t *testing.T) {
 	defer s3.Close()
 	if _, err := s3.LoadStored(); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("LoadStored over corrupt dir = %v, want error naming it", err)
+	}
+}
+
+// TestLoadStoredRefusedWhenRouted: a router's indexes live on its
+// nodes, so LoadStored on a routed service with a data dir fails
+// instead of registering the directory's indexes as local ones the
+// cluster can neither link nor delete.
+func TestLoadStoredRefusedWhenRouted(t *testing.T) {
+	dataDir := t.TempDir()
+	s := New(Config{Workers: 1, DataDir: dataDir})
+	if _, err := s.CreateIndex("stored", adaptivelink.IndexOptions{}, []adaptivelink.Tuple{{ID: 1, Key: "a key"}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	node := startStack(t, "node", Config{})
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 1, Groups: [][]string{{node.srv.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := New(Config{Workers: 1, DataDir: dataDir, Cluster: cl})
+	defer router.Close()
+	names, err := router.LoadStored()
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("LoadStored on a routed service = %v, %v; want ErrInvalid", names, err)
+	}
+	if got := router.ListIndexes(); len(got) != 0 {
+		t.Errorf("router lists %d indexes after a refused load, want 0", len(got))
 	}
 }

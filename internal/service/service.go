@@ -492,10 +492,14 @@ func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 // LoadStored reopens every index directory under the configured data
 // dir — snapshot load plus write-ahead-log replay per index — and
 // registers the recovered indexes. Call once on boot, before serving.
-// Returns the recovered names, sorted.
+// Returns the recovered names, sorted. A routed service refuses a data
+// dir: its indexes live on the nodes.
 func (s *Service) LoadStored() ([]string, error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
+	}
+	if s.cfg.Cluster != nil {
+		return nil, fmt.Errorf("%w: a routed service has no data dir (durability lives on the nodes)", ErrInvalid)
 	}
 	entries, err := os.ReadDir(s.cfg.DataDir)
 	if os.IsNotExist(err) {

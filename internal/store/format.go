@@ -92,7 +92,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -841,11 +840,7 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) (err er
 			fsys.Remove(tmp.Name())
 		}
 	}()
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	if err = WriteSnapshot(bw, v); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
+	if err = WriteSnapshot(tmp, v); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
