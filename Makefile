@@ -38,13 +38,15 @@ race:
 # properties), 20 times over at 1, 2 and 4 scheduler threads, so a test
 # that only holds on the builder's core count — or on most seeds —
 # cannot land. The service package's routed convergence and failure
-# tests (real nodes behind the fault transport) and its admission tests
-# (execution slots, deadlines while waiting, drain and close) ride along
-# 5 times.
+# tests (real nodes behind the fault transport), its admission tests
+# (execution slots, deadlines while waiting, drain and close) and its
+# create tests (a body's tuples decoding on their own goroutine while
+# the bulk load homes them, the snapshot written beside the shard
+# inserts) ride along 5 times.
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
-		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain' -count=5 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain|Create' -count=5 || exit 1; \
 	done
 
 # Code size per package: non-blank, non-comment lines of the non-test
@@ -170,10 +172,13 @@ fuzz:
 # their pins, below encoding/json; a create body in as many allocations
 # at 20k tuples as at 1k), normalization (every profile returns
 # an already-normal ASCII key with 0 allocs), an in-memory 20k-row
-# BulkLoad(FromTuples) (no allocation per tuple), the
+# BulkLoad(FromTuples) (no allocation per tuple), the bytes a durable
+# 20k-tuple create through the handler allocates per tuple (360: one
+# copy of the tuples, no gathered store), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
-# steady-state checkpoint and a snapshot load allocate per tuple
+# steady-state checkpoint (1: the encoder merges the shard stores, no
+# gathered store) and a snapshot load allocate per tuple
 # (alloc_api_test.go).
 # Run without -race: the race runtime perturbs allocation counts. The
 # join-level pins carry a !race build tag and the kernel-level

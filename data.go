@@ -27,7 +27,9 @@ type Source interface {
 
 // FromTuples returns a sized source over the given tuples, assigning
 // sequential IDs. The source copies each tuple's Attrs, all into one
-// arena, so the caller may reuse its slices afterwards.
+// arena, so the caller may reuse its slices afterwards. BulkLoad adopts
+// the source's rows rather than copying them again; the caller's slices
+// are still never aliased.
 func FromTuples(tuples []Tuple) Source {
 	n := 0
 	for _, t := range tuples {
@@ -43,7 +45,7 @@ func FromTuples(tuples []Tuple) Source {
 			rows[i].Attrs = arena[start:len(arena):len(arena)]
 		}
 	}
-	return stream.FromRelation(relation.FromTuples("tuples", rows))
+	return stream.RowsOf(rows)
 }
 
 // FromKeys returns a sized source of payload-free tuples with the given

@@ -115,17 +115,20 @@ func (opts IndexOptions) adopting(m store.Meta) IndexOptions {
 }
 
 // BulkLoad builds a resident index from the reference source — the one
-// construction path, NewIndex included: drain the source, normalise the
-// keys, hash every key to its home shard, then build each shard's
-// tuple store and exact index densely in parallel (the q-gram
+// construction path, NewIndex included: take the source's rows,
+// normalise the keys, hash every key to its home shard, then build each
+// shard's tuple store and exact index densely in parallel (the q-gram
 // structures wait for the first approximate probe, and the snapshot
-// holds none). The outcome is identical to feeding
-// the same rows through Upsert (the path WAL replay and live
-// maintenance use). With Storage.Dir set the built index is persisted
+// holds none). The outcome is identical to feeding the same rows
+// through Upsert (the path WAL replay and live maintenance use). The
+// rows of a FromTuples source are adopted, not copied, and each is
+// normalised and homed as soon as the source has it; any other source
+// is drained first. With Storage.Dir set the built index is persisted
 // by writing its snapshot directly (the initial rows never touch the
-// log) into a directory that must not already hold an index; the
-// returned index is then durable, logging subsequent Upserts. With an
-// empty Storage.Dir it is NewIndex.
+// log), encoded and fsynced while the shards fill, into a directory
+// that must not already hold an index; a failed load leaves nothing
+// there. The returned index is then durable, logging subsequent
+// Upserts. With an empty Storage.Dir it is NewIndex.
 func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if ref == nil {
 		return nil, fmt.Errorf("adaptivelink: nil reference source")
@@ -134,36 +137,34 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	batch, err := drainSource(ref)
-	if err != nil {
-		return nil, err
-	}
-	// The drained batch is private to this load: normalise it in place.
-	norm := opts.normalizer()
-	for i := range batch {
-		batch[i].Key = norm.Apply(batch[i].Key)
-	}
-	ri, err := join.BuildShardedRefIndex(opts.config(), opts.Shards, batch)
+	rows, ready := adopt(ref)
+	b, err := join.NewBulk(opts.config(), opts.Shards, rows)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
 	}
-	return persist(ri, opts, "bulk load")
-}
-
-// persist wraps a freshly built resident in an Index and, with
-// Storage.Dir set, makes it durable — the tail BulkLoad and
-// ImportSnapshot share: the index's snapshot is written straight into a
-// directory that must not already hold an index (the initial rows never
-// touch the log), and a fresh log opened for the upserts that follow.
-func persist(ri *join.ShardedRefIndex, opts IndexOptions, what string) (*Index, error) {
-	ix := newIndex(ri, opts)
+	// The adopted rows are private to this load: normalise them in place.
+	norm, done := opts.normalizer(), 0
+	for hi, err := range ready {
+		if err != nil {
+			return nil, fmt.Errorf("adaptivelink: reading reference: %w", err)
+		}
+		for ; done < hi; done++ {
+			rows[done].Key = norm.Apply(rows[done].Key)
+		}
+		b.Home(hi)
+	}
 	if opts.Storage.Dir == "" {
-		return ix, nil
+		ri, err := b.Build(nil)
+		if err != nil {
+			return nil, fmt.Errorf("adaptivelink: %w", err)
+		}
+		return newIndex(ri, opts), nil
 	}
-	d, err := store.Create(opts.Storage.Dir, ri, opts.Storage.WALSync.store())
+	ri, d, err := store.CreateBuild(opts.Storage.Dir, opts.Storage.WALSync.store(), b.Build)
 	if err != nil {
-		return nil, fmt.Errorf("adaptivelink: persisting %s: %w", what, err)
+		return nil, fmt.Errorf("adaptivelink: persisting bulk load: %w", err)
 	}
+	ix := newIndex(ri, opts)
 	ix.dir = d
 	return ix, nil
 }

@@ -174,8 +174,9 @@ func footprintTuples(t testing.TB, rows int) ([]Tuple, IndexOptions) {
 }
 
 // BenchmarkCheckpoint is one in-place checkpoint of references of two
-// sizes. B/op is what the footprint pin bounds per tuple: the view's
-// gathered store; the encoding is staged in pooled buffers.
+// sizes. B/op is what the footprint pin bounds per tuple: a few
+// fixed-size buffers, nothing per tuple; the encoding is staged in
+// pooled buffers.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, rows := range []int{20_000, 200_000} {
 		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {

@@ -2,6 +2,7 @@ package adaptivelink
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"slices"
 	"sync"
@@ -276,12 +277,24 @@ func (opts IndexOptions) meta() store.Meta {
 // a FromChannel hint is only what its caller claims.
 const maxDrainPresize = 1 << 16
 
+// adopt takes a bulk load's rows from its source: a stream.Rows hands
+// over its rows, which may still be filling in, and any other source is
+// drained into a batch first. ready yields the counts of rows that are
+// complete, or the source's error.
+func adopt(ref Source) (rows []Tuple, ready iter.Seq2[int, error]) {
+	if r, ok := ref.(*stream.Rows); ok {
+		return r.Adopt()
+	}
+	batch, err := drainSource(ref)
+	return batch, func(yield func(int, error) bool) { yield(len(batch), err) }
+}
+
 func drainSource(ref Source) ([]Tuple, error) {
 	batch := make([]Tuple, 0, min(stream.EstimateSize(ref, 0), maxDrainPresize))
 	for {
 		t, ok, err := ref.Next()
 		if err != nil {
-			return nil, fmt.Errorf("adaptivelink: reading reference: %w", err)
+			return nil, err
 		}
 		if !ok {
 			return batch, nil

@@ -51,6 +51,12 @@ func (v *Vec[T]) Len() int { return v.n }
 // At returns element i, which must be below Len.
 func (v *Vec[T]) At(i int) T { return v.dir[i>>chunkBits].vals[i&chunkMask] }
 
+// Run returns the elements from index i, which must be below Len, to
+// the end of i's chunk: a walk reads a chunk at a time through it.
+func (v *Vec[T]) Run(i int) []T {
+	return v.dir[i>>chunkBits].vals[i&chunkMask : min(chunkSize, v.n-i&^chunkMask)]
+}
+
 // Clone freezes v and returns the next generation: it shares every
 // chunk with v until it writes to it.
 func (v *Vec[T]) Clone() Vec[T] {

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -9,27 +10,100 @@ import (
 	"adaptivelink/internal/shardmap"
 )
 
-// BuildShardedRefIndex bulk-loads a resident index: a keyed last-wins
-// dedup of the batch, then the one construction routine (buildFromStore)
-// over what survives. The result is identical to NewShardedRefIndex
-// followed by one Upsert of the whole batch (same refs, same stores, and
-// once built the same dictionaries and postings — pinned by the bulk
-// differential test), but the construction skips the upsert path's
-// snapshot publication and runs the inserts, shard by shard, in parallel
-// across the host's cores. This is the load path for multi-million-row
-// reference tables.
+// BuildShardedRefIndex bulk-loads a resident index from a batch: one
+// Bulk over it, homed whole and built. The result is identical to
+// NewShardedRefIndex followed by one Upsert of the whole batch (same
+// refs, same stores, and once built the same dictionaries and postings
+// — pinned by the bulk differential test), but the construction skips
+// the upsert path's snapshot publication and runs the inserts, shard by
+// shard, in parallel across the host's cores. This is the load path for
+// multi-million-row reference tables.
 //
 // The keyed-store contract applies as everywhere: one resident record
 // per join key, newest payload wins, refs assigned in first-seen key
-// order.
+// order. The batch is built as it stands, with no dedup pass and no
+// copy; only when a shard's exact table meets a key twice is the batch
+// deduplicated and built again. The batch is read, never written, and
+// the index does not alias it.
 func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*ShardedRefIndex, error) {
-	// Refs are first-seen key order, payloads the last occurrence's,
-	// exactly as one Upsert of the whole batch assigns them. The map dies
-	// with the build: a resident key is found through its home shard's
-	// exact index.
-	final := make([]relation.Tuple, 0, len(tuples))
-	seen := make(map[string]int, len(tuples))
-	for _, t := range tuples {
+	b, err := NewBulk(cfg, shards, tuples)
+	if err != nil {
+		return nil, err
+	}
+	b.Home(len(tuples))
+	return b.Build(nil)
+}
+
+// Bulk is a bulk build in progress over rows it adopts as its tuple
+// store, in ref order: Home assigns rows to their home shards as they
+// become final, so a load can home each row while later ones are still
+// being read, and Build then builds every shard from them.
+type Bulk struct {
+	s      *ShardedRefIndex // the index Build publishes
+	rows   []relation.Tuple
+	homes  []int32 // the home shard of rows[:len(homes)]
+	counts []int   // rows homed per shard
+}
+
+// NewBulk starts a bulk build of rows under the configuration and shard
+// count, refusing a configuration NewShardedRefIndex refuses.
+func NewBulk(cfg Config, shards int, rows []relation.Tuple) (*Bulk, error) {
+	s, err := NewShardedRefIndex(cfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, len(rows)), counts: make([]int, shards)}, nil
+}
+
+// Home homes the rows up to hi at shardmap.ShardOf of their keys,
+// which must be final.
+func (b *Bulk) Home(hi int) {
+	for _, t := range b.rows[len(b.homes):hi] {
+		sh := shardmap.ShardOf(t.Key, b.s.nshard)
+		b.homes = append(b.homes, int32(sh))
+		b.counts[sh]++
+	}
+}
+
+// Build builds the index from every row, homing those Home has not, and
+// publishes it with bulk-load semantics: a key the rows repeat keeps
+// its first ref and its last payload, as one Upsert of the rows would
+// leave it. That dedup runs only when a key does repeat, and then costs
+// a second build: the first one's inserts and persist are thrown away.
+//
+// persist, when not nil, is handed the build's snapshot view — the rows
+// themselves as the store, and each shard's member refs — and runs
+// beside the shard inserts, so a durable load writes its snapshot while
+// the exact tables fill. A failed persist fails the build. When the
+// rows turn out to repeat a key, persist is called again, with the view
+// of the deduplicated store, and must replace what it wrote the first
+// time.
+func (b *Bulk) Build(persist func(*SnapshotView) error) (*ShardedRefIndex, error) {
+	s, err := b.build(persist)
+	var dup *duplicateKeyError
+	if errors.As(err, &dup) {
+		var again *Bulk
+		if again, err = NewBulk(b.s.cfg, b.s.nshard, dedup(b.rows)); err != nil {
+			return nil, err
+		}
+		s, err = again.build(persist)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.Len() > 0 {
+		s.maint.upserts.Add(1)
+		s.maint.snapSwaps.Add(uint64(s.nshard))
+	}
+	return s, nil
+}
+
+// dedup returns the keyed store one Upsert of rows leaves: refs in
+// first-seen key order, payloads the last occurrence's.
+func dedup(rows []relation.Tuple) []relation.Tuple {
+	final := make([]relation.Tuple, 0, len(rows))
+	seen := make(map[string]int, len(rows))
+	for _, t := range rows {
 		if g, ok := seen[t.Key]; ok {
 			final[g] = t
 			continue
@@ -37,51 +111,47 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 		seen[t.Key] = len(final)
 		final = append(final, t)
 	}
-	s, err := buildFromStore(cfg, shards, final)
+	return final
+}
+
+// buildFromStore is a load's build: a keyed store in ref order, homed
+// and built as one Bulk, where a key met twice is an error naming both
+// refs (the store is keyed).
+func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRefIndex, error) {
+	b, err := NewBulk(cfg, shards, store)
 	if err != nil {
 		return nil, err
 	}
-	if len(final) > 0 {
-		s.maint.upserts.Add(1)
-		s.maint.snapSwaps.Add(uint64(s.nshard))
-	}
-	return s, nil
+	return b.build(nil)
 }
 
-// buildFromStore is the one construction routine of a resident index,
-// behind bulk loads and snapshot loads of every version alike: a load is
-// a bulk build of the stored tuple store. It takes a keyed store in ref
-// order, homes every key at shardmap.ShardOf, and builds each shard's
-// tuple store and exact index with dense in-order inserts, in parallel
-// across shards. Walking refs ascending keeps every shard's member list
-// ascending — the insert order the upsert path produces, so a shard's
-// dictionary, once built, interns grams identically. No key is
-// decomposed: every shard is published unbuilt, its q-gram structures
-// left to its first approximate probe. A key met twice is an error
-// naming both refs (the store is keyed).
-func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRefIndex, error) {
-	s, err := NewShardedRefIndex(cfg, shards)
-	if err != nil || len(store) == 0 {
-		return s, err
-	}
-	homes := make([]int32, len(store))
-	counts := make([]int, shards)
-	for g, t := range store {
-		sh := shardmap.ShardOf(t.Key, shards)
-		homes[g] = int32(sh)
-		counts[sh]++
-	}
-	snaps := make([]*shardSnap, shards)
+// build is the one construction routine of a resident index, behind
+// bulk loads and snapshot loads of every version alike: a load is a
+// bulk build of the stored tuple store. It homes what is left of the
+// rows, then builds each shard's tuple store and exact index with dense
+// in-order inserts, in parallel across shards, while persist (if any)
+// runs on the calling goroutine. Walking refs ascending keeps every
+// shard's member list ascending — the insert order the upsert path
+// produces, so a shard's dictionary, once built, interns grams
+// identically. No key is decomposed: every shard is published unbuilt,
+// its q-gram structures left to its first approximate probe. A key met
+// twice in a shard is a *duplicateKeyError.
+func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error) {
+	b.Home(len(b.rows))
+	s, store := b.s, b.rows
+	snaps := make([]*shardSnap, s.nshard)
 	for sh := range snaps {
 		snaps[sh] = newShardSnap()
-		snaps[sh].globals = make([]uint32, 0, counts[sh])
-		snaps[sh].exIdx = cow.NewMap[int32](counts[sh])
+		if len(store) > 0 { // an empty index's shards are NewShardedRefIndex's
+			snaps[sh].globals = make([]uint32, 0, b.counts[sh])
+			snaps[sh].exIdx = cow.NewMap[int32](b.counts[sh])
+		}
 	}
-	for g, sh := range homes {
+	for g, sh := range b.homes {
 		snaps[sh].globals = append(snaps[sh].globals, uint32(g))
 	}
 
-	errs := make([]error, shards)
+	errs := make([]error, s.nshard)
 	var wg sync.WaitGroup
 	for sh, sn := range snaps {
 		wg.Add(1)
@@ -97,11 +167,23 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 			}
 		}()
 	}
+	var perr error
+	if persist != nil {
+		// The inserts only read the rows and the member refs.
+		v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Tuples: store, Shards: make([]ShardExport, s.nshard)}
+		for sh, sn := range snaps {
+			v.Shards[sh].Globals = sn.globals
+		}
+		perr = persist(v)
+	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if perr != nil {
+		return nil, perr
 	}
 
 	// Publish: the count first (no probe may return a ref at or above
@@ -113,15 +195,26 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 	return s, nil
 }
 
-// duplicateKey names the first key met twice in a shard's member order,
-// by the global refs of its first two occurrences. The exact index kept
-// the last occurrence of each key, so the scan keeps its own.
+// duplicateKeyError names a key a store holds twice, by the global refs
+// of its first two occurrences.
+type duplicateKeyError struct {
+	key           string
+	first, second uint32
+}
+
+func (e *duplicateKeyError) Error() string {
+	return fmt.Sprintf("join: store has key %q at both ref %d and %d (the store is keyed)", e.key, e.first, e.second)
+}
+
+// duplicateKey names the first key met twice in a shard's member order.
+// The exact index kept the last occurrence of each key, so the scan
+// keeps its own.
 func (sn *shardSnap) duplicateKey() error {
 	first := make(map[string]uint32, len(sn.globals))
 	for lref, g := range sn.globals {
 		key := sn.key(lref)
 		if f, ok := first[key]; ok {
-			return fmt.Errorf("join: store has key %q at both ref %d and %d (the store is keyed)", key, f, g)
+			return &duplicateKeyError{key: key, first: f, second: g}
 		}
 		first[key] = g
 	}

@@ -2,7 +2,9 @@ package join
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/relation"
@@ -19,15 +21,17 @@ import (
 // member refs are derived too; a load checks them against the build.
 //
 // A view is plain data. One exported from a live index shares the
-// index's immutable tuple payloads; treat it as read-only. One decoded
-// from disk is owned by the decoder's caller.
+// index's immutable tuple payloads (a view from ExportShards, its shard
+// snapshots); treat it as read-only. One decoded from disk is owned by
+// the decoder's caller.
 type SnapshotView struct {
 	// Cfg is the matching configuration the index was built under.
 	Cfg Config
 	// NShard is the shard count; a key's home shard is shard-count-
 	// dependent, so a snapshot reloads only at its own count.
 	NShard int
-	// Tuples is the global store in ref order (Len() == len(Tuples)).
+	// Tuples is the global store in ref order, nil in a view from
+	// ExportShards; Len and Store read either kind.
 	Tuples []relation.Tuple
 	// Shards has one export per shard, in shard order: the key-hash
 	// partition of Tuples, which a load derives and checks these
@@ -35,6 +39,53 @@ type SnapshotView struct {
 	// decoder hands over for a snapshot written under the retired
 	// prefix-replicated layout — and there is nothing to check.
 	Shards []ShardExport
+
+	// stores, set by ExportShards instead of Tuples, are the shard
+	// snapshots whose tuple stores Store merges into ref order.
+	stores []*shardSnap
+}
+
+// Len is the size of the view's tuple store.
+func (v *SnapshotView) Len() int {
+	if v.stores != nil {
+		return v.members()
+	}
+	return len(v.Tuples)
+}
+
+// Store walks the view's tuple store in ref order: Tuples, or for a
+// view from ExportShards the shard stores, merged by their member refs
+// (each shard's ascend, and together they are the refs 0..Len-1).
+func (v *SnapshotView) Store() iter.Seq[relation.Tuple] {
+	if v.stores == nil {
+		return slices.Values(v.Tuples)
+	}
+	return func(yield func(relation.Tuple) bool) {
+		// A block of refs at a time: each shard's members in the block are
+		// the next run of its member refs, each pointed to from its place
+		// in the block.
+		const block = 256
+		var buf [block]*relation.Tuple
+		next := make([]int, len(v.stores)) // each shard's first unread local ref
+		for lo, n := 0, v.members(); lo < n; lo += block {
+			hi := min(lo+block, n)
+			for sh, sn := range v.stores {
+				globals, l := v.Shards[sh].Globals, next[sh]
+				for l < len(globals) && int(globals[l]) < hi {
+					run := sn.tuples.Run(l)
+					for k := 0; k < len(run) && l < len(globals) && int(globals[l]) < hi; k, l = k+1, l+1 {
+						buf[int(globals[l])-lo] = &run[k]
+					}
+				}
+				next[sh] = l
+			}
+			for _, t := range buf[:hi-lo] {
+				if !yield(*t) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // ShardExport is one shard's slice of a SnapshotView.
@@ -51,6 +102,44 @@ type ShardExport struct {
 // are gathered from them afterwards, whatever is upserted meanwhile.
 // Probes are not disturbed, and no key is decomposed.
 func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
+	v, snaps, err := s.export()
+	if err != nil {
+		return nil, err
+	}
+	v.Tuples = make([]relation.Tuple, v.members())
+	for _, sn := range snaps {
+		for lref, g := range sn.globals {
+			v.Tuples[g] = sn.tuples.At(lref)
+		}
+	}
+	return v, nil
+}
+
+// ExportShards is ExportSnapshot without the gathered store, for a view
+// that is only encoded: Store merges the shard snapshots' tuple stores
+// into ref order by their member refs, so the view holds nothing per
+// tuple where the gathered store holds a 48-byte header. Tuples is nil;
+// read the store through Len and Store.
+func (s *ShardedRefIndex) ExportShards() (*SnapshotView, error) {
+	v, snaps, err := s.export()
+	if err != nil {
+		return nil, err
+	}
+	v.stores = snaps
+	return v, nil
+}
+
+// members is the number of member refs the view's shards list.
+func (v *SnapshotView) members() (n int) {
+	for _, se := range v.Shards {
+		n += len(se.Globals)
+	}
+	return n
+}
+
+// export loads a consistent set of shard snapshots and returns the view
+// of their member refs.
+func (s *ShardedRefIndex) export() (*SnapshotView, []*shardSnap, error) {
 	snaps := make([]*shardSnap, s.nshard)
 	s.mu.Lock()
 	for i := range snaps {
@@ -59,23 +148,15 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 	n := s.Len()
 	s.mu.Unlock()
 	if n > math.MaxUint32 {
-		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", n)
+		return nil, nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", n)
 	}
-	v := &SnapshotView{
-		Cfg:    s.cfg,
-		NShard: s.nshard,
-		Tuples: make([]relation.Tuple, n),
-		Shards: make([]ShardExport, s.nshard),
-	}
+	v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: make([]ShardExport, s.nshard)}
 	for i, sn := range snaps {
-		for lref, g := range sn.globals {
-			v.Tuples[g] = sn.tuples.At(lref)
-		}
 		// A published generation's member refs are never written again:
 		// later ones append past their length.
 		v.Shards[i] = ShardExport{Globals: sn.globals[:len(sn.globals):len(sn.globals)]}
 	}
-	return v, nil
+	return v, snaps, nil
 }
 
 // NewShardedRefIndexFromSnapshot reconstructs a resident index from a
@@ -94,6 +175,9 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // misbehave later. A view without them (a version 1 or 2 image) is the
 // same build with nothing to check.
 func NewShardedRefIndexFromSnapshot(v *SnapshotView) (*ShardedRefIndex, error) {
+	if v.stores != nil {
+		return nil, fmt.Errorf("join: a view of live shard stores is encoded, not imported")
+	}
 	if v.Shards != nil && len(v.Shards) != v.NShard {
 		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", len(v.Shards), v.NShard)
 	}

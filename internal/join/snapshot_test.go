@@ -28,36 +28,92 @@ func bulkTuples(rng *rand.Rand, n int) []relation.Tuple {
 	return tuples
 }
 
+// distinctKeys keeps the first tuple of each key.
+func distinctKeys(tuples []relation.Tuple) []relation.Tuple {
+	seen := make(map[string]bool, len(tuples))
+	var out []relation.Tuple
+	for _, t := range tuples {
+		if !seen[t.Key] {
+			seen[t.Key] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // TestBulkBuildMatchesUpsert pins the bulk builder to the upsert path:
 // for several shard counts, BuildShardedRefIndex must produce an index
 // indistinguishable — probe results in both modes, single and batch,
 // plus the tuple store, Len and Entries — from NewShardedRefIndex
-// followed by one Upsert of the whole batch.
+// followed by one Upsert of the whole batch. A batch that repeats keys
+// takes the build's dedup; one that does not is built as it stands.
 func TestBulkBuildMatchesUpsert(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			tuples := bulkTuples(rng, 80)
-			ref, err := NewShardedRefIndex(Defaults(), shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Upsert(tuples)
-			bulk, err := BuildShardedRefIndex(Defaults(), shards, tuples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResidentEqual(t, ref, bulk)
-			// The bulk-built index must stay a writable index: further
-			// upserts and probes behave exactly like the reference's.
-			for _, op := range randomOpStream(23, 150) {
-				want := applyOp(ref, op)
-				got := applyOp(bulk, op)
-				if got != want {
-					t.Fatalf("post-bulk op %s diverged\n got  %s\n want %s", op.kind, got, want)
+			dups := bulkTuples(rng, 80)
+			for _, tuples := range [][]relation.Tuple{dups, distinctKeys(dups)} {
+				ref, err := NewShardedRefIndex(Defaults(), shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Upsert(tuples)
+				bulk, err := BuildShardedRefIndex(Defaults(), shards, tuples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResidentEqual(t, ref, bulk)
+				// The bulk-built index must stay a writable index: further
+				// upserts and probes behave exactly like the reference's.
+				for _, op := range randomOpStream(23, 150) {
+					want := applyOp(ref, op)
+					got := applyOp(bulk, op)
+					if got != want {
+						t.Fatalf("post-bulk op %s diverged (%d tuples in)\n got  %s\n want %s", op.kind, len(tuples), got, want)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestBulkBuildPersistsItsView: Build hands persist the view of what it
+// publishes — the export, tuple for tuple and member for member — once
+// for a batch of distinct keys and again, deduplicated, for a batch that
+// repeats one; a failing persist fails the build.
+func TestBulkBuildPersistsItsView(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	dups := bulkTuples(rng, 60)
+	for _, tc := range []struct {
+		tuples []relation.Tuple
+		calls  int
+	}{{distinctKeys(dups), 1}, {dups, 2}} {
+		b, err := NewBulk(Defaults(), 3, tc.tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		var persisted SnapshotView
+		ix, err := b.Build(func(v *SnapshotView) error {
+			calls++
+			persisted = *v
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ix.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != tc.calls || !reflect.DeepEqual(persisted.Tuples, want.Tuples) || !reflect.DeepEqual(persisted.Shards, want.Shards) || persisted.Cfg != want.Cfg {
+			t.Fatalf("%d tuples: persist called %d times (want %d) with a view other than the export", len(tc.tuples), calls, tc.calls)
+		}
+		b, _ = NewBulk(Defaults(), 3, tc.tuples)
+		failed := fmt.Errorf("disk full")
+		if _, err := b.Build(func(*SnapshotView) error { return failed }); err != failed {
+			t.Fatalf("a failing persist: Build error %v, want %v", err, failed)
+		}
 	}
 }
 
@@ -271,6 +327,55 @@ func assertResidentEqual(t *testing.T, want, got inspectable) {
 			g := renderMatches(got.Probe(mode, a.Key))
 			if w != g {
 				t.Fatalf("Probe(%v, %q): %s, want %s", mode, a.Key, g, w)
+			}
+		}
+	}
+}
+
+// TestExportShardsStore: a view from ExportShards walks the same store
+// as ExportSnapshot gathers, in ref order, at every shard count — one
+// shard, shards with chunks of their store to cross, and more shards
+// than tuples — for a bulk build and for an index grown by several
+// upserts; a walk stopped early stops.
+func TestExportShardsStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	tuples := bulkTuples(rng, 400)
+	for _, shards := range []int{1, 3, 7, 300, 1000} {
+		bulk, err := BuildShardedRefIndex(Defaults(), shards, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := NewShardedRefIndex(Defaults(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(tuples); lo += 97 {
+			grown.Upsert(tuples[lo:min(lo+97, len(tuples))])
+		}
+		for name, ix := range map[string]*ShardedRefIndex{"bulk": bulk, "grown": grown} {
+			want, err := ix.ExportSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := ix.ExportShards()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []relation.Tuple
+			for tu := range v.Store() {
+				got = append(got, tu)
+			}
+			if v.Len() != len(want.Tuples) || !reflect.DeepEqual(got, want.Tuples) || !reflect.DeepEqual(v.Shards, want.Shards) {
+				t.Fatalf("%s, %d shards: Store walks %d tuples (Len %d), want the %d exported", name, shards, len(got), v.Len(), len(want.Tuples))
+			}
+			walked := 0
+			for range v.Store() {
+				if walked++; walked == 5 {
+					break
+				}
+			}
+			if walked != 5 {
+				t.Fatalf("%s, %d shards: a walk stopped at 5 ran to %d", name, shards, walked)
 			}
 		}
 	}

@@ -127,12 +127,5 @@ func FromKeys(name string, keys ...string) *Relation {
 	for i, k := range keys {
 		tuples[i] = Tuple{ID: i, Key: k}
 	}
-	return FromTuples(name, tuples)
-}
-
-// FromTuples builds a relation whose schema names only the key column
-// over tuples, keeping the slice rather than copying it: the caller has
-// numbered the IDs 0..n-1 and leaves the slice alone afterwards.
-func FromTuples(name string, tuples []Tuple) *Relation {
 	return &Relation{Name: name, Schema: NewSchema("key"), tuples: tuples}
 }

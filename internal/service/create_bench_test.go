@@ -2,12 +2,10 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
-
-	"adaptivelink"
 )
 
 // BenchmarkCreateIndex20k is one POST /v1/indexes of 20k generated
@@ -15,19 +13,28 @@ import (
 // repository benchmark's create shape (4 shards, q 3, θ 0.75, profile
 // "standard"): body read, decode, bulk build and the first snapshot.
 // Each index is deleted again outside the timer.
-func BenchmarkCreateIndex20k(b *testing.B) {
-	data, err := adaptivelink.GenerateTestData(42, 20000, 1, adaptivelink.PatternUniform, 0, false)
-	if err != nil {
-		b.Fatal(err)
+func BenchmarkCreateIndex20k(b *testing.B) { benchCreate(b, false, "bench") }
+
+// BenchmarkCreateIndex20kRepeatedKey is BenchmarkCreateIndex20k with the
+// last tuple repeating the first one's key: the build meets the key
+// twice, deduplicates the rows and builds again.
+func BenchmarkCreateIndex20kRepeatedKey(b *testing.B) { benchCreate(b, true, "bench") }
+
+// BenchmarkCreateIndex20kPair is two BenchmarkCreateIndex20k creates of
+// different names sent at once: the service builds one index at a time.
+func BenchmarkCreateIndex20kPair(b *testing.B) { benchCreate(b, false, "one", "two") }
+
+// benchCreate times concurrent creates of the names, each from the same
+// 20k tuples, the last repeating the first one's key if repeat is set.
+func benchCreate(b *testing.B, repeat bool, names ...string) {
+	req := createRequest(b, "", 20000)
+	if repeat {
+		req.Tuples[len(req.Tuples)-1].Key = req.Tuples[0].Key
 	}
-	req := CreateIndexRequest{Name: "bench", Q: 3, Theta: 0.75, Shards: 4, Profile: "standard",
-		Tuples: make([]TupleDTO, len(data.Parent))}
-	for i, t := range data.Parent {
-		req.Tuples[i] = TupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
+	bodies := make([][]byte, len(names))
+	for i, name := range names {
+		req.Name = name
+		bodies[i] = marshal(b, req)
 	}
 	s := New(Config{DataDir: b.TempDir()})
 	defer s.Close()
@@ -36,16 +43,26 @@ func BenchmarkCreateIndex20k(b *testing.B) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
 		if rec.Code != want {
-			b.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+			b.Errorf("%s %s: %d %s", method, path, rec.Code, rec.Body)
 		}
 	}
-	b.SetBytes(int64(len(body)))
+	b.SetBytes(int64(len(bodies[0]) * len(bodies)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serve(http.MethodPost, "/v1/indexes", body, http.StatusCreated)
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve(http.MethodPost, "/v1/indexes", body, http.StatusCreated)
+			}()
+		}
+		wg.Wait()
 		b.StopTimer()
-		serve(http.MethodDelete, "/v1/indexes/bench", nil, http.StatusNoContent)
+		for _, name := range names {
+			serve(http.MethodDelete, "/v1/indexes/"+name, nil, http.StatusNoContent)
+		}
 		b.StartTimer()
 	}
 }

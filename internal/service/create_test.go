@@ -1,0 +1,206 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"adaptivelink"
+	"adaptivelink/internal/shardmap"
+	"adaptivelink/internal/store"
+	"adaptivelink/internal/wire"
+)
+
+// createRequest is a create request of n generated tuples in the
+// repository benchmark's shape: 4 shards, q 3, θ 0.75, profile
+// "standard", two attributes a tuple.
+func createRequest(tb testing.TB, name string, n int) CreateIndexRequest {
+	tb.Helper()
+	data, err := adaptivelink.GenerateTestData(42, n, 1, adaptivelink.PatternUniform, 0, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := CreateIndexRequest{Name: name, Q: 3, Theta: 0.75, Shards: 4, Profile: "standard",
+		Tuples: make([]TupleDTO, len(data.Parent))}
+	for i, t := range data.Parent {
+		req.Tuples[i] = TupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs}
+	}
+	return req
+}
+
+func marshal(tb testing.TB, v any) []byte {
+	tb.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// serveBody sends one request through h.
+func serveBody(h http.Handler, method, path string, body []byte) (int, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// keysHomedApart returns two keys of the form prefix+number whose home
+// shards among shards differ.
+func keysHomedApart(prefix string, shards int) (a, b string) {
+	a = prefix + "0"
+	for i := 1; ; i++ {
+		if b = fmt.Sprintf("%s%d", prefix, i); shardmap.ShardOf(b, shards) != shardmap.ShardOf(a, shards) {
+			return a, b
+		}
+	}
+}
+
+// TestCreateParity creates an index from each body through the handler
+// — where a canonical body's tuples decode on their own goroutine while
+// the bulk load homes them — and in process, from what encoding/json
+// reads in the body, with BulkLoad(FromTuples). The two must write
+// byte-identical snapshot files and answer every /v1/link alike, ref
+// IDs included. A body broken in its last tuple is answered with
+// encoding/json's error, and leaves no directory behind.
+func TestCreateParity(t *testing.T) {
+	gotDir, refDir := t.TempDir(), t.TempDir()
+	got, ref := New(Config{DataDir: gotDir}), New(Config{DataDir: refDir})
+	t.Cleanup(got.Close)
+	t.Cleanup(ref.Close)
+	gotH, refH := NewHandler(got), NewHandler(ref)
+
+	one, other := keysHomedApart("via roma ", 4)
+	// Keys the standard profile leaves as they are, homed apart.
+	upOne, upOther := keysHomedApart("VIA ROMA ", 4)
+	distinct := CreateIndexRequest{Name: "distinct", Shards: 3, Tuples: []TupleDTO{
+		{Key: "lago maggiore"}, {Key: "lago di como", Attrs: []string{"a", "b"}}, {Key: "monte rosa", Attrs: []string{}},
+	}}
+	dupOne := CreateIndexRequest{Name: "dupone", Shards: 4, Tuples: []TupleDTO{
+		{Key: one, Attrs: []string{"first"}}, {Key: other}, {Key: one, Attrs: []string{"second"}}, {Key: one, Attrs: []string{"last"}},
+	}}
+	dupAcross := CreateIndexRequest{Name: "dupacross", Shards: 4, Profile: "standard", Tuples: []TupleDTO{
+		{Key: upOne, Attrs: []string{"a1"}}, {Key: upOther, Attrs: []string{"b1"}}, {Key: "Piazza  Nuova"},
+		{Key: upOne, Attrs: []string{"a2"}}, {Key: upOther, Attrs: []string{"b2"}}, {Key: "PIAZZA NUOVA", Attrs: []string{"folded"}},
+	}}
+	escaped := `{"name":"escaped","shards":2,"tuples":[{"key":"\"quoted\" \\ back\/slash","attrs":["été","\t"]},` +
+		`{"key":"Forlì città","attrs":["日本"]},{"key":"東京"}]}`
+	indented, err := json.MarshalIndent(CreateIndexRequest{Name: "indented", Shards: 2, Tuples: distinct.Tuples}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		body    []byte
+		streams bool // whether wire.StreamCreate takes the body
+	}{
+		{"one", marshal(t, createRequest(t, "one", 1)), true},
+		{"six hundred", marshal(t, createRequest(t, "sixhundred", 600)), true},
+		{"twenty thousand", marshal(t, createRequest(t, "twentyk", 20000)), true},
+		{"no duplicate keys", marshal(t, distinct), true},
+		{"duplicate keys in one shard", marshal(t, dupOne), true},
+		{"duplicate keys across shards", marshal(t, dupAcross), true},
+		{"tuples before profile", []byte(`{"name":"early","tuples":[{"key":"Via Roma"},{"key":"via  roma","attrs":["x"]}],"profile":"standard","shards":2}`), false},
+		{"escaped and non-ASCII keys", []byte(escaped), true},
+		// JSON whitespace is inside the canonical shape, for Decode's
+		// scanner as for StreamCreate: an indented body streams, and one
+		// outside the shape takes the synchronous path, spaced or not.
+		{"whitespace", indented, true},
+		{"whitespace, tuples before shards", []byte("{\n  \"name\": \"spacedearly\",\n  \"tuples\": [\n    {\"key\": \"Via Roma\"},\n    {\"key\": \"via  roma\", \"attrs\": [\"x\"]}\n  ],\n  \"shards\": 2\n}\n"), false},
+		// Both abandon their streamed build at the last tuple; encoding/json
+		// reads the first and refuses the second.
+		{"case-folded member in the last tuple", []byte(`{"name":"folded","tuples":[{"key":"a"},{"KEY":"b","Attrs":["c"]}]}`), true},
+		{"broken last tuple", []byte(`{"name":"broken","shards":2,"tuples":[{"key":"a"},{"key":"b"},{"key":"c"]}`), true},
+	}
+	for _, c := range cases {
+		if _, ok := wire.StreamCreate(c.body); ok != c.streams {
+			t.Errorf("%s: StreamCreate took the body: %v, want %v", c.name, ok, c.streams)
+		}
+		code, resp := serveBody(gotH, "POST", "/v1/indexes", c.body)
+		var req CreateIndexRequest
+		if err := wire.DecodeReader(bytes.NewReader(c.body), &req); err != nil {
+			want := marshal(t, ErrorDTO{Error: ErrorBody{Code: CodeInvalid, Message: fmt.Sprintf("invalid request body: %v", err)}})
+			compareOutcome(t, c.name, code, resp, http.StatusBadRequest, want)
+			if entries, err := os.ReadDir(gotDir); err != nil || len(entries) != len(got.ListIndexes()) {
+				t.Fatalf("%s: the data dir holds %v (%v) for %d indexes", c.name, entries, err, len(got.ListIndexes()))
+			}
+			continue
+		}
+		if code != http.StatusCreated {
+			t.Fatalf("%s: create answered %d %s", c.name, code, resp)
+		}
+		opts, err := indexOptions(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.CreateIndex(req.Name, opts, publicTuples(req.Tuples)); err != nil {
+			t.Fatalf("%s: in-process create: %v", c.name, err)
+		}
+		snap := func(dir string) []byte {
+			raw, err := os.ReadFile(filepath.Join(dir, req.Name, store.SnapshotFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		if g, r := snap(gotDir), snap(refDir); !bytes.Equal(g, r) {
+			t.Fatalf("%s: the handler wrote a %d-byte snapshot, BulkLoad(FromTuples) %d bytes, and they differ", c.name, len(g), len(r))
+		}
+		// Every key of the body (at most 300 of them) and a typo of each.
+		var keys []string
+		for i := 0; i < len(req.Tuples); i += max(1, len(req.Tuples)/300) {
+			k := req.Tuples[i].Key
+			keys = append(keys, k, k+"x")
+		}
+		for _, strategy := range []string{"exact", "adaptive"} {
+			link := marshal(t, LinkRequestDTO{Index: req.Name, Keys: keys, Strategy: strategy})
+			code, resp := serveBody(gotH, "POST", "/v1/link", link)
+			wantCode, wantResp := serveBody(refH, "POST", "/v1/link", link)
+			compareOutcome(t, c.name+" "+strategy+" link", code, resp, wantCode, wantResp)
+		}
+	}
+}
+
+// createBytesBudget bounds what a durable create of 20k generated tuples
+// allocates per tuple through the handler: the body, its one string
+// block and attribute arena, the rows the index adopts, their home
+// shards and member refs, the shard stores and exact tables and the
+// normalised keys, 312 measured, plus a margin. Decoding into wire
+// tuples, copying them into a batch, deduplicating it into another and
+// gathering the store to write the snapshot cost 630.
+const createBytesBudget = 360
+
+func TestAllocCreateBytesPerTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
+	}
+	const n = 20000
+	body := marshal(t, createRequest(t, "alloc", n))
+	s := New(Config{DataDir: t.TempDir()})
+	defer s.Close()
+	h := NewHandler(s)
+	perTuple := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, resp := serveBody(h, "POST", "/v1/indexes", body)
+		runtime.ReadMemStats(&after)
+		if code != http.StatusCreated {
+			t.Fatalf("create: %d %s", code, resp)
+		}
+		perTuple = min(perTuple, float64(after.TotalAlloc-before.TotalAlloc)/n)
+		if code, resp := serveBody(h, "DELETE", "/v1/indexes/alloc", nil); code != http.StatusNoContent {
+			t.Fatalf("delete: %d %s", code, resp)
+		}
+	}
+	t.Logf("a durable create of %d tuples allocated %.0f bytes per tuple", n, perTuple)
+	if perTuple > createBytesBudget {
+		t.Errorf("a durable create of %d tuples allocated %.0f bytes per tuple, budget %d", n, perTuple, createBytesBudget)
+	}
+}

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"adaptivelink"
 	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/obs"
 	"adaptivelink/internal/simfn"
+	"adaptivelink/internal/stream"
 	"adaptivelink/internal/wire"
 )
 
@@ -89,8 +91,19 @@ const maxSnapshotBytes = 1 << 30
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err == nil {
+			if info, ok, err := s.createStreamed(body.Bytes()); ok {
+				if err != nil {
+					writeError(w, err)
+					return
+				}
+				writeJSON(w, http.StatusCreated, info)
+				return
+			}
+		}
 		var req CreateIndexRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeBody(w, body, err, &req) {
 			return
 		}
 		opts, err := indexOptions(req)
@@ -274,6 +287,52 @@ func NewHandler(s *Service) http.Handler {
 	return withObs(s, mux)
 }
 
+// errNotStreamed abandons a streamed create whose body turned out not
+// to be canonical; the body then takes the synchronous path.
+var errNotStreamed = errors.New("create body left the canonical shape")
+
+// createStreamed is a local create from a request body whose tuples
+// decode on their own goroutine, straight into the rows the index
+// adopts, while the bulk load normalises and homes each as it lands.
+// handled is false when the body must take the synchronous path
+// (wire.Decode, then CreateIndex), which alone defines what a body
+// means: a body wire.StreamCreate does not take, a routed service, and
+// any create that fails before its tuples are known to decode — its
+// error may be the body's to report.
+func (s *Service) createStreamed(body []byte) (info IndexInfo, handled bool, err error) {
+	if s.cfg.Cluster != nil {
+		return IndexInfo{}, false, nil
+	}
+	cs, ok := wire.StreamCreate(body)
+	if !ok {
+		return IndexInfo{}, false, nil
+	}
+	opts, err := indexOptions(cs.Head)
+	if err != nil {
+		return IndexInfo{}, false, nil
+	}
+	rows := make([]adaptivelink.Tuple, cs.N)
+	var decoded atomic.Bool
+	src := stream.Filling(rows, func(publish func(int)) error {
+		// A wire tuple and an index row differ only in their tags.
+		slot := func(i int) *wire.TupleDTO { return (*wire.TupleDTO)(&rows[i]) }
+		// A create numbers its tuples in arrival order.
+		number := func(done int) {
+			rows[done-1].ID = done - 1
+			publish(done)
+		}
+		if !cs.Tuples(slot, number) {
+			return errNotStreamed
+		}
+		decoded.Store(true)
+		return nil
+	})
+	info, err = s.create(cs.Head.Name, func() (*adaptivelink.Index, error) {
+		return s.bulkLoad(cs.Head.Name, opts, src)
+	})
+	return info, err == nil || decoded.Load(), err
+}
+
 func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	opts := adaptivelink.IndexOptions{Q: req.Q, Theta: req.Theta, Shards: req.Shards, Profile: req.Profile}
 	if req.Measure == "" {
@@ -301,16 +360,29 @@ func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
 // decodes it with wire.Decode; a refused body is a 400 naming the
 // decoder's error.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	body, err := readBody(w, r)
+	return decodeBody(w, body, err, dst)
+}
+
+// readBody reads a request body, capped at maxBodyBytes; err is what cut
+// it short.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	var body bytes.Buffer
 	body.Grow(int(min(max(r.ContentLength, 0), maxBodyPresize)) + bytes.MinRead)
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return &body, err
+}
+
+// decodeBody decodes what readBody read into dst, answering 400 when it
+// does not decode.
+func decodeBody(w http.ResponseWriter, body *bytes.Buffer, err error, dst any) bool {
 	if err == nil {
 		err = wire.Decode(body.Bytes(), dst)
 	} else {
 		// The cap or the connection cut the body short. Streaming the same
 		// bytes and then the same error through encoding/json fails the
 		// request exactly as decoding straight from the connection would.
-		err = wire.DecodeReader(io.MultiReader(&body, errReader{err}), dst)
+		err = wire.DecodeReader(io.MultiReader(body, errReader{err}), dst)
 	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorDTO{Error: ErrorBody{

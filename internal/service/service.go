@@ -127,7 +127,8 @@ type Service struct {
 
 	// createMu serialises index creation and deletion end to end, so a
 	// lost create race can never remove or overwrite the directory of
-	// the index that won it. Lookups and probes never take it.
+	// the index that won it. Lookups and probes never take it. A
+	// streamed create decodes its tuples under it, beside its build.
 	createMu sync.Mutex
 
 	mu      sync.RWMutex
@@ -440,6 +441,17 @@ func (s *Service) Cluster(ctx context.Context) ClusterInfo {
 // initial tuples bulk-load straight into a snapshot in DataDir/name
 // (never through the log), and every later upsert is logged.
 func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples []adaptivelink.Tuple) (IndexInfo, error) {
+	return s.create(name, func() (*adaptivelink.Index, error) {
+		if s.cfg.Cluster != nil {
+			return s.cfg.Cluster.CreateIndex(name, opts, tuples)
+		}
+		return s.bulkLoad(name, opts, adaptivelink.FromTuples(tuples))
+	})
+}
+
+// create registers the index build makes under name, refusing a name
+// that is malformed or taken first.
+func (s *Service) create(name string, build func() (*adaptivelink.Index, error)) (IndexInfo, error) {
 	if !nameRe.MatchString(name) {
 		return IndexInfo{}, fmt.Errorf("%w: index name %q (want %s)", ErrInvalid, name, nameRe)
 	}
@@ -448,19 +460,9 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 	if _, err := s.lookup(name); err == nil {
 		return IndexInfo{}, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	var ix *adaptivelink.Index
-	var err error
-	if s.cfg.Cluster != nil {
-		ix, err = s.cfg.Cluster.CreateIndex(name, opts, tuples)
-		if errors.Is(err, cluster.ErrNodeUnavailable) {
-			return IndexInfo{}, err
-		}
-	} else {
-		// The service places indexes, not the caller.
-		if opts.Storage, err = s.placement(name); err != nil {
-			return IndexInfo{}, err
-		}
-		ix, err = adaptivelink.BulkLoad(adaptivelink.FromTuples(tuples), opts)
+	ix, err := build()
+	if errors.Is(err, cluster.ErrNodeUnavailable) || errors.Is(err, ErrExists) {
+		return IndexInfo{}, err
 	}
 	if err != nil {
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -470,6 +472,16 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 	s.log.Info("created index", "index", name, "tuples", ix.Len(),
 		"shards", ix.Options().Shards, "durable", ix.Durable())
 	return mi.info(), nil
+}
+
+// bulkLoad builds a local index from src in the storage the service
+// places it in (the service places indexes, not the caller).
+func (s *Service) bulkLoad(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (*adaptivelink.Index, error) {
+	var err error
+	if opts.Storage, err = s.placement(name); err != nil {
+		return nil, err
+	}
+	return adaptivelink.BulkLoad(src, opts)
 }
 
 // placement is the storage the service gives a new local index, the

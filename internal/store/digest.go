@@ -60,7 +60,7 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 		Combined: fmt.Sprintf("%08x", comb.Sum32()),
 		Store:    fmt.Sprintf("%08x", storeCRC),
 		Shards:   shards,
-		Tuples:   len(v.Tuples),
+		Tuples:   v.Len(),
 	}
 }
 
@@ -69,11 +69,11 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 // version 5 stored, kept as the digest's encoding so that digests do
 // not move with the file format.
 func encodeTupleSection(e *writer, v *join.SnapshotView) {
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		e.u64(uint64(int64(t.ID)))
 	}
-	e.stringBlob(len(v.Tuples), func(yield func(string) bool) {
-		for _, t := range v.Tuples {
+	e.stringBlob(v.Len(), func(yield func(string) bool) {
+		for t := range v.Store() {
 			if !yield(t.Key) {
 				return
 			}
@@ -82,13 +82,13 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
 	// a flat attr list, then the flat list as a string blob.
 	attrs := 0
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		e.u32(uint32(attrs))
 		attrs += len(t.Attrs)
 	}
 	e.u32(uint32(attrs))
 	e.stringBlob(attrs, func(yield func(string) bool) {
-		for _, t := range v.Tuples {
+		for t := range v.Store() {
 			for _, a := range t.Attrs {
 				if !yield(a) {
 					return

@@ -241,7 +241,7 @@ func (e *writer) u32slice(vs []uint32) {
 // WriteSnapshot encodes the view onto w in the current snapshot format,
 // including the trailing CRC.
 func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
-	n := len(v.Tuples)
+	n := v.Len()
 	if n > math.MaxUint32 {
 		return fmt.Errorf("store: snapshot of %d tuples exceeds the format's uint32 ref space", n)
 	}
@@ -273,29 +273,30 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 }
 
 // encodeColumns writes the version-6 sections of the view: the id, key
-// and attr columns of the tuple store, then each shard's member refs.
+// and attr columns of the tuple store, each one walk of it, then each
+// shard's member refs.
 func encodeColumns(e *writer, v *join.SnapshotView) {
 	prev := int64(-1)
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		id := int64(t.ID)
 		e.varint(id - prev - 1)
 		prev = id
 	}
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		e.uvarint(uint64(len(t.Key)))
 	}
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		e.str(t.Key)
 	}
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		e.uvarint(uint64(len(t.Attrs)))
 	}
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		for _, a := range t.Attrs {
 			e.uvarint(uint64(len(a)))
 		}
 	}
-	for _, t := range v.Tuples {
+	for t := range v.Store() {
 		for _, a := range t.Attrs {
 			e.str(a)
 		}
@@ -828,11 +829,25 @@ func ReadSnapshotFile(path string) (*join.SnapshotView, error) {
 // final directory fsync makes the rename itself durable — without it,
 // power loss after a "successful" checkpoint could resurrect the old
 // snapshot, or worse, a directory entry pointing at nothing.
-func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) error {
+	tmp, err := writeSnapshotTemp(fsys, path, v)
 	if err != nil {
 		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// writeSnapshotTemp encodes the snapshot into a new temporary file
+// beside path, fsyncs and closes it, and returns its name. A failed
+// write removes the file.
+func writeSnapshotTemp(fsys vfs.FS, path string, v *join.SnapshotView) (name string, err error) {
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", err
 	}
 	defer func() {
 		if err != nil {
@@ -841,16 +856,13 @@ func WriteSnapshotFileFS(fsys vfs.FS, path string, v *join.SnapshotView) (err er
 		}
 	}()
 	if err = WriteSnapshot(tmp, v); err != nil {
-		return err
+		return "", err
 	}
 	if err = tmp.Sync(); err != nil {
-		return err
+		return "", err
 	}
 	if err = tmp.Close(); err != nil {
-		return err
+		return "", err
 	}
-	if err = fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return tmp.Name(), nil
 }

@@ -193,36 +193,108 @@ func OpenFS(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.Sh
 	return &Dir{path: dir, meta: meta, fs: fsys, wal: wal, lastSnapshot: lastSnap}, ix, rec, nil
 }
 
-// Create makes dir durable for an index built in memory (the bulk-load
-// path): it writes the index's snapshot directly — no WAL round trip
-// for the initial rows — and opens a fresh WAL for what comes after. A
-// directory that already holds an index is refused; Open it instead.
+// Create makes dir durable for an index built in memory (the import
+// and export paths): it writes the index's snapshot directly — no WAL
+// round trip for its rows — and opens a fresh WAL for what comes after.
+// A directory that already holds an index is refused; Open it instead.
 func Create(dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
 	return CreateFS(vfs.OS, dir, ix, sync)
 }
 
-// CreateFS is Create through an injectable filesystem.
+// CreateFS is Create through an injectable filesystem: CreateBuildFS
+// with a build that is already done.
 func CreateFS(fsys vfs.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
+	_, d, err := CreateBuildFS(fsys, dir, sync, func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, error) {
+		v, err := ix.ExportShards()
+		if err != nil {
+			return nil, err
+		}
+		return ix, persist(v)
+	})
+	return d, err
+}
+
+// A Build builds a resident index, handing persist the view of what it
+// built (join.Bulk.Build is one): see CreateBuild.
+type Build func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, error)
+
+// CreateBuild makes dir durable for the index build builds — the bulk
+// load path. The snapshot of the view build hands persist is encoded
+// and fsynced into a temporary file while the build goes on (a second
+// call replaces the first one's file), and committed — renamed into
+// place, the directory fsynced, a fresh WAL opened — only once build
+// has succeeded. A directory that already holds an index is refused
+// before build runs. A failed create leaves nothing behind: the
+// temporary file, the snapshot, the WAL and, if the call made it, the
+// directory are removed again, so the next create of the same
+// directory starts as this one did.
+func CreateBuild(dir string, sync SyncPolicy, build Build) (*join.ShardedRefIndex, *Dir, error) {
+	return CreateBuildFS(vfs.OS, dir, sync, build)
+}
+
+// CreateBuildFS is CreateBuild through an injectable filesystem.
+func CreateBuildFS(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *join.ShardedRefIndex, d *Dir, err error) {
 	if m, err := PeekMeta(dir); err != nil {
-		return nil, err
+		return nil, nil, err
 	} else if m != nil {
-		return nil, fmt.Errorf("store: %s already holds an index; open it or remove it first", dir)
+		return nil, nil, fmt.Errorf("store: %s already holds an index; open it or remove it first", dir)
 	}
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	v, err := ix.ExportSnapshot()
-	if err != nil {
-		return nil, err
+	// written lists what this call put in dir, for a failure to remove.
+	var written []string
+	if os.IsNotExist(statErr) {
+		written = append(written, dir)
 	}
-	if err := WriteSnapshotFileFS(fsys, filepath.Join(dir, SnapshotFile), v); err != nil {
-		return nil, err
+	var (
+		tmp  string // the snapshot's temporary file, until renamed
+		meta Meta
+		wal  *WAL
+	)
+	defer func() {
+		if err == nil {
+			return
+		}
+		if wal != nil {
+			wal.Close()
+		}
+		if tmp != "" {
+			fsys.Remove(tmp)
+		}
+		for i := len(written) - 1; i >= 0; i-- { // files first, dir last
+			fsys.Remove(written[i])
+		}
+	}()
+	snapPath, walPath := filepath.Join(dir, SnapshotFile), filepath.Join(dir, WALFile)
+	persist := func(v *join.SnapshotView) error {
+		if tmp != "" {
+			fsys.Remove(tmp)
+		}
+		meta = MetaOf(v)
+		var err error
+		tmp, err = writeSnapshotTemp(fsys, snapPath, v)
+		return err
 	}
-	wal, _, err := OpenWALFS(fsys, filepath.Join(dir, WALFile), MetaOf(v), sync)
-	if err != nil {
-		return nil, err
+	if ix, err = build(persist); err != nil {
+		return nil, nil, err
 	}
-	return &Dir{path: dir, meta: MetaOf(v), fs: fsys, wal: wal, lastSnapshot: time.Now()}, nil
+	if tmp == "" {
+		return nil, nil, fmt.Errorf("store: the build of %s persisted no snapshot", dir)
+	}
+	if err = fsys.Rename(tmp, snapPath); err != nil {
+		return nil, nil, err
+	}
+	tmp, written = "", append(written, snapPath)
+	if err = fsys.SyncDir(dir); err != nil {
+		return nil, nil, err
+	}
+	written = append(written, walPath)
+	if wal, _, err = OpenWALFS(fsys, walPath, meta, sync); err != nil {
+		return nil, nil, err
+	}
+	return ix, &Dir{path: dir, meta: meta, fs: fsys, wal: wal, lastSnapshot: time.Now()}, nil
 }
 
 // metaConfig expands a compatibility tuple to the join configuration of
@@ -245,7 +317,7 @@ func (d *Dir) Append(tuples []relation.Tuple) error {
 // snapshot does, with the WAL reset merely redundant until it happens.
 func (d *Dir) Checkpoint(ix *join.ShardedRefIndex) error {
 	t0 := time.Now()
-	v, err := ix.ExportSnapshot()
+	v, err := ix.ExportShards()
 	if err != nil {
 		return err
 	}

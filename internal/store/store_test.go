@@ -142,7 +142,15 @@ func TestHeldViewEncodesExportTimeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A view of the shard stores walks the generations it loaded.
+	heldShards, err := ix.ExportShards()
+	if err != nil {
+		t.Fatal(err)
+	}
 	digest := DigestView(held)
+	if got := DigestView(heldShards); !reflect.DeepEqual(got, digest) {
+		t.Fatalf("the two views of one index digest as %+v and %+v", digest, got)
+	}
 	rng := rand.New(rand.NewSource(29))
 	stored := testTuples(90)
 	for round := 0; round < 60; round++ {
@@ -159,17 +167,19 @@ func TestHeldViewEncodesExportTimeBytes(t *testing.T) {
 	if bytes.Equal(encodeSnapshot(t, ix), atExport) {
 		t.Fatal("the upserts left the index's encoding unchanged: nothing was tested")
 	}
-	for pass := 0; pass < 2; pass++ {
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, held); err != nil {
-			t.Fatal(err)
+	for _, v := range []*join.SnapshotView{held, heldShards} {
+		for pass := 0; pass < 2; pass++ {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), atExport) {
+				t.Fatalf("pass %d: a view held across 60 upsert batches encodes differently than at export time", pass)
+			}
 		}
-		if !bytes.Equal(buf.Bytes(), atExport) {
-			t.Fatalf("pass %d: a view held across 60 upsert batches encodes differently than at export time", pass)
+		if got := DigestView(v); !reflect.DeepEqual(got, digest) {
+			t.Fatalf("held view's digest moved from %+v to %+v", digest, got)
 		}
-	}
-	if got := DigestView(held); !reflect.DeepEqual(got, digest) {
-		t.Fatalf("held view's digest moved from %+v to %+v", digest, got)
 	}
 }
 

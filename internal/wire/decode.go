@@ -175,24 +175,97 @@ func decodedLen(b []byte, i int) (n, end int) {
 func (d *decoder) createIndex(out *CreateIndexRequest) bool {
 	var seen fields
 	return d.object(func(name []byte) bool {
-		switch string(name) {
-		case "name":
-			return seen.once(0) && d.str(&out.Name)
-		case "q":
-			return seen.once(1) && d.int(&out.Q)
-		case "theta":
-			return seen.once(2) && d.float(&out.Theta)
-		case "measure":
-			return seen.once(3) && d.str(&out.Measure)
-		case "shards":
-			return seen.once(4) && d.int(&out.Shards)
-		case "profile":
-			return seen.once(5) && d.str(&out.Profile)
-		case "tuples":
+		if string(name) == "tuples" {
 			return seen.once(6) && d.tuples(&out.Tuples)
 		}
-		return false
+		return d.createField(name, out, &seen)
 	})
+}
+
+// createField reads a create body's member other than its tuples.
+func (d *decoder) createField(name []byte, out *CreateIndexRequest, seen *fields) bool {
+	switch string(name) {
+	case "name":
+		return seen.once(0) && d.str(&out.Name)
+	case "q":
+		return seen.once(1) && d.int(&out.Q)
+	case "theta":
+		return seen.once(2) && d.float(&out.Theta)
+	case "measure":
+		return seen.once(3) && d.str(&out.Measure)
+	case "shards":
+		return seen.once(4) && d.int(&out.Shards)
+	case "profile":
+		return seen.once(5) && d.str(&out.Profile)
+	}
+	return false
+}
+
+// CreateStream is a create body read up to its tuples, which Tuples
+// then decodes one at a time, so that their consumer can start on each
+// as soon as it lands, on another goroutine if it likes.
+type CreateStream struct {
+	// Head holds the body's members other than its tuples.
+	Head CreateIndexRequest
+	// N is the number of tuples the body holds.
+	N int
+
+	d decoder
+}
+
+// StreamCreate reads a create body up to its tuples. It takes bodies in
+// the canonical shape Decode's scanner takes whose last member is the
+// tuples array, and reports false for any other, which Decode then
+// reads whole.
+func StreamCreate(body []byte) (*CreateStream, bool) {
+	if !endsInArray(body) {
+		return nil, false
+	}
+	c := &CreateStream{d: decoder{b: body}}
+	c.N = c.d.presize().nTuples
+	var seen fields
+	atTuples := false
+	c.d.object(func(name []byte) bool {
+		if string(name) == "tuples" {
+			atTuples = true
+			return false // the value is Tuples' to read
+		}
+		return c.d.createField(name, &c.Head, &seen)
+	})
+	if !atTuples {
+		return nil, false
+	}
+	return c, true
+}
+
+// endsInArray reports whether the last member of the object b holds,
+// if b holds one, has an array value: the tuples, in a create body.
+func endsInArray(b []byte) bool {
+	const ws = " \t\n\r"
+	b = bytes.TrimRight(b, ws)
+	if len(b) == 0 || b[len(b)-1] != '}' {
+		return false
+	}
+	b = bytes.TrimRight(b[:len(b)-1], ws)
+	return len(b) > 0 && b[len(b)-1] == ']'
+}
+
+// Tuples decodes the body's tuples in order, tuple i into *slot(i),
+// which must be zero, calling publish(i+1) once it is complete, and
+// then reads the rest of the body. It reports false, stopping where it
+// is, on anything outside the canonical shape; Decode then decides what
+// the body means. What it accepts, Decode reads as the same tuples.
+// Call it once.
+func (c *CreateStream) Tuples(slot func(i int) *TupleDTO, publish func(done int)) bool {
+	d, n := &c.d, 0
+	return d.array(func() bool {
+		if n == c.N || !d.tuple(slot(n)) {
+			return false
+		}
+		n++
+		publish(n)
+		return true
+	}) && n == c.N && d.consume('}') && d.end()
 }
 
 func (d *decoder) upsert(out *UpsertRequest) bool {
@@ -226,23 +299,12 @@ func (d *decoder) link(out *LinkRequestDTO) bool {
 }
 
 func (d *decoder) tuples(out *[]TupleDTO) bool {
-	if !d.consume('[') {
-		return false
-	}
 	ts := make([]TupleDTO, 0, d.nTuples)
-	if !d.consume(']') {
-		for {
-			ts = append(ts, TupleDTO{})
-			if !d.tuple(&ts[len(ts)-1]) {
-				return false
-			}
-			if d.consume(']') {
-				break
-			}
-			if !d.consume(',') {
-				return false
-			}
-		}
+	if !d.array(func() bool {
+		ts = append(ts, TupleDTO{})
+		return d.tuple(&ts[len(ts)-1])
+	}) {
+		return false
 	}
 	*out = ts
 	return true
@@ -309,26 +371,36 @@ func (d *decoder) object(member func(name []byte) bool) bool {
 	}
 }
 
-// strs reads an array of strings into the arena; [] is an empty,
-// non-nil slice, as encoding/json makes it.
-func (d *decoder) strs(out *[]string) bool {
+// array reads an array, handing each element to elem to read.
+func (d *decoder) array(elem func() bool) bool {
 	if !d.consume('[') {
 		return false
 	}
-	start := len(d.arena)
-	if !d.consume(']') {
-		for {
-			d.arena = append(d.arena, "")
-			if !d.str(&d.arena[len(d.arena)-1]) {
-				return false
-			}
-			if d.consume(']') {
-				break
-			}
-			if !d.consume(',') {
-				return false
-			}
+	if d.consume(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
 		}
+		if d.consume(']') {
+			return true
+		}
+		if !d.consume(',') {
+			return false
+		}
+	}
+}
+
+// strs reads an array of strings into the arena; [] is an empty,
+// non-nil slice, as encoding/json makes it.
+func (d *decoder) strs(out *[]string) bool {
+	start := len(d.arena)
+	if !d.array(func() bool {
+		d.arena = append(d.arena, "")
+		return d.str(&d.arena[len(d.arena)-1])
+	}) {
+		return false
 	}
 	if *out = d.arena[start:len(d.arena):len(d.arena)]; *out == nil {
 		*out = []string{}

@@ -171,7 +171,83 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("%s: %q read as %#v, which changed to %#v when the body was overwritten", rt.name, body, std, fast)
 			}
 		}
+		// The streamed create decoder reads what Decode reads.
+		buf := bytes.Clone(body)
+		if got, ok := streamCreate(t, buf); ok {
+			var std CreateIndexRequest
+			if err := DecodeReader(bytes.NewReader(body), &std); err != nil {
+				t.Fatalf("streamed create accepted %q, encoding/json refused it: %v", body, err)
+			}
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if !reflect.DeepEqual(got, &std) {
+				t.Fatalf("streamed create reads %q as %#v, encoding/json reads %#v", body, got, std)
+			}
+		}
 	})
+}
+
+// streamCreate decodes body with StreamCreate and Tuples, reporting
+// false if either refuses it, and checks that Tuples publishes every
+// tuple once, in order.
+func streamCreate(t *testing.T, body []byte) (*CreateIndexRequest, bool) {
+	t.Helper()
+	cs, ok := StreamCreate(body)
+	if !ok {
+		return nil, false
+	}
+	rows, published := make([]TupleDTO, cs.N), 0
+	if !cs.Tuples(func(i int) *TupleDTO { return &rows[i] }, func(done int) {
+		if done != published+1 {
+			t.Fatalf("%q: tuple %d published after %d", body, done, published)
+		}
+		published = done
+	}) {
+		return nil, false
+	}
+	if published != cs.N {
+		t.Fatalf("%q: %d of %d tuples published", body, published, cs.N)
+	}
+	req := cs.Head
+	req.Tuples = rows
+	return &req, true
+}
+
+// A create body streams when its tuples come last, and reads as Decode
+// reads it; any other body is left to Decode, before or during its
+// tuples.
+func TestStreamCreate(t *testing.T) {
+	big, _ := benchTupleBodies(t, 1000, 0)
+	for _, tc := range []struct {
+		body    string
+		streams bool
+	}{
+		{string(canonicalBodies(t)[0]), true},
+		{string(canonicalBodies(t)[1]), true},
+		{string(big), true},
+		{" {\n \"name\" : \"s\",\r\"tuples\":[ {\"key\":\"a\"} ,{\"key\":\"b\",\"attrs\":[\"x\"]} ]\t}\n", true},
+		{`{"name":"k","tuples":[{"key":"\"\\\/\u00e9 Forlì 日本"}]}`, true},
+		{`{"tuples":[{"key":"a"}],"name":"late"}`, false},
+		{`{"name":"n","tuples":null}`, false},
+		{`{"name":"n","tuples":[{"key":"a"}],"tuples":[{"key":"b"}]}`, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"KEY":"b"}]}`, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"key":"\ud83d\ude00"}]}`, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"key":"b"]}`, false},
+		{`{"name":"n","tuples":[{"key":"a"}]} {"x":[]}`, false},
+		{`{"NAME":"n","tuples":[]}`, false},
+		{`[]}`, false},
+	} {
+		got, ok := streamCreate(t, []byte(tc.body))
+		if ok != tc.streams {
+			t.Errorf("%.60q: streamed %v, want %v", tc.body, ok, tc.streams)
+			continue
+		}
+		var want CreateIndexRequest
+		if err := Decode([]byte(tc.body), &want); ok && (err != nil || !reflect.DeepEqual(got, &want)) {
+			t.Errorf("%.60q: streams as %+v, Decode reads %+v (%v)", tc.body, got, want, err)
+		}
+	}
 }
 
 // benchLinkBody is a canonical 64-key link request of datagen keys.

@@ -31,6 +31,14 @@
 // which no decoded value aliases), one []string arena holding every
 // tuple's attributes or every link key, and the tuple slice.
 //
+// StreamCreate is the same scanner over a create body whose tuples are
+// its last member, split in two: it reads the config fields, and
+// CreateStream.Tuples then decodes the tuples one at a time into slots
+// the caller hands it — the service's are the rows the new index
+// adopts, decoded on their own goroutine while the bulk load homes
+// them. A body it does not take, or refuses partway, goes to Decode
+// whole; FuzzDecodeRequest holds it to Decode's reading too.
+//
 // EncodeUpsert writes an upsert body with the bytes json.Marshal
 // writes, appended into one presized buffer: the router's write
 // fan-out, routed creates included, goes through it. The other router

@@ -58,7 +58,7 @@ func (ix *Index) Digest() (IndexDigest, error) {
 		ix.mu.Lock()
 		walRecords = ix.dir.WALRecords()
 	}
-	v, err := sr.ExportSnapshot()
+	v, err := sr.ExportShards()
 	if ix.dir != nil {
 		ix.mu.Unlock()
 	}
@@ -84,7 +84,7 @@ func (ix *Index) ExportSnapshotTo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	v, err := sr.ExportSnapshot()
+	v, err := sr.ExportShards()
 	if err != nil {
 		return err
 	}
@@ -178,5 +178,11 @@ func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
 	}
-	return persist(ri, opts, "imported snapshot")
+	ix := newIndex(ri, opts)
+	if opts.Storage.Dir != "" {
+		if ix.dir, err = store.Create(opts.Storage.Dir, ri, opts.Storage.WALSync.store()); err != nil {
+			return nil, fmt.Errorf("adaptivelink: persisting imported snapshot: %w", err)
+		}
+	}
+	return ix, nil
 }
