@@ -8,6 +8,8 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/store"
+	"adaptivelink/internal/stream"
+	"adaptivelink/internal/vfs"
 )
 
 // SyncPolicy says when a durable index's write-ahead log reaches stable
@@ -81,7 +83,7 @@ func Open(dir string, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, ri, rec, err := store.Open(dir, opts.meta(), opts.Storage.WALSync.store())
+	d, ri, rec, err := store.Open(vfs.OS, dir, opts.meta(), opts.Storage.WALSync.store())
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: opening %s: %w", dir, err)
 	}
@@ -137,7 +139,7 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, ready := adopt(ref)
+	rows, ready := stream.Adopt(ref)
 	b, err := join.NewBulk(opts.config(), opts.Shards, rows)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: %w", err)
@@ -160,7 +162,7 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 		}
 		return newIndex(ri, opts), nil
 	}
-	ri, d, err := store.CreateBuild(opts.Storage.Dir, opts.Storage.WALSync.store(), b.Build)
+	ri, d, err := store.CreateBuild(vfs.OS, opts.Storage.Dir, opts.Storage.WALSync.store(), b.Build)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: persisting bulk load: %w", err)
 	}
@@ -193,7 +195,7 @@ func (ix *Index) Save(dir string) error {
 		}
 		return ix.dir.Checkpoint(sr)
 	}
-	d, err := store.Create(dir, sr, ix.opts.Storage.WALSync.store())
+	d, err := store.Create(vfs.OS, dir, sr, ix.opts.Storage.WALSync.store())
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adaptivelink/internal/stream"
 )
 
 // durableTuples is a deterministic reference with near-duplicate keys,
@@ -251,7 +253,7 @@ func TestBulkLoadDurable(t *testing.T) {
 	// NewIndex is the same build, and the upsert path (WAL replay, live
 	// maintenance) arrives at the same index: byte-identical snapshots.
 	ups, _ := NewIndex(FromTuples(nil), IndexOptions{Shards: 2})
-	drained, _ := drainSource(FromTuples(tuples)) // the source renumbers IDs
+	drained, _ := stream.Adopt(FromTuples(tuples)) // the source renumbers IDs
 	ups.Upsert(drained...)
 	want, err := fast.ExportSnapshotBytes()
 	if err != nil {

@@ -2,7 +2,6 @@ package adaptivelink
 
 import (
 	"fmt"
-	"iter"
 	"runtime"
 	"slices"
 	"sync"
@@ -271,36 +270,6 @@ func (opts IndexOptions) config() join.Config {
 // meta is the compatibility tuple durable artifacts are bound to.
 func (opts IndexOptions) meta() store.Meta {
 	return store.Meta{Q: opts.Q, Theta: opts.Theta, Measure: simfn.TokenMeasure(opts.Measure), Shards: opts.Shards, Profile: opts.Profile}
-}
-
-// maxDrainPresize caps the capacity a source's size estimate reserves:
-// a FromChannel hint is only what its caller claims.
-const maxDrainPresize = 1 << 16
-
-// adopt takes a bulk load's rows from its source: a stream.Rows hands
-// over its rows, which may still be filling in, and any other source is
-// drained into a batch first. ready yields the counts of rows that are
-// complete, or the source's error.
-func adopt(ref Source) (rows []Tuple, ready iter.Seq2[int, error]) {
-	if r, ok := ref.(*stream.Rows); ok {
-		return r.Adopt()
-	}
-	batch, err := drainSource(ref)
-	return batch, func(yield func(int, error) bool) { yield(len(batch), err) }
-}
-
-func drainSource(ref Source) ([]Tuple, error) {
-	batch := make([]Tuple, 0, min(stream.EstimateSize(ref, 0), maxDrainPresize))
-	for {
-		t, ok, err := ref.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return batch, nil
-		}
-		batch = append(batch, t)
-	}
 }
 
 // Len returns the number of resident reference tuples.

@@ -17,6 +17,7 @@ import (
 	"adaptivelink"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/shardmap"
+	"adaptivelink/internal/stream"
 	"adaptivelink/internal/wire"
 )
 
@@ -240,14 +241,19 @@ func (c *Client) state(name string) (*indexState, bool) {
 // maintenance view of the cluster, so the router runs the probe,
 // session and normalization code a single process runs, which is what
 // keeps routed answers byte-identical. The facade resolves and
-// validates opts before any node is contacted, reporting the cluster's
-// logical shard count. The index is then created empty on every replica
-// of every group and tuples are loaded through the routed upsert path,
-// so they land on the owning nodes' write-ahead logs like any other
-// write. Nodes are created with profile "": the facade owns
-// normalization and nodes index the already-normalised keys verbatim.
-// A failed create or load leaves nothing registered.
-func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples []adaptivelink.Tuple) (*adaptivelink.Index, error) {
+// validates opts, reporting the cluster's logical shard count, and the
+// rows are read from src as a bulk load reads them (stream.Adopt), to
+// the last, before any node is contacted: a source that fails creates
+// nothing. The rows keep the IDs src gives them. The index is then
+// created empty on every replica of every group and the rows are loaded
+// through the routed upsert path, so they land on the owning nodes'
+// write-ahead logs like any other write. Nodes are created with profile
+// "": the facade owns normalization and nodes index the
+// already-normalised keys verbatim. A failed create or load is rolled
+// back on the replicas it reached (see rollback) and leaves nothing
+// registered, so the name can be created again; a replica that already
+// held the name keeps its index.
+func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (*adaptivelink.Index, error) {
 	c.mu.Lock()
 	if _, dup := c.indexes[name]; dup {
 		c.mu.Unlock()
@@ -263,6 +269,13 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples
 		c.unregister(name)
 		return nil, err
 	}
+	rows, ready := stream.Adopt(src)
+	for _, err := range ready {
+		if err != nil {
+			c.unregister(name)
+			return nil, err
+		}
+	}
 	// Node shards are pinned to the router's local default so every
 	// replica of a group builds the identical shard layout: content
 	// digests are compared byte-for-byte across replicas by anti-entropy,
@@ -273,23 +286,47 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples
 		Shards: runtime.GOMAXPROCS(0),
 		Tuples: []wire.TupleDTO{},
 	}
-	if err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated); err != nil {
-		c.unregister(name)
-		return nil, err
+	reached, err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated)
+	if err == nil {
+		_, _, err = ix.Upsert(rows...)
 	}
-	// A single-process create loads tuples through FromTuples, which
-	// assigns sequential IDs in arrival order (wire IDs survive only
-	// upserts). Mirror it: routed answers must match, IDs included.
-	seq := make([]adaptivelink.Tuple, len(tuples))
-	for i, t := range tuples {
-		seq[i] = adaptivelink.Tuple{ID: i, Key: t.Key, Attrs: t.Attrs}
-	}
-	if _, _, err := ix.Upsert(seq...); err != nil {
-		c.DeleteIndex(name)
+	if err != nil {
+		if rerr := c.rollback(name, reached); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("cluster: rolling back the create of %q: %w", name, rerr))
+		}
 		c.unregister(name)
 		return nil, err
 	}
 	return ix, nil
+}
+
+// rollback deletes a failed create's index from the replicas the create
+// reached (reached is its fanOutAll report), and from no other: a
+// replica that refused the create with 409 held the name before this
+// create and keeps its index. A reached replica that misses the delete
+// (deferred behind what it still owes, the create itself included, or
+// unreachable) gets it queued for replay. The error names the replicas
+// that refused the delete.
+func (c *Client) rollback(name string, reached [][]bool) error {
+	del := hint{index: name, method: http.MethodDelete, path: "/v1/indexes/" + name,
+		ok: []int{http.StatusNoContent, http.StatusNotFound}}
+	var errs []error
+	for g, reps := range reached {
+		for i, made := range reps {
+			if !made {
+				continue
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WriteTimeout)
+			acked, hard, _ := c.writeReplica(ctx, g, i, del.method, del.path, nil, del.ok)
+			cancel()
+			if hard != nil {
+				errs = append(errs, hard)
+			} else if !acked {
+				c.enqueue(g, i, del)
+			}
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // unregister drops an index's routing state.
@@ -306,7 +343,7 @@ func (c *Client) DeleteIndex(name string) error {
 	if _, ok := c.state(name); !ok {
 		return fmt.Errorf("cluster: index %q not registered", name)
 	}
-	err := c.fanOutAll(name, http.MethodDelete, "/v1/indexes/"+name, nil, http.StatusNoContent, http.StatusNotFound)
+	_, err := c.fanOutAll(name, http.MethodDelete, "/v1/indexes/"+name, nil, http.StatusNoContent, http.StatusNotFound)
 	if err != nil {
 		return err
 	}
@@ -319,30 +356,33 @@ func (c *Client) SnapshotIndex(name string) error {
 	if _, ok := c.state(name); !ok {
 		return fmt.Errorf("cluster: index %q not registered", name)
 	}
-	return c.fanOutAll(name, http.MethodPost, "/v1/indexes/"+name+"/snapshot", nil, http.StatusOK)
+	_, err := c.fanOutAll(name, http.MethodPost, "/v1/indexes/"+name+"/snapshot", nil, http.StatusOK)
+	return err
 }
 
 // fanOutAll issues the same request to every replica of every group,
 // concurrently, with the write timeout per call. index names the index
 // the operation belongs to (the unit its queue entries collapse by).
 // Any group falling below quorum fails the fan-out (wrapped in
-// ErrNodeUnavailable for transport errors).
-func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses ...int) error {
+// ErrNodeUnavailable for transport errors). reached[g] is group g's
+// groupWrite report of the replicas the request reached.
+func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses ...int) (reached [][]bool, err error) {
 	raw, err := marshalPayload(payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var wg sync.WaitGroup
+	reached = make([][]bool, len(c.cfg.Map.Groups))
 	errs := make([]error, len(c.cfg.Map.Groups))
 	for g := range c.cfg.Map.Groups {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = c.groupWrite(g, index, method, path, raw, okStatuses...)
+			reached[g], errs[g] = c.groupWrite(g, index, method, path, raw, okStatuses...)
 		}(g)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return reached, errors.Join(errs...)
 }
 
 // groupWrite issues one maintenance request to EVERY replica of a group
@@ -355,7 +395,10 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 // the group and its hash range, and nothing is queued — the caller
 // retries the batch. raw is the encoded body (nil for none); queued
 // writes replay it as is, so no caller may modify it afterwards.
-func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okStatuses ...int) error {
+// reached reports, per replica, whether the write was applied there or
+// is queued for it: every replica when the write succeeds, the replicas
+// that acknowledged it when it fails.
+func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okStatuses ...int) (reached []bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WriteTimeout)
 	defer cancel()
 	reps := c.cfg.Map.Groups[g]
@@ -366,43 +409,34 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 	}
 	outs := make([]outcome, len(reps))
 	var wg sync.WaitGroup
-	for i, addr := range reps {
-		if rs := c.replica(g, i); rs != nil && rs.behind(c) {
-			outs[i].miss = fmt.Errorf("%s: deferred behind queued hints", addr)
-			continue
-		}
+	for i := range reps {
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func(i int) {
 			defer wg.Done()
-			status, body, err := c.doRaw(ctx, addr, method, path, raw, "application/json")
-			if err != nil {
-				outs[i].miss = fmt.Errorf("%s: %v", addr, err)
-				return
-			}
-			if statusIn(okStatuses, status) {
-				outs[i].acked = true
-				return
-			}
-			outs[i].hard = fmt.Errorf("%w: %s: %s %s%s: node answered %d: %s",
-				ErrNodeUnavailable, c.groupLabel(g), method, addr, path, status, envelopeMessage(body))
-		}(i, addr)
+			outs[i].acked, outs[i].hard, outs[i].miss = c.writeReplica(ctx, g, i, method, path, raw, okStatuses)
+		}(i)
 	}
 	wg.Wait()
 
+	reached = make([]bool, len(reps))
 	acks := 0
-	var miss error
+	var miss, hard error
 	for i := range outs {
-		if outs[i].hard != nil {
-			return outs[i].hard
-		}
-		if outs[i].acked {
+		reached[i] = outs[i].acked
+		switch {
+		case outs[i].hard != nil:
+			hard = outs[i].hard
+		case outs[i].acked:
 			acks++
-		} else if miss == nil {
+		case miss == nil:
 			miss = outs[i].miss
 		}
 	}
+	if hard != nil {
+		return reached, hard
+	}
 	if q := c.quorum(g); acks < q {
-		return fmt.Errorf("%w: %s: %d of %d replicas acknowledged %s %s (quorum %d): %v",
+		return reached, fmt.Errorf("%w: %s: %d of %d replicas acknowledged %s %s (quorum %d): %v",
 			ErrNodeUnavailable, c.groupLabel(g), acks, len(reps), method, path, q, miss)
 	}
 	// Quorum met: the batch is durable. Queue the missed replicas' copies
@@ -410,9 +444,31 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 	for i := range outs {
 		if !outs[i].acked {
 			c.enqueue(g, i, hint{index: index, method: method, path: path, payload: raw, ok: okStatuses})
+			reached[i] = true
 		}
 	}
-	return nil
+	return reached, nil
+}
+
+// writeReplica issues one maintenance request to replica i of group g
+// and reports whether the replica applied it (acked), refused it (hard:
+// divergence, not unavailability) or missed it (miss: a transport
+// failure, or deferred behind the writes the replica still owes — order
+// is the contract).
+func (c *Client) writeReplica(ctx context.Context, g, i int, method, path string, raw []byte, okStatuses []int) (acked bool, hard, miss error) {
+	addr := c.cfg.Map.Groups[g][i]
+	if rs := c.replica(g, i); rs != nil && rs.behind(c) {
+		return false, nil, fmt.Errorf("%s: deferred behind queued hints", addr)
+	}
+	status, body, err := c.doRaw(ctx, addr, method, path, raw, "application/json")
+	if err != nil {
+		return false, nil, fmt.Errorf("%s: %v", addr, err)
+	}
+	if statusIn(okStatuses, status) {
+		return true, nil, nil
+	}
+	return false, fmt.Errorf("%w: %s: %s %s%s: node answered %d: %s",
+		ErrNodeUnavailable, c.groupLabel(g), method, addr, path, status, envelopeMessage(body)), nil
 }
 
 // marshalPayload pre-marshals a JSON payload (nil stays nil) so hints

@@ -288,7 +288,7 @@ func TestCreateIndexRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateIndex("ix", adaptivelink.IndexOptions{}, nil); !errors.Is(err, ErrNodeUnavailable) {
+	if _, err := c.CreateIndex("ix", adaptivelink.IndexOptions{}, adaptivelink.FromTuples(nil)); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("CreateIndex = %v, want ErrNodeUnavailable", err)
 	}
 	if names := c.Names(); len(names) != 0 {

@@ -354,9 +354,9 @@ func statusIn(ok []int, status int) bool {
 }
 
 // probeLoop actively probes every replica's /healthz on the configured
-// interval, feeding the circuit breakers — so a revived replica is
-// noticed (and its hints drained, its breaker closed) without waiting
-// for live traffic to trip over it.
+// interval with Health's sweep, feeding the circuit breakers — so a
+// revived replica is noticed (and its hints drained, its breaker
+// closed) without waiting for live traffic to trip over it.
 func (c *Client) probeLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.ProbeInterval)
@@ -367,20 +367,7 @@ func (c *Client) probeLoop() {
 			return
 		case <-t.C:
 		}
-		var wg sync.WaitGroup
-		for g := range c.reps {
-			for i := range c.reps[g] {
-				wg.Add(1)
-				go func(rs *replicaState) {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(c.ctx, time.Second)
-					defer cancel()
-					// doRaw feeds the breaker on both outcomes.
-					c.doRaw(ctx, rs.addr, http.MethodGet, "/healthz", nil, "")
-				}(c.reps[g][i])
-			}
-		}
-		wg.Wait()
+		c.Health(c.ctx) // doRaw feeds the breaker on both outcomes
 	}
 }
 

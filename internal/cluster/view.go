@@ -115,7 +115,7 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = v.c.groupWrite(g, v.st.name, http.MethodPost, "/v1/indexes/"+v.st.name+"/upsert",
+			_, errs[g] = v.c.groupWrite(g, v.st.name, http.MethodPost, "/v1/indexes/"+v.st.name+"/upsert",
 				wire.EncodeUpsert(subs[g]), http.StatusOK)
 		}(g)
 	}

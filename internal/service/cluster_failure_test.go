@@ -281,3 +281,82 @@ func TestClusterReplicaDedupAcrossVersions(t *testing.T) {
 		}
 	}
 }
+
+// nodeHolds reports whether a node answers for the index, asking it
+// directly (not through the router).
+func nodeHolds(t *testing.T, node *httptest.Server, index string) bool {
+	t.Helper()
+	resp, err := http.Get(node.URL + "/v1/indexes/" + index)
+	if err != nil {
+		t.Fatalf("asking node %s: %v", node.URL, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
+// A routed create that one node group refuses answers node_unavailable
+// and is rolled back on the groups that acknowledged it: no node is
+// left holding the index, so the same create succeeds once the group is
+// back, and answers like the single-process reference.
+func TestClusterCreateDuringOutageRollsBack(t *testing.T) {
+	f := newChaosFixture(t, 4, []int{1, 1}, nil)
+	var initial []string
+	for i := 0; i < 12; i++ {
+		initial = append(initial, fmt.Sprintf(`{"key":%q}`, chaosKey(i)))
+	}
+	create := fmt.Sprintf(`{"name":"atlas","tuples":[%s]}`, strings.Join(initial, ","))
+
+	down := f.kill(1, 0) // group 1 refuses connections
+	if code, body := f.router.do(t, "POST", "/v1/indexes", create); code != http.StatusBadGateway {
+		t.Fatalf("create during the outage: %d %s (want 502)", code, body)
+	}
+	for g := range f.nodes {
+		for r, node := range f.nodes[g] {
+			if nodeHolds(t, node, "atlas") {
+				t.Fatalf("node %d.%d holds the index of a create that failed", g, r)
+			}
+		}
+	}
+	if code, body := f.router.do(t, "GET", "/v1/indexes/atlas", ""); code != http.StatusNotFound {
+		t.Fatalf("router lists the failed create: %d %s", code, body)
+	}
+
+	down.Off()
+	f.both(t, "POST", "/v1/indexes", create, false)
+	f.linkBoth(t, chaosKey(0), chaosKey(7), "borgo santa luca nord 4")
+}
+
+// A routed create rolls back only what it created. A node that already
+// holds the name refuses the create (409), so the create fails; the
+// replicas that acknowledged it lose the index again, and the node that
+// held it keeps its index and its contents.
+func TestClusterCreateKeepsNodeHeldIndex(t *testing.T) {
+	f := newChaosFixture(t, 4, []int{1, 2}, nil)
+	held := f.nodes[1][0]
+	resp, err := http.Post(held.URL+"/v1/indexes", "application/json",
+		strings.NewReader(`{"name":"atlas","tuples":[{"key":"canale grande ribera 9"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create on node 1.0: %d", resp.StatusCode)
+	}
+	before := f.nodeDigest(t, 1, 0, "atlas")
+
+	create := fmt.Sprintf(`{"name":"atlas","tuples":[{"key":%q},{"key":%q}]}`, chaosKey(0), chaosKey(1))
+	if code, body := f.router.do(t, "POST", "/v1/indexes", create); code != http.StatusBadGateway {
+		t.Fatalf("create over a node-held name: %d %s (want 502)", code, body)
+	}
+	if after := f.nodeDigest(t, 1, 0, "atlas"); after != before {
+		t.Fatalf("node 1.0's index changed: digest %s, was %s", after, before)
+	}
+	for _, n := range [][2]int{{0, 0}, {1, 1}} {
+		if nodeHolds(t, f.nodes[n[0]][n[1]], "atlas") {
+			t.Fatalf("node %d.%d holds the index of a create that failed", n[0], n[1])
+		}
+	}
+	if code, body := f.router.do(t, "GET", "/v1/indexes/atlas", ""); code != http.StatusNotFound {
+		t.Fatalf("router lists the failed create: %d %s", code, body)
+	}
+}

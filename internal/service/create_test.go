@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"adaptivelink"
+	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/store"
 	"adaptivelink/internal/wire"
@@ -164,6 +166,91 @@ func TestCreateParity(t *testing.T) {
 			wantCode, wantResp := serveBody(refH, "POST", "/v1/link", link)
 			compareOutcome(t, c.name+" "+strategy+" link", code, resp, wantCode, wantResp)
 		}
+	}
+}
+
+// TestCreateStreamedOnRouter: a router takes a canonical create body
+// as a node does, its tuples decoding on their own goroutine into the
+// rows it then routes, and the routed index answers every link as a
+// single process built from the same body does.
+func TestCreateStreamedOnRouter(t *testing.T) {
+	var groups [][]string
+	for g := 0; g < 2; g++ {
+		node := startStack(t, fmt.Sprintf("node%d", g), Config{})
+		groups = append(groups, []string{node.srv.URL})
+	}
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 4, Groups: groups}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, ref := New(Config{Cluster: cl}), New(Config{})
+	t.Cleanup(router.Close)
+	t.Cleanup(ref.Close)
+
+	req := createRequest(t, "streamed", 600) // 4 shards, as the cluster has
+	body := marshal(t, req)
+	info, handled, err := router.createStreamed(body)
+	if !handled || err != nil {
+		t.Fatalf("router createStreamed: handled %v, err %v", handled, err)
+	}
+	if info.Size != len(req.Tuples) || info.Shards != 4 {
+		t.Fatalf("router created %d tuples in %d shards, want %d in 4", info.Size, info.Shards, len(req.Tuples))
+	}
+	if code, resp := serveBody(NewHandler(ref), "POST", "/v1/indexes", body); code != http.StatusCreated {
+		t.Fatalf("reference create: %d %s", code, resp)
+	}
+	var keys []string
+	for i := 0; i < len(req.Tuples); i += 7 {
+		keys = append(keys, req.Tuples[i].Key, req.Tuples[i].Key+"x")
+	}
+	for _, strategy := range []string{"exact", "adaptive"} {
+		link := marshal(t, LinkRequestDTO{Index: req.Name, Keys: keys, Strategy: strategy})
+		code, resp := serveBody(NewHandler(router), "POST", "/v1/link", link)
+		wantCode, wantResp := serveBody(NewHandler(ref), "POST", "/v1/link", link)
+		if code != wantCode || !bytes.Equal(resp, wantResp) {
+			t.Fatalf("%s link: router %d %s\nreference %d %s", strategy, code, resp, wantCode, wantResp)
+		}
+	}
+}
+
+// TestClusterCreateBrokenLastTuple: a create body broken in its last
+// tuple, sent through a router, is answered with encoding/json's error,
+// and no node is asked to create anything: the router reads every row
+// before it contacts a node.
+func TestClusterCreateBrokenLastTuple(t *testing.T) {
+	var creates atomic.Int64
+	f := newClusterFixture(t, 4, []int{1, 1}, func(g, r int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/indexes" {
+				creates.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	body := []byte(`{"name":"broken","tuples":[{"key":"a"},{"key":"b"},{"key":"c"]}`)
+	if _, ok := wire.StreamCreate(body); !ok {
+		t.Fatal("StreamCreate refused the body; the test needs it streamed")
+	}
+	var req CreateIndexRequest
+	decodeErr := wire.DecodeReader(bytes.NewReader(body), &req)
+	if decodeErr == nil {
+		t.Fatal("encoding/json accepted the broken body")
+	}
+	want := marshal(t, ErrorDTO{Error: ErrorBody{Code: CodeInvalid, Message: fmt.Sprintf("invalid request body: %v", decodeErr)}})
+	code, resp := f.router.do(t, "POST", "/v1/indexes", string(body))
+	compareOutcome(t, "broken body through the router", code, []byte(resp), http.StatusBadRequest, want)
+	if n := creates.Load(); n != 0 {
+		t.Fatalf("the router sent %d creates to its nodes", n)
+	}
+	for g := range f.nodes {
+		for r, node := range f.nodes[g] {
+			if nodeHolds(t, node, "broken") {
+				t.Fatalf("node %d.%d holds the index of a refused body", g, r)
+			}
+		}
+	}
+	if code, resp := f.router.do(t, "GET", "/v1/indexes/broken", ""); code != http.StatusNotFound {
+		t.Fatalf("router lists the refused create: %d %s", code, resp)
 	}
 }
 

@@ -171,7 +171,7 @@ func NewHandler(s *Service) http.Handler {
 		// a normal error response, a failure mid-stream truncates the body
 		// and the importer's checksum rejects it.
 		name := r.PathValue("name")
-		if _, err := s.GetIndex(name); err != nil && s.Config().Cluster == nil {
+		if _, err := s.GetIndex(name); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -291,18 +291,15 @@ func NewHandler(s *Service) http.Handler {
 // to be canonical; the body then takes the synchronous path.
 var errNotStreamed = errors.New("create body left the canonical shape")
 
-// createStreamed is a local create from a request body whose tuples
-// decode on their own goroutine, straight into the rows the index
-// adopts, while the bulk load normalises and homes each as it lands.
-// handled is false when the body must take the synchronous path
-// (wire.Decode, then CreateIndex), which alone defines what a body
-// means: a body wire.StreamCreate does not take, a routed service, and
-// any create that fails before its tuples are known to decode — its
-// error may be the body's to report.
+// createStreamed is a create from a request body whose tuples decode
+// on their own goroutine, straight into the rows the index adopts: a
+// node's bulk load normalises and homes each as it lands, and a router
+// reads them all before it contacts any node. handled is false when the
+// body must take the synchronous path (wire.Decode, then CreateIndex),
+// which alone defines what a body means: a body wire.StreamCreate does
+// not take, and any create that fails before its tuples are known to
+// decode — its error may be the body's to report.
 func (s *Service) createStreamed(body []byte) (info IndexInfo, handled bool, err error) {
-	if s.cfg.Cluster != nil {
-		return IndexInfo{}, false, nil
-	}
 	cs, ok := wire.StreamCreate(body)
 	if !ok {
 		return IndexInfo{}, false, nil
@@ -327,9 +324,7 @@ func (s *Service) createStreamed(body []byte) (info IndexInfo, handled bool, err
 		decoded.Store(true)
 		return nil
 	})
-	info, err = s.create(cs.Head.Name, func() (*adaptivelink.Index, error) {
-		return s.bulkLoad(cs.Head.Name, opts, src)
-	})
+	info, err = s.create(cs.Head.Name, opts, src)
 	return info, err == nil || decoded.Load(), err
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,13 +28,7 @@ func getDigest(t *testing.T, base, name string) adaptivelink.IndexDigest {
 
 func postResync(t *testing.T, base, name string, blob []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/indexes/"+name+"/resync", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw
+	return rawDo(t, "POST", base+"/v1/indexes/"+name+"/resync", blob)
 }
 
 // TestHTTPDigestExportResync drives the node-side anti-entropy surface
@@ -185,4 +180,82 @@ func TestHTTPResyncDurable(t *testing.T) {
 	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil || len(lr.Results[0].Matches) == 0 {
 		t.Fatalf("link after restart: %d %s", code, body)
 	}
+}
+
+// TestClusterRouterRefusesReplicaSurface: a router's index holds no
+// replica state, so the router answers digest, export and resync with
+// 400 (the facade's refusal), while an unknown name's export is 404 on
+// router and node alike, and a resync sent to a router registers
+// nothing.
+func TestClusterRouterRefusesReplicaSurface(t *testing.T) {
+	_, node := newTestServer(t)
+	createAtlas(t, node.URL)
+	code, blob := rawDo(t, "GET", node.URL+"/v1/indexes/atlas/export", nil)
+	if code != http.StatusOK {
+		t.Fatalf("node export: %d %s", code, blob)
+	}
+
+	router := startCluster(t, "router", 4, []int{1, 1})
+	createAtlas(t, router.srv.URL)
+	for _, c := range []struct{ method, path string }{
+		{"GET", "/v1/indexes/atlas/digest"},
+		{"GET", "/v1/indexes/atlas/export"},
+		{"POST", "/v1/indexes/atlas/resync"},
+		{"POST", "/v1/indexes/ghost/resync"},
+	} {
+		code, body := rawDo(t, c.method, router.srv.URL+c.path, blob)
+		if ec, _ := envelope(t, string(body)); code != http.StatusBadRequest || ec != CodeInvalid {
+			t.Fatalf("router %s %s: %d %s, want 400 invalid", c.method, c.path, code, body)
+		}
+	}
+	for _, base := range []string{router.srv.URL, node.URL} {
+		if code, body := rawDo(t, "GET", base+"/v1/indexes/ghost/export", nil); code != http.StatusNotFound {
+			t.Fatalf("%s: export of an unknown index: %d %s, want 404", base, code, body)
+		}
+	}
+	code, body := router.do(t, "GET", "/v1/indexes", "")
+	var list []IndexInfo
+	if err := json.Unmarshal([]byte(body), &list); code != http.StatusOK || err != nil || len(list) != 1 || list[0].Name != "atlas" {
+		t.Fatalf("router lists %d %s after the refused resyncs, want atlas alone", code, body)
+	}
+}
+
+// A node's export that fails while writing the snapshot is a fault of
+// the transfer, not of the request: it is passed on as it is, not as
+// invalid (which the router's refusal is).
+func TestExportWriteFailureNotInvalid(t *testing.T) {
+	svc := New(Config{})
+	t.Cleanup(svc.Close)
+	if _, err := svc.CreateIndex("atlas", adaptivelink.IndexOptions{},
+		[]adaptivelink.Tuple{{Key: "borgo santa lucia nord"}}); err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("connection reset")
+	err := svc.ExportIndex("atlas", failingWriter{broken})
+	if !errors.Is(err, broken) || errors.Is(err, ErrInvalid) {
+		t.Fatalf("ExportIndex into a failing writer = %v, want the write error, not invalid", err)
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// rawDo sends one request with a raw body.
+func rawDo(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }

@@ -441,17 +441,13 @@ func (s *Service) Cluster(ctx context.Context) ClusterInfo {
 // initial tuples bulk-load straight into a snapshot in DataDir/name
 // (never through the log), and every later upsert is logged.
 func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuples []adaptivelink.Tuple) (IndexInfo, error) {
-	return s.create(name, func() (*adaptivelink.Index, error) {
-		if s.cfg.Cluster != nil {
-			return s.cfg.Cluster.CreateIndex(name, opts, tuples)
-		}
-		return s.bulkLoad(name, opts, adaptivelink.FromTuples(tuples))
-	})
+	return s.create(name, opts, adaptivelink.FromTuples(tuples))
 }
 
-// create registers the index build makes under name, refusing a name
-// that is malformed or taken first.
-func (s *Service) create(name string, build func() (*adaptivelink.Index, error)) (IndexInfo, error) {
+// create registers the index build makes under name from src, refusing
+// a name that is malformed or taken first. It is the one create, local
+// or routed, whether src is complete or still filling in.
+func (s *Service) create(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (IndexInfo, error) {
 	if !nameRe.MatchString(name) {
 		return IndexInfo{}, fmt.Errorf("%w: index name %q (want %s)", ErrInvalid, name, nameRe)
 	}
@@ -460,7 +456,7 @@ func (s *Service) create(name string, build func() (*adaptivelink.Index, error))
 	if _, err := s.lookup(name); err == nil {
 		return IndexInfo{}, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	ix, err := build()
+	ix, err := s.build(name, opts, src)
 	if errors.Is(err, cluster.ErrNodeUnavailable) || errors.Is(err, ErrExists) {
 		return IndexInfo{}, err
 	}
@@ -474,9 +470,14 @@ func (s *Service) create(name string, build func() (*adaptivelink.Index, error))
 	return mi.info(), nil
 }
 
-// bulkLoad builds a local index from src in the storage the service
-// places it in (the service places indexes, not the caller).
-func (s *Service) bulkLoad(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (*adaptivelink.Index, error) {
+// build builds a new index from src where the service's role puts it:
+// a router creates it across the cluster, a node bulk-loads it into the
+// storage the service places it in (the service places indexes, not the
+// caller).
+func (s *Service) build(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (*adaptivelink.Index, error) {
+	if s.cfg.Cluster != nil {
+		return s.cfg.Cluster.CreateIndex(name, opts, src)
+	}
 	var err error
 	if opts.Storage, err = s.placement(name); err != nil {
 		return nil, err
@@ -485,12 +486,16 @@ func (s *Service) bulkLoad(name string, opts adaptivelink.IndexOptions, src adap
 }
 
 // placement is the storage the service gives a new local index, the
-// step CreateIndex and a resync bootstrap share: the configured WAL sync
+// step a bulk load and a resync bootstrap share: the configured WAL sync
 // policy and, with a data dir, the index's directory under it — refused
 // while a directory of that name survives on disk, one the boot scan did
-// not load.
+// not load. A router places no index locally: its indexes live on the
+// nodes.
 func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 	st := adaptivelink.StorageOptions{WALSync: s.cfg.WALSync}
+	if s.cfg.Cluster != nil {
+		return st, fmt.Errorf("%w: a router places no index locally (index %q lives on the nodes)", ErrInvalid, name)
+	}
 	if s.cfg.DataDir == "" {
 		return st, nil
 	}
@@ -593,12 +598,9 @@ func (s *Service) SnapshotIndex(name string) (IndexInfo, error) {
 }
 
 // DigestIndex fingerprints the named index's content for replica
-// comparison. Nodes only: a router holds no replica state of its own —
-// it asks the nodes and compares.
+// comparison. Nodes only: a router's index holds no replica state of
+// its own, and the facade refuses to digest it.
 func (s *Service) DigestIndex(name string) (adaptivelink.IndexDigest, error) {
-	if s.cfg.Cluster != nil {
-		return adaptivelink.IndexDigest{}, fmt.Errorf("%w: a router holds no replica state; digests come from the nodes", ErrInvalid)
-	}
 	mi, err := s.lookup(name)
 	if err != nil {
 		return adaptivelink.IndexDigest{}, err
@@ -611,16 +613,19 @@ func (s *Service) DigestIndex(name string) (adaptivelink.IndexDigest, error) {
 }
 
 // ExportIndex streams the named index's state in the snapshot format —
-// the sending half of a replica resync. Nodes only.
+// the sending half of a replica resync. Nodes only: the facade refuses
+// to export a router's index, which answers as invalid; a failure to
+// encode or write the snapshot is passed on as it is.
 func (s *Service) ExportIndex(name string, w io.Writer) error {
-	if s.cfg.Cluster != nil {
-		return fmt.Errorf("%w: a router holds no replica state; export from the nodes", ErrInvalid)
-	}
 	mi, err := s.lookup(name)
 	if err != nil {
 		return err
 	}
-	return mi.ix.ExportSnapshotTo(w)
+	err = mi.ix.ExportSnapshotTo(w)
+	if errors.Is(err, errors.ErrUnsupported) {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return err
 }
 
 // ResyncIndex replaces the named index's content wholesale with the
@@ -628,11 +633,9 @@ func (s *Service) ExportIndex(name string, w io.Writer) error {
 // receiving half of anti-entropy repair. An index the node does not
 // have yet is bootstrapped from the snapshot (a replacement replica
 // arrives blank), adopting the snapshot's stored configuration; with a
-// data dir it is persisted before it starts serving. Nodes only.
+// data dir it is persisted before it starts serving. Nodes only: the
+// facade refuses to restore a router's index, and a router places none.
 func (s *Service) ResyncIndex(name string, data []byte) (IndexInfo, error) {
-	if s.cfg.Cluster != nil {
-		return IndexInfo{}, fmt.Errorf("%w: a router holds no replica state; resync targets the nodes", ErrInvalid)
-	}
 	if !nameRe.MatchString(name) {
 		return IndexInfo{}, fmt.Errorf("%w: index name %q (want %s)", ErrInvalid, name, nameRe)
 	}

@@ -32,7 +32,7 @@ func fixCRC(b []byte) []byte {
 func TestCreateDirLifecycle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ix")
 	ix := buildIndex(t, 2, 40)
-	d, err := Create(dir, ix, SyncAlways)
+	d, err := Create(vfs.OS, dir, ix, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCreateDirLifecycle(t *testing.T) {
 	}
 
 	// Create refuses a directory that already holds an index.
-	if _, err := Create(dir, ix, SyncAlways); err == nil || !strings.Contains(err.Error(), "already holds") {
+	if _, err := Create(vfs.OS, dir, ix, SyncAlways); err == nil || !strings.Contains(err.Error(), "already holds") {
 		t.Fatalf("Create over occupied dir = %v, want refusal", err)
 	}
 
@@ -63,7 +63,7 @@ func TestCreateDirLifecycle(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("PeekMeta = %v, %v", m, err)
 	}
-	d2, got, rec, err := Open(dir, *m, SyncAlways)
+	d2, got, rec, err := Open(vfs.OS, dir, *m, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCreateDirErrors(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(filepath.Join(file, "sub"), ix, SyncAlways); err == nil {
+	if _, err := Create(vfs.OS, filepath.Join(file, "sub"), ix, SyncAlways); err == nil {
 		t.Fatal("Create under a plain file succeeded")
 	}
 
@@ -114,7 +114,7 @@ func TestCreateDirErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, SnapshotFile), []byte("shrt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(bad, ix, SyncAlways); !errors.Is(err, ErrCorrupt) {
+	if _, err := Create(vfs.OS, bad, ix, SyncAlways); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Create over corrupt snapshot = %v, want ErrCorrupt", err)
 	}
 }
@@ -122,12 +122,12 @@ func TestCreateDirErrors(t *testing.T) {
 func TestOpenErrors(t *testing.T) {
 	// Fresh directory with an unusable configuration: the index
 	// constructor's validation error surfaces.
-	if _, _, _, err := Open(filepath.Join(t.TempDir(), "fresh"), Meta{}, SyncAlways); err == nil {
+	if _, _, _, err := Open(vfs.OS, filepath.Join(t.TempDir(), "fresh"), Meta{}, SyncAlways); err == nil {
 		t.Fatal("Open with a zero Meta succeeded")
 	}
 
 	dir := filepath.Join(t.TempDir(), "ix")
-	d, err := Create(dir, buildIndex(t, 2, 10), SyncAlways)
+	d, err := Create(vfs.OS, dir, buildIndex(t, 2, 10), SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestOpenErrors(t *testing.T) {
 	// Stored configuration differs from the requested one.
 	bad := *m
 	bad.Q++
-	if _, _, _, err := Open(dir, bad, SyncAlways); err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
+	if _, _, _, err := Open(vfs.OS, dir, bad, SyncAlways); err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
 		t.Fatalf("Open with mismatched meta = %v", err)
 	}
 
@@ -150,7 +150,7 @@ func TestOpenErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), []byte("garbage, not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := Open(dir, *m, SyncAlways); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := Open(vfs.OS, dir, *m, SyncAlways); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open over damaged snapshot = %v, want ErrCorrupt", err)
 	}
 }

@@ -38,7 +38,7 @@ func crashSchedule(fsys vfs.FS, dir string, meta Meta, resident map[string]strin
 		}
 		return ts
 	}
-	d, ix, _, err := OpenFS(fsys, dir, meta, SyncAlways)
+	d, ix, _, err := Open(fsys, dir, meta, SyncAlways)
 	if err != nil {
 		return acked, nil, false
 	}
@@ -111,7 +111,7 @@ func crashSweep(t *testing.T, meta Meta, resident map[string]string, seed func(d
 					t.Fatalf("crash at op %d never fired", k)
 				}
 				// The process is dead; recovery runs on the real filesystem.
-				d, ix, _, err := Open(dir, meta, SyncAlways)
+				d, ix, _, err := Open(vfs.OS, dir, meta, SyncAlways)
 				if err != nil {
 					t.Fatalf("recovery after crash at op %d failed: %v", k, err)
 				}
@@ -181,7 +181,7 @@ func TestWALFsyncPoisoning(t *testing.T) {
 	boom := errors.New("EIO: lost some dirty pages")
 	// Sync #1 is the fresh WAL header's; #2 is the first append's.
 	fs := fault.NewSimFS().FailOp(fault.OpSync, 2, boom)
-	d, ix, _, err := OpenFS(fs, dir, crashMeta, SyncAlways)
+	d, ix, _, err := Open(fs, dir, crashMeta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestWALFsyncPoisoning(t *testing.T) {
 
 	// And the healed directory recovers the acknowledged state.
 	d.Close()
-	_, ix2, rec, err := Open(dir, crashMeta, SyncAlways)
+	_, ix2, rec, err := Open(vfs.OS, dir, crashMeta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestWALFsyncPoisoning(t *testing.T) {
 // must not break or pollute a reopen: Open sweeps them.
 func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	d, ix, _, err := Open(dir, crashMeta, SyncAlways)
+	d, ix, _, err := Open(vfs.OS, dir, crashMeta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestOpenSweepsOrphanedTempFiles(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, ix2, _, err := Open(dir, crashMeta, SyncAlways)
+	d2, ix2, _, err := Open(vfs.OS, dir, crashMeta, SyncAlways)
 	if err != nil {
 		t.Fatalf("open with orphaned temp file: %v", err)
 	}

@@ -13,9 +13,9 @@ import (
 
 // TestFailedCreateLeavesNothing fails each write-class filesystem
 // operation of a create in turn — every write and fsync of the snapshot
-// and the log, the rename, the directory fsync — through CreateFS (an
+// and the log, the rename, the directory fsync — through Create (an
 // index built first, as Save and an import persist) and through
-// CreateBuildFS (a bulk build persisting beside its inserts). Every
+// CreateBuild (a bulk build persisting beside its inserts). Every
 // failed create leaves the directory as it found it: gone if the create
 // made it, empty if it was there empty. So the same directory then takes
 // a create, and an Open of it finds no index.
@@ -23,19 +23,19 @@ func TestFailedCreateLeavesNothing(t *testing.T) {
 	ix := buildIndex(t, 2, 40)
 	rows := testTuples(40)
 	creates := map[string]func(fsys vfs.FS, dir string) error{
-		"CreateFS": func(fsys vfs.FS, dir string) error {
-			d, err := CreateFS(fsys, dir, ix, SyncAlways)
+		"Create": func(fsys vfs.FS, dir string) error {
+			d, err := Create(fsys, dir, ix, SyncAlways)
 			if err == nil {
 				d.Close()
 			}
 			return err
 		},
-		"CreateBuildFS": func(fsys vfs.FS, dir string) error {
+		"CreateBuild": func(fsys vfs.FS, dir string) error {
 			b, err := join.NewBulk(join.Defaults(), 2, slices.Clone(rows))
 			if err != nil {
 				return err
 			}
-			_, d, err := CreateBuildFS(fsys, dir, SyncAlways, b.Build)
+			_, d, err := CreateBuild(fsys, dir, SyncAlways, b.Build)
 			if err == nil {
 				d.Close()
 			}

@@ -162,7 +162,7 @@ func TestProfileMismatchRejected(t *testing.T) {
 	}
 
 	idxDir := t.TempDir()
-	d, err := Create(idxDir, buildProfiledIndex(t, "latin"), SyncNone)
+	d, err := Create(vfs.OS, idxDir, buildProfiledIndex(t, "latin"), SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestProfileMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := Meta{Q: join.Defaults().Q, Theta: join.Defaults().Theta, Measure: join.Defaults().Measure, Shards: 2, Profile: "greek"}
-	if _, _, _, err := Open(idxDir, wrong, SyncNone); err == nil || !strings.Contains(err.Error(), "profile") {
+	if _, _, _, err := Open(vfs.OS, idxDir, wrong, SyncNone); err == nil || !strings.Contains(err.Error(), "profile") {
 		t.Fatalf("Open under the wrong profile = %v, want a profile mismatch", err)
 	}
 }
@@ -181,7 +181,7 @@ func TestProfileMismatchRejected(t *testing.T) {
 func TestDirProfileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ix := buildProfiledIndex(t, "cyrillic")
-	d, err := Create(dir, ix, SyncNone)
+	d, err := Create(vfs.OS, dir, ix, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDirProfileRoundTrip(t *testing.T) {
 	if m == nil || m.Profile != "cyrillic" {
 		t.Fatalf("PeekMeta = %+v, want profile cyrillic", m)
 	}
-	_, re, rec, err := Open(dir, *m, SyncNone)
+	_, re, rec, err := Open(vfs.OS, dir, *m, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}

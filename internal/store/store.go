@@ -134,14 +134,10 @@ func peekWALMeta(path string) (*Meta, error) {
 // returned index reflects every acknowledged upsert; the returned Dir
 // is positioned to log new ones. Stored artifacts bound to a different
 // configuration are rejected with a descriptive error, as is any
-// corrupt artifact — Open never yields a partial index.
-func Open(dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
-	return OpenFS(vfs.OS, dir, meta, sync)
-}
-
-// OpenFS is Open through an injectable filesystem — the fault shim's
-// entry point for crash-consistency schedules.
-func OpenFS(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
+// corrupt artifact — Open never yields a partial index. fsys is the
+// filesystem the Dir writes through (vfs.OS, or the fault shim for
+// crash-consistency schedules).
+func Open(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.ShardedRefIndex, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, err
 	}
@@ -197,14 +193,9 @@ func OpenFS(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.Sh
 // and export paths): it writes the index's snapshot directly — no WAL
 // round trip for its rows — and opens a fresh WAL for what comes after.
 // A directory that already holds an index is refused; Open it instead.
-func Create(dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
-	return CreateFS(vfs.OS, dir, ix, sync)
-}
-
-// CreateFS is Create through an injectable filesystem: CreateBuildFS
-// with a build that is already done.
-func CreateFS(fsys vfs.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
-	_, d, err := CreateBuildFS(fsys, dir, sync, func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, error) {
+// It is CreateBuild with a build that is already done.
+func Create(fsys vfs.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
+	_, d, err := CreateBuild(fsys, dir, sync, func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, error) {
 		v, err := ix.ExportShards()
 		if err != nil {
 			return nil, err
@@ -227,13 +218,9 @@ type Build func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, 
 // before build runs. A failed create leaves nothing behind: the
 // temporary file, the snapshot, the WAL and, if the call made it, the
 // directory are removed again, so the next create of the same
-// directory starts as this one did.
-func CreateBuild(dir string, sync SyncPolicy, build Build) (*join.ShardedRefIndex, *Dir, error) {
-	return CreateBuildFS(vfs.OS, dir, sync, build)
-}
-
-// CreateBuildFS is CreateBuild through an injectable filesystem.
-func CreateBuildFS(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *join.ShardedRefIndex, d *Dir, err error) {
+// directory starts as this one did. fsys is the filesystem it writes
+// through, as for Open.
+func CreateBuild(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *join.ShardedRefIndex, d *Dir, err error) {
 	if m, err := PeekMeta(dir); err != nil {
 		return nil, nil, err
 	} else if m != nil {

@@ -424,7 +424,7 @@ func TestDirLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, ix, rec, err := Open(dir, meta, SyncAlways)
+	d, ix, rec, err := Open(vfs.OS, dir, meta, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestDirLifecycle(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		d, ix, rec, err = Open(dir, meta, SyncAlways)
+		d, ix, rec, err = Open(vfs.OS, dir, meta, SyncAlways)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +478,7 @@ func TestDirLifecycle(t *testing.T) {
 	d.Close()
 	other := meta
 	other.Q = 4
-	if _, _, _, err := Open(dir, other, SyncAlways); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if _, _, _, err := Open(vfs.OS, dir, other, SyncAlways); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("Open with different q: err = %v, want configuration mismatch", err)
 	}
 	// PeekMeta surfaces the stored tuple for config resolution.

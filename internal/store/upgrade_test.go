@@ -14,6 +14,7 @@ import (
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/vfs"
 )
 
 // v2Fixture is a version-2 snapshot written by the last build whose
@@ -123,7 +124,7 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 	if m, err := PeekMeta(dir); err != nil || m == nil || *m != v2FixtureMeta {
 		t.Fatalf("PeekMeta = %+v, %v; want %+v", m, err, v2FixtureMeta)
 	}
-	d, ix, rec, err := Open(dir, v2FixtureMeta, SyncNone)
+	d, ix, rec, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatalf("opening the v2 fixture: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 	if v := snapshotVersionOf(t, filepath.Join(dir, SnapshotFile)); v != SnapshotVersion {
 		t.Fatalf("checkpoint after upgrade wrote version %d, want %d", v, SnapshotVersion)
 	}
-	d2, ix2, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	d2, ix2, _, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestV3SnapshotUpgrade(t *testing.T) {
 	}
 	dir := t.TempDir()
 	seedFixture(t, dir, v3Fixture)
-	d, ix, rec, err := Open(dir, v2FixtureMeta, SyncNone)
+	d, ix, rec, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatalf("opening the v3 fixture: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestV3SnapshotUpgrade(t *testing.T) {
 	if after.Size() >= before.Size() {
 		t.Fatalf("version-%d checkpoint is %d bytes, the version-3 image of the same content %d", SnapshotVersion, after.Size(), before.Size())
 	}
-	d2, ix2, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	d2, ix2, _, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func openFixture(t *testing.T, fixture string) (string, *Dir, *join.ShardedRefIn
 	t.Helper()
 	dir := t.TempDir()
 	seedFixture(t, dir, fixture)
-	d, ix, rec, err := Open(dir, v2FixtureMeta, SyncNone)
+	d, ix, rec, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatalf("opening %s: %v", fixture, err)
 	}
@@ -342,7 +343,7 @@ func TestV4SnapshotUpgrade(t *testing.T) {
 	if 2*after.Size() >= before.Size() {
 		t.Fatalf("version-%d checkpoint is %d bytes, the version-4 image of the same content %d: want under half", SnapshotVersion, after.Size(), before.Size())
 	}
-	dCur, ixCur, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	dCur, ixCur, _, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func TestV5SnapshotUpgrade(t *testing.T) {
 	if 4*after.Size() >= 3*before.Size() {
 		t.Fatalf("version-6 checkpoint is %d bytes, the version-5 image of the same content %d: want under three quarters", after.Size(), before.Size())
 	}
-	d6, ix6, _, err := Open(dir, v2FixtureMeta, SyncNone)
+	d6, ix6, _, err := Open(vfs.OS, dir, v2FixtureMeta, SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,36 @@ func (r *Rows) Adopt() (rows []relation.Tuple, ready iter.Seq2[int, error]) {
 	}
 }
 
+// maxDrainPresize caps the capacity a source's size estimate reserves:
+// a channel source's hint is only what its caller claims.
+const maxDrainPresize = 1 << 16
+
+// Adopt takes a bulk load's rows from src: a Rows hands over its rows,
+// which may still be filling in, and any other source is drained into a
+// batch first. ready yields the counts of rows that are complete, as
+// (*Rows).Adopt does, or the source's error.
+func Adopt(src Source) (rows []relation.Tuple, ready iter.Seq2[int, error]) {
+	if r, ok := src.(*Rows); ok {
+		return r.Adopt()
+	}
+	batch, err := collect(src)
+	return batch, func(yield func(int, error) bool) { yield(len(batch), err) }
+}
+
+func collect(src Source) ([]relation.Tuple, error) {
+	batch := make([]relation.Tuple, 0, min(EstimateSize(src, 0), maxDrainPresize))
+	for {
+		t, ok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return batch, nil
+		}
+		batch = append(batch, t)
+	}
+}
+
 // errFilling refuses Next on rows a producer has still to fill in.
 var errFilling = errors.New("stream: rows still filling in are adopted, not read")
 

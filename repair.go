@@ -2,11 +2,13 @@ package adaptivelink
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/store"
+	"adaptivelink/internal/vfs"
 )
 
 // IndexDigest is a cheap content fingerprint for replica comparison:
@@ -34,11 +36,12 @@ type IndexDigest struct {
 
 // snapshotExporter gates the snapshot surface (Digest, export, Save,
 // RestoreSnapshot) to residents that hold their state in process: the
-// local sharded engine. A remote resident's state lives on its nodes.
+// local sharded engine. A remote resident's state lives on its nodes,
+// and the refusal wraps errors.ErrUnsupported.
 func (ix *Index) snapshotExporter() (*join.ShardedRefIndex, error) {
 	sr, ok := ix.resident().(*join.ShardedRefIndex)
 	if !ok {
-		return nil, fmt.Errorf("adaptivelink: index backend %T does not snapshot", ix.resident())
+		return nil, fmt.Errorf("adaptivelink: index backend %T does not snapshot: %w", ix.resident(), errors.ErrUnsupported)
 	}
 	return sr, nil
 }
@@ -180,7 +183,7 @@ func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
 	}
 	ix := newIndex(ri, opts)
 	if opts.Storage.Dir != "" {
-		if ix.dir, err = store.Create(opts.Storage.Dir, ri, opts.Storage.WALSync.store()); err != nil {
+		if ix.dir, err = store.Create(vfs.OS, opts.Storage.Dir, ri, opts.Storage.WALSync.store()); err != nil {
 			return nil, fmt.Errorf("adaptivelink: persisting imported snapshot: %w", err)
 		}
 	}

@@ -2,6 +2,7 @@ package adaptivelink
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,8 +115,8 @@ func TestRestoreSnapshotRefusesRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.RestoreSnapshot(blob); err == nil || !strings.Contains(err.Error(), "does not snapshot") {
-		t.Fatalf("RestoreSnapshot on a remote index = %v, want a does-not-snapshot error", err)
+	if err := remote.RestoreSnapshot(blob); !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), "does not snapshot") {
+		t.Fatalf("RestoreSnapshot on a remote index = %v, want a does-not-snapshot error wrapping errors.ErrUnsupported", err)
 	}
 	if _, ok := remote.resident().(wrappedResident); !ok {
 		t.Fatalf("restore replaced the remote resident with %T", remote.resident())
