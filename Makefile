@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage ratchet: fail when total statement coverage drops below this.
 # Raise it (never lower it) when a PR lifts coverage.
-COVER_MIN ?= 86.5
+COVER_MIN ?= 88.0
 
 .PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz alloc check
 
@@ -42,7 +42,9 @@ race:
 # (execution slots, deadlines while waiting, drain and close) and its
 # create tests (a body's tuples decoding on their own goroutine while
 # the bulk load homes them, the snapshot written beside the shard
-# inserts) ride along 5 times.
+# inserts, and TestCreateDeleteChurnScrape: /metrics scraped while
+# indexes are created, upserted and deleted, no deleted index's series
+# ever scraped again) ride along 5 times.
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
@@ -113,7 +115,11 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Scripted fault suite under the race detector: crash-consistency
-# sweeps and WAL poisoning in the store, snapshot/restore repair paths,
+# sweeps and WAL poisoning in the store, the service's crash states on
+# disk (TestDeleteCrashAfterRename: a committed DELETE's tombstone, whole
+# or half removed, swept on boot; TestCreateCrashBeforeSnapshotRename: a
+# create killed before its snapshot's rename no longer holds its name),
+# snapshot/restore repair paths,
 # quorum writes, the per-replica convergence queue (write replay,
 # overflow and refusal collapsing into a re-seed, the drainer's three
 # invariants), circuit breakers, anti-entropy detection, and the

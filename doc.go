@@ -331,8 +331,12 @@
 // minting/propagation, X-Debug-Trace forced sampling,
 // GET /v1/debug/slowlog and /v1/debug/requests/{id},
 // GET /v1/version, runtime and per-index series on /metrics, and a
-// separate -debug-addr listener serving net/http/pprof. make obs-smoke
-// exercises the whole surface end to end.
+// separate -debug-addr listener serving net/http/pprof. Every gauge on
+// /metrics is read from its source when it is scraped — the runtime,
+// the service's admission counters, and each index's Len, Options,
+// EngineStats and StorageStats — so none can lag the value it reports,
+// and the slow-request counter is the tracer's own count. make
+// obs-smoke exercises the whole surface end to end.
 //
 // # Performance
 //

@@ -275,8 +275,17 @@ func (opts IndexOptions) meta() store.Meta {
 // Len returns the number of resident reference tuples.
 func (ix *Index) Len() int { return ix.resident().Len() }
 
-// Options returns the index's matching configuration.
-func (ix *Index) Options() IndexOptions { return ix.opts }
+// Options returns the index's matching configuration. Shards is the
+// shard count of the resident engine the index serves, so after an
+// in-memory RestoreSnapshot adopted another layout it reports the
+// adopted one; a remote index reports the cluster's logical count.
+func (ix *Index) Options() IndexOptions {
+	opts := ix.opts
+	if sr, ok := ix.resident().(*join.ShardedRefIndex); ok {
+		opts.Shards = sr.Shards()
+	}
+	return opts
+}
 
 // Upsert applies reference maintenance at a quiescent point: tuples
 // whose join key is already resident replace the stored payload, tuples

@@ -84,7 +84,8 @@ type Client struct {
 
 	// reps mirrors Map.Groups with per-replica resilience state (circuit
 	// breaker, convergence queue, observed digests); byAddr indexes it for
-	// the transport layer's breaker notes.
+	// the transport layer's breaker notes. New fills both for every
+	// replica of the map, so callers index them without a check.
 	reps   [][]*replicaState
 	byAddr map[string]*replicaState
 
@@ -457,7 +458,7 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 // is the contract).
 func (c *Client) writeReplica(ctx context.Context, g, i int, method, path string, raw []byte, okStatuses []int) (acked bool, hard, miss error) {
 	addr := c.cfg.Map.Groups[g][i]
-	if rs := c.replica(g, i); rs != nil && rs.behind(c) {
+	if c.reps[g][i].behind(c) {
 		return false, nil, fmt.Errorf("%s: deferred behind queued hints", addr)
 	}
 	status, body, err := c.doRaw(ctx, addr, method, path, raw, "application/json")
@@ -505,15 +506,13 @@ func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byt
 		if v := c.nodeErr[addr]; v != nil {
 			v.Inc()
 		}
-		if rs := c.byAddr[addr]; rs != nil && (ctx.Err() == nil || ctx.Value(requestBudget{}) == nil) {
-			rs.noteFailure(c)
+		if ctx.Err() == nil || ctx.Value(requestBudget{}) == nil {
+			c.byAddr[addr].noteFailure(c)
 		}
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if rs := c.byAddr[addr]; rs != nil {
-		rs.noteSuccess(c)
-	}
+	c.byAddr[addr].noteSuccess(c)
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		if v := c.nodeErr[addr]; v != nil {
@@ -571,24 +570,23 @@ func (c *Client) Health(ctx context.Context) []GroupHealth {
 				defer cancel()
 				status, _, err := c.doRaw(hctx, addr, http.MethodGet, "/healthz", nil, "")
 				nh := NodeHealth{Addr: addr, Healthy: err == nil && status == http.StatusOK}
-				if rs := c.replica(g, i); rs != nil {
-					rs.mu.Lock()
-					nh.Breaker = rs.effectiveBreaker(c).String()
-					nh.HintsPending = len(rs.hints)
-					for _, q := range rs.hints {
-						if q.reseed {
-							nh.NeedsResync = append(nh.NeedsResync, q.index)
-						}
+				rs := c.reps[g][i]
+				rs.mu.Lock()
+				nh.Breaker = rs.effectiveBreaker(c).String()
+				nh.HintsPending = len(rs.hints)
+				for _, q := range rs.hints {
+					if q.reseed {
+						nh.NeedsResync = append(nh.NeedsResync, q.index)
 					}
-					sort.Strings(nh.NeedsResync)
-					if len(rs.digests) > 0 {
-						nh.Digests = make(map[string]string, len(rs.digests))
-						for k, v := range rs.digests {
-							nh.Digests[k] = v
-						}
-					}
-					rs.mu.Unlock()
 				}
+				sort.Strings(nh.NeedsResync)
+				if len(rs.digests) > 0 {
+					nh.Digests = make(map[string]string, len(rs.digests))
+					for k, v := range rs.digests {
+						nh.Digests[k] = v
+					}
+				}
+				rs.mu.Unlock()
 				out[g].Replicas[i] = nh
 			}(g, i, addr)
 		}

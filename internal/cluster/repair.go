@@ -192,15 +192,6 @@ func (rs *replicaState) behind(c *Client) bool {
 	return len(rs.hints) > 0 || rs.effectiveBreaker(c) == breakerOpen
 }
 
-// replica returns the state of group g's i-th replica (nil only before
-// New wired the table).
-func (c *Client) replica(g, i int) *replicaState {
-	if g >= len(c.reps) || i >= len(c.reps[g]) {
-		return nil
-	}
-	return c.reps[g][i]
-}
-
 // enqueue adds one entry to a replica's convergence queue and makes sure
 // a drainer owns it. A write arriving at a queue that already holds
 // HintCapacity writes means the replica has been gone past the hint
@@ -210,10 +201,7 @@ func (c *Client) replica(g, i int) *replicaState {
 // replica is already converging, and a digest read while the router knew
 // it to be behind is not news.
 func (c *Client) enqueue(g, i int, h hint) {
-	rs := c.replica(g, i)
-	if rs == nil {
-		return
-	}
+	rs := c.reps[g][i]
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	writes, known := 0, false
@@ -421,7 +409,7 @@ func (c *Client) repairGroup(ctx context.Context, name string, g int) {
 	seen := make([]obs, len(reps))
 	var wg sync.WaitGroup
 	for i, addr := range reps {
-		if rs := c.replica(g, i); rs == nil || rs.behind(c) {
+		if c.reps[g][i].behind(c) {
 			continue
 		}
 		wg.Add(1)
@@ -481,7 +469,7 @@ func (c *Client) repairGroup(ctx context.Context, name string, g int) {
 	}
 
 	for i := range reps {
-		rs := c.replica(g, i)
+		rs := c.reps[g][i]
 		if !seen[i].alive {
 			continue
 		}

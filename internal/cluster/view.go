@@ -294,7 +294,7 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 	var dirty []int
 	for i := 0; i < len(reps); i++ {
 		ri := (start + i) % len(reps)
-		if rs := v.c.replica(g, ri); rs != nil && rs.behind(v.c) {
+		if v.c.reps[g][ri].behind(v.c) {
 			dirty = append(dirty, ri)
 			continue
 		}

@@ -220,8 +220,8 @@ func TestServiceCreateIndexDurableConflicts(t *testing.T) {
 }
 
 // TestLoadStoredSelectivity: boot recovery loads exactly the stored
-// indexes — plain files, foreign subdirectories and empty directories
-// are skipped, and a corrupt index directory fails the boot loudly
+// indexes — plain files and foreign subdirectories are skipped, empty
+// directories removed, and a corrupt index directory fails the boot loudly
 // instead of serving a partial catalogue silently.
 func TestLoadStoredSelectivity(t *testing.T) {
 	dataDir := t.TempDir()
@@ -291,5 +291,117 @@ func TestLoadStoredRefusedWhenRouted(t *testing.T) {
 	}
 	if got := router.ListIndexes(); len(got) != 0 {
 		t.Errorf("router lists %d indexes after a refused load, want 0", len(got))
+	}
+}
+
+// dataDirEntries lists the names in dir.
+func dataDirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// createOver POSTs a small create of name and returns the status.
+func createOver(t *testing.T, base, name string) int {
+	t.Helper()
+	code, _ := doJSON(t, "POST", base+"/v1/indexes", CreateIndexRequest{Name: name, Tuples: []TupleDTO{{ID: 1, Key: "lago di como est"}}})
+	return code
+}
+
+// TestDeleteCrashAfterRename plants the two states a crash can leave
+// once a DELETE's rename committed — a tombstone still holding the whole
+// index, and one whose removal stopped halfway (the log without its
+// snapshot) — and restarts: neither name loads, no tombstone survives
+// the boot, and both names can be created again. A stale tombstone of a
+// live name does not stop that name's DELETE either.
+func TestDeleteCrashAfterRename(t *testing.T) {
+	dataDir := t.TempDir()
+	s := New(Config{Workers: 1, DataDir: dataDir})
+	for _, name := range []string{"whole", "half"} {
+		if _, err := s.CreateIndex(name, adaptivelink.IndexOptions{}, refTuples(testKeys...)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Upsert(name, refTuples("passo dello stelvio")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	for _, name := range []string{"whole", "half"} {
+		if err := os.Rename(filepath.Join(dataDir, name), filepath.Join(dataDir, tombstonePrefix+name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dataDir, tombstonePrefix+"half", "index.snap")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts := newDurableServer(t, dataDir)
+	defer s2.Close()
+	if got := s2.ListIndexes(); len(got) != 0 {
+		t.Fatalf("deleted indexes loaded: %+v", got)
+	}
+	if got := dataDirEntries(t, dataDir); len(got) != 0 {
+		t.Fatalf("data dir after boot = %v, want the tombstones gone", got)
+	}
+	for _, name := range []string{"whole", "half"} {
+		if code := createOver(t, ts.URL, name); code != http.StatusCreated {
+			t.Fatalf("create %s after the crashed delete = %d, want 201", name, code)
+		}
+	}
+
+	stale := filepath.Join(dataDir, tombstonePrefix+"whole")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "upserts.wal"), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := doJSON(t, "DELETE", ts.URL+"/v1/indexes/whole", nil); code != http.StatusNoContent {
+		t.Fatalf("delete over a stale tombstone = %d %s", code, body)
+	}
+	if got := dataDirEntries(t, dataDir); len(got) != 1 || got[0] != "half" {
+		t.Fatalf("data dir after the delete = %v, want [half]", got)
+	}
+}
+
+// TestCreateCrashBeforeSnapshotRename: a create killed before its
+// snapshot's rename leaves a directory with no snapshot and no log —
+// empty, or holding only the snapshot's temporary file. The boot sweeps
+// it, so the name can be created again; a directory holding anything
+// else stays on disk and keeps refusing its name.
+func TestCreateCrashBeforeSnapshotRename(t *testing.T) {
+	dataDir := t.TempDir()
+	for _, name := range []string{"atlas", "empty", "foreign"} {
+		if err := os.MkdirAll(filepath.Join(dataDir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "atlas", "index.snap.tmp1234567"), []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	notes := filepath.Join(dataDir, "foreign", "notes.txt")
+	if err := os.WriteFile(notes, []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newDurableServer(t, dataDir)
+	defer s.Close()
+	for _, name := range []string{"atlas", "empty"} {
+		if code := createOver(t, ts.URL, name); code != http.StatusCreated {
+			t.Fatalf("create %s over an interrupted create = %d, want 201", name, code)
+		}
+	}
+	if code := createOver(t, ts.URL, "foreign"); code != http.StatusConflict {
+		t.Fatalf("create over a foreign directory = %d, want 409", code)
+	}
+	if _, err := os.Stat(notes); err != nil {
+		t.Fatalf("the boot touched a foreign directory: %v", err)
 	}
 }

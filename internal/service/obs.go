@@ -46,7 +46,6 @@ func withObs(s *Service, next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		total := time.Since(start)
 		if s.tracer.End(t, id, route, sw.status, total) {
-			s.slowRequests.Inc()
 			s.log.Warn("slow request", "request_id", id, "route", route,
 				"status", sw.status, "duration", total.Round(time.Millisecond))
 		}

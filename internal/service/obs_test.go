@@ -147,6 +147,33 @@ func TestSlowlogCapturesAndLogs(t *testing.T) {
 	}
 }
 
+// TestSlowRequestsCounterIsTracerCount: the exported slow-request
+// counter is the tracer's count, so a scrape reads a value between the
+// slowlog's slow_seen just before it and just after it.
+func TestSlowRequestsCounterIsTracerCount(t *testing.T) {
+	_, ts, _ := newObsServer(t, Config{Workers: 2, Trace: obs.Config{SlowThreshold: time.Nanosecond}})
+	createAtlas(t, ts.URL)
+	slowSeen := func() uint64 {
+		t.Helper()
+		var slow SlowlogDTO
+		if code, body := doJSON(t, "GET", ts.URL+"/v1/debug/slowlog", nil); code != http.StatusOK || json.Unmarshal(body, &slow) != nil {
+			t.Fatalf("slowlog: %d %s", code, body)
+		}
+		return slow.SlowSeen
+	}
+	before := slowSeen()
+	_, body := doJSON(t, "GET", ts.URL+"/metrics", nil)
+	after := slowSeen()
+	var got uint64
+	_, line, _ := strings.Cut(string(body), "\nadaptivelink_slow_requests_total ")
+	if _, err := fmt.Sscanf(line, "%d", &got); err != nil {
+		t.Fatalf("no slow-request counter in the scrape (%v):\n%s", err, body)
+	}
+	if before == 0 || got < before || got > after {
+		t.Fatalf("adaptivelink_slow_requests_total = %d, want within slow_seen [%d, %d]", got, before, after)
+	}
+}
+
 func TestSlowlogDisabled(t *testing.T) {
 	_, ts, _ := newObsServer(t, Config{Workers: 2, Trace: obs.Config{SlowThreshold: -1}})
 	code, body := doJSON(t, "GET", ts.URL+"/v1/debug/slowlog", nil)

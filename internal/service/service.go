@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,8 @@ import (
 	"adaptivelink/internal/cluster"
 	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/obs"
+	"adaptivelink/internal/store"
+	"adaptivelink/internal/vfs"
 )
 
 // Sentinel errors; the HTTP layer maps them to status codes.
@@ -134,9 +137,6 @@ type Service struct {
 	mu      sync.RWMutex
 	indexes map[string]*managedIndex
 
-	queuedGauge  *metrics.Value
-	runningGauge *metrics.Value
-	indexGauge   *metrics.Value
 	// requestCounters holds the per-outcome link counters, resolved
 	// once so the hot path neither formats labels nor takes the
 	// registry lock.
@@ -149,30 +149,22 @@ type Service struct {
 	// plus execution); queueWait isolates the admission-to-slot slice,
 	// including a wait that ends in deadline expiry.
 	// linkbench cross-checks its client-side p99 against linkLatency.
-	linkLatency  *metrics.Histogram
-	queueWait    *metrics.Histogram
-	slowRequests *metrics.Value
-
-	// Runtime gauges, refreshed on scrape by WriteMetrics.
-	uptimeGauge    *metrics.Value
-	goroutineGauge *metrics.Value
-	heapGauge      *metrics.Value
-	gcCycles       *metrics.Value
-	gcPauseTotal   *metrics.Value
+	linkLatency *metrics.Histogram
+	queueWait   *metrics.Histogram
 
 	// testProbeDelay, when set (tests only), runs before every probe of
 	// a link batch, making slow requests reproducible.
 	testProbeDelay func()
 }
 
-// managedIndex pairs a resident index with its metric series.
+// managedIndex pairs a resident index with the counters the service
+// keeps for it; its scraped series are read from ix (see indexGauges).
 type managedIndex struct {
 	name    string
 	ix      *adaptivelink.Index
 	created time.Time
+	label   string // the index's label pair, index="name"
 
-	size          *metrics.Value
-	shards        *metrics.Value
 	sessions      *metrics.Value
 	probes        *metrics.Value
 	hits          *metrics.Value
@@ -183,25 +175,6 @@ type managedIndex struct {
 	inserted      *metrics.Value
 	updated       *metrics.Value
 	modelledCost  *metrics.Value
-
-	// Engine and storage telemetry series, refreshed on scrape from the
-	// index's cumulative counters (Set, not Add — the index is the
-	// source of truth).
-	engUpserts        *metrics.Value
-	engSnapSwaps      *metrics.Value
-	engCloneSeconds   *metrics.Value
-	engScratchGets    *metrics.Value
-	engScratchMisses  *metrics.Value
-	engQGramBuilds    *metrics.Value
-	engQGramBuildKeys *metrics.Value
-	engQGramBuildSecs *metrics.Value
-	engQGramBuilt     *metrics.Value
-	engQGramPostings  *metrics.Value
-	walAppends        *metrics.Value
-	walAppendSeconds  *metrics.Value
-	walFsyncSeconds   *metrics.Value
-	checkpoints       *metrics.Value
-	checkpointSeconds *metrics.Value
 }
 
 // New builds a service.
@@ -220,9 +193,6 @@ func New(cfg Config) *Service {
 	if cfg.Cluster != nil {
 		cfg.Cluster.EnableMetrics(reg)
 	}
-	s.queuedGauge = reg.Gauge("adaptivelink_link_queued", "Link requests waiting for an execution slot.", "")
-	s.runningGauge = reg.Gauge("adaptivelink_link_running", "Link requests currently executing.", "")
-	s.indexGauge = reg.Gauge("adaptivelink_indexes", "Resident indexes registered.", "")
 	s.requestCounters = make(map[string]*metrics.Value)
 	for _, code := range []string{"ok", "deadline", "draining", "invalid", "notfound", "unavailable"} {
 		s.requestCounters[code] = reg.Counter("adaptivelink_link_requests_total",
@@ -238,128 +208,53 @@ func New(cfg Config) *Service {
 		"Admitted link request duration, queue wait included.", "", latencyBuckets)
 	s.queueWait = reg.Histogram("adaptivelink_link_queue_wait_seconds",
 		"Time an admitted link request waited for an execution slot.", "", latencyBuckets)
-	s.slowRequests = reg.Counter("adaptivelink_slow_requests_total",
-		"HTTP requests at or over the slow-log threshold.", "")
-	s.uptimeGauge = reg.Gauge("adaptivelink_uptime_seconds", "Seconds since the service started.", "")
-	s.goroutineGauge = reg.Gauge("adaptivelink_goroutines", "Live goroutines.", "")
-	s.heapGauge = reg.Gauge("adaptivelink_heap_alloc_bytes", "Bytes of allocated heap objects.", "")
-	s.gcCycles = reg.Gauge("adaptivelink_gc_cycles_total", "Completed GC cycles.", "")
-	s.gcPauseTotal = reg.Gauge("adaptivelink_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "")
-	v := buildVersion()
-	reg.Gauge("adaptivelink_build_info", "Build metadata; the value is always 1.",
-		fmt.Sprintf("go_version=%q,version=%q,revision=%q", v.GoVersion, v.Version, v.Revision)).Set(1)
 	return s
 }
 
 // Config returns the effective (defaulted) configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-func (s *Service) countRequest(code string) {
-	s.requestCounters[code].Inc()
-}
-
 // register publishes a built or reloaded index under name: its managed
-// wrapper enters the registry and the size, shard and index-count gauges
-// are set, all under the registry lock.
+// wrapper enters the registry and its series are declared, all under the
+// registry lock.
 func (s *Service) register(name string, ix *adaptivelink.Index) *managedIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mi := s.newManaged(name, ix)
 	s.indexes[name] = mi
-	mi.size.Set(float64(ix.Len()))
-	mi.shards.Set(float64(ix.Options().Shards))
-	s.indexGauge.Set(float64(len(s.indexes)))
+	for _, g := range indexGauges {
+		s.reg.Gauge(g.name, g.help, mi.label)
+	}
 	return mi
 }
 
 func (s *Service) newManaged(name string, ix *adaptivelink.Index) *managedIndex {
-	l := func(extra string) string {
-		if extra == "" {
-			return fmt.Sprintf("index=%q", name)
-		}
-		return fmt.Sprintf("index=%q,%s", name, extra)
-	}
+	label := fmt.Sprintf("index=%q", name)
 	return &managedIndex{
 		name:    name,
 		ix:      ix,
 		created: time.Now(),
-		size: s.reg.Gauge("adaptivelink_index_size",
-			"Resident reference tuples per index.", l("")),
-		shards: s.reg.Gauge("adaptivelink_index_shards",
-			"Shard count of the resident index.", l("")),
+		label:   label,
 		sessions: s.reg.Counter("adaptivelink_sessions_total",
-			"Probe sessions opened per index.", l("")),
+			"Probe sessions opened per index.", label),
 		probes: s.reg.Counter("adaptivelink_probes_total",
-			"Probes served per index.", l("")),
+			"Probes served per index.", label),
 		hits: s.reg.Counter("adaptivelink_probe_hits_total",
-			"Probes that found at least one match.", l("")),
+			"Probes that found at least one match.", label),
 		exactMatches: s.reg.Counter("adaptivelink_matches_total",
-			"Result pairs per index and kind.", l(`kind="exact"`)),
+			"Result pairs per index and kind.", label+`,kind="exact"`),
 		approxMatches: s.reg.Counter("adaptivelink_matches_total",
-			"Result pairs per index and kind.", l(`kind="approximate"`)),
+			"Result pairs per index and kind.", label+`,kind="approximate"`),
 		escalations: s.reg.Counter("adaptivelink_escalations_total",
-			"Probes re-run approximately after a deficit signal.", l("")),
+			"Probes re-run approximately after a deficit signal.", label),
 		switches: s.reg.Counter("adaptivelink_session_switches_total",
-			"Operator switches enacted by session control loops.", l("")),
+			"Operator switches enacted by session control loops.", label),
 		inserted: s.reg.Counter("adaptivelink_upserted_tuples_total",
-			"Reference tuples applied by upserts, by effect.", l(`effect="inserted"`)),
+			"Reference tuples applied by upserts, by effect.", label+`,effect="inserted"`),
 		updated: s.reg.Counter("adaptivelink_upserted_tuples_total",
-			"Reference tuples applied by upserts, by effect.", l(`effect="updated"`)),
+			"Reference tuples applied by upserts, by effect.", label+`,effect="updated"`),
 		modelledCost: s.reg.Counter("adaptivelink_modelled_cost_total",
-			"Session cost under the paper's weight model, in all-exact-step units.", l("")),
-		engUpserts: s.reg.Gauge("adaptivelink_engine_upserts_total",
-			"Maintenance batches applied to the resident engine.", l("")),
-		engSnapSwaps: s.reg.Gauge("adaptivelink_engine_snapshot_swaps_total",
-			"Per-shard snapshot publications (RCU swaps).", l("")),
-		engCloneSeconds: s.reg.Gauge("adaptivelink_engine_clone_seconds_total",
-			"Cumulative shard-snapshot clone time on the copy-on-write upsert path.", l("")),
-		engScratchGets: s.reg.Gauge("adaptivelink_engine_scratch_gets_total",
-			"Scratch-pool checkouts on the approximate probe and upsert paths.", l("")),
-		engScratchMisses: s.reg.Gauge("adaptivelink_engine_scratch_misses_total",
-			"Scratch-pool checkouts that allocated fresh (pool miss).", l("")),
-		engQGramBuilds: s.reg.Gauge("adaptivelink_engine_qgram_builds_total",
-			"Lazy q-gram builds: one per shard, by its first approximate probe.", l("")),
-		engQGramBuildKeys: s.reg.Gauge("adaptivelink_engine_qgram_build_keys_total",
-			"Keys decomposed by lazy q-gram builds.", l("")),
-		engQGramBuildSecs: s.reg.Gauge("adaptivelink_engine_qgram_build_seconds_total",
-			"Cumulative lazy q-gram build time: what first escalations into shards waited for.", l("")),
-		engQGramBuilt: s.reg.Gauge("adaptivelink_engine_qgram_built_shards",
-			"Shards currently holding q-gram structures.", l("")),
-		engQGramPostings: s.reg.Gauge("adaptivelink_engine_qgram_posting_bytes",
-			"Bytes of the built shards' posting lists: encoded blocks plus 4 per uncompressed tail ref.", l("")),
-		walAppends: s.reg.Gauge("adaptivelink_wal_appends_total",
-			"Acknowledged write-ahead-log appends since open.", l("")),
-		walAppendSeconds: s.reg.Gauge("adaptivelink_wal_append_seconds_total",
-			"Cumulative WAL append wall time, fsync included.", l("")),
-		walFsyncSeconds: s.reg.Gauge("adaptivelink_wal_fsync_seconds_total",
-			"Cumulative WAL fsync wall time.", l("")),
-		checkpoints: s.reg.Gauge("adaptivelink_checkpoints_total",
-			"Snapshot checkpoints since open.", l("")),
-		checkpointSeconds: s.reg.Gauge("adaptivelink_checkpoint_seconds_total",
-			"Cumulative checkpoint wall time (export, write, WAL reset).", l("")),
-	}
-}
-
-// refreshTelemetry copies the index's cumulative engine and storage
-// counters into the exported series. Called on scrape.
-func (mi *managedIndex) refreshTelemetry() {
-	es := mi.ix.EngineStats()
-	mi.engUpserts.Set(float64(es.Upserts))
-	mi.engSnapSwaps.Set(float64(es.SnapshotSwaps))
-	mi.engCloneSeconds.Set(es.CloneSeconds)
-	mi.engScratchGets.Set(float64(es.ScratchGets))
-	mi.engScratchMisses.Set(float64(es.ScratchMisses))
-	mi.engQGramBuilds.Set(float64(es.QGramBuilds))
-	mi.engQGramBuildKeys.Set(float64(es.QGramBuildKeys))
-	mi.engQGramBuildSecs.Set(es.QGramBuildSeconds)
-	mi.engQGramBuilt.Set(float64(es.QGramBuiltShards))
-	mi.engQGramPostings.Set(float64(es.QGramPostingBytes))
-	if st, ok := mi.ix.StorageStats(); ok {
-		mi.walAppends.Set(float64(st.WALAppends))
-		mi.walAppendSeconds.Set(st.WALAppendSeconds)
-		mi.walFsyncSeconds.Set(st.WALFsyncSeconds)
-		mi.checkpoints.Set(float64(st.Checkpoints))
-		mi.checkpointSeconds.Set(st.CheckpointSeconds)
+			"Session cost under the paper's weight model, in all-exact-step units.", label),
 	}
 }
 
@@ -509,8 +404,12 @@ func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 // LoadStored reopens every index directory under the configured data
 // dir — snapshot load plus write-ahead-log replay per index — and
 // registers the recovered indexes. Call once on boot, before serving.
-// Returns the recovered names, sorted. A routed service refuses a data
-// dir: its indexes live on the nodes.
+// Returns the recovered names, sorted. It also sweeps what a crash can
+// leave: tombstones of committed deletes, and directories a create
+// made but never committed a snapshot into (empty, or holding only the
+// snapshot's temporary files), which would otherwise refuse their name
+// for good. Any other directory it does not load stays untouched. A
+// routed service refuses a data dir: its indexes live on the nodes.
 func (s *Service) LoadStored() ([]string, error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
@@ -529,11 +428,18 @@ func (s *Service) LoadStored() ([]string, error) {
 	defer s.createMu.Unlock()
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
+		name, dir := e.Name(), filepath.Join(s.cfg.DataDir, e.Name())
+		if e.IsDir() && (strings.HasPrefix(name, tombstonePrefix) || nameRe.MatchString(name) && uncommittedCreate(dir)) {
+			if err := os.RemoveAll(dir); err != nil {
+				s.log.Warn("removing a crash's leftover directory", "dir", dir, "error", err)
+			} else {
+				s.log.Info("removed a crash's leftover directory", "dir", dir)
+			}
+			continue
+		}
 		if !e.IsDir() || !nameRe.MatchString(name) {
 			continue
 		}
-		dir := filepath.Join(s.cfg.DataDir, name)
 		stored, err := adaptivelink.IsIndexDir(dir)
 		if err != nil {
 			return names, fmt.Errorf("loading %s: %w", dir, err)
@@ -564,6 +470,15 @@ func (s *Service) LoadStored() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// uncommittedCreate reports whether dir holds nothing but what a create
+// killed before its snapshot's rename leaves: the snapshot's temporary
+// files, or nothing at all.
+func uncommittedCreate(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	tmps, _ := filepath.Glob(filepath.Join(dir, store.SnapshotFile+".tmp*"))
+	return err == nil && len(entries) == len(tmps)
 }
 
 // SnapshotIndex checkpoints a durable index in place: its current state
@@ -646,7 +561,6 @@ func (s *Service) ResyncIndex(name string, data []byte) (IndexInfo, error) {
 		if err := mi.ix.RestoreSnapshot(data); err != nil {
 			return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		mi.size.Set(float64(mi.ix.Len()))
 		s.log.Info("resynced index", "index", name, "tuples", mi.ix.Len(),
 			"duration", time.Since(t0).Round(time.Millisecond))
 		return mi.info(), nil
@@ -682,10 +596,12 @@ func (mi *managedIndex) info() IndexInfo {
 // recreated index starts its counters from zero); in-flight sessions
 // on it complete against the released object. A durable index's
 // directory is deleted with it — DELETE means the data, not just the
-// registration. What can fail is torn down first and the index is
-// unregistered only on success: after a failed delete (a node group
-// below quorum, an undeletable directory) it is still listed and the
-// DELETE can be retried.
+// registration — and the delete commits when bury's rename does. What
+// can fail is torn down first and the index is unregistered only on
+// success: after a failed delete (a node group below quorum, a rename
+// or sync that failed) it is still listed and the DELETE can be
+// retried. A committed delete whose tombstone cannot be removed still
+// succeeds; the failure is logged and the next boot removes it.
 func (s *Service) DeleteIndex(name string) error {
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
@@ -693,12 +609,13 @@ func (s *Service) DeleteIndex(name string) error {
 	if err != nil {
 		return err
 	}
+	tomb := filepath.Join(s.cfg.DataDir, tombstonePrefix+name)
 	switch {
 	case s.cfg.Cluster != nil:
 		err = s.cfg.Cluster.DeleteIndex(name)
 	case mi.ix.Durable():
 		if err = mi.ix.Close(); err == nil {
-			err = os.RemoveAll(filepath.Join(s.cfg.DataDir, name))
+			err = bury(filepath.Join(s.cfg.DataDir, name), tomb)
 		}
 	}
 	if err != nil {
@@ -706,10 +623,39 @@ func (s *Service) DeleteIndex(name string) error {
 	}
 	s.mu.Lock()
 	delete(s.indexes, name)
-	s.reg.DeleteSeries(fmt.Sprintf("index=%q", name))
-	s.indexGauge.Set(float64(len(s.indexes)))
+	s.reg.DeleteSeries(mi.label)
 	s.mu.Unlock()
+	if mi.ix.Durable() {
+		if err := os.RemoveAll(tomb); err != nil {
+			s.log.Warn("removing deleted index's directory", "index", name, "error", err)
+		}
+	}
 	s.log.Info("deleted index", "index", name, "durable", mi.ix.Durable())
+	return nil
+}
+
+// tombstonePrefix names a deleted durable index's directory between the
+// rename that commits its DELETE and its removal. nameRe never matches
+// it, so the boot scan never loads a tombstone; it removes them.
+const tombstonePrefix = ".deleted-"
+
+// bury commits the delete of the durable index in dir: dir is renamed to
+// tomb (a stale tomb removed first) and the rename made durable, so after
+// a crash the index's name holds either the whole index or nothing, never
+// its snapshot or its log alone. A failed sync renames dir back, leaving
+// the DELETE to retry.
+func bury(dir, tomb string) error {
+	if err := os.RemoveAll(tomb); err != nil {
+		return err
+	}
+	if err := os.Rename(dir, tomb); os.IsNotExist(err) {
+		return nil // removed by hand: nothing left to bury
+	} else if err != nil {
+		return err
+	}
+	if err := vfs.OS.SyncDir(filepath.Dir(dir)); err != nil {
+		return errors.Join(err, os.Rename(tomb, dir))
+	}
 	return nil
 }
 
@@ -726,7 +672,6 @@ func (s *Service) Upsert(name string, tuples []adaptivelink.Tuple) (inserted, up
 	}
 	mi.inserted.Add(float64(inserted))
 	mi.updated.Add(float64(updated))
-	mi.size.Set(float64(mi.ix.Len()))
 	return inserted, updated, nil
 }
 
@@ -829,25 +774,22 @@ const linkChunk = 256
 // aborts with context.DeadlineExceeded.
 func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, error) {
 	strategy, err := ParseStrategy(req.Strategy)
+	switch {
+	case err != nil:
+	case len(req.Keys) == 0:
+		err = fmt.Errorf("%w: no keys", ErrInvalid)
+	case len(req.Keys) > s.cfg.MaxBatch:
+		err = fmt.Errorf("%w: batch of %d keys exceeds limit %d", ErrInvalid, len(req.Keys), s.cfg.MaxBatch)
+	case req.FutilityK < 0:
+		err = fmt.Errorf("%w: negative futility threshold %d", ErrInvalid, req.FutilityK)
+	}
 	if err != nil {
-		s.countRequest("invalid")
+		s.requestCounters["invalid"].Inc()
 		return nil, err
-	}
-	if len(req.Keys) == 0 {
-		s.countRequest("invalid")
-		return nil, fmt.Errorf("%w: no keys", ErrInvalid)
-	}
-	if len(req.Keys) > s.cfg.MaxBatch {
-		s.countRequest("invalid")
-		return nil, fmt.Errorf("%w: batch of %d keys exceeds limit %d", ErrInvalid, len(req.Keys), s.cfg.MaxBatch)
-	}
-	if req.FutilityK < 0 {
-		s.countRequest("invalid")
-		return nil, fmt.Errorf("%w: negative futility threshold %d", ErrInvalid, req.FutilityK)
 	}
 	mi, err := s.lookup(req.Index)
 	if err != nil {
-		s.countRequest("notfound")
+		s.requestCounters["notfound"].Inc()
 		return nil, err
 	}
 
@@ -870,7 +812,7 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	if s.cfg.Cluster != nil {
 		view, err = s.cfg.Cluster.Bind(ctx, req.Index)
 		if err != nil {
-			s.countRequest("notfound")
+			s.requestCounters["notfound"].Inc()
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, req.Index)
 		}
 		ix = mi.ix.WithResident(view)
@@ -887,7 +829,7 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	s.admit.RLock()
 	if s.draining {
 		s.admit.RUnlock()
-		s.countRequest("draining")
+		s.requestCounters["draining"].Inc()
 		return nil, ErrDraining
 	}
 	s.inflight.Add(1)
@@ -922,20 +864,20 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	s.linkLatency.Observe(time.Since(admitted).Seconds())
 	switch {
 	case err == nil:
-		s.countRequest("ok")
+		s.requestCounters["ok"].Inc()
 		return resp, nil
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.countRequest("deadline")
+		s.requestCounters["deadline"].Inc()
 		s.log.Warn("link deadline exceeded", "request_id", obs.RequestID(ctx),
 			"index", req.Index, "keys", len(req.Keys), "timeout", timeout)
 		return nil, fmt.Errorf("link %q: %w", req.Index, err)
 	case errors.Is(err, cluster.ErrNodeUnavailable):
-		s.countRequest("unavailable")
+		s.requestCounters["unavailable"].Inc()
 		s.log.Warn("link node unavailable", "request_id", obs.RequestID(ctx),
 			"index", req.Index, "keys", len(req.Keys), "error", err)
 		return nil, err
 	default:
-		s.countRequest("invalid")
+		s.requestCounters["invalid"].Inc()
 		return nil, err
 	}
 }
@@ -1060,26 +1002,6 @@ func (s *Service) Close() {
 	for _, mi := range s.indexes {
 		mi.ix.Close()
 	}
-}
-
-// WriteMetrics renders the Prometheus exposition, refreshing the live
-// gauges first.
-func (s *Service) WriteMetrics(w interface{ Write([]byte) (int, error) }) error {
-	s.queuedGauge.Set(float64(s.queued.Load()))
-	s.runningGauge.Set(float64(s.running.Load()))
-	s.uptimeGauge.Set(time.Since(s.start).Seconds())
-	s.goroutineGauge.Set(float64(runtime.NumGoroutine()))
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.heapGauge.Set(float64(ms.HeapAlloc))
-	s.gcCycles.Set(float64(ms.NumGC))
-	s.gcPauseTotal.Set(float64(ms.PauseTotalNs) / 1e9)
-	s.mu.RLock()
-	for _, mi := range s.indexes {
-		mi.refreshTelemetry()
-	}
-	s.mu.RUnlock()
-	return s.reg.WritePrometheus(w)
 }
 
 // IndexStats is the per-index slice of a Snapshot.
