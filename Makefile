@@ -48,7 +48,7 @@ race:
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
-		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain|Create' -count=5 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain|Create|Metrics|Scrape|Stats' -count=5 || exit 1; \
 	done
 
 # Code size per package: non-blank, non-comment lines of the non-test

@@ -331,12 +331,16 @@
 // minting/propagation, X-Debug-Trace forced sampling,
 // GET /v1/debug/slowlog and /v1/debug/requests/{id},
 // GET /v1/version, runtime and per-index series on /metrics, and a
-// separate -debug-addr listener serving net/http/pprof. Every gauge on
-// /metrics is read from its source when it is scraped — the runtime,
-// the service's admission counters, and each index's Len, Options,
+// separate -debug-addr listener serving net/http/pprof. /metrics is
+// rendered from the state at scrape and keeps nothing between scrapes:
+// every series is read from its source — the runtime, the service's
+// admission and link counts, a router's per-node and self-healing
+// counts, and each registered index's counts record, Len, Options,
 // EngineStats and StorageStats — so none can lag the value it reports,
-// and the slow-request counter is the tracer's own count. make
-// obs-smoke exercises the whole surface end to end.
+// an index's series exist exactly while it does, and /v1/stats reads
+// the same per-index counts record the scrape does. The slow-request
+// counter is the tracer's own count. make obs-smoke exercises the whole
+// surface end to end.
 //
 // # Performance
 //

@@ -53,18 +53,19 @@ func TestHistQuantileAbsentOrEmpty(t *testing.T) {
 }
 
 // TestHistQuantileAgainstRegistry pins the parser to the exact output
-// of the metrics registry it scrapes in production.
+// of the metrics exposition it scrapes in production.
 func TestHistQuantileAgainstRegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("test_latency_seconds", "help.", "", []float64{0.001, 0.01, 0.1, 1})
+	h := metrics.NewHistogram(0.001, 0.01, 0.1, 1)
 	for i := 0; i < 90; i++ {
 		h.Observe(0.005)
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(0.05)
 	}
+	var e metrics.Exposition
+	e.Histogram("test_latency_seconds", "help.", h)
 	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	if _, err := e.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	p99, ok := histQuantile("", sb.String(), "test_latency_seconds", 0.99)
@@ -84,11 +85,12 @@ func TestHistQuantileAgainstRegistry(t *testing.T) {
 // baseline above the later counts (a restart between the scrapes) is
 // ignored.
 func TestHistQuantileSinceBaseline(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("test_latency_seconds", "help.", "", []float64{0.001, 0.01, 0.1, 1})
+	h := metrics.NewHistogram(0.001, 0.01, 0.1, 1)
 	scrape := func() string {
+		var e metrics.Exposition
+		e.Histogram("test_latency_seconds", "help.", h)
 		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
+		if _, err := e.WriteTo(&sb); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()

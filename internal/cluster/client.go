@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"adaptivelink"
-	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/stream"
 	"adaptivelink/internal/wire"
@@ -83,8 +82,9 @@ type Client struct {
 	indexes map[string]*indexState
 
 	// reps mirrors Map.Groups with per-replica resilience state (circuit
-	// breaker, convergence queue, observed digests); byAddr indexes it for
-	// the transport layer's breaker notes. New fills both for every
+	// breaker, convergence queue, observed digests, request counts);
+	// byAddr indexes it for the transport layer, one entry per replica
+	// (Map.Validate refuses a URL listed twice). New fills both for every
 	// replica of the map, so callers index them without a check.
 	reps   [][]*replicaState
 	byAddr map[string]*replicaState
@@ -95,15 +95,11 @@ type Client struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// nodeOK/nodeErr are per-node-address request counters, resolved at
-	// construction so the probe path never formats labels.
-	nodeOK  map[string]*metrics.Value
-	nodeErr map[string]*metrics.Value
-	// Self-healing counters (nil when metrics are disabled; inc guards).
-	hintsQueued, hintsReplayed, hintsDropped *metrics.Value
-	repairsHint, repairsResync               *metrics.Value
-	breakerOpens, breakerHalfOpens           *metrics.Value
-	breakerCloses                            *metrics.Value
+	// Self-healing counts, exported by Counts; breakerTo counts
+	// transitions into each breaker state.
+	hintsQueued, hintsReplayed, hintsDropped atomic.Int64
+	repairsHint, repairsResync               atomic.Int64
+	breakerTo                                [3]atomic.Int64
 }
 
 // indexState is the router-side state of one cluster index: the
@@ -139,8 +135,6 @@ func New(cfg Config) (*Client, error) {
 		rr:      make([]atomic.Uint64, len(cfg.Map.Groups)),
 		indexes: make(map[string]*indexState),
 		byAddr:  make(map[string]*replicaState),
-		nodeOK:  make(map[string]*metrics.Value),
-		nodeErr: make(map[string]*metrics.Value),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.reps = make([][]*replicaState, len(cfg.Map.Groups))
@@ -149,9 +143,7 @@ func New(cfg Config) (*Client, error) {
 		for i, addr := range reps {
 			rs := newReplicaState(g, addr)
 			c.reps[g][i] = rs
-			if _, dup := c.byAddr[addr]; !dup {
-				c.byAddr[addr] = rs
-			}
+			c.byAddr[addr] = rs
 		}
 	}
 	if cfg.ProbeInterval > 0 {
@@ -178,35 +170,43 @@ func (c *Client) quorum(g int) int {
 	return q
 }
 
-// EnableMetrics resolves the per-node request counters in reg. The
-// routed service calls it at construction so router metrics land in the
-// same registry as everything else; call before serving (the counter
-// maps are read without locks on the probe path).
-func (c *Client) EnableMetrics(reg *metrics.Registry) {
-	for _, g := range c.cfg.Map.Groups {
-		for _, addr := range g {
-			c.nodeOK[addr] = reg.Counter("adaptivelink_cluster_node_requests_total",
-				"Node requests issued by the cluster router, by node and outcome.",
-				fmt.Sprintf("node=%q,outcome=%q", addr, "ok"))
-			c.nodeErr[addr] = reg.Counter("adaptivelink_cluster_node_requests_total",
-				"Node requests issued by the cluster router, by node and outcome.",
-				fmt.Sprintf("node=%q,outcome=%q", addr, "error"))
+// Counts is the router's cumulative request and self-healing counts,
+// read at once for /metrics.
+type Counts struct {
+	// Nodes holds each replica's node requests by outcome.
+	Nodes []NodeCounts
+	// HintsQueued, HintsReplayed and HintsDropped count writes queued
+	// for replay, replayed, and dropped from replay into a re-seed.
+	HintsQueued, HintsReplayed, HintsDropped int64
+	// RepairsHint and RepairsResync count completed replays and re-seeds.
+	RepairsHint, RepairsResync int64
+	// BreakerOpen, BreakerHalfOpen and BreakerClosed count breaker
+	// transitions into each state, across all replicas.
+	BreakerOpen, BreakerHalfOpen, BreakerClosed int64
+}
+
+// NodeCounts is one replica's node requests: answered 2xx (OK), or
+// failed in transport or answered otherwise (Err).
+type NodeCounts struct {
+	Addr    string
+	OK, Err int64
+}
+
+// Counts reads the router's counts.
+func (c *Client) Counts() Counts {
+	out := Counts{
+		HintsQueued: c.hintsQueued.Load(), HintsReplayed: c.hintsReplayed.Load(), HintsDropped: c.hintsDropped.Load(),
+		RepairsHint: c.repairsHint.Load(), RepairsResync: c.repairsResync.Load(),
+		BreakerOpen:     c.breakerTo[breakerOpen].Load(),
+		BreakerHalfOpen: c.breakerTo[breakerHalfOpen].Load(),
+		BreakerClosed:   c.breakerTo[breakerClosed].Load(),
+	}
+	for _, reps := range c.reps {
+		for _, rs := range reps {
+			out.Nodes = append(out.Nodes, NodeCounts{Addr: rs.addr, OK: rs.ok.Load(), Err: rs.errs.Load()})
 		}
 	}
-	const hintsName = "adaptivelink_cluster_hints_total"
-	const hintsHelp = "Hinted-handoff writes, by outcome (queued, replayed, dropped)."
-	c.hintsQueued = reg.Counter(hintsName, hintsHelp, `outcome="queued"`)
-	c.hintsReplayed = reg.Counter(hintsName, hintsHelp, `outcome="replayed"`)
-	c.hintsDropped = reg.Counter(hintsName, hintsHelp, `outcome="dropped"`)
-	const repairsName = "adaptivelink_cluster_repairs_total"
-	const repairsHelp = "Replica repairs completed, by kind."
-	c.repairsHint = reg.Counter(repairsName, repairsHelp, `kind="hint_replay"`)
-	c.repairsResync = reg.Counter(repairsName, repairsHelp, `kind="full_resync"`)
-	const brName = "adaptivelink_cluster_breaker_transitions_total"
-	const brHelp = "Circuit-breaker state transitions across all replicas."
-	c.breakerOpens = reg.Counter(brName, brHelp, `state="open"`)
-	c.breakerHalfOpens = reg.Counter(brName, brHelp, `state="half_open"`)
-	c.breakerCloses = reg.Counter(brName, brHelp, `state="closed"`)
+	return out
 }
 
 // Map returns the routing table.
@@ -501,31 +501,25 @@ func (c *Client) doRaw(ctx context.Context, addr, method, path string, raw []byt
 	if raw != nil && contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	rs := c.byAddr[addr]
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		if v := c.nodeErr[addr]; v != nil {
-			v.Inc()
-		}
+		rs.errs.Add(1)
 		if ctx.Err() == nil || ctx.Value(requestBudget{}) == nil {
-			c.byAddr[addr].noteFailure(c)
+			rs.noteFailure(c)
 		}
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	c.byAddr[addr].noteSuccess(c)
+	rs.noteSuccess(c)
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if v := c.nodeErr[addr]; v != nil {
-			v.Inc()
-		}
-		return 0, nil, err
+	if err == nil && resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		rs.ok.Add(1)
+	} else {
+		rs.errs.Add(1)
 	}
-	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
-		if v := c.nodeOK[addr]; v != nil {
-			v.Inc()
-		}
-	} else if v := c.nodeErr[addr]; v != nil {
-		v.Inc()
+	if err != nil {
+		return 0, nil, err
 	}
 	return resp.StatusCode, body, nil
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"adaptivelink/internal/join"
-	"adaptivelink/internal/metrics"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/wire"
 )
@@ -59,7 +59,10 @@ func TestHealthAndRoutingTable(t *testing.T) {
 	down, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	})
-	c, err := New(Config{Map: Map{Shards: 5, Groups: [][]string{{up.URL, down.URL}, {up.URL}}}})
+	up2, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	})
+	c, err := New(Config{Map: Map{Shards: 5, Groups: [][]string{{up.URL, down.URL}, {up2.URL}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +86,8 @@ func TestHealthAndRoutingTable(t *testing.T) {
 	}
 }
 
-// EnableMetrics resolves one ok and one error counter per replica and
-// do() bumps them.
+// Counts reports one ok and one error count per replica and do() bumps
+// them.
 func TestNodeRequestCounters(t *testing.T) {
 	up, _ := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
@@ -93,16 +96,10 @@ func TestNodeRequestCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	c.EnableMetrics(reg)
 
 	c.Health(context.Background())
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `adaptivelink_cluster_node_requests_total{node="`+up.URL+`",outcome="ok"} 1`) {
-		t.Fatalf("ok counter not bumped:\n%s", buf.String())
+	if got, want := c.Counts().Nodes, []NodeCounts{{Addr: up.URL, OK: 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("node counts = %+v, want %+v", got, want)
 	}
 }
 

@@ -41,10 +41,34 @@ func TestParseSpec(t *testing.T) {
 		{"", 0},
 		{";;", 0},
 		{"ftp://a", 0},
-		{"http://a;http://b", 1}, // 1 shard cannot cover 2 groups
+		{"http://a;http://b", 1},  // 1 shard cannot cover 2 groups
+		{"http://a,http://a", 0},  // one node listed twice in a group
+		{"http://a/,http://a", 0}, // the same, after the trailing-slash trim
+		{"http://a;http://b,http://a/", 0},
 	} {
 		if _, err := ParseSpec(bad.spec, bad.shards); err == nil {
 			t.Errorf("ParseSpec(%q, %d): want error", bad.spec, bad.shards)
+		}
+	}
+}
+
+// TestMapValidateDuplicates: a replica URL listed twice, within a group
+// or across groups, is refused; distinct URLs are not.
+func TestMapValidateDuplicates(t *testing.T) {
+	for _, c := range []struct {
+		groups [][]string
+		ok     bool
+	}{
+		{[][]string{{"http://a", "http://b"}, {"http://c"}}, true},
+		{[][]string{{"http://a:1", "http://a:2"}}, true},
+		{[][]string{{"http://a", "https://a"}}, true},
+		{[][]string{{"http://a", "http://a"}}, false},
+		{[][]string{{"http://a"}, {"http://a"}}, false},
+		{[][]string{{"http://a/"}, {"http://b", "http://a"}}, false},
+	} {
+		err := Map{Shards: len(c.groups), Groups: c.groups}.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("Validate(%v) = %v, want ok=%v", c.groups, err, c.ok)
 		}
 	}
 }

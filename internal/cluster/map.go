@@ -85,11 +85,15 @@ func ParseSpec(spec string, shards int) (Map, error) {
 	return m, nil
 }
 
-// Validate checks the map is routable.
+// Validate checks the map is routable. A replica URL may be listed only
+// once, within a group or across groups (compared without a trailing
+// slash): a node listed twice would have its acknowledgement counted
+// twice toward a write quorum.
 func (m Map) Validate() error {
 	if len(m.Groups) == 0 {
 		return fmt.Errorf("cluster: map has no node groups")
 	}
+	seen := make(map[string]int)
 	for i, g := range m.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("cluster: group %d has no replicas", i)
@@ -98,6 +102,10 @@ func (m Map) Validate() error {
 			if !strings.HasPrefix(r, "http://") && !strings.HasPrefix(r, "https://") {
 				return fmt.Errorf("cluster: replica %q of group %d is not an http(s) base URL", r, i)
 			}
+			if j, dup := seen[strings.TrimRight(r, "/")]; dup {
+				return fmt.Errorf("cluster: replica %q of group %d is already listed in group %d", r, i, j)
+			}
+			seen[strings.TrimRight(r, "/")] = i
 		}
 	}
 	if m.Shards < len(m.Groups) {

@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivelink"
-	"adaptivelink/internal/metrics"
 )
 
 // Self-healing machinery: every replica the router knows carries a
@@ -115,6 +115,9 @@ type hint struct {
 type replicaState struct {
 	addr  string
 	group int
+	// ok and errs count the node requests doRaw issued to the replica,
+	// by outcome.
+	ok, errs atomic.Int64
 
 	mu       sync.Mutex
 	breaker  breakerState
@@ -145,7 +148,7 @@ func (rs *replicaState) noteSuccess(c *Client) {
 	rs.fails = 0
 	if rs.breaker != breakerClosed {
 		rs.breaker = breakerClosed
-		c.incBreaker("closed")
+		c.breakerTo[breakerClosed].Add(1)
 	}
 }
 
@@ -160,13 +163,13 @@ func (rs *replicaState) noteFailure(c *Client) {
 		if rs.fails >= breakerFailThreshold {
 			rs.breaker = breakerOpen
 			rs.openedAt = time.Now()
-			c.incBreaker("open")
+			c.breakerTo[breakerOpen].Add(1)
 		}
 	case breakerHalfOpen:
 		// The trial failed; back to open with a fresh cooldown.
 		rs.breaker = breakerOpen
 		rs.openedAt = time.Now()
-		c.incBreaker("open")
+		c.breakerTo[breakerOpen].Add(1)
 	}
 }
 
@@ -175,7 +178,7 @@ func (rs *replicaState) noteFailure(c *Client) {
 func (rs *replicaState) effectiveBreaker(c *Client) breakerState {
 	if rs.breaker == breakerOpen && time.Since(rs.openedAt) >= breakerCooldown {
 		rs.breaker = breakerHalfOpen
-		c.incBreaker("half_open")
+		c.breakerTo[breakerHalfOpen].Add(1)
 	}
 	return rs.breaker
 }
@@ -216,13 +219,13 @@ func (c *Client) enqueue(g, i int, h hint) {
 		return
 	case !h.reseed && writes >= c.cfg.HintCapacity:
 		rs.hints = append(rs.hints, h)
-		c.inc(c.hintsDropped, float64(rs.collapse("")))
+		c.hintsDropped.Add(int64(rs.collapse("")))
 	default:
 		rs.hintSeq++
 		h.seq = rs.hintSeq
 		rs.hints = append(rs.hints, h)
 		if !h.reseed {
-			c.inc(c.hintsQueued, 1)
+			c.hintsQueued.Add(1)
 		}
 	}
 	if !rs.draining {
@@ -314,7 +317,7 @@ func (c *Client) drain(rs *replicaState) {
 		case refused:
 			// Semantic refusal: replaying further writes of this index
 			// could interleave a gapped sequence. Collapse them all.
-			c.inc(c.hintsDropped, float64(rs.collapse(h.index)))
+			c.hintsDropped.Add(int64(rs.collapse(h.index)))
 		case len(rs.hints) == 0 || rs.hints[0].seq != h.seq || rs.hints[0].again:
 			// Collapsed away mid-flight, or a write was collapsed into this
 			// re-seed after its export began: the head runs (again).
@@ -322,13 +325,13 @@ func (c *Client) drain(rs *replicaState) {
 			rs.hints = rs.hints[1:]
 			if !h.reseed {
 				replayed++
-				c.inc(c.hintsReplayed, 1)
+				c.hintsReplayed.Add(1)
 			}
 		}
 		rs.mu.Unlock()
 	}
 	if replayed > 0 {
-		c.inc(c.repairsHint, 1)
+		c.repairsHint.Add(1)
 	}
 }
 
@@ -513,7 +516,7 @@ func (c *Client) reseed(rs *replicaState, h hint) error {
 	rs.mu.Lock()
 	delete(rs.digests, h.index)
 	rs.mu.Unlock()
-	c.inc(c.repairsResync, 1)
+	c.repairsResync.Add(1)
 	return nil
 }
 
@@ -548,22 +551,4 @@ func (c *Client) resyncReplica(name, from, to string) error {
 func (c *Client) Close() {
 	c.cancel()
 	c.wg.Wait()
-}
-
-// inc adds to a metrics counter, tolerating disabled metrics.
-func (c *Client) inc(v *metrics.Value, n float64) {
-	if v != nil {
-		v.Add(n)
-	}
-}
-
-func (c *Client) incBreaker(state string) {
-	switch state {
-	case "open":
-		c.inc(c.breakerOpens, 1)
-	case "half_open":
-		c.inc(c.breakerHalfOpens, 1)
-	case "closed":
-		c.inc(c.breakerCloses, 1)
-	}
 }

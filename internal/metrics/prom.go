@@ -6,95 +6,119 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Registry is a minimal Prometheus-style metric registry backing the
-// linkage service's /metrics endpoint (text exposition format 0.0.4),
-// implemented on the standard library only. It supports float64
-// counters and gauges with a fixed label set per series; series are
-// created idempotently, so hot paths may call Counter/Gauge repeatedly
-// without allocation races.
-type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	names    []string
+// Exposition is one scrape of the linkage service's /metrics endpoint
+// in the Prometheus text exposition format 0.0.4, built from the values
+// read at scrape time and rendered once: families sorted by name, the
+// series of a family by label text. Nothing in it outlives the scrape,
+// so a series is exported exactly while its source exists. The zero
+// value is ready to use; it is not safe for concurrent use.
+type Exposition struct {
+	families map[string]*Family
 }
 
-type family struct {
-	name    string
-	help    string
-	kind    string // "counter", "gauge" or "histogram"
-	series  map[string]*Value
-	hseries map[string]*Histogram
-	buckets []float64 // histogram families: shared upper bounds
-	labels  []string
+// Family is one metric family of an Exposition: its HELP and TYPE lines
+// and the series added to it. A declared family renders its HELP and
+// TYPE lines even when it holds no series.
+type Family struct {
+	name, help, kind string
+	series           []sample
+	hist             *Histogram
 }
 
-// Value is one metric series: an atomically updated float64.
-type Value struct {
-	bits atomic.Uint64
+type sample struct {
+	labels string
+	value  float64
 }
 
-// Add increments the series by d (which must be non-negative for
-// counters; the registry does not police it).
-func (v *Value) Add(d float64) {
-	for {
-		old := v.bits.Load()
-		cur := math.Float64frombits(old)
-		if v.bits.CompareAndSwap(old, math.Float64bits(cur+d)) {
-			return
+// Family declares the family name with its help text and kind
+// ("counter" or "gauge") and returns it; declaring a name again returns
+// the family declared first.
+func (e *Exposition) Family(name, help, kind string) *Family {
+	if f, ok := e.families[name]; ok {
+		return f
+	}
+	if e.families == nil {
+		e.families = make(map[string]*Family)
+	}
+	f := &Family{name: name, help: help, kind: kind}
+	e.families[name] = f
+	return f
+}
+
+// Sample adds one series to the family. labels is the rendered
+// Prometheus label set without braces, e.g. `index="foo",kind="exact"`
+// (nothing is escaped); empty labels mean an unlabelled series.
+func (f *Family) Sample(labels string, v float64) {
+	f.series = append(f.series, sample{labels, v})
+}
+
+// Histogram adds the unlabelled histogram family name, rendered from
+// h's counts as they are when WriteTo runs.
+func (e *Exposition) Histogram(name, help string, h *Histogram) {
+	e.Family(name, help, "histogram").hist = h
+}
+
+// WriteTo renders every family, families and series in sorted order for
+// deterministic scrapes.
+func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
+	names := make([]string, 0, len(e.families))
+	for name := range e.families {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		f := e.families[name]
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		if f.hist != nil {
+			f.hist.write(&b, f.name)
+		}
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		for _, s := range f.series {
+			if s.labels == "" {
+				fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(s.value))
+			} else {
+				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, s.labels, formatValue(s.value))
+			}
 		}
 	}
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
 }
 
-// Inc increments the series by 1.
-func (v *Value) Inc() { v.Add(1) }
-
-// Set overwrites the series (gauges).
-func (v *Value) Set(x float64) { v.bits.Store(math.Float64bits(x)) }
-
-// Get returns the series' current value.
-func (v *Value) Get() float64 { return math.Float64frombits(v.bits.Load()) }
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-// Counter returns the counter series for name and labels, creating the
-// family (with help text) and the series as needed. labels is the
-// rendered Prometheus label set without braces, e.g.
-// `index="foo",mode="exact"`; it must be a fixed enumerable vocabulary
-// (the registry escapes nothing). Empty labels mean an unlabelled
-// series.
-func (r *Registry) Counter(name, help, labels string) *Value {
-	return r.series(name, help, "counter", labels)
-}
-
-// Gauge returns the gauge series for name and labels, creating family
-// and series as needed.
-func (r *Registry) Gauge(name, help, labels string) *Value {
-	return r.series(name, help, "gauge", labels)
-}
-
-// Histogram is a fixed-bucket histogram series: lock-free Observe on
+// Histogram is a fixed-bucket histogram: lock-free Observe on
 // atomically updated per-bucket counters, rendered in the Prometheus
 // cumulative _bucket/_sum/_count form. The linkage service uses it for
-// batch-size and per-batch hit distributions.
+// link latency, queue-wait and batch-size distributions.
 type Histogram struct {
-	bounds []float64       // ascending upper bounds; +Inf is implicit
-	counts []atomic.Uint64 // len(bounds)+1, last is the overflow bucket
-	sum    Value
-	total  atomic.Uint64
+	bounds  []float64       // ascending upper bounds; +Inf is implicit
+	counts  []atomic.Uint64 // len(bounds)+1, last is the overflow bucket
+	sumBits atomic.Uint64   // float64 bits of the sum of samples
+	total   atomic.Uint64
+}
+
+// NewHistogram returns an empty histogram over the ascending upper
+// bounds (the +Inf bucket is implicit).
+func NewHistogram(bounds ...float64) *Histogram {
+	if len(bounds) == 0 || !sort.Float64sAreSorted(bounds) {
+		panic(fmt.Sprintf("metrics: histogram wants ascending non-empty bounds, got %v", bounds))
+	}
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(x float64) {
 	i := sort.SearchFloat64s(h.bounds, x) // first bound >= x
 	h.counts[i].Add(1)
-	h.sum.Add(x)
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+x)) {
+			break
+		}
+	}
 	h.total.Add(1)
 }
 
@@ -102,144 +126,17 @@ func (h *Histogram) Observe(x float64) {
 func (h *Histogram) Count() uint64 { return h.total.Load() }
 
 // Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 { return h.sum.Get() }
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Histogram returns the histogram series for name and labels, creating
-// the family as needed. buckets are ascending upper bounds (the +Inf
-// bucket is implicit) and must be identical for every series of a
-// family; the first creation fixes them.
-func (r *Registry) Histogram(name, help, labels string, buckets []float64) *Histogram {
-	if len(buckets) == 0 || !sort.Float64sAreSorted(buckets) {
-		panic(fmt.Sprintf("metrics: histogram %s wants ascending non-empty buckets, got %v", name, buckets))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{
-			name: name, help: help, kind: "histogram",
-			hseries: make(map[string]*Histogram),
-			buckets: append([]float64(nil), buckets...),
-		}
-		r.families[name] = f
-		r.names = append(r.names, name)
-		sort.Strings(r.names)
-	}
-	if f.kind != "histogram" {
-		panic(fmt.Sprintf("metrics: %s registered as %s, requested as histogram", name, f.kind))
-	}
-	if len(buckets) != len(f.buckets) {
-		panic(fmt.Sprintf("metrics: histogram %s registered with buckets %v, requested with %v", name, f.buckets, buckets))
-	}
-	for i, b := range buckets {
-		if b != f.buckets[i] {
-			panic(fmt.Sprintf("metrics: histogram %s registered with buckets %v, requested with %v", name, f.buckets, buckets))
-		}
-	}
-	h, ok := f.hseries[labels]
-	if !ok {
-		h = &Histogram{bounds: f.buckets, counts: make([]atomic.Uint64, len(f.buckets)+1)}
-		f.hseries[labels] = h
-		f.labels = append(f.labels, labels)
-		sort.Strings(f.labels)
-	}
-	return h
-}
-
-func (r *Registry) series(name, help, kind, labels string) *Value {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*Value)}
-		r.families[name] = f
-		r.names = append(r.names, name)
-		sort.Strings(r.names)
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
-	}
-	v, ok := f.series[labels]
-	if !ok {
-		v = &Value{}
-		f.series[labels] = v
-		f.labels = append(f.labels, labels)
-		sort.Strings(f.labels)
-	}
-	return v
-}
-
-// DeleteSeries removes every series whose rendered label set contains
-// the given label pair (e.g. `index="foo"` — the closing quote makes
-// the match exact, not a prefix), returning the number of series
-// dropped. Families stay registered; a later Counter/Gauge call
-// recreates a series from zero. The linkage service uses this to stop
-// exporting an index's series when the index is deleted.
-func (r *Registry) DeleteSeries(labelPair string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	dropped := 0
-	for _, f := range r.families {
-		kept := f.labels[:0]
-		for _, labels := range f.labels {
-			if strings.Contains(labels, labelPair) {
-				delete(f.series, labels)
-				delete(f.hseries, labels)
-				dropped++
-				continue
-			}
-			kept = append(kept, labels)
-		}
-		f.labels = kept
-	}
-	return dropped
-}
-
-// WritePrometheus renders every family in the text exposition format,
-// families and series in sorted order for deterministic scrapes.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b strings.Builder
-	for _, name := range r.names {
-		f := r.families[name]
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, labels := range f.labels {
-			if f.kind == "histogram" {
-				writeHistogram(&b, f.name, labels, f.hseries[labels])
-				continue
-			}
-			v := f.series[labels].Get()
-			if labels == "" {
-				fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(v))
-			} else {
-				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, labels, formatValue(v))
-			}
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
-	join := func(le string) string {
-		if labels == "" {
-			return fmt.Sprintf(`le="%s"`, le)
-		}
-		return fmt.Sprintf(`%s,le="%s"`, labels, le)
-	}
+func (h *Histogram) write(b *strings.Builder, name string) {
 	cum := uint64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%s} %d\n", name, join(formatValue(bound)), cum)
+		fmt.Fprintf(b, "%s_bucket{le=\"%s\"} %d\n", name, formatValue(bound), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{%s} %d\n", name, join("+Inf"), cum)
-	if labels == "" {
-		fmt.Fprintf(b, "%s_sum %s\n%s_count %d\n", name, formatValue(h.Sum()), name, cum)
-	} else {
-		fmt.Fprintf(b, "%s_sum{%s} %s\n%s_count{%s} %d\n", name, labels, formatValue(h.Sum()), name, labels, cum)
-	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %s\n%s_count %d\n", name, formatValue(h.Sum()), name, cum)
 }
 
 func formatValue(v float64) string {

@@ -11,17 +11,14 @@ import (
 // explicit +Inf bucket equal to _count, and overflow samples landing
 // only in +Inf.
 func TestHistogramInfBucketRendering(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("edge_seconds", "help.", "", []float64{0.1, 1})
+	h := NewHistogram(0.1, 1)
 	h.Observe(0.05) // first bucket
 	h.Observe(0.5)  // second
 	h.Observe(99)   // overflow: +Inf only
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	var e Exposition
+	e.Histogram("edge_seconds", "help.", h)
+	text := render(t, &e)
 	for _, want := range []string{
 		`edge_seconds_bucket{le="0.1"} 1`,
 		`edge_seconds_bucket{le="1"} 2`,
@@ -38,85 +35,11 @@ func TestHistogramInfBucketRendering(t *testing.T) {
 	}
 }
 
-// TestHistogramLabelledInfBucket checks the labelled form puts le last
-// in the label set, after the series labels.
-func TestHistogramLabelledInfBucket(t *testing.T) {
-	reg := NewRegistry()
-	reg.Histogram("edge_seconds", "help.", `index="a"`, []float64{1}).Observe(2)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	for _, want := range []string{
-		`edge_seconds_bucket{index="a",le="1"} 0`,
-		`edge_seconds_bucket{index="a",le="+Inf"} 1`,
-		`edge_seconds_sum{index="a"} 2`,
-		`edge_seconds_count{index="a"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestDeleteSeriesDropsHistograms: DeleteSeries must remove histogram
-// series (all of _bucket/_sum/_count) as well as plain series, and a
-// later re-registration must start from zero.
-func TestDeleteSeriesDropsHistograms(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("edge_total", "help.", `index="gone"`).Add(5)
-	reg.Counter("edge_total", "help.", `index="kept"`).Add(7)
-	reg.Histogram("edge_seconds", "help.", `index="gone"`, []float64{1}).Observe(0.5)
-	reg.Histogram("edge_seconds", "help.", `index="kept"`, []float64{1}).Observe(0.5)
-
-	if n := reg.DeleteSeries(`index="gone"`); n != 2 {
-		t.Fatalf("DeleteSeries dropped %d series, want 2 (counter + histogram)", n)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	if strings.Contains(text, `index="gone"`) {
-		t.Fatalf("deleted series still rendered:\n%s", text)
-	}
-	for _, want := range []string{
-		`edge_total{index="kept"} 7`,
-		`edge_seconds_count{index="kept"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("surviving series missing %q:\n%s", want, text)
-		}
-	}
-
-	// Recreation restarts from zero, not the deleted total.
-	if got := reg.Histogram("edge_seconds", "help.", `index="gone"`, []float64{1}).Count(); got != 0 {
-		t.Fatalf("recreated histogram Count = %d, want 0", got)
-	}
-}
-
-// TestDeleteSeriesIsExactPair: the closing quote in the pair makes
-// index="a" not match index="ab".
-func TestDeleteSeriesIsExactPair(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("edge_total", "help.", `index="a"`).Inc()
-	reg.Counter("edge_total", "help.", `index="ab"`).Inc()
-	if n := reg.DeleteSeries(`index="a"`); n != 1 {
-		t.Fatalf("dropped %d series, want exactly 1", n)
-	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), `index="ab"`) {
-		t.Fatalf("prefix-similar series was deleted:\n%s", sb.String())
-	}
-}
-
-// TestRegistryConcurrency hammers creation, observation, deletion and
-// rendering from many goroutines; run under -race it checks the
-// registry's locking discipline.
+// TestRegistryConcurrency renders expositions of shared histograms while
+// many goroutines observe into them; run under -race it checks that
+// rendering reads the histograms' counters safely.
 func TestRegistryConcurrency(t *testing.T) {
-	reg := NewRegistry()
+	hs := []*Histogram{NewHistogram(0.1, 1), NewHistogram(0.1, 1)}
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup
@@ -124,30 +47,23 @@ func TestRegistryConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			labels := []string{`index="x"`, `index="y"`, `index="z"`}
 			for i := 0; i < iters; i++ {
-				l := labels[(w+i)%len(labels)]
-				reg.Counter("conc_total", "help.", l).Inc()
-				reg.Gauge("conc_gauge", "help.", l).Set(float64(i))
-				reg.Histogram("conc_seconds", "help.", l, []float64{0.1, 1}).Observe(float64(i) / 100)
-				switch i % 50 {
-				case 10:
-					reg.DeleteSeries(`index="z"`)
-				case 25:
+				hs[(w+i)%len(hs)].Observe(float64(i) / 100)
+				if i%50 == 25 {
+					var e Exposition
+					e.Histogram("conc_a_seconds", "help.", hs[0])
+					e.Histogram("conc_b_seconds", "help.", hs[1])
+					e.Family("conc_total", "help.", "counter").Sample(`w="x"`, float64(i))
 					var sb strings.Builder
-					if err := reg.WritePrometheus(&sb); err != nil {
-						t.Errorf("WritePrometheus: %v", err)
+					if _, err := e.WriteTo(&sb); err != nil {
+						t.Errorf("WriteTo: %v", err)
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "conc_total") {
-		t.Fatalf("series vanished:\n%s", sb.String())
+	if got := hs[0].Count() + hs[1].Count(); got != workers*iters {
+		t.Fatalf("observations = %d, want %d", got, workers*iters)
 	}
 }

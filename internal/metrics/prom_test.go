@@ -6,25 +6,31 @@ import (
 	"testing"
 )
 
-func TestRegistryExposition(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("app_requests_total", "Requests served.", `code="ok"`)
-	c.Inc()
-	c.Add(2)
-	r.Counter("app_requests_total", "Requests served.", `code="err"`).Inc()
-	g := r.Gauge("app_temperature", "Current temperature.", "")
-	g.Set(21.5)
-	// Idempotent re-registration returns the same series.
-	if again := r.Counter("app_requests_total", "Requests served.", `code="ok"`); again.Get() != 3 {
-		t.Fatalf("re-registered counter = %v, want 3", again.Get())
-	}
-
+// render returns e's exposition text.
+func render(t *testing.T, e *Exposition) string {
+	t.Helper()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
+	if _, err := e.WriteTo(&b); err != nil {
+		t.Fatalf("WriteTo: %v", err)
 	}
-	got := b.String()
-	want := `# HELP app_requests_total Requests served.
+	return b.String()
+}
+
+func TestRegistryExposition(t *testing.T) {
+	var e Exposition
+	e.Family("app_temperature", "Current temperature.", "gauge").Sample("", 21.5)
+	c := e.Family("app_requests_total", "Requests served.", "counter")
+	c.Sample(`code="ok"`, 3)
+	// Declaring a family again returns the same family.
+	if again := e.Family("app_requests_total", "Requests served.", "counter"); again != c {
+		t.Fatal("re-declared family is a new family")
+	}
+	c.Sample(`code="err"`, 1)
+	e.Family("app_idle_total", "Declared, no series.", "counter")
+
+	want := `# HELP app_idle_total Declared, no series.
+# TYPE app_idle_total counter
+# HELP app_requests_total Requests served.
 # TYPE app_requests_total counter
 app_requests_total{code="err"} 1
 app_requests_total{code="ok"} 3
@@ -32,123 +38,64 @@ app_requests_total{code="ok"} 3
 # TYPE app_temperature gauge
 app_temperature 21.5
 `
-	if got != want {
+	if got := render(t, &e); got != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestRegistryDeleteSeries(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("probes_total", "h", `index="foo"`).Add(5)
-	r.Counter("probes_total", "h", `index="foobar"`).Add(7)
-	r.Gauge("size", "h", `index="foo"`).Set(3)
-	r.Counter("up", "h", "").Inc()
-	if got := r.DeleteSeries(`index="foo"`); got != 2 {
-		t.Fatalf("DeleteSeries dropped %d series, want 2", got)
-	}
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	if strings.Contains(out, `index="foo"}`) {
-		t.Fatalf("deleted series still exported:\n%s", out)
-	}
-	// The closing quote makes the match exact: foobar survives.
-	if !strings.Contains(out, `probes_total{index="foobar"} 7`) {
-		t.Fatalf("unrelated series dropped:\n%s", out)
-	}
-	// Recreating the series starts from zero.
-	if got := r.Counter("probes_total", "h", `index="foo"`).Get(); got != 0 {
-		t.Fatalf("recreated series = %v, want 0", got)
-	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind mismatch did not panic")
-		}
-	}()
-	r.Gauge("x_total", "", "")
-}
-
 func TestValueConcurrentAdds(t *testing.T) {
-	r := NewRegistry()
-	v := r.Counter("c_total", "", "")
+	h := NewHistogram(1)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				v.Inc()
+				h.Observe(0.5)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := v.Get(); got != 8000 {
-		t.Fatalf("concurrent adds = %v, want 8000", got)
+	if h.Count() != 8000 || h.Sum() != 4000 {
+		t.Fatalf("concurrent observations: Count/Sum = %d/%v, want 8000/4000", h.Count(), h.Sum())
 	}
 }
 
 func TestRegistryHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("batch_keys", "Keys per batch.", `index="a"`, []float64{1, 4, 16})
+	h := NewHistogram(1, 4, 16)
 	for _, x := range []float64{1, 1, 3, 9, 100} {
 		h.Observe(x)
 	}
 	if h.Count() != 5 || h.Sum() != 114 {
 		t.Fatalf("Count/Sum = %d/%v, want 5/114", h.Count(), h.Sum())
 	}
-	// Idempotent re-fetch returns the same series.
-	if again := r.Histogram("batch_keys", "Keys per batch.", `index="a"`, []float64{1, 4, 16}); again != h {
-		t.Fatal("histogram series not idempotent")
-	}
-	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := buf.String()
+	var e Exposition
+	e.Histogram("batch_keys", "Keys per batch.", h)
+	out := render(t, &e)
 	for _, want := range []string{
 		"# TYPE batch_keys histogram",
-		`batch_keys_bucket{index="a",le="1"} 2`,
-		`batch_keys_bucket{index="a",le="4"} 3`,
-		`batch_keys_bucket{index="a",le="16"} 4`,
-		`batch_keys_bucket{index="a",le="+Inf"} 5`,
-		`batch_keys_sum{index="a"} 114`,
-		`batch_keys_count{index="a"} 5`,
+		`batch_keys_bucket{le="1"} 2`,
+		`batch_keys_bucket{le="4"} 3`,
+		`batch_keys_bucket{le="16"} 4`,
+		`batch_keys_bucket{le="+Inf"} 5`,
+		`batch_keys_sum 114`,
+		`batch_keys_count 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// DeleteSeries drops histogram series too.
-	if n := r.DeleteSeries(`index="a"`); n != 1 {
-		t.Fatalf("DeleteSeries = %d, want 1", n)
-	}
-	buf.Reset()
-	r.WritePrometheus(&buf)
-	if strings.Contains(buf.String(), "batch_keys_bucket") {
-		t.Fatalf("deleted histogram still exported:\n%s", buf.String())
-	}
-	// Unlabelled histograms render without a leading comma.
-	u := r.Histogram("plain", "p.", "", []float64{2})
-	u.Observe(1)
-	buf.Reset()
-	r.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), `plain_bucket{le="2"} 1`) || !strings.Contains(buf.String(), "plain_count 1") {
-		t.Fatalf("unlabelled histogram exposition wrong:\n%s", buf.String())
-	}
 }
 
 func TestRegistryHistogramBucketMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("h", "h.", "", []float64{1, 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched buckets accepted")
-		}
-	}()
-	r.Histogram("h", "h.", `x="y"`, []float64{1, 3})
+	for _, bounds := range [][]float64{nil, {1, 3, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewHistogram(%v) accepted", bounds)
+				}
+			}()
+			NewHistogram(bounds...)
+		}()
+	}
 }

@@ -219,6 +219,40 @@ func TestServiceCreateIndexDurableConflicts(t *testing.T) {
 	}
 }
 
+// TestCreateConflictAdvice: a create refused by a directory the boot did
+// not load says what frees the name. A foreign directory (no snapshot,
+// no log) is never loaded, so only removing or renaming it helps; an
+// index directory planted after boot is loaded by a restart.
+func TestCreateConflictAdvice(t *testing.T) {
+	dataDir := t.TempDir()
+	s, ts := newDurableServer(t, dataDir)
+	defer s.Close()
+	if err := os.MkdirAll(filepath.Join(dataDir, "foreign"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "foreign", "notes"), []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	planted, err := adaptivelink.BulkLoad(adaptivelink.FromTuples([]adaptivelink.Tuple{{ID: 1, Key: "a key"}}),
+		adaptivelink.IndexOptions{Storage: adaptivelink.StorageOptions{Dir: filepath.Join(dataDir, "planted")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted.Close()
+	for _, c := range []struct {
+		name      string
+		want, not string
+	}{
+		{"foreign", "removing or renaming it frees the name", "restart"},
+		{"planted", "restart to reload it", "removing"},
+	} {
+		code, body := doJSON(t, "POST", ts.URL+"/v1/indexes", CreateIndexRequest{Name: c.name, Tuples: []TupleDTO{{ID: 0, Key: "k"}}})
+		if code != http.StatusConflict || !strings.Contains(string(body), c.want) || strings.Contains(string(body), c.not) {
+			t.Errorf("create %s = %d %s, want 409 saying %q and not %q", c.name, code, body, c.want, c.not)
+		}
+	}
+}
+
 // TestLoadStoredSelectivity: boot recovery loads exactly the stored
 // indexes — plain files and foreign subdirectories are skipped, empty
 // directories removed, and a corrupt index directory fails the boot loudly

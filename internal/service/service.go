@@ -114,7 +114,6 @@ func (c Config) withDefaults() Config {
 // metrics and graceful drain. All methods are safe for concurrent use.
 type Service struct {
 	cfg    Config
-	reg    *metrics.Registry
 	start  time.Time
 	log    *slog.Logger
 	tracer *obs.Tracer
@@ -137,14 +136,12 @@ type Service struct {
 	mu      sync.RWMutex
 	indexes map[string]*managedIndex
 
-	// requestCounters holds the per-outcome link counters, resolved
-	// once so the hot path neither formats labels nor takes the
-	// registry lock.
-	requestCounters map[string]*metrics.Value
-	// batchSize tracks the keys-per-link-request distribution;
-	// batchRequests counts the requests that used the batch form.
+	// linkRequests counts link requests by outcome (linkOutcomes order);
+	// batchRequests counts the admitted ones that carried more than one
+	// key, and batchSize their keys-per-request distribution.
+	linkRequests  [len(linkOutcomes)]atomic.Int64
+	batchRequests atomic.Int64
 	batchSize     *metrics.Histogram
-	batchRequests *metrics.Value
 	// linkLatency covers an admitted link request end to end (queue wait
 	// plus execution); queueWait isolates the admission-to-slot slice,
 	// including a wait that ends in deadline expiry.
@@ -157,105 +154,84 @@ type Service struct {
 	testProbeDelay func()
 }
 
-// managedIndex pairs a resident index with the counters the service
-// keeps for it; its scraped series are read from ix (see indexGauges).
+// managedIndex pairs a resident index with the counts the service
+// keeps for it; its other scraped series are read from ix (see
+// indexRows).
 type managedIndex struct {
 	name    string
 	ix      *adaptivelink.Index
 	created time.Time
 	label   string // the index's label pair, index="name"
 
-	sessions      *metrics.Value
-	probes        *metrics.Value
-	hits          *metrics.Value
-	exactMatches  *metrics.Value
-	approxMatches *metrics.Value
-	escalations   *metrics.Value
-	switches      *metrics.Value
-	inserted      *metrics.Value
-	updated       *metrics.Value
-	modelledCost  *metrics.Value
+	mu     sync.Mutex
+	counts IndexCounts
 }
+
+// count adds d to the index's counts: once per session, create and
+// upsert.
+func (mi *managedIndex) count(d IndexCounts) {
+	mi.mu.Lock()
+	c := &mi.counts
+	c.Sessions += d.Sessions
+	c.Probes += d.Probes
+	c.Hits += d.Hits
+	c.ExactMatches += d.ExactMatches
+	c.ApproxMatches += d.ApproxMatches
+	c.Escalations += d.Escalations
+	c.Switches += d.Switches
+	c.Inserted += d.Inserted
+	c.Updated += d.Updated
+	c.ModelledCost += d.ModelledCost
+	mi.mu.Unlock()
+}
+
+// read returns the index's counts as one record.
+func (mi *managedIndex) read() IndexCounts {
+	mi.mu.Lock()
+	defer mi.mu.Unlock()
+	return mi.counts
+}
+
+// linkOutcomes names the link request outcomes, the code label of
+// adaptivelink_link_requests_total.
+var linkOutcomes = [...]string{"ok", "deadline", "draining", "invalid", "notfound", "unavailable"}
+
+const (
+	outcomeOK = iota
+	outcomeDeadline
+	outcomeDraining
+	outcomeInvalid
+	outcomeNotFound
+	outcomeUnavailable
+)
 
 // New builds a service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	reg := metrics.NewRegistry()
-	s := &Service{
-		cfg:     cfg,
-		slots:   make(chan struct{}, cfg.Workers),
-		reg:     reg,
-		start:   time.Now(),
-		log:     cfg.Logger,
-		tracer:  obs.NewTracer(cfg.Trace),
-		indexes: make(map[string]*managedIndex),
-	}
-	if cfg.Cluster != nil {
-		cfg.Cluster.EnableMetrics(reg)
-	}
-	s.requestCounters = make(map[string]*metrics.Value)
-	for _, code := range []string{"ok", "deadline", "draining", "invalid", "notfound", "unavailable"} {
-		s.requestCounters[code] = reg.Counter("adaptivelink_link_requests_total",
-			"Link requests by outcome.", fmt.Sprintf("code=%q", code))
-	}
-	s.batchSize = reg.Histogram("adaptivelink_link_batch_keys",
-		"Keys per admitted link request.", "",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096})
-	s.batchRequests = reg.Counter("adaptivelink_link_batch_requests_total",
-		"Admitted link requests carrying more than one key.", "")
 	latencyBuckets := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	s.linkLatency = reg.Histogram("adaptivelink_link_latency_seconds",
-		"Admitted link request duration, queue wait included.", "", latencyBuckets)
-	s.queueWait = reg.Histogram("adaptivelink_link_queue_wait_seconds",
-		"Time an admitted link request waited for an execution slot.", "", latencyBuckets)
-	return s
+	return &Service{
+		cfg:         cfg,
+		slots:       make(chan struct{}, cfg.Workers),
+		start:       time.Now(),
+		log:         cfg.Logger,
+		tracer:      obs.NewTracer(cfg.Trace),
+		indexes:     make(map[string]*managedIndex),
+		batchSize:   metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096),
+		linkLatency: metrics.NewHistogram(latencyBuckets...),
+		queueWait:   metrics.NewHistogram(latencyBuckets...),
+	}
 }
 
 // Config returns the effective (defaulted) configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// register publishes a built or reloaded index under name: its managed
-// wrapper enters the registry and its series are declared, all under the
-// registry lock.
+// register publishes a built or reloaded index under name.
 func (s *Service) register(name string, ix *adaptivelink.Index) *managedIndex {
+	mi := &managedIndex{name: name, ix: ix, created: time.Now(), label: fmt.Sprintf("index=%q", name)}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	mi := s.newManaged(name, ix)
 	s.indexes[name] = mi
-	for _, g := range indexGauges {
-		s.reg.Gauge(g.name, g.help, mi.label)
-	}
+	s.mu.Unlock()
 	return mi
-}
-
-func (s *Service) newManaged(name string, ix *adaptivelink.Index) *managedIndex {
-	label := fmt.Sprintf("index=%q", name)
-	return &managedIndex{
-		name:    name,
-		ix:      ix,
-		created: time.Now(),
-		label:   label,
-		sessions: s.reg.Counter("adaptivelink_sessions_total",
-			"Probe sessions opened per index.", label),
-		probes: s.reg.Counter("adaptivelink_probes_total",
-			"Probes served per index.", label),
-		hits: s.reg.Counter("adaptivelink_probe_hits_total",
-			"Probes that found at least one match.", label),
-		exactMatches: s.reg.Counter("adaptivelink_matches_total",
-			"Result pairs per index and kind.", label+`,kind="exact"`),
-		approxMatches: s.reg.Counter("adaptivelink_matches_total",
-			"Result pairs per index and kind.", label+`,kind="approximate"`),
-		escalations: s.reg.Counter("adaptivelink_escalations_total",
-			"Probes re-run approximately after a deficit signal.", label),
-		switches: s.reg.Counter("adaptivelink_session_switches_total",
-			"Operator switches enacted by session control loops.", label),
-		inserted: s.reg.Counter("adaptivelink_upserted_tuples_total",
-			"Reference tuples applied by upserts, by effect.", label+`,effect="inserted"`),
-		updated: s.reg.Counter("adaptivelink_upserted_tuples_total",
-			"Reference tuples applied by upserts, by effect.", label+`,effect="updated"`),
-		modelledCost: s.reg.Counter("adaptivelink_modelled_cost_total",
-			"Session cost under the paper's weight model, in all-exact-step units.", label),
-	}
 }
 
 // VersionInfo is the /v1/version payload.
@@ -359,7 +335,7 @@ func (s *Service) create(name string, opts adaptivelink.IndexOptions, src adapti
 		return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	mi := s.register(name, ix)
-	mi.inserted.Add(float64(ix.Len()))
+	mi.count(IndexCounts{Inserted: int64(ix.Len())})
 	s.log.Info("created index", "index", name, "tuples", ix.Len(),
 		"shards", ix.Options().Shards, "durable", ix.Durable())
 	return mi.info(), nil
@@ -384,8 +360,9 @@ func (s *Service) build(name string, opts adaptivelink.IndexOptions, src adaptiv
 // step a bulk load and a resync bootstrap share: the configured WAL sync
 // policy and, with a data dir, the index's directory under it — refused
 // while a directory of that name survives on disk, one the boot scan did
-// not load. A router places no index locally: its indexes live on the
-// nodes.
+// not load. The refusal says what frees the name: a restart loads a
+// directory holding a stored index, and nothing loads any other one. A
+// router places no index locally: its indexes live on the nodes.
 func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 	st := adaptivelink.StorageOptions{WALSync: s.cfg.WALSync}
 	if s.cfg.Cluster != nil {
@@ -395,10 +372,16 @@ func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 		return st, nil
 	}
 	st.Dir = filepath.Join(s.cfg.DataDir, name)
-	if _, err := os.Stat(st.Dir); err == nil {
-		return st, fmt.Errorf("%w: %q (its directory survives on disk; restart to reload it or remove it)", ErrExists, name)
+	if _, err := os.Stat(st.Dir); err != nil {
+		return st, nil
 	}
-	return st, nil
+	switch stored, err := adaptivelink.IsIndexDir(st.Dir); {
+	case err != nil:
+		return st, fmt.Errorf("%w: %q (its directory on disk cannot be read as a stored index: %v)", ErrExists, name, err)
+	case stored:
+		return st, fmt.Errorf("%w: %q (its directory on disk holds a stored index; restart to reload it)", ErrExists, name)
+	}
+	return st, fmt.Errorf("%w: %q (its directory on disk holds no stored index, so the boot scan does not load it; removing or renaming it frees the name)", ErrExists, name)
 }
 
 // LoadStored reopens every index directory under the configured data
@@ -623,7 +606,6 @@ func (s *Service) DeleteIndex(name string) error {
 	}
 	s.mu.Lock()
 	delete(s.indexes, name)
-	s.reg.DeleteSeries(mi.label)
 	s.mu.Unlock()
 	if mi.ix.Durable() {
 		if err := os.RemoveAll(tomb); err != nil {
@@ -670,8 +652,7 @@ func (s *Service) Upsert(name string, tuples []adaptivelink.Tuple) (inserted, up
 	if err != nil {
 		return 0, 0, err
 	}
-	mi.inserted.Add(float64(inserted))
-	mi.updated.Add(float64(updated))
+	mi.count(IndexCounts{Inserted: int64(inserted), Updated: int64(updated)})
 	return inserted, updated, nil
 }
 
@@ -784,12 +765,12 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 		err = fmt.Errorf("%w: negative futility threshold %d", ErrInvalid, req.FutilityK)
 	}
 	if err != nil {
-		s.requestCounters["invalid"].Inc()
+		s.linkRequests[outcomeInvalid].Add(1)
 		return nil, err
 	}
 	mi, err := s.lookup(req.Index)
 	if err != nil {
-		s.requestCounters["notfound"].Inc()
+		s.linkRequests[outcomeNotFound].Add(1)
 		return nil, err
 	}
 
@@ -812,7 +793,7 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	if s.cfg.Cluster != nil {
 		view, err = s.cfg.Cluster.Bind(ctx, req.Index)
 		if err != nil {
-			s.requestCounters["notfound"].Inc()
+			s.linkRequests[outcomeNotFound].Add(1)
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, req.Index)
 		}
 		ix = mi.ix.WithResident(view)
@@ -829,7 +810,7 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	s.admit.RLock()
 	if s.draining {
 		s.admit.RUnlock()
-		s.requestCounters["draining"].Inc()
+		s.linkRequests[outcomeDraining].Add(1)
 		return nil, ErrDraining
 	}
 	s.inflight.Add(1)
@@ -864,20 +845,20 @@ func (s *Service) Link(ctx context.Context, req LinkRequest) (*LinkResponse, err
 	s.linkLatency.Observe(time.Since(admitted).Seconds())
 	switch {
 	case err == nil:
-		s.requestCounters["ok"].Inc()
+		s.linkRequests[outcomeOK].Add(1)
 		return resp, nil
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.requestCounters["deadline"].Inc()
+		s.linkRequests[outcomeDeadline].Add(1)
 		s.log.Warn("link deadline exceeded", "request_id", obs.RequestID(ctx),
 			"index", req.Index, "keys", len(req.Keys), "timeout", timeout)
 		return nil, fmt.Errorf("link %q: %w", req.Index, err)
 	case errors.Is(err, cluster.ErrNodeUnavailable):
-		s.requestCounters["unavailable"].Inc()
+		s.linkRequests[outcomeUnavailable].Add(1)
 		s.log.Warn("link node unavailable", "request_id", obs.RequestID(ctx),
 			"index", req.Index, "keys", len(req.Keys), "error", err)
 		return nil, err
 	default:
-		s.requestCounters["invalid"].Inc()
+		s.linkRequests[outcomeInvalid].Add(1)
 		return nil, err
 	}
 }
@@ -896,10 +877,9 @@ func (s *Service) runLink(ctx context.Context, tr *obs.Trace, mi *managedIndex, 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	mi.sessions.Inc()
 	s.batchSize.Observe(float64(len(req.Keys)))
 	if len(req.Keys) > 1 {
-		s.batchRequests.Inc()
+		s.batchRequests.Add(1)
 	}
 	// The batch runs through Session.ProbeBatch — routing and snapshot
 	// loads amortised per shard-group, groups fanned out concurrently
@@ -932,13 +912,12 @@ func (s *Service) runLink(ctx context.Context, tr *obs.Trace, mi *managedIndex, 
 		}
 	}
 	st := sess.Stats()
-	mi.probes.Add(float64(st.Probes))
-	mi.hits.Add(float64(st.Hits))
-	mi.exactMatches.Add(float64(st.ExactMatches))
-	mi.approxMatches.Add(float64(st.ApproxMatches))
-	mi.escalations.Add(float64(st.Escalations))
-	mi.switches.Add(float64(st.Switches))
-	mi.modelledCost.Add(st.ModelledCost)
+	mi.count(IndexCounts{
+		Sessions: 1, Probes: int64(st.Probes), Hits: int64(st.Hits),
+		ExactMatches: int64(st.ExactMatches), ApproxMatches: int64(st.ApproxMatches),
+		Escalations: int64(st.Escalations), Switches: int64(st.Switches),
+		ModelledCost: st.ModelledCost,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1007,6 +986,14 @@ func (s *Service) Close() {
 // IndexStats is the per-index slice of a Snapshot.
 type IndexStats struct {
 	IndexInfo
+	IndexCounts
+}
+
+// IndexCounts is what the service counts per index since it was
+// registered: sessions opened, their probes, hits, result pairs,
+// escalations, switches and modelled cost, and the tuples creates and
+// upserts applied. /v1/stats and /metrics read the same record.
+type IndexCounts struct {
 	Sessions      int64   `json:"sessions"`
 	Probes        int64   `json:"probes"`
 	Hits          int64   `json:"hits"`
@@ -1032,8 +1019,9 @@ type Snapshot struct {
 	Indexes       []IndexStats `json:"indexes"`
 }
 
-// Snapshot returns a consistent-enough view of the service counters for
-// diagnostics (counters are read individually, not under one lock).
+// Snapshot returns a view of the service counters for diagnostics: the
+// service-wide ones are read individually, each index's counts as one
+// record.
 func (s *Service) Snapshot() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -1045,19 +1033,7 @@ func (s *Service) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, mi := range s.indexes {
-		snap.Indexes = append(snap.Indexes, IndexStats{
-			IndexInfo:     mi.info(),
-			Sessions:      int64(mi.sessions.Get()),
-			Probes:        int64(mi.probes.Get()),
-			Hits:          int64(mi.hits.Get()),
-			ExactMatches:  int64(mi.exactMatches.Get()),
-			ApproxMatches: int64(mi.approxMatches.Get()),
-			Escalations:   int64(mi.escalations.Get()),
-			Switches:      int64(mi.switches.Get()),
-			Inserted:      int64(mi.inserted.Get()),
-			Updated:       int64(mi.updated.Get()),
-			ModelledCost:  mi.modelledCost.Get(),
-		})
+		snap.Indexes = append(snap.Indexes, IndexStats{IndexInfo: mi.info(), IndexCounts: mi.read()})
 	}
 	sort.Slice(snap.Indexes, func(i, j int) bool { return snap.Indexes[i].Name < snap.Indexes[j].Name })
 	return snap

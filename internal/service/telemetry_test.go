@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +104,26 @@ func TestMetricsInventoryNode(t *testing.T) {
 	}
 	got += "# -- after DELETE /v1/indexes/atlas --\n" + scrapeInventory(t, ts.URL, buildInfoSubst())
 	checkInventory(t, "testdata/metrics_inventory_node.txt", got)
+}
+
+// TestMetricsInventoryFreshNode: /metrics is rendered from the state at
+// scrape, so a node that never held an index exports every family it
+// declares, HELP and TYPE lines included, exactly as one whose only
+// index was deleted: the after-DELETE half of the node inventory.
+func TestMetricsInventoryFreshNode(t *testing.T) {
+	_, ts := newDurableServer(t, t.TempDir())
+	want, err := os.ReadFile("testdata/metrics_inventory_node.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sep = "# -- after DELETE /v1/indexes/atlas --\n"
+	_, afterDelete, ok := strings.Cut(string(want), sep)
+	if !ok {
+		t.Fatalf("testdata/metrics_inventory_node.txt lacks %q", sep)
+	}
+	if got := scrapeInventory(t, ts.URL, buildInfoSubst()); got != afterDelete {
+		t.Fatalf("a fresh node's inventory differs from the after-DELETE one; got:\n%s", got)
+	}
 }
 
 // TestMetricsInventoryRouter pins a router's inventory: its own series,
@@ -251,5 +272,91 @@ func TestCreateDeleteChurnScrape(t *testing.T) {
 	scrape.Wait()
 	if out := text(); strings.Contains(out, "{index=") || !strings.Contains(out, "\nadaptivelink_indexes 0\n") {
 		t.Fatalf("after the churn:\n%s", grepLines(out, "index"))
+	}
+}
+
+// scrapeSeries GETs base's /metrics and returns each series' value by
+// its name and label set, as in name{labels}.
+func scrapeSeries(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	code, body := doJSON(t, "GET", base+"/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /metrics: %d %s", code, body)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestStatsMatchScrape: after a create, an upsert, an exact and an
+// adaptive link, every per-index counter /v1/stats reports equals its
+// scraped series, on a node and on a router.
+func TestStatsMatchScrape(t *testing.T) {
+	_, node := newTestServer(t)
+	var groups [][]string
+	for g := 0; g < 2; g++ {
+		groups = append(groups, []string{startStack(t, fmt.Sprintf("node%d", g), Config{}).srv.URL})
+	}
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 2, Groups: groups}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := startStack(t, "router", Config{Cluster: cl})
+	for _, base := range []string{node.URL, router.srv.URL} {
+		steps := []struct {
+			path string
+			body any
+			want int
+		}{
+			{"/v1/indexes", CreateIndexRequest{Name: "atlas", Tuples: []TupleDTO{
+				{ID: 0, Key: "via monte bianco nord 12"}, {ID: 1, Key: "lago di como est"},
+			}}, http.StatusCreated},
+			{"/v1/indexes/atlas/upsert", UpsertRequest{Tuples: []TupleDTO{
+				{ID: 1, Key: "lago di como est", Attrs: []string{"lake"}}, {ID: 2, Key: "valle verde ovest 9"},
+			}}, http.StatusOK},
+			{"/v1/link", LinkRequestDTO{Index: "atlas", Strategy: "exact", Keys: []string{"lago di como est", "valle verde ovest 9"}}, http.StatusOK},
+			{"/v1/link", LinkRequestDTO{Index: "atlas", Keys: []string{"via monte bianca nord 12", "lago di como ets", "valle verde ovest 9"}}, http.StatusOK},
+		}
+		for _, st := range steps {
+			if code, body := doJSON(t, "POST", base+st.path, st.body); code != st.want {
+				t.Fatalf("POST %s%s: %d %s, want %d", base, st.path, code, body, st.want)
+			}
+		}
+		code, body := doJSON(t, "GET", base+"/v1/stats", nil)
+		var snap Snapshot
+		if code != http.StatusOK || json.Unmarshal(body, &snap) != nil || len(snap.Indexes) != 1 {
+			t.Fatalf("GET /v1/stats: %d %s", code, body)
+		}
+		c := snap.Indexes[0].IndexCounts
+		if c.Sessions != 2 || c.Inserted != 3 || c.Updated != 1 || c.Escalations == 0 || c.ApproxMatches == 0 || c.ModelledCost == 0 {
+			t.Errorf("%s: counts %+v, want 2 sessions, 3 inserted, 1 updated, an escalation, an approximate match and a modelled cost", base, c)
+		}
+		series := scrapeSeries(t, base)
+		for name, want := range map[string]float64{
+			`adaptivelink_sessions_total{index="atlas"}`:                          float64(c.Sessions),
+			`adaptivelink_probes_total{index="atlas"}`:                            float64(c.Probes),
+			`adaptivelink_probe_hits_total{index="atlas"}`:                        float64(c.Hits),
+			`adaptivelink_matches_total{index="atlas",kind="exact"}`:              float64(c.ExactMatches),
+			`adaptivelink_matches_total{index="atlas",kind="approximate"}`:        float64(c.ApproxMatches),
+			`adaptivelink_escalations_total{index="atlas"}`:                       float64(c.Escalations),
+			`adaptivelink_session_switches_total{index="atlas"}`:                  float64(c.Switches),
+			`adaptivelink_upserted_tuples_total{index="atlas",effect="inserted"}`: float64(c.Inserted),
+			`adaptivelink_upserted_tuples_total{index="atlas",effect="updated"}`:  float64(c.Updated),
+			`adaptivelink_modelled_cost_total{index="atlas"}`:                     c.ModelledCost,
+		} {
+			if got, ok := series[name]; !ok || got != want {
+				t.Errorf("%s: scraped %s = %v (present %v), /v1/stats says %v", base, name, got, ok, want)
+			}
+		}
 	}
 }
