@@ -347,3 +347,35 @@ func TestAllocBulkLoadFromTuples(t *testing.T) {
 		t.Errorf("in-memory BulkLoad of %d rows: %.0f allocs, budget %d", len(tuples), avg, bulkLoadAllocBudget)
 	}
 }
+
+// emptyUpsertBytesBudget bounds what an upsert of 10k generated tuples
+// into an empty durable index allocates per tuple, in the shape a
+// routed create's node loads its group's rows (profile "", 2 shards):
+// the log frame, the homes and member refs, the shard stores and exact
+// tables, 182 measured, plus a margin. Before such an upsert was a bulk
+// load it took the per-tuple path, cloning the batch, decomposing no
+// key but holding a scratch key per tuple, and growing the log frame
+// by appends: 826. The pin may not exceed the create pin
+// (createBytesBudget in internal/service, 360), which also pays for
+// decoding the body.
+const emptyUpsertBytesBudget = 200
+
+func TestAllocEmptyUpsertBytesPerTuple(t *testing.T) {
+	tuples, _ := footprintTuples(t, 10_000)
+	ix, err := Open(filepath.Join(t.TempDir(), "ix"), IndexOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := ix.Upsert(tuples...); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tuples))
+	t.Logf("an upsert into an empty durable index allocated %.0f bytes per tuple", perTuple)
+	if perTuple > emptyUpsertBytesBudget {
+		t.Errorf("an upsert into an empty durable index allocated %.0f bytes per tuple, budget %d", perTuple, emptyUpsertBytesBudget)
+	}
+}

@@ -295,9 +295,10 @@ func (ix *Index) Options() IndexOptions {
 // whole batch.
 //
 // On a durable index the batch is appended to the write-ahead log
-// first — under SyncAlways it is on stable storage before Upsert
-// returns, so an acknowledged upsert survives a crash — and only then
-// applied. A non-nil error means the batch was NOT applied (the index
+// before it is applied — under SyncAlways it is on stable storage
+// before Upsert returns, so an acknowledged upsert survives a crash. An
+// upsert into an empty index is a bulk load that builds the shards
+// beside the append and publishes them only once it succeeded. A non-nil error means the batch was NOT applied (the index
 // is unchanged); a local in-memory index never returns one, a remote
 // index returns its resident's (a cluster node group below quorum).
 func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
@@ -306,10 +307,14 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	}
 	// Normalise a copy (the caller's slice is left as passed) before
 	// logging: WAL frames and snapshots hold keys in their indexed form,
-	// so recovery never re-normalises.
-	rts := slices.Clone(tuples)
-	for i := range rts {
-		rts[i].Key = ix.normKey(rts[i].Key)
+	// so recovery never re-normalises. The verbatim profile has nothing
+	// to normalise, and the index reads the batch without keeping it.
+	rts := tuples
+	if ix.opts.Profile != "" {
+		rts = slices.Clone(tuples)
+		for i := range rts {
+			rts[i].Key = ix.norm.Apply(rts[i].Key)
+		}
 	}
 	if ix.dir == nil {
 		return ix.resident().Upsert(rts)
@@ -319,10 +324,14 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if ix.closed {
 		return 0, 0, ErrIndexClosed
 	}
-	if err := ix.dir.Append(rts); err != nil {
-		return 0, 0, fmt.Errorf("adaptivelink: logging upsert: %w", err)
-	}
-	return ix.resident().Upsert(rts)
+	// A durable index's resident is local. Its first rows are a bulk
+	// load, built beside their log append and published after it.
+	return ix.resident().(*join.ShardedRefIndex).UpsertLogged(rts, func() error {
+		if err := ix.dir.Append(rts); err != nil {
+			return fmt.Errorf("adaptivelink: logging upsert: %w", err)
+		}
+		return nil
+	})
 }
 
 // Probe is the sessionless one-shot probe: it matches the key exactly

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"adaptivelink"
+	"adaptivelink/internal/normalize"
 	"adaptivelink/internal/shardmap"
 	"adaptivelink/internal/stream"
 	"adaptivelink/internal/wire"
@@ -245,11 +246,16 @@ func (c *Client) state(name string) (*indexState, bool) {
 // validates opts, reporting the cluster's logical shard count, and the
 // rows are read from src as a bulk load reads them (stream.Adopt), to
 // the last, before any node is contacted: a source that fails creates
-// nothing. The rows keep the IDs src gives them. The index is then
-// created empty on every replica of every group and the rows are loaded
-// through the routed upsert path, so they land on the owning nodes'
-// write-ahead logs like any other write. Nodes are created with profile
-// "": the facade owns normalization and nodes index the
+// nothing. Each row is prepared as soon as it is read, while later ones
+// may still be decoding: its key normalised under the index's profile,
+// as the facade normalises an upsert's, the row appended to its home
+// group's upsert body, and its key's sequence entry staged. The rows
+// keep the IDs src gives them. The index is then created empty on
+// every replica of every group and each group is sent its body, so the
+// rows land on the owning nodes' write-ahead logs like any other write
+// (a node builds its first rows as a bulk load); the staged sequence is
+// published once every group acknowledged. Nodes are created with
+// profile "": the router owns normalization and nodes index the
 // already-normalised keys verbatim. A failed create or load is rolled
 // back on the replicas it reached (see rollback) and leaves nothing
 // registered, so the name can be created again; a replica that already
@@ -270,18 +276,41 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		c.unregister(name)
 		return nil, err
 	}
+	ro := ix.Options()
+	norm, err := normalize.ProfileNamed(ro.Profile) // vetted by the facade
+	if err != nil {
+		c.unregister(name)
+		return nil, err
+	}
 	rows, ready := stream.Adopt(src)
-	for _, err := range ready {
+	bodies := make([]wire.UpsertEncoder, len(c.cfg.Map.Groups))
+	seq := make(map[string]int, len(rows))
+	done := 0
+	for hi, err := range ready {
 		if err != nil {
 			c.unregister(name)
 			return nil, err
 		}
+		for _, t := range rows[done:hi] {
+			t.Key = norm.Apply(t.Key)
+			bodies[c.cfg.Map.home(t.Key)].Add(wire.TupleDTO(t))
+			if _, ok := seq[t.Key]; !ok {
+				seq[t.Key] = len(seq)
+			}
+		}
+		if done == 0 && hi < len(rows) {
+			// Reserve each body's size as the first rows predict it, so
+			// it grows once, not whenever an append outgrows it.
+			for g := range bodies {
+				bodies[g].Grow(bodies[g].Len() * (len(rows) - hi) / hi * 17 / 16)
+			}
+		}
+		done = hi
 	}
 	// Node shards are pinned to the router's local default so every
 	// replica of a group builds the identical shard layout: content
 	// digests are compared byte-for-byte across replicas by anti-entropy,
 	// and a heterogeneous default would read as permanent divergence.
-	ro := ix.Options()
 	req := wire.CreateIndexRequest{
 		Name: name, Q: ro.Q, Theta: ro.Theta, Measure: ro.Measure.String(),
 		Shards: runtime.GOMAXPROCS(0),
@@ -289,7 +318,7 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 	}
 	reached, err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated)
 	if err == nil {
-		_, _, err = ix.Upsert(rows...)
+		err = c.upsertGroups(name, bodies)
 	}
 	if err != nil {
 		if rerr := c.rollback(name, reached); rerr != nil {
@@ -298,6 +327,9 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		c.unregister(name)
 		return nil, err
 	}
+	st.mu.Lock()
+	st.seq = seq
+	st.mu.Unlock()
 	return ix, nil
 }
 

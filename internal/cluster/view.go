@@ -100,30 +100,12 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 		return 0, 0, nil
 	}
 	m := v.c.cfg.Map
-	subs := make([][]wire.TupleDTO, len(m.Groups))
+	bodies := make([]wire.UpsertEncoder, len(m.Groups))
 	for _, t := range tuples {
-		g := m.home(t.Key)
-		subs[g] = append(subs[g], wire.TupleDTO{ID: t.ID, Key: t.Key, Attrs: t.Attrs})
+		bodies[m.home(t.Key)].Add(wire.TupleDTO(t))
 	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(subs))
-	for g := range subs {
-		if len(subs[g]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			_, errs[g] = v.c.groupWrite(g, v.st.name, http.MethodPost, "/v1/indexes/"+v.st.name+"/upsert",
-				wire.EncodeUpsert(subs[g]), http.StatusOK)
-		}(g)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return 0, 0, e
-		}
+	if err := v.c.upsertGroups(v.st.name, bodies); err != nil {
+		return 0, 0, err
 	}
 
 	v.st.mu.Lock()
@@ -137,6 +119,32 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 	}
 	v.st.mu.Unlock()
 	return inserted, updated, nil
+}
+
+// upsertGroups sends every group with a tuple in bodies its upsert
+// body, the groups concurrently, each to all its replicas (groupWrite),
+// and returns the first group's error, if any.
+func (c *Client) upsertGroups(index string, bodies []wire.UpsertEncoder) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(bodies))
+	for g := range bodies {
+		if bodies[g].Len() == 0 {
+			continue
+		}
+		raw := bodies[g].Bytes()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[g] = c.groupWrite(g, index, http.MethodPost, "/v1/indexes/"+index+"/upsert", raw, http.StatusOK)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- probes ---

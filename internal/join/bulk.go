@@ -52,7 +52,13 @@ func NewBulk(cfg Config, shards int, rows []relation.Tuple) (*Bulk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, len(rows)), counts: make([]int, shards)}, nil
+	return s.bulk(rows), nil
+}
+
+// bulk starts a bulk build of rows that publishes into s, which must
+// hold no tuple and no built shard.
+func (s *ShardedRefIndex) bulk(rows []relation.Tuple) *Bulk {
+	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, len(rows)), counts: make([]int, s.nshard)}
 }
 
 // Home homes the rows up to hi at shardmap.ShardOf of their keys,
@@ -82,11 +88,7 @@ func (b *Bulk) Build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 	s, err := b.build(persist)
 	var dup *duplicateKeyError
 	if errors.As(err, &dup) {
-		var again *Bulk
-		if again, err = NewBulk(b.s.cfg, b.s.nshard, dedup(b.rows)); err != nil {
-			return nil, err
-		}
-		s, err = again.build(persist)
+		s, err = b.s.bulk(dedup(b.rows)).build(persist)
 	}
 	if err != nil {
 		return nil, err

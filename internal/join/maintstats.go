@@ -27,7 +27,8 @@ type MaintStats struct {
 	// Upserts counts Upsert batches applied (bulk load counts as one).
 	Upserts uint64
 	// SnapshotSwaps counts per-shard snapshot publications: one per
-	// touched shard per upsert, plus one per shard at bulk load.
+	// touched shard per upsert, one per shard for a bulk load (an upsert
+	// into an empty index is one).
 	SnapshotSwaps uint64
 	// CloneNanos is the cumulative time spent deriving the writable
 	// successors of shard snapshots for upserts, in nanoseconds — the

@@ -107,7 +107,7 @@ type shardScratch struct {
 	// keys holds one decomposed Key per member of a batch or upsert,
 	// homes an upsert's home shards.
 	keys  []qgram.Key
-	homes []int
+	homes []int32
 	// A batch worker's results over one shard, flat: the matches of key
 	// i are flat[off[i]:off[i+1]].
 	flat []RefMatch
@@ -274,40 +274,76 @@ func (s *ShardedRefIndex) Tuple(ref int) (relation.Tuple, error) {
 // in the key's home shard. It returns the inserted and updated counts
 // and a nil error: an in-memory apply cannot fail.
 //
-// Writers are serialised; probes are not disturbed. Gram decomposition
-// runs before the writer lock, and only for keys homed in a built shard
-// (an unbuilt one keeps no grams), the next snapshots of the batch's
-// home shards are built off-path as clones that share everything the
-// batch does not touch — published snapshots stay immutable while the
-// clone interns new grams into its own dictionary overlay — and each is
-// published with one atomic swap: in-flight probes complete on the old
-// snapshot, later probes see the whole batch for that shard.
+// An upsert into an index that holds no tuple and has no built shard is
+// a bulk load: the batch is built as Bulk builds rows — every shard's
+// inserts on its own core, the count published before the shards —
+// into the index one per-tuple pass would leave (a key the batch
+// repeats keeps its first ref and its last payload). That is how a
+// routed create's rows reach each node, and how a log replay without a
+// snapshot starts.
+//
+// Otherwise writers are serialised; probes are not disturbed. Gram
+// decomposition runs before the writer lock, and only for keys homed in
+// a built shard (an unbuilt one keeps no grams), the next snapshots of
+// the batch's home shards are built off-path as clones that share
+// everything the batch does not touch — published snapshots stay
+// immutable while the clone interns new grams into its own dictionary
+// overlay — and each is published with one atomic swap: in-flight
+// probes complete on the old snapshot, later probes see the whole batch
+// for that shard.
 func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int, err error) {
+	return s.UpsertLogged(tuples, nil)
+}
+
+// UpsertLogged is Upsert behind a write-ahead log: log, when not nil,
+// is called once, and the batch is published only if it succeeds; its
+// error is returned with nothing applied. A bulk load calls log beside
+// its shard inserts, any other upsert before it applies the batch.
+func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
 	}
-	s.maint.upserts.Add(1)
 	sc := s.getScratch()
 	defer s.pool.Put(sc)
 	sc.dsc.Reset()
+	// A bulk load decomposes no key. Should the index stop being one
+	// before the lock is taken, the keys are decomposed under it.
+	bulk := s.Len() == 0 && !s.anyBuilt()
 	ks, homes := sc.keys[:0], sc.homes[:0]
 	for _, t := range tuples {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
+		homes = append(homes, int32(sh))
+		if bulk {
+			continue
+		}
 		var k qgram.Key
 		if s.shards[sh].Load().qgIdx != nil {
 			k = s.ex.Decompose(&sc.dsc, t.Key)
 		}
-		ks, homes = append(ks, k), append(homes, sh)
+		ks = append(ks, k)
 	}
 	sc.keys, sc.homes = ks, homes
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.Len() == 0 && !s.anyBuilt() {
+		return s.load(tuples, homes, log)
+	}
+	if len(ks) < len(tuples) {
+		ks = append(ks, make([]qgram.Key, len(tuples)-len(ks))...)
+		sc.keys = ks
+	}
+	if log != nil {
+		if err := log(); err != nil {
+			return 0, 0, err
+		}
+	}
+	s.maint.upserts.Add(1)
 
 	n := s.Len()
 	next := make(map[int]*shardSnap)
 	for i, t := range tuples {
-		sh := homes[i]
+		sh := int(homes[i])
 		ns, ok := next[sh]
 		if !ok {
 			t0 := time.Now()
@@ -336,6 +372,43 @@ func (s *ShardedRefIndex) Upsert(tuples []relation.Tuple) (inserted, updated int
 	}
 	s.maint.snapSwaps.Add(uint64(len(next)))
 	return inserted, updated, nil
+}
+
+// anyBuilt reports whether some shard holds q-gram structures. Only
+// under the writer lock, which a build's publication takes too, does
+// the answer hold until the lock is released.
+func (s *ShardedRefIndex) anyBuilt() bool {
+	for sh := range s.shards {
+		if s.shards[sh].Load().qgIdx != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// load is an upsert into an empty, unbuilt index, under the writer
+// lock: one Bulk build of the batch, homed at homes, published into s.
+// log runs beside the shard inserts, once even when a repeated key
+// makes the batch build twice, and its error publishes nothing.
+func (s *ShardedRefIndex) load(tuples []relation.Tuple, homes []int32, log func() error) (inserted, updated int, err error) {
+	b := &Bulk{s: s, rows: tuples, homes: homes, counts: make([]int, s.nshard)}
+	for _, sh := range homes {
+		b.counts[sh]++
+	}
+	var persist func(*SnapshotView) error
+	if log != nil {
+		logged, lerr := false, error(nil)
+		persist = func(*SnapshotView) error {
+			if !logged {
+				logged, lerr = true, log()
+			}
+			return lerr
+		}
+	}
+	if _, err := b.Build(persist); err != nil {
+		return 0, 0, err
+	}
+	return s.Len(), len(tuples) - s.Len(), nil
 }
 
 // ProbeExact matches the key against the reference exactly: one atomic

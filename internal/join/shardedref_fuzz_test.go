@@ -37,6 +37,9 @@ func FuzzUpsertProbe(f *testing.F) {
 	f.Add(int64(42), uint8(1), "x")
 	f.Add(int64(-3), uint8(9), "piazza duomo è bella")
 	f.Add(int64(5), uint8(0xFF), "borgo santa lucia") // 63 new keys a batch: crosses many folds
+	// The first batch lands on the empty index, a bulk load, here of keys
+	// that differ only in their digits, into four shards.
+	f.Add(int64(11), uint8(3), "")
 	f.Fuzz(func(t *testing.T, seed int64, shardsRaw uint8, keyBase string) {
 		shards, freshPerBatch := int(shardsRaw%4)+1, int(shardsRaw>>2)
 		rng := rand.New(rand.NewSource(seed))

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"adaptivelink/internal/cluster"
 )
 
 // BenchmarkCreateIndex20k is one POST /v1/indexes of 20k generated
@@ -62,6 +64,48 @@ func benchCreate(b *testing.B, repeat bool, names ...string) {
 		b.StopTimer()
 		for _, name := range names {
 			serve(http.MethodDelete, "/v1/indexes/"+name, nil, http.StatusNoContent)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkRoutedCreate20k is one POST /v1/indexes of the 20k tuples
+// through a router's handler, in the repository benchmark's routed
+// shape: 8 logical shards over 2 groups of one durable node each (WAL
+// fsync always), every node a Service on a loopback httptest server.
+// The router decodes the body and prepares each group's upsert body
+// from it, creates the index empty on both nodes and sends each its
+// rows, which the node builds as a bulk load beside its WAL append.
+// Node shards are the router's GOMAXPROCS, as in the daemon. Each index
+// is deleted again outside the timer.
+func BenchmarkRoutedCreate20k(b *testing.B) {
+	req := createRequest(b, "bench", 20000)
+	body := marshal(b, req)
+	var groups [][]string
+	for range 2 {
+		node := New(Config{DataDir: b.TempDir()})
+		defer node.Close()
+		srv := httptest.NewServer(NewHandler(node))
+		defer srv.Close()
+		groups = append(groups, []string{srv.URL})
+	}
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 8, Groups: groups}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	router := New(Config{Cluster: cl})
+	defer router.Close()
+	h := NewHandler(router)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code, resp := serveBody(h, http.MethodPost, "/v1/indexes", body); code != http.StatusCreated {
+			b.Fatalf("create: %d %s", code, resp)
+		}
+		b.StopTimer()
+		if code, resp := serveBody(h, http.MethodDelete, "/v1/indexes/bench", nil); code != http.StatusNoContent {
+			b.Fatalf("delete: %d %s", code, resp)
 		}
 		b.StartTimer()
 	}

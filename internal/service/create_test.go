@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -289,5 +292,102 @@ func TestAllocCreateBytesPerTuple(t *testing.T) {
 	t.Logf("a durable create of %d tuples allocated %.0f bytes per tuple", n, perTuple)
 	if perTuple > createBytesBudget {
 		t.Errorf("a durable create of %d tuples allocated %.0f bytes per tuple, budget %d", n, perTuple, createBytesBudget)
+	}
+}
+
+// TestRoutedCreateRepeatedKeyParity: a routed create whose body repeats
+// keys once they are normalised — a key in another case, one spaced
+// out, one sent again verbatim — answers every /v1/link byte for byte
+// as the single-process create of the same body does: a repeated key
+// keeps its first ref and its last payload. Each node loads its group's
+// rows as a bulk load into the empty index the router created; the
+// replicas of a group digest alike, and as a node does that takes the
+// same create and upsert bodies after an approximate probe has built
+// its shards, so that the upsert runs the per-tuple path.
+func TestRoutedCreateRepeatedKeyParity(t *testing.T) {
+	var mu sync.Mutex
+	bodies := make(map[int][][]byte) // group -> the create and upsert bodies its first replica took
+	f := newClusterFixture(t, 8, []int{2, 2}, func(g, r int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if r == 0 && req.Method == http.MethodPost && strings.HasPrefix(req.URL.Path, "/v1/indexes") {
+				raw, err := io.ReadAll(req.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				bodies[g] = append(bodies[g], raw)
+				mu.Unlock()
+				req.Body = io.NopCloser(bytes.NewReader(raw))
+			}
+			h.ServeHTTP(w, req)
+		})
+	})
+	single := startStack(t, "single", Config{})
+
+	req := createRequest(t, "repeated", 400)
+	first, spaced, again := req.Tuples[0], req.Tuples[7], req.Tuples[3]
+	req.Tuples = append(req.Tuples,
+		TupleDTO{Key: strings.ToLower(first.Key), Attrs: []string{"lowered"}},
+		TupleDTO{Key: "  " + strings.ReplaceAll(spaced.Key, " ", "   "), Attrs: []string{"spaced"}},
+		TupleDTO{Key: again.Key, Attrs: []string{"again"}},
+		TupleDTO{Key: first.Key, Attrs: []string{"last"}},
+	)
+	body := string(marshal(t, req))
+	for _, st := range []*diffStack{f.router, single} {
+		if code, resp := st.do(t, "POST", "/v1/indexes", body); code != http.StatusCreated {
+			t.Fatalf("%s create: %d %s", st.name, code, resp)
+		}
+	}
+	var keys []string
+	for i := 0; i < len(req.Tuples); i += 3 {
+		keys = append(keys, req.Tuples[i].Key, req.Tuples[i].Key+"x")
+	}
+	keys = append(keys, first.Key, spaced.Key, again.Key)
+	for _, strategy := range []string{"exact", "adaptive"} {
+		link := string(marshal(t, LinkRequestDTO{Index: req.Name, Keys: keys, Strategy: strategy}))
+		code, resp := f.router.do(t, "POST", "/v1/link", link)
+		wantCode, wantResp := single.do(t, "POST", "/v1/link", link)
+		if code != wantCode || resp != wantResp {
+			t.Fatalf("%s link: router %d %s\nsingle process %d %s", strategy, code, resp, wantCode, wantResp)
+		}
+	}
+	if code, resp := f.router.do(t, "GET", "/v1/indexes/repeated", ""); code != http.StatusOK || !strings.Contains(resp, fmt.Sprintf(`"size":%d`, len(req.Tuples)-4)) {
+		t.Fatalf("router index: %d %s, want %d keys", code, resp, len(req.Tuples)-4)
+	}
+
+	digest := func(url string) adaptivelink.IndexDigest {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/indexes/repeated/digest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var d adaptivelink.IndexDigest
+		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("digest of %s: %d %v", url, resp.StatusCode, err)
+		}
+		return d
+	}
+	for g, reps := range f.nodes {
+		if len(bodies[g]) != 2 {
+			t.Fatalf("group %d took %d index writes, want a create and one upsert", g, len(bodies[g]))
+		}
+		ref := startStack(t, fmt.Sprintf("reference%d", g), Config{})
+		if code, resp := ref.do(t, "POST", "/v1/indexes", string(bodies[g][0])); code != http.StatusCreated {
+			t.Fatalf("reference create: %d %s", code, resp)
+		}
+		probe := string(marshal(t, LinkRequestDTO{Index: req.Name, Keys: []string{first.Key}, Strategy: "approximate"}))
+		if code, resp := ref.do(t, "POST", "/v1/link", probe); code != http.StatusOK {
+			t.Fatalf("reference probe: %d %s", code, resp)
+		}
+		if code, resp := ref.do(t, "POST", "/v1/indexes/repeated/upsert", string(bodies[g][1])); code != http.StatusOK {
+			t.Fatalf("reference upsert: %d %s", code, resp)
+		}
+		want := digest(ref.srv.URL)
+		for r, node := range reps {
+			if got := digest(node.URL); got.Combined != want.Combined || got.Tuples != want.Tuples {
+				t.Fatalf("group %d replica %d digests %+v, the per-tuple reference %+v", g, r, got, want)
+			}
+		}
 	}
 }

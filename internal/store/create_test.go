@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
+	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/vfs"
 )
 
@@ -84,5 +86,75 @@ func TestFailedCreateLeavesNothing(t *testing.T) {
 				t.Fatalf("%s: %v failed; want the snapshot's and the log's writes and fsyncs", name, failed)
 			}
 		}
+	}
+}
+
+// TestFailedLoggedBulkUpsertAppliesNothing fails the log append of an
+// upsert into an empty durable index — the header's write, the
+// payload's write and the fsync — as the durable facade composes it:
+// the batch is built as a bulk load beside its append, and published
+// only once the append succeeded. The failed upsert leaves the index
+// empty and answering nothing. Reopened, the index is still empty when
+// no frame reached the log intact, and a retry loads the batch.
+func TestFailedLoggedBulkUpsertAppliesNothing(t *testing.T) {
+	rows := testTuples(300)
+	meta := Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 3}
+	for _, op := range []struct {
+		op       fault.Op
+		nth      int
+		reopened bool // whether the batch is gone after a reopen too
+	}{{fault.OpWrite, 1, true}, {fault.OpWrite, 2, true}, {fault.OpSync, 1, false}} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		d, _, _, err := Open(vfs.OS, dir, meta, SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		fsys := fault.NewSimFS()
+		d, ix, _, err := Open(fsys, dir, meta, SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fsys.WriteOps(); n != 0 {
+			t.Fatalf("reopening an empty index wrote %d times", n)
+		}
+		fsys.FailOp(op.op, op.nth, nil)
+		if _, _, err := ix.UpsertLogged(rows, func() error { return d.Append(rows) }); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s #%d failed: the upsert returned %v", op.op, op.nth, err)
+		}
+		empty := func(when string, ix *join.ShardedRefIndex) {
+			t.Helper()
+			if ix.Len() != 0 || ix.MaintStats().Upserts != 0 {
+				t.Fatalf("%s #%d failed, %s: Len %d, %d upserts counted", op.op, op.nth, when, ix.Len(), ix.MaintStats().Upserts)
+			}
+			for _, r := range rows[:20] {
+				if got := append(ix.ProbeExact(r.Key), ix.ProbeApprox(r.Key)...); len(got) != 0 {
+					t.Fatalf("%s #%d failed, %s: %q answers %v", op.op, op.nth, when, r.Key, got)
+				}
+			}
+		}
+		empty("before a reopen", ix)
+		d.Close()
+		d, ix, _, err = Open(vfs.OS, dir, meta, SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.reopened {
+			empty("after a reopen", ix)
+			if _, _, err := ix.UpsertLogged(rows, func() error { return d.Append(rows) }); err != nil {
+				t.Fatalf("%s #%d failed: the retry after a reopen: %v", op.op, op.nth, err)
+			}
+		}
+		// A failed fsync leaves the frame in the file: the reopen replays
+		// the batch the upsert did not acknowledge, as it replays a frame
+		// whose fsync a crash interrupted.
+		want, err := join.BuildShardedRefIndex(join.Defaults(), 3, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Len() != want.Len() {
+			t.Fatalf("%s #%d failed: %d rows after the reopen, want %d", op.op, op.nth, ix.Len(), want.Len())
+		}
+		d.Close()
 	}
 }

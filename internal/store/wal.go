@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"adaptivelink/internal/join"
@@ -285,7 +286,17 @@ func (w *WAL) Append(tuples []relation.Tuple) error {
 		return fmt.Errorf("store: WAL poisoned by an earlier I/O failure (%v): the log's on-disk tail is unknowable, appends are refused until a successful checkpoint resets it or the index is reopened", w.poisoned)
 	}
 	t0 := time.Now()
-	p := w.enc[:0]
+	n := 1 + 4
+	for _, t := range tuples {
+		n += 8 + 4 + len(t.Key) + 4 + 4*len(t.Attrs)
+		for _, a := range t.Attrs {
+			n += len(a)
+		}
+	}
+	if n > maxWALPayload {
+		return fmt.Errorf("store: upsert batch encodes to %d bytes, over the WAL frame cap", n)
+	}
+	p := slices.Grow(w.enc[:0], n)
 	p = append(p, walKindUpsert)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(tuples)))
 	for _, t := range tuples {
@@ -299,9 +310,6 @@ func (w *WAL) Append(tuples []relation.Tuple) error {
 		}
 	}
 	w.enc = p
-	if len(p) > maxWALPayload {
-		return fmt.Errorf("store: upsert batch encodes to %d bytes, over the WAL frame cap", len(p))
-	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(p, castagnoli))

@@ -1,62 +1,64 @@
 package wire
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
-// EncodeUpsert returns the bytes json.Marshal(UpsertRequest{Tuples:
-// tuples}) returns, appended into one buffer sized up front (exactly,
-// unless a string needs escaping). It is how the router encodes the
-// write fan-out of its upserts and routed creates; equal bytes keep the
-// nodes on Decode's one-pass path and make a replayed write identical
-// to the original.
-func EncodeUpsert(tuples []TupleDTO) []byte {
-	if tuples == nil {
-		return []byte(`{"tuples":null}`)
+// UpsertEncoder writes an upsert body one tuple at a time: once the
+// tuples ts are added, Bytes returns the bytes json.Marshal(
+// UpsertRequest{Tuples: ts}) returns for the non-nil slice ts. It is
+// how the router encodes the write fan-out of its upserts and routed
+// creates — a create's while its body still decodes; equal bytes keep
+// the nodes on Decode's one-pass path and make a replayed write
+// identical to the original. The zero value is an empty body.
+type UpsertEncoder struct {
+	b []byte
+}
+
+// Add appends one tuple.
+func (e *UpsertEncoder) Add(t TupleDTO) {
+	if e.b == nil {
+		e.b = append(e.b, `{"tuples":[`...)
+	} else {
+		e.b = append(e.b, ',')
 	}
-	var digits [20]byte
-	n := len(`{"tuples":[]}`) + max(len(tuples)-1, 0)
-	for _, t := range tuples {
-		n += len(`{"key":""}`) + len(t.Key)
-		if t.ID != 0 {
-			n += len(`"id":,`) + len(strconv.AppendInt(digits[:0], int64(t.ID), 10))
-		}
-		if len(t.Attrs) > 0 {
-			n += len(`,"attrs":[]`) + len(t.Attrs) - 1
-			for _, a := range t.Attrs {
-				n += len(a) + 2
+	b := append(e.b, '{')
+	if t.ID != 0 {
+		b = append(b, `"id":`...)
+		b = strconv.AppendInt(b, int64(t.ID), 10)
+		b = append(b, ',')
+	}
+	b = append(b, `"key":`...)
+	b = appendString(b, t.Key)
+	if len(t.Attrs) > 0 {
+		b = append(b, `,"attrs":[`...)
+		for j, a := range t.Attrs {
+			if j > 0 {
+				b = append(b, ',')
 			}
+			b = appendString(b, a)
 		}
+		b = append(b, ']')
 	}
-	b := make([]byte, 0, n)
-	b = append(b, `{"tuples":[`...)
-	for i, t := range tuples {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '{')
-		if t.ID != 0 {
-			b = append(b, `"id":`...)
-			b = strconv.AppendInt(b, int64(t.ID), 10)
-			b = append(b, ',')
-		}
-		b = append(b, `"key":`...)
-		b = appendString(b, t.Key)
-		if len(t.Attrs) > 0 {
-			b = append(b, `,"attrs":[`...)
-			for j, a := range t.Attrs {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = appendString(b, a)
-			}
-			b = append(b, ']')
-		}
-		b = append(b, '}')
+	e.b = append(b, '}')
+}
+
+// Len returns the length of the body written so far: 0 until a tuple
+// is added.
+func (e *UpsertEncoder) Len() int { return len(e.b) }
+
+// Grow reserves room for at least n more bytes.
+func (e *UpsertEncoder) Grow(n int) { e.b = slices.Grow(e.b, n) }
+
+// Bytes returns the body. The encoder is spent: add nothing after.
+func (e *UpsertEncoder) Bytes() []byte {
+	if e.b == nil {
+		return []byte(`{"tuples":[]}`)
 	}
-	return append(b, "]}"...)
+	return append(e.b, "]}"...)
 }
 
 // appendString appends s quoted as encoding/json quotes it, HTML

@@ -17,13 +17,22 @@ var encodeSeeds = []string{
 	"Forl\u00ec \u65e5\u672c \U0001F600", "/slash/",
 }
 
-// EncodeUpsert writes exactly the bytes json.Marshal writes, into a
-// buffer sized exactly when no string needs escaping, and the bytes
+// encodeUpsert is the body an UpsertEncoder writes for tuples, and the
+// bytes json.Marshal writes for them as a non-nil slice.
+func encodeUpsert(tuples []TupleDTO) (got, want []byte, err error) {
+	var e UpsertEncoder
+	for _, t := range tuples {
+		e.Add(t)
+	}
+	want, err = json.Marshal(UpsertRequest{Tuples: append([]TupleDTO{}, tuples...)})
+	return e.Bytes(), want, err
+}
+
+// UpsertEncoder writes exactly the bytes json.Marshal writes, and they
 // take the one-pass decoder back to the same tuples.
 func TestEncodeUpsert(t *testing.T) {
 	cases := [][]TupleDTO{
 		nil,
-		{},
 		{{Key: "a"}},
 		{{ID: -9223372036854775808, Key: "min", Attrs: []string{}}, {ID: 9223372036854775807, Key: "max", Attrs: []string{"x"}}},
 		{{ID: 7, Key: "plain key", Attrs: []string{"45.1", "7.6", ""}}, {ID: 1, Key: ""}},
@@ -34,22 +43,19 @@ func TestEncodeUpsert(t *testing.T) {
 	}
 	cases = append(cases, seeded)
 	for _, tuples := range cases {
-		got := EncodeUpsert(tuples)
-		want, err := json.Marshal(UpsertRequest{Tuples: tuples})
+		got, want, err := encodeUpsert(tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("EncodeUpsert(%q)\n = %s\nwant %s", tuples, got, want)
+			t.Errorf("UpsertEncoder(%q)\n = %s\nwant %s", tuples, got, want)
 		}
 	}
-	plain := cases[4]
-	if got := EncodeUpsert(plain); len(got) != cap(got) {
-		t.Errorf("EncodeUpsert of unescaped strings: %d bytes in a %d-byte buffer, want it sized exactly", len(got), cap(got))
-	}
+	plain := cases[3]
+	body, _, _ := encodeUpsert(plain)
 	var back UpsertRequest
-	if !decodeFast(EncodeUpsert(plain), &back) || !reflect.DeepEqual(back.Tuples, normalizeAttrs(plain)) {
-		t.Errorf("EncodeUpsert(%q) decodes back as %q", plain, back.Tuples)
+	if !decodeFast(body, &back) || !reflect.DeepEqual(back.Tuples, normalizeAttrs(plain)) {
+		t.Errorf("UpsertEncoder(%q) decodes back as %q", plain, back.Tuples)
 	}
 }
 
@@ -67,8 +73,8 @@ func normalizeAttrs(tuples []TupleDTO) []TupleDTO {
 
 // FuzzEncodeUpsert: for arbitrary ids, keys and attributes (invalid
 // UTF-8, HTML and control characters, U+2028/U+2029 included),
-// EncodeUpsert's bytes equal json.Marshal's, and a non-nil batch takes
-// the one-pass decoder.
+// UpsertEncoder's bytes equal json.Marshal's, and they take the
+// one-pass decoder.
 func FuzzEncodeUpsert(f *testing.F) {
 	for i, s := range encodeSeeds {
 		f.Add(i*1_000_003-7, s, strings.Join(encodeSeeds[i:], ","), uint8(i))
@@ -82,22 +88,18 @@ func FuzzEncodeUpsert(f *testing.F) {
 			as = strings.Split(attrs, ",")
 		}
 		tuples := []TupleDTO{{ID: id, Key: key, Attrs: as}, {Key: attrs}, {ID: int(shape), Key: key + attrs}}
-		switch shape >> 6 {
-		case 1:
+		if shape>>6 == 1 {
 			tuples = tuples[:0]
-		case 2:
-			tuples = nil
 		}
-		got := EncodeUpsert(tuples)
-		want, err := json.Marshal(UpsertRequest{Tuples: tuples})
+		got, want, err := encodeUpsert(tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("EncodeUpsert(%q)\n = %s\nwant %s", tuples, got, want)
+			t.Fatalf("UpsertEncoder(%q)\n = %s\nwant %s", tuples, got, want)
 		}
-		if tuples != nil && !decodeFast(got, new(UpsertRequest)) {
-			t.Fatalf("one-pass decoder refused EncodeUpsert's %s", got)
+		if !decodeFast(got, new(UpsertRequest)) {
+			t.Fatalf("one-pass decoder refused UpsertEncoder's %s", got)
 		}
 	})
 }

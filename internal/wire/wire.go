@@ -39,9 +39,9 @@
 // them. A body it does not take, or refuses partway, goes to Decode
 // whole; FuzzDecodeRequest holds it to Decode's reading too.
 //
-// EncodeUpsert writes an upsert body with the bytes json.Marshal
-// writes, appended into one presized buffer: the router's write
-// fan-out, routed creates included, goes through it. The other router
+// UpsertEncoder writes an upsert body with the bytes json.Marshal
+// writes, one tuple at a time: the router's write fan-out, routed
+// creates included, goes through it. The other router
 // requests (control plane, link) and every response are encoded by
 // encoding/json.
 package wire
