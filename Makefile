@@ -41,8 +41,10 @@ race:
 # tests (real nodes behind the fault transport), its admission tests
 # (execution slots, deadlines while waiting, drain and close) and its
 # create tests (a body's tuples decoding on their own goroutine while
-# the bulk load homes them, the snapshot written beside the shard
-# inserts, and TestCreateDeleteChurnScrape: /metrics scraped while
+# the bulk load homes them, or while a router prepares each group's
+# upsert body from them, the snapshot written beside the shard
+# inserts, a node's first upsert built beside its log append, and
+# TestCreateDeleteChurnScrape: /metrics scraped while
 # indexes are created, upserted and deleted, no deleted index's series
 # ever scraped again) ride along 5 times.
 flake:
@@ -180,7 +182,8 @@ fuzz:
 # an already-normal ASCII key with 0 allocs), an in-memory 20k-row
 # BulkLoad(FromTuples) (no allocation per tuple), the bytes a durable
 # 20k-tuple create through the handler allocates per tuple (360: one
-# copy of the tuples, no gathered store), the
+# copy of the tuples, no gathered store) and a 10k-tuple upsert into an
+# empty durable index (200: a bulk load, one log frame), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint (1: the encoder merges the shard stores, no

@@ -187,7 +187,14 @@
 // control loop runs one layer above the network. A routed index is
 // built through NewRemoteIndex too, so its options are resolved and
 // validated before any node is contacted, and the resident's Upsert
-// error (a node group below quorum) is what Index.Upsert returns.
+// error (a node group below quorum) is what Index.Upsert returns. A
+// routed create reads every row before it contacts a node, preparing
+// each while later ones still decode — its key normalised, the row
+// encoded into its home group's upsert body, its sequence entry staged
+// — then creates the index empty on the nodes and sends each group its
+// body. A node's first upsert into the empty index is a bulk load,
+// built beside its write-ahead-log append and published once the append
+// succeeded.
 //
 // The shard→node contract is the in-process partitioning one level up:
 // M logical shards are assigned to node groups in contiguous ranges
@@ -268,7 +275,8 @@
 // partition a keyed tuple store over the shards by key hash and build
 // each shard's tuple store and exact index from it, so a load is a bulk
 // build of the stored tuple store, with the stored member refs, where
-// an image has them, checked against it. ImportSnapshot with
+// an image has them, checked against it. An Upsert into an index that
+// holds nothing is the same build, of the batch. ImportSnapshot with
 // StorageOptions.Dir set persists what it built exactly as BulkLoad
 // does. Loading is a sequential read and slice reconstruction of the
 // tuple store and that build, and writing is one walk over the store:

@@ -55,8 +55,8 @@ func sameMembers(a, b []join.ShardExport) bool {
 // into an empty index whose shards one approximate probe has built:
 // the same counts, refs and stores, exact tables and digest, and once a
 // probe has built the bulk-loaded shards too, the same postings. The
-// bulk load counts one upsert and one snapshot swap per shard, and
-// builds no shard.
+// bulk load logs its batch once, counts one upsert and one snapshot
+// swap per shard, and builds no shard.
 func TestBulkUpsertMatchesPerTupleUpsert(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, n := range []int{1, 40, 500} {
@@ -70,9 +70,15 @@ func TestBulkUpsertMatchesPerTupleUpsert(t *testing.T) {
 				t.Fatal(err)
 			}
 			per.ProbeApprox(rows[0].Key)
-			bi, bu, _ := bulk.Upsert(rows)
+			// The batch repeats a key, so the load builds twice; it logs
+			// once.
+			logs := 0
+			bi, bu, _ := bulk.UpsertLogged(rows, func() error { logs++; return nil })
 			pi, pu, _ := per.Upsert(rows)
 			what := fmt.Sprintf("%d shards, %d rows", shards, len(rows))
+			if logs != 1 {
+				t.Fatalf("%s: the bulk load logged its batch %d times", what, logs)
+			}
 			if bi != pi || bu != pu || bulk.Len() != per.Len() {
 				t.Fatalf("%s: bulk load %d inserted %d updated (Len %d), per-tuple %d/%d (Len %d)", what, bi, bu, bulk.Len(), pi, pu, per.Len())
 			}
