@@ -298,9 +298,10 @@ func (ix *Index) Options() IndexOptions {
 // before it is applied — under SyncAlways it is on stable storage
 // before Upsert returns, so an acknowledged upsert survives a crash. An
 // upsert into an empty index is a bulk load that builds the shards
-// beside the append and publishes them only once it succeeded. A non-nil error means the batch was NOT applied (the index
-// is unchanged); a local in-memory index never returns one, a remote
-// index returns its resident's (a cluster node group below quorum).
+// beside the append and publishes them only once it succeeded. A
+// non-nil error means the batch was NOT applied (the index is
+// unchanged); a local in-memory index never returns one, a remote index
+// returns its resident's (a cluster node group below quorum).
 func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil

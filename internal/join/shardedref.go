@@ -306,9 +306,9 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 	sc := s.getScratch()
 	defer s.pool.Put(sc)
 	sc.dsc.Reset()
-	// A bulk load decomposes no key. Should the index stop being one
+	// A bulk load decomposes no key. Should the index stop being empty
 	// before the lock is taken, the keys are decomposed under it.
-	bulk := s.Len() == 0 && !s.anyBuilt()
+	bulk := s.empty()
 	ks, homes := sc.keys[:0], sc.homes[:0]
 	for _, t := range tuples {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
@@ -326,7 +326,7 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Len() == 0 && !s.anyBuilt() {
+	if s.empty() {
 		return s.load(tuples, homes, log)
 	}
 	if len(ks) < len(tuples) {
@@ -374,16 +374,20 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 	return inserted, updated, nil
 }
 
-// anyBuilt reports whether some shard holds q-gram structures. Only
-// under the writer lock, which a build's publication takes too, does
-// the answer hold until the lock is released.
-func (s *ShardedRefIndex) anyBuilt() bool {
+// empty reports whether the index holds no tuple and no built shard,
+// which makes an upsert a bulk load. Only under the writer lock, which
+// a build's publication takes too, does the answer hold until the lock
+// is released.
+func (s *ShardedRefIndex) empty() bool {
+	if s.Len() > 0 {
+		return false
+	}
 	for sh := range s.shards {
 		if s.shards[sh].Load().qgIdx != nil {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // load is an upsert into an empty, unbuilt index, under the writer
@@ -397,13 +401,8 @@ func (s *ShardedRefIndex) load(tuples []relation.Tuple, homes []int32, log func(
 	}
 	var persist func(*SnapshotView) error
 	if log != nil {
-		logged, lerr := false, error(nil)
-		persist = func(*SnapshotView) error {
-			if !logged {
-				logged, lerr = true, log()
-			}
-			return lerr
-		}
+		logOnce := sync.OnceValue(log)
+		persist = func(*SnapshotView) error { return logOnce() }
 	}
 	if _, err := b.Build(persist); err != nil {
 		return 0, 0, err
