@@ -20,7 +20,7 @@ type UpsertEncoder struct {
 
 // Add appends one tuple.
 func (e *UpsertEncoder) Add(t TupleDTO) {
-	if e.b == nil {
+	if len(e.b) == 0 {
 		e.b = append(e.b, `{"tuples":[`...)
 	} else {
 		e.b = append(e.b, ',')
@@ -55,7 +55,7 @@ func (e *UpsertEncoder) Grow(n int) { e.b = slices.Grow(e.b, n) }
 
 // Bytes returns the body. The encoder is spent: add nothing after.
 func (e *UpsertEncoder) Bytes() []byte {
-	if e.b == nil {
+	if len(e.b) == 0 {
 		return []byte(`{"tuples":[]}`)
 	}
 	return append(e.b, "]}"...)
