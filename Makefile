@@ -134,7 +134,10 @@ chaos:
 		. ./internal/store ./internal/fault ./internal/cluster ./internal/service
 
 # Short fuzz passes, one invariant each: torn reads (concurrent upserts
-# racing probes must never expose a half-applied payload), snapshot
+# racing probes must never expose a half-applied payload), the resident
+# store (a shard's arenas, entry table and exact index under inserts,
+# replacements, clones, compactions and loads read as a map model, and
+# a frozen generation and the views read from it never change), snapshot
 # decoding (arbitrary bytes, as given and with the checksum re-sealed,
 # never panic or build a broken index), the snapshot round trip (any
 # view decodes to itself and digests the same), write-ahead-log replay (recovery always stops at an intact record
@@ -159,6 +162,7 @@ chaos:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/join -run=NONE -fuzz='^FuzzUpsertProbe$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/join -run=NONE -fuzz='^FuzzResidentStore$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run=NONE -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
@@ -182,7 +186,9 @@ fuzz:
 # an already-normal ASCII key with 0 allocs), an in-memory 20k-row
 # BulkLoad(FromTuples) (no allocation per tuple), the bytes a durable
 # 20k-tuple create through the handler allocates per tuple (360: one
-# copy of the tuples, no gathered store) and a 10k-tuple upsert into an
+# copy of the tuples, no gathered store) and leaves live per tuple (115:
+# the shards own their bytes, nothing of the body is kept; a routed
+# create's router, 80: its key sequence), a 10k-tuple upsert into an
 # empty durable index (200: a bulk load, one log frame), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a

@@ -76,29 +76,36 @@ func TestAllocSessionProbeBudget(t *testing.T) {
 }
 
 // residentBytesBudget bounds the live heap a built index holds per
-// reference tuple at 20k rows: the tuple, its global ref, its key's
-// entry in the exact index and its postings — one entry in each and
-// nothing beside them. 217 measured, margin 13. Postings stored as flat
-// int32 lists and an exact index of one-element ref slices cost 321;
-// holding the sorted signature, a second key map, a key vector and a
-// second tuple store as well cost 668.
-const residentBytesBudget = 230
+// reference tuple at 20k rows: the tuple — its key and attribute bytes,
+// which the index owns, its entry and attribute headers — its global
+// ref, its slot in the exact index and its postings — one entry in each
+// and nothing beside them. 199 measured, margin 11. Tuple headers and a
+// string-keyed exact map over the caller's strings cost 217 without
+// counting those bytes; postings stored as flat int32 lists and an
+// exact index of one-element ref slices 321; holding the sorted
+// signature, a second key map, a key vector and a second tuple store as
+// well 668.
+const residentBytesBudget = 210
 
 // exactOnlyResidentBytesBudget bounds the same for an index no
 // approximate probe has reached: the tuple, its global ref and its
-// exact-index entry. 130 measured, margin 20; the exact index of
-// one-element ref slices cost 178. The q-gram structures are built by a
-// shard's first approximate probe; building them eagerly cost ~400 here.
-const exactOnlyResidentBytesBudget = 150
+// exact-index slot. 113 measured, bytes owned included, margin 12;
+// tuple headers and a string-keyed exact map cost 130 without them, the
+// exact index of one-element ref slices 178. The q-gram structures are
+// built by a shard's first approximate probe; building them eagerly
+// cost ~400 here.
+const exactOnlyResidentBytesBudget = 125
 
 // churnBuiltBytesBudget and churnExactOnlyBytesBudget bound the same
-// after the upsert churn of TestAllocResidentBytesAfterUpserts: 198 and
-// 117 measured, margins 22 and 18. Flat int32 postings (append slack,
-// lists copied by the first append of a generation) and one-element ref
-// slices cost 337 and 171.
+// after the upsert churn of TestAllocResidentBytesAfterUpserts: 190 and
+// 110 measured, bytes owned and the replacements' dead bytes awaiting
+// compaction included, margins 15 and 10. Tuple headers and string-keyed
+// exact maps cost 198 and 117 without the bytes; flat int32 postings
+// (append slack, lists copied by the first append of a generation) and
+// one-element ref slices 337 and 171.
 const (
-	churnBuiltBytesBudget     = 220
-	churnExactOnlyBytesBudget = 135
+	churnBuiltBytesBudget     = 205
+	churnExactOnlyBytesBudget = 120
 )
 
 // residentBytesPerTuple returns the live heap bytes per tuple an index
@@ -288,8 +295,9 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 
 // snapshotLoadBytesBudget bounds what a load of a 20k-row version-6
 // image allocates per tuple, decode plus index build: the decoded store,
-// the shard tuple stores and global refs, and the exact indexes (232
-// measured, margin 22). Version 5's intermediate id and offset tables
+// the shard stores the build copies it into, global refs and exact
+// indexes (247 measured, margin 7; 232 when the shards adopted the
+// decoded tuples instead of copying their bytes). Version 5's intermediate id and offset tables
 // allocated 273, exact indexes of one-element ref slices and int global
 // refs 398. It is what a durable cold start allocates before the log
 // replay, so the build's transients (key homes, per-shard goroutines)
@@ -351,8 +359,8 @@ func TestAllocBulkLoadFromTuples(t *testing.T) {
 // emptyUpsertBytesBudget bounds what an upsert of 10k generated tuples
 // into an empty durable index allocates per tuple, in the shape a
 // routed create's node loads its group's rows (profile "", 2 shards):
-// the log frame, the homes and member refs, the shard stores and exact
-// tables, 182 measured, plus a margin. Before such an upsert was a bulk
+// the log frame, the homes and member refs, the shard stores (the rows'
+// bytes copied in) and exact tables, 186 measured, plus a margin. Before such an upsert was a bulk
 // load it took the per-tuple path, cloning the batch, decomposing no
 // key but holding a scratch key per tuple, and growing the log frame
 // by appends: 826. The pin may not exceed the create pin

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,9 +329,34 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		return nil, err
 	}
 	st.mu.Lock()
-	st.seq = seq
+	st.seq = ownKeys(seq)
 	st.mu.Unlock()
 	return ix, nil
+}
+
+// ownKeys returns seq with its keys copied into one block of their own:
+// staged as the rows were read, they share the strings of whatever the
+// rows were decoded from (a create body's string block, attributes
+// included), which the sequence would otherwise keep alive. One block
+// rather than a string per key: the copy adds no object per key.
+func ownKeys(seq map[string]int) map[string]int {
+	n := 0
+	for k := range seq {
+		n += len(k)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	offs := make([]int, len(seq)) // sequence number -> the key's offset in the block
+	for k, v := range seq {
+		offs[v] = b.Len()
+		b.WriteString(k)
+	}
+	block := b.String()
+	out := make(map[string]int, len(seq))
+	for k, v := range seq {
+		out[block[offs[v]:offs[v]+len(k)]] = v
+	}
+	return out
 }
 
 // rollback deletes a failed create's index from the replicas the create

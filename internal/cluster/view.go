@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -113,7 +114,8 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 		if _, ok := v.st.seq[t.Key]; ok {
 			updated++
 		} else {
-			v.st.seq[t.Key] = len(v.st.seq)
+			// The key is the upsert body's; copied, it keeps none alive.
+			v.st.seq[strings.Clone(t.Key)] = len(v.st.seq)
 			inserted++
 		}
 	}

@@ -21,47 +21,50 @@ import (
 )
 
 // Chunk geometry of Vec. Small chunks keep a point write cheap (one
-// chunk copy: 64 elements); the directory a Clone copies holds one
-// pointer per chunk.
+// chunk copy: 64 elements); the directory is two-level, leaves of 64
+// chunk pointers under a root a Clone copies, so a Clone copies one
+// pointer per 4096 elements and a generation's first write under a leaf
+// copies that leaf's 64 pointers.
 const (
 	chunkBits = 6
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
+	leafBits  = 6
+	leafSize  = 1 << leafBits
+	leafMask  = leafSize - 1
 )
 
-type chunk[T any] struct {
-	gen  uint64 // generation of the Vec that may write this chunk in place
-	vals [chunkSize]T
-}
+type leaf[T any] [leafSize]*[chunkSize]T
 
 // Vec is a persistent vector with dense indexes: elements live in
-// fixed-size chunks behind a directory, a Clone shares every chunk,
-// and the first write a generation makes to a chunk copies that chunk
-// alone. The zero value is an empty vector.
+// fixed-size chunks behind a directory, a Clone shares every chunk and
+// leaf, and the first write a generation makes to a chunk copies that
+// chunk (and its leaf) alone. A chunk is exactly its elements, so it
+// fills its allocation size class; which chunks and leaves a generation
+// may write in place are bit sets beside the directory. The zero value
+// is an empty vector.
 type Vec[T any] struct {
-	dir    []*chunk[T]
-	n      int
-	gen    uint64
-	frozen bool
+	dir []*leaf[T]
+	// ownLeaves and ownChunks have a bit set for each leaf and chunk
+	// this generation made, which no other generation can see.
+	ownLeaves, ownChunks bitset
+	n                    int
+	frozen               bool
 }
 
 // Len returns the element count.
 func (v *Vec[T]) Len() int { return v.n }
 
 // At returns element i, which must be below Len.
-func (v *Vec[T]) At(i int) T { return v.dir[i>>chunkBits].vals[i&chunkMask] }
-
-// Run returns the elements from index i, which must be below Len, to
-// the end of i's chunk: a walk reads a chunk at a time through it.
-func (v *Vec[T]) Run(i int) []T {
-	return v.dir[i>>chunkBits].vals[i&chunkMask : min(chunkSize, v.n-i&^chunkMask)]
+func (v *Vec[T]) At(i int) T {
+	return v.dir[i>>(chunkBits+leafBits)][i>>chunkBits&leafMask][i&chunkMask]
 }
 
 // Clone freezes v and returns the next generation: it shares every
-// chunk with v until it writes to it.
+// chunk and leaf with v until it writes under them.
 func (v *Vec[T]) Clone() Vec[T] {
 	v.frozen = true
-	return Vec[T]{dir: slices.Clone(v.dir), n: v.n, gen: v.gen + 1}
+	return Vec[T]{dir: slices.Clone(v.dir), n: v.n}
 }
 
 // Mut returns a pointer through which element i may be written,
@@ -71,26 +74,51 @@ func (v *Vec[T]) Mut(i int) *T {
 	if v.frozen {
 		panic("cow: write to a Vec frozen by Clone; write to the clone")
 	}
-	c := v.dir[i>>chunkBits]
-	if c.gen != v.gen {
-		// Chunks reachable from v were created by v or by an ancestor,
-		// and ancestors carry smaller generations: a matching stamp
-		// means no other generation can see this chunk.
-		cp := *c
-		cp.gen = v.gen
-		c = &cp
-		v.dir[i>>chunkBits] = c
+	l, c := v.leaf(i>>(chunkBits+leafBits)), i>>chunkBits
+	if !v.ownChunks.has(c) {
+		cp := *l[c&leafMask]
+		l[c&leafMask] = &cp
+		v.ownChunks.set(c)
 	}
-	return &c.vals[i&chunkMask]
+	return &l[c&leafMask][i&chunkMask]
+}
+
+// leaf returns leaf li for writing, copying it first unless this
+// generation owns it.
+func (v *Vec[T]) leaf(li int) *leaf[T] {
+	if !v.ownLeaves.has(li) {
+		cp := *v.dir[li]
+		v.dir[li] = &cp
+		v.ownLeaves.set(li)
+	}
+	return v.dir[li]
 }
 
 // Append adds x under index Len.
 func (v *Vec[T]) Append(x T) {
 	if v.n&chunkMask == 0 {
-		v.dir = append(v.dir, &chunk[T]{gen: v.gen})
+		c := v.n >> chunkBits
+		if c&leafMask == 0 {
+			v.dir = append(v.dir, new(leaf[T]))
+			v.ownLeaves.set(len(v.dir) - 1)
+		}
+		v.leaf(c >> leafBits)[c&leafMask] = new([chunkSize]T)
+		v.ownChunks.set(c)
 	}
 	v.n++
 	*v.Mut(v.n - 1) = x
+}
+
+// bitset is a growable set of small non-negative integers.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b *bitset) set(i int) {
+	for i>>6 >= len(*b) {
+		*b = append(*b, 0)
+	}
+	(*b)[i>>6] |= 1 << (i & 63)
 }
 
 // foldScale bounds a Map's overlay: a Clone whose overlay has reached
@@ -185,11 +213,16 @@ func (m *Map[V]) Clone() Map[V] {
 	m.frozen = true
 	c := Map[V]{base: m.base, over: make(map[string]V, len(m.over))}
 	maps.Copy(c.over, m.over)
-	if len(c.over)*len(c.over) >= foldScale*len(c.base) {
+	if Folds(len(c.over), len(c.base)) {
 		c.Own()
 	}
 	return c
 }
+
+// Folds reports whether a layered table whose overlay holds over keys
+// beside a base of base keys is due to fold both into a fresh base: the
+// Map's rule, shared by the resident index's exact tables.
+func Folds(over, base int) bool { return over*over >= foldScale*base }
 
 func (m *Map[V]) checkLive() {
 	if m.frozen {

@@ -55,21 +55,25 @@ func TestVecGenerationsAreFrozen(t *testing.T) {
 	}
 }
 
-// A write copies one chunk, not the vector: untouched chunks stay
-// shared between a generation and its clone.
+// A write copies one chunk and its leaf, not the vector: untouched
+// chunks and leaves stay shared between a generation and its clone.
 func TestVecCloneSharesUntouchedChunks(t *testing.T) {
-	v := vecOf(make([]int, 10*chunkSize)...)
+	const chunks = leafSize + 10 // two leaves
+	v := vecOf(make([]int, chunks*chunkSize)...)
 	c := v.Clone()
 	*c.Mut(3*chunkSize + 1) = 7
 	*c.Mut(3*chunkSize + 2) = 8 // second write: chunk already owned
 	shared := 0
-	for i := range v.dir {
-		if v.dir[i] == c.dir[i] {
+	for i := range chunks {
+		if v.dir[i>>leafBits][i&leafMask] == c.dir[i>>leafBits][i&leafMask] {
 			shared++
 		}
 	}
-	if shared != len(v.dir)-1 {
-		t.Fatalf("%d of %d chunks shared after writes to one chunk", shared, len(v.dir))
+	if shared != chunks-1 {
+		t.Fatalf("%d of %d chunks shared after writes to one chunk", shared, chunks)
+	}
+	if v.dir[0] == c.dir[0] || v.dir[1] != c.dir[1] {
+		t.Fatal("the written leaf is shared, or the untouched one copied")
 	}
 	if v.At(3*chunkSize+1) != 0 || c.At(3*chunkSize+1) != 7 || c.At(3*chunkSize+2) != 8 {
 		t.Fatal("write leaked into the parent or was lost in the clone")

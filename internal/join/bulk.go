@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"adaptivelink/internal/cow"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/shardmap"
 )
@@ -142,39 +141,31 @@ func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 	b.Home(len(b.rows))
 	s, store := b.s, b.rows
 	snaps := make([]*shardSnap, s.nshard)
-	for sh := range snaps {
-		snaps[sh] = newShardSnap()
+	members := make([][]uint32, s.nshard)
+	for sh := range members {
 		if len(store) > 0 { // an empty index's shards are NewShardedRefIndex's
-			snaps[sh].globals = make([]uint32, 0, b.counts[sh])
-			snaps[sh].exIdx = cow.NewMap[int32](b.counts[sh])
+			members[sh] = make([]uint32, 0, b.counts[sh])
 		}
 	}
 	for g, sh := range b.homes {
-		snaps[sh].globals = append(snaps[sh].globals, uint32(g))
+		members[sh] = append(members[sh], uint32(g))
 	}
 
 	errs := make([]error, s.nshard)
 	var wg sync.WaitGroup
-	for sh, sn := range snaps {
+	for sh, globals := range members {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for lref, g := range sn.globals {
-				sn.tuples.Append(store[g])
-				sn.exIdx.Put(store[g].Key, int32(lref))
-			}
-			// Fewer keys than members: some key sits in the shard twice.
-			if sn.exIdx.Len() != len(sn.globals) {
-				errs[sh] = sn.duplicateKey()
-			}
+			snaps[sh], errs[sh] = buildShard(store, globals)
 		}()
 	}
 	var perr error
 	if persist != nil {
 		// The inserts only read the rows and the member refs.
 		v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Tuples: store, Shards: make([]ShardExport, s.nshard)}
-		for sh, sn := range snaps {
-			v.Shards[sh].Globals = sn.globals
+		for sh, globals := range members {
+			v.Shards[sh].Globals = globals
 		}
 		perr = persist(v)
 	}
@@ -208,17 +199,26 @@ func (e *duplicateKeyError) Error() string {
 	return fmt.Sprintf("join: store has key %q at both ref %d and %d (the store is keyed)", e.key, e.first, e.second)
 }
 
-// duplicateKey names the first key met twice in a shard's member order.
-// The exact index kept the last occurrence of each key, so the scan
-// keeps its own.
-func (sn *shardSnap) duplicateKey() error {
-	first := make(map[string]uint32, len(sn.globals))
-	for lref, g := range sn.globals {
-		key := sn.key(lref)
-		if f, ok := first[key]; ok {
-			return &duplicateKeyError{key: key, first: f, second: g}
-		}
-		first[key] = g
+// buildShard builds one shard from its members, the refs into store of
+// the tuples homed there, ascending: their bytes are copied into a store
+// sized to them, and their keys into an exact index sized to them. A key
+// met twice is a *duplicateKeyError.
+func buildShard(store []relation.Tuple, globals []uint32) (*shardSnap, error) {
+	nbytes, nstrs := 0, 0
+	for _, g := range globals {
+		b, s := storeSize(&store[g])
+		nbytes, nstrs = nbytes+b, nstrs+s
 	}
-	return nil
+	sn := newShardSnapFor(newTupleStore(nbytes, nstrs), len(globals))
+	sn.globals = globals
+	for _, g := range globals {
+		t := &store[g]
+		h := keyHash(t.Key)
+		if first, ok := sn.exIdx.get(t.Key, h); ok {
+			return nil, &duplicateKeyError{key: t.Key, first: globals[first], second: g}
+		}
+		sn.tuples.add(t)
+		sn.exIdx.put(t.Key, h)
+	}
+	return sn, nil
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptivelink/internal/cow"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
@@ -118,53 +117,58 @@ type shardScratch struct {
 // after publication: Upsert and the q-gram build clone and republish
 // instead.
 type shardSnap struct {
-	tuples  cow.Vec[relation.Tuple]
+	// tuples is the shard's store (see resident.go): the shard owns its
+	// tuples' bytes, and a tuple read from it is a view over them.
+	tuples  *tupleStore
 	globals []uint32 // local ref -> global ref (monotonically increasing)
 	// exIdx is the shard's exact index: key -> its one local ref, the
 	// store being keyed.
-	exIdx cow.Map[int32]
+	exIdx exactIndex
 	// qgIdx is nil until the shard's first approximate probe builds it.
 	qgIdx *hashidx.QGramIndex
 }
 
-func newShardSnap() *shardSnap {
-	return &shardSnap{exIdx: cow.NewMap[int32](0)}
+func newShardSnap() *shardSnap { return newShardSnapFor(new(tupleStore), 0) }
+
+// newShardSnapFor returns a writer-owned snapshot over st whose exact
+// index has room for n keys.
+func newShardSnapFor(st *tupleStore, n int) *shardSnap {
+	return &shardSnap{tuples: st, exIdx: newExactIndex(st, n)}
 }
 
 // clone returns the writable successor of a published snapshot, copying
-// nothing proportional to the shard: tuples (which replacements write
-// in place) is a chunked copy-on-write vector, the append-only globals
-// are shared outright — add writes past the length sn's readers see —
-// and the indexes share their tables the same way.
+// nothing proportional to the shard: the store's entry table (which
+// replacements write in place) is chunked copy-on-write and its arenas
+// append-only, the append-only globals are shared outright — add writes
+// past the length sn's readers see — and the indexes share their tables
+// the same way.
 // That is sound only for a linear history (sn is never written again
-// and is cloned once), which the Clones check: they freeze sn's
+// and is cloned once), which the clones check: they freeze sn's
 // containers and indexes and panic on a late write.
 func (sn *shardSnap) clone() *shardSnap {
-	next := &shardSnap{
-		tuples:  sn.tuples.Clone(),
-		globals: sn.globals,
-		exIdx:   sn.exIdx.Clone(),
-	}
+	next := &shardSnap{tuples: sn.tuples.clone(), globals: sn.globals}
+	next.exIdx = sn.exIdx.clone(next.tuples)
 	if sn.qgIdx != nil {
 		next.qgIdx = sn.qgIdx.Clone()
 	}
 	return next
 }
 
-// add appends a tuple new to the shard, under the next local ref; k is
-// its decomposed key, consulted only when the shard is built.
-func (sn *shardSnap) add(t relation.Tuple, global int, k qgram.Key) {
+// add appends a tuple new to the shard, under the next local ref; h is
+// its key's hash and k its decomposed key, consulted only when the
+// shard is built.
+func (sn *shardSnap) add(t *relation.Tuple, h uint64, global int, k qgram.Key) {
 	lref := sn.tuples.Len()
-	sn.tuples.Append(t)
+	sn.tuples.add(t)
 	sn.globals = append(sn.globals, uint32(global))
-	sn.exIdx.Put(t.Key, int32(lref))
+	sn.exIdx.put(t.Key, h)
 	if sn.qgIdx != nil {
 		sn.qgIdx.InsertKey(lref, k)
 	}
 }
 
 // key returns the join key at a local ref.
-func (sn *shardSnap) key(lref int) string { return sn.tuples.At(lref).Key }
+func (sn *shardSnap) key(lref int) string { return sn.tuples.key(lref) }
 
 // NewShardedRefIndex builds an empty sharded resident index with the
 // given shard count under the configuration's gram width, measure and
@@ -309,7 +313,10 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 	// A bulk load decomposes no key. Should the index stop being empty
 	// before the lock is taken, the keys are decomposed under it.
 	bulk := s.empty()
-	ks, homes := sc.keys[:0], sc.homes[:0]
+	ks, homes := sc.keys[:0], slices.Grow(sc.homes[:0], len(tuples))
+	if !bulk {
+		ks = slices.Grow(ks, len(tuples))
+	}
 	for _, t := range tuples {
 		sh := shardmap.ShardOf(t.Key, s.nshard)
 		homes = append(homes, int32(sh))
@@ -342,7 +349,8 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 
 	n := s.Len()
 	next := make(map[int]*shardSnap)
-	for i, t := range tuples {
+	for i := range tuples {
+		t := &tuples[i]
 		sh := int(homes[i])
 		ns, ok := next[sh]
 		if !ok {
@@ -353,16 +361,22 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 		}
 		// The store is keyed: a resident key maps to its one local ref in
 		// its home shard's exact index.
-		if lref, ok := ns.exIdx.Get(t.Key); ok {
-			*ns.tuples.Mut(int(lref)) = t
+		h := keyHash(t.Key)
+		if lref, ok := ns.exIdx.get(t.Key, h); ok {
+			ns.tuples.replace(int(lref), t)
 			updated++
 			continue
 		}
 		if ns.qgIdx != nil && ks[i].Len() == 0 {
 			ks[i] = s.ex.Decompose(&sc.dsc, t.Key) // built since the batch was hashed
 		}
-		ns.add(t, n+inserted, ks[i])
+		ns.add(t, h, n+inserted, ks[i])
 		inserted++
+	}
+	for _, ns := range next {
+		if ns.tuples.wasteful() {
+			ns.tuples.compact()
+		}
 	}
 	// Publish the count before the shard snapshots: no probe may return
 	// a global ref at or above Len.
@@ -468,14 +482,13 @@ func (s *ShardedRefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMat
 func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k qgram.Key, g, ko int, psc *hashidx.ProbeScratch) []RefMatch {
 	for _, cand := range sn.qgIdx.ProbeKey(k, ko, psc) {
 		sim, ok := cfg.Measure.Verify(g, sn.qgIdx.GramSize(cand.Ref), cand.Overlap, cfg.Theta)
-		t := sn.tuples.At(cand.Ref)
-		exact := t.Key == key
+		exact := sn.key(cand.Ref) == key
 		if exact {
 			sim = 1
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: int(sn.globals[cand.Ref]), Tuple: t, Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: int(sn.globals[cand.Ref]), Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
 	}
 	return dst
 }

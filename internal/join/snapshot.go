@@ -62,25 +62,23 @@ func (v *SnapshotView) Store() iter.Seq[relation.Tuple] {
 	}
 	return func(yield func(relation.Tuple) bool) {
 		// A block of refs at a time: each shard's members in the block are
-		// the next run of its member refs, each pointed to from its place
-		// in the block.
+		// the next run of its member refs, each noted at its place in the
+		// block by shard and local ref.
 		const block = 256
-		var buf [block]*relation.Tuple
+		type at struct{ sh, lref uint32 }
+		var buf [block]at
 		next := make([]int, len(v.stores)) // each shard's first unread local ref
 		for lo, n := 0, v.members(); lo < n; lo += block {
 			hi := min(lo+block, n)
-			for sh, sn := range v.stores {
+			for sh := range v.stores {
 				globals, l := v.Shards[sh].Globals, next[sh]
-				for l < len(globals) && int(globals[l]) < hi {
-					run := sn.tuples.Run(l)
-					for k := 0; k < len(run) && l < len(globals) && int(globals[l]) < hi; k, l = k+1, l+1 {
-						buf[int(globals[l])-lo] = &run[k]
-					}
+				for ; l < len(globals) && int(globals[l]) < hi; l++ {
+					buf[int(globals[l])-lo] = at{uint32(sh), uint32(l)}
 				}
 				next[sh] = l
 			}
-			for _, t := range buf[:hi-lo] {
-				if !yield(*t) {
+			for _, a := range buf[:hi-lo] {
+				if !yield(v.stores[a.sh].tuples.At(int(a.lref))) {
 					return
 				}
 			}
@@ -118,7 +116,7 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 // ExportShards is ExportSnapshot without the gathered store, for a view
 // that is only encoded: Store merges the shard snapshots' tuple stores
 // into ref order by their member refs, so the view holds nothing per
-// tuple where the gathered store holds a 48-byte header. Tuples is nil;
+// tuple where the gathered store holds a tuple header. Tuples is nil;
 // read the store through Len and Store.
 func (s *ShardedRefIndex) ExportShards() (*SnapshotView, error) {
 	v, snaps, err := s.export()

@@ -40,6 +40,15 @@ func createRequest(tb testing.TB, name string, n int) CreateIndexRequest {
 	return req
 }
 
+// publicTuples is the index rows of a request's wire tuples.
+func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
+	out := make([]adaptivelink.Tuple, len(dtos))
+	for i, d := range dtos {
+		out[i] = adaptivelink.Tuple(d)
+	}
+	return out
+}
+
 func marshal(tb testing.TB, v any) []byte {
 	tb.Helper()
 	raw, err := json.Marshal(v)
@@ -292,6 +301,97 @@ func TestAllocCreateBytesPerTuple(t *testing.T) {
 	t.Logf("a durable create of %d tuples allocated %.0f bytes per tuple", n, perTuple)
 	if perTuple > createBytesBudget {
 		t.Errorf("a durable create of %d tuples allocated %.0f bytes per tuple, budget %d", n, perTuple, createBytesBudget)
+	}
+}
+
+// createLiveBytesBudget bounds the live heap a durable create of 20k
+// generated tuples through the handler leaves per tuple: the index's
+// shard stores — the key and attribute bytes it owns, its entries and
+// attribute headers, its member refs and exact tables — and nothing of
+// the request. 112 measured, plus a margin. When the shards kept tuple
+// headers and string-keyed exact maps, and the tuples aliased the
+// decoded body's string block, it was 175.
+const createLiveBytesBudget = 115
+
+func TestAllocCreateLiveBytesPerTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
+	}
+	const n = 20000
+	s := New(Config{DataDir: t.TempDir()})
+	defer s.Close()
+	h := NewHandler(s)
+	// The body is the caller's and outlives the create, so its own bytes
+	// are in both readings and cancel out.
+	body := marshal(t, createRequest(t, "live", n))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if code, resp := serveBody(h, "POST", "/v1/indexes", body); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(body)
+	perTuple := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("a durable create of %d tuples left %.0f live bytes per tuple", n, perTuple)
+	if perTuple > createLiveBytesBudget {
+		t.Errorf("a durable create of %d tuples left %.0f live bytes per tuple, budget %d", n, perTuple, createLiveBytesBudget)
+	}
+}
+
+// routedCreateLiveBytesBudget bounds the live heap a routed create of
+// 20k generated tuples leaves on the router per tuple: its key sequence,
+// the map and one block of the keys' bytes, and nothing of the request.
+// 74 measured, plus a margin. When the sequence's keys and the create's
+// name shared the decoded body's string block, attributes included, it
+// was 90.
+const routedCreateLiveBytesBudget = 80
+
+func TestAllocRoutedCreateLiveBytesPerTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
+	}
+	const n = 20000
+	// Nodes that take every write and keep nothing, so only the router's
+	// heap moves.
+	var groups [][]string
+	for range 2 {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			if r.URL.Path == "/v1/indexes" {
+				w.WriteHeader(http.StatusCreated)
+			}
+			w.Write([]byte(`{}`))
+		}))
+		defer srv.Close()
+		groups = append(groups, []string{srv.URL})
+	}
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 8, Groups: groups}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := New(Config{Cluster: cl})
+	defer router.Close()
+	h := NewHandler(router)
+	body := marshal(t, createRequest(t, "routed", n))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if code, resp := serveBody(h, "POST", "/v1/indexes", body); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(body)
+	perTuple := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("a routed create of %d tuples left %.0f live bytes per tuple on the router", n, perTuple)
+	if perTuple > routedCreateLiveBytesBudget {
+		t.Errorf("a routed create of %d tuples left %.0f live bytes per tuple on the router, budget %d", n, perTuple, routedCreateLiveBytesBudget)
 	}
 }
 

@@ -111,7 +111,11 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		info, err := s.CreateIndex(req.Name, opts, publicTuples(req.Tuples))
+		rows := make([]adaptivelink.Tuple, len(req.Tuples))
+		for i, t := range req.Tuples {
+			rows[i] = adaptivelink.Tuple(t)
+		}
+		info, err := s.CreateIndex(req.Name, opts, rows)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -130,12 +134,18 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /v1/indexes/{name}/upsert", func(w http.ResponseWriter, r *http.Request) {
-		var req UpsertRequest
-		if !decodeJSON(w, r, &req) {
+		// The tuples decode straight into the rows the index takes: a
+		// wire tuple and an index row differ only in their tags.
+		var rows []adaptivelink.Tuple
+		dst := wire.UpsertRows{
+			Make: func(n int) { rows = make([]adaptivelink.Tuple, n) },
+			Slot: func(i int) *wire.TupleDTO { return (*wire.TupleDTO)(&rows[i]) },
+		}
+		if !decodeJSON(w, r, &dst) {
 			return
 		}
 		name := r.PathValue("name")
-		inserted, updated, err := s.Upsert(name, publicTuples(req.Tuples))
+		inserted, updated, err := s.Upsert(name, rows)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -341,14 +351,6 @@ func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	}
 	opts.Measure = adaptivelink.Measure(m)
 	return opts, nil
-}
-
-func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
-	out := make([]adaptivelink.Tuple, len(dtos))
-	for i, d := range dtos {
-		out[i] = adaptivelink.Tuple{ID: d.ID, Key: d.Key, Attrs: d.Attrs}
-	}
-	return out
 }
 
 // decodeJSON reads a request body once, capped at maxBodyBytes, and

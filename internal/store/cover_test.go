@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
+	"adaptivelink/internal/simfn"
 	"adaptivelink/internal/vfs"
 )
 
@@ -445,5 +447,43 @@ func TestOpenWALMetaMismatch(t *testing.T) {
 	other.Theta += 0.1
 	if _, _, err := OpenWALFS(vfs.OS, path, other, SyncAlways); err == nil || !strings.Contains(err.Error(), "configuration mismatch") {
 		t.Fatalf("OpenWALFS with mismatched meta = %v", err)
+	}
+}
+
+// TestWALDropsLargeEncodeBuffer: the buffer a WAL keeps between appends
+// is bounded, so a bulk load's frame is not held for the index's life,
+// while an ordinary batch still reuses it.
+func TestWALDropsLargeEncodeBuffer(t *testing.T) {
+	meta := Meta{Q: 3, Theta: 0.75, Measure: simfn.Jaccard, Shards: 2}
+	w, _, err := OpenWALFS(vfs.OS, filepath.Join(t.TempDir(), WALFile), meta, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	batch := func(n int) []relation.Tuple {
+		ts := make([]relation.Tuple, n)
+		for i := range ts {
+			ts[i] = relation.Tuple{ID: i, Key: "via monte bianco " + strconv.Itoa(i), Attrs: []string{"41.9", "12.5"}}
+		}
+		return ts
+	}
+	if err := w.Append(batch(10_000)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.enc) > maxKeptEncode {
+		t.Fatalf("a 10k-tuple append left a %d-byte encode buffer, bound %d", cap(w.enc), maxKeptEncode)
+	}
+	if err := w.Append(batch(16)); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(w.enc)
+	if kept == 0 || kept > maxKeptEncode {
+		t.Fatalf("a 16-tuple append kept a %d-byte encode buffer, want one within (0, %d]", kept, maxKeptEncode)
+	}
+	if err := w.Append(batch(16)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.enc) != kept {
+		t.Fatal("the next 16-tuple append did not reuse the kept buffer")
 	}
 }

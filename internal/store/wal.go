@@ -278,6 +278,11 @@ func (w *WAL) writeHeader(meta Meta) error {
 	return w.f.Sync()
 }
 
+// maxKeptEncode bounds the encode buffer a WAL keeps between appends:
+// an ordinary batch reuses it, while the frame of a large one (a routed
+// create's first upsert) is dropped with its append.
+const maxKeptEncode = 64 << 10
+
 // Append logs one upsert batch. Under SyncAlways the record is fsynced
 // before Append returns; the caller may then acknowledge the upsert,
 // knowing replay will reproduce it after any crash.
@@ -309,7 +314,11 @@ func (w *WAL) Append(tuples []relation.Tuple) error {
 			p = append(p, a...)
 		}
 	}
-	w.enc = p
+	if cap(p) <= maxKeptEncode {
+		w.enc = p
+	} else {
+		w.enc = nil // a bulk load's frame is not held for the index's life
+	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(p, castagnoli))

@@ -34,8 +34,20 @@ func Decode(body []byte, dst any) error {
 
 // DecodeReader is encoding/json's reading of one request body: unknown
 // fields are refused, and so is anything but whitespace after the
-// value.
+// value. An *UpsertRows is read as an *UpsertRequest and its tuples
+// copied into the rows.
 func DecodeReader(r io.Reader, dst any) error {
+	if u, ok := dst.(*UpsertRows); ok {
+		var req UpsertRequest
+		if err := DecodeReader(r, &req); err != nil {
+			return err
+		}
+		u.Make(len(req.Tuples))
+		for i, t := range req.Tuples {
+			*u.Slot(i) = t
+		}
+		return nil
+	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
@@ -64,6 +76,10 @@ func decodeFast(body []byte, dst any) bool {
 			return false
 		}
 		*v = out
+	case *UpsertRows:
+		if !d.presize().upsertRows(v) || !d.end() {
+			return false
+		}
 	case *LinkRequestDTO:
 		var out LinkRequestDTO
 		if !d.presize().link(&out) || !d.end() {
@@ -273,6 +289,40 @@ func (d *decoder) upsert(out *UpsertRequest) bool {
 	return d.object(func(name []byte) bool {
 		return string(name) == "tuples" && seen.once(0) && d.tuples(&out.Tuples)
 	})
+}
+
+// UpsertRows is a Decode destination for an upsert body that decodes
+// its tuples straight into the caller's rows: the body means what it
+// means decoded into an *UpsertRequest, and Make is told its tuple
+// count before Slot hands out the row each tuple decodes into, in
+// order. A body the scanner gives up on partway calls Make again.
+type UpsertRows struct {
+	Make func(n int)
+	Slot func(i int) *TupleDTO
+}
+
+func (d *decoder) upsertRows(out *UpsertRows) bool {
+	var seen fields
+	made := false
+	ok := d.object(func(name []byte) bool {
+		if string(name) != "tuples" || !seen.once(0) {
+			return false
+		}
+		out.Make(d.nTuples)
+		made = true
+		n := 0
+		return d.array(func() bool {
+			if n == d.nTuples || !d.tuple(out.Slot(n)) {
+				return false
+			}
+			n++
+			return true
+		}) && n == d.nTuples
+	})
+	if ok && !made {
+		out.Make(0) // a body without tuples, as encoding/json reads it
+	}
+	return ok
 }
 
 func (d *decoder) link(out *LinkRequestDTO) bool {

@@ -171,6 +171,16 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("%s: %q read as %#v, which changed to %#v when the body was overwritten", rt.name, body, std, fast)
 			}
 		}
+		// Upsert rows decode as an *UpsertRequest does, scanner or not.
+		var std UpsertRequest
+		stdErr := Decode(body, &std)
+		rows, rowsErr := upsertRows(t, body)
+		if fmt.Sprint(rowsErr) != fmt.Sprint(stdErr) {
+			t.Fatalf("upsert rows of %q: %v, *UpsertRequest: %v", body, rowsErr, stdErr)
+		}
+		if stdErr == nil && !reflect.DeepEqual(rows, append([]TupleDTO{}, std.Tuples...)) {
+			t.Fatalf("upsert rows of %q read %#v, *UpsertRequest reads %#v", body, rows, std.Tuples)
+		}
 		// The streamed create decoder reads what Decode reads.
 		buf := bytes.Clone(body)
 		if got, ok := streamCreate(t, buf); ok {
@@ -186,6 +196,25 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// upsertRows decodes body into UpsertRows, returning the rows and nil,
+// or Decode's error; a scan given up partway may make the rows again,
+// which must then hold only what the second pass wrote.
+func upsertRows(t *testing.T, body []byte) ([]TupleDTO, error) {
+	t.Helper()
+	var rows []TupleDTO
+	dst := UpsertRows{
+		Make: func(n int) { rows = make([]TupleDTO, n) },
+		Slot: func(i int) *TupleDTO { return &rows[i] },
+	}
+	if err := Decode(bytes.Clone(body), &dst); err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		t.Fatalf("upsert rows of %q: Make was never called", body)
+	}
+	return rows, nil
 }
 
 // streamCreate decodes body with StreamCreate and Tuples, reporting
