@@ -115,6 +115,33 @@ type indexState struct {
 
 	mu  sync.RWMutex
 	seq map[string]int
+	// keys holds the bytes of seq's keys: a key arrives as a string of
+	// the request it came in, which the sequence must not keep alive.
+	keys keyBlocks
+}
+
+// keyBlocks copies keys into shared blocks, so a key a map keeps pins
+// neither the string it was read from nor an allocation of its own.
+// Blocks grow with what they hold, up to keyBlockMax bytes.
+type keyBlocks struct {
+	b    *strings.Builder // the current block
+	held int
+}
+
+const keyBlockMax = 64 << 10
+
+// own returns a copy of k in the current block.
+func (kb *keyBlocks) own(k string) string {
+	if kb.b == nil || kb.b.Cap()-kb.b.Len() < len(k) {
+		kb.b = new(strings.Builder)
+		kb.b.Grow(max(len(k), min(keyBlockMax, max(256, kb.held))))
+	}
+	kb.held += len(k)
+	off := kb.b.Len()
+	kb.b.WriteString(k)
+	// The block is never written below its length again, so the
+	// builder's string of it (not a copy) stays unchanged.
+	return kb.b.String()[off:]
 }
 
 // New validates the map and builds a client.
@@ -286,6 +313,7 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 	rows, ready := stream.Adopt(src)
 	bodies := make([]wire.UpsertEncoder, len(c.cfg.Map.Groups))
 	seq := make(map[string]int, len(rows))
+	var keys keyBlocks
 	done := 0
 	for hi, err := range ready {
 		if err != nil {
@@ -296,7 +324,7 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 			t.Key = norm.Apply(t.Key)
 			bodies[c.cfg.Map.home(t.Key)].Add(wire.TupleDTO(t))
 			if _, ok := seq[t.Key]; !ok {
-				seq[t.Key] = len(seq)
+				seq[keys.own(t.Key)] = len(seq)
 			}
 		}
 		if done == 0 && hi < len(rows) {
@@ -329,34 +357,9 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		return nil, err
 	}
 	st.mu.Lock()
-	st.seq = ownKeys(seq)
+	st.seq, st.keys = seq, keys
 	st.mu.Unlock()
 	return ix, nil
-}
-
-// ownKeys returns seq with its keys copied into one block of their own:
-// staged as the rows were read, they share the strings of whatever the
-// rows were decoded from (a create body's string block, attributes
-// included), which the sequence would otherwise keep alive. One block
-// rather than a string per key: the copy adds no object per key.
-func ownKeys(seq map[string]int) map[string]int {
-	n := 0
-	for k := range seq {
-		n += len(k)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	offs := make([]int, len(seq)) // sequence number -> the key's offset in the block
-	for k, v := range seq {
-		offs[v] = b.Len()
-		b.WriteString(k)
-	}
-	block := b.String()
-	out := make(map[string]int, len(seq))
-	for k, v := range seq {
-		out[block[offs[v]:offs[v]+len(k)]] = v
-	}
-	return out
 }
 
 // rollback deletes a failed create's index from the replicas the create

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -114,8 +113,7 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 		if _, ok := v.st.seq[t.Key]; ok {
 			updated++
 		} else {
-			// The key is the upsert body's; copied, it keeps none alive.
-			v.st.seq[strings.Clone(t.Key)] = len(v.st.seq)
+			v.st.seq[v.st.keys.own(t.Key)] = len(v.st.seq)
 			inserted++
 		}
 	}

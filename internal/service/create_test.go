@@ -344,8 +344,8 @@ func TestAllocCreateLiveBytesPerTuple(t *testing.T) {
 
 // routedCreateLiveBytesBudget bounds the live heap a routed create of
 // 20k generated tuples leaves on the router per tuple: its key sequence,
-// the map and one block of the keys' bytes, and nothing of the request.
-// 74 measured, plus a margin. When the sequence's keys and the create's
+// the map and shared blocks of the keys' bytes, and nothing of the
+// request. 75 measured, plus a margin. When the sequence's keys and the create's
 // name shared the decoded body's string block, attributes included, it
 // was 90.
 const routedCreateLiveBytesBudget = 80
