@@ -137,11 +137,14 @@ type tupleStore struct {
 // storeSize is what a tuple costs the arenas: its item's bytes and its
 // attribute headers.
 func storeSize(t *relation.Tuple) (nbytes, nstrs int) {
-	nbytes = uvarintLen(len(t.Key)) + len(t.Key)
-	for _, a := range t.Attrs {
-		nbytes += len(a)
+	return uvarintLen(len(t.Key)) + len(t.Key) + attrBytes(t.Attrs), len(t.Attrs)
+}
+
+func attrBytes(attrs []string) (n int) {
+	for _, a := range attrs {
+		n += len(a)
 	}
-	return nbytes, len(t.Attrs)
+	return n
 }
 
 func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
@@ -242,22 +245,15 @@ func (st *tupleStore) putAttrs(e *entry, b []byte, attrs []string) {
 func (st *tupleStore) replace(lref int, t *relation.Tuple) {
 	e := st.ents.Mut(lref)
 	old := st.attrsOf(e)
-	gone := stringBytes * len(old)
-	for _, a := range old {
-		gone += len(a)
-	}
-	_, nstrs := storeSize(t)
-	nbytes := 0
-	for _, a := range t.Attrs {
-		nbytes += len(a)
-	}
+	gone := attrBytes(old) + stringBytes*len(old)
+	nbytes := attrBytes(t.Attrs)
 	var b []byte
 	if nbytes > 0 {
 		_, b = st.bytes.alloc(nbytes, st.bytes.nextChunk(st.live))
 	}
 	e.id = int64(t.ID)
 	st.putAttrs(e, b, t.Attrs)
-	st.live += nbytes + stringBytes*nstrs - gone
+	st.live += nbytes + stringBytes*len(t.Attrs) - gone
 	st.dead += gone
 }
 
