@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage ratchet: fail when total statement coverage drops below this.
 # Raise it (never lower it) when a PR lifts coverage.
-COVER_MIN ?= 88.0
+COVER_MIN ?= 88.4
 
 .PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz alloc check
 
