@@ -1,9 +1,9 @@
 // Package cow holds the two persistent containers under the resident
 // index's snapshot generations: a chunked vector and a layered string
 // map. Both make the copy-on-write step of an RCU publish cost what
-// the writer touches, not what the container holds — Clone copies a
-// chunk directory resp. a small overlay, and everything else is shared
-// with the parent generation.
+// the writer touches, not what the container holds — Clone copies the
+// root of a chunk directory resp. a small overlay, and everything else
+// is shared with the parent generation.
 //
 // History is linear: Clone freezes its receiver — the published
 // generation, which concurrent readers keep using — and hands the
