@@ -185,3 +185,36 @@ func (in *fuzzInput) tuple(id int) relation.Tuple {
 	}
 	return tu
 }
+
+// TestResidentStoreLargeItems: a key, an attribute or an attribute list
+// larger than an arena slot gets a chunk of its own spanning several
+// slots, and reads back whole through inserts, replacements, clones and
+// compactions.
+func TestResidentStoreLargeItems(t *testing.T) {
+	big := func(c byte, n int) string { return strings.Repeat(string(c), n) }
+	many := make([]string, 3000)
+	for i := range many {
+		many[i] = strconv.Itoa(i)
+	}
+	sn := newShardSnap()
+	var model []relation.Tuple
+	insert := func(tu relation.Tuple) {
+		model = append(model, deepCopy(tu))
+		sn.add(&tu, keyHash(tu.Key), len(model)-1, qgram.Key{})
+	}
+	insert(relation.Tuple{ID: 1, Key: "small", Attrs: []string{"a"}})
+	insert(relation.Tuple{ID: 2, Key: big('k', 3*arenaSlotBytes+5), Attrs: []string{big('v', 2*arenaSlotBytes)}})
+	insert(relation.Tuple{ID: 3, Key: "many", Attrs: many})
+	insert(relation.Tuple{ID: 4, Key: "after"})
+	checkStore(t, 0, sn, model)
+	held := sn
+	heldModel := append([]relation.Tuple(nil), model...)
+	sn = sn.clone()
+	tu := relation.Tuple{ID: 5, Key: model[2].Key, Attrs: []string{big('w', arenaSlotBytes+1)}}
+	sn.tuples.replace(2, &tu)
+	model[2] = deepCopy(tu)
+	checkStore(t, 1, sn, model)
+	sn.tuples.compact()
+	checkStore(t, 2, sn, model)
+	checkStore(t, 3, held, heldModel)
+}
