@@ -201,7 +201,7 @@ func TestCreateStreamedOnRouter(t *testing.T) {
 
 	req := createRequest(t, "streamed", 600) // 4 shards, as the cluster has
 	body := marshal(t, req)
-	info, handled, err := router.createStreamed(body)
+	info, handled, err := router.createStreamed(bytes.NewBuffer(body))
 	if !handled || err != nil {
 		t.Fatalf("router createStreamed: handled %v, err %v", handled, err)
 	}
