@@ -143,7 +143,7 @@ func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 	snaps := make([]*shardSnap, s.nshard)
 	members := make([][]uint32, s.nshard)
 	for sh := range members {
-		if len(store) > 0 { // an empty index's shards are NewShardedRefIndex's
+		if len(store) > 0 { // presized; an empty index's member refs stay nil
 			members[sh] = make([]uint32, 0, b.counts[sh])
 		}
 	}

@@ -40,15 +40,6 @@ func createRequest(tb testing.TB, name string, n int) CreateIndexRequest {
 	return req
 }
 
-// publicTuples is the index rows of a request's wire tuples.
-func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
-	out := make([]adaptivelink.Tuple, len(dtos))
-	for i, d := range dtos {
-		out[i] = adaptivelink.Tuple(d)
-	}
-	return out
-}
-
 func marshal(tb testing.TB, v any) []byte {
 	tb.Helper()
 	raw, err := json.Marshal(v)

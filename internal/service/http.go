@@ -111,11 +111,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		rows := make([]adaptivelink.Tuple, len(req.Tuples))
-		for i, t := range req.Tuples {
-			rows[i] = adaptivelink.Tuple(t)
-		}
-		info, err := s.CreateIndex(req.Name, opts, rows)
+		info, err := s.CreateIndex(req.Name, opts, publicTuples(req.Tuples))
 		if err != nil {
 			writeError(w, err)
 			return
@@ -354,6 +350,15 @@ func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	}
 	opts.Measure = adaptivelink.Measure(m)
 	return opts, nil
+}
+
+// publicTuples is the index rows of a request's wire tuples.
+func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
+	out := make([]adaptivelink.Tuple, len(dtos))
+	for i, d := range dtos {
+		out[i] = adaptivelink.Tuple(d)
+	}
+	return out
 }
 
 // decodeJSON reads a request body once, capped at maxBodyBytes, and

@@ -72,12 +72,16 @@ func decodeFast(body []byte, dst any) bool {
 		*v = out
 	case *UpsertRequest:
 		var out UpsertRequest
-		if !d.presize().upsert(&out) || !d.end() {
+		rows := UpsertRows{
+			Make: func(n int) { out.Tuples = make([]TupleDTO, n) },
+			Slot: func(i int) *TupleDTO { return &out.Tuples[i] },
+		}
+		if !d.presize().upsert(&rows) || !d.end() {
 			return false
 		}
 		*v = out
 	case *UpsertRows:
-		if !d.presize().upsertRows(v) || !d.end() {
+		if !d.presize().upsert(v) || !d.end() {
 			return false
 		}
 	case *LinkRequestDTO:
@@ -284,32 +288,27 @@ func (c *CreateStream) Tuples(slot func(i int) *TupleDTO, publish func(done int)
 	}) && n == c.N && d.consume('}') && d.end()
 }
 
-func (d *decoder) upsert(out *UpsertRequest) bool {
-	var seen fields
-	return d.object(func(name []byte) bool {
-		return string(name) == "tuples" && seen.once(0) && d.tuples(&out.Tuples)
-	})
-}
-
 // UpsertRows is a Decode destination for an upsert body that decodes
 // its tuples straight into the caller's rows: the body means what it
-// means decoded into an *UpsertRequest, and Make is told its tuple
-// count before Slot hands out the row each tuple decodes into, in
-// order. A body the scanner gives up on partway calls Make again.
+// means decoded into an *UpsertRequest. Make sizes the rows for the
+// body's tuples (none if the member is null or missing, when Make may
+// not be called at all) before Slot hands out the row each tuple
+// decodes into, in order. A body the scanner gives up on partway calls
+// Make again.
 type UpsertRows struct {
 	Make func(n int)
 	Slot func(i int) *TupleDTO
 }
 
-func (d *decoder) upsertRows(out *UpsertRows) bool {
+// upsert is the one scanner of upsert bodies; an *UpsertRequest
+// decodes through it as rows over its Tuples.
+func (d *decoder) upsert(out *UpsertRows) bool {
 	var seen fields
-	made := false
-	ok := d.object(func(name []byte) bool {
+	return d.object(func(name []byte) bool {
 		if string(name) != "tuples" || !seen.once(0) {
 			return false
 		}
 		out.Make(d.nTuples)
-		made = true
 		n := 0
 		return d.array(func() bool {
 			if n == d.nTuples || !d.tuple(out.Slot(n)) {
@@ -319,10 +318,6 @@ func (d *decoder) upsertRows(out *UpsertRows) bool {
 			return true
 		}) && n == d.nTuples
 	})
-	if ok && !made {
-		out.Make(0) // a body without tuples, as encoding/json reads it
-	}
-	return ok
 }
 
 func (d *decoder) link(out *LinkRequestDTO) bool {

@@ -174,11 +174,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		// Upsert rows decode as an *UpsertRequest does, scanner or not.
 		var std UpsertRequest
 		stdErr := Decode(body, &std)
-		rows, rowsErr := upsertRows(t, body)
+		rows, rowsErr := upsertRows(body)
 		if fmt.Sprint(rowsErr) != fmt.Sprint(stdErr) {
 			t.Fatalf("upsert rows of %q: %v, *UpsertRequest: %v", body, rowsErr, stdErr)
 		}
-		if stdErr == nil && !reflect.DeepEqual(rows, append([]TupleDTO{}, std.Tuples...)) {
+		if stdErr == nil && (len(rows) != len(std.Tuples) || len(rows) > 0 && !reflect.DeepEqual(rows, std.Tuples)) {
 			t.Fatalf("upsert rows of %q read %#v, *UpsertRequest reads %#v", body, rows, std.Tuples)
 		}
 		// The streamed create decoder reads what Decode reads.
@@ -201,8 +201,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // upsertRows decodes body into UpsertRows, returning the rows and nil,
 // or Decode's error; a scan given up partway may make the rows again,
 // which must then hold only what the second pass wrote.
-func upsertRows(t *testing.T, body []byte) ([]TupleDTO, error) {
-	t.Helper()
+func upsertRows(body []byte) ([]TupleDTO, error) {
 	var rows []TupleDTO
 	dst := UpsertRows{
 		Make: func(n int) { rows = make([]TupleDTO, n) },
@@ -210,9 +209,6 @@ func upsertRows(t *testing.T, body []byte) ([]TupleDTO, error) {
 	}
 	if err := Decode(bytes.Clone(body), &dst); err != nil {
 		return nil, err
-	}
-	if rows == nil {
-		t.Fatalf("upsert rows of %q: Make was never called", body)
 	}
 	return rows, nil
 }
