@@ -93,7 +93,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("POST /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
 		body, err := readBody(w, r)
 		if err == nil {
-			if info, ok, err := s.createStreamed(body); ok {
+			if info, ok, err := s.createStreamed(body.Bytes()); ok {
 				if err != nil {
 					writeError(w, err)
 					return
@@ -304,11 +304,10 @@ var errNotStreamed = errors.New("create body left the canonical shape")
 // body must take the synchronous path (wire.Decode, then CreateIndex),
 // which alone defines what a body means: a body wire.StreamCreate does
 // not take, and any create that fails before its tuples are known to
-// decode — its error may be the body's to report. Once the tuples have
-// decoded, body is emptied: the rows hold what the build copies, so the
-// raw bytes need not outlive the decode.
-func (s *Service) createStreamed(body *bytes.Buffer) (info IndexInfo, handled bool, err error) {
-	cs, ok := wire.StreamCreate(body.Bytes())
+// decode — its error may be the body's to report. The rows' strings
+// alias body, which the index copies from and never keeps.
+func (s *Service) createStreamed(body []byte) (info IndexInfo, handled bool, err error) {
+	cs, ok := wire.StreamCreate(body)
 	if !ok {
 		return IndexInfo{}, false, nil
 	}
@@ -316,7 +315,7 @@ func (s *Service) createStreamed(body *bytes.Buffer) (info IndexInfo, handled bo
 	if err != nil {
 		return IndexInfo{}, false, nil
 	}
-	name, rows := cs.Head.Name, make([]adaptivelink.Tuple, cs.N)
+	rows := make([]adaptivelink.Tuple, cs.N)
 	var decoded atomic.Bool
 	src := stream.Filling(rows, func(publish func(int)) error {
 		// A wire tuple and an index row differ only in their tags.
@@ -330,10 +329,9 @@ func (s *Service) createStreamed(body *bytes.Buffer) (info IndexInfo, handled bo
 			return errNotStreamed
 		}
 		decoded.Store(true)
-		*body, cs = bytes.Buffer{}, nil
 		return nil
 	})
-	info, err = s.create(name, opts, src)
+	info, err = s.create(cs.Head.Name, opts, src)
 	return info, err == nil || decoded.Load(), err
 }
 

@@ -319,7 +319,7 @@ func (s *Service) CreateIndex(name string, opts adaptivelink.IndexOptions, tuple
 // a name that is malformed or taken first. It is the one create, local
 // or routed, whether src is complete or still filling in. The name and
 // profile are copied: decoded from a request body, they share its
-// string block, which the index must not keep alive.
+// bytes, which the index must not keep alive.
 func (s *Service) create(name string, opts adaptivelink.IndexOptions, src adaptivelink.Source) (IndexInfo, error) {
 	name, opts.Profile = strings.Clone(name), strings.Clone(opts.Profile)
 	if !nameRe.MatchString(name) {

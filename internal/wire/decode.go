@@ -10,6 +10,7 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // errTrailing refuses a body that holds more than one JSON value.
@@ -104,10 +105,13 @@ func decodeFast(body []byte, dst any) bool {
 // and never pins more than its body's strings. Every string array (a
 // tuple's attributes, a link's keys) is a capped slice of arena, one
 // []string per body, and the tuple slice is allocated once at its
-// final length: presize counts all three before the scan.
+// final length: presize counts all three before the scan. An aliasing
+// decoder (StreamCreate's) returns a string without escapes as a slice
+// of b instead, and grows block only for the others.
 type decoder struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	alias bool
 
 	block   strings.Builder
 	arena   []string
@@ -118,7 +122,9 @@ type decoder struct {
 // counting pass over b (see measure) and returns d.
 func (d *decoder) presize() *decoder {
 	n, tuples, strs := measure(d.b)
-	d.block.Grow(n)
+	if !d.alias {
+		d.block.Grow(n)
+	}
 	if strs > 0 {
 		d.arena = make([]string, 0, strs)
 	}
@@ -236,12 +242,15 @@ type CreateStream struct {
 // StreamCreate reads a create body up to its tuples. It takes bodies in
 // the canonical shape Decode's scanner takes whose last member is the
 // tuples array, and reports false for any other, which Decode then
-// reads whole.
+// reads whole. Unlike Decode's, its strings alias body wherever they
+// hold no escape, so the caller keeps body unchanged while the head or
+// any tuple is in use; it never writes to body, so Decode can still
+// read a body it refuses.
 func StreamCreate(body []byte) (*CreateStream, bool) {
 	if !endsInArray(body) {
 		return nil, false
 	}
-	c := &CreateStream{d: decoder{b: body}}
+	c := &CreateStream{d: decoder{b: body, alias: true}}
 	c.N = c.d.presize().nTuples
 	var seen fields
 	atTuples := false
@@ -456,19 +465,29 @@ func (d *decoder) strs(out *[]string) bool {
 // str reads a string into the block: raw bytes must be valid UTF-8 and
 // not control characters, and \u escapes must not be surrogates
 // (encoding/json pairs or replaces those). Runs of plain bytes are
-// copied whole.
+// copied whole. An aliasing decoder returns a string without escapes
+// as its raw bytes.
 func (d *decoder) str(out *string) bool {
 	if !d.consume('"') {
 		return false
 	}
 	b, i := d.b, d.i
 	start, run := d.block.Len(), i // run: the first byte not yet copied
+	first := i
 	for i < len(b) {
 		c := b[i]
 		switch {
 		case plain[c]:
 			i++
 		case c == '"':
+			if d.alias && run == first {
+				*out = ""
+				if i > first {
+					*out = unsafe.String(&b[first], i-first)
+				}
+				d.i = i + 1
+				return true
+			}
 			d.block.Write(b[run:i])
 			*out = d.block.String()[start:]
 			d.i = i + 1

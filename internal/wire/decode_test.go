@@ -138,7 +138,9 @@ func TestDecodeFallback(t *testing.T) {
 // any of the three request types, encoding/json accepts it too and
 // reads the same value; a body it refuses leaves the value untouched.
 // The decoded value owns its strings: overwriting every byte of the
-// body afterwards leaves it equal to encoding/json's reading.
+// body afterwards leaves it equal to encoding/json's reading. The
+// streamed create's strings may alias the body instead, which it never
+// writes.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range canonicalBodies(f) {
 		f.Add(body)
@@ -181,15 +183,18 @@ func FuzzDecodeRequest(f *testing.F) {
 		if stdErr == nil && (len(rows) != len(std.Tuples) || len(rows) > 0 && !reflect.DeepEqual(rows, std.Tuples)) {
 			t.Fatalf("upsert rows of %q read %#v, *UpsertRequest reads %#v", body, rows, std.Tuples)
 		}
-		// The streamed create decoder reads what Decode reads.
+		// The streamed create decoder reads what Decode reads, and leaves
+		// the body, which its strings may alias, as it was: Decode reads
+		// a body it refuses partway.
 		buf := bytes.Clone(body)
-		if got, ok := streamCreate(t, buf); ok {
+		got, ok := streamCreate(t, buf)
+		if !bytes.Equal(buf, body) {
+			t.Fatalf("streamed create wrote to %q, leaving %q", body, buf)
+		}
+		if ok {
 			var std CreateIndexRequest
 			if err := DecodeReader(bytes.NewReader(body), &std); err != nil {
 				t.Fatalf("streamed create accepted %q, encoding/json refused it: %v", body, err)
-			}
-			for i := range buf {
-				buf[i] = '#'
 			}
 			if !reflect.DeepEqual(got, &std) {
 				t.Fatalf("streamed create reads %q as %#v, encoding/json reads %#v", body, got, std)

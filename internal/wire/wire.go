@@ -36,8 +36,11 @@
 // CreateStream.Tuples then decodes the tuples one at a time into slots
 // the caller hands it — the service's are the rows the new index
 // adopts, decoded on their own goroutine while the bulk load homes
-// them. A body it does not take, or refuses partway, goes to Decode
-// whole; FuzzDecodeRequest holds it to Decode's reading too.
+// them. Its strings alias the body wherever they hold no escape (the
+// index copies them in, so the body is not kept), and only escaped ones
+// take the string block. A body it does not take, or refuses partway,
+// goes to Decode whole; FuzzDecodeRequest holds it to Decode's reading
+// too, and to leaving the body's bytes as they were.
 //
 // UpsertEncoder writes an upsert body with the bytes json.Marshal
 // writes, one tuple at a time: the router's write fan-out, routed
