@@ -188,7 +188,7 @@ fuzz:
 # 20k-tuple create through the handler allocates per tuple (360: one
 # copy of the tuples, no gathered store) and leaves live per tuple (115:
 # the shards own their bytes, nothing of the body is kept; a routed
-# create's router, 80: its key sequence), a 10k-tuple upsert into an
+# create's router, 8: it keeps nothing per key), a 10k-tuple upsert into an
 # empty durable index (200: a bulk load, one log frame), the
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a

@@ -140,8 +140,9 @@
 // hash-partitioned by join key into disjoint shards
 // (IndexOptions.Shards, default one per hardware thread) — one copy of
 // every reference at any shard count; an exact probe reads the key's
-// home shard, an approximate probe all of them, merged by reference
-// order. Each shard publishes an immutable snapshot through
+// home shard, an approximate probe all of them, merged in the order of
+// ProbeMatch, which depends on the matches alone. Each shard publishes
+// an immutable snapshot through
 // an atomic pointer, and Upsert builds replacement snapshots off-path
 // and swaps them in, RCU-style. A replacement shares every array,
 // posting list and hash table with the snapshot it supersedes and
@@ -181,18 +182,17 @@
 // -cluster turns a daemon into a router fanning /v1/link out over a
 // fleet of stock node daemons. The nodes are unmodified — every
 // distributed concern lives in the router (internal/cluster), which
-// owns the cluster map, the normalization profile and the global key
-// sequence, and replays the facade Session (NewRemoteIndex wraps any
+// owns the cluster map and the normalization profile, keeps nothing per
+// key, and replays the facade Session (NewRemoteIndex wraps any
 // join.Resident, including the router's remote view) so the adaptive
 // control loop runs one layer above the network. A routed index is
 // built through NewRemoteIndex too, so its options are resolved and
 // validated before any node is contacted, and the resident's Upsert
 // error (a node group below quorum) is what Index.Upsert returns. A
 // routed create reads every row before it contacts a node, preparing
-// each while later ones still decode — its key normalised, the row
-// encoded into its home group's upsert body, its sequence entry staged
-// — then creates the index empty on the nodes and sends each group its
-// body. A node's first upsert into the empty index is a bulk load,
+// each while later ones still decode — its key normalised and the row
+// encoded into its home group's upsert body — then creates the index
+// empty on the nodes and sends each group its body. A node's first upsert into the empty index is a bulk load,
 // built beside its write-ahead-log append and published once the append
 // succeeded.
 //
@@ -204,8 +204,11 @@
 // probe asks it alone, and an approximate probe asks every group, each
 // answering from its disjoint 1/N of the reference — one stored copy per
 // replica and a divided posting scan, the same placement the streaming
-// executor applies to its shards. The routed response is byte-identical
-// to a single process serving the same request stream: matches, session
+// executor applies to its shards. The router merges the groups' answers
+// in ProbeMatch order, the order a single process gives them, and counts
+// the index's keys from the inserts the groups' upsert answers report,
+// so the routed response is byte-identical to a single process serving
+// the same request stream: matches, session
 // statistics and error envelopes alike, locked down by a differential
 // harness over 1-, 2- and 3-group clusters with replicas. Nodes filled
 // by earlier routers, which also stored a key off its home group, need
@@ -214,8 +217,8 @@
 //
 // Consistency is per-node snapshot isolation, the single-process model
 // per shard group: a write is attempted on every replica of its key's
-// home group and is acknowledged — and globally sequenced — once the
-// group's write quorum applied it (Config.WriteQuorum, default
+// home group and is acknowledged once the group's write quorum applied
+// it (Config.WriteQuorum, default
 // majority); reads hit one replica per group, round-robin, preferring
 // replicas with no repair debt and failing over within the group on
 // transport errors and draining envelopes. A group with no answering

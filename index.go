@@ -105,6 +105,12 @@ type SessionOptions struct {
 
 // ProbeMatch is one probe result: a matched reference tuple with its
 // similarity evidence.
+//
+// A key's matches are ordered by their content, wherever they are
+// computed (one shard, many, or a cluster's node groups): the key-equal
+// match first, then similarity descending, then the reference key
+// bytewise. The store holds each key once, so the order is total and
+// never depends on the order the references were written in.
 type ProbeMatch struct {
 	// Ref is the matched reference tuple.
 	Ref Tuple

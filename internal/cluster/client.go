@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,9 +70,9 @@ type Config struct {
 }
 
 // Client is the cluster fan-out client: it holds the routing table, the
-// per-index sequencing state that defines global merge order, and the
-// HTTP plumbing. One Client serves many concurrent requests; per-request
-// state lives in the Views it binds.
+// registered indexes and their sizes, and the HTTP plumbing. One Client
+// serves many concurrent requests; per-request state lives in the Views
+// it binds.
 type Client struct {
 	cfg    Config
 	ranges []shardmap.NodeRange
@@ -104,44 +103,16 @@ type Client struct {
 	breakerTo                                [3]atomic.Int64
 }
 
-// indexState is the router-side state of one cluster index: the
-// key→sequence map that mirrors the single-process global-ref
-// assignment — key K has sequence seq[K] iff a single-process index fed
-// the same create/upsert stream would store K at global ref seq[K].
-// Merge order derives from it, which is what makes cluster results
-// byte-identical to the single-process engine.
+// indexState is the router-side state of one cluster index: its name
+// and its size. The router keeps nothing per key: a key's matches are
+// ordered by their content (join.CompareMatches), the same on a node
+// and at the merge.
 type indexState struct {
 	name string
-
-	mu  sync.RWMutex
-	seq map[string]int
-	// keys holds the bytes of seq's keys: a key arrives as a string of
-	// the request it came in, which the sequence must not keep alive.
-	keys keyBlocks
-}
-
-// keyBlocks copies keys into shared blocks, so a key a map keeps pins
-// neither the string it was read from nor an allocation of its own.
-// Blocks grow with what they hold, up to keyBlockMax bytes.
-type keyBlocks struct {
-	b    *strings.Builder // the current block
-	held int
-}
-
-const keyBlockMax = 64 << 10
-
-// own returns a copy of k in the current block.
-func (kb *keyBlocks) own(k string) string {
-	if kb.b == nil || kb.b.Cap()-kb.b.Len() < len(k) {
-		kb.b = new(strings.Builder)
-		kb.b.Grow(max(len(k), min(keyBlockMax, max(256, kb.held))))
-	}
-	kb.held += len(k)
-	off := kb.b.Len()
-	kb.b.WriteString(k)
-	// The block is never written below its length again, so the
-	// builder's string of it (not a copy) stays unchanged.
-	return kb.b.String()[off:]
+	// n counts the index's keys: what the groups' acknowledged upserts
+	// reported inserting, so Len reads what a single process fed the
+	// same writes would hold.
+	n atomic.Int64
 }
 
 // New validates the map and builds a client.
@@ -276,13 +247,13 @@ func (c *Client) state(name string) (*indexState, bool) {
 // the last, before any node is contacted: a source that fails creates
 // nothing. Each row is prepared as soon as it is read, while later ones
 // may still be decoding: its key normalised under the index's profile,
-// as the facade normalises an upsert's, the row appended to its home
-// group's upsert body, and its key's sequence entry staged. The rows
-// keep the IDs src gives them. The index is then created empty on
-// every replica of every group and each group is sent its body, so the
-// rows land on the owning nodes' write-ahead logs like any other write
-// (a node builds its first rows as a bulk load); the staged sequence is
-// published once every group acknowledged. Nodes are created with
+// as the facade normalises an upsert's, and the row appended to its
+// home group's upsert body. The rows keep the IDs src gives them. The
+// index is then created empty on every replica of every group and each
+// group is sent its body, so the rows land on the owning nodes'
+// write-ahead logs like any other write (a node builds its first rows
+// as a bulk load); the index's size is what the groups report
+// inserting. Nodes are created with
 // profile "": the router owns normalization and nodes index the
 // already-normalised keys verbatim. A failed create or load is rolled
 // back on the replicas it reached (see rollback) and leaves nothing
@@ -294,7 +265,7 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		c.mu.Unlock()
 		return nil, fmt.Errorf("cluster: index %q already registered", name)
 	}
-	st := &indexState{name: name, seq: make(map[string]int)}
+	st := &indexState{name: name}
 	c.indexes[name] = st
 	c.mu.Unlock()
 
@@ -312,8 +283,6 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 	}
 	rows, ready := stream.Adopt(src)
 	bodies := make([]wire.UpsertEncoder, len(c.cfg.Map.Groups))
-	seq := make(map[string]int, len(rows))
-	var keys keyBlocks
 	done := 0
 	for hi, err := range ready {
 		if err != nil {
@@ -323,9 +292,6 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		for _, t := range rows[done:hi] {
 			t.Key = norm.Apply(t.Key)
 			bodies[c.cfg.Map.home(t.Key)].Add(wire.TupleDTO(t))
-			if _, ok := seq[t.Key]; !ok {
-				seq[keys.own(t.Key)] = len(seq)
-			}
 		}
 		if done == 0 && hi < len(rows) {
 			// Reserve each body's size as the first rows predict it, so
@@ -347,7 +313,7 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 	}
 	reached, err := c.fanOutAll(name, http.MethodPost, "/v1/indexes", req, http.StatusCreated)
 	if err == nil {
-		err = c.upsertGroups(name, bodies)
+		_, _, err = c.upsertGroups(st, bodies)
 	}
 	if err != nil {
 		if rerr := c.rollback(name, reached); rerr != nil {
@@ -356,9 +322,6 @@ func (c *Client) CreateIndex(name string, opts adaptivelink.IndexOptions, src ad
 		c.unregister(name)
 		return nil, err
 	}
-	st.mu.Lock()
-	st.seq, st.keys = seq, keys
-	st.mu.Unlock()
 	return ix, nil
 }
 
@@ -379,7 +342,7 @@ func (c *Client) rollback(name string, reached [][]bool) error {
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WriteTimeout)
-			acked, hard, _ := c.writeReplica(ctx, g, i, del.method, del.path, nil, del.ok)
+			acked, _, hard, _ := c.writeReplica(ctx, g, i, del.method, del.path, nil, del.ok)
 			cancel()
 			if hard != nil {
 				errs = append(errs, hard)
@@ -440,7 +403,7 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			reached[g], errs[g] = c.groupWrite(g, index, method, path, raw, okStatuses...)
+			reached[g], _, errs[g] = c.groupWrite(g, index, method, path, raw, okStatuses...)
 		}(g)
 	}
 	wg.Wait()
@@ -459,13 +422,15 @@ func (c *Client) fanOutAll(index, method, path string, payload any, okStatuses .
 // writes replay it as is, so no caller may modify it afterwards.
 // reached reports, per replica, whether the write was applied there or
 // is queued for it: every replica when the write succeeds, the replicas
-// that acknowledged it when it fails.
-func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okStatuses ...int) (reached []bool, err error) {
+// that acknowledged it when it fails. acks holds the answers of the
+// replicas that acknowledged a write that succeeded, in map order.
+func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okStatuses ...int) (reached []bool, acks [][]byte, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.WriteTimeout)
 	defer cancel()
 	reps := c.cfg.Map.Groups[g]
 	type outcome struct {
 		acked bool
+		body  []byte
 		hard  error // semantic refusal: fail the batch whole
 		miss  error // transport failure or deferral: hintable
 	}
@@ -475,13 +440,12 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i].acked, outs[i].hard, outs[i].miss = c.writeReplica(ctx, g, i, method, path, raw, okStatuses)
+			outs[i].acked, outs[i].body, outs[i].hard, outs[i].miss = c.writeReplica(ctx, g, i, method, path, raw, okStatuses)
 		}(i)
 	}
 	wg.Wait()
 
 	reached = make([]bool, len(reps))
-	acks := 0
 	var miss, hard error
 	for i := range outs {
 		reached[i] = outs[i].acked
@@ -489,17 +453,17 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 		case outs[i].hard != nil:
 			hard = outs[i].hard
 		case outs[i].acked:
-			acks++
+			acks = append(acks, outs[i].body)
 		case miss == nil:
 			miss = outs[i].miss
 		}
 	}
 	if hard != nil {
-		return reached, hard
+		return reached, nil, hard
 	}
-	if q := c.quorum(g); acks < q {
-		return reached, fmt.Errorf("%w: %s: %d of %d replicas acknowledged %s %s (quorum %d): %v",
-			ErrNodeUnavailable, c.groupLabel(g), acks, len(reps), method, path, q, miss)
+	if q := c.quorum(g); len(acks) < q {
+		return reached, nil, fmt.Errorf("%w: %s: %d of %d replicas acknowledged %s %s (quorum %d): %v",
+			ErrNodeUnavailable, c.groupLabel(g), len(acks), len(reps), method, path, q, miss)
 	}
 	// Quorum met: the batch is durable. Queue the missed replicas' copies
 	// for in-order replay so the group converges.
@@ -509,27 +473,27 @@ func (c *Client) groupWrite(g int, index, method, path string, raw []byte, okSta
 			reached[i] = true
 		}
 	}
-	return reached, nil
+	return reached, acks, nil
 }
 
 // writeReplica issues one maintenance request to replica i of group g
-// and reports whether the replica applied it (acked), refused it (hard:
-// divergence, not unavailability) or missed it (miss: a transport
-// failure, or deferred behind the writes the replica still owes — order
-// is the contract).
-func (c *Client) writeReplica(ctx context.Context, g, i int, method, path string, raw []byte, okStatuses []int) (acked bool, hard, miss error) {
+// and reports whether the replica applied it (acked, with its answer),
+// refused it (hard: divergence, not unavailability) or missed it (miss:
+// a transport failure, or deferred behind the writes the replica still
+// owes — order is the contract).
+func (c *Client) writeReplica(ctx context.Context, g, i int, method, path string, raw []byte, okStatuses []int) (acked bool, body []byte, hard, miss error) {
 	addr := c.cfg.Map.Groups[g][i]
 	if c.reps[g][i].behind(c) {
-		return false, nil, fmt.Errorf("%s: deferred behind queued hints", addr)
+		return false, nil, nil, fmt.Errorf("%s: deferred behind queued hints", addr)
 	}
 	status, body, err := c.doRaw(ctx, addr, method, path, raw, "application/json")
 	if err != nil {
-		return false, nil, fmt.Errorf("%s: %v", addr, err)
+		return false, nil, nil, fmt.Errorf("%s: %v", addr, err)
 	}
 	if statusIn(okStatuses, status) {
-		return true, nil, nil
+		return true, body, nil, nil
 	}
-	return false, fmt.Errorf("%w: %s: %s %s%s: node answered %d: %s",
+	return false, nil, fmt.Errorf("%w: %s: %s %s%s: node answered %d: %s",
 		ErrNodeUnavailable, c.groupLabel(g), method, addr, path, status, envelopeMessage(body)), nil
 }
 

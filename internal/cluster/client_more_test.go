@@ -126,8 +126,11 @@ func TestResidentViewSurface(t *testing.T) {
 	if ins, upd, err := v.Upsert([]relation.Tuple{{Key: "alpha"}}); ins != 1 || upd != 0 || err != nil {
 		t.Fatalf("Upsert = %d/%d, %v", ins, upd, err)
 	}
-	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Ref != 0 {
-		t.Fatalf("Probe(Approx) = %+v (sequenced key must carry its seq as Ref)", got)
+	if v.Len() != 1 {
+		t.Fatalf("Len = %d after the node reported 1 insert", v.Len())
+	}
+	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Tuple.Key != "alpha" {
+		t.Fatalf("Probe(Approx) = %+v", got)
 	}
 	if got := v.Probe(join.Exact, "alpha"); len(got) != 1 {
 		t.Fatalf("Probe(Exact) = %+v", got)

@@ -5,12 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"adaptivelink"
+	"adaptivelink/internal/fault"
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
 	"adaptivelink/internal/wire"
@@ -103,32 +109,41 @@ func keysHomedOn(m Map, g, n int) []string {
 // merge keeps only what each answering group is home to — a non-home
 // copy (left by a release that replicated keys onto their signature
 // groups) is dropped, never deduplicated against — and orders the rest
-// by the router's global sequence; keys the router never sequenced
-// order last, by key.
-func TestMergeOrdersBySequenceAndFiltersNonHome(t *testing.T) {
+// by join.CompareMatches: the exact match, then similarity descending,
+// then key. The order is a function of the match set alone, so it does
+// not depend on the order the groups listed their matches in, and a key
+// written around the router (one the router never saw) needs no special
+// case: it sorts into place.
+func TestMergeOrdersByContentAndFiltersNonHome(t *testing.T) {
 	m := Map{Shards: 4, Groups: [][]string{{"http://a"}, {"http://b"}}}
 	on0, on1 := keysHomedOn(m, 0, 3), keysHomedOn(m, 1, 2)
-	const unsequenced = int(^uint(0) >> 1)
-	rm := func(key string, seq int, attr string) join.RefMatch {
-		return join.RefMatch{Ref: seq, Tuple: relation.Tuple{Key: key, Attrs: []string{attr}}, Similarity: 1}
+	rm := func(key string, sim float64, attr string) join.RefMatch {
+		return join.RefMatch{Tuple: relation.Tuple{Key: key, Attrs: []string{attr}}, Similarity: sim, Exact: sim == 1}
 	}
-	got := m.merge([][]join.RefMatch{
-		0: {rm(on0[0], 3, "home"), rm(on1[0], 1, "stale non-home copy"), rm(on0[2], unsequenced, "home"), rm(on0[1], unsequenced, "home")},
-		1: {rm(on1[0], 1, "home"), rm(on1[1], 2, "home"), rm(on0[0], 3, "stale non-home copy")},
-	})
-	want := []string{on1[0], on1[1], on0[0], on0[1], on0[2]}
-	if on0[2] < on0[1] {
-		want[3], want[4] = on0[2], on0[1]
+	answers := [][]join.RefMatch{
+		0: {rm(on0[0], 0.8, "home"), rm(on1[0], 1, "stale non-home copy"), rm(on0[2], 0.8, "home"), rm(on0[1], 0.9, "home, written around the router")},
+		1: {rm(on1[1], 0.8, "home"), rm(on1[0], 1, "home"), rm(on0[1], 0.9, "stale non-home copy")},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d: %+v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if got[i].Tuple.Key != w {
-			t.Fatalf("order[%d] = %q, want %q", i, got[i].Tuple.Key, w)
+	tied := []string{on0[0], on0[2], on1[1]}
+	slices.Sort(tied)
+	want := append([]string{on1[0], on0[1]}, tied...)
+
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 8; round++ {
+		got := m.merge(answers)
+		if len(got) != len(want) {
+			t.Fatalf("len = %d, want %d: %+v", len(got), len(want), got)
 		}
-		if got[i].Tuple.Attrs[0] != "home" {
-			t.Fatalf("%q answered from its %s", w, got[i].Tuple.Attrs[0])
+		for i, w := range want {
+			if got[i].Tuple.Key != w {
+				t.Fatalf("round %d: order[%d] = %q, want %q", round, i, got[i].Tuple.Key, w)
+			}
+			if !strings.HasPrefix(got[i].Tuple.Attrs[0], "home") {
+				t.Fatalf("%q answered from its %s", w, got[i].Tuple.Attrs[0])
+			}
+		}
+		for _, ms := range answers {
+			rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
 		}
 	}
 	if got := m.merge([][]join.RefMatch{nil, nil}); len(got) != 0 {
@@ -179,7 +194,7 @@ func testClient(t *testing.T, groups [][]string) *Client {
 func registerOnly(c *Client, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.indexes[name] = &indexState{name: name, seq: map[string]int{}}
+	c.indexes[name] = &indexState{name: name}
 	return nil
 }
 
@@ -252,15 +267,40 @@ func TestViewDeadlineEnvelopeIsBareDeadline(t *testing.T) {
 	}
 }
 
+// keyedNode is a fake node whose upserts answer as a node's do: a key it
+// does not hold yet counts as inserted, one it holds as updated.
+func keyedNode(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	var mu sync.Mutex
+	keys := make(map[string]bool)
+	return fakeNode(t, func(w http.ResponseWriter, r *http.Request) {
+		var req wire.UpsertRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		var resp wire.UpsertResponse
+		for _, tu := range req.Tuples {
+			if keys[tu.Key] {
+				resp.Updated++
+			} else {
+				keys[tu.Key] = true
+				resp.Inserted++
+			}
+		}
+		resp.Size = len(keys)
+		json.NewEncoder(w).Encode(resp)
+	})
+}
+
 // Writes fan to every replica of each tuple's home group — and to no
-// other group — and update the sequence map only on success.
+// other group — report the counts the group answered, and advance the
+// index's size only on success.
 func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
-	okUpsert := func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"inserted":1,"updated":0,"size":1}`))
-	}
-	r0, h0 := fakeNode(t, okUpsert)
-	r1, h1 := fakeNode(t, okUpsert)
-	other, hOther := fakeNode(t, okUpsert)
+	r0, h0 := keyedNode(t)
+	r1, h1 := keyedNode(t)
+	other, hOther := keyedNode(t)
 	c := testClient(t, [][]string{{r0.URL, r1.URL}, {other.URL}})
 	home := keysHomedOn(c.cfg.Map, 0, 3)
 	v, err := c.Bind(context.Background(), "ix")
@@ -284,7 +324,7 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
 
-	// A failed write leaves the sequence map untouched.
+	// A failed write leaves the size untouched.
 	r0.Close()
 	if _, _, err := v.Upsert([]relation.Tuple{{Key: home[2]}}); !errors.Is(err, ErrNodeUnavailable) {
 		t.Fatalf("write to dead replica: %v, want ErrNodeUnavailable", err)
@@ -299,6 +339,57 @@ func TestUpsertWritesAllReplicasAndSequences(t *testing.T) {
 	}
 	if hOther.Load() != 1 || v.Len() != 3 {
 		t.Fatalf("healthy-group write: hits %d, Len %d, want 1 and 3", hOther.Load(), v.Len())
+	}
+}
+
+// A batch that fails below quorum has still landed where it was
+// acknowledged: on group 0, and on the one replica of group 1 that
+// answered while its peer was unreachable. The index's size counts
+// group 0's rows, which the groups hold. The retry reports the counts
+// the nodes answer: group 0's rows as updated, and group 1's from the
+// replica that reports inserting them, since the failed attempt counted
+// nothing there. Each key is counted once.
+func TestUpsertRetryAfterBelowQuorumReportsNodeCounts(t *testing.T) {
+	n0, _ := keyedNode(t)
+	a1, _ := keyedNode(t)
+	b1, hb1 := keyedNode(t)
+	ft := fault.NewTransport(nil)
+	down := ft.Add(&fault.Rule{Node: host(b1), Path: "upsert", Action: fault.Fail})
+	c, err := New(Config{
+		Map:          Map{Shards: 2, Groups: [][]string{{n0.URL}, {a1.URL, b1.URL}}},
+		WriteQuorum:  2,
+		HTTPClient:   &http.Client{Transport: ft},
+		WriteTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := registerOnly(c, "ix"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Bind(context.Background(), "ix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []relation.Tuple
+	for _, k := range append(keysHomedOn(c.cfg.Map, 0, 2), keysHomedOn(c.cfg.Map, 1, 3)...) {
+		batch = append(batch, relation.Tuple{Key: k})
+	}
+
+	if _, _, err := v.Upsert(batch); !errors.Is(err, ErrNodeUnavailable) {
+		t.Fatalf("batch with a replica of group 1 unreachable at quorum 2: %v, want ErrNodeUnavailable", err)
+	}
+	if hb1.Load() != 0 || v.Len() != 2 {
+		t.Fatalf("after the failed batch: the unreachable replica saw %d upserts, Len %d; want 0 and group 0's 2 keys", hb1.Load(), v.Len())
+	}
+	down.Off()
+	ins, upd, err := v.Upsert(batch)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if ins != 3 || upd != 2 || v.Len() != 5 {
+		t.Fatalf("retry = %d inserted, %d updated, Len %d; want 3, 2 and 5", ins, upd, v.Len())
 	}
 }
 

@@ -308,8 +308,8 @@ func park(rs *replicaState, hs ...hint) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, h := range hs {
-		rs.hintSeq++
-		h.seq = rs.hintSeq
+		rs.lastHintID++
+		h.id = rs.lastHintID
 		rs.hints = append(rs.hints, h)
 	}
 	rs.draining = true

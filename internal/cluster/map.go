@@ -12,10 +12,12 @@
 // replica and divides the approximate work instead of multiplying it.
 //
 // The union of the groups' answers is the single-process result set
-// because the groups partition the reference. Nodes are stock
-// adaptivelinkd daemons — the router owns normalization, placement,
-// merge order and the global insertion sequence; nodes own storage,
-// probing and durability for their hash ranges. A match a group reports
+// because the groups partition the reference, and the merged list is
+// the single-process list because both order a key's matches by their
+// content (join.CompareMatches). Nodes are stock adaptivelinkd daemons
+// — the router owns normalization, placement and the merge, and keeps
+// nothing per key; nodes own storage, probing and durability for their
+// hash ranges. A match a group reports
 // for a key it is not home to is dropped at the merge: nodes populated
 // by a release that also placed keys on their signature groups keep
 // serving without a rewrite, their unmaintained copies never answering.

@@ -84,9 +84,9 @@ const (
 // hint is one entry of a replica's convergence queue: a missed write to
 // replay, or (reseed) a whole-index re-seed from a peer.
 type hint struct {
-	// seq is the replica-local enqueue sequence: the drainer retires the
-	// head only if it is still the entry it executed.
-	seq int64
+	// id is the entry's replica-local enqueue number: the drainer
+	// retires the head only if it is still the entry it executed.
+	id int64
 	// index names the index the entry converges — the unit writes
 	// collapse into a re-seed by.
 	index string
@@ -127,9 +127,9 @@ type replicaState struct {
 	// hints is the convergence queue — the only record of what the
 	// replica lacks. At most one re-seed per index is queued, ahead of
 	// every queued write of that index.
-	hints    []hint
-	hintSeq  int64
-	draining bool // a drainer goroutine owns the queue
+	hints      []hint
+	lastHintID int64
+	draining   bool // a drainer goroutine owns the queue
 
 	// digests holds the last content digest observed per index by the
 	// anti-entropy loop, for /v1/cluster visibility.
@@ -221,8 +221,8 @@ func (c *Client) enqueue(g, i int, h hint) {
 		rs.hints = append(rs.hints, h)
 		c.hintsDropped.Add(int64(rs.collapse("")))
 	default:
-		rs.hintSeq++
-		h.seq = rs.hintSeq
+		rs.lastHintID++
+		h.id = rs.lastHintID
 		rs.hints = append(rs.hints, h)
 		if !h.reseed {
 			c.hintsQueued.Add(1)
@@ -259,8 +259,8 @@ next:
 				continue next
 			}
 		}
-		rs.hintSeq++
-		rs.hints = append(rs.hints, hint{seq: rs.hintSeq, index: name, reseed: true, from: -1})
+		rs.lastHintID++
+		rs.hints = append(rs.hints, hint{id: rs.lastHintID, index: name, reseed: true, from: -1})
 	}
 	return len(gone)
 }
@@ -318,7 +318,7 @@ func (c *Client) drain(rs *replicaState) {
 			// Semantic refusal: replaying further writes of this index
 			// could interleave a gapped sequence. Collapse them all.
 			c.hintsDropped.Add(int64(rs.collapse(h.index)))
-		case len(rs.hints) == 0 || rs.hints[0].seq != h.seq || rs.hints[0].again:
+		case len(rs.hints) == 0 || rs.hints[0].id != h.id || rs.hints[0].again:
 			// Collapsed away mid-flight, or a write was collapsed into this
 			// re-seed after its export began: the head runs (again).
 		default:

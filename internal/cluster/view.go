@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,26 +75,21 @@ func (v *View) failed() bool {
 	return v.err != nil
 }
 
-// Len returns the number of distinct resident keys — the router's
-// sequence map is exactly the single-process key population, so the
-// adaptive control loop sees the same n either way.
-func (v *View) Len() int {
-	v.st.mu.RLock()
-	defer v.st.mu.RUnlock()
-	return len(v.st.seq)
-}
+// Len returns the number of distinct resident keys: the keys the
+// groups reported inserting, which is the single-process key
+// population, so the adaptive control loop sees the same n either way.
+func (v *View) Len() int { return int(v.st.n.Load()) }
 
 // --- writes ---
 
 // Upsert applies keyed reference maintenance across the cluster: each
 // tuple is sent to its home group only (Map.home — the group exact
 // probes ask), to ALL replicas of that group, so the write lands once on
-// the owning nodes' write-ahead logs. The sequence map advances only
-// after every touched group acknowledged, keeping merge order consistent
-// with what a retry will eventually make the nodes hold. Any group below
-// quorum fails the batch with ErrNodeUnavailable; the failure is
-// returned, never recorded on the view, so it cannot poison the view's
-// probes.
+// the owning nodes' write-ahead logs. The counts are the groups' own:
+// a key lives on one group, so their sum is what a single process
+// reports. Any group below quorum fails the batch with
+// ErrNodeUnavailable; the failure is returned, never recorded on the
+// view, so it cannot poison the view's probes.
 func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
@@ -104,28 +99,22 @@ func (v *View) Upsert(tuples []relation.Tuple) (inserted, updated int, err error
 	for _, t := range tuples {
 		bodies[m.home(t.Key)].Add(wire.TupleDTO(t))
 	}
-	if err := v.c.upsertGroups(v.st.name, bodies); err != nil {
-		return 0, 0, err
-	}
-
-	v.st.mu.Lock()
-	for _, t := range tuples {
-		if _, ok := v.st.seq[t.Key]; ok {
-			updated++
-		} else {
-			v.st.seq[v.st.keys.own(t.Key)] = len(v.st.seq)
-			inserted++
-		}
-	}
-	v.st.mu.Unlock()
-	return inserted, updated, nil
+	return v.c.upsertGroups(v.st, bodies)
 }
 
 // upsertGroups sends every group with a tuple in bodies its upsert
 // body, the groups concurrently, each to all its replicas (groupWrite),
-// and returns the first group's error, if any.
-func (c *Client) upsertGroups(index string, bodies []wire.UpsertEncoder) error {
+// and returns the summed counts of the groups' answers and the first
+// group's error, if any. A group's counts are those of its replica that
+// reported the most inserts: a replica that already held rows of the
+// batch took them from an earlier attempt that failed below quorum,
+// which counted nothing. The index's size advances by what each group
+// that acknowledged reported inserting, also when another group
+// failed: those rows are on the nodes, and a retry of the batch
+// reports them as updated.
+func (c *Client) upsertGroups(st *indexState, bodies []wire.UpsertEncoder) (inserted, updated int, err error) {
 	var wg sync.WaitGroup
+	counts := make([]wire.UpsertResponse, len(bodies))
 	errs := make([]error, len(bodies))
 	for g := range bodies {
 		if bodies[g].Len() == 0 {
@@ -135,16 +124,31 @@ func (c *Client) upsertGroups(index string, bodies []wire.UpsertEncoder) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[g] = c.groupWrite(g, index, http.MethodPost, "/v1/indexes/"+index+"/upsert", raw, http.StatusOK)
+			_, acks, err := c.groupWrite(g, st.name, http.MethodPost, "/v1/indexes/"+st.name+"/upsert", raw, http.StatusOK)
+			for i := 0; i < len(acks) && err == nil; i++ {
+				var r wire.UpsertResponse
+				if json.Unmarshal(acks[i], &r) != nil {
+					err = fmt.Errorf("%w: %s: undecodable upsert response %.200q", ErrNodeUnavailable, c.groupLabel(g), acks[i])
+				} else if i == 0 || r.Inserted > counts[g].Inserted {
+					counts[g] = r
+				}
+			}
+			if errs[g] = err; err == nil {
+				st.n.Add(int64(counts[g].Inserted))
+			}
 		}()
 	}
 	wg.Wait()
+	for g := range counts {
+		inserted += counts[g].Inserted
+		updated += counts[g].Updated
+	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 	}
-	return nil
+	return inserted, updated, nil
 }
 
 // --- probes ---
@@ -257,12 +261,12 @@ func (v *View) probeGroups(mode join.Mode, keys []string) [][]join.RefMatch {
 
 // merge combines one approximate key's per-group answers (answers[g] is
 // group g's) into the single-process answer: keep only the matches
-// group g is home to, then order by the global sequence the router
-// assigned at write time (unsequenced keys last, by key). Groups hold
-// disjoint key sets, so there is nothing to dedup; the home filter is
-// what keeps that true over nodes populated by a release that also
-// placed keys on their signature groups — those non-home copies stop
-// being maintained and must never answer.
+// group g is home to, then order them by join.CompareMatches, the order
+// a single process gives them. Groups hold disjoint key sets, so there
+// is nothing to dedup; the home filter is what keeps that true over
+// nodes populated by a release that also placed keys on their signature
+// groups — those non-home copies stop being maintained and must never
+// answer.
 func (m Map) merge(answers [][]join.RefMatch) []join.RefMatch {
 	n := 0
 	for _, ms := range answers {
@@ -276,12 +280,7 @@ func (m Map) merge(answers [][]join.RefMatch) []join.RefMatch {
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Ref != all[j].Ref {
-			return all[i].Ref < all[j].Ref
-		}
-		return all[i].Tuple.Key < all[j].Tuple.Key
-	})
+	slices.SortFunc(all, join.CompareMatches)
 	return all
 }
 
@@ -330,7 +329,7 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 			}
 			out := make([][]join.RefMatch, n)
 			for j, kr := range dto.Results {
-				out[j] = v.st.toRefMatches(kr.Matches)
+				out[j] = toRefMatches(kr.Matches)
 			}
 			return out, nil
 		}
@@ -351,24 +350,14 @@ func (v *View) groupLink(ctx context.Context, g int, mode join.Mode, body []byte
 	return nil, fmt.Errorf("%w: %s: no answering replica (%s): %v", ErrNodeUnavailable, v.c.groupLabel(g), need, lastErr)
 }
 
-// toRefMatches rebuilds RefMatch values from the wire form. Ref is the
-// router's global sequence for the reference key — only ORDER flows
-// from it (the wire never carries node-local refs); a key the router
-// never sequenced (written around the router) sorts last, by key.
-func (st *indexState) toRefMatches(ms []wire.MatchDTO) []join.RefMatch {
+// toRefMatches rebuilds RefMatch values from the wire form.
+func toRefMatches(ms []wire.MatchDTO) []join.RefMatch {
 	if len(ms) == 0 {
 		return nil
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	out := make([]join.RefMatch, len(ms))
 	for i, m := range ms {
-		ref, ok := st.seq[m.RefKey]
-		if !ok {
-			ref = int(^uint(0) >> 1) // unknown to the router: order last
-		}
 		out[i] = join.RefMatch{
-			Ref:        ref,
 			Tuple:      relation.Tuple{ID: m.RefID, Key: m.RefKey, Attrs: m.RefAttrs},
 			Similarity: m.Similarity,
 			Exact:      m.Exact,

@@ -97,7 +97,7 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewState := fmt.Sprint(*view)
+	viewState := viewContent(view)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -147,11 +147,11 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 			t.Fatalf("held snapshot %d of %d changed after publication\n was %s\n now %s", i, len(generations), h.state, got)
 		}
 	}
-	if fmt.Sprint(*view) != viewState {
+	if viewContent(view) != viewState {
 		t.Fatal("a view held across the upserts differs from what it held at export")
 	}
 	// The view still imports into the index it described.
-	loaded, err := NewShardedRefIndexFromSnapshot(view)
+	loaded, err := NewShardedRefIndexFromSnapshot(gathered(view))
 	if err != nil {
 		t.Fatal(err)
 	}

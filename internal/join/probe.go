@@ -1,12 +1,15 @@
 package join
 
-import "adaptivelink/internal/relation"
+import (
+	"cmp"
+	"strings"
+
+	"adaptivelink/internal/relation"
+)
 
 // RefMatch is one probe result: a stored reference tuple together with
 // the verified similarity evidence.
 type RefMatch struct {
-	// Ref is the tuple's dense position in the reference store.
-	Ref int
 	// Tuple is a snapshot of the stored reference tuple.
 	Tuple relation.Tuple
 	// Similarity is 1 for key-equal matches, otherwise the configured
@@ -14,6 +17,26 @@ type RefMatch struct {
 	Similarity float64
 	// Exact reports key equality.
 	Exact bool
+}
+
+// CompareMatches is the one order of a key's matches, wherever they
+// are gathered: the key-equal match first, then similarity descending,
+// then the reference key bytewise. A keyed store holds each key once,
+// so among one probe's matches this is a total order and a function of
+// the match set alone: the shard merge and the router's merge of the
+// node groups' answers both sort by it, and an index answers the same
+// list whatever order its keys were written in.
+func CompareMatches(a, b RefMatch) int {
+	if a.Exact != b.Exact {
+		if a.Exact {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Tuple.Key, b.Tuple.Key)
 }
 
 // Resident is the contract of a resident index as the public facade

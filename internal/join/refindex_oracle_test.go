@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptivelink/internal/hashidx"
@@ -139,7 +140,7 @@ func (r *RefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatch {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, ref := range r.exIdx.Lookup(key) {
-		dst = append(dst, RefMatch{Ref: ref, Tuple: r.tuples[ref], Similarity: 1, Exact: true})
+		dst = append(dst, RefMatch{Tuple: r.tuples[ref], Similarity: 1, Exact: true})
 	}
 	return dst
 }
@@ -164,6 +165,7 @@ func (r *RefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMatch {
 	pk := r.ex.Decompose(&sc.dsc, key)
 	g := pk.Len()
 	k := r.cfg.Measure.MinOverlap(g, r.cfg.Theta)
+	base := len(dst)
 	r.mu.RLock()
 	for _, cand := range r.qgIdx.ProbeKey(pk, k, &sc.psc) {
 		sim, ok := r.cfg.Measure.Verify(g, r.qgIdx.GramSize(cand.Ref), cand.Overlap, r.cfg.Theta)
@@ -173,10 +175,11 @@ func (r *RefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMatch {
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: cand.Ref, Tuple: r.tuples[cand.Ref], Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Tuple: r.tuples[cand.Ref], Similarity: sim, Exact: exact})
 	}
 	r.mu.RUnlock()
 	r.pool.Put(sc)
+	slices.SortFunc(dst[base:], CompareMatches)
 	return dst
 }
 

@@ -27,9 +27,10 @@ import (
 // once and probes all N shards, which are disjoint 1/N slices: the
 // total posting work equals the unsharded index's and, in a batch,
 // splits N ways across the host's cores. Per-shard results are merged
-// by ascending global ref, so the match list is identical to a single
-// unsharded index's (the differential harness pins this against a
-// sequential oracle for interleaved probe/upsert streams).
+// in CompareMatches order, which depends on the matches alone, so the
+// match list is identical to a single unsharded index's (the
+// differential harness pins this against a sequential oracle for
+// interleaved probe/upsert streams).
 //
 // The q-gram structures are maintained lazily, as §2.3 maintains the
 // approximate operator's index: a shard holds only its tuples and its
@@ -119,8 +120,10 @@ type shardScratch struct {
 type shardSnap struct {
 	// tuples is the shard's store (see resident.go): the shard owns its
 	// tuples' bytes, and a tuple read from it is a view over them.
-	tuples  *tupleStore
-	globals []uint32 // local ref -> global ref (monotonically increasing)
+	tuples *tupleStore
+	// globals maps local refs to global refs (monotonically increasing):
+	// the member refs a snapshot records. No probe reads them.
+	globals []uint32
 	// exIdx is the shard's exact index: key -> its one local ref, the
 	// store being keyed.
 	exIdx exactIndex
@@ -441,15 +444,15 @@ func (s *ShardedRefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatc
 // snapshot: one lookup, at most one match.
 func snapExactAppend(dst []RefMatch, sn *shardSnap, key string) []RefMatch {
 	if lref, ok := sn.exIdx.Get(key); ok {
-		dst = append(dst, RefMatch{Ref: int(sn.globals[lref]), Tuple: sn.tuples.At(int(lref)), Similarity: 1, Exact: true})
+		dst = append(dst, RefMatch{Tuple: sn.tuples.At(int(lref)), Similarity: 1, Exact: true})
 	}
 	return dst
 }
 
 // ProbeApprox matches the key against the reference approximately,
 // probing every shard: the shards are disjoint slices of the reference,
-// so the union of their SSHJoin probes, in ascending global-ref order,
-// is the single-shard probe's result.
+// so the union of their SSHJoin probes, in CompareMatches order, is the
+// single-shard probe's result.
 func (s *ShardedRefIndex) ProbeApprox(key string) []RefMatch {
 	return s.AppendProbeApprox(nil, key)
 }
@@ -470,12 +473,12 @@ func (s *ShardedRefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMat
 		dst = snapApproxAppend(dst, s.built(sh), s.cfg, key, k, g, ko, &sc.psc)
 	}
 	s.pool.Put(sc)
-	sortByRef(dst[base:])
+	slices.SortFunc(dst[base:], CompareMatches)
 	return dst
 }
 
 // snapApproxAppend runs the SSHJoin probe against one immutable shard
-// snapshot, appending verified matches in ascending ref order. The
+// snapshot, appending verified matches in ascending local ref order. The
 // candidate view returned by ProbeKey lives in psc and is fully
 // consumed before this function returns, so one scratch may serve
 // several shards in sequence.
@@ -488,18 +491,9 @@ func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k q
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Ref: int(sn.globals[cand.Ref]), Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
 	}
 	return dst
-}
-
-// sortByRef brings the concatenated per-shard matches of one key into
-// the deterministic output order, ascending global ref. A ref lives in
-// one shard, so there are no duplicates to drop; each shard's run is
-// already ascending and most probes match in at most one shard, which
-// the sort detects in one pass.
-func sortByRef(ms []RefMatch) {
-	slices.SortFunc(ms, func(a, b RefMatch) int { return a.Ref - b.Ref })
 }
 
 // Probe matches under the given mode.
@@ -592,7 +586,7 @@ func (s *ShardedRefIndex) probeBatchApprox(keys []string, out [][]RefMatch) {
 		for _, wsc := range work {
 			merged = append(merged, wsc.flat[wsc.off[i]:wsc.off[i+1]]...)
 		}
-		sortByRef(merged)
+		slices.SortFunc(merged, CompareMatches)
 		out[i] = merged
 	}
 	for _, wsc := range work {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"adaptivelink/internal/relation"
@@ -153,9 +155,62 @@ func applyOp(r Resident, op diffOp) string {
 func renderMatches(ms []RefMatch) string {
 	out := ""
 	for _, m := range ms {
-		out += fmt.Sprintf("(%d %s %q %.9f %v)", m.Ref, m.Tuple.Key, m.Tuple.Attrs, m.Similarity, m.Exact)
+		out += fmt.Sprintf("(%s %q %.9f %v)", m.Tuple.Key, m.Tuple.Attrs, m.Similarity, m.Exact)
 	}
 	return out
+}
+
+// TestApproxOrderIndependentOfWriteOrder fills two indexes with the
+// same keyed store, one in key order and one shuffled into batches, and
+// demands byte-identical approximate answers from both, single and
+// batched: a key's matches are ordered by their content
+// (CompareMatches), never by when their keys were written.
+func TestApproxOrderIndependentOfWriteOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	stored, variants, misses := diffKeyPool(rng, 300)
+	seen := make(map[string]bool)
+	var rows []relation.Tuple
+	for _, k := range stored {
+		if !seen[k] {
+			seen[k] = true
+			rows = append(rows, relation.Tuple{ID: len(rows), Key: k, Attrs: []string{fmt.Sprint("a", len(rows))}})
+		}
+	}
+	slices.SortFunc(rows, func(a, b relation.Tuple) int { return strings.Compare(a.Key, b.Key) })
+	shuffled := slices.Clone(rows)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	probes := append(append(append([]string(nil), stored...), variants...), misses...)
+
+	for _, shards := range []int{1, 4} {
+		inOrder, err := NewShardedRefIndex(Defaults(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOrder.Upsert(rows)
+		reordered, err := NewShardedRefIndex(Defaults(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(shuffled); lo += 7 {
+			reordered.Upsert(shuffled[lo:min(lo+7, len(shuffled))])
+		}
+		multi := 0
+		for _, k := range probes {
+			a, b := fmt.Sprint(inOrder.ProbeApprox(k)), fmt.Sprint(reordered.ProbeApprox(k))
+			if a != b {
+				t.Fatalf("%d shards: ProbeApprox(%q) depends on write order:\n in order %s\n shuffled %s", shards, k, a, b)
+			}
+			if len(inOrder.ProbeApprox(k)) > 1 {
+				multi++
+			}
+		}
+		if multi < 20 {
+			t.Fatalf("%d shards: only %d probes matched more than one key; the order was barely tested", shards, multi)
+		}
+		if a, b := fmt.Sprint(inOrder.ProbeBatch(Approx, probes)), fmt.Sprint(reordered.ProbeBatch(Approx, probes)); a != b {
+			t.Fatalf("%d shards: ProbeBatch(Approx) depends on write order", shards)
+		}
+	}
 }
 
 // TestShardedRefDifferential drives the sharded index and the retained
@@ -163,7 +218,7 @@ func renderMatches(ms []RefMatch) string {
 // interleaved Probe/ProbeBatch/Upsert ops — probes in both Fig. 4 probe
 // modes, so all four processor states' probe behaviour is covered — and
 // asserts identical results at every step, for shard counts 1, 2 and 4.
-// Results are compared fully ordered (ref, tuple snapshot, similarity,
+// Results are compared fully ordered (tuple snapshot, similarity,
 // exactness), which is stronger than multiset equality. The lazy
 // variant keeps the first half exact and builds single shards at random
 // points in it, so the oracle's eagerly maintained q-gram index is
@@ -289,7 +344,7 @@ func TestShardedRefHomeShardOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := NewShardedRefIndexFromSnapshot(view)
+		loaded, err := NewShardedRefIndexFromSnapshot(gathered(view))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,10 +20,10 @@ import (
 // it (§2.3's lazy maintenance: the q-gram index is derived data). The
 // member refs are derived too; a load checks them against the build.
 //
-// A view is plain data. One exported from a live index shares the
-// index's immutable tuple payloads (a view from ExportShards, its shard
-// snapshots); treat it as read-only. One decoded from disk is owned by
-// the decoder's caller.
+// A view is plain data. One exported from a live index holds the
+// index's immutable shard snapshots and reads its store from them; treat
+// it as read-only, and encode it rather than import it. One decoded from
+// disk carries its store as Tuples.
 type SnapshotView struct {
 	// Cfg is the matching configuration the index was built under.
 	Cfg Config
@@ -31,7 +31,7 @@ type SnapshotView struct {
 	// dependent, so a snapshot reloads only at its own count.
 	NShard int
 	// Tuples is the global store in ref order, nil in a view from
-	// ExportShards; Len and Store read either kind.
+	// ExportSnapshot; Len and Store read either kind.
 	Tuples []relation.Tuple
 	// Shards has one export per shard, in shard order: the key-hash
 	// partition of Tuples, which a load derives and checks these
@@ -40,7 +40,7 @@ type SnapshotView struct {
 	// prefix-replicated layout — and there is nothing to check.
 	Shards []ShardExport
 
-	// stores, set by ExportShards instead of Tuples, are the shard
+	// stores, set by ExportSnapshot instead of Tuples, are the shard
 	// snapshots whose tuple stores Store merges into ref order.
 	stores []*shardSnap
 }
@@ -54,7 +54,7 @@ func (v *SnapshotView) Len() int {
 }
 
 // Store walks the view's tuple store in ref order: Tuples, or for a
-// view from ExportShards the shard stores, merged by their member refs
+// view from ExportSnapshot the shard stores, merged by their member refs
 // (each shard's ascend, and together they are the refs 0..Len-1).
 func (v *SnapshotView) Store() iter.Seq[relation.Tuple] {
 	if v.stores == nil {
@@ -96,34 +96,28 @@ type ShardExport struct {
 // ExportSnapshot returns a consistent view of the whole index: the
 // shard snapshots are loaded under the writer lock, so no upsert can
 // publish between two loads, and for those loads only — RCU snapshots
-// are never mutated, only superseded, so the store and the member refs
-// are gathered from them afterwards, whatever is upserted meanwhile.
-// Probes are not disturbed, and no key is decomposed.
+// are never mutated, only superseded, so the view reads the store and
+// the member refs from them afterwards, whatever is upserted meanwhile.
+// The view holds nothing per tuple: Tuples is nil, and Store merges the
+// shard stores into ref order by their member refs. Probes are not
+// disturbed, and no key is decomposed.
 func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
-	v, snaps, err := s.export()
-	if err != nil {
-		return nil, err
+	snaps := make([]*shardSnap, s.nshard)
+	s.mu.Lock()
+	for i := range snaps {
+		snaps[i] = s.shards[i].Load()
 	}
-	v.Tuples = make([]relation.Tuple, v.members())
-	for _, sn := range snaps {
-		for lref, g := range sn.globals {
-			v.Tuples[g] = sn.tuples.At(lref)
-		}
+	n := s.Len()
+	s.mu.Unlock()
+	if n > math.MaxUint32 {
+		return nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", n)
 	}
-	return v, nil
-}
-
-// ExportShards is ExportSnapshot without the gathered store, for a view
-// that is only encoded: Store merges the shard snapshots' tuple stores
-// into ref order by their member refs, so the view holds nothing per
-// tuple where the gathered store holds a tuple header. Tuples is nil;
-// read the store through Len and Store.
-func (s *ShardedRefIndex) ExportShards() (*SnapshotView, error) {
-	v, snaps, err := s.export()
-	if err != nil {
-		return nil, err
+	v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: make([]ShardExport, s.nshard), stores: snaps}
+	for i, sn := range snaps {
+		// A published generation's member refs are never written again:
+		// later ones append past their length.
+		v.Shards[i] = ShardExport{Globals: sn.globals[:len(sn.globals):len(sn.globals)]}
 	}
-	v.stores = snaps
 	return v, nil
 }
 
@@ -135,32 +129,11 @@ func (v *SnapshotView) members() (n int) {
 	return n
 }
 
-// export loads a consistent set of shard snapshots and returns the view
-// of their member refs.
-func (s *ShardedRefIndex) export() (*SnapshotView, []*shardSnap, error) {
-	snaps := make([]*shardSnap, s.nshard)
-	s.mu.Lock()
-	for i := range snaps {
-		snaps[i] = s.shards[i].Load()
-	}
-	n := s.Len()
-	s.mu.Unlock()
-	if n > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("join: snapshot of %d tuples exceeds the format's uint32 ref space", n)
-	}
-	v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: make([]ShardExport, s.nshard)}
-	for i, sn := range snaps {
-		// A published generation's member refs are never written again:
-		// later ones append past their length.
-		v.Shards[i] = ShardExport{Globals: sn.globals[:len(sn.globals):len(sn.globals)]}
-	}
-	return v, snaps, nil
-}
-
 // NewShardedRefIndexFromSnapshot reconstructs a resident index from a
-// snapshot view, adopting the view's tuples (the caller hands over
-// ownership; a view exported from a live index must not be imported
-// into a second one that will be upserted).
+// snapshot view with its store in Tuples, as a decoder hands it over;
+// the index copies the tuples' bytes into its shards and keeps nothing
+// of the view. A view exported from a live index is encoded, not
+// imported.
 //
 // A load is a bulk build of the stored tuple store: buildFromStore
 // partitions and indexes it exactly as a bulk load does — one map

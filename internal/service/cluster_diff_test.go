@@ -91,8 +91,9 @@ type diffStep struct {
 
 // diffScript builds the deterministic request stream: a create, then
 // interleaved upserts (inserts and updates) and link batches under
-// every strategy, with misses, typos and duplicate keys mixed in, and a
-// tail of malformed requests whose error envelopes must match too.
+// every strategy, with misses, typos and duplicate keys mixed in, a
+// batch of alike keys written against key order, and a tail of
+// malformed requests whose error envelopes must match too.
 func diffScript(seed int64) []diffStep {
 	rng := rand.New(rand.NewSource(seed))
 	streets := []string{"via monte bianco", "corso lago maggiore", "piazza valle verde",
@@ -164,6 +165,22 @@ func diffScript(seed int64) []diffStep {
 				compare: true},
 		)
 	}
+
+	// Keys written in descending key order, so near-alike that one probe
+	// matches several: a key's matches are ordered by their content, the
+	// same in one process and across groups, whatever order the keys
+	// arrived in.
+	var late []string
+	for j := 9; j >= 0; j-- {
+		late = append(late, tup(3000+j, fmt.Sprintf("borgo san marco vecchio interno %d", j)))
+	}
+	steps = append(steps,
+		diffStep{method: "POST", path: "/v1/indexes/atlas/upsert",
+			body: fmt.Sprintf(`{"tuples":[%s]}`, strings.Join(late, ",")), compare: true},
+		diffStep{method: "POST", path: "/v1/link",
+			body:    `{"index":"atlas","keys":["borgo san marco vecchio interno 5","borgo san marco vechio interno","borgo san marco vecchio interno"],"strategy":"approximate"}`,
+			compare: true},
+	)
 
 	// Error envelopes are part of the byte-identity contract.
 	steps = append(steps,

@@ -336,12 +336,13 @@ func TestAllocCreateLiveBytesPerTuple(t *testing.T) {
 }
 
 // routedCreateLiveBytesBudget bounds the live heap a routed create of
-// 20k generated tuples leaves on the router per tuple: its key sequence,
-// the map and shared blocks of the keys' bytes, and nothing of the
-// request. 75 measured, plus a margin. When the sequence's keys and the create's
-// name shared the decoded body's string block, attributes included, it
-// was 90.
-const routedCreateLiveBytesBudget = 80
+// 20k generated tuples leaves on the router per tuple. The router keeps
+// nothing per key (a key's matches are ordered by their content) and
+// nothing of the request: 2–3 measured, the index's registration and
+// the connections' buffers, plus a margin. It was 75 while the router
+// kept a key sequence for merge order, and 90 when the sequence's keys
+// and the create's name shared the decoded body's string block.
+const routedCreateLiveBytesBudget = 8
 
 func TestAllocRoutedCreateLiveBytesPerTuple(t *testing.T) {
 	if raceEnabled {

@@ -100,7 +100,7 @@ func TestLoadIsBulkBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if MetaOf(got) != MetaOf(want) || !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Shards, want.Shards) {
+			if MetaOf(got) != MetaOf(want) || !sameView(got, want) {
 				t.Fatalf("loaded view differs from the bulk build's:\n got  %+v\n want %+v", got.Shards, want.Shards)
 			}
 			if ex, qg := ix.Entries(); ex != bulkEx || qg != bulkQG {

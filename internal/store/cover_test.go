@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -360,7 +359,7 @@ func TestV6CorruptSections(t *testing.T) {
 	if got := pristine.image(header); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("encoder wrote\n % x\nthe layout spells\n % x", want.Bytes(), got)
 	}
-	if dv, err := DecodeSnapshot(pristine.image(header)); err != nil || !reflect.DeepEqual(dv, v) {
+	if dv, err := DecodeSnapshot(pristine.image(header)); err != nil || !sameView(dv, v) {
 		t.Fatalf("pristine image: %+v, %v; want %+v", dv, err, v)
 	}
 	cases := []struct {

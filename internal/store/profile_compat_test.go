@@ -87,8 +87,8 @@ func TestSnapshotV1Compat(t *testing.T) {
 	if got.Cfg.Profile != "" {
 		t.Fatalf("v1 snapshot decoded profile %q, want \"\"", got.Cfg.Profile)
 	}
-	if len(got.Tuples) != len(v.Tuples) {
-		t.Fatalf("v1 snapshot decoded %d tuples, want %d", len(got.Tuples), len(v.Tuples))
+	if len(got.Tuples) != v.Len() {
+		t.Fatalf("v1 snapshot decoded %d tuples, want %d", len(got.Tuples), v.Len())
 	}
 }
 

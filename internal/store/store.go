@@ -196,7 +196,7 @@ func Open(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.Shar
 // It is CreateBuild with a build that is already done.
 func Create(fsys vfs.FS, dir string, ix *join.ShardedRefIndex, sync SyncPolicy) (*Dir, error) {
 	_, d, err := CreateBuild(fsys, dir, sync, func(persist func(*join.SnapshotView) error) (*join.ShardedRefIndex, error) {
-		v, err := ix.ExportShards()
+		v, err := ix.ExportSnapshot()
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +304,7 @@ func (d *Dir) Append(tuples []relation.Tuple) error {
 // snapshot does, with the WAL reset merely redundant until it happens.
 func (d *Dir) Checkpoint(ix *join.ShardedRefIndex) error {
 	t0 := time.Now()
-	v, err := ix.ExportShards()
+	v, err := ix.ExportSnapshot()
 	if err != nil {
 		return err
 	}

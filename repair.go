@@ -61,7 +61,7 @@ func (ix *Index) Digest() (IndexDigest, error) {
 		ix.mu.Lock()
 		walRecords = ix.dir.WALRecords()
 	}
-	v, err := sr.ExportShards()
+	v, err := sr.ExportSnapshot()
 	if ix.dir != nil {
 		ix.mu.Unlock()
 	}
@@ -87,7 +87,7 @@ func (ix *Index) ExportSnapshotTo(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	v, err := sr.ExportShards()
+	v, err := sr.ExportSnapshot()
 	if err != nil {
 		return err
 	}
