@@ -5,7 +5,7 @@ GO ?= go
 
 # Coverage ratchet: fail when total statement coverage drops below this.
 # Raise it (never lower it) when a PR lifts coverage.
-COVER_MIN ?= 88.4
+COVER_MIN ?= 88.5
 
 .PHONY: all build vet fmt test race flake loc bench benchmark-test cover serve-smoke obs-smoke cluster-smoke chaos fuzz alloc check
 
@@ -199,9 +199,11 @@ fuzz:
 # join-level pins carry a !race build tag and the kernel-level
 # AllocsPerRun assertions in hashidx/qgram skip themselves under -race
 # (their correctness halves still run everywhere, `cover` included);
-# this target is where every allocation count is actually enforced.
+# this target is where every allocation count is actually enforced. It
+# runs the filter over every package, so a pin in a package added later
+# (or one a hand-kept list forgot) is enforced too.
 alloc:
-	$(GO) test . ./internal/join ./internal/hashidx ./internal/qgram ./internal/service ./internal/normalize ./internal/wire -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
+	$(GO) test ./... -run 'Alloc|ZeroAlloc|NoAlloc|ShortCircuit' -count=1
 
 # CI runs both `race` and `cover` (see the comment on `cover`); `test`
 # is redundant here, as both run the whole suite.

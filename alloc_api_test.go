@@ -53,10 +53,11 @@ func TestAllocSessionExactMissZero(t *testing.T) {
 }
 
 // sessionHitAllocBudget is the documented budget of a no-explain probe
-// that hits: the two allocations materialising the public result (the
-// engine match slice and its ProbeMatch conversion). The probe and
-// control-loop work itself stays allocation-free.
-const sessionHitAllocBudget = 2.0
+// that hits: the one allocation materialising the result, the engine's
+// match slice, which the caller receives as is (ProbeMatch is the
+// engine's match type). The probe and control-loop work itself stays
+// allocation-free.
+const sessionHitAllocBudget = 1.0
 
 func TestAllocSessionProbeBudget(t *testing.T) {
 	ix, hit, _ := allocAPIIndex(t)

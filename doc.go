@@ -140,8 +140,9 @@
 // hash-partitioned by join key into disjoint shards
 // (IndexOptions.Shards, default one per hardware thread) — one copy of
 // every reference at any shard count; an exact probe reads the key's
-// home shard, an approximate probe all of them, merged in the order of
-// ProbeMatch, which depends on the matches alone. Each shard publishes
+// home shard, an approximate probe all of them, merged in the order
+// documented on ProbeMatch (join.CompareMatches), which depends on the
+// matches alone. Each shard publishes
 // an immutable snapshot through
 // an atomic pointer, and Upsert builds replacement snapshots off-path
 // and swaps them in, RCU-style. A replacement shares every array,
@@ -205,7 +206,8 @@
 // answering from its disjoint 1/N of the reference — one stored copy per
 // replica and a divided posting scan, the same placement the streaming
 // executor applies to its shards. The router merges the groups' answers
-// in ProbeMatch order, the order a single process gives them, and counts
+// with join.CompareMatches, ProbeMatch's order and the order a single
+// process gives them, and counts
 // the index's keys from the inserts the groups' upsert answers report,
 // so the routed response is byte-identical to a single process serving
 // the same request stream: matches, session
@@ -226,7 +228,14 @@
 // node_unavailable envelope naming the group and its key-hash range
 // (never a silent partial result), a node-side timeout surfaces as the
 // standard deadline envelope, and GET /v1/cluster reports the routing
-// table with per-replica health and repair state.
+// table with per-replica health and repair state. A failed batch is not
+// undone: the replicas that acknowledged it, in the failed group and in
+// any other, keep it and serve it, and nothing is queued for their
+// peers. That group converges on the client's retry of the batch or, if
+// none comes, on the next anti-entropy pass, which re-seeds every
+// replica whose digest disagrees with the copy it elects, so the batch's
+// rows survive only if the elected copy holds them
+// (TestBelowQuorumBatchStaysOnLiveReplicaUntilRepair).
 //
 // Replicas converge through one router-side queue per replica, drained
 // in order by one goroutine with jittered exponential backoff. It holds
@@ -456,8 +465,10 @@
 // Tuple is the engine's own tuple type (internal/relation), and a
 // Source has the same single method as the engine's sources, so tuples
 // cross the API uncopied in both directions: a Source is handed to the
-// join as is, and Match, ProbeMatch and TestData carry the tuples the
-// engine stored or generated. The only copies are the ones a contract
+// join as is, and Match and TestData carry the tuples the engine stored
+// or generated. ProbeMatch is the engine's match type itself (an alias
+// of join.RefMatch), so a probe's results reach the caller as the
+// resident built them. The only copies are the ones a contract
 // needs — FromTuples and FromKeys assign sequential IDs, Index.Upsert
 // normalises keys without rewriting the caller's slice, and
 // LoadRelationCSV returns a slice the caller owns. FromChannel reads the

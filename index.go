@@ -103,23 +103,18 @@ type SessionOptions struct {
 	Explain bool
 }
 
-// ProbeMatch is one probe result: a matched reference tuple with its
-// similarity evidence.
+// ProbeMatch is one probe result: a matched reference tuple (Ref) with
+// its similarity evidence (Similarity is 1 for key-equal matches,
+// otherwise the verified similarity under the index's measure; Exact
+// reports key equality). It is the engine's own match type, so probe
+// results reach the caller as the resident built them, uncopied.
 //
 // A key's matches are ordered by their content, wherever they are
 // computed (one shard, many, or a cluster's node groups): the key-equal
 // match first, then similarity descending, then the reference key
 // bytewise. The store holds each key once, so the order is total and
 // never depends on the order the references were written in.
-type ProbeMatch struct {
-	// Ref is the matched reference tuple.
-	Ref Tuple
-	// Similarity is 1 for key-equal matches, otherwise the verified
-	// similarity under the index's measure.
-	Similarity float64
-	// Exact reports key equality.
-	Exact bool
-}
+type ProbeMatch = join.RefMatch
 
 // Index is the resident, index-once/probe-many engine mode: the
 // reference table is materialised into the exact hash table —
@@ -354,7 +349,7 @@ func (ix *Index) Probe(key string) []ProbeMatch {
 	if len(res) == 0 {
 		res = ix.resident().Probe(join.Approx, key)
 	}
-	return publicMatches(res)
+	return res
 }
 
 // ProbeBatch is the sessionless batch probe: every key is matched
@@ -363,24 +358,22 @@ func (ix *Index) Probe(key string) []ProbeMatch {
 // Probe's exact-then-escalate policy. Results are returned per key in
 // request order. Safe for concurrent use.
 func (ix *Index) ProbeBatch(keys ...string) [][]ProbeMatch {
-	results := make([][]ProbeMatch, len(keys))
 	if len(keys) == 0 {
-		return results
+		return [][]ProbeMatch{}
 	}
 	keys = ix.normKeys(keys)
+	results := ix.resident().ProbeBatch(join.Exact, keys)
 	var missIdx []int
 	var missKeys []string
-	for i, rm := range ix.resident().ProbeBatch(join.Exact, keys) {
+	for i, rm := range results {
 		if len(rm) == 0 {
 			missIdx = append(missIdx, i)
 			missKeys = append(missKeys, keys[i])
-			continue
 		}
-		results[i] = publicMatches(rm)
 	}
 	if len(missKeys) > 0 {
 		for j, rm := range ix.resident().ProbeBatch(join.Approx, missKeys) {
-			results[missIdx[j]] = publicMatches(rm)
+			results[missIdx[j]] = rm
 		}
 	}
 	return results
@@ -480,7 +473,7 @@ func (ix *Index) NewSession(opts SessionOptions) (*Session, error) {
 // predicate, so its variant matches are not lost — and reverts to exact
 // once the perturbation window drains.
 func (s *Session) Probe(key string) []ProbeMatch {
-	return publicMatches(s.probeKey(s.ix.normKey(key)))
+	return s.probeKey(s.ix.normKey(key))
 }
 
 // probeKey is the per-key decision step: probe the (normalised) key
@@ -540,18 +533,21 @@ const approxSpeculate = 1
 // the stale operator are discarded and the remainder is re-probed under
 // the new one, exactly as if those keys had not been probed yet.
 func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
-	results := make([][]ProbeMatch, len(keys))
 	if len(keys) == 0 {
-		return results
+		return [][]ProbeMatch{}
 	}
 	keys = s.ix.normKeys(keys)
 	if s.loop == nil {
+		// A fixed strategy never re-probes: each key is settled in place
+		// in the resident's batch slice.
 		mode := s.mode()
-		for i, rm := range s.ix.resident().ProbeBatch(mode, keys) {
-			results[i] = publicMatches(s.settle(keys[i], mode, rm, false))
+		results := s.ix.resident().ProbeBatch(mode, keys)
+		for i, rm := range results {
+			s.settle(keys[i], mode, rm, false)
 		}
 		return results
 	}
+	results := make([][]ProbeMatch, len(keys))
 	for i := 0; i < len(keys); {
 		mode := s.loop.Mode()
 		sub := keys[i:]
@@ -579,7 +575,7 @@ func (s *Session) ProbeBatch(keys []string) [][]ProbeMatch {
 		}
 		consumed, escalate := s.loop.NoteBatch(s.ix.Len(), outs)
 		for j := 0; j < consumed; j++ {
-			results[i+j] = publicMatches(s.settle(sub[j], mode, rms[j], escalate && j == consumed-1))
+			results[i+j] = s.settle(sub[j], mode, rms[j], escalate && j == consumed-1)
 		}
 		i += consumed
 	}
@@ -645,19 +641,4 @@ func countApprox(ms []join.RefMatch) int {
 		}
 	}
 	return n
-}
-
-func publicMatches(ms []join.RefMatch) []ProbeMatch {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]ProbeMatch, len(ms))
-	for i, m := range ms {
-		out[i] = ProbeMatch{
-			Ref:        m.Tuple,
-			Similarity: m.Similarity,
-			Exact:      m.Exact,
-		}
-	}
-	return out
 }

@@ -129,7 +129,7 @@ func TestResidentViewSurface(t *testing.T) {
 	if v.Len() != 1 {
 		t.Fatalf("Len = %d after the node reported 1 insert", v.Len())
 	}
-	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Tuple.Key != "alpha" {
+	if got := v.Probe(join.Approx, "alpha"); len(got) != 1 || got[0].Ref.Key != "alpha" {
 		t.Fatalf("Probe(Approx) = %+v", got)
 	}
 	if got := v.Probe(join.Exact, "alpha"); len(got) != 1 {

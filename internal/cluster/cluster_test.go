@@ -118,7 +118,7 @@ func TestMergeOrdersByContentAndFiltersNonHome(t *testing.T) {
 	m := Map{Shards: 4, Groups: [][]string{{"http://a"}, {"http://b"}}}
 	on0, on1 := keysHomedOn(m, 0, 3), keysHomedOn(m, 1, 2)
 	rm := func(key string, sim float64, attr string) join.RefMatch {
-		return join.RefMatch{Tuple: relation.Tuple{Key: key, Attrs: []string{attr}}, Similarity: sim, Exact: sim == 1}
+		return join.RefMatch{Ref: relation.Tuple{Key: key, Attrs: []string{attr}}, Similarity: sim, Exact: sim == 1}
 	}
 	answers := [][]join.RefMatch{
 		0: {rm(on0[0], 0.8, "home"), rm(on1[0], 1, "stale non-home copy"), rm(on0[2], 0.8, "home"), rm(on0[1], 0.9, "home, written around the router")},
@@ -135,11 +135,11 @@ func TestMergeOrdersByContentAndFiltersNonHome(t *testing.T) {
 			t.Fatalf("len = %d, want %d: %+v", len(got), len(want), got)
 		}
 		for i, w := range want {
-			if got[i].Tuple.Key != w {
-				t.Fatalf("round %d: order[%d] = %q, want %q", round, i, got[i].Tuple.Key, w)
+			if got[i].Ref.Key != w {
+				t.Fatalf("round %d: order[%d] = %q, want %q", round, i, got[i].Ref.Key, w)
 			}
-			if !strings.HasPrefix(got[i].Tuple.Attrs[0], "home") {
-				t.Fatalf("%q answered from its %s", w, got[i].Tuple.Attrs[0])
+			if !strings.HasPrefix(got[i].Ref.Attrs[0], "home") {
+				t.Fatalf("%q answered from its %s", w, got[i].Ref.Attrs[0])
 			}
 		}
 		for _, ms := range answers {
@@ -219,7 +219,7 @@ func TestGroupLinkFailsOver(t *testing.T) {
 		if err := v.TransportErr(); err != nil {
 			t.Fatalf("round %d: transport error %v", i, err)
 		}
-		if len(got) != 1 || got[0].Tuple.Key != "k" {
+		if len(got) != 1 || got[0].Ref.Key != "k" {
 			t.Fatalf("round %d: got %+v", i, got)
 		}
 	}

@@ -195,6 +195,159 @@ func TestBelowQuorumFailsWholeWithoutHints(t *testing.T) {
 	}
 }
 
+// indexNode is a node serving one real in-memory index "ix" over the
+// routes the router uses for writes, reads and anti-entropy: upsert,
+// link, digest, export and resync.
+func indexNode(t *testing.T, seed []relation.Tuple) (*httptest.Server, *adaptivelink.Index) {
+	t.Helper()
+	ix, err := adaptivelink.NewIndex(adaptivelink.FromTuples(seed), adaptivelink.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(w http.ResponseWriter, err error) {
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(wire.ErrorDTO{Error: wire.ErrorBody{Code: "invalid", Message: err.Error()}})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/upsert"):
+			var req wire.UpsertRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				fail(w, err)
+				return
+			}
+			var tuples []relation.Tuple
+			for _, tu := range req.Tuples {
+				tuples = append(tuples, relation.Tuple{ID: tu.ID, Key: tu.Key, Attrs: tu.Attrs})
+			}
+			ins, upd, err := ix.Upsert(tuples...)
+			if err != nil {
+				fail(w, err)
+				return
+			}
+			json.NewEncoder(w).Encode(wire.UpsertResponse{Inserted: ins, Updated: upd, Size: ix.Len()})
+		case r.URL.Path == "/v1/link":
+			var req wire.LinkRequestDTO
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				fail(w, err)
+				return
+			}
+			strategy := adaptivelink.ExactOnly
+			if req.Strategy == "approximate" {
+				strategy = adaptivelink.ApproximateOnly
+			}
+			sess, err := ix.NewSession(adaptivelink.SessionOptions{Strategy: strategy})
+			if err != nil {
+				fail(w, err)
+				return
+			}
+			var resp wire.LinkResponseDTO
+			for i, ms := range sess.ProbeBatch(req.Keys) {
+				kr := wire.KeyResultDTO{Key: req.Keys[i], Matches: []wire.MatchDTO{}}
+				for _, m := range ms {
+					kr.Matches = append(kr.Matches, wire.MatchDTO{
+						RefID: m.Ref.ID, RefKey: m.Ref.Key, RefAttrs: m.Ref.Attrs,
+						Similarity: m.Similarity, Exact: m.Exact,
+					})
+				}
+				resp.Results = append(resp.Results, kr)
+			}
+			json.NewEncoder(w).Encode(resp)
+		case strings.HasSuffix(r.URL.Path, "/digest"):
+			d, err := ix.Digest()
+			if err != nil {
+				fail(w, err)
+				return
+			}
+			json.NewEncoder(w).Encode(d)
+		case strings.HasSuffix(r.URL.Path, "/export"):
+			w.Header().Set("Content-Type", "application/octet-stream")
+			ix.ExportSnapshotTo(w)
+		case strings.HasSuffix(r.URL.Path, "/resync"):
+			raw, _ := io.ReadAll(r.Body)
+			if err := ix.RestoreSnapshot(raw); err != nil {
+				fail(w, err)
+				return
+			}
+			w.Write([]byte(`{"name":"ix"}`))
+		default:
+			w.Write([]byte(`{}`))
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv, ix
+}
+
+// A batch that fails below quorum is not undone where it was
+// acknowledged: the replica that took it keeps it and serves it, and
+// nothing is queued for its unreachable peer. With no retry from the
+// client, the group converges on the next anti-entropy pass: once the
+// peer is back, one Repair re-seeds it from the replica that holds
+// more, and the two digests agree.
+func TestBelowQuorumBatchStaysOnLiveReplicaUntilRepair(t *testing.T) {
+	seed := []relation.Tuple{{ID: 1, Key: "alpha", Attrs: []string{"a"}}, {ID: 2, Key: "beta", Attrs: []string{"b"}}}
+	live, liveIx := indexNode(t, seed)
+	back, backIx := indexNode(t, seed)
+	ft := fault.NewTransport(nil)
+	down := ft.Add(&fault.Rule{Node: host(back), Action: fault.Fail})
+	c, err := New(Config{
+		Map:          Map{Shards: 1, Groups: [][]string{{back.URL, live.URL}}}, // default quorum: 2
+		HTTPClient:   &http.Client{Transport: ft},
+		WriteTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := registerOnly(c, "ix"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.Bind(context.Background(), "ix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Upsert([]relation.Tuple{{ID: 3, Key: "gamma", Attrs: []string{"c"}}}); !errors.Is(err, ErrNodeUnavailable) {
+		t.Fatalf("below-quorum write = %v, want ErrNodeUnavailable", err)
+	}
+
+	// The live replica kept the failed batch, and a routed probe sees it.
+	got := v.Probe(join.Exact, "gamma")
+	if err := v.TransportErr(); err != nil || len(got) != 1 || got[0].Ref.ID != 3 {
+		t.Fatalf("routed probe of the failed batch's key = %+v, %v; want the live replica's match", got, err)
+	}
+	if len(backIx.Probe("gamma")) != 0 {
+		t.Fatal("the unreachable replica holds the failed batch")
+	}
+	for i, rs := range c.reps[0] {
+		if q := queued(rs); len(q) != 0 {
+			t.Fatalf("replica %d has entries queued for the failed batch: %+v", i, q)
+		}
+	}
+
+	// The peer returns; one anti-entropy pass re-seeds it from the live
+	// replica: the digests tie on votes, and the live one holds more
+	// tuples, although it is listed second.
+	down.Off()
+	c.Repair(context.Background())
+	waitFor(t, 5*time.Second, "the re-seed to retire", func() bool {
+		return !c.reps[0][0].behind(c)
+	})
+	ld, err := liveIx.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := backIx.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld.Combined != bd.Combined || bd.Tuples != 3 {
+		t.Fatalf("after repair: live digest %+v, returned replica %+v; want equal, 3 tuples", ld, bd)
+	}
+	if ms := backIx.Probe("gamma"); len(ms) != 1 || ms[0].Ref.ID != 3 {
+		t.Fatalf("returned replica's probe of the failed batch's key = %+v", ms)
+	}
+}
+
 // A write queue at capacity collapses into one re-seed entry instead of
 // silently dropping writes, and the same drainer that replays writes
 // then repairs the replica from a healthy one's snapshot stream — with

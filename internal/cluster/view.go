@@ -275,10 +275,13 @@ func (m Map) merge(answers [][]join.RefMatch) []join.RefMatch {
 	all := make([]join.RefMatch, 0, n)
 	for g, ms := range answers {
 		for _, rm := range ms {
-			if m.home(rm.Tuple.Key) == g {
+			if m.home(rm.Ref.Key) == g {
 				all = append(all, rm)
 			}
 		}
+	}
+	if len(all) == 0 {
+		return nil // a miss reads as nil, as a local probe's does
 	}
 	slices.SortFunc(all, join.CompareMatches)
 	return all
@@ -358,7 +361,7 @@ func toRefMatches(ms []wire.MatchDTO) []join.RefMatch {
 	out := make([]join.RefMatch, len(ms))
 	for i, m := range ms {
 		out[i] = join.RefMatch{
-			Tuple:      relation.Tuple{ID: m.RefID, Key: m.RefKey, Attrs: m.RefAttrs},
+			Ref:        relation.Tuple{ID: m.RefID, Key: m.RefKey, Attrs: m.RefAttrs},
 			Similarity: m.Similarity,
 			Exact:      m.Exact,
 		}

@@ -165,8 +165,8 @@ func TestBulkUpsertRacesBuild(t *testing.T) {
 				for i := 0; i < 30; i++ {
 					k := rows[(trial+i*7)%len(rows)].Key
 					for _, m := range append(s.ProbeApprox(k), s.ProbeExact(k)...) {
-						if !reflect.DeepEqual(m.Tuple, last[m.Tuple.Key]) {
-							t.Errorf("probe of %q saw %+v, want the batch's last %+v", k, m.Tuple, last[m.Tuple.Key])
+						if !reflect.DeepEqual(m.Ref, last[m.Ref.Key]) {
+							t.Errorf("probe of %q saw %+v, want the batch's last %+v", k, m.Ref, last[m.Ref.Key])
 						}
 					}
 				}

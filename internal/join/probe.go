@@ -8,10 +8,12 @@ import (
 )
 
 // RefMatch is one probe result: a stored reference tuple together with
-// the verified similarity evidence.
+// the verified similarity evidence. It is also the public match type
+// (adaptivelink.ProbeMatch is an alias of it), so it carries nothing
+// internal: results reach the caller as the resident built them.
 type RefMatch struct {
-	// Tuple is a snapshot of the stored reference tuple.
-	Tuple relation.Tuple
+	// Ref is a snapshot of the stored reference tuple.
+	Ref relation.Tuple
 	// Similarity is 1 for key-equal matches, otherwise the configured
 	// measure's verified value.
 	Similarity float64
@@ -36,7 +38,7 @@ func CompareMatches(a, b RefMatch) int {
 	if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Tuple.Key, b.Tuple.Key)
+	return strings.Compare(a.Ref.Key, b.Ref.Key)
 }
 
 // Resident is the contract of a resident index as the public facade

@@ -48,8 +48,8 @@ func TestRefIndexProbeExact(t *testing.T) {
 	if len(ms) != 1 || !ms[0].Exact || ms[0].Similarity != 1 {
 		t.Fatalf("ProbeExact = %+v, want one exact match", ms)
 	}
-	if ms[0].Tuple.Attrs[0] != "p2" {
-		t.Fatalf("upsert did not replace payload: %+v", ms[0].Tuple)
+	if ms[0].Ref.Attrs[0] != "p2" {
+		t.Fatalf("upsert did not replace payload: %+v", ms[0].Ref)
 	}
 	if got := r.ProbeExact("monte rosa sud"); got != nil {
 		t.Fatalf("ProbeExact miss = %+v, want nil", got)
@@ -61,7 +61,7 @@ func TestRefIndexProbeApproxMatchesEngineSemantics(t *testing.T) {
 	r := newTestRefIndex(t, keys...)
 	// A one-character variant must verify above the calibrated θ.
 	ms := r.ProbeApprox("via monte bianca nord 12")
-	if len(ms) != 1 || ms[0].Exact || ms[0].Tuple.Key != "via monte bianco nord 12" {
+	if len(ms) != 1 || ms[0].Exact || ms[0].Ref.Key != "via monte bianco nord 12" {
 		t.Fatalf("variant probe = %+v", ms)
 	}
 	if ms[0].Similarity <= 0 || ms[0].Similarity >= 1 {

@@ -140,7 +140,7 @@ func (r *RefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatch {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, ref := range r.exIdx.Lookup(key) {
-		dst = append(dst, RefMatch{Tuple: r.tuples[ref], Similarity: 1, Exact: true})
+		dst = append(dst, RefMatch{Ref: r.tuples[ref], Similarity: 1, Exact: true})
 	}
 	return dst
 }
@@ -175,7 +175,7 @@ func (r *RefIndex) AppendProbeApprox(dst []RefMatch, key string) []RefMatch {
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Tuple: r.tuples[cand.Ref], Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: r.tuples[cand.Ref], Similarity: sim, Exact: exact})
 	}
 	r.mu.RUnlock()
 	r.pool.Put(sc)

@@ -444,7 +444,7 @@ func (s *ShardedRefIndex) AppendProbeExact(dst []RefMatch, key string) []RefMatc
 // snapshot: one lookup, at most one match.
 func snapExactAppend(dst []RefMatch, sn *shardSnap, key string) []RefMatch {
 	if lref, ok := sn.exIdx.Get(key); ok {
-		dst = append(dst, RefMatch{Tuple: sn.tuples.At(int(lref)), Similarity: 1, Exact: true})
+		dst = append(dst, RefMatch{Ref: sn.tuples.At(int(lref)), Similarity: 1, Exact: true})
 	}
 	return dst
 }
@@ -491,7 +491,7 @@ func snapApproxAppend(dst []RefMatch, sn *shardSnap, cfg Config, key string, k q
 		} else if !ok {
 			continue
 		}
-		dst = append(dst, RefMatch{Tuple: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
+		dst = append(dst, RefMatch{Ref: sn.tuples.At(cand.Ref), Similarity: sim, Exact: exact})
 	}
 	return dst
 }

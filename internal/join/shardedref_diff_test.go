@@ -155,7 +155,7 @@ func applyOp(r Resident, op diffOp) string {
 func renderMatches(ms []RefMatch) string {
 	out := ""
 	for _, m := range ms {
-		out += fmt.Sprintf("(%s %q %.9f %v)", m.Tuple.Key, m.Tuple.Attrs, m.Similarity, m.Exact)
+		out += fmt.Sprintf("(%s %q %.9f %v)", m.Ref.Key, m.Ref.Attrs, m.Similarity, m.Exact)
 	}
 	return out
 }

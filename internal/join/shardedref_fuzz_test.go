@@ -67,12 +67,12 @@ func FuzzUpsertProbe(f *testing.F) {
 		verify := func(where string, probed string, ms []RefMatch) {
 			seen := make(map[string]bool, len(ms))
 			for _, m := range ms {
-				if seen[m.Tuple.Key] {
-					t.Errorf("%s %q: key %q reported twice (replica leak): %v", where, probed, m.Tuple.Key, ms)
+				if seen[m.Ref.Key] {
+					t.Errorf("%s %q: key %q reported twice (replica leak): %v", where, probed, m.Ref.Key, ms)
 				}
-				seen[m.Tuple.Key] = true
-				if len(m.Tuple.Attrs) != 2 || m.Tuple.Attrs[1] != m.Tuple.Key+"#"+m.Tuple.Attrs[0] {
-					t.Errorf("%s %q: torn payload %+v", where, probed, m.Tuple)
+				seen[m.Ref.Key] = true
+				if len(m.Ref.Attrs) != 2 || m.Ref.Attrs[1] != m.Ref.Key+"#"+m.Ref.Attrs[0] {
+					t.Errorf("%s %q: torn payload %+v", where, probed, m.Ref)
 				}
 			}
 		}
@@ -126,15 +126,15 @@ func FuzzUpsertProbe(f *testing.F) {
 						ms = s.ProbeExact(k)
 						verify("exact", k, ms)
 						for _, m := range ms {
-							v, err := strconv.Atoi(m.Tuple.Attrs[0])
+							v, err := strconv.Atoi(m.Ref.Attrs[0])
 							if err != nil {
-								t.Errorf("exact %q: bad version %+v", k, m.Tuple)
+								t.Errorf("exact %q: bad version %+v", k, m.Ref)
 								continue
 							}
-							if v < lastVersion[m.Tuple.Key] {
-								t.Errorf("exact %q: version went backwards %d -> %d", k, lastVersion[m.Tuple.Key], v)
+							if v < lastVersion[m.Ref.Key] {
+								t.Errorf("exact %q: version went backwards %d -> %d", k, lastVersion[m.Ref.Key], v)
 							}
-							lastVersion[m.Tuple.Key] = v
+							lastVersion[m.Ref.Key] = v
 						}
 					} else {
 						verify("approx", k, s.ProbeApprox(k))
@@ -150,8 +150,8 @@ func FuzzUpsertProbe(f *testing.F) {
 			for _, mode := range []Mode{Exact, Approx} {
 				found := false
 				for _, m := range s.Probe(mode, k) {
-					if m.Tuple.Key == k {
-						found = m.Exact && m.Tuple.ID == v
+					if m.Ref.Key == k {
+						found = m.Exact && m.Ref.ID == v
 					}
 				}
 				if !found {

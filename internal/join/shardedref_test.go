@@ -270,7 +270,7 @@ func TestShardedRefGlobalStoreChunking(t *testing.T) {
 		}
 		// The probe path serves the updated payload too.
 		ms := s.ProbeExact(fmt.Sprintf("street %d alpha", ref))
-		if len(ms) != 1 || ms[0].Tuple.ID != ref || ms[0].Tuple.Attrs[0] != "v1" {
+		if len(ms) != 1 || ms[0].Ref.ID != ref || ms[0].Ref.Attrs[0] != "v1" {
 			t.Fatalf("probe of updated key %d = %+v", ref, ms)
 		}
 	}

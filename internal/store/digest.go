@@ -32,6 +32,11 @@ type ContentDigest struct {
 	Shards []string `json:"shards"`
 	// Tuples is the global store size the digest covers.
 	Tuples int `json:"tuples"`
+	// WALRecords is the number of upsert batches logged since the last
+	// checkpoint: the replica's log position, read atomically with the
+	// digest. DigestView, which sees a view and no log, leaves it 0; a
+	// durable index's Digest sets it.
+	WALRecords int64 `json:"wal_records"`
 }
 
 // DigestView fingerprints a snapshot view: the canonical fixed-width

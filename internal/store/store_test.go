@@ -53,7 +53,7 @@ func buildIndex(t *testing.T, shards, n int) *join.ShardedRefIndex {
 func renderProbe(ms []join.RefMatch) string {
 	var b strings.Builder
 	for _, m := range ms {
-		fmt.Fprintf(&b, "%q:%v:%.9f:%v;", m.Tuple.Key, m.Tuple.Attrs, m.Similarity, m.Exact)
+		fmt.Fprintf(&b, "%q:%v:%.9f:%v;", m.Ref.Key, m.Ref.Attrs, m.Similarity, m.Exact)
 	}
 	return b.String()
 }

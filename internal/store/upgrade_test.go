@@ -151,12 +151,12 @@ func TestV2SnapshotUpgrade(t *testing.T) {
 	for _, mode := range []join.Mode{join.Exact, join.Approx} {
 		hits := 0
 		for _, m := range ix.Probe(mode, update[0].Key) {
-			if m.Tuple.Key != update[0].Key {
+			if m.Ref.Key != update[0].Key {
 				continue
 			}
 			hits++
-			if m.Tuple.Attrs[0] != "updated-after-upgrade" {
-				t.Fatalf("mode %v: resident key answers with stale payload %v", mode, m.Tuple.Attrs)
+			if m.Ref.Attrs[0] != "updated-after-upgrade" {
+				t.Fatalf("mode %v: resident key answers with stale payload %v", mode, m.Ref.Attrs)
 			}
 		}
 		if hits != 1 {

@@ -15,24 +15,11 @@ import (
 // CRC-32C digests over the index's canonical snapshot encoding — the
 // same export a checkpoint writes, computed straight from the resident
 // representation without re-hashing a single gram — plus the WAL
-// position. Two replicas that applied the same upsert stream report the
-// same Combined digest, so anti-entropy can detect divergence by
-// exchanging a few dozen bytes instead of snapshots.
-type IndexDigest struct {
-	// Combined folds the tuple-store digest and every shard digest into
-	// one hex word — the value replicas compare.
-	Combined string `json:"combined"`
-	// Store is the tuple-store section's digest; Shards the per-shard
-	// section digests, for narrowing a divergence to a shard.
-	Store  string   `json:"store"`
-	Shards []string `json:"shards"`
-	// Tuples is the resident tuple count the digest covers.
-	Tuples int `json:"tuples"`
-	// WALRecords is the number of upsert batches logged since the last
-	// checkpoint (0 for in-memory indexes) — the replica's log position,
-	// read atomically with the digest.
-	WALRecords int64 `json:"wal_records"`
-}
+// position (WALRecords, 0 for in-memory indexes). Two replicas that
+// applied the same upsert stream report the same Combined digest, so
+// anti-entropy can detect divergence by exchanging a few dozen bytes
+// instead of snapshots.
+type IndexDigest = store.ContentDigest
 
 // snapshotExporter gates the snapshot surface (Digest, export, Save,
 // RestoreSnapshot) to residents that hold their state in process: the
@@ -69,13 +56,8 @@ func (ix *Index) Digest() (IndexDigest, error) {
 		return IndexDigest{}, err
 	}
 	d := store.DigestView(v)
-	return IndexDigest{
-		Combined:   d.Combined,
-		Store:      d.Store,
-		Shards:     d.Shards,
-		Tuples:     d.Tuples,
-		WALRecords: walRecords,
-	}, nil
+	d.WALRecords = walRecords
+	return d, nil
 }
 
 // ExportSnapshotTo streams the index's state in the snapshot format —
