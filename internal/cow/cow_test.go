@@ -2,7 +2,6 @@ package cow
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -102,6 +101,17 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
+// strKeys is a Table's key store in tests: the keys in ref order.
+type strKeys struct{ Vec[string] }
+
+func (k *strKeys) Key(ref int) string { return k.At(ref) }
+
+// add stores key under the next ref and indexes it.
+func (k *strKeys) add(t *Table, key string) {
+	k.Append(key)
+	t.Add(Hash(key))
+}
+
 func TestFrozenContainersPanicOnWrite(t *testing.T) {
 	v := vecOf(1, 2, 3)
 	v.Clone()
@@ -109,130 +119,107 @@ func TestFrozenContainersPanicOnWrite(t *testing.T) {
 	mustPanic(t, "Vec.Append on a frozen generation", func() { v.Append(4) })
 
 	for _, folded := range []bool{true, false} {
-		m := NewMap[int](0)
+		keys := new(strKeys)
+		tab := NewTable(keys, 0)
 		for i := 0; i < 100; i++ {
-			m.Put(fmt.Sprint(i), i)
+			keys.add(&tab, fmt.Sprint(i))
 		}
 		if !folded {
-			m = m.Clone() // base shared with the first generation
-			m.Put("overlay", 1)
+			next := &strKeys{keys.Clone()}
+			tab, keys = tab.Clone(next), next // base shared with the first generation
+			keys.add(&tab, "overlay")
 		}
-		m.Clone()
-		mustPanic(t, "Map.Put of a new key on a frozen generation", func() { m.Put("new", 1) })
-		mustPanic(t, "Map.Put of a base key on a frozen generation", func() { m.Put("7", 1) })
-		mustPanic(t, "Map.Own on a frozen generation", func() { m.Own() })
-		if v, ok := m.Get("7"); !ok || v != 7 {
-			t.Fatalf("frozen map lost a key: %d, %v", v, ok)
+		tab.Clone(&strKeys{keys.Clone()})
+		mustPanic(t, "Table.Add on a frozen generation", func() { tab.Add(Hash("new")) })
+		if ref, ok := tab.Get("7"); !ok || ref != 7 {
+			t.Fatalf("frozen table lost a key: %d, %v", ref, ok)
 		}
 	}
 }
 
-func mapContents(m *Map[int]) map[string]int {
-	out := make(map[string]int, m.Len())
-	for k, v := range m.All() {
-		if _, dup := out[k]; dup {
-			panic("key " + k + " yielded twice: the layers overlap")
-		}
-		out[k] = v
-	}
-	return out
-}
-
-// Every generation of a Map lineage keeps the contents it was frozen
-// with across overlay growth, folds, overwrites of overlay keys and
-// overwrites of shared-base keys (which fold first).
-func TestMapGenerationsAreFrozen(t *testing.T) {
+// Every generation of a Table lineage keeps the keys it was frozen
+// with, and learns none added later, across overlay growth, layer
+// growth and folds.
+func TestTableGenerationsAreFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	type frozen struct {
-		m    *Map[int]
-		want map[string]int
+		tab *Table
+		n   int
 	}
 	var history []frozen
-	first := NewMap[int](0)
+	keys := new(strKeys)
+	first := NewTable(keys, 0)
 	cur := &first
-	model := make(map[string]int)
+	var model []string
 	folds, layered := 0, 0
 	for gen := 0; gen < 200; gen++ {
 		for op := rng.Intn(12); op > 0; op-- {
-			k := fmt.Sprintf("key-%d", len(model))
-			if rng.Intn(150) == 0 && len(model) > 0 {
-				for k = range model { // overwrite some resident key
-					break
-				}
-			}
-			v := rng.Int()
-			model[k] = v
-			cur.Put(k, v)
+			model = append(model, fmt.Sprintf("key-%d", len(model)))
+			keys.add(cur, model[len(model)-1])
 		}
-		if got := mapContents(cur); !maps.Equal(got, model) || cur.Len() != len(model) {
-			t.Fatalf("generation %d diverged from the model (Len %d, want %d)", gen, cur.Len(), len(model))
+		if cur.Len() != len(model) {
+			t.Fatalf("generation %d: Len %d, want %d", gen, cur.Len(), len(model))
 		}
-		for k, want := range model {
-			if got, ok := cur.Get(k); !ok || got != want {
-				t.Fatalf("generation %d: Get(%q) = %d, %v; want %d", gen, k, got, ok, want)
+		for ref, k := range model {
+			if got, ok := cur.Get(k); !ok || int(got) != ref {
+				t.Fatalf("generation %d: Get(%q) = %d, %v; want %d", gen, k, got, ok, ref)
 			}
-			if got, ok := cur.GetBytes([]byte(k)); !ok || got != want {
-				t.Fatalf("generation %d: GetBytes(%q) = %d, %v; want %d", gen, k, got, ok, want)
+			if got, ok := cur.GetBytes([]byte(k)); !ok || int(got) != ref {
+				t.Fatalf("generation %d: GetBytes(%q) = %d, %v; want %d", gen, k, got, ok, ref)
 			}
 		}
 		if _, ok := cur.Get("absent"); ok {
 			t.Fatalf("generation %d knows an absent key", gen)
 		}
-		next := cur.Clone()
-		history = append(history, frozen{cur, maps.Clone(model)})
+		nextKeys := &strKeys{keys.Clone()}
+		next := cur.Clone(nextKeys)
+		history = append(history, frozen{cur, len(model)})
 		if next.over == nil {
 			folds++
 		} else {
 			layered++
-			if len(next.over)*len(next.over) >= foldScale*len(next.base) {
-				t.Fatalf("generation %d: overlay of %d keys on a base of %d survived Clone", gen, len(next.over), len(next.base))
+			if next.over.n*next.over.n >= foldScale*next.base.n {
+				t.Fatalf("generation %d: overlay of %d keys on a base of %d survived Clone", gen, next.over.n, next.base.n)
 			}
 		}
-		cur = &next
+		cur, keys = &next, nextKeys
 	}
 	if folds < 5 || layered < 50 {
 		t.Fatalf("lineage saw %d folded and %d layered generations; the schedule exercises too little", folds, layered)
 	}
 	for gen, h := range history {
-		if got := mapContents(h.m); !maps.Equal(got, h.want) {
-			t.Fatalf("generation %d changed after it was frozen", gen)
+		if h.tab.Len() != h.n {
+			t.Fatalf("generation %d holds %d keys, was frozen with %d", gen, h.tab.Len(), h.n)
+		}
+		for ref, k := range model {
+			got, ok := h.tab.Get(k)
+			if ref < h.n && (!ok || int(got) != ref) || ref >= h.n && ok {
+				t.Fatalf("generation %d: Get(%q) = %d, %v after it was frozen with %d keys", gen, k, got, ok, h.n)
+			}
 		}
 	}
 }
 
-func TestMapOwnFoldsForBulkMutation(t *testing.T) {
-	m := NewMap[int](0)
+// Lookups allocate nothing on either layer, by string or by bytes, hit
+// or miss.
+func TestTableGetZeroAllocs(t *testing.T) {
+	keys := new(strKeys)
+	tab := NewTable(keys, 0)
 	for i := 0; i < 64; i++ {
-		m.Put(fmt.Sprint(i), i)
+		keys.add(&tab, fmt.Sprint(i))
 	}
-	parent := m
-	m = parent.Clone()
-	m.Put("extra", -1)
-	own := m.Own()
-	for k := range own {
-		if k != "extra" && k != "3" {
-			delete(own, k)
-		}
+	next := &strKeys{keys.Clone()}
+	tab = tab.Clone(next)
+	next.add(&tab, "overlay")
+	if tab.over == nil || tab.over.n != 1 {
+		t.Fatal("the clone folded: no overlay to look up")
 	}
-	if got := mapContents(&m); !maps.Equal(got, map[string]int{"extra": -1, "3": 3}) {
-		t.Fatalf("after bulk delete through Own: %v", got)
-	}
-	if parent.Len() != 64 {
-		t.Fatalf("bulk delete through the clone's Own reached the frozen parent: %d keys left", parent.Len())
-	}
-}
-
-// Lookups allocate nothing on either layer, hit or miss.
-func TestMapGetBytesZeroAllocs(t *testing.T) {
-	m := NewMap[int](0)
-	for i := 0; i < 64; i++ {
-		m.Put(fmt.Sprint(i), i)
-	}
-	m = m.Clone()
-	m.Put("overlay", 1)
 	for _, key := range []string{"7", "overlay", "absent"} {
 		b := []byte(key)
-		if avg := testing.AllocsPerRun(100, func() { m.GetBytes(b) }); avg != 0 {
+		if avg := testing.AllocsPerRun(100, func() { tab.Get(key) }); avg != 0 {
+			t.Errorf("Get(%q) allocated %.1f times per lookup", key, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { tab.GetBytes(b) }); avg != 0 {
 			t.Errorf("GetBytes(%q) allocated %.1f times per lookup", key, avg)
 		}
 	}
@@ -243,32 +230,34 @@ func TestMapGetBytesZeroAllocs(t *testing.T) {
 // itself: the race detector holds the containers to that.
 func TestReadersOfFrozenGenerationsRaceFree(t *testing.T) {
 	vec := new(Vec[int])
-	first := NewMap[int](0)
-	m := &first
+	keys := new(strKeys)
+	first := NewTable(keys, 0)
+	tab := &first
 	var wg sync.WaitGroup
 	for gen := 0; gen < 40; gen++ {
 		for i := 0; i < 50; i++ {
 			n := vec.Len()
 			vec.Append(n)
 			*vec.Mut(n / 2) = n / 2
-			m.Put(fmt.Sprint(n), n)
+			keys.add(tab, fmt.Sprint(n))
 		}
-		nextVec, nextMap := vec.Clone(), m.Clone()
+		nextVec, nextKeys := vec.Clone(), &strKeys{keys.Clone()}
+		nextTab := tab.Clone(nextKeys)
 		wg.Add(1)
-		go func(v *Vec[int], m *Map[int]) {
+		go func(v *Vec[int], tab *Table) {
 			defer wg.Done()
 			for i := 0; i < v.Len(); i++ {
 				if v.At(i) != i {
 					t.Errorf("frozen vector: At(%d) = %d", i, v.At(i))
 					return
 				}
-				if got, ok := m.Get(fmt.Sprint(i)); !ok || got != i {
-					t.Errorf("frozen map: Get(%d) = %d, %v", i, got, ok)
+				if got, ok := tab.Get(fmt.Sprint(i)); !ok || int(got) != i {
+					t.Errorf("frozen table: Get(%d) = %d, %v", i, got, ok)
 					return
 				}
 			}
-		}(vec, m)
-		vec, m = &nextVec, &nextMap
+		}(vec, tab)
+		vec, keys, tab = &nextVec, nextKeys, &nextTab
 	}
 	wg.Wait()
 }

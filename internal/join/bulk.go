@@ -214,11 +214,11 @@ func buildShard(store []relation.Tuple, globals []uint32) (*shardSnap, error) {
 	for _, g := range globals {
 		t := &store[g]
 		h := keyHash(t.Key)
-		if first, ok := sn.exIdx.get(t.Key, h); ok {
+		if first, ok := sn.exIdx.Find(t.Key, h); ok {
 			return nil, &duplicateKeyError{key: t.Key, first: globals[first], second: g}
 		}
 		sn.tuples.add(t)
-		sn.exIdx.put(t.Key, h)
+		sn.exIdx.Add(h)
 	}
 	return sn, nil
 }

@@ -2,7 +2,6 @@ package join
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"unsafe"
@@ -34,9 +33,8 @@ import (
 // compact), which copies the live tuples into fresh chunks once dead
 // bytes exceed a fixed share of live ones.
 //
-// The exact index (exactIndex) holds local refs only: open addressing
-// whose slots carry a ref and a few bits of the key's hash, keys
-// compared through the entries.
+// The exact index is a cow.Table over the store: it holds local refs
+// only, and reads their keys through the entries (tupleStore.Key).
 
 // arenaSlotBytes is the span of the address space one arena directory
 // slot covers, and the size of a full arena chunk. Chunks start small
@@ -172,8 +170,8 @@ func (st *tupleStore) At(lref int) relation.Tuple {
 	return relation.Tuple{ID: int(e.id), Key: st.keyAt(e.key), Attrs: st.attrsOf(&e)}
 }
 
-// key returns the key at a local ref.
-func (st *tupleStore) key(lref int) string { return st.keyAt(st.ents.At(lref).key) }
+// Key returns the key at a local ref.
+func (st *tupleStore) Key(lref int) string { return st.keyAt(st.ents.At(lref).key) }
 
 func (st *tupleStore) keyAt(addr uint64) string {
 	b := st.bytes.at(addr)
@@ -288,160 +286,5 @@ func (st *tupleStore) compact() {
 	*st = *fresh
 }
 
-// keySeed seeds the exact tables' key hash; the tables are never
-// persisted, so one seed per process serves.
-var keySeed = maphash.MakeSeed()
-
-func keyHash(key string) uint64 { return maphash.String(keySeed, key) }
-
-// refTable is one layer of an exact index: open addressing with linear
-// probing over the dense local refs lo..lo+n-1, its home slot the key
-// hash's lower half scaled to the table (so a table is sized to its
-// keys, not to a power of two). A slot is 0 when empty; otherwise its
-// low bits, as many as the slot count needs, hold ref-lo+1 and the bits
-// above them the same bits of the hash's upper half, so a probe
-// compares a key (through the store) only on a match of those.
-type refTable struct {
-	slots []uint32
-	n     int
-	lo    int32
-}
-
-// full reports whether one more ref would load the table past 3/4.
-func (t *refTable) full() bool { return 4*(t.n+1) > 3*len(t.slots) }
-
-// newRefTable returns a table for the refs from lo with room for n of
-// them at a load of 3/4.
-func newRefTable(lo int32, n int) *refTable {
-	return &refTable{slots: make([]uint32, max(8, (4*n+2)/3)), lo: lo}
-}
-
-// layout returns the table's first probe slot for hash h, and the mask
-// of the slot bits that hold a ref.
-func (t *refTable) layout(h uint64) (home, mask uint32) {
-	size := uint32(len(t.slots))
-	return uint32(uint64(uint32(h)) * uint64(size) >> 32), 1<<bits.Len32(size) - 1
-}
-
-func (t *refTable) find(st *tupleStore, key string, h uint64) (int32, bool) {
-	if t.n == 0 {
-		return 0, false
-	}
-	i, mask := t.layout(h)
-	tag := uint32(h>>32) &^ mask
-	for {
-		v := t.slots[i]
-		if v == 0 {
-			return 0, false
-		}
-		if v&^mask == tag {
-			if ref := t.lo + int32(v&mask) - 1; st.key(int(ref)) == key {
-				return ref, true
-			}
-		}
-		if i++; int(i) == len(t.slots) {
-			i = 0
-		}
-	}
-}
-
-// insert adds ref, the next dense ref, under hash h; the table must
-// have room.
-func (t *refTable) insert(h uint64, ref int32) {
-	i, mask := t.layout(h)
-	for t.slots[i] != 0 {
-		if i++; int(i) == len(t.slots) {
-			i = 0
-		}
-	}
-	t.slots[i] = uint32(h>>32)&^mask | uint32(ref-t.lo+1)
-	t.n++
-}
-
-// grown returns t rebuilt with twice the slots, rehashing its keys.
-func (t *refTable) grown(st *tupleStore) *refTable {
-	g := &refTable{slots: make([]uint32, 2*len(t.slots)), lo: t.lo}
-	for ref := t.lo; ref < t.lo+int32(t.n); ref++ {
-		g.insert(keyHash(st.key(int(ref))), ref)
-	}
-	return g
-}
-
-// exactIndex is a shard's exact index: key -> its one local ref, in two
-// layers like cow.Map — a base shared with earlier generations and a
-// small overlay of the refs added since the base was built, folded into
-// a fresh base by cow.Folds. Its keys are read through st, the store of
-// the generation it belongs to.
-type exactIndex struct {
-	st   *tupleStore
-	base *refTable
-	// over is nil while base is writer-owned (never shared, or fresh
-	// from a fold): inserts then go straight to base.
-	over   *refTable
-	frozen bool
-}
-
-// newExactIndex returns an empty writer-owned index over st with room
-// for n keys.
-func newExactIndex(st *tupleStore, n int) exactIndex {
-	return exactIndex{st: st, base: newRefTable(0, n)}
-}
-
-// Len returns the number of keys.
-func (x *exactIndex) Len() int {
-	n := x.base.n
-	if x.over != nil {
-		n += x.over.n
-	}
-	return n
-}
-
-// Get returns the local ref of key.
-func (x *exactIndex) Get(key string) (int32, bool) { return x.get(key, keyHash(key)) }
-
-func (x *exactIndex) get(key string, h uint64) (int32, bool) {
-	if ref, ok := x.base.find(x.st, key, h); ok {
-		return ref, true
-	}
-	if x.over != nil {
-		return x.over.find(x.st, key, h)
-	}
-	return 0, false
-}
-
-// put indexes a key new to the index under the next local ref, Len.
-func (x *exactIndex) put(key string, h uint64) {
-	if x.frozen {
-		panic("join: write to an exact index frozen by clone; write to the clone")
-	}
-	t := &x.base
-	if x.over != nil {
-		t = &x.over
-	}
-	if (*t).full() {
-		*t = (*t).grown(x.st)
-	}
-	(*t).insert(h, int32(x.Len()))
-}
-
-// clone freezes x and returns the next generation over st, sharing x's
-// base and copying its overlay, or folding both into a fresh base.
-func (x *exactIndex) clone(st *tupleStore) exactIndex {
-	x.frozen = true
-	c := exactIndex{st: st, base: x.base}
-	if x.over == nil {
-		c.over = newRefTable(int32(x.base.n), 0)
-	} else {
-		c.over = &refTable{slots: append([]uint32(nil), x.over.slots...), n: x.over.n, lo: x.over.lo}
-	}
-	if cow.Folds(c.over.n, c.base.n) {
-		// The fresh base is writer-owned until the next clone, so it
-		// keeps room for the rest of the batch.
-		n := c.Len()
-		c.base, c.over = newRefTable(0, n+n/8), nil
-		for ref := range n {
-			c.base.insert(keyHash(st.key(ref)), int32(ref))
-		}
-	}
-	return c
-}
+// keyHash is the hash a shard's exact index files a key under.
+func keyHash(key string) uint64 { return cow.Hash(key) }

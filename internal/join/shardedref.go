@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptivelink/internal/cow"
 	"adaptivelink/internal/hashidx"
 	"adaptivelink/internal/qgram"
 	"adaptivelink/internal/relation"
@@ -126,7 +127,7 @@ type shardSnap struct {
 	globals []uint32
 	// exIdx is the shard's exact index: key -> its one local ref, the
 	// store being keyed.
-	exIdx exactIndex
+	exIdx cow.Table
 	// qgIdx is nil until the shard's first approximate probe builds it.
 	qgIdx *hashidx.QGramIndex
 }
@@ -136,7 +137,7 @@ func newShardSnap() *shardSnap { return newShardSnapFor(new(tupleStore), 0) }
 // newShardSnapFor returns a writer-owned snapshot over st whose exact
 // index has room for n keys.
 func newShardSnapFor(st *tupleStore, n int) *shardSnap {
-	return &shardSnap{tuples: st, exIdx: newExactIndex(st, n)}
+	return &shardSnap{tuples: st, exIdx: cow.NewTable(st, n)}
 }
 
 // clone returns the writable successor of a published snapshot, copying
@@ -150,7 +151,7 @@ func newShardSnapFor(st *tupleStore, n int) *shardSnap {
 // containers and indexes and panic on a late write.
 func (sn *shardSnap) clone() *shardSnap {
 	next := &shardSnap{tuples: sn.tuples.clone(), globals: sn.globals}
-	next.exIdx = sn.exIdx.clone(next.tuples)
+	next.exIdx = sn.exIdx.Clone(next.tuples)
 	if sn.qgIdx != nil {
 		next.qgIdx = sn.qgIdx.Clone()
 	}
@@ -164,14 +165,14 @@ func (sn *shardSnap) add(t *relation.Tuple, h uint64, global int, k qgram.Key) {
 	lref := sn.tuples.Len()
 	sn.tuples.add(t)
 	sn.globals = append(sn.globals, uint32(global))
-	sn.exIdx.put(t.Key, h)
+	sn.exIdx.Add(h)
 	if sn.qgIdx != nil {
 		sn.qgIdx.InsertKey(lref, k)
 	}
 }
 
 // key returns the join key at a local ref.
-func (sn *shardSnap) key(lref int) string { return sn.tuples.key(lref) }
+func (sn *shardSnap) key(lref int) string { return sn.tuples.Key(lref) }
 
 // NewShardedRefIndex builds an empty sharded resident index with the
 // given shard count under the configuration's gram width, measure and
@@ -365,7 +366,7 @@ func (s *ShardedRefIndex) UpsertLogged(tuples []relation.Tuple, log func() error
 		// The store is keyed: a resident key maps to its one local ref in
 		// its home shard's exact index.
 		h := keyHash(t.Key)
-		if lref, ok := ns.exIdx.get(t.Key, h); ok {
+		if lref, ok := ns.exIdx.Find(t.Key, h); ok {
 			ns.tuples.replace(int(lref), t)
 			updated++
 			continue

@@ -303,42 +303,57 @@ func (e *Extractor) decomposeSlow(sc *Scratch, s string) Key {
 // Len. A Dict is NOT safe for concurrent mutation; the join engines
 // treat it as part of the index it belongs to — writers intern under
 // the index's write discipline and publish each generation to readers
-// by Clone (the RCU copy-on-write path: the clone shares the gram table
-// and owns only the grams interned since, see cow.Map), while probes
-// use the read-only lookups.
+// by Clone, while probes use the read-only lookups. A Dict is its
+// grams in id order, a cow.Vec, and a cow.Table from gram to id (an id
+// is the gram's ref): a Clone shares both and owns only what is
+// interned since.
 type Dict struct {
-	ids cow.Map[uint32]
+	grams gramList
+	ids   cow.Table
 }
 
+// gramList is a Dict's grams in id order: the keys of its table.
+type gramList struct{ cow.Vec[string] }
+
+func (g *gramList) Key(id int) string { return g.At(id) }
+
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	return &Dict{ids: cow.NewMap[uint32](0)}
+func NewDict() *Dict { return newDict(0) }
+
+// newDict returns an empty dictionary with room for n grams.
+func newDict(n int) *Dict {
+	d := new(Dict)
+	d.ids = cow.NewTable(&d.grams, n)
+	return d
 }
 
 // Len returns the number of interned grams; every assigned id is below
 // it.
-func (d *Dict) Len() int { return d.ids.Len() }
+func (d *Dict) Len() int { return d.grams.Len() }
 
 // Clone freezes d — interning into it afterwards panics — and returns
 // the next generation: existing ids are preserved, and interning into
 // the clone never disturbs readers of d.
 func (d *Dict) Clone() *Dict {
-	return &Dict{ids: d.ids.Clone()}
+	c := &Dict{grams: gramList{d.grams.Clone()}}
+	c.ids = d.ids.Clone(&c.grams)
+	return c
 }
 
 // IDOf returns the id of a gram given as a string, for diagnostics and
 // frequency lookups outside the hot path.
 func (d *Dict) IDOf(gram string) (uint32, bool) {
-	return d.ids.Get(gram)
+	id, ok := d.ids.Get(gram)
+	return uint32(id), ok
 }
 
 // Grams returns the interned grams in id order (Grams()[id] is the gram
 // assigned id): the stable serialization of the dictionary. The slice
 // is freshly allocated and owned by the caller.
 func (d *Dict) Grams() []string {
-	out := make([]string, d.ids.Len())
-	for g, id := range d.ids.All() {
-		out[id] = g
+	out := make([]string, d.grams.Len())
+	for id := range out {
+		out[id] = d.grams.At(id)
 	}
 	return out
 }
@@ -349,7 +364,7 @@ func (d *Dict) Grams() []string {
 // rejected with a descriptive error (a snapshot decoder's corruption
 // guard).
 func DictFromGrams(grams []string) (*Dict, error) {
-	d := &Dict{ids: cow.NewMap[uint32](len(grams))}
+	d := newDict(len(grams))
 	for i, g := range grams {
 		if d.internString(g) != uint32(i) {
 			return nil, fmt.Errorf("qgram: duplicate gram %q at id %d in dictionary enumeration", g, i)
@@ -373,17 +388,18 @@ func (k Key) gramBytes(b *[runeGramBufLen]byte, i int) []byte {
 func (d *Dict) AppendIDs(dst []uint32, k Key) []uint32 {
 	var b [runeGramBufLen]byte
 	for i, n := 0, k.Len(); i < n; i++ {
-		var id uint32
+		var id int32
 		var ok bool
 		if k.strs != nil {
 			id, ok = d.ids.Get(k.strs[i])
 		} else {
 			id, ok = d.ids.GetBytes(k.gramBytes(&b, i))
 		}
-		if !ok {
-			id = NoID
+		if ok {
+			dst = append(dst, uint32(id))
+		} else {
+			dst = append(dst, NoID)
 		}
-		dst = append(dst, id)
 	}
 	return dst
 }
@@ -397,22 +413,23 @@ func (d *Dict) Intern(dst []uint32, k Key) []uint32 {
 	var b [runeGramBufLen]byte
 	for i := range k.packed {
 		bs := k.gramBytes(&b, i)
-		id, ok := d.ids.GetBytes(bs)
-		if !ok {
-			id = d.internString(string(bs))
+		if id, ok := d.ids.GetBytes(bs); ok {
+			dst = append(dst, uint32(id))
+		} else {
+			dst = append(dst, d.internString(string(bs)))
 		}
-		dst = append(dst, id)
 	}
 	return dst
 }
 
 func (d *Dict) internString(g string) uint32 {
-	id, ok := d.ids.Get(g)
-	if !ok {
-		id = uint32(d.ids.Len())
-		d.ids.Put(g, id)
+	h := cow.Hash(g)
+	if id, ok := d.ids.Find(g, h); ok {
+		return uint32(id)
 	}
-	return id
+	d.grams.Append(g)
+	d.ids.Add(h)
+	return uint32(d.grams.Len() - 1)
 }
 
 // IntersectSortedIDs returns |a ∩ b| for two ascending, deduplicated

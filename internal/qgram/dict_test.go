@@ -175,7 +175,9 @@ func TestDictInternLookupRoundTrip(t *testing.T) {
 }
 
 // Unknown grams short-circuit to NoID on the read-only path and never
-// grow the dictionary or allocate.
+// grow the dictionary or allocate; known grams, read through a cloned
+// dictionary from its shared base and its own overlay, allocate
+// nothing either.
 func TestDictUnknownGramNoIDNoAlloc(t *testing.T) {
 	ex := New(3)
 	d := NewDict()
@@ -200,6 +202,25 @@ func TestDictUnknownGramNoIDNoAlloc(t *testing.T) {
 			buf = d.AppendIDs(buf[:0], unknown)
 		}); avg != 0 {
 			t.Errorf("AppendIDs on unknown grams allocated %.1f times", avg)
+		}
+	}
+
+	sc.Reset()
+	c := d.Clone()
+	known := []Key{ex.Decompose(&sc, "monte rosa"), ex.Decompose(&sc, "lago di como"), ex.Decompose(&sc, "𝔸𝔹ℂ")}
+	c.Intern(nil, known[1])
+	c.Intern(nil, known[2])
+	for _, k := range known {
+		if ids := c.AppendIDs(nil, k); slices.Contains(ids, NoID) {
+			t.Fatalf("cloned dict lost a known gram: %v", ids)
+		}
+		if !raceEnabled {
+			buf := make([]uint32, 0, 64)
+			if avg := testing.AllocsPerRun(100, func() {
+				buf = c.AppendIDs(buf[:0], k)
+			}); avg != 0 {
+				t.Errorf("AppendIDs on known grams through a clone allocated %.1f times", avg)
+			}
 		}
 	}
 }

@@ -893,7 +893,12 @@ func (s *Service) runLink(ctx context.Context, tr *obs.Trace, mi *managedIndex, 
 	if s.testProbeDelay != nil {
 		chunk = 1 // per-probe delay injection for deadline tests
 	}
-	results := make([][]adaptivelink.ProbeMatch, len(req.Keys))
+	// A one-chunk request answers with its chunk's slice as is; a longer
+	// one copies each chunk's into one.
+	var results [][]adaptivelink.ProbeMatch
+	if len(req.Keys) > chunk {
+		results = make([][]adaptivelink.ProbeMatch, len(req.Keys))
+	}
 	for lo := 0; lo < len(req.Keys); lo += chunk {
 		if err = ctx.Err(); err != nil {
 			break
@@ -903,7 +908,11 @@ func (s *Service) runLink(ctx context.Context, tr *obs.Trace, mi *managedIndex, 
 		}
 		hi := min(lo+chunk, len(req.Keys))
 		cs := time.Now()
-		copy(results[lo:hi], sess.ProbeBatch(req.Keys[lo:hi]))
+		if batch := sess.ProbeBatch(req.Keys[lo:hi]); results == nil {
+			results = batch
+		} else {
+			copy(results[lo:hi], batch)
+		}
 		tr.AddSpan("probe", cs)
 		// A routed chunk that lost a node group mid-fan-out recorded the
 		// failure on the view; fail the batch as a whole — never a

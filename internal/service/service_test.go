@@ -306,7 +306,7 @@ func TestCloseWaitsForAdmittedLink(t *testing.T) {
 
 // linkAllocBudget pins the allocations of a 2-key exact in-process Link:
 // admission, one session, the chunk loop and the response.
-const linkAllocBudget = 16
+const linkAllocBudget = 15
 
 func TestLinkAllocBudget(t *testing.T) {
 	s := newTestService(t, Config{})

@@ -17,7 +17,7 @@ import (
 var errTrailing = errors.New("trailing data after the JSON value")
 
 // Decode decodes a request body into dst, which must point to a zero
-// value. Bodies of a *CreateIndexRequest, *UpsertRequest or
+// value. Bodies of a *CreateIndexRequest, *UpsertRows or
 // *LinkRequestDTO in the canonical shape json.Marshal emits take a
 // one-pass scanner. That shape is one object with exact-case field
 // names in any order and none repeated, strings with standard escapes
@@ -68,16 +68,6 @@ func decodeFast(body []byte, dst any) bool {
 	case *CreateIndexRequest:
 		var out CreateIndexRequest
 		if !d.presize().createIndex(&out) || !d.end() {
-			return false
-		}
-		*v = out
-	case *UpsertRequest:
-		var out UpsertRequest
-		rows := UpsertRows{
-			Make: func(n int) { out.Tuples = make([]TupleDTO, n) },
-			Slot: func(i int) *TupleDTO { return &out.Tuples[i] },
-		}
-		if !d.presize().upsert(&rows) || !d.end() {
 			return false
 		}
 		*v = out
@@ -309,8 +299,7 @@ type UpsertRows struct {
 	Slot func(i int) *TupleDTO
 }
 
-// upsert is the one scanner of upsert bodies; an *UpsertRequest
-// decodes through it as rows over its Tuples.
+// upsert is the one scanner of upsert bodies.
 func (d *decoder) upsert(out *UpsertRows) bool {
 	var seen fields
 	return d.object(func(name []byte) bool {

@@ -55,10 +55,20 @@ func TestEncodeUpsert(t *testing.T) {
 	}
 	plain := cases[3]
 	body, _, _ := encodeUpsert(plain)
-	var back UpsertRequest
-	if !decodeFast(body, &back) || !reflect.DeepEqual(back.Tuples, normalizeAttrs(plain)) {
-		t.Errorf("UpsertEncoder(%q) decodes back as %q", plain, back.Tuples)
+	if back, ok := scanRows(body); !ok || !reflect.DeepEqual(back, normalizeAttrs(plain)) {
+		t.Errorf("UpsertEncoder(%q) decodes back as %q", plain, back)
 	}
+}
+
+// scanRows decodes an upsert body into rows with the one-pass scanner,
+// as the upsert handler does, reporting false if the scanner refuses it.
+func scanRows(body []byte) ([]TupleDTO, bool) {
+	var rows []TupleDTO
+	ok := decodeFast(body, &UpsertRows{
+		Make: func(n int) { rows = make([]TupleDTO, n) },
+		Slot: func(i int) *TupleDTO { return &rows[i] },
+	})
+	return rows, ok
 }
 
 // normalizeAttrs is tuples as they come back from the wire: an empty
@@ -100,7 +110,7 @@ func FuzzEncodeUpsert(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("UpsertEncoder(%q)\n = %s\nwant %s", tuples, got, want)
 		}
-		if !decodeFast(got, new(UpsertRequest)) {
+		if _, ok := scanRows(got); !ok {
 			t.Fatalf("one-pass decoder refused UpsertEncoder's %s", got)
 		}
 	})
