@@ -193,8 +193,9 @@ fuzz:
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint (1: the encoder merges the shard stores, no
-# gathered store) and a snapshot load allocate per tuple
-# (alloc_api_test.go).
+# gathered store) and a snapshot load allocate per tuple (161: the
+# build copies each tuple straight from the image into its shard, no
+# decoded copy) (alloc_api_test.go).
 # Run without -race: the race runtime perturbs allocation counts. The
 # join-level pins carry a !race build tag and the kernel-level
 # AllocsPerRun assertions in hashidx/qgram skip themselves under -race

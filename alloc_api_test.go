@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"testing"
 
-	"adaptivelink/internal/join"
 	"adaptivelink/internal/store"
 )
 
@@ -295,15 +294,17 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 }
 
 // snapshotLoadBytesBudget bounds what a load of a 20k-row version-6
-// image allocates per tuple, decode plus index build: the decoded store,
-// the shard stores the build copies it into, global refs and exact
-// indexes (247 measured, margin 7; 232 when the shards adopted the
-// decoded tuples instead of copying their bytes). Version 5's intermediate id and offset tables
-// allocated 273, exact indexes of one-element ref slices and int global
-// refs 398. It is what a durable cold start allocates before the log
-// replay, so the build's transients (key homes, per-shard goroutines)
-// count against it.
-const snapshotLoadBytesBudget = 254
+// image allocates per tuple, image to index: the shard stores the build
+// copies each tuple's bytes into straight from the image, global refs
+// and exact indexes, and the decoder's per-tuple table of where each
+// tuple's fields lie in the image (154 measured, margin 7). Decoding
+// the image into tuples first, then copying those, allocated 247; the
+// shards adopting the decoded tuples 232; version 5's intermediate id
+// and offset tables 273, exact indexes of one-element ref slices and
+// int global refs 398. It is what a durable cold start allocates before
+// the log replay, so the build's transients (key homes, per-shard
+// goroutines) count against it.
+const snapshotLoadBytesBudget = 161
 
 func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 20_000)
@@ -319,11 +320,7 @@ func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		v, err := store.DecodeSnapshot(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := join.NewShardedRefIndexFromSnapshot(v); err != nil {
+		if _, err := store.DecodeSnapshot(img); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

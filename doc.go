@@ -290,9 +290,11 @@
 // an image has them, checked against it. An Upsert into an index that
 // holds nothing is the same build, of the batch. ImportSnapshot with
 // StorageOptions.Dir set persists what it built exactly as BulkLoad
-// does. Loading is a sequential read and slice reconstruction of the
-// tuple store and that build, and writing is one walk over the store:
-// no key is decomposed and no gram hashed either way, which is what
+// does. Loading is a sequential read of the image and that build,
+// which copies each tuple's bytes straight from a version-6 image into
+// its home shard (older images are decoded into tuples first), and
+// writing is one walk over the store: no key is decomposed and no gram
+// hashed either way, which is what
 // makes cold start faster than rebuilding from the source CSV
 // (cold_start_snapshot_s of the durable_restart workload in
 // BENCHMARK.json) and a checkpoint a copy of the store.
@@ -387,8 +389,8 @@
 // local ref in a refs-only open-addressing table, keys compared through
 // the entries, layered as a shared base and a small overlay like the
 // gram dictionary. Create, upsert, log replay and snapshot load copy
-// the bytes in, so an index never retains a request body or a decoded
-// snapshot. A tuple a probe returns is a view over the chunks — Key and
+// the bytes in, so an index never retains a request body or a snapshot
+// image. A tuple a probe returns is a view over the chunks — Key and
 // Attrs copied nowhere — and the chunks are immutable once published,
 // so a result stays valid and unchanged whatever is upserted later. A
 // replacement appends its attributes and re-points its entry; once a

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"testing"
 
-	"adaptivelink/internal/join"
 	"adaptivelink/internal/store"
 )
 
@@ -216,11 +215,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := store.DecodeSnapshot(img)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := join.NewShardedRefIndexFromSnapshot(v); err != nil {
+				if _, err := store.DecodeSnapshot(img); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,7 +41,6 @@ var exportAllowlist = map[string]string{
 	"join.Engine.MatchedFlag":         "test introspection: a stored tuple's matched flag",
 	"join.Engine.Quiescent":           "test introspection: whether matches are pending delivery (Fig. 2)",
 	"join.PairsOf":                    "test oracle: projects engine matches onto the nested-loop oracle's pairs",
-	"join.ShardedRefIndex.Config":     "test introspection: the index's defaulted configuration",
 	"metrics.CostBreakdown.StepTotal": "test introspection: the state half of the cost the sum property checks",
 	"obs.Tracer.Config":               "test introspection: the tracer's defaulted configuration",
 	"obs.Tracer.Recent":               "test introspection: the ring of recent span traces",

@@ -3,6 +3,8 @@ package join
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"adaptivelink/internal/relation"
@@ -33,15 +35,35 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	return b.Build(nil)
 }
 
+// Rows is the tuple store a bulk build copies into its shards, read by
+// ref. A create's rows are a []relation.Tuple (Tuples); a snapshot
+// load's are the image's columns, read where they lie, so a load copies
+// each tuple's bytes once: from the image into its home shard.
+type Rows interface {
+	// Len is the number of rows.
+	Len() int
+	// Row returns the row at ref, which need stay valid only until the
+	// build has copied it: its attributes may be decoded into *buf,
+	// which Row may grow and the next call with the same buf reuses.
+	Row(ref int, buf *[]string) relation.Tuple
+}
+
+// Tuples is a slice of tuples as a bulk build's rows.
+type Tuples []relation.Tuple
+
+func (ts Tuples) Len() int                                { return len(ts) }
+func (ts Tuples) Row(ref int, _ *[]string) relation.Tuple { return ts[ref] }
+
 // Bulk is a bulk build in progress over rows it adopts as its tuple
 // store, in ref order: Home assigns rows to their home shards as they
 // become final, so a load can home each row while later ones are still
 // being read, and Build then builds every shard from them.
 type Bulk struct {
 	s      *ShardedRefIndex // the index Build publishes
-	rows   []relation.Tuple
-	homes  []int32 // the home shard of rows[:len(homes)]
-	counts []int   // rows homed per shard
+	rows   Rows             // Tuples for a create (Build), any Rows for a load
+	homes  []int32          // the home shard of rows[:len(homes)]
+	counts []int            // rows homed per shard
+	buf    []string         // Home's scratch for rows.Row
 }
 
 // NewBulk starts a bulk build of rows under the configuration and shard
@@ -51,20 +73,20 @@ func NewBulk(cfg Config, shards int, rows []relation.Tuple) (*Bulk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.bulk(rows), nil
+	return s.bulk(Tuples(rows)), nil
 }
 
 // bulk starts a bulk build of rows that publishes into s, which must
 // hold no tuple and no built shard.
-func (s *ShardedRefIndex) bulk(rows []relation.Tuple) *Bulk {
-	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, len(rows)), counts: make([]int, s.nshard)}
+func (s *ShardedRefIndex) bulk(rows Rows) *Bulk {
+	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, rows.Len()), counts: make([]int, s.nshard)}
 }
 
 // Home homes the rows up to hi at shardmap.ShardOf of their keys,
 // which must be final.
 func (b *Bulk) Home(hi int) {
-	for _, t := range b.rows[len(b.homes):hi] {
-		sh := shardmap.ShardOf(t.Key, b.s.nshard)
+	for ref := len(b.homes); ref < hi; ref++ {
+		sh := shardmap.ShardOf(b.rows.Row(ref, &b.buf).Key, b.s.nshard)
 		b.homes = append(b.homes, int32(sh))
 		b.counts[sh]++
 	}
@@ -87,7 +109,7 @@ func (b *Bulk) Build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 	s, err := b.build(persist)
 	var dup *duplicateKeyError
 	if errors.As(err, &dup) {
-		s, err = b.s.bulk(dedup(b.rows)).build(persist)
+		s, err = b.s.bulk(dedup(b.rows.(Tuples))).build(persist)
 	}
 	if err != nil {
 		return nil, err
@@ -101,8 +123,8 @@ func (b *Bulk) Build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 
 // dedup returns the keyed store one Upsert of rows leaves: refs in
 // first-seen key order, payloads the last occurrence's.
-func dedup(rows []relation.Tuple) []relation.Tuple {
-	final := make([]relation.Tuple, 0, len(rows))
+func dedup(rows Tuples) Tuples {
+	final := make(Tuples, 0, len(rows))
 	seen := make(map[string]int, len(rows))
 	for _, t := range rows {
 		if g, ok := seen[t.Key]; ok {
@@ -113,17 +135,6 @@ func dedup(rows []relation.Tuple) []relation.Tuple {
 		final = append(final, t)
 	}
 	return final
-}
-
-// buildFromStore is a load's build: a keyed store in ref order, homed
-// and built as one Bulk, where a key met twice is an error naming both
-// refs (the store is keyed).
-func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRefIndex, error) {
-	b, err := NewBulk(cfg, shards, store)
-	if err != nil {
-		return nil, err
-	}
-	return b.build(nil)
 }
 
 // build is the one construction routine of a resident index, behind
@@ -138,12 +149,12 @@ func buildFromStore(cfg Config, shards int, store []relation.Tuple) (*ShardedRef
 // its q-gram structures left to its first approximate probe. A key met
 // twice in a shard is a *duplicateKeyError.
 func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error) {
-	b.Home(len(b.rows))
-	s, store := b.s, b.rows
+	s, rows, n := b.s, b.rows, b.rows.Len()
+	b.Home(n)
 	snaps := make([]*shardSnap, s.nshard)
 	members := make([][]uint32, s.nshard)
 	for sh := range members {
-		if len(store) > 0 { // presized; an empty index's member refs stay nil
+		if n > 0 { // presized; an empty index's member refs stay nil
 			members[sh] = make([]uint32, 0, b.counts[sh])
 		}
 	}
@@ -157,17 +168,14 @@ func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snaps[sh], errs[sh] = buildShard(store, globals)
+			snaps[sh], errs[sh] = buildShard(rows, globals)
 		}()
 	}
 	var perr error
 	if persist != nil {
-		// The inserts only read the rows and the member refs.
-		v := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Tuples: store, Shards: make([]ShardExport, s.nshard)}
-		for sh, globals := range members {
-			v.Shards[sh].Globals = globals
-		}
-		perr = persist(v)
+		// Only a create persists, so the rows are Tuples. The inserts
+		// only read them and the member refs.
+		perr = persist(&SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: members, n: n, store: slices.Values(rows.(Tuples))})
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -181,7 +189,7 @@ func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error
 
 	// Publish: the count first (no probe may return a ref at or above
 	// Len), then every shard.
-	s.n.Store(int64(len(store)))
+	s.n.Store(int64(n))
 	for sh, sn := range snaps {
 		s.shards[sh].Store(sn)
 	}
@@ -199,25 +207,29 @@ func (e *duplicateKeyError) Error() string {
 	return fmt.Sprintf("join: store has key %q at both ref %d and %d (the store is keyed)", e.key, e.first, e.second)
 }
 
-// buildShard builds one shard from its members, the refs into store of
-// the tuples homed there, ascending: their bytes are copied into a store
+// buildShard builds one shard from its members, the refs of the rows
+// homed there, ascending: their bytes are copied into a store
 // sized to them, and their keys into an exact index sized to them. A key
 // met twice is a *duplicateKeyError.
-func buildShard(store []relation.Tuple, globals []uint32) (*shardSnap, error) {
+func buildShard(rows Rows, globals []uint32) (*shardSnap, error) {
+	var buf []string
 	nbytes, nstrs := 0, 0
 	for _, g := range globals {
-		b, s := storeSize(&store[g])
+		t := rows.Row(int(g), &buf)
+		b, s := storeSize(&t)
 		nbytes, nstrs = nbytes+b, nstrs+s
 	}
 	sn := newShardSnapFor(newTupleStore(nbytes, nstrs), len(globals))
 	sn.globals = globals
 	for _, g := range globals {
-		t := &store[g]
+		t := rows.Row(int(g), &buf)
 		h := keyHash(t.Key)
 		if first, ok := sn.exIdx.Find(t.Key, h); ok {
-			return nil, &duplicateKeyError{key: t.Key, first: globals[first], second: g}
+			// The rows may be an image the caller reuses: the error keeps
+			// a copy of the key.
+			return nil, &duplicateKeyError{key: strings.Clone(t.Key), first: globals[first], second: g}
 		}
-		sn.tuples.add(t)
+		sn.tuples.add(&t)
 		sn.exIdx.Add(h)
 	}
 	return sn, nil

@@ -38,12 +38,12 @@ func renderExact(ix *join.ShardedRefIndex, rows []relation.Tuple) string {
 
 // sameMembers reports whether two exports list the same member refs per
 // shard (an empty shard's list may be nil in one and empty in the other).
-func sameMembers(a, b []join.ShardExport) bool {
+func sameMembers(a, b [][]uint32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for sh := range a {
-		if !slices.Equal(a[sh].Globals, b[sh].Globals) {
+		if !slices.Equal(a[sh], b[sh]) {
 			return false
 		}
 	}

@@ -151,7 +151,7 @@ func TestPublishedSnapshotsStayFrozen(t *testing.T) {
 		t.Fatal("a view held across the upserts differs from what it held at export")
 	}
 	// The view still imports into the index it described.
-	loaded, err := NewShardedRefIndexFromSnapshot(gathered(view))
+	loaded, err := gathered(view).load()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,7 @@ func restampV1(img []byte) []byte {
 // loadImage opens a snapshot image as a resident index.
 func loadImage(t *testing.T, img []byte) *join.ShardedRefIndex {
 	t.Helper()
-	v, err := store.DecodeSnapshot(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := join.NewShardedRefIndexFromSnapshot(v)
+	ix, err := store.DecodeSnapshot(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func FuzzResidentStore(f *testing.F) {
 				for i, tu := range model {
 					store[i], globals[i] = deepCopy(tu), uint32(i)
 				}
-				loaded, err := buildShard(store, globals)
+				loaded, err := buildShard(Tuples(store), globals)
 				if err != nil {
 					t.Fatalf("step %d: load: %v", step, err)
 				}

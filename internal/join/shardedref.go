@@ -413,7 +413,7 @@ func (s *ShardedRefIndex) empty() bool {
 // log runs beside the shard inserts, once even when a repeated key
 // makes the batch build twice, and its error publishes nothing.
 func (s *ShardedRefIndex) load(tuples []relation.Tuple, homes []int32, log func() error) (inserted, updated int, err error) {
-	b := &Bulk{s: s, rows: tuples, homes: homes, counts: make([]int, s.nshard)}
+	b := &Bulk{s: s, rows: Tuples(tuples), homes: homes, counts: make([]int, s.nshard)}
 	for _, sh := range homes {
 		b.counts[sh]++
 	}

@@ -344,7 +344,7 @@ func TestShardedRefHomeShardOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := NewShardedRefIndexFromSnapshot(gathered(view))
+		loaded, err := gathered(view).load()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func TestBulkBuildPersistsItsView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != tc.calls || !reflect.DeepEqual(persisted.Tuples, slices.Collect(want.Store())) || !reflect.DeepEqual(persisted.Shards, want.Shards) || persisted.Cfg != want.Cfg {
+		if calls != tc.calls || !reflect.DeepEqual(slices.Collect(persisted.Store()), slices.Collect(want.Store())) || !reflect.DeepEqual(persisted.Shards, want.Shards) || persisted.Cfg != want.Cfg {
 			t.Fatalf("%d tuples: persist called %d times (want %d) with a view other than the export", len(tc.tuples), calls, tc.calls)
 		}
 		b, _ = NewBulk(Defaults(), 3, tc.tuples)
@@ -133,7 +133,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := NewShardedRefIndexFromSnapshot(gathered(view))
+			loaded, err := gathered(view).load()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,14 +149,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotImportValidation pins the corruption guards: structurally
-// inconsistent views are rejected with errors, never imported. A view
-// carries no q-gram data; the q-gram section a version 3 or 4 image
-// stored is validated where the decoder finds it (CheckShardSection),
-// so the q-gram cases corrupt such a section — the one a built shard
-// exports — and hand it to that check.
+// TestSnapshotImportValidation pins the corruption guards: a stored
+// store and member refs that disagree are rejected with errors, never
+// loaded. Snapshots carry no q-gram data; the q-gram section a version
+// 3 or 4 image stored is validated where the decoder finds it
+// (CheckShardSection), so the q-gram cases corrupt such a section — the
+// one a built shard exports — and hand it to that check. (The store
+// package runs the same store cases through images.)
 func TestSnapshotImportValidation(t *testing.T) {
-	build := func() (*SnapshotView, *ShardedRefIndex) {
+	build := func() (*stored, *ShardedRefIndex) {
 		rng := rand.New(rand.NewSource(9))
 		ix, err := BuildShardedRefIndex(Defaults(), 2, bulkTuples(rng, 20))
 		if err != nil {
@@ -177,29 +178,29 @@ func TestSnapshotImportValidation(t *testing.T) {
 	const dupKey = "duplicate store key"
 	cases := []struct {
 		name    string
-		corrupt func(v *SnapshotView)
+		corrupt func(st *stored)
 		section func(qg *hashidx.QGramExport)
 	}{
-		{name: "shard count mismatch", corrupt: func(v *SnapshotView) { v.Shards = v.Shards[:1] }},
-		{name: "bad config", corrupt: func(v *SnapshotView) { v.Cfg.Q = 0 }},
+		{name: "shard count mismatch", corrupt: func(st *stored) { st.members = st.members[:1] }},
+		{name: "bad config", corrupt: func(st *stored) { st.cfg.Q = 0 }},
 		// Two refs of one shard under one key: the second one is a second
 		// hit in that shard's exact index. Across shards, the copy sits
 		// outside its key's home.
-		{name: dupKey, corrupt: func(v *SnapshotView) {
-			g := v.Shards[0].Globals
-			v.Tuples[g[1]].Key = v.Tuples[g[0]].Key
+		{name: dupKey, corrupt: func(st *stored) {
+			g := st.members[0]
+			st.tuples[g[1]].Key = st.tuples[g[0]].Key
 		}},
-		{name: "duplicate store key across shards", corrupt: func(v *SnapshotView) {
-			v.Tuples[v.Shards[1].Globals[0]].Key = v.Tuples[v.Shards[0].Globals[0]].Key
+		{name: "duplicate store key across shards", corrupt: func(st *stored) {
+			st.tuples[st.members[1][0]].Key = st.tuples[st.members[0][0]].Key
 		}},
-		{name: "global ref out of range", corrupt: func(v *SnapshotView) { v.Shards[0].Globals[0] = uint32(len(v.Tuples)) }},
-		{name: "globals not ascending", corrupt: func(v *SnapshotView) {
-			g := v.Shards[0].Globals
+		{name: "global ref out of range", corrupt: func(st *stored) { st.members[0][0] = uint32(len(st.tuples)) }},
+		{name: "globals not ascending", corrupt: func(st *stored) {
+			g := st.members[0]
 			g[0], g[len(g)-1] = g[len(g)-1], g[0]
 		}},
-		{name: "key outside its home shard", corrupt: func(v *SnapshotView) { v.Shards[0], v.Shards[1] = v.Shards[1], v.Shards[0] }},
-		{name: "shards do not cover the store", corrupt: func(v *SnapshotView) {
-			v.Tuples = append(v.Tuples, relation.Tuple{ID: 777, Key: "in the store, in no shard"})
+		{name: "key outside its home shard", corrupt: func(st *stored) { st.members[0], st.members[1] = st.members[1], st.members[0] }},
+		{name: "shards do not cover the store", corrupt: func(st *stored) {
+			st.tuples = append(st.tuples, relation.Tuple{ID: 777, Key: "in the store, in no shard"})
 		}},
 		// Postings are derived from the signatures, so the only way an
 		// image can ask for a posting the shard cannot resolve is a
@@ -239,28 +240,28 @@ func TestSnapshotImportValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v, ix := build()
+			st, ix := build()
 			if c.section != nil {
 				if err := checkSection(ix, c.section); err == nil {
 					t.Fatal("corrupted q-gram section passed the check")
 				}
 				return
 			}
-			c.corrupt(v)
-			_, err := NewShardedRefIndexFromSnapshot(v)
+			c.corrupt(st)
+			_, err := st.load()
 			if err == nil {
-				t.Fatal("corrupted snapshot imported without error")
+				t.Fatal("corrupted snapshot loaded without error")
 			}
-			g := v.Shards[0].Globals
+			g := st.members[0]
 			if want := fmt.Sprintf("at both ref %d and %d ", g[0], g[1]); c.name == dupKey && !strings.Contains(err.Error(), want) {
 				t.Fatalf("rejected with %q, want a message naming both refs: %q", err, want)
 			}
 		})
 	}
-	// The pristine view must still import, and the pristine section pass
+	// The pristine store must still load, and the pristine section pass
 	// (the corruptions above are what flipped each case to failure).
-	v, ix := build()
-	if _, err := NewShardedRefIndexFromSnapshot(v); err != nil {
+	st, ix := build()
+	if _, err := st.load(); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 	if err := checkSection(ix, func(*hashidx.QGramExport) {}); err != nil {
@@ -269,9 +270,9 @@ func TestSnapshotImportValidation(t *testing.T) {
 }
 
 // TestSnapshotStoreOnlyViewRepartitions pins the upgrade path of
-// snapshots written under another shard layout: a view that carries the
-// store but no shard exports is partitioned and indexed on import, and
-// is indistinguishable from a bulk build of the same tuples.
+// snapshots written under another shard layout: a store loaded without
+// member refs is partitioned and indexed by the load, and is
+// indistinguishable from a bulk build of the same tuples.
 func TestSnapshotStoreOnlyViewRepartitions(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		orig, err := BuildShardedRefIndex(Defaults(), shards, bulkTuples(rand.New(rand.NewSource(13)), 50))
@@ -282,9 +283,9 @@ func TestSnapshotStoreOnlyViewRepartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		view := gathered(exported)
-		view.Shards = nil
-		loaded, err := NewShardedRefIndexFromSnapshot(view)
+		st := gathered(exported)
+		st.members = nil
+		loaded, err := st.load()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,16 +386,29 @@ func TestExportSnapshotStore(t *testing.T) {
 	}
 }
 
-// gathered is the view a decoder hands over for the exported view v:
-// the store gathered into ref order as Tuples, the member refs copied.
-// It is what an import takes; this package's tests cannot reach the
-// codec in internal/store, which round-trips a view through its bytes.
-func gathered(v *SnapshotView) *SnapshotView {
-	out := &SnapshotView{Cfg: v.Cfg, NShard: v.NShard, Tuples: slices.Collect(v.Store()), Shards: make([]ShardExport, len(v.Shards))}
-	for i, se := range v.Shards {
-		out.Shards[i].Globals = slices.Clone(se.Globals)
+// stored is what a snapshot stores, as a load takes it: the tuple
+// store in ref order and each shard's member refs.
+type stored struct {
+	cfg     Config
+	nshard  int
+	tuples  []relation.Tuple
+	members [][]uint32
+}
+
+// gathered is what the exported view v stores: its store gathered into
+// ref order, its member refs copied, so that a test may edit either.
+// This package's tests cannot reach the codec in internal/store, which
+// loads the same from an image.
+func gathered(v *SnapshotView) *stored {
+	st := &stored{cfg: v.Cfg, nshard: v.NShard, tuples: slices.Collect(v.Store())}
+	for _, members := range v.Shards {
+		st.members = append(st.members, slices.Clone(members))
 	}
-	return out
+	return st
+}
+
+func (st *stored) load() (*ShardedRefIndex, error) {
+	return LoadShardedRefIndex(st.cfg, st.nshard, Tuples(st.tuples), st.members)
 }
 
 // viewContent renders everything a view holds: its configuration, its

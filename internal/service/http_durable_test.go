@@ -13,6 +13,7 @@ import (
 
 	"adaptivelink"
 	"adaptivelink/internal/cluster"
+	"adaptivelink/internal/store"
 )
 
 func newDurableServer(t *testing.T, dataDir string) (*Service, *httptest.Server) {
@@ -297,6 +298,23 @@ func TestLoadStoredSelectivity(t *testing.T) {
 	defer s3.Close()
 	if _, err := s3.LoadStored(); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("LoadStored over corrupt dir = %v, want error naming it", err)
+	}
+}
+
+// TestLoadStoredUnreadableWAL: an index directory whose log cannot be
+// read fails the boot, naming the directory, instead of being skipped
+// as one that holds no index — which would drop its acknowledged writes
+// from the daemon without a word.
+func TestLoadStoredUnreadableWAL(t *testing.T) {
+	dataDir := t.TempDir()
+	lost := filepath.Join(dataDir, "lost")
+	if err := os.MkdirAll(filepath.Join(lost, store.WALFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, DataDir: dataDir})
+	defer s.Close()
+	if names, err := s.LoadStored(); err == nil || !strings.Contains(err.Error(), lost) {
+		t.Fatalf("LoadStored over an unreadable log = %v, %v; want an error naming %s", names, err, lost)
 	}
 }
 

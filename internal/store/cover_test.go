@@ -166,12 +166,7 @@ func TestPeekMetaWAL(t *testing.T) {
 		t.Fatalf("PeekMeta(empty dir) = %v, %v", m, err)
 	}
 
-	ix := buildIndex(t, 2, 5)
-	v, err := ix.ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := MetaOf(v)
+	meta := MetaOf(buildIndex(t, 2, 5))
 	dir := t.TempDir()
 	w, replay, err := OpenWALFS(vfs.OS, filepath.Join(dir, WALFile), meta, SyncAlways)
 	if err != nil {
@@ -202,6 +197,18 @@ func TestPeekMetaWAL(t *testing.T) {
 	}
 	if _, err := PeekMeta(junk); err == nil {
 		t.Fatal("PeekMeta(garbage WAL) succeeded")
+	}
+}
+
+// TestPeekMetaUnreadableWAL: a WAL that cannot be read is an error, as
+// an unreadable snapshot is, not a directory without an index.
+func TestPeekMetaUnreadableWAL(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, WALFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := PeekMeta(dir); err == nil {
+		t.Fatalf("PeekMeta over an unreadable WAL = %+v, nil; want an error", m)
 	}
 }
 
@@ -256,7 +263,7 @@ func TestDecodeSnapshotStructuralCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := fixedWidthImage(t, v, 5)
+	base := contentOf(v).fixedWidth(5)
 	nTuples := int(binary.LittleEndian.Uint32(base[32:]))
 	if nTuples < 2 {
 		t.Fatalf("test image has %d tuples, need at least 2", nTuples)
@@ -359,8 +366,8 @@ func TestV6CorruptSections(t *testing.T) {
 	if got := pristine.image(header); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("encoder wrote\n % x\nthe layout spells\n % x", want.Bytes(), got)
 	}
-	if dv, err := DecodeSnapshot(pristine.image(header)); err != nil || !sameView(dv, v) {
-		t.Fatalf("pristine image: %+v, %v; want %+v", dv, err, v)
+	if got, err := loadImage(t, pristine.image(header)).ExportSnapshot(); err != nil || !sameView(got, v) {
+		t.Fatalf("pristine image loads to %+v, %v; want %+v", got, err, v)
 	}
 	cases := []struct {
 		name   string
@@ -426,11 +433,7 @@ func TestSnapshotFileErrors(t *testing.T) {
 // TestOpenWALMetaMismatch: a log written under one configuration
 // refuses to open under another, naming the mismatch.
 func TestOpenWALMetaMismatch(t *testing.T) {
-	v, err := buildIndex(t, 2, 5).ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := MetaOf(v)
+	meta := MetaOf(buildIndex(t, 2, 5))
 	path := filepath.Join(t.TempDir(), WALFile)
 	w, _, err := OpenWALFS(vfs.OS, path, meta, SyncAlways)
 	if err != nil {

@@ -292,11 +292,7 @@ func TestDigestStability(t *testing.T) {
 	if err := WriteSnapshot(&buf, v1); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := DecodeSnapshot([]byte(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := join.NewShardedRefIndexFromSnapshot(v2)
+	ix2, err := DecodeSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +342,7 @@ func TestDigestStability(t *testing.T) {
 		grown.Upsert(tuples[lo:min(lo+5, len(tuples))])
 	}
 	loadFixture := func(path string) *join.ShardedRefIndex {
-		v, err := ReadSnapshotFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := join.NewShardedRefIndexFromSnapshot(v)
+		ix, err := ReadSnapshotFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,11 +353,7 @@ func TestDigestStability(t *testing.T) {
 	if err := WriteSnapshot(&buf, bulkView); err != nil {
 		t.Fatal(err)
 	}
-	fromCur, err := DecodeSnapshot([]byte(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curLoaded, err := join.NewShardedRefIndexFromSnapshot(fromCur)
+	curLoaded, err := DecodeSnapshot([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 
 	"adaptivelink/internal/join"
+	"adaptivelink/internal/relation"
 )
 
 // ContentDigest is a cheap fingerprint of an index's logical content:
@@ -45,7 +47,7 @@ type ContentDigest struct {
 func DigestView(v *join.SnapshotView) ContentDigest {
 	e := newWriter(io.Discard)
 	defer e.release()
-	encodeTupleSection(e, v)
+	encodeTupleSection(e, v.Len(), v.Store())
 	storeCRC := e.sum()
 
 	comb := crc32.New(castagnoli)
@@ -53,9 +55,9 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 	binary.LittleEndian.PutUint32(word[:], storeCRC)
 	comb.Write(word[:])
 	shards := make([]string, len(v.Shards))
-	for i, se := range v.Shards {
+	for i, members := range v.Shards {
 		e.crc.Reset()
-		e.u32slice(se.Globals)
+		e.u32slice(members)
 		c := e.sum()
 		shards[i] = fmt.Sprintf("%08x", c)
 		binary.LittleEndian.PutUint32(word[:], c)
@@ -73,12 +75,12 @@ func DigestView(v *join.SnapshotView) ContentDigest {
 // store (tuple IDs, keys, ragged attr lists): the fixed-width layout
 // version 5 stored, kept as the digest's encoding so that digests do
 // not move with the file format.
-func encodeTupleSection(e *writer, v *join.SnapshotView) {
-	for t := range v.Store() {
+func encodeTupleSection(e *writer, n int, store iter.Seq[relation.Tuple]) {
+	for t := range store {
 		e.u64(uint64(int64(t.ID)))
 	}
-	e.stringBlob(v.Len(), func(yield func(string) bool) {
-		for t := range v.Store() {
+	e.stringBlob(n, func(yield func(string) bool) {
+		for t := range store {
 			if !yield(t.Key) {
 				return
 			}
@@ -87,13 +89,13 @@ func encodeTupleSection(e *writer, v *join.SnapshotView) {
 	// Per-tuple attr lists as one ragged string blob: (n+1) offsets into
 	// a flat attr list, then the flat list as a string blob.
 	attrs := 0
-	for t := range v.Store() {
+	for t := range store {
 		e.u32(uint32(attrs))
 		attrs += len(t.Attrs)
 	}
 	e.u32(uint32(attrs))
 	e.stringBlob(attrs, func(yield func(string) bool) {
-		for t := range v.Store() {
+		for t := range store {
 			for _, a := range t.Attrs {
 				if !yield(a) {
 					return

@@ -38,13 +38,16 @@
 //
 // Decoding makes two passes. The first walks every column and checks
 // every count and length total against the input that remains, and
-// allocates nothing; the second decodes into one tuple slice, one key
-// string, one attr string, one attr arena and one arena of global refs,
-// so a million keys cost a handful of allocations plus headers. With
-// the trailing CRC over the whole file, truncated, bit-flipped or
-// hostile snapshots are rejected with descriptive errors — the loader
-// never panics (FuzzSnapshotDecode decodes every input as given and
-// with its checksum re-sealed) and never yields a partial index.
+// allocates nothing; the second notes, per tuple, its id and where its
+// key, attr lengths and attr bytes start in the image — four words a
+// tuple, no string header — and decodes the global refs into one arena.
+// The load then builds the index from the image in place: each tuple's
+// bytes are copied once, from the image into its home shard, and
+// nothing of the image is kept. With the trailing CRC over the whole
+// file, truncated, bit-flipped or hostile snapshots are rejected with
+// descriptive errors — the loader never panics (FuzzSnapshotDecode
+// decodes every input as given and with its checksum re-sealed) and
+// never yields a partial index.
 //
 // Version 5 had the same header and fixed-width sections: n × i64 ids;
 // the keys as a string blob (count u32, (count+1) × u32 ascending
@@ -102,6 +105,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"unsafe"
 
 	"adaptivelink/internal/join"
 	"adaptivelink/internal/relation"
@@ -245,25 +249,13 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	if n > math.MaxUint32 {
 		return fmt.Errorf("store: snapshot of %d tuples exceeds the format's uint32 ref space", n)
 	}
-	if len(v.Shards) != v.NShard {
-		return fmt.Errorf("store: view carries %d shard exports for %d shards (a store-only view must be imported, not written)", len(v.Shards), v.NShard)
-	}
 	if len(v.Cfg.Profile) > maxProfileLen {
 		return fmt.Errorf("store: normalization profile name %d bytes long, cap is %d", len(v.Cfg.Profile), maxProfileLen)
 	}
 	e := newWriter(w)
 	defer e.release()
-	e.str(string(snapMagic[:]))
-	e.u32(SnapshotVersion)
-	e.u32(uint32(v.Cfg.Q))
-	e.u32(uint32(v.Cfg.Measure))
-	e.u32(uint32(v.NShard))
-	e.u64(math.Float64bits(v.Cfg.Theta))
-	e.u32(uint32(n))
-	e.u32(uint32(len(v.Cfg.Profile)))
-	e.str(v.Cfg.Profile)
-
-	encodeColumns(e, v)
+	writeHeader(e, v.Cfg, v.NShard, n)
+	encodeColumns(e, v.Store(), v.Shards)
 	e.u32(e.sum())
 	e.flush()
 	if e.err != nil {
@@ -272,39 +264,53 @@ func WriteSnapshot(w io.Writer, v *join.SnapshotView) error {
 	return nil
 }
 
-// encodeColumns writes the version-6 sections of the view: the id, key
-// and attr columns of the tuple store, each one walk of it, then each
-// shard's member refs.
-func encodeColumns(e *writer, v *join.SnapshotView) {
+// writeHeader writes the current version's header for a store of n
+// tuples in the given number of shards.
+func writeHeader(e *writer, cfg join.Config, shards, n int) {
+	e.str(string(snapMagic[:]))
+	e.u32(SnapshotVersion)
+	e.u32(uint32(cfg.Q))
+	e.u32(uint32(cfg.Measure))
+	e.u32(uint32(shards))
+	e.u64(math.Float64bits(cfg.Theta))
+	e.u32(uint32(n))
+	e.u32(uint32(len(cfg.Profile)))
+	e.str(cfg.Profile)
+}
+
+// encodeColumns writes the version-6 sections: the id, key and attr
+// columns of the tuple store, each one walk of it, then each shard's
+// member refs.
+func encodeColumns(e *writer, store iter.Seq[relation.Tuple], shards [][]uint32) {
 	prev := int64(-1)
-	for t := range v.Store() {
+	for t := range store {
 		id := int64(t.ID)
 		e.varint(id - prev - 1)
 		prev = id
 	}
-	for t := range v.Store() {
+	for t := range store {
 		e.uvarint(uint64(len(t.Key)))
 	}
-	for t := range v.Store() {
+	for t := range store {
 		e.str(t.Key)
 	}
-	for t := range v.Store() {
+	for t := range store {
 		e.uvarint(uint64(len(t.Attrs)))
 	}
-	for t := range v.Store() {
+	for t := range store {
 		for _, a := range t.Attrs {
 			e.uvarint(uint64(len(a)))
 		}
 	}
-	for t := range v.Store() {
+	for t := range store {
 		for _, a := range t.Attrs {
 			e.str(a)
 		}
 	}
-	for _, se := range v.Shards {
-		e.uvarint(uint64(len(se.Globals)))
+	for _, members := range shards {
+		e.uvarint(uint64(len(members)))
 		prev := int64(-1)
-		for _, g := range se.Globals {
+		for _, g := range members {
 			e.varint(int64(g) - prev - 1)
 			prev = int64(g)
 		}
@@ -592,36 +598,47 @@ func readHeader(r *reader) (version uint32, m Meta, tuples int, err error) {
 }
 
 // DecodeSnapshot parses a complete snapshot file image, verifying the
-// CRC and every structural bound, and returns the decoded view. The
-// returned view owns its memory and can be handed to
-// join.NewShardedRefIndexFromSnapshot, which builds the index from the
-// tuple store and checks the stored member refs against that build (the
-// cross-structure invariants the codec cannot see). A version 1 or 2
-// image yields a view without member refs, so nothing is checked.
-func DecodeSnapshot(data []byte) (*join.SnapshotView, error) {
+// CRC and every structural bound, and builds the index it stores:
+// join.LoadShardedRefIndex over the image's tuple store, which checks
+// the stored member refs against that build (the cross-structure
+// invariants the codec cannot see). A version-6 image's store is read
+// where it lies: the build copies each tuple's bytes straight from the
+// image into its home shard, and the index keeps nothing of data. A
+// version 1 or 2 image has no member refs, so nothing is checked.
+func DecodeSnapshot(data []byte) (*join.ShardedRefIndex, error) {
+	m, rows, members, err := decodeImage(data)
+	if err != nil {
+		return nil, err
+	}
+	return join.LoadShardedRefIndex(metaConfig(m), m.Shards, rows, members)
+}
+
+// decodeImage verifies a snapshot image and decodes what a load builds
+// from: its compatibility tuple, its tuple store and, from version 3 on,
+// each shard's member refs.
+func decodeImage(data []byte) (Meta, join.Rows, [][]uint32, error) {
 	if len(data) < len(snapMagic)+4 {
-		return nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
+		return Meta{}, nil, nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	r := &reader{data: body}
 	version, m, n, err := readHeader(r)
 	if err != nil {
-		return nil, err
+		return m, nil, nil, err
 	}
 	want := binary.LittleEndian.Uint32(tail)
 	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: snapshot checksum %08x, file claims %08x (truncated or bit-flipped)", ErrCorrupt, got, want)
+		return m, nil, nil, fmt.Errorf("%w: snapshot checksum %08x, file claims %08x (truncated or bit-flipped)", ErrCorrupt, got, want)
 	}
-	v := &join.SnapshotView{Cfg: metaConfig(m), NShard: m.Shards}
+	if err := checkShardCount(r, m.Shards); err != nil {
+		return m, nil, nil, err
+	}
 	if version == SnapshotVersion {
-		err = decodeColumns(r, v, n)
-	} else {
-		err = decodeFixedWidth(r, v, version, n)
+		rows, members, err := decodeColumns(r, m.Shards, n)
+		return m, rows, members, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	rows, members, err := decodeFixedWidth(r, version, m.Shards, n)
+	return m, rows, members, err
 }
 
 // minColumnTuple is the fewest bytes a version-6 tuple costs: its id
@@ -637,15 +654,15 @@ func checkShardCount(r *reader, shards int) error {
 	return nil
 }
 
-// decodeColumns decodes the sections of a version-6 image into v. The
-// first pass walks every column, checking every count and length total
-// against the input that remains, and allocates nothing; the second,
-// over bytes the first has vouched for, decodes into one tuple slice,
-// one key string, one attr string, one attr arena and one arena of
-// global refs.
-func decodeColumns(r *reader, v *join.SnapshotView, n int) error {
+// decodeColumns decodes the sections of a version-6 image of n tuples
+// in the given number of shards. The first pass walks every column, checking every count and length
+// total against the input that remains, and allocates nothing; the
+// second, over bytes the first has vouched for, notes where each
+// tuple's fields lie (columnRows) and decodes the member refs into one
+// arena.
+func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
 	if int64(n)*minColumnTuple > int64(r.left()) {
-		return fmt.Errorf("%w: tuple count %d needs %d bytes, %d remain", ErrCorrupt, n, int64(n)*minColumnTuple, r.left())
+		return nil, nil, fmt.Errorf("%w: tuple count %d needs %d bytes, %d remain", ErrCorrupt, n, int64(n)*minColumnTuple, r.left())
 	}
 	idsAt := r.off
 	for i := 0; i < n && r.err == nil; i++ {
@@ -657,20 +674,22 @@ func decodeColumns(r *reader, v *join.SnapshotView, n int) error {
 	}
 	keyLensAt := r.off
 	keyBytes := r.lengths(n, "key length")
-	keys := r.take(keyBytes)
+	keysAt := r.off
+	r.take(keyBytes)
 	attrCountsAt := r.off
 	attrs := r.lengths(n, "attr count")
 	attrLensAt := r.off
 	attrBytes := r.lengths(attrs, "attr length")
-	attrBlob := r.take(attrBytes)
+	attrsAt := r.off
+	r.take(attrBytes)
 	if r.err != nil {
-		return r.err
+		return nil, nil, r.err
 	}
-	if err := checkShardCount(r, v.NShard); err != nil {
-		return err
+	if err := checkShardCount(r, shards); err != nil {
+		return nil, nil, err
 	}
 	shardsAt, members := r.off, 0
-	for i := 0; i < v.NShard && r.err == nil; i++ {
+	for i := 0; i < shards && r.err == nil; i++ {
 		c := r.uvarint("shard member count")
 		if r.err == nil && (c > uint64(n) || c > uint64(r.left())) {
 			r.fail("shard %d holds %d members, the store %d tuples and %d bytes remain", i, c, n, r.left())
@@ -686,40 +705,31 @@ func decodeColumns(r *reader, v *join.SnapshotView, n int) error {
 		members += int(c)
 	}
 	if r.err != nil {
-		return fmt.Errorf("shard section: %w", r.err)
+		return nil, nil, fmt.Errorf("shard section: %w", r.err)
 	}
 	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, r.left())
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, r.left())
 	}
 
-	// One walk writes each tuple whole, from four cursors.
-	tuples := make([]relation.Tuple, n)
-	ks, as, arena := string(keys), string(attrBlob), make([]string, attrs)
+	// One walk notes each tuple's id and where its fields start, from
+	// four cursors.
+	at := make([]rowAt, n+1)
 	ids, keyLens := column{b: r.data, i: idsAt}, column{b: r.data, i: keyLensAt}
 	counts, lens := column{b: r.data, i: attrCountsAt}, column{b: r.data, i: attrLensAt}
-	prev, ko, a, ao := int64(-1), 0, 0, 0
-	for i := range tuples {
-		// Field stores, not a struct copy: a copy is a bulk write
-		// barrier while the collector runs.
-		t := &tuples[i]
+	prev, key, attr := int64(-1), keysAt, attrsAt
+	for i := range n {
 		prev += 1 + unzigzag(ids.next())
-		l := int(keyLens.next())
-		t.ID, t.Key = int(prev), ks[ko:ko+l]
-		ko += l
-		if c := int(counts.next()); c > 0 {
-			for j := a; j < a+c; j++ {
-				l := int(lens.next())
-				arena[j] = as[ao : ao+l]
-				ao += l
-			}
-			t.Attrs = arena[a : a+c : a+c]
-			a += c
+		at[i] = rowAt{id: prev, key: key, lens: lens.i, attrs: attr}
+		key += int(keyLens.next())
+		for range counts.next() {
+			attr += int(lens.next())
 		}
 	}
-	globals := make([]uint32, members)
-	v.Tuples, v.Shards = tuples, make([]join.ShardExport, v.NShard)
+	at[n] = rowAt{key: key, lens: lens.i, attrs: attr}
+
+	globals, lists := make([]uint32, members), make([][]uint32, shards)
 	col := column{b: r.data, i: shardsAt}
-	for i := range v.Shards {
+	for i := range lists {
 		c := int(col.next())
 		g := globals[:c:c]
 		prev := int64(-1)
@@ -727,17 +737,58 @@ func decodeColumns(r *reader, v *join.SnapshotView, n int) error {
 			prev += 1 + unzigzag(col.next())
 			g[j] = uint32(prev)
 		}
-		v.Shards[i].Globals, globals = g, globals[c:]
+		lists[i], globals = g, globals[c:]
 	}
-	return nil
+	return &columnRows{data: r.data, at: at}, lists, nil
 }
 
-// decodeFixedWidth decodes the sections of a version 1 to 5 image into
-// v, over the fixed-width layout those versions stored.
-func decodeFixedWidth(r *reader, v *join.SnapshotView, version uint32, n int) error {
+// columnRows is a version-6 image's tuple store as a bulk build's rows,
+// read where it lies: the strings a row returns are views of the image,
+// which live only until the build has copied them into its shards.
+type columnRows struct {
+	data []byte
+	at   []rowAt // one per tuple, then one holding the columns' ends
+}
+
+// rowAt is one tuple of a version-6 image: its id, and where its key,
+// its attr lengths and its attr bytes start in the image; the next
+// tuple's starts end them.
+type rowAt struct {
+	id               int64
+	key, lens, attrs int
+}
+
+func (c *columnRows) Len() int { return len(c.at) - 1 }
+
+func (c *columnRows) Row(ref int, buf *[]string) relation.Tuple {
+	a, end := &c.at[ref], &c.at[ref+1]
+	t := relation.Tuple{ID: int(a.id), Key: c.str(a.key, end.key)}
+	if a.lens == end.lens {
+		return t // no attrs: Attrs stays nil
+	}
+	attrs, off := (*buf)[:0], a.attrs
+	for lens := (column{b: c.data, i: a.lens}); lens.i < end.lens; {
+		l := int(lens.next())
+		attrs = append(attrs, c.str(off, off+l))
+		off += l
+	}
+	*buf, t.Attrs = attrs, attrs
+	return t
+}
+
+// str is the image's bytes [lo, hi) as a string, without a copy.
+func (c *columnRows) str(lo, hi int) string {
+	return unsafe.String(unsafe.SliceData(c.data[lo:hi]), hi-lo)
+}
+
+// decodeFixedWidth decodes the sections of a version 1 to 5 image of n
+// tuples in the given number of shards, over the fixed-width layout
+// those versions stored: the store as a []relation.Tuple, and from
+// version 3 on each shard's member refs.
+func decodeFixedWidth(r *reader, version uint32, shards, n int) (join.Rows, [][]uint32, error) {
 	if n > 0 && int64(n)*8 > int64(r.left()) {
 		r.fail("tuple count %d exceeds remaining bytes", n)
-		return r.err
+		return nil, nil, r.err
 	}
 	ids := make([]int64, n)
 	for i := range ids {
@@ -747,45 +798,45 @@ func decodeFixedWidth(r *reader, v *join.SnapshotView, version uint32, n int) er
 	attrOffs := r.offsets(n)
 	flatAttrs := r.stringBlob("attr")
 	if r.err != nil {
-		return r.err
+		return nil, nil, r.err
 	}
 	if len(keys) != n {
-		return fmt.Errorf("%w: %d keys for %d tuples", ErrCorrupt, len(keys), n)
+		return nil, nil, fmt.Errorf("%w: %d keys for %d tuples", ErrCorrupt, len(keys), n)
 	}
 	if int(attrOffs[n]) > len(flatAttrs) {
-		return fmt.Errorf("%w: attr offsets reach %d of %d attrs", ErrCorrupt, attrOffs[n], len(flatAttrs))
+		return nil, nil, fmt.Errorf("%w: attr offsets reach %d of %d attrs", ErrCorrupt, attrOffs[n], len(flatAttrs))
 	}
-	v.Tuples = make([]relation.Tuple, n)
-	for i := range v.Tuples {
-		v.Tuples[i] = relation.Tuple{ID: int(ids[i]), Key: keys[i]}
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{ID: int(ids[i]), Key: keys[i]}
 		if attrOffs[i] < attrOffs[i+1] {
-			v.Tuples[i].Attrs = flatAttrs[attrOffs[i]:attrOffs[i+1]:attrOffs[i+1]]
+			tuples[i].Attrs = flatAttrs[attrOffs[i]:attrOffs[i+1]:attrOffs[i+1]]
 		}
 	}
-	if err := checkShardCount(r, v.NShard); err != nil {
-		return err
+	if err := checkShardCount(r, shards); err != nil {
+		return nil, nil, err
 	}
 	if version < 3 {
 		// Prefix-replicated shard sections: nothing a load can check
-		// (see the format comment). The view carries the store alone.
-		return nil
+		// (see the format comment). The image carries the store alone.
+		return join.Tuples(tuples), nil, nil
 	}
-	v.Shards = make([]join.ShardExport, v.NShard)
-	for i := range v.Shards {
-		v.Shards[i].Globals = r.u32slice("global")
+	members := make([][]uint32, shards)
+	for i := range members {
+		members[i] = r.u32slice("global")
 		if version < 5 {
-			if err := skipQGramSection(r, version, len(v.Shards[i].Globals)); err != nil {
-				return fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
+			if err := skipQGramSection(r, version, len(members[i])); err != nil {
+				return nil, nil, fmt.Errorf("%w: shard %d: %w", ErrCorrupt, i, err)
 			}
 		}
 		if r.err != nil {
-			return fmt.Errorf("shard %d: %w", i, r.err)
+			return nil, nil, fmt.Errorf("shard %d: %w", i, r.err)
 		}
 	}
 	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
 	}
-	return nil
+	return join.Tuples(tuples), members, nil
 }
 
 // skipQGramSection steps over the q-gram section a version 3 or 4
@@ -809,17 +860,17 @@ func skipQGramSection(r *reader, version uint32, members int) error {
 	return join.CheckShardSection(members, grams, sizes, floor, sigs.n, sigs.at)
 }
 
-// ReadSnapshotFile loads and decodes a snapshot file.
-func ReadSnapshotFile(path string) (*join.SnapshotView, error) {
+// ReadSnapshotFile loads a snapshot file: DecodeSnapshot of its bytes.
+func ReadSnapshotFile(path string) (*join.ShardedRefIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	v, err := DecodeSnapshot(data)
+	ix, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return v, nil
+	return ix, nil
 }
 
 // WriteSnapshotFileFS writes the snapshot atomically through fsys:

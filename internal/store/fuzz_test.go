@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -36,12 +37,12 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 }
 
 // FuzzSnapshotDecode hammers the snapshot loader with hostile bytes:
-// whatever the input, it must return a view or an error — never panic,
-// never allocate unboundedly — and any view it does return must either
-// import cleanly or be rejected by the importer's own validation. Each
-// input is decoded as given and again with its checksum re-sealed over
-// the rest, so mutations reach the section decoders behind the CRC
-// instead of stopping at it.
+// whatever the input, it must return an index or an error — never
+// panic, never allocate unboundedly — whether the decoder's bounds
+// checks or the load's cross-structure checks refuse it. Each input is
+// decoded as given and again with its checksum re-sealed over the rest,
+// so mutations reach the section decoders behind the CRC instead of
+// stopping at it.
 func FuzzSnapshotDecode(f *testing.F) {
 	seed := fuzzSeedSnapshot(f)
 	f.Add(seed)
@@ -62,9 +63,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(readFile(f, v5Fixture))
 	f.Add(currentImage(f, v5Fixture))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeAndImport(data)
+		DecodeSnapshot(data)
 		if len(data) >= 4 {
-			decodeAndImport(fixCRC(bytes.Clone(data)))
+			DecodeSnapshot(fixCRC(bytes.Clone(data)))
 		}
 	})
 }
@@ -81,7 +82,11 @@ func readFile(tb testing.TB, path string) []byte {
 // currentImage re-encodes a snapshot file in the current version.
 func currentImage(tb testing.TB, path string) []byte {
 	tb.Helper()
-	v, err := ReadSnapshotFile(path)
+	ix, err := ReadSnapshotFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := ix.ExportSnapshot()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,22 +97,13 @@ func currentImage(tb testing.TB, path string) []byte {
 	return buf.Bytes()
 }
 
-// decodeAndImport decodes an image and, when its bytes are structurally
-// valid, holds the importer to every cross-structure invariant; either
-// step may refuse, neither may panic.
-func decodeAndImport(data []byte) {
-	if v, err := DecodeSnapshot(data); err == nil {
-		join.NewShardedRefIndexFromSnapshot(v)
-	}
-}
-
-// fuzzView reads a snapshot view out of arbitrary bytes: a shard count
+// fuzzContent reads image content out of arbitrary bytes: a shard count
 // and a tuple count n, then the tuples — an id (the extremes of int64, a
 // small negative, or eight raw bytes, by a selector byte), a key and 0
 // to 3 attrs, possibly empty — and then, per shard, up to n arbitrary
 // global refs. Bytes past the input read as zeros. Nothing is
-// validated: the codec, not the importer, is under test.
-func fuzzView(data []byte) *join.SnapshotView {
+// validated: the codec, not the load, is under test.
+func fuzzContent(data []byte) content {
 	next := func(k int) []byte {
 		k = min(k, len(data))
 		b := data[:k]
@@ -126,7 +122,7 @@ func fuzzView(data []byte) *join.SnapshotView {
 		return binary.LittleEndian.Uint64(w[:])
 	}
 	str := func() string { return string(next(byteOf() % 24)) }
-	v := &join.SnapshotView{Cfg: join.Defaults(), NShard: 1 + byteOf()%4}
+	c := content{cfg: join.Defaults(), nshard: 1 + byteOf()%4}
 	n := byteOf() % 65
 	for range n {
 		var id int64
@@ -144,25 +140,26 @@ func fuzzView(data []byte) *join.SnapshotView {
 		for range byteOf() % 4 {
 			tp.Attrs = append(tp.Attrs, str())
 		}
-		v.Tuples = append(v.Tuples, tp)
+		c.tuples = append(c.tuples, tp)
 	}
-	v.Shards = make([]join.ShardExport, v.NShard)
-	for i := range v.Shards {
+	c.shards = make([][]uint32, c.nshard)
+	for i := range c.shards {
 		for range byteOf() % (n + 1) {
-			v.Shards[i].Globals = append(v.Shards[i].Globals, uint32(word(4)))
+			c.shards[i] = append(c.shards[i], uint32(word(4)))
 		}
 	}
-	return v
+	return c
 }
 
-// sameContent reports whether two views hold the same tuples and
-// member refs, a nil and an empty list counting as equal.
-func sameContent(a, b *join.SnapshotView) bool {
-	if len(a.Tuples) != len(b.Tuples) || len(a.Shards) != len(b.Shards) {
+// sameContent reports whether decoded rows and member refs are c's
+// tuples and member refs, a nil and an empty list counting as equal.
+func sameContent(c content, rows join.Rows, members [][]uint32) bool {
+	if rows.Len() != len(c.tuples) || len(members) != len(c.shards) {
 		return false
 	}
-	for i, t := range a.Tuples {
-		u := b.Tuples[i]
+	var buf []string
+	for i, t := range c.tuples {
+		u := rows.Row(i, &buf)
 		if t.ID != u.ID || t.Key != u.Key || len(t.Attrs) != len(u.Attrs) {
 			return false
 		}
@@ -172,24 +169,21 @@ func sameContent(a, b *join.SnapshotView) bool {
 			}
 		}
 	}
-	for i, se := range a.Shards {
-		if len(se.Globals) != len(b.Shards[i].Globals) {
+	for i, refs := range c.shards {
+		if !slices.Equal(refs, members[i]) {
 			return false
-		}
-		for j, g := range se.Globals {
-			if b.Shards[i].Globals[j] != g {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// FuzzSnapshotRoundTrip holds the codec to its inverse: any view —
+// FuzzSnapshotRoundTrip holds the codec to its inverse: any content —
 // extreme, negative and repeated ids, empty keys and attrs, refs in any
-// order up to the top of the uint32 space — written by WriteSnapshot
-// decodes to the same tuples and member refs and the same content
-// digest.
+// order up to the top of the uint32 space — written as an image decodes
+// to the same tuples and member refs. The same tuples bulk-built into
+// an index then round-trip through WriteSnapshot and DecodeSnapshot to
+// the same view and content digest, and still do once every byte of
+// the image has been overwritten: the load keeps nothing of it.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	// Two shards of three tuples: ids MinInt64, MaxInt64 and −9, the
@@ -210,22 +204,50 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		"\x03\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 		"\x03\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\x01\x05\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src := fuzzView(data)
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, src); err != nil {
+		src := fuzzContent(data)
+		_, rows, members, err := decodeImage(src.image())
+		if err != nil {
+			t.Fatalf("decoding written content: %v", err)
+		}
+		if !sameContent(src, rows, members) {
+			t.Fatalf("round trip changed the content %+v", src)
+		}
+
+		ix, err := join.BuildShardedRefIndex(src.cfg, src.nshard, src.tuples)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeSnapshot(buf.Bytes())
+		want, err := ix.ExportSnapshot()
 		if err != nil {
-			t.Fatalf("decoding a written view: %v", err)
+			t.Fatal(err)
 		}
-		if !sameContent(src, got) {
-			t.Fatalf("round trip changed the view:\n wrote %+v\n read  %+v", src, got)
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, want); err != nil {
+			t.Fatal(err)
 		}
-		if a, b := DigestView(src), DigestView(got); !reflect.DeepEqual(a, b) {
-			t.Fatalf("round trip moved the digest: %+v, source %+v", b, a)
+		img := buf.Bytes()
+		loaded, err := DecodeSnapshot(img)
+		if err != nil {
+			t.Fatalf("loading a written index: %v", err)
+		}
+		for pass := range 2 {
+			v, err := loaded.ExportSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameView(v, want) || !reflect.DeepEqual(DigestView(v), DigestView(want)) {
+				t.Fatalf("pass %d: the loaded index's view or digest differs from the written one's", pass)
+			}
+			overwrite(img)
 		}
 	})
+}
+
+// overwrite writes over every byte of an image.
+func overwrite(img []byte) {
+	for i := range img {
+		img[i] = ^img[i]
+	}
 }
 
 // fuzzSeedWAL is a small valid WAL image (header + two frames).

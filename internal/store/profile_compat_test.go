@@ -43,8 +43,8 @@ func TestSnapshotProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cfg.Profile != "latin" {
-		t.Fatalf("decoded profile %q, want latin", got.Cfg.Profile)
+	if p := got.Config().Profile; p != "latin" {
+		t.Fatalf("decoded profile %q, want latin", p)
 	}
 	if m := MetaOf(got); m.Profile != "latin" {
 		t.Fatalf("MetaOf profile %q, want latin", m.Profile)
@@ -78,17 +78,17 @@ func TestSnapshotV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := fixedWidthImage(t, v, 1)
+	data := contentOf(v).fixedWidth(1)
 
 	got, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatalf("v1 snapshot rejected: %v", err)
 	}
-	if got.Cfg.Profile != "" {
-		t.Fatalf("v1 snapshot decoded profile %q, want \"\"", got.Cfg.Profile)
+	if p := got.Config().Profile; p != "" {
+		t.Fatalf("v1 snapshot decoded profile %q, want \"\"", p)
 	}
-	if len(got.Tuples) != v.Len() {
-		t.Fatalf("v1 snapshot decoded %d tuples, want %d", len(got.Tuples), v.Len())
+	if got.Len() != v.Len() {
+		t.Fatalf("v1 snapshot decoded %d tuples, want %d", got.Len(), v.Len())
 	}
 }
 

@@ -75,13 +75,38 @@ type Recovery struct {
 // configuration). Callers use it to resolve "open with whatever is
 // stored" before committing to a full Open.
 func PeekMeta(dir string) (*Meta, error) {
-	if m, err := peekSnapshotMeta(filepath.Join(dir, SnapshotFile)); err != nil || m != nil {
-		return m, err
+	// The compatibility fields all sit in the headers (full structural
+	// validation happens on load): decode a file's prefix with its
+	// loader's own header decoder.
+	path := filepath.Join(dir, SnapshotFile)
+	buf, err := readPrefix(path, snapHeaderMax)
+	if err != nil {
+		return nil, err
 	}
-	return peekWALMeta(filepath.Join(dir, WALFile))
+	if buf != nil {
+		_, m, _, err := readHeader(&reader{data: buf})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return &m, nil
+	}
+	// No snapshot: the full v2 WAL header, fixed fields, profile length
+	// and profile bytes.
+	path = filepath.Join(dir, WALFile)
+	if buf, err = readPrefix(path, walFixedHeaderSize+4+maxProfileLen); err != nil || len(buf) == 0 {
+		return nil, err // an empty log is treated as absent: Open rewrites it
+	}
+	dec, err := decodeWALBytes(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &dec.meta, nil
 }
 
-func peekSnapshotMeta(path string) (*Meta, error) {
+// readPrefix reads the first n bytes of a file, or all of a shorter
+// one: nil, and no error, when there is no such file; any other failure
+// to read it is an error.
+func readPrefix(path string, n int) ([]byte, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -90,42 +115,12 @@ func peekSnapshotMeta(path string) (*Meta, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// The compatibility fields all sit in the header (full structural
-	// validation happens on load): decode the file's prefix with the
-	// loader's own header decoder.
-	buf := make([]byte, snapHeaderMax)
-	n, err := io.ReadFull(f, buf)
+	buf := make([]byte, n)
+	k, err := io.ReadFull(f, buf)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, err
 	}
-	_, m, _, err := readHeader(&reader{data: buf[:n]})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &m, nil
-}
-
-func peekWALMeta(path string) (*Meta, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// The full v2 header: fixed fields, profile length, profile bytes.
-	var buf [walFixedHeaderSize + 4 + maxProfileLen]byte
-	n, _ := io.ReadFull(f, buf[:])
-	if n == 0 {
-		return nil, nil // empty file: treated as absent, Open rewrites it
-	}
-	dec, err := decodeWALBytes(buf[:n])
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m := dec.meta
-	return &m, nil
+	return buf[:k], nil
 }
 
 // Open opens (creating if needed) the index directory and reconstructs
@@ -156,15 +151,10 @@ func Open(fsys vfs.FS, dir string, meta Meta, sync SyncPolicy) (*Dir, *join.Shar
 	snapPath := filepath.Join(dir, SnapshotFile)
 	var lastSnap time.Time
 	if fi, err := os.Stat(snapPath); err == nil {
-		v, err := ReadSnapshotFile(snapPath)
-		if err != nil {
+		if ix, err = ReadSnapshotFile(snapPath); err != nil {
 			return nil, nil, nil, err
 		}
-		if err := meta.Check(MetaOf(v)); err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", snapPath, err)
-		}
-		ix, err = join.NewShardedRefIndexFromSnapshot(v)
-		if err != nil {
+		if err := meta.Check(MetaOf(ix)); err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", snapPath, err)
 		}
 		rec.SnapshotTuples = ix.Len()
@@ -236,9 +226,8 @@ func CreateBuild(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *joi
 		written = append(written, dir)
 	}
 	var (
-		tmp  string // the snapshot's temporary file, until renamed
-		meta Meta
-		wal  *WAL
+		tmp string // the snapshot's temporary file, until renamed
+		wal *WAL
 	)
 	defer func() {
 		if err == nil {
@@ -259,7 +248,6 @@ func CreateBuild(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *joi
 		if tmp != "" {
 			fsys.Remove(tmp)
 		}
-		meta = MetaOf(v)
 		var err error
 		tmp, err = writeSnapshotTemp(fsys, snapPath, v)
 		return err
@@ -278,6 +266,7 @@ func CreateBuild(fsys vfs.FS, dir string, sync SyncPolicy, build Build) (ix *joi
 		return nil, nil, err
 	}
 	written = append(written, walPath)
+	meta := MetaOf(ix)
 	if wal, _, err = OpenWALFS(fsys, walPath, meta, sync); err != nil {
 		return nil, nil, err
 	}
@@ -304,11 +293,11 @@ func (d *Dir) Append(tuples []relation.Tuple) error {
 // snapshot does, with the WAL reset merely redundant until it happens.
 func (d *Dir) Checkpoint(ix *join.ShardedRefIndex) error {
 	t0 := time.Now()
-	v, err := ix.ExportSnapshot()
-	if err != nil {
+	if err := d.meta.Check(MetaOf(ix)); err != nil {
 		return err
 	}
-	if err := d.meta.Check(MetaOf(v)); err != nil {
+	v, err := ix.ExportSnapshot()
+	if err != nil {
 		return err
 	}
 	if err := WriteSnapshotFileFS(d.fs, filepath.Join(d.path, SnapshotFile), v); err != nil {

@@ -82,9 +82,7 @@ func assertSameIndex(t *testing.T, want, got *join.ShardedRefIndex) {
 }
 
 // sameView reports whether two views hold the same configuration, store
-// (as Store walks it) and member refs, whichever kind each is: an
-// exported view reads its store from the shards, a decoded one carries
-// it as Tuples.
+// (as Store walks it) and member refs.
 func sameView(a, b *join.SnapshotView) bool {
 	return a.Cfg == b.Cfg && a.NShard == b.NShard &&
 		reflect.DeepEqual(slices.Collect(a.Store()), slices.Collect(b.Store())) &&
@@ -105,8 +103,8 @@ func encodeSnapshot(t *testing.T, ix *join.ShardedRefIndex) []byte {
 }
 
 // TestSnapshotCodecRoundTrip pins encode → decode to identity (the
-// decoded view holds the exported one's configuration, store and member
-// refs) and the decoded view to behavioural identity after import.
+// loaded index exports the exported view's configuration, store and
+// member refs) and to behavioural identity.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -119,16 +117,12 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			if err := WriteSnapshot(&buf, want); err != nil {
 				t.Fatal(err)
 			}
-			got, err := DecodeSnapshot(buf.Bytes())
+			loaded, err := DecodeSnapshot(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameView(want, got) {
-				t.Fatal("decoded view differs from the exported view")
-			}
-			loaded, err := join.NewShardedRefIndexFromSnapshot(got)
-			if err != nil {
-				t.Fatal(err)
+			if got, err := loaded.ExportSnapshot(); err != nil || !sameView(want, got) {
+				t.Fatalf("the loaded index exports a view other than the written one (%v)", err)
 			}
 			assertSameIndex(t, ix, loaded)
 			// The loaded index stays writable.
@@ -136,6 +130,34 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			ix.Upsert([]relation.Tuple{extra})
 			loaded.Upsert([]relation.Tuple{extra})
 			assertSameIndex(t, ix, loaded)
+		})
+	}
+}
+
+// TestLoadKeepsNothingOfImage: an index loaded from an image owns
+// every byte it answers with. Once the image is loaded, every byte of it
+// is overwritten; the index must then answer every stored key, exactly
+// and approximately (so the shards' q-gram structures are built from
+// what the load kept), as the index the image was written from, and
+// digest alike — for a current image and for the fixed-width layout.
+func TestLoadKeepsNothingOfImage(t *testing.T) {
+	src := buildIndex(t, 3, 300)
+	v, err := src.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{"v6": encodeSnapshot(t, src), "v5": contentOf(v).fixedWidth(5)} {
+		t.Run(name, func(t *testing.T) {
+			ix := loadImage(t, img)
+			overwrite(img)
+			assertSameIndex(t, src, ix)
+			got, err := ix.ExportSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := DigestView(got), DigestView(v); !reflect.DeepEqual(a, b) {
+				t.Fatalf("digest %+v after the image was overwritten, source %+v", a, b)
+			}
 		})
 	}
 }
@@ -154,7 +176,11 @@ func TestHeldViewEncodesExportTimeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(atExport)
+	loaded, err := DecodeSnapshot(atExport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := loaded.ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +235,14 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err := WriteSnapshotFileFS(vfs.OS, path, v); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := join.NewShardedRefIndexFromSnapshot(got)
+	loaded, err := ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameIndex(t, ix, loaded)
 	if m, err := PeekMeta(filepath.Dir(path)); err != nil || m == nil {
 		t.Fatalf("PeekMeta = %+v, %v", m, err)
-	} else if err := m.Check(MetaOf(v)); err != nil {
+	} else if err := m.Check(MetaOf(ix)); err != nil {
 		t.Fatalf("peeked meta differs: %v", err)
 	}
 }

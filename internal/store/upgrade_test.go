@@ -573,14 +573,7 @@ func TestV3PostingsSectionNotTrusted(t *testing.T) {
 	binary.LittleEndian.PutUint32(scrambled[len(body):], crc32.Checksum(body, castagnoli))
 
 	load := func(data []byte) (*join.SnapshotView, *join.ShardedRefIndex) {
-		v, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := join.NewShardedRefIndexFromSnapshot(v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := loadImage(t, data)
 		out, err := ix.ExportSnapshot()
 		if err != nil {
 			t.Fatal(err)

@@ -84,9 +84,10 @@ type Meta struct {
 	Profile string
 }
 
-// MetaOf extracts the compatibility tuple from a snapshot view.
-func MetaOf(v *join.SnapshotView) Meta {
-	return Meta{Q: v.Cfg.Q, Theta: v.Cfg.Theta, Measure: v.Cfg.Measure, Shards: v.NShard, Profile: v.Cfg.Profile}
+// MetaOf extracts the compatibility tuple of a resident index.
+func MetaOf(ix *join.ShardedRefIndex) Meta {
+	cfg := ix.Config()
+	return Meta{Q: cfg.Q, Theta: cfg.Theta, Measure: cfg.Measure, Shards: ix.Shards(), Profile: cfg.Profile}
 }
 
 // Check compares two metas field by field, naming every mismatch.

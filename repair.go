@@ -105,21 +105,17 @@ func (ix *Index) RestoreSnapshot(data []byte) error {
 	if _, err := ix.snapshotExporter(); err != nil {
 		return err
 	}
-	v, err := store.DecodeSnapshot(data)
+	ri, err := store.DecodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("adaptivelink: restoring snapshot: %w", err)
 	}
-	incoming := store.MetaOf(v)
+	incoming := store.MetaOf(ri)
 	want := ix.opts.meta()
 	if ix.dir == nil {
 		// In-memory replicas adopt the snapshot's shard layout.
 		want.Shards = incoming.Shards
 	}
 	if err := want.Check(incoming); err != nil {
-		return fmt.Errorf("adaptivelink: restoring snapshot: %w", err)
-	}
-	ri, err := join.NewShardedRefIndexFromSnapshot(v)
-	if err != nil {
 		return fmt.Errorf("adaptivelink: restoring snapshot: %w", err)
 	}
 	ix.mu.Lock()
@@ -147,20 +143,16 @@ func (ix *Index) RestoreSnapshot(data []byte) error {
 // must not already hold an index, and the returned index is durable,
 // logging subsequent Upserts.
 func ImportSnapshot(data []byte, opts IndexOptions) (*Index, error) {
-	v, err := store.DecodeSnapshot(data)
+	ri, err := store.DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
 	}
-	m := store.MetaOf(v)
+	m := store.MetaOf(ri)
 	opts, err = opts.adopting(m).resolved()
 	if err != nil {
 		return nil, err
 	}
 	if err := opts.meta().Check(m); err != nil {
-		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
-	}
-	ri, err := join.NewShardedRefIndexFromSnapshot(v)
-	if err != nil {
 		return nil, fmt.Errorf("adaptivelink: importing snapshot: %w", err)
 	}
 	ix := newIndex(ri, opts)
