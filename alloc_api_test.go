@@ -362,7 +362,7 @@ func TestAllocBulkLoadFromTuples(t *testing.T) {
 // load it took the per-tuple path, cloning the batch, decomposing no
 // key but holding a scratch key per tuple, and growing the log frame
 // by appends: 826. The pin may not exceed the create pin
-// (createBytesBudget in internal/service, 360), which also pays for
+// (createBytesBudget in internal/service, 310), which also pays for
 // decoding the body.
 const emptyUpsertBytesBudget = 200
 

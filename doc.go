@@ -170,11 +170,12 @@
 // deadlines, a Prometheus-style /metrics endpoint priced by the
 // paper's cost model, and graceful drain on SIGTERM. Every non-2xx response carries the
 // unified v1 error envelope {"error":{"code":...,"message":...}} with
-// a closed code set (see internal/service). Create, upsert and link
-// bodies in the canonical shape json.Marshal emits are decoded by a
-// one-pass scanner (internal/wire); every other body falls back to
-// encoding/json on the same bytes, which still defines what a body
-// means and every error message. cmd/linkbench load-tests it and
+// a closed code set (see internal/service). Request bodies in the
+// canonical shape json.Marshal emits are read in one pass
+// (internal/wire) — create and upsert bodies by one tuple reader that
+// decodes straight into the index's rows, link bodies by a scanner;
+// every other body falls back to encoding/json on the same bytes,
+// which still defines what a body means and every error message. cmd/linkbench load-tests it and
 // prints throughput and latency percentiles.
 //
 // # Cluster

@@ -91,19 +91,21 @@ const maxSnapshotBytes = 1 << 30
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(w, r)
-		if err == nil {
-			if info, ok, err := s.createStreamed(body.Bytes()); ok {
-				if err != nil {
-					writeError(w, err)
-					return
-				}
-				writeJSON(w, http.StatusCreated, info)
+		answer := func(info IndexInfo, err error) {
+			if err != nil {
+				writeError(w, err)
 				return
 			}
+			writeJSON(w, http.StatusCreated, info)
 		}
 		var req CreateIndexRequest
-		if !decodeBody(w, body, err, &req) {
+		if !streamBody(w, r, &req, func(body []byte) bool {
+			info, handled, err := s.createStreamed(body)
+			if handled {
+				answer(info, err)
+			}
+			return handled
+		}) {
 			return
 		}
 		opts, err := indexOptions(req)
@@ -111,12 +113,7 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, err)
 			return
 		}
-		info, err := s.CreateIndex(req.Name, opts, publicTuples(req.Tuples))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, info)
+		answer(s.CreateIndex(req.Name, opts, publicTuples(req.Tuples)))
 	})
 	mux.HandleFunc("GET /v1/indexes", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.ListIndexes())
@@ -130,24 +127,26 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, info)
 	})
 	mux.HandleFunc("POST /v1/indexes/{name}/upsert", func(w http.ResponseWriter, r *http.Request) {
-		// The tuples decode straight into the rows the index takes: a
-		// wire tuple and an index row differ only in their tags.
-		var rows []adaptivelink.Tuple
-		dst := wire.UpsertRows{
-			Make: func(n int) { rows = make([]adaptivelink.Tuple, n) },
-			Slot: func(i int) *wire.TupleDTO { return (*wire.TupleDTO)(&rows[i]) },
-		}
-		if !decodeJSON(w, r, &dst) {
-			return
-		}
 		name := r.PathValue("name")
-		inserted, updated, err := s.Upsert(name, rows)
-		if err != nil {
-			writeError(w, err)
+		answer := func(inserted, updated int, err error) {
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			info, _ := s.GetIndex(name)
+			writeJSON(w, http.StatusOK, UpsertResponse{Inserted: inserted, Updated: updated, Size: info.Size})
+		}
+		var req UpsertRequest
+		if !streamBody(w, r, &req, func(body []byte) bool {
+			inserted, updated, handled, err := s.upsertStreamed(name, body)
+			if handled {
+				answer(inserted, updated, err)
+			}
+			return handled
+		}) {
 			return
 		}
-		info, _ := s.GetIndex(name)
-		writeJSON(w, http.StatusOK, UpsertResponse{Inserted: inserted, Updated: updated, Size: info.Size})
+		answer(s.Upsert(name, publicTuples(req.Tuples)))
 	})
 	mux.HandleFunc("DELETE /v1/indexes/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.DeleteIndex(r.PathValue("name")); err != nil {
@@ -335,6 +334,30 @@ func (s *Service) createStreamed(body []byte) (info IndexInfo, handled bool, err
 	return info, err == nil || decoded.Load(), err
 }
 
+// upsertStreamed is an upsert from a request body whose tuples are its
+// only member, read as a create body with an empty head: the tuples
+// decode straight into the rows the index takes, their strings aliasing
+// body. Nothing keeps them past the upsert: the shards copy the bytes
+// in, the log encodes them and a router re-encodes them. handled is
+// false when the body must be decoded whole (wire.Decode, then Upsert),
+// which alone defines what a body means: a body wire.StreamCreate does
+// not take, one with any other member, or one that leaves the
+// canonical shape partway.
+func (s *Service) upsertStreamed(name string, body []byte) (inserted, updated int, handled bool, err error) {
+	cs, ok := wire.StreamCreate(body)
+	if !ok || !cs.TuplesOnly() {
+		return 0, 0, false, nil
+	}
+	rows := make([]adaptivelink.Tuple, cs.N)
+	// A wire tuple and an index row differ only in their tags.
+	slot := func(i int) *wire.TupleDTO { return (*wire.TupleDTO)(&rows[i]) }
+	if !cs.Tuples(slot, func(int) {}) {
+		return 0, 0, false, nil
+	}
+	inserted, updated, err = s.Upsert(name, rows)
+	return inserted, updated, true, err
+}
+
 func indexOptions(req CreateIndexRequest) (adaptivelink.IndexOptions, error) {
 	opts := adaptivelink.IndexOptions{Q: req.Q, Theta: req.Theta, Shards: req.Shards, Profile: req.Profile}
 	if req.Measure == "" {
@@ -364,6 +387,19 @@ func publicTuples(dtos []TupleDTO) []adaptivelink.Tuple {
 // decoder's error.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	body, err := readBody(w, r)
+	return decodeBody(w, body, err, dst)
+}
+
+// streamBody reads a request body once, capped at maxBodyBytes, and
+// offers it whole to streamed, which reports whether it handled the
+// request. A body it leaves, or one cut short, is decoded into dst as
+// decodeJSON decodes it. streamBody reports whether dst holds a body
+// the caller is to act on.
+func streamBody(w http.ResponseWriter, r *http.Request, dst any, streamed func(body []byte) bool) bool {
+	body, err := readBody(w, r)
+	if err == nil && streamed(body.Bytes()) {
+		return false
+	}
 	return decodeBody(w, body, err, dst)
 }
 

@@ -491,7 +491,7 @@ func (s *Service) SnapshotIndex(name string) (IndexInfo, error) {
 	}
 	t0 := time.Now()
 	if err := mi.ix.Save(""); err != nil {
-		return IndexInfo{}, err
+		return IndexInfo{}, closedAsGone(name, err)
 	}
 	s.log.Info("checkpointed index", "index", name, "tuples", mi.ix.Len(),
 		"duration", time.Since(t0).Round(time.Millisecond))
@@ -544,7 +544,9 @@ func (s *Service) ResyncIndex(name string, data []byte) (IndexInfo, error) {
 	defer s.createMu.Unlock()
 	if mi, err := s.lookup(name); err == nil {
 		t0 := time.Now()
-		if err := mi.ix.RestoreSnapshot(data); err != nil {
+		if err := mi.ix.RestoreSnapshot(data); errors.Is(err, adaptivelink.ErrIndexClosed) {
+			return IndexInfo{}, closedAsGone(name, err)
+		} else if err != nil {
 			return IndexInfo{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 		s.log.Info("resynced index", "index", name, "tuples", mi.ix.Len(),
@@ -653,10 +655,21 @@ func (s *Service) Upsert(name string, tuples []adaptivelink.Tuple) (inserted, up
 	}
 	inserted, updated, err = mi.ix.Upsert(tuples...)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, closedAsGone(name, err)
 	}
 	mi.count(IndexCounts{Inserted: int64(inserted), Updated: int64(updated)})
 	return inserted, updated, nil
+}
+
+// closedAsGone answers a write that found its index closed as one that
+// found no index: DeleteIndex closes an index before its delete
+// commits, and a delete that failed after the close leaves it closed.
+// Once the delete commits, the same write answers not found.
+func closedAsGone(name string, err error) error {
+	if errors.Is(err, adaptivelink.ErrIndexClosed) {
+		return fmt.Errorf("%w: index %q is being deleted", ErrNotFound, name)
+	}
+	return err
 }
 
 func (s *Service) lookup(name string) (*managedIndex, error) {

@@ -17,15 +17,15 @@ import (
 var errTrailing = errors.New("trailing data after the JSON value")
 
 // Decode decodes a request body into dst, which must point to a zero
-// value. Bodies of a *CreateIndexRequest, *UpsertRows or
-// *LinkRequestDTO in the canonical shape json.Marshal emits take a
-// one-pass scanner. That shape is one object with exact-case field
-// names in any order and none repeated, strings with standard escapes
-// and valid UTF-8, plain integers, and JSON whitespace between tokens.
-// Every other body, and every other dst, goes to DecodeReader on the
-// same bytes. So encoding/json defines what every body means and every
-// error message: the scanner accepts only bodies that encoding/json
-// reads as the same value.
+// value. A *LinkRequestDTO body in the canonical shape json.Marshal
+// emits takes a one-pass scanner. That shape is one object with
+// exact-case field names in any order and none repeated, strings with
+// standard escapes and valid UTF-8, plain integers, and JSON whitespace
+// between tokens. Every other body, and every other dst, goes to
+// DecodeReader on the same bytes. So encoding/json defines what every
+// body means and every error message: the scanner accepts only bodies
+// that encoding/json reads as the same value. Create and upsert bodies
+// are read by StreamCreate, and come here only when it refuses them.
 func Decode(body []byte, dst any) error {
 	if decodeFast(body, dst) {
 		return nil
@@ -35,20 +35,8 @@ func Decode(body []byte, dst any) error {
 
 // DecodeReader is encoding/json's reading of one request body: unknown
 // fields are refused, and so is anything but whitespace after the
-// value. An *UpsertRows is read as an *UpsertRequest and its tuples
-// copied into the rows.
+// value.
 func DecodeReader(r io.Reader, dst any) error {
-	if u, ok := dst.(*UpsertRows); ok {
-		var req UpsertRequest
-		if err := DecodeReader(r, &req); err != nil {
-			return err
-		}
-		u.Make(len(req.Tuples))
-		for i, t := range req.Tuples {
-			*u.Slot(i) = t
-		}
-		return nil
-	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
@@ -60,44 +48,34 @@ func DecodeReader(r io.Reader, dst any) error {
 	return err
 }
 
-// decodeFast is the one-pass scanner. It reports false, leaving dst
-// untouched, on any body outside the canonical shape.
+// decodeFast is the one-pass scanner of link bodies. It reports false,
+// leaving dst untouched, on any other dst and on any body outside the
+// canonical shape.
 func decodeFast(body []byte, dst any) bool {
-	d := decoder{b: body}
-	switch v := dst.(type) {
-	case *CreateIndexRequest:
-		var out CreateIndexRequest
-		if !d.presize().createIndex(&out) || !d.end() {
-			return false
-		}
-		*v = out
-	case *UpsertRows:
-		if !d.presize().upsert(v) || !d.end() {
-			return false
-		}
-	case *LinkRequestDTO:
-		var out LinkRequestDTO
-		if !d.presize().link(&out) || !d.end() {
-			return false
-		}
-		*v = out
-	default:
+	v, ok := dst.(*LinkRequestDTO)
+	if !ok {
 		return false
 	}
+	d := decoder{b: body}
+	var out LinkRequestDTO
+	if !d.presize().link(&out) || !d.end() {
+		return false
+	}
+	*v = out
 	return true
 }
 
 // decoder scans b from i. Each method reads one token or value and
 // reports false on anything outside the canonical shape.
 //
-// Every string the decoder returns is a slice of block, one allocation
-// per body holding the decoded bytes only, so a value never aliases b
-// and never pins more than its body's strings. Every string array (a
-// tuple's attributes, a link's keys) is a capped slice of arena, one
-// []string per body, and the tuple slice is allocated once at its
-// final length: presize counts all three before the scan. An aliasing
-// decoder (StreamCreate's) returns a string without escapes as a slice
-// of b instead, and grows block only for the others.
+// Every string a link decoder returns is a slice of block, one
+// allocation per body holding the decoded bytes only, so a value never
+// aliases b and never pins more than its body's strings. Every string
+// array (a tuple's attributes, a link's keys) is a capped slice of
+// arena, one []string per body: presize counts both before the scan,
+// and the tuples a body holds. An aliasing decoder (StreamCreate's)
+// returns a string without escapes as a slice of b instead, and sizes
+// block for the others only.
 type decoder struct {
 	b     []byte
 	i     int
@@ -108,13 +86,11 @@ type decoder struct {
 	nTuples int
 }
 
-// presize sizes the block, the arena and the tuple slice from one
-// counting pass over b (see measure) and returns d.
+// presize sizes the block and the arena, and counts the tuples, in one
+// pass over b (see measure) and returns d.
 func (d *decoder) presize() *decoder {
-	n, tuples, strs := measure(d.b)
-	if !d.alias {
-		d.block.Grow(n)
-	}
+	n, tuples, strs := measure(d.b, d.alias)
+	d.block.Grow(n)
 	if strs > 0 {
 		d.arena = make([]string, 0, strs)
 	}
@@ -123,12 +99,13 @@ func (d *decoder) presize() *decoder {
 }
 
 // measure counts, in one pass over a body, what decoding it holds: the
-// decoded bytes of its value strings (member names excluded), the
-// objects that are array elements (tuples) and the strings that are
-// array elements (attributes, link keys). It checks nothing; a body it
+// decoded bytes of its value strings (member names excluded) that take
+// the block — with alias, only those holding an escape —, the objects
+// that are array elements (tuples) and the strings that are array
+// elements (attributes, link keys). It checks nothing; a body it
 // miscounts is either refused by the scan or costs a regrowth, never a
 // wrong value.
-func measure(b []byte) (n, objs, strs int) {
+func measure(b []byte, alias bool) (n, objs, strs int) {
 	// Without a backslash in the body, a string ends at the next quote
 	// and decodes to its raw bytes.
 	escapes := bytes.IndexByte(b, '\\') >= 0
@@ -151,6 +128,7 @@ func measure(b []byte) (n, objs, strs int) {
 			} else if q := bytes.IndexByte(b[i+1:], '"'); q >= 0 {
 				size, end = q, i+1+q
 			}
+			escaped := size < end-i-1 // every escape decodes shorter
 			i = end
 			j := end + 1
 			for j < len(b) && (b[j] == ' ' || b[j] == '\t' || b[j] == '\n' || b[j] == '\r') {
@@ -159,7 +137,9 @@ func measure(b []byte) (n, objs, strs int) {
 			if j < len(b) && b[j] == ':' {
 				continue // a member name
 			}
-			n += size
+			if escaped || !alias {
+				n += size
+			}
 			strs += int(inArray & 1)
 		}
 	}
@@ -188,74 +168,65 @@ func decodedLen(b []byte, i int) (n, end int) {
 	return max(i-start-saved, 0), i
 }
 
-func (d *decoder) createIndex(out *CreateIndexRequest) bool {
-	var seen fields
-	return d.object(func(name []byte) bool {
-		if string(name) == "tuples" {
-			return seen.once(6) && d.tuples(&out.Tuples)
-		}
-		return d.createField(name, out, &seen)
-	})
-}
-
-// createField reads a create body's member other than its tuples.
-func (d *decoder) createField(name []byte, out *CreateIndexRequest, seen *fields) bool {
-	switch string(name) {
-	case "name":
-		return seen.once(0) && d.str(&out.Name)
-	case "q":
-		return seen.once(1) && d.int(&out.Q)
-	case "theta":
-		return seen.once(2) && d.float(&out.Theta)
-	case "measure":
-		return seen.once(3) && d.str(&out.Measure)
-	case "shards":
-		return seen.once(4) && d.int(&out.Shards)
-	case "profile":
-		return seen.once(5) && d.str(&out.Profile)
-	}
-	return false
-}
-
 // CreateStream is a create body read up to its tuples, which Tuples
 // then decodes one at a time, so that their consumer can start on each
-// as soon as it lands, on another goroutine if it likes.
+// as soon as it lands, on another goroutine if it likes. An upsert
+// body, {"tuples":[...]}, is a create body with an empty head.
 type CreateStream struct {
 	// Head holds the body's members other than its tuples.
 	Head CreateIndexRequest
 	// N is the number of tuples the body holds.
 	N int
 
-	d decoder
+	d    decoder
+	seen fields // the head's members
 }
 
-// StreamCreate reads a create body up to its tuples. It takes bodies in
-// the canonical shape Decode's scanner takes whose last member is the
-// tuples array, and reports false for any other, which Decode then
-// reads whole. Unlike Decode's, its strings alias body wherever they
-// hold no escape, so the caller keeps body unchanged while the head or
-// any tuple is in use; it never writes to body, so Decode can still
-// read a body it refuses.
+// StreamCreate reads a create or upsert body up to its tuples. It takes
+// bodies in the canonical shape (see Decode) whose last member is the
+// tuples array, and reports false for any other, which the caller then
+// reads whole with Decode. Its strings alias body wherever they hold no
+// escape, so the caller keeps body unchanged while the head or any
+// tuple is in use; it never writes to body, so Decode can still read a
+// body it refuses.
 func StreamCreate(body []byte) (*CreateStream, bool) {
 	if !endsInArray(body) {
 		return nil, false
 	}
 	c := &CreateStream{d: decoder{b: body, alias: true}}
 	c.N = c.d.presize().nTuples
-	var seen fields
+	d, h, seen := &c.d, &c.Head, &c.seen
 	atTuples := false
-	c.d.object(func(name []byte) bool {
-		if string(name) == "tuples" {
+	d.object(func(name []byte) bool {
+		switch string(name) {
+		case "tuples":
 			atTuples = true
 			return false // the value is Tuples' to read
+		case "name":
+			return seen.once(0) && d.str(&h.Name)
+		case "q":
+			return seen.once(1) && d.int(&h.Q)
+		case "theta":
+			return seen.once(2) && d.float(&h.Theta)
+		case "measure":
+			return seen.once(3) && d.str(&h.Measure)
+		case "shards":
+			return seen.once(4) && d.int(&h.Shards)
+		case "profile":
+			return seen.once(5) && d.str(&h.Profile)
 		}
-		return c.d.createField(name, &c.Head, &seen)
+		return false
 	})
 	if !atTuples {
 		return nil, false
 	}
 	return c, true
 }
+
+// TuplesOnly reports whether the tuples are the body's only member, as
+// in an upsert body. A head whose members all hold zero values still
+// has members: {"name":"","tuples":[]} is no upsert body.
+func (c *CreateStream) TuplesOnly() bool { return c.seen == 0 }
 
 // endsInArray reports whether the last member of the object b holds,
 // if b holds one, has an array value: the tuples, in a create body.
@@ -273,8 +244,8 @@ func endsInArray(b []byte) bool {
 // which must be zero, calling publish(i+1) once it is complete, and
 // then reads the rest of the body. It reports false, stopping where it
 // is, on anything outside the canonical shape; Decode then decides what
-// the body means. What it accepts, Decode reads as the same tuples.
-// Call it once.
+// the body means. What it accepts, encoding/json reads as the same
+// tuples. Call it once.
 func (c *CreateStream) Tuples(slot func(i int) *TupleDTO, publish func(done int)) bool {
 	d, n := &c.d, 0
 	return d.array(func() bool {
@@ -285,37 +256,6 @@ func (c *CreateStream) Tuples(slot func(i int) *TupleDTO, publish func(done int)
 		publish(n)
 		return true
 	}) && n == c.N && d.consume('}') && d.end()
-}
-
-// UpsertRows is a Decode destination for an upsert body that decodes
-// its tuples straight into the caller's rows: the body means what it
-// means decoded into an *UpsertRequest. Make sizes the rows for the
-// body's tuples (none if the member is null or missing, when Make may
-// not be called at all) before Slot hands out the row each tuple
-// decodes into, in order. A body the scanner gives up on partway calls
-// Make again.
-type UpsertRows struct {
-	Make func(n int)
-	Slot func(i int) *TupleDTO
-}
-
-// upsert is the one scanner of upsert bodies.
-func (d *decoder) upsert(out *UpsertRows) bool {
-	var seen fields
-	return d.object(func(name []byte) bool {
-		if string(name) != "tuples" || !seen.once(0) {
-			return false
-		}
-		out.Make(d.nTuples)
-		n := 0
-		return d.array(func() bool {
-			if n == d.nTuples || !d.tuple(out.Slot(n)) {
-				return false
-			}
-			n++
-			return true
-		}) && n == d.nTuples
-	})
 }
 
 func (d *decoder) link(out *LinkRequestDTO) bool {
@@ -339,18 +279,6 @@ func (d *decoder) link(out *LinkRequestDTO) bool {
 		}
 		return false
 	})
-}
-
-func (d *decoder) tuples(out *[]TupleDTO) bool {
-	ts := make([]TupleDTO, 0, d.nTuples)
-	if !d.array(func() bool {
-		ts = append(ts, TupleDTO{})
-		return d.tuple(&ts[len(ts)-1])
-	}) {
-		return false
-	}
-	*out = ts
-	return true
 }
 
 func (d *decoder) tuple(out *TupleDTO) bool {

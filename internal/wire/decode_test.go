@@ -11,17 +11,6 @@ import (
 	"adaptivelink"
 )
 
-// requestTypes are the bodies Decode reads in one pass into a value.
-// The third, *UpsertRows, decodes into its caller's rows; FuzzDecodeRequest
-// holds it to *UpsertRequest, which encoding/json reads.
-var requestTypes = []struct {
-	name string
-	new  func() any
-}{
-	{"create", func() any { return new(CreateIndexRequest) }},
-	{"link", func() any { return new(LinkRequestDTO) }},
-}
-
 // canonicalBodies are json.Marshal encodings of each request type,
 // shaped like the service's traffic.
 func canonicalBodies(tb testing.TB) [][]byte {
@@ -47,29 +36,29 @@ func canonicalBodies(tb testing.TB) [][]byte {
 // some of them, but the scanner accepts them all.
 const escapesBody = `{"index":"\"\\\/\b\f\n\r\t\u00e9\u2028\u0000\uFFFD\u0041","keys":["\u65e5\u672c"]}`
 
-// Every canonical body takes the one-pass path, and reads as
-// encoding/json reads it.
+// Every canonical body takes a one-pass path, and reads as
+// encoding/json reads it: a link body the scanner, a create or upsert
+// body the stream reader.
 func TestDecodeCanonical(t *testing.T) {
-	for _, body := range append(canonicalBodies(t), []byte(escapesBody)) {
-		accepted := false
-		for _, rt := range requestTypes {
-			fast, std := rt.new(), rt.new()
-			if !decodeFast(body, fast) {
-				continue
+	bodies := append(canonicalBodies(t), []byte(escapesBody), []byte(`{}`), []byte(`{"index":"x","explain":false}`),
+		[]byte(`{"theta":-0.5e+3,"tuples":[]}`), []byte(`{"theta":1E-2,"q":-3,"tuples":[]}`))
+	for _, body := range bodies {
+		var fast LinkRequestDTO
+		if !decodeFast(body, &fast) {
+			if !streamsAsDecoded(t, body) {
+				t.Errorf("neither the link scanner nor the stream reader took canonical %s", body)
 			}
-			accepted = true
-			if err := DecodeReader(bytes.NewReader(body), std); err != nil {
-				t.Fatalf("%s: scanner accepted %s, encoding/json refused it: %v", rt.name, body, err)
-			}
-			if !reflect.DeepEqual(fast, std) {
-				t.Fatalf("%s: %s reads as %+v, encoding/json reads %+v", rt.name, body, fast, std)
-			}
-			if n, _, _ := measure(body); n != stringBytes(reflect.ValueOf(fast)) {
-				t.Errorf("%s: measure sized the block of %s at %d bytes, its strings hold %d", rt.name, body, n, stringBytes(reflect.ValueOf(fast)))
-			}
+			continue
 		}
-		if !accepted {
-			t.Errorf("no request type took the one-pass path for canonical %s", body)
+		var std LinkRequestDTO
+		if err := DecodeReader(bytes.NewReader(body), &std); err != nil {
+			t.Fatalf("scanner accepted %s, encoding/json refused it: %v", body, err)
+		}
+		if !reflect.DeepEqual(fast, std) {
+			t.Fatalf("%s reads as %+v, encoding/json reads %+v", body, fast, std)
+		}
+		if n, _, _ := measure(body, false); n != stringBytes(reflect.ValueOf(fast)) {
+			t.Errorf("measure sized the block of %s at %d bytes, its strings hold %d", body, n, stringBytes(reflect.ValueOf(fast)))
 		}
 	}
 	spaced := []byte(" {\n\t\"index\" : \"a\" ,\r\"keys\":[ \"x\" , \"y\" ] } \n")
@@ -116,6 +105,17 @@ func TestDecodeFallback(t *testing.T) {
 		{`{"index":"x","timeout_ms":99999999999999999999}`, "cannot unmarshal number 99999999999999999999"},
 		{`{"index":"x","timeout_ms":01}`, "invalid character '1'"},
 		{`{"index":"x","nope":1}`, `unknown field "nope"`},
+		{`{"ind\u0065x":"x"}`, ""},
+		{`{"index":"x",}`, "invalid character '}'"},
+		{`{"keys":"x"}`, "cannot unmarshal string"},
+		{`{"keys":["a" "b"]}`, "after array element"},
+		{"{\"index\":\"a\x01\"}", "in string literal"},
+		{`{"index":"\x"}`, "in string escape code"},
+		{`{"index":"\u12zz"}`, "hexadecimal character escape"},
+		{`{"index":"\u12`, "unexpected EOF"},
+		{`{"index":"\`, "unexpected EOF"},
+		{`{"index":"abc`, "unexpected EOF"},
+		{`{"index":"x","timeout_ms":-9223372036854775809}`, "cannot unmarshal number -9223372036854775809"},
 		{`{"index":"x"} {}`, "trailing data after the JSON value"},
 		{`{"index":"x"`, "unexpected EOF"},
 		{``, "EOF"},
@@ -135,98 +135,91 @@ func TestDecodeFallback(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRequest: whenever the one-pass scanner accepts a body, as
-// any of the three request types, encoding/json accepts it too and
-// reads the same value; a body it refuses leaves the value untouched.
-// The decoded value owns its strings: overwriting every byte of the
-// body afterwards leaves it equal to encoding/json's reading. The
-// streamed create's strings may alias the body instead, which it never
+// FuzzDecodeRequest: whenever the one-pass scanner accepts a link body,
+// encoding/json accepts it too and reads the same value; a body it
+// refuses leaves the value untouched. The decoded link request owns its
+// strings: overwriting every byte of the body afterwards leaves it
+// equal to encoding/json's reading. The stream reader, which reads
+// create and upsert bodies, reads what encoding/json reads (see
+// streamsAsDecoded); its strings may alias the body, which it never
 // writes.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, body := range canonicalBodies(f) {
 		f.Add(body)
 	}
 	for _, s := range []string{escapesBody, `{"id":1.0}`, `{"tuples":[{"id":01}]}`, `{"KEY":"a"}`, `{"keys":[]}`,
-		`{"tuples":null}`, `{"index":"\ud83d\ude00"}`, "{\"key\":\"\xff\"}", `{"theta":1e400}`, `{"explain":tru}`} {
+		`{"tuples":null}`, `{"index":"\ud83d\ude00"}`, "{\"key\":\"\xff\"}", `{"theta":1e400}`, `{"explain":tru}`,
+		`{"name":"","tuples":[]}`, `{"tuples":[{"key":"\u00e9"}]}`} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, rt := range requestTypes {
-			fast := rt.new()
-			buf := bytes.Clone(body)
-			if !decodeFast(buf, fast) {
-				if !reflect.DeepEqual(fast, rt.new()) {
-					t.Fatalf("%s: scanner refused %q but wrote %#v", rt.name, body, fast)
-				}
-				continue
-			}
-			std := rt.new()
+		fast := new(LinkRequestDTO)
+		buf := bytes.Clone(body)
+		if decodeFast(buf, fast) {
+			std := new(LinkRequestDTO)
 			if err := DecodeReader(bytes.NewReader(body), std); err != nil {
-				t.Fatalf("%s: scanner accepted %q, encoding/json refused it: %v", rt.name, body, err)
+				t.Fatalf("scanner accepted %q, encoding/json refused it: %v", body, err)
 			}
 			if !reflect.DeepEqual(fast, std) {
-				t.Fatalf("%s: %q reads as %#v, encoding/json reads %#v", rt.name, body, fast, std)
+				t.Fatalf("%q reads as %#v, encoding/json reads %#v", body, fast, std)
 			}
 			for i := range buf {
 				buf[i] = '#'
 			}
 			if !reflect.DeepEqual(fast, std) {
-				t.Fatalf("%s: %q read as %#v, which changed to %#v when the body was overwritten", rt.name, body, std, fast)
+				t.Fatalf("%q read as %#v, which changed to %#v when the body was overwritten", body, std, fast)
 			}
+		} else if !reflect.DeepEqual(fast, new(LinkRequestDTO)) {
+			t.Fatalf("scanner refused %q but wrote %#v", body, fast)
 		}
-		// Upsert rows decode as an *UpsertRequest does, scanner or not.
-		var std UpsertRequest
-		stdErr := Decode(body, &std)
-		rows, rowsErr := upsertRows(body)
-		if fmt.Sprint(rowsErr) != fmt.Sprint(stdErr) {
-			t.Fatalf("upsert rows of %q: %v, *UpsertRequest: %v", body, rowsErr, stdErr)
-		}
-		if stdErr == nil && (len(rows) != len(std.Tuples) || len(rows) > 0 && !reflect.DeepEqual(rows, std.Tuples)) {
-			t.Fatalf("upsert rows of %q read %#v, *UpsertRequest reads %#v", body, rows, std.Tuples)
-		}
-		// The streamed create decoder reads what Decode reads, and leaves
-		// the body, which its strings may alias, as it was: Decode reads
-		// a body it refuses partway.
-		buf := bytes.Clone(body)
-		got, ok := streamCreate(t, buf)
-		if !bytes.Equal(buf, body) {
-			t.Fatalf("streamed create wrote to %q, leaving %q", body, buf)
-		}
-		if ok {
-			var std CreateIndexRequest
-			if err := DecodeReader(bytes.NewReader(body), &std); err != nil {
-				t.Fatalf("streamed create accepted %q, encoding/json refused it: %v", body, err)
-			}
-			if !reflect.DeepEqual(got, &std) {
-				t.Fatalf("streamed create reads %q as %#v, encoding/json reads %#v", body, got, std)
-			}
-		}
+		streamsAsDecoded(t, body)
 	})
 }
 
-// upsertRows decodes body into UpsertRows, returning the rows and nil,
-// or Decode's error; a scan given up partway may make the rows again,
-// which must then hold only what the second pass wrote.
-func upsertRows(body []byte) ([]TupleDTO, error) {
-	var rows []TupleDTO
-	dst := UpsertRows{
-		Make: func(n int) { rows = make([]TupleDTO, n) },
-		Slot: func(i int) *TupleDTO { return &rows[i] },
+// streamsAsDecoded reads body through the stream reader, as the create
+// and upsert handlers do, and reports whether it took the body. What it
+// takes, encoding/json reads as the same *CreateIndexRequest, and, when
+// the tuples are the body's only member, as the same *UpsertRequest;
+// what it refuses is left to encoding/json. It must leave the body's
+// bytes as they were: Decode reads a body it refuses partway.
+func streamsAsDecoded(t *testing.T, body []byte) bool {
+	t.Helper()
+	buf := bytes.Clone(body)
+	got, tuplesOnly, ok := streamRequest(t, buf)
+	if !bytes.Equal(buf, body) {
+		t.Fatalf("stream reader wrote to %q, leaving %q", body, buf)
 	}
-	if err := Decode(bytes.Clone(body), &dst); err != nil {
-		return nil, err
+	if !ok {
+		return false
 	}
-	return rows, nil
+	var std CreateIndexRequest
+	if err := DecodeReader(bytes.NewReader(body), &std); err != nil {
+		t.Fatalf("stream reader accepted %q, encoding/json refused it: %v", body, err)
+	}
+	if !reflect.DeepEqual(got, &std) {
+		t.Fatalf("stream reader reads %q as %#v, encoding/json reads %#v", body, got, std)
+	}
+	if tuplesOnly {
+		var up UpsertRequest
+		if err := DecodeReader(bytes.NewReader(body), &up); err != nil {
+			t.Fatalf("stream reader accepted upsert %q, encoding/json refused it: %v", body, err)
+		}
+		if !reflect.DeepEqual(got.Tuples, up.Tuples) {
+			t.Fatalf("stream reader reads upsert %q as %#v, encoding/json reads %#v", body, got.Tuples, up.Tuples)
+		}
+	}
+	return true
 }
 
-// streamCreate decodes body with StreamCreate and Tuples, reporting
-// false if either refuses it, and checks that Tuples publishes every
-// tuple once, in order.
-func streamCreate(t *testing.T, body []byte) (*CreateIndexRequest, bool) {
+// streamRequest decodes body with StreamCreate and Tuples, reporting
+// false if either refuses it, and whether the tuples are the body's
+// only member; it checks that Tuples publishes every tuple once, in
+// order.
+func streamRequest(t testing.TB, body []byte) (req *CreateIndexRequest, tuplesOnly, ok bool) {
 	t.Helper()
 	cs, ok := StreamCreate(body)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	rows, published := make([]TupleDTO, cs.N), 0
 	if !cs.Tuples(func(i int) *TupleDTO { return &rows[i] }, func(done int) {
@@ -235,48 +228,62 @@ func streamCreate(t *testing.T, body []byte) (*CreateIndexRequest, bool) {
 		}
 		published = done
 	}) {
-		return nil, false
+		return nil, false, false
 	}
 	if published != cs.N {
 		t.Fatalf("%q: %d of %d tuples published", body, published, cs.N)
 	}
-	req := cs.Head
+	req = &cs.Head
 	req.Tuples = rows
-	return &req, true
+	return req, cs.TuplesOnly(), true
 }
 
-// A create body streams when its tuples come last, and reads as Decode
-// reads it; any other body is left to Decode, before or during its
-// tuples.
+// A create or upsert body streams when its tuples come last, and reads
+// as Decode reads it; any other body is left to Decode, before or during
+// its tuples. An upsert body is one whose tuples are its only member.
 func TestStreamCreate(t *testing.T) {
-	big, _ := benchTupleBodies(t, 1000, 0)
+	big, up := benchTupleBodies(t, 1000, 100)
 	for _, tc := range []struct {
-		body    string
-		streams bool
+		body       string
+		streams    bool
+		tuplesOnly bool
 	}{
-		{string(canonicalBodies(t)[0]), true},
-		{string(canonicalBodies(t)[1]), true},
-		{string(big), true},
-		{" {\n \"name\" : \"s\",\r\"tuples\":[ {\"key\":\"a\"} ,{\"key\":\"b\",\"attrs\":[\"x\"]} ]\t}\n", true},
-		{`{"name":"k","tuples":[{"key":"\"\\\/\u00e9 Forlì 日本"}]}`, true},
-		{`{"tuples":[{"key":"a"}],"name":"late"}`, false},
-		{`{"name":"n","tuples":null}`, false},
-		{`{"name":"n","tuples":[{"key":"a"}],"tuples":[{"key":"b"}]}`, false},
-		{`{"name":"n","tuples":[{"key":"a"},{"KEY":"b"}]}`, false},
-		{`{"name":"n","tuples":[{"key":"a"},{"key":"\ud83d\ude00"}]}`, false},
-		{`{"name":"n","tuples":[{"key":"a"},{"key":"b"]}`, false},
-		{`{"name":"n","tuples":[{"key":"a"}]} {"x":[]}`, false},
-		{`{"NAME":"n","tuples":[]}`, false},
-		{`[]}`, false},
+		{string(canonicalBodies(t)[0]), true, false},
+		{string(canonicalBodies(t)[1]), true, false},
+		{string(canonicalBodies(t)[2]), true, true},
+		{string(big), true, false},
+		{string(up), true, true},
+		{`{"tuples":[]}`, true, true},
+		{` { "tuples" : [ {"id":3,"key":"a"} ] } `, true, true},
+		{`{"name":"","tuples":[]}`, true, false},
+		{`{"q":0,"tuples":[{"key":"a"}]}`, true, false},
+		{" {\n \"name\" : \"s\",\r\"tuples\":[ {\"key\":\"a\"} ,{\"key\":\"b\",\"attrs\":[\"x\"]} ]\t}\n", true, false},
+		{`{"name":"k","tuples":[{"key":"\"\\\/\u00e9 Forlì 日本"}]}`, true, false},
+		{`{"tuples":[{"key":"a"}],"name":"late"}`, false, false},
+		{`{"name":"n","tuples":null}`, false, false},
+		{`{"name":"n","tuples":[{"key":"a"}],"tuples":[{"key":"b"}]}`, false, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"KEY":"b"}]}`, false, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"key":"\ud83d\ude00"}]}`, false, false},
+		{`{"name":"n","tuples":[{"key":"a"},{"key":"b"]}`, false, false},
+		{`{"name":"n","tuples":[{"key":"a"}]} {"x":[]}`, false, false},
+		{`{"NAME":"n","tuples":[]}`, false, false},
+		{`[]}`, false, false},
+		{`{"tuples":[]}]`, false, false},
+		{`{"TUPLES":[{"key":"a"}]}`, false, false},
+		{`{"theta":01,"tuples":[]}`, false, false},
+		{`{"theta":1.,"tuples":[]}`, false, false},
+		{`{"theta":1e,"tuples":[]}`, false, false},
+		{`{"theta":1e400,"tuples":[]}`, false, false},
 	} {
-		got, ok := streamCreate(t, []byte(tc.body))
-		if ok != tc.streams {
-			t.Errorf("%.60q: streamed %v, want %v", tc.body, ok, tc.streams)
-			continue
+		_, tuplesOnly, ok := streamRequest(t, []byte(tc.body))
+		if ok != tc.streams || tuplesOnly != tc.tuplesOnly {
+			t.Errorf("%.60q: streamed %v, tuples only %v; want %v, %v", tc.body, ok, tuplesOnly, tc.streams, tc.tuplesOnly)
 		}
-		var want CreateIndexRequest
-		if err := Decode([]byte(tc.body), &want); ok && (err != nil || !reflect.DeepEqual(got, &want)) {
-			t.Errorf("%.60q: streams as %+v, Decode reads %+v (%v)", tc.body, got, want, err)
+		streamsAsDecoded(t, []byte(tc.body))
+		var got, std CreateIndexRequest
+		err, stdErr := Decode([]byte(tc.body), &got), DecodeReader(strings.NewReader(tc.body), &std)
+		if fmt.Sprint(err) != fmt.Sprint(stdErr) || !reflect.DeepEqual(got, std) {
+			t.Errorf("Decode(%.60q) = %+v, %v; encoding/json gives %+v, %v", tc.body, got, err, std, stdErr)
 		}
 	}
 }
@@ -322,37 +329,42 @@ func benchTupleBodies(tb testing.TB, n, m int) (create, upsert []byte) {
 	return create, upsert
 }
 
+// BenchmarkDecodeCreate20k times the stream reader over a 20k-tuple
+// create body, the rows included, as the create handler reads it.
 func BenchmarkDecodeCreate20k(b *testing.B) {
 	body, _ := benchTupleBodies(b, 20000, 0)
-	benchmarkDecode(b, body, func() any { return new(CreateIndexRequest) })
-}
-
-func BenchmarkDecodeLink64(b *testing.B) {
-	benchmarkDecode(b, benchLinkBody(b), func() any { return new(LinkRequestDTO) })
-}
-
-func benchmarkDecode(b *testing.B, body []byte, dst func() any) {
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Decode(body, dst()); err != nil {
+		if !streamRows(body) {
+			b.Fatal("canonical create body refused")
+		}
+	}
+}
+
+func BenchmarkDecodeLink64(b *testing.B) {
+	body := benchLinkBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Decode(body, new(LinkRequestDTO)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// allocsPerDecode counts the allocations of decoding body into a fresh
-// value, with the one-pass path and with encoding/json.
-func allocsPerDecode(t *testing.T, body []byte, dst func() any) (fast, std float64) {
-	t.Helper()
-	if !decodeFast(body, dst()) {
-		t.Fatalf("canonical body refused: %.80s", body)
+// streamRows reads body as the create and upsert handlers read it:
+// StreamCreate, rows sized for its tuples, and Tuples decoding into
+// them.
+func streamRows(body []byte) bool {
+	cs, ok := StreamCreate(body)
+	if !ok {
+		return false
 	}
-	fast = testing.AllocsPerRun(20, func() { _ = Decode(body, dst()) })
-	std = testing.AllocsPerRun(20, func() { _ = DecodeReader(bytes.NewReader(body), dst()) })
-	t.Logf("%d-byte body: %.0f allocs, encoding/json %.0f", len(body), fast, std)
-	return fast, std
+	rows := make([]TupleDTO, cs.N)
+	return cs.Tuples(func(i int) *TupleDTO { return &rows[i] }, func(int) {})
 }
 
 // A 64-key link body: the string block, the key slice and the request
@@ -362,48 +374,65 @@ func TestDecodeLink64Alloc(t *testing.T) {
 		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
 	}
 	const pin = 3
-	fast, std := allocsPerDecode(t, benchLinkBody(t), func() any { return new(LinkRequestDTO) })
+	body := benchLinkBody(t)
+	if !decodeFast(body, new(LinkRequestDTO)) {
+		t.Fatalf("canonical link body refused: %.80s", body)
+	}
+	fast := testing.AllocsPerRun(20, func() { _ = Decode(body, new(LinkRequestDTO)) })
+	std := testing.AllocsPerRun(20, func() { _ = DecodeReader(bytes.NewReader(body), new(LinkRequestDTO)) })
+	t.Logf("%d-byte link body: %.0f allocs, encoding/json %.0f", len(body), fast, std)
 	if fast > pin || fast >= std {
 		t.Errorf("64-key link decode: %.0f allocs, want at most %d and fewer than encoding/json's %.0f", fast, pin, std)
 	}
 }
 
-// A 16-tuple upsert body, decoded into rows as the upsert handler
-// decodes it: the string block, the attribute arena and the rows. The
-// integers parse without allocating.
+// allocsPerStream counts the allocations of streamRows over body, which
+// the stream reader must take.
+func allocsPerStream(t *testing.T, body []byte, runs int) float64 {
+	t.Helper()
+	if !streamRows(body) {
+		t.Fatalf("canonical body refused: %.80s", body)
+	}
+	return testing.AllocsPerRun(runs, func() { streamRows(body) })
+}
+
+// A 16-tuple upsert body, read into rows as the upsert handler reads
+// it: the stream, the attribute arena and the rows. The strings alias
+// the body and the integers parse without allocating.
 func TestDecodeUpsert16Alloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
 	}
-	const pin = 4
+	const pin = 3
 	_, body := benchTupleBodies(t, 16, 16)
-	var tuples []TupleDTO
-	rows := &UpsertRows{
-		Make: func(n int) { tuples = make([]TupleDTO, n) },
-		Slot: func(i int) *TupleDTO { return &tuples[i] },
-	}
-	fast, std := allocsPerDecode(t, body, func() any { return rows })
+	fast := allocsPerStream(t, body, 20)
+	std := testing.AllocsPerRun(20, func() { _ = DecodeReader(bytes.NewReader(body), new(UpsertRequest)) })
+	t.Logf("%d-byte upsert body: %.0f allocs, encoding/json %.0f", len(body), fast, std)
 	if fast > pin || fast > std {
 		t.Errorf("16-tuple upsert decode: %.0f allocs, want at most %d and no more than encoding/json's %.0f", fast, pin, std)
 	}
 }
 
-// A create body decodes in as many allocations at 20k tuples as at 1k:
-// nothing is allocated per string or per tuple.
+// A create body streams in as many allocations at 20k tuples as at 1k:
+// nothing is allocated per string or per tuple. So does one whose every
+// key holds an escape, which the string block, sized for the escaped
+// strings alone, takes.
 func TestDecodeCreateAllocFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race; make alloc enforces this pin")
 	}
-	var allocs [2]float64
-	for i, n := range []int{1000, 20000} {
-		body, _ := benchTupleBodies(t, n, 0)
-		if !decodeFast(body, new(CreateIndexRequest)) {
-			t.Fatalf("canonical %d-tuple create body refused", n)
+	for _, escaped := range []bool{false, true} {
+		var allocs [2]float64
+		for i, n := range []int{1000, 20000} {
+			body, _ := benchTupleBodies(t, n, 0)
+			if escaped {
+				body = bytes.ReplaceAll(body, []byte(`"key":"`), []byte(`"key":"\u0026`))
+			}
+			allocs[i] = allocsPerStream(t, body, 5)
+			t.Logf("%d-tuple create body, escaped keys %v: %.0f allocs", n, escaped, allocs[i])
 		}
-		allocs[i] = testing.AllocsPerRun(5, func() { _ = Decode(body, new(CreateIndexRequest)) })
-		t.Logf("%d-tuple create body: %.0f allocs", n, allocs[i])
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("create decode: %.0f allocs at 1k tuples, %.0f at 20k; want equal counts", allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Errorf("create decode, escaped keys %v: %.0f allocs at 1k tuples, %.0f at 20k; want equal counts", escaped, allocs[0], allocs[1])
+		}
 	}
 }

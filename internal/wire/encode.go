@@ -12,8 +12,8 @@ import (
 // UpsertRequest{Tuples: ts}) returns for the non-nil slice ts. It is
 // how the router encodes the write fan-out of its upserts and routed
 // creates — a create's while its body still decodes; equal bytes keep
-// the nodes on Decode's one-pass path and make a replayed write
-// identical to the original. The zero value is an empty body.
+// the nodes on the one-pass tuple reader (StreamCreate) and make a
+// replayed write identical to the original. The zero value is an empty body.
 type UpsertEncoder struct {
 	b []byte
 }

@@ -31,7 +31,7 @@ func encodeUpsert(tuples []TupleDTO) (got, want []byte, err error) {
 }
 
 // UpsertEncoder writes exactly the bytes json.Marshal writes, and they
-// take the one-pass decoder back to the same tuples.
+// take the stream reader back to the same tuples.
 func TestEncodeUpsert(t *testing.T) {
 	cases := [][]TupleDTO{
 		nil,
@@ -60,15 +60,16 @@ func TestEncodeUpsert(t *testing.T) {
 	}
 }
 
-// scanRows decodes an upsert body into rows with the one-pass scanner,
-// as the upsert handler does, reporting false if the scanner refuses it.
+// scanRows decodes an upsert body into rows with the stream reader, as
+// the upsert handler does, reporting false if the reader refuses it or
+// the body has a member other than its tuples.
 func scanRows(body []byte) ([]TupleDTO, bool) {
-	var rows []TupleDTO
-	ok := decodeFast(body, &UpsertRows{
-		Make: func(n int) { rows = make([]TupleDTO, n) },
-		Slot: func(i int) *TupleDTO { return &rows[i] },
-	})
-	return rows, ok
+	cs, ok := StreamCreate(body)
+	if !ok || !cs.TuplesOnly() {
+		return nil, false
+	}
+	rows := make([]TupleDTO, cs.N)
+	return rows, cs.Tuples(func(i int) *TupleDTO { return &rows[i] }, func(int) {})
 }
 
 // normalizeAttrs is tuples as they come back from the wire: an empty
@@ -86,7 +87,7 @@ func normalizeAttrs(tuples []TupleDTO) []TupleDTO {
 // FuzzEncodeUpsert: for arbitrary ids, keys and attributes (invalid
 // UTF-8, HTML and control characters, U+2028/U+2029 included),
 // UpsertEncoder's bytes equal json.Marshal's, and they take the
-// one-pass decoder.
+// stream reader.
 func FuzzEncodeUpsert(f *testing.F) {
 	for i, s := range encodeSeeds {
 		f.Add(i*1_000_003-7, s, strings.Join(encodeSeeds[i:], ","), uint8(i))
@@ -111,7 +112,7 @@ func FuzzEncodeUpsert(f *testing.F) {
 			t.Fatalf("UpsertEncoder(%q)\n = %s\nwant %s", tuples, got, want)
 		}
 		if _, ok := scanRows(got); !ok {
-			t.Fatalf("one-pass decoder refused UpsertEncoder's %s", got)
+			t.Fatalf("stream reader refused UpsertEncoder's %s", got)
 		}
 	})
 }

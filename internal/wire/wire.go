@@ -21,26 +21,28 @@
 // attributes, and a link request probes one index with one or many keys
 // as a single session.
 //
-// Decode reads create, upsert and link request bodies. A body in the
-// canonical shape json.Marshal emits takes a one-pass scanner; any
-// other body goes to encoding/json on the same bytes (DecodeReader),
-// so encoding/json defines what every body means and every error
-// message, and FuzzDecodeRequest holds the scanner to it. The scanner
-// allocates per body, not per value: a counting pass sizes one string
-// block holding every decoded string's bytes (never the raw body's,
-// which no decoded value aliases), one []string arena holding every
-// tuple's attributes or every link key, and the tuple slice.
+// Request bodies in the canonical shape json.Marshal emits are read in
+// one pass; any other body goes to encoding/json on the same bytes
+// (Decode, DecodeReader), so encoding/json defines what every body
+// means and every error message, and FuzzDecodeRequest holds the
+// one-pass readers to it. A counting pass sizes what a body decodes
+// into: one []string arena holding every tuple's attributes or every
+// link key, and one string block for the strings that cannot alias the
+// body.
 //
-// StreamCreate is the same scanner over a create body whose tuples are
-// its last member, split in two: it reads the config fields, and
-// CreateStream.Tuples then decodes the tuples one at a time into slots
-// the caller hands it — the service's are the rows the new index
-// adopts, decoded on their own goroutine while the bulk load homes
-// them. Its strings alias the body wherever they hold no escape (the
-// index copies them in, so the body is not kept), and only escaped ones
-// take the string block. A body it does not take, or refuses partway,
-// goes to Decode whole; FuzzDecodeRequest holds it to Decode's reading
-// too, and to leaving the body's bytes as they were.
+// StreamCreate is the one tuple reader. It reads a create body whose
+// tuples are its last member in two steps: the config fields, and then
+// (CreateStream.Tuples) the tuples one at a time into slots the caller
+// hands it — the service's are the rows the index takes, a new index's
+// decoded on their own goroutine while the bulk load homes them. An
+// upsert body, {"tuples":[...]}, is a create body with an empty head
+// (CreateStream.TuplesOnly). Its strings alias the body wherever they
+// hold no escape (the index copies them in and keeps nothing of the
+// body), and only escaped ones take the string block. A body it does
+// not take, or refuses partway, goes to encoding/json whole;
+// FuzzDecodeRequest holds it to that reading too, and to leaving the
+// body's bytes as they were. Decode's scanner reads link bodies, whose
+// strings all take the block and never alias the body.
 //
 // UpsertEncoder writes an upsert body with the bytes json.Marshal
 // writes, one tuple at a time: the router's write fan-out, routed
