@@ -48,11 +48,13 @@ race:
 # indexes are created, upserted and deleted, no deleted index's series
 # ever scraped again) and its upsert tests (rows read by the tuple
 # reader alias a body that nothing keeps; an upsert is visible to the
-# next probe) ride along 5 times.
+# next probe) and its boot-load tests (LoadStored: what a boot loads and
+# skips, and the one collection that ends a boot's loads) ride along 5
+# times.
 flake:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/join ./internal/store ./internal/cluster ./internal/normalize ./internal/hashidx ./internal/qgram ./internal/cow ./internal/pjoin ./internal/adaptive -count=20 || exit 1; \
-		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain|Create|Metrics|Scrape|Stats|Upsert' -count=5 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/service -run 'Chaos|Cluster|Link|Drain|Create|Metrics|Scrape|Stats|Upsert|LoadStored' -count=5 || exit 1; \
 	done
 
 # Code size per package: non-blank, non-comment lines of the non-test
@@ -197,9 +199,10 @@ fuzz:
 # bytes an upsert batch allocates (independent of the index size), and
 # the footprint pins — live heap bytes per resident tuple and bytes a
 # steady-state checkpoint (1: the encoder merges the shard stores, no
-# gathered store) and a snapshot load allocate per tuple (161: the
+# gathered store) and a snapshot load allocate per tuple (124: the
 # build copies each tuple straight from the image into its shard, no
-# decoded copy) (alloc_api_test.go).
+# decoded copy, and reads the image through forward cursors, no
+# per-tuple table) (alloc_api_test.go).
 # Run without -race: the race runtime perturbs allocation counts. The
 # join-level pins carry a !race build tag and the kernel-level
 # AllocsPerRun assertions in hashidx/qgram skip themselves under -race

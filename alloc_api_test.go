@@ -296,15 +296,17 @@ func TestAllocSnapshotBytesPerTuple(t *testing.T) {
 // snapshotLoadBytesBudget bounds what a load of a 20k-row version-6
 // image allocates per tuple, image to index: the shard stores the build
 // copies each tuple's bytes into straight from the image, global refs
-// and exact indexes, and the decoder's per-tuple table of where each
-// tuple's fields lie in the image (154 measured, margin 7). Decoding
-// the image into tuples first, then copying those, allocated 247; the
-// shards adopting the decoded tuples 232; version 5's intermediate id
-// and offset tables 273, exact indexes of one-element ref slices and
-// int global refs 398. It is what a durable cold start allocates before
-// the log replay, so the build's transients (key homes, per-shard
-// goroutines) count against it.
-const snapshotLoadBytesBudget = 161
+// and exact indexes, and the build's key homes (117 measured, margin
+// 7). The image is read by forward cursors over its columns, and its
+// member refs checked off one over their section. A per-tuple table of
+// where each tuple's fields lie in the image, with the member refs
+// decoded into an arena, allocated 154; decoding the image into tuples
+// first, then copying those, 247; the shards adopting the decoded
+// tuples 232; version 5's intermediate id and offset tables 273, exact
+// indexes of one-element ref slices and int global refs 398. It is what
+// a durable cold start allocates before the log replay, so the build's
+// transients (key homes, per-shard goroutines) count against it.
+const snapshotLoadBytesBudget = 124
 
 func TestAllocSnapshotLoadBytesPerTuple(t *testing.T) {
 	tuples, opts := footprintTuples(t, 20_000)

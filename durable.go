@@ -46,7 +46,8 @@ type StorageOptions struct {
 	WALSync SyncPolicy
 }
 
-// ErrIndexClosed is returned by writes against a closed durable index.
+// ErrIndexClosed is returned by every write against a closed index,
+// durable or in memory: Upsert, Save and RestoreSnapshot.
 var ErrIndexClosed = errors.New("adaptivelink: index is closed")
 
 // Open opens (creating if needed) the durable index stored in dir and
@@ -182,7 +183,7 @@ func BulkLoad(ref Source, opts IndexOptions) (*Index, error) {
 func (ix *Index) Save(dir string) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed {
+	if ix.closed.Load() {
 		return ErrIndexClosed
 	}
 	sr, err := ix.snapshotExporter()
@@ -210,19 +211,18 @@ func sameDir(a, b string) bool {
 	return err1 == nil && err2 == nil && ca == cb
 }
 
-// Close releases a durable index's storage (Save("") first makes the
-// next Open a pure snapshot load). The in-memory state remains probeable
-// (probes are lock-free and touch no files), but writes fail with
-// ErrIndexClosed. Closing an in-memory index — or closing twice — is a
-// no-op.
+// Close ends the index's writes: every later Upsert, Save and
+// RestoreSnapshot fails with ErrIndexClosed, in memory as on disk. The
+// state remains probeable (probes are lock-free and touch no files). A
+// durable index's storage is released (Save("") first makes the next
+// Open a pure snapshot load); an in-memory index holds none. Closing
+// twice is a no-op.
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed || ix.dir == nil {
-		ix.closed = true
+	if ix.closed.Swap(true) || ix.dir == nil {
 		return nil
 	}
-	ix.closed = true
 	return ix.dir.Close()
 }
 

@@ -21,7 +21,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -199,7 +201,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // BenchmarkSnapshotLoad is one load of the same references' snapshot
 // images: decode plus index build, what a durable cold start does before
-// replaying its log. B/op is what the load pin bounds per tuple.
+// replaying its log. B/op is what the load pin bounds per tuple. After
+// the timed loop one untimed load from a file reports what a load
+// leaves on the heap: live-B/tuple is the index it built, dead-B/tuple
+// what it read and threw away (the image, the build's transients) and
+// no collection has yet reclaimed.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, rows := range []int{20_000, 200_000} {
 		b.Run(fmt.Sprintf("%dk", rows/1000), func(b *testing.B) {
@@ -219,6 +225,34 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			live, dead := loadLeftovers(b, img)
+			b.ReportMetric(live/float64(rows), "live-B/tuple")
+			b.ReportMetric(dead/float64(rows), "dead-B/tuple")
 		})
 	}
+}
+
+// loadLeftovers loads img once from a file, as a cold start does, and
+// returns the bytes the load left live — the heap after a forced
+// collection, less the heap before the load — and dead: the heap
+// objects right after the load, less the live heap.
+func loadLeftovers(b *testing.B, img []byte) (live, dead float64) {
+	path := filepath.Join(b.TempDir(), store.SnapshotFile)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	var before, loaded, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := store.ReadSnapshotFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.ReadMemStats(&loaded)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ix)
+	live = float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	return live, float64(loaded.HeapAlloc) - float64(after.HeapAlloc)
 }

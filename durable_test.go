@@ -324,6 +324,25 @@ func TestClosedIndexWrites(t *testing.T) {
 	}
 }
 
+// TestClosedInMemoryIndexWrites: Close fences an in-memory index's
+// writes as it does a durable one's — an Upsert after it fails with
+// ErrIndexClosed and applies nothing.
+func TestClosedInMemoryIndexWrites(t *testing.T) {
+	ix, err := BulkLoad(FromTuples([]Tuple{{ID: 1, Key: "lago di garda"}}), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Upsert(Tuple{ID: 2, Key: "lago maggiore"}); !errors.Is(err, ErrIndexClosed) {
+		t.Fatalf("Upsert after Close: %v, want ErrIndexClosed", err)
+	}
+	if n := ix.Len(); n != 1 {
+		t.Fatalf("Len after a refused Upsert = %d, want 1", n)
+	}
+}
+
 // TestSyncNonePolicy: a SyncNone index still round-trips through a
 // clean Close (the policy only changes crash guarantees, not shutdown).
 func TestSyncNonePolicy(t *testing.T) {

@@ -151,9 +151,11 @@ type Index struct {
 	// mu serializes the write side of a durable index so the WAL's
 	// record order equals the apply order (replay depends on it: the
 	// store is keyed, newest wins). Probes never take it.
-	mu     sync.Mutex
-	dir    *store.Dir // nil for an in-memory index
-	closed bool
+	mu  sync.Mutex
+	dir *store.Dir // nil for an in-memory index
+	// closed is set by Close, after which every write refuses with
+	// ErrIndexClosed. An in-memory upsert reads it without taking mu.
+	closed atomic.Bool
 	// rec records what Open reconstructed (nil unless the index came
 	// from Open); see RecoveryInfo.
 	rec *store.Recovery
@@ -301,8 +303,9 @@ func (ix *Index) Options() IndexOptions {
 // upsert into an empty index is a bulk load that builds the shards
 // beside the append and publishes them only once it succeeded. A
 // non-nil error means the batch was NOT applied (the index is
-// unchanged); a local in-memory index never returns one, a remote index
-// returns its resident's (a cluster node group below quorum).
+// unchanged); a local in-memory index returns one only once closed
+// (ErrIndexClosed), a remote index also its resident's (a cluster node
+// group below quorum).
 func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 	if len(tuples) == 0 {
 		return 0, 0, nil
@@ -319,11 +322,14 @@ func (ix *Index) Upsert(tuples ...Tuple) (inserted, updated int, err error) {
 		}
 	}
 	if ix.dir == nil {
+		if ix.closed.Load() {
+			return 0, 0, ErrIndexClosed
+		}
 		return ix.resident().Upsert(rts)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed {
+	if ix.closed.Load() {
 		return 0, 0, ErrIndexClosed
 	}
 	// A durable index's resident is local. Its first rows are a bulk

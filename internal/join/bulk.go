@@ -16,8 +16,9 @@ import (
 // NewShardedRefIndex followed by one Upsert of the whole batch (same
 // refs, same stores, and once built the same dictionaries and postings
 // — pinned by the bulk differential test), but the construction skips
-// the upsert path's snapshot publication and runs the inserts, shard by
-// shard, in parallel across the host's cores. This is the load path for
+// the upsert path's snapshot publication, copies each tuple once into
+// a store sized to its shard, and fills the shards' exact tables in
+// parallel across the host's cores. This is the load path for
 // multi-million-row reference tables.
 //
 // The keyed-store contract applies as everywhere: one resident record
@@ -35,36 +36,48 @@ func BuildShardedRefIndex(cfg Config, shards int, tuples []relation.Tuple) (*Sha
 	return b.Build(nil)
 }
 
-// Rows is the tuple store a bulk build copies into its shards, read by
-// ref. A create's rows are a []relation.Tuple (Tuples); a snapshot
-// load's are the image's columns, read where they lie, so a load copies
-// each tuple's bytes once: from the image into its home shard.
+// Rows is the tuple store a bulk build copies into its shards, read in
+// ref order: a build walks it twice, once to home each row and count
+// what it costs its shard's arenas, once to copy each row into them, so
+// no row is ever read out of order and no per-row table is needed. A
+// create's rows are a []relation.Tuple (Tuples); a snapshot load's are
+// the image's columns, read where they lie by forward cursors, so a
+// load copies each tuple's bytes once: from the image into its home
+// shard.
 type Rows interface {
 	// Len is the number of rows.
 	Len() int
-	// Row returns the row at ref, which need stay valid only until the
-	// build has copied it: its attributes may be decoded into *buf,
-	// which Row may grow and the next call with the same buf reuses.
-	Row(ref int, buf *[]string) relation.Tuple
+	// Cursor returns a function that returns the rows in ref order, one
+	// a call, from the first: Len calls in all. A row need stay valid
+	// only until the next call; the build copies it before then.
+	Cursor() func() relation.Tuple
 }
 
 // Tuples is a slice of tuples as a bulk build's rows.
 type Tuples []relation.Tuple
 
-func (ts Tuples) Len() int                                { return len(ts) }
-func (ts Tuples) Row(ref int, _ *[]string) relation.Tuple { return ts[ref] }
+func (ts Tuples) Len() int { return len(ts) }
+
+func (ts Tuples) Cursor() func() relation.Tuple {
+	i := -1
+	return func() relation.Tuple { i++; return ts[i] }
+}
 
 // Bulk is a bulk build in progress over rows it adopts as its tuple
 // store, in ref order: Home assigns rows to their home shards as they
 // become final, so a load can home each row while later ones are still
 // being read, and Build then builds every shard from them.
 type Bulk struct {
-	s      *ShardedRefIndex // the index Build publishes
-	rows   Rows             // Tuples for a create (Build), any Rows for a load
-	homes  []int32          // the home shard of rows[:len(homes)]
-	counts []int            // rows homed per shard
-	buf    []string         // Home's scratch for rows.Row
+	s      *ShardedRefIndex      // the index Build publishes
+	rows   Rows                  // Tuples for a create (Build), any Rows for a load
+	next   func() relation.Tuple // Home's cursor, at rows[len(homes)]
+	homes  []int32               // the home shard of rows[:len(homes)]
+	totals []shardTotals         // what the rows homed so far cost each shard
 }
+
+// shardTotals is what the rows homed in a shard cost it: their count,
+// and the bytes and attribute headers its arenas need for them.
+type shardTotals struct{ rows, bytes, strs int }
 
 // NewBulk starts a bulk build of rows under the configuration and shard
 // count, refusing a configuration NewShardedRefIndex refuses.
@@ -79,17 +92,25 @@ func NewBulk(cfg Config, shards int, rows []relation.Tuple) (*Bulk, error) {
 // bulk starts a bulk build of rows that publishes into s, which must
 // hold no tuple and no built shard.
 func (s *ShardedRefIndex) bulk(rows Rows) *Bulk {
-	return &Bulk{s: s, rows: rows, homes: make([]int32, 0, rows.Len()), counts: make([]int, s.nshard)}
+	return &Bulk{s: s, rows: rows, next: rows.Cursor(), homes: make([]int32, 0, rows.Len()), totals: make([]shardTotals, s.nshard)}
 }
 
 // Home homes the rows up to hi at shardmap.ShardOf of their keys,
 // which must be final.
 func (b *Bulk) Home(hi int) {
 	for ref := len(b.homes); ref < hi; ref++ {
-		sh := shardmap.ShardOf(b.rows.Row(ref, &b.buf).Key, b.s.nshard)
+		t := b.next()
+		sh := shardmap.ShardOf(t.Key, b.s.nshard)
 		b.homes = append(b.homes, int32(sh))
-		b.counts[sh]++
+		b.count(&t, sh)
 	}
+}
+
+// count adds t to what its home shard sh is to hold.
+func (b *Bulk) count(t *relation.Tuple, sh int) {
+	nbytes, nstrs := storeSize(t)
+	tot := &b.totals[sh]
+	tot.rows, tot.bytes, tot.strs = tot.rows+1, tot.bytes+nbytes, tot.strs+nstrs
 }
 
 // Build builds the index from every row, homing those Home has not, and
@@ -101,7 +122,7 @@ func (b *Bulk) Home(hi int) {
 // persist, when not nil, is handed the build's snapshot view — the rows
 // themselves as the store, and each shard's member refs — and runs
 // beside the shard inserts, so a durable load writes its snapshot while
-// the exact tables fill. A failed persist fails the build. When the
+// the shards fill. A failed persist fails the build. When the
 // rows turn out to repeat a key, persist is called again, with the view
 // of the deduplicated store, and must replace what it wrote the first
 // time.
@@ -140,42 +161,56 @@ func dedup(rows Tuples) Tuples {
 // build is the one construction routine of a resident index, behind
 // bulk loads and snapshot loads of every version alike: a load is a
 // bulk build of the stored tuple store. It homes what is left of the
-// rows, then builds each shard's tuple store and exact index with dense
-// in-order inserts, in parallel across shards, while persist (if any)
-// runs on the calling goroutine. Walking refs ascending keeps every
-// shard's member list ascending — the insert order the upsert path
-// produces, so a shard's dictionary, once built, interns grams
-// identically. No key is decomposed: every shard is published unbuilt,
-// its q-gram structures left to its first approximate probe. A key met
-// twice in a shard is a *duplicateKeyError.
+// rows, sizing each shard's arenas to the rows homed there, then copies
+// every row into its home shard's store in one ascending pass, and
+// fills each shard's exact index from its own store, in parallel across
+// shards, while persist (if any) runs beside both. Walking refs
+// ascending keeps every shard's member list ascending — the insert
+// order the upsert path produces, so a shard's dictionary, once built,
+// interns grams identically. No key is decomposed: every shard is
+// published unbuilt, its q-gram structures left to its first
+// approximate probe. A key met twice in a shard is a
+// *duplicateKeyError.
 func (b *Bulk) build(persist func(*SnapshotView) error) (*ShardedRefIndex, error) {
-	s, rows, n := b.s, b.rows, b.rows.Len()
+	s, n := b.s, b.rows.Len()
 	b.Home(n)
-	snaps := make([]*shardSnap, s.nshard)
 	members := make([][]uint32, s.nshard)
-	for sh := range members {
+	stores := make([]*tupleStore, s.nshard)
+	for sh, tot := range b.totals {
 		if n > 0 { // presized; an empty index's member refs stay nil
-			members[sh] = make([]uint32, 0, b.counts[sh])
+			members[sh] = make([]uint32, 0, tot.rows)
 		}
+		stores[sh] = newTupleStore(tot.bytes, tot.strs)
 	}
 	for g, sh := range b.homes {
 		members[sh] = append(members[sh], uint32(g))
 	}
 
-	errs := make([]error, s.nshard)
 	var wg sync.WaitGroup
-	for sh, globals := range members {
+	var perr error
+	if persist != nil {
+		// Only a create persists, so the rows are Tuples. The copy and
+		// the inserts only read them and the member refs.
+		view := &SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: members, n: n, store: slices.Values(b.rows.(Tuples))}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snaps[sh], errs[sh] = buildShard(rows, globals)
+			perr = persist(view)
 		}()
 	}
-	var perr error
-	if persist != nil {
-		// Only a create persists, so the rows are Tuples. The inserts
-		// only read them and the member refs.
-		perr = persist(&SnapshotView{Cfg: s.cfg, NShard: s.nshard, Shards: members, n: n, store: slices.Values(rows.(Tuples))})
+	next := b.rows.Cursor()
+	for _, sh := range b.homes {
+		t := next()
+		stores[sh].add(&t)
+	}
+	snaps := make([]*shardSnap, s.nshard)
+	errs := make([]error, s.nshard)
+	for sh, st := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snaps[sh], errs[sh] = indexShard(st, members[sh])
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -207,29 +242,21 @@ func (e *duplicateKeyError) Error() string {
 	return fmt.Sprintf("join: store has key %q at both ref %d and %d (the store is keyed)", e.key, e.first, e.second)
 }
 
-// buildShard builds one shard from its members, the refs of the rows
-// homed there, ascending: their bytes are copied into a store
-// sized to them, and their keys into an exact index sized to them. A key
-// met twice is a *duplicateKeyError.
-func buildShard(rows Rows, globals []uint32) (*shardSnap, error) {
-	var buf []string
-	nbytes, nstrs := 0, 0
-	for _, g := range globals {
-		t := rows.Row(int(g), &buf)
-		b, s := storeSize(&t)
-		nbytes, nstrs = nbytes+b, nstrs+s
-	}
-	sn := newShardSnapFor(newTupleStore(nbytes, nstrs), len(globals))
+// indexShard makes a shard of a store the build has filled and the
+// ascending global refs of its tuples: its exact index is filled from
+// the store's own keys, in local ref order. A key met twice is a
+// *duplicateKeyError.
+func indexShard(st *tupleStore, globals []uint32) (*shardSnap, error) {
+	sn := newShardSnapFor(st, len(globals))
 	sn.globals = globals
-	for _, g := range globals {
-		t := rows.Row(int(g), &buf)
-		h := keyHash(t.Key)
-		if first, ok := sn.exIdx.Find(t.Key, h); ok {
-			// The rows may be an image the caller reuses: the error keeps
-			// a copy of the key.
-			return nil, &duplicateKeyError{key: strings.Clone(t.Key), first: globals[first], second: g}
+	for lref := range st.Len() {
+		key := st.Key(lref)
+		h := keyHash(key)
+		if first, ok := sn.exIdx.Find(key, h); ok {
+			// The error keeps a copy of the key, not the failed build's
+			// arena.
+			return nil, &duplicateKeyError{key: strings.Clone(key), first: globals[first], second: globals[lref]}
 		}
-		sn.tuples.add(&t)
 		sn.exIdx.Add(h)
 	}
 	return sn, nil

@@ -80,14 +80,16 @@ func FuzzResidentStore(f *testing.F) {
 				sn.tuples.compact()
 			case 4: // a load: the shard rebuilt from a copy of its tuples
 				store := make([]relation.Tuple, len(model))
-				globals := make([]uint32, len(model))
 				for i, tu := range model {
-					store[i], globals[i] = deepCopy(tu), uint32(i)
+					store[i] = deepCopy(tu)
 				}
-				loaded, err := buildShard(Tuples(store), globals)
+				// The one shard of a bulk build holds every tuple, under
+				// the global refs 0..n-1.
+				ix, err := BuildShardedRefIndex(Defaults(), 1, store)
 				if err != nil {
 					t.Fatalf("step %d: load: %v", step, err)
 				}
+				loaded := ix.shards[0].Load()
 				for i := range store {
 					got := loaded.tuples.At(i)
 					if got.Key != "" && unsafe.StringData(got.Key) == unsafe.StringData(store[i].Key) {

@@ -413,9 +413,9 @@ func (s *ShardedRefIndex) empty() bool {
 // log runs beside the shard inserts, once even when a repeated key
 // makes the batch build twice, and its error publishes nothing.
 func (s *ShardedRefIndex) load(tuples []relation.Tuple, homes []int32, log func() error) (inserted, updated int, err error) {
-	b := &Bulk{s: s, rows: Tuples(tuples), homes: homes, counts: make([]int, s.nshard)}
-	for _, sh := range homes {
-		b.counts[sh]++
+	b := &Bulk{s: s, rows: Tuples(tuples), homes: homes, totals: make([]shardTotals, s.nshard)}
+	for i, sh := range homes {
+		b.count(&tuples[i], int(sh))
 	}
 	var persist func(*SnapshotView) error
 	if log != nil {

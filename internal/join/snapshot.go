@@ -101,21 +101,22 @@ func (s *ShardedRefIndex) ExportSnapshot() (*SnapshotView, error) {
 
 // LoadShardedRefIndex builds the index a snapshot stores: rows is its
 // tuple store in ref order, and members, where the snapshot has them,
-// its shards' member refs, one list per shard. The index copies the
-// rows' bytes into its shards and keeps nothing of them.
+// its shards' member refs. The index copies the rows' bytes into its
+// shards and keeps nothing of them.
 //
 // A load is a bulk build of the stored tuple store: it partitions and
 // indexes the rows exactly as a bulk load does — one map insertion per
 // key, no gram hashed, no key decomposed, every shard unbuilt — and
 // rejects a key stored twice. The stored member refs are then checked
-// against it: each shard's must be the membership the build derived, so
-// refs out of range or out of order, a key outside its home shard or a
-// store the shards do not cover all yield a descriptive error, never an
-// index that can misbehave later. A snapshot without them (nil members,
-// a version 1 or 2 image) is the same build with nothing to check.
-func LoadShardedRefIndex(cfg Config, shards int, rows Rows, members [][]uint32) (*ShardedRefIndex, error) {
-	if members != nil && len(members) != shards {
-		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", len(members), shards)
+// against it, read in order off members: each shard's must be the
+// membership the build derived, so refs out of range or out of order, a
+// key outside its home shard or a store the shards do not cover all
+// yield a descriptive error, never an index that can misbehave later. A
+// snapshot without them (nil members, a version 1 or 2 image) is the
+// same build with nothing to check.
+func LoadShardedRefIndex(cfg Config, shards int, rows Rows, members Members) (*ShardedRefIndex, error) {
+	if members != nil && members.Shards() != shards {
+		return nil, fmt.Errorf("join: snapshot carries %d shard exports for %d shards", members.Shards(), shards)
 	}
 	s, err := NewShardedRefIndex(cfg, shards)
 	if err != nil {
@@ -124,18 +125,60 @@ func LoadShardedRefIndex(cfg Config, shards int, rows Rows, members [][]uint32) 
 	if s, err = s.bulk(rows).build(nil); err != nil {
 		return nil, err
 	}
-	for i, stored := range members {
+	if members == nil {
+		return s, nil
+	}
+	for i := range shards {
 		derived := s.shards[i].Load().globals
-		if len(stored) != len(derived) {
-			return nil, fmt.Errorf("join: snapshot shard %d lists %d members, the keys homed there number %d", i, len(stored), len(derived))
+		if c := members.List(); c != len(derived) {
+			return nil, fmt.Errorf("join: snapshot shard %d lists %d members, the keys homed there number %d", i, c, len(derived))
 		}
-		for lref, g := range stored {
-			if g != derived[lref] {
-				return nil, fmt.Errorf("join: snapshot shard %d lists global ref %d at local %d, where the store's key homes give %d", i, g, lref, derived[lref])
+		for lref, want := range derived {
+			if g := members.Ref(); g != want {
+				return nil, fmt.Errorf("join: snapshot shard %d lists global ref %d at local %d, where the store's key homes give %d", i, g, lref, want)
 			}
 		}
 	}
 	return s, nil
+}
+
+// Members is a snapshot's stored member refs, read in order: Shards
+// lists, in shard order, each read as its length (List) and then that
+// many refs (Ref). A load reads them once, so a decoder can hand out a
+// cursor over its image rather than decoded lists.
+type Members interface {
+	// Shards is the number of lists.
+	Shards() int
+	// List starts the next list and returns its length.
+	List() int
+	// Ref returns the current list's next ref.
+	Ref() uint32
+}
+
+// MemberLists is member refs decoded into one list per shard, as
+// Members; nil lists are no member refs, nil.
+func MemberLists(lists [][]uint32) Members {
+	if lists == nil {
+		return nil
+	}
+	return &memberLists{lists: lists, sh: -1}
+}
+
+type memberLists struct {
+	lists [][]uint32
+	sh, i int // the current list, and the next ref in it
+}
+
+func (m *memberLists) Shards() int { return len(m.lists) }
+
+func (m *memberLists) List() int {
+	m.sh, m.i = m.sh+1, 0
+	return len(m.lists[m.sh])
+}
+
+func (m *memberLists) Ref() uint32 {
+	m.i++
+	return m.lists[m.sh][m.i-1]
 }
 
 // CheckShardSection validates the q-gram section a version 3 or 4

@@ -408,7 +408,7 @@ func gathered(v *SnapshotView) *stored {
 }
 
 func (st *stored) load() (*ShardedRefIndex, error) {
-	return LoadShardedRefIndex(st.cfg, st.nshard, Tuples(st.tuples), st.members)
+	return LoadShardedRefIndex(st.cfg, st.nshard, Tuples(st.tuples), MemberLists(st.members))
 }
 
 // viewContent renders everything a view holds: its configuration, its

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -298,6 +299,57 @@ func TestLoadStoredSelectivity(t *testing.T) {
 	defer s3.Close()
 	if _, err := s3.LoadStored(); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("LoadStored over corrupt dir = %v, want error naming it", err)
+	}
+}
+
+// loadStoredDeadBytes bounds the heap objects LoadStored leaves beyond
+// the live heap. Its closing collection leaves only what it allocates
+// after that (its sorted name list); without it, the 20k-tuple image
+// alone is ~1 MB of dead bytes.
+const loadStoredDeadBytes = 64 << 10
+
+// TestLoadStoredCollectsOnce: a boot's loads end with one collection,
+// so what a load reads and throws away — the snapshot image, the
+// build's transients — is gone when LoadStored returns and does not
+// set the next GC goal; over an absent data dir LoadStored forces no
+// collection.
+func TestLoadStoredCollectsOnce(t *testing.T) {
+	dataDir := t.TempDir()
+	s := New(Config{Workers: 1, DataDir: dataDir})
+	if code, resp := serveBody(NewHandler(s), "POST", "/v1/indexes", marshal(t, createRequest(t, "big", 20000))); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, resp)
+	}
+	s.Close()
+
+	s2 := New(Config{Workers: 1, DataDir: dataDir})
+	defer s2.Close()
+	var before, after, live runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if names, err := s2.LoadStored(); err != nil || len(names) != 1 {
+		t.Fatalf("LoadStored = %v, %v; want [big]", names, err)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	if n := after.NumForcedGC - before.NumForcedGC; n != 1 {
+		t.Errorf("LoadStored forced %d collections, want 1", n)
+	}
+	dead := int64(after.HeapAlloc) - int64(live.HeapAlloc)
+	t.Logf("LoadStored left %d bytes of heap objects beyond the %d live", dead, live.HeapAlloc)
+	if dead > loadStoredDeadBytes {
+		t.Errorf("LoadStored left %d bytes of heap objects beyond the live heap, want at most %d", dead, loadStoredDeadBytes)
+	}
+
+	s3 := New(Config{Workers: 1, DataDir: filepath.Join(dataDir, "absent")})
+	defer s3.Close()
+	runtime.ReadMemStats(&before)
+	if names, err := s3.LoadStored(); err != nil || len(names) != 0 {
+		t.Fatalf("LoadStored over an absent data dir = %v, %v; want nothing", names, err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.NumForcedGC - before.NumForcedGC; n != 0 {
+		t.Errorf("LoadStored over an absent data dir forced %d collections, want 0", n)
 	}
 }
 

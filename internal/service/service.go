@@ -396,7 +396,13 @@ func (s *Service) placement(name string) (adaptivelink.StorageOptions, error) {
 // snapshot's temporary files), which would otherwise refuse their name
 // for good. Any other directory it does not load stays untouched. A
 // routed service refuses a data dir: its indexes live on the nodes.
-func (s *Service) LoadStored() ([]string, error) {
+//
+// Once it has loaded an index, it runs one garbage collection before it
+// returns, so the next GC goal is set by what the indexes hold, not by
+// what the loads read and threw away (each snapshot image, each build's
+// transients): the traffic after a restart then peaks no higher than
+// serving does. A data dir with no index collects nothing.
+func (s *Service) LoadStored() (names []string, err error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
 	}
@@ -410,9 +416,13 @@ func (s *Service) LoadStored() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if len(names) > 0 {
+			runtime.GC()
+		}
+	}()
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
-	var names []string
 	for _, e := range entries {
 		name, dir := e.Name(), filepath.Join(s.cfg.DataDir, e.Name())
 		if e.IsDir() && (strings.HasPrefix(name, tombstonePrefix) || nameRe.MatchString(name) && uncommittedCreate(dir)) {

@@ -50,8 +50,9 @@ var serviceRows = []row{
 	{"adaptivelink_uptime_seconds", "Seconds since the service started.", "gauge", "", func(r *scrape) float64 { return time.Since(r.s.start).Seconds() }},
 	{"adaptivelink_goroutines", "Live goroutines.", "gauge", "", func(*scrape) float64 { return float64(runtime.NumGoroutine()) }},
 	{"adaptivelink_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge", "", func(r *scrape) float64 { return float64(r.ms.HeapAlloc) }},
-	{"adaptivelink_gc_cycles_total", "Completed GC cycles.", "gauge", "", func(r *scrape) float64 { return float64(r.ms.NumGC) }},
-	{"adaptivelink_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "gauge", "", func(r *scrape) float64 { return float64(r.ms.PauseTotalNs) / 1e9 }},
+	{"adaptivelink_heap_goal_bytes", "Heap size at which the next GC cycle is to finish.", "gauge", "", func(r *scrape) float64 { return float64(r.ms.NextGC) }},
+	{"adaptivelink_gc_cycles_total", "Completed GC cycles.", "counter", "", func(r *scrape) float64 { return float64(r.ms.NumGC) }},
+	{"adaptivelink_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter", "", func(r *scrape) float64 { return float64(r.ms.PauseTotalNs) / 1e9 }},
 }
 
 // clusterRows are a router's self-healing series; its per-node request
@@ -89,21 +90,21 @@ var indexRows = []row{
 	{"adaptivelink_modelled_cost_total", "Session cost under the paper's weight model, in all-exact-step units.", "counter", "", func(r *scrape) float64 { return r.c.ModelledCost }},
 	{"adaptivelink_index_size", "Resident reference tuples per index.", "gauge", "", func(r *scrape) float64 { return float64(r.ix.Len()) }},
 	{"adaptivelink_index_shards", "Shard count of the resident index.", "gauge", "", func(r *scrape) float64 { return float64(r.ix.Options().Shards) }},
-	{"adaptivelink_engine_upserts_total", "Maintenance batches applied to the resident engine.", "gauge", "", func(r *scrape) float64 { return float64(r.es.Upserts) }},
-	{"adaptivelink_engine_snapshot_swaps_total", "Per-shard snapshot publications (RCU swaps).", "gauge", "", func(r *scrape) float64 { return float64(r.es.SnapshotSwaps) }},
-	{"adaptivelink_engine_clone_seconds_total", "Cumulative shard-snapshot clone time on the copy-on-write upsert path.", "gauge", "", func(r *scrape) float64 { return r.es.CloneSeconds }},
-	{"adaptivelink_engine_scratch_gets_total", "Scratch-pool checkouts on the approximate probe and upsert paths.", "gauge", "", func(r *scrape) float64 { return float64(r.es.ScratchGets) }},
-	{"adaptivelink_engine_scratch_misses_total", "Scratch-pool checkouts that allocated fresh (pool miss).", "gauge", "", func(r *scrape) float64 { return float64(r.es.ScratchMisses) }},
-	{"adaptivelink_engine_qgram_builds_total", "Lazy q-gram builds: one per shard, by its first approximate probe.", "gauge", "", func(r *scrape) float64 { return float64(r.es.QGramBuilds) }},
-	{"adaptivelink_engine_qgram_build_keys_total", "Keys decomposed by lazy q-gram builds.", "gauge", "", func(r *scrape) float64 { return float64(r.es.QGramBuildKeys) }},
-	{"adaptivelink_engine_qgram_build_seconds_total", "Cumulative lazy q-gram build time: what first escalations into shards waited for.", "gauge", "", func(r *scrape) float64 { return r.es.QGramBuildSeconds }},
+	{"adaptivelink_engine_upserts_total", "Maintenance batches applied to the resident engine.", "counter", "", func(r *scrape) float64 { return float64(r.es.Upserts) }},
+	{"adaptivelink_engine_snapshot_swaps_total", "Per-shard snapshot publications (RCU swaps).", "counter", "", func(r *scrape) float64 { return float64(r.es.SnapshotSwaps) }},
+	{"adaptivelink_engine_clone_seconds_total", "Cumulative shard-snapshot clone time on the copy-on-write upsert path.", "counter", "", func(r *scrape) float64 { return r.es.CloneSeconds }},
+	{"adaptivelink_engine_scratch_gets_total", "Scratch-pool checkouts on the approximate probe and upsert paths.", "counter", "", func(r *scrape) float64 { return float64(r.es.ScratchGets) }},
+	{"adaptivelink_engine_scratch_misses_total", "Scratch-pool checkouts that allocated fresh (pool miss).", "counter", "", func(r *scrape) float64 { return float64(r.es.ScratchMisses) }},
+	{"adaptivelink_engine_qgram_builds_total", "Lazy q-gram builds: one per shard, by its first approximate probe.", "counter", "", func(r *scrape) float64 { return float64(r.es.QGramBuilds) }},
+	{"adaptivelink_engine_qgram_build_keys_total", "Keys decomposed by lazy q-gram builds.", "counter", "", func(r *scrape) float64 { return float64(r.es.QGramBuildKeys) }},
+	{"adaptivelink_engine_qgram_build_seconds_total", "Cumulative lazy q-gram build time: what first escalations into shards waited for.", "counter", "", func(r *scrape) float64 { return r.es.QGramBuildSeconds }},
 	{"adaptivelink_engine_qgram_built_shards", "Shards currently holding q-gram structures.", "gauge", "", func(r *scrape) float64 { return float64(r.es.QGramBuiltShards) }},
 	{"adaptivelink_engine_qgram_posting_bytes", "Bytes of the built shards' posting lists: encoded blocks plus 4 per uncompressed tail ref.", "gauge", "", func(r *scrape) float64 { return float64(r.es.QGramPostingBytes) }},
-	{"adaptivelink_wal_appends_total", "Acknowledged write-ahead-log appends since open.", "gauge", "", func(r *scrape) float64 { return float64(r.st.WALAppends) }},
-	{"adaptivelink_wal_append_seconds_total", "Cumulative WAL append wall time, fsync included.", "gauge", "", func(r *scrape) float64 { return r.st.WALAppendSeconds }},
-	{"adaptivelink_wal_fsync_seconds_total", "Cumulative WAL fsync wall time.", "gauge", "", func(r *scrape) float64 { return r.st.WALFsyncSeconds }},
-	{"adaptivelink_checkpoints_total", "Snapshot checkpoints since open.", "gauge", "", func(r *scrape) float64 { return float64(r.st.Checkpoints) }},
-	{"adaptivelink_checkpoint_seconds_total", "Cumulative checkpoint wall time (export, write, WAL reset).", "gauge", "", func(r *scrape) float64 { return r.st.CheckpointSeconds }},
+	{"adaptivelink_wal_appends_total", "Acknowledged write-ahead-log appends since open.", "counter", "", func(r *scrape) float64 { return float64(r.st.WALAppends) }},
+	{"adaptivelink_wal_append_seconds_total", "Cumulative WAL append wall time, fsync included.", "counter", "", func(r *scrape) float64 { return r.st.WALAppendSeconds }},
+	{"adaptivelink_wal_fsync_seconds_total", "Cumulative WAL fsync wall time.", "counter", "", func(r *scrape) float64 { return r.st.WALFsyncSeconds }},
+	{"adaptivelink_checkpoints_total", "Snapshot checkpoints since open.", "counter", "", func(r *scrape) float64 { return float64(r.st.Checkpoints) }},
+	{"adaptivelink_checkpoint_seconds_total", "Cumulative checkpoint wall time (export, write, WAL reset).", "counter", "", func(r *scrape) float64 { return r.st.CheckpointSeconds }},
 }
 
 // WriteMetrics renders the Prometheus exposition from the state at

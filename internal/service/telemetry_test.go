@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -152,6 +153,62 @@ func TestMetricsInventoryRouter(t *testing.T) {
 	router := startStack(t, "router", Config{Cluster: cl})
 	lifecycle(t, router.srv.URL, "atlas")
 	checkInventory(t, "testdata/metrics_inventory_router.txt", scrapeInventory(t, router.srv.URL, subst))
+}
+
+// TestMetricsCounterNames: Prometheus reserves the _total suffix for
+// counters, so every family whose name ends in _total is typed counter
+// and every counter's name ends in _total — on a node holding a durable
+// index and on a router over it. (An index's counters restart from zero
+// when it is reopened, as a counter may.)
+func TestMetricsCounterNames(t *testing.T) {
+	node := startStack(t, "node", Config{DataDir: t.TempDir()})
+	lifecycle(t, node.srv.URL, "atlas")
+	cl, err := cluster.New(cluster.Config{Map: cluster.Map{Shards: 1, Groups: [][]string{{node.srv.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := startStack(t, "router", Config{Cluster: cl})
+	lifecycle(t, router.srv.URL, "routed")
+	for _, base := range []string{node.srv.URL, router.srv.URL} {
+		code, body := doJSON(t, "GET", base+"/metrics", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s/metrics: %d %s", base, code, body)
+		}
+		families := 0
+		for _, line := range strings.Split(string(body), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+				continue
+			}
+			families++
+			if strings.HasSuffix(f[2], "_total") != (f[3] == "counter") {
+				t.Errorf("%s: family %s is typed %s", base, f[2], f[3])
+			}
+		}
+		if families == 0 {
+			t.Errorf("%s: /metrics declares no family", base)
+		}
+	}
+}
+
+// TestMetricsHeapGoal: adaptivelink_heap_goal_bytes is the runtime's GC
+// goal at scrape, which moves only when a cycle ends.
+func TestMetricsHeapGoal(t *testing.T) {
+	_, ts := newTestServer(t)
+	for range 10 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := scrapeSeries(t, ts.URL)["adaptivelink_heap_goal_bytes"]
+		runtime.ReadMemStats(&after)
+		if before.NumGC != after.NumGC {
+			continue // a cycle ended during the scrape and moved the goal
+		}
+		if got != float64(before.NextGC) || got == 0 {
+			t.Fatalf("adaptivelink_heap_goal_bytes = %v, want the GC goal %d", got, before.NextGC)
+		}
+		return
+	}
+	t.Fatal("a GC cycle ended during each of 10 scrapes")
 }
 
 // TestResyncAdoptedShardsReported: an in-memory index that a resync

@@ -36,18 +36,16 @@
 // any int64 sequence round-trips. A tuple costs at least three bytes
 // (its id, key length and attr count).
 //
-// Decoding makes two passes. The first walks every column and checks
-// every count and length total against the input that remains, and
-// allocates nothing; the second notes, per tuple, its id and where its
-// key, attr lengths and attr bytes start in the image — four words a
-// tuple, no string header — and decodes the global refs into one arena.
-// The load then builds the index from the image in place: each tuple's
-// bytes are copied once, from the image into its home shard, and
-// nothing of the image is kept. With the trailing CRC over the whole
-// file, truncated, bit-flipped or hostile snapshots are rejected with
-// descriptive errors — the loader never panics (FuzzSnapshotDecode
-// decodes every input as given and with its checksum re-sealed) and
-// never yields a partial index.
+// Decoding walks every column once and checks every count and length
+// total against the input that remains, allocating nothing per tuple.
+// The load then builds the index from the image in place, reading the
+// store through forward cursors over its columns and the member refs
+// through one over their section: each tuple's bytes are copied once,
+// from the image into its home shard, and nothing of the image is kept.
+// With the trailing CRC over the whole file, truncated, bit-flipped or
+// hostile snapshots are rejected with descriptive errors — the loader
+// never panics (FuzzSnapshotDecode decodes every input as given and
+// with its checksum re-sealed) and never yields a partial index.
 //
 // Version 5 had the same header and fixed-width sections: n × i64 ids;
 // the keys as a string blob (count u32, (count+1) × u32 ascending
@@ -601,10 +599,14 @@ func readHeader(r *reader) (version uint32, m Meta, tuples int, err error) {
 // CRC and every structural bound, and builds the index it stores:
 // join.LoadShardedRefIndex over the image's tuple store, which checks
 // the stored member refs against that build (the cross-structure
-// invariants the codec cannot see). A version-6 image's store is read
-// where it lies: the build copies each tuple's bytes straight from the
-// image into its home shard, and the index keeps nothing of data. A
-// version 1 or 2 image has no member refs, so nothing is checked.
+// invariants the codec cannot see). A version-6 image is read where it
+// lies, in order: the build copies each tuple's bytes straight from the
+// image into its home shard through cursors over its columns, the check
+// reads the member refs through one over their section, nothing is
+// allocated per tuple beside the index, and the index keeps nothing of
+// data. Version 1 to 5 images are decoded into tuples and member lists
+// first. A version 1 or 2 image has no member refs, so nothing is
+// checked.
 func DecodeSnapshot(data []byte) (*join.ShardedRefIndex, error) {
 	m, rows, members, err := decodeImage(data)
 	if err != nil {
@@ -616,7 +618,7 @@ func DecodeSnapshot(data []byte) (*join.ShardedRefIndex, error) {
 // decodeImage verifies a snapshot image and decodes what a load builds
 // from: its compatibility tuple, its tuple store and, from version 3 on,
 // each shard's member refs.
-func decodeImage(data []byte) (Meta, join.Rows, [][]uint32, error) {
+func decodeImage(data []byte) (Meta, join.Rows, join.Members, error) {
 	if len(data) < len(snapMagic)+4 {
 		return Meta{}, nil, nil, fmt.Errorf("%w: snapshot of %d bytes is shorter than magic+checksum", ErrCorrupt, len(data))
 	}
@@ -655,16 +657,16 @@ func checkShardCount(r *reader, shards int) error {
 }
 
 // decodeColumns decodes the sections of a version-6 image of n tuples
-// in the given number of shards. The first pass walks every column, checking every count and length
-// total against the input that remains, and allocates nothing; the
-// second, over bytes the first has vouched for, notes where each
-// tuple's fields lie (columnRows) and decodes the member refs into one
-// arena.
-func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
+// in the given number of shards. It walks every column, checking every
+// count and length total against the input that remains, and allocates
+// nothing per tuple: the rows and member refs it returns are forward
+// cursors over the columns it has vouched for (columnRows,
+// memberColumn), which a load reads in order.
+func decodeColumns(r *reader, shards, n int) (join.Rows, join.Members, error) {
 	if int64(n)*minColumnTuple > int64(r.left()) {
 		return nil, nil, fmt.Errorf("%w: tuple count %d needs %d bytes, %d remain", ErrCorrupt, n, int64(n)*minColumnTuple, r.left())
 	}
-	idsAt := r.off
+	rows := &columnRows{data: r.data, n: n, ids: r.off}
 	for i := 0; i < n && r.err == nil; i++ {
 		if r.off < len(r.data) && r.data[r.off] < 0x80 {
 			r.off++ // the common one-byte word
@@ -672,15 +674,15 @@ func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
 			r.uvarint("tuple id")
 		}
 	}
-	keyLensAt := r.off
+	rows.keyLens = r.off
 	keyBytes := r.lengths(n, "key length")
-	keysAt := r.off
+	rows.keys = r.off
 	r.take(keyBytes)
-	attrCountsAt := r.off
+	rows.counts = r.off
 	attrs := r.lengths(n, "attr count")
-	attrLensAt := r.off
+	rows.lens = r.off
 	attrBytes := r.lengths(attrs, "attr length")
-	attrsAt := r.off
+	rows.attrs = r.off
 	r.take(attrBytes)
 	if r.err != nil {
 		return nil, nil, r.err
@@ -688,7 +690,7 @@ func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
 	if err := checkShardCount(r, shards); err != nil {
 		return nil, nil, err
 	}
-	shardsAt, members := r.off, 0
+	members := &memberColumn{column: column{b: r.data, i: r.off}, shards: shards}
 	for i := 0; i < shards && r.err == nil; i++ {
 		c := r.uvarint("shard member count")
 		if r.err == nil && (c > uint64(n) || c > uint64(r.left())) {
@@ -702,7 +704,6 @@ func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
 			}
 			prev = g
 		}
-		members += int(c)
 	}
 	if r.err != nil {
 		return nil, nil, fmt.Errorf("shard section: %w", r.err)
@@ -710,70 +711,46 @@ func decodeColumns(r *reader, shards, n int) (join.Rows, [][]uint32, error) {
 	if r.off != len(r.data) {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, r.left())
 	}
-
-	// One walk notes each tuple's id and where its fields start, from
-	// four cursors.
-	at := make([]rowAt, n+1)
-	ids, keyLens := column{b: r.data, i: idsAt}, column{b: r.data, i: keyLensAt}
-	counts, lens := column{b: r.data, i: attrCountsAt}, column{b: r.data, i: attrLensAt}
-	prev, key, attr := int64(-1), keysAt, attrsAt
-	for i := range n {
-		prev += 1 + unzigzag(ids.next())
-		at[i] = rowAt{id: prev, key: key, lens: lens.i, attrs: attr}
-		key += int(keyLens.next())
-		for range counts.next() {
-			attr += int(lens.next())
-		}
-	}
-	at[n] = rowAt{key: key, lens: lens.i, attrs: attr}
-
-	globals, lists := make([]uint32, members), make([][]uint32, shards)
-	col := column{b: r.data, i: shardsAt}
-	for i := range lists {
-		c := int(col.next())
-		g := globals[:c:c]
-		prev := int64(-1)
-		for j := range g {
-			prev += 1 + unzigzag(col.next())
-			g[j] = uint32(prev)
-		}
-		lists[i], globals = g, globals[c:]
-	}
-	return &columnRows{data: r.data, at: at}, lists, nil
+	return rows, members, nil
 }
 
 // columnRows is a version-6 image's tuple store as a bulk build's rows,
-// read where it lies: the strings a row returns are views of the image,
-// which live only until the build has copied them into its shards.
+// read where it lies: a cursor walks the id, key length, attr count and
+// attr length columns in step, and the strings a row returns are views
+// of the image, which live only until the build has copied them into
+// its shards.
 type columnRows struct {
 	data []byte
-	at   []rowAt // one per tuple, then one holding the columns' ends
+	n    int
+	// Where each column starts in data.
+	ids, keyLens, keys, counts, lens, attrs int
 }
 
-// rowAt is one tuple of a version-6 image: its id, and where its key,
-// its attr lengths and its attr bytes start in the image; the next
-// tuple's starts end them.
-type rowAt struct {
-	id               int64
-	key, lens, attrs int
-}
+func (c *columnRows) Len() int { return c.n }
 
-func (c *columnRows) Len() int { return len(c.at) - 1 }
-
-func (c *columnRows) Row(ref int, buf *[]string) relation.Tuple {
-	a, end := &c.at[ref], &c.at[ref+1]
-	t := relation.Tuple{ID: int(a.id), Key: c.str(a.key, end.key)}
-	if a.lens == end.lens {
-		return t // no attrs: Attrs stays nil
+func (c *columnRows) Cursor() func() relation.Tuple {
+	ids, keyLens := column{b: c.data, i: c.ids}, column{b: c.data, i: c.keyLens}
+	counts, lens := column{b: c.data, i: c.counts}, column{b: c.data, i: c.lens}
+	id, key, attr := int64(-1), c.keys, c.attrs
+	var buf []string
+	return func() relation.Tuple {
+		id += 1 + unzigzag(ids.next())
+		kl := int(keyLens.next())
+		t := relation.Tuple{ID: int(id), Key: c.str(key, key+kl)}
+		key += kl
+		na := counts.next()
+		if na == 0 {
+			return t // no attrs: Attrs stays nil
+		}
+		buf = buf[:0]
+		for range na {
+			l := int(lens.next())
+			buf = append(buf, c.str(attr, attr+l))
+			attr += l
+		}
+		t.Attrs = buf
+		return t
 	}
-	attrs, off := (*buf)[:0], a.attrs
-	for lens := (column{b: c.data, i: a.lens}); lens.i < end.lens; {
-		l := int(lens.next())
-		attrs = append(attrs, c.str(off, off+l))
-		off += l
-	}
-	*buf, t.Attrs = attrs, attrs
-	return t
 }
 
 // str is the image's bytes [lo, hi) as a string, without a copy.
@@ -781,11 +758,31 @@ func (c *columnRows) str(lo, hi int) string {
 	return unsafe.String(unsafe.SliceData(c.data[lo:hi]), hi-lo)
 }
 
+// memberColumn is a version-6 image's member refs as join.Members: a
+// cursor over the shard section, undoing the delta coding as it goes.
+type memberColumn struct {
+	column
+	shards int
+	prev   int64 // the current list's last ref
+}
+
+func (m *memberColumn) Shards() int { return m.shards }
+
+func (m *memberColumn) List() int {
+	m.prev = -1
+	return int(m.next())
+}
+
+func (m *memberColumn) Ref() uint32 {
+	m.prev += 1 + unzigzag(m.next())
+	return uint32(m.prev)
+}
+
 // decodeFixedWidth decodes the sections of a version 1 to 5 image of n
 // tuples in the given number of shards, over the fixed-width layout
 // those versions stored: the store as a []relation.Tuple, and from
 // version 3 on each shard's member refs.
-func decodeFixedWidth(r *reader, version uint32, shards, n int) (join.Rows, [][]uint32, error) {
+func decodeFixedWidth(r *reader, version uint32, shards, n int) (join.Rows, join.Members, error) {
 	if n > 0 && int64(n)*8 > int64(r.left()) {
 		r.fail("tuple count %d exceeds remaining bytes", n)
 		return nil, nil, r.err
@@ -836,7 +833,7 @@ func decodeFixedWidth(r *reader, version uint32, shards, n int) (join.Rows, [][]
 	if r.off != len(r.data) {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes after the last shard", ErrCorrupt, len(r.data)-r.off)
 	}
-	return join.Tuples(tuples), members, nil
+	return join.Tuples(tuples), join.MemberLists(members), nil
 }
 
 // skipQGramSection steps over the q-gram section a version 3 or 4

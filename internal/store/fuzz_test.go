@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
 	"adaptivelink/internal/join"
@@ -153,13 +152,14 @@ func fuzzContent(data []byte) content {
 
 // sameContent reports whether decoded rows and member refs are c's
 // tuples and member refs, a nil and an empty list counting as equal.
-func sameContent(c content, rows join.Rows, members [][]uint32) bool {
-	if rows.Len() != len(c.tuples) || len(members) != len(c.shards) {
+// Both are read in order, as a load reads them.
+func sameContent(c content, rows join.Rows, members join.Members) bool {
+	if rows.Len() != len(c.tuples) || members.Shards() != len(c.shards) {
 		return false
 	}
-	var buf []string
-	for i, t := range c.tuples {
-		u := rows.Row(i, &buf)
+	next := rows.Cursor()
+	for _, t := range c.tuples {
+		u := next()
 		if t.ID != u.ID || t.Key != u.Key || len(t.Attrs) != len(u.Attrs) {
 			return false
 		}
@@ -169,9 +169,14 @@ func sameContent(c content, rows join.Rows, members [][]uint32) bool {
 			}
 		}
 	}
-	for i, refs := range c.shards {
-		if !slices.Equal(refs, members[i]) {
+	for _, refs := range c.shards {
+		if members.List() != len(refs) {
 			return false
+		}
+		for _, g := range refs {
+			if members.Ref() != g {
+				return false
+			}
 		}
 	}
 	return true

@@ -120,7 +120,7 @@ func (ix *Index) RestoreSnapshot(data []byte) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed {
+	if ix.closed.Load() {
 		return ErrIndexClosed
 	}
 	if ix.dir != nil {
